@@ -67,15 +67,13 @@ fn bench_flags(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
     group.throughput(Throughput::Elements(n as u64));
-    let ready = ReadyFlags::new(n);
-    group.bench_function("ready_mark_and_reset", |b| {
+    let mut ready = ReadyFlags::new(n);
+    group.bench_function("ready_mark_and_retire", |b| {
         b.iter(|| {
             for e in 0..n {
                 ready.mark_done(e);
             }
-            for e in 0..n {
-                ready.reset(e);
-            }
+            ready.retire();
         })
     });
     let map = IterMap::new(n);

@@ -11,7 +11,7 @@
 //!   possibly polls) a `ready` flag, and every iteration publishes one —
 //!   `RunStats.wait_polls` is the busy-wait bill.
 //! * **wavefront** — the level-scheduled executor against a prebuilt
-//!   [`LevelSchedule`]: one spin-barrier per level, zero flag traffic,
+//!   [`LevelSchedule`]: one completion counter per level, zero flag traffic,
 //!   `wait_polls == 0` by construction.
 //!
 //! Both produce bit-identical results (asserted on every measurement), so

@@ -29,7 +29,7 @@ use crate::flags::{IterMap, ReadyFlags};
 use crate::inspector::{reset_scratch, run_inspector};
 use crate::oracle::InspectedWriter;
 use crate::pattern::DoacrossLoop;
-use crate::post::run_post;
+use crate::post::Post;
 use crate::runtime::DoacrossConfig;
 use crate::stats::{RunStats, StatsSink};
 use doacross_par::{SharedSlice, ThreadPool};
@@ -171,55 +171,36 @@ impl BlockedDoacross {
                 &self.iter,
                 self.config.validate_terms,
             ) {
-                reset_scratch(pool, schedule, &self.iter, &self.ready, self.capacity);
+                reset_scratch(pool, schedule, &self.iter, self.capacity);
                 return Err(e);
             }
             stats.inspector = t0.elapsed();
 
-            // Per-block executor.
-            let t1 = Instant::now();
+            // Per-block executor and, in the same region, postprocessing
+            // with copy-back (it carries the cross-block dependencies).
             let sink = StatsSink::new(pool.threads());
-            {
-                let oracle = InspectedWriter::new(&self.iter, window.clone());
-                let y_view = SharedSlice::new(&mut *y);
-                let ynew_view = SharedSlice::new(&mut self.ynew[..window.len()]);
-                run_executor(
-                    pool,
-                    schedule,
-                    wait,
-                    loop_,
-                    lo..hi,
-                    None,
-                    &oracle,
-                    y_view,
-                    ynew_view,
-                    &self.ready,
-                    window.start,
-                    &sink,
-                );
-            }
-            stats.executor = t1.elapsed();
+            let oracle = InspectedWriter::new(&self.iter, window.clone());
+            (stats.executor, stats.post) = run_executor(
+                pool,
+                schedule,
+                wait,
+                loop_,
+                lo..hi,
+                None,
+                &oracle,
+                SharedSlice::new(&mut *y),
+                SharedSlice::new(&mut self.ynew[..window.len()]),
+                &self.ready,
+                window.start,
+                Post {
+                    map: Some(&self.iter),
+                    copy_back: true,
+                },
+                &sink,
+                None,
+            );
+            self.ready.retire();
             sink.drain_into(&mut stats);
-
-            // Per-block postprocessing with copy-back.
-            let t2 = Instant::now();
-            {
-                let y_view = SharedSlice::new(&mut *y);
-                let ynew_view = SharedSlice::new(&mut self.ynew[..window.len()]);
-                run_post(
-                    pool,
-                    schedule,
-                    loop_,
-                    lo..hi,
-                    window.start,
-                    Some(&self.iter),
-                    &self.ready,
-                    y_view,
-                    ynew_view,
-                    true,
-                );
-            }
-            stats.post = t2.elapsed();
             stats.total = stats.inspector + stats.executor + stats.post;
             total.absorb(&stats);
             lo = hi;

@@ -21,7 +21,7 @@
 //! `ynew(off)` guarded by `ready(off)`; [`ReadyFlags::mark_done`] is a
 //! release store and the wait loop polls with acquire loads, so the
 //! writer's plain `ynew` store happens-before the reader's plain load.
-//! `y` is read-only for the whole region, and each `ynew` element has
+//! `y` is read-only while iterations run, and each `ynew` element has
 //! exactly one writer (injective `a`, enforced by the inspector).
 //!
 //! Progress argument: waits only target strictly earlier iterations
@@ -29,15 +29,26 @@
 //! iterations in increasing global order, so the lowest-numbered pending
 //! iteration can always run to completion — no deadlock, for any schedule
 //! and any dependence pattern the inspector admits.
+//!
+//! The postprocessor (Figure 3, right) runs in the same region: a worker
+//! that runs out of iterations adds how many it executed to an
+//! iterations-finished [`Completion`] counter, waits for the count to
+//! reach the range's length, and then postprocesses its fixed share
+//! ([`crate::post`]). The counter's release/acquire pair orders every
+//! iteration's `y` loads and `ynew` stores before any copy-back store, and
+//! a worker that claimed nothing delays nobody.
 
+use crate::completion::{Completion, RegionGuard};
 use crate::flags::ReadyFlags;
 use crate::oracle::WriterOracle;
 use crate::pattern::DoacrossLoop;
+use crate::post::{post_share, PhaseClock, Post};
 use crate::stats::{LocalCounters, StatsSink};
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
-use doacross_par::{abort_region, Schedule, SharedSlice, ThreadPool, WaitAbort, WaitStrategy};
+use doacross_par::{Schedule, SharedSlice, ThreadPool, WaitAbort, WaitStrategy};
 use std::ops::Range;
 use std::sync::atomic::AtomicUsize;
+use std::time::Duration;
 
 /// Fault-injection site consulted once per executor region; armed actions
 /// apply per iteration (see the `failpoint` crate's hot-path discipline).
@@ -49,7 +60,10 @@ pub(crate) const FAILPOINT_ITER: &str = "core::executor::iter";
 /// even when no wait ever stalls.
 pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
 
-/// Runs the doacross executor over iterations `iter_range`.
+/// Runs the doacross executor over iterations `iter_range`, then — in the
+/// same region — the postprocessing `post` asks for. Returns the region's
+/// wall time split into `(executor, post)` at the moment the last
+/// iteration was counted.
 ///
 /// * `oracle` answers "which iteration writes element e" (inspector map or
 ///   linear-subscript arithmetic).
@@ -61,10 +75,19 @@ pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
 ///   behaviour) differs. The order must be a topological order of the true
 ///   dependencies or the executor may livelock (the `Doacross` facade
 ///   validates this in full-validation mode).
-/// * `y` is the full data array (read-only during this region).
+/// * `y` is the full data array: read-only until every iteration is
+///   counted, then the copy-back target.
 /// * `ynew`/`ready` are the shadow array and flag set, holding elements
-///   `window_start .. window_start + ynew.len()`.
+///   `window_start .. window_start + ynew.len()`. The caller
+///   [retires](ReadyFlags::retire) the flags afterwards.
 /// * Executor-side counters land in `sink`, one cell per worker.
+/// * With `prof` set, each worker records one [`SpanKind::Work`] span
+///   covering its share of the iterations (`aux` = iterations executed,
+///   actual stalls nested inside) plus one [`SpanKind::FlagWait`] span per
+///   stall (`aux` = poll count), so span counts reconcile exactly with
+///   `RunStats`' `stalls` and the span `aux` totals with `wait_polls`.
+///   `None` costs one branch per would-be span — the never-stalling fast
+///   path reads no clock.
 ///
 /// Bounds are enforced with release-mode asserts: the inspector already
 /// validated the left-hand sides (and, in full-validation mode, the
@@ -83,61 +106,22 @@ pub fn run_executor<L, W>(
     ynew: SharedSlice<'_, f64>,
     ready: &ReadyFlags,
     window_start: usize,
-    sink: &StatsSink,
-) where
-    L: DoacrossLoop + ?Sized,
-    W: WriterOracle,
-{
-    run_executor_profiled(
-        pool,
-        schedule,
-        wait,
-        loop_,
-        iter_range,
-        order,
-        oracle,
-        y,
-        ynew,
-        ready,
-        window_start,
-        sink,
-        None,
-    )
-}
-
-/// [`run_executor`] with optional span profiling. With `prof` set, each
-/// worker records one [`SpanKind::Work`] span covering its share of the
-/// region (`aux` = iterations executed, actual stalls nested inside) plus
-/// one [`SpanKind::FlagWait`] span per stall (`aux` = poll count), so
-/// span counts reconcile exactly with `RunStats`' `stalls` and the span
-/// `aux` totals with `wait_polls`. `None` costs one branch per would-be
-/// span — the never-stalling fast path reads no clock.
-#[allow(clippy::too_many_arguments)]
-pub fn run_executor_profiled<L, W>(
-    pool: &ThreadPool,
-    schedule: Schedule,
-    wait: WaitStrategy,
-    loop_: &L,
-    iter_range: Range<usize>,
-    order: Option<&[usize]>,
-    oracle: &W,
-    y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    ready: &ReadyFlags,
-    window_start: usize,
+    post: Post<'_>,
     sink: &StatsSink,
     prof: Option<&ProfArena>,
-) where
+) -> (Duration, Duration)
+where
     L: DoacrossLoop + ?Sized,
     W: WriterOracle,
 {
     let nworkers = pool.threads();
     let base = iter_range.start;
-    let count = iter_range.end - iter_range.start;
+    let count = iter_range.len();
     if count == 0 {
-        return;
+        return (Duration::ZERO, Duration::ZERO);
     }
     let counter = AtomicUsize::new(0);
+    let finished = Completion::new();
     let data_len = loop_.data_len();
     let window_len = ynew.len();
     // Fault containment: capture the region's poison word and deadline
@@ -146,7 +130,14 @@ pub fn run_executor_profiled<L, W>(
     // one shared read-mostly atomic.
     let poison = pool.poison();
     let deadline = pool.deadline();
+    let guard = RegionGuard {
+        wait,
+        poison,
+        deadline,
+        commit: (&finished, count),
+    };
     let failpoint = failpoint::lookup(FAILPOINT_ITER);
+    let clock = PhaseClock::start();
 
     pool.run(|worker| {
         let mut local = LocalCounters::default();
@@ -159,19 +150,15 @@ pub fn run_executor_profiled<L, W>(
             };
             failpoint::hit(failpoint, i as u64);
             // A sibling's fault means flags may never be published past
-            // this point: stop claiming work and drain (partial counters
-            // are deposited so the fault observer sees this worker's
-            // progress — ordered by the poison word's release/acquire).
+            // this point: stop claiming work and drain.
             if let Some(fault) = poison.fault() {
-                sink.deposit(worker, std::mem::take(&mut local));
-                abort_region(poison, WaitAbort::Poisoned(fault));
+                guard.bail(sink, worker, &mut local, WaitAbort::Poisoned(fault));
             }
             executed += 1;
             if deadline.is_some() && executed.is_multiple_of(DEADLINE_ITER_PERIOD) {
                 if let Some(d) = deadline {
                     if std::time::Instant::now() >= d {
-                        sink.deposit(worker, std::mem::take(&mut local));
-                        abort_region(poison, WaitAbort::DeadlineExpired);
+                        guard.bail(sink, worker, &mut local, WaitAbort::DeadlineExpired);
                     }
                 }
             }
@@ -181,7 +168,8 @@ pub fn run_executor_profiled<L, W>(
             assert!(lhs_slot < window_len, "executor: lhs {lhs} escapes window");
 
             // S2: seed from the old value of the output element.
-            // SAFETY: y is read-only during the region; bounds asserted.
+            // SAFETY: y is read-only until the completion gate; bounds
+            // asserted.
             let mut acc = loop_.init(i, unsafe { y.read(lhs) });
 
             let iv = i as i64;
@@ -203,10 +191,7 @@ pub fn run_executor_profiled<L, W>(
                     };
                     let (polls, wait_ns) = match waited {
                         Ok(waited) => waited,
-                        Err(abort) => {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, abort);
-                        }
+                        Err(abort) => guard.bail(sink, worker, &mut local, abort),
                     };
                     if polls > 0 {
                         local.stalls += 1;
@@ -236,7 +221,7 @@ pub fn run_executor_profiled<L, W>(
                     acc
                 } else {
                     // S6–S7: antidependency or never-written element — old
-                    // value. SAFETY: y is read-only during the region.
+                    // value. SAFETY: y is read-only until the gate.
                     local.anti_or_unwritten += 1;
                     unsafe { y.read(off) }
                 };
@@ -258,8 +243,34 @@ pub fn run_executor_profiled<L, W>(
                 executed,
             );
         }
+        if post.is_needed() {
+            // One add per worker, not per iteration: nobody can use a
+            // partial count, and a worker that executed nothing skips it.
+            if executed > 0 && finished.add(executed as usize, count) {
+                clock.gate_opened();
+            }
+            if let Err(abort) = finished.wait(count, &guard) {
+                guard.bail(sink, worker, &mut local, abort);
+            }
+            // SAFETY: the gate above saw all `count` iterations counted,
+            // each add a release after that worker's last `y` load and
+            // `ynew` store (module docs).
+            unsafe {
+                post_share(
+                    loop_,
+                    iter_range.clone(),
+                    window_start,
+                    post,
+                    y,
+                    ynew,
+                    worker,
+                    nworkers,
+                )
+            };
+        }
         sink.deposit(worker, local);
     });
+    clock.split()
 }
 
 #[cfg(test)]
@@ -272,8 +283,8 @@ mod tests {
     use crate::seq::run_sequential;
     use crate::stats::RunStats;
 
-    /// Full manual pipeline (inspector + executor, no postprocessing) so the
-    /// executor can be probed in isolation.
+    /// Manual pipeline (inspector, then executor with fused copy-back) so
+    /// the executor can be probed in isolation.
     fn execute(
         loop_: &IndirectLoop,
         y: &[f64],
@@ -312,13 +323,13 @@ mod tests {
             ynew_view,
             &ready,
             0,
+            Post {
+                map: None,
+                copy_back: true,
+            },
             &sink,
+            None,
         );
-        // Manual copy-back (postprocessing's job).
-        for i in 0..loop_.iterations() {
-            let e = loop_.lhs(i);
-            y_buf[e] = ynew_buf[e];
-        }
         let mut stats = RunStats {
             workers,
             iterations: loop_.iterations(),
@@ -448,7 +459,12 @@ mod tests {
             SharedSlice::new(&mut ynew),
             &ready,
             0,
+            Post {
+                map: None,
+                copy_back: true,
+            },
             &sink,
+            None,
         );
         let mut stats = RunStats::default();
         sink.drain_into(&mut stats);

@@ -17,11 +17,8 @@ use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 /// iteration number.
 pub const MAXINT: i64 = i64::MAX;
 
-/// `ready(off) == NOTDONE`: the element's writer has not completed.
+/// The flag value no epoch ever takes: a flag nobody has raised yet.
 const NOTDONE: u32 = 0;
-/// `ready(off) == DONE`: the element's writer has completed and its value
-/// is visible in `ynew`.
-const DONE: u32 = 1;
 
 /// The paper's `ready` array: one DONE/NOTDONE flag per data element, with
 /// a release/acquire hand-off protocol.
@@ -31,9 +28,16 @@ const DONE: u32 = 1;
 /// polls [`ReadyFlags::is_done`] (acquire); once it observes `DONE`, the
 /// writer's `ynew` stores are ordered before the reader's loads — this pair
 /// is the entire cross-iteration memory-ordering story of the executor.
+///
+/// `DONE` is not a constant but the current *epoch*: a flag reads done only
+/// while it holds the epoch it was raised in, so [`ReadyFlags::retire`]
+/// returns every flag to `NOTDONE` by advancing one integer — the paper's
+/// postprocessing pass `ready(a(i)) = NOTDONE` without touching the array.
 #[derive(Debug)]
 pub struct ReadyFlags {
     flags: Vec<AtomicU32>,
+    /// What `DONE` means for the run in flight; never [`NOTDONE`].
+    epoch: u32,
 }
 
 impl ReadyFlags {
@@ -42,7 +46,7 @@ impl ReadyFlags {
     pub fn new(len: usize) -> Self {
         let mut flags = Vec::with_capacity(len);
         flags.resize_with(len, || AtomicU32::new(NOTDONE));
-        Self { flags }
+        Self { flags, epoch: 1 }
     }
 
     /// Number of flags (size of the data space).
@@ -63,29 +67,38 @@ impl ReadyFlags {
     /// subsequently observes `DONE`.
     #[inline]
     pub fn mark_done(&self, element: usize) {
-        self.flags[element].store(DONE, Ordering::Release);
+        self.flags[element].store(self.epoch, Ordering::Release);
     }
 
     /// Polls `element`'s flag (Figure 2 statement S1 / Figure 5 S4).
     /// Acquire ordering pairs with [`ReadyFlags::mark_done`].
     #[inline]
     pub fn is_done(&self, element: usize) -> bool {
-        self.flags[element].load(Ordering::Acquire) == DONE
+        self.flags[element].load(Ordering::Acquire) == self.epoch
     }
 
-    /// Resets `element` to `NOTDONE` (postprocessing, Figure 3 right).
-    #[inline]
-    pub fn reset(&self, element: usize) {
-        self.flags[element].store(NOTDONE, Ordering::Relaxed);
+    /// Returns every flag to `NOTDONE` in O(1) by starting a new epoch.
+    /// `&mut self`: no region is in flight. When the epoch counter would
+    /// wrap onto a value some stale flag may still hold, the array is
+    /// cleared once — every 2³² − 1 runs.
+    pub fn retire(&mut self) {
+        if self.epoch == u32::MAX {
+            for flag in &mut self.flags {
+                *flag.get_mut() = NOTDONE;
+            }
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
+        }
     }
 
-    /// True when every flag is `NOTDONE` — the reuse invariant that must
+    /// True when every flag reads `NOTDONE` — the reuse invariant that must
     /// hold between doacross instances. O(n); intended for tests and debug
     /// assertions.
     pub fn all_clear(&self) -> bool {
         self.flags
             .iter()
-            .all(|f| f.load(Ordering::Relaxed) == NOTDONE)
+            .all(|f| f.load(Ordering::Relaxed) != self.epoch)
     }
 }
 
@@ -169,14 +182,41 @@ mod tests {
     }
 
     #[test]
-    fn ready_mark_and_reset_cycle() {
-        let r = ReadyFlags::new(4);
+    fn ready_mark_and_retire_cycle() {
+        let mut r = ReadyFlags::new(4);
         r.mark_done(2);
         assert!(r.is_done(2));
         assert!(!r.all_clear());
-        r.reset(2);
+        r.retire();
         assert!(!r.is_done(2));
         assert!(r.all_clear());
+    }
+
+    #[test]
+    fn retiring_clears_every_flag_without_touching_them() {
+        let mut r = ReadyFlags::new(3);
+        r.mark_done(0);
+        r.mark_done(2);
+        r.retire();
+        assert!(r.all_clear());
+        assert!((0..3).all(|e| !r.is_done(e)));
+        // A flag raised in the new epoch reads done; the stale ones do not.
+        r.mark_done(1);
+        assert!(r.is_done(1) && !r.is_done(0) && !r.is_done(2));
+    }
+
+    #[test]
+    fn epoch_wrap_clears_stale_flags() {
+        let mut r = ReadyFlags::new(2);
+        r.mark_done(0); // holds epoch 1
+        r.epoch = u32::MAX;
+        r.mark_done(1);
+        r.retire();
+        assert_eq!(r.epoch, 1, "wrapped past NOTDONE");
+        assert!(
+            r.all_clear(),
+            "the flag raised in the first epoch 1 is gone"
+        );
     }
 
     #[test]

@@ -135,26 +135,17 @@ pub fn run_inspector<P: AccessPattern + ?Sized>(
     Ok(())
 }
 
-/// Parallel full reset of the first `len` scratch entries: `iter` back to
-/// `MAXINT` and `ready` back to `NOTDONE`. Used to restore the reuse
-/// invariant after a failed (partially-executed) inspector.
-pub fn reset_scratch(
-    pool: &ThreadPool,
-    schedule: Schedule,
-    map: &IterMap,
-    ready: &crate::flags::ReadyFlags,
-    len: usize,
-) {
-    parallel_for(pool, len, schedule, |e| {
-        map.clear(e);
-        ready.reset(e);
-    });
+/// Parallel full reset of the first `len` writer-map entries back to
+/// `MAXINT`. Used to restore the reuse invariant after a failed
+/// (partially-executed) inspector; the `ready` flags need nothing — none
+/// was raised since they were last retired.
+pub fn reset_scratch(pool: &ThreadPool, schedule: Schedule, map: &IterMap, len: usize) {
+    parallel_for(pool, len, schedule, |e| map.clear(e));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flags::ReadyFlags;
     use crate::pattern::IndirectLoop;
 
     fn pool() -> ThreadPool {
@@ -285,12 +276,9 @@ mod tests {
     #[test]
     fn reset_scratch_restores_invariant() {
         let map = IterMap::new(8);
-        let ready = ReadyFlags::new(8);
         map.record(3, 1);
-        ready.mark_done(5);
-        reset_scratch(&pool(), Schedule::multimax(), &map, &ready, 8);
+        reset_scratch(&pool(), Schedule::multimax(), &map, 8);
         assert!(map.all_clear());
-        assert!(ready.all_clear());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! doacross ([`blocked`]) and the linear-subscript executor that eliminates
 //! the inspector when `a(i) = c·i + d` ([`linear`]).
 //!
-//! ## Executors: per-element flags vs. level barriers
+//! ## Executors: per-element flags vs. per-level counters
 //!
 //! Two executors bracket the synchronization design space:
 //!
@@ -53,11 +53,15 @@
 //!   the only overhead is where the structure demands it.
 //! * the **wavefront executor** ([`wavefront`]) synchronizes per *level* —
 //!   iterations are grouped by dependence level at preprocessing time and
-//!   each level runs as a barrier-separated doall, with **zero** ready-flag
-//!   traffic and zero writer-map lookups inside a level. Best when the
-//!   poll/stall bill dominates (many true dependencies, deep structures,
-//!   contended flags): the per-element cost disappears and the price is
-//!   `levels × barrier`.
+//!   each level runs as a doall that is complete when its iterations are
+//!   counted (no barrier: nobody waits for a worker that holds no work),
+//!   with **zero** ready-flag traffic and zero writer-map lookups inside a
+//!   level. Best when the poll/stall bill dominates (many true
+//!   dependencies, deep structures, contended flags): the per-element cost
+//!   disappears and the price is one counter hand-off per level.
+//!
+//! Either way a solve is one pool region: the postprocessor's copy-back
+//! runs behind the same kind of counter once the last iteration is in.
 //!
 //! The `doacross-plan` cost model prices both and picks the crossover
 //! automatically ([`stats::RunStats::wait_polls`] makes the trade
@@ -93,6 +97,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 pub mod alloc;
 pub mod blocked;
+mod completion;
 pub mod error;
 pub mod executor;
 pub mod flags;

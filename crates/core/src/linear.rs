@@ -15,15 +15,13 @@
 //! that the loop's `lhs` really is the declared linear function.
 
 use crate::error::DoacrossError;
-use crate::executor::run_executor;
 use crate::flags::ReadyFlags;
 use crate::inspector::ErrorSlot;
 use crate::oracle::{LinearWriter, WriterOracle};
 use crate::pattern::DoacrossLoop;
-use crate::post::run_post;
-use crate::runtime::DoacrossConfig;
+use crate::runtime::{exec_and_post, DoacrossConfig};
 use crate::stats::{RunStats, StatsSink};
-use doacross_par::{parallel_for, SharedSlice, ThreadPool};
+use doacross_par::{parallel_for, ThreadPool};
 use std::time::Instant;
 
 /// The declared left-hand-side subscript function `a(i) = c·i + d`
@@ -79,6 +77,9 @@ pub struct LinearDoacross {
     data_len: usize,
     ready: ReadyFlags,
     ynew: Vec<f64>,
+    /// Per-worker counter cells, reused across runs (grow-don't-shrink +
+    /// reset after drain) so a warm solve allocates nothing.
+    sink: StatsSink,
 }
 
 impl LinearDoacross {
@@ -97,6 +98,7 @@ impl LinearDoacross {
             data_len,
             ready: ReadyFlags::new(data_len),
             ynew: vec![0.0; data_len],
+            sink: StatsSink::new(0),
         }
     }
 
@@ -253,51 +255,25 @@ impl LinearDoacross {
             }
         }
 
-        // Executor with the arithmetic writer oracle.
-        let t1 = Instant::now();
-        let sink = StatsSink::new(pool.threads());
-        {
-            let oracle = LinearWriter::new(subscript.c, subscript.d, n);
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..]);
-            run_executor(
-                pool,
-                schedule,
-                self.config.wait,
-                loop_,
-                0..n,
-                order,
-                &oracle,
-                y_view,
-                ynew_view,
-                &self.ready,
-                0,
-                &sink,
-            );
-        }
-        stats.executor = t1.elapsed();
-        sink.drain_into(&mut stats);
-
-        // Postprocessing: reset `ready`, copy back (no `iter` to clear)
-        // unless the caller reads results from the shadow array.
-        let t2 = Instant::now();
-        {
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..]);
-            run_post(
-                pool,
-                schedule,
-                loop_,
-                0..n,
-                0,
-                None,
-                &self.ready,
-                y_view,
-                ynew_view,
-                self.config.copy_back,
-            );
-        }
-        stats.post = t2.elapsed();
+        // Executor with the arithmetic writer oracle, then — in the same
+        // region — copy-back unless the caller reads results from the
+        // shadow array (no `iter` to clear).
+        self.sink.ensure_workers(pool.threads());
+        let oracle = LinearWriter::new(subscript.c, subscript.d, n);
+        exec_and_post(
+            pool,
+            &self.config,
+            loop_,
+            y,
+            &mut self.ynew,
+            &mut self.ready,
+            &oracle,
+            order,
+            None,
+            &self.sink,
+            &mut stats,
+            None,
+        );
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean());
         Ok(stats)

@@ -8,54 +8,122 @@
 //! end parallel do
 //! ```
 //!
-//! Restores the scratch-array reuse invariant (`iter` all `MAXINT`, `ready`
-//! all `NOTDONE`) by touching exactly the elements this loop instance
-//! wrote — O(N) work instead of O(data_len) — and copies the freshly
-//! computed values back into `y`. Like the inspector, it is a doall:
-//! distinct iterations touch distinct elements because `a` is injective.
+//! Restores the scratch-array reuse invariant by touching exactly the
+//! elements this loop instance wrote — O(N) work instead of O(data_len) —
+//! and copies the freshly computed values back into `y`. Like the
+//! inspector, it is a doall: distinct iterations touch distinct elements
+//! because `a` is injective.
+//!
+//! It is not a region of its own. The executors run it *inside* their
+//! region, behind the [`Completion`](crate::completion) gate that opens
+//! when the last iteration is counted: each worker then postprocesses a
+//! fixed block of the iteration range ([`post_share`]) with no claims at
+//! all. And `ready(a(i)) = NOTDONE` is not a store per element but one
+//! epoch bump after the region ([`crate::flags::ReadyFlags::retire`]).
 
-use crate::flags::{IterMap, ReadyFlags};
+use crate::flags::IterMap;
 use crate::pattern::AccessPattern;
-use doacross_par::{parallel_for, Schedule, SharedSlice, ThreadPool};
+use doacross_par::schedule::block_range;
+use doacross_par::SharedSlice;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-/// Runs postprocessing for iterations `iter_range`: for each iteration's
-/// `lhs` element, clears the `iter` entry, resets the `ready` flag
-/// (both window-relative), and copies `ynew` back into `y`.
+/// What a region does once all its iterations are counted.
+#[derive(Debug, Clone, Copy)]
+pub struct Post<'a> {
+    /// The writer map whose entries this run filled and must clear again
+    /// (window-relative) — `None` when the map is a prebuilt artifact that
+    /// outlives the run, or there is none.
+    pub map: Option<&'a IterMap>,
+    /// Copy `ynew` back into `y`; `false` keeps results in `ynew` only
+    /// (solvers that consume the shadow array directly).
+    pub copy_back: bool,
+}
+
+impl Post<'_> {
+    /// Whether there is anything to do — a region with no post work skips
+    /// the gate altogether.
+    pub fn is_needed(&self) -> bool {
+        self.map.is_some() || self.copy_back
+    }
+}
+
+/// Worker `worker`'s fixed block (of `nworkers`) of the postprocessing of
+/// iterations `iter_range`: for each iteration's `lhs` element, clears the
+/// `iter` entry (window-relative) and copies `ynew` back into `y`, as
+/// `post` asks.
 ///
-/// Set `copy_back: false` to keep results in `ynew` only (used by solvers
-/// that consume the shadow array directly).
+/// # Safety
+/// Every iteration of `iter_range` must have completed its `ynew` store,
+/// ordered before this call (the caller passed the region's completion
+/// gate), and no thread may still read `y` — which the same gate implies,
+/// since only iteration bodies do.
 #[allow(clippy::too_many_arguments)]
-pub fn run_post<P: AccessPattern + ?Sized>(
-    pool: &ThreadPool,
-    schedule: Schedule,
+pub(crate) unsafe fn post_share<P: AccessPattern + ?Sized>(
     pattern: &P,
     iter_range: Range<usize>,
     window_start: usize,
-    map: Option<&IterMap>,
-    ready: &ReadyFlags,
+    post: Post<'_>,
     y: SharedSlice<'_, f64>,
     ynew: SharedSlice<'_, f64>,
-    copy_back: bool,
+    worker: usize,
+    nworkers: usize,
 ) {
     let base = iter_range.start;
-    let count = iter_range.end - iter_range.start;
-    parallel_for(pool, count, schedule, |k| {
-        let i = base + k;
-        let elem = pattern.lhs(i);
+    for k in block_range(iter_range.len(), nworkers, worker) {
+        let elem = pattern.lhs(base + k);
         let slot = elem - window_start;
-        if let Some(map) = map {
+        if let Some(map) = post.map {
             map.clear(slot);
         }
-        ready.reset(slot);
-        if copy_back {
+        if post.copy_back {
             // SAFETY: distinct iterations have distinct `lhs` elements
             // (injective `a`, verified by the inspector), so writes to `y`
-            // are disjoint; `ynew[slot]` was completed in the executor
-            // region, ordered by the pool join.
+            // are disjoint across workers; `ynew[slot]` is complete and
+            // `y` has no readers left by the caller's contract.
             unsafe { y.write(elem, ynew.read(slot)) };
         }
-    });
+    }
+}
+
+/// Splits one region's wall time into executor and post: the worker whose
+/// count fills the completion gate stamps the moment, the dispatcher reads
+/// it after the join.
+#[derive(Debug)]
+pub(crate) struct PhaseClock {
+    started: Instant,
+    /// Nanoseconds after `started` at which the gate opened; 0 = never.
+    gate_ns: AtomicU64,
+}
+
+impl PhaseClock {
+    pub(crate) fn start() -> Self {
+        Self {
+            started: Instant::now(),
+            gate_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Called by the one worker whose add filled the gating count.
+    /// `Relaxed`: read only after the region's join.
+    pub(crate) fn gate_opened(&self) {
+        let ns = self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.gate_ns.store(ns.max(1), Ordering::Relaxed);
+    }
+
+    /// `(executor, post)` wall time, once the region has joined; all
+    /// executor when the gate never opened (no post work).
+    pub(crate) fn split(&self) -> (Duration, Duration) {
+        let total = self.started.elapsed();
+        match self.gate_ns.load(Ordering::Relaxed) {
+            0 => (total, Duration::ZERO),
+            ns => {
+                let executor = Duration::from_nanos(ns).min(total);
+                (executor, total - executor)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -69,85 +137,80 @@ mod tests {
         IndirectLoop::new(data_len, a, vec![vec![]; n], vec![vec![]; n]).unwrap()
     }
 
+    /// Every worker's share, one after the other — the shares are disjoint,
+    /// so the order is immaterial.
+    fn post_all(
+        l: &IndirectLoop,
+        iter_range: Range<usize>,
+        window_start: usize,
+        post: Post<'_>,
+        y: &mut [f64],
+        ynew: &mut [f64],
+        nworkers: usize,
+    ) {
+        let (y, ynew) = (SharedSlice::new(y), SharedSlice::new(ynew));
+        for worker in 0..nworkers {
+            // SAFETY: single-threaded; `ynew` is fully written by the test.
+            unsafe {
+                post_share(
+                    l,
+                    iter_range.clone(),
+                    window_start,
+                    post,
+                    y,
+                    ynew,
+                    worker,
+                    nworkers,
+                )
+            };
+        }
+    }
+
     #[test]
-    fn restores_invariant_and_copies_back() {
-        let pool = ThreadPool::new(3);
+    fn clears_the_map_and_copies_back() {
         let l = loop_with_lhs(vec![1, 3, 4], 6);
         let map = IterMap::new(6);
-        let ready = ReadyFlags::new(6);
-        // Simulate a completed executor run.
         for (i, &e) in [1usize, 3, 4].iter().enumerate() {
             map.record(e, i);
-            ready.mark_done(e);
         }
         let mut y = vec![0.0; 6];
         let mut ynew = vec![10.0, 11.0, 12.0, 13.0, 14.0, 15.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..3,
-            0,
-            Some(&map),
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            true,
-        );
+        let post = Post {
+            map: Some(&map),
+            copy_back: true,
+        };
+        post_all(&l, 0..3, 0, post, &mut y, &mut ynew, 2);
         assert!(map.all_clear());
-        assert!(ready.all_clear());
         assert_eq!(y, vec![0.0, 11.0, 0.0, 13.0, 14.0, 0.0]);
     }
 
     #[test]
     fn no_copy_back_leaves_y_untouched() {
-        let pool = ThreadPool::new(2);
         let l = loop_with_lhs(vec![0, 1], 2);
-        let ready = ReadyFlags::new(2);
-        ready.mark_done(0);
-        ready.mark_done(1);
         let mut y = vec![7.0, 8.0];
         let mut ynew = vec![1.0, 2.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..2,
-            0,
-            None,
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            false,
-        );
+        let post = Post {
+            map: None,
+            copy_back: false,
+        };
+        assert!(!post.is_needed());
+        post_all(&l, 0..2, 0, post, &mut y, &mut ynew, 3);
         assert_eq!(y, vec![7.0, 8.0]);
-        assert!(ready.all_clear());
     }
 
     #[test]
     fn windowed_post_uses_relative_slots() {
-        let pool = ThreadPool::new(2);
         let l = loop_with_lhs(vec![10, 11], 16);
         let map = IterMap::new(2);
-        let ready = ReadyFlags::new(2);
         map.record(0, 0);
         map.record(1, 1);
-        ready.mark_done(0);
-        ready.mark_done(1);
         let mut y = vec![0.0; 16];
         let mut ynew = vec![5.0, 6.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..2,
-            10,
-            Some(&map),
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            true,
-        );
+        let post = Post {
+            map: Some(&map),
+            copy_back: true,
+        };
+        post_all(&l, 0..2, 10, post, &mut y, &mut ynew, 2);
         assert_eq!(y[10], 5.0);
         assert_eq!(y[11], 6.0);
         assert!(map.all_clear());
@@ -155,31 +218,33 @@ mod tests {
     }
 
     #[test]
-    fn partial_range_resets_only_its_elements() {
-        let pool = ThreadPool::new(2);
+    fn partial_range_touches_only_its_elements() {
         let l = loop_with_lhs(vec![0, 1, 2], 3);
         let map = IterMap::new(3);
-        let ready = ReadyFlags::new(3);
         for e in 0..3 {
             map.record(e, e);
-            ready.mark_done(e);
         }
         let mut y = vec![0.0; 3];
         let mut ynew = vec![1.0, 2.0, 3.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..2,
-            0,
-            Some(&map),
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            true,
-        );
+        let post = Post {
+            map: Some(&map),
+            copy_back: true,
+        };
+        post_all(&l, 0..2, 0, post, &mut y, &mut ynew, 4);
         assert_eq!(map.writer(2), 2, "iteration 2's entry untouched");
-        assert!(ready.is_done(2));
         assert_eq!(y, vec![1.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn phase_clock_splits_at_the_gate() {
+        let clock = PhaseClock::start();
+        let (executor, post) = clock.split();
+        assert!(executor > Duration::ZERO || post == Duration::ZERO);
+        assert_eq!(post, Duration::ZERO, "gate never opened: all executor");
+        clock.gate_opened();
+        std::thread::sleep(Duration::from_millis(2));
+        let (executor, post) = clock.split();
+        assert!(post >= Duration::from_millis(2), "{post:?}");
+        assert!(executor < Duration::from_millis(2), "{executor:?}");
     }
 }

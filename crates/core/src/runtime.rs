@@ -10,12 +10,12 @@
 //! preprocessed doacross loops" (§2.1).
 
 use crate::error::DoacrossError;
-use crate::executor::run_executor_profiled;
+use crate::executor::run_executor;
 use crate::flags::{IterMap, ReadyFlags};
 use crate::inspector::{reset_scratch, run_inspector};
-use crate::oracle::InspectedWriter;
+use crate::oracle::{InspectedWriter, WriterOracle};
 use crate::pattern::{AccessPattern, DoacrossLoop};
-use crate::post::run_post;
+use crate::post::Post;
 use crate::prepared::PreparedInspection;
 use crate::stats::{PlanProvenance, RunStats, StatsSink};
 use doacross_obs::profile::ProfArena;
@@ -85,6 +85,9 @@ pub struct Doacross {
     /// Per-worker counter cells, reused across runs (grow-don't-shrink +
     /// reset after drain) so a warm solve allocates nothing.
     sink: StatsSink,
+    /// Claim-order validation scratch (`position[i]` = slot that claims
+    /// iteration `i`), reused across runs for the same reason.
+    position: Vec<usize>,
 }
 
 impl Doacross {
@@ -108,6 +111,7 @@ impl Doacross {
             ready: ReadyFlags::new(data_len),
             ynew: vec![0.0; data_len],
             sink: StatsSink::new(0),
+            position: Vec::new(),
         }
     }
 
@@ -215,7 +219,7 @@ impl Doacross {
             &self.iter,
             self.config.validate_terms,
         ) {
-            reset_scratch(pool, schedule, &self.iter, &self.ready, self.data_len);
+            reset_scratch(pool, schedule, &self.iter, self.data_len);
             return Err(e);
         }
         stats.inspector = t0.elapsed();
@@ -224,8 +228,16 @@ impl Doacross {
         // already filled `iter`, so the topological check is a lookup per
         // reference.
         if let Some(ord) = order {
-            if let Err(e) = self.validate_order(pool, loop_, ord, &self.iter) {
-                reset_scratch(pool, schedule, &self.iter, &self.ready, self.data_len);
+            let checked = validate_order(
+                &self.config,
+                &mut self.position,
+                pool,
+                loop_,
+                ord,
+                &self.iter,
+            );
+            if let Err(e) = checked {
+                reset_scratch(pool, schedule, &self.iter, self.data_len);
                 return Err(e);
             }
         }
@@ -241,7 +253,7 @@ impl Doacross {
             loop_,
             y,
             &mut self.ynew,
-            &self.ready,
+            &mut self.ready,
             &oracle,
             order,
             Some(&self.iter),
@@ -325,11 +337,18 @@ impl Doacross {
         // The runtime's own scratch map stays all-MAXINT throughout, so no
         // reset is needed on the validation error path either.
         if let Some(ord) = order {
-            self.validate_order(pool, loop_, ord, prepared.map())?;
+            validate_order(
+                &self.config,
+                &mut self.position,
+                pool,
+                loop_,
+                ord,
+                prepared.map(),
+            )?;
         }
 
         // Executor + postprocessor; `post_map: None` — the prepared
-        // artifact must survive this run, only the `ready` flags reset.
+        // artifact must survive this run, only the `ready` flags retire.
         self.sink.ensure_workers(pool.threads());
         let oracle = prepared.oracle();
         exec_and_post(
@@ -338,7 +357,7 @@ impl Doacross {
             loop_,
             y,
             &mut self.ynew,
-            &self.ready,
+            &mut self.ready,
             &oracle,
             order,
             None,
@@ -350,123 +369,103 @@ impl Doacross {
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on exit");
         Ok(stats)
     }
+}
 
-    /// Checks that `order` is a permutation of `0..n` and — in
-    /// full-validation mode — that no true dependency's writer is claimed
-    /// after its reader. Requires `iter` (the runtime's own scratch map or
-    /// a prebuilt inspection's) to hold the loop's writer entries.
-    fn validate_order<L: DoacrossLoop + ?Sized>(
-        &self,
-        pool: &ThreadPool,
-        loop_: &L,
-        order: &[usize],
-        iter: &IterMap,
-    ) -> Result<(), DoacrossError> {
-        let n = loop_.iterations();
-        if order.len() != n {
-            return Err(DoacrossError::OrderLengthMismatch {
-                got: order.len(),
-                expected: n,
-            });
+/// Checks that `order` is a permutation of `0..n` and — in
+/// full-validation mode — that no true dependency's writer is claimed
+/// after its reader. Requires `iter` (the runtime's own scratch map or
+/// a prebuilt inspection's) to hold the loop's writer entries.
+/// `position` is the caller's reusable scratch.
+fn validate_order<L: DoacrossLoop + ?Sized>(
+    config: &DoacrossConfig,
+    position: &mut Vec<usize>,
+    pool: &ThreadPool,
+    loop_: &L,
+    order: &[usize],
+    iter: &IterMap,
+) -> Result<(), DoacrossError> {
+    let n = loop_.iterations();
+    if order.len() != n {
+        return Err(DoacrossError::OrderLengthMismatch {
+            got: order.len(),
+            expected: n,
+        });
+    }
+    position.clear();
+    position.resize(n, usize::MAX);
+    for (k, &i) in order.iter().enumerate() {
+        if i >= n || position[i] != usize::MAX {
+            return Err(DoacrossError::OrderNotPermutation { entry: i });
         }
-        let mut position = vec![usize::MAX; n];
-        for (k, &i) in order.iter().enumerate() {
-            if i >= n || position[i] != usize::MAX {
-                return Err(DoacrossError::OrderNotPermutation { entry: i });
-            }
-            position[i] = k;
-        }
-        if self.config.validate_terms {
-            let violation = crate::inspector::ErrorSlot::new();
-            let position = &position[..];
-            doacross_par::parallel_for(pool, n, self.config.schedule, |i| {
-                for j in 0..loop_.terms(i) {
-                    let w = iter.writer(loop_.term_element(i, j));
-                    if w != crate::flags::MAXINT && (w as usize) < i {
-                        let w = w as usize;
-                        if position[w] > position[i] {
-                            violation.try_set(i, w);
-                        }
+        position[i] = k;
+    }
+    if config.validate_terms {
+        let violation = crate::inspector::ErrorSlot::new();
+        let position = &position[..];
+        doacross_par::parallel_for(pool, n, config.schedule, |i| {
+            for j in 0..loop_.terms(i) {
+                let w = iter.writer(loop_.term_element(i, j));
+                if w != crate::flags::MAXINT && (w as usize) < i {
+                    let w = w as usize;
+                    if position[w] > position[i] {
+                        violation.try_set(i, w);
                     }
                 }
-            });
-            if let Some((reader, writer)) = violation.get() {
-                return Err(DoacrossError::OrderNotTopological { reader, writer });
             }
+        });
+        if let Some((reader, writer)) = violation.get() {
+            return Err(DoacrossError::OrderNotTopological { reader, writer });
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// The executor + postprocessor phases shared by [`Doacross::run_with_order`]
-/// (oracle over the runtime's own scratch map, which the post pass clears)
+/// (oracle over the runtime's own scratch map, which the post phase clears)
 /// and [`Doacross::run_planned`] (oracle over a persistent prepared map,
-/// `post_map: None`). Fills `stats.executor`, `stats.post`, and the
-/// executor-side counters. `sink` is the caller's reusable per-worker
-/// counter scratch, already sized for the pool (drained into `stats` and
-/// reset before returning) — no allocation happens here.
+/// `post_map: None`): one pool region, after which the `ready` flags are
+/// retired. Fills `stats.executor`, `stats.post`, and the executor-side
+/// counters. `sink` is the caller's reusable per-worker counter scratch,
+/// already sized for the pool (drained into `stats` and reset before
+/// returning) — no allocation happens here.
 #[allow(clippy::too_many_arguments)]
-fn exec_and_post<L: DoacrossLoop + ?Sized>(
+pub(crate) fn exec_and_post<L: DoacrossLoop + ?Sized, W: WriterOracle>(
     pool: &ThreadPool,
     config: &DoacrossConfig,
     loop_: &L,
     y: &mut [f64],
     ynew: &mut [f64],
-    ready: &ReadyFlags,
-    oracle: &InspectedWriter<'_>,
+    ready: &mut ReadyFlags,
+    oracle: &W,
     order: Option<&[usize]>,
     post_map: Option<&IterMap>,
     sink: &StatsSink,
     stats: &mut RunStats,
     prof: Option<&ProfArena>,
 ) {
-    let n = loop_.iterations();
-
-    // Executor (Figure 5).
-    let t1 = Instant::now();
-    {
-        let y_view = SharedSlice::new(y);
-        let ynew_view = SharedSlice::new(&mut ynew[..]);
-        run_executor_profiled(
-            pool,
-            config.schedule,
-            config.wait,
-            loop_,
-            0..n,
-            order,
-            oracle,
-            y_view,
-            ynew_view,
-            ready,
-            0,
-            sink,
-            prof,
-        );
-    }
-    stats.executor = t1.elapsed();
+    let post = Post {
+        map: post_map,
+        copy_back: config.copy_back,
+    };
+    (stats.executor, stats.post) = run_executor(
+        pool,
+        config.schedule,
+        config.wait,
+        loop_,
+        0..loop_.iterations(),
+        order,
+        oracle,
+        SharedSlice::new(y),
+        SharedSlice::new(ynew),
+        ready,
+        0,
+        post,
+        sink,
+        prof,
+    );
+    ready.retire();
     sink.drain_into(stats);
     sink.reset();
-
-    // Postprocessor (Figure 3, right), with copy-back unless the caller
-    // reads results from the shadow array.
-    let t2 = Instant::now();
-    {
-        let y_view = SharedSlice::new(y);
-        let ynew_view = SharedSlice::new(&mut ynew[..]);
-        run_post(
-            pool,
-            config.schedule,
-            loop_,
-            0..n,
-            0,
-            post_map,
-            ready,
-            y_view,
-            ynew_view,
-            config.copy_back,
-        );
-    }
-    stats.post = t2.elapsed();
 }
 
 #[cfg(test)]

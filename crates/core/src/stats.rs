@@ -108,9 +108,11 @@ pub struct RunStats {
     pub stalls: u64,
     /// Total failed `ready` polls across all stalls — the busy-wait bill.
     pub wait_polls: u64,
-    /// Barrier crossings the run performed: `levels − 1` for a wavefront
-    /// run (its synchronization bill, which `wait_polls == 0` by
-    /// construction would otherwise hide), 0 for the flag-based variants.
+    /// Level boundaries the run crossed: `levels − 1` for a wavefront run
+    /// (its synchronization bill, which `wait_polls == 0` by construction
+    /// would otherwise hide), 0 for the flag-based variants. A boundary is
+    /// crossed by waiting for the earlier level's completion count, not at
+    /// a barrier — the name is kept for the series and stores built on it.
     pub barrier_crossings: u64,
     /// Heap allocations the dispatching thread made during the solve —
     /// the zero-allocation-audit counter. Always 0 unless the process

@@ -1,5 +1,5 @@
 //! Level-scheduled (wavefront) execution: the doacross as a sequence of
-//! barrier-synchronized doalls.
+//! doalls, each complete when its iterations are.
 //!
 //! The flat executor ([`crate::executor`]) pays a per-element price on
 //! every true dependency: poll `ready(off)` until the writer publishes
@@ -7,9 +7,15 @@
 //! synchronization into coarse *level* synchronization: iterations are
 //! grouped by wavefront level (`level(i) = 1 + max(level of true-dep
 //! writers)`), each level is executed as a `parallel do` over mutually
-//! independent iterations, and consecutive levels are separated by a
-//! [`SpinBarrier`] — **zero ready-flag traffic, zero writer-map lookups**
-//! inside a level.
+//! independent iterations, and each level carries one *ready flag of its
+//! own* — a completion counter ([`crate::completion`]) that reads done when
+//! the level's iterations are all counted. **Zero ready-flag traffic, zero
+//! writer-map lookups** inside a level, and zero barriers between them: a
+//! worker enters level `l` as soon as level `l − 1`'s counter is full,
+//! whoever filled it. Like the paper's executor it waits only on data,
+//! never on a processor — a late, preempted or descheduled worker that
+//! holds no iterations costs nothing, and a single running worker streams
+//! through the levels alone.
 //!
 //! Two preprocessing products make that possible, both captured once at
 //! plan time in a [`LevelSchedule`]:
@@ -17,8 +23,8 @@
 //! * the **level structure** (CSR-style: level offsets into a level-sorted
 //!   iteration order), which replaces the `ready` flags — a true-dep
 //!   operand's writer lives in a strictly earlier level, so by the time a
-//!   reader runs, the value is already published and ordered by the
-//!   barrier;
+//!   reader runs, the value is already published and ordered by that
+//!   level's counter;
 //! * a per-reference **operand classification** (the three-way check of
 //!   Figure 5, resolved ahead of time), which replaces the `iter` map — the
 //!   executor learns "new value / old value / accumulator" from a
@@ -26,39 +32,48 @@
 //!
 //! ## Memory-ordering argument
 //!
-//! Writers store `ynew(a(i))` with plain writes; the barrier's
-//! release/acquire pair (arrival `fetch_add(AcqRel)`, generation
-//! `store(Release)` by the leader, generation `load(Acquire)` by everyone
-//! else) orders every store of level `l` before every load of level
-//! `l + 1`. `y` is read-only for the whole region, and each `ynew` element
-//! has exactly one writer (injective `a`). Within a level there is no
-//! cross-iteration communication at all — that is what a wavefront *is*.
+//! Writers store `ynew(a(i))` with plain writes. A worker that executed
+//! `k > 0` iterations of level `l` then adds `k` to `done[l]` — a `Release`
+//! read-modify-write, so every add continues the release sequence of the
+//! adds before it — and a worker enters level `l + 1` only after an
+//! `Acquire` load of `done[l]` returned the level's width. That load
+//! synchronizes with *every* contributor's add, so all of level `l`'s
+//! `ynew` stores happen-before all of level `l + 1`'s loads. Every worker
+//! passes every gate in order, so it has acquired each earlier level
+//! directly; and even if it had not, the chain is transitive: whoever
+//! filled `done[l + 1]` had itself acquired `done[l]` before adding.
+//! Within a level there is no cross-iteration communication at all — that
+//! is what a wavefront *is*. `y` is read-only while iterations run; the
+//! copy-back into `y` happens in the same region, behind the *last*
+//! level's counter, which (by the same chain) orders every `y` load of
+//! every level before the first copy-back store. Each `ynew` element has
+//! exactly one writer (injective `a`).
 //!
 //! ## When it wins
 //!
-//! The trade is the paper's dataflow-vs-barrier design space (the
+//! The trade is the paper's dataflow-vs-level design space (the
 //! `doacross-trisolve` crate's `LevelScheduledSolver` is the same idea
-//! specialized to triangular solves): the flat doacross pays flag traffic
-//! per true dependency but synchronizes only where dependencies actually
-//! bite; the wavefront pays one barrier per level but nothing per element.
-//! Level scheduling wins when the poll/stall bill (many true dependencies,
-//! deep structures, polling contention) exceeds `levels × barrier
-//! latency`; it loses on narrow-level structures where barriers outnumber
-//! useful work. `doacross-plan`'s cost model prices exactly that
-//! crossover.
+//! specialized to triangular solves, one region per level): the flat
+//! doacross pays flag traffic per true dependency but synchronizes only
+//! where dependencies actually bite; the wavefront pays one counter
+//! hand-off per level but nothing per element. Level scheduling wins when
+//! the poll/stall bill (many true dependencies, deep structures, polling
+//! contention) exceeds `levels × hand-off latency`; it loses on
+//! narrow-level structures where level boundaries outnumber useful work.
+//! `doacross-plan`'s cost model prices exactly that crossover (its
+//! `barrier` constant is the per-boundary price).
 
+use crate::completion::{Completion, RegionGuard};
 use crate::error::DoacrossError;
 use crate::executor::DEADLINE_ITER_PERIOD;
 use crate::pattern::DoacrossLoop;
+use crate::post::{post_share, PhaseClock, Post};
 use crate::runtime::DoacrossConfig;
 use crate::stats::{LocalCounters, PlanProvenance, RunStats, StatsSink};
 use doacross_obs::profile::{ProfArena, SpanKind};
-use doacross_par::{
-    abort_region, parallel_for, CachePadded, Schedule, SharedSlice, SpinBarrier, ThreadPool,
-    WaitAbort,
-};
+use doacross_par::{CachePadded, Schedule, SharedSlice, ThreadPool, WaitAbort};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Fault-injection site consulted once per wavefront region; armed
 /// actions apply per iteration.
@@ -228,7 +243,7 @@ impl LevelSchedule {
     }
 
     /// The widest level — an upper bound on exploitable parallelism within
-    /// any single barrier interval.
+    /// any single level.
     pub fn max_width(&self) -> usize {
         self.offsets
             .windows(2)
@@ -285,98 +300,131 @@ pub fn level_chunk(width: usize, nworkers: usize) -> usize {
     (width / (8 * nworkers.max(1))).clamp(1, 64)
 }
 
+/// One level's shared cells — the self-scheduling claim counter and the
+/// completion count — on one cache line (the same workers touch both at
+/// the same time), padded away from the next level's.
+#[derive(Debug, Default)]
+struct LevelCell {
+    claim: AtomicUsize,
+    done: Completion,
+}
+
+/// What a worker owes the region between claims: one poll of the fault
+/// latch, and a deadline clock read every [`DEADLINE_ITER_PERIOD`]
+/// iterations executed.
+#[inline]
+fn poll_faults(
+    guard: &RegionGuard<'_>,
+    executed: u64,
+    next_tick: &mut u64,
+) -> Result<(), WaitAbort> {
+    if let Some(fault) = guard.poison.fault() {
+        return Err(WaitAbort::Poisoned(fault));
+    }
+    if let Some(deadline) = guard.deadline {
+        if executed >= *next_tick {
+            *next_tick = executed + DEADLINE_ITER_PERIOD;
+            if Instant::now() >= deadline {
+                return Err(WaitAbort::DeadlineExpired);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Runs the level-scheduled executor: one parallel region for the whole
-/// loop, each level a self-scheduled doall over
-/// [`LevelSchedule::level_iterations`], consecutive levels separated by
-/// `barrier`. No `ready` flags, no writer map — operands are resolved from
-/// the schedule's precomputed [`OperandClass`]es (see module docs).
+/// solve — every level a self-scheduled doall over
+/// [`LevelSchedule::level_iterations`], entered once the previous level's
+/// completion count is full, then (with `copy_back`) each worker's fixed
+/// share of the copy-back once the last level's is. No `ready` flags, no
+/// writer map — operands are resolved from the schedule's precomputed
+/// [`OperandClass`]es (see module docs). Returns the region's wall time
+/// split into `(executor, post)`.
 ///
 /// * `chunk`: `Some(c)` claims `c` iterations per counter grab on every
 ///   level; `None` picks [`level_chunk`] per level (dynamic base schedules
 ///   only — static schedules ignore chunking entirely).
-/// * `counters` must hold at least one cell per level, all zero on entry.
-/// * `barrier` must have exactly `pool.threads()` participants.
+/// * `cells` must hold at least one cell per level, all zero on entry.
+/// * With `prof` set, each worker records per level one
+///   [`SpanKind::Work`] span (`aux` = iterations executed in that level)
+///   and, between adjacent levels, one [`SpanKind::BarrierWait`] span for
+///   its wait on the earlier level's counter — so each worker's span count
+///   equals the run's `barrier_crossings` and the per-level totals feed the
+///   profiler's level histograms. `None` costs one branch per would-be
+///   span.
 ///
-/// Bounds are enforced with release-mode asserts, mirroring the flat
-/// executor: the plan already proved the structure in-bounds.
+/// The fault poll, the deadline tick and the failpoint are paid once per
+/// *claim* — unless a failpoint is armed, which keeps them per iteration
+/// so `PanicAt { iteration }` stays exact. Bounds are enforced with
+/// release-mode asserts, mirroring the flat executor: the plan already
+/// proved the structure in-bounds.
 #[allow(clippy::too_many_arguments)]
-pub fn run_wavefront_executor<L>(
+fn run_levels<L>(
     pool: &ThreadPool,
-    base_schedule: Schedule,
+    config: &DoacrossConfig,
     chunk: Option<usize>,
     loop_: &L,
     schedule: &LevelSchedule,
     y: SharedSlice<'_, f64>,
     ynew: SharedSlice<'_, f64>,
-    counters: &[CachePadded<AtomicUsize>],
-    barrier: &SpinBarrier,
-    sink: &StatsSink,
-) where
-    L: DoacrossLoop + ?Sized,
-{
-    run_wavefront_executor_profiled(
-        pool,
-        base_schedule,
-        chunk,
-        loop_,
-        schedule,
-        y,
-        ynew,
-        counters,
-        barrier,
-        sink,
-        None,
-    )
-}
-
-/// [`run_wavefront_executor`] with optional span profiling. With `prof`
-/// set, each worker records per level one [`SpanKind::Work`] span (`aux` =
-/// iterations executed in that level) and, between adjacent levels, one
-/// [`SpanKind::BarrierWait`] span — so each worker's barrier-wait span
-/// count equals the run's `barrier_crossings` and the per-level totals
-/// feed the profiler's level histograms. `None` costs one branch per
-/// would-be span.
-#[allow(clippy::too_many_arguments)]
-pub fn run_wavefront_executor_profiled<L>(
-    pool: &ThreadPool,
-    base_schedule: Schedule,
-    chunk: Option<usize>,
-    loop_: &L,
-    schedule: &LevelSchedule,
-    y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    counters: &[CachePadded<AtomicUsize>],
-    barrier: &SpinBarrier,
+    cells: &[CachePadded<LevelCell>],
     sink: &StatsSink,
     prof: Option<&ProfArena>,
-) where
+) -> (Duration, Duration)
+where
     L: DoacrossLoop + ?Sized,
 {
     let nworkers = pool.threads();
     let nlevels = schedule.level_count();
     if nlevels == 0 {
-        return;
+        return (Duration::ZERO, Duration::ZERO);
     }
-    assert!(counters.len() >= nlevels, "one claim counter per level");
-    assert_eq!(barrier.participants(), nworkers);
+    assert!(cells.len() >= nlevels, "one cell per level");
     let data_len = loop_.data_len();
     let term_offsets = schedule.term_offsets();
     let classes = schedule.classes();
+    let width_of = |l: usize| schedule.offsets()[l + 1] - schedule.offsets()[l];
+    let last = nlevels - 1;
     // Fault containment (same shape as the flat executor): a worker that
-    // panics mid-level never arrives at the barrier, so both the
-    // iteration body and the barrier arrival poll the region's poison
-    // word and the optional deadline.
-    let poison = pool.poison();
-    let deadline = pool.deadline();
+    // panics mid-level never counts its iterations, so both the claim loop
+    // and the level gates poll the region's poison word and the optional
+    // deadline. The last level's counter gates the copy-back: a waiter may
+    // only give up on the deadline while that count can still be kept from
+    // filling.
+    let guard = RegionGuard {
+        wait: config.wait,
+        poison: pool.poison(),
+        deadline: pool.deadline(),
+        commit: (&cells[last].done, width_of(last)),
+    };
     let failpoint = failpoint::lookup(FAILPOINT_ITER);
+    let clock = PhaseClock::start();
 
     pool.run(|worker| {
         let mut local = LocalCounters::default();
         let mut executed: u64 = 0;
-        for (l, counter) in counters[..nlevels].iter().enumerate() {
+        let mut next_tick = DEADLINE_ITER_PERIOD;
+        for (l, cell) in cells[..nlevels].iter().enumerate() {
+            if l > 0 {
+                let wait_started = prof.map(|arena| arena.now_ns());
+                if let Err(abort) = cells[l - 1].done.wait(width_of(l - 1), &guard) {
+                    guard.bail(sink, worker, &mut local, abort);
+                }
+                if let (Some(arena), Some(started)) = (prof, wait_started) {
+                    let end = arena.now_ns();
+                    arena.record(
+                        worker,
+                        SpanKind::BarrierWait,
+                        (l - 1) as u32,
+                        started,
+                        end.saturating_sub(started),
+                        0,
+                    );
+                }
+            }
             let level = schedule.level_iterations(l);
             let width = level.len();
-            let level_sched = match (base_schedule, chunk) {
+            let level_sched = match (config.schedule, chunk) {
                 (Schedule::Dynamic { .. }, Some(c)) => Schedule::Dynamic { chunk: c.max(1) },
                 (Schedule::Dynamic { .. }, None) => Schedule::Dynamic {
                     chunk: level_chunk(width, nworkers),
@@ -388,68 +436,72 @@ pub fn run_wavefront_executor_profiled<L>(
             };
             let level_started = prof.map(|arena| arena.now_ns());
             let executed_before = executed;
-            level_sched.drive(worker, nworkers, width, counter, |k| {
-                let i = level[k];
-                failpoint::hit(failpoint, i as u64);
-                if let Some(fault) = poison.fault() {
-                    sink.deposit(worker, std::mem::take(&mut local));
-                    abort_region(poison, WaitAbort::Poisoned(fault));
-                }
-                executed += 1;
-                if deadline.is_some() && executed.is_multiple_of(DEADLINE_ITER_PERIOD) {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, WaitAbort::DeadlineExpired);
-                        }
+            level_sched.drive_chunks(worker, nworkers, width, &cell.claim, |claimed| {
+                if failpoint.is_none() {
+                    if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
+                        guard.bail(sink, worker, &mut local, abort);
                     }
                 }
-                let lhs = loop_.lhs(i);
-                assert!(lhs < data_len, "wavefront: lhs {lhs} out of bounds");
+                for k in claimed {
+                    let i = level[k];
+                    executed += 1;
+                    if failpoint.is_some() {
+                        failpoint::hit(failpoint, i as u64);
+                        if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
+                            guard.bail(sink, worker, &mut local, abort);
+                        }
+                    }
+                    let lhs = loop_.lhs(i);
+                    assert!(lhs < data_len, "wavefront: lhs {lhs} out of bounds");
 
-                // S2: seed from the old value of the output element.
-                // SAFETY: y is read-only during the region; bounds asserted.
-                let mut acc = loop_.init(i, unsafe { y.read(lhs) });
+                    // S2: seed from the old value of the output element.
+                    // SAFETY: y is read-only until the last level's gate;
+                    // bounds asserted.
+                    let mut acc = loop_.init(i, unsafe { y.read(lhs) });
 
-                let base = term_offsets[i];
-                let terms = loop_.terms(i);
-                assert!(
-                    base + terms <= classes.len() && term_offsets[i + 1] - base == terms,
-                    "wavefront: schedule references disagree with the loop"
-                );
-                for j in 0..terms {
-                    let off = loop_.term_element(i, j);
-                    assert!(off < data_len, "wavefront: term {off} out of bounds");
-                    let operand = match classes[base + j] {
-                        0 => {
-                            local.true_deps += 1;
-                            // SAFETY: bounds asserted above. True
-                            // dependency: the writer's level is strictly
-                            // earlier; its plain `ynew` store happens-before
-                            // this load via the barrier's release/acquire
-                            // (module docs).
-                            unsafe { ynew.read(off) }
-                        }
-                        1 => {
-                            local.anti_or_unwritten += 1;
-                            // SAFETY: antidependency / never written — the
-                            // old value; `y` is read-only during the region.
-                            unsafe { y.read(off) }
-                        }
-                        // Intra-iteration: the register accumulator.
-                        _ => {
-                            local.intra += 1;
-                            debug_assert_eq!(off, lhs, "class says intra but off != lhs");
-                            acc
-                        }
-                    };
-                    acc = loop_.combine(i, j, acc, operand);
+                    let base = term_offsets[i];
+                    let terms = loop_.terms(i);
+                    assert!(
+                        base + terms <= classes.len() && term_offsets[i + 1] - base == terms,
+                        "wavefront: schedule references disagree with the loop"
+                    );
+                    for j in 0..terms {
+                        let off = loop_.term_element(i, j);
+                        assert!(off < data_len, "wavefront: term {off} out of bounds");
+                        let operand = match classes[base + j] {
+                            0 => {
+                                local.true_deps += 1;
+                                // SAFETY: bounds asserted above. True
+                                // dependency: the writer's level is
+                                // strictly earlier; its plain `ynew` store
+                                // happens-before this load via that
+                                // level's completion count (module docs).
+                                unsafe { ynew.read(off) }
+                            }
+                            1 => {
+                                local.anti_or_unwritten += 1;
+                                // SAFETY: antidependency / never written —
+                                // the old value; `y` is read-only until
+                                // the last level's gate.
+                                unsafe { y.read(off) }
+                            }
+                            // Intra-iteration: the register accumulator.
+                            _ => {
+                                local.intra += 1;
+                                debug_assert_eq!(off, lhs, "class says intra but off != lhs");
+                                acc
+                            }
+                        };
+                        acc = loop_.combine(i, j, acc, operand);
+                    }
+
+                    // SAFETY: `lhs` has this iteration as its unique writer
+                    // (injective `a`), and no other level touches it this
+                    // run.
+                    unsafe { ynew.write(lhs, loop_.finish(i, acc)) };
                 }
-
-                // SAFETY: `lhs` has this iteration as its unique writer
-                // (injective `a`), and no other level touches it this run.
-                unsafe { ynew.write(lhs, loop_.finish(i, acc)) };
             });
+            let in_level = (executed - executed_before) as usize;
             if let (Some(arena), Some(started)) = (prof, level_started) {
                 let end = arena.now_ns();
                 arena.record(
@@ -458,44 +510,47 @@ pub fn run_wavefront_executor_profiled<L>(
                     l as u32,
                     started,
                     end.saturating_sub(started),
-                    executed - executed_before,
+                    in_level as u64,
                 );
             }
-            if l + 1 < nlevels {
-                match prof {
-                    None => {
-                        if let Err(abort) = barrier.wait_guarded(poison, deadline) {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, abort);
-                        }
-                    }
-                    Some(arena) => match barrier.wait_guarded_timed(poison, deadline) {
-                        Ok((_leader, wait_ns)) => {
-                            let end = arena.now_ns();
-                            arena.record(
-                                worker,
-                                SpanKind::BarrierWait,
-                                l as u32,
-                                end.saturating_sub(wait_ns),
-                                wait_ns,
-                                0,
-                            );
-                        }
-                        Err(abort) => {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, abort);
-                        }
-                    },
-                }
+            // One add per worker per level, and none from a worker that
+            // claimed nothing: a level is complete by work, not attendance.
+            if in_level > 0 && cell.done.add(in_level, width) && l == last && config.copy_back {
+                clock.gate_opened();
             }
+        }
+        if config.copy_back {
+            let (last_done, last_width) = guard.commit;
+            if let Err(abort) = last_done.wait(last_width, &guard) {
+                guard.bail(sink, worker, &mut local, abort);
+            }
+            // SAFETY: the last level's count is full, which orders every
+            // level's `y` loads and `ynew` stores before this point
+            // (module docs).
+            unsafe {
+                post_share(
+                    loop_,
+                    0..schedule.iterations(),
+                    0,
+                    Post {
+                        map: None,
+                        copy_back: true,
+                    },
+                    y,
+                    ynew,
+                    worker,
+                    nworkers,
+                )
+            };
         }
         sink.deposit(worker, local);
     });
+    clock.split()
 }
 
 /// Reusable level-scheduled doacross runtime: owns the shadow array and the
-/// per-level claim counters, executes any [`DoacrossLoop`] under a prebuilt
-/// [`LevelSchedule`].
+/// per-level claim and completion counters, executes any [`DoacrossLoop`]
+/// under a prebuilt [`LevelSchedule`].
 ///
 /// Scratch grows to the largest data space / deepest level structure seen
 /// and is then reused (the paper's §2.1 scratch-reuse economics), so a
@@ -535,7 +590,10 @@ pub struct WavefrontDoacross {
     config: DoacrossConfig,
     data_len: usize,
     ynew: Vec<f64>,
-    counters: Vec<CachePadded<AtomicUsize>>,
+    cells: Vec<CachePadded<LevelCell>>,
+    /// Per-worker counter cells, reused across runs (grow-don't-shrink +
+    /// reset after drain) so a warm solve allocates nothing.
+    sink: StatsSink,
 }
 
 impl WavefrontDoacross {
@@ -545,14 +603,16 @@ impl WavefrontDoacross {
     }
 
     /// Runtime with explicit configuration. `schedule` picks the
-    /// within-level claiming policy (`wait` is irrelevant — nothing ever
-    /// waits); `copy_back` is honored as in [`crate::Doacross`].
+    /// within-level claiming policy, `wait` how a worker polls the
+    /// previous level's completion count; `copy_back` is honored as in
+    /// [`crate::Doacross`].
     pub fn with_config(data_len: usize, config: DoacrossConfig) -> Self {
         Self {
             config,
             data_len,
             ynew: vec![0.0; data_len],
-            counters: Vec::new(),
+            cells: Vec::new(),
+            sink: StatsSink::new(0),
         }
     }
 
@@ -579,16 +639,15 @@ impl WavefrontDoacross {
             self.data_len = data_len;
             self.ynew = vec![0.0; data_len];
         }
-        if nlevels > self.counters.len() {
-            self.counters
-                .resize_with(nlevels, || CachePadded::new(AtomicUsize::new(0)));
+        if nlevels > self.cells.len() {
+            self.cells.resize_with(nlevels, CachePadded::default);
         }
     }
 
-    /// Runs `loop_` under `schedule` as barrier-separated level doalls,
-    /// updating `y` exactly as the sequential source loop would. The
-    /// returned stats report zero `stalls` and zero `wait_polls` by
-    /// construction — there are no flags to poll.
+    /// Runs `loop_` under `schedule` as a sequence of level doalls in one
+    /// pool region, updating `y` exactly as the sequential source loop
+    /// would. The returned stats report zero `stalls` and zero
+    /// `wait_polls` by construction — there are no flags to poll.
     pub fn run<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
@@ -615,8 +674,9 @@ impl WavefrontDoacross {
         self.run_chunked_profiled(pool, loop_, y, schedule, chunk, None)
     }
 
-    /// [`WavefrontDoacross::run_chunked`] with optional span profiling —
-    /// see [`run_wavefront_executor_profiled`] for what is recorded.
+    /// [`WavefrontDoacross::run_chunked`] with optional span profiling:
+    /// per worker, one [`SpanKind::Work`] span per level and one
+    /// [`SpanKind::BarrierWait`] span per level boundary.
     pub fn run_chunked_profiled<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
@@ -643,11 +703,10 @@ impl WavefrontDoacross {
             });
         }
         // The schedule's per-iteration reference counts must match the
-        // loop's, checked up front: inside the barrier region a mismatch
-        // would trip an assert on one worker while the others spin at the
-        // barrier forever — a hang, not a panic. One O(n) sweep here turns
-        // that into a typed error (the executor's asserts stay as the
-        // final defense). Deliberately NOT gated on
+        // loop's, checked up front: inside the region a mismatch would
+        // trip an assert on one worker and tear the whole solve down as a
+        // worker panic. One O(n) sweep here turns that into a typed error
+        // (the executor's asserts stay as the final defense). Deliberately NOT gated on
         // `config.validate_terms`: that flag controls subscript *bounds*
         // validation, while this sweep guards region *liveness* — and its
         // cost (two loads and a compare per iteration, same order as the
@@ -674,59 +733,37 @@ impl WavefrontDoacross {
         };
         let t_start = Instant::now();
 
-        // Per-level claim counters start at zero every run (they are dirty
-        // after the previous one); O(levels), off the parallel path.
+        // Per-level claim and completion counters start at zero every run
+        // (they are dirty after the previous one); O(levels), off the
+        // parallel path.
         let nlevels = schedule.level_count();
-        for counter in &self.counters[..nlevels] {
-            counter.store(0, Ordering::Relaxed);
+        for cell in &self.cells[..nlevels] {
+            cell.claim.store(0, Ordering::Relaxed);
+            cell.done.reset();
         }
 
-        // Executor: all levels inside one pool dispatch, barriers between.
-        let t1 = Instant::now();
-        let sink = StatsSink::new(pool.threads());
-        let barrier = SpinBarrier::new(pool.threads());
-        {
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..data_len]);
-            run_wavefront_executor_profiled(
-                pool,
-                self.config.schedule,
-                chunk,
-                loop_,
-                schedule,
-                y_view,
-                ynew_view,
-                &self.counters[..nlevels],
-                &barrier,
-                &sink,
-                prof,
-            );
-        }
-        stats.executor = t1.elapsed();
-        sink.drain_into(&mut stats);
-        // The wavefront's synchronization bill: one barrier between each
-        // pair of adjacent levels (every worker crosses each). Without
-        // this, `wait_polls == 0` by construction makes the variant's
-        // synchronization cost invisible. A per-level max-wait timing was
-        // considered and rejected: two clock reads per worker per level
-        // is microseconds of overhead on solves that run tens of
-        // microseconds end to end.
+        // Executor and copy-back: all levels inside one pool dispatch, a
+        // completion count between each pair, the copy-back behind the
+        // last (no flags to retire — the wavefront runtime has none).
+        self.sink.ensure_workers(pool.threads());
+        (stats.executor, stats.post) = run_levels(
+            pool,
+            &self.config,
+            chunk,
+            loop_,
+            schedule,
+            SharedSlice::new(y),
+            SharedSlice::new(&mut self.ynew[..data_len]),
+            &self.cells[..nlevels],
+            &self.sink,
+            prof,
+        );
+        self.sink.drain_into(&mut stats);
+        self.sink.reset();
+        // The wavefront's synchronization bill: one boundary between each
+        // pair of adjacent levels. Without this, `wait_polls == 0` by
+        // construction makes the variant's synchronization cost invisible.
         stats.barrier_crossings = nlevels.saturating_sub(1) as u64;
-
-        // Postprocessor: copy the shadow results back (no flags to reset —
-        // the wavefront runtime has none).
-        let t2 = Instant::now();
-        if self.config.copy_back {
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..data_len]);
-            parallel_for(pool, n, self.config.schedule, |i| {
-                let e = loop_.lhs(i);
-                // SAFETY: `e` is written by exactly one iteration, and the
-                // pool join ordered the executor's stores before this region.
-                unsafe { y_view.write(e, ynew_view.read(e)) };
-            });
-        }
-        stats.post = t2.elapsed();
         stats.total = t_start.elapsed();
         debug_assert_eq!(stats.wait_polls, 0, "wavefront runs never poll");
         debug_assert_eq!(stats.stalls, 0, "wavefront runs never stall");
@@ -813,7 +850,7 @@ mod tests {
             assert_eq!(stats.stalls, 0);
             assert_eq!(
                 stats.barrier_crossings, 299,
-                "levels - 1 barriers separate a 300-level chain"
+                "levels - 1 boundaries separate a 300-level chain"
             );
             assert_eq!(stats.deps.true_deps, 299);
             assert_eq!(stats.deps.anti_or_unwritten, 1);
@@ -950,8 +987,8 @@ mod tests {
         ));
 
         // Same iteration count, different per-iteration reference counts:
-        // must fail typed up front — inside the barrier region this would
-        // strand the other workers at the barrier (a hang, not a panic).
+        // must fail typed up front — inside the region it would trip an
+        // assert and surface as a worker panic.
         let a: Vec<usize> = (1..=8).collect();
         let termless = IndirectLoop::new(9, a, vec![vec![]; 8], vec![vec![]; 8]).unwrap();
         let mut y = vec![1.0; 9];

@@ -233,7 +233,7 @@ impl EngineBuilder {
 
     /// Turns on the deep solve profiler with default capacities: every
     /// solve deposits per-worker timeline spans (work intervals,
-    /// ready-flag stalls, barrier arrivals, dispatch waits) into a
+    /// ready-flag stalls, level-boundary waits, dispatch waits) into a
     /// bounded per-pool arena, harvested after each successful solve into
     /// a [`doacross_obs::profile::SolveProfile`] ring behind
     /// [`crate::Engine::recent_profiles`] /
@@ -258,7 +258,7 @@ impl EngineBuilder {
 
     /// Wall-clock budget for each parallel solve. When a solve runs past
     /// the deadline, every worker aborts cooperatively at its next poll
-    /// site (ready-flag wait, barrier arrival, or the iteration-body
+    /// site (ready-flag wait, wavefront level gate, or the claim-loop
     /// check every few dozen iterations), the region is drained, and the
     /// solve fails with [`crate::EngineError::SolveTimeout`] — unless the
     /// [`EngineBuilder::fallback`] policy then delivers the answer on the

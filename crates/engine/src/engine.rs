@@ -187,9 +187,9 @@ impl EngineInner {
                 result.map_err(EngineError::from)
             }
             Err(payload) => {
-                // The executor's scratch (and the barrier, for a
-                // wavefront region) may be mid-flight state — discard it;
-                // the pool replenishes the stack with a fresh one.
+                // The executor's scratch (raised flags, half-filled
+                // completion counts) is mid-flight state — discard it; the
+                // pool replenishes the stack with a fresh one.
                 drop(executor);
                 let fault = match payload.downcast::<RegionFault>() {
                     Ok(fault) => *fault,

@@ -107,8 +107,11 @@ const WAVEFRONT_ITER: &str = "core::wavefront::iter";
 const SCHED_ACQUIRE: &str = "sched::acquire";
 
 /// One injected-panic round trip: arm the site, prove the typed error
-/// arrives under the watchdog, disarm, prove the *same* handle and
-/// sub-pool immediately solve to the oracle.
+/// arrives under the watchdog with `y` byte-identical to its input (the
+/// fallback is off, so the executor worked on the caller's own buffer: the
+/// in-region copy-back must not have started before every iteration was
+/// counted — and the panicking one never is), disarm, prove the *same*
+/// handle and sub-pool immediately solve to the oracle.
 fn assert_panic_contained<L>(
     engine: &Engine,
     loop_: L,
@@ -128,10 +131,11 @@ fn assert_panic_contained<L>(
     let oracle = oracle_of(&loop_, &y0);
 
     failpoint::arm(site, FailAction::PanicAt { iteration });
-    let err = {
+    let (err, y_after) = {
         let (prepared, loop_, mut y) = (prepared.clone(), loop_.clone(), y0.clone());
         within(HANG_BOUND, move || {
-            prepared.execute(&loop_, &mut y).unwrap_err()
+            let err = prepared.execute(&loop_, &mut y).unwrap_err();
+            (err, y)
         })
     };
     assert!(
@@ -140,6 +144,18 @@ fn assert_panic_contained<L>(
         prepared.variant()
     );
     failpoint::disarm(site);
+    // The strip-mined variant copies back block by block by design (the
+    // copy-back carries its cross-block dependencies); every other
+    // variant must not have touched `y`.
+    if !matches!(prepared.variant(), PlanVariant::Blocked { .. }) {
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&y_after),
+            bits(&y0),
+            "{:?}: a failed solve left y torn",
+            prepared.variant()
+        );
+    }
 
     // The sub-pool is immediately reusable and the same prepared handle
     // now solves correctly — containment, not contamination.
@@ -260,9 +276,14 @@ fn fallback_delivers_the_oracle_answer_after_a_panic() {
     failpoint::disarm_all();
 }
 
-#[test]
-fn solve_deadline_resolves_a_wedged_solve_typed() {
-    let _serial = chaos_lock();
+/// One wedged-solve round trip on a fresh engine: ~200µs of injected drag
+/// per iteration pushes the region far past a 40ms budget; the deadline
+/// polls (claim loop, flag waits, level gates) drain it typed, `y` stays
+/// byte-identical to its input, and un-wedged the same handle solves.
+fn assert_deadline_contained<L>(loop_: L, wants: fn(PlanVariant) -> bool, site: &'static str)
+where
+    L: DoacrossLoop + Clone + Send + 'static,
+{
     let deadline = Duration::from_millis(40);
     let engine = Engine::builder()
         .workers(4)
@@ -272,19 +293,17 @@ fn solve_deadline_resolves_a_wedged_solve_typed() {
         .observability(ObsConfig::default())
         .build();
     assert_eq!(engine.solve_deadline(), Some(deadline));
-    let loop_ = doacross_victim();
     let prepared = engine.prepare(&loop_).unwrap();
-    assert_eq!(prepared.variant(), PlanVariant::Doacross);
+    assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
     let y0 = fresh_y(loop_.data_len());
     let oracle = oracle_of(&loop_, &y0);
 
-    // ~200µs of injected drag per iteration wedges the region far past
-    // the 40ms budget; the iteration-body deadline poll drains it.
-    failpoint::arm(EXECUTOR_ITER, FailAction::DelayNs { ns: 200_000 });
-    let err = {
+    failpoint::arm(site, FailAction::DelayNs { ns: 200_000 });
+    let (err, y_after) = {
         let (prepared, loop_, mut y) = (prepared.clone(), loop_.clone(), y0.clone());
         within(HANG_BOUND, move || {
-            prepared.execute(&loop_, &mut y).unwrap_err()
+            let err = prepared.execute(&loop_, &mut y).unwrap_err();
+            (err, y)
         })
     };
     assert_eq!(
@@ -292,7 +311,16 @@ fn solve_deadline_resolves_a_wedged_solve_typed() {
         EngineError::SolveTimeout { pool: 0, deadline },
         "typed timeout"
     );
-    failpoint::disarm(EXECUTOR_ITER);
+    failpoint::disarm(site);
+    // A waiter that gives up holds no iterations, so its siblings could
+    // still finish: it has to abandon the copy-back gate first, or a
+    // timed-out solve could commit part of `y`.
+    assert_eq!(
+        y_after,
+        y0,
+        "{:?}: a timed-out solve left y torn",
+        prepared.variant()
+    );
 
     // The aborted attempt left a TimedOut record with partial stats.
     let record = engine
@@ -312,6 +340,21 @@ fn solve_deadline_resolves_a_wedged_solve_typed() {
     let mut y = y0;
     prepared.execute(&loop_, &mut y).unwrap();
     assert_eq!(y, oracle);
+}
+
+#[test]
+fn solve_deadline_resolves_a_wedged_solve_typed() {
+    let _serial = chaos_lock();
+    assert_deadline_contained(
+        doacross_victim(),
+        |v| v == PlanVariant::Doacross,
+        EXECUTOR_ITER,
+    );
+    assert_deadline_contained(
+        wavefront_victim(),
+        |v| v == PlanVariant::Wavefront,
+        WAVEFRONT_ITER,
+    );
 }
 
 #[test]

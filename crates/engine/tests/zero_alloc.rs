@@ -1,5 +1,5 @@
-//! Allocation audit: warm solves on the flat preprocessed-doacross path
-//! must not touch the heap.
+//! Allocation audit: warm solves of every single-region parallel variant
+//! must not touch the heap — and must cost exactly one region dispatch.
 //!
 //! The paper's amortization argument assumes the executor's marginal cost
 //! is arithmetic plus synchronization — preprocessing products (writer
@@ -8,11 +8,12 @@
 //! solve of a many-solve workload. This binary installs
 //! [`doacross_core::alloc::CountingAllocator`] as the global allocator
 //! and pins the bill: after the cold solve grows the scratch, a warm
-//! flat-doacross solve reports **zero** allocations on the dispatching
-//! thread ([`RunStats::allocations`]).
+//! solve reports **zero** allocations on the dispatching thread
+//! ([`RunStats::allocations`]). The same warm solves pin the region count:
+//! executor and postprocessor share one `ThreadPool::run`.
 
 use doacross_core::alloc::CountingAllocator;
-use doacross_core::{seq::run_sequential, IndirectLoop, RunStats};
+use doacross_core::{seq::run_sequential, DoacrossLoop, IndirectLoop, RunStats, TestLoop};
 use doacross_engine::Engine;
 use doacross_plan::PlanVariant;
 
@@ -28,40 +29,73 @@ fn scattered_doall(n: usize) -> IndirectLoop {
     IndirectLoop::new(n, a, vec![vec![]; n], vec![vec![]; n]).expect("valid structure")
 }
 
-#[test]
-fn warm_flat_doacross_solves_allocate_nothing() {
-    // 4 workers: enough parallel payoff that the static model prices the
-    // scattered doall to the flat doacross rather than sequential.
+/// Warm solves of `loop_` on a fresh 4-worker engine: the variant is the
+/// one the caller means to audit, the output is the oracle's, the
+/// dispatching thread allocates nothing, and each solve is one region.
+fn assert_warm_solves_are_lean<L: DoacrossLoop>(loop_: &L, wants: fn(PlanVariant) -> bool) {
     let engine = Engine::builder().workers(4).pools(1).build();
-    let loop_ = scattered_doall(4_000);
-    let prepared = engine.prepare(&loop_).expect("plannable");
-    assert_eq!(
-        prepared.variant(),
-        PlanVariant::Doacross,
-        "audit must exercise the flat doacross path"
-    );
-
-    let mut oracle = vec![1.0; 4_000];
-    run_sequential(&loop_, &mut oracle);
+    let prepared = engine.prepare(loop_).expect("plannable");
+    assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
+    let y0: Vec<f64> = (0..loop_.data_len())
+        .map(|e| 1.0 + (e % 7) as f64 / 8.0)
+        .collect();
+    let mut oracle = y0.clone();
+    run_sequential(loop_, &mut oracle);
 
     // Cold solve: checking out a fresh executor and growing its
     // per-variant scratch is allowed to allocate.
-    let mut y = vec![1.0; 4_000];
-    let cold: RunStats = prepared.execute(&loop_, &mut y).expect("valid");
+    let mut y = y0.clone();
+    let cold: RunStats = prepared.execute(loop_, &mut y).expect("cold solve");
     assert_eq!(y, oracle);
-
-    // Warm solves: scratch, writer map, and the stats sink are all
+    // Warm solves: scratch, plan artifacts, and the stats sink are all
     // reused — the dispatching thread's heap bill is exactly zero.
     for round in 0..3 {
-        let mut y = vec![1.0; 4_000];
-        let stats = prepared.execute(&loop_, &mut y).expect("valid");
+        let mut y = y0.clone();
+        let regions_before = engine.pool().dispatches();
+        let stats = prepared.execute(loop_, &mut y).expect("valid");
+        let regions = engine.pool().dispatches() - regions_before;
         assert_eq!(y, oracle);
         assert_eq!(
-            stats.allocations, 0,
-            "warm solve {round} allocated (cold solve billed {} for scratch growth)",
+            stats.allocations,
+            0,
+            "{:?}: warm solve {round} allocated (cold solve billed {})",
+            prepared.variant(),
             cold.allocations
         );
+        assert_eq!(
+            regions,
+            1,
+            "{:?}: executor and copy-back must share one region",
+            prepared.variant()
+        );
     }
+}
+
+/// Interleaved distance-1 chains: the doconsider claim order wins.
+fn interleaved_chains(chains: usize, len: usize) -> IndirectLoop {
+    let n = chains * len;
+    let rhs: Vec<Vec<usize>> = (0..n)
+        .map(|i| if i % len == 0 { vec![] } else { vec![i - 1] })
+        .collect();
+    let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+    IndirectLoop::new(n, (0..n).collect(), rhs, coeff).expect("valid structure")
+}
+
+#[test]
+fn warm_wavefront_and_flag_solves_allocate_nothing_in_one_region() {
+    // Level-scheduled family: completion counters, no flags.
+    assert_warm_solves_are_lean(&doacross_plan::testgrid::deep_grid(64, 20, 3, 7), |v| {
+        v == PlanVariant::Wavefront
+    });
+    // Flag family, both writer oracles: the linear subscript of Figure 4,
+    // and the prebuilt writer map of a scattered doall.
+    assert_warm_solves_are_lean(&TestLoop::new(2_000, 1, 7), |v| {
+        matches!(v, PlanVariant::Linear(_))
+    });
+    assert_warm_solves_are_lean(&scattered_doall(4_000), |v| v == PlanVariant::Doacross);
+    // ... and under a doconsider claim order, whose permutation check
+    // reuses its position scratch.
+    assert_warm_solves_are_lean(&interleaved_chains(32, 16), |v| v == PlanVariant::Reordered);
 }
 
 /// The profiler's off-path discipline, audited: an engine built

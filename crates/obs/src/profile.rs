@@ -40,13 +40,14 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Executing claimed iterations (flag waits nest inside on the
-    /// flag-based variants; wavefront work spans exclude barrier time).
+    /// flag-based variants; wavefront work spans exclude boundary waits).
     Work,
     /// Busy-waiting on a ready flag for a true dependency (one span per
     /// stall event; `aux` carries the poll count).
     FlagWait,
-    /// Waiting at a wavefront level barrier (one span per crossing, the
-    /// leader's near-zero arrival included).
+    /// Waiting at a wavefront level boundary for the earlier level's
+    /// completion count to fill (one span per worker per boundary, the
+    /// near-zero wait of a worker that finds it full included).
     BarrierWait,
     /// Waiting for a free scheduler sub-pool before the solve ran
     /// (recorded on the dispatcher track, not a worker's).

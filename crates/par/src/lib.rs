@@ -30,11 +30,11 @@
 //!
 //! That contract holds only while every iteration runs to completion. A
 //! worker that *panics* mid-region never publishes the flags (or never
-//! arrives at the barrier) its siblings wait on — so every wait site has a
-//! fault-aware variant ([`WaitStrategy::wait_until_guarded`],
-//! [`SpinBarrier::wait_guarded`]) that polls the region's [`RegionPoison`]
-//! word and unwinds cooperatively, turning a would-be deadlock into a
-//! finite drain and a typed [`RegionFault`] panic from [`ThreadPool::run`].
+//! counts the iterations) its siblings wait on — so every wait site goes
+//! through the fault-aware [`WaitStrategy::wait_until_guarded`], which
+//! polls the region's [`RegionPoison`] word and unwinds cooperatively,
+//! turning a would-be deadlock into a finite drain and a typed
+//! [`RegionFault`] panic from [`ThreadPool::run`].
 //! The same poll sites enforce an optional region deadline
 //! ([`ThreadPool::set_deadline`]). See [`poison`] for the full protocol.
 

@@ -1,12 +1,12 @@
 //! Region poisoning: cooperative fault propagation for parallel regions.
 //!
 //! The doacross executors synchronize with unbounded busy-waits (ready
-//! flags, the wavefront [`SpinBarrier`](crate::SpinBarrier)). A worker
-//! that panics mid-region never publishes the flags (or never arrives at
-//! the barrier) its siblings are waiting on — without poisoning, one bad
-//! iteration wedges every other worker forever and the region never
-//! drains. [`RegionPoison`] is the one-word protocol that turns that hang
-//! into a clean, typed teardown:
+//! flags, the wavefront's level completion counts). A worker that panics
+//! mid-region never publishes the flags (or never counts the iterations)
+//! its siblings are waiting on — without poisoning, one bad iteration
+//! wedges every other worker forever and the region never drains.
+//! [`RegionPoison`] is the one-word protocol that turns that hang into a
+//! clean, typed teardown:
 //!
 //! 1. The pool's `catch_unwind` (or a deadline-expired waiter) stores the
 //!    fault cause into the region's poison word with a first-cause-wins
@@ -26,7 +26,7 @@
 //! `crates/par/tests/interleave_models.rs`.
 //!
 //! Scratch left behind by a poisoned region (ready flags, writer maps,
-//! barrier generations) is torn; callers must discard it, not reuse it.
+//! completion counts) is torn; callers must discard it, not reuse it.
 
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -124,6 +124,12 @@ impl ThreadPool {
         self.nworkers
     }
 
+    /// Regions dispatched so far ([`Self::run`] calls, faulted ones
+    /// included) — lets a caller assert how many regions a solve cost.
+    pub fn dispatches(&self) -> u64 {
+        self.shared.state.lock().epoch
+    }
+
     /// The pool's region fault latch. Wait sites inside a region capture
     /// this before dispatch and poll it alongside their real conditions
     /// (see [`WaitStrategy::wait_until_guarded`](crate::WaitStrategy::wait_until_guarded)).
@@ -306,6 +312,15 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i + 1);
         }
+    }
+
+    #[test]
+    fn dispatches_count_regions() {
+        let pool = ThreadPool::new(2);
+        assert_eq!(pool.dispatches(), 0);
+        pool.run(|_| {});
+        pool.run(|_| {});
+        assert_eq!(pool.dispatches(), 2);
     }
 
     #[test]

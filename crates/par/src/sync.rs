@@ -46,12 +46,17 @@ impl<T: Clone> Clone for CachePadded<T> {
     }
 }
 
-/// A sense-reversing spin barrier for a fixed set of participants.
+/// A sense-reversing spin barrier for a fixed set of participants: all of
+/// them synchronize inside a region without returning to the pool's
+/// dispatch path. Spinners yield to the OS after a bounded number of polls
+/// so the barrier also works when the pool is oversubscribed.
 ///
-/// Used by the level-scheduled triangular solver (`doacross-trisolve`): all
-/// workers synchronize between wavefront levels without returning to the
-/// pool's dispatch path. Spinners yield to the OS after a bounded number of
-/// polls so the barrier also works when the pool is oversubscribed.
+/// No executor in the workspace crosses one any more — the wavefront's
+/// levels complete by work, not by attendance (`doacross-core`'s
+/// completion counts), precisely because a barrier makes every worker wait
+/// for the slowest to check in. It stays as the yardstick that price is
+/// measured against (the benchmark's `par.barrier_cross_ns` probe), and is
+/// not fault-aware: do not put one inside a region that can be poisoned.
 #[derive(Debug)]
 pub struct SpinBarrier {
     /// Number of participants that must arrive before the barrier opens.
@@ -109,68 +114,6 @@ impl SpinBarrier {
             }
         }
         false
-    }
-
-    /// [`Self::wait`], fault-aware: while spinning on the generation gate,
-    /// also polls the region's poison word and (when a `deadline` is set)
-    /// the clock every 1024 misses — a sibling that panics before
-    /// arriving would otherwise strand every other participant at the
-    /// barrier forever.
-    ///
-    /// `Err` abandons the arrival mid-generation: the barrier's count and
-    /// generation are left torn and the barrier must not be reused — the
-    /// region is being torn down and its scratch (this barrier included)
-    /// must be discarded. The last arriver never spins, so a leader
-    /// always returns `Ok(true)` even under poison; its caller's next
-    /// guarded site observes the fault instead.
-    pub fn wait_guarded(
-        &self,
-        poison: &crate::RegionPoison,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<bool, crate::WaitAbort> {
-        let gen = self.generation.load(Ordering::Acquire);
-        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == self.total {
-            self.count.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-            return Ok(true);
-        }
-        let mut polls: u32 = 0;
-        let mut misses: u64 = 0;
-        while self.generation.load(Ordering::Acquire) == gen {
-            if let Some(fault) = poison.fault() {
-                return Err(crate::WaitAbort::Poisoned(fault));
-            }
-            misses += 1;
-            if let Some(deadline) = deadline {
-                if misses.is_multiple_of(1024) && std::time::Instant::now() >= deadline {
-                    return Err(crate::WaitAbort::DeadlineExpired);
-                }
-            }
-            polls = polls.wrapping_add(1);
-            if polls.is_multiple_of(BARRIER_SPINS_BEFORE_YIELD) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        Ok(false)
-    }
-
-    /// [`Self::wait_guarded`], timed: also reports the nanoseconds this
-    /// participant spent at the barrier, so a profiler can attribute
-    /// per-level barrier-wait time per worker. Unlike the flag wait's
-    /// timed variant, the clock is read unconditionally — every arrival
-    /// (the leader included, with a near-zero duration) yields exactly one
-    /// measurement, so span counts reconcile with barrier crossings.
-    pub fn wait_guarded_timed(
-        &self,
-        poison: &crate::RegionPoison,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<(bool, u64), crate::WaitAbort> {
-        let started = std::time::Instant::now();
-        let leader = self.wait_guarded(poison, deadline)?;
-        Ok((leader, started.elapsed().as_nanos() as u64))
     }
 }
 
@@ -238,122 +181,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), (THREADS * PHASES) as u64);
-    }
-
-    #[test]
-    fn guarded_barrier_matches_plain_barrier_when_clean() {
-        use crate::RegionPoison;
-        const THREADS: usize = 4;
-        const PHASES: usize = 25;
-        let barrier = Arc::new(SpinBarrier::new(THREADS));
-        let poison = Arc::new(RegionPoison::new());
-        let counter = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let poison = Arc::clone(&poison);
-                let counter = Arc::clone(&counter);
-                std::thread::spawn(move || {
-                    for phase in 0..PHASES {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait_guarded(&poison, None).expect("clean region");
-                        let seen = counter.load(Ordering::SeqCst);
-                        assert!(seen >= ((phase + 1) * THREADS) as u64);
-                        barrier.wait_guarded(&poison, None).expect("clean region");
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), (THREADS * PHASES) as u64);
-    }
-
-    #[test]
-    fn guarded_barrier_releases_spinners_when_a_sibling_poisons() {
-        use crate::{RegionFault, RegionPoison, WaitAbort};
-        // Three participants: two arrive, the third "panics" (poisons
-        // without arriving). Both spinners must abort instead of hanging.
-        let barrier = Arc::new(SpinBarrier::new(3));
-        let poison = Arc::new(RegionPoison::new());
-        let spinners: Vec<_> = (0..2)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let poison = Arc::clone(&poison);
-                std::thread::spawn(move || barrier.wait_guarded(&poison, None))
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        poison.poison_worker(2);
-        for s in spinners {
-            let abort = s
-                .join()
-                .unwrap()
-                .expect_err("a never-completing barrier must abort under poison");
-            assert_eq!(
-                abort,
-                WaitAbort::Poisoned(RegionFault::WorkerPanicked { worker: 2 })
-            );
-        }
-    }
-
-    #[test]
-    fn guarded_barrier_aborts_on_an_expired_deadline() {
-        use crate::{RegionPoison, WaitAbort};
-        let barrier = SpinBarrier::new(2);
-        let poison = RegionPoison::new();
-        let deadline = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        // Sole arriver of two: spins on the gate, must notice the expiry.
-        let abort = barrier
-            .wait_guarded(&poison, Some(deadline))
-            .expect_err("an expired deadline must abort the barrier spin");
-        assert_eq!(abort, WaitAbort::DeadlineExpired);
-    }
-
-    #[test]
-    fn guarded_barrier_leader_passes_even_under_poison() {
-        use crate::RegionPoison;
-        let barrier = SpinBarrier::new(1);
-        let poison = RegionPoison::new();
-        poison.poison_worker(0);
-        // The last arriver never spins; poison is the wait sites' concern.
-        assert_eq!(barrier.wait_guarded(&poison, None), Ok(true));
-    }
-
-    #[test]
-    fn timed_barrier_yields_one_measurement_per_arrival() {
-        use crate::RegionPoison;
-        const THREADS: usize = 4;
-        const PHASES: usize = 10;
-        let barrier = Arc::new(SpinBarrier::new(THREADS));
-        let poison = Arc::new(RegionPoison::new());
-        let leaders = Arc::new(AtomicU64::new(0));
-        let measured = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let poison = Arc::clone(&poison);
-                let leaders = Arc::clone(&leaders);
-                let measured = Arc::clone(&measured);
-                std::thread::spawn(move || {
-                    for _ in 0..PHASES {
-                        let (leader, _ns) = barrier
-                            .wait_guarded_timed(&poison, None)
-                            .expect("clean region");
-                        measured.fetch_add(1, Ordering::SeqCst);
-                        if leader {
-                            leaders.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(measured.load(Ordering::SeqCst), (THREADS * PHASES) as u64);
-        assert_eq!(leaders.load(Ordering::SeqCst), PHASES as u64);
     }
 
     #[test]

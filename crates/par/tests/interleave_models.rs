@@ -1,9 +1,10 @@
 //! Interleaving-checker models of `doacross-par`'s synchronization
 //! protocols: the executor's per-element ready-flag handoff (paper Fig. 5,
 //! statement S4 — the protocol `WaitStrategy::wait_until` polls and the
-//! workers' release stores complete) and the sense-reversing
-//! [`SpinBarrier`](doacross_par::SpinBarrier) used between wavefront
-//! levels.
+//! workers' release stores complete), its poison-aware variant, and the
+//! sense-reversing [`SpinBarrier`](doacross_par::SpinBarrier). (The
+//! level-completion protocol the wavefront runs on instead of that barrier
+//! is modelled in `completion_models.rs`.)
 //!
 //! Each model restates the production algorithm in `interleave`'s shim
 //! types and is checked across thread schedules; the mutation tests then
@@ -371,100 +372,6 @@ fn mutation_unchecked_wait_loop_deadlocks_on_a_faulted_writer() {
     .expect_err("an unchecked wait loop must strand the waiter");
     assert!(
         matches!(&failure.kind, FailureKind::Deadlock { blocked } if blocked == &[1]),
-        "{failure}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Poison-aware barrier arrival: a participant that faults publishes poison
-// instead of arriving; the spinners poll the generation AND the poison word
-// (production: `SpinBarrier::wait`'s poison poll), so a lost arrival aborts
-// the region instead of wedging every surviving level-mate.
-// ---------------------------------------------------------------------------
-
-struct PoisonedBarrier {
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    poison: AtomicU64,
-}
-
-fn poisoned_barrier() -> PoisonedBarrier {
-    PoisonedBarrier {
-        count: AtomicUsize::new(0),
-        generation: AtomicUsize::new(0),
-        poison: AtomicU64::new(0),
-    }
-}
-
-/// One poison-aware `SpinBarrier::wait` arrival. Returns `Err(())` when the
-/// spin exit was the poison word rather than the generation bump.
-fn poisoned_barrier_arrive(m: &PoisonedBarrier, poll_poison: bool) -> Result<bool, ()> {
-    let gen = m.generation.load(Ordering::Acquire);
-    let arrived = m.count.fetch_add(1, Ordering::AcqRel) + 1;
-    if arrived == PARTICIPANTS {
-        m.count.store(0, Ordering::Relaxed);
-        m.generation.fetch_add(1, Ordering::Release);
-        return Ok(true);
-    }
-    if poll_poison {
-        spin_until(|| {
-            m.generation.load(Ordering::Acquire) != gen || m.poison.load(Ordering::Acquire) != 0
-        });
-        if m.generation.load(Ordering::Acquire) == gen {
-            return Err(());
-        }
-    } else {
-        spin_until(|| m.generation.load(Ordering::Acquire) != gen);
-    }
-    Ok(false)
-}
-
-#[test]
-fn poisoned_barrier_arrival_always_terminates() {
-    // Thread 1 faults before its arrival; thread 0's arrival must resolve
-    // on every schedule — either it aborts on poison, or (when the checker
-    // schedules nothing in between) it keeps spinning until the poison
-    // store lands and then aborts. It can never be the last arriver.
-    let report = check(
-        &Config::default(),
-        poisoned_barrier,
-        &[
-            &|m: &PoisonedBarrier| {
-                assert_eq!(
-                    poisoned_barrier_arrive(m, true),
-                    Err(()),
-                    "with a faulted peer the arrival must abort, not release"
-                );
-            },
-            &|m: &PoisonedBarrier| {
-                m.poison.store(1, Ordering::Release);
-            },
-        ],
-    )
-    .expect("poison poll frees the barrier spinner on every schedule");
-    assert!(
-        report.exhaustive,
-        "the poisoned arrival must be exhaustible"
-    );
-}
-
-#[test]
-fn mutation_unchecked_barrier_spin_deadlocks_on_a_faulted_peer() {
-    let failure = check(
-        &Config::default(),
-        poisoned_barrier,
-        &[
-            &|m: &PoisonedBarrier| {
-                let _ = poisoned_barrier_arrive(m, false);
-            },
-            &|m: &PoisonedBarrier| {
-                m.poison.store(1, Ordering::Release);
-            },
-        ],
-    )
-    .expect_err("an unchecked generation spin must strand the arrival");
-    assert!(
-        matches!(&failure.kind, FailureKind::Deadlock { blocked } if blocked == &[0]),
         "{failure}"
     );
 }

@@ -7,8 +7,11 @@
 // shims exist.
 #![allow(deprecated)]
 
-use doacross_core::{seq::run_sequential, IndirectLoop, PlanProvenance, WavefrontDoacross};
-use doacross_par::ThreadPool;
+use doacross_core::{
+    seq::run_sequential, DoacrossConfig, IndirectLoop, PlanProvenance, WavefrontDoacross,
+};
+use doacross_obs::profile::{ProfArena, SpanKind};
+use doacross_par::{Schedule, ThreadPool};
 use doacross_plan::{PatternFingerprint, PlanCache, PlanCensus, PlannedDoacross, Planner};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -105,7 +108,10 @@ proptest! {
         // The level-scheduled executor is bit-identical to the sequential
         // loop on ANY injective pattern — true deps, antideps, intra
         // references, unwritten reads, any level shape — at any worker
-        // count, with zero busy-wait polls by construction.
+        // count, under any claiming policy and chunking, with zero
+        // busy-wait polls by construction. Profiled, every worker records
+        // exactly one boundary wait per level boundary, whether it found
+        // the earlier level's count full or had to wait for it.
         let (census, schedule) = PlanCensus::of_with_schedule(&loop_);
         let schedule = schedule.expect("arb_loop lhs is injective and in bounds");
         prop_assert_eq!(schedule.level_count(), census.critical_path);
@@ -113,16 +119,43 @@ proptest! {
 
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
-        for workers in [1usize, 3] {
+        let expect: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
+        for workers in [1usize, 2, 4] {
             use doacross_core::AccessPattern;
             let pool = ThreadPool::new(workers);
-            let mut rt = WavefrontDoacross::new(loop_.data_len());
-            let mut y = y0.clone();
-            let stats = rt.run(&pool, &loop_, &mut y, &schedule).expect("valid");
-            prop_assert_eq!(&y, &expect, "workers = {}", workers);
-            prop_assert_eq!(stats.wait_polls, 0);
-            prop_assert_eq!(stats.stalls, 0);
-            prop_assert_eq!(stats.deps.total(), census.total_terms);
+            let arena = ProfArena::new(workers, 4 * census.critical_path + 4);
+            for claiming in [
+                Schedule::multimax(),
+                Schedule::StaticBlock,
+                Schedule::StaticCyclic,
+                Schedule::Guided { min_chunk: 2 },
+            ] {
+                let config = DoacrossConfig { schedule: claiming, ..DoacrossConfig::default() };
+                let mut rt = WavefrontDoacross::with_config(loop_.data_len(), config);
+                for chunk in [None, Some(1), Some(3), Some(1000)] {
+                    let case = format!("{workers} workers, {claiming:?}, chunk {chunk:?}");
+                    arena.reset();
+                    let mut y = y0.clone();
+                    let stats = rt
+                        .run_chunked_profiled(&pool, &loop_, &mut y, &schedule, chunk, Some(&arena))
+                        .expect("valid");
+                    let bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(&bits, &expect, "{}", case);
+                    prop_assert_eq!(stats.wait_polls, 0);
+                    prop_assert_eq!(stats.stalls, 0);
+                    prop_assert_eq!(stats.deps.total(), census.total_terms);
+                    prop_assert_eq!(stats.barrier_crossings + 1, census.critical_path as u64);
+                    let (spans, dropped) = arena.take();
+                    prop_assert_eq!(dropped, 0);
+                    for worker in 0..workers as u32 {
+                        let waits = spans
+                            .iter()
+                            .filter(|s| s.worker == worker && s.kind == SpanKind::BarrierWait)
+                            .count() as u64;
+                        prop_assert_eq!(waits, stats.barrier_crossings, "{}", case);
+                    }
+                }
+            }
         }
     }
 

@@ -17,7 +17,8 @@
 
 use crate::cost::CostModel;
 use doacross_core::{seq::run_sequential, Doacross, TestLoop};
-use doacross_par::{SpinBarrier, ThreadPool};
+use doacross_par::{ThreadPool, WaitStrategy};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A host-derived cost model plus the physical meaning of its unit.
@@ -99,24 +100,34 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
         t.as_nanos() as f64
     };
 
-    // In-region spin-barrier crossing, measured with two real participants
-    // (the smallest configuration where a crossing involves actual
-    // cross-thread traffic) — the per-level price of the wavefront
-    // executor.
+    // Level hand-off, as the wavefront executor performs it: a chain of
+    // one-iteration levels run by two workers under the executor's own
+    // protocol — claim the level off a shared counter, poll (`Acquire`)
+    // until the level before it is counted, count this one (`Release`).
+    // Nothing forces the workers to alternate, exactly as nothing does in
+    // the executor: where they really run side by side the count's cache
+    // line changes hands between levels, where they are time-sliced on one
+    // CPU whoever is running streams through alone, and each host prices
+    // the boundary it will actually pay. Long enough that the region's
+    // dispatch disappears in the quotient.
     let barrier_ns = {
-        const CROSSINGS: usize = 4_096;
+        const LEVELS: usize = 16_384;
         let two = ThreadPool::new(2);
-        let barrier = SpinBarrier::new(2);
+        let wait = WaitStrategy::default();
         let t = best_of(reps, || {
+            let (claim, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
             let start = Instant::now();
-            two.run(|_| {
-                for _ in 0..CROSSINGS {
-                    barrier.wait();
+            two.run(|_| loop {
+                let level = claim.fetch_add(1, Ordering::Relaxed);
+                if level >= LEVELS {
+                    break;
                 }
+                wait.wait_until(|| done.load(Ordering::Acquire) == level);
+                done.fetch_add(1, Ordering::Release);
             });
             start.elapsed()
         });
-        (t.as_nanos() as f64 / CROSSINGS as f64).max(0.1)
+        (t.as_nanos() as f64 / LEVELS as f64).max(0.1)
     };
 
     // Normalize: one unit = one sequential term.

@@ -35,11 +35,12 @@ pub struct CostModel {
     /// Entering/leaving a parallel region (pool dispatch + join), per
     /// region.
     pub region_dispatch: f64,
-    /// One crossing of an in-region spin barrier (sense-reversing, all
-    /// processors participating) — the per-level price of the wavefront
-    /// (level-scheduled) executor. Far cheaper than `region_dispatch`:
-    /// spinners stay in user space and never return to the pool's
-    /// dispatch path.
+    /// One level boundary of the wavefront (level-scheduled) executor: the
+    /// hand-off of a full completion count from the worker that finished
+    /// the level to one waiting to enter the next (the name predates the
+    /// counters — it was a spin-barrier crossing). Far cheaper than
+    /// `region_dispatch`: waiters stay in user space and never return to
+    /// the pool's dispatch path.
     pub barrier: f64,
     /// Sequential loop: fixed per-iteration cost.
     pub seq_iter: f64,
@@ -130,7 +131,7 @@ impl Default for CostModel {
 pub struct ObservedConstants {
     /// Measured cost of one `ready`-flag poll (model units).
     pub wait_poll: Option<f64>,
-    /// Measured cost of one in-region spin-barrier crossing (model units).
+    /// Measured cost of one wavefront level boundary (model units).
     pub barrier: Option<f64>,
     /// Measured per-reference executor cost — the observed `term + check`
     /// aggregate (model units). Split across the two fields in the base

@@ -40,7 +40,7 @@ fn main() {
         }
     }
     // ... plus a deep triangular structure the cost model runs as
-    // barrier-separated level doalls.
+    // counter-separated level doalls.
     let a = seven_point(12, 12, 6, 2026);
     let l_factor = TriangularMatrix::from_strict_lower(&ilu0(&a).l);
     let rhs = vec![1.0; l_factor.n()];

@@ -25,10 +25,10 @@ fn main() {
         .build();
     assert!(engine.profiling_enabled());
 
-    // --- 1. A wavefront solve: barrier-separated level doalls. -----------
+    // --- 1. A wavefront solve: a sequence of level doalls. ----------------
     // 64 columns x 20 dependence levels — the planner runs this as one
-    // barrier per level, and the profiler stamps each level's work and
-    // each worker's barrier wait.
+    // completion counter per level, and the profiler stamps each level's
+    // work and each worker's wait at each level boundary.
     let grid = preprocessed_doacross::plan::testgrid::deep_grid(64, 20, 3, 7);
     let prepared = engine.prepare(&grid).expect("plannable");
     let mut y: Vec<f64> = (0..grid.data_len())

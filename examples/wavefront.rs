@@ -113,7 +113,7 @@ fn main() {
     // Executing the level structure: the wavefront variant. A deep 7-point
     // ILU(0) factor has many true dependencies but few levels relative to
     // its size, so at a multicore worker count the cost model converts the
-    // doacross into barrier-separated level doalls on its own.
+    // doacross into counter-separated level doalls on its own.
     let store = std::env::args().nth(1);
     let a3d = seven_point(20, 20, 20, 7);
     let l3d = TriangularMatrix::from_strict_lower(&ilu0(&a3d).l);

@@ -20,10 +20,12 @@
 #   checkers       the machine-checked soundness suites: the interleave
 #                  model checker's own tests, the par/sched protocol
 #                  models — including the poison-aware wait/barrier
-#                  models, whose mutation tests prove the checker still
-#                  catches corrupted protocols — the fault-injection
-#                  chaos suite (every injected failure mode must resolve
-#                  typed and recoverable), and the plan-soundness
+#                  models and the level-completion protocol the wavefront
+#                  and the fused copy-back run on, whose mutation tests
+#                  prove the checker still catches corrupted protocols —
+#                  the fault-injection chaos suite (every injected failure
+#                  mode must resolve typed and recoverable, `y` untouched),
+#                  and the plan-soundness
 #                  verifier's suites (whose seeded schedule mutations
 #                  prove the verifier still rejects unsound plans).
 #
@@ -85,6 +87,8 @@ cargo test -q -p interleave ||
 say "analysis_gate: synchronization protocol models (par, sched)"
 cargo test -q -p doacross-par --test interleave_models ||
   violation "par protocol models failed (ready flags / spin barrier / poison protocol)"
+cargo test -q -p doacross-par --test completion_models ||
+  violation "par protocol models failed (level completion counts / fused copy-back / commit-or-abort gate)"
 cargo test -q -p doacross-sched --test interleave_models ||
   violation "sched protocol models failed (free-pool bitmask)"
 

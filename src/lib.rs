@@ -155,9 +155,10 @@
 //! A multi-tenant engine must contain one tenant's disaster, not share
 //! it. The synchronization protocols ([`par`]) are **poison-aware**: when
 //! a worker panics mid-region, the pool publishes the fault into a
-//! per-region poison word, and every busy-wait and barrier arrival polls
-//! it — so the survivors unwind cooperatively instead of spinning forever
-//! on a ready flag their dead peer will never raise. The engine catches
+//! per-region poison word, and every busy-wait — on a ready flag or on a
+//! wavefront level's completion count — polls it, so the survivors unwind
+//! cooperatively instead of spinning forever on a ready flag their dead
+//! peer will never raise. The engine catches
 //! the fault at the dispatch boundary and surfaces it as typed
 //! [`EngineError::SolvePanicked`]; the sub-pool is immediately reusable
 //! and co-tenants never notice.
@@ -203,8 +204,9 @@
 //!   single-owner LRU [`plan::PlanCache`], the sharded
 //!   [`plan::ConcurrentPlanCache`], and the [`plan::persist`] codec
 //!   behind warm starts. The wavefront variant converts the doacross into
-//!   barrier-separated level doalls — zero busy-wait polls — whenever the
-//!   cost model predicts the flag bill exceeds the barrier bill.
+//!   a sequence of level doalls, each complete when its iterations are
+//!   counted — zero busy-wait polls, zero barriers — whenever the cost
+//!   model predicts the flag bill exceeds the level-boundary bill.
 //! * [`obs`] — the observability layer: the trace-event vocabulary, the
 //!   metrics registry and Prometheus/JSON renderers, and the flight
 //!   recorder. Zero dependencies; every other crate emits into it.

@@ -30,7 +30,7 @@ pub fn chain(m: &CostModel, census: &PlanCensus) -> f64 {
 }
 
 fn dispatch(m: &CostModel) -> f64 {
-    2.0 * m.region_dispatch
+    m.region_dispatch
 }
 
 fn post(m: &CostModel, census: &PlanCensus, p: usize) -> f64 {
@@ -119,7 +119,7 @@ pub fn breakdown(plan: &ExecutionPlan, model: &CostModel) -> Breakdown {
                 census.iterations.div_ceil(block_size).max(1) as f64
             };
             let units =
-                nblocks * 3.0 * model.region_dispatch + blocked_work(model, census) / p as f64;
+                nblocks * 2.0 * model.region_dispatch + blocked_work(model, census) / p as f64;
             let pred = plan.costs().blocked.unwrap_or(units);
             // Blocked runs synchronize only at block boundaries, already
             // counted in the dispatches: work and prediction coincide.

@@ -309,8 +309,8 @@ struct LevelCell {
     done: Completion,
 }
 
-/// What a worker owes the region between claims: one poll of the fault
-/// latch, and a deadline clock read every [`DEADLINE_ITER_PERIOD`]
+/// What a worker owes the region before each iteration: one poll of the
+/// fault latch, and a deadline clock read every [`DEADLINE_ITER_PERIOD`]
 /// iterations executed.
 #[inline]
 fn poll_faults(
@@ -353,11 +353,11 @@ fn poll_faults(
 ///   profiler's level histograms. `None` costs one branch per would-be
 ///   span.
 ///
-/// The fault poll, the deadline tick and the failpoint are paid once per
-/// *claim* — unless a failpoint is armed, which keeps them per iteration
-/// so `PanicAt { iteration }` stays exact. Bounds are enforced with
-/// release-mode asserts, mirroring the flat executor: the plan already
-/// proved the structure in-bounds.
+/// The failpoint, the fault poll and the deadline tick are paid once per
+/// iteration, whatever the claiming policy (a static share is one claim
+/// for a whole level, so nothing coarser polls inside a wide level).
+/// Bounds are enforced with release-mode asserts, mirroring the flat
+/// executor: the plan already proved the structure in-bounds.
 #[allow(clippy::too_many_arguments)]
 fn run_levels<L>(
     pool: &ThreadPool,
@@ -436,70 +436,60 @@ where
             };
             let level_started = prof.map(|arena| arena.now_ns());
             let executed_before = executed;
-            level_sched.drive_chunks(worker, nworkers, width, &cell.claim, |claimed| {
-                if failpoint.is_none() {
-                    if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
-                        guard.bail(sink, worker, &mut local, abort);
-                    }
+            level_sched.drive(worker, nworkers, width, &cell.claim, |k| {
+                let i = level[k];
+                executed += 1;
+                failpoint::hit(failpoint, i as u64);
+                if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
+                    guard.bail(sink, worker, &mut local, abort);
                 }
-                for k in claimed {
-                    let i = level[k];
-                    executed += 1;
-                    if failpoint.is_some() {
-                        failpoint::hit(failpoint, i as u64);
-                        if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
-                            guard.bail(sink, worker, &mut local, abort);
+                let lhs = loop_.lhs(i);
+                assert!(lhs < data_len, "wavefront: lhs {lhs} out of bounds");
+
+                // S2: seed from the old value of the output element.
+                // SAFETY: y is read-only until the last level's gate; bounds
+                // asserted.
+                let mut acc = loop_.init(i, unsafe { y.read(lhs) });
+
+                let base = term_offsets[i];
+                let terms = loop_.terms(i);
+                assert!(
+                    base + terms <= classes.len() && term_offsets[i + 1] - base == terms,
+                    "wavefront: schedule references disagree with the loop"
+                );
+                for j in 0..terms {
+                    let off = loop_.term_element(i, j);
+                    assert!(off < data_len, "wavefront: term {off} out of bounds");
+                    let operand = match classes[base + j] {
+                        0 => {
+                            local.true_deps += 1;
+                            // SAFETY: bounds asserted above. True
+                            // dependency: the writer's level is strictly
+                            // earlier; its plain `ynew` store happens-before
+                            // this load via that level's completion count
+                            // (module docs).
+                            unsafe { ynew.read(off) }
                         }
-                    }
-                    let lhs = loop_.lhs(i);
-                    assert!(lhs < data_len, "wavefront: lhs {lhs} out of bounds");
-
-                    // S2: seed from the old value of the output element.
-                    // SAFETY: y is read-only until the last level's gate;
-                    // bounds asserted.
-                    let mut acc = loop_.init(i, unsafe { y.read(lhs) });
-
-                    let base = term_offsets[i];
-                    let terms = loop_.terms(i);
-                    assert!(
-                        base + terms <= classes.len() && term_offsets[i + 1] - base == terms,
-                        "wavefront: schedule references disagree with the loop"
-                    );
-                    for j in 0..terms {
-                        let off = loop_.term_element(i, j);
-                        assert!(off < data_len, "wavefront: term {off} out of bounds");
-                        let operand = match classes[base + j] {
-                            0 => {
-                                local.true_deps += 1;
-                                // SAFETY: bounds asserted above. True
-                                // dependency: the writer's level is
-                                // strictly earlier; its plain `ynew` store
-                                // happens-before this load via that
-                                // level's completion count (module docs).
-                                unsafe { ynew.read(off) }
-                            }
-                            1 => {
-                                local.anti_or_unwritten += 1;
-                                // SAFETY: antidependency / never written —
-                                // the old value; `y` is read-only until
-                                // the last level's gate.
-                                unsafe { y.read(off) }
-                            }
-                            // Intra-iteration: the register accumulator.
-                            _ => {
-                                local.intra += 1;
-                                debug_assert_eq!(off, lhs, "class says intra but off != lhs");
-                                acc
-                            }
-                        };
-                        acc = loop_.combine(i, j, acc, operand);
-                    }
-
-                    // SAFETY: `lhs` has this iteration as its unique writer
-                    // (injective `a`), and no other level touches it this
-                    // run.
-                    unsafe { ynew.write(lhs, loop_.finish(i, acc)) };
+                        1 => {
+                            local.anti_or_unwritten += 1;
+                            // SAFETY: antidependency / never written — the
+                            // old value; `y` is read-only until the last
+                            // level's gate.
+                            unsafe { y.read(off) }
+                        }
+                        // Intra-iteration: the register accumulator.
+                        _ => {
+                            local.intra += 1;
+                            debug_assert_eq!(off, lhs, "class says intra but off != lhs");
+                            acc
+                        }
+                    };
+                    acc = loop_.combine(i, j, acc, operand);
                 }
+
+                // SAFETY: `lhs` has this iteration as its unique writer
+                // (injective `a`), and no other level touches it this run.
+                unsafe { ynew.write(lhs, loop_.finish(i, acc)) };
             });
             let in_level = (executed - executed_before) as usize;
             if let (Some(arena), Some(started)) = (prof, level_started) {

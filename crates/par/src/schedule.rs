@@ -12,7 +12,6 @@
 //! order**; see the crate docs for why that guarantees deadlock-freedom for
 //! backward (true-dependency) waiting.
 
-use std::iter::StepBy;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -73,37 +72,18 @@ impl Schedule {
         counter: &AtomicUsize,
         mut body: F,
     ) {
-        self.drive_chunks(worker, nworkers, n, counter, |chunk| {
-            chunk.for_each(&mut body)
-        });
-    }
-
-    /// [`Self::drive`] one claim at a time: `body` receives each non-empty
-    /// run of iterations the worker claims (one counter grab under the
-    /// dynamic policies, the worker's whole share under the static ones),
-    /// so per-claim work — a fault poll, a completion count — is paid once
-    /// per grab instead of once per iteration. Chunks arrive in increasing
-    /// order and are increasing inside.
-    #[inline]
-    pub fn drive_chunks<F: FnMut(StepBy<Range<usize>>)>(
-        &self,
-        worker: usize,
-        nworkers: usize,
-        n: usize,
-        counter: &AtomicUsize,
-        mut body: F,
-    ) {
         debug_assert!(worker < nworkers, "worker {worker} of {nworkers}");
         match *self {
             Schedule::StaticBlock => {
-                let share = block_range(n, nworkers, worker);
-                if !share.is_empty() {
-                    body(share.step_by(1));
+                for i in block_range(n, nworkers, worker) {
+                    body(i);
                 }
             }
             Schedule::StaticCyclic => {
-                if worker < n {
-                    body((worker..n).step_by(nworkers));
+                let mut i = worker;
+                while i < n {
+                    body(i);
+                    i += nworkers;
                 }
             }
             Schedule::Dynamic { chunk } => {
@@ -113,7 +93,10 @@ impl Schedule {
                     if start >= n {
                         break;
                     }
-                    body((start..(start + chunk).min(n)).step_by(1));
+                    let end = (start + chunk).min(n);
+                    for i in start..end {
+                        body(i);
+                    }
                 }
             }
             Schedule::Guided { min_chunk } => {
@@ -131,7 +114,10 @@ impl Schedule {
                     if start >= n {
                         break;
                     }
-                    body((start..(start + grab).min(n)).step_by(1));
+                    let end = (start + grab).min(n);
+                    for i in start..end {
+                        body(i);
+                    }
                 }
             }
         }
@@ -276,32 +262,6 @@ mod tests {
         let mut seen = Vec::new();
         Schedule::Dynamic { chunk: 0 }.drive(0, 1, 5, &counter, |i| seen.push(i));
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn chunks_are_whole_claims_and_cover_like_drive() {
-        // Static policies hand a worker its share as one chunk; dynamic
-        // ones hand over one chunk per counter grab. Empty shares never
-        // reach the body.
-        for sched in all_schedules() {
-            for &(nworkers, n) in &[(1usize, 0usize), (3, 17), (5, 3), (4, 64)] {
-                let counter = AtomicUsize::new(0);
-                let mut seen = Vec::new();
-                for w in 0..nworkers {
-                    let mut chunks = 0usize;
-                    sched.drive_chunks(w, nworkers, n, &counter, |chunk| {
-                        assert!(chunk.len() > 0, "{sched:?}: empty chunk");
-                        chunks += 1;
-                        seen.extend(chunk);
-                    });
-                    if !sched.is_dynamic() {
-                        assert!(chunks <= 1, "{sched:?}: a static share is one chunk");
-                    }
-                }
-                seen.sort_unstable();
-                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{sched:?} n={n}");
-            }
-        }
     }
 
     #[test]

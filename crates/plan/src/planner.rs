@@ -28,7 +28,8 @@
 //!   true dependency (`true_deps · wait_poll` — the successful poll of
 //!   Figure 5 S4 that even a non-stalling reader performs);
 //! * executor estimate `max((W + flags + stalls)/p, CP · chain)`, plus
-//!   postprocessing `n · post/p` and two region dispatches.
+//!   postprocessing `n · post/p` and one region dispatch (the copy-back
+//!   rides in the executor's region).
 //!
 //! The **wavefront** candidate replaces the per-element synchronization
 //! with per-level barriers: it pays no flag checks and never stalls, but
@@ -155,7 +156,9 @@ impl Planner {
         let flag_checks = census.true_deps as f64 * self.costs.wait_poll;
         let cp_bound = census.critical_path as f64 * chain;
         let post = n * self.costs.post_per_iter / p as f64;
-        let dispatch = 2.0 * self.costs.region_dispatch;
+        // One region per parallel solve: the copy-back rides behind the
+        // executor's completion count in the same dispatch.
+        let dispatch = self.costs.region_dispatch;
 
         // Stall pricing needs the dependence edges; skip the DAG entirely
         // for dependence-free loops. The doconsider order is NOT
@@ -255,7 +258,7 @@ impl Planner {
             let blocked_work = n
                 * (self.exec_per_iter() + self.costs.inspect_per_iter + self.costs.post_per_iter)
                 + census.total_terms as f64 * self.per_term();
-            let t_blocked = nblocks * 3.0 * self.costs.region_dispatch + blocked_work / p as f64;
+            let t_blocked = nblocks * 2.0 * self.costs.region_dispatch + blocked_work / p as f64;
             costs.blocked = Some(t_blocked);
             if t_blocked < t_seq {
                 variant = PlanVariant::Blocked { block_size };
@@ -323,13 +326,13 @@ impl Planner {
         // `B > d`, so any `B ≤ gap` is collision-free.
         let block_size = gap.max(1);
         let nblocks = census.iterations.div_ceil(block_size.max(1)).max(1) as f64;
-        // Each block pays three parallel regions (inspector, executor,
-        // post) and the per-iteration inspector cost stays in the run —
-        // blocked runs cannot reuse a prebuilt map across blocks.
+        // Each block pays two parallel regions (inspector, then executor
+        // with its copy-back) and the per-iteration inspector cost stays in
+        // the run — blocked runs cannot reuse a prebuilt map across blocks.
         let work = n
             * (self.exec_per_iter() + self.costs.inspect_per_iter + self.costs.post_per_iter)
             + census.total_terms as f64 * self.per_term();
-        let t_blocked = nblocks * 3.0 * self.costs.region_dispatch + work / p as f64;
+        let t_blocked = nblocks * 2.0 * self.costs.region_dispatch + work / p as f64;
         let costs = VariantCosts {
             sequential: t_seq,
             blocked: (block_size > 1).then_some(t_blocked),

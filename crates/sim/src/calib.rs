@@ -16,9 +16,11 @@
 //! best-of-`reps` to suppress scheduler noise.
 
 use crate::cost::CostModel;
-use doacross_core::{seq::run_sequential, Doacross, TestLoop};
-use doacross_par::{ThreadPool, WaitStrategy};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use doacross_core::{
+    seq::run_sequential, Doacross, IndirectLoop, LevelSchedule, OperandClass, TestLoop,
+    WavefrontDoacross,
+};
+use doacross_par::ThreadPool;
 use std::time::{Duration, Instant};
 
 /// A host-derived cost model plus the physical meaning of its unit.
@@ -100,34 +102,48 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
         t.as_nanos() as f64
     };
 
-    // Level hand-off, as the wavefront executor performs it: a chain of
-    // one-iteration levels run by two workers under the executor's own
-    // protocol — claim the level off a shared counter, poll (`Acquire`)
-    // until the level before it is counted, count this one (`Release`).
-    // Nothing forces the workers to alternate, exactly as nothing does in
-    // the executor: where they really run side by side the count's cache
-    // line changes hands between levels, where they are time-sliced on one
-    // CPU whoever is running streams through alone, and each host prices
-    // the boundary it will actually pay. Long enough that the region's
-    // dispatch disappears in the quotient.
+    // Level hand-off, measured on the executor that performs it: a chain
+    // (one iteration per level) run by `WavefrontDoacross` on two workers,
+    // minus the same loop's sequential time, per level boundary. Nothing
+    // forces the workers to alternate, exactly as nothing does in a real
+    // solve: where they run side by side the count's cache line changes
+    // hands between levels, where they are time-sliced on one CPU whoever
+    // is running streams through alone, and each host prices the boundary
+    // it will actually pay. Long enough that the region's dispatch
+    // disappears in the quotient.
     let barrier_ns = {
         const LEVELS: usize = 16_384;
-        let two = ThreadPool::new(2);
-        let wait = WaitStrategy::default();
-        let t = best_of(reps, || {
-            let (claim, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let a: Vec<usize> = (1..=LEVELS).collect();
+        let rhs: Vec<Vec<usize>> = (0..LEVELS).map(|i| vec![i]).collect();
+        let chain = IndirectLoop::new(LEVELS + 1, a, rhs, vec![vec![1.0]; LEVELS])
+            .expect("a chain is a valid loop");
+        // level(i) = i + 1; every reference is a true dependency except
+        // iteration 0's read of the never-written y[0].
+        let levels: Vec<usize> = (1..=LEVELS).collect();
+        let mut classes = vec![OperandClass::NewValue as u8; LEVELS];
+        classes[0] = OperandClass::OldValue as u8;
+        let schedule = LevelSchedule::from_levels(&levels, LEVELS, (0..=LEVELS).collect(), classes);
+        let y0 = vec![1.0; LEVELS + 1];
+        let body = best_of(reps, || {
+            let mut y = y0.clone();
             let start = Instant::now();
-            two.run(|_| loop {
-                let level = claim.fetch_add(1, Ordering::Relaxed);
-                if level >= LEVELS {
-                    break;
-                }
-                wait.wait_until(|| done.load(Ordering::Acquire) == level);
-                done.fetch_add(1, Ordering::Release);
-            });
-            start.elapsed()
+            run_sequential(&chain, &mut y);
+            let e = start.elapsed();
+            std::hint::black_box(&y);
+            e
         });
-        (t.as_nanos() as f64 / LEVELS as f64).max(0.1)
+        let two = ThreadPool::new(2);
+        let mut rt = WavefrontDoacross::new(LEVELS + 1);
+        let t = best_of(reps, || {
+            let mut y = y0.clone();
+            let start = Instant::now();
+            rt.run(&two, &chain, &mut y, &schedule)
+                .expect("chain schedule");
+            let e = start.elapsed();
+            std::hint::black_box(&y);
+            e
+        });
+        (t.saturating_sub(body).as_nanos() as f64 / (LEVELS - 1) as f64).max(0.1)
     };
 
     // Normalize: one unit = one sequential term.

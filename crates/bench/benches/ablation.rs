@@ -4,7 +4,7 @@
 //! each dimension independently.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use doacross_core::{BlockedDoacross, Doacross, DoacrossConfig, LinearDoacross, TestLoop};
+use doacross_core::{Doacross, DoacrossConfig, TestLoop};
 use doacross_par::{Schedule, ThreadPool, WaitStrategy};
 use std::hint::black_box;
 
@@ -68,25 +68,27 @@ fn bench_variants(c: &mut Criterion) {
         })
     });
 
-    let mut linear = LinearDoacross::new(y0.len());
+    let mut linear = Doacross::new(y0.len());
     linear.config_mut().validate_terms = false;
     group.bench_function("linear_no_inspector", |b| {
         b.iter(|| {
             let mut y = y0.clone();
             linear
-                .run(&pool, &loop_, loop_.linear_subscript(), &mut y)
+                .run_linear(&pool, &loop_, &mut y, loop_.linear_subscript(), None)
                 .expect("valid");
             black_box(y)
         })
     });
 
     for bs in [2_000usize, 10_000] {
-        let mut blocked = BlockedDoacross::new(bs).expect("nonzero");
+        let mut blocked = Doacross::new(0);
         blocked.config_mut().validate_terms = false;
         group.bench_function(BenchmarkId::new("blocked", bs), |b| {
             b.iter(|| {
                 let mut y = y0.clone();
-                blocked.run(&pool, &loop_, &mut y).expect("valid");
+                blocked
+                    .run_blocked(&pool, &loop_, &mut y, bs)
+                    .expect("valid");
                 black_box(y)
             })
         });

@@ -8,7 +8,7 @@
 //! `cargo bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use doacross_core::{seq::run_sequential, AccessPattern, Doacross, LinearDoacross, TestLoop};
+use doacross_core::{seq::run_sequential, AccessPattern, Doacross, TestLoop};
 use doacross_par::ThreadPool;
 use std::hint::black_box;
 
@@ -58,7 +58,7 @@ fn bench_fig6(c: &mut Criterion) {
             },
         );
 
-        let mut linear = LinearDoacross::new(loop_.data_len());
+        let mut linear = Doacross::new(loop_.data_len());
         group.bench_with_input(
             BenchmarkId::new("linear", format!("L{l}_M{m}")),
             &loop_,
@@ -66,7 +66,7 @@ fn bench_fig6(c: &mut Criterion) {
                 b.iter(|| {
                     let mut y = y0.clone();
                     linear
-                        .run(&pool, loop_, loop_.linear_subscript(), &mut y)
+                        .run_linear(&pool, loop_, &mut y, loop_.linear_subscript(), None)
                         .expect("valid");
                     black_box(y)
                 })

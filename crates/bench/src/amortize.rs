@@ -1,7 +1,7 @@
 //! Plan-cache amortization: the experiment the plan/engine subsystem
 //! exists for.
 //!
-//! Four ways to run `k` triangular solves of one structure:
+//! Three ways to run `k` triangular solves of one structure:
 //!
 //! * **re-inspect** — the inspected flat doacross, inspector on every
 //!   call: what the paper's construct costs when nothing is amortized.
@@ -11,11 +11,6 @@
 //!   miss costs.
 //! * **cached plan** — [`EngineSolver`]: one plan build, then `k − 1`
 //!   cache hits that skip preprocessing entirely.
-//! * **legacy cached** — the deprecated single-owner
-//!   `PlannedDoacross::run` path, kept both as a shim-overhead comparison
-//!   and as a deliberate compile-time canary: this module builds it
-//!   *without* `#[allow(deprecated)]`, so `cargo build` warns as long as
-//!   the deprecated entry point exists.
 //!
 //! The cached curve must drop under the re-inspect curve once the build
 //! cost is spread over enough reuses (in practice immediately: a hit does
@@ -28,9 +23,9 @@
 use doacross_core::DoacrossConfig;
 use doacross_engine::Engine;
 use doacross_par::ThreadPool;
-use doacross_plan::{CacheStats, PlannedDoacross};
+use doacross_plan::CacheStats;
 use doacross_sparse::TriSystem;
-use doacross_trisolve::{solver::SolverBackend, DoacrossSolver, EngineSolver, TriSolveLoop};
+use doacross_trisolve::{solver::SolverBackend, DoacrossSolver, EngineSolver};
 use std::time::{Duration, Instant};
 
 /// Total wall time of `reuses` consecutive solves under each policy.
@@ -44,8 +39,6 @@ pub struct AmortizationPoint {
     pub cold_plan: Duration,
     /// Plan built once, then engine cache hits.
     pub cached: Duration,
-    /// Plan built once, then hits on the deprecated `PlannedDoacross`.
-    pub legacy_cached: Duration,
 }
 
 impl AmortizationPoint {
@@ -117,24 +110,11 @@ pub fn amortization_curve(
             });
             debug_assert_eq!(cached_solver.cache_stats().misses, 1);
 
-            // The pre-engine path (deliberately warns on build; see module
-            // docs).
-            let mut legacy = PlannedDoacross::new(2);
-            let legacy_cached = time(|| {
-                for _ in 0..reuses {
-                    let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
-                    let mut y = vec![0.0; sys.l.n()];
-                    legacy.run(pool, &loop_, &mut y).expect("valid");
-                    std::hint::black_box(y);
-                }
-            });
-
             AmortizationPoint {
                 reuses,
                 reinspect,
                 cold_plan,
                 cached,
-                legacy_cached,
             }
         })
         .collect()
@@ -214,7 +194,6 @@ mod tests {
             assert!(p.reinspect > Duration::ZERO);
             assert!(p.cold_plan > Duration::ZERO);
             assert!(p.cached > Duration::ZERO);
-            assert!(p.legacy_cached > Duration::ZERO);
         }
         assert_eq!(points[0].reuses, 1);
         assert_eq!(points[1].reuses, 4);

@@ -10,7 +10,7 @@
 //! Usage: `cargo run -p doacross-bench --release --bin ablation`
 
 use doacross_bench::report::Table;
-use doacross_core::{BlockedDoacross, Doacross, TestLoop};
+use doacross_core::{Doacross, TestLoop};
 use doacross_par::{ThreadPool, WaitStrategy};
 use doacross_sim::{Machine, SimOptions};
 use doacross_sparse::{Problem, ProblemKind};
@@ -116,17 +116,19 @@ fn blocked_vs_flat() {
     ]);
 
     for bs in [1_000usize, 5_000, 25_000] {
-        let mut blocked = BlockedDoacross::new(bs).expect("nonzero block");
+        let mut blocked = Doacross::new(0);
         let mut best = u128::MAX;
         for _ in 0..5 {
             let mut y = y0.clone();
             let start = Instant::now();
-            blocked.run(&pool, &loop_, &mut y).expect("valid loop");
+            blocked
+                .run_blocked(&pool, &loop_, &mut y, bs)
+                .expect("valid loop");
             best = best.min(start.elapsed().as_micros());
         }
         t.row([
             format!("blocked (B={bs})"),
-            blocked.scratch_capacity().to_string(),
+            blocked.data_len().to_string(),
             best.to_string(),
         ]);
     }

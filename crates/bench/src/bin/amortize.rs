@@ -1,6 +1,6 @@
 //! Prints the plan-cache amortization curve on host threads:
-//! per-call re-inspection vs. per-call planning vs. cached plans (engine
-//! and legacy), for 1 / 10 / 100 reuses of each Table 1 structure —
+//! per-call re-inspection vs. per-call planning vs. cached plans, for
+//! 1 / 10 / 100 reuses of each Table 1 structure —
 //! then the shared-engine concurrency headline: N threads solving through
 //! one engine with the merged cache hit rate.
 //!
@@ -26,7 +26,6 @@ fn main() {
         "re-inspect",
         "cold plan",
         "cached",
-        "legacy cached",
         "cached speedup",
     ]);
     for problem in table1_problems() {
@@ -38,7 +37,6 @@ fn main() {
                 format!("{:?}", point.reinspect),
                 format!("{:?}", point.cold_plan),
                 format!("{:?}", point.cached),
-                format!("{:?}", point.legacy_cached),
                 format!("{:.2}x", point.speedup_vs_reinspect()),
             ]);
         }

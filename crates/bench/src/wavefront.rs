@@ -22,9 +22,7 @@
 //! self-scheduling satellite (one-iteration grabs vs. width-adaptive
 //! chunks on the shared per-level counters).
 
-use doacross_core::{
-    Doacross, DoacrossConfig, LevelSchedule, PreparedInspection, RunStats, WavefrontDoacross,
-};
+use doacross_core::{Doacross, DoacrossConfig, LevelSchedule, PreparedInspection, RunStats};
 use doacross_engine::Engine;
 use doacross_par::{Schedule, ThreadPool};
 use doacross_plan::{PlanCensus, PlanVariant, Planner};
@@ -111,8 +109,8 @@ pub fn wavefront_comparison(
             let schedule: LevelSchedule = schedule.expect("injective in-bounds");
             assert_eq!(schedule.level_count(), census.critical_path);
 
-            let mut flat = Doacross::with_config(sys.n(), config);
-            let mut wave = WavefrontDoacross::with_config(sys.n(), config);
+            // One runtime, one scratch, both executors.
+            let mut rt = Doacross::with_config(sys.n(), config);
 
             let mut point = WavefrontPoint {
                 kind,
@@ -131,15 +129,17 @@ pub fn wavefront_comparison(
             for _ in 0..reps.max(1) {
                 let (flat_time, flat_stats) = per_solve(solves, || {
                     let mut y = vec![0.0; sys.n()];
-                    let stats = flat
-                        .run_planned(&pool, &loop_, &mut y, &prepared, None)
+                    let stats = rt
+                        .run_planned(&pool, &loop_, &mut y, &prepared, None, None)
                         .expect("valid");
                     assert_eq!(y, expect, "{}: doacross result", kind.name());
                     stats
                 });
                 let (wave_time, wave_stats) = per_solve(solves, || {
                     let mut y = vec![0.0; sys.n()];
-                    let stats = wave.run(&pool, &loop_, &mut y, &schedule).expect("valid");
+                    let stats = rt
+                        .run_wavefront(&pool, &loop_, &mut y, &schedule, None, None)
+                        .expect("valid");
                     assert_eq!(y, expect, "{}: wavefront result", kind.name());
                     stats
                 });
@@ -180,7 +180,7 @@ pub fn chunking_comparison(
         validate_terms: false,
         ..DoacrossConfig::default()
     };
-    let mut rt = WavefrontDoacross::with_config(sys.n(), config);
+    let mut rt = Doacross::with_config(sys.n(), config);
 
     let mut measure = |chunk: Option<usize>| {
         let mut best = Duration::MAX;
@@ -188,7 +188,7 @@ pub fn chunking_comparison(
             let (time, _) = per_solve(solves, || {
                 let mut y = vec![0.0; sys.n()];
                 let stats = rt
-                    .run_chunked(&pool, &loop_, &mut y, &schedule, chunk)
+                    .run_wavefront(&pool, &loop_, &mut y, &schedule, chunk, None)
                     .expect("valid");
                 assert_eq!(y, expect);
                 stats

@@ -10,13 +10,13 @@
 //! transformation reduces memory requirements because during each iteration
 //! of L_outer we can reuse ready and iter."
 //!
-//! [`BlockedDoacross`] implements exactly that: blocks of `block_size`
-//! contiguous iterations execute as flat preprocessed doacrosses, with the
-//! scratch arrays sized to the largest *element window* any block declares
-//! ([`crate::AccessPattern::block_window`]) instead of the full data space.
-//! Cross-block dependencies need no flags at all — each block's
-//! postprocessing copies results back into `y` before the next block
-//! starts, so later blocks simply read `y`.
+//! [`Doacross::run_blocked`] implements exactly that: blocks of
+//! `block_size` contiguous iterations execute as flat preprocessed
+//! doacrosses, with the scratch arrays sized to the largest *element
+//! window* any block declares ([`crate::AccessPattern::block_window`])
+//! instead of the full data space. Cross-block dependencies need no flags
+//! at all — each block's postprocessing copies results back into `y`
+//! before the next block starts, so later blocks simply read `y`.
 //!
 //! A semantic bonus the paper does not dwell on: because scratch state is
 //! reset between blocks, the injectivity requirement on `a` only applies
@@ -24,141 +24,68 @@
 //! sufficiently-separated iterations run correctly when blocked.
 
 use crate::error::DoacrossError;
-use crate::executor::run_executor;
-use crate::flags::{IterMap, ReadyFlags};
 use crate::inspector::{reset_scratch, run_inspector};
 use crate::oracle::InspectedWriter;
 use crate::pattern::DoacrossLoop;
-use crate::post::Post;
-use crate::runtime::DoacrossConfig;
-use crate::stats::{RunStats, StatsSink};
-use doacross_par::{SharedSlice, ThreadPool};
+use crate::runtime::{check_y_len, exec_and_post, region_stats, Doacross};
+use crate::stats::{PlanProvenance, RunStats};
+use doacross_par::ThreadPool;
 use std::time::Instant;
 
-/// Strip-mined preprocessed doacross runtime (see module docs).
-///
-/// ```
-/// use doacross_core::{seq::run_sequential, BlockedDoacross, TestLoop};
-/// use doacross_par::ThreadPool;
-///
-/// let loop_ = TestLoop::new(500, 2, 8);
-/// let pool = ThreadPool::new(2);
-/// let mut y = loop_.initial_y();
-/// let mut oracle = y.clone();
-///
-/// // 50 iterations per block: scratch shrinks to the block's window.
-/// let mut rt = BlockedDoacross::new(50).unwrap();
-/// let stats = rt.run(&pool, &loop_, &mut y).unwrap();
-/// run_sequential(&loop_, &mut oracle);
-/// assert_eq!(y, oracle);
-/// assert_eq!(stats.blocks, 10);
-/// assert!(rt.scratch_capacity() < y.len());
-/// ```
-#[derive(Debug)]
-pub struct BlockedDoacross {
-    config: DoacrossConfig,
-    block_size: usize,
-    /// Scratch capacity in elements (grows to the largest window seen).
-    capacity: usize,
-    iter: IterMap,
-    ready: ReadyFlags,
-    ynew: Vec<f64>,
-}
-
-impl BlockedDoacross {
-    /// Creates a blocked runtime executing `block_size` iterations per
-    /// `L_outer` step, with default configuration and an initially empty
-    /// scratch allocation (it grows to the largest block window on first
-    /// use).
-    pub fn new(block_size: usize) -> Result<Self, DoacrossError> {
-        Self::with_config(block_size, DoacrossConfig::default())
-    }
-
-    /// Creates a blocked runtime with explicit configuration.
-    pub fn with_config(block_size: usize, config: DoacrossConfig) -> Result<Self, DoacrossError> {
-        if block_size == 0 {
-            return Err(DoacrossError::EmptyBlock);
-        }
-        Ok(Self {
-            config,
-            block_size,
-            capacity: 0,
-            iter: IterMap::new(0),
-            ready: ReadyFlags::new(0),
-            ynew: Vec::new(),
-        })
-    }
-
-    /// Iterations per block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Current scratch capacity in elements — the §2.3 memory footprint.
-    /// Compare against `data_len` to see the reduction.
-    pub fn scratch_capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> &DoacrossConfig {
-        &self.config
-    }
-
-    /// Mutable configuration.
-    pub fn config_mut(&mut self) -> &mut DoacrossConfig {
-        &mut self.config
-    }
-
-    fn ensure_capacity(&mut self, len: usize) {
-        if len > self.capacity {
-            self.capacity = len;
-            self.iter = IterMap::new(len);
-            self.ready = ReadyFlags::new(len);
-            self.ynew = vec![0.0; len];
-        }
-    }
-
-    /// Runs the loop block by block, updating `y` in place exactly as the
+impl Doacross {
+    /// Runs the loop strip-mined, `block_size` iterations per `L_outer`
+    /// step (see module docs), updating `y` in place exactly as the
     /// sequential source loop would. The returned stats aggregate all
-    /// blocks (`stats.blocks` reports how many executed).
-    pub fn run<L: DoacrossLoop + ?Sized>(
+    /// blocks (`stats.blocks` reports how many executed). A runtime used
+    /// only this way grows its scratch to the largest block window, not the
+    /// data space — compare [`Doacross::data_len`] against `y.len()` to see
+    /// the reduction.
+    ///
+    /// ```
+    /// use doacross_core::{seq::run_sequential, Doacross, TestLoop};
+    /// use doacross_par::ThreadPool;
+    ///
+    /// let loop_ = TestLoop::new(500, 2, 8);
+    /// let pool = ThreadPool::new(2);
+    /// let mut y = loop_.initial_y();
+    /// let mut oracle = y.clone();
+    ///
+    /// // 50 iterations per block: scratch shrinks to the block's window.
+    /// let mut rt = Doacross::new(0);
+    /// let stats = rt.run_blocked(&pool, &loop_, &mut y, 50).unwrap();
+    /// run_sequential(&loop_, &mut oracle);
+    /// assert_eq!(y, oracle);
+    /// assert_eq!(stats.blocks, 10);
+    /// assert!(rt.data_len() < y.len());
+    /// ```
+    pub fn run_blocked<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
         loop_: &L,
         y: &mut [f64],
+        block_size: usize,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = loop_.data_len();
-        if y.len() != data_len {
-            return Err(DoacrossError::DataLenMismatch {
-                got: y.len(),
-                expected: data_len,
-            });
+        if block_size == 0 {
+            return Err(DoacrossError::EmptyBlock);
         }
+        let data_len = check_y_len(loop_, y)?;
         let n = loop_.iterations();
         let schedule = self.config.schedule;
-        let wait = self.config.wait;
         let mut total = RunStats {
             workers: pool.threads(),
             ..Default::default()
         };
         let t_start = Instant::now();
 
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + self.block_size).min(n);
+        for lo in (0..n).step_by(block_size) {
+            let hi = (lo + block_size).min(n);
             let window = {
                 let w = loop_.block_window(lo..hi);
                 w.start.min(data_len)..w.end.min(data_len)
             };
-            self.ensure_capacity(window.len());
-
-            let mut stats = RunStats {
-                iterations: hi - lo,
-                workers: pool.threads(),
-                blocks: 1,
-                ..Default::default()
-            };
+            self.ensure_data_len(window.len());
+            self.ensure_iter(window.len());
+            let mut stats = region_stats(pool, hi - lo, PlanProvenance::Inline);
 
             // Per-block inspector.
             let t0 = Instant::now();
@@ -171,39 +98,32 @@ impl BlockedDoacross {
                 &self.iter,
                 self.config.validate_terms,
             ) {
-                reset_scratch(pool, schedule, &self.iter, self.capacity);
+                reset_scratch(pool, schedule, &self.iter, window.len());
                 return Err(e);
             }
             stats.inspector = t0.elapsed();
 
-            // Per-block executor and, in the same region, postprocessing
-            // with copy-back (it carries the cross-block dependencies).
-            let sink = StatsSink::new(pool.threads());
+            // Per-block executor and, in the same region, postprocessing:
+            // the copy-back carries the cross-block dependencies.
             let oracle = InspectedWriter::new(&self.iter, window.clone());
-            (stats.executor, stats.post) = run_executor(
+            exec_and_post(
                 pool,
-                schedule,
-                wait,
+                &self.config,
                 loop_,
                 lo..hi,
                 None,
                 &oracle,
-                SharedSlice::new(&mut *y),
-                SharedSlice::new(&mut self.ynew[..window.len()]),
-                &self.ready,
+                y,
+                &mut self.ynew[..window.len()],
+                &mut self.ready,
                 window.start,
-                Post {
-                    map: Some(&self.iter),
-                    copy_back: true,
-                },
-                &sink,
+                Some(&self.iter),
+                &mut self.sink,
+                &mut stats,
                 None,
             );
-            self.ready.retire();
-            sink.drain_into(&mut stats);
             stats.total = stats.inspector + stats.executor + stats.post;
             total.absorb(&stats);
-            lo = hi;
         }
         total.total = t_start.elapsed();
         Ok(total)
@@ -214,7 +134,6 @@ impl BlockedDoacross {
 mod tests {
     use super::*;
     use crate::pattern::{AccessPattern, IndirectLoop};
-    use crate::runtime::Doacross;
     use crate::seq::run_sequential;
 
     fn pool() -> ThreadPool {
@@ -236,9 +155,9 @@ mod tests {
         let mut oracle = y0.clone();
         run_sequential(&l, &mut oracle);
         for bs in [1usize, 2, 7, 32, 200, 1000] {
-            let mut rt = BlockedDoacross::new(bs).unwrap();
+            let mut rt = Doacross::new(0);
             let mut y = y0.clone();
-            let stats = rt.run(&pool(), &l, &mut y).unwrap();
+            let stats = rt.run_blocked(&pool(), &l, &mut y, bs).unwrap();
             assert_eq!(y, oracle, "block_size={bs}");
             assert_eq!(stats.blocks, 200usize.div_ceil(bs));
             assert_eq!(stats.iterations, 200);
@@ -254,9 +173,8 @@ mod tests {
             .run(&pool(), &l, &mut y_flat)
             .unwrap();
         let mut y_blocked = y0;
-        BlockedDoacross::new(16)
-            .unwrap()
-            .run(&pool(), &l, &mut y_blocked)
+        Doacross::new(0)
+            .run_blocked(&pool(), &l, &mut y_blocked, 16)
             .unwrap();
         assert_eq!(y_flat, y_blocked);
     }
@@ -266,17 +184,21 @@ mod tests {
         // lhs(i) = i + 3 -> a block of 16 iterations has a window of 16
         // elements, regardless of the data space (the §2.3 memory claim).
         let l = mixed_loop(160);
-        let mut rt = BlockedDoacross::new(16).unwrap();
+        let mut rt = Doacross::new(0);
         let mut y = vec![0.0; l.data_len()];
-        rt.run(&pool(), &l, &mut y).unwrap();
-        assert_eq!(rt.scratch_capacity(), 16);
-        assert!(rt.scratch_capacity() < l.data_len());
+        rt.run_blocked(&pool(), &l, &mut y, 16).unwrap();
+        assert_eq!(rt.data_len(), 16);
+        assert!(rt.data_len() < l.data_len());
     }
 
     #[test]
     fn zero_block_size_is_rejected() {
+        let l = mixed_loop(4);
+        let mut y = vec![0.0; l.data_len()];
         assert_eq!(
-            BlockedDoacross::new(0).unwrap_err(),
+            Doacross::new(0)
+                .run_blocked(&pool(), &l, &mut y, 0)
+                .unwrap_err(),
             DoacrossError::EmptyBlock
         );
     }
@@ -293,15 +215,15 @@ mod tests {
             vec![vec![1.0], vec![2.0]],
         )
         .unwrap();
-        let mut flat = Doacross::for_loop(&l);
+        let mut rt = Doacross::for_loop(&l);
         let mut y = vec![0.0, 3.0];
         assert!(matches!(
-            flat.run(&pool(), &l, &mut y),
+            rt.run(&pool(), &l, &mut y),
             Err(DoacrossError::OutputDependency { element: 0 })
         ));
-        let mut blocked = BlockedDoacross::new(1).unwrap();
+        // The same runtime, strip-mined: the failed flat run left it usable.
         let mut y2 = vec![0.0, 3.0];
-        blocked.run(&pool(), &l, &mut y2).unwrap();
+        rt.run_blocked(&pool(), &l, &mut y2, 1).unwrap();
         let mut oracle = vec![0.0, 3.0];
         run_sequential(&l, &mut oracle);
         assert_eq!(y2, oracle);
@@ -311,12 +233,13 @@ mod tests {
     fn within_block_duplicate_lhs_is_still_rejected() {
         let l =
             IndirectLoop::new(2, vec![0, 0], vec![vec![], vec![]], vec![vec![], vec![]]).unwrap();
-        let mut blocked = BlockedDoacross::new(2).unwrap();
+        let mut blocked = Doacross::new(0);
         let mut y = vec![0.0, 0.0];
         assert!(matches!(
-            blocked.run(&pool(), &l, &mut y),
+            blocked.run_blocked(&pool(), &l, &mut y, 2),
             Err(DoacrossError::OutputDependency { element: 0 })
         ));
+        assert!(blocked.scratch_is_clean(), "error path restores invariant");
     }
 
     #[test]
@@ -328,9 +251,8 @@ mod tests {
         let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let l = IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
         let mut y = vec![1.0; n + 1];
-        BlockedDoacross::new(4)
-            .unwrap()
-            .run(&pool(), &l, &mut y)
+        Doacross::new(0)
+            .run_blocked(&pool(), &l, &mut y, 4)
             .unwrap();
         // y[k] = y[k] + y[k-1] resolves to k + 1 with all-ones input.
         for (k, v) in y.iter().enumerate() {
@@ -341,9 +263,9 @@ mod tests {
     #[test]
     fn stats_aggregate_across_blocks() {
         let l = mixed_loop(100);
-        let mut rt = BlockedDoacross::new(10).unwrap();
+        let mut rt = Doacross::new(0);
         let mut y = vec![1.0; l.data_len()];
-        let stats = rt.run(&pool(), &l, &mut y).unwrap();
+        let stats = rt.run_blocked(&pool(), &l, &mut y, 10).unwrap();
         assert_eq!(stats.blocks, 10);
         assert_eq!(stats.iterations, 100);
         assert_eq!(stats.deps.total(), 300, "3 terms x 100 iterations");
@@ -385,9 +307,9 @@ mod tests {
         run_sequential(&inner, &mut oracle);
         let wrapped = NoWindow(mixed_loop(60));
         let mut y = vec![1.0; wrapped.data_len()];
-        let mut rt = BlockedDoacross::new(8).unwrap();
-        rt.run(&pool(), &wrapped, &mut y).unwrap();
+        let mut rt = Doacross::new(0);
+        rt.run_blocked(&pool(), &wrapped, &mut y, 8).unwrap();
         assert_eq!(y, oracle);
-        assert_eq!(rt.scratch_capacity(), wrapped.data_len());
+        assert_eq!(rt.data_len(), wrapped.data_len());
     }
 }

@@ -61,7 +61,7 @@ pub(crate) const FAILPOINT_ITER: &str = "core::executor::iter";
 pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
 
 /// Runs the doacross executor over iterations `iter_range`, then — in the
-/// same region — the postprocessing `post` asks for. Returns the region's
+/// same region — the postprocessor (copy-back, plus clearing `post.map`). Returns the region's
 /// wall time split into `(executor, post)` at the moment the last
 /// iteration was counted.
 ///
@@ -243,31 +243,29 @@ where
                 executed,
             );
         }
-        if post.is_needed() {
-            // One add per worker, not per iteration: nobody can use a
-            // partial count, and a worker that executed nothing skips it.
-            if executed > 0 && finished.add(executed as usize, count) {
-                clock.gate_opened();
-            }
-            if let Err(abort) = finished.wait(count, &guard) {
-                guard.bail(sink, worker, &mut local, abort);
-            }
-            // SAFETY: the gate above saw all `count` iterations counted,
-            // each add a release after that worker's last `y` load and
-            // `ynew` store (module docs).
-            unsafe {
-                post_share(
-                    loop_,
-                    iter_range.clone(),
-                    window_start,
-                    post,
-                    y,
-                    ynew,
-                    worker,
-                    nworkers,
-                )
-            };
+        // One add per worker, not per iteration: nobody can use a partial
+        // count, and a worker that executed nothing skips it.
+        if executed > 0 && finished.add(executed as usize, count) {
+            clock.gate_opened();
         }
+        if let Err(abort) = finished.wait(count, &guard) {
+            guard.bail(sink, worker, &mut local, abort);
+        }
+        // SAFETY: the gate above saw all `count` iterations counted, each
+        // add a release after that worker's last `y` load and `ynew` store
+        // (module docs).
+        unsafe {
+            post_share(
+                loop_,
+                iter_range.clone(),
+                window_start,
+                post,
+                y,
+                ynew,
+                worker,
+                nworkers,
+            )
+        };
         sink.deposit(worker, local);
     });
     clock.split()
@@ -323,10 +321,7 @@ mod tests {
             ynew_view,
             &ready,
             0,
-            Post {
-                map: None,
-                copy_back: true,
-            },
+            Post { map: None },
             &sink,
             None,
         );
@@ -459,10 +454,7 @@ mod tests {
             SharedSlice::new(&mut ynew),
             &ready,
             0,
-            Post {
-                map: None,
-                copy_back: true,
-            },
+            Post { map: None },
             &sink,
             None,
         );

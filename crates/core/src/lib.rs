@@ -42,6 +42,19 @@
 //! doacross ([`blocked`]) and the linear-subscript executor that eliminates
 //! the inspector when `a(i) = c·i + d` ([`linear`]).
 //!
+//! ## One runtime
+//!
+//! [`Doacross`] is the only runtime struct. It owns one grow-don't-shrink
+//! scratch — `iter`, `ready`, `ynew`, the wavefront's level cells, the
+//! per-worker counters — and has one entry point per way of running a
+//! loop: [`Doacross::run`] / [`Doacross::run_with_order`] (inspector
+//! inline), [`Doacross::run_planned`] (prebuilt writer map),
+//! [`Doacross::run_linear`], [`Doacross::run_blocked`] and
+//! [`Doacross::run_wavefront`]. Every one of them copies its results back
+//! into `y` before it returns; after warm-up none allocates. That is §2.1's
+//! "we reuse the same arrays iter and ready for multiple preprocessed
+//! doacross loops", extended across the variants.
+//!
 //! ## Executors: per-element flags vs. per-level counters
 //!
 //! Two executors bracket the synchronization design space:
@@ -113,14 +126,13 @@ pub mod stats;
 pub mod testloop;
 pub mod wavefront;
 
-pub use blocked::BlockedDoacross;
 pub use error::DoacrossError;
 pub use flags::{IterMap, ReadyFlags, MAXINT};
-pub use linear::{LinearDoacross, LinearSubscript};
+pub use linear::LinearSubscript;
 pub use oracle::{InspectedWriter, LinearWriter, WriterOracle};
 pub use pattern::{AccessPattern, DoacrossLoop, IndirectLoop};
 pub use prepared::PreparedInspection;
 pub use runtime::{Doacross, DoacrossConfig};
 pub use stats::{DepCounts, PlanProvenance, RunStats};
 pub use testloop::{DependencyCensus, TestLoop};
-pub use wavefront::{LevelSchedule, OperandClass, WavefrontDoacross};
+pub use wavefront::{LevelSchedule, OperandClass};

@@ -9,18 +9,18 @@
 //! to 0. If a write is carried out it occurs during loop iteration
 //! `(b(i) + nbrs(j) - d)/c`."
 //!
-//! [`LinearDoacross`] is the [`crate::Doacross`] counterpart for this case:
-//! it owns only `ready` and `ynew`, answers the executor's writer queries
-//! arithmetically via [`LinearWriter`], and optionally verifies at run time
-//! that the loop's `lhs` really is the declared linear function.
+//! [`Doacross::run_linear`] is the entry point for this case: it touches
+//! only `ready` and `ynew` of the runtime's scratch, answers the executor's
+//! writer queries arithmetically via [`LinearWriter`], and optionally
+//! verifies at run time that the loop's `lhs` really is the declared linear
+//! function.
 
 use crate::error::DoacrossError;
-use crate::flags::ReadyFlags;
 use crate::inspector::ErrorSlot;
-use crate::oracle::{LinearWriter, WriterOracle};
+use crate::oracle::LinearWriter;
 use crate::pattern::DoacrossLoop;
-use crate::runtime::{exec_and_post, DoacrossConfig};
-use crate::stats::{RunStats, StatsSink};
+use crate::runtime::{check_y_len, exec_and_post, region_stats, validate_order, Doacross};
+use crate::stats::{PlanProvenance, RunStats};
 use doacross_par::{parallel_for, ThreadPool};
 use std::time::Instant;
 
@@ -52,142 +52,55 @@ impl LinearSubscript {
     }
 }
 
-/// Preprocessed doacross without preprocessing: the linear-subscript
-/// runtime of §2.3. Owns `ready` flags and the shadow array only —
-/// the memory the paper saves is exactly the `iter` array.
-///
-/// ```
-/// use doacross_core::{seq::run_sequential, LinearDoacross, LinearSubscript, TestLoop};
-/// use doacross_par::ThreadPool;
-///
-/// // Figure 4's a(i) = 2i is linear, so no inspector is needed.
-/// let loop_ = TestLoop::new(200, 2, 6);
-/// let pool = ThreadPool::new(2);
-/// let mut y = loop_.initial_y();
-/// let mut oracle = y.clone();
-///
-/// let mut rt = LinearDoacross::new(y.len());
-/// let stats = rt.run(&pool, &loop_, loop_.linear_subscript(), &mut y).unwrap();
-/// run_sequential(&loop_, &mut oracle);
-/// assert_eq!(y, oracle);
-/// ```
-#[derive(Debug)]
-pub struct LinearDoacross {
-    config: DoacrossConfig,
-    data_len: usize,
-    ready: ReadyFlags,
-    ynew: Vec<f64>,
-    /// Per-worker counter cells, reused across runs (grow-don't-shrink +
-    /// reset after drain) so a warm solve allocates nothing.
-    sink: StatsSink,
-}
-
-impl LinearDoacross {
-    /// Runtime covering `data_len` elements with default configuration.
-    pub fn new(data_len: usize) -> Self {
-        Self::with_config(data_len, DoacrossConfig::default())
-    }
-
-    /// Runtime with explicit configuration. `validate_terms` here controls
-    /// the whole validation pass (there is no inspector to piggyback on):
-    /// when `true`, a parallel pre-pass checks that `lhs(i) == c·i + d` and
-    /// that all subscripts are in bounds.
-    pub fn with_config(data_len: usize, config: DoacrossConfig) -> Self {
-        Self {
-            config,
-            data_len,
-            ready: ReadyFlags::new(data_len),
-            ynew: vec![0.0; data_len],
-            sink: StatsSink::new(0),
-        }
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> &DoacrossConfig {
-        &self.config
-    }
-
-    /// Mutable configuration.
-    pub fn config_mut(&mut self) -> &mut DoacrossConfig {
-        &mut self.config
-    }
-
-    /// Size of the data space the scratch arrays cover.
-    pub fn data_len(&self) -> usize {
-        self.data_len
-    }
-
-    /// Grows the scratch to cover `len` elements.
-    pub fn ensure_data_len(&mut self, len: usize) {
-        if len > self.data_len {
-            self.data_len = len;
-            self.ready = ReadyFlags::new(len);
-            self.ynew = vec![0.0; len];
-        }
-    }
-
-    /// Whether the `ready` flags satisfy the reuse invariant.
-    pub fn scratch_is_clean(&self) -> bool {
-        self.ready.all_clear()
-    }
-
-    /// The shadow array `ynew` (results live here at written elements
-    /// after a run with `copy_back = false`).
-    pub fn shadow(&self) -> &[f64] {
-        &self.ynew
-    }
-
-    /// Runs the loop under the declared subscript, updating `y` in place.
+impl Doacross {
+    /// Preprocessed doacross without preprocessing: runs the loop under the
+    /// declared linear `subscript` (§2.3), updating `y` in place. No
+    /// inspector runs and the `iter` array is never touched — the memory
+    /// the paper saves is exactly that array. `order`, when present, is a
+    /// doconsider claim order (must be a permutation and a topological
+    /// order of the true dependencies; both are checked, the latter only
+    /// in full-validation mode).
     ///
-    /// The `inspector` field of the returned stats holds the validation
-    /// pass's time (zero when `validate_terms` is off — the paper's
-    /// "eliminated preprocessing").
-    pub fn run<L: DoacrossLoop + ?Sized>(
+    /// `validate_terms` controls the whole validation pass (there is no
+    /// inspector to piggyback on): when set, a parallel pre-pass checks
+    /// that `lhs(i) == c·i + d` and that all subscripts are in bounds, and
+    /// the `inspector` field of the returned stats holds its time. When
+    /// off that field is zero — the paper's "eliminated preprocessing".
+    ///
+    /// ```
+    /// use doacross_core::{seq::run_sequential, Doacross, TestLoop};
+    /// use doacross_par::ThreadPool;
+    ///
+    /// // Figure 4's a(i) = 2i is linear, so no inspector is needed.
+    /// let loop_ = TestLoop::new(200, 2, 6);
+    /// let pool = ThreadPool::new(2);
+    /// let mut y = loop_.initial_y();
+    /// let mut oracle = y.clone();
+    ///
+    /// let mut rt = Doacross::new(y.len());
+    /// rt.run_linear(&pool, &loop_, &mut y, loop_.linear_subscript(), None).unwrap();
+    /// run_sequential(&loop_, &mut oracle);
+    /// assert_eq!(y, oracle);
+    /// ```
+    pub fn run_linear<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
         loop_: &L,
-        subscript: LinearSubscript,
         y: &mut [f64],
-    ) -> Result<RunStats, DoacrossError> {
-        self.run_with_order(pool, loop_, subscript, y, None)
-    }
-
-    /// Like [`LinearDoacross::run`], but claims iterations in the supplied
-    /// doconsider order (must be a permutation and a topological order of
-    /// the true dependencies; both are checked, the latter only in
-    /// full-validation mode).
-    pub fn run_with_order<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
         subscript: LinearSubscript,
-        y: &mut [f64],
         order: Option<&[usize]>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = loop_.data_len();
-        if y.len() != data_len {
-            return Err(DoacrossError::DataLenMismatch {
-                got: y.len(),
-                expected: data_len,
-            });
-        }
+        let data_len = check_y_len(loop_, y)?;
         self.ensure_data_len(data_len);
         let n = loop_.iterations();
-        let schedule = self.config.schedule;
-        let mut stats = RunStats {
-            iterations: n,
-            workers: pool.threads(),
-            blocks: 1,
-            ..Default::default()
-        };
+        let mut stats = region_stats(pool, n, PlanProvenance::Inline);
         let t_start = Instant::now();
 
         // Optional validation pass (replaces the inspector).
-        let t0 = Instant::now();
         if self.config.validate_terms {
             let mismatch = ErrorSlot::new();
             let oob = ErrorSlot::new();
-            parallel_for(pool, n, schedule, |i| {
+            parallel_for(pool, n, self.config.schedule, |i| {
                 let lhs = loop_.lhs(i);
                 if lhs != subscript.at(i) {
                     mismatch.try_set(i, lhs);
@@ -216,61 +129,29 @@ impl LinearDoacross {
                     got,
                 });
             }
-            stats.inspector = t0.elapsed();
+            stats.inspector = t_start.elapsed();
         }
 
-        // Validate the claim order against the arithmetic writer oracle.
-        if let Some(ord) = order {
-            if ord.len() != n {
-                return Err(DoacrossError::OrderLengthMismatch {
-                    got: ord.len(),
-                    expected: n,
-                });
-            }
-            let mut position = vec![usize::MAX; n];
-            for (k, &i) in ord.iter().enumerate() {
-                if i >= n || position[i] != usize::MAX {
-                    return Err(DoacrossError::OrderNotPermutation { entry: i });
-                }
-                position[i] = k;
-            }
-            if self.config.validate_terms {
-                let oracle = LinearWriter::new(subscript.c, subscript.d, n);
-                let violation = ErrorSlot::new();
-                let position = &position[..];
-                parallel_for(pool, n, schedule, |i| {
-                    for j in 0..loop_.terms(i) {
-                        let w = oracle.writer(loop_.term_element(i, j));
-                        if w != crate::flags::MAXINT && (w as usize) < i {
-                            let w = w as usize;
-                            if position[w] > position[i] {
-                                violation.try_set(i, w);
-                            }
-                        }
-                    }
-                });
-                if let Some((reader, writer)) = violation.get() {
-                    return Err(DoacrossError::OrderNotTopological { reader, writer });
-                }
-            }
-        }
-
-        // Executor with the arithmetic writer oracle, then — in the same
-        // region — copy-back unless the caller reads results from the
-        // shadow array (no `iter` to clear).
-        self.sink.ensure_workers(pool.threads());
+        // The claim order is validated against — and the executor then
+        // runs with — the arithmetic writer oracle; the copy-back follows
+        // in the same region (no `iter` to clear).
         let oracle = LinearWriter::new(subscript.c, subscript.d, n);
+        if let Some(ord) = order {
+            validate_order(&self.config, &mut self.position, pool, loop_, ord, &oracle)?;
+        }
         exec_and_post(
             pool,
             &self.config,
             loop_,
-            y,
-            &mut self.ynew,
-            &mut self.ready,
-            &oracle,
+            0..n,
             order,
+            &oracle,
+            y,
+            &mut self.ynew[..data_len],
+            &mut self.ready,
+            0,
             None,
-            &self.sink,
+            &mut self.sink,
             &mut stats,
             None,
         );
@@ -284,7 +165,7 @@ impl LinearDoacross {
 mod tests {
     use super::*;
     use crate::pattern::{AccessPattern, IndirectLoop};
-    use crate::runtime::Doacross;
+    use crate::runtime::DoacrossConfig;
     use crate::seq::run_sequential;
 
     fn pool() -> ThreadPool {
@@ -312,8 +193,8 @@ mod tests {
         run_sequential(&l, &mut oracle);
 
         let mut y_lin = y0.clone();
-        let mut lin = LinearDoacross::new(l.data_len());
-        lin.run(&pool(), &l, sub, &mut y_lin).unwrap();
+        let mut lin = Doacross::new(l.data_len());
+        lin.run_linear(&pool(), &l, &mut y_lin, sub, None).unwrap();
         assert_eq!(y_lin, oracle);
 
         let mut y_insp = y0;
@@ -325,10 +206,10 @@ mod tests {
     #[test]
     fn mismatched_subscript_is_rejected() {
         let (l, _) = strided_loop(10);
-        let mut lin = LinearDoacross::new(l.data_len());
+        let mut lin = Doacross::new(l.data_len());
         let mut y = vec![0.0; l.data_len()];
         let err = lin
-            .run(&pool(), &l, LinearSubscript::new(2, 0), &mut y)
+            .run_linear(&pool(), &l, &mut y, LinearSubscript::new(2, 0), None)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -347,10 +228,10 @@ mod tests {
             validate_terms: false,
             ..Default::default()
         };
-        let mut lin = LinearDoacross::with_config(l.data_len(), cfg);
+        let mut lin = Doacross::with_config(l.data_len(), cfg);
         let mut y = vec![1.0; l.data_len()];
         let mut oracle = y.clone();
-        let stats = lin.run(&pool(), &l, sub, &mut y).unwrap();
+        let stats = lin.run_linear(&pool(), &l, &mut y, sub, None).unwrap();
         run_sequential(&l, &mut oracle);
         assert_eq!(y, oracle);
         assert_eq!(
@@ -371,9 +252,9 @@ mod tests {
         let mut oracle = y0.clone();
         run_sequential(&l, &mut oracle);
         let mut y = y0;
-        let mut lin = LinearDoacross::new(n);
+        let mut lin = Doacross::new(n);
         let stats = lin
-            .run(&pool(), &l, LinearSubscript::new(1, 0), &mut y)
+            .run_linear(&pool(), &l, &mut y, LinearSubscript::new(1, 0), None)
             .unwrap();
         assert_eq!(y, oracle);
         // Iteration 0 reads element 0 -> intra; the rest are true deps.
@@ -384,15 +265,15 @@ mod tests {
     #[test]
     fn runtime_reuse_and_data_len_checks() {
         let (l, sub) = strided_loop(20);
-        let mut lin = LinearDoacross::new(l.data_len());
+        let mut lin = Doacross::new(l.data_len());
         let mut wrong = vec![0.0; 3];
         assert!(matches!(
-            lin.run(&pool(), &l, sub, &mut wrong),
+            lin.run_linear(&pool(), &l, &mut wrong, sub, None),
             Err(DoacrossError::DataLenMismatch { .. })
         ));
         let mut y = vec![1.0; l.data_len()];
         for _ in 0..3 {
-            lin.run(&pool(), &l, sub, &mut y).unwrap();
+            lin.run_linear(&pool(), &l, &mut y, sub, None).unwrap();
             assert!(lin.scratch_is_clean());
         }
     }

@@ -36,23 +36,12 @@ pub struct Post<'a> {
     /// (window-relative) — `None` when the map is a prebuilt artifact that
     /// outlives the run, or there is none.
     pub map: Option<&'a IterMap>,
-    /// Copy `ynew` back into `y`; `false` keeps results in `ynew` only
-    /// (solvers that consume the shadow array directly).
-    pub copy_back: bool,
-}
-
-impl Post<'_> {
-    /// Whether there is anything to do — a region with no post work skips
-    /// the gate altogether.
-    pub fn is_needed(&self) -> bool {
-        self.map.is_some() || self.copy_back
-    }
 }
 
 /// Worker `worker`'s fixed block (of `nworkers`) of the postprocessing of
 /// iterations `iter_range`: for each iteration's `lhs` element, clears the
-/// `iter` entry (window-relative) and copies `ynew` back into `y`, as
-/// `post` asks.
+/// `iter` entry (window-relative) when `post` names a map, and copies
+/// `ynew` back into `y`.
 ///
 /// # Safety
 /// Every iteration of `iter_range` must have completed its `ynew` store,
@@ -77,13 +66,11 @@ pub(crate) unsafe fn post_share<P: AccessPattern + ?Sized>(
         if let Some(map) = post.map {
             map.clear(slot);
         }
-        if post.copy_back {
-            // SAFETY: distinct iterations have distinct `lhs` elements
-            // (injective `a`, verified by the inspector), so writes to `y`
-            // are disjoint across workers; `ynew[slot]` is complete and
-            // `y` has no readers left by the caller's contract.
-            unsafe { y.write(elem, ynew.read(slot)) };
-        }
+        // SAFETY: distinct iterations have distinct `lhs` elements
+        // (injective `a`, verified by the inspector), so writes to `y`
+        // are disjoint across workers; `ynew[slot]` is complete and
+        // `y` has no readers left by the caller's contract.
+        unsafe { y.write(elem, ynew.read(slot)) };
     }
 }
 
@@ -113,7 +100,7 @@ impl PhaseClock {
     }
 
     /// `(executor, post)` wall time, once the region has joined; all
-    /// executor when the gate never opened (no post work).
+    /// executor when the gate never opened (the region aborted).
     pub(crate) fn split(&self) -> (Duration, Duration) {
         let total = self.started.elapsed();
         match self.gate_ns.load(Ordering::Relaxed) {
@@ -175,27 +162,10 @@ mod tests {
         }
         let mut y = vec![0.0; 6];
         let mut ynew = vec![10.0, 11.0, 12.0, 13.0, 14.0, 15.0];
-        let post = Post {
-            map: Some(&map),
-            copy_back: true,
-        };
+        let post = Post { map: Some(&map) };
         post_all(&l, 0..3, 0, post, &mut y, &mut ynew, 2);
         assert!(map.all_clear());
         assert_eq!(y, vec![0.0, 11.0, 0.0, 13.0, 14.0, 0.0]);
-    }
-
-    #[test]
-    fn no_copy_back_leaves_y_untouched() {
-        let l = loop_with_lhs(vec![0, 1], 2);
-        let mut y = vec![7.0, 8.0];
-        let mut ynew = vec![1.0, 2.0];
-        let post = Post {
-            map: None,
-            copy_back: false,
-        };
-        assert!(!post.is_needed());
-        post_all(&l, 0..2, 0, post, &mut y, &mut ynew, 3);
-        assert_eq!(y, vec![7.0, 8.0]);
     }
 
     #[test]
@@ -206,10 +176,7 @@ mod tests {
         map.record(1, 1);
         let mut y = vec![0.0; 16];
         let mut ynew = vec![5.0, 6.0];
-        let post = Post {
-            map: Some(&map),
-            copy_back: true,
-        };
+        let post = Post { map: Some(&map) };
         post_all(&l, 0..2, 10, post, &mut y, &mut ynew, 2);
         assert_eq!(y[10], 5.0);
         assert_eq!(y[11], 6.0);
@@ -226,10 +193,7 @@ mod tests {
         }
         let mut y = vec![0.0; 3];
         let mut ynew = vec![1.0, 2.0, 3.0];
-        let post = Post {
-            map: Some(&map),
-            copy_back: true,
-        };
+        let post = Post { map: Some(&map) };
         post_all(&l, 0..2, 0, post, &mut y, &mut ynew, 4);
         assert_eq!(map.writer(2), 2, "iteration 2's entry untouched");
         assert_eq!(y, vec![1.0, 2.0, 0.0]);

@@ -1,50 +1,60 @@
-//! [`Doacross`]: the user-facing preprocessed-doacross runtime.
+//! [`Doacross`]: the preprocessed-doacross runtime — the one execution
+//! core behind every way of running a loop.
 //!
 //! Owns the reusable scratch state — the `iter` writer map, the `ready`
-//! flags, and the shadow array `ynew` — and runs the three phases
-//! (inspector → executor → postprocessor) over any [`DoacrossLoop`].
-//! Reuse across many loop instances is the point of the paper's
-//! postprocessing phase: "In order to limit the cost of initialization and
-//! the use of memory associated with this implementation of the doacross
-//! construct, we reuse the same arrays iter and ready for multiple
-//! preprocessed doacross loops" (§2.1).
+//! flags, the shadow array `ynew`, the wavefront's per-level cells, the
+//! per-worker counter cells and the claim-order buffer — and runs the
+//! three phases (inspector → executor → postprocessor) over any
+//! [`DoacrossLoop`]. Reuse across many loop instances is the point of the
+//! paper's postprocessing phase: "In order to limit the cost of
+//! initialization and the use of memory associated with this implementation
+//! of the doacross construct, we reuse the same arrays iter and ready for
+//! multiple preprocessed doacross loops" (§2.1). Here that covers every
+//! variant too: one scratch, grown to the largest loop seen and never
+//! shrunk, serves the entry points
+//!
+//! * [`Doacross::run`] / [`Doacross::run_with_order`] — inspector inline;
+//! * [`Doacross::run_planned`] — a prebuilt writer map, no inspector;
+//! * [`Doacross::run_linear`] — §2.3's `a(i) = c·i + d`, no writer map;
+//! * [`Doacross::run_blocked`] — §2.3's strip-mined loop, windowed scratch;
+//! * [`Doacross::run_wavefront`] — a prebuilt level schedule, no flags;
+//!
+//! and after warm-up none of them allocates.
 
 use crate::error::DoacrossError;
 use crate::executor::run_executor;
-use crate::flags::{IterMap, ReadyFlags};
-use crate::inspector::{reset_scratch, run_inspector};
+use crate::flags::{IterMap, ReadyFlags, MAXINT};
+use crate::inspector::{reset_scratch, run_inspector, ErrorSlot};
 use crate::oracle::{InspectedWriter, WriterOracle};
 use crate::pattern::{AccessPattern, DoacrossLoop};
 use crate::post::Post;
 use crate::prepared::PreparedInspection;
 use crate::stats::{PlanProvenance, RunStats, StatsSink};
+use crate::wavefront::LevelCell;
 use doacross_obs::profile::ProfArena;
-use doacross_par::{Schedule, SharedSlice, ThreadPool, WaitStrategy};
+use doacross_par::{parallel_for, CachePadded, Schedule, SharedSlice, ThreadPool, WaitStrategy};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Tunables of a doacross run.
 #[derive(Debug, Clone, Copy)]
 pub struct DoacrossConfig {
-    /// Iteration-to-worker assignment for all three phases. Default:
-    /// [`Schedule::multimax()`] (one-iteration self-scheduling).
+    /// Iteration-to-worker assignment for all three phases (within a level
+    /// for wavefront runs). Default: [`Schedule::multimax()`]
+    /// (one-iteration self-scheduling).
     pub schedule: Schedule,
-    /// Busy-wait policy for true-dependency stalls. Default: spin-then-
-    /// yield, which is safe under oversubscription.
+    /// Busy-wait policy for true-dependency stalls and level gates.
+    /// Default: spin-then-yield, which is safe under oversubscription.
     pub wait: WaitStrategy,
     /// When set (default), the inspector also bounds-checks every
     /// right-hand-side subscript and reports
     /// [`DoacrossError::SubscriptOutOfBounds`] instead of relying on the
-    /// executor's asserts. Disable to measure the paper-faithful inspector
-    /// cost (one store per iteration).
+    /// executor's asserts, claim orders are checked to be topological, and
+    /// [`Doacross::run_linear`] — which has no inspector to piggyback on —
+    /// runs a pre-pass checking `lhs(i) == c·i + d`. Disable to measure the
+    /// paper-faithful cost (one store per iteration; no preprocessing at
+    /// all for a linear subscript).
     pub validate_terms: bool,
-    /// When set (default), postprocessing copies `ynew(a(i))` back into
-    /// `y(a(i))` (Figure 3). The paper notes the copy is only needed "in
-    /// many cases": consumers that read the result from the shadow array
-    /// directly (e.g. a solver returning a fresh vector) can disable it
-    /// and fetch values via [`Doacross::shadow`]. Ignored by the blocked
-    /// variant, where per-block copy-back carries cross-block
-    /// dependencies.
-    pub copy_back: bool,
 }
 
 impl Default for DoacrossConfig {
@@ -53,7 +63,6 @@ impl Default for DoacrossConfig {
             schedule: Schedule::multimax(),
             wait: WaitStrategy::default(),
             validate_terms: true,
-            copy_back: true,
         }
     }
 }
@@ -77,17 +86,23 @@ impl Default for DoacrossConfig {
 /// ```
 #[derive(Debug)]
 pub struct Doacross {
-    config: DoacrossConfig,
+    pub(crate) config: DoacrossConfig,
+    /// Elements `ready` and `ynew` cover.
     data_len: usize,
-    iter: IterMap,
-    ready: ReadyFlags,
-    ynew: Vec<f64>,
+    /// Writer map. Only the entry points that inspect grow it
+    /// ([`Doacross::ensure_iter`]), so a runtime that only executes
+    /// prebuilt plans never carries one.
+    pub(crate) iter: IterMap,
+    pub(crate) ready: ReadyFlags,
+    pub(crate) ynew: Vec<f64>,
+    /// One claim counter and completion count per wavefront level.
+    pub(crate) cells: Vec<CachePadded<LevelCell>>,
     /// Per-worker counter cells, reused across runs (grow-don't-shrink +
     /// reset after drain) so a warm solve allocates nothing.
-    sink: StatsSink,
+    pub(crate) sink: StatsSink,
     /// Claim-order validation scratch (`position[i]` = slot that claims
     /// iteration `i`), reused across runs for the same reason.
-    position: Vec<usize>,
+    pub(crate) position: Vec<usize>,
 }
 
 impl Doacross {
@@ -107,9 +122,10 @@ impl Doacross {
         Self {
             config,
             data_len,
-            iter: IterMap::new(data_len),
+            iter: IterMap::new(0),
             ready: ReadyFlags::new(data_len),
             ynew: vec![0.0; data_len],
+            cells: Vec::new(),
             sink: StatsSink::new(0),
             position: Vec::new(),
         }
@@ -125,7 +141,9 @@ impl Doacross {
         &mut self.config
     }
 
-    /// Size of the data space the scratch arrays cover.
+    /// Elements the scratch arrays cover: the largest data space a flat run
+    /// has seen, or the largest block window of a strip-mined one — the
+    /// §2.3 memory footprint.
     pub fn data_len(&self) -> usize {
         self.data_len
     }
@@ -135,9 +153,15 @@ impl Doacross {
     pub fn ensure_data_len(&mut self, len: usize) {
         if len > self.data_len {
             self.data_len = len;
-            self.iter = IterMap::new(len);
             self.ready = ReadyFlags::new(len);
             self.ynew = vec![0.0; len];
+        }
+    }
+
+    /// Grows the writer map to `len` entries, all `MAXINT`.
+    pub(crate) fn ensure_iter(&mut self, len: usize) {
+        if len > self.iter.len() {
+            self.iter = IterMap::new(len);
         }
     }
 
@@ -146,13 +170,6 @@ impl Doacross {
     /// for tests.
     pub fn scratch_is_clean(&self) -> bool {
         self.iter.all_clear() && self.ready.all_clear()
-    }
-
-    /// The shadow array `ynew`. After a run with `copy_back = false`, the
-    /// loop's results live here at the written elements (`a(i)` positions);
-    /// all other entries are stale.
-    pub fn shadow(&self) -> &[f64] {
-        &self.ynew
     }
 
     /// Runs the full preprocessed doacross (inspector → executor →
@@ -188,29 +205,21 @@ impl Doacross {
         y: &mut [f64],
         order: Option<&[usize]>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = loop_.data_len();
-        if y.len() != data_len {
-            return Err(DoacrossError::DataLenMismatch {
-                got: y.len(),
-                expected: data_len,
-            });
-        }
+        let data_len = check_y_len(loop_, y)?;
         self.ensure_data_len(data_len);
+        self.ensure_iter(data_len);
         let n = loop_.iterations();
         let schedule = self.config.schedule;
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on entry");
 
-        let mut stats = RunStats {
-            iterations: n,
-            workers: pool.threads(),
-            blocks: 1,
-            ..Default::default()
-        };
+        let mut stats = region_stats(pool, n, PlanProvenance::Inline);
         let t_start = Instant::now();
 
-        // Phase 1: inspector (Figure 3, left).
-        let t0 = Instant::now();
-        if let Err(e) = run_inspector(
+        // Phase 1: inspector (Figure 3, left), then the claim order, if one
+        // was supplied: the inspector has already filled `iter`, so the
+        // topological check is a lookup per reference.
+        let oracle = InspectedWriter::new(&self.iter, 0..data_len);
+        let inspected = run_inspector(
             pool,
             schedule,
             loop_,
@@ -218,46 +227,34 @@ impl Doacross {
             0..data_len,
             &self.iter,
             self.config.validate_terms,
-        ) {
-            reset_scratch(pool, schedule, &self.iter, self.data_len);
+        )
+        .and_then(|()| {
+            stats.inspector = t_start.elapsed();
+            order.map_or(Ok(()), |ord| {
+                validate_order(&self.config, &mut self.position, pool, loop_, ord, &oracle)
+            })
+        });
+        if let Err(e) = inspected {
+            reset_scratch(pool, schedule, &self.iter, data_len);
             return Err(e);
-        }
-        stats.inspector = t0.elapsed();
-
-        // Validate the claim order, if one was supplied. The inspector has
-        // already filled `iter`, so the topological check is a lookup per
-        // reference.
-        if let Some(ord) = order {
-            let checked = validate_order(
-                &self.config,
-                &mut self.position,
-                pool,
-                loop_,
-                ord,
-                &self.iter,
-            );
-            if let Err(e) = checked {
-                reset_scratch(pool, schedule, &self.iter, self.data_len);
-                return Err(e);
-            }
         }
 
         // Phases 2 + 3: executor (Figure 5), then postprocessor (Figure 3,
         // right) — the post pass clears this run's `iter` entries to
         // restore the reuse invariant.
-        self.sink.ensure_workers(pool.threads());
-        let oracle = InspectedWriter::new(&self.iter, 0..data_len);
         exec_and_post(
             pool,
             &self.config,
             loop_,
-            y,
-            &mut self.ynew,
-            &mut self.ready,
-            &oracle,
+            0..n,
             order,
+            &oracle,
+            y,
+            &mut self.ynew[..data_len],
+            &mut self.ready,
+            0,
             Some(&self.iter),
-            &self.sink,
+            &mut self.sink,
             &mut stats,
             None,
         );
@@ -277,6 +274,10 @@ impl Doacross {
     /// only read: postprocessing resets this runtime's `ready` flags but
     /// leaves the artifact untouched, so it serves arbitrarily many runs.
     ///
+    /// With `prof` set, per-worker profiling spans (work intervals and
+    /// true-dependency flag waits) are deposited there; `None` costs one
+    /// branch per would-be span site and reads no clock.
+    ///
     /// The returned stats report `inspector == Duration::ZERO` and
     /// [`PlanProvenance::PlanCold`]; plan caches overwrite the provenance
     /// with [`PlanProvenance::PlanCached`] on hits.
@@ -287,31 +288,9 @@ impl Doacross {
         y: &mut [f64],
         prepared: &PreparedInspection,
         order: Option<&[usize]>,
-    ) -> Result<RunStats, DoacrossError> {
-        self.run_planned_profiled(pool, loop_, y, prepared, order, None)
-    }
-
-    /// Like [`Doacross::run_planned`], but deposits per-worker profiling
-    /// spans (work intervals and true-dependency flag waits) into `prof`
-    /// when one is supplied. `None` keeps the exact unprofiled code paths —
-    /// one branch per would-be span site, no clock reads.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_profiled<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        prepared: &PreparedInspection,
-        order: Option<&[usize]>,
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = loop_.data_len();
-        if y.len() != data_len {
-            return Err(DoacrossError::DataLenMismatch {
-                got: y.len(),
-                expected: data_len,
-            });
-        }
+        let data_len = check_y_len(loop_, y)?;
         if !prepared.matches_shape(loop_) {
             return Err(DoacrossError::PlanMismatch {
                 plan_iterations: prepared.iterations(),
@@ -324,44 +303,32 @@ impl Doacross {
         let n = loop_.iterations();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on entry");
 
-        let mut stats = RunStats {
-            iterations: n,
-            workers: pool.threads(),
-            blocks: 1,
-            provenance: PlanProvenance::PlanCold,
-            ..Default::default()
-        };
+        let mut stats = region_stats(pool, n, PlanProvenance::PlanCold);
         let t_start = Instant::now();
 
         // No inspector phase: the prepared map already holds every writer.
         // The runtime's own scratch map stays all-MAXINT throughout, so no
         // reset is needed on the validation error path either.
+        let oracle = prepared.oracle();
         if let Some(ord) = order {
-            validate_order(
-                &self.config,
-                &mut self.position,
-                pool,
-                loop_,
-                ord,
-                prepared.map(),
-            )?;
+            validate_order(&self.config, &mut self.position, pool, loop_, ord, &oracle)?;
         }
 
         // Executor + postprocessor; `post_map: None` — the prepared
         // artifact must survive this run, only the `ready` flags retire.
-        self.sink.ensure_workers(pool.threads());
-        let oracle = prepared.oracle();
         exec_and_post(
             pool,
             &self.config,
             loop_,
-            y,
-            &mut self.ynew,
-            &mut self.ready,
-            &oracle,
+            0..n,
             order,
+            &oracle,
+            y,
+            &mut self.ynew[..data_len],
+            &mut self.ready,
+            0,
             None,
-            &self.sink,
+            &mut self.sink,
             &mut stats,
             prof,
         );
@@ -371,18 +338,50 @@ impl Doacross {
     }
 }
 
+/// Rejects a `y` that does not cover the loop's data space; returns the
+/// data-space size otherwise.
+pub(crate) fn check_y_len<P: AccessPattern + ?Sized>(
+    pattern: &P,
+    y: &[f64],
+) -> Result<usize, DoacrossError> {
+    let expected = pattern.data_len();
+    if y.len() != expected {
+        return Err(DoacrossError::DataLenMismatch {
+            got: y.len(),
+            expected,
+        });
+    }
+    Ok(expected)
+}
+
+/// The stats of a one-block region of `iterations` iterations, before any
+/// phase has run.
+pub(crate) fn region_stats(
+    pool: &ThreadPool,
+    iterations: usize,
+    provenance: PlanProvenance,
+) -> RunStats {
+    RunStats {
+        iterations,
+        workers: pool.threads(),
+        blocks: 1,
+        provenance,
+        ..Default::default()
+    }
+}
+
 /// Checks that `order` is a permutation of `0..n` and — in
 /// full-validation mode — that no true dependency's writer is claimed
-/// after its reader. Requires `iter` (the runtime's own scratch map or
-/// a prebuilt inspection's) to hold the loop's writer entries.
-/// `position` is the caller's reusable scratch.
-fn validate_order<L: DoacrossLoop + ?Sized>(
+/// after its reader, as `oracle` (the runtime's own scratch map, a
+/// prebuilt inspection's, or a linear subscript's arithmetic) names the
+/// writers. `position` is the caller's reusable scratch.
+pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
     config: &DoacrossConfig,
     position: &mut Vec<usize>,
     pool: &ThreadPool,
     loop_: &L,
     order: &[usize],
-    iter: &IterMap,
+    oracle: &W,
 ) -> Result<(), DoacrossError> {
     let n = loop_.iterations();
     if order.len() != n {
@@ -400,12 +399,12 @@ fn validate_order<L: DoacrossLoop + ?Sized>(
         position[i] = k;
     }
     if config.validate_terms {
-        let violation = crate::inspector::ErrorSlot::new();
+        let violation = ErrorSlot::new();
         let position = &position[..];
-        doacross_par::parallel_for(pool, n, config.schedule, |i| {
+        parallel_for(pool, n, config.schedule, |i| {
             for j in 0..loop_.terms(i) {
-                let w = iter.writer(loop_.term_element(i, j));
-                if w != crate::flags::MAXINT && (w as usize) < i {
+                let w = oracle.writer(loop_.term_element(i, j));
+                if w != MAXINT && (w as usize) < i {
                     let w = w as usize;
                     if position[w] > position[i] {
                         violation.try_set(i, w);
@@ -420,46 +419,47 @@ fn validate_order<L: DoacrossLoop + ?Sized>(
     Ok(())
 }
 
-/// The executor + postprocessor phases shared by [`Doacross::run_with_order`]
-/// (oracle over the runtime's own scratch map, which the post phase clears)
-/// and [`Doacross::run_planned`] (oracle over a persistent prepared map,
-/// `post_map: None`): one pool region, after which the `ready` flags are
-/// retired. Fills `stats.executor`, `stats.post`, and the executor-side
-/// counters. `sink` is the caller's reusable per-worker counter scratch,
-/// already sized for the pool (drained into `stats` and reset before
-/// returning) — no allocation happens here.
+/// The executor + postprocessor phases of every flag-synchronized run: one
+/// pool region over iterations `iter_range`, after which the `ready` flags
+/// are retired. `ynew`/`ready` hold the elements from `window_start` on
+/// (the whole data space for a flat run, a block's window for a
+/// strip-mined one); `post_map` is the writer map the post phase clears —
+/// the runtime's own scratch map — or `None` when `oracle` reads a
+/// prebuilt artifact or a subscript. Fills `stats.executor`, `stats.post`
+/// and the executor-side counters. `sink` is the runtime's per-worker
+/// counter scratch, drained into `stats` and reset before returning — once
+/// it covers the pool, no allocation happens here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_and_post<L: DoacrossLoop + ?Sized, W: WriterOracle>(
     pool: &ThreadPool,
     config: &DoacrossConfig,
     loop_: &L,
+    iter_range: Range<usize>,
+    order: Option<&[usize]>,
+    oracle: &W,
     y: &mut [f64],
     ynew: &mut [f64],
     ready: &mut ReadyFlags,
-    oracle: &W,
-    order: Option<&[usize]>,
+    window_start: usize,
     post_map: Option<&IterMap>,
-    sink: &StatsSink,
+    sink: &mut StatsSink,
     stats: &mut RunStats,
     prof: Option<&ProfArena>,
 ) {
-    let post = Post {
-        map: post_map,
-        copy_back: config.copy_back,
-    };
+    sink.ensure_workers(pool.threads());
     (stats.executor, stats.post) = run_executor(
         pool,
         config.schedule,
         config.wait,
         loop_,
-        0..loop_.iterations(),
+        iter_range,
         order,
         oracle,
         SharedSlice::new(y),
         SharedSlice::new(ynew),
         ready,
-        0,
-        post,
+        window_start,
+        Post { map: post_map },
         sink,
         prof,
     );
@@ -471,7 +471,7 @@ pub(crate) fn exec_and_post<L: DoacrossLoop + ?Sized, W: WriterOracle>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{AccessPattern, IndirectLoop};
+    use crate::pattern::IndirectLoop;
     use crate::seq::run_sequential;
 
     fn pool() -> ThreadPool {
@@ -583,27 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_back_disabled_leaves_y_and_fills_shadow() {
-        let l = chain_loop(32);
-        let p = pool();
-        let mut expect = vec![1.0; 33];
-        run_sequential(&l, &mut expect);
-
-        let mut rt = Doacross::for_loop(&l);
-        rt.config_mut().copy_back = false;
-        let y0 = vec![1.0; 33];
-        let mut y = y0.clone();
-        rt.run(&p, &l, &mut y).unwrap();
-        assert_eq!(y, y0, "y untouched without copy-back");
-        // Written elements (1..=32) hold the results in the shadow array.
-        for i in 0..32 {
-            let e = l.lhs(i);
-            assert_eq!(rt.shadow()[e], expect[e], "element {e}");
-        }
-        assert!(rt.scratch_is_clean(), "flags/iter still reset");
-    }
-
-    #[test]
     fn run_with_order_matches_unordered_semantics() {
         let l = chain_loop(100);
         let p = pool();
@@ -690,7 +669,9 @@ mod tests {
         // Many runs against one inspection artifact.
         for round in 0..3 {
             let mut y = vec![1.0; 151];
-            let stats = rt.run_planned(&p, &l, &mut y, &prepared, None).unwrap();
+            let stats = rt
+                .run_planned(&p, &l, &mut y, &prepared, None, None)
+                .unwrap();
             assert_eq!(y, expect, "round {round}");
             assert_eq!(stats.inspector, std::time::Duration::ZERO);
             assert_eq!(stats.provenance, PlanProvenance::PlanCold);
@@ -710,13 +691,13 @@ mod tests {
         let identity: Vec<usize> = (0..64).collect();
         let mut y = vec![1.0; 65];
         let mut rt = Doacross::for_loop(&l);
-        rt.run_planned(&p, &l, &mut y, &prepared, Some(&identity))
+        rt.run_planned(&p, &l, &mut y, &prepared, Some(&identity), None)
             .unwrap();
         assert_eq!(y, expect);
         // A non-topological order is still rejected, using the prepared map.
         let reversed: Vec<usize> = (0..64).rev().collect();
         let err = rt
-            .run_planned(&p, &l, &mut y, &prepared, Some(&reversed))
+            .run_planned(&p, &l, &mut y, &prepared, Some(&reversed), None)
             .unwrap_err();
         assert!(matches!(err, DoacrossError::OrderNotTopological { .. }));
         assert!(rt.scratch_is_clean());
@@ -731,7 +712,7 @@ mod tests {
         let mut rt = Doacross::for_loop(&big);
         let mut y = vec![1.0; 9];
         let err = rt
-            .run_planned(&p, &big, &mut y, &prepared, None)
+            .run_planned(&p, &big, &mut y, &prepared, None, None)
             .unwrap_err();
         assert!(matches!(
             err,

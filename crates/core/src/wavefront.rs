@@ -68,7 +68,7 @@ use crate::error::DoacrossError;
 use crate::executor::DEADLINE_ITER_PERIOD;
 use crate::pattern::DoacrossLoop;
 use crate::post::{post_share, PhaseClock, Post};
-use crate::runtime::DoacrossConfig;
+use crate::runtime::{check_y_len, region_stats, Doacross, DoacrossConfig};
 use crate::stats::{LocalCounters, PlanProvenance, RunStats, StatsSink};
 use doacross_obs::profile::{ProfArena, SpanKind};
 use doacross_par::{CachePadded, Schedule, SharedSlice, ThreadPool, WaitAbort};
@@ -304,7 +304,7 @@ pub fn level_chunk(width: usize, nworkers: usize) -> usize {
 /// completion count — on one cache line (the same workers touch both at
 /// the same time), padded away from the next level's.
 #[derive(Debug, Default)]
-struct LevelCell {
+pub(crate) struct LevelCell {
     claim: AtomicUsize,
     done: Completion,
 }
@@ -335,8 +335,8 @@ fn poll_faults(
 /// Runs the level-scheduled executor: one parallel region for the whole
 /// solve — every level a self-scheduled doall over
 /// [`LevelSchedule::level_iterations`], entered once the previous level's
-/// completion count is full, then (with `copy_back`) each worker's fixed
-/// share of the copy-back once the last level's is. No `ready` flags, no
+/// completion count is full, then each worker's fixed share of the
+/// copy-back once the last level's is. No `ready` flags, no
 /// writer map — operands are resolved from the schedule's precomputed
 /// [`OperandClass`]es (see module docs). Returns the region's wall time
 /// split into `(executor, post)`.
@@ -505,169 +505,81 @@ where
             }
             // One add per worker per level, and none from a worker that
             // claimed nothing: a level is complete by work, not attendance.
-            if in_level > 0 && cell.done.add(in_level, width) && l == last && config.copy_back {
+            if in_level > 0 && cell.done.add(in_level, width) && l == last {
                 clock.gate_opened();
             }
         }
-        if config.copy_back {
-            let (last_done, last_width) = guard.commit;
-            if let Err(abort) = last_done.wait(last_width, &guard) {
-                guard.bail(sink, worker, &mut local, abort);
-            }
-            // SAFETY: the last level's count is full, which orders every
-            // level's `y` loads and `ynew` stores before this point
-            // (module docs).
-            unsafe {
-                post_share(
-                    loop_,
-                    0..schedule.iterations(),
-                    0,
-                    Post {
-                        map: None,
-                        copy_back: true,
-                    },
-                    y,
-                    ynew,
-                    worker,
-                    nworkers,
-                )
-            };
+        let (last_done, last_width) = guard.commit;
+        if let Err(abort) = last_done.wait(last_width, &guard) {
+            guard.bail(sink, worker, &mut local, abort);
         }
+        // SAFETY: the last level's count is full, which orders every
+        // level's `y` loads and `ynew` stores before this point (module
+        // docs).
+        unsafe {
+            post_share(
+                loop_,
+                0..schedule.iterations(),
+                0,
+                Post { map: None },
+                y,
+                ynew,
+                worker,
+                nworkers,
+            )
+        };
         sink.deposit(worker, local);
     });
     clock.split()
 }
 
-/// Reusable level-scheduled doacross runtime: owns the shadow array and the
-/// per-level claim and completion counters, executes any [`DoacrossLoop`]
-/// under a prebuilt [`LevelSchedule`].
-///
-/// Scratch grows to the largest data space / deepest level structure seen
-/// and is then reused (the paper's §2.1 scratch-reuse economics), so a
-/// workload alternating structures — an L and a U factor, many tenants —
-/// does not churn allocations.
-///
-/// ```
-/// use doacross_core::{LevelSchedule, WavefrontDoacross, IndirectLoop};
-/// use doacross_core::seq::run_sequential;
-/// use doacross_par::ThreadPool;
-///
-/// // y[i+1] += y[i]: a chain — levels are the iterations themselves.
-/// let n = 64;
-/// let a: Vec<usize> = (1..=n).collect();
-/// let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-/// let loop_ = IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
-///
-/// // Level assignment for the chain: level(i) = i + 1; every reference is
-/// // a true dependency except iteration 0's read of the unwritten y[0].
-/// let levels: Vec<usize> = (1..=n).collect();
-/// let term_offsets: Vec<usize> = (0..=n).collect();
-/// let mut classes = vec![0u8; n];
-/// classes[0] = 1;
-/// let schedule = LevelSchedule::from_levels(&levels, n, term_offsets, classes);
-///
-/// let pool = ThreadPool::new(2);
-/// let mut rt = WavefrontDoacross::new(n + 1);
-/// let mut y = vec![1.0; n + 1];
-/// let mut oracle = y.clone();
-/// let stats = rt.run(&pool, &loop_, &mut y, &schedule).unwrap();
-/// run_sequential(&loop_, &mut oracle);
-/// assert_eq!(y, oracle);
-/// assert_eq!(stats.wait_polls, 0, "no busy waiting, ever");
-/// ```
-#[derive(Debug)]
-pub struct WavefrontDoacross {
-    config: DoacrossConfig,
-    data_len: usize,
-    ynew: Vec<f64>,
-    cells: Vec<CachePadded<LevelCell>>,
-    /// Per-worker counter cells, reused across runs (grow-don't-shrink +
-    /// reset after drain) so a warm solve allocates nothing.
-    sink: StatsSink,
-}
-
-impl WavefrontDoacross {
-    /// Runtime whose scratch covers a data space of `data_len` elements.
-    pub fn new(data_len: usize) -> Self {
-        Self::with_config(data_len, DoacrossConfig::default())
-    }
-
-    /// Runtime with explicit configuration. `schedule` picks the
-    /// within-level claiming policy, `wait` how a worker polls the
-    /// previous level's completion count; `copy_back` is honored as in
-    /// [`crate::Doacross`].
-    pub fn with_config(data_len: usize, config: DoacrossConfig) -> Self {
-        Self {
-            config,
-            data_len,
-            ynew: vec![0.0; data_len],
-            cells: Vec::new(),
-            sink: StatsSink::new(0),
-        }
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> &DoacrossConfig {
-        &self.config
-    }
-
-    /// Size of the data space the scratch covers.
-    pub fn data_len(&self) -> usize {
-        self.data_len
-    }
-
-    /// The shadow array; after a run with `copy_back = false` the results
-    /// live here at the written elements.
-    pub fn shadow(&self) -> &[f64] {
-        &self.ynew
-    }
-
-    /// Grows the scratch to cover `data_len` elements and `nlevels` levels
-    /// (no-op when already large enough — the reuse half of the deal).
-    pub fn ensure_capacity(&mut self, data_len: usize, nlevels: usize) {
-        if data_len > self.data_len {
-            self.data_len = data_len;
-            self.ynew = vec![0.0; data_len];
-        }
-        if nlevels > self.cells.len() {
-            self.cells.resize_with(nlevels, CachePadded::default);
-        }
-    }
-
-    /// Runs `loop_` under `schedule` as a sequence of level doalls in one
-    /// pool region, updating `y` exactly as the sequential source loop
-    /// would. The returned stats report zero `stalls` and zero
-    /// `wait_polls` by construction — there are no flags to poll.
-    pub fn run<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        schedule: &LevelSchedule,
-    ) -> Result<RunStats, DoacrossError> {
-        self.run_chunked(pool, loop_, y, schedule, None)
-    }
-
-    /// Like [`WavefrontDoacross::run`] with an explicit per-grab chunk size
-    /// for the within-level self-scheduling: `None` adapts the chunk to
-    /// each level's width ([`level_chunk`]); `Some(1)` reproduces the
-    /// paper's one-iteration Multimax policy (the chunking ablation's
-    /// baseline).
-    pub fn run_chunked<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        schedule: &LevelSchedule,
-        chunk: Option<usize>,
-    ) -> Result<RunStats, DoacrossError> {
-        self.run_chunked_profiled(pool, loop_, y, schedule, chunk, None)
-    }
-
-    /// [`WavefrontDoacross::run_chunked`] with optional span profiling:
-    /// per worker, one [`SpanKind::Work`] span per level and one
+impl Doacross {
+    /// Runs `loop_` under a prebuilt [`LevelSchedule`] as a sequence of
+    /// level doalls in one pool region, updating `y` exactly as the
+    /// sequential source loop would. The returned stats report zero
+    /// `stalls` and zero `wait_polls` by construction — there are no flags
+    /// to poll; of the runtime's scratch only the shadow array and the
+    /// per-level cells are touched. Both grow to the largest data space /
+    /// deepest level structure seen and are then reused (the paper's §2.1
+    /// scratch-reuse economics), so a workload alternating structures — an
+    /// L and a U factor, many tenants — does not churn allocations.
+    ///
+    /// `chunk` is the per-grab chunk size of the within-level
+    /// self-scheduling: `None` adapts it to each level's width
+    /// ([`level_chunk`]); `Some(1)` reproduces the paper's one-iteration
+    /// Multimax policy (the chunking ablation's baseline). With `prof` set,
+    /// each worker records one [`SpanKind::Work`] span per level and one
     /// [`SpanKind::BarrierWait`] span per level boundary.
-    pub fn run_chunked_profiled<L: DoacrossLoop + ?Sized>(
+    ///
+    /// ```
+    /// use doacross_core::{Doacross, IndirectLoop, LevelSchedule};
+    /// use doacross_core::seq::run_sequential;
+    /// use doacross_par::ThreadPool;
+    ///
+    /// // y[i+1] += y[i]: a chain — levels are the iterations themselves.
+    /// let n = 64;
+    /// let a: Vec<usize> = (1..=n).collect();
+    /// let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    /// let loop_ = IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
+    ///
+    /// // Level assignment for the chain: level(i) = i + 1; every reference is
+    /// // a true dependency except iteration 0's read of the unwritten y[0].
+    /// let levels: Vec<usize> = (1..=n).collect();
+    /// let term_offsets: Vec<usize> = (0..=n).collect();
+    /// let mut classes = vec![0u8; n];
+    /// classes[0] = 1;
+    /// let schedule = LevelSchedule::from_levels(&levels, n, term_offsets, classes);
+    ///
+    /// let pool = ThreadPool::new(2);
+    /// let mut rt = Doacross::new(n + 1);
+    /// let mut y = vec![1.0; n + 1];
+    /// let mut oracle = y.clone();
+    /// let stats = rt.run_wavefront(&pool, &loop_, &mut y, &schedule, None, None).unwrap();
+    /// run_sequential(&loop_, &mut oracle);
+    /// assert_eq!(y, oracle);
+    /// assert_eq!(stats.wait_polls, 0, "no busy waiting, ever");
+    /// ```
+    pub fn run_wavefront<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
         loop_: &L,
@@ -676,14 +588,8 @@ impl WavefrontDoacross {
         chunk: Option<usize>,
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = loop_.data_len();
+        let data_len = check_y_len(loop_, y)?;
         let n = loop_.iterations();
-        if y.len() != data_len {
-            return Err(DoacrossError::DataLenMismatch {
-                got: y.len(),
-                expected: data_len,
-            });
-        }
         if schedule.iterations() != n {
             return Err(DoacrossError::PlanMismatch {
                 plan_iterations: schedule.iterations(),
@@ -712,21 +618,18 @@ impl WavefrontDoacross {
                 loop_terms: loop_.terms(iteration),
             });
         }
-        self.ensure_capacity(data_len, schedule.level_count());
+        let nlevels = schedule.level_count();
+        self.ensure_data_len(data_len);
+        if nlevels > self.cells.len() {
+            self.cells.resize_with(nlevels, CachePadded::default);
+        }
 
-        let mut stats = RunStats {
-            iterations: n,
-            workers: pool.threads(),
-            blocks: 1,
-            provenance: PlanProvenance::PlanCold,
-            ..Default::default()
-        };
+        let mut stats = region_stats(pool, n, PlanProvenance::PlanCold);
         let t_start = Instant::now();
 
         // Per-level claim and completion counters start at zero every run
         // (they are dirty after the previous one); O(levels), off the
         // parallel path.
-        let nlevels = schedule.level_count();
         for cell in &self.cells[..nlevels] {
             cell.claim.store(0, Ordering::Relaxed);
             cell.done.reset();
@@ -734,7 +637,7 @@ impl WavefrontDoacross {
 
         // Executor and copy-back: all levels inside one pool dispatch, a
         // completion count between each pair, the copy-back behind the
-        // last (no flags to retire — the wavefront runtime has none).
+        // last (no flags to retire — a wavefront run raises none).
         self.sink.ensure_workers(pool.threads());
         (stats.executor, stats.post) = run_levels(
             pool,
@@ -832,9 +735,11 @@ mod tests {
         let expect = oracle(&l, &y0);
         for workers in [1, 2, 4] {
             let p = ThreadPool::new(workers);
-            let mut rt = WavefrontDoacross::new(301);
+            let mut rt = Doacross::new(301);
             let mut y = y0.clone();
-            let stats = rt.run(&p, &l, &mut y, &schedule).unwrap();
+            let stats = rt
+                .run_wavefront(&p, &l, &mut y, &schedule, None, None)
+                .unwrap();
             assert_eq!(y, expect, "workers={workers}");
             assert_eq!(stats.wait_polls, 0);
             assert_eq!(stats.stalls, 0);
@@ -863,9 +768,11 @@ mod tests {
         let schedule = schedule_of(&l);
         let y0: Vec<f64> = (0..dl).map(|e| (e % 17) as f64 * 0.125).collect();
         let expect = oracle(&l, &y0);
-        let mut rt = WavefrontDoacross::new(dl);
+        let mut rt = Doacross::new(dl);
         let mut y = y0.clone();
-        let stats = rt.run(&pool(), &l, &mut y, &schedule).unwrap();
+        let stats = rt
+            .run_wavefront(&pool(), &l, &mut y, &schedule, None, None)
+            .unwrap();
         assert_eq!(y, expect);
         assert_eq!(
             stats.deps.total(),
@@ -903,7 +810,7 @@ mod tests {
             Schedule::Guided { min_chunk: 2 },
         ] {
             for chunk in [None, Some(1), Some(3), Some(1000)] {
-                let mut rt = WavefrontDoacross::with_config(
+                let mut rt = Doacross::with_config(
                     n,
                     DoacrossConfig {
                         schedule: config_schedule,
@@ -911,7 +818,8 @@ mod tests {
                     },
                 );
                 let mut y = y0.clone();
-                rt.run_chunked(&p, &l, &mut y, &schedule, chunk).unwrap();
+                rt.run_wavefront(&p, &l, &mut y, &schedule, chunk, None)
+                    .unwrap();
                 assert_eq!(y, expect, "{config_schedule:?} chunk {chunk:?}");
             }
         }
@@ -924,55 +832,70 @@ mod tests {
         let sched_small = schedule_of(&small);
         let sched_big = schedule_of(&big);
         let p = pool();
-        let mut rt = WavefrontDoacross::new(0);
+        let mut rt = Doacross::new(0);
         for _ in 0..3 {
             let mut y = vec![1.0; 11];
-            rt.run(&p, &small, &mut y, &sched_small).unwrap();
+            rt.run_wavefront(&p, &small, &mut y, &sched_small, None, None)
+                .unwrap();
             assert_eq!(y, oracle(&small, &[1.0; 11]));
             let mut y = vec![1.0; 81];
-            rt.run(&p, &big, &mut y, &sched_big).unwrap();
+            rt.run_wavefront(&p, &big, &mut y, &sched_big, None, None)
+                .unwrap();
             assert_eq!(y, oracle(&big, &[1.0; 81]));
         }
         assert_eq!(rt.data_len(), 81, "grown once, reused thereafter");
     }
 
     #[test]
-    fn copy_back_disabled_leaves_y_and_fills_shadow() {
-        let l = chain(32);
-        let schedule = schedule_of(&l);
+    fn one_runtime_serves_every_entry_point_in_turn() {
+        // flat -> linear -> blocked -> wavefront -> flat on chains of
+        // different sizes, all through one scratch: each run bit-identical
+        // to the sequential loop, the scratch clean in between.
         let p = pool();
-        let expect = oracle(&l, &[1.0; 33]);
-        let mut rt = WavefrontDoacross::with_config(
-            33,
-            DoacrossConfig {
-                copy_back: false,
-                ..DoacrossConfig::default()
-            },
-        );
-        let y0 = vec![1.0; 33];
-        let mut y = y0.clone();
-        rt.run(&p, &l, &mut y, &schedule).unwrap();
-        assert_eq!(y, y0, "y untouched without copy-back");
-        for i in 0..32 {
-            let e = l.lhs(i);
-            assert_eq!(rt.shadow()[e], expect[e], "element {e}");
+        let mut rt = Doacross::new(0);
+        let check = |n: usize, how: &str, rt: &mut Doacross| {
+            let l = chain(n);
+            let mut y = vec![1.0; n + 1];
+            match how {
+                "flat" => rt.run(&p, &l, &mut y),
+                "linear" => {
+                    let identity: Vec<usize> = (0..n).collect();
+                    let sub = crate::LinearSubscript::new(1, 1);
+                    rt.run_linear(&p, &l, &mut y, sub, Some(&identity))
+                }
+                "blocked" => rt.run_blocked(&p, &l, &mut y, 7),
+                _ => rt.run_wavefront(&p, &l, &mut y, &schedule_of(&l), None, None),
+            }
+            .unwrap();
+            assert_eq!(y, oracle(&l, &vec![1.0; n + 1]), "{how} n={n}");
+            assert!(rt.scratch_is_clean(), "after {how} n={n}");
+        };
+        for (n, how) in [
+            (40, "flat"),
+            (90, "linear"),
+            (60, "blocked"),
+            (120, "wavefront"),
+            (10, "flat"),
+        ] {
+            check(n, how, &mut rt);
         }
+        assert_eq!(rt.data_len(), 121, "grown to the largest, never shrunk");
     }
 
     #[test]
     fn mismatched_schedule_and_buffer_are_rejected() {
         let l = chain(8);
         let schedule = schedule_of(&chain(9));
-        let mut rt = WavefrontDoacross::new(10);
+        let mut rt = Doacross::new(10);
         let mut y = vec![1.0; 9];
         assert!(matches!(
-            rt.run(&pool(), &l, &mut y, &schedule),
+            rt.run_wavefront(&pool(), &l, &mut y, &schedule, None, None),
             Err(DoacrossError::PlanMismatch { .. })
         ));
         let good = schedule_of(&l);
         let mut short = vec![1.0; 3];
         assert!(matches!(
-            rt.run(&pool(), &l, &mut short, &good),
+            rt.run_wavefront(&pool(), &l, &mut short, &good, None, None),
             Err(DoacrossError::DataLenMismatch { .. })
         ));
 
@@ -983,7 +906,7 @@ mod tests {
         let termless = IndirectLoop::new(9, a, vec![vec![]; 8], vec![vec![]; 8]).unwrap();
         let mut y = vec![1.0; 9];
         assert!(matches!(
-            rt.run(&pool(), &termless, &mut y, &good),
+            rt.run_wavefront(&pool(), &termless, &mut y, &good, None, None),
             Err(DoacrossError::ScheduleTermsMismatch {
                 iteration: 0,
                 schedule_terms: 1,
@@ -997,9 +920,11 @@ mod tests {
         let l = IndirectLoop::new(0, vec![], vec![], vec![]).unwrap();
         let schedule = LevelSchedule::from_levels(&[], 0, vec![0], vec![]);
         assert_eq!(schedule.level_count(), 0);
-        let mut rt = WavefrontDoacross::new(0);
+        let mut rt = Doacross::new(0);
         let mut y: Vec<f64> = vec![];
-        let stats = rt.run(&pool(), &l, &mut y, &schedule).unwrap();
+        let stats = rt
+            .run_wavefront(&pool(), &l, &mut y, &schedule, None, None)
+            .unwrap();
         assert_eq!(stats.deps.total(), 0);
     }
 

@@ -3,10 +3,7 @@
 //! strided loops, and measured-vs-ground-truth dependence classification.
 
 use doacross_core::IndirectLoop;
-use doacross_core::{
-    seq::run_sequential, AccessPattern, BlockedDoacross, Doacross, LinearDoacross, LinearSubscript,
-    TestLoop,
-};
+use doacross_core::{seq::run_sequential, AccessPattern, Doacross, LinearSubscript, TestLoop};
 use doacross_par::ThreadPool;
 use proptest::prelude::*;
 
@@ -49,8 +46,8 @@ proptest! {
         prop_assert_eq!(&y_inspected, &expect);
 
         let mut y_linear = y0;
-        LinearDoacross::new(loop_.data_len())
-            .run(&pool, &loop_, subscript, &mut y_linear)
+        Doacross::new(loop_.data_len())
+            .run_linear(&pool, &loop_, &mut y_linear, subscript, None)
             .expect("declared subscript matches");
         prop_assert_eq!(&y_linear, &expect);
     }
@@ -97,15 +94,14 @@ proptest! {
         prop_assert_eq!(&y1, &expect);
 
         let mut y2 = loop_.initial_y();
-        LinearDoacross::new(loop_.data_len())
-            .run(&pool, &loop_, loop_.linear_subscript(), &mut y2)
+        Doacross::new(loop_.data_len())
+            .run_linear(&pool, &loop_, &mut y2, loop_.linear_subscript(), None)
             .expect("linear");
         prop_assert_eq!(&y2, &expect);
 
         let mut y3 = loop_.initial_y();
-        BlockedDoacross::new(block)
-            .expect("nonzero")
-            .run(&pool, &loop_, &mut y3)
+        Doacross::new(0)
+            .run_blocked(&pool, &loop_, &mut y3, block)
             .expect("valid");
         prop_assert_eq!(&y3, &expect);
     }

@@ -163,8 +163,8 @@ impl EngineBuilder {
     }
 
     /// Doacross configuration for executions. `schedule` and `wait` are
-    /// honored; `validate_terms` is forced off and `copy_back` forced on
-    /// (see [`doacross_plan::PlanExecutor`]).
+    /// honored; `validate_terms` is switched off — validation happened at
+    /// plan time (see [`doacross_plan::PlanExecutor`]).
     pub fn config(mut self, config: DoacrossConfig) -> Self {
         self.config = config;
         self

@@ -175,7 +175,7 @@ impl EngineInner {
         let allocs_before = doacross_core::alloc::thread_allocations();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            executor.execute_profiled(guard.pool(), loop_, y, plan, arena)
+            executor.execute(guard.pool(), loop_, y, plan, arena)
         }));
         let elapsed = started.elapsed();
         let allocations = doacross_core::alloc::thread_allocations() - allocs_before;
@@ -606,8 +606,8 @@ impl Engine {
         &self.inner.planner
     }
 
-    /// The doacross configuration executions run under (`validate_terms`
-    /// forced off, `copy_back` forced on — see
+    /// The doacross configuration executions run under, as given to the
+    /// builder (executors switch `validate_terms` off — see
     /// [`doacross_plan::PlanExecutor`]).
     pub fn config(&self) -> &DoacrossConfig {
         &self.inner.config

@@ -1,5 +1,6 @@
-//! Allocation audit: warm solves of every single-region parallel variant
-//! must not touch the heap — and must cost exactly one region dispatch.
+//! Allocation audit: warm solves of every parallel variant must not touch
+//! the heap — and must cost exactly one region dispatch (the strip-mined
+//! variant: two per block, inspector and executor).
 //!
 //! The paper's amortization argument assumes the executor's marginal cost
 //! is arithmetic plus synchronization — preprocessing products (writer
@@ -31,8 +32,13 @@ fn scattered_doall(n: usize) -> IndirectLoop {
 
 /// Warm solves of `loop_` on a fresh 4-worker engine: the variant is the
 /// one the caller means to audit, the output is the oracle's, the
-/// dispatching thread allocates nothing, and each solve is one region.
-fn assert_warm_solves_are_lean<L: DoacrossLoop>(loop_: &L, wants: fn(PlanVariant) -> bool) {
+/// dispatching thread allocates nothing, and each solve costs
+/// `regions_per_block` regions per block (one block, unless strip-mined).
+fn assert_warm_solves_are_lean<L: DoacrossLoop>(
+    loop_: &L,
+    wants: fn(PlanVariant) -> bool,
+    regions_per_block: u64,
+) {
     let engine = Engine::builder().workers(4).pools(1).build();
     let prepared = engine.prepare(loop_).expect("plannable");
     assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
@@ -64,7 +70,7 @@ fn assert_warm_solves_are_lean<L: DoacrossLoop>(loop_: &L, wants: fn(PlanVariant
         );
         assert_eq!(
             regions,
-            1,
+            regions_per_block * stats.blocks as u64,
             "{:?}: executor and copy-back must share one region",
             prepared.variant()
         );
@@ -84,18 +90,41 @@ fn interleaved_chains(chains: usize, len: usize) -> IndirectLoop {
 #[test]
 fn warm_wavefront_and_flag_solves_allocate_nothing_in_one_region() {
     // Level-scheduled family: completion counters, no flags.
-    assert_warm_solves_are_lean(&doacross_plan::testgrid::deep_grid(64, 20, 3, 7), |v| {
-        v == PlanVariant::Wavefront
-    });
+    assert_warm_solves_are_lean(
+        &doacross_plan::testgrid::deep_grid(64, 20, 3, 7),
+        |v| v == PlanVariant::Wavefront,
+        1,
+    );
     // Flag family, both writer oracles: the linear subscript of Figure 4,
     // and the prebuilt writer map of a scattered doall.
-    assert_warm_solves_are_lean(&TestLoop::new(2_000, 1, 7), |v| {
-        matches!(v, PlanVariant::Linear(_))
-    });
-    assert_warm_solves_are_lean(&scattered_doall(4_000), |v| v == PlanVariant::Doacross);
+    assert_warm_solves_are_lean(
+        &TestLoop::new(2_000, 1, 7),
+        |v| matches!(v, PlanVariant::Linear(_)),
+        1,
+    );
+    assert_warm_solves_are_lean(&scattered_doall(4_000), |v| v == PlanVariant::Doacross, 1);
     // ... and under a doconsider claim order, whose permutation check
     // reuses its position scratch.
-    assert_warm_solves_are_lean(&interleaved_chains(32, 16), |v| v == PlanVariant::Reordered);
+    assert_warm_solves_are_lean(
+        &interleaved_chains(32, 16),
+        |v| v == PlanVariant::Reordered,
+        1,
+    );
+}
+
+/// The strip-mined variant shares the same scratch — windowed writer map,
+/// flags, shadow array, counter cells — across its blocks and across
+/// solves: nothing is allocated per block, and each block is an inspector
+/// region plus an executor region.
+#[test]
+fn warm_blocked_solves_allocate_nothing_in_two_regions_per_block() {
+    // Every element written 8 times, 256 iterations apart: only a
+    // strip-mined plan is legal in parallel.
+    let (n, period) = (2_048usize, 256usize);
+    let a: Vec<usize> = (0..n).map(|i| i % period).collect();
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 3) % period]).collect();
+    let repeated = IndirectLoop::new(period, a, rhs, vec![vec![0.5]; n]).expect("valid structure");
+    assert_warm_solves_are_lean(&repeated, |v| matches!(v, PlanVariant::Blocked { .. }), 2);
 }
 
 /// The profiler's off-path discipline, audited: an engine built

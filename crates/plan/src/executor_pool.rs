@@ -2,8 +2,8 @@
 //! sub-pool index.
 //!
 //! The engine's multi-pool scheduler routes each solve to one of N worker
-//! sub-pools. Scratch executors are per-variant `&mut` state (writer maps,
-//! shadow arrays, windowed block scratch) that grows to the largest
+//! sub-pools. A scratch executor is `&mut` state (ready flags, shadow
+//! array, level cells — one runtime's worth) that grows to the largest
 //! structure seen — exactly the reuse economics the paper's preprocessing
 //! amortization depends on. Keeping one checkout stack *per sub-pool*
 //! preserves those economics under multi-tenancy: tenants routed to

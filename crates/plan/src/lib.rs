@@ -29,43 +29,51 @@
 //!   prebuilt inspector writer map, doconsider claim order, detected
 //!   linear subscript, block size, wavefront level schedule, plus the
 //!   census and candidate prices.
-//! * [`PlanCache`] — a single-owner LRU over fingerprints with
-//!   hit/miss/eviction stats: repeated structures (solver iterations,
-//!   repeated service traffic) skip inspection entirely.
-//! * [`ConcurrentPlanCache`] — the same cache sharded over mutex-guarded
-//!   [`PlanCache`]s (routed by fingerprint high bits, merged stats,
-//!   per-key invalidation generations), servable through `&self` from many
-//!   threads — the storage behind `doacross_engine::Engine`.
-//! * [`PlanExecutor`] — variant dispatch for prebuilt plans, owning the
-//!   per-variant scratch runtimes.
+//! * [`ConcurrentPlanCache`] — the plan cache: mutex-guarded LRU shards
+//!   (routed by fingerprint high bits, merged stats, per-key invalidation
+//!   generations), servable through `&self` from many threads — the
+//!   storage behind `doacross_engine::Engine`. Repeated structures
+//!   (solver iterations, repeated service traffic) skip inspection
+//!   entirely.
+//! * [`PlanCache`] — the single-owner LRU over fingerprints with
+//!   hit/miss/eviction stats. It stays public for two reasons only: it is
+//!   [`ConcurrentPlanCache`]'s shard type, and it is the reference
+//!   `tests/proptest_concurrent.rs` compares the sharded cache against.
+//!   Nothing executes through it on its own.
+//! * [`PlanExecutor`] — variant dispatch for prebuilt plans over one
+//!   [`doacross_core::Doacross`] runtime and its one scratch.
 //! * [`persist`] — durable plans: a versioned, checksummed binary codec
 //!   for [`ExecutionPlan`] and the [`PlanStore`] snapshot format, so both
 //!   caches can [`PlanCache::snapshot`] / [`PlanCache::warm_from`] (and
 //!   the concurrent equivalents) across process restarts —
 //!   recency-preserving and invalidation-generation-aware. Loads
 //!   revalidate every record structurally instead of trusting the bytes.
-//! * [`PlannedDoacross`] — the single-owner runtime: fingerprint → cached
-//!   plan → variant dispatch, with the skip observable via
-//!   [`doacross_core::PlanProvenance`] in the returned stats. Superseded
-//!   by `doacross_engine::Engine` for anything shared or concurrent; its
-//!   `run` entry point is deprecated.
+//!
+//! There is one planned path: `doacross_engine::Engine` fingerprints a
+//! loop, serves or builds its plan through the concurrent cache, and runs
+//! it on a pooled [`PlanExecutor`], with the skip observable via
+//! [`doacross_core::PlanProvenance`] in the returned stats. The pieces
+//! compose by hand too:
 //!
 //! ```
 //! use doacross_par::ThreadPool;
-//! use doacross_plan::PlannedDoacross;
-//! use doacross_core::{PlanProvenance, TestLoop};
+//! use doacross_plan::{PlanExecutor, Planner};
+//! use doacross_core::{seq::run_sequential, DoacrossConfig, TestLoop};
 //!
 //! let pool = ThreadPool::new(2);
 //! let loop_ = TestLoop::new(1_000, 1, 8);
-//! let mut rt = PlannedDoacross::new(16);
+//! let plan = Planner::new().plan(&pool, &loop_).unwrap();
 //!
-//! let mut y = loop_.initial_y();
-//! let first = rt.run(&pool, &loop_, &mut y).unwrap();
-//! assert_eq!(first.provenance, PlanProvenance::PlanCold);
-//!
-//! let second = rt.run(&pool, &loop_, &mut y).unwrap();
-//! assert_eq!(second.provenance, PlanProvenance::PlanCached);
-//! assert_eq!(rt.cache_stats().hits, 1);
+//! // One plan, any number of executions; no inspector after the first.
+//! let mut executor = PlanExecutor::new(DoacrossConfig::default());
+//! let mut oracle = loop_.initial_y();
+//! run_sequential(&loop_, &mut oracle);
+//! for _ in 0..2 {
+//!     let mut y = loop_.initial_y();
+//!     let stats = executor.execute(&pool, &loop_, &mut y, &plan, None).unwrap();
+//!     assert_eq!(y, oracle);
+//!     assert_eq!(stats.inspector, std::time::Duration::ZERO);
+//! }
 //! ```
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
@@ -88,7 +96,7 @@ pub use fingerprint::PatternFingerprint;
 pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
 pub use plan::{ExecutionPlan, PlanVariant, VariantCosts};
 pub use planner::{detect_linear, Planner, BLOCKED_DATA_SPACE_FACTOR};
-pub use runtime::{PlanExecutor, PlannedDoacross};
+pub use runtime::PlanExecutor;
 // The verifier's verdict vocabulary, re-exported so plan consumers can
 // match on violations without depending on `doacross-verify` directly.
 pub use doacross_verify::{

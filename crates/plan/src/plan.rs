@@ -148,9 +148,9 @@ impl ExecutionPlan {
 
     /// The worker count the cost model priced the variants for. A plan
     /// applied under a different pool size still computes correct results,
-    /// but its variant choice may no longer be the cheapest —
-    /// [`crate::PlannedDoacross`] treats such a cache entry as a miss and
-    /// replans.
+    /// but its variant choice may no longer be the cheapest — the engine
+    /// treats such a cache entry as a miss and replans
+    /// ([`crate::PlanCache::get_matching`]).
     pub fn processors(&self) -> usize {
         self.processors
     }

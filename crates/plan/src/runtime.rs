@@ -1,90 +1,62 @@
-//! [`PlanExecutor`] — variant dispatch for prebuilt plans — and
-//! [`PlannedDoacross`], the single-owner planned runtime built on it.
+//! [`PlanExecutor`] — variant dispatch for prebuilt plans.
 //!
-//! [`PlanExecutor`] owns the per-variant scratch runtimes (inspected flat,
-//! linear, strip-mined) and executes any [`ExecutionPlan`] against a loop:
-//! sequential, flat doacross against the plan's prebuilt writer map,
-//! linear-subscript, doconsider-reordered, or strip-mined. It is the
-//! execution half shared by [`PlannedDoacross`] and the thread-safe
-//! `doacross_engine::Engine` (which checks executors out of a pool so
-//! concurrent callers each get private scratch). The flat variants report
-//! `inspector == 0`; a [`PlanVariant::Blocked`] plan is the one exception
-//! — strip-mined execution re-inspects per block by construction (§2.3
-//! reuses one windowed scratch allocation across blocks), so a cached
-//! blocked plan skips the planning but keeps its per-block inspector time.
+//! [`PlanExecutor`] owns one [`Doacross`] runtime — one scratch for every
+//! variant — and executes any [`ExecutionPlan`] against a loop: sequential,
+//! flat doacross against the plan's prebuilt writer map, linear-subscript,
+//! doconsider-reordered, strip-mined, or level-scheduled. It is the
+//! execution half of the thread-safe `doacross_engine::Engine`, which
+//! checks executors out of a pool so concurrent callers each get private
+//! scratch. The flat variants report `inspector == 0`; a
+//! [`PlanVariant::Blocked`] plan is the one exception — strip-mined
+//! execution re-inspects per block by construction (§2.3 reuses one
+//! windowed scratch allocation across blocks), so a cached blocked plan
+//! skips the planning but keeps its per-block inspector time.
 //!
 //! Plan-driven runs skip per-run validation (the plan already proved the
 //! structure in-bounds, injective where required, and its order
 //! topological; the fingerprint key guarantees the structure has not
 //! changed) — the executor's release-mode bounds asserts remain as the
 //! final defense.
-//!
-//! [`PlannedDoacross`] — fingerprint → LRU-cached plan → dispatch, all
-//! behind `&mut self` — predates the engine and is kept as a deprecated
-//! shim for callers that own their runtime exclusively. New code should
-//! use `doacross_engine::Engine`, which serves the same plans from a
-//! sharded concurrent cache through `&self`.
 
-use crate::cache::{CacheStats, PlanCache};
-use crate::fingerprint::PatternFingerprint;
 use crate::plan::{ExecutionPlan, PlanVariant};
-use crate::planner::Planner;
 use doacross_core::{
-    seq::run_sequential, BlockedDoacross, Doacross, DoacrossConfig, DoacrossError, DoacrossLoop,
-    LinearDoacross, PlanProvenance, RunStats, WavefrontDoacross,
+    seq::run_sequential, Doacross, DoacrossConfig, DoacrossError, DoacrossLoop, PlanProvenance,
+    RunStats,
 };
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
 use doacross_par::ThreadPool;
 use std::time::Instant;
 
-/// Executes prebuilt [`ExecutionPlan`]s, owning the per-variant scratch
-/// state (writer-map runtime, linear runtime, blocked runtime) that a plan
-/// execution needs (see module docs).
+/// Executes prebuilt [`ExecutionPlan`]s on one reusable [`Doacross`]
+/// runtime (see module docs). The runtime's scratch grows to the largest
+/// structure seen and is then reused, so a workload alternating variants or
+/// structures (e.g. an L and a U factor with different depths or block
+/// sizes) does not churn allocations, and — executing plans only — never
+/// carries a writer map unless a blocked plan runs.
 ///
-/// The configuration's `validate_terms` is forced off (validation happened
-/// at plan time) and `copy_back` forced on — results always land in `y`,
-/// uniformly across variants (a shadow-array protocol would behave
-/// differently depending on which variant the cost model picked, and this
-/// executor exposes no shadow accessor).
+/// The configuration's `validate_terms` is off: validation happened at plan
+/// time.
 #[derive(Debug)]
 pub struct PlanExecutor {
-    config: DoacrossConfig,
-    inspected: Doacross,
-    linear: LinearDoacross,
-    /// Level-scheduled runtime: its shadow array and per-level claim
-    /// counters grow to the largest structure seen and are then reused, so
-    /// a workload alternating wavefront structures (e.g. an L and a U
-    /// factor with different depths) does not churn allocations.
-    wavefront: WavefrontDoacross,
-    /// One strip-mined runtime per block size seen, so a workload
-    /// alternating blocked structures (e.g. L and U factors with
-    /// different legal block sizes) reuses each one's windowed scratch
-    /// instead of reallocating it every execute. Bounded by the distinct
-    /// block sizes this executor encounters.
-    blocked: std::collections::HashMap<usize, BlockedDoacross>,
+    runtime: Doacross,
 }
 
 impl PlanExecutor {
     /// Executor with the given doacross configuration (`schedule` and
-    /// `wait` honored; `validate_terms`/`copy_back` forced, see type docs).
+    /// `wait` honored; `validate_terms` off, see type docs).
     pub fn new(config: DoacrossConfig) -> Self {
         let config = DoacrossConfig {
             validate_terms: false,
-            copy_back: true,
             ..config
         };
         Self {
-            config,
-            inspected: Doacross::with_config(0, config),
-            linear: LinearDoacross::with_config(0, config),
-            wavefront: WavefrontDoacross::with_config(0, config),
-            blocked: std::collections::HashMap::new(),
+            runtime: Doacross::with_config(0, config),
         }
     }
 
-    /// The (forced) configuration executions run under.
+    /// The configuration executions run under.
     pub fn config(&self) -> &DoacrossConfig {
-        &self.config
+        self.runtime.config()
     }
 
     /// Runs `loop_` under `plan`, dispatching to the plan's variant.
@@ -93,28 +65,17 @@ impl PlanExecutor {
     /// planner can select. The returned stats report
     /// [`PlanProvenance::PlanCold`]; callers that know the plan came from
     /// a cache overwrite the provenance.
-    pub fn execute<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        plan: &ExecutionPlan,
-    ) -> Result<RunStats, DoacrossError> {
-        self.execute_profiled(pool, loop_, y, plan, None)
-    }
-
-    /// Like [`PlanExecutor::execute`], but deposits per-worker profiling
-    /// spans into `prof` when one is supplied (`None` keeps the exact
-    /// unprofiled code paths).
     ///
-    /// Span fidelity varies by variant. The flat doacross variants
-    /// (`Doacross`/`Reordered`) record fine-grained work spans and
-    /// per-stall flag waits; `Wavefront` records per-level work and
-    /// barrier-wait spans. `Sequential`, `Linear`, and `Blocked` record
-    /// one coarse whole-run work span on worker 0 — enough for the
-    /// critical-path and wait-fraction accounting to stay total-correct,
-    /// without threading timers through their inner loops.
-    pub fn execute_profiled<L: DoacrossLoop + ?Sized>(
+    /// With `prof` set, per-worker profiling spans are deposited there
+    /// (`None` costs one branch per would-be span). Span fidelity varies by
+    /// variant. The flat doacross variants (`Doacross`/`Reordered`) record
+    /// fine-grained work spans and per-stall flag waits; `Wavefront`
+    /// records per-level work and barrier-wait spans. `Sequential`,
+    /// `Linear`, and `Blocked` record one coarse whole-run work span on
+    /// worker 0 — enough for the critical-path and wait-fraction accounting
+    /// to stay total-correct, without threading timers through their inner
+    /// loops.
+    pub fn execute<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
         loop_: &L,
@@ -137,221 +98,61 @@ impl PlanExecutor {
                 expected: data_len,
             });
         }
-        match plan.variant() {
+        let rt = &mut self.runtime;
+        let span_start = prof.map(|arena| arena.now_ns());
+        let mut stats = match plan.variant() {
             PlanVariant::Sequential => {
-                let span_start = prof.map(|arena| arena.now_ns());
                 let start = Instant::now();
                 run_sequential(loop_, y);
-                let stats = RunStats {
+                RunStats {
                     iterations: loop_.iterations(),
                     workers: 1,
                     blocks: 1,
                     total: start.elapsed(),
-                    provenance: PlanProvenance::PlanCold,
                     ..Default::default()
-                };
-                coarse_work_span(prof, span_start, loop_.iterations());
-                Ok(stats)
+                }
             }
             PlanVariant::Doacross => {
                 let prepared = plan.prepared().expect("doacross plan carries a map");
-                self.inspected
-                    .run_planned_profiled(pool, loop_, y, prepared, None, prof)
+                return rt.run_planned(pool, loop_, y, prepared, None, prof);
             }
             PlanVariant::Reordered => {
                 let prepared = plan.prepared().expect("reordered plan carries a map");
                 let order = plan.order().expect("reordered plan carries an order");
-                self.inspected
-                    .run_planned_profiled(pool, loop_, y, prepared, Some(order), prof)
-            }
-            PlanVariant::Linear(subscript) => {
-                let span_start = prof.map(|arena| arena.now_ns());
-                let mut stats = self.linear.run(pool, loop_, subscript, y)?;
-                stats.provenance = PlanProvenance::PlanCold;
-                coarse_work_span(prof, span_start, loop_.iterations());
-                Ok(stats)
-            }
-            PlanVariant::Blocked { block_size } => {
-                let blocked = match self.blocked.entry(block_size) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(BlockedDoacross::with_config(block_size, self.config)?)
-                    }
-                };
-                let span_start = prof.map(|arena| arena.now_ns());
-                let mut stats = blocked.run(pool, loop_, y)?;
-                stats.provenance = PlanProvenance::PlanCold;
-                coarse_work_span(prof, span_start, loop_.iterations());
-                Ok(stats)
+                return rt.run_planned(pool, loop_, y, prepared, Some(order), prof);
             }
             PlanVariant::Wavefront => {
                 let schedule = plan
                     .level_schedule()
                     .expect("wavefront plan carries its level schedule");
-                let stats = self
-                    .wavefront
-                    .run_chunked_profiled(pool, loop_, y, schedule, None, prof)?;
-                debug_assert_eq!(stats.wait_polls, 0, "wavefront runs never poll");
-                Ok(stats)
+                return rt.run_wavefront(pool, loop_, y, schedule, None, prof);
             }
-        }
-    }
-}
-
-/// Deposits the single coarse whole-run work span the non-instrumented
-/// variants (`Sequential`/`Linear`/`Blocked`) report — attributed to
-/// worker 0, `aux` = iterations (see [`PlanExecutor::execute_profiled`]).
-#[inline]
-fn coarse_work_span(prof: Option<&ProfArena>, span_start: Option<u64>, iterations: usize) {
-    if let (Some(arena), Some(started)) = (prof, span_start) {
-        let end = arena.now_ns();
-        arena.record(
-            0,
-            SpanKind::Work,
-            NO_LEVEL,
-            started,
-            end.saturating_sub(started),
-            iterations as u64,
-        );
-    }
-}
-
-/// Plan-driven doacross runtime with an LRU plan cache (see module docs).
-///
-/// ```
-/// use doacross_par::ThreadPool;
-/// use doacross_plan::PlannedDoacross;
-/// use doacross_core::{seq::run_sequential, PlanProvenance, TestLoop};
-///
-/// let pool = ThreadPool::new(2);
-/// let loop_ = TestLoop::new(500, 2, 8);
-/// let mut rt = PlannedDoacross::new(8);
-///
-/// let mut y1 = loop_.initial_y();
-/// let cold = rt.run(&pool, &loop_, &mut y1).unwrap();
-/// assert_eq!(cold.provenance, PlanProvenance::PlanCold);
-///
-/// let mut y2 = loop_.initial_y();
-/// let hot = rt.run(&pool, &loop_, &mut y2).unwrap();
-/// assert_eq!(hot.provenance, PlanProvenance::PlanCached);
-///
-/// let mut oracle = loop_.initial_y();
-/// run_sequential(&loop_, &mut oracle);
-/// assert_eq!(y1, oracle);
-/// assert_eq!(y2, oracle);
-/// ```
-#[derive(Debug)]
-pub struct PlannedDoacross {
-    planner: Planner,
-    cache: PlanCache,
-    executor: PlanExecutor,
-}
-
-impl PlannedDoacross {
-    /// Runtime with the default (Multimax-calibrated) planner and a plan
-    /// cache of `cache_capacity` entries.
-    pub fn new(cache_capacity: usize) -> Self {
-        Self::with_parts(cache_capacity, Planner::new(), DoacrossConfig::default())
-    }
-
-    /// Runtime with an explicit planner and doacross configuration.
-    /// `schedule` and `wait` are honored; `validate_terms` is forced off
-    /// (validation happened at plan time) and `copy_back` is forced on —
-    /// results always land in `y`, uniformly across variants (a
-    /// shadow-array protocol would behave differently depending on which
-    /// variant the cost model picked, and this runtime exposes no shadow
-    /// accessor).
-    pub fn with_parts(cache_capacity: usize, planner: Planner, config: DoacrossConfig) -> Self {
-        Self {
-            planner,
-            cache: PlanCache::new(cache_capacity),
-            executor: PlanExecutor::new(config),
-        }
-    }
-
-    /// The planner in use.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// The plan cache.
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
-    /// Mutable access to the plan cache (e.g. to clear it or pre-warm it).
-    pub fn cache_mut(&mut self) -> &mut PlanCache {
-        &mut self.cache
-    }
-
-    /// Shortcut for the cache's traffic counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Runs `loop_`, planning (and caching the plan) on first sight of its
-    /// access pattern and skipping all preprocessing thereafter.
-    ///
-    /// Results are bit-identical to [`run_sequential`] for every variant
-    /// the planner can select. The returned stats carry
-    /// [`PlanProvenance::PlanCold`] when the plan was built by this call
-    /// and [`PlanProvenance::PlanCached`] when it was served from cache.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use doacross_engine::Engine::{run, prepare}: a thread-safe, \
-                Arc-shareable session with a sharded concurrent plan cache"
-    )]
-    pub fn run<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-    ) -> Result<RunStats, DoacrossError> {
-        let fingerprint = PatternFingerprint::of(loop_);
-        // A plan priced for a different worker count computes the same
-        // results but may pick the wrong variant; treat it as a miss and
-        // replan (the insert below replaces the stale entry).
-        let processors = pool.threads();
-        let cached = self
-            .cache
-            .get_matching(&fingerprint, |plan| plan.processors() == processors);
-        let (plan, hit) = match cached {
-            Some(plan) => (plan, true),
-            None => {
-                let plan = std::sync::Arc::new(self.planner.plan_with_fingerprint(
-                    pool,
-                    loop_,
-                    fingerprint,
-                )?);
-                self.cache.insert(std::sync::Arc::clone(&plan));
-                (plan, false)
-            }
+            PlanVariant::Linear(subscript) => rt.run_linear(pool, loop_, y, subscript, None)?,
+            PlanVariant::Blocked { block_size } => rt.run_blocked(pool, loop_, y, block_size)?,
         };
-        let mut stats = self.executor.execute(pool, loop_, y, &plan)?;
-        stats.provenance = if hit {
-            PlanProvenance::PlanCached
-        } else {
-            PlanProvenance::PlanCold
-        };
+        // The variants without span sites of their own (`Sequential`,
+        // `Linear`, `Blocked`): one whole-run work span on worker 0, `aux` =
+        // iterations.
+        stats.provenance = PlanProvenance::PlanCold;
+        if let (Some(arena), Some(started)) = (prof, span_start) {
+            let end = arena.now_ns();
+            arena.record(
+                0,
+                SpanKind::Work,
+                NO_LEVEL,
+                started,
+                end.saturating_sub(started),
+                loop_.iterations() as u64,
+            );
+        }
         Ok(stats)
-    }
-
-    /// Runs `loop_` under an explicitly supplied plan, bypassing the cache
-    /// (stats report [`PlanProvenance::PlanCold`]).
-    pub fn run_with_plan<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        plan: &ExecutionPlan,
-    ) -> Result<RunStats, DoacrossError> {
-        self.executor.execute(pool, loop_, y, plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Planner;
     use doacross_core::{IndirectLoop, TestLoop};
 
     fn pool() -> ThreadPool {
@@ -365,41 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn cold_then_cached_runs_match_oracle_bitwise() {
-        let p = pool();
-        let mut rt = PlannedDoacross::new(4);
-        for l in [2usize, 7, 8] {
-            let loop_ = TestLoop::new(400, 3, l);
-            let y0 = loop_.initial_y();
-            let expect = oracle(&loop_, &y0);
-            let mut y_cold = y0.clone();
-            let cold = rt.run(&p, &loop_, &mut y_cold).unwrap();
-            assert_eq!(cold.provenance, PlanProvenance::PlanCold, "L={l}");
-            assert_eq!(y_cold, expect, "L={l} cold");
-            for round in 0..3 {
-                let mut y_hot = y0.clone();
-                let hot = rt.run(&p, &loop_, &mut y_hot).unwrap();
-                assert_eq!(
-                    hot.provenance,
-                    PlanProvenance::PlanCached,
-                    "L={l} round {round}"
-                );
-                assert_eq!(
-                    hot.inspector,
-                    std::time::Duration::ZERO,
-                    "cache hits never inspect"
-                );
-                assert_eq!(y_hot, expect, "L={l} round {round}");
-            }
-        }
-        assert_eq!(rt.cache_stats().misses, 3);
-        assert_eq!(rt.cache_stats().hits, 9);
-    }
-
-    #[test]
     fn every_variant_matches_the_oracle() {
         let p = pool();
-        let mut rt = PlannedDoacross::new(8);
+        let planner = Planner::new();
+        let mut rt = PlanExecutor::new(DoacrossConfig::default());
 
         // Sequential (serial chain).
         let n = 60;
@@ -408,7 +178,8 @@ mod tests {
         let chain = IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
         let y0 = vec![1.0; n + 1];
         let mut y = y0.clone();
-        rt.run(&p, &chain, &mut y).unwrap();
+        let plan = planner.plan(&p, &chain).unwrap();
+        rt.execute(&p, &chain, &mut y, &plan, None).unwrap();
         assert_eq!(y, oracle(&chain, &y0));
 
         // Blocked (non-injective, wide write gap, real work per term).
@@ -419,7 +190,8 @@ mod tests {
         let dup = IndirectLoop::new(period, a2, rhs2, vec![vec![0.5]; n2]).unwrap();
         let y0 = vec![1.0; period];
         let mut y = y0.clone();
-        let stats = rt.run(&p, &dup, &mut y).unwrap();
+        let plan = planner.plan(&p, &dup).unwrap();
+        let stats = rt.execute(&p, &dup, &mut y, &plan, None).unwrap();
         assert_eq!(y, oracle(&dup, &y0));
         assert!(stats.blocks >= 2, "blocked plan executes in blocks");
 
@@ -435,50 +207,22 @@ mod tests {
         let braided = IndirectLoop::new(n3, a3, rhs3, coeff3).unwrap();
         let y0 = vec![1.0; n3];
         let mut y = y0.clone();
-        rt.run(&p, &braided, &mut y).unwrap();
+        let plan = planner.plan(&p, &braided).unwrap();
+        rt.execute(&p, &braided, &mut y, &plan, None).unwrap();
         assert_eq!(y, oracle(&braided, &y0));
     }
 
     #[test]
-    fn pool_size_change_replans_instead_of_reusing_a_stale_plan() {
-        // A wide doall: 1 worker can't beat sequential, 4 workers can —
-        // the same fingerprint must not serve both pool sizes.
-        let loop_ = TestLoop::new(4_000, 1, 7);
-        let mut rt = PlannedDoacross::new(4);
-        let one = ThreadPool::new(1);
-        let four = ThreadPool::new(4);
-
-        let mut y = loop_.initial_y();
-        let first = rt.run(&one, &loop_, &mut y).unwrap();
-        assert_eq!(first.provenance, PlanProvenance::PlanCold);
-
-        // Different worker count: the cached plan's pricing is stale, so
-        // this must be a fresh (cold) plan, not a cache hit.
-        let mut y = loop_.initial_y();
-        let repriced = rt.run(&four, &loop_, &mut y).unwrap();
-        assert_eq!(repriced.provenance, PlanProvenance::PlanCold);
-
-        // Same worker count again: now it hits.
-        let mut y = loop_.initial_y();
-        let hot = rt.run(&four, &loop_, &mut y).unwrap();
-        assert_eq!(hot.provenance, PlanProvenance::PlanCached);
-        assert_eq!(rt.cache_stats().misses, 2);
-        assert_eq!(rt.cache_stats().hits, 1);
-        assert_eq!(rt.cache().len(), 1, "replacement, not a second entry");
-    }
-
-    #[test]
-    fn explicit_plan_bypasses_the_cache() {
+    fn explicit_plan_executes_cold() {
         let p = pool();
         let loop_ = TestLoop::new(200, 1, 7);
         let plan = Planner::new().plan(&p, &loop_).unwrap();
-        let mut rt = PlannedDoacross::new(2);
+        let mut rt = PlanExecutor::new(DoacrossConfig::default());
         let y0 = loop_.initial_y();
         let mut y = y0.clone();
-        let stats = rt.run_with_plan(&p, &loop_, &mut y, &plan).unwrap();
+        let stats = rt.execute(&p, &loop_, &mut y, &plan, None).unwrap();
         assert_eq!(y, oracle(&loop_, &y0));
         assert_eq!(stats.provenance, PlanProvenance::PlanCold);
-        assert!(rt.cache().is_empty());
     }
 
     #[test]
@@ -487,29 +231,9 @@ mod tests {
         let small = TestLoop::new(50, 1, 7);
         let big = TestLoop::new(60, 1, 7);
         let plan = Planner::new().plan(&p, &small).unwrap();
-        let mut rt = PlannedDoacross::new(2);
+        let mut rt = PlanExecutor::new(DoacrossConfig::default());
         let mut y = big.initial_y();
-        let err = rt.run_with_plan(&p, &big, &mut y, &plan).unwrap_err();
+        let err = rt.execute(&p, &big, &mut y, &plan, None).unwrap_err();
         assert!(matches!(err, DoacrossError::PlanMismatch { .. }));
-    }
-
-    #[test]
-    fn structure_sharing_across_value_changes() {
-        // Same structure, different coefficients: one plan, many runs.
-        let p = pool();
-        let mut rt = PlannedDoacross::new(2);
-        for coeff in [0.25f64, 0.5, 0.75] {
-            let n = 300;
-            let a: Vec<usize> = (0..n).map(|i| (i + 1) % n).collect();
-            let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + n - 3) % n]).collect();
-            let loop_ = IndirectLoop::new(n, a, rhs, vec![vec![coeff]; n]).unwrap();
-            let y0: Vec<f64> = (0..n).map(|e| 1.0 + (e % 5) as f64).collect();
-            let mut y = y0.clone();
-            rt.run(&p, &loop_, &mut y).unwrap();
-            assert_eq!(y, oracle(&loop_, &y0), "coeff {coeff}");
-        }
-        let s = rt.cache_stats();
-        assert_eq!(s.misses, 1, "structure planned once");
-        assert_eq!(s.hits, 2, "value changes hit the cached plan");
     }
 }

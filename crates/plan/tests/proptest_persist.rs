@@ -89,7 +89,7 @@ proptest! {
         run_sequential(&loop_, &mut expect);
         let mut y = y0.clone();
         PlanExecutor::new(DoacrossConfig::default())
-            .execute(&pool, &loop_, &mut y, &decoded)
+            .execute(&pool, &loop_, &mut y, &decoded, None)
             .expect("a revalidated plan executes");
         prop_assert_eq!(&y, &expect, "deserialized plan is bit-identical");
     }
@@ -116,7 +116,7 @@ proptest! {
         run_sequential(&loop_, &mut expect);
         let mut y = y0.clone();
         let stats = PlanExecutor::new(DoacrossConfig::default())
-            .execute(&pool, &loop_, &mut y, &decoded)
+            .execute(&pool, &loop_, &mut y, &decoded, None)
             .expect("a revalidated plan executes");
         prop_assert_eq!(&y, &expect, "deserialized wavefront plan is bit-identical");
         prop_assert_eq!(stats.wait_polls, 0, "no busy waiting through the persisted path");

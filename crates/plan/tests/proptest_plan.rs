@@ -1,18 +1,13 @@
 //! Property-based tests of the plan subsystem: for *any* runtime-generated
-//! pattern, a planned run — cold or cached — is bit-identical to the
-//! sequential oracle, fingerprints are stable and collision-free across
-//! generated structures, and the cache actually serves hits.
+//! pattern, a planned run — the plan's first execution or a later one — is
+//! bit-identical to the sequential oracle, fingerprints are stable and
+//! collision-free across generated structures, and the cache actually
+//! serves hits.
 
-// The deprecated single-owner entry points stay covered for as long as the
-// shims exist.
-#![allow(deprecated)]
-
-use doacross_core::{
-    seq::run_sequential, DoacrossConfig, IndirectLoop, PlanProvenance, WavefrontDoacross,
-};
+use doacross_core::{seq::run_sequential, Doacross, DoacrossConfig, IndirectLoop, PlanProvenance};
 use doacross_obs::profile::{ProfArena, SpanKind};
 use doacross_par::{Schedule, ThreadPool};
-use doacross_plan::{PatternFingerprint, PlanCache, PlanCensus, PlannedDoacross, Planner};
+use doacross_plan::{PatternFingerprint, PlanCache, PlanCensus, PlanExecutor, Planner};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -69,22 +64,22 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
     #[test]
-    fn planned_runs_cold_and_cached_match_sequential((loop_, y0) in arb_loop(40)) {
+    fn planned_runs_first_and_repeated_match_sequential((loop_, y0) in arb_loop(40)) {
         let pool = ThreadPool::new(3);
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
 
-        let mut rt = PlannedDoacross::new(4);
+        let plan = Planner::new().plan(&pool, &loop_).expect("injective lhs");
+        let mut rt = PlanExecutor::new(DoacrossConfig::default());
         let mut y_cold = y0.clone();
-        let cold = rt.run(&pool, &loop_, &mut y_cold).expect("injective lhs");
+        let cold = rt.execute(&pool, &loop_, &mut y_cold, &plan, None).expect("first");
         prop_assert_eq!(cold.provenance, PlanProvenance::PlanCold);
         prop_assert_eq!(&y_cold, &expect);
 
         let mut y_hot = y0.clone();
-        let hot = rt.run(&pool, &loop_, &mut y_hot).expect("cached");
-        prop_assert_eq!(hot.provenance, PlanProvenance::PlanCached);
+        let hot = rt.execute(&pool, &loop_, &mut y_hot, &plan, None).expect("repeated");
         prop_assert_eq!(hot.inspector, std::time::Duration::ZERO);
-        prop_assert_eq!(&y_hot, &expect, "cached run must be bit-identical");
+        prop_assert_eq!(&y_hot, &expect, "repeated run must be bit-identical");
         prop_assert_eq!(&y_hot, &y_cold);
     }
 
@@ -95,10 +90,11 @@ proptest! {
         let pool = ThreadPool::new(3);
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
-        let mut rt = PlannedDoacross::new(4);
+        let plan = Planner::new().plan(&pool, &loop_).expect("every pattern is plannable");
+        let mut rt = PlanExecutor::new(DoacrossConfig::default());
         for _ in 0..2 {
             let mut y = y0.clone();
-            rt.run(&pool, &loop_, &mut y).expect("every pattern is plannable");
+            rt.execute(&pool, &loop_, &mut y, &plan, None).expect("legal variant");
             prop_assert_eq!(&y, &expect);
         }
     }
@@ -131,13 +127,13 @@ proptest! {
                 Schedule::Guided { min_chunk: 2 },
             ] {
                 let config = DoacrossConfig { schedule: claiming, ..DoacrossConfig::default() };
-                let mut rt = WavefrontDoacross::with_config(loop_.data_len(), config);
+                let mut rt = Doacross::with_config(loop_.data_len(), config);
                 for chunk in [None, Some(1), Some(3), Some(1000)] {
                     let case = format!("{workers} workers, {claiming:?}, chunk {chunk:?}");
                     arena.reset();
                     let mut y = y0.clone();
                     let stats = rt
-                        .run_chunked_profiled(&pool, &loop_, &mut y, &schedule, chunk, Some(&arena))
+                        .run_wavefront(&pool, &loop_, &mut y, &schedule, chunk, Some(&arena))
                         .expect("valid");
                     let bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
                     prop_assert_eq!(&bits, &expect, "{}", case);
@@ -229,11 +225,11 @@ proptest! {
             .expect("plannable");
         let held: Arc<_> = Arc::clone(&plan);
         cache.clear();
-        let mut rt = PlannedDoacross::new(0);
+        let mut rt = PlanExecutor::new(DoacrossConfig::default());
         let mut y = y0.clone();
         let mut expect = y0;
         run_sequential(&loop_, &mut expect);
-        rt.run_with_plan(&pool, &loop_, &mut y, &held).expect("valid plan");
+        rt.execute(&pool, &loop_, &mut y, &held, None).expect("valid plan");
         prop_assert_eq!(&y, &expect);
     }
 }

@@ -18,7 +18,6 @@
 use crate::cost::CostModel;
 use doacross_core::{
     seq::run_sequential, Doacross, IndirectLoop, LevelSchedule, OperandClass, TestLoop,
-    WavefrontDoacross,
 };
 use doacross_par::ThreadPool;
 use std::time::{Duration, Instant};
@@ -103,8 +102,8 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
     };
 
     // Level hand-off, measured on the executor that performs it: a chain
-    // (one iteration per level) run by `WavefrontDoacross` on two workers,
-    // minus the same loop's sequential time, per level boundary. Nothing
+    // (one iteration per level) run by `Doacross::run_wavefront` on two
+    // workers, minus the same loop's sequential time, per level boundary. Nothing
     // forces the workers to alternate, exactly as nothing does in a real
     // solve: where they run side by side the count's cache line changes
     // hands between levels, where they are time-sliced on one CPU whoever
@@ -133,11 +132,11 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
             e
         });
         let two = ThreadPool::new(2);
-        let mut rt = WavefrontDoacross::new(LEVELS + 1);
+        let mut rt = Doacross::new(LEVELS + 1);
         let t = best_of(reps, || {
             let mut y = y0.clone();
             let start = Instant::now();
-            rt.run(&two, &chain, &mut y, &schedule)
+            rt.run_wavefront(&two, &chain, &mut y, &schedule, None, None)
                 .expect("chain schedule");
             let e = start.elapsed();
             std::hint::black_box(&y);

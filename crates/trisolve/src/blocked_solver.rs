@@ -10,7 +10,7 @@
 //! use the flags as usual.
 
 use crate::fig7::TriSolveLoop;
-use doacross_core::{BlockedDoacross, DoacrossConfig, DoacrossError, RunStats};
+use doacross_core::{Doacross, DoacrossConfig, DoacrossError, RunStats};
 use doacross_par::ThreadPool;
 use doacross_sparse::TriangularMatrix;
 
@@ -18,7 +18,8 @@ use doacross_sparse::TriangularMatrix;
 /// outer step.
 #[derive(Debug)]
 pub struct BlockedSolver {
-    runtime: BlockedDoacross,
+    block_size: usize,
+    runtime: Doacross,
 }
 
 impl BlockedSolver {
@@ -29,20 +30,24 @@ impl BlockedSolver {
 
     /// Solver with explicit doacross configuration.
     pub fn with_config(block_size: usize, config: DoacrossConfig) -> Result<Self, DoacrossError> {
+        if block_size == 0 {
+            return Err(DoacrossError::EmptyBlock);
+        }
         Ok(Self {
-            runtime: BlockedDoacross::with_config(block_size, config)?,
+            block_size,
+            runtime: Doacross::with_config(0, config),
         })
     }
 
     /// Rows per block.
     pub fn block_size(&self) -> usize {
-        self.runtime.block_size()
+        self.block_size
     }
 
     /// Scratch elements currently allocated — at most `block_size` for the
     /// identity-subscript solve, vs. `n` for the flat solver.
     pub fn scratch_capacity(&self) -> usize {
-        self.runtime.scratch_capacity()
+        self.runtime.data_len()
     }
 
     /// Solves `L y = rhs`; bit-identical to the sequential solve.
@@ -54,7 +59,9 @@ impl BlockedSolver {
     ) -> Result<(Vec<f64>, RunStats), DoacrossError> {
         let loop_ = TriSolveLoop::new(l, rhs);
         let mut y = vec![0.0; l.n()];
-        let stats = self.runtime.run(pool, &loop_, &mut y)?;
+        let stats = self
+            .runtime
+            .run_blocked(pool, &loop_, &mut y, self.block_size)?;
         Ok((y, stats))
     }
 }

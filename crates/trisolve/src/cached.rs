@@ -16,15 +16,11 @@
 //! structures — e.g. the L and U factors of several preconditioners in one
 //! service — and because every entry point is `&self`, one solver instance
 //! serves concurrent solve threads without external locking.
-//!
-//! [`PlanCachedSolver`] is the pre-engine `&mut` API, kept as a thin
-//! deprecated shim over a private engine.
 
 use crate::fig7::TriSolveLoop;
-use doacross_core::{DoacrossConfig, DoacrossError, RunStats};
+use doacross_core::RunStats;
 use doacross_engine::{Engine, EngineError, PreparedLoop};
-use doacross_par::ThreadPool;
-use doacross_plan::{CacheStats, Planner};
+use doacross_plan::CacheStats;
 use doacross_sparse::TriangularMatrix;
 
 /// Thread-safe preprocessed-doacross triangular solver over a shared
@@ -119,99 +115,6 @@ impl EngineSolver {
     /// Plan-cache traffic counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.engine.cache_stats()
-    }
-}
-
-/// Pre-engine plan-cached solver: `&mut self`, caller-supplied pool.
-///
-/// Kept as a compatibility shim: internally it lazily builds a private
-/// [`Engine`] sized to the worker count of the pool passed to
-/// [`PlanCachedSolver::solve`] (solves run on the engine's own workers;
-/// the passed pool only determines the count, and a count change rebuilds
-/// the engine, dropping cached plans). New code should construct an
-/// [`EngineSolver`] over a shared engine instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use EngineSolver over a shared doacross_engine::Engine; this shim \
-            spawns a private engine per worker-count and cannot be shared \
-            across threads"
-)]
-#[derive(Debug)]
-pub struct PlanCachedSolver {
-    cache_capacity: usize,
-    planner: Planner,
-    config: DoacrossConfig,
-    engine: Option<Engine>,
-}
-
-#[allow(deprecated)]
-impl PlanCachedSolver {
-    /// Solver holding up to `cache_capacity` structure plans.
-    pub fn new(cache_capacity: usize) -> Self {
-        Self::with_parts(cache_capacity, Planner::new(), DoacrossConfig::default())
-    }
-
-    /// Solver with an explicit planner (e.g. host-calibrated costs) and
-    /// doacross configuration.
-    pub fn with_parts(cache_capacity: usize, planner: Planner, config: DoacrossConfig) -> Self {
-        Self {
-            cache_capacity,
-            planner,
-            config,
-            engine: None,
-        }
-    }
-
-    /// Solves `L y = rhs`; see [`EngineSolver::solve`]. `pool` supplies
-    /// the worker count the internal engine runs with.
-    pub fn solve(
-        &mut self,
-        pool: &ThreadPool,
-        l: &TriangularMatrix,
-        rhs: &[f64],
-    ) -> Result<(Vec<f64>, RunStats), DoacrossError> {
-        let workers = pool.threads();
-        if self.engine.as_ref().is_none_or(|e| e.threads() != workers) {
-            self.engine = Some(
-                Engine::builder()
-                    .workers(workers)
-                    .cache_capacity(self.cache_capacity)
-                    .planner(self.planner.clone())
-                    .config(self.config)
-                    .build(),
-            );
-        }
-        let engine = self.engine.as_ref().expect("just ensured");
-        let loop_ = TriSolveLoop::new(l, rhs);
-        let mut y = vec![0.0; l.n()];
-        match engine.run(&loop_, &mut y) {
-            Ok(stats) => Ok((y, stats)),
-            Err(EngineError::Doacross(err)) => Err(err),
-            Err(
-                EngineError::StalePlan { .. }
-                | EngineError::Persist(_)
-                | EngineError::Saturated { .. }
-                | EngineError::Unsound(_)
-                | EngineError::SolvePanicked { .. }
-                | EngineError::SolveTimeout { .. },
-            ) => {
-                unreachable!(
-                    "the shim never invalidates, warm-starts, saturates, or explicitly \
-                     verifies its private engine (default admission bounds are far above \
-                     one caller, and run() does not call verify_plan); fault containment \
-                     cannot surface either: no solve deadline is configured and the \
-                     default sequential fallback absorbs worker panics"
-                )
-            }
-        }
-    }
-
-    /// Plan-cache traffic counters (zeroed until the first solve).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.engine
-            .as_ref()
-            .map(Engine::cache_stats)
-            .unwrap_or_default()
     }
 }
 
@@ -375,35 +278,5 @@ mod tests {
             stats.workers > 1,
             "expected a parallel plan for a wide wavefront structure"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_solves_exactly() {
-        let l = grid_factor(9, 9, 21);
-        let pool = ThreadPool::new(2);
-        let mut shim = PlanCachedSolver::new(4);
-        assert_eq!(shim.cache_stats(), CacheStats::default());
-        for round in 0..3 {
-            let rhs = vec![1.0 + round as f64 * 0.5; l.n()];
-            let (y, stats) = shim.solve(&pool, &l, &rhs).unwrap();
-            assert_eq!(y, l.forward_solve(&rhs), "round {round}");
-            assert_eq!(
-                stats.provenance,
-                if round == 0 {
-                    PlanProvenance::PlanCold
-                } else {
-                    PlanProvenance::PlanCached
-                }
-            );
-        }
-        assert_eq!(shim.cache_stats().hits, 2);
-
-        // A pool-size change rebuilds the private engine (fresh cache).
-        let bigger = ThreadPool::new(4);
-        let rhs = vec![2.0; l.n()];
-        let (y, stats) = shim.solve(&bigger, &l, &rhs).unwrap();
-        assert_eq!(y, l.forward_solve(&rhs));
-        assert_eq!(stats.provenance, PlanProvenance::PlanCold);
     }
 }

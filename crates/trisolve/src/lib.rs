@@ -5,7 +5,8 @@
 //! "determined by the values assigned to the data structure column during
 //! program execution" (Figure 7) and therefore invisible to a compiler.
 //!
-//! Four solvers over the same [`TriangularMatrix`]:
+//! Four solvers over the same [`TriangularMatrix`], the parallel ones each
+//! a thin wrapper over one `doacross_core::Doacross` runtime:
 //!
 //! * [`seq::solve_sequential`] — Figure 7 verbatim; the paper's `T_seq`.
 //! * [`solver::DoacrossSolver`] — the preprocessed doacross solve
@@ -23,9 +24,9 @@
 //! (cost-model selected variant + captured preprocessing) held in a
 //! sharded concurrent LRU cache, so repeated solves — the
 //! Krylov-iteration workload — skip preprocessing entirely, and one
-//! solver instance serves concurrent solve threads through `&self`.
-//! (The pre-engine [`cached::PlanCachedSolver`] remains as a deprecated
-//! `&mut` shim.)
+//! solver instance serves concurrent solve threads through `&self`. It
+//! is the only planned path; the solvers above pin one strategy each for
+//! the Table 1 / Figure 6 comparisons.
 //!
 //! All four produce bit-identical results (same per-row reduction order),
 //! which the test suites exploit.
@@ -49,8 +50,6 @@ pub mod verify;
 
 pub use blocked_solver::BlockedSolver;
 pub use cached::EngineSolver;
-#[allow(deprecated)]
-pub use cached::PlanCachedSolver;
 pub use fig7::TriSolveLoop;
 pub use level_sched::LevelScheduledSolver;
 pub use plan::SolvePlan;

@@ -11,7 +11,6 @@
 //! mutually independent rows, so waiting collapses to the level-boundary
 //! stragglers instead of every dependent pair.
 
-use crate::fig7::TriSolveLoop;
 use crate::plan::SolvePlan;
 use crate::solver::{DoacrossSolver, SolverBackend};
 use doacross_core::{DoacrossConfig, DoacrossError, RunStats};
@@ -94,9 +93,8 @@ impl ReorderedSolver {
         {
             self.prepare(l);
         }
-        let order = self.plan.as_ref().expect("plan prepared").order.clone();
-        let _ = TriSolveLoop::new(l, rhs); // shape check (rhs length)
-        self.inner.solve_ordered(pool, l, rhs, Some(&order))
+        let order = &self.plan.as_ref().expect("plan prepared").order;
+        self.inner.solve_ordered(pool, l, rhs, Some(order))
     }
 }
 

@@ -2,7 +2,7 @@
 //! "Preprocessed Doacross").
 
 use crate::fig7::TriSolveLoop;
-use doacross_core::{Doacross, DoacrossConfig, DoacrossError, LinearDoacross, RunStats};
+use doacross_core::{Doacross, DoacrossConfig, DoacrossError, RunStats};
 use doacross_par::ThreadPool;
 use doacross_sparse::TriangularMatrix;
 
@@ -35,8 +35,7 @@ pub enum SolverBackend {
 #[derive(Debug)]
 pub struct DoacrossSolver {
     backend: SolverBackend,
-    linear: LinearDoacross,
-    inspected: Doacross,
+    runtime: Doacross,
 }
 
 impl DoacrossSolver {
@@ -50,8 +49,7 @@ impl DoacrossSolver {
     pub fn with_config(n: usize, backend: SolverBackend, config: DoacrossConfig) -> Self {
         Self {
             backend,
-            linear: LinearDoacross::with_config(n, config),
-            inspected: Doacross::with_config(n, config),
+            runtime: Doacross::with_config(n, config),
         }
     }
 
@@ -60,7 +58,7 @@ impl DoacrossSolver {
         self.backend
     }
 
-    /// Selects the backend (useful for ablations on one allocation).
+    /// Selects the backend (both run on the one runtime's scratch).
     pub fn set_backend(&mut self, backend: SolverBackend) {
         self.backend = backend;
     }
@@ -93,16 +91,11 @@ impl DoacrossSolver {
         // so y's initial contents are arbitrary.
         let mut y = vec![0.0; l.n()];
         let stats = match self.backend {
-            SolverBackend::Linear => self.linear.run_with_order(
-                pool,
-                &loop_,
-                TriSolveLoop::subscript(),
-                &mut y,
-                order,
-            )?,
-            SolverBackend::Inspected => {
-                self.inspected.run_with_order(pool, &loop_, &mut y, order)?
+            SolverBackend::Linear => {
+                self.runtime
+                    .run_linear(pool, &loop_, &mut y, TriSolveLoop::subscript(), order)?
             }
+            SolverBackend::Inspected => self.runtime.run_with_order(pool, &loop_, &mut y, order)?,
         };
         Ok((y, stats))
     }

@@ -174,13 +174,13 @@ impl UpperSolver {
     ) -> Result<(Vec<f64>, RunStats), DoacrossError> {
         let loop_ = UpperSolveLoop::new(u, rhs);
         let mut x = vec![0.0; u.n()];
-        let stats = if self.reorder {
-            let order = self.plan_for(u).order.clone();
-            self.runtime
-                .run_with_order(pool, &loop_, &mut x, Some(&order))?
+        let order = if self.reorder {
+            self.plan_for(u);
+            self.plan.as_ref().map(|p| &p.order[..])
         } else {
-            self.runtime.run(pool, &loop_, &mut x)?
+            None
         };
+        let stats = self.runtime.run_with_order(pool, &loop_, &mut x, order)?;
         Ok((x, stats))
     }
 }

@@ -7,8 +7,8 @@
 //! strip-mining, wavefront levels; sequential is the oracle itself).
 
 use doacross_core::{
-    seq::run_sequential, AccessPattern, BlockedDoacross, Doacross, IndirectLoop, LevelSchedule,
-    LinearDoacross, LinearSubscript, PreparedInspection, WavefrontDoacross, MAXINT,
+    seq::run_sequential, AccessPattern, Doacross, IndirectLoop, LevelSchedule, LinearSubscript,
+    PreparedInspection, MAXINT,
 };
 use doacross_par::{Schedule, ThreadPool};
 use doacross_verify::{verify_pattern, DependenceEdge, SoundnessViolation, SyncSchedule};
@@ -181,7 +181,7 @@ proptest! {
         verify_pattern(&loop_, &SyncSchedule::FlagsNatural { writers: &prepared })
             .expect("honest natural schedule is sound");
         let mut y = y0.clone();
-        Doacross::new(data_len).run_planned(&pool, &loop_, &mut y, &prepared, None)
+        Doacross::new(data_len).run_planned(&pool, &loop_, &mut y, &prepared, None, None)
             .expect("planned run");
         prop_assert_eq!(&y, &expect, "doacross");
 
@@ -190,7 +190,7 @@ proptest! {
         verify_pattern(&loop_, &SyncSchedule::FlagsOrdered { writers: &prepared, order: &order })
             .expect("topological order is sound");
         let mut y = y0.clone();
-        Doacross::new(data_len).run_planned(&pool, &loop_, &mut y, &prepared, Some(&order))
+        Doacross::new(data_len).run_planned(&pool, &loop_, &mut y, &prepared, Some(&order), None)
             .expect("reordered run");
         prop_assert_eq!(&y, &expect, "reordered");
 
@@ -199,7 +199,7 @@ proptest! {
         verify_pattern(&loop_, &SyncSchedule::Wavefront { schedule: &schedule })
             .expect("honest level schedule is sound");
         let mut y = y0.clone();
-        WavefrontDoacross::new(data_len).run(&pool, &loop_, &mut y, &schedule)
+        Doacross::new(data_len).run_wavefront(&pool, &loop_, &mut y, &schedule, None, None)
             .expect("wavefront run");
         prop_assert_eq!(&y, &expect, "wavefront");
 
@@ -208,8 +208,7 @@ proptest! {
         verify_pattern(&loop_, &SyncSchedule::Blocked { block_size: bs })
             .expect("injective patterns never share a block between duplicate writes");
         let mut y = y0.clone();
-        BlockedDoacross::new(bs).expect("valid block size")
-            .run(&pool, &loop_, &mut y)
+        Doacross::new(0).run_blocked(&pool, &loop_, &mut y, bs)
             .expect("blocked run");
         prop_assert_eq!(&y, &expect, "blocked");
 
@@ -228,7 +227,7 @@ proptest! {
         verify_pattern(&loop_, &SyncSchedule::FlagsLinear { subscript })
             .expect("the true subscript is sound");
         let mut y = y0.clone();
-        LinearDoacross::new(loop_.data_len()).run(&pool, &loop_, subscript, &mut y)
+        Doacross::new(loop_.data_len()).run_linear(&pool, &loop_, &mut y, subscript, None)
             .expect("linear run");
         prop_assert_eq!(&y, &expect, "linear");
 
@@ -288,8 +287,7 @@ proptest! {
             .expect("blocks no larger than the write gap are sound");
         let expect = oracle(&loop_, &y0);
         let mut y = y0.clone();
-        BlockedDoacross::new(bs).expect("valid block size")
-            .run(&pool, &loop_, &mut y)
+        Doacross::new(0).run_blocked(&pool, &loop_, &mut y, bs)
             .expect("blocked run");
         prop_assert_eq!(&y, &expect, "blocked with duplicates");
 
@@ -335,7 +333,7 @@ proptest! {
                 let expect = oracle(&loop_, &y0);
                 let mut y = y0.clone();
                 Doacross::new(loop_.data_len())
-                    .run_planned(&pool, &loop_, &mut y, &prepared, None)
+                    .run_planned(&pool, &loop_, &mut y, &prepared, None, None)
                     .expect("accepted mutant executes");
                 prop_assert_eq!(&y, &expect, "accepted mutant must match the oracle");
             }

@@ -6,7 +6,7 @@
 //! Run: `cargo run --release --example test_loop [L] [M]`
 //! (defaults: L = 8, M = 5)
 
-use preprocessed_doacross::core::{seq::run_sequential, LinearDoacross, TestLoop};
+use preprocessed_doacross::core::{seq::run_sequential, Doacross, TestLoop};
 use preprocessed_doacross::sim::{Machine, SimOptions};
 use preprocessed_doacross::Engine;
 
@@ -52,9 +52,15 @@ fn main() {
     // §2.3: a(i) = 2i is linear, so the inspector can be eliminated —
     // shown here against the low-level runtime directly.
     let mut y_lin = loop_.initial_y();
-    let mut linear = LinearDoacross::new(loop_.initial_y().len());
-    let lin_stats = linear
-        .run(engine.pool(), &loop_, loop_.linear_subscript(), &mut y_lin)
+    let mut runtime = Doacross::new(y_lin.len());
+    let lin_stats = runtime
+        .run_linear(
+            engine.pool(),
+            &loop_,
+            &mut y_lin,
+            loop_.linear_subscript(),
+            None,
+        )
         .expect("subscript is linear");
     assert_eq!(y_seq, y_lin);
     println!("host ({workers} workers), linear §2.3: {lin_stats}");

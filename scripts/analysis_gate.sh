@@ -5,11 +5,6 @@
 # *soundness* claims honest. Three tiers, all cheap enough for CI:
 #
 #   lints          cargo clippy --workspace --all-targets -D warnings.
-#                  Deprecation stays allowed (-A deprecated): the facade
-#                  and bench crates each keep one deliberate use of the
-#                  deprecated PlannedDoacross::run path as a migration
-#                  canary, and ci.yml separately asserts the canary still
-#                  fires.
 #
 #   audit          every crate root must pin its unsafe posture: either
 #                  #![forbid(unsafe_code)] or
@@ -40,8 +35,8 @@ violation() { say "analysis_gate: FAIL: $*" >&2; fail=1; }
 
 # --- lints ------------------------------------------------------------------
 
-say "analysis_gate: clippy (deny warnings, deprecation canaries allowed)"
-cargo clippy --workspace --all-targets --quiet -- -D warnings -A deprecated ||
+say "analysis_gate: clippy (deny warnings)"
+cargo clippy --workspace --all-targets --quiet -- -D warnings ||
   violation "clippy reported warnings"
 
 # --- audit ------------------------------------------------------------------

@@ -186,9 +186,11 @@
 //!
 //! * [`engine`] — the session layer re-exported above: [`Engine`],
 //!   [`EngineBuilder`], [`PreparedLoop`], [`EngineError`].
-//! * [`core`] — the preprocessed doacross runtime itself (inspector /
-//!   executor / postprocessor, plus the §2.3 blocked and linear-subscript
-//!   variants).
+//! * [`core`] — the preprocessed doacross runtime itself: one
+//!   [`core::Doacross`] struct, one reusable scratch, one entry point per
+//!   way of running (inspector / executor / postprocessor inline, a
+//!   prebuilt writer map, the §2.3 blocked and linear-subscript variants,
+//!   a level schedule).
 //! * [`par`] — the parallel substrate (thread pool, self-scheduled
 //!   `parallel do`, busy-wait primitives).
 //! * [`sparse`] — sparse-matrix substrate: stencil operators, ILU(0), and
@@ -200,10 +202,11 @@
 //!   to regenerate Figure 6 and Table 1, plus host calibration.
 //! * [`plan`] — the execution-plan subsystem the engine is built on:
 //!   pattern fingerprinting, cost-model variant selection (sequential /
-//!   doacross / linear / reordered / blocked / wavefront), the
-//!   single-owner LRU [`plan::PlanCache`], the sharded
-//!   [`plan::ConcurrentPlanCache`], and the [`plan::persist`] codec
-//!   behind warm starts. The wavefront variant converts the doacross into
+//!   doacross / linear / reordered / blocked / wavefront), the sharded
+//!   [`plan::ConcurrentPlanCache`] (whose shards are [`plan::PlanCache`]s),
+//!   [`plan::PlanExecutor`] dispatching a plan onto one `core::Doacross`,
+//!   and the [`plan::persist`] codec behind warm starts. [`Engine`] is the
+//!   only planned path through it. The wavefront variant converts the doacross into
 //!   a sequence of level doalls, each complete when its iterations are
 //!   counted — zero busy-wait polls, zero barriers — whenever the cost
 //!   model predicts the flag bill exceeds the level-boundary bill.
@@ -249,32 +252,3 @@ pub use doacross_engine::{
 pub use doacross_obs::{ObsConfig, ObsSink, SolveOutcome, SolveRecord, TraceEvent};
 pub use doacross_plan::{PersistError, PlanStore};
 pub use doacross_sched::PoolStats;
-
-/// Pre-engine compatibility surface, kept while the deprecated entry
-/// points exist.
-pub mod compat {
-    use doacross_core::{DoacrossError, DoacrossLoop, RunStats};
-    use doacross_par::ThreadPool;
-    use doacross_plan::PlannedDoacross;
-
-    /// Runs `loop_` through the deprecated single-owner
-    /// [`PlannedDoacross`] runtime — the pre-engine entry point, preserved
-    /// verbatim for callers mid-migration.
-    ///
-    /// This function is also the workspace's deprecation canary: compiling
-    /// it emits the `PlannedDoacross::run` deprecation warning on every
-    /// `cargo build`, so the shim cannot be removed silently while this
-    /// forwarding path still exists.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::run — one shared session instead of a per-owner runtime"
-    )]
-    pub fn run_planned<L: DoacrossLoop + ?Sized>(
-        runtime: &mut PlannedDoacross,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-    ) -> Result<RunStats, DoacrossError> {
-        runtime.run(pool, loop_, y)
-    }
-}

@@ -3,8 +3,7 @@
 //! computes exactly what the sequential loop computes.
 
 use preprocessed_doacross::core::{
-    seq::run_sequential, AccessPattern, BlockedDoacross, Doacross, DoacrossConfig, DoacrossError,
-    IndirectLoop,
+    seq::run_sequential, AccessPattern, Doacross, DoacrossConfig, DoacrossError, IndirectLoop,
 };
 use preprocessed_doacross::par::{Schedule, ThreadPool};
 use proptest::prelude::*;
@@ -66,9 +65,8 @@ proptest! {
         run_sequential(&loop_, &mut expect);
 
         let mut y = y0.clone();
-        BlockedDoacross::new(block)
-            .expect("nonzero")
-            .run(&pool, &loop_, &mut y)
+        Doacross::new(0)
+            .run_blocked(&pool, &loop_, &mut y, block)
             .expect("injective lhs");
         prop_assert_eq!(&y, &expect);
     }

@@ -1,4 +1,5 @@
-//! Ablation studies over the design choices DESIGN.md calls out:
+//! Ablation studies over the paper's §2.3 variants and the design
+//! choices around them:
 //!
 //! 1. Scheduling policy & chunk size (self-scheduling vs. static).
 //! 2. Inspector elimination (§2.3 linear subscript) and light
@@ -6,10 +7,10 @@
 //! 3. Strip-mined (blocked) execution vs. flat (§2.3 memory variant).
 //! 4. Wait strategy on the host runtime.
 //! 5. Processor-count scaling of both Table 1 solvers.
-//!
-//! Usage: `cargo run -p doacross-bench --release --bin ablation`
+//! 6. Flag synchronization vs. a barrier per level.
 
-use doacross_bench::report::Table;
+use crate::report::Table;
+use crate::table1::solve_sim_options;
 use doacross_core::{Doacross, TestLoop};
 use doacross_par::{ThreadPool, WaitStrategy};
 use doacross_sim::{Machine, SimOptions};
@@ -17,7 +18,8 @@ use doacross_sparse::{Problem, ProblemKind};
 use doacross_trisolve::{SolvePlan, TriSolveLoop};
 use std::time::Instant;
 
-fn main() {
+/// `repro ablation`: every section in order.
+pub fn run() {
     chunk_sweep();
     inspector_elimination();
     blocked_vs_flat();
@@ -176,7 +178,7 @@ fn processor_scaling() {
     let sys = Problem::build(ProblemKind::FivePt).triangular_system();
     let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
     let plan = SolvePlan::for_matrix(&sys.l);
-    let opts = doacross_bench::table1::solve_sim_options();
+    let opts = solve_sim_options();
     let mut t = Table::new([
         "p",
         "eff plain",
@@ -207,7 +209,7 @@ fn processor_scaling() {
 fn sync_granularity() {
     println!("Ablation 6 — flag sync (doacross) vs. barrier sync (level-scheduled), simulated\n");
     let machine = Machine::multimax();
-    let opts = doacross_bench::table1::solve_sim_options();
+    let opts = solve_sim_options();
     let mut t = Table::new([
         "Problem",
         "wavefronts",

@@ -1,13 +1,12 @@
 //! Dependence census of the Figure 4 test loop across the paper's
 //! parameter grid — the ground truth behind Figure 6's shape (odd `L`:
 //! doall; even `L`: true dependencies at distance `L/2 − j`).
-//!
-//! Usage: `cargo run -p doacross-bench --release --bin census`
 
-use doacross_bench::report::Table;
+use crate::report::Table;
 use doacross_core::TestLoop;
 
-fn main() {
+/// `repro census`: one table per `M`, 14 rows each.
+pub fn run() {
     let n = 10_000;
     println!("Dependence census of the Figure 4 test loop (N = {n})\n");
     for m in [1usize, 5] {

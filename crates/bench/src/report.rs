@@ -1,4 +1,4 @@
-//! Minimal fixed-width table rendering for the experiment binaries.
+//! Minimal fixed-width table rendering for the `repro` subcommands.
 
 /// A plain-text table: header row plus data rows, auto-sized columns.
 #[derive(Debug, Default)]
@@ -21,16 +21,6 @@ impl Table {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.header.len(), "column count mismatch");
         self.rows.push(row);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with a separator under the header.
@@ -109,8 +99,6 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = Table::new(["x"]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
         assert_eq!(t.render().lines().count(), 2);
     }
 }

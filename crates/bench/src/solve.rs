@@ -4,20 +4,20 @@
 //! of your own.
 //!
 //! Usage:
-//!   cargo run -p doacross-bench --release --bin solve -- MATRIX.mtx \
-//!       [--solver seq|doacross|reordered|level|blocked] \
+//!   cargo run -p doacross-bench --release -- solve MATRIX.mtx \
+//!       [--solver seq|doacross|reordered|blocked] \
 //!       [--workers N] [--reps R] [--block B]
 //!
 //! With no file argument, a built-in 63×63 five-point demo matrix is used.
 
-use doacross_bench::report::Table;
+use crate::report::Table;
 use doacross_par::ThreadPool;
 use doacross_sparse::{
     ilu0, io::read_matrix_market, stencil::five_point, CsrMatrix, TriangularMatrix,
 };
 use doacross_trisolve::{
-    seq::time_sequential, verify::residual, BlockedSolver, DoacrossSolver, LevelScheduledSolver,
-    ReorderedSolver, SolvePlan,
+    seq::time_sequential, verify::residual, BlockedSolver, DoacrossSolver, ReorderedSolver,
+    SolvePlan,
 };
 use std::io::BufReader;
 use std::time::Instant;
@@ -30,7 +30,7 @@ struct Args {
     block: usize,
 }
 
-fn parse_args() -> Args {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
         path: None,
         solver: "all".to_string(),
@@ -40,7 +40,6 @@ fn parse_args() -> Args {
         reps: 5,
         block: 256,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(tok) = it.next() {
         match tok.as_str() {
             "--solver" => args.solver = it.next().expect("--solver needs a value"),
@@ -82,8 +81,9 @@ fn load_matrix(path: &Option<String>) -> CsrMatrix {
     }
 }
 
-fn main() {
-    let args = parse_args();
+/// `repro solve`: `args` is the command line after the subcommand.
+pub fn run(args: impl Iterator<Item = String>) {
+    let args = parse_args(args);
     let a = load_matrix(&args.path);
     assert_eq!(a.nrows(), a.ncols(), "matrix must be square");
     println!("A: {} x {} with {} nonzeros", a.nrows(), a.ncols(), a.nnz());
@@ -110,7 +110,7 @@ fn main() {
     let pool = ThreadPool::new(args.workers);
     let mut table = Table::new(["solver", "best time (µs)", "residual", "vs seq"]);
     let (y_seq, t_seq) = time_sequential(&l, &rhs, args.reps);
-    let run = |name: &str, f: &mut dyn FnMut() -> Vec<f64>, table: &mut Table| {
+    let lane = |name: &str, f: &mut dyn FnMut() -> Vec<f64>, table: &mut Table| {
         let mut best = std::time::Duration::MAX;
         let mut y = Vec::new();
         for _ in 0..args.reps {
@@ -127,6 +127,7 @@ fn main() {
         ]);
     };
 
+    // The baseline row is always printed; `--solver seq` prints only it.
     table.row([
         "sequential".to_string(),
         t_seq.as_micros().to_string(),
@@ -137,7 +138,7 @@ fn main() {
     let want = |name: &str| args.solver == "all" || args.solver == name;
     if want("doacross") {
         let mut s = DoacrossSolver::new(l.n());
-        run(
+        lane(
             "doacross",
             &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
             &mut table,
@@ -146,31 +147,19 @@ fn main() {
     if want("reordered") {
         let mut s = ReorderedSolver::new(l.n());
         s.prepare(&l);
-        run(
+        lane(
             "reordered",
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
-            &mut table,
-        );
-    }
-    if want("level") {
-        let mut s = LevelScheduledSolver::new();
-        s.prepare(&l);
-        run(
-            "level-scheduled",
             &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
             &mut table,
         );
     }
     if want("blocked") {
         let mut s = BlockedSolver::new(args.block).expect("nonzero block");
-        run(
+        lane(
             &format!("blocked (B={})", args.block),
             &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
             &mut table,
         );
-    }
-    if want("seq") && args.solver != "all" {
-        // Sequential row already printed above.
     }
     println!("{}", table.render());
     println!(

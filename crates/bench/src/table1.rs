@@ -12,6 +12,7 @@
 //! result from the shadow array), matching how a solver library deploys
 //! the construct.
 
+use crate::report::Table;
 use doacross_sim::{Machine, SimOptions};
 use doacross_sparse::{Problem, ProblemKind, TriSystem};
 use doacross_trisolve::{SolvePlan, TriSolveLoop};
@@ -39,9 +40,12 @@ pub struct Table1Row {
     pub eff_plain: f64,
     /// Efficiency of the rearranged doacross.
     pub eff_reordered: f64,
-    /// Stalled references in the plain schedule.
+    /// Stalled references in the plain schedule (the table prints times;
+    /// only the paper-shape tests compare stall counts).
+    #[cfg(test)]
     pub stalls_plain: u64,
     /// Stalled references in the rearranged schedule.
+    #[cfg(test)]
     pub stalls_reordered: u64,
 }
 
@@ -72,7 +76,9 @@ pub fn simulate_row(machine: &Machine, sys: &TriSystem) -> Table1Row {
         t_reordered: reordered.t_par / 1e3,
         eff_plain: plain.efficiency,
         eff_reordered: reordered.efficiency,
+        #[cfg(test)]
         stalls_plain: plain.stalls,
+        #[cfg(test)]
         stalls_reordered: reordered.stalls,
     }
 }
@@ -87,6 +93,48 @@ pub fn table1(machine: &Machine) -> Vec<Table1Row> {
             simulate_row(machine, &sys)
         })
         .collect()
+}
+
+/// `repro table1`: prints the regenerated table for the simulated
+/// 16-processor Multimax.
+pub fn run() {
+    let machine = Machine::multimax();
+    println!("Table 1 — Preprocessed Doacross Times for Sparse Triangular Matrices");
+    println!(
+        "Simulated Encore Multimax/320: {} processors (times in kilocycles)\n",
+        machine.processors
+    );
+
+    let rows = table1(&machine);
+    let mut t = Table::new([
+        "Problem",
+        "n",
+        "nnz",
+        "wavefronts",
+        "avg ||ism",
+        "Doacross",
+        "Rearranged",
+        "Sequential",
+        "eff",
+        "eff (rearr)",
+    ]);
+    for r in &rows {
+        t.row([
+            r.name.to_string(),
+            r.n.to_string(),
+            r.nnz.to_string(),
+            r.critical_path.to_string(),
+            format!("{:.1}", r.avg_parallelism),
+            format!("{:.1}", r.t_plain),
+            format!("{:.1}", r.t_reordered),
+            format!("{:.1}", r.t_seq),
+            format!("{:.2}", r.eff_plain),
+            format!("{:.2}", r.eff_reordered),
+        ]);
+    }
+    println!("{}", t.render());
+    println!("Paper reference: plain efficiencies 0.32–0.46; rearranged 0.63–0.75;");
+    println!("rearranging reduces every problem's time (e.g. 5-PT 37 ms → 19 ms).\n");
 }
 
 #[cfg(test)]

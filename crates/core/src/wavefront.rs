@@ -51,9 +51,7 @@
 //!
 //! ## When it wins
 //!
-//! The trade is the paper's dataflow-vs-level design space (the
-//! `doacross-trisolve` crate's `LevelScheduledSolver` is the same idea
-//! specialized to triangular solves, one region per level): the flat
+//! The trade is the paper's dataflow-vs-level design space: the flat
 //! doacross pays flag traffic per true dependency but synchronizes only
 //! where dependencies actually bite; the wavefront pays one counter
 //! hand-off per level but nothing per element. Level scheduling wins when

@@ -47,6 +47,9 @@ fn parse_err(msg: impl Into<String>) -> MmError {
     MmError::Parse(msg.into())
 }
 
+/// Most triplets reserved on the word of a size line (1.5 MiB of entries).
+const MAX_RESERVED_ENTRIES: usize = 1 << 16;
+
 /// Reads a `matrix coordinate real general` (or `symmetric`) Matrix Market
 /// stream into a [`CsrMatrix`]. Symmetric inputs are expanded (mirror
 /// entries added for off-diagonal positions); duplicate entries are summed,
@@ -100,7 +103,22 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MmError> {
         )));
     };
 
-    let mut builder = TripletBuilder::with_capacity(nrows, ncols, nnz);
+    // The size line is outside input: hold it to what a matrix can be
+    // before anything is sized by it.
+    if nrows.checked_add(1).is_none() || ncols.checked_add(1).is_none() {
+        return Err(parse_err(format!(
+            "dimensions {nrows} x {ncols} overflow the index type"
+        )));
+    }
+    if nrows.checked_mul(ncols).is_some_and(|cells| nnz > cells) {
+        return Err(parse_err(format!(
+            "size line promises {nnz} entries in a {nrows} x {ncols} matrix"
+        )));
+    }
+
+    // Reserve for an honest header only up to a bound; past it the builder
+    // grows with the entries actually read.
+    let mut builder = TripletBuilder::with_capacity(nrows, ncols, nnz.min(MAX_RESERVED_ENTRIES));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -231,6 +249,18 @@ mod tests {
             parse("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n").is_err(),
             "missing value"
         );
+        // Size lines that lie: typed errors, nothing reserved on their word.
+        for size_line in [
+            "1 1 18446744073709551615",
+            "3 3 1000000000000000",
+            "18446744073709551615 1 0",
+        ] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size_line}\n");
+            assert!(
+                matches!(parse(&text), Err(MmError::Parse(_))),
+                "{size_line}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! "determined by the values assigned to the data structure column during
 //! program execution" (Figure 7) and therefore invisible to a compiler.
 //!
-//! Four solvers over the same [`TriangularMatrix`], the parallel ones each
+//! Three solvers over the same [`TriangularMatrix`], the parallel ones each
 //! a thin wrapper over one `doacross_core::Doacross` runtime:
 //!
 //! * [`seq::solve_sequential`] — Figure 7 verbatim; the paper's `T_seq`.
@@ -16,8 +16,6 @@
 //! * [`reordered::ReorderedSolver`] — the same executor claiming rows in
 //!   the doconsider (wavefront-sorted) order (Table 1 column "Preprocessed
 //!   Doacross Iterations Rearranged").
-//! * [`level_sched::LevelScheduledSolver`] — a barrier-per-wavefront
-//!   solver, the classic alternative, included as an ablation baseline.
 //!
 //! On top of these, [`cached::EngineSolver`] routes solves through a
 //! shared `doacross_engine::Engine`: per-structure execution plans
@@ -28,7 +26,7 @@
 //! is the only planned path; the solvers above pin one strategy each for
 //! the Table 1 / Figure 6 comparisons.
 //!
-//! All four produce bit-identical results (same per-row reduction order),
+//! All three produce bit-identical results (same per-row reduction order),
 //! which the test suites exploit.
 //!
 //! [`TriangularMatrix`]: doacross_sparse::TriangularMatrix
@@ -39,7 +37,6 @@
 pub mod blocked_solver;
 pub mod cached;
 pub mod fig7;
-pub mod level_sched;
 pub mod plan;
 pub mod precond;
 pub mod reordered;
@@ -51,7 +48,6 @@ pub mod verify;
 pub use blocked_solver::BlockedSolver;
 pub use cached::EngineSolver;
 pub use fig7::TriSolveLoop;
-pub use level_sched::LevelScheduledSolver;
 pub use plan::SolvePlan;
 pub use precond::IluPreconditioner;
 pub use reordered::ReorderedSolver;

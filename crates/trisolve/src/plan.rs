@@ -1,5 +1,5 @@
-//! Solve planning: the runtime preprocessing shared by the reordered and
-//! level-scheduled solvers.
+//! Solve planning: the runtime preprocessing behind the reordered solver
+//! and the simulated Table 1 runs.
 //!
 //! For a given triangular structure, [`SolvePlan`] computes the
 //! true-dependence wavefront levels and the doconsider (level-sorted)

@@ -6,8 +6,8 @@
 
 use doacross_core::AccessPattern;
 use doacross_engine::Engine;
-use doacross_plan::SyncSchedule;
-use doacross_sparse::table1_problems;
+use doacross_plan::{PlanVariant, SyncSchedule};
+use doacross_sparse::{table1_problems, ProblemKind};
 use doacross_trisolve::TriSolveLoop;
 
 #[test]
@@ -30,6 +30,18 @@ fn all_five_table1_selected_plans_verify_sound() {
             problem.kind.name()
         );
         assert!(report.flow_edges > 0, "{}", problem.kind.name());
+        // What was proven is what the model picks on its own prices: at 4
+        // workers the deep structures go to the wavefront, nothing forced.
+        if matches!(problem.kind, ProblemKind::Spe2 | ProblemKind::SevenPt) {
+            let selected = engine.prepare(&loop_).expect("planned above");
+            assert_eq!(
+                selected.variant(),
+                PlanVariant::Wavefront,
+                "{}: {:?}",
+                problem.kind.name(),
+                selected.plan().costs()
+            );
+        }
     }
     // Both verify outcomes are observable; five sound plans were counted.
     let metrics = engine.metrics_text();

@@ -1,8 +1,8 @@
 //! Sparse triangular solve (the paper's §3.2 application): generate a
 //! Table 1 problem, ILU(0)-factor it, and solve with all the solvers the
 //! evaluation compares — sequential, preprocessed doacross,
-//! doconsider-rearranged doacross, the level-scheduled baseline, and the
-//! engine-cached solver — verifying they agree bit for bit.
+//! doconsider-rearranged doacross, and the engine-cached solver —
+//! verifying they agree bit for bit.
 //!
 //! Run: `cargo run --release --example triangular [spe2|spe5|5pt|7pt|9pt]`
 //! (default: 5pt)
@@ -10,8 +10,7 @@
 use preprocessed_doacross::core::PlanProvenance;
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
 use preprocessed_doacross::trisolve::{
-    seq::solve_sequential, verify::assert_solves, DoacrossSolver, EngineSolver,
-    LevelScheduledSolver, ReorderedSolver,
+    seq::solve_sequential, verify::assert_solves, DoacrossSolver, EngineSolver, ReorderedSolver,
 };
 use preprocessed_doacross::Engine;
 
@@ -75,16 +74,7 @@ fn main() {
         }
     );
 
-    // 4. Level-scheduled baseline.
-    let mut level = LevelScheduledSolver::new();
-    let (y_lvl, lvl_stats) = level.solve(pool, &sys.l, &sys.rhs).expect("valid");
-    assert_eq!(y_lvl, y_seq, "level-scheduled == sequential, bitwise");
-    println!(
-        "\nlevel-scheduled baseline: {} levels in {:?}",
-        lvl_stats.levels, lvl_stats.solve_time
-    );
-
-    // 5. Engine-cached: the cost model picks the variant, the plan is
+    // 4. Engine-cached: the cost model picks the variant, the plan is
     // cached, and the second solve skips preprocessing entirely.
     let solver = EngineSolver::new(engine.clone());
     let (y_eng, cold) = solver.solve(&sys.l, &sys.rhs).expect("valid");

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # analysis_gate.sh — the static-analysis gate.
 #
-# bench_gate.sh keeps the perf claims honest; this gate keeps the
+# benchmark/run.sh keeps the perf claims honest; this gate keeps the
 # *soundness* claims honest. Three tiers, all cheap enough for CI:
 #
 #   lints          cargo clippy --workspace --all-targets -D warnings.
@@ -42,7 +42,7 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings ||
 # --- audit ------------------------------------------------------------------
 
 say "analysis_gate: unsafe posture audit"
-for root in crates/*/src/lib.rs crates/shims/*/src/lib.rs src/lib.rs; do
+for root in crates/*/src/lib.rs crates/*/src/main.rs crates/shims/*/src/lib.rs src/lib.rs; do
   [ -f "$root" ] || continue
   if ! grep -Eq '^#!\[(forbid\(unsafe_code\)|deny\(unsafe_op_in_unsafe_fn\))\]' "$root"; then
     violation "$root: crate root declares neither forbid(unsafe_code) nor deny(unsafe_op_in_unsafe_fn)"
@@ -50,10 +50,12 @@ for root in crates/*/src/lib.rs crates/shims/*/src/lib.rs src/lib.rs; do
 done
 
 # In deny-posture crates, every `unsafe` keyword outside a comment must have
-# a SAFETY comment in the (possibly multi-line) comment block directly above
-# it. `unsafe fn` declarations document their contract in their rustdoc
-# (`# Safety` section), which the same walk accepts.
+# a SAFETY comment in the (possibly multi-line) comment block that ends
+# within the three lines above it (the block may sit above the head of a
+# multi-line statement). `unsafe fn` declarations document their contract
+# in their rustdoc (`# Safety` section), which the same walk accepts.
 audit=$(awk '
+  FNR == 1 { delete comment }
   /^[[:space:]]*\/\// { comment[FNR] = $0; next }
   /(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)/ {
     ok = 0
@@ -61,7 +63,9 @@ audit=$(awk '
     # rustdoc (`# Safety`); the posture lint forces their bodies back
     # through explicit `unsafe {}` blocks, which this walk does check.
     if ($0 ~ /unsafe (fn|trait)/) ok = 1
-    for (l = FNR - 1; !ok && (l in comment); l--)
+    top = FNR - 1
+    while (top > FNR - 3 && !(top in comment)) top--
+    for (l = top; !ok && (l in comment); l--)
       if (comment[l] ~ /SAFETY|# Safety/) ok = 1
     # One SAFETY comment covers an adjacent cluster of unsafe lines.
     if (FILENAME == lastfile && FNR - lastok <= 1) ok = 1

@@ -84,8 +84,9 @@
 //! crash-restart loop self-heals instead of crashing on the same bytes
 //! forever. The explicit [`Engine::load_plans`] stays strict and fails
 //! typed with [`EngineError::Persist`]. `examples/warm_start.rs`
-//! demonstrates the restart round trip; `cargo run --release -p
-//! doacross-bench --bin warm` measures the first-solve gap it closes.
+//! demonstrates the restart round trip; the benchmark's `cold-plan`
+//! workload (`BENCHMARK.json`: `setup_s`, and `solve_p01_over_bare` as the
+//! break-even in bare solves) measures the first-solve gap it closes.
 //!
 //! ## Observability
 //!
@@ -126,7 +127,7 @@
 //! histograms (bounded cardinality: deep levels collapse under
 //! `level="other"`). Off (the default), every deposit site is one branch
 //! on a stack-local `Option` — the zero-alloc warm path is unchanged,
-//! and `BENCH_profile.json` pins the bill both armed and disarmed.
+//! and `obs.profiled_over_off` in `BENCHMARK.json` measures the armed bill.
 //! `examples/profile.rs` walks the surface.
 //!
 //! ## Multi-tenant throughput
@@ -147,8 +148,9 @@
 //! sequential-variant ones into a single pool region — one dispatch, one
 //! region, N solves — while results and [`core::RunStats`] come back
 //! per-job, bit-identical to N serial `execute` calls.
-//! `examples/throughput.rs` walks both; `cargo run --release -p
-//! doacross-bench --bin throughput` measures them.
+//! `examples/throughput.rs` walks both; the benchmark's `tiny-tenants`
+//! workload and `sched.acquire_ns` (`BENCHMARK.json`) measure the
+//! multi-pool path.
 //!
 //! ## Fault tolerance
 //!

@@ -6,8 +6,7 @@ use preprocessed_doacross::core::{seq::run_sequential, Doacross, DoacrossConfig,
 use preprocessed_doacross::par::{Schedule, ThreadPool, WaitStrategy};
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
 use preprocessed_doacross::trisolve::{
-    seq::solve_sequential, verify::assert_solves, DoacrossSolver, LevelScheduledSolver,
-    ReorderedSolver,
+    seq::solve_sequential, verify::assert_solves, DoacrossSolver, ReorderedSolver,
 };
 
 fn pool() -> ThreadPool {
@@ -32,11 +31,6 @@ fn all_table1_systems_solve_with_all_solvers() {
             .solve(&pool, &sys.l, &sys.rhs)
             .expect("valid system");
         assert_eq!(y_re, expect, "{}: rearranged", kind.name());
-
-        let (y_lvl, _) = LevelScheduledSolver::new()
-            .solve(&pool, &sys.l, &sys.rhs)
-            .expect("valid system");
-        assert_eq!(y_lvl, expect, "{}: level-scheduled", kind.name());
 
         // Accuracy against the manufactured solution.
         let max_err = expect

@@ -1,6 +1,6 @@
-//! [`EngineBuilder`]: engine configuration, including host calibration,
-//! the adaptive feedback loop, and warm starts from persisted plan
-//! stores.
+//! [`EngineBuilder`]: engine configuration, including which cost model
+//! the planner prices with (the host's, unless one is given), the
+//! adaptive feedback loop, and warm starts from persisted plan stores.
 
 use crate::adaptive::AdaptiveRuntime;
 use crate::engine::Engine;
@@ -24,10 +24,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 /// constant remains for callers that want the old behavior explicitly via
 /// [`EngineBuilder::shards`].
 pub const DEFAULT_SHARDS: usize = 8;
-/// Calibration repetitions used by [`EngineBuilder::calibrated`] — enough
-/// to suppress scheduler noise without a perceptible build pause.
-pub const CALIBRATION_REPS: usize = 3;
-
 /// Configures and builds an [`Engine`].
 ///
 /// ```
@@ -69,7 +65,8 @@ impl EngineBuilder {
     /// Builder with defaults: host-sized worker count, a
     /// [`DEFAULT_CACHE_CAPACITY`]-plan cache sharded per the host's
     /// available parallelism ([`doacross_plan::default_shard_count`]),
-    /// the Multimax-calibrated planner, and the default doacross
+    /// a planner pricing with this host's measured costs (see
+    /// [`EngineBuilder::calibrated`]), and the default doacross
     /// configuration.
     pub fn new() -> Self {
         Self {
@@ -81,7 +78,7 @@ impl EngineBuilder {
             planner: Planner::new(),
             config: DoacrossConfig::default(),
             warm_start: None,
-            calibrate: false,
+            calibrate: true,
             adaptive: None,
             observability: None,
             profiling: None,
@@ -153,9 +150,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Explicit planner (e.g. [`Planner::with_costs`] with custom
-    /// constants). Overrides a previously requested
-    /// [`EngineBuilder::calibrated`].
+    /// Explicit planner: [`Planner::new`] for the paper's Encore Multimax
+    /// preset, [`Planner::with_costs`] for custom constants. Replaces host
+    /// pricing — the engine measures nothing, reads no stored calibration,
+    /// and reports [`Engine::calibration`] `None` — until a later
+    /// [`EngineBuilder::calibrated`] re-arms it.
     pub fn planner(mut self, planner: Planner) -> Self {
         self.planner = planner;
         self.calibrate = false;
@@ -170,20 +169,21 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the planner's cost model with one measured on *this host*
-    /// via [`doacross_sim::calibrate`] — sequential per-term/per-iteration
-    /// costs, doacross executor overheads, and pool dispatch latency, in
-    /// normalized units. Selection then prices variants for the machine
-    /// actually running them instead of the paper's Encore Multimax.
+    /// Prices variants with a cost model measured on *this host* —
+    /// sequential per-term/per-iteration costs, doacross executor
+    /// overheads, pool dispatch latency and the wavefront's level
+    /// hand-off, in normalized units — instead of the paper's Encore
+    /// Multimax. This is the default; calling it only matters after an
+    /// earlier [`EngineBuilder::planner`], which it overrides.
     ///
-    /// Costs a few milliseconds of measurement at build time (tens of
-    /// cold solves' worth — see the ROADMAP's calibrate-by-default note);
-    /// worth it for long-lived engines, skippable for throwaways. When
-    /// combined with [`EngineBuilder::warm_start`], a **valid** stored
-    /// calibration in the store is reused and the measurement skipped
-    /// entirely — [`Engine::save_plans`] persists it, and the loaded
-    /// constants are revalidated (finite, positive) with a fall back to
-    /// re-measurement on mismatch.
+    /// The host is measured once per process
+    /// ([`doacross_sim::host_calibration`]): the first engine built pays
+    /// about ten milliseconds, every later one nothing. With
+    /// [`EngineBuilder::warm_start`], a **valid** calibration in the
+    /// store is used instead and nothing is measured at all —
+    /// [`Engine::save_plans`] persists it, and the loaded constants are
+    /// revalidated (finite, positive), falling back to the process-wide
+    /// measurement on mismatch.
     pub fn calibrated(mut self) -> Self {
         self.calibrate = true;
         self
@@ -313,8 +313,8 @@ impl EngineBuilder {
     ///
     /// The store is loaded once and used for everything it carries: its
     /// plans warm the cache, its telemetry warms an adaptive engine's
-    /// recorder, and a valid stored calibration satisfies
-    /// [`EngineBuilder::calibrated`] without re-measuring. First-boot
+    /// recorder, and a valid stored calibration is the cost model (unless
+    /// [`EngineBuilder::planner`] gave one). First-boot
     /// rules as in [`EngineBuilder::warm_start`]: missing or
     /// version-superseded stores are a clean cold start, damaged stores
     /// are quarantined aside and the boot proceeds cold.
@@ -368,19 +368,21 @@ impl EngineBuilder {
                 }
             },
         };
+        // The cost model, in one fixed order: an explicit planner; else a
+        // persisted calibration that survives revalidation (finite,
+        // positive constants); else — absent section, unphysical values,
+        // no store — the process-wide measurement, taken by whichever
+        // build gets here first.
         let (planner, calibration) = if self.calibrate {
-            // Reuse a persisted calibration when it survives revalidation
-            // (finite, positive constants); anything else — absent
-            // section, unphysical values — falls back to measuring.
             let calibration = store
                 .as_ref()
                 .and_then(|s| s.calibration().copied())
                 .filter(StoredCalibration::is_valid)
                 .unwrap_or_else(|| {
-                    let measured = doacross_sim::calibrate(CALIBRATION_REPS);
+                    let host = doacross_sim::host_calibration();
                     StoredCalibration {
-                        model: measured.model,
-                        unit_ns: measured.unit_ns,
+                        model: host.model,
+                        unit_ns: host.unit_ns,
                     }
                 });
             (Planner::with_costs(calibration.model), Some(calibration))
@@ -481,12 +483,44 @@ mod tests {
         assert!(engine.cache_stats().hits == 0 && engine.cache_len() == 0);
         assert!(!engine.is_adaptive());
         assert_eq!(engine.adaptive_stats(), None);
-        assert_eq!(engine.calibration(), None);
+        // The planner prices with this host's measured costs.
+        let calibration = engine.calibration().expect("host pricing is the default");
+        assert!(calibration.is_valid());
+        assert_eq!(engine.planner().costs(), &calibration.model);
         let fixed = EngineBuilder::new()
             .workers(2)
             .shards(DEFAULT_SHARDS)
             .build();
         assert_eq!(fixed.shards(), DEFAULT_SHARDS);
+    }
+
+    #[test]
+    fn the_host_is_measured_once_per_process_and_a_given_planner_wins() {
+        // Two measurements would differ in some bit of thirteen floats;
+        // equality means the second build reused the first's.
+        let first = EngineBuilder::new().workers(2).build();
+        let second = EngineBuilder::new().workers(1).build();
+        assert!(first.calibration().is_some());
+        assert_eq!(first.calibration(), second.calibration());
+
+        let preset = Planner::new();
+        let pinned = EngineBuilder::new()
+            .workers(2)
+            .planner(preset.clone())
+            .build();
+        assert_eq!(pinned.calibration(), None);
+        assert_eq!(pinned.planner().costs(), preset.costs());
+
+        let rearmed = EngineBuilder::new()
+            .workers(2)
+            .planner(preset)
+            .calibrated()
+            .build();
+        assert_eq!(rearmed.calibration(), first.calibration());
+        assert_eq!(
+            rearmed.planner().costs(),
+            &first.calibration().unwrap().model
+        );
     }
 
     #[test]

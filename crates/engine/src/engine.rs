@@ -62,9 +62,9 @@ pub(crate) struct EngineInner {
     pub(crate) planner: Planner,
     pub(crate) config: DoacrossConfig,
     pub(crate) cache: ConcurrentPlanCache,
-    /// Host calibration the planner's model came from (present for
-    /// `calibrated()` engines) — persisted with snapshots so a warm start
-    /// can skip re-measurement, and the refinement anchor when adaptive.
+    /// Host calibration the planner's model came from (present unless
+    /// `.planner(..)` was given) — persisted with snapshots so a warm
+    /// start can skip measurement, and the refinement anchor when adaptive.
     pub(crate) calibration: Option<StoredCalibration>,
     /// The feedback loop (present for `adaptive()` engines).
     pub(crate) adaptive: Option<AdaptiveRuntime>,
@@ -805,9 +805,10 @@ impl Engine {
             .and_then(|a| a.telemetry_of(fingerprint, kind))
     }
 
-    /// The host calibration this engine prices with (present for
-    /// `calibrated()` engines, measured at build or restored from a
-    /// warm-start store).
+    /// The host calibration this engine prices with: present unless
+    /// `.planner(..)` was given, and either the process-wide measurement
+    /// ([`doacross_sim::host_calibration`]) or the one restored from a
+    /// warm-start store.
     pub fn calibration(&self) -> Option<&StoredCalibration> {
         self.inner.calibration.as_ref()
     }
@@ -820,9 +821,10 @@ impl Engine {
     /// Captures the plan cache — resident plans in recency order, tagged
     /// with their invalidation generations — as an in-memory
     /// [`PlanStore`], together with the engine's learned state: the host
-    /// calibration (for `calibrated()` engines) and the variant telemetry
-    /// (for `adaptive()` engines), so a warm start resumes with learned
-    /// costs instead of re-measuring and re-observing. Serialize with
+    /// calibration (present unless `.planner(..)` was given) and the
+    /// variant telemetry (for `adaptive()` engines), so a warm start
+    /// resumes with learned costs instead of re-measuring and
+    /// re-observing. Serialize with
     /// [`PlanStore::to_bytes`] or go straight to disk with
     /// [`Engine::save_plans`].
     pub fn snapshot(&self) -> PlanStore {
@@ -850,9 +852,9 @@ impl Engine {
     /// On an adaptive engine the store's telemetry records are restored
     /// too (live accumulators with more samples win over stored ones), so
     /// refinement resumes mid-confidence. Restoring a stored calibration
-    /// happens at build time ([`crate::EngineBuilder::warm_start`] +
-    /// [`crate::EngineBuilder::calibrated`]) — the planner's model is
-    /// immutable once built.
+    /// happens at build time ([`crate::EngineBuilder::warm_start`], unless
+    /// `.planner(..)` was given) — the planner's model is immutable once
+    /// built.
     pub fn warm_from(&self, store: &PlanStore) -> usize {
         let restored = self.inner.cache.warm_from(store);
         if let Some(adaptive) = &self.inner.adaptive {

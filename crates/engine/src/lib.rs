@@ -13,9 +13,10 @@
 //!   Every method takes `&self`; concurrent callers hit the cache without
 //!   external locking.
 //! * [`EngineBuilder`] — worker count, cache capacity, shard count,
-//!   planner, and doacross configuration; [`EngineBuilder::calibrated`]
-//!   wires `doacross_sim::calibrate` in so variant selection prices with
-//!   the *host's* measured cost ratios instead of the Multimax preset.
+//!   planner, and doacross configuration. Unless
+//!   [`EngineBuilder::planner`] names a model, variant selection prices
+//!   with the *host's* cost ratios, measured once per process
+//!   (`doacross_sim::host_calibration`), not the paper's Multimax preset.
 //! * [`PreparedLoop`] — the compiled-loop artifact as a first-class
 //!   value: a cheap cloneable handle (an `Arc`'d
 //!   [`ExecutionPlan`](doacross_plan::ExecutionPlan) plus the generation

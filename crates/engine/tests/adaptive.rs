@@ -247,52 +247,70 @@ fn calibration_persists_and_a_warm_calibrated_engine_skips_measurement() {
     let _ = std::fs::remove_file(&path);
 
     let loop_ = TestLoop::new(300, 1, 8);
-    let stored = {
-        let engine = Engine::builder().workers(2).calibrated().build();
+    let measured = {
+        let engine = Engine::builder().workers(2).build();
         let mut y = loop_.initial_y();
         engine.run(&loop_, &mut y).unwrap();
-        let calibration = *engine.calibration().expect("calibrated engines carry one");
+        let calibration = *engine.calibration().expect("default engines carry one");
         assert!(calibration.is_valid());
         engine.save_plans(&path).unwrap();
         calibration
     };
+    let mut store = doacross_plan::PlanStore::load(&path).unwrap();
+    assert_eq!(
+        store.calibration(),
+        Some(&measured),
+        "persisted as measured"
+    );
 
-    // The warm-started calibrated engine reuses the persisted constants
-    // bit-for-bit — equality a fresh measurement could never reproduce,
-    // which is the proof the re-measurement was skipped.
+    // Every engine in this process shares one measurement, so adopting
+    // the store's constants only shows when they differ from it: store a
+    // perturbed but valid calibration and the warm-started engine must
+    // carry it bit for bit — it read the store and measured nothing.
+    let mut perturbed = measured;
+    perturbed.unit_ns *= 1.25;
+    perturbed.model.region_dispatch *= 1.25;
+    assert!(perturbed.is_valid());
+    store.set_calibration(Some(perturbed));
+    store.save(&path).unwrap();
     let engine = Engine::builder()
         .workers(2)
-        .calibrated()
         .warm_start(&path)
         .try_build()
         .expect("store is healthy");
-    assert_eq!(engine.calibration(), Some(&stored));
-    assert_eq!(engine.planner().costs(), &stored.model);
+    assert_eq!(engine.calibration(), Some(&perturbed));
+    assert_eq!(engine.planner().costs(), &perturbed.model);
 
     // An invalid persisted calibration is revalidated away: the build
-    // falls back to measuring instead of pricing with nonsense.
-    let mut store = doacross_plan::PlanStore::load(&path).unwrap();
-    let mut poisoned = stored;
+    // falls back to the process's own measurement instead of pricing
+    // with nonsense.
+    let mut poisoned = measured;
     poisoned.unit_ns = f64::NAN;
     store.set_calibration(Some(poisoned));
     store.save(&path).unwrap();
     let engine = Engine::builder()
         .workers(2)
-        .calibrated()
         .warm_start(&path)
         .try_build()
         .expect("invalid calibration falls back, never fails the boot");
-    let fresh = engine.calibration().expect("re-measured");
+    let fresh = engine.calibration().expect("measured instead");
     assert!(fresh.is_valid());
-    assert!(fresh.unit_ns.is_finite());
+    assert_eq!(fresh, &measured, "the process-wide measurement");
 
-    // A non-calibrated engine never persists or consumes calibration.
-    let plain = Engine::builder()
+    // An engine handed its planner never consumes a stored calibration,
+    // and never persists one.
+    store.set_calibration(Some(perturbed));
+    store.save(&path).unwrap();
+    let preset = Planner::new();
+    let pinned = Engine::builder()
         .workers(2)
+        .planner(preset.clone())
         .warm_start(&path)
         .try_build()
         .unwrap();
-    assert_eq!(plain.calibration(), None);
+    assert_eq!(pinned.calibration(), None);
+    assert_eq!(pinned.planner().costs(), preset.costs());
+    assert_eq!(pinned.snapshot().calibration(), None);
     std::fs::remove_file(&path).unwrap();
 }
 

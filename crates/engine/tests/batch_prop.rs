@@ -2,8 +2,10 @@
 //! serial submission.
 //!
 //! For arbitrary mixes of Figure 4 shapes — sizes straddling the
-//! sequential/parallel pricing boundary so batches contain both coalesced
-//! and direct jobs — [`doacross_engine::SolveBatch::execute_all`] must
+//! sequential/parallel pricing boundary of the paper's Multimax preset
+//! (named explicitly: this host's own model, the default, prices every
+//! one of them sequential) so batches contain both coalesced and direct
+//! jobs — [`doacross_engine::SolveBatch::execute_all`] must
 //! produce exactly the outputs and per-job iteration counts of N
 //! separate [`doacross_engine::PreparedLoop::execute`] calls.
 
@@ -18,7 +20,11 @@ proptest! {
     fn execute_all_matches_n_serial_executes(
         shapes in proptest::collection::vec((20usize..900, 1usize..4, 2usize..10), 1..10)
     ) {
-        let engine = Engine::builder().workers(2).cache_capacity(32).build();
+        let engine = Engine::builder()
+            .workers(2)
+            .cache_capacity(32)
+            .planner(doacross_plan::Planner::new())
+            .build();
         let loops: Vec<TestLoop> = shapes
             .iter()
             .map(|&(n, m, l)| TestLoop::new(n, m, l))

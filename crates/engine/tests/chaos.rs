@@ -14,8 +14,8 @@
 
 use doacross_core::{seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, TestLoop};
 use doacross_engine::{
-    AdaptiveConfig, Engine, EngineError, FallbackPolicy, ObsConfig, PersistError, RetryPolicy,
-    SolveOutcome, TraceEvent,
+    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, PersistError,
+    RetryPolicy, SolveOutcome, TraceEvent,
 };
 use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
 use doacross_sim::CostModel;
@@ -102,6 +102,15 @@ fn wavefront_victim() -> IndirectLoop {
     doacross_plan::testgrid::deep_grid(64, 20, 3, 7)
 }
 
+/// The engine a victim is prepared on: four workers under the paper's
+/// Multimax preset, which prices each shape above as the parallel variant
+/// its name says. The default engine prices with this host's measured
+/// costs and may run any of them sequentially — and a fault needs a
+/// parallel region to land in.
+fn victim_engine() -> EngineBuilder {
+    Engine::builder().workers(4).planner(Planner::new())
+}
+
 const EXECUTOR_ITER: &str = "core::executor::iter";
 const WAVEFRONT_ITER: &str = "core::wavefront::iter";
 const SCHED_ACQUIRE: &str = "sched::acquire";
@@ -168,8 +177,7 @@ fn assert_panic_contained<L>(
 #[test]
 fn injected_worker_panic_fails_typed_across_every_parallel_variant() {
     let _serial = chaos_lock();
-    let engine = Engine::builder()
-        .workers(4)
+    let engine = victim_engine()
         .pools(1)
         .fallback(FallbackPolicy::Disabled)
         .observability(ObsConfig::default())
@@ -228,8 +236,7 @@ fn injected_worker_panic_fails_typed_across_every_parallel_variant() {
 #[test]
 fn fallback_delivers_the_oracle_answer_after_a_panic() {
     let _serial = chaos_lock();
-    let engine = Engine::builder()
-        .workers(4)
+    let engine = victim_engine()
         .pools(1)
         .adaptive()
         .observability(ObsConfig::default())
@@ -285,8 +292,7 @@ where
     L: DoacrossLoop + Clone + Send + 'static,
 {
     let deadline = Duration::from_millis(40);
-    let engine = Engine::builder()
-        .workers(4)
+    let engine = victim_engine()
         .pools(1)
         .solve_deadline(deadline)
         .fallback(FallbackPolicy::Disabled)
@@ -360,8 +366,7 @@ fn solve_deadline_resolves_a_wedged_solve_typed() {
 #[test]
 fn solve_deadline_with_fallback_still_delivers() {
     let _serial = chaos_lock();
-    let engine = Engine::builder()
-        .workers(4)
+    let engine = victim_engine()
         .pools(1)
         .solve_deadline(Duration::from_millis(40))
         .build();
@@ -435,8 +440,7 @@ fn injected_saturation_is_retried_with_bounded_backoff() {
 #[test]
 fn faults_leave_concurrent_tenants_bit_identical() {
     let _serial = chaos_lock();
-    let engine = Engine::builder()
-        .workers(4)
+    let engine = victim_engine()
         .pools(2)
         .fallback(FallbackPolicy::Disabled)
         .build();
@@ -500,8 +504,7 @@ fn faults_leave_concurrent_tenants_bit_identical() {
 #[test]
 fn batched_submission_contains_a_faulted_parallel_job() {
     let _serial = chaos_lock();
-    let engine = Engine::builder()
-        .workers(4)
+    let engine = victim_engine()
         .pools(1)
         .fallback(FallbackPolicy::Disabled)
         .build();
@@ -677,8 +680,7 @@ fn injected_trial_fault_keeps_the_incumbent_plan_running() {
 #[test]
 fn consecutive_panics_do_not_wedge_the_pool() {
     let _serial = chaos_lock();
-    let engine = Engine::builder()
-        .workers(4)
+    let engine = victim_engine()
         .pools(1)
         .fallback(FallbackPolicy::Disabled)
         .build();

@@ -564,9 +564,12 @@ fn cold_start_reasons_are_traced() {
 #[test]
 fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
     use doacross_engine::{ProfConfig, SpanKind};
+    // The paper's preset prices the grid below as a wavefront; this
+    // host's own model (the default) would run it sequentially.
     let engine = Engine::builder()
         .workers(4)
         .pools(1)
+        .planner(doacross_plan::Planner::new())
         .observability_default()
         .profiling(ProfConfig {
             max_levels: 2,
@@ -625,8 +628,8 @@ fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
     }
 
     // The realized-critical-path gauge carries the latest wavefront
-    // profile; the priced gauge is absent (this engine never calibrated,
-    // so there is no honest unit to price in).
+    // profile; the priced gauge is absent (this engine was handed its
+    // planner, so there is no measured unit to price in).
     let last = profiles.last().unwrap();
     let realized: f64 = families["doacross_profile_realized_critical_ns"]
         .samples

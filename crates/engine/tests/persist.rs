@@ -69,14 +69,22 @@ fn wavefront_plans_warm_start_across_processes() {
     let _ = std::fs::remove_file(&path);
 
     // A deep, wide, stall-free grid (the workspace's shared wavefront
-    // fixture): the planner picks Wavefront at 4 workers on its own.
+    // fixture): under the paper's Multimax preset the planner picks
+    // Wavefront at 4 workers on its own. (The default engine prices with
+    // this host's costs, which may run the grid sequentially.)
+    let preset = || {
+        Engine::builder()
+            .workers(4)
+            .cache_capacity(8)
+            .planner(doacross_plan::Planner::new())
+    };
     let loop_ = doacross_plan::testgrid::deep_grid(64, 20, 3, 7);
     let n = 64 * 20;
     let y0: Vec<f64> = (0..n).map(|e| 1.0 + (e % 7) as f64 * 0.125).collect();
     let mut oracle = y0.clone();
     run_sequential(&loop_, &mut oracle);
 
-    let first = engine(4);
+    let first = preset().build();
     let prepared = first.prepare(&loop_).unwrap();
     assert_eq!(
         prepared.variant(),
@@ -91,12 +99,7 @@ fn wavefront_plans_warm_start_across_processes() {
     assert_eq!(first.save_plans(&path).unwrap(), 1);
     drop(first);
 
-    let second = Engine::builder()
-        .workers(4)
-        .cache_capacity(8)
-        .warm_start(&path)
-        .try_build()
-        .unwrap();
+    let second = preset().warm_start(&path).try_build().unwrap();
     let restored = second.prepare(&loop_).unwrap();
     assert!(restored.from_cache(), "restored wavefront plan hits");
     assert_eq!(restored.variant(), doacross_plan::PlanVariant::Wavefront);

@@ -8,12 +8,17 @@
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop};
 use doacross_engine::{validate_chrome_trace, Engine, ProfConfig, SolveProfile, SpanKind};
 use doacross_obs::profile::ProfArena;
+use doacross_plan::Planner;
 use proptest::prelude::*;
 
+/// Priced by the paper's Multimax preset, which gives every victim below
+/// the parallel variant whose spans its test reconciles; the default
+/// engine prices with this host's costs and may run them sequentially.
 fn profiled_engine(workers: usize) -> Engine {
     Engine::builder()
         .workers(workers)
         .pools(1)
+        .planner(Planner::new())
         .profiling(ProfConfig::default())
         .build()
 }

@@ -15,8 +15,8 @@
 
 use doacross_core::alloc::CountingAllocator;
 use doacross_core::{seq::run_sequential, DoacrossLoop, IndirectLoop, RunStats, TestLoop};
-use doacross_engine::Engine;
-use doacross_plan::PlanVariant;
+use doacross_engine::{Engine, EngineBuilder};
+use doacross_plan::{PlanVariant, Planner};
 
 #[global_allocator]
 static AUDIT: CountingAllocator = CountingAllocator;
@@ -30,6 +30,17 @@ fn scattered_doall(n: usize) -> IndirectLoop {
     IndirectLoop::new(n, a, vec![vec![]; n], vec![vec![]; n]).expect("valid structure")
 }
 
+/// Four workers priced by the paper's Multimax preset, which picks the
+/// parallel variant each audit names; the default engine prices with
+/// this host's costs and may run the same shapes sequentially, where
+/// there is no region to count.
+fn preset_engine() -> EngineBuilder {
+    Engine::builder()
+        .workers(4)
+        .pools(1)
+        .planner(Planner::new())
+}
+
 /// Warm solves of `loop_` on a fresh 4-worker engine: the variant is the
 /// one the caller means to audit, the output is the oracle's, the
 /// dispatching thread allocates nothing, and each solve costs
@@ -39,7 +50,7 @@ fn assert_warm_solves_are_lean<L: DoacrossLoop>(
     wants: fn(PlanVariant) -> bool,
     regions_per_block: u64,
 ) {
-    let engine = Engine::builder().workers(4).pools(1).build();
+    let engine = preset_engine().build();
     let prepared = engine.prepare(loop_).expect("plannable");
     assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
     let y0: Vec<f64> = (0..loop_.data_len())
@@ -135,7 +146,7 @@ fn warm_blocked_solves_allocate_nothing_in_two_regions_per_block() {
 /// the disarmed path is part of the zero-alloc contract.)
 #[test]
 fn disabled_profiling_keeps_warm_solves_allocation_free() {
-    let engine = Engine::builder().workers(4).pools(1).build();
+    let engine = preset_engine().build();
     assert!(!engine.profiling_enabled());
     let loop_ = scattered_doall(4_000);
     let prepared = engine.prepare(&loop_).expect("plannable");
@@ -155,11 +166,7 @@ fn disabled_profiling_keeps_warm_solves_allocation_free() {
 
     // Cross-check: the *armed* engine actually profiles the same shape —
     // the zero above is the off-switch working, not the feature missing.
-    let armed = Engine::builder()
-        .workers(4)
-        .pools(1)
-        .profiling_default()
-        .build();
+    let armed = preset_engine().profiling_default().build();
     let prepared = armed.prepare(&loop_).expect("plannable");
     let mut y = vec![1.0; 4_000];
     prepared.execute(&loop_, &mut y).expect("valid");

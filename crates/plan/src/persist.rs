@@ -814,8 +814,8 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
 
 /// A host calibration captured alongside the plans: the cost model the
 /// planner priced with plus the physical meaning of its unit. A
-/// warm-started `calibrated()` engine whose store carries a **valid**
-/// calibration reuses it and skips the build-time measurement pass; the
+/// warm-started engine (one not handed its planner) whose store carries a
+/// **valid** calibration reuses it and measures nothing; the
 /// consumer revalidates with [`StoredCalibration::is_valid`] and falls
 /// back to re-calibration when the values are unphysical (the codec
 /// round-trips the bits either way — validity is the *user's* gate, so a

@@ -1,0 +1,69 @@
+//! What the planner decides for the paper's five Table 1 structures, under
+//! the two cost models an engine can be pricing with: a host-like one (a
+//! default engine's — region dispatch costs thousands of terms) and the
+//! paper's Multimax preset. Both models are constants, so the decisions
+//! repeat exactly on any machine.
+
+use doacross_core::IndirectLoop;
+use doacross_par::ThreadPool;
+use doacross_plan::{PlanVariant, Planner};
+use doacross_sim::{calib::assemble, CostModel};
+use doacross_sparse::{table1_problems, ProblemKind};
+
+/// The Figure 7 forward-substitution pattern of each problem's ILU(0)
+/// factor: row `i` writes `y[i]` and reads the row's earlier unknowns.
+fn table1_patterns() -> Vec<(ProblemKind, IndirectLoop)> {
+    table1_problems()
+        .iter()
+        .map(|problem| {
+            let l = problem.triangular_system().l;
+            let rhs: Vec<Vec<usize>> = (0..l.n()).map(|i| l.row_cols(i).to_vec()).collect();
+            let coeff = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+            let pattern = IndirectLoop::new(l.n(), (0..l.n()).collect(), rhs, coeff)
+                .expect("a triangular solve is a valid loop");
+            (problem.kind, pattern)
+        })
+        .collect()
+}
+
+fn selected(costs: CostModel, pool: &ThreadPool, pattern: &IndirectLoop) -> PlanVariant {
+    Planner::with_costs(costs)
+        .plan(pool, pattern)
+        .expect("plannable")
+        .variant()
+}
+
+#[test]
+fn table1_structures_stay_sequential_on_a_host_like_model_and_go_wavefront_on_the_preset() {
+    // Timings of the size this repo's benchmark host reports, through the
+    // same arithmetic a real calibration goes through: a sequential
+    // iteration of 1 ns plus 1 ns per term, a doacross iteration of 14 ns
+    // plus 2.75 ns per term, 8.6 µs to dispatch a region, 100 ns per
+    // level hand-off.
+    let host = assemble(2.0, 6.0, 16.75, 27.75, 8_600.0, 100.0).model;
+    assert_eq!((host.seq_iter, host.seq_term), (1.0, 1.0));
+    assert_eq!((host.region_dispatch, host.barrier), (8_600.0, 100.0));
+
+    let pool = ThreadPool::new(2);
+    for (kind, pattern) in table1_patterns() {
+        assert_eq!(
+            selected(host, &pool, &pattern),
+            PlanVariant::Sequential,
+            "{} on the host-like model",
+            kind.name()
+        );
+        // The paper's machine, whose dispatch costs 50 terms: everything
+        // but the 5-point grid converts to level doalls.
+        let on_preset = if kind == ProblemKind::FivePt {
+            PlanVariant::Sequential
+        } else {
+            PlanVariant::Wavefront
+        };
+        assert_eq!(
+            selected(CostModel::multimax(), &pool, &pattern),
+            on_preset,
+            "{} on the Multimax preset",
+            kind.name()
+        );
+    }
+}

@@ -14,12 +14,17 @@
 //! for both the sequential loop and the single-worker doacross; a
 //! difference quotient separates the coefficients. All measurements are
 //! best-of-`reps` to suppress scheduler noise.
+//!
+//! [`calibrate`] takes the timings and [`assemble`] turns them into the
+//! model; [`host_calibration`] runs the pair once per process and is what
+//! a default `Engine` plans with.
 
 use crate::cost::CostModel;
 use doacross_core::{
     seq::run_sequential, Doacross, IndirectLoop, LevelSchedule, OperandClass, TestLoop,
 };
 use doacross_par::ThreadPool;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A host-derived cost model plus the physical meaning of its unit.
@@ -69,28 +74,37 @@ fn doacross_ns_per_iter(pool: &ThreadPool, n: usize, m: usize, reps: usize) -> f
     t.as_nanos() as f64 / n as f64
 }
 
-/// Measures the host and assembles a normalized [`CostModel`].
+/// Inner trip counts of the two Figure 4 loops every per-iteration
+/// measurement is taken at; their difference quotient is the per-term cost.
+const M_LO: usize = 1;
+const M_HI: usize = 5;
+
+/// Repetitions behind [`host_calibration`] — enough to suppress scheduler
+/// noise without a perceptible pause.
+pub const CALIBRATION_REPS: usize = 3;
+
+/// The process-wide host calibration: [`calibrate`] run once, on first
+/// use, and shared by every caller after that — the one place the host is
+/// measured for planning. The first caller pays the measurement (about
+/// ten milliseconds in a release build); concurrent first callers block
+/// on the same run rather than starting their own.
+pub fn host_calibration() -> &'static CalibratedModel {
+    static HOST: OnceLock<CalibratedModel> = OnceLock::new();
+    HOST.get_or_init(|| calibrate(CALIBRATION_REPS))
+}
+
+/// Measures the host and assembles a normalized [`CostModel`]: the timing
+/// half; [`assemble`] is the arithmetic.
 ///
-/// `reps` trades calibration time against noise (5–10 is plenty). The
-/// per-action split of the measured aggregate overhead reuses the Multimax
-/// preset's proportions — the aggregates are what the measurements can
-/// actually separate; the split only affects how the simulator attributes
-/// (not how much it charges).
+/// `reps` trades calibration time against noise (5–10 is plenty).
 pub fn calibrate(reps: usize) -> CalibratedModel {
     let n = 20_000;
-    let (m_lo, m_hi) = (1usize, 5usize);
-    let dm = (m_hi - m_lo) as f64;
-
-    let seq_lo = seq_ns_per_iter(n, m_lo, reps);
-    let seq_hi = seq_ns_per_iter(n, m_hi, reps);
-    let seq_term_ns = ((seq_hi - seq_lo) / dm).max(0.1);
-    let seq_iter_ns = (seq_lo - seq_term_ns * m_lo as f64).max(0.1);
+    let seq_lo = seq_ns_per_iter(n, M_LO, reps);
+    let seq_hi = seq_ns_per_iter(n, M_HI, reps);
 
     let pool = ThreadPool::new(1);
-    let par_lo = doacross_ns_per_iter(&pool, n, m_lo, reps);
-    let par_hi = doacross_ns_per_iter(&pool, n, m_hi, reps);
-    let par_term_ns = ((par_hi - par_lo) / dm).max(seq_term_ns);
-    let overhead_ns = (par_lo - par_term_ns * m_lo as f64).max(0.1);
+    let par_lo = doacross_ns_per_iter(&pool, n, M_LO, reps);
+    let par_hi = doacross_ns_per_iter(&pool, n, M_HI, reps);
 
     let dispatch_ns = {
         let t = best_of(reps, || {
@@ -142,8 +156,53 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
             std::hint::black_box(&y);
             e
         });
-        (t.saturating_sub(body).as_nanos() as f64 / (LEVELS - 1) as f64).max(0.1)
+        t.saturating_sub(body).as_nanos() as f64 / (LEVELS - 1) as f64
     };
+
+    assemble(seq_lo, seq_hi, par_lo, par_hi, dispatch_ns, barrier_ns)
+}
+
+/// Smallest cost, in nanoseconds, any measured quantity is allowed to
+/// assemble to: keeps every constant of the model positive when a
+/// difference of two timings comes out zero or negative.
+const FLOOR_NS: f64 = 0.1;
+
+/// Turns [`calibrate`]'s raw timings into a normalized model. Pure: the
+/// same six numbers give the same model, and whatever the numbers every
+/// constant comes out finite and positive.
+///
+/// `seq_lo`/`seq_hi` are nanoseconds per iteration of the sequential
+/// Figure 4 loop at `M = 1` and `M = 5`, `par_lo`/`par_hi` the same for
+/// the single-worker doacross, `dispatch_ns` one empty pool region and
+/// `barrier_ns` one wavefront level boundary.
+///
+/// Two floors tie the parallel costs to the sequential ones, because a
+/// doacross iteration does everything a sequential one does and more: its
+/// per-term cost is at least the sequential per-term cost (it adds the
+/// dependency check), and its per-iteration overhead at least the
+/// sequential per-iteration cost (it adds a claim and a publish). Without
+/// the second, one inflated `par_hi` sample would push the whole
+/// overhead into the per-term quotient and leave every parallel candidate
+/// under-priced for as long as the model lives — the life of the process
+/// behind [`host_calibration`].
+///
+/// The per-action split of the measured aggregates reuses the Multimax
+/// preset's proportions — the aggregates are what the measurements can
+/// actually separate; the split only affects how the simulator attributes
+/// (not how much it charges).
+pub fn assemble(
+    seq_lo: f64,
+    seq_hi: f64,
+    par_lo: f64,
+    par_hi: f64,
+    dispatch_ns: f64,
+    barrier_ns: f64,
+) -> CalibratedModel {
+    let (m_lo, dm) = (M_LO as f64, (M_HI - M_LO) as f64);
+    let seq_term_ns = ((seq_hi - seq_lo) / dm).max(FLOOR_NS);
+    let seq_iter_ns = (seq_lo - seq_term_ns * m_lo).max(FLOOR_NS);
+    let par_term_ns = ((par_hi - par_lo) / dm).max(seq_term_ns);
+    let overhead_ns = (par_lo - par_term_ns * m_lo).max(seq_iter_ns);
 
     // Normalize: one unit = one sequential term.
     let unit_ns = seq_term_ns;
@@ -165,8 +224,8 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
             publish: overhead * preset.publish / preset_overhead,
             inspect_per_iter: overhead * preset.inspect_per_iter / preset_overhead,
             post_per_iter: overhead * preset.post_per_iter / preset_overhead,
-            region_dispatch: dispatch_ns / unit_ns,
-            barrier: barrier_ns / unit_ns,
+            region_dispatch: dispatch_ns.max(FLOOR_NS) / unit_ns,
+            barrier: barrier_ns.max(FLOOR_NS) / unit_ns,
             seq_iter,
             seq_term: 1.0,
         },
@@ -204,6 +263,64 @@ mod tests {
         // Dependence-free efficiency is a proper fraction.
         let eff = m.doall_efficiency(1);
         assert!(eff > 0.0 && eff < 1.0, "eff = {eff}");
+    }
+
+    #[test]
+    fn assemble_floors_hostile_timings_into_a_valid_model() {
+        // (seq_lo, seq_hi, par_lo, par_hi, dispatch_ns, barrier_ns): no
+        // clock is read, so every case is exact and repeats.
+        let hostile = [
+            // One inflated `par_hi` sample: the quotient swallows the
+            // whole overhead.
+            (3.0, 7.0, 20.0, 4_000.0, 9_000.0, 70.0),
+            // The doacross timed faster than the plain loop.
+            (3.0, 7.0, 1.0, 2.0, 9_000.0, 70.0),
+            // Nothing resolved by the clock at all.
+            (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            // More terms timed faster than fewer, on both loops, and a
+            // region dispatched in no time.
+            (7.0, 3.0, 40.0, 20.0, 0.0, 70.0),
+            // A level hand-off no dearer than the sequential chain.
+            (3.0, 7.0, 20.0, 40.0, 9_000.0, 0.0),
+        ];
+        for case in hostile {
+            let (seq_lo, seq_hi, par_lo, par_hi, dispatch_ns, barrier_ns) = case;
+            let c = assemble(seq_lo, seq_hi, par_lo, par_hi, dispatch_ns, barrier_ns);
+            let m = &c.model;
+            // `StoredCalibration::is_valid`'s rule (that type lives in
+            // `doacross-plan`, which depends on this crate).
+            for v in [
+                m.schedule_grab,
+                m.iteration_setup,
+                m.check,
+                m.term,
+                m.wait_poll,
+                m.publish,
+                m.inspect_per_iter,
+                m.post_per_iter,
+                m.region_dispatch,
+                m.barrier,
+                m.seq_iter,
+                m.seq_term,
+                c.unit_ns,
+            ] {
+                assert!(v.is_finite() && v > 0.0, "{case:?} -> {c:?}");
+            }
+            assert!(m.term + m.check >= 1.0 - 1e-9, "{case:?} -> {c:?}");
+            assert!(
+                m.overhead_per_iteration() >= m.seq_iter - 1e-9,
+                "{case:?} -> {c:?}"
+            );
+            assert!(m.doall_efficiency(1) <= 1.0 + 1e-9, "{case:?} -> {c:?}");
+        }
+        // A well-behaved measurement passes through unfloored.
+        let c = assemble(3.0, 7.0, 20.0, 31.0, 9_000.0, 70.0);
+        assert_eq!(c.unit_ns, 1.0);
+        assert_eq!(c.model.seq_iter, 2.0);
+        assert!((c.model.term + c.model.check - 2.75).abs() < 1e-12);
+        assert!((c.model.overhead_per_iteration() - 17.25).abs() < 1e-12);
+        assert_eq!(c.model.region_dispatch, 9_000.0);
+        assert_eq!(c.model.barrier, 70.0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod cost;
 pub mod machine;
 pub mod result;
 
-pub use calib::{calibrate, CalibratedModel};
+pub use calib::{calibrate, host_calibration, CalibratedModel};
 pub use cost::{CostModel, ObservedConstants};
 pub use machine::{Machine, SimOptions};
 pub use result::SimResult;

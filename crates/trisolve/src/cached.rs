@@ -269,9 +269,17 @@ mod tests {
     #[test]
     fn trisolve_plans_pick_a_parallel_variant_on_grids() {
         // The 10x10 five-point ILU(0) factor has average parallelism ≈ 5;
-        // the planner must not fall back to sequential on 4 workers.
+        // priced for the paper's machine (the Multimax preset — this
+        // host's own model decides for itself) the planner must not fall
+        // back to sequential on 4 workers.
         let l = grid_factor(10, 10, 55);
-        let solver = solver(4, 2);
+        let solver = EngineSolver::new(
+            Engine::builder()
+                .workers(4)
+                .cache_capacity(2)
+                .planner(doacross_plan::Planner::new())
+                .build(),
+        );
         let rhs = vec![1.0; l.n()];
         let (_, stats) = solver.solve(&l, &rhs).unwrap();
         assert!(

@@ -21,11 +21,13 @@
 use preprocessed_doacross::core::seq::run_sequential;
 use preprocessed_doacross::core::{AccessPattern, IndirectLoop};
 use preprocessed_doacross::obs::SolveOutcome;
+use preprocessed_doacross::plan::Planner;
 use preprocessed_doacross::{Engine, EngineError, FallbackPolicy, TraceEvent};
 
-/// A dependence-free scattered doall — the planner runs it as the flat
-/// preprocessed doacross, so a mid-region worker panic exercises the
-/// poison protocol across the whole pool.
+/// A dependence-free scattered doall — priced by the paper's Multimax
+/// preset the planner runs it as the flat preprocessed doacross, so a
+/// mid-region worker panic exercises the poison protocol across the whole
+/// pool.
 fn victim() -> IndirectLoop {
     let n = 4_000;
     let a: Vec<usize> = (0..n).map(|i| n - 1 - i).collect();
@@ -57,9 +59,11 @@ fn main() {
     run_sequential(&loop_, &mut oracle);
 
     // --- 1. Typed containment: fallback off, the fault reaches the caller.
+    // Preset planner by name: a fault needs a parallel region, which host pricing may not pick.
     let strict = Engine::builder()
         .workers(4)
         .pools(1)
+        .planner(Planner::new())
         .fallback(FallbackPolicy::Disabled)
         .observability_default()
         .build();
@@ -88,6 +92,7 @@ fn main() {
     let engine = Engine::builder()
         .workers(4)
         .pools(1)
+        .planner(Planner::new())
         .observability_default()
         .build();
     assert_eq!(engine.fallback_policy(), FallbackPolicy::SequentialRetry);

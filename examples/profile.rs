@@ -14,12 +14,15 @@
 //! Run: `cargo run --release --example profile`
 
 use preprocessed_doacross::core::{AccessPattern, IndirectLoop, RunStats};
+use preprocessed_doacross::plan::Planner;
 use preprocessed_doacross::{validate_chrome_trace, Engine, SolveProfile, SpanKind};
 
 fn main() {
+    // Preset planner by name: host pricing (the default) may run both solves sequentially.
     let engine = Engine::builder()
         .workers(4)
         .pools(1)
+        .planner(Planner::new())
         .profiling_default()
         .observability_default()
         .build();

@@ -6,9 +6,9 @@
 //! Prints the level histogram of a small ILU(0) factor, the natural vs.
 //! doconsider claim orders, the simulated 16-processor schedules of both
 //! (showing where the paper's Table 1 gap comes from), and then runs a
-//! deep 7-point structure through the engine, asserting that the cost
-//! model selects the wavefront variant on its own and that the run
-//! reports `wait_polls == 0`.
+//! deep 7-point structure through an engine pricing with the paper's
+//! Multimax preset, asserting that the cost model selects the wavefront
+//! variant on its own and that the run reports `wait_polls == 0`.
 //!
 //! Run: `cargo run --release --example wavefront`
 //!
@@ -21,7 +21,7 @@
 use preprocessed_doacross::core::seq::run_sequential;
 use preprocessed_doacross::core::PlanProvenance;
 use preprocessed_doacross::doconsider::{level_histogram, DependenceDag, LevelAssignment};
-use preprocessed_doacross::plan::PlanVariant;
+use preprocessed_doacross::plan::{PlanVariant, Planner};
 use preprocessed_doacross::sim::Machine;
 use preprocessed_doacross::sparse::{
     ilu0, stencil::five_point, stencil::seven_point, TriangularMatrix,
@@ -114,13 +114,14 @@ fn main() {
     // ILU(0) factor has many true dependencies but few levels relative to
     // its size, so at a multicore worker count the cost model converts the
     // doacross into counter-separated level doalls on its own.
+    // Preset planner by name: host pricing (the default, printed above) may keep it sequential.
     let store = std::env::args().nth(1);
     let a3d = seven_point(20, 20, 20, 7);
     let l3d = TriangularMatrix::from_strict_lower(&ilu0(&a3d).l);
     let rhs3d: Vec<f64> = (0..l3d.n()).map(|i| 1.0 + (i % 11) as f64 * 0.25).collect();
     let deep = TriSolveLoop::new(&l3d, &rhs3d);
 
-    let mut builder = Engine::builder().workers(4);
+    let mut builder = Engine::builder().workers(4).planner(Planner::new());
     if let Some(path) = &store {
         builder = builder.warm_start(path);
     }

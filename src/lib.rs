@@ -44,10 +44,11 @@
 //! assert_eq!(engine.cache_stats().hits, 1);
 //! ```
 //!
-//! `Engine::builder().calibrated()` prices variants with cost ratios
-//! measured on *this* host (via [`sim`]'s calibration) instead of the
-//! paper's Encore Multimax preset; `Engine::invalidate` retires the plans
-//! (and outstanding handles) of a structure about to be mutated in place.
+//! The engine prices variants with cost ratios measured on *this* host,
+//! once per process ([`sim::host_calibration`]);
+//! `.planner(Planner::new())` asks for the paper's Encore Multimax preset
+//! instead. `Engine::invalidate` retires the plans (and outstanding
+//! handles) of a structure about to be mutated in place.
 //!
 //! ## Plan persistence
 //!

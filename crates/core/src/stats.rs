@@ -132,6 +132,21 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The stats of one sequential pass over `iterations` iterations that
+    /// took `total`: one worker, one block, no inspector, executor region
+    /// or postprocessor to time apart, nothing to wait on. The one
+    /// description of "the source loop ran" — the plan executor's
+    /// sequential variant and the engine's fault replay both report this.
+    pub fn sequential(iterations: usize, total: Duration) -> Self {
+        Self {
+            iterations,
+            workers: 1,
+            blocks: 1,
+            total,
+            ..Self::default()
+        }
+    }
+
     /// Fraction of total time spent outside the executor: the paper's
     /// "pre/postprocessing overhead". Returns 0 for an empty run.
     pub fn overhead_fraction(&self) -> f64 {

@@ -17,6 +17,7 @@
 //! rebuild simply leaves the current plan in place.
 
 use crate::engine::EngineInner;
+use crate::solve::clamp_ns;
 use doacross_adapt::{
     policy::Action, pricing, refine, AdaptiveConfig, PromotionPolicy, RefinementConfig,
     SolveSample, StructureState, TelemetryEntry, TelemetryTotals, VariantKind, VariantTelemetry,
@@ -25,6 +26,7 @@ use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::profile::ProfileSummary;
 use doacross_obs::TraceEvent;
 use doacross_plan::{ExecutionPlan, PatternFingerprint, Planner, StoredCalibration};
+use doacross_sim::CostModel;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,25 +198,10 @@ impl AdaptiveRuntime {
         let fingerprint = *plan.fingerprint();
         let kind = VariantKind::from(plan.variant());
         let statics = inner.planner.costs();
-        let census = plan.census();
 
-        // 1. Record the solve. Barrier crossings come straight from the
-        // run's own count (the wavefront executor reports `levels − 1`;
-        // every other variant reports 0).
-        let split = pricing::breakdown(plan, statics);
-        let barriers = stats.barrier_crossings;
-        self.telemetry.record(
-            &fingerprint,
-            kind,
-            SolveSample {
-                ns: stats.total.as_nanos().min(u64::MAX as u128) as u64,
-                wait_polls: stats.wait_polls,
-                barriers,
-                terms: census.total_terms,
-                pred_units: split.pred_units,
-                work_units: split.work_units,
-            },
-        );
+        // 1. Record the solve.
+        self.telemetry
+            .record(&fingerprint, kind, executed_sample(plan, statics, stats));
 
         // 2. Let the policy look at the updated ledger. The structure map
         // is one engine-wide mutex: the common path holds it for a lookup
@@ -316,28 +303,12 @@ impl AdaptiveRuntime {
         y: &[f64],
         plan: &Arc<ExecutionPlan>,
     ) {
-        let census = plan.census();
         let mut scratch = y.to_vec();
         let start = Instant::now();
         run_sequential(loop_, &mut scratch);
-        let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let ns = clamp_ns(start.elapsed());
         std::hint::black_box(&scratch);
-        let units = inner
-            .planner
-            .costs()
-            .sequential_time(census.iterations, census.total_terms as usize);
-        self.telemetry.record(
-            plan.fingerprint(),
-            VariantKind::Sequential,
-            SolveSample {
-                ns,
-                wait_polls: 0,
-                barriers: 0,
-                terms: census.total_terms,
-                pred_units: units,
-                work_units: units,
-            },
-        );
+        self.record_anchor(inner, plan, ns);
         self.baseline_probes.fetch_add(1, Ordering::Relaxed);
         if inner.obs.enabled() {
             inner.obs.emit(TraceEvent::BaselineProbed {
@@ -355,6 +326,15 @@ impl AdaptiveRuntime {
     /// that keeps faulting re-prices toward the variant that actually
     /// delivers answers.
     pub(crate) fn record_fallback(&self, inner: &EngineInner, plan: &Arc<ExecutionPlan>, ns: u64) {
+        self.record_anchor(inner, plan, ns);
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one sequential pass over `plan`'s structure that took `ns`
+    /// as a `Sequential` observation, whatever variant the plan itself
+    /// selects: zero synchronization by construction, priced at the
+    /// model's own `T_seq`.
+    fn record_anchor(&self, inner: &EngineInner, plan: &ExecutionPlan, ns: u64) {
         let census = plan.census();
         let units = inner
             .planner
@@ -372,7 +352,6 @@ impl AdaptiveRuntime {
                 work_units: units,
             },
         );
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One evaluation point: refine, re-price, and — if the policy
@@ -499,6 +478,22 @@ impl AdaptiveRuntime {
                 });
             }
         }
+    }
+}
+
+/// The telemetry sample of a completed solve that ran `plan`'s own
+/// variant: [`RunStats`] projected for the adaptive layer. Barrier
+/// crossings come straight from the run's own count (the wavefront
+/// executor reports `levels − 1`; every other variant reports 0).
+fn executed_sample(plan: &ExecutionPlan, statics: &CostModel, stats: &RunStats) -> SolveSample {
+    let split = pricing::breakdown(plan, statics);
+    SolveSample {
+        ns: clamp_ns(stats.total),
+        wait_polls: stats.wait_polls,
+        barriers: stats.barrier_crossings,
+        terms: plan.census().total_terms,
+        pred_units: split.pred_units,
+        work_units: split.work_units,
     }
 }
 

@@ -5,32 +5,20 @@ use crate::builder::EngineBuilder;
 use crate::error::EngineError;
 use crate::fault::{FallbackPolicy, RetryPolicy};
 use crate::prepared::PreparedLoop;
+use crate::solve::{clamp_ns, LeaseScratch};
 use doacross_adapt::{TelemetryEntry, TelemetryTotals, VariantKind};
-use doacross_core::{AccessPattern, DoacrossConfig, DoacrossLoop, PlanProvenance, RunStats};
+use doacross_core::{AccessPattern, DoacrossConfig, DoacrossLoop, RunStats};
 use doacross_obs::profile::{ProfileSummary, Profiler, SolveProfile};
-use doacross_obs::{
-    render, Obs, ObsFault, ObsProvenance, SolveOutcome, SolveRecord, TraceEvent, TracedEvent,
-};
-use doacross_par::{RegionFault, ThreadPool};
+use doacross_obs::{render, Obs, SolveRecord, TraceEvent, TracedEvent};
+use doacross_par::ThreadPool;
 use doacross_plan::{
-    CacheStats, ConcurrentPlanCache, ExecutionPlan, ExecutorPool, PatternFingerprint, PlanStore,
-    PlanVariant, Planner, ShardStats, StoredCalibration,
+    CacheStats, ConcurrentPlanCache, ExecutionPlan, PatternFingerprint, PlanStore, Planner,
+    ShardStats, StoredCalibration,
 };
 use doacross_sched::{PoolSet, PoolStats};
 use parking_lot::Mutex;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// The observability view of a core provenance. A free function because
-/// both types are foreign to this crate (orphan rule).
-pub(crate) fn obs_provenance(p: PlanProvenance) -> ObsProvenance {
-    match p {
-        PlanProvenance::Inline => ObsProvenance::Inline,
-        PlanProvenance::PlanCold => ObsProvenance::PlanCold,
-        PlanProvenance::PlanCached => ObsProvenance::PlanCached,
-    }
-}
+use std::time::Duration;
 
 /// Builds the verify-ring row for one plan-soundness verdict: sound
 /// verdicts carry the verified dependence census, unsound ones zeros
@@ -78,354 +66,16 @@ pub(crate) struct EngineInner {
     /// successful solve into the profile ring and the
     /// `doacross_profile_` metric families.
     pub(crate) profiler: Option<Profiler>,
-    /// Checked-out-and-returned scratch executors, one stack per
-    /// sub-pool: each concurrent execution borrows a private one
-    /// (per-variant scratch arrays are `&mut` state), and returning it to
-    /// the stack of the sub-pool it ran on keeps the paper's
-    /// scratch-reuse economics across calls *and* tenants. Grows to the
-    /// peak per-pool concurrency ever seen.
-    pub(crate) executors: ExecutorPool,
+    /// What each sub-pool's lease comes with — scratch executor and
+    /// pristine-input buffer — indexed by `PoolGuard::index()`
+    /// ([`crate::solve`] is the only reader).
+    pub(crate) scratch: Vec<Mutex<LeaseScratch>>,
     /// Wall-clock budget per parallel solve
     /// ([`EngineBuilder::solve_deadline`]); `None` means unbounded.
     pub(crate) solve_deadline: Option<Duration>,
     /// What to do when a parallel solve faults
     /// ([`EngineBuilder::fallback`]).
     pub(crate) fallback: FallbackPolicy,
-    /// Reusable pristine-input snapshot buffers for the sequential
-    /// fallback. A faulted parallel region may leave the caller's `y`
-    /// torn (the blocked variant copies back per block), so the replay
-    /// needs the input as it was *before* the parallel attempt. Buffers
-    /// are checked out per solve and returned, growing to peak
-    /// concurrency — warm solves snapshot with zero heap allocations.
-    pub(crate) snapshots: Mutex<Vec<Vec<f64>>>,
-}
-
-impl EngineInner {
-    /// Executes `plan` against `loop_` with a checked-out scratch
-    /// executor; stamps the handle's provenance into the stats, feeds the
-    /// flight recorder/trace, and — on an adaptive engine — runs the
-    /// telemetry/policy hook afterwards (off the result path — adaptation
-    /// can never change what this call returns, only what a *later*
-    /// prepare serves).
-    pub(crate) fn execute_plan<L: DoacrossLoop + ?Sized>(
-        &self,
-        loop_: &L,
-        y: &mut [f64],
-        plan: &Arc<ExecutionPlan>,
-        from_cache: bool,
-        generation: u64,
-    ) -> Result<RunStats, EngineError> {
-        // Every solve passes through the same bounded admission gate —
-        // uniform saturation semantics, and the per-pool dispatch
-        // accounting reconciles exactly with the solve totals.
-        let trace_dispatch = self.obs.enabled() && self.pools.pools() > 1;
-        let wait_started = (trace_dispatch || self.profiler.is_some()).then(Instant::now);
-        let guard = match self.pools.acquire() {
-            Ok(guard) => guard,
-            Err(saturated) => {
-                // No pool was ever leased, but the refused attempt still
-                // shows in the flight recorder (counters and histograms
-                // skip non-delivered outcomes).
-                self.emit_solve_record(plan, generation, 0, SolveOutcome::Saturated, &{
-                    RunStats {
-                        attempts: 1,
-                        ..RunStats::default()
-                    }
-                });
-                return Err(saturated.into());
-            }
-        };
-        let pool_index = guard.index();
-        if let (true, Some(t0)) = (trace_dispatch, wait_started) {
-            self.obs.emit(TraceEvent::PoolDispatched {
-                pool: pool_index as u64,
-                stolen: guard.stolen(),
-                wait_ns: t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            });
-        }
-        // Arm the profiler's arena for this pool: drop any spans a
-        // previously faulted attempt abandoned, and account the acquire
-        // wait on the dispatcher track. Sub-pools run one solve at a
-        // time, so the arena is exclusively ours until the guard drops.
-        let arena = self.profiler.as_ref().map(|profiler| {
-            let arena = profiler.arena(pool_index);
-            arena.reset();
-            if let Some(t0) = wait_started {
-                let wait_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                let end = arena.now_ns();
-                arena.record_dispatch(end.saturating_sub(wait_ns), wait_ns);
-            }
-            arena
-        });
-        // A faulted parallel region may leave `y` torn, so the sequential
-        // fallback replays from a pristine copy taken up front. Only
-        // parallel variants can fault (the sequential variant runs no
-        // region), and a disabled policy never replays — skip the copy.
-        let snapshot = (self.fallback == FallbackPolicy::SequentialRetry
-            && plan.variant() != PlanVariant::Sequential)
-            .then(|| {
-                let mut buf = self.snapshots.lock().pop().unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(y);
-                buf
-            });
-        let deadline = self.solve_deadline.map(|budget| Instant::now() + budget);
-        guard.pool().set_deadline(deadline);
-        let mut executor = self.executors.checkout(pool_index);
-        let allocs_before = doacross_core::alloc::thread_allocations();
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            executor.execute(guard.pool(), loop_, y, plan, arena)
-        }));
-        let elapsed = started.elapsed();
-        let allocations = doacross_core::alloc::thread_allocations() - allocs_before;
-        guard.pool().set_deadline(None);
-        let result = match outcome {
-            Ok(result) => {
-                self.executors.restore(pool_index, executor);
-                drop(guard);
-                result.map_err(EngineError::from)
-            }
-            Err(payload) => {
-                // The executor's scratch (raised flags, half-filled
-                // completion counts) is mid-flight state — discard it; the
-                // pool replenishes the stack with a fresh one.
-                drop(executor);
-                let fault = match payload.downcast::<RegionFault>() {
-                    Ok(fault) => *fault,
-                    // Not a contained region fault (e.g. an assertion in
-                    // engine code): containment does not apply. Free the
-                    // sub-pool and let the panic keep unwinding.
-                    Err(payload) => {
-                        drop(guard);
-                        resume_unwind(payload);
-                    }
-                };
-                if matches!(fault, RegionFault::WorkerPanicked { .. }) {
-                    // Health-probe the sub-pool before releasing it: one
-                    // empty region proves every worker is answering
-                    // dispatch (and `ThreadPool::run`'s entry hygiene
-                    // clears the poison). A recurring panic here keeps
-                    // the guard's release path intact — the next tenant
-                    // gets the same typed containment, not a hang.
-                    let _ = catch_unwind(AssertUnwindSafe(|| guard.pool().run(|_| {})));
-                }
-                drop(guard);
-                if self.obs.enabled() {
-                    self.obs.emit(TraceEvent::SolvePoisoned {
-                        fp: plan.fingerprint().into(),
-                        variant: plan.variant().into(),
-                        pool: pool_index as u64,
-                        fault: match fault {
-                            RegionFault::WorkerPanicked { worker } => ObsFault::WorkerPanic {
-                                worker: worker as u64,
-                            },
-                            RegionFault::DeadlineExpired => ObsFault::DeadlineExpired,
-                        },
-                    });
-                }
-                // The aborted attempt's flight record: what the engine
-                // can still measure (wall time, attempt count) — the
-                // per-worker counters unwound with the region.
-                let partial = RunStats {
-                    workers: self.pools.workers_per_pool(),
-                    total: elapsed,
-                    executor: elapsed,
-                    attempts: 1,
-                    ..RunStats::default()
-                };
-                let (failed_outcome, err) = match fault {
-                    RegionFault::WorkerPanicked { worker } => (
-                        SolveOutcome::Panicked,
-                        EngineError::SolvePanicked {
-                            pool: pool_index,
-                            worker,
-                        },
-                    ),
-                    RegionFault::DeadlineExpired => (
-                        SolveOutcome::TimedOut,
-                        EngineError::SolveTimeout {
-                            pool: pool_index,
-                            deadline: self.solve_deadline.unwrap_or_default(),
-                        },
-                    ),
-                };
-                self.emit_solve_record(
-                    plan,
-                    generation,
-                    pool_index as u64,
-                    failed_outcome,
-                    &partial,
-                );
-                Err(err)
-            }
-        };
-        let mut stats = match result {
-            Ok(stats) => stats,
-            Err(err) => {
-                // Only contained region faults are eligible for the
-                // sequential replay: a typed rejection (mismatched
-                // buffer, bad plan) is deterministic and would fail — or
-                // panic — identically on the sequential variant.
-                let faulted = matches!(
-                    err,
-                    EngineError::SolvePanicked { .. } | EngineError::SolveTimeout { .. }
-                );
-                let Some(pristine) = snapshot.as_deref().filter(|_| faulted) else {
-                    self.return_snapshot(snapshot);
-                    return Err(err);
-                };
-                // Graceful degradation: replay on the sequential variant
-                // against the restored input. The parallel attempt
-                // delivered nothing, so the unpreprocessed loop — immune
-                // to region faults by construction — earns its keep.
-                y.copy_from_slice(pristine);
-                let replay_started = Instant::now();
-                doacross_core::seq::run_sequential(loop_, y);
-                let replay = replay_started.elapsed();
-                let ns = replay.as_nanos().min(u64::MAX as u128) as u64;
-                if self.obs.enabled() {
-                    self.obs.emit(TraceEvent::SolveFellBack {
-                        fp: plan.fingerprint().into(),
-                        from: plan.variant().into(),
-                    });
-                }
-                if let Some(adaptive) = &self.adaptive {
-                    adaptive.record_fallback(self, plan, ns);
-                }
-                let stats = RunStats {
-                    iterations: loop_.iterations(),
-                    workers: 1,
-                    blocks: 1,
-                    executor: replay,
-                    total: replay,
-                    attempts: 2,
-                    ..RunStats::default()
-                };
-                let record = SolveRecord {
-                    variant: doacross_obs::ObsVariant::Sequential,
-                    ..self.solve_record(plan, generation, 0, SolveOutcome::FellBack, &stats)
-                };
-                if self.obs.enabled() {
-                    self.obs.emit(TraceEvent::SolveFinished { record });
-                }
-                self.return_snapshot(snapshot);
-                return Ok(stats);
-            }
-        };
-        self.return_snapshot(snapshot);
-        // The dispatching thread's heap-allocation bill for this solve —
-        // exactly 0 on a warm flat-doacross solve, and always 0 unless
-        // the audit allocator (`doacross_core::alloc::CountingAllocator`)
-        // is installed.
-        stats.allocations = allocations;
-        stats.attempts = 1;
-        // Stamped here, before the observability and adaptive hooks, so
-        // both see the solve the caller will see.
-        stats.provenance = if from_cache {
-            PlanProvenance::PlanCached
-        } else {
-            PlanProvenance::PlanCold
-        };
-        self.emit_solve_record(
-            plan,
-            generation,
-            pool_index as u64,
-            SolveOutcome::Ok,
-            &stats,
-        );
-        // Harvest the armed arena into a profile (faulted attempts never
-        // reach this point: their partial spans are discarded by the
-        // reset when the pool's next solve arms). The priced cost is the
-        // plan's model price converted through the host calibration when
-        // one exists — otherwise unpriced, never a fabricated number.
-        if let Some(profiler) = &self.profiler {
-            let total_ns = stats.total.as_nanos().min(u64::MAX as u128) as u64;
-            let priced_ns = plan
-                .costs()
-                .of(plan.variant())
-                .filter(|price| price.is_finite())
-                .and_then(|price| self.calibration.as_ref().map(|c| price * c.unit_ns));
-            let summary = profiler.harvest(
-                pool_index,
-                plan.fingerprint().into(),
-                plan.variant().into(),
-                total_ns,
-                priced_ns,
-            );
-            if self.obs.enabled() {
-                self.obs.emit(TraceEvent::SolveProfiled {
-                    fp: plan.fingerprint().into(),
-                    variant: plan.variant().into(),
-                    realized_critical_ns: summary.realized_critical_ns,
-                    work_ns: summary.work_ns,
-                    flag_wait_ns: summary.flag_wait_ns,
-                    barrier_wait_ns: summary.barrier_wait_ns,
-                    dispatch_wait_ns: summary.dispatch_wait_ns,
-                    spans: summary.spans,
-                });
-            }
-            if let Some(adaptive) = &self.adaptive {
-                adaptive.observe_profile(plan, summary);
-            }
-        }
-        if let Some(adaptive) = &self.adaptive {
-            adaptive.after_solve(self, loop_, y, plan, &stats);
-        }
-        Ok(stats)
-    }
-
-    /// Builds the flight-recorder row for one solve attempt.
-    fn solve_record(
-        &self,
-        plan: &Arc<ExecutionPlan>,
-        generation: u64,
-        pool: u64,
-        outcome: SolveOutcome,
-        stats: &RunStats,
-    ) -> SolveRecord {
-        let clamp = |d: Duration| d.as_nanos().min(u64::MAX as u128) as u64;
-        SolveRecord {
-            fp: plan.fingerprint().into(),
-            variant: plan.variant().into(),
-            provenance: obs_provenance(stats.provenance),
-            generation,
-            total_ns: clamp(stats.total),
-            inspector_ns: clamp(stats.inspector),
-            executor_ns: clamp(stats.executor),
-            post_ns: clamp(stats.post),
-            iterations: stats.iterations as u64,
-            workers: stats.workers as u64,
-            stalls: stats.stalls,
-            wait_polls: stats.wait_polls,
-            barrier_crossings: stats.barrier_crossings,
-            pool,
-            outcome,
-        }
-    }
-
-    fn emit_solve_record(
-        &self,
-        plan: &Arc<ExecutionPlan>,
-        generation: u64,
-        pool: u64,
-        outcome: SolveOutcome,
-        stats: &RunStats,
-    ) {
-        if self.obs.enabled() {
-            self.obs.emit(TraceEvent::SolveFinished {
-                record: self.solve_record(plan, generation, pool, outcome, stats),
-            });
-        }
-    }
-
-    /// Returns a fallback snapshot buffer to the reuse stack (keeps its
-    /// capacity; the next solve of the same tenant snapshots alloc-free).
-    fn return_snapshot(&self, snapshot: Option<Vec<f64>>) {
-        if let Some(buf) = snapshot {
-            self.snapshots.lock().push(buf);
-        }
-    }
 }
 
 /// A thread-safe doacross session: one shared thread pool, one planner,
@@ -483,7 +133,9 @@ impl Engine {
         solve_deadline: Option<Duration>,
         fallback: FallbackPolicy,
     ) -> Self {
-        let executors = ExecutorPool::new(config, pools.pools());
+        let scratch = (0..pools.pools())
+            .map(|_| Mutex::new(LeaseScratch::new(config)))
+            .collect();
         Self {
             inner: Arc::new(EngineInner {
                 pools,
@@ -494,10 +146,9 @@ impl Engine {
                 adaptive,
                 obs,
                 profiler,
-                executors,
+                scratch,
                 solve_deadline,
                 fallback,
-                snapshots: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -596,7 +247,8 @@ impl Engine {
 
     /// Per-sub-pool dispatch and steal counters, in pool order. The
     /// dispatch sum reconciles exactly with the solves this engine has
-    /// admitted (every solve leases exactly one sub-pool).
+    /// admitted: every solve leases exactly one sub-pool, once, and
+    /// nothing else ever leases one.
     pub fn pool_stats(&self) -> Vec<PoolStats> {
         self.inner.pools.stats()
     }
@@ -682,7 +334,7 @@ impl Engine {
             self.inner.obs.emit(TraceEvent::PlanBuilt {
                 fp: plan.fingerprint().into(),
                 variant: plan.variant().into(),
-                build_ns: plan.build_time().as_nanos().min(u64::MAX as u128) as u64,
+                build_ns: clamp_ns(plan.build_time()),
                 iterations: census.iterations as u64,
                 true_deps: census.true_deps,
                 critical_path: census.critical_path as u64,
@@ -1340,5 +992,12 @@ mod tests {
             err,
             EngineError::Doacross(DoacrossError::DataLenMismatch { got: 3, .. })
         ));
+        // The rejection fails that call only: the lease it held is back,
+        // and the next solve of the same structure delivers.
+        let mut y = loop_.initial_y();
+        engine.run(&loop_, &mut y).unwrap();
+        let mut oracle = loop_.initial_y();
+        run_sequential(&loop_, &mut oracle);
+        assert_eq!(y, oracle);
     }
 }

@@ -1,9 +1,11 @@
 //! Fault-containment policy types: what the engine does when a parallel
 //! solve panics, times out, or cannot be admitted.
 //!
-//! The mechanisms themselves live in [`crate::engine`] (`execute_plan`
-//! catches the region fault; `execute_with_retry` spends the backoff
-//! budget). This module only holds the knobs.
+//! The mechanisms themselves live elsewhere: the private `solve`
+//! module's `run` stage catches the region fault and its `recover` stage
+//! triages it and replays, and `Engine::execute_with_retry`
+//! ([`crate::engine`]) spends the backoff budget. This module only holds
+//! the knobs.
 
 use std::time::Duration;
 

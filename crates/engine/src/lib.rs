@@ -32,6 +32,12 @@
 //!   [`Engine::invalidate`] and [`EngineError::Persist`] for plan stores
 //!   that cannot be trusted.
 //!
+//! There is one way a solve crosses the engine —
+//! [`PreparedLoop::execute`] ([`Engine::run`] prepares and then calls it)
+//! — and its whole life is written down in one private module, `solve`:
+//! admit → arm → run → recover → record, five stages over the scratch
+//! the leased sub-pool owns. Many solves are a `for` loop over that call.
+//!
 //! Plans are also **durable**: [`Engine::save_plans`] checkpoints the
 //! cache to a versioned, checksummed store
 //! ([`doacross_plan::persist`]), and [`EngineBuilder::warm_start`] /
@@ -65,19 +71,18 @@
 //! assert_eq!(engine.cache_stats().hits, 1);
 //! ```
 
-// Audit posture: every dereference inside an `unsafe fn` must name its
-// own justification in an explicit `unsafe {}` block.
-#![deny(unsafe_op_in_unsafe_fn)]
+// Audit posture: nothing here steps outside the borrow checker (the last
+// site went with batched submission); keep it that way.
+#![forbid(unsafe_code)]
 pub mod adaptive;
-pub mod batch;
 pub mod builder;
 pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod prepared;
+mod solve;
 
 pub use adaptive::AdaptiveStats;
-pub use batch::SolveBatch;
 pub use builder::EngineBuilder;
 pub use engine::Engine;
 pub use error::EngineError;

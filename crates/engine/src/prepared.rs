@@ -105,17 +105,15 @@ impl PreparedLoop {
         y: &mut [f64],
     ) -> Result<RunStats, EngineError> {
         self.check_stale()?;
-        // Provenance is stamped inside `execute_plan`, before the
-        // observability and adaptive hooks see the stats.
+        // Provenance is stamped by `execute_plan`'s record stage, before
+        // the observability and adaptive hooks see the stats.
         self.inner
             .execute_plan(loop_, y, &self.plan, self.from_cache, self.generation)
     }
 
-    /// The typed staleness check behind [`PreparedLoop::execute`], also
-    /// applied per job by the batched path at execute time — a handle
-    /// invalidated while queued in a [`crate::SolveBatch`] fails here and
-    /// never executes.
-    pub(crate) fn check_stale(&self) -> Result<(), EngineError> {
+    /// The typed staleness check at the top of [`PreparedLoop::execute`]:
+    /// a retired handle fails here, before admission, and never executes.
+    fn check_stale(&self) -> Result<(), EngineError> {
         let current = self.generation_cell.load(Ordering::Acquire);
         if current != self.generation {
             return Err(EngineError::StalePlan {
@@ -125,10 +123,6 @@ impl PreparedLoop {
             });
         }
         Ok(())
-    }
-
-    pub(crate) fn plan_arc(&self) -> &Arc<ExecutionPlan> {
-        &self.plan
     }
 
     /// Like [`PreparedLoop::execute`], but leaves `y` untouched and writes
@@ -233,6 +227,7 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(y, y0, "a stale handle must never execute");
 
         // Re-preparing rebuilds under the new generation and works.
         let fresh = engine.prepare(&loop_).unwrap();

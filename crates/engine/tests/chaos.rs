@@ -12,10 +12,12 @@
 //! The failpoint registry is process-global, so every test serializes on
 //! [`chaos_lock`] and disarms on the way out.
 
-use doacross_core::{seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, TestLoop};
+use doacross_core::{
+    seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, PlanProvenance, TestLoop,
+};
 use doacross_engine::{
-    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, PersistError,
-    RetryPolicy, SolveOutcome, TraceEvent,
+    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, ObsProvenance,
+    ObsVariant, PersistError, RetryPolicy, SolveOutcome, TraceEvent,
 };
 use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
 use doacross_sim::CostModel;
@@ -236,8 +238,15 @@ fn injected_worker_panic_fails_typed_across_every_parallel_variant() {
 #[test]
 fn fallback_delivers_the_oracle_answer_after_a_panic() {
     let _serial = chaos_lock();
+    assert_fallback_delivers(1);
+    // Once more where the faulted attempt does not hold sub-pool 0: the
+    // replay's record must name the sub-pool the attempt really ran on.
+    assert_fallback_delivers(2);
+}
+
+fn assert_fallback_delivers(pools: usize) {
     let engine = victim_engine()
-        .pools(1)
+        .pools(pools)
         .adaptive()
         .observability(ObsConfig::default())
         .build();
@@ -247,6 +256,13 @@ fn fallback_delivers_the_oracle_answer_after_a_panic() {
     assert_eq!(prepared.variant(), PlanVariant::Doacross);
     let y0 = fresh_y(loop_.data_len());
     let oracle = oracle_of(&loop_, &y0);
+    // Clean solves walk the scheduler's rotor off sub-pool 0 first (none
+    // on a single-pool engine).
+    for _ in 1..pools {
+        let mut y = y0.clone();
+        prepared.execute(&loop_, &mut y).unwrap();
+        assert_eq!(y, oracle);
+    }
 
     failpoint::arm(EXECUTOR_ITER, FailAction::PanicAt { iteration: 3_900 });
     let (stats, y) = {
@@ -261,22 +277,49 @@ fn fallback_delivers_the_oracle_answer_after_a_panic() {
     assert_eq!(y, oracle, "fallback replays against the pristine input");
     assert_eq!(stats.attempts, 2, "one parallel fault, one replay");
     assert_eq!(stats.workers, 1, "the replay is sequential");
+    assert_eq!(
+        stats.provenance,
+        PlanProvenance::PlanCold,
+        "a replayed solve still reports its handle's provenance"
+    );
 
     // The demotion is visible everywhere it should be: the trace, the
     // flight recorder (failed attempt AND delivering replay), adaptive
     // telemetry, and the scrape.
     let events = engine.trace_events();
-    assert!(events
+    let poisoned_pool = events
         .iter()
-        .any(|e| matches!(e.event, TraceEvent::SolvePoisoned { .. })));
+        .find_map(|e| match e.event {
+            TraceEvent::SolvePoisoned { pool, .. } => Some(pool),
+            _ => None,
+        })
+        .expect("the fault was traced");
     assert!(events
         .iter()
         .any(|e| matches!(e.event, TraceEvent::SolveFellBack { .. })));
-    let outcomes: Vec<SolveOutcome> = engine.recent_solves().iter().map(|r| r.outcome).collect();
+    let solves = engine.recent_solves();
+    let outcomes: Vec<SolveOutcome> = solves.iter().map(|r| r.outcome).collect();
     assert!(outcomes.contains(&SolveOutcome::Panicked), "{outcomes:?}");
-    assert!(outcomes.contains(&SolveOutcome::FellBack), "{outcomes:?}");
-    assert_eq!(engine.adaptive_stats().unwrap().fallbacks, 1);
+    let fell_back = solves
+        .iter()
+        .find(|r| r.outcome == SolveOutcome::FellBack)
+        .unwrap_or_else(|| panic!("no FellBack record: {outcomes:?}"));
+    assert_eq!(fell_back.provenance, ObsProvenance::PlanCold);
+    assert_eq!(fell_back.variant, ObsVariant::Sequential);
+    assert_eq!(fell_back.workers, 1);
+    assert_eq!(
+        fell_back.pool, poisoned_pool,
+        "the replay is charged to the sub-pool the faulted attempt held"
+    );
+    if pools > 1 {
+        assert_ne!(poisoned_pool, 0, "the clean solves moved the rotor on");
+    }
     let text = engine.metrics_text();
+    assert!(
+        text.contains("doacross_solves_total{variant=\"sequential\",provenance=\"plan_cold\"} 1"),
+        "{text}"
+    );
+    assert_eq!(engine.adaptive_stats().unwrap().fallbacks, 1);
     assert!(text.contains("doacross_fault_panics_total 1"), "{text}");
     assert!(text.contains("doacross_fault_fallbacks_total 1"), "{text}");
     assert!(text.contains("doacross_adaptive_fallbacks_total 1"));
@@ -495,64 +538,6 @@ fn faults_leave_concurrent_tenants_bit_identical() {
     assert_eq!(tenant_rounds, 40, "tenants ran to completion throughout");
 
     // After the storm, the victim's own structure solves clean.
-    let mut y = fresh_y(victim_loop.data_len());
-    let y0 = y.clone();
-    victim.execute(&victim_loop, &mut y).unwrap();
-    assert_eq!(y, oracle_of(&victim_loop, &y0));
-}
-
-#[test]
-fn batched_submission_contains_a_faulted_parallel_job() {
-    let _serial = chaos_lock();
-    let engine = victim_engine()
-        .pools(1)
-        .fallback(FallbackPolicy::Disabled)
-        .build();
-    let victim_loop = doacross_victim();
-    let victim = engine.prepare(&victim_loop).unwrap();
-    assert_eq!(victim.variant(), PlanVariant::Doacross);
-    let small: Vec<TestLoop> = (0..3).map(|k| TestLoop::new(120 + k, 1, 7)).collect();
-    let small_prepared: Vec<_> = small.iter().map(|t| engine.prepare(t).unwrap()).collect();
-
-    failpoint::arm(EXECUTOR_ITER, FailAction::PanicAt { iteration: 3_900 });
-    let (statuses, ys) = within(HANG_BOUND, {
-        let engine = engine.clone();
-        let victim = victim.clone();
-        let victim_loop = victim_loop.clone();
-        let small = small.clone();
-        let small_prepared = small_prepared.clone();
-        move || {
-            let mut victim_y = fresh_y(victim_loop.data_len());
-            let mut ys: Vec<Vec<f64>> = small.iter().map(|t| t.initial_y()).collect();
-            let statuses: Vec<Result<(), EngineError>> = {
-                let mut batch = engine.batch::<dyn DoacrossLoop>();
-                batch.submit(&victim, &victim_loop, &mut victim_y);
-                for (prepared, (t, y)) in small_prepared.iter().zip(small.iter().zip(&mut ys)) {
-                    batch.submit(prepared, t, y);
-                }
-                batch
-                    .execute_all()
-                    .into_iter()
-                    .map(|r| r.map(|_| ()))
-                    .collect()
-            };
-            (statuses, ys)
-        }
-    });
-    failpoint::disarm(EXECUTOR_ITER);
-
-    assert!(
-        matches!(statuses[0], Err(EngineError::SolvePanicked { .. })),
-        "victim job fails typed inside the batch: {statuses:?}"
-    );
-    for (k, (t, y)) in small.iter().zip(&ys).enumerate() {
-        assert!(statuses[k + 1].is_ok(), "co-batched job {k} unharmed");
-        let mut oracle = t.initial_y();
-        run_sequential(t, &mut oracle);
-        assert_eq!(y, &oracle, "co-batched job {k} is bit-identical");
-    }
-
-    // The engine survives the batch fault: the same victim handle solves.
     let mut y = fresh_y(victim_loop.data_len());
     let y0 = y.clone();
     victim.execute(&victim_loop, &mut y).unwrap();

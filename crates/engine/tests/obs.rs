@@ -430,13 +430,13 @@ fn disabled_observability_is_inert_but_sampled_metrics_remain() {
     assert!(engine.metrics_json().contains("\"obs\":{}"));
 }
 
-/// Scheduler and batch observability: on a multi-pool engine the
-/// `doacross_pool_*` / `doacross_batch_*` families (documented at
-/// [`doacross_obs`]'s crate root) render, parse strictly, and reconcile
-/// exactly — per pool — with the scheduler's own dispatch ledger and the
-/// batch the test submitted.
+/// Scheduler observability: on a multi-pool engine the `doacross_pool_*`
+/// families (documented at [`doacross_obs`]'s crate root) render, parse
+/// strictly, and reconcile exactly — in total and per pool — with the
+/// scheduler's own dispatch ledger, which in turn is the solve count:
+/// every admitted solve is one dispatch, and nothing else dispatches.
 #[test]
-fn pool_and_batch_metrics_reconcile_with_the_scheduler() {
+fn pool_metrics_reconcile_with_the_scheduler() {
     let engine = Engine::builder()
         .workers(1)
         .pools(2)
@@ -447,42 +447,30 @@ fn pool_and_batch_metrics_reconcile_with_the_scheduler() {
         .map(|&(n, l)| TestLoop::new(n, 1, l))
         .collect();
 
-    // Direct solves: each traces its sub-pool dispatch (pools > 1).
-    let mut direct = 0u64;
-    for _ in 0..2 {
+    // Each solve traces its sub-pool dispatch (pools > 1).
+    let mut solves = 0u64;
+    for _ in 0..3 {
         for l in &loops {
             let mut y = l.initial_y();
             engine.run(l, &mut y).unwrap();
-            direct += 1;
+            solves += 1;
         }
-    }
-
-    // One batch over prepared handles: jobs demultiplex into one
-    // coalesced region (sequential-variant jobs) plus direct fallbacks.
-    let prepared: Vec<_> = loops.iter().map(|l| engine.prepare(l).unwrap()).collect();
-    let coalesced = prepared
-        .iter()
-        .filter(|p| matches!(p.variant(), doacross_plan::PlanVariant::Sequential))
-        .count() as u64;
-    let mut ys: Vec<Vec<f64>> = loops.iter().map(|l| l.initial_y()).collect();
-    let mut batch = engine.batch();
-    for ((p, l), y) in prepared.iter().zip(&loops).zip(&mut ys) {
-        batch.submit(p, l, y);
-    }
-    let njobs = batch.len() as u64;
-    for result in engine.execute_all(batch) {
-        result.unwrap();
     }
 
     let text = engine.metrics_text();
     let families = parse_prometheus(&text);
 
     // The scraped dispatch counter reconciles with the scheduler's own
-    // ledger — in total and per pool.
+    // ledger — in total and per pool — and both with the solves.
     let pool_stats = engine.pool_stats();
     let ledger: u64 = pool_stats.iter().map(|p| p.dispatches).sum();
+    assert_eq!(ledger, solves, "one dispatch per admitted solve");
     assert_eq!(
         counter_value(&families, "doacross_pool_dispatches_total") as u64,
+        ledger
+    );
+    assert_eq!(
+        counter_value(&families, "doacross_solves_total") as u64,
         ledger
     );
     for p in &pool_stats {
@@ -501,37 +489,16 @@ fn pool_and_batch_metrics_reconcile_with_the_scheduler() {
     assert!(families.contains_key("doacross_pool_wait_ns"));
     assert!(families.contains_key("doacross_pool_solve_ns"));
 
-    // Batch accounting matches what was submitted.
-    assert_eq!(
-        counter_value(&families, "doacross_batch_submissions_total"),
-        1.0
-    );
-    assert_eq!(
-        counter_value(&families, "doacross_batch_jobs_total") as u64,
-        njobs
-    );
-    assert_eq!(
-        counter_value(&families, "doacross_batch_coalesced_total") as u64,
-        coalesced
-    );
-
-    // Every solve — direct and batched — is counted once, and the
-    // engine-sampled scheduler gauges scrape.
-    assert_eq!(
-        counter_value(&families, "doacross_solves_total") as u64,
-        direct + njobs
-    );
+    // The engine-sampled scheduler gauges scrape.
     assert_eq!(counter_value(&families, "doacross_pools"), 2.0);
     assert_eq!(counter_value(&families, "doacross_saturations_total"), 0.0);
 
     // Flight-recorded solves carry an in-range pool stamp, and the JSON
-    // view exports the new counter families.
+    // view exports the counter family.
     for s in engine.recent_solves() {
         assert!((s.pool as usize) < engine.pools());
     }
-    let json = engine.metrics_json();
-    assert!(json.contains("\"pool_dispatches\":"));
-    assert!(json.contains("\"batch_jobs\":"));
+    assert!(engine.metrics_json().contains("\"pool_dispatches\":"));
 }
 
 #[test]

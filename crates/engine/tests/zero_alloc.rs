@@ -11,11 +11,13 @@
 //! and pins the bill: after the cold solve grows the scratch, a warm
 //! solve reports **zero** allocations on the dispatching thread
 //! ([`RunStats::allocations`]). The same warm solves pin the region count:
-//! executor and postprocessor share one `ThreadPool::run`.
+//! executor and postprocessor share one `ThreadPool::run`. One audit
+//! moves the bracket out to the whole `PreparedLoop::execute` call, so
+//! what the engine does around the executor is covered too.
 
 use doacross_core::alloc::CountingAllocator;
 use doacross_core::{seq::run_sequential, DoacrossLoop, IndirectLoop, RunStats, TestLoop};
-use doacross_engine::{Engine, EngineBuilder};
+use doacross_engine::{Engine, EngineBuilder, FallbackPolicy};
 use doacross_plan::{PlanVariant, Planner};
 
 #[global_allocator]
@@ -171,6 +173,83 @@ fn disabled_profiling_keeps_warm_solves_allocation_free() {
     let mut y = vec![1.0; 4_000];
     prepared.execute(&loop_, &mut y).expect("valid");
     assert_eq!(armed.recent_profiles().len(), 1);
+}
+
+/// Warm solves of `loop_` through `engine`, with the audit bracket around
+/// the whole `PreparedLoop::execute` call instead of the executor alone:
+/// the output is the oracle's and the calling thread allocates nothing —
+/// not in admission, not arming the lease (the pristine copy reuses the
+/// sub-pool's buffer), not recording.
+fn assert_whole_call_allocates_nothing<L: DoacrossLoop>(
+    engine: &Engine,
+    loop_: &L,
+    wants: fn(PlanVariant) -> bool,
+) {
+    assert_eq!(engine.fallback_policy(), FallbackPolicy::SequentialRetry);
+    let prepared = engine.prepare(loop_).expect("plannable");
+    assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
+    let y0: Vec<f64> = (0..loop_.data_len())
+        .map(|e| 1.0 + (e % 7) as f64 / 8.0)
+        .collect();
+    let mut oracle = y0.clone();
+    run_sequential(loop_, &mut oracle);
+
+    // Cold solves, one per sub-pool (the scheduler's rotor walks them in
+    // turn): each grows that sub-pool's executor scratch and pristine
+    // buffer, and may allocate.
+    let mut y = y0.clone();
+    for _ in 0..engine.pools() {
+        y.copy_from_slice(&y0);
+        prepared.execute(loop_, &mut y).expect("cold solve");
+        assert_eq!(y, oracle);
+    }
+    const WARM_PER_POOL: usize = 2;
+    for round in 0..WARM_PER_POOL * engine.pools() {
+        y.copy_from_slice(&y0);
+        let before = doacross_core::alloc::thread_allocations();
+        let stats = prepared.execute(loop_, &mut y).expect("valid");
+        let allocated = doacross_core::alloc::thread_allocations() - before;
+        assert_eq!(y, oracle);
+        assert_eq!(
+            (allocated, stats.allocations),
+            (0, 0),
+            "{:?}: warm call {round} allocated outside / inside the executor",
+            prepared.variant()
+        );
+    }
+    // Every sub-pool served its share (one cold solve plus the warm ones):
+    // the zeros above cover each lease's scratch, not one warm sub-pool
+    // over and over.
+    for pool in engine.pool_stats() {
+        assert!(pool.dispatches > WARM_PER_POOL as u64, "{pool:?}");
+    }
+}
+
+/// `RunStats::allocations` brackets `PlanExecutor::execute` only; what
+/// the engine does around it — admit, arm, record — is audited here, under
+/// the default fallback policy, whose pristine copy of `y` is the one
+/// per-solve buffer the engine itself fills.
+#[test]
+fn warm_whole_calls_allocate_nothing_under_the_default_policy() {
+    let engine = preset_engine().build();
+    assert_whole_call_allocates_nothing(
+        &engine,
+        &doacross_plan::testgrid::deep_grid(64, 20, 3, 7),
+        |v| v == PlanVariant::Wavefront,
+    );
+    assert_whole_call_allocates_nothing(&engine, &scattered_doall(4_000), |v| {
+        v == PlanVariant::Doacross
+    });
+    // A sequential plan takes no pristine copy; two single-worker
+    // sub-pools make consecutive solves alternate between both leases.
+    let tenants = Engine::builder()
+        .workers(1)
+        .pools(2)
+        .planner(Planner::new())
+        .build();
+    assert_whole_call_allocates_nothing(&tenants, &TestLoop::new(300, 1, 8), |v| {
+        v == PlanVariant::Sequential
+    });
 }
 
 #[test]

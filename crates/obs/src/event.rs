@@ -335,10 +335,10 @@ pub enum TraceEvent {
     /// A solve finished; also feeds the flight recorder and the
     /// latency/counter metrics.
     SolveFinished { record: SolveRecord },
-    /// The multi-pool scheduler routed a solve (or a coalesced batch
-    /// region) to a sub-pool. Emitted by multi-pool engines and the
-    /// batched-submission path; single-pool direct executes stay silent
-    /// so their trace reads exactly as before.
+    /// The multi-pool scheduler routed a solve to a sub-pool. Emitted
+    /// once per admitted solve, from the engine's admission stage, on
+    /// multi-pool engines only: a single-pool engine has no routing
+    /// decision to report and its trace stays silent.
     PoolDispatched {
         /// Sub-pool index the work landed on.
         pool: u64,
@@ -349,10 +349,6 @@ pub enum TraceEvent {
         /// lock-free fast path).
         wait_ns: u64,
     },
-    /// `Engine::execute_all` accepted a batch: `jobs` solve jobs total,
-    /// of which `coalesced` were small (sequential-variant) doalls merged
-    /// into one pool region.
-    BatchSubmitted { jobs: u64, coalesced: u64 },
     /// A parallel solve attempt was abandoned: a worker panicked or the
     /// solve deadline expired, and the poison protocol drained the region
     /// into a typed error.
@@ -441,7 +437,6 @@ impl TraceEvent {
             TraceEvent::BaselineProbed { .. } => "baseline_probed",
             TraceEvent::SolveFinished { .. } => "solve_finished",
             TraceEvent::PoolDispatched { .. } => "pool_dispatched",
-            TraceEvent::BatchSubmitted { .. } => "batch_submitted",
             TraceEvent::SolvePoisoned { .. } => "solve_poisoned",
             TraceEvent::SolveFellBack { .. } => "solve_fell_back",
             TraceEvent::SolveRetried { .. } => "solve_retried",
@@ -583,9 +578,6 @@ impl TraceEvent {
                     buf,
                     ",\"pool\":{pool},\"stolen\":{stolen},\"wait_ns\":{wait_ns}"
                 );
-            }
-            TraceEvent::BatchSubmitted { jobs, coalesced } => {
-                let _ = write!(buf, ",\"jobs\":{jobs},\"coalesced\":{coalesced}");
             }
             TraceEvent::SolvePoisoned {
                 fp,

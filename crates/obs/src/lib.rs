@@ -47,9 +47,6 @@
 //! | `doacross_pool_steals_total` | counter | — | Dispatches redirected by the work-stealing fallback (preferred sub-pool busy). |
 //! | `doacross_pool_wait_ns` | histogram | — | Time spent waiting for a free sub-pool (0 on the lock-free fast path). |
 //! | `doacross_pool_solve_ns` | histogram | `pool` | End-to-end solve latency per sub-pool (emitted once any multi-pool dispatch has been traced). |
-//! | `doacross_batch_submissions_total` | counter | — | `execute_all` batches accepted. |
-//! | `doacross_batch_jobs_total` | counter | — | Solve jobs submitted across all batches. |
-//! | `doacross_batch_coalesced_total` | counter | — | Small (sequential-variant) jobs merged into coalesced pool regions. |
 //! | `doacross_trace_events_total` | counter | — | Trace events ever emitted. |
 //! | `doacross_trace_dropped_total` | counter | — | Trace events dropped to bound the ring. |
 //! | `doacross_structure_solves_total` | counter | `fingerprint`, `variant` | Per-structure solve counts (bounded; overflow aggregates under `fingerprint="other"`). |
@@ -299,9 +296,6 @@ impl Obs {
                 inner
                     .registry
                     .record_pool_dispatch(*pool, *stolen, *wait_ns);
-            }
-            TraceEvent::BatchSubmitted { jobs, coalesced } => {
-                inner.registry.record_batch(*jobs, *coalesced);
             }
             TraceEvent::SolvePoisoned { fault, .. } => {
                 let counter = match fault {
@@ -612,10 +606,10 @@ impl Obs {
             load(&r.store_quarantines_total),
         );
 
-        // Scheduler sub-pool and batch-submission series. The per-pool
-        // families only appear once a dispatch has been traced, so a
-        // single-pool engine's scrape is byte-for-byte what it was before
-        // the scheduler existed.
+        // Scheduler sub-pool series. The per-pool families only appear
+        // once a dispatch has been traced, so a single-pool engine's
+        // scrape is byte-for-byte what it was before the scheduler
+        // existed.
         let mut pool_samples: Vec<([(&str, &str); 1], u64)> = Vec::new();
         for (i, c) in r.pool_dispatches.iter().enumerate() {
             let n = load(c);
@@ -679,27 +673,6 @@ impl Obs {
                 "doacross_pool_solve_ns",
                 "End-to-end solve latency in nanoseconds, by scheduler sub-pool.",
                 &pool_latency_refs,
-            );
-        }
-        let batch_submissions = load(&r.batch_submissions_total);
-        if batch_submissions > 0 {
-            render::counter(
-                buf,
-                "doacross_batch_submissions_total",
-                "execute_all batches accepted.",
-                batch_submissions,
-            );
-            render::counter(
-                buf,
-                "doacross_batch_jobs_total",
-                "Solve jobs submitted across all batches.",
-                load(&r.batch_jobs_total),
-            );
-            render::counter(
-                buf,
-                "doacross_batch_coalesced_total",
-                "Small jobs merged into coalesced pool regions.",
-                load(&r.batch_coalesced_total),
             );
         }
 
@@ -818,7 +791,7 @@ impl Obs {
         buf.push_str("},\"counters\":{");
         let pool_dispatches_total =
             r.pool_dispatches.iter().map(load).sum::<u64>() + load(&r.pool_overflow_dispatches);
-        let counters: [(&str, u64); 28] = [
+        let counters: [(&str, u64); 25] = [
             ("wait_polls", load(&r.wait_polls_total)),
             ("stalls", load(&r.stalls_total)),
             ("barrier_crossings", load(&r.barrier_crossings_total)),
@@ -838,9 +811,6 @@ impl Obs {
             ("baseline_probes", load(&r.baseline_probes_total)),
             ("pool_dispatches", pool_dispatches_total),
             ("pool_steals", load(&r.pool_steals_total)),
-            ("batch_submissions", load(&r.batch_submissions_total)),
-            ("batch_jobs", load(&r.batch_jobs_total)),
-            ("batch_coalesced", load(&r.batch_coalesced_total)),
             ("fault_panics", load(&r.fault_panics_total)),
             ("fault_timeouts", load(&r.fault_timeouts_total)),
             ("fault_fallbacks", load(&r.fault_fallbacks_total)),
@@ -961,23 +931,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_batch_series_render_once_dispatched() {
+    fn pool_series_render_once_dispatched() {
         let obs = Obs::new(ObsConfig::default());
-        // Before any dispatch, no pool/batch families at all — a
-        // single-pool engine's scrape is unchanged.
+        // Before any dispatch, no pool families at all — a single-pool
+        // engine's scrape is unchanged.
         let mut quiet = String::new();
         obs.render_prometheus(&mut quiet);
         assert!(!quiet.contains("doacross_pool_"));
-        assert!(!quiet.contains("doacross_batch_"));
 
         obs.emit(TraceEvent::PoolDispatched {
             pool: 1,
             stolen: true,
             wait_ns: 500,
-        });
-        obs.emit(TraceEvent::BatchSubmitted {
-            jobs: 4,
-            coalesced: 3,
         });
         obs.emit(solve_event(FpId(1, 1), ObsVariant::Sequential, 10));
         let mut buf = String::new();
@@ -986,15 +951,11 @@ mod tests {
         assert!(buf.contains("doacross_pool_steals_total 1"));
         assert!(buf.contains("doacross_pool_wait_ns_count 1"));
         assert!(buf.contains("doacross_pool_solve_ns_bucket{pool=\"0\",le=\"+Inf\"} 1"));
-        assert!(buf.contains("doacross_batch_submissions_total 1"));
-        assert!(buf.contains("doacross_batch_jobs_total 4"));
-        assert!(buf.contains("doacross_batch_coalesced_total 3"));
 
         let mut json = String::new();
         obs.render_json(&mut json);
         assert!(json.contains("\"pool_dispatches\":1"));
         assert!(json.contains("\"pool_steals\":1"));
-        assert!(json.contains("\"batch_jobs\":4"));
     }
 
     #[test]

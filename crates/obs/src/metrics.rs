@@ -132,9 +132,6 @@ pub(crate) struct Registry {
     /// Solve latency per sub-pool (from `SolveFinished`, bounded like
     /// `pool_dispatches`).
     pub(crate) pool_solve_ns: [Histogram; MAX_POOL_SERIES],
-    pub(crate) batch_submissions_total: AtomicU64,
-    pub(crate) batch_jobs_total: AtomicU64,
-    pub(crate) batch_coalesced_total: AtomicU64,
     /// Parallel attempts abandoned because a worker panicked.
     pub(crate) fault_panics_total: AtomicU64,
     /// Parallel attempts abandoned because the solve deadline expired.
@@ -204,13 +201,6 @@ impl Registry {
             self.pool_steals_total.fetch_add(1, Ordering::Relaxed);
         }
         self.pool_wait_ns.record(wait_ns);
-    }
-
-    pub(crate) fn record_batch(&self, jobs: u64, coalesced: u64) {
-        self.batch_submissions_total.fetch_add(1, Ordering::Relaxed);
-        self.batch_jobs_total.fetch_add(jobs, Ordering::Relaxed);
-        self.batch_coalesced_total
-            .fetch_add(coalesced, Ordering::Relaxed);
     }
 }
 
@@ -291,15 +281,5 @@ mod tests {
         assert_eq!(r.pool_steals_total.load(Ordering::Relaxed), 1);
         let (_, _, count) = r.pool_wait_ns.snapshot();
         assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn batch_counters_accumulate() {
-        let r = Registry::default();
-        r.record_batch(8, 5);
-        r.record_batch(2, 0);
-        assert_eq!(r.batch_submissions_total.load(Ordering::Relaxed), 2);
-        assert_eq!(r.batch_jobs_total.load(Ordering::Relaxed), 10);
-        assert_eq!(r.batch_coalesced_total.load(Ordering::Relaxed), 5);
     }
 }

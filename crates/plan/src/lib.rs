@@ -51,9 +51,10 @@
 //!
 //! There is one planned path: `doacross_engine::Engine` fingerprints a
 //! loop, serves or builds its plan through the concurrent cache, and runs
-//! it on a pooled [`PlanExecutor`], with the skip observable via
-//! [`doacross_core::PlanProvenance`] in the returned stats. The pieces
-//! compose by hand too:
+//! it on the [`PlanExecutor`] of the scheduler sub-pool the solve leased
+//! (one executor per sub-pool, owned by the engine), with the skip
+//! observable via [`doacross_core::PlanProvenance`] in the returned
+//! stats. The pieces compose by hand too:
 //!
 //! ```
 //! use doacross_par::ThreadPool;
@@ -81,7 +82,6 @@
 pub mod cache;
 pub mod census;
 pub mod concurrent;
-pub mod executor_pool;
 pub mod fingerprint;
 pub mod persist;
 pub mod plan;
@@ -91,7 +91,6 @@ pub mod runtime;
 pub use cache::{CacheStats, PlanCache};
 pub use census::PlanCensus;
 pub use concurrent::{default_shard_count, ConcurrentPlanCache, ShardStats};
-pub use executor_pool::ExecutorPool;
 pub use fingerprint::PatternFingerprint;
 pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
 pub use plan::{ExecutionPlan, PlanVariant, VariantCosts};

@@ -5,8 +5,8 @@
 //! flat doacross against the plan's prebuilt writer map, linear-subscript,
 //! doconsider-reordered, strip-mined, or level-scheduled. It is the
 //! execution half of the thread-safe `doacross_engine::Engine`, which
-//! checks executors out of a pool so concurrent callers each get private
-//! scratch. The flat variants report `inspector == 0`; a
+//! keeps one executor per scheduler sub-pool so concurrent callers each
+//! run on private scratch. The flat variants report `inspector == 0`; a
 //! [`PlanVariant::Blocked`] plan is the one exception — strip-mined
 //! execution re-inspects per block by construction (§2.3 reuses one
 //! windowed scratch allocation across blocks), so a cached blocked plan
@@ -104,13 +104,7 @@ impl PlanExecutor {
             PlanVariant::Sequential => {
                 let start = Instant::now();
                 run_sequential(loop_, y);
-                RunStats {
-                    iterations: loop_.iterations(),
-                    workers: 1,
-                    blocks: 1,
-                    total: start.elapsed(),
-                    ..Default::default()
-                }
+                RunStats::sequential(loop_.iterations(), start.elapsed())
             }
             PlanVariant::Doacross => {
                 let prepared = plan.prepared().expect("doacross plan carries a map");

@@ -1,19 +1,17 @@
-//! The multi-pool scheduler and batched submission end to end: one shared
-//! engine partitioned into sub-pools serves four concurrent tenants, each
-//! solving its own structure bit-identically to a sequential oracle; then
-//! the same tenants' small solves are submitted as one [`SolveBatch`] and
-//! coalesced into a single pool region.
+//! The multi-pool scheduler end to end: one shared engine partitioned into
+//! sub-pools serves four concurrent tenants, each solving its own
+//! structure bit-identically to a sequential oracle.
 //!
 //! The example asserts its own contract as it goes: every tenant's result
 //! matches the oracle, the scheduler's per-pool dispatch ledger accounts
-//! for every solve, admission never saturated, and the batched results are
-//! bit-identical to serial `execute` calls.
+//! for every solve — one dispatch each, nothing else dispatches — and
+//! admission never saturated.
 //!
 //! Run: `cargo run --release --example throughput`
 
 use preprocessed_doacross::core::seq::run_sequential;
 use preprocessed_doacross::core::TestLoop;
-use preprocessed_doacross::{Engine, SolveBatch};
+use preprocessed_doacross::Engine;
 
 fn main() {
     const TENANTS: usize = 4;
@@ -29,15 +27,15 @@ fn main() {
         engine.max_pending()
     );
 
-    // --- 1. Four tenants, one engine. --------------------------------------
-    // Distinct structures (different sizes and dependence shapes), prepared
-    // up front in one call.
+    // Four tenants, one engine: distinct structures (different sizes and
+    // dependence shapes), prepared up front.
     let loops: Vec<TestLoop> = (0..TENANTS)
         .map(|t| TestLoop::new(600 + 150 * t, 1 + t % 2, 4 + 2 * t))
         .collect();
-    let refs: Vec<&TestLoop> = loops.iter().collect();
-    let prepared = engine.prepare_all(&refs).expect("plannable structures");
-    assert_eq!(prepared.len(), TENANTS);
+    let prepared: Vec<_> = loops
+        .iter()
+        .map(|l| engine.prepare(l).expect("plannable structure"))
+        .collect();
 
     const SOLVES_PER_TENANT: usize = 50;
     std::thread::scope(|scope| {
@@ -68,27 +66,5 @@ fn main() {
             s.pool, s.workers, s.dispatches, s.steals
         );
     }
-
-    // --- 2. The same jobs as one batch. ------------------------------------
-    // Serial oracle results first...
-    let mut serial_ys: Vec<Vec<f64>> = loops.iter().map(|l| l.initial_y()).collect();
-    for ((l, p), y) in loops.iter().zip(&prepared).zip(&mut serial_ys) {
-        p.execute(l, y).expect("valid solve");
-    }
-    // ...then the batch: one submission, one coalesced pool region.
-    let mut batch_ys: Vec<Vec<f64>> = loops.iter().map(|l| l.initial_y()).collect();
-    let mut batch: SolveBatch<'_, TestLoop> = engine.batch();
-    for ((l, p), y) in loops.iter().zip(&prepared).zip(&mut batch_ys) {
-        batch.submit(p, l, y);
-    }
-    let jobs = batch.len();
-    let results = engine.execute_all(batch);
-    assert_eq!(results.len(), jobs);
-    let mut iterations = 0u64;
-    for r in results {
-        iterations += r.expect("valid batched solve").iterations as u64;
-    }
-    assert_eq!(batch_ys, serial_ys, "batched results differ from serial");
-    println!("\n== batched submission: {jobs} jobs, {iterations} iterations, bit-identical ==");
-    println!("throughput surface verified: dispatch ledger, admission, batch all reconcile");
+    println!("throughput surface verified: dispatch ledger and admission reconcile");
 }

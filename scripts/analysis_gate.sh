@@ -9,8 +9,10 @@
 #   audit          every crate root must pin its unsafe posture: either
 #                  #![forbid(unsafe_code)] or
 #                  #![deny(unsafe_op_in_unsafe_fn)], and every `unsafe`
-#                  block or impl in a deny-posture crate must carry a
-#                  SAFETY comment within the three lines above it.
+#                  block or impl in a deny-posture crate (core, par,
+#                  trisolve — every other crate, the engine included,
+#                  forbids unsafe code outright) must carry a SAFETY
+#                  comment within the three lines above it.
 #
 #   checkers       the machine-checked soundness suites: the interleave
 #                  model checker's own tests, the par/sched protocol
@@ -72,7 +74,7 @@ audit=$(awk '
     if (ok) { lastfile = FILENAME; lastok = FNR }
     else printf "%s:%d: unsafe without a SAFETY comment above it\n", FILENAME, FNR
   }
-' $(find crates/core/src crates/par/src crates/engine/src crates/trisolve/src -name '*.rs'))
+' $(find crates/core/src crates/par/src crates/trisolve/src -name '*.rs'))
 if [ -n "$audit" ]; then
   while IFS= read -r miss; do violation "$miss"; done <<<"$audit"
 fi

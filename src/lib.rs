@@ -143,15 +143,12 @@
 //! `pools` is derived from host parallelism, so a plain
 //! `Engine::builder().build()` already scales out.
 //!
-//! Many *small* solves amortize better submitted together:
-//! `engine.batch()` collects jobs against prepared handles and
-//! `engine.execute_all(batch)` ([`SolveBatch`]) coalesces the
-//! sequential-variant ones into a single pool region — one dispatch, one
-//! region, N solves — while results and [`core::RunStats`] come back
-//! per-job, bit-identical to N serial `execute` calls.
-//! `examples/throughput.rs` walks both; the benchmark's `tiny-tenants`
-//! workload and `sched.acquire_ns` (`BENCHMARK.json`) measure the
-//! multi-pool path.
+//! Every solve is one [`PreparedLoop::execute`] — one admission, one
+//! sub-pool lease, one [`core::RunStats`] — so `Engine::pool_stats`'
+//! dispatch ledger *is* the solve count, and many solves are a `for`
+//! loop. `examples/throughput.rs` walks the surface; the benchmark's
+//! `tiny-tenants` workload and `sched.acquire_ns` (`BENCHMARK.json`)
+//! measure it.
 //!
 //! ## Fault tolerance
 //!
@@ -249,8 +246,7 @@ pub use doacross_trisolve as trisolve;
 
 pub use doacross_engine::{
     validate_chrome_trace, ChromeTraceStats, Engine, EngineBuilder, EngineError, FallbackPolicy,
-    PreparedLoop, ProfConfig, ProfileSummary, RetryPolicy, SolveBatch, SolveProfile, SpanKind,
-    StreamingSink,
+    PreparedLoop, ProfConfig, ProfileSummary, RetryPolicy, SolveProfile, SpanKind, StreamingSink,
 };
 pub use doacross_obs::{ObsConfig, ObsSink, SolveOutcome, SolveRecord, TraceEvent};
 pub use doacross_plan::{PersistError, PlanStore};

@@ -39,6 +39,18 @@
 //! workload oscillates; an adversarial phase change can waste at most
 //! `max_trials` round trips, ever, and each leg of a round trip must win
 //! a measured comparison by the margin to happen at all.
+//!
+//! ## Why it cannot replan forever either
+//!
+//! A proposal is only an estimate (re-pricing inverts the static prices;
+//! a gated plan has just a floor), so the engine answers it with one exact
+//! replan under the refined constants. When that replan *agrees with the
+//! running variant*, the proposal is **settled** ([`PromotionPolicy::settle`]):
+//! the proposed kind — or, for a gated plan, the floor re-check itself —
+//! lost an exact pricing and is not raised again for this structure. The
+//! replan runs on the solving thread under the engine-wide structure
+//! lock, so a contradicted proposal costs one build, not one every
+//! `eval_interval` solves for as long as the refined constants stand still.
 
 use crate::telemetry::{TelemetryEntry, VariantKind};
 
@@ -93,6 +105,10 @@ pub struct StructureState {
     solves_since_eval: u64,
     trial: Option<Trial>,
     rejected: Vec<VariantKind>,
+    /// Proposed kinds an exact replan contradicted (see module docs).
+    settled: Vec<VariantKind>,
+    /// Same, for the floor re-check of a gated plan (which names no kind).
+    floor_settled: bool,
     trials_started: u32,
     pinned: bool,
 }
@@ -107,6 +123,12 @@ impl StructureState {
     /// running.
     pub fn rejected(&self) -> &[VariantKind] {
         &self.rejected
+    }
+
+    /// Proposals an exact replan under refined constants contradicted;
+    /// they are not raised again.
+    pub fn settled(&self) -> &[VariantKind] {
+        &self.settled
     }
 
     /// Whether this structure stopped adapting (trial budget exhausted).
@@ -242,9 +264,29 @@ impl PromotionPolicy {
             return None; // prediction still trusted
         }
         let (winner, price) = crate::pricing::cheapest_by(&mut refined_prices, |kind| {
-            kind != current && !state.rejected.contains(&kind)
+            kind != current && !state.rejected.contains(&kind) && !state.settled.contains(&kind)
         })?;
         (price * self.cfg.hysteresis < refined_price).then_some(winner)
+    }
+
+    /// Judges the evaluation of a *gated* plan — one whose build stopped
+    /// at the planner's parallel floor, so there are no candidate prices
+    /// to re-price. `reopens` is the floor re-checked under the refined
+    /// model ([`crate::pricing::gate_reopens`]); the answer is whether to
+    /// replan past the gate.
+    pub fn propose_past_gate(&self, state: &StructureState, reopens: bool) -> bool {
+        reopens && !state.pinned && state.trial.is_none() && !state.floor_settled
+    }
+
+    /// Records that the exact replan a proposal asked for agreed with the
+    /// running variant: `proposed` (`None` = the floor re-check of a gated
+    /// plan) is not raised again for this structure.
+    pub fn settle(&self, state: &mut StructureState, proposed: Option<VariantKind>) {
+        match proposed {
+            Some(kind) if !state.settled.contains(&kind) => state.settled.push(kind),
+            Some(_) => {}
+            None => state.floor_settled = true,
+        }
     }
 
     /// Records that the engine swapped `target` in over `incumbent`.
@@ -427,6 +469,51 @@ mod tests {
             p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 2_000.0, prices),
             None
         );
+    }
+
+    #[test]
+    fn a_settled_proposal_is_not_raised_again() {
+        // The engine answers a proposal with a full replan; when that
+        // agrees with the running variant the same refined prices must not
+        // ask for a second build at the next evaluation point.
+        let p = policy();
+        let mut st = StructureState::default();
+        let prices = |k: VariantKind| match k {
+            VariantKind::Wavefront => Some(2_000.0),
+            VariantKind::Sequential => Some(500.0),
+            VariantKind::Doacross => Some(1_950.0), // inside the margin
+            _ => None,
+        };
+        let mut builds = 0;
+        for _ in 0..2 {
+            if let Some(kind) = p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 2_000.0, prices)
+            {
+                builds += 1;
+                p.settle(&mut st, Some(kind)); // the replan kept the wavefront
+            }
+        }
+        assert_eq!(builds, 1, "unchanged prices, one build");
+        assert_eq!(st.settled(), &[VariantKind::Sequential]);
+        assert!(st.rejected().is_empty(), "nothing was measured");
+        // A different candidate clearing the margin is still heard.
+        let moved = |k: VariantKind| match k {
+            VariantKind::Doacross => Some(900.0),
+            other => prices(other),
+        };
+        assert_eq!(
+            p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 2_000.0, moved),
+            Some(VariantKind::Doacross)
+        );
+
+        // The floor re-check of a gated plan settles the same way.
+        let mut st = StructureState::default();
+        assert!(!p.propose_past_gate(&st, false), "floor still holds");
+        assert!(p.propose_past_gate(&st, true));
+        p.settle(&mut st, None);
+        assert!(!p.propose_past_gate(&st, true), "one build, not two");
+        // Invalidation resets the slate.
+        p.reset(&mut st);
+        assert!(p.propose_past_gate(&st, true));
     }
 
     #[test]

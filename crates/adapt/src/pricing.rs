@@ -201,6 +201,16 @@ pub fn reprice(plan: &ExecutionPlan, statics: &CostModel, refined: &CostModel) -
     }
 }
 
+/// The adaptive re-check of a gated plan (one the planner settled at its
+/// stage-1 floor, so [`reprice`] has only `sequential` to re-price):
+/// whether the same gate, asked of the `refined` constants, no longer
+/// holds — some parallel candidate *might* now beat sequential, and only a
+/// replan past the gate can say which. Pure arithmetic on the stored
+/// census; `false` for plans that were never gated.
+pub fn gate_reopens(plan: &ExecutionPlan, refined: &CostModel) -> bool {
+    plan.is_gated() && !doacross_plan::gated(refined, plan.census(), plan.processors().max(1))
+}
+
 /// The candidate price for a variant family.
 pub fn price_of(costs: &VariantCosts, kind: VariantKind) -> Option<f64> {
     match kind {
@@ -333,6 +343,57 @@ mod tests {
         free_flags.wait_poll = 1e-6;
         let repriced = reprice(&plan, &statics, &free_flags);
         assert!(repriced.doacross.unwrap() < plan.costs().doacross.unwrap());
+    }
+
+    #[test]
+    fn gated_plans_reprice_to_sequential_alone_and_reopen_on_a_lower_floor() {
+        // A serial chain under the preset: the floor settles it.
+        let n = 500usize;
+        let a: Vec<usize> = (1..=n).collect();
+        let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let chain = doacross_core::IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
+        let statics = CostModel::multimax();
+        let pool = ThreadPool::new(4);
+        let plan = Planner::with_costs(statics).plan(&pool, &chain).unwrap();
+        assert!(plan.is_gated(), "{plan}");
+
+        // Nothing but sequential was priced, so nothing else re-prices.
+        let repriced = reprice(&plan, &statics, &statics);
+        assert_eq!(
+            repriced,
+            VariantCosts {
+                sequential: plan.costs().sequential,
+                ..Default::default()
+            }
+        );
+
+        // Refined == statics: the gate that held at build time holds.
+        assert!(!gate_reopens(&plan, &statics), "keep");
+        // A refined model whose executor work is nearly free pulls the
+        // floor (dispatch + CP·chain + post) under T_seq: rebuild.
+        let mut refined = statics;
+        for c in [
+            &mut refined.schedule_grab,
+            &mut refined.iteration_setup,
+            &mut refined.publish,
+            &mut refined.term,
+            &mut refined.check,
+            &mut refined.post_per_iter,
+        ] {
+            *c *= 1e-3;
+        }
+        refined.region_dispatch = 1.0;
+        assert!(gate_reopens(&plan, &refined), "rebuild");
+        // And the rebuild it asks for gets past the gate and prices
+        // everything.
+        let rebuilt = Planner::with_costs(refined).plan(&pool, &chain).unwrap();
+        assert!(!rebuilt.is_gated());
+        assert!(rebuilt.costs().doacross.is_some() && rebuilt.costs().wavefront.is_some());
+
+        // A plan that priced its candidates is not the re-check's business.
+        for priced in plans() {
+            assert!(!gate_reopens(&priced, &refined), "{priced}");
+        }
     }
 
     #[test]

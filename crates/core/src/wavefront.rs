@@ -111,8 +111,9 @@ impl OperandClass {
 /// Everything in here is a pure function of the pattern's *structure* (the
 /// same contract as a prebuilt writer map), so one schedule serves every
 /// execution of every loop sharing that structure. Built by
-/// `doacross_plan::PlanCensus::of_with_schedule` in the same pass that
-/// classifies the census — never recomputed.
+/// `doacross_plan::CensusPass` from the level array and writer map its one
+/// census scan leaves behind — the sort and the class stream are each
+/// built once, and only for a plan that runs the wavefront.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelSchedule {
     /// CSR level boundaries: level `l` (0-based) executes
@@ -131,10 +132,32 @@ pub struct LevelSchedule {
 }
 
 impl LevelSchedule {
-    /// Assembles a schedule from a per-iteration level assignment
-    /// (`levels[i] ∈ 1..=nlevels`, as the census computes it) plus the
-    /// reference classification of the same pass. Counting sort by level —
-    /// O(n + levels), stable, no recomputation of anything.
+    /// Counting sort of a per-iteration level assignment (`levels[i] ∈
+    /// 1..=nlevels`, as the census computes it) into the schedule's CSR
+    /// form: `(offsets, order)` — O(n + levels), stable within a level.
+    /// This is also the doconsider claim order, which is why the planner
+    /// can price a reordering from it before any class stream exists.
+    pub fn sort_levels(levels: &[usize], nlevels: usize) -> (Vec<usize>, Vec<usize>) {
+        let mut offsets = vec![0usize; nlevels + 1];
+        for &l in levels {
+            debug_assert!(l >= 1 && l <= nlevels, "level {l} outside 1..={nlevels}");
+            offsets[l] += 1;
+        }
+        for l in 1..=nlevels {
+            offsets[l] += offsets[l - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut order = vec![0usize; levels.len()];
+        for (i, &l) in levels.iter().enumerate() {
+            order[cursor[l - 1]] = i;
+            cursor[l - 1] += 1;
+        }
+        (offsets, order)
+    }
+
+    /// Assembles a schedule from a per-iteration level assignment plus the
+    /// reference classification of the same pattern — [`Self::sort_levels`]
+    /// followed by [`Self::from_sorted`].
     ///
     /// # Panics
     /// Debug-asserts the inputs are mutually consistent (the census
@@ -145,25 +168,23 @@ impl LevelSchedule {
         term_offsets: Vec<usize>,
         classes: Vec<u8>,
     ) -> Self {
-        let n = levels.len();
-        debug_assert_eq!(term_offsets.len(), n + 1);
+        let (offsets, order) = Self::sort_levels(levels, nlevels);
+        Self::from_sorted(offsets, order, term_offsets, classes)
+    }
+
+    /// Assembles a schedule from an already level-sorted `(offsets, order)`
+    /// pair ([`Self::sort_levels`]) and the class stream — no validation
+    /// beyond debug asserts; untrusted parts go through
+    /// [`Self::from_parts`].
+    pub fn from_sorted(
+        offsets: Vec<usize>,
+        order: Vec<usize>,
+        term_offsets: Vec<usize>,
+        classes: Vec<u8>,
+    ) -> Self {
+        debug_assert_eq!(offsets.last(), Some(&order.len()));
+        debug_assert_eq!(term_offsets.len(), order.len() + 1);
         debug_assert_eq!(*term_offsets.last().unwrap_or(&0), classes.len());
-        let mut counts = vec![0usize; nlevels + 1];
-        for &l in levels {
-            debug_assert!(l >= 1 && l <= nlevels, "level {l} outside 1..={nlevels}");
-            counts[l] += 1;
-        }
-        let mut offsets = Vec::with_capacity(nlevels + 1);
-        offsets.push(0usize);
-        for l in 1..=nlevels {
-            offsets.push(offsets[l - 1] + counts[l]);
-        }
-        let mut cursor = offsets.clone();
-        let mut order = vec![0usize; n];
-        for (i, &l) in levels.iter().enumerate() {
-            order[cursor[l - 1]] = i;
-            cursor[l - 1] += 1;
-        }
         Self {
             offsets,
             order,

@@ -382,36 +382,50 @@ impl AdaptiveRuntime {
             return;
         }
         let refined_model = refinement.model(statics);
-        // Approximation note: for a previously-promoted plan the stored
-        // candidate prices were computed under the refined model of that
-        // evaluation, not `statics`; the inversion then recovers slightly
-        // shifted stall sums. The measured commit/demote gate downstream
-        // means a shifted proposal can waste a trial, never keep a wrong
-        // plan.
-        let refined_costs = pricing::reprice(plan, statics, &refined_model);
-        let static_price = plan.costs().of(plan.variant()).unwrap_or(f64::INFINITY);
-        let Some(refined_price) = pricing::price_of(&refined_costs, kind) else {
-            return;
-        };
-        let proposal = self.policy.propose(
-            &mut structure.policy,
-            kind,
-            static_price,
-            refined_price,
-            |k| pricing::price_of(&refined_costs, k),
-        );
-        let Some(_) = proposal else { return };
-        // A proposal means the refined price disagreed with the static
-        // one enough to consider acting: the divergence event, whether or
-        // not a trial follows.
-        if inner.obs.enabled() {
-            events.push(TraceEvent::Divergence {
-                fp: plan.fingerprint().into(),
-                variant: kind.into(),
+        // What (if anything) asks for a challenger build. A gated plan
+        // carries no candidate prices to re-price — the planner settled it
+        // at its parallel floor — so the same floor is re-checked under
+        // the refined model and, when it no longer holds, the replan below
+        // (which then passes the gate and prices everything) decides.
+        let proposed = if plan.is_gated() {
+            let reopens = pricing::gate_reopens(plan, &refined_model);
+            if !self.policy.propose_past_gate(&structure.policy, reopens) {
+                return;
+            }
+            None
+        } else {
+            // Approximation note: for a previously-promoted plan the
+            // stored candidate prices were computed under the refined
+            // model of that evaluation, not `statics`; the inversion then
+            // recovers slightly shifted stall sums. The measured
+            // commit/demote gate downstream means a shifted proposal can
+            // waste a trial, never keep a wrong plan.
+            let refined_costs = pricing::reprice(plan, statics, &refined_model);
+            let static_price = plan.costs().of(plan.variant()).unwrap_or(f64::INFINITY);
+            let Some(refined_price) = pricing::price_of(&refined_costs, kind) else {
+                return;
+            };
+            let proposal = self.policy.propose(
+                &mut structure.policy,
+                kind,
                 static_price,
                 refined_price,
-            });
-        }
+                |k| pricing::price_of(&refined_costs, k),
+            );
+            let Some(proposal) = proposal else { return };
+            // A proposal means the refined price disagreed with the
+            // static one enough to consider acting: the divergence event,
+            // whether or not a trial follows.
+            if inner.obs.enabled() {
+                events.push(TraceEvent::Divergence {
+                    fp: plan.fingerprint().into(),
+                    variant: kind.into(),
+                    static_price,
+                    refined_price,
+                });
+            }
+            Some(proposal)
+        };
         if !self.policy.may_trial(&structure.policy) {
             return;
         }
@@ -436,7 +450,11 @@ impl AdaptiveRuntime {
         };
         let built_kind = VariantKind::from(built.variant());
         if built_kind == kind {
-            return; // full replan agreed with the running variant: settled
+            // The full replan agreed with the running variant: settled —
+            // and remembered, so the same contradicted proposal does not
+            // buy another build at the next evaluation point.
+            self.policy.settle(&mut structure.policy, proposed);
+            return;
         }
         if structure.policy.rejected().contains(&built_kind) {
             return; // the full replan landed on a measured loser

@@ -392,6 +392,14 @@ impl Engine {
     /// bit-identical to `doacross_core::seq::run_sequential`; the returned
     /// stats carry `PlanProvenance::PlanCold` when this call built the
     /// plan and `PlanProvenance::PlanCached` when the cache served it.
+    ///
+    /// **Price:** every call fingerprints the pattern — one scan of its
+    /// index arrays to find the plan, hit or miss; at Table-1 size that is
+    /// ≈ two bare sequential solves (`plan.cache_hit_ns` in the benchmark
+    /// ledger) before the solve starts. A caller that solves one structure
+    /// repeatedly should call [`Engine::prepare`] once and
+    /// [`PreparedLoop::execute`] per solve: the handle carries the plan, so
+    /// a warmed solve scans nothing.
     pub fn run<L: DoacrossLoop + ?Sized>(
         &self,
         loop_: &L,

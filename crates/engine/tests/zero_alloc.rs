@@ -16,9 +16,12 @@
 //! what the engine does around the executor is covered too.
 
 use doacross_core::alloc::CountingAllocator;
-use doacross_core::{seq::run_sequential, DoacrossLoop, IndirectLoop, RunStats, TestLoop};
-use doacross_engine::{Engine, EngineBuilder, FallbackPolicy};
-use doacross_plan::{PlanVariant, Planner};
+use doacross_core::{
+    seq::run_sequential, DoacrossLoop, IndirectLoop, PlanProvenance, RunStats, TestLoop,
+};
+use doacross_engine::{Engine, EngineBuilder, FallbackPolicy, PlanStore};
+use doacross_par::ThreadPool;
+use doacross_plan::{PatternFingerprint, PlanVariant, Planner, VariantCosts};
 
 #[global_allocator]
 static AUDIT: CountingAllocator = CountingAllocator;
@@ -250,6 +253,67 @@ fn warm_whole_calls_allocate_nothing_under_the_default_policy() {
     assert_whole_call_allocates_nothing(&tenants, &TestLoop::new(300, 1, 8), |v| {
         v == PlanVariant::Sequential
     });
+}
+
+/// What a build that stops at the planner's stage-1 gate costs, and that
+/// the plan it leaves is a full citizen of the persistence path.
+#[test]
+fn a_gated_build_allocates_two_arrays_and_round_trips_through_a_store() {
+    // A 500-iteration serial chain: critical path == n, so the parallel
+    // floor settles `sequential` from the census alone, preset or not.
+    let n = 500usize;
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let chain = IndirectLoop::new(n + 1, (1..=n).collect(), rhs, vec![vec![0.5]; n]).unwrap();
+    let pool = ThreadPool::new(4);
+    let planner = Planner::new();
+    let fingerprint = PatternFingerprint::of(&chain);
+
+    // The whole build: the census pass's writer map and level array, and
+    // nothing else — no DAG, no claim order or its inverse, no class
+    // stream, no level schedule.
+    let before = doacross_core::alloc::thread_allocations();
+    let plan = planner.plan_with_fingerprint(&pool, &chain, fingerprint);
+    let allocated = doacross_core::alloc::thread_allocations() - before;
+    let plan = plan.expect("plannable");
+    // (Debug builds also run the planner's translation-validation assert
+    // on every return, gated or not; its bill is measured, not guessed.)
+    let before = doacross_core::alloc::thread_allocations();
+    plan.verify_against(&chain).expect("sound");
+    let verifier = doacross_core::alloc::thread_allocations() - before;
+    let debug_assert = if cfg!(debug_assertions) { verifier } else { 0 };
+    assert_eq!(allocated - debug_assert, 2, "writer map + level array");
+    assert!(plan.is_gated(), "{plan}");
+    assert_eq!(plan.variant(), PlanVariant::Sequential);
+    assert_eq!(plan.memory_bytes(), 0);
+    let sequential_only = VariantCosts {
+        sequential: plan.costs().sequential,
+        ..Default::default()
+    };
+    assert_eq!(*plan.costs(), sequential_only);
+
+    // Through an engine, a store, and back: same prices, artifacts verify,
+    // and the restored plan serves the next prepare as a hit.
+    let preset = || preset_engine().cache_capacity(4);
+    let first = preset().build();
+    let cold = first.prepare(&chain).expect("plannable");
+    assert!(!cold.from_cache() && cold.plan().is_gated());
+    let bytes = first.snapshot().to_bytes();
+    let store = PlanStore::from_bytes(&bytes).expect("own bytes decode");
+    let decoded = store.plans().next().expect("one plan");
+    assert_eq!(*decoded.costs(), sequential_only);
+    assert!(decoded.is_gated());
+    decoded.verify_artifacts().expect("nothing to disprove");
+
+    let second = preset().build();
+    assert_eq!(second.warm_from(&store), 1);
+    let served = second.prepare(&chain).expect("plannable");
+    assert!(served.from_cache(), "restored gated plan hits");
+    let mut y = vec![1.0; n + 1];
+    let mut oracle = y.clone();
+    run_sequential(&chain, &mut oracle);
+    let stats = served.execute(&chain, &mut y).expect("valid");
+    assert_eq!(stats.provenance, PlanProvenance::PlanCached);
+    assert_eq!(y, oracle);
 }
 
 #[test]

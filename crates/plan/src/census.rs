@@ -9,11 +9,27 @@
 //! the minimum gap between writes to the same element, which bounds the
 //! legal block size for the §2.3 strip-mined fallback.
 //!
-//! The same pass can *materialize* what it already computes: the
-//! per-iteration level assignment and the per-reference classification
-//! become a [`LevelSchedule`] — the artifact the wavefront (level-
-//! scheduled) executor consumes. [`PlanCensus::of_with_schedule`] returns
-//! both; nothing is recomputed.
+//! ## What each planner stage materialises
+//!
+//! The planner builds a plan in three stages (see [`crate::planner`]), and
+//! the pass is split along the same line so nothing is built before the
+//! decision that needs it:
+//!
+//! * **Stage 1** — [`CensusPass::of`]: one scan of the index arrays. It
+//!   leaves the [`PlanCensus`] counters plus the two arrays every later
+//!   product derives from — the writer map and the per-iteration wavefront
+//!   level — and nothing else (two allocations). The planner's
+//!   parallel-floor gate is arithmetic on the counters.
+//! * **Stage 2** — [`CensusPass::sorted_levels`]: the counting sort of the
+//!   level array into level widths and the doconsider claim order, which is
+//!   what stall pricing and the wavefront's round count need. No scan of
+//!   the index arrays.
+//! * **Stage 3** — [`CensusPass::operand_classes`]: the per-reference
+//!   operand classes of the wavefront's [`LevelSchedule`], read off the
+//!   writer map stage 1 kept. Only a wavefront plan pays for it.
+//!
+//! [`PlanCensus::of_with_schedule`] runs all three for callers that want
+//! the schedule outright.
 
 use doacross_core::{AccessPattern, LevelSchedule, OperandClass, MAXINT};
 
@@ -57,149 +73,243 @@ pub struct PlanCensus {
     pub first_out_of_bounds: Option<(usize, usize)>,
 }
 
-impl PlanCensus {
-    /// Builds the census in O(data space + references).
+/// What stage 1 of a plan build leaves behind: the census and the two
+/// arrays every later product is derived from (see the module docs).
+#[derive(Debug)]
+pub struct CensusPass {
+    /// The structural facts.
+    pub census: PlanCensus,
+    /// Writer map as the inspector would fill it (last writer wins,
+    /// `MAXINT` = never written).
+    writer: Vec<i64>,
+    /// Wavefront level of each iteration, `1..=critical_path`; empty for
+    /// non-injective patterns (no level structure is computed for them).
+    levels: Vec<usize>,
+}
+
+/// "Not seen yet" for the pass's running minima: no gap, distance or
+/// iteration index reaches it.
+const UNSET: usize = usize::MAX;
+
+/// Slots of the pass's cold ledger: the three reference classes that are
+/// not true dependencies, then the out-of-bounds record. One array indexed
+/// by a computed class so it lives in memory — a legal triangular pattern
+/// never touches it, and it costs the scan's inner loop no register.
+const INTRA: usize = 0;
+const UNWRITTEN: usize = 1;
+const ANTI: usize = 2;
+/// Out-of-bounds right-hand-side references (counted in `total_terms`,
+/// members of no class), then the first offender's iteration and element.
+const OOB_TERMS: usize = 3;
+const OOB_ITERATION: usize = 4;
+const OOB_ELEMENT: usize = 5;
+
+impl CensusPass {
+    /// Runs the pass in O(data space + references).
+    ///
+    /// The scan counts in registers: per reference the common case (a true
+    /// dependency) updates three row-local values — nearest and farthest
+    /// writer, deepest predecessor level — and nothing else; the other
+    /// classes are counted on their own (rare) branches, true dependencies
+    /// are what is left of the row, distances and the critical path are
+    /// folded in once per row, and the [`PlanCensus`] is written once at
+    /// the end. A counter that lives in memory is a load-modify-store
+    /// chain per reference, and this loop is the whole of a gated plan
+    /// build — keep its common path to those three registers.
     pub fn of<P: AccessPattern + ?Sized>(pattern: &P) -> Self {
-        Self::of_inner(pattern, false).0
-    }
-
-    /// Like [`PlanCensus::of`], additionally materializing the
-    /// [`LevelSchedule`] the classification pass computes anyway: the
-    /// per-iteration wavefront levels (counting-sorted into CSR form) and
-    /// the per-reference operand classes. `None` for patterns the
-    /// wavefront executor cannot run (non-injective left-hand sides,
-    /// out-of-bounds subscripts) — exactly the patterns the flat construct
-    /// rejects too.
-    pub fn of_with_schedule<P: AccessPattern + ?Sized>(
-        pattern: &P,
-    ) -> (Self, Option<LevelSchedule>) {
-        Self::of_inner(pattern, true)
-    }
-
-    fn of_inner<P: AccessPattern + ?Sized>(
-        pattern: &P,
-        collect: bool,
-    ) -> (Self, Option<LevelSchedule>) {
         let n = pattern.iterations();
         let data_len = pattern.data_len();
-        let mut census = PlanCensus {
-            iterations: n,
-            data_len,
-            injective: true,
-            ..Default::default()
-        };
+        let mut cold = [0usize; 6];
+        cold[OOB_ITERATION] = UNSET;
 
-        // Writer map as the inspector would fill it (last writer wins),
-        // plus duplicate-write detection for the blocked fallback.
+        // Writer map, plus duplicate-write detection for the blocked
+        // fallback.
         let mut writer = vec![MAXINT; data_len];
+        let mut min_gap = UNSET;
         for i in 0..n {
             let lhs = pattern.lhs(i);
             if lhs >= data_len {
-                census.first_out_of_bounds.get_or_insert((i, lhs));
+                if cold[OOB_ITERATION] == UNSET {
+                    (cold[OOB_ITERATION], cold[OOB_ELEMENT]) = (i, lhs);
+                }
                 continue;
             }
             let prev = writer[lhs];
             if prev != MAXINT {
-                census.injective = false;
-                let gap = i - prev as usize;
-                census.min_duplicate_write_gap =
-                    Some(census.min_duplicate_write_gap.map_or(gap, |g| g.min(gap)));
+                min_gap = min_gap.min(i - prev as usize);
             }
             writer[lhs] = i as i64;
         }
+        let injective = min_gap == UNSET;
 
-        if !census.injective {
+        let mut total_terms = 0u64;
+        let (mut min_distance, mut max_distance) = (UNSET, 0usize);
+        let mut critical_path = 0usize;
+        let mut levels = Vec::new();
+        if injective {
+            // Classify every reference and compute wavefront levels in the
+            // same pass (a predecessor's level is final before its readers
+            // are visited, since true dependencies point backwards).
+            levels = vec![0usize; n];
+            for i in 0..n {
+                let terms = pattern.terms(i);
+                total_terms += terms as u64;
+                let mut below = 0usize;
+                let (mut nearest, mut farthest) = (0usize, UNSET);
+                for j in 0..terms {
+                    let e = pattern.term_element(i, j);
+                    // `MAXINT` (unwritten) and `UNSET` (out of bounds) both
+                    // lie past every iteration, so one comparison sends
+                    // everything but a true dependency to the cold branch.
+                    let w = writer.get(e).map_or(UNSET, |&w| w as usize);
+                    if w < i {
+                        nearest = nearest.max(w);
+                        farthest = farthest.min(w);
+                        below = below.max(levels[w]);
+                    } else {
+                        let slot = if w == i {
+                            INTRA
+                        } else if w == MAXINT as usize {
+                            UNWRITTEN
+                        } else if w == UNSET {
+                            OOB_TERMS
+                        } else {
+                            ANTI
+                        };
+                        cold[slot] += 1;
+                        if slot == OOB_TERMS && cold[OOB_ITERATION] == UNSET {
+                            (cold[OOB_ITERATION], cold[OOB_ELEMENT]) = (i, e);
+                        }
+                    }
+                }
+                if farthest != UNSET {
+                    min_distance = min_distance.min(i - nearest);
+                    max_distance = max_distance.max(i - farthest);
+                }
+                levels[i] = below + 1;
+                critical_path = critical_path.max(below + 1);
+            }
+        } else {
             // The flat construct is illegal; reference classification
             // against a collided writer map would be meaningless. Still
             // bounds-check every reference — a plan must never certify an
             // unexecutable pattern — then count the references and stop.
             for i in 0..n {
-                for j in 0..pattern.terms(i) {
-                    census.total_terms += 1;
+                let terms = pattern.terms(i);
+                total_terms += terms as u64;
+                for j in 0..terms {
                     let e = pattern.term_element(i, j);
-                    if e >= data_len {
-                        census.first_out_of_bounds.get_or_insert((i, e));
+                    if e >= data_len && cold[OOB_ITERATION] == UNSET {
+                        (cold[OOB_ITERATION], cold[OOB_ELEMENT]) = (i, e);
                     }
                 }
             }
-            return (census, None);
         }
 
-        // Classify every reference and compute wavefront levels in the same
-        // pass (a predecessor's level is final before its readers are
-        // visited, since true dependencies point backwards). When
-        // `collect` is set, the classification and levels are materialized
-        // into a LevelSchedule instead of being recomputed later.
-        let mut levels = vec![0usize; n];
-        let mut critical_path = 0usize;
-        let mut term_offsets = Vec::new();
-        let mut classes = Vec::new();
-        if collect {
-            term_offsets.reserve(n + 1);
-            term_offsets.push(0usize);
-        }
-        for i in 0..n {
-            let mut level = 1usize;
-            for j in 0..pattern.terms(i) {
-                census.total_terms += 1;
-                let e = pattern.term_element(i, j);
-                if e >= data_len {
-                    census.first_out_of_bounds.get_or_insert((i, e));
-                    if collect {
-                        // Keep the class stream aligned; the schedule is
-                        // discarded below — out-of-bounds patterns are
-                        // never executable.
-                        classes.push(OperandClass::OldValue as u8);
-                    }
-                    continue;
-                }
-                let w = writer[e];
-                let class = if w == MAXINT {
-                    census.unwritten += 1;
-                    OperandClass::OldValue
-                } else {
-                    let w = w as usize;
-                    match w.cmp(&i) {
-                        std::cmp::Ordering::Less => {
-                            census.true_deps += 1;
-                            let d = i - w;
-                            census.min_true_distance =
-                                Some(census.min_true_distance.map_or(d, |m| m.min(d)));
-                            census.max_true_distance =
-                                Some(census.max_true_distance.map_or(d, |m| m.max(d)));
-                            level = level.max(levels[w] + 1);
-                            OperandClass::NewValue
-                        }
-                        std::cmp::Ordering::Equal => {
-                            census.intra += 1;
-                            OperandClass::Accumulator
-                        }
-                        std::cmp::Ordering::Greater => {
-                            census.anti_deps += 1;
-                            OperandClass::OldValue
-                        }
-                    }
-                };
-                if collect {
-                    classes.push(class as u8);
-                }
-            }
-            if collect {
-                term_offsets.push(classes.len());
-            }
-            levels[i] = level;
-            critical_path = critical_path.max(level);
-        }
-        census.critical_path = if n == 0 { 0 } else { critical_path };
-        census.average_parallelism = if census.critical_path == 0 {
-            0.0
+        let [intra, unwritten, anti_deps, oob_terms] =
+            [INTRA, UNWRITTEN, ANTI, OOB_TERMS].map(|slot| cold[slot] as u64);
+        let true_deps = if injective {
+            total_terms - intra - unwritten - anti_deps - oob_terms
         } else {
-            n as f64 / census.critical_path as f64
+            0
         };
-        let schedule = (collect && census.first_out_of_bounds.is_none()).then(|| {
-            LevelSchedule::from_levels(&levels, census.critical_path, term_offsets, classes)
-        });
-        (census, schedule)
+        let census = PlanCensus {
+            iterations: n,
+            data_len,
+            total_terms,
+            true_deps,
+            anti_deps,
+            intra,
+            unwritten,
+            min_true_distance: (true_deps > 0).then_some(min_distance),
+            max_true_distance: (true_deps > 0).then_some(max_distance),
+            injective,
+            min_duplicate_write_gap: (!injective).then_some(min_gap),
+            critical_path,
+            average_parallelism: if critical_path == 0 {
+                0.0
+            } else {
+                n as f64 / critical_path as f64
+            },
+            first_out_of_bounds: (cold[OOB_ITERATION] != UNSET)
+                .then_some((cold[OOB_ITERATION], cold[OOB_ELEMENT])),
+        };
+        Self {
+            census,
+            writer,
+            levels,
+        }
+    }
+
+    /// Whether the wavefront artifacts exist for this pattern: the flat
+    /// construct's own legality conditions (injective, in bounds).
+    fn schedulable(&self) -> bool {
+        self.census.injective && self.census.first_out_of_bounds.is_none()
+    }
+
+    /// Stage 2's product: the level array counting-sorted into CSR level
+    /// boundaries and the stable level-sorted iteration order — identical
+    /// to `order_from_levels` over a fresh `LevelAssignment`, so it doubles
+    /// as the doconsider claim order. Only meaningful for injective
+    /// patterns.
+    pub fn sorted_levels(&self) -> (Vec<usize>, Vec<usize>) {
+        LevelSchedule::sort_levels(&self.levels, self.census.critical_path)
+    }
+
+    /// Stage 3's product: `(term_offsets, classes)`, the wavefront
+    /// schedule's per-reference [`OperandClass`] stream, read off the
+    /// writer map the pass kept. `pattern` must be the in-bounds, injective
+    /// pattern the pass ran over.
+    pub fn operand_classes<P: AccessPattern + ?Sized>(&self, pattern: &P) -> (Vec<usize>, Vec<u8>) {
+        debug_assert!(self.schedulable());
+        let n = self.census.iterations;
+        let mut term_offsets = Vec::with_capacity(n + 1);
+        let mut classes = Vec::with_capacity(self.census.total_terms as usize);
+        term_offsets.push(0usize);
+        for i in 0..n {
+            for j in 0..pattern.terms(i) {
+                let w = self.writer[pattern.term_element(i, j)];
+                let class = if w == MAXINT || w as usize > i {
+                    OperandClass::OldValue
+                } else if (w as usize) < i {
+                    OperandClass::NewValue
+                } else {
+                    OperandClass::Accumulator
+                };
+                classes.push(class as u8);
+            }
+            term_offsets.push(classes.len());
+        }
+        (term_offsets, classes)
+    }
+
+    /// All three stages at once: the wavefront executor's artifact, or
+    /// `None` for patterns it cannot run (non-injective left-hand sides,
+    /// out-of-bounds subscripts) — exactly the patterns the flat construct
+    /// rejects too.
+    pub fn level_schedule<P: AccessPattern + ?Sized>(&self, pattern: &P) -> Option<LevelSchedule> {
+        self.schedulable().then(|| {
+            let (offsets, order) = self.sorted_levels();
+            let (term_offsets, classes) = self.operand_classes(pattern);
+            LevelSchedule::from_sorted(offsets, order, term_offsets, classes)
+        })
+    }
+}
+
+impl PlanCensus {
+    /// Builds the census in O(data space + references).
+    pub fn of<P: AccessPattern + ?Sized>(pattern: &P) -> Self {
+        CensusPass::of(pattern).census
+    }
+
+    /// Like [`PlanCensus::of`], additionally materializing the
+    /// [`LevelSchedule`] ([`CensusPass::level_schedule`]).
+    pub fn of_with_schedule<P: AccessPattern + ?Sized>(
+        pattern: &P,
+    ) -> (Self, Option<LevelSchedule>) {
+        let pass = CensusPass::of(pattern);
+        let schedule = pass.level_schedule(pattern);
+        (pass.census, schedule)
     }
 
     /// The census facts `doacross-verify`'s artifact-mode checks run on —
@@ -238,7 +348,7 @@ impl PlanCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doacross_core::{AccessPattern, IndirectLoop, TestLoop};
+    use doacross_core::{AccessPattern, IndirectLoop, TestLoop, MAXINT};
 
     fn chain(n: usize) -> IndirectLoop {
         let a: Vec<usize> = (1..=n).collect();
@@ -275,6 +385,141 @@ mod tests {
                 assert_eq!(c.is_doall(), truth.is_doall(), "L={l} M={m}");
             }
         }
+    }
+
+    /// The census written the obvious way — every reference updates the
+    /// struct's fields and `Option`s directly — as the oracle for the
+    /// register-counting pass.
+    fn reference_census<P: AccessPattern + ?Sized>(pattern: &P) -> PlanCensus {
+        let (n, data_len) = (pattern.iterations(), pattern.data_len());
+        let mut c = PlanCensus {
+            iterations: n,
+            data_len,
+            injective: true,
+            ..Default::default()
+        };
+        let mut writer = vec![MAXINT; data_len];
+        for i in 0..n {
+            let lhs = pattern.lhs(i);
+            if lhs >= data_len {
+                c.first_out_of_bounds.get_or_insert((i, lhs));
+                continue;
+            }
+            if writer[lhs] != MAXINT {
+                c.injective = false;
+                let gap = i - writer[lhs] as usize;
+                c.min_duplicate_write_gap =
+                    Some(c.min_duplicate_write_gap.map_or(gap, |g| g.min(gap)));
+            }
+            writer[lhs] = i as i64;
+        }
+        let mut levels = vec![0usize; n];
+        for i in 0..n {
+            let mut level = 1;
+            for j in 0..pattern.terms(i) {
+                c.total_terms += 1;
+                let e = pattern.term_element(i, j);
+                if e >= data_len {
+                    c.first_out_of_bounds.get_or_insert((i, e));
+                } else if !c.injective {
+                    // counted and bounds-checked only
+                } else if writer[e] == MAXINT {
+                    c.unwritten += 1;
+                } else if (writer[e] as usize) < i {
+                    let w = writer[e] as usize;
+                    c.true_deps += 1;
+                    c.min_true_distance = Some(c.min_true_distance.map_or(i - w, |m| m.min(i - w)));
+                    c.max_true_distance = Some(c.max_true_distance.map_or(i - w, |m| m.max(i - w)));
+                    level = level.max(levels[w] + 1);
+                } else if writer[e] as usize == i {
+                    c.intra += 1;
+                } else {
+                    c.anti_deps += 1;
+                }
+            }
+            levels[i] = level;
+            if c.injective {
+                c.critical_path = c.critical_path.max(level);
+            }
+        }
+        if c.critical_path > 0 {
+            c.average_parallelism = n as f64 / c.critical_path as f64;
+        }
+        c
+    }
+
+    #[test]
+    fn pass_agrees_with_the_field_by_field_reference() {
+        // Raw index arrays (no constructor validation), so out-of-bounds
+        // subscripts and duplicate writes are in the mix.
+        struct Raw {
+            data_len: usize,
+            lhs: Vec<usize>,
+            rhs: Vec<Vec<usize>>,
+        }
+        impl AccessPattern for Raw {
+            fn iterations(&self) -> usize {
+                self.lhs.len()
+            }
+            fn data_len(&self) -> usize {
+                self.data_len
+            }
+            fn lhs(&self, i: usize) -> usize {
+                self.lhs[i]
+            }
+            fn terms(&self, i: usize) -> usize {
+                self.rhs[i].len()
+            }
+            fn term_element(&self, i: usize, j: usize) -> usize {
+                self.rhs[i][j]
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let (mut injective, mut collided, mut out_of_bounds) = (0, 0, 0);
+        for case in 0..400 {
+            let n = next(40);
+            let data_len = n + next(n + 2);
+            // Mostly a permutation prefix (injective); sometimes free draws
+            // (collisions) and, rarely, a subscript past the data space.
+            let mut lhs: Vec<usize> = (0..data_len).collect();
+            for i in (1..lhs.len()).rev() {
+                lhs.swap(i, next(i + 1));
+            }
+            lhs.truncate(n);
+            let stray = |next: &mut dyn FnMut(usize) -> usize| {
+                if next(40) == 0 {
+                    data_len + next(3)
+                } else {
+                    next(data_len.max(1))
+                }
+            };
+            if case % 3 == 0 {
+                for slot in lhs.iter_mut() {
+                    if next(4) == 0 {
+                        *slot = stray(&mut next);
+                    }
+                }
+            }
+            let rhs: Vec<Vec<usize>> = (0..n)
+                .map(|_| (0..next(5)).map(|_| stray(&mut next)).collect())
+                .collect();
+            let raw = Raw { data_len, lhs, rhs };
+            if data_len == 0 && raw.rhs.iter().any(|r| !r.is_empty()) {
+                continue; // `stray` draws from an empty space
+            }
+            let expect = reference_census(&raw);
+            assert_eq!(PlanCensus::of(&raw), expect, "case {case}");
+            injective += expect.injective as usize;
+            collided += !expect.injective as usize;
+            out_of_bounds += expect.first_out_of_bounds.is_some() as usize;
+        }
+        assert!(injective > 100 && collided > 30 && out_of_bounds > 30);
     }
 
     #[test]

@@ -16,15 +16,19 @@
 //!   intra/unwritten reference counts, dependence distances, wavefront
 //!   critical path, average parallelism, and (for non-injective patterns)
 //!   the minimum duplicate-write gap that bounds a legal block size.
-//!   [`PlanCensus::of_with_schedule`] additionally materializes the level
-//!   assignment the pass computes anyway into a
-//!   [`doacross_core::LevelSchedule`] — the wavefront executor's artifact.
+//!   [`CensusPass`] is the pass itself, split along the planner's stages
+//!   (counters, level sort, operand classes) so each product is built only
+//!   once a decision needs it; [`PlanCensus::of_with_schedule`] runs them
+//!   all and returns the [`doacross_core::LevelSchedule`] — the wavefront
+//!   executor's artifact.
 //! * [`Planner`] — prices every legal variant (sequential, inspected flat
 //!   doacross, §2.3 linear-subscript, doconsider-reordered, §2.3
 //!   strip-mined, level-scheduled wavefront) with the calibrated
 //!   [`doacross_sim::CostModel`] and picks the cheapest; see [`planner`]
 //!   for the formulas, including the flag-bill vs. `levels × barrier`
-//!   crossover that converts a doacross into barrier-separated doalls.
+//!   crossover that converts a doacross into barrier-separated doalls,
+//!   and the stage-1 floor that settles `sequential` from the census
+//!   alone without pricing anything else.
 //! * [`ExecutionPlan`] — the captured products the chosen variant needs:
 //!   prebuilt inspector writer map, doconsider claim order, detected
 //!   linear subscript, block size, wavefront level schedule, plus the
@@ -89,12 +93,14 @@ pub mod planner;
 pub mod runtime;
 
 pub use cache::{CacheStats, PlanCache};
-pub use census::PlanCensus;
+pub use census::{CensusPass, PlanCensus};
 pub use concurrent::{default_shard_count, ConcurrentPlanCache, ShardStats};
 pub use fingerprint::PatternFingerprint;
 pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
 pub use plan::{ExecutionPlan, PlanVariant, VariantCosts};
-pub use planner::{detect_linear, Planner, BLOCKED_DATA_SPACE_FACTOR};
+pub use planner::{
+    detect_linear, gated, parallel_floor, Planner, Pricing, BLOCKED_DATA_SPACE_FACTOR,
+};
 pub use runtime::PlanExecutor;
 // The verifier's verdict vocabulary, re-exported so plan consumers can
 // match on violations without depending on `doacross-verify` directly.

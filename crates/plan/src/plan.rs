@@ -185,6 +185,17 @@ impl ExecutionPlan {
         &self.costs
     }
 
+    /// Whether the build stopped at the planner's stage-1 gate (see
+    /// [`crate::planner`]): sequential was settled by the parallel floor,
+    /// so no parallel candidate was priced and no artifact built. Derived,
+    /// not stored — every injective plan that got as far as pricing carries
+    /// a flat-doacross price.
+    pub fn is_gated(&self) -> bool {
+        self.variant == PlanVariant::Sequential
+            && self.census.injective
+            && self.costs.doacross.is_none()
+    }
+
     /// Wall time spent building the plan.
     pub fn build_time(&self) -> Duration {
         self.build_time

@@ -43,11 +43,49 @@
 //! uses the fewest resources); the linear variant wins ties against the
 //! inspected one (it carries no writer map), and the flag-based variants
 //! win ties against the wavefront (its artifact is larger).
+//!
+//! ## Stage 1: the floor
+//!
+//! A plan build stops where its decision is made. Stage 1 is one census
+//! pass ([`CensusPass::of`]) and a gate that is arithmetic on its counters:
+//! [`parallel_floor`]` = dispatch + max(W/p, CP·chain) + n·post/p` bounds
+//! every parallel candidate of an injective loop from below, by three
+//! inequalities —
+//!
+//! 1. **flag variants**: `flags ≥ 0` and `stalls ≥ 0` sit *inside* the
+//!    `max`, so `max((W + flags + stalls)/p, CP·chain) ≥ max(W/p, CP·chain)`
+//!    under any claim order (doacross, linear, reordered);
+//! 2. **wavefront**: every level is at least one claim round and rounds are
+//!    whole, so `Σ⌈width/p⌉ ≥ max(⌈n/p⌉, CP)`; with `n·chain = W` that is
+//!    `rounds·chain ≥ max(W/p, CP·chain)`, and `levels × barrier ≥ 0` only
+//!    adds to it (the two sides of that inequality are rounded
+//!    separately, so the computed floor takes the smaller of
+//!    `max(W/p, CP·chain)` and `max(⌈n/p⌉, CP)·chain`);
+//! 3. **blocked** (the injective memory rule) only ever *overrides* a
+//!    non-sequential choice — it never rescues a loop from sequential.
+//!
+//! So when `T_seq ≤ floor`, sequential is what exhaustive pricing would
+//! have picked (ties go sequential), and the planner returns it with only
+//! `costs.sequential` priced: no DAG, no claim order or its inversion, no
+//! stall sums, no class stream, no level schedule. Every operation between
+//! the floor and a real price is monotone in floating point too, so the
+//! bound holds on the computed values, not just on paper
+//! (`tests/staged_equivalence.rs`). A plan built this way is *gated*
+//! ([`ExecutionPlan::is_gated`]); the adaptive layer re-checks the same
+//! floor under refined constants instead of re-pricing candidates it
+//! never had.
+//!
+//! **Stage 2** ([`Planner::price`], gate not taken) prices every candidate
+//! from the level array stage 1 holds — this is the one place candidates
+//! are priced. **Stage 3** captures the chosen variant's artifact only
+//! (writer map, claim order, or the wavefront's class stream).
 
-use crate::census::PlanCensus;
+use crate::census::{CensusPass, PlanCensus};
 use crate::fingerprint::PatternFingerprint;
 use crate::plan::{ExecutionPlan, PlanVariant, VariantCosts};
-use doacross_core::{AccessPattern, DoacrossError, LinearSubscript, PreparedInspection};
+use doacross_core::{
+    AccessPattern, DoacrossError, LevelSchedule, LinearSubscript, PreparedInspection,
+};
 use doacross_doconsider::{invert_permutation, DependenceDag};
 use doacross_par::{Schedule, ThreadPool};
 use doacross_sim::CostModel;
@@ -122,34 +160,92 @@ impl Planner {
         fingerprint: PatternFingerprint,
     ) -> Result<ExecutionPlan, DoacrossError> {
         let start = Instant::now();
-        let (census, level_schedule) = PlanCensus::of_with_schedule(pattern);
-        if let Some((iteration, element)) = census.first_out_of_bounds {
+        // Stage 1: the census pass and the gate on its counters.
+        let pass = CensusPass::of(pattern);
+        if let Some((iteration, element)) = pass.census.first_out_of_bounds {
             return Err(DoacrossError::SubscriptOutOfBounds {
                 iteration,
                 element,
-                data_len: census.data_len,
+                data_len: pass.census.data_len,
             });
         }
         let linear = detect_linear(pattern);
         let p = pool.threads();
 
-        if !census.injective {
-            let plan = self.plan_non_injective(fingerprint, census, linear, p, start);
-            debug_assert!(
-                plan.verify_against(pattern).is_ok(),
-                "planner built an unsound {} plan: {}",
-                plan.variant(),
-                plan.verify_against(pattern).unwrap_err(),
-            );
-            return Ok(plan);
-        }
+        let plan = if !pass.census.injective {
+            self.plan_non_injective(fingerprint, pass.census, linear, p, start)
+        } else {
+            let Pricing {
+                variant,
+                costs,
+                sorted,
+            } = if gated(&self.costs, &pass.census, p) {
+                Pricing::sequential_only(&self.costs, &pass.census)
+            } else {
+                self.price(pattern, &pass, linear, p)
+            };
 
+            // Stage 3: capture only what the chosen variant consumes.
+            let prepared = match variant {
+                PlanVariant::Doacross | PlanVariant::Reordered => Some(
+                    PreparedInspection::inspect(pool, self.schedule, pattern, true)?,
+                ),
+                _ => None,
+            };
+            let (order, levels) = match (variant, sorted) {
+                (PlanVariant::Reordered, Some((_, order))) => (Some(order), None),
+                (PlanVariant::Wavefront, Some((offsets, order))) => {
+                    let (term_offsets, classes) = pass.operand_classes(pattern);
+                    let schedule =
+                        LevelSchedule::from_sorted(offsets, order, term_offsets, classes);
+                    (None, Some(schedule))
+                }
+                _ => (None, None),
+            };
+            ExecutionPlan {
+                fingerprint,
+                processors: p,
+                variant,
+                census: pass.census,
+                prepared,
+                order,
+                levels,
+                linear,
+                costs,
+                build_time: start.elapsed(),
+            }
+        };
+        // Translation validation: in debug builds every freshly built plan
+        // is proven sound against the very pattern it was built from. The
+        // verifier re-derives the dependence structure independently, so a
+        // census or schedule-construction bug trips here, at the source.
+        debug_assert!(
+            plan.verify_against(pattern).is_ok(),
+            "planner built an unsound {} plan: {}",
+            plan.variant(),
+            plan.verify_against(pattern).unwrap_err(),
+        );
+        Ok(plan)
+    }
+
+    /// Stage 2: prices every legal candidate of the injective, in-bounds
+    /// pattern `pass` ran over and selects among them — the one place
+    /// candidates are priced. [`Planner::plan_with_fingerprint`] calls it
+    /// whenever the stage-1 gate is not taken; calling it on a census the
+    /// gate would have taken is legal and selects `Sequential` (that is the
+    /// gate's proof obligation, `tests/staged_equivalence.rs`).
+    pub fn price<P: AccessPattern + ?Sized>(
+        &self,
+        pattern: &P,
+        pass: &CensusPass,
+        linear: Option<LinearSubscript>,
+        p: usize,
+    ) -> Pricing {
+        let census = &pass.census;
         let n = census.iterations as f64;
-        let t_seq = self
-            .costs
-            .sequential_time(census.iterations, census.total_terms as usize);
-        let chain = self.chain_cost(&census);
-        let work = n * self.exec_per_iter() + census.total_terms as f64 * self.per_term();
+        let t_seq = sequential_cost(&self.costs, census);
+        let chain = chain_cost(&self.costs, census);
+        let work = raw_work(&self.costs, census);
         // The flag-based variants check `ready` once per true dependency
         // even when the writer already finished (Figure 5 S4's successful
         // poll); the wavefront variant has no flags to check.
@@ -160,25 +256,20 @@ impl Planner {
         // executor's completion count in the same dispatch.
         let dispatch = self.costs.region_dispatch;
 
-        // Stall pricing needs the dependence edges; skip the DAG entirely
-        // for dependence-free loops. The doconsider order is NOT
-        // recomputed: the census pass already materialized the stable
-        // level-sorted permutation into the level schedule, and the
-        // counting sort there is identical to `order_from_levels` over a
-        // fresh `LevelAssignment`.
-        let (order, stall_natural, stall_reordered) = if census.true_deps == 0 {
+        // Stall pricing needs the dependence edges and the doconsider
+        // order; the wavefront needs the level widths. Both come from the
+        // counting sort of stage 1's level array (identical to
+        // `order_from_levels` over a fresh `LevelAssignment`) — skipped,
+        // with the DAG, for dependence-free loops.
+        let (sorted, stall_natural, stall_reordered) = if census.true_deps == 0 {
             (None, 0.0, 0.0)
         } else {
             let dag = DependenceDag::build(pattern);
-            let order = level_schedule
-                .as_ref()
-                .expect("injective in-bounds patterns carry a level schedule")
-                .order()
-                .to_vec();
+            let (offsets, order) = pass.sorted_levels();
             let pos = invert_permutation(&order);
             let stall_nat = self.stall_sum(&dag, None, p, chain);
             let stall_reo = self.stall_sum(&dag, Some(&pos), p, chain);
-            (Some(order), stall_nat, stall_reo)
+            (Some((offsets, order)), stall_nat, stall_reo)
         };
 
         let parallel = |stalls: f64| {
@@ -193,24 +284,17 @@ impl Planner {
         // flag checks, no stalls, by construction. Only meaningful when
         // there are true dependencies: a doall is one level and the flat
         // variants already never wait on it.
-        let t_wavefront = level_schedule
-            .as_ref()
-            .filter(|_| census.true_deps > 0)
-            .map(|schedule| {
-                let rounds: usize = schedule
-                    .offsets()
-                    .windows(2)
-                    .map(|w| (w[1] - w[0]).div_ceil(p))
-                    .sum();
-                let barriers = (schedule.level_count() - 1) as f64 * self.costs.barrier;
-                dispatch + rounds as f64 * chain + barriers + post
-            });
+        let t_wavefront = sorted.as_ref().map(|(offsets, _)| {
+            let rounds: usize = offsets.windows(2).map(|w| (w[1] - w[0]).div_ceil(p)).sum();
+            let barriers = (offsets.len() - 2) as f64 * self.costs.barrier;
+            dispatch + rounds as f64 * chain + barriers + post
+        });
 
         let mut costs = VariantCosts {
             sequential: t_seq,
             doacross: Some(t_doacross),
             linear: linear.map(|_| t_doacross),
-            reordered: order.as_ref().map(|_| t_reordered),
+            reordered: sorted.as_ref().map(|_| t_reordered),
             blocked: None,
             wavefront: t_wavefront,
         };
@@ -254,57 +338,18 @@ impl Planner {
                 .div_ceil(16)
                 .max(4 * p)
                 .min(census.iterations);
-            let nblocks = census.iterations.div_ceil(block_size) as f64;
-            let blocked_work = n
-                * (self.exec_per_iter() + self.costs.inspect_per_iter + self.costs.post_per_iter)
-                + census.total_terms as f64 * self.per_term();
-            let t_blocked = nblocks * 2.0 * self.costs.region_dispatch + blocked_work / p as f64;
+            let t_blocked = self.blocked_cost(census, block_size, p);
             costs.blocked = Some(t_blocked);
             if t_blocked < t_seq {
                 variant = PlanVariant::Blocked { block_size };
             }
         }
 
-        // Capture only what the chosen variant consumes.
-        let prepared =
-            match variant {
-                PlanVariant::Doacross | PlanVariant::Reordered => Some(
-                    PreparedInspection::inspect(pool, self.schedule, pattern, true)?,
-                ),
-                _ => None,
-            };
-        let order = match variant {
-            PlanVariant::Reordered => order,
-            _ => None,
-        };
-        let levels = match variant {
-            PlanVariant::Wavefront => level_schedule,
-            _ => None,
-        };
-
-        let plan = ExecutionPlan {
-            fingerprint,
-            processors: p,
+        Pricing {
             variant,
-            census,
-            prepared,
-            order,
-            levels,
-            linear,
             costs,
-            build_time: start.elapsed(),
-        };
-        // Translation validation: in debug builds every freshly built plan
-        // is proven sound against the very pattern it was built from. The
-        // verifier re-derives the dependence structure independently, so a
-        // census or schedule-construction bug trips here, at the source.
-        debug_assert!(
-            plan.verify_against(pattern).is_ok(),
-            "planner built an unsound {} plan: {}",
-            plan.variant(),
-            plan.verify_against(pattern).unwrap_err(),
-        );
-        Ok(plan)
+            sorted,
+        }
     }
 
     /// Plans a loop the flat construct rejects: blocked if duplicate writes
@@ -317,22 +362,12 @@ impl Planner {
         p: usize,
         start: Instant,
     ) -> ExecutionPlan {
-        let n = census.iterations as f64;
-        let t_seq = self
-            .costs
-            .sequential_time(census.iterations, census.total_terms as usize);
+        let t_seq = sequential_cost(&self.costs, &census);
         let gap = census.min_duplicate_write_gap.unwrap_or(1);
         // Two writes `d` apart can only collide within one block of size
         // `B > d`, so any `B ≤ gap` is collision-free.
         let block_size = gap.max(1);
-        let nblocks = census.iterations.div_ceil(block_size.max(1)).max(1) as f64;
-        // Each block pays two parallel regions (inspector, then executor
-        // with its copy-back) and the per-iteration inspector cost stays in
-        // the run — blocked runs cannot reuse a prebuilt map across blocks.
-        let work = n
-            * (self.exec_per_iter() + self.costs.inspect_per_iter + self.costs.post_per_iter)
-            + census.total_terms as f64 * self.per_term();
-        let t_blocked = nblocks * 2.0 * self.costs.region_dispatch + work / p as f64;
+        let t_blocked = self.blocked_cost(&census, block_size, p);
         let costs = VariantCosts {
             sequential: t_seq,
             blocked: (block_size > 1).then_some(t_blocked),
@@ -357,19 +392,16 @@ impl Planner {
         }
     }
 
-    /// Per-iteration executor overhead `e`.
-    fn exec_per_iter(&self) -> f64 {
-        self.costs.schedule_grab + self.costs.iteration_setup + self.costs.publish
-    }
-
-    /// Per-reference executor work `r`.
-    fn per_term(&self) -> f64 {
-        self.costs.term + self.costs.check
-    }
-
-    /// Serial cost of one average iteration.
-    fn chain_cost(&self, census: &PlanCensus) -> f64 {
-        self.exec_per_iter() + census.terms_per_iteration() * self.per_term()
+    /// Price of the §2.3 strip-mined run at `block_size`: each block pays
+    /// two parallel regions (inspector, then executor with its copy-back)
+    /// and the per-iteration inspector cost stays in the run — blocked runs
+    /// cannot reuse a prebuilt map across blocks.
+    fn blocked_cost(&self, census: &PlanCensus, block_size: usize, p: usize) -> f64 {
+        let nblocks = census.iterations.div_ceil(block_size).max(1) as f64;
+        let work = census.iterations as f64
+            * (exec_per_iter(&self.costs) + self.costs.inspect_per_iter + self.costs.post_per_iter)
+            + census.total_terms as f64 * per_term(&self.costs);
+        nblocks * 2.0 * self.costs.region_dispatch + work / p as f64
     }
 
     /// Total predicted stall (processor-cycles) of a claim order: for each
@@ -389,6 +421,86 @@ impl Planner {
         }
         total
     }
+}
+
+/// What stage 2 hands stage 3: the selection, every candidate's price,
+/// and the level sort it priced from (so the chosen variant's artifact is
+/// assembled, not recomputed).
+#[derive(Debug)]
+pub struct Pricing {
+    /// The selected variant.
+    pub variant: PlanVariant,
+    /// Every candidate's price (`None` = not legal or not applicable).
+    pub costs: VariantCosts,
+    /// `(offsets, order)` of [`CensusPass::sorted_levels`], present when
+    /// the loop has true dependencies.
+    sorted: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+impl Pricing {
+    /// The gated outcome: sequential, and nothing else priced or built.
+    fn sequential_only(costs: &CostModel, census: &PlanCensus) -> Self {
+        Self {
+            variant: PlanVariant::Sequential,
+            costs: VariantCosts {
+                sequential: sequential_cost(costs, census),
+                ..Default::default()
+            },
+            sorted: None,
+        }
+    }
+}
+
+/// The paper's `T_seq` for this census.
+fn sequential_cost(costs: &CostModel, census: &PlanCensus) -> f64 {
+    costs.sequential_time(census.iterations, census.total_terms as usize)
+}
+
+/// Per-iteration executor overhead `e`.
+fn exec_per_iter(costs: &CostModel) -> f64 {
+    costs.schedule_grab + costs.iteration_setup + costs.publish
+}
+
+/// Per-reference executor work `r`.
+fn per_term(costs: &CostModel) -> f64 {
+    costs.term + costs.check
+}
+
+/// Serial cost of one average iteration.
+fn chain_cost(costs: &CostModel, census: &PlanCensus) -> f64 {
+    exec_per_iter(costs) + census.terms_per_iteration() * per_term(costs)
+}
+
+/// Total executor work `W = n·e + T·r`.
+fn raw_work(costs: &CostModel, census: &PlanCensus) -> f64 {
+    census.iterations as f64 * exec_per_iter(costs) + census.total_terms as f64 * per_term(costs)
+}
+
+/// The lower bound on every parallel candidate's price for an injective
+/// loop with this census on `p` processors under `costs` — see "Stage 1:
+/// the floor" in the module docs for the three inequalities. Pure
+/// arithmetic on the census, so the adaptive layer re-evaluates it under
+/// refined constants at no cost.
+///
+/// The inner term is the smaller of the flag variants' bound
+/// `max(W/p, CP·chain)` and the wavefront's `max(⌈n/p⌉, CP)·chain`: on
+/// paper the second is never below the first, but they are rounded
+/// separately, and taking the minimum keeps the bound exact on the
+/// computed prices.
+pub fn parallel_floor(costs: &CostModel, census: &PlanCensus, p: usize) -> f64 {
+    let chain = chain_cost(costs, census);
+    let flagged = (raw_work(costs, census) / p as f64).max(census.critical_path as f64 * chain);
+    let rounds = census.iterations.div_ceil(p).max(census.critical_path);
+    let inner = flagged.min(rounds as f64 * chain);
+    costs.region_dispatch + inner + census.iterations as f64 * costs.post_per_iter / p as f64
+}
+
+/// The stage-1 gate: whether `T_seq ≤` [`parallel_floor`], i.e. sequential
+/// is what pricing every candidate of this injective census would select.
+/// The planner asks it of its own constants; the adaptive layer asks it
+/// again of the refined ones.
+pub fn gated(costs: &CostModel, census: &PlanCensus, p: usize) -> bool {
+    sequential_cost(costs, census) <= parallel_floor(costs, census, p)
 }
 
 /// Detects a linear left-hand-side subscript `a(i) = c·i + d` with `c ≥ 1`.
@@ -461,12 +573,34 @@ mod tests {
         assert!(plan.census().is_doall());
     }
 
+    /// Stage 2 called directly, whatever the gate would have said.
+    fn priced(planner: &Planner, l: &IndirectLoop, p: usize) -> Pricing {
+        planner.price(l, &CensusPass::of(l), detect_linear(l), p)
+    }
+
     #[test]
     fn serial_chain_selects_sequential() {
-        // Critical path == n: no parallelism to buy back the overhead.
-        let plan = Planner::new().plan(&pool(), &chain(500)).unwrap();
+        // Critical path == n: no parallelism to buy back the overhead, and
+        // the floor alone says so — the plan is gated: no parallel price,
+        // no artifact.
+        let l = chain(500);
+        let plan = Planner::new().plan(&pool(), &l).unwrap();
         assert_eq!(plan.variant(), PlanVariant::Sequential, "{plan}");
-        assert!(plan.costs().sequential <= plan.costs().doacross.unwrap());
+        assert!(plan.is_gated());
+        let costs = plan.costs();
+        assert_eq!(
+            *costs,
+            VariantCosts {
+                sequential: costs.sequential,
+                ..Default::default()
+            }
+        );
+        assert_eq!(plan.memory_bytes(), 0);
+        // Pricing everything anyway arrives at the same place.
+        let full = priced(&Planner::new(), &l, 4);
+        assert_eq!(full.variant, PlanVariant::Sequential);
+        assert_eq!(full.costs.sequential, costs.sequential);
+        assert!(costs.sequential <= full.costs.doacross.unwrap());
     }
 
     #[test]
@@ -556,12 +690,18 @@ mod tests {
     #[test]
     fn serial_chains_price_wavefront_but_keep_sequential() {
         // A chain is all levels: the wavefront candidate exists but every
-        // level is one iteration + one barrier — sequential must win.
-        let plan = Planner::new().plan(&pool(), &chain(500)).unwrap();
-        assert_eq!(plan.variant(), PlanVariant::Sequential, "{plan}");
-        let costs = plan.costs();
+        // level is one iteration + one barrier — sequential must win, in
+        // stage 2 as at the gate.
+        let l = chain(500);
+        let full = priced(&Planner::new(), &l, 4);
+        assert_eq!(full.variant, PlanVariant::Sequential);
+        let costs = full.costs;
         assert!(costs.wavefront.is_some());
         assert!(costs.sequential <= costs.wavefront.unwrap(), "{costs:?}");
+
+        let plan = Planner::new().plan(&pool(), &l).unwrap();
+        assert_eq!(plan.variant(), PlanVariant::Sequential, "{plan}");
+        assert!(plan.costs().wavefront.is_none(), "gated: never priced");
         assert!(plan.level_schedule().is_none(), "artifact not captured");
     }
 

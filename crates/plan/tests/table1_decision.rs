@@ -2,11 +2,14 @@
 //! the two cost models an engine can be pricing with: a host-like one (a
 //! default engine's — region dispatch costs thousands of terms) and the
 //! paper's Multimax preset. Both models are constants, so the decisions
-//! repeat exactly on any machine.
+//! repeat exactly on any machine — and so does *where* each build stops:
+//! the host-like model settles all five at the planner's stage-1 floor
+//! (nothing priced but `sequential`, nothing built), the preset prices
+//! every candidate.
 
 use doacross_core::IndirectLoop;
 use doacross_par::ThreadPool;
-use doacross_plan::{PlanVariant, Planner};
+use doacross_plan::{ExecutionPlan, PlanVariant, Planner};
 use doacross_sim::{calib::assemble, CostModel};
 use doacross_sparse::{table1_problems, ProblemKind};
 
@@ -26,11 +29,10 @@ fn table1_patterns() -> Vec<(ProblemKind, IndirectLoop)> {
         .collect()
 }
 
-fn selected(costs: CostModel, pool: &ThreadPool, pattern: &IndirectLoop) -> PlanVariant {
+fn planned(costs: CostModel, pool: &ThreadPool, pattern: &IndirectLoop) -> ExecutionPlan {
     Planner::with_costs(costs)
         .plan(pool, pattern)
         .expect("plannable")
-        .variant()
 }
 
 #[test]
@@ -45,25 +47,44 @@ fn table1_structures_stay_sequential_on_a_host_like_model_and_go_wavefront_on_th
     assert_eq!((host.region_dispatch, host.barrier), (8_600.0, 100.0));
 
     let pool = ThreadPool::new(2);
+    let mut wavefronts = 0;
     for (kind, pattern) in table1_patterns() {
+        let on_host = planned(host, &pool, &pattern);
         assert_eq!(
-            selected(host, &pool, &pattern),
+            on_host.variant(),
             PlanVariant::Sequential,
             "{} on the host-like model",
             kind.name()
         );
+        // Settled at the floor: no parallel candidate priced, no artifact.
+        assert!(on_host.is_gated(), "{}: {:?}", kind.name(), on_host.costs());
+        let prices = on_host.costs().as_candidate_prices();
+        assert!(prices[1..].iter().all(Option::is_none), "{prices:?}");
+        assert_eq!(on_host.memory_bytes(), 0);
+
         // The paper's machine, whose dispatch costs 50 terms: everything
-        // but the 5-point grid converts to level doalls.
-        let on_preset = if kind == ProblemKind::FivePt {
+        // but the 5-point grid converts to level doalls — decided by
+        // pricing every candidate, the sequential 5-point grid included.
+        let on_preset = planned(CostModel::multimax(), &pool, &pattern);
+        let expected = if kind == ProblemKind::FivePt {
             PlanVariant::Sequential
         } else {
             PlanVariant::Wavefront
         };
         assert_eq!(
-            selected(CostModel::multimax(), &pool, &pattern),
-            on_preset,
+            on_preset.variant(),
+            expected,
             "{} on the Multimax preset",
             kind.name()
         );
+        assert!(!on_preset.is_gated());
+        let costs = on_preset.costs();
+        assert!(
+            costs.doacross.is_some() && costs.reordered.is_some() && costs.wavefront.is_some(),
+            "{}: {costs:?}",
+            kind.name()
+        );
+        wavefronts += (on_preset.variant() == PlanVariant::Wavefront) as usize;
     }
+    assert_eq!(wavefronts, 4);
 }

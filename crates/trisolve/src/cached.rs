@@ -84,6 +84,12 @@ impl EngineSolver {
     /// Solves `L y = rhs`; returns `y` (bit-identical to
     /// [`TriangularMatrix::forward_solve`]) and the run statistics, whose
     /// `provenance` field tells whether this solve reused a cached plan.
+    ///
+    /// **Price:** this is [`Engine::run`] — each call fingerprints `l`'s
+    /// index arrays to find its plan (≈ two bare solves at Table-1 size)
+    /// and allocates `y`. An iteration loop over one structure should take
+    /// the handle from [`EngineSolver::prepare`] once and call
+    /// [`PreparedLoop::execute`] per right-hand side instead.
     pub fn solve(
         &self,
         l: &TriangularMatrix,

@@ -21,7 +21,7 @@
 use preprocessed_doacross::core::seq::run_sequential;
 use preprocessed_doacross::core::PlanProvenance;
 use preprocessed_doacross::doconsider::{level_histogram, DependenceDag, LevelAssignment};
-use preprocessed_doacross::plan::{PlanVariant, Planner};
+use preprocessed_doacross::plan::{detect_linear, CensusPass, PlanVariant, Planner};
 use preprocessed_doacross::sim::Machine;
 use preprocessed_doacross::sparse::{
     ilu0, stencil::five_point, stencil::seven_point, TriangularMatrix,
@@ -92,15 +92,31 @@ fn main() {
     );
 
     // What the engine's cost model concludes about the same structure on
-    // the host: the doconsider order is one of the candidates it prices.
+    // the host. A host-priced plan usually stops at the planner's floor —
+    // `sequential` settled from the census, nothing else priced — so the
+    // candidates (the doconsider order is one of them) are priced here by
+    // calling the planner's pricing stage directly.
     let engine = Engine::builder().build();
     let prepared = engine.prepare(&loop_).expect("plannable");
-    let costs = prepared.plan().costs();
     println!(
-        "\nengine plan for this structure ({} workers): {}",
+        "\nengine plan for this structure ({} workers): {}{}",
         engine.threads(),
-        prepared.variant()
+        prepared.variant(),
+        if prepared.plan().is_gated() {
+            " (settled at the parallel floor; no candidate priced)"
+        } else {
+            ""
+        }
     );
+    let costs = engine
+        .planner()
+        .price(
+            &loop_,
+            &CensusPass::of(&loop_),
+            detect_linear(&loop_),
+            engine.threads(),
+        )
+        .costs;
     println!(
         "  priced candidates: sequential {:.0}, doacross {:?}, reordered {:?}, wavefront {:?}",
         costs.sequential,

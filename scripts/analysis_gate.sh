@@ -22,9 +22,13 @@
 #                  prove the checker still catches corrupted protocols —
 #                  the fault-injection chaos suite (every injected failure
 #                  mode must resolve typed and recoverable, `y` untouched),
-#                  and the plan-soundness
+#                  the plan-soundness
 #                  verifier's suites (whose seeded schedule mutations
-#                  prove the verifier still rejects unsound plans).
+#                  prove the verifier still rejects unsound plans), and
+#                  the staged planner's equivalence proof
+#                  (staged_equivalence: the stage-1 floor bounds every
+#                  parallel price as computed, so stopping a plan build
+#                  at the gate changes no decision and no price).
 #
 # Exit nonzero on any violation, loudly.
 
@@ -102,6 +106,10 @@ cargo test -q -p doacross-verify ||
   violation "verifier suites failed"
 cargo test -q -p doacross-trisolve --test verify_table1 ||
   violation "Table 1 plan-soundness acceptance failed"
+
+say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
+cargo test -q -p doacross-plan --test staged_equivalence ||
+  violation "staged planner equivalence failed (parallel floor / stage-1 gate)"
 
 # ---------------------------------------------------------------------------
 

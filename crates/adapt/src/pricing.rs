@@ -94,12 +94,12 @@ pub fn breakdown(plan: &ExecutionPlan, model: &CostModel) -> Breakdown {
         }
         PlanVariant::Wavefront => {
             let rounds: usize = plan
-                .level_schedule()
-                .map(|schedule| {
-                    schedule
-                        .offsets()
+                .stream()
+                .and_then(|stream| stream.level_offsets())
+                .map(|offsets| {
+                    offsets
                         .windows(2)
-                        .map(|w| (w[1] - w[0]).div_ceil(p))
+                        .map(|w| ((w[1] - w[0]) as usize).div_ceil(p))
                         .sum()
                 })
                 .unwrap_or(census.iterations.div_ceil(p));

@@ -222,7 +222,7 @@ fn sync_granularity() {
         let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
         let plan = SolvePlan::for_matrix(&sys.l);
         let doacross = machine.simulate_doacross(&loop_, Some(&plan.order), opts);
-        let level = machine.simulate_level_scheduled(&loop_, &plan.order, &plan.histogram);
+        let level = machine.simulate_level_scheduled(&loop_, &plan.order, &plan.histogram, Some(1));
         t.row([
             sys.kind.name().to_string(),
             plan.critical_path().to_string(),

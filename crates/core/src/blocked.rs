@@ -25,7 +25,7 @@
 
 use crate::error::DoacrossError;
 use crate::inspector::{reset_scratch, run_inspector};
-use crate::oracle::InspectedWriter;
+use crate::oracle::{ByWriter, InspectedWriter};
 use crate::pattern::DoacrossLoop;
 use crate::runtime::{check_y_len, exec_and_post, region_stats, Doacross};
 use crate::stats::{PlanProvenance, RunStats};
@@ -108,11 +108,14 @@ impl Doacross {
             let oracle = InspectedWriter::new(&self.iter, window.clone());
             exec_and_post(
                 pool,
-                &self.config,
+                schedule,
+                self.config.wait,
                 loop_,
                 lo..hi,
-                None,
-                &oracle,
+                &ByWriter {
+                    oracle: &oracle,
+                    order: None,
+                },
                 y,
                 &mut self.ynew[..window.len()],
                 &mut self.ready,

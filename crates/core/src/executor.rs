@@ -1,34 +1,56 @@
 //! The executor: the doacross proper (paper Figure 5).
 //!
-//! Each pool worker self-schedules iterations (default: one at a time, the
-//! Multimax policy) and runs, per iteration `i`:
+//! Each pool worker self-schedules claim slots and runs, per claimed slot
+//! `k` (iteration `i = order(k)`, or `k` itself in natural order):
 //!
 //! ```text
 //! S2      acc = init(i, y[a(i)])
 //!         do j = 0, terms(i)-1
 //!             off   = term_element(i, j)
-//!             check = iter(off) - i            // via the WriterOracle
-//! S3/S4/S5    if check < 0:  wait until ready(off) == DONE; operand = ynew(off)
-//! S6/S7       if check > 0:  operand = y(off)
-//! S8          if check == 0: operand = acc     // intra-iteration
+//!             class = classes(k, j)            // the Claims source
+//! S3/S4/S5    NewValue:    wait until ready(off) == DONE; operand = ynew(off)
+//! S6/S7       OldValue:    operand = y(off)
+//! S8          Accumulator: operand = acc       // intra-iteration
 //!             acc = combine(i, j, acc, operand)
 //!         end do
 //!         ynew(a(i)) = acc
 //!         ready(a(i)) = DONE                   // release store
 //! ```
 //!
+//! ## Resolution policy
+//!
+//! Figure 5 decides the class per reference, per run, as `check =
+//! iter(off) − i`. The executor is generic over *who decides*
+//! ([`Claims`]): the entry points that inspect ([`crate::Doacross::run`],
+//! `run_with_order`, `run_linear`, `run_blocked`) pass a
+//! [`ByWriter`](crate::oracle::ByWriter) adapter over their writer oracle —
+//! the paper's comparison, taken where the paper takes it, and counted —
+//! while a planned run passes the plan's [`ClaimStream`](crate::ClaimStream),
+//! where slot `k`'s classes were resolved once at plan time and sit
+//! stride-1 in claim order: no writer map is consulted, nothing is counted
+//! per reference (the stream knows its totals), and a `NewValue` operand
+//! whose flag is already up costs one acquire load before the `ynew` read.
+//! One body, monomorphised per source.
+//!
 //! Memory-ordering argument: the only cross-thread data hand-off is
 //! `ynew(off)` guarded by `ready(off)`; [`ReadyFlags::mark_done`] is a
-//! release store and the wait loop polls with acquire loads, so the
-//! writer's plain `ynew` store happens-before the reader's plain load.
-//! `y` is read-only while iterations run, and each `ynew` element has
-//! exactly one writer (injective `a`, enforced by the inspector).
+//! release store and both the inline check and the wait loop poll with
+//! acquire loads, so the writer's plain `ynew` store happens-before the
+//! reader's plain load. `y` is read-only while iterations run, and each
+//! `ynew` element has exactly one writer (injective `a`, enforced by the
+//! inspector or proven by the plan's verifier).
 //!
-//! Progress argument: waits only target strictly earlier iterations
-//! (`check < 0`), and every [`Schedule`] enumerates each worker's
-//! iterations in increasing global order, so the lowest-numbered pending
-//! iteration can always run to completion — no deadlock, for any schedule
-//! and any dependence pattern the inspector admits.
+//! Progress argument: a wait only targets a writer claimed at a strictly
+//! earlier slot (`check < 0` in natural order; a topological claim order
+//! otherwise), every [`Schedule`] hands a worker its slots — one at a time
+//! or a chunk per grab — in increasing slot order, and a worker walks a
+//! chunk front to back. So the owner of the lowest pending slot is never
+//! parked on a later one: everything before that slot is done, hence all
+//! its operands are published, and it runs to completion — no deadlock,
+//! for any schedule, any chunk size and any dependence pattern the
+//! inspector or the verifier admits
+//! (`crates/par/tests/interleave_models.rs` checks exactly this walk, and
+//! that walking a chunk back to front deadlocks).
 //!
 //! The postprocessor (Figure 3, right) runs in the same region: a worker
 //! that runs out of iterations adds how many it executed to an
@@ -40,10 +62,11 @@
 
 use crate::completion::{Completion, RegionGuard};
 use crate::flags::ReadyFlags;
-use crate::oracle::WriterOracle;
+use crate::oracle::Claims;
 use crate::pattern::DoacrossLoop;
 use crate::post::{post_share, PhaseClock, Post};
 use crate::stats::{LocalCounters, StatsSink};
+use crate::wavefront::OperandClass;
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
 use doacross_par::{Schedule, SharedSlice, ThreadPool, WaitAbort, WaitStrategy};
 use std::ops::Range;
@@ -60,27 +83,70 @@ pub(crate) const FAILPOINT_ITER: &str = "core::executor::iter";
 /// even when no wait ever stalls.
 pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
 
-/// Runs the doacross executor over iterations `iter_range`, then — in the
+/// The stall path of a `NewValue` operand: the inline flag check missed, so
+/// poll `ready(slot)` under the region's guard. Books the stall (the inline
+/// miss is its first failed poll) and, when profiling, its
+/// [`SpanKind::FlagWait`] span. Out of line: a planned run on a good claim
+/// order almost never gets here.
+#[cold]
+#[inline(never)]
+fn await_flag(
+    ready: &ReadyFlags,
+    slot: usize,
+    guard: &RegionGuard<'_>,
+    prof: Option<&ProfArena>,
+    worker: usize,
+    local: &mut LocalCounters,
+) -> Result<(), WaitAbort> {
+    let cond = || ready.is_done(slot);
+    let (polls, wait_ns) = match prof {
+        None => (
+            guard
+                .wait
+                .wait_until_guarded(cond, guard.poison, guard.deadline)?,
+            0,
+        ),
+        Some(_) => guard
+            .wait
+            .wait_until_guarded_timed(cond, guard.poison, guard.deadline)?,
+    };
+    let polls = polls + 1;
+    local.stalls += 1;
+    local.wait_polls += polls;
+    if let Some(arena) = prof {
+        let end = arena.now_ns();
+        arena.record(
+            worker,
+            SpanKind::FlagWait,
+            NO_LEVEL,
+            end.saturating_sub(wait_ns),
+            wait_ns,
+            polls,
+        );
+    }
+    Ok(())
+}
+
+/// Runs the doacross executor over claim slots `iter_range`, then — in the
 /// same region — the postprocessor (copy-back, plus clearing `post.map`). Returns the region's
 /// wall time split into `(executor, post)` at the moment the last
 /// iteration was counted.
 ///
-/// * `oracle` answers "which iteration writes element e" (inspector map or
-///   linear-subscript arithmetic).
-/// * `order`, when present, is a permutation of the whole iteration space:
-///   the `k`-th *claimed* slot executes original iteration `order[k]`.
-///   This is the doconsider "rearranged iterations" mechanism of §3.2 —
-///   dependence classification still uses original iteration numbers, so
-///   semantics are unchanged; only the claim order (and hence waiting
-///   behaviour) differs. The order must be a topological order of the true
-///   dependencies or the executor may livelock (the `Doacross` facade
-///   validates this in full-validation mode).
+/// * `claims` names the iteration each slot executes and the class of each
+///   of its references (see the module docs). A claim order other than the
+///   natural one is the doconsider "rearranged iterations" mechanism of
+///   §3.2 — semantics are unchanged; only the claim order (and hence
+///   waiting behaviour) differs. It must be a topological order of the
+///   true dependencies or the executor may livelock (the `Doacross` facade
+///   validates a caller's order in full-validation mode; a plan's is proven
+///   by `doacross-verify`).
 /// * `y` is the full data array: read-only until every iteration is
 ///   counted, then the copy-back target.
 /// * `ynew`/`ready` are the shadow array and flag set, holding elements
 ///   `window_start .. window_start + ynew.len()`. The caller
 ///   [retires](ReadyFlags::retire) the flags afterwards.
-/// * Executor-side counters land in `sink`, one cell per worker.
+/// * Executor-side counters land in `sink`, one cell per worker — the
+///   per-class counts only when `C::COUNTED`.
 /// * With `prof` set, each worker records one [`SpanKind::Work`] span
 ///   covering its share of the iterations (`aux` = iterations executed,
 ///   actual stalls nested inside) plus one [`SpanKind::FlagWait`] span per
@@ -89,19 +155,19 @@ pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
 ///   `None` costs one branch per would-be span — the never-stalling fast
 ///   path reads no clock.
 ///
-/// Bounds are enforced with release-mode asserts: the inspector already
-/// validated the left-hand sides (and, in full-validation mode, the
-/// right-hand sides), so these asserts are a final defense rather than the
-/// primary check.
+/// The failpoint, the fault poll and the deadline tick are paid once per
+/// iteration, whatever the chunk size. Bounds are enforced with
+/// release-mode asserts on every index the loop supplies: the inspector or
+/// the plan already validated them, so these asserts are a final defense
+/// rather than the primary check.
 #[allow(clippy::too_many_arguments)]
-pub fn run_executor<L, W>(
+pub fn run_executor<L, C>(
     pool: &ThreadPool,
     schedule: Schedule,
     wait: WaitStrategy,
     loop_: &L,
     iter_range: Range<usize>,
-    order: Option<&[usize]>,
-    oracle: &W,
+    claims: &C,
     y: SharedSlice<'_, f64>,
     ynew: SharedSlice<'_, f64>,
     ready: &ReadyFlags,
@@ -112,7 +178,7 @@ pub fn run_executor<L, W>(
 ) -> (Duration, Duration)
 where
     L: DoacrossLoop + ?Sized,
-    W: WriterOracle,
+    C: Claims,
 {
     let nworkers = pool.threads();
     let base = iter_range.start;
@@ -144,10 +210,7 @@ where
         let mut executed: u64 = 0;
         let work_started = prof.map(|arena| arena.now_ns());
         schedule.drive(worker, nworkers, count, &counter, |k| {
-            let i = match order {
-                Some(ord) => ord[base + k],
-                None => base + k,
-            };
+            let i = claims.iteration(base + k);
             failpoint::hit(failpoint, i as u64);
             // A sibling's fault means flags may never be published past
             // this point: stop claiming work and drain.
@@ -164,7 +227,7 @@ where
             }
             let lhs = loop_.lhs(i);
             assert!(lhs < data_len, "executor: lhs {lhs} out of bounds");
-            let lhs_slot = lhs - window_start;
+            let lhs_slot = lhs.wrapping_sub(window_start);
             assert!(lhs_slot < window_len, "executor: lhs {lhs} escapes window");
 
             // S2: seed from the old value of the output element.
@@ -172,63 +235,57 @@ where
             // asserted.
             let mut acc = loop_.init(i, unsafe { y.read(lhs) });
 
-            let iv = i as i64;
-            for j in 0..loop_.terms(i) {
+            let terms = loop_.terms(i);
+            let row = claims.row(base + k, i, terms);
+            for j in 0..terms {
                 let off = loop_.term_element(i, j);
                 assert!(off < data_len, "executor: term {off} out of bounds");
-                let writer = oracle.writer(off);
-                let operand = if writer < iv {
-                    // S3–S5: true dependency on an earlier iteration.
-                    local.true_deps += 1;
-                    let slot = off - window_start;
-                    let waited = match prof {
-                        None => wait
-                            .wait_until_guarded(|| ready.is_done(slot), poison, deadline)
-                            .map(|polls| (polls, 0)),
-                        Some(_) => {
-                            wait.wait_until_guarded_timed(|| ready.is_done(slot), poison, deadline)
+                let operand = match claims.class(row, j, off) {
+                    OperandClass::NewValue => {
+                        // S3–S5: true dependency on an earlier claim.
+                        if C::COUNTED {
+                            local.true_deps += 1;
                         }
-                    };
-                    let (polls, wait_ns) = match waited {
-                        Ok(waited) => waited,
-                        Err(abort) => guard.bail(sink, worker, &mut local, abort),
-                    };
-                    if polls > 0 {
-                        local.stalls += 1;
-                        local.wait_polls += polls;
-                        if let Some(arena) = prof {
-                            let end = arena.now_ns();
-                            arena.record(
-                                worker,
-                                SpanKind::FlagWait,
-                                NO_LEVEL,
-                                end.saturating_sub(wait_ns),
-                                wait_ns,
-                                polls,
-                            );
+                        let slot = off.wrapping_sub(window_start);
+                        assert!(slot < window_len, "executor: term {off} escapes window");
+                        if !ready.is_done(slot) {
+                            if let Err(abort) =
+                                await_flag(ready, slot, &guard, prof, worker, &mut local)
+                            {
+                                guard.bail(sink, worker, &mut local, abort);
+                            }
                         }
+                        // SAFETY: bounds asserted; the acquire in `is_done`
+                        // pairs with the writer's release in `mark_done`,
+                        // and `ynew[slot]` was stored before that release.
+                        unsafe { ynew.read(slot) }
                     }
-                    // SAFETY: the acquire in `is_done` pairs with the
-                    // writer's release in `mark_done`; `ynew[slot]` was
-                    // stored before that release.
-                    unsafe { ynew.read(slot) }
-                } else if writer == iv {
-                    // S8: intra-iteration reference — the element being
-                    // accumulated is `lhs` itself (injective `a`), so serve
-                    // it from the register accumulator.
-                    local.intra += 1;
-                    debug_assert_eq!(off, lhs, "iter({off}) == {i} but lhs is {lhs}");
-                    acc
-                } else {
-                    // S6–S7: antidependency or never-written element — old
-                    // value. SAFETY: y is read-only until the gate.
-                    local.anti_or_unwritten += 1;
-                    unsafe { y.read(off) }
+                    OperandClass::Accumulator => {
+                        // S8: intra-iteration reference — the element being
+                        // accumulated is `lhs` itself (injective `a`), so
+                        // serve it from the register accumulator.
+                        if C::COUNTED {
+                            local.intra += 1;
+                        }
+                        debug_assert_eq!(off, lhs, "class says intra but off != lhs");
+                        acc
+                    }
+                    OperandClass::OldValue => {
+                        // S6–S7: antidependency or never-written element —
+                        // old value.
+                        if C::COUNTED {
+                            local.anti_or_unwritten += 1;
+                        }
+                        // SAFETY: y is read-only until the gate; bounds
+                        // asserted.
+                        unsafe { y.read(off) }
+                    }
                 };
                 acc = loop_.combine(i, j, acc, operand);
             }
 
-            // SAFETY: `lhs_slot` has this iteration as its unique writer.
+            // SAFETY: `lhs_slot` is in the window (asserted) and has this
+            // iteration as its unique writer.
             unsafe { ynew.write(lhs_slot, loop_.finish(i, acc)) };
             ready.mark_done(lhs_slot);
         });
@@ -276,7 +333,7 @@ mod tests {
     use super::*;
     use crate::flags::IterMap;
     use crate::inspector::run_inspector;
-    use crate::oracle::InspectedWriter;
+    use crate::oracle::{ByWriter, InspectedWriter};
     use crate::pattern::{AccessPattern, IndirectLoop};
     use crate::seq::run_sequential;
     use crate::stats::RunStats;
@@ -315,8 +372,10 @@ mod tests {
             WaitStrategy::default(),
             loop_,
             0..loop_.iterations(),
-            None,
-            &oracle,
+            &ByWriter {
+                oracle: &oracle,
+                order: None,
+            },
             y_view,
             ynew_view,
             &ready,
@@ -448,8 +507,10 @@ mod tests {
             WaitStrategy::default(),
             &l,
             1..1,
-            None,
-            &oracle,
+            &ByWriter {
+                oracle: &oracle,
+                order: None,
+            },
             SharedSlice::new(&mut y),
             SharedSlice::new(&mut ynew),
             &ready,

@@ -48,9 +48,10 @@
 //! scratch — `iter`, `ready`, `ynew`, the wavefront's level cells, the
 //! per-worker counters — and has one entry point per way of running a
 //! loop: [`Doacross::run`] / [`Doacross::run_with_order`] (inspector
-//! inline), [`Doacross::run_planned`] (prebuilt writer map),
-//! [`Doacross::run_linear`], [`Doacross::run_blocked`] and
-//! [`Doacross::run_wavefront`]. Every one of them copies its results back
+//! inline), [`Doacross::run_planned`] (a prebuilt [`ClaimStream`], under
+//! ready flags), [`Doacross::run_linear`], [`Doacross::run_blocked`] and
+//! [`Doacross::run_wavefront`] (the same stream with level offsets, under
+//! completion counters). Every one of them copies its results back
 //! into `y` before it returns; after warm-up none allocates. That is §2.1's
 //! "we reuse the same arrays iter and ready for multiple preprocessed
 //! doacross loops", extended across the variants.
@@ -68,13 +69,17 @@
 //!   iterations are grouped by dependence level at preprocessing time and
 //!   each level runs as a doall that is complete when its iterations are
 //!   counted (no barrier: nobody waits for a worker that holds no work),
-//!   with **zero** ready-flag traffic and zero writer-map lookups inside a
-//!   level. Best when the poll/stall bill dominates (many true
+//!   with **zero** ready-flag traffic inside a level. Best when the poll/stall bill dominates (many true
 //!   dependencies, deep structures, contended flags): the per-element cost
 //!   disappears and the price is one counter hand-off per level.
 //!
 //! Either way a solve is one pool region: the postprocessor's copy-back
-//! runs behind the same kind of counter once the last iteration is in.
+//! runs behind the same kind of counter once the last iteration is in. And
+//! either way a *planned* solve reads where each operand comes from off
+//! one artifact, the plan's [`ClaimStream`] — claim order, per-claim
+//! reference ends and one [`OperandClass`] byte per reference, laid out in
+//! claim order (plus level offsets for the wavefront) — instead of
+//! re-deriving Figure 5's `iter(off) − i` from a writer map per run.
 //!
 //! The `doacross-plan` cost model prices both and picks the crossover
 //! automatically ([`stats::RunStats::wait_polls`] makes the trade
@@ -119,7 +124,6 @@ pub mod linear;
 pub mod oracle;
 pub mod pattern;
 pub mod post;
-pub mod prepared;
 pub mod runtime;
 pub mod seq;
 pub mod stats;
@@ -129,10 +133,9 @@ pub mod wavefront;
 pub use error::DoacrossError;
 pub use flags::{IterMap, ReadyFlags, MAXINT};
 pub use linear::LinearSubscript;
-pub use oracle::{InspectedWriter, LinearWriter, WriterOracle};
+pub use oracle::{ByWriter, Claims, InspectedWriter, LinearWriter, WriterOracle};
 pub use pattern::{AccessPattern, DoacrossLoop, IndirectLoop};
-pub use prepared::PreparedInspection;
 pub use runtime::{Doacross, DoacrossConfig};
 pub use stats::{DepCounts, PlanProvenance, RunStats};
 pub use testloop::{DependencyCensus, TestLoop};
-pub use wavefront::{LevelSchedule, OperandClass};
+pub use wavefront::{claim_grain, ClaimStream, OperandClass};

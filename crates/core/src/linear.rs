@@ -17,7 +17,7 @@
 
 use crate::error::DoacrossError;
 use crate::inspector::ErrorSlot;
-use crate::oracle::LinearWriter;
+use crate::oracle::{ByWriter, LinearWriter};
 use crate::pattern::DoacrossLoop;
 use crate::runtime::{check_y_len, exec_and_post, region_stats, validate_order, Doacross};
 use crate::stats::{PlanProvenance, RunStats};
@@ -141,11 +141,14 @@ impl Doacross {
         }
         exec_and_post(
             pool,
-            &self.config,
+            self.config.schedule,
+            self.config.wait,
             loop_,
             0..n,
-            order,
-            &oracle,
+            &ByWriter {
+                oracle: &oracle,
+                order,
+            },
             y,
             &mut self.ynew[..data_len],
             &mut self.ready,

@@ -1,4 +1,6 @@
-//! Writer oracles: "which iteration writes element `e`?"
+//! Writer oracles and claim sources: "which iteration writes element `e`?"
+//! and, built on it, "what does claim slot `k` execute, and what class is
+//! its `j`-th reference?"
 //!
 //! The executor's three-way check (Figure 5) needs, for every right-hand-
 //! side element, the index of the iteration that writes it (or `MAXINT`).
@@ -11,8 +13,17 @@
 //!   both the inspector phase and the `iter` array (§2.3: "it is possible
 //!   to eliminate the execution time preprocessing phase along with the
 //!   need to allocate storage for array iter").
+//!
+//! The executor itself is generic over one level up — a [`Claims`] source,
+//! which names the iteration a claim slot runs and the [`OperandClass`] of
+//! each of its references. The inspecting entry points wrap a writer oracle
+//! in [`ByWriter`] (the comparison `iter(off) − i` of Figure 5, taken per
+//! reference); a planned run passes the plan's
+//! [`ClaimStream`](crate::ClaimStream), where every answer was resolved
+//! once and is read stride-1.
 
 use crate::flags::{IterMap, MAXINT};
+use crate::wavefront::OperandClass;
 use std::ops::Range;
 
 /// Maps a data element to the iteration that writes it, or [`MAXINT`].
@@ -20,6 +31,73 @@ pub trait WriterOracle: Sync {
     /// The (global) index of the iteration writing `element`, or [`MAXINT`]
     /// when no iteration in scope writes it.
     fn writer(&self, element: usize) -> i64;
+}
+
+/// What the executor asks per claim: which iteration slot `k` runs, and
+/// where each of its right-hand-side operands comes from.
+pub trait Claims: Sync {
+    /// Whether the executor counts the classes it acts on, reference by
+    /// reference. A source that knows its totals exactly (the plan's
+    /// stream) says `false` and its caller stamps them into the stats.
+    const COUNTED: bool;
+
+    /// One claimed iteration's view of the source.
+    type Row<'a>: Copy
+    where
+        Self: 'a;
+
+    /// The iteration claim slot `k` executes.
+    fn iteration(&self, k: usize) -> usize;
+
+    /// Slot `k`'s references, given that it runs iteration `i` and the loop
+    /// reports `terms` of them.
+    ///
+    /// # Panics
+    /// When the source was resolved for a different reference count — the
+    /// executor's final defence; planned entry points rule it out with a
+    /// typed error before dispatch.
+    fn row(&self, k: usize, i: usize, terms: usize) -> Self::Row<'_>;
+
+    /// The class of the row's `j`-th reference, which reads element `off`.
+    fn class<'a>(&'a self, row: Self::Row<'a>, j: usize, off: usize) -> OperandClass;
+}
+
+/// The by-writer adapter: resolves every reference at run time from a
+/// [`WriterOracle`], exactly Figure 5's `check = iter(off) − i`, under an
+/// optional caller-supplied claim order (validated by the entry point).
+#[derive(Debug, Clone, Copy)]
+pub struct ByWriter<'a, W> {
+    /// Who writes element `e`.
+    pub oracle: &'a W,
+    /// The `k`-th claim executes `order[k]`; `None` is the natural order.
+    pub order: Option<&'a [usize]>,
+}
+
+impl<W: WriterOracle> Claims for ByWriter<'_, W> {
+    const COUNTED: bool = true;
+    type Row<'a>
+        = i64
+    where
+        Self: 'a;
+
+    #[inline]
+    fn iteration(&self, k: usize) -> usize {
+        self.order.map_or(k, |order| order[k])
+    }
+
+    #[inline]
+    fn row(&self, _k: usize, i: usize, _terms: usize) -> i64 {
+        i as i64
+    }
+
+    #[inline]
+    fn class(&self, i: i64, _j: usize, off: usize) -> OperandClass {
+        match self.oracle.writer(off).cmp(&i) {
+            std::cmp::Ordering::Less => OperandClass::NewValue,
+            std::cmp::Ordering::Equal => OperandClass::Accumulator,
+            std::cmp::Ordering::Greater => OperandClass::OldValue,
+        }
+    }
 }
 
 /// Oracle backed by the inspector-filled [`IterMap`], restricted to an

@@ -14,10 +14,12 @@
 //! shrunk, serves the entry points
 //!
 //! * [`Doacross::run`] / [`Doacross::run_with_order`] — inspector inline;
-//! * [`Doacross::run_planned`] — a prebuilt writer map, no inspector;
+//! * [`Doacross::run_planned`] — a prebuilt claim stream, no inspector and
+//!   no writer map;
 //! * [`Doacross::run_linear`] — §2.3's `a(i) = c·i + d`, no writer map;
 //! * [`Doacross::run_blocked`] — §2.3's strip-mined loop, windowed scratch;
-//! * [`Doacross::run_wavefront`] — a prebuilt level schedule, no flags;
+//! * [`Doacross::run_wavefront`] — the same stream with level offsets, no
+//!   flags;
 //!
 //! and after warm-up none of them allocates.
 
@@ -25,12 +27,11 @@ use crate::error::DoacrossError;
 use crate::executor::run_executor;
 use crate::flags::{IterMap, ReadyFlags, MAXINT};
 use crate::inspector::{reset_scratch, run_inspector, ErrorSlot};
-use crate::oracle::{InspectedWriter, WriterOracle};
+use crate::oracle::{ByWriter, Claims, InspectedWriter, WriterOracle};
 use crate::pattern::{AccessPattern, DoacrossLoop};
 use crate::post::Post;
-use crate::prepared::PreparedInspection;
 use crate::stats::{PlanProvenance, RunStats, StatsSink};
-use crate::wavefront::LevelCell;
+use crate::wavefront::{check_stream, grained, ClaimStream, LevelCell};
 use doacross_obs::profile::ProfArena;
 use doacross_par::{parallel_for, CachePadded, Schedule, SharedSlice, ThreadPool, WaitStrategy};
 use std::ops::Range;
@@ -100,8 +101,9 @@ pub struct Doacross {
     /// Per-worker counter cells, reused across runs (grow-don't-shrink +
     /// reset after drain) so a warm solve allocates nothing.
     pub(crate) sink: StatsSink,
-    /// Claim-order validation scratch (`position[i]` = slot that claims
-    /// iteration `i`), reused across runs for the same reason.
+    /// Claim-order validation scratch of the entry points that take a
+    /// caller's order (`position[i]` = slot that claims iteration `i`),
+    /// reused across runs for the same reason.
     pub(crate) position: Vec<usize>,
 }
 
@@ -244,11 +246,14 @@ impl Doacross {
         // restore the reuse invariant.
         exec_and_post(
             pool,
-            &self.config,
+            schedule,
+            self.config.wait,
             loop_,
             0..n,
-            order,
-            &oracle,
+            &ByWriter {
+                oracle: &oracle,
+                order,
+            },
             y,
             &mut self.ynew[..data_len],
             &mut self.ready,
@@ -264,21 +269,32 @@ impl Doacross {
     }
 
     /// Runs the executor and postprocessor phases against a prebuilt
-    /// inspection, skipping the inspector entirely — the paper's
-    /// inspect-once / execute-many amortization made concrete.
+    /// [`ClaimStream`], skipping the inspector entirely — the paper's
+    /// inspect-once / execute-many amortization made concrete. Claims
+    /// follow the stream's order (natural when it has none) and every
+    /// operand class is read from the stream; no writer map exists.
     ///
-    /// `prepared` must have been built for this loop's access pattern
-    /// (shape mismatches are rejected with [`DoacrossError::PlanMismatch`];
-    /// *content* equality is the caller's contract — the `doacross-plan`
-    /// crate enforces it with structural fingerprints). The prepared map is
-    /// only read: postprocessing resets this runtime's `ready` flags but
-    /// leaves the artifact untouched, so it serves arbitrarily many runs.
+    /// `stream` must have been built for this loop's access pattern. The
+    /// iteration count and every claim's reference count are checked here
+    /// ([`DoacrossError::PlanMismatch`] /
+    /// [`DoacrossError::ScheduleTermsMismatch`], before dispatch, `y`
+    /// untouched); *content* equality is the caller's contract — the
+    /// `doacross-plan` crate enforces it with structural fingerprints, and
+    /// `doacross-verify` proves the stream's order topological and its
+    /// classes right, once, when the plan is built or loaded. The stream is
+    /// only read, so it serves arbitrarily many runs.
+    ///
+    /// `grain` is the claim-slot count per counter grab
+    /// ([`crate::wavefront::claim_grain`] derives it from what a plan knows;
+    /// 1 is the paper's policy). It sizes a dynamic base schedule's grabs;
+    /// a static `config.schedule` is honoured as it is.
     ///
     /// With `prof` set, per-worker profiling spans (work intervals and
     /// true-dependency flag waits) are deposited there; `None` costs one
     /// branch per would-be span site and reads no clock.
     ///
-    /// The returned stats report `inspector == Duration::ZERO` and
+    /// The returned stats report `inspector == Duration::ZERO`, `deps`
+    /// stamped from the stream's [`ClaimStream::class_counts`] and
     /// [`PlanProvenance::PlanCold`]; plan caches overwrite the provenance
     /// with [`PlanProvenance::PlanCached`] on hits.
     pub fn run_planned<L: DoacrossLoop + ?Sized>(
@@ -286,19 +302,11 @@ impl Doacross {
         pool: &ThreadPool,
         loop_: &L,
         y: &mut [f64],
-        prepared: &PreparedInspection,
-        order: Option<&[usize]>,
+        stream: &ClaimStream,
+        grain: usize,
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = check_y_len(loop_, y)?;
-        if !prepared.matches_shape(loop_) {
-            return Err(DoacrossError::PlanMismatch {
-                plan_iterations: prepared.iterations(),
-                plan_data_len: prepared.data_len(),
-                loop_iterations: loop_.iterations(),
-                loop_data_len: data_len,
-            });
-        }
+        let data_len = check_stream(loop_, y, stream)?;
         self.ensure_data_len(data_len);
         let n = loop_.iterations();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on entry");
@@ -306,23 +314,15 @@ impl Doacross {
         let mut stats = region_stats(pool, n, PlanProvenance::PlanCold);
         let t_start = Instant::now();
 
-        // No inspector phase: the prepared map already holds every writer.
-        // The runtime's own scratch map stays all-MAXINT throughout, so no
-        // reset is needed on the validation error path either.
-        let oracle = prepared.oracle();
-        if let Some(ord) = order {
-            validate_order(&self.config, &mut self.position, pool, loop_, ord, &oracle)?;
-        }
-
-        // Executor + postprocessor; `post_map: None` — the prepared
-        // artifact must survive this run, only the `ready` flags retire.
+        // Executor + postprocessor; `post_map: None` — there is no map to
+        // clear, only the `ready` flags retire.
         exec_and_post(
             pool,
-            &self.config,
+            grained(self.config.schedule, grain),
+            self.config.wait,
             loop_,
             0..n,
-            order,
-            &oracle,
+            stream,
             y,
             &mut self.ynew[..data_len],
             &mut self.ready,
@@ -332,6 +332,7 @@ impl Doacross {
             &mut stats,
             prof,
         );
+        stats.deps = stream.class_counts();
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on exit");
         Ok(stats)
@@ -372,9 +373,11 @@ pub(crate) fn region_stats(
 
 /// Checks that `order` is a permutation of `0..n` and — in
 /// full-validation mode — that no true dependency's writer is claimed
-/// after its reader, as `oracle` (the runtime's own scratch map, a
-/// prebuilt inspection's, or a linear subscript's arithmetic) names the
-/// writers. `position` is the caller's reusable scratch.
+/// after its reader, as `oracle` (the runtime's own scratch map or a
+/// linear subscript's arithmetic) names the writers. Only the entry points
+/// that take a caller's order come through here; a plan's order is
+/// validated once, at [`ClaimStream::from_parts`]. `position` is the
+/// caller's reusable scratch.
 pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
     config: &DoacrossConfig,
     position: &mut Vec<usize>,
@@ -420,23 +423,23 @@ pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
 }
 
 /// The executor + postprocessor phases of every flag-synchronized run: one
-/// pool region over iterations `iter_range`, after which the `ready` flags
-/// are retired. `ynew`/`ready` hold the elements from `window_start` on
-/// (the whole data space for a flat run, a block's window for a
-/// strip-mined one); `post_map` is the writer map the post phase clears —
-/// the runtime's own scratch map — or `None` when `oracle` reads a
-/// prebuilt artifact or a subscript. Fills `stats.executor`, `stats.post`
-/// and the executor-side counters. `sink` is the runtime's per-worker
-/// counter scratch, drained into `stats` and reset before returning — once
-/// it covers the pool, no allocation happens here.
+/// pool region over claim slots `iter_range` under `schedule`, after which
+/// the `ready` flags are retired. `ynew`/`ready` hold the elements from
+/// `window_start` on (the whole data space for a flat run, a block's
+/// window for a strip-mined one); `post_map` is the writer map the post
+/// phase clears — the runtime's own scratch map — or `None` when `claims`
+/// is a prebuilt stream or reads a subscript. Fills `stats.executor`,
+/// `stats.post` and the executor-side counters. `sink` is the runtime's
+/// per-worker counter scratch, drained into `stats` and reset before
+/// returning — once it covers the pool, no allocation happens here.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_and_post<L: DoacrossLoop + ?Sized, W: WriterOracle>(
+pub(crate) fn exec_and_post<L: DoacrossLoop + ?Sized, C: Claims>(
     pool: &ThreadPool,
-    config: &DoacrossConfig,
+    schedule: Schedule,
+    wait: WaitStrategy,
     loop_: &L,
     iter_range: Range<usize>,
-    order: Option<&[usize]>,
-    oracle: &W,
+    claims: &C,
     y: &mut [f64],
     ynew: &mut [f64],
     ready: &mut ReadyFlags,
@@ -449,12 +452,11 @@ pub(crate) fn exec_and_post<L: DoacrossLoop + ?Sized, W: WriterOracle>(
     sink.ensure_workers(pool.threads());
     (stats.executor, stats.post) = run_executor(
         pool,
-        config.schedule,
-        config.wait,
+        schedule,
+        wait,
         loop_,
         iter_range,
-        order,
-        oracle,
+        claims,
         SharedSlice::new(y),
         SharedSlice::new(ynew),
         ready,
@@ -657,6 +659,17 @@ mod tests {
         rt.run(&pool(), &l, &mut y).unwrap();
     }
 
+    /// The chain's stream as a census would resolve it: iteration 0 reads
+    /// the never-written `y[0]`, every other reference is a true
+    /// dependency; claimed in `order`.
+    fn chain_stream(n: usize, order: Option<&[usize]>) -> ClaimStream {
+        let term_offsets: Vec<usize> = (0..=n).collect();
+        let mut classes = vec![0u8; n];
+        classes[0] = 1;
+        ClaimStream::from_iteration_order(order, None, &term_offsets, classes)
+            .expect("a consistent stream")
+    }
+
     #[test]
     fn run_planned_matches_sequential_and_skips_inspector() {
         let l = chain_loop(150);
@@ -664,21 +677,22 @@ mod tests {
         let mut expect = vec![1.0; 151];
         run_sequential(&l, &mut expect);
 
-        let prepared = PreparedInspection::inspect(&p, Schedule::multimax(), &l, true).unwrap();
+        let stream = chain_stream(150, None);
         let mut rt = Doacross::for_loop(&l);
-        // Many runs against one inspection artifact.
-        for round in 0..3 {
+        // Many runs against one artifact, at every grain.
+        for (round, grain) in [1usize, 4, 16].into_iter().enumerate() {
             let mut y = vec![1.0; 151];
             let stats = rt
-                .run_planned(&p, &l, &mut y, &prepared, None, None)
+                .run_planned(&p, &l, &mut y, &stream, grain, None)
                 .unwrap();
             assert_eq!(y, expect, "round {round}");
             assert_eq!(stats.inspector, std::time::Duration::ZERO);
             assert_eq!(stats.provenance, PlanProvenance::PlanCold);
+            assert_eq!(stats.deps, stream.class_counts(), "stamped, not counted");
+            assert_eq!(stats.deps.true_deps, 149);
             assert!(rt.scratch_is_clean(), "round {round}");
         }
-        // The artifact itself is untouched.
-        assert_eq!(prepared.writer(1), 0);
+        assert_eq!(rt.iter.len(), 0, "a planned run never grows a writer map");
     }
 
     #[test]
@@ -687,32 +701,33 @@ mod tests {
         let p = pool();
         let mut expect = vec![1.0; 65];
         run_sequential(&l, &mut expect);
-        let prepared = PreparedInspection::inspect(&p, Schedule::multimax(), &l, true).unwrap();
         let identity: Vec<usize> = (0..64).collect();
+        let stream = chain_stream(64, Some(&identity));
         let mut y = vec![1.0; 65];
         let mut rt = Doacross::for_loop(&l);
-        rt.run_planned(&p, &l, &mut y, &prepared, Some(&identity), None)
-            .unwrap();
+        rt.run_planned(&p, &l, &mut y, &stream, 1, None).unwrap();
         assert_eq!(y, expect);
-        // A non-topological order is still rejected, using the prepared map.
-        let reversed: Vec<usize> = (0..64).rev().collect();
-        let err = rt
-            .run_planned(&p, &l, &mut y, &prepared, Some(&reversed), None)
-            .unwrap_err();
-        assert!(matches!(err, DoacrossError::OrderNotTopological { .. }));
+        // The order is the plan's and validated where the plan is built: a
+        // non-permutation never becomes a stream, so no solve re-checks it.
+        let mut twice = identity.clone();
+        twice[5] = 4;
+        let term_offsets: Vec<usize> = (0..=64).collect();
+        assert!(
+            ClaimStream::from_iteration_order(Some(&twice), None, &term_offsets, vec![0; 64])
+                .is_none()
+        );
         assert!(rt.scratch_is_clean());
     }
 
     #[test]
     fn run_planned_rejects_mismatched_plan() {
-        let small = chain_loop(4);
         let big = chain_loop(8);
         let p = pool();
-        let prepared = PreparedInspection::inspect(&p, Schedule::multimax(), &small, true).unwrap();
+        let stream = chain_stream(4, None);
         let mut rt = Doacross::for_loop(&big);
         let mut y = vec![1.0; 9];
         let err = rt
-            .run_planned(&p, &big, &mut y, &prepared, None, None)
+            .run_planned(&p, &big, &mut y, &stream, 1, None)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -722,6 +737,26 @@ mod tests {
                 ..
             }
         ));
+
+        // Same shape, one row longer: typed before dispatch, `y` untouched.
+        let a: Vec<usize> = (1..=8).collect();
+        let mut rhs: Vec<Vec<usize>> = (0..8).map(|i| vec![i]).collect();
+        rhs[3].push(0);
+        let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![1.0; r.len()]).collect();
+        let longer = IndirectLoop::new(9, a, rhs, coeff).unwrap();
+        let err = rt
+            .run_planned(&p, &longer, &mut y, &chain_stream(8, None), 1, None)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DoacrossError::ScheduleTermsMismatch {
+                iteration: 3,
+                schedule_terms: 1,
+                loop_terms: 2,
+            }
+        );
+        assert_eq!(y, vec![1.0; 9]);
+        assert!(rt.scratch_is_clean());
     }
 
     #[test]

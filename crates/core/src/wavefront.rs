@@ -1,34 +1,52 @@
-//! Level-scheduled (wavefront) execution: the doacross as a sequence of
-//! doalls, each complete when its iterations are.
+//! The plan's one artifact — the [`ClaimStream`] — and the level-scheduled
+//! (wavefront) executor that runs it as a sequence of doalls, each complete
+//! when its iterations are.
 //!
 //! The flat executor ([`crate::executor`]) pays a per-element price on
-//! every true dependency: poll `ready(off)` until the writer publishes
-//! (Figure 5, S4). This module converts that fine-grained dataflow
-//! synchronization into coarse *level* synchronization: iterations are
-//! grouped by wavefront level (`level(i) = 1 + max(level of true-dep
-//! writers)`), each level is executed as a `parallel do` over mutually
-//! independent iterations, and each level carries one *ready flag of its
-//! own* — a completion counter ([`crate::completion`]) that reads done when
-//! the level's iterations are all counted. **Zero ready-flag traffic, zero
-//! writer-map lookups** inside a level, and zero barriers between them: a
-//! worker enters level `l` as soon as level `l − 1`'s counter is full,
-//! whoever filled it. Like the paper's executor it waits only on data,
-//! never on a processor — a late, preempted or descheduled worker that
-//! holds no iterations costs nothing, and a single running worker streams
-//! through the levels alone.
+//! every true dependency: check `ready(off)` and, if the writer is late,
+//! poll until it publishes (Figure 5, S4). This module converts that
+//! fine-grained dataflow synchronization into coarse *level*
+//! synchronization: iterations are grouped by wavefront level (`level(i) =
+//! 1 + max(level of true-dep writers)`), each level is executed as a
+//! `parallel do` over mutually independent iterations, and each level
+//! carries one *ready flag of its own* — a completion counter
+//! ([`crate::completion`]) that reads done when the level's iterations are
+//! all counted. **Zero ready-flag traffic** inside a level, and zero
+//! barriers between them: a worker enters level `l` as soon as level
+//! `l − 1`'s counter is full, whoever filled it. Like the paper's executor
+//! it waits only on data, never on a processor — a late, preempted or
+//! descheduled worker that holds no iterations costs nothing, and a single
+//! running worker streams through the levels alone.
 //!
-//! Two preprocessing products make that possible, both captured once at
-//! plan time in a [`LevelSchedule`]:
+//! ## One preprocessing product
 //!
-//! * the **level structure** (CSR-style: level offsets into a level-sorted
-//!   iteration order), which replaces the `ready` flags — a true-dep
-//!   operand's writer lives in a strictly earlier level, so by the time a
-//!   reader runs, the value is already published and ordered by that
-//!   level's counter;
-//! * a per-reference **operand classification** (the three-way check of
-//!   Figure 5, resolved ahead of time), which replaces the `iter` map — the
-//!   executor learns "new value / old value / accumulator" from a
-//!   sequentially-scanned byte instead of a randomly-indexed map entry.
+//! Every planned parallel variant — the flat doacross in natural order, the
+//! doconsider-reordered one, the wavefront — runs off the same artifact,
+//! captured once at plan time and laid out **in claim order**, so the
+//! executor's `k`-th claim reads slot `k` of each array and its classes
+//! stride-1:
+//!
+//! * the **claim order** (`u32`, absent = natural): slot `k` executes
+//!   iteration `order[k]`. Topological over the true dependences, which is
+//!   the flag executors' progress condition;
+//! * per-slot reference **ends** (`u32` prefix sums) into
+//! * one [`OperandClass`] byte per reference — Figure 5's three-way check
+//!   `iter(off) − i`, resolved ahead of time. It replaces the `iter` map:
+//!   the executor learns "new value / old value / accumulator" from a
+//!   sequentially-scanned byte instead of a randomly-indexed 8-byte map
+//!   entry, and because the stream knows how many of each it holds,
+//!   nothing is counted per reference at run time;
+//! * for the wavefront only, `u32` **level offsets** over the slots
+//!   (CSR-style), which replace the `ready` flags — a true-dep operand's
+//!   writer lives in a strictly earlier level, so by the time a reader
+//!   runs, the value is already published and ordered by that level's
+//!   counter.
+//!
+//! The order and the stream are plan-owned and immutable: validated once,
+//! at [`ClaimStream::from_parts`], never per solve. What a solve does check
+//! is the one thing the plan cannot know — that the loop it is handed has
+//! the reference counts the stream was resolved for (one O(n) sweep before
+//! dispatch, a typed [`DoacrossError::ScheduleTermsMismatch`] otherwise).
 //!
 //! ## Memory-ordering argument
 //!
@@ -64,12 +82,14 @@
 use crate::completion::{Completion, RegionGuard};
 use crate::error::DoacrossError;
 use crate::executor::DEADLINE_ITER_PERIOD;
+use crate::oracle::Claims;
 use crate::pattern::DoacrossLoop;
 use crate::post::{post_share, PhaseClock, Post};
 use crate::runtime::{check_y_len, region_stats, Doacross, DoacrossConfig};
-use crate::stats::{LocalCounters, PlanProvenance, RunStats, StatsSink};
+use crate::stats::{DepCounts, LocalCounters, PlanProvenance, RunStats, StatsSink};
 use doacross_obs::profile::{ProfArena, SpanKind};
 use doacross_par::{CachePadded, Schedule, SharedSlice, ThreadPool, WaitAbort};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -83,7 +103,8 @@ pub(crate) const FAILPOINT_ITER: &str = "core::wavefront::iter";
 #[repr(u8)]
 pub enum OperandClass {
     /// True dependency on an earlier iteration (S3–S5): read the shadow
-    /// array `ynew(off)`; the writer's level is strictly earlier.
+    /// array `ynew(off)`; the writer was claimed (or levelled) strictly
+    /// earlier.
     NewValue = 0,
     /// Antidependency or never-written element (S6–S7): read the old value
     /// `y(off)`.
@@ -104,39 +125,48 @@ impl OperandClass {
     }
 }
 
-/// The wavefront preprocessing artifact: the full level structure of a
-/// loop's true-dependence DAG plus the resolved operand classification of
-/// every right-hand-side reference.
+/// The artifact of every planned parallel variant: claim order, per-claim
+/// reference ends and the resolved operand class of every right-hand-side
+/// reference — all laid out in claim order — plus the level offsets when
+/// the variant is the wavefront (see the module docs).
 ///
-/// Everything in here is a pure function of the pattern's *structure* (the
-/// same contract as a prebuilt writer map), so one schedule serves every
-/// execution of every loop sharing that structure. Built by
-/// `doacross_plan::CensusPass` from the level array and writer map its one
-/// census scan leaves behind — the sort and the class stream are each
-/// built once, and only for a plan that runs the wavefront.
+/// Everything in here is a pure function of the pattern's *structure*, so
+/// one stream serves every execution of every loop sharing that structure.
+/// Built by `doacross_plan::CensusPass` from the writer map and level array
+/// its one census scan leaves behind, and only for a plan that runs a
+/// stream-backed variant.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelSchedule {
-    /// CSR level boundaries: level `l` (0-based) executes
-    /// `order[offsets[l]..offsets[l + 1]]`. Strictly increasing (every
-    /// level is non-empty), `offsets[0] == 0`, last entry `== iterations`.
-    offsets: Vec<usize>,
-    /// Iterations sorted by level, stable within a level — a permutation
-    /// of `0..iterations`.
-    order: Vec<usize>,
-    /// Prefix sums of per-iteration reference counts:
-    /// `classes[term_offsets[i]..term_offsets[i + 1]]` classifies
-    /// iteration `i`'s references in term order.
-    term_offsets: Vec<usize>,
-    /// One [`OperandClass`] byte per (iteration, term) reference.
+pub struct ClaimStream {
+    /// Slot `k` executes iteration `order[k]` — a permutation of
+    /// `0..iterations`; `None` is the natural order (slot `k` runs
+    /// iteration `k`).
+    order: Option<Vec<u32>>,
+    /// Prefix sums of per-slot reference counts:
+    /// `classes[ends[k]..ends[k + 1]]` classifies slot `k`'s references in
+    /// term order (`ends[0] == 0` is the sentinel).
+    ends: Vec<u32>,
+    /// One [`OperandClass`] byte per reference, in (slot, term) order.
     classes: Vec<u8>,
+    /// CSR level boundaries over the slots, for the wavefront: level `l`
+    /// (0-based) runs slots `levels[l]..levels[l + 1]`. Strictly increasing
+    /// (every level is non-empty) from 0 to `iterations`.
+    levels: Option<Vec<u32>>,
+    /// References per class, counted once at construction.
+    counts: DepCounts,
 }
 
-impl LevelSchedule {
+impl ClaimStream {
+    /// Narrows plan-time `usize` indices to the stream's `u32`s — checked,
+    /// never a truncating cast: `None` as soon as one value does not fit.
+    pub fn narrow(values: &[usize]) -> Option<Vec<u32>> {
+        values.iter().map(|&v| u32::try_from(v).ok()).collect()
+    }
+
     /// Counting sort of a per-iteration level assignment (`levels[i] ∈
-    /// 1..=nlevels`, as the census computes it) into the schedule's CSR
-    /// form: `(offsets, order)` — O(n + levels), stable within a level.
-    /// This is also the doconsider claim order, which is why the planner
-    /// can price a reordering from it before any class stream exists.
+    /// 1..=nlevels`, as the census computes it) into CSR form:
+    /// `(offsets, order)` — O(n + levels), stable within a level. This is
+    /// also the doconsider claim order, which is why the planner can price
+    /// a reordering from it before any stream exists.
     pub fn sort_levels(levels: &[usize], nlevels: usize) -> (Vec<usize>, Vec<usize>) {
         let mut offsets = vec![0usize; nlevels + 1];
         for &l in levels {
@@ -155,100 +185,143 @@ impl LevelSchedule {
         (offsets, order)
     }
 
-    /// Assembles a schedule from a per-iteration level assignment plus the
-    /// reference classification of the same pattern — [`Self::sort_levels`]
-    /// followed by [`Self::from_sorted`].
-    ///
-    /// # Panics
-    /// Debug-asserts the inputs are mutually consistent (the census
-    /// guarantees this by construction).
+    /// Whether a loop of this size has a stream at all: iterations,
+    /// references and level count must each fit `u32`. The planner asks
+    /// before pricing the stream-backed candidates.
+    pub fn fits(iterations: usize, total_terms: u64, levels: usize) -> bool {
+        let fits = |v: u64| u32::try_from(v).is_ok();
+        fits(iterations as u64) && fits(total_terms) && fits(levels as u64)
+    }
+
+    /// A wavefront stream from a per-iteration level assignment plus the
+    /// reference classification of the same pattern in *iteration* order —
+    /// [`Self::sort_levels`] followed by [`Self::from_iteration_order`].
     pub fn from_levels(
         levels: &[usize],
         nlevels: usize,
-        term_offsets: Vec<usize>,
-        classes: Vec<u8>,
-    ) -> Self {
-        let (offsets, order) = Self::sort_levels(levels, nlevels);
-        Self::from_sorted(offsets, order, term_offsets, classes)
-    }
-
-    /// Assembles a schedule from an already level-sorted `(offsets, order)`
-    /// pair ([`Self::sort_levels`]) and the class stream — no validation
-    /// beyond debug asserts; untrusted parts go through
-    /// [`Self::from_parts`].
-    pub fn from_sorted(
-        offsets: Vec<usize>,
-        order: Vec<usize>,
-        term_offsets: Vec<usize>,
-        classes: Vec<u8>,
-    ) -> Self {
-        debug_assert_eq!(offsets.last(), Some(&order.len()));
-        debug_assert_eq!(term_offsets.len(), order.len() + 1);
-        debug_assert_eq!(*term_offsets.last().unwrap_or(&0), classes.len());
-        Self {
-            offsets,
-            order,
-            term_offsets,
-            classes,
-        }
-    }
-
-    /// Rebuilds a schedule from its raw parts — the deserialization path
-    /// for persisted plans. Returns `None` unless the parts are mutually
-    /// consistent: offsets strictly increasing from 0 (every level
-    /// non-empty) and ending at `order.len()`, `order` a permutation,
-    /// `term_offsets` monotone from 0 covering exactly `classes.len()`
-    /// references over `order.len()` iterations, and every class byte a
-    /// valid [`OperandClass`] — a blob that no census pass could have
-    /// produced is rejected rather than trusted.
-    pub fn from_parts(
-        offsets: Vec<usize>,
-        order: Vec<usize>,
-        term_offsets: Vec<usize>,
+        term_offsets: &[usize],
         classes: Vec<u8>,
     ) -> Option<Self> {
-        let n = order.len();
-        if offsets.first() != Some(&0) || offsets.last() != Some(&n) {
-            return None;
-        }
-        if !offsets.windows(2).all(|w| w[0] < w[1]) && n != 0 {
-            return None;
-        }
-        if n == 0 && offsets.len() != 1 {
-            return None;
-        }
-        let mut seen = vec![false; n];
-        for &i in &order {
-            if i >= n || std::mem::replace(&mut seen[i], true) {
-                return None;
+        let (offsets, order) = Self::sort_levels(levels, nlevels);
+        Self::from_iteration_order(Some(&order), Some(&offsets), term_offsets, classes)
+    }
+
+    /// Lays a classification given in *iteration* order
+    /// (`classes[term_offsets[i]..term_offsets[i + 1]]` = iteration `i`'s
+    /// references) out in claim order and narrows every index to `u32`,
+    /// then validates as [`Self::from_parts`] does. `order` is the claim
+    /// order (`None` = natural), `level_offsets` the CSR level boundaries
+    /// over it for a wavefront stream. `None` when anything does not fit
+    /// `u32` or the parts are not mutually consistent.
+    pub fn from_iteration_order(
+        order: Option<&[usize]>,
+        level_offsets: Option<&[usize]>,
+        term_offsets: &[usize],
+        classes: Vec<u8>,
+    ) -> Option<Self> {
+        let (order, ends, classes) = match order {
+            None => (None, Self::narrow(term_offsets)?, classes),
+            Some(order) => {
+                if order.len() + 1 != term_offsets.len() {
+                    return None;
+                }
+                let mut ends = Vec::with_capacity(order.len() + 1);
+                let mut sorted = Vec::with_capacity(classes.len());
+                ends.push(0u32);
+                for &i in order {
+                    let row = *term_offsets.get(i)?..*term_offsets.get(i.checked_add(1)?)?;
+                    sorted.extend_from_slice(classes.get(row)?);
+                    ends.push(u32::try_from(sorted.len()).ok()?);
+                }
+                (Some(Self::narrow(order)?), ends, sorted)
             }
-        }
-        if term_offsets.len() != n + 1
-            || term_offsets.first() != Some(&0)
-            || term_offsets.last() != Some(&classes.len())
-            || !term_offsets.windows(2).all(|w| w[0] <= w[1])
+        };
+        let levels = match level_offsets {
+            None => None,
+            Some(offsets) => Some(Self::narrow(offsets)?),
+        };
+        Self::from_parts(order, ends, classes, levels)
+    }
+
+    /// Assembles a stream from its raw, claim-ordered parts — the one
+    /// constructor, so also the deserialization path for persisted plans.
+    /// Returns `None` unless the parts are mutually consistent: `ends`
+    /// monotone from its 0 sentinel to exactly `classes.len()`, `order` (if
+    /// any) a permutation of the `ends.len() − 1` iterations, `levels` (if
+    /// any) strictly increasing from 0 to the iteration count, every class
+    /// byte a valid [`OperandClass`], and every count within `u32` — a blob
+    /// that no census pass could have produced is rejected rather than
+    /// trusted. This is where the claim order is validated; no solve
+    /// re-checks it.
+    pub fn from_parts(
+        order: Option<Vec<u32>>,
+        ends: Vec<u32>,
+        classes: Vec<u8>,
+        levels: Option<Vec<u32>>,
+    ) -> Option<Self> {
+        let n = ends.len().checked_sub(1)?;
+        let n32 = u32::try_from(n).ok()?;
+        if ends[0] != 0
+            || u32::try_from(classes.len()).ok() != ends.last().copied()
+            || !ends.windows(2).all(|w| w[0] <= w[1])
         {
             return None;
         }
-        if !classes.iter().all(|&c| OperandClass::from_u8(c).is_some()) {
+        if let Some(order) = &order {
+            if order.len() != n {
+                return None;
+            }
+            let mut seen = vec![false; n];
+            for &i in order {
+                if i >= n32 || std::mem::replace(&mut seen[i as usize], true) {
+                    return None;
+                }
+            }
+        }
+        if let Some(levels) = &levels {
+            if levels.first() != Some(&0)
+                || levels.last() != Some(&n32)
+                || !levels.windows(2).all(|w| w[0] < w[1])
+            {
+                return None;
+            }
+        }
+        // Counted in byte lanes over short chunks (no lane can overflow),
+        // which the compiler turns into SIMD compares — some twenty times
+        // faster here than bumping a counter array through memory. A byte
+        // that is none of the three classes shows up as a shortfall.
+        let mut totals = [0u64; 3];
+        for chunk in classes.chunks(128) {
+            let mut lanes = [0u8; 3];
+            for &c in chunk {
+                for (class, lane) in lanes.iter_mut().enumerate() {
+                    *lane += (c == class as u8) as u8;
+                }
+            }
+            for (total, lane) in totals.iter_mut().zip(lanes) {
+                *total += u64::from(lane);
+            }
+        }
+        let counts = DepCounts {
+            true_deps: totals[OperandClass::NewValue as usize],
+            anti_or_unwritten: totals[OperandClass::OldValue as usize],
+            intra: totals[OperandClass::Accumulator as usize],
+        };
+        if counts.total() != classes.len() as u64 {
             return None;
         }
         Some(Self {
-            offsets,
             order,
-            term_offsets,
+            ends,
             classes,
+            levels,
+            counts,
         })
     }
 
-    /// Number of wavefront levels — the dependence critical path.
-    pub fn level_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Iterations covered by the schedule.
+    /// Iterations (claim slots) covered by the stream.
     pub fn iterations(&self) -> usize {
-        self.order.len()
+        self.ends.len() - 1
     }
 
     /// Total classified references.
@@ -256,67 +329,153 @@ impl LevelSchedule {
         self.classes.len()
     }
 
-    /// The iterations of level `l` (0-based), mutually independent.
-    pub fn level_iterations(&self, l: usize) -> &[usize] {
-        &self.order[self.offsets[l]..self.offsets[l + 1]]
+    /// The claim order (`None` = natural).
+    pub fn order(&self) -> Option<&[u32]> {
+        self.order.as_deref()
     }
 
-    /// The widest level — an upper bound on exploitable parallelism within
-    /// any single level.
-    pub fn max_width(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
+    /// Per-slot reference ends into [`ClaimStream::classes`], with the
+    /// leading 0 sentinel.
+    pub fn ends(&self) -> &[u32] {
+        &self.ends
     }
 
-    /// The CSR level boundaries.
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// The level-sorted iteration order.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// Per-iteration reference offsets into [`LevelSchedule::classes`].
-    pub fn term_offsets(&self) -> &[usize] {
-        &self.term_offsets
-    }
-
-    /// The per-reference operand classes, in (iteration, term) order.
+    /// The per-reference operand classes, in (slot, term) order.
     pub fn classes(&self) -> &[u8] {
         &self.classes
     }
 
-    /// Reference counts per class, in ([`OperandClass::NewValue`],
-    /// [`OperandClass::OldValue`], [`OperandClass::Accumulator`]) order —
-    /// what persistence revalidates against the census.
-    pub fn class_counts(&self) -> (u64, u64, u64) {
-        let mut counts = [0u64; 3];
-        for &c in &self.classes {
-            counts[c as usize] += 1;
-        }
-        (counts[0], counts[1], counts[2])
+    /// The CSR level boundaries over the slots, when this is a wavefront
+    /// stream.
+    pub fn level_offsets(&self) -> Option<&[u32]> {
+        self.levels.as_deref()
     }
 
-    /// Approximate heap footprint in bytes, for cache sizing decisions.
+    /// Number of wavefront levels — the dependence critical path; 0 for a
+    /// stream without levels.
+    pub fn level_count(&self) -> usize {
+        self.levels.as_ref().map_or(0, |l| l.len() - 1)
+    }
+
+    /// The claim slots of level `l` (0-based), mutually independent.
+    ///
+    /// # Panics
+    /// When the stream carries no levels or `l` is not one of them.
+    pub fn level_slots(&self, l: usize) -> Range<usize> {
+        let levels = self.levels.as_ref().expect("a wavefront stream");
+        levels[l] as usize..levels[l + 1] as usize
+    }
+
+    /// The widest level — an upper bound on exploitable parallelism within
+    /// any single level (0 without levels).
+    pub fn max_width(&self) -> usize {
+        (0..self.level_count())
+            .map(|l| self.level_slots(l).len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Reference counts per class — what a planned run stamps into
+    /// `RunStats.deps` and what persistence revalidates against the census.
+    pub fn class_counts(&self) -> DepCounts {
+        self.counts
+    }
+
+    /// Heap footprint in bytes, for cache sizing decisions:
+    /// `4·(order + ends + levels) + classes`.
     pub fn memory_bytes(&self) -> usize {
-        (self.offsets.len() + self.order.len() + self.term_offsets.len())
-            * std::mem::size_of::<usize>()
-            + self.classes.len()
+        let words = self.order.as_ref().map_or(0, Vec::len)
+            + self.ends.len()
+            + self.levels.as_ref().map_or(0, Vec::len);
+        words * std::mem::size_of::<u32>() + self.classes.len()
+    }
+
+    /// The first claim slot whose reference count disagrees with `loop_`'s,
+    /// as the typed error a planned entry point returns before dispatch.
+    /// Inside the region the same disagreement would trip [`Claims::row`]'s
+    /// assert on one worker and tear the solve down as a worker panic; one
+    /// O(n) sweep here (two loads and a compare per iteration, the same
+    /// order as the copy-back pass) keeps it a typed failure with `y`
+    /// untouched. Deliberately not gated on `validate_terms`: that flag
+    /// controls subscript *bounds* validation, this guards region
+    /// *liveness*.
+    pub(crate) fn check_terms<L: DoacrossLoop + ?Sized>(
+        &self,
+        loop_: &L,
+    ) -> Result<(), DoacrossError> {
+        for (k, w) in self.ends.windows(2).enumerate() {
+            let iteration = self.iteration(k);
+            let (schedule_terms, loop_terms) = ((w[1] - w[0]) as usize, loop_.terms(iteration));
+            if schedule_terms != loop_terms {
+                return Err(DoacrossError::ScheduleTermsMismatch {
+                    iteration,
+                    schedule_terms,
+                    loop_terms,
+                });
+            }
+        }
+        Ok(())
     }
 }
 
-/// Self-scheduling chunk for one level of `width` iterations on `nworkers`
-/// workers: large enough to cut shared-counter contention (the paper's
-/// "chunk of iterations" self-scheduling generalization), small enough to
-/// keep every worker busy — at least 8 grabs per worker per level, capped
-/// so narrow levels still spread.
-pub fn level_chunk(width: usize, nworkers: usize) -> usize {
-    (width / (8 * nworkers.max(1))).clamp(1, 64)
+/// The planned runs' claim source: every answer is a read of slot `k`.
+impl Claims for ClaimStream {
+    const COUNTED: bool = false;
+    type Row<'a> = &'a [u8];
+
+    #[inline]
+    fn iteration(&self, k: usize) -> usize {
+        match &self.order {
+            Some(order) => order[k] as usize,
+            None => k,
+        }
+    }
+
+    #[inline]
+    fn row(&self, k: usize, _i: usize, terms: usize) -> &[u8] {
+        let row = &self.classes[self.ends[k] as usize..self.ends[k + 1] as usize];
+        assert!(
+            row.len() == terms,
+            "claim stream references disagree with the loop"
+        );
+        row
+    }
+
+    #[inline]
+    fn class(&self, row: &[u8], j: usize, _off: usize) -> OperandClass {
+        // Every byte was validated at construction.
+        match row[j] {
+            0 => OperandClass::NewValue,
+            1 => OperandClass::OldValue,
+            _ => OperandClass::Accumulator,
+        }
+    }
+}
+
+/// Claim slots per counter grab, sized from what the plan knows: `hint` is
+/// how many consecutive slots are expected to be mutually independent — a
+/// wavefront level's width, the level-sorted order's average parallelism,
+/// the natural order's minimum true-dependence distance. Half of that per
+/// worker keeps every worker supplied without one chunk spanning a
+/// dependence; at least 1 (a distance-1 loop keeps the paper's
+/// one-iteration claims), at most 16 (past that the shared-counter traffic
+/// is already amortized and larger chunks only cost balance).
+pub fn claim_grain(hint: usize, nworkers: usize) -> usize {
+    (hint / (2 * nworkers.max(1))).clamp(1, 16)
+}
+
+/// `base` claiming `grain` slots per grab: dynamic policies take the grain,
+/// static ones have no grabs to size and are honoured as they are.
+pub(crate) fn grained(base: Schedule, grain: usize) -> Schedule {
+    match base {
+        Schedule::Dynamic { .. } => Schedule::Dynamic {
+            chunk: grain.max(1),
+        },
+        Schedule::Guided { .. } => Schedule::Guided {
+            min_chunk: grain.max(1),
+        },
+        fixed => fixed,
+    }
 }
 
 /// One level's shared cells — the self-scheduling claim counter and the
@@ -353,16 +512,16 @@ fn poll_faults(
 
 /// Runs the level-scheduled executor: one parallel region for the whole
 /// solve — every level a self-scheduled doall over
-/// [`LevelSchedule::level_iterations`], entered once the previous level's
+/// [`ClaimStream::level_slots`], entered once the previous level's
 /// completion count is full, then each worker's fixed share of the
-/// copy-back once the last level's is. No `ready` flags, no
-/// writer map — operands are resolved from the schedule's precomputed
-/// [`OperandClass`]es (see module docs). Returns the region's wall time
-/// split into `(executor, post)`.
+/// copy-back once the last level's is. No `ready` flags, no writer map —
+/// operands are resolved from the stream's class bytes, slot by slot (see
+/// module docs). Returns the region's wall time split into
+/// `(executor, post)`.
 ///
-/// * `chunk`: `Some(c)` claims `c` iterations per counter grab on every
-///   level; `None` picks [`level_chunk`] per level (dynamic base schedules
-///   only — static schedules ignore chunking entirely).
+/// * `chunk`: `Some(c)` claims `c` slots per counter grab on every level;
+///   `None` picks [`claim_grain`] from each level's width (dynamic base
+///   schedules only — static schedules ignore chunking entirely).
 /// * `cells` must hold at least one cell per level, all zero on entry.
 /// * With `prof` set, each worker records per level one
 ///   [`SpanKind::Work`] span (`aux` = iterations executed in that level)
@@ -375,15 +534,16 @@ fn poll_faults(
 /// The failpoint, the fault poll and the deadline tick are paid once per
 /// iteration, whatever the claiming policy (a static share is one claim
 /// for a whole level, so nothing coarser polls inside a wide level).
-/// Bounds are enforced with release-mode asserts, mirroring the flat
-/// executor: the plan already proved the structure in-bounds.
+/// Bounds are enforced with release-mode asserts on every index the loop
+/// supplies, mirroring the flat executor: the plan already proved the
+/// structure in-bounds.
 #[allow(clippy::too_many_arguments)]
 fn run_levels<L>(
     pool: &ThreadPool,
     config: &DoacrossConfig,
     chunk: Option<usize>,
     loop_: &L,
-    schedule: &LevelSchedule,
+    stream: &ClaimStream,
     y: SharedSlice<'_, f64>,
     ynew: SharedSlice<'_, f64>,
     cells: &[CachePadded<LevelCell>],
@@ -394,15 +554,13 @@ where
     L: DoacrossLoop + ?Sized,
 {
     let nworkers = pool.threads();
-    let nlevels = schedule.level_count();
+    let nlevels = stream.level_count();
     if nlevels == 0 {
         return (Duration::ZERO, Duration::ZERO);
     }
     assert!(cells.len() >= nlevels, "one cell per level");
     let data_len = loop_.data_len();
-    let term_offsets = schedule.term_offsets();
-    let classes = schedule.classes();
-    let width_of = |l: usize| schedule.offsets()[l + 1] - schedule.offsets()[l];
+    let width_of = |l: usize| stream.level_slots(l).len();
     let last = nlevels - 1;
     // Fault containment (same shape as the flat executor): a worker that
     // panics mid-level never counts its iterations, so both the claim loop
@@ -420,14 +578,19 @@ where
     let clock = PhaseClock::start();
 
     pool.run(|worker| {
-        let mut local = LocalCounters::default();
+        // Nothing is counted per reference or per wait here (the stream
+        // knows its class totals and no flag is ever polled), so a worker
+        // that leaves early has no partial counters to hand over.
+        let bail = |abort: WaitAbort| -> ! {
+            guard.bail(sink, worker, &mut LocalCounters::default(), abort)
+        };
         let mut executed: u64 = 0;
         let mut next_tick = DEADLINE_ITER_PERIOD;
         for (l, cell) in cells[..nlevels].iter().enumerate() {
             if l > 0 {
                 let wait_started = prof.map(|arena| arena.now_ns());
                 if let Err(abort) = cells[l - 1].done.wait(width_of(l - 1), &guard) {
-                    guard.bail(sink, worker, &mut local, abort);
+                    bail(abort);
                 }
                 if let (Some(arena), Some(started)) = (prof, wait_started) {
                     let end = arena.now_ns();
@@ -441,26 +604,24 @@ where
                     );
                 }
             }
-            let level = schedule.level_iterations(l);
+            let level = stream.level_slots(l);
             let width = level.len();
             let level_sched = match (config.schedule, chunk) {
-                (Schedule::Dynamic { .. }, Some(c)) => Schedule::Dynamic { chunk: c.max(1) },
                 (Schedule::Dynamic { .. }, None) => Schedule::Dynamic {
-                    chunk: level_chunk(width, nworkers),
+                    chunk: claim_grain(width, nworkers),
                 },
-                (Schedule::Guided { .. }, Some(c)) => Schedule::Guided {
-                    min_chunk: c.max(1),
-                },
-                (s, _) => s,
+                (base, Some(c)) => grained(base, c),
+                (base, None) => base,
             };
             let level_started = prof.map(|arena| arena.now_ns());
             let executed_before = executed;
             level_sched.drive(worker, nworkers, width, &cell.claim, |k| {
-                let i = level[k];
+                let slot = level.start + k;
+                let i = stream.iteration(slot);
                 executed += 1;
                 failpoint::hit(failpoint, i as u64);
                 if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
-                    guard.bail(sink, worker, &mut local, abort);
+                    bail(abort);
                 }
                 let lhs = loop_.lhs(i);
                 assert!(lhs < data_len, "wavefront: lhs {lhs} out of bounds");
@@ -470,35 +631,23 @@ where
                 // asserted.
                 let mut acc = loop_.init(i, unsafe { y.read(lhs) });
 
-                let base = term_offsets[i];
                 let terms = loop_.terms(i);
-                assert!(
-                    base + terms <= classes.len() && term_offsets[i + 1] - base == terms,
-                    "wavefront: schedule references disagree with the loop"
-                );
+                let row = stream.row(slot, i, terms);
                 for j in 0..terms {
                     let off = loop_.term_element(i, j);
                     assert!(off < data_len, "wavefront: term {off} out of bounds");
-                    let operand = match classes[base + j] {
-                        0 => {
-                            local.true_deps += 1;
-                            // SAFETY: bounds asserted above. True
-                            // dependency: the writer's level is strictly
-                            // earlier; its plain `ynew` store happens-before
-                            // this load via that level's completion count
-                            // (module docs).
-                            unsafe { ynew.read(off) }
-                        }
-                        1 => {
-                            local.anti_or_unwritten += 1;
-                            // SAFETY: antidependency / never written — the
-                            // old value; `y` is read-only until the last
-                            // level's gate.
-                            unsafe { y.read(off) }
-                        }
+                    let operand = match stream.class(row, j, off) {
+                        // SAFETY: bounds asserted above. True dependency:
+                        // the writer's level is strictly earlier; its plain
+                        // `ynew` store happens-before this load via that
+                        // level's completion count (module docs).
+                        OperandClass::NewValue => unsafe { ynew.read(off) },
+                        // SAFETY: antidependency / never written — the old
+                        // value; `y` is read-only until the last level's
+                        // gate; bounds asserted above.
+                        OperandClass::OldValue => unsafe { y.read(off) },
                         // Intra-iteration: the register accumulator.
-                        _ => {
-                            local.intra += 1;
+                        OperandClass::Accumulator => {
                             debug_assert_eq!(off, lhs, "class says intra but off != lhs");
                             acc
                         }
@@ -506,8 +655,9 @@ where
                     acc = loop_.combine(i, j, acc, operand);
                 }
 
-                // SAFETY: `lhs` has this iteration as its unique writer
-                // (injective `a`), and no other level touches it this run.
+                // SAFETY: bounds asserted; `lhs` has this iteration as its
+                // unique writer (injective `a`), and no other level touches
+                // it this run.
                 unsafe { ynew.write(lhs, loop_.finish(i, acc)) };
             });
             let in_level = (executed - executed_before) as usize;
@@ -530,7 +680,7 @@ where
         }
         let (last_done, last_width) = guard.commit;
         if let Err(abort) = last_done.wait(last_width, &guard) {
-            guard.bail(sink, worker, &mut local, abort);
+            bail(abort);
         }
         // SAFETY: the last level's count is full, which orders every
         // level's `y` loads and `ynew` stores before this point (module
@@ -538,7 +688,7 @@ where
         unsafe {
             post_share(
                 loop_,
-                0..schedule.iterations(),
+                0..stream.iterations(),
                 0,
                 Post { map: None },
                 y,
@@ -547,31 +697,40 @@ where
                 nworkers,
             )
         };
-        sink.deposit(worker, local);
     });
     clock.split()
 }
 
 impl Doacross {
-    /// Runs `loop_` under a prebuilt [`LevelSchedule`] as a sequence of
-    /// level doalls in one pool region, updating `y` exactly as the
-    /// sequential source loop would. The returned stats report zero
+    /// Runs `loop_` under a prebuilt wavefront [`ClaimStream`] as a
+    /// sequence of level doalls in one pool region, updating `y` exactly as
+    /// the sequential source loop would. The returned stats report zero
     /// `stalls` and zero `wait_polls` by construction — there are no flags
-    /// to poll; of the runtime's scratch only the shadow array and the
-    /// per-level cells are touched. Both grow to the largest data space /
-    /// deepest level structure seen and are then reused (the paper's §2.1
-    /// scratch-reuse economics), so a workload alternating structures — an
-    /// L and a U factor, many tenants — does not churn allocations.
+    /// to poll — and `deps` stamped from the stream's
+    /// [`ClaimStream::class_counts`]; of the runtime's scratch only the
+    /// shadow array and the per-level cells are touched. Both grow to the
+    /// largest data space / deepest level structure seen and are then
+    /// reused (the paper's §2.1 scratch-reuse economics), so a workload
+    /// alternating structures — an L and a U factor, many tenants — does
+    /// not churn allocations.
     ///
     /// `chunk` is the per-grab chunk size of the within-level
-    /// self-scheduling: `None` adapts it to each level's width
-    /// ([`level_chunk`]); `Some(1)` reproduces the paper's one-iteration
+    /// self-scheduling: `None` derives it from each level's width
+    /// ([`claim_grain`]); `Some(1)` reproduces the paper's one-iteration
     /// Multimax policy (the chunking ablation's baseline). With `prof` set,
     /// each worker records one [`SpanKind::Work`] span per level and one
     /// [`SpanKind::BarrierWait`] span per level boundary.
     ///
+    /// A loop whose per-iteration reference counts differ from the
+    /// stream's is rejected before dispatch with
+    /// [`DoacrossError::ScheduleTermsMismatch`].
+    ///
+    /// # Panics
+    /// When `stream` carries no level offsets — it was built for a flag
+    /// variant; `doacross-plan` never pairs one with the wavefront.
+    ///
     /// ```
-    /// use doacross_core::{Doacross, IndirectLoop, LevelSchedule};
+    /// use doacross_core::{ClaimStream, Doacross, IndirectLoop};
     /// use doacross_core::seq::run_sequential;
     /// use doacross_par::ThreadPool;
     ///
@@ -587,13 +746,13 @@ impl Doacross {
     /// let term_offsets: Vec<usize> = (0..=n).collect();
     /// let mut classes = vec![0u8; n];
     /// classes[0] = 1;
-    /// let schedule = LevelSchedule::from_levels(&levels, n, term_offsets, classes);
+    /// let stream = ClaimStream::from_levels(&levels, n, &term_offsets, classes).unwrap();
     ///
     /// let pool = ThreadPool::new(2);
     /// let mut rt = Doacross::new(n + 1);
     /// let mut y = vec![1.0; n + 1];
     /// let mut oracle = y.clone();
-    /// let stats = rt.run_wavefront(&pool, &loop_, &mut y, &schedule, None, None).unwrap();
+    /// let stats = rt.run_wavefront(&pool, &loop_, &mut y, &stream, None, None).unwrap();
     /// run_sequential(&loop_, &mut oracle);
     /// assert_eq!(y, oracle);
     /// assert_eq!(stats.wait_polls, 0, "no busy waiting, ever");
@@ -603,47 +762,22 @@ impl Doacross {
         pool: &ThreadPool,
         loop_: &L,
         y: &mut [f64],
-        schedule: &LevelSchedule,
+        stream: &ClaimStream,
         chunk: Option<usize>,
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = check_y_len(loop_, y)?;
-        let n = loop_.iterations();
-        if schedule.iterations() != n {
-            return Err(DoacrossError::PlanMismatch {
-                plan_iterations: schedule.iterations(),
-                plan_data_len: data_len,
-                loop_iterations: n,
-                loop_data_len: data_len,
-            });
-        }
-        // The schedule's per-iteration reference counts must match the
-        // loop's, checked up front: inside the region a mismatch would
-        // trip an assert on one worker and tear the whole solve down as a
-        // worker panic. One O(n) sweep here turns that into a typed error
-        // (the executor's asserts stay as the final defense). Deliberately NOT gated on
-        // `config.validate_terms`: that flag controls subscript *bounds*
-        // validation, while this sweep guards region *liveness* — and its
-        // cost (two loads and a compare per iteration, same order as the
-        // copy-back pass) is an honest part of the wavefront's per-solve
-        // bill.
-        let term_offsets = schedule.term_offsets();
-        if let Some(iteration) =
-            (0..n).find(|&i| term_offsets[i + 1] - term_offsets[i] != loop_.terms(i))
-        {
-            return Err(DoacrossError::ScheduleTermsMismatch {
-                iteration,
-                schedule_terms: term_offsets[iteration + 1] - term_offsets[iteration],
-                loop_terms: loop_.terms(iteration),
-            });
-        }
-        let nlevels = schedule.level_count();
+        assert!(
+            stream.level_offsets().is_some(),
+            "run_wavefront needs a stream with level offsets"
+        );
+        let data_len = check_stream(loop_, y, stream)?;
+        let nlevels = stream.level_count();
         self.ensure_data_len(data_len);
         if nlevels > self.cells.len() {
             self.cells.resize_with(nlevels, CachePadded::default);
         }
 
-        let mut stats = region_stats(pool, n, PlanProvenance::PlanCold);
+        let mut stats = region_stats(pool, loop_.iterations(), PlanProvenance::PlanCold);
         let t_start = Instant::now();
 
         // Per-level claim and completion counters start at zero every run
@@ -663,24 +797,44 @@ impl Doacross {
             &self.config,
             chunk,
             loop_,
-            schedule,
+            stream,
             SharedSlice::new(y),
             SharedSlice::new(&mut self.ynew[..data_len]),
             &self.cells[..nlevels],
             &self.sink,
             prof,
         );
-        self.sink.drain_into(&mut stats);
-        self.sink.reset();
+        stats.deps = stream.class_counts();
         // The wavefront's synchronization bill: one boundary between each
         // pair of adjacent levels. Without this, `wait_polls == 0` by
         // construction makes the variant's synchronization cost invisible.
         stats.barrier_crossings = nlevels.saturating_sub(1) as u64;
         stats.total = t_start.elapsed();
-        debug_assert_eq!(stats.wait_polls, 0, "wavefront runs never poll");
-        debug_assert_eq!(stats.stalls, 0, "wavefront runs never stall");
         Ok(stats)
     }
+}
+
+/// What every planned entry point checks before it dispatches: `y` covers
+/// the loop's data space, the stream was built for this many iterations,
+/// and every claim's reference count is the loop's
+/// ([`ClaimStream::check_terms`]). Returns the data-space size.
+pub(crate) fn check_stream<L: DoacrossLoop + ?Sized>(
+    loop_: &L,
+    y: &[f64],
+    stream: &ClaimStream,
+) -> Result<usize, DoacrossError> {
+    let data_len = check_y_len(loop_, y)?;
+    let n = loop_.iterations();
+    if stream.iterations() != n {
+        return Err(DoacrossError::PlanMismatch {
+            plan_iterations: stream.iterations(),
+            plan_data_len: data_len,
+            loop_iterations: n,
+            loop_data_len: data_len,
+        });
+    }
+    stream.check_terms(loop_)?;
+    Ok(data_len)
 }
 
 #[cfg(test)]
@@ -697,7 +851,7 @@ mod tests {
     /// Reference schedule builder for tests: classifies references and
     /// assigns levels exactly as the census does (last-writer map, levels
     /// from true deps).
-    fn schedule_of(loop_: &IndirectLoop) -> LevelSchedule {
+    fn schedule_of(loop_: &IndirectLoop) -> ClaimStream {
         let n = loop_.iterations();
         let mut writer = vec![MAXINT; loop_.data_len()];
         for i in 0..n {
@@ -730,7 +884,8 @@ mod tests {
             levels[i] = level;
             nlevels = nlevels.max(level);
         }
-        LevelSchedule::from_levels(&levels, nlevels, term_offsets, classes)
+        ClaimStream::from_levels(&levels, nlevels, &term_offsets, classes)
+            .expect("a census-shaped classification")
     }
 
     fn oracle(loop_: &IndirectLoop, y0: &[f64]) -> Vec<f64> {
@@ -799,10 +954,11 @@ mod tests {
             "every reference classified"
         );
         assert_eq!(stats.wait_polls, 0);
-        let (new, old, acc) = schedule.class_counts();
-        assert_eq!(stats.deps.true_deps, new);
-        assert_eq!(stats.deps.anti_or_unwritten, old);
-        assert_eq!(stats.deps.intra, acc);
+        assert_eq!(stats.deps, schedule.class_counts());
+        assert!(
+            stats.deps.intra >= n as u64,
+            "the third reference is lhs itself"
+        );
     }
 
     #[test]
@@ -937,7 +1093,7 @@ mod tests {
     #[test]
     fn empty_loop_is_a_noop() {
         let l = IndirectLoop::new(0, vec![], vec![], vec![]).unwrap();
-        let schedule = LevelSchedule::from_levels(&[], 0, vec![0], vec![]);
+        let schedule = ClaimStream::from_levels(&[], 0, &[0], vec![]).unwrap();
         assert_eq!(schedule.level_count(), 0);
         let mut rt = Doacross::new(0);
         let mut y: Vec<f64> = vec![];
@@ -950,63 +1106,150 @@ mod tests {
     #[test]
     fn from_parts_validates_structure() {
         let good = schedule_of(&chain(6));
-        let rebuilt = LevelSchedule::from_parts(
-            good.offsets().to_vec(),
-            good.order().to_vec(),
-            good.term_offsets().to_vec(),
-            good.classes().to_vec(),
-        )
-        .expect("own parts round-trip");
-        assert_eq!(rebuilt, good);
-
-        type Parts = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<u8>);
+        type Parts = (Option<Vec<u32>>, Vec<u32>, Vec<u8>, Option<Vec<u32>>);
         let parts = |mutate: &dyn Fn(&mut Parts)| {
             let mut parts: Parts = (
-                good.offsets().to_vec(),
-                good.order().to_vec(),
-                good.term_offsets().to_vec(),
+                good.order().map(<[u32]>::to_vec),
+                good.ends().to_vec(),
                 good.classes().to_vec(),
+                good.level_offsets().map(<[u32]>::to_vec),
             );
             mutate(&mut parts);
-            let (o, ord, t, c) = parts;
-            LevelSchedule::from_parts(o, ord, t, c)
+            let (order, ends, classes, levels) = parts;
+            ClaimStream::from_parts(order, ends, classes, levels)
         };
-        assert!(parts(&|p| p.0[0] = 1).is_none(), "offsets must start at 0");
+        assert_eq!(parts(&|_| {}), Some(good.clone()), "own parts round-trip");
+        let flags = parts(&|p| p.3 = None).expect("a stream without levels");
+        assert_eq!(flags.level_count(), 0);
+        assert_eq!(flags.class_counts(), good.class_counts());
+        let natural = parts(&|p| p.0 = None).expect("natural order");
+        assert_eq!(natural.iteration(3), 3);
+
+        fn order(p: &mut Parts) -> &mut Vec<u32> {
+            p.0.as_mut().unwrap()
+        }
+        fn levels(p: &mut Parts) -> &mut Vec<u32> {
+            p.3.as_mut().unwrap()
+        }
         assert!(
-            parts(&|p| {
-                p.0.pop();
-            })
-            .is_none(),
-            "offsets must end at n"
+            parts(&|p| levels(p)[0] = 1).is_none(),
+            "levels must start at 0"
         );
         assert!(
-            parts(&|p| p.1[0] = p.1[1]).is_none(),
+            parts(&|p| {
+                levels(p).pop();
+            })
+            .is_none(),
+            "levels must end at n"
+        );
+        assert!(
+            parts(&|p| order(p)[0] = order(p)[1]).is_none(),
             "order must be a permutation"
         );
-        assert!(parts(&|p| p.1[0] = 99).is_none(), "order entries in range");
         assert!(
-            parts(&|p| p.2[1] = 3).is_none(),
-            "term offsets monotone to classes len"
+            parts(&|p| order(p)[0] = 99).is_none(),
+            "order entries in range"
         );
         assert!(
             parts(&|p| {
-                p.2.pop();
+                order(p).pop();
             })
             .is_none(),
-            "term offsets cover all iterations"
+            "order covers all iterations"
         );
-        assert!(parts(&|p| p.3[0] = 7).is_none(), "classes must decode");
+        assert!(
+            parts(&|p| p.1[1] = 3).is_none(),
+            "ends monotone to classes len"
+        );
+        assert!(
+            parts(&|p| p.1[0] = 1).is_none(),
+            "ends start at the sentinel"
+        );
+        assert!(
+            parts(&|p| {
+                p.1.pop();
+            })
+            .is_none(),
+            "a truncated `ends` no longer covers the classes"
+        );
+        assert!(parts(&|p| p.1.clear()).is_none(), "no sentinel at all");
+        assert!(parts(&|p| p.2[0] = 7).is_none(), "classes must decode");
         // An empty level (repeated offset) is rejected: the census never
         // produces one.
-        assert!(parts(&|p| p.0.insert(1, p.0[1])).is_none());
+        assert!(parts(&|p| {
+            let dup = levels(p)[1];
+            levels(p).insert(1, dup)
+        })
+        .is_none());
     }
 
     #[test]
+    fn narrowing_to_u32_is_checked() {
+        let narrow = ClaimStream::narrow;
+        assert_eq!(narrow(&[]), Some(vec![]));
+        assert_eq!(
+            narrow(&[0, 7, u32::MAX as usize]),
+            Some(vec![0, 7, u32::MAX])
+        );
+        if usize::BITS > 32 {
+            let over = u32::MAX as usize + 1;
+            assert_eq!(narrow(&[1, over]), None, "never a truncating cast");
+            assert!(ClaimStream::fits(u32::MAX as usize, u32::MAX as u64, 1));
+            assert!(!ClaimStream::fits(over, 0, 1), "iterations");
+            assert!(!ClaimStream::fits(1, over as u64, 1), "references");
+            assert!(!ClaimStream::fits(1, 0, over), "levels");
+            // The same values through the constructor the planner uses.
+            assert!(ClaimStream::from_iteration_order(None, None, &[0, over], vec![]).is_none());
+            assert!(
+                ClaimStream::from_iteration_order(None, Some(&[0, over]), &[0, 0], vec![])
+                    .is_none()
+            );
+        }
+    }
+
+    #[test]
+    fn claim_order_layout_is_stride_one() {
+        // Iteration-order classes land in claim order: slot k holds
+        // iteration order[k]'s row.
+        let term_offsets = [0usize, 1, 3, 3];
+        let classes = vec![1u8, 0, 2];
+        let order = [2usize, 0, 1];
+        let s =
+            ClaimStream::from_iteration_order(Some(&order), None, &term_offsets, classes).unwrap();
+        assert_eq!(s.order(), Some(&[2u32, 0, 1][..]));
+        assert_eq!(s.ends(), &[0, 0, 1, 3]);
+        assert_eq!(s.classes(), &[1, 0, 2]);
+        assert_eq!(s.row(2, 1, 2), &[0, 2]);
+        assert_eq!(s.memory_bytes(), 4 * (3 + 4) + 3);
+        let counts = s.class_counts();
+        assert_eq!(
+            (counts.true_deps, counts.anti_or_unwritten, counts.intra),
+            (1, 1, 1)
+        );
+    }
+
+    /// A level's chunk is [`claim_grain`] of its width (and the flag
+    /// variants' is the same rule on their own hints).
+    #[test]
     fn level_chunk_adapts_to_width() {
-        assert_eq!(level_chunk(0, 4), 1);
-        assert_eq!(level_chunk(31, 4), 1);
-        assert_eq!(level_chunk(64, 4), 2);
-        assert_eq!(level_chunk(10_000, 4), 64, "capped");
-        assert_eq!(level_chunk(100, 0), 12, "zero workers clamped to one");
+        assert_eq!(claim_grain(0, 4), 1);
+        assert_eq!(
+            claim_grain(1, 2),
+            1,
+            "distance 1 keeps one-iteration claims"
+        );
+        assert_eq!(claim_grain(15, 4), 1);
+        assert_eq!(claim_grain(16, 4), 2);
+        assert_eq!(claim_grain(138, 2), 16, "capped");
+        assert_eq!(claim_grain(10, 0), 5, "zero workers clamped to one");
+        assert_eq!(
+            grained(Schedule::StaticCyclic, 8),
+            Schedule::StaticCyclic,
+            "static schedules are honoured"
+        );
+        assert_eq!(
+            grained(Schedule::multimax(), 8),
+            Schedule::Dynamic { chunk: 8 }
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! variant: two per block, inspector and executor).
 //!
 //! The paper's amortization argument assumes the executor's marginal cost
-//! is arithmetic plus synchronization — preprocessing products (writer
-//! map, scratch arrays) are built once and reused. A per-solve heap
+//! is arithmetic plus synchronization — preprocessing products (the plan's
+//! claim stream, the scratch arrays) are built once and reused. A per-solve heap
 //! allocation anywhere on the dispatch path would silently tax every
 //! solve of a many-solve workload. This binary installs
 //! [`doacross_core::alloc::CountingAllocator`] as the global allocator
@@ -26,8 +26,8 @@ use doacross_plan::{PatternFingerprint, PlanVariant, Planner, VariantCosts};
 #[global_allocator]
 static AUDIT: CountingAllocator = CountingAllocator;
 
-/// Dependence-free but non-linear left-hand side: the inspected flat
-/// doacross is the only parallel candidate, so the planner picks
+/// Dependence-free but non-linear left-hand side: the flat doacross in
+/// natural order is the only parallel candidate, so the planner picks
 /// [`PlanVariant::Doacross`] (same shape the planner's own unit tests
 /// pin).
 fn scattered_doall(n: usize) -> IndirectLoop {
@@ -111,16 +111,18 @@ fn warm_wavefront_and_flag_solves_allocate_nothing_in_one_region() {
         |v| v == PlanVariant::Wavefront,
         1,
     );
-    // Flag family, both writer oracles: the linear subscript of Figure 4,
-    // and the prebuilt writer map of a scattered doall.
+    // Flag family, both claim sources: the linear subscript of Figure 4
+    // through the by-writer adapter, and the plan's claim stream of a
+    // scattered doall (natural order, claims in derived chunks).
     assert_warm_solves_are_lean(
         &TestLoop::new(2_000, 1, 7),
         |v| matches!(v, PlanVariant::Linear(_)),
         1,
     );
     assert_warm_solves_are_lean(&scattered_doall(4_000), |v| v == PlanVariant::Doacross, 1);
-    // ... and under a doconsider claim order, whose permutation check
-    // reuses its position scratch.
+    // ... and under the stream's doconsider claim order: validated when
+    // the plan was built, so a solve's only pre-dispatch work is the
+    // allocation-free reference-count sweep.
     assert_warm_solves_are_lean(
         &interleaved_chains(32, 16),
         |v| v == PlanVariant::Reordered,

@@ -1,7 +1,9 @@
 //! Interleaving-checker models of `doacross-par`'s synchronization
 //! protocols: the executor's per-element ready-flag handoff (paper Fig. 5,
 //! statement S4 — the protocol `WaitStrategy::wait_until` polls and the
-//! workers' release stores complete), its poison-aware variant, and the
+//! workers' release stores complete), the same handoff under chunked
+//! claims (a worker takes several claim slots per grab of the shared
+//! counter and walks them front to back), its poison-aware variant, and the
 //! sense-reversing [`SpinBarrier`](doacross_par::SpinBarrier). (The
 //! level-completion protocol the wavefront runs on instead of that barrier
 //! is modelled in `completion_models.rs`.)
@@ -101,6 +103,129 @@ fn mutation_dropped_ready_store_is_a_deadlock() {
         matches!(&failure.kind, FailureKind::Deadlock { blocked } if blocked == &[1]),
         "{failure}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Chunked claims: `Schedule::Dynamic { chunk }` under the flag executor. A
+// worker grabs `chunk` consecutive claim slots off the shared counter and
+// executes them; slot k's iteration has a NewValue operand produced by slot
+// k − 1 (a distance-1 chain in claim order: the tightest dependence a
+// topological order admits, so every chunk boundary and every chunk
+// interior carries one). Progress rests on one rule — a worker walks its
+// chunk in increasing slot order — which is what the mutation breaks.
+// ---------------------------------------------------------------------------
+
+struct ChunkedClaims {
+    claim: AtomicUsize,
+    ready: Vec<AtomicU64>,
+    /// The shadow array, when the configuration models the data too (every
+    /// plain access is a decision point, so the three-worker spaces are
+    /// only exhaustible on the flags alone).
+    ynew: Option<Vec<Shared<u64>>>,
+}
+
+fn chunked_claims(slots: usize, with_data: bool) -> ChunkedClaims {
+    const CELLS: [&str; 4] = ["ynew[0]", "ynew[1]", "ynew[2]", "ynew[3]"];
+    ChunkedClaims {
+        claim: AtomicUsize::new(0),
+        ready: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+        ynew: with_data.then(|| {
+            CELLS[..slots]
+                .iter()
+                .map(|cell| Shared::named(cell, 0))
+                .collect()
+        }),
+    }
+}
+
+/// One worker of the region: `Schedule::drive`'s dynamic arm around the
+/// executor body. `back_to_front` walks each claimed chunk in decreasing
+/// slot order.
+fn chunk_worker(m: &ChunkedClaims, chunk: usize, back_to_front: bool) {
+    let slots = m.ready.len();
+    loop {
+        // The claim itself publishes nothing: `Relaxed`, as in production.
+        let start = m.claim.fetch_add(chunk, Ordering::Relaxed);
+        if start >= slots {
+            return;
+        }
+        let mut claimed: Vec<usize> = (start..(start + chunk).min(slots)).collect();
+        if back_to_front {
+            claimed.reverse();
+        }
+        for k in claimed {
+            let mut value = 1;
+            if k > 0 {
+                // The inline `is_done` check and the guarded wait behind it
+                // are one exit condition.
+                spin_until(|| m.ready[k - 1].load(Ordering::Acquire) == 1);
+                if let Some(ynew) = &m.ynew {
+                    value += ynew[k - 1].read();
+                }
+            }
+            if let Some(ynew) = &m.ynew {
+                ynew[k].write(value);
+            }
+            m.ready[k].store(1, Ordering::Release);
+        }
+    }
+}
+
+/// Depth-first over every schedule of `workers` workers claiming `chunk`
+/// slots of `slots`; deadlock- and race-freedom are the checker's verdicts.
+fn explore_chunked(
+    workers: usize,
+    chunk: usize,
+    slots: usize,
+    with_data: bool,
+    back_to_front: bool,
+) -> Result<Report, Failure> {
+    let worker = move |m: &ChunkedClaims| chunk_worker(m, chunk, back_to_front);
+    let threads: Vec<&(dyn Fn(&ChunkedClaims) + Sync)> = (0..workers)
+        .map(|_| &worker as &(dyn Fn(&ChunkedClaims) + Sync))
+        .collect();
+    check(
+        &Config::default(),
+        || chunked_claims(slots, with_data),
+        &threads,
+    )
+}
+
+#[test]
+fn chunked_claims_walked_in_slot_order_never_deadlock_or_race() {
+    // Chunks of 2 and of 3 on 2 workers, chunks of 2 on 3; the shadow array
+    // is modelled where the space stays exhaustible with it (≈ 1 800
+    // schedules; the three-worker space is ≈ 9 000 on the flags alone). The
+    // slot count leaves a short last chunk in every configuration, so a
+    // hand-off crosses a chunk boundary and one sits inside a chunk.
+    for (workers, chunk, slots, with_data) in [(2, 2, 3, true), (2, 3, 4, false), (3, 2, 3, false)]
+    {
+        let report =
+            explore_chunked(workers, chunk, slots, with_data, false).unwrap_or_else(|failure| {
+                panic!("{workers} workers, chunks of {chunk}, {slots} slots: {failure}")
+            });
+        assert!(
+            report.exhaustive,
+            "{workers} workers, chunks of {chunk}: not exhausted in {} executions",
+            report.executions
+        );
+    }
+}
+
+#[test]
+fn mutation_chunk_walked_back_to_front_is_a_deadlock() {
+    // The first claimed chunk holds slots 0 and 1; starting at its far end
+    // waits for a slot the same worker has yet to run — and no other worker
+    // ever will.
+    for (workers, chunk, slots) in [(2, 2, 3), (3, 3, 4)] {
+        let failure = explore_chunked(workers, chunk, slots, false, true)
+            .expect_err("a chunk walked in decreasing order strands its own waiter");
+        assert!(
+            matches!(&failure.kind, FailureKind::Deadlock { blocked } if !blocked.is_empty()),
+            "{failure}"
+        );
+        assert!(!failure.schedule.is_empty(), "counterexample must replay");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ struct Entry {
     key: PatternFingerprint,
     /// `None` only while the slot sits on the free list — resident
     /// entries always hold a plan. Clearing on eviction/removal matters:
-    /// a parked `Arc` would keep a retired plan's writer map (O(data
-    /// space)) alive until the slot is reused.
+    /// a parked `Arc` would keep a retired plan's claim stream
+    /// (O(iterations + references)) alive until the slot is reused.
     plan: Option<Arc<ExecutionPlan>>,
     prev: usize,
     next: usize,

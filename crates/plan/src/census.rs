@@ -24,14 +24,15 @@
 //!   level array into level widths and the doconsider claim order, which is
 //!   what stall pricing and the wavefront's round count need. No scan of
 //!   the index arrays.
-//! * **Stage 3** — [`CensusPass::operand_classes`]: the per-reference
-//!   operand classes of the wavefront's [`LevelSchedule`], read off the
-//!   writer map stage 1 kept. Only a wavefront plan pays for it.
+//! * **Stage 3** — [`CensusPass::stream`]: the chosen variant's
+//!   [`ClaimStream`] — the per-reference operand classes read off the
+//!   writer map stage 1 kept, written in the variant's claim order. Only a plan that runs a stream-backed
+//!   variant (doacross, reordered, wavefront) pays for it.
 //!
 //! [`PlanCensus::of_with_schedule`] runs all three for callers that want
-//! the schedule outright.
+//! the wavefront stream outright.
 
-use doacross_core::{AccessPattern, LevelSchedule, OperandClass, MAXINT};
+use doacross_core::{AccessPattern, ClaimStream, OperandClass, MAXINT};
 
 /// Everything the planner knows about a pattern's dependence structure.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -253,46 +254,61 @@ impl CensusPass {
     /// as the doconsider claim order. Only meaningful for injective
     /// patterns.
     pub fn sorted_levels(&self) -> (Vec<usize>, Vec<usize>) {
-        LevelSchedule::sort_levels(&self.levels, self.census.critical_path)
+        ClaimStream::sort_levels(&self.levels, self.census.critical_path)
     }
 
-    /// Stage 3's product: `(term_offsets, classes)`, the wavefront
-    /// schedule's per-reference [`OperandClass`] stream, read off the
-    /// writer map the pass kept. `pattern` must be the in-bounds, injective
-    /// pattern the pass ran over.
-    pub fn operand_classes<P: AccessPattern + ?Sized>(&self, pattern: &P) -> (Vec<usize>, Vec<u8>) {
+    /// Stage 3's product: the [`ClaimStream`] of a stream-backed variant —
+    /// every reference's [`OperandClass`], read off the writer map the pass
+    /// kept and written straight into claim order: `order` is `None` for
+    /// the flat doacross (natural order) and the level-sorted order for the
+    /// reordered doacross and the wavefront, which adds `level_offsets`
+    /// over it. `None` when the loop does not fit the stream's `u32`
+    /// indices ([`ClaimStream::fits`]). `pattern` must be the in-bounds,
+    /// injective pattern the pass ran over.
+    pub fn stream<P: AccessPattern + ?Sized>(
+        &self,
+        pattern: &P,
+        order: Option<&[usize]>,
+        level_offsets: Option<&[usize]>,
+    ) -> Option<ClaimStream> {
         debug_assert!(self.schedulable());
         let n = self.census.iterations;
-        let mut term_offsets = Vec::with_capacity(n + 1);
+        let mut ends = Vec::with_capacity(n + 1);
         let mut classes = Vec::with_capacity(self.census.total_terms as usize);
-        term_offsets.push(0usize);
-        for i in 0..n {
-            for j in 0..pattern.terms(i) {
-                let w = self.writer[pattern.term_element(i, j)];
-                let class = if w == MAXINT || w as usize > i {
-                    OperandClass::OldValue
-                } else if (w as usize) < i {
-                    OperandClass::NewValue
-                } else {
-                    OperandClass::Accumulator
+        ends.push(0u32);
+        for k in 0..n {
+            let i = order.map_or(k, |order| order[k]);
+            // Figure 5's three-way check, once and for all. `MAXINT`
+            // (unwritten) lies past every iteration, so it reads as a later
+            // writer: old value. Branch-free, one exact-size extend per row.
+            classes.extend((0..pattern.terms(i)).map(|j| {
+                let w = self.writer[pattern.term_element(i, j)] as usize;
+                let class = match w.cmp(&i) {
+                    std::cmp::Ordering::Less => OperandClass::NewValue,
+                    std::cmp::Ordering::Equal => OperandClass::Accumulator,
+                    std::cmp::Ordering::Greater => OperandClass::OldValue,
                 };
-                classes.push(class as u8);
-            }
-            term_offsets.push(classes.len());
+                class as u8
+            }));
+            ends.push(u32::try_from(classes.len()).ok()?);
         }
-        (term_offsets, classes)
+        let narrowed = |values: Option<&[usize]>| match values {
+            Some(values) => ClaimStream::narrow(values).map(Some),
+            None => Some(None),
+        };
+        ClaimStream::from_parts(narrowed(order)?, ends, classes, narrowed(level_offsets)?)
     }
 
     /// All three stages at once: the wavefront executor's artifact, or
     /// `None` for patterns it cannot run (non-injective left-hand sides,
     /// out-of-bounds subscripts) — exactly the patterns the flat construct
     /// rejects too.
-    pub fn level_schedule<P: AccessPattern + ?Sized>(&self, pattern: &P) -> Option<LevelSchedule> {
-        self.schedulable().then(|| {
-            let (offsets, order) = self.sorted_levels();
-            let (term_offsets, classes) = self.operand_classes(pattern);
-            LevelSchedule::from_sorted(offsets, order, term_offsets, classes)
-        })
+    pub fn level_schedule<P: AccessPattern + ?Sized>(&self, pattern: &P) -> Option<ClaimStream> {
+        if !self.schedulable() {
+            return None;
+        }
+        let (offsets, order) = self.sorted_levels();
+        self.stream(pattern, Some(&order), Some(&offsets))
     }
 }
 
@@ -302,11 +318,9 @@ impl PlanCensus {
         CensusPass::of(pattern).census
     }
 
-    /// Like [`PlanCensus::of`], additionally materializing the
-    /// [`LevelSchedule`] ([`CensusPass::level_schedule`]).
-    pub fn of_with_schedule<P: AccessPattern + ?Sized>(
-        pattern: &P,
-    ) -> (Self, Option<LevelSchedule>) {
+    /// Like [`PlanCensus::of`], additionally materializing the wavefront
+    /// [`ClaimStream`] ([`CensusPass::level_schedule`]).
+    pub fn of_with_schedule<P: AccessPattern + ?Sized>(pattern: &P) -> (Self, Option<ClaimStream>) {
         let pass = CensusPass::of(pattern);
         let schedule = pass.level_schedule(pattern);
         (pass.census, schedule)
@@ -583,13 +597,13 @@ mod tests {
         let s = schedule.expect("injective in-bounds pattern");
         assert_eq!(s.level_count(), c.critical_path);
         assert_eq!(s.iterations(), 4);
-        assert_eq!(s.level_iterations(0), &[0, 1]);
-        assert_eq!(s.level_iterations(1), &[2, 3]);
+        assert_eq!(s.order(), Some(&[0u32, 1, 2, 3][..]));
+        assert_eq!((s.level_slots(0), s.level_slots(1)), (0..2, 2..4));
         assert_eq!(s.total_terms() as u64, c.total_terms);
-        let (new, old, acc) = s.class_counts();
-        assert_eq!(new, c.true_deps);
-        assert_eq!(old, c.anti_deps + c.unwritten);
-        assert_eq!(acc, c.intra);
+        let counts = s.class_counts();
+        assert_eq!(counts.true_deps, c.true_deps);
+        assert_eq!(counts.anti_or_unwritten, c.anti_deps + c.unwritten);
+        assert_eq!(counts.intra, c.intra);
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //!   critical path, average parallelism, and (for non-injective patterns)
 //!   the minimum duplicate-write gap that bounds a legal block size.
 //!   [`CensusPass`] is the pass itself, split along the planner's stages
-//!   (counters, level sort, operand classes) so each product is built only
+//!   (counters, level sort, claim stream) so each product is built only
 //!   once a decision needs it; [`PlanCensus::of_with_schedule`] runs them
-//!   all and returns the [`doacross_core::LevelSchedule`] — the wavefront
-//!   executor's artifact.
-//! * [`Planner`] — prices every legal variant (sequential, inspected flat
+//!   all and returns the wavefront's [`doacross_core::ClaimStream`].
+//! * [`Planner`] — prices every legal variant (sequential, flat
 //!   doacross, §2.3 linear-subscript, doconsider-reordered, §2.3
 //!   strip-mined, level-scheduled wavefront) with the calibrated
 //!   [`doacross_sim::CostModel`] and picks the cheapest; see [`planner`]
@@ -30,9 +29,9 @@
 //!   and the stage-1 floor that settles `sequential` from the census
 //!   alone without pricing anything else.
 //! * [`ExecutionPlan`] — the captured products the chosen variant needs:
-//!   prebuilt inspector writer map, doconsider claim order, detected
-//!   linear subscript, block size, wavefront level schedule, plus the
-//!   census and candidate prices.
+//!   the one claim stream of the doacross / reordered / wavefront variants
+//!   (claim order, per-claim operand classes, level offsets), detected
+//!   linear subscript, block size, plus the census and candidate prices.
 //! * [`ConcurrentPlanCache`] — the plan cache: mutex-guarded LRU shards
 //!   (routed by fingerprint high bits, merged stats, per-key invalidation
 //!   generations), servable through `&self` from many threads — the

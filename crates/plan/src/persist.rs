@@ -4,8 +4,8 @@
 //! The paper's amortization argument ("the preprocessing phase needs to be
 //! performed just once", §2.1) is only as good as the lifetime of the
 //! artifact — and until this module, that lifetime ended with the process.
-//! A service restart threw away every writer map, claim order, and priced
-//! variant selection, and the first request after a deploy paid full
+//! A service restart threw away every claim stream and priced variant
+//! selection, and the first request after a deploy paid full
 //! preprocessing again. Persistence closes the loop: a [`PlanStore`]
 //! captures a cache's resident [`ExecutionPlan`]s (recency-preserving,
 //! generation-aware), serializes them with a hand-rolled, self-describing
@@ -42,10 +42,11 @@
 //!    ([`PersistError::ChecksumMismatch`] on any bit flip, truncations
 //!    surface as [`PersistError::Truncated`]);
 //! 3. every decoded plan is structurally revalidated against its own
-//!    census and fingerprint — writer maps must be injective and in
-//!    range, claim orders must be permutations, variants must carry
-//!    exactly the artifacts they execute with
-//!    ([`PersistError::Structural`] otherwise).
+//!    census and fingerprint — a claim stream must rebuild through
+//!    [`ClaimStream::from_parts`] (order a permutation, ends covering the
+//!    classes, levels strictly increasing, every count within `u32`) and
+//!    agree with the census, variants must carry exactly the artifact they
+//!    execute with ([`PersistError::Structural`] otherwise).
 //!
 //! Decoding therefore never panics and never yields a plan the executor
 //! could misbehave on; the worst a corrupt store can do is fail with a
@@ -54,7 +55,7 @@
 use crate::census::PlanCensus;
 use crate::fingerprint::PatternFingerprint;
 use crate::plan::{ExecutionPlan, PlanVariant, VariantCosts};
-use doacross_core::{LevelSchedule, LinearSubscript, PreparedInspection, MAXINT};
+use doacross_core::{ClaimStream, LinearSubscript};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,9 +82,12 @@ pub const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// optional host-calibration block ([`StoredCalibration`]) and a variant-
 /// telemetry table ([`StoredTelemetry`]) — so a warm-started engine
 /// resumes with its learned cost constants instead of re-measuring and
-/// re-observing from scratch; v1 and v2 stores are rejected per the
-/// policy above.
-pub const FORMAT_VERSION: u32 = 3;
+/// re-observing from scratch. **v4** replaced the three artifact sections
+/// of a plan record (writer map, claim order, level schedule — `u64`
+/// fields) with one claim-stream section (`u32` fields: optional order,
+/// ends, class bytes, optional level offsets); v1–v3 stores are rejected
+/// per the policy above.
+pub const FORMAT_VERSION: u32 = 4;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -128,8 +132,8 @@ pub enum PersistError {
     /// trailing bytes).
     Malformed(String),
     /// The record decoded, but its contents contradict themselves — a
-    /// writer map that is not injective, a claim order that is not a
-    /// permutation, a census that disagrees with its fingerprint. The
+    /// claim order that is not a permutation, reference ends that do not
+    /// cover the class bytes, a census that disagrees with its fingerprint. The
     /// plan is rejected rather than trusted.
     Structural(String),
     /// The record decoded and is internally coherent, but its
@@ -223,16 +227,26 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
 fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(v as u8);
+}
+
+fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    put_u64(out, values.len() as u64);
+    for &v in values {
+        put_u32(out, v);
+    }
+}
+
+fn put_opt_u32s(out: &mut Vec<u8>, values: Option<&[u32]>) {
+    put_bool(out, values.is_some());
+    if let Some(values) = values {
+        put_u32s(out, values);
+    }
 }
 
 fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
@@ -288,12 +302,26 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn u32(&mut self) -> Result<u32, PersistError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
     fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn i64(&mut self) -> Result<i64, PersistError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// A counted run of `u32`s — the one array shape of the stream codec.
+    fn u32s(&mut self) -> Result<Vec<u32>, PersistError> {
+        let count = self.counted(4)?;
+        (0..count).map(|_| self.u32()).collect()
+    }
+
+    fn opt_u32s(&mut self) -> Result<Option<Vec<u32>>, PersistError> {
+        Ok(if self.bool()? {
+            Some(self.u32s()?)
+        } else {
+            None
+        })
     }
 
     fn f64(&mut self) -> Result<f64, PersistError> {
@@ -362,11 +390,25 @@ const TAG_REORDERED: u8 = 3;
 const TAG_BLOCKED: u8 = 4;
 const TAG_WAVEFRONT: u8 = 5;
 
+/// A claim stream's four parts as the codec writes them: optional order,
+/// reference ends, optional level offsets, class bytes.
+type StreamParts<'a> = (Option<&'a [u32]>, &'a [u32], Option<&'a [u32]>, &'a [u8]);
+
 /// Serializes one plan to the record format (no checksum — the enclosing
 /// [`PlanStore`] blob carries one for the whole file). The encoding is
 /// deterministic: equal plans produce equal bytes, which the round-trip
 /// tests exploit.
 pub fn encode_plan(plan: &ExecutionPlan) -> Vec<u8> {
+    let stream = plan
+        .stream()
+        .map(|s| (s.order(), s.ends(), s.level_offsets(), s.classes()));
+    encode_record(plan, stream)
+}
+
+/// [`encode_plan`] with the stream section given part by part — parts a
+/// [`ClaimStream`] would never hold can be written, which is how the tests
+/// put a corrupt artifact in front of the decoder.
+fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u8> {
     let mut out = Vec::new();
     for word in plan.fingerprint().to_raw() {
         put_u64(&mut out, word);
@@ -409,45 +451,14 @@ pub fn encode_plan(plan: &ExecutionPlan) -> Vec<u8> {
         }
         None => put_bool(&mut out, false),
     }
-    match plan.prepared() {
-        Some(prepared) => {
-            put_bool(&mut out, true);
-            put_u64(&mut out, prepared.data_len() as u64);
-            for element in 0..prepared.data_len() {
-                put_i64(&mut out, prepared.writer(element));
-            }
-        }
-        None => put_bool(&mut out, false),
-    }
-    match plan.order() {
-        Some(order) => {
-            put_bool(&mut out, true);
-            put_u64(&mut out, order.len() as u64);
-            for &i in order {
-                put_u64(&mut out, i as u64);
-            }
-        }
-        None => put_bool(&mut out, false),
-    }
-    match plan.level_schedule() {
-        Some(levels) => {
-            put_bool(&mut out, true);
-            put_u64(&mut out, levels.offsets().len() as u64);
-            for &v in levels.offsets() {
-                put_u64(&mut out, v as u64);
-            }
-            put_u64(&mut out, levels.order().len() as u64);
-            for &v in levels.order() {
-                put_u64(&mut out, v as u64);
-            }
-            put_u64(&mut out, levels.term_offsets().len() as u64);
-            for &v in levels.term_offsets() {
-                put_u64(&mut out, v as u64);
-            }
-            put_u64(&mut out, levels.classes().len() as u64);
-            out.extend_from_slice(levels.classes());
-        }
-        None => put_bool(&mut out, false),
+    // The one artifact section: the claim stream, part by part.
+    put_bool(&mut out, stream.is_some());
+    if let Some((order, ends, levels, classes)) = stream {
+        put_opt_u32s(&mut out, order);
+        put_u32s(&mut out, ends);
+        put_opt_u32s(&mut out, levels);
+        put_u64(&mut out, classes.len() as u64);
+        out.extend_from_slice(classes);
     }
     match plan.linear_subscript() {
         Some(s) => {
@@ -538,44 +549,12 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         },
     };
 
-    let writers: Option<Vec<i64>> = if r.bool()? {
-        let count = r.counted(8)?;
-        let mut w = Vec::with_capacity(count);
-        for _ in 0..count {
-            w.push(r.i64()?);
-        }
-        Some(w)
-    } else {
-        None
-    };
-
-    let order: Option<Vec<usize>> = if r.bool()? {
-        let count = r.counted(8)?;
-        let mut o = Vec::with_capacity(count);
-        for _ in 0..count {
-            o.push(r.usize()?);
-        }
-        Some(o)
-    } else {
-        None
-    };
-
-    type LevelParts = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<u8>);
-    let level_parts: Option<LevelParts> = if r.bool()? {
-        let mut section = || -> Result<Vec<usize>, PersistError> {
-            let count = r.counted(8)?;
-            let mut v = Vec::with_capacity(count);
-            for _ in 0..count {
-                v.push(r.usize()?);
-            }
-            Ok(v)
-        };
-        let offsets = section()?;
-        let order = section()?;
-        let term_offsets = section()?;
+    let stream_parts = if r.bool()? {
+        let order = r.opt_u32s()?;
+        let ends = r.u32s()?;
+        let levels = r.opt_u32s()?;
         let count = r.counted(1)?;
-        let classes = r.take(count)?.to_vec();
-        Some((offsets, order, term_offsets, classes))
+        Some((order, ends, levels, r.take(count)?.to_vec()))
     } else {
         None
     };
@@ -663,136 +642,77 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         _ => unreachable!("tag validated above"),
     };
 
-    let needs_map = matches!(variant, PlanVariant::Doacross | PlanVariant::Reordered);
-    if needs_map && !census.injective {
-        return Err(structural(
-            "flat doacross plan over a non-injective left-hand side",
-        ));
-    }
-    let prepared = match (needs_map, writers) {
-        (true, Some(writers)) => {
-            if writers.len() != census.data_len {
-                return Err(structural(format!(
-                    "writer map covers {} elements, data space is {}",
-                    writers.len(),
-                    census.data_len
-                )));
-            }
-            let mut writes_seen = vec![false; census.iterations];
-            for &w in &writers {
-                if w == MAXINT {
-                    continue;
-                }
-                let Ok(i) = usize::try_from(w) else {
-                    return Err(structural(format!("negative writer iteration {w}")));
-                };
-                if i >= census.iterations {
-                    return Err(structural(format!(
-                        "writer iteration {i} outside 0..{}",
-                        census.iterations
-                    )));
-                }
-                if std::mem::replace(&mut writes_seen[i], true) {
-                    return Err(structural(format!(
-                        "iteration {i} writes two elements (map not injective)"
-                    )));
-                }
-            }
-            PreparedInspection::from_writer_map(census.iterations, &writers)
-                .ok_or_else(|| structural("writer map rejected by the core reconstruction"))
-                .map(Some)?
-        }
-        (true, None) => {
-            return Err(structural(
-                "inspected variant without its prebuilt writer map",
-            ));
-        }
-        (false, Some(_)) => {
-            return Err(structural(
-                "writer map attached to a variant that never consumes one",
-            ));
-        }
-        (false, None) => None,
-    };
-
-    let order = match (variant, order) {
-        (PlanVariant::Reordered, Some(order)) => {
-            if order.len() != census.iterations {
-                return Err(structural(format!(
-                    "claim order covers {} of {} iterations",
-                    order.len(),
-                    census.iterations
-                )));
-            }
-            let mut seen = vec![false; census.iterations];
-            for &i in &order {
-                if i >= census.iterations || std::mem::replace(&mut seen[i], true) {
-                    return Err(structural("claim order is not a permutation"));
-                }
-            }
-            Some(order)
-        }
-        (PlanVariant::Reordered, None) => {
-            return Err(structural("reordered variant without its claim order"));
-        }
-        (_, Some(_)) => {
-            return Err(structural(
-                "claim order attached to a variant that never consumes one",
-            ));
-        }
-        (_, None) => None,
-    };
-
-    let levels = match (variant, level_parts) {
-        (PlanVariant::Wavefront, Some((offsets, order, term_offsets, classes))) => {
+    let streamed = matches!(
+        variant,
+        PlanVariant::Doacross | PlanVariant::Reordered | PlanVariant::Wavefront
+    );
+    let stream = match (streamed, stream_parts) {
+        (true, Some((order, ends, levels, classes))) => {
             if !census.injective {
-                return Err(structural(
-                    "wavefront plan over a non-injective left-hand side",
-                ));
-            }
-            let schedule = LevelSchedule::from_parts(offsets, order, term_offsets, classes)
-                .ok_or_else(|| structural("level schedule rejected by the core reconstruction"))?;
-            if schedule.iterations() != census.iterations {
                 return Err(structural(format!(
-                    "level schedule covers {} of {} iterations",
-                    schedule.iterations(),
+                    "{variant} plan over a non-injective left-hand side"
+                )));
+            }
+            // Which optional parts the variant executes with: the natural
+            // order is no order, only the wavefront has levels.
+            let (wants_order, wants_levels) = match variant {
+                PlanVariant::Doacross => (false, false),
+                PlanVariant::Reordered => (true, false),
+                _ => (true, true),
+            };
+            if order.is_some() != wants_order || levels.is_some() != wants_levels {
+                return Err(structural(format!(
+                    "{variant} plan with a claim stream shaped for another variant \
+                     (order {}, levels {})",
+                    order.is_some(),
+                    levels.is_some()
+                )));
+            }
+            let stream = ClaimStream::from_parts(order, ends, classes, levels)
+                .ok_or_else(|| structural("claim stream rejected by the core reconstruction"))?;
+            if stream.iterations() != census.iterations {
+                return Err(structural(format!(
+                    "claim stream covers {} of {} iterations",
+                    stream.iterations(),
                     census.iterations
                 )));
             }
-            if schedule.level_count() != census.critical_path {
+            if wants_levels && stream.level_count() != census.critical_path {
                 return Err(structural(format!(
                     "{} levels disagree with the census critical path {}",
-                    schedule.level_count(),
+                    stream.level_count(),
                     census.critical_path
                 )));
             }
-            if schedule.total_terms() as u64 != census.total_terms {
+            if stream.total_terms() as u64 != census.total_terms {
                 return Err(structural(format!(
-                    "level schedule classifies {} of {} references",
-                    schedule.total_terms(),
+                    "claim stream classifies {} of {} references",
+                    stream.total_terms(),
                     census.total_terms
                 )));
             }
-            let (new, old, acc) = schedule.class_counts();
-            if new != census.true_deps
-                || acc != census.intra
-                || old != census.anti_deps + census.unwritten
+            let counts = stream.class_counts();
+            if counts.true_deps != census.true_deps
+                || counts.intra != census.intra
+                || counts.anti_or_unwritten != census.anti_deps + census.unwritten
             {
                 return Err(structural(
                     "operand classes disagree with the census classification",
                 ));
             }
-            Some(schedule)
+            Some(stream)
         }
-        (PlanVariant::Wavefront, None) => {
-            return Err(structural("wavefront variant without its level schedule"));
+        (true, None) => {
+            return Err(structural(format!(
+                "{variant} variant without its claim stream"
+            )));
         }
-        (_, Some(_)) => {
+        (false, Some(_)) => {
             return Err(structural(
-                "level schedule attached to a variant that never consumes one",
+                "claim stream attached to a variant that never consumes one",
             ));
         }
-        (_, None) => None,
+        (false, None) => None,
     };
 
     Ok(ExecutionPlan {
@@ -800,9 +720,7 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         processors,
         variant,
         census,
-        prepared,
-        order,
-        levels,
+        stream,
         linear,
         costs,
         build_time,
@@ -1333,19 +1251,29 @@ mod tests {
             assert_eq!(decoded.census(), plan.census());
             assert_eq!(decoded.costs(), plan.costs());
             assert_eq!(decoded.build_time(), plan.build_time());
-            assert_eq!(decoded.order(), plan.order());
-            assert_eq!(decoded.level_schedule(), plan.level_schedule());
+            assert_eq!(decoded.stream(), plan.stream());
             assert_eq!(decoded.linear_subscript(), plan.linear_subscript());
-            match (decoded.prepared(), plan.prepared()) {
-                (Some(d), Some(p)) => {
-                    assert_eq!(d.iterations(), p.iterations());
-                    assert_eq!(d.data_len(), p.data_len());
-                    assert!((0..d.data_len()).all(|e| d.writer(e) == p.writer(e)));
-                }
-                (None, None) => {}
-                other => panic!("prepared mismatch: {other:?}"),
-            }
         }
+    }
+
+    /// A plan's stream parts, owned, with one mutation applied — what
+    /// `encode_record` then writes whether or not a `ClaimStream` could
+    /// hold it.
+    type OwnedParts = (Option<Vec<u32>>, Vec<u32>, Option<Vec<u32>>, Vec<u8>);
+    fn record_with(plan: &ExecutionPlan, mutate: &dyn Fn(&mut OwnedParts)) -> Vec<u8> {
+        let s = plan.stream().expect("a stream-backed plan");
+        let mut parts: OwnedParts = (
+            s.order().map(<[u32]>::to_vec),
+            s.ends().to_vec(),
+            s.level_offsets().map(<[u32]>::to_vec),
+            s.classes().to_vec(),
+        );
+        mutate(&mut parts);
+        let (order, ends, levels, classes) = &parts;
+        encode_record(
+            plan,
+            Some((order.as_deref(), ends, levels.as_deref(), classes)),
+        )
     }
 
     /// A record that decodes and is structurally coherent but whose
@@ -1377,38 +1305,23 @@ mod tests {
         }
     }
 
-    /// A writer map with one entry dropped (the at-rest form of a dropped
-    /// ready flag) passes every structural check — no iteration writes
-    /// twice — but an injective pattern's map must be a *bijection*:
-    /// `iterations` entries exactly. Only the soundness pass catches it.
+    /// A stream whose `ends` lost its last entry (the at-rest form of a
+    /// truncated artifact) no longer covers its class bytes: it dies in
+    /// `ClaimStream::from_parts`, typed, before any of it is trusted.
     #[test]
-    fn decode_rejects_writer_map_with_dropped_entry() {
-        let mut plan = plans_of_every_variant().into_iter().nth(2).unwrap();
-        let prepared = plan.prepared.as_ref().expect("doacross carries a map");
-        let mut writers: Vec<i64> = (0..prepared.data_len())
-            .map(|e| prepared.writer(e))
-            .collect();
-        let written = writers
+    fn decode_rejects_stream_with_truncated_ends() {
+        for plan in plans_of_every_variant()
             .iter()
-            .position(|&w| w != MAXINT)
-            .expect("map has entries");
-        writers[written] = MAXINT;
-        plan.prepared = Some(
-            PreparedInspection::from_writer_map(plan.census().iterations, &writers)
-                .expect("still a valid (partial) map"),
-        );
-        let bytes = encode_plan(&plan);
-        match decode_plan(&bytes) {
-            Err(PersistError::Unsound(doacross_verify::SoundnessViolation::ArtifactMismatch {
-                what,
-                expected,
-                got,
-            })) => {
-                assert_eq!(what, "writer map entries");
-                assert_eq!(expected, plan.census().iterations as u64);
-                assert_eq!(got, expected - 1);
-            }
-            other => panic!("expected unsound rejection, got {other:?}"),
+            .filter(|p| p.stream().is_some())
+        {
+            let bytes = record_with(plan, &|p| {
+                p.1.pop();
+            });
+            assert!(
+                matches!(decode_plan(&bytes), Err(PersistError::Structural(_))),
+                "{}",
+                plan.variant()
+            );
         }
     }
 
@@ -1595,7 +1508,8 @@ mod tests {
 
     #[test]
     fn v2_stores_are_rejected_with_a_typed_version_error() {
-        // Regression for the v2 → v3 format bump (adaptive sections): a
+        // Regression for the v2 → v3 format bump (adaptive sections; the
+        // v3 → v4 one has its own in `tests/proptest_persist.rs`): a
         // v2 relic fails typed on every load path — the version check
         // precedes the checksum, so no patching can smuggle the old
         // layout in — and warm-start boot paths treat the rejection as a
@@ -1660,28 +1574,36 @@ mod tests {
             "census disagrees with fingerprint",
         );
         assert_structural(
-            corrupt(doacross, &|p| p.prepared = None),
-            "inspected variant without its writer map",
+            corrupt(doacross, &|p| p.stream = None),
+            "streamed variant without its claim stream",
         );
         assert_structural(
-            corrupt(doacross, &|p| p.order = Some(vec![0])),
-            "order attached to a variant that never consumes one",
+            corrupt(&plans[1], &|p| p.stream = doacross.stream.clone()),
+            "stream attached to a variant that never consumes one",
+        );
+        assert_structural(
+            corrupt(doacross, &|p| p.stream = reordered.stream.clone()),
+            "a natural-order plan carrying a claim order",
+        );
+        assert_structural(
+            corrupt(reordered, &|p| p.stream = wavefront.stream.clone()),
+            "a flag plan carrying level offsets",
         );
         assert_structural(
             corrupt(doacross, &|p| p.census.injective = false),
             "flat doacross over a non-injective lhs",
         );
         assert_structural(
-            corrupt(reordered, &|p| {
-                let order = p.order.as_mut().unwrap();
+            decode_plan(&record_with(reordered, &|p| {
+                let order = p.0.as_mut().unwrap();
                 order[0] = order[1];
-            }),
+            })),
             "claim order is not a permutation",
         );
         assert_structural(
-            corrupt(reordered, &|p| {
-                p.order.as_mut().unwrap().pop();
-            }),
+            decode_plan(&record_with(reordered, &|p| {
+                p.0.as_mut().unwrap().pop();
+            })),
             "claim order shorter than the iteration space",
         );
         assert_structural(
@@ -1700,59 +1622,41 @@ mod tests {
         );
 
         // Wavefront-specific inconsistencies.
-        let schedule = wavefront.level_schedule().unwrap().clone();
         assert_structural(
-            corrupt(wavefront, &|p| p.levels = None),
-            "wavefront variant without its level schedule",
+            decode_plan(&record_with(wavefront, &|p| p.2 = None)),
+            "wavefront variant without its level offsets",
         );
         assert_structural(
-            corrupt(doacross, &|p| p.levels = Some(schedule.clone())),
-            "level schedule attached to a variant that never consumes one",
-        );
-        assert_structural(
-            corrupt(wavefront, &|p| {
+            decode_plan(&record_with(wavefront, &|p| {
                 // Merge the first two levels: still a valid CSR structure,
                 // but the level count no longer matches the census
                 // critical path.
-                let mut offsets = schedule.offsets().to_vec();
-                offsets.remove(1);
-                p.levels = doacross_core::LevelSchedule::from_parts(
-                    offsets,
-                    schedule.order().to_vec(),
-                    schedule.term_offsets().to_vec(),
-                    schedule.classes().to_vec(),
-                );
-                assert!(p.levels.is_some(), "mutation must survive from_parts");
-            }),
+                p.2.as_mut().unwrap().remove(1);
+            })),
             "level count disagrees with the census critical path",
         );
+        for plan in [doacross, reordered, wavefront] {
+            if plan.census.true_deps == 0 {
+                continue;
+            }
+            assert_structural(
+                decode_plan(&record_with(plan, &|p| {
+                    // Flip one true-dependency class to old-value: the
+                    // class counts no longer match the census
+                    // classification.
+                    let flip = p.3.iter().position(|&c| c == 0).expect("has true deps");
+                    p.3[flip] = 1;
+                })),
+                "operand classes disagree with the census",
+            );
+        }
         assert_structural(
-            corrupt(wavefront, &|p| {
-                // Flip one true-dependency class to old-value: the class
-                // counts no longer match the census classification.
-                let mut classes = schedule.classes().to_vec();
-                let flip = classes.iter().position(|&c| c == 0).expect("has true deps");
-                classes[flip] = 1;
-                p.levels = doacross_core::LevelSchedule::from_parts(
-                    schedule.offsets().to_vec(),
-                    schedule.order().to_vec(),
-                    schedule.term_offsets().to_vec(),
-                    classes,
-                );
-                assert!(p.levels.is_some(), "mutation must survive from_parts");
-            }),
-            "operand classes disagree with the census",
+            decode_plan(&record_with(wavefront, &|p| p.3[0] = 9)),
+            "a class byte no encoder writes",
         );
 
-        // A writer map pointing past the iteration space is rejected at
-        // the byte level (decode, not just re-encode of a live plan).
-        let mut bytes = encode_plan(doacross);
-        // Fingerprint (5) + processors (1) words, 1 tag byte, census up to
-        // the writer-map flag — easier to corrupt via decode+mutate of the
-        // census iteration count, which the fingerprint check catches
-        // first; so instead corrupt a live map through from_writer_map's
-        // contract: already covered in core. Here just confirm garbage
-        // never panics.
+        // Garbage never panics, whatever byte it lands on.
+        let mut bytes = encode_plan(reordered);
         for i in 0..bytes.len() {
             bytes[i] = bytes[i].wrapping_add(0x5B);
             let _ = decode_plan(&bytes); // must not panic

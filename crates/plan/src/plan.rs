@@ -3,7 +3,7 @@
 
 use crate::census::PlanCensus;
 use crate::fingerprint::PatternFingerprint;
-use doacross_core::{AccessPattern, LevelSchedule, LinearSubscript, PreparedInspection};
+use doacross_core::{AccessPattern, ClaimStream, LinearSubscript};
 use doacross_verify::{SoundnessReport, SoundnessViolation, SyncSchedule};
 use std::time::Duration;
 
@@ -13,14 +13,17 @@ pub enum PlanVariant {
     /// Run the source loop sequentially: the dependence structure (or loop
     /// size) leaves no profitable parallelism.
     Sequential,
-    /// The flat preprocessed doacross, consuming the plan's prebuilt writer
-    /// map (no inspector at run time).
+    /// The flat preprocessed doacross in natural claim order, every operand
+    /// class read from the plan's [`ClaimStream`] (no inspector and no
+    /// writer map at run time).
     Doacross,
     /// The §2.3 linear-subscript executor `a(i) = c·i + d`: no inspector
     /// *and* no writer map at all.
     Linear(LinearSubscript),
-    /// The flat doacross claiming iterations in the plan's doconsider
-    /// (wavefront-sorted) order, consuming the prebuilt writer map.
+    /// The flat doacross claiming iterations in the doconsider
+    /// (wavefront-sorted) order its [`ClaimStream`] carries — the same
+    /// executor as [`PlanVariant::Doacross`]; the two differ only by that
+    /// optional order.
     Reordered,
     /// The §2.3 strip-mined doacross — the legal fallback for loops whose
     /// left-hand side repeats elements at iteration gaps ≥ `block_size`.
@@ -29,8 +32,8 @@ pub enum PlanVariant {
         block_size: usize,
     },
     /// Level-scheduled wavefront execution: every dependence level runs as
-    /// a barrier-separated doall over the plan's prebuilt
-    /// [`LevelSchedule`] — no ready-flag polling, no writer map at all.
+    /// a doall behind the previous level's completion count, over the
+    /// level offsets of the plan's [`ClaimStream`] — no ready-flag polling.
     /// Selected when the predicted poll/stall bill of the flag-based
     /// variants exceeds the predicted `levels × barrier` cost.
     Wavefront,
@@ -121,12 +124,11 @@ pub struct ExecutionPlan {
     pub(crate) processors: usize,
     pub(crate) variant: PlanVariant,
     pub(crate) census: PlanCensus,
-    /// Writer map for [`PlanVariant::Doacross`] / [`PlanVariant::Reordered`].
-    pub(crate) prepared: Option<PreparedInspection>,
-    /// Doconsider claim order for [`PlanVariant::Reordered`].
-    pub(crate) order: Option<Vec<usize>>,
-    /// Level structure + operand classes for [`PlanVariant::Wavefront`].
-    pub(crate) levels: Option<LevelSchedule>,
+    /// The one artifact of the stream-backed variants
+    /// ([`PlanVariant::Doacross`], [`PlanVariant::Reordered`],
+    /// [`PlanVariant::Wavefront`]): claim order, per-claim operand classes
+    /// and — for the wavefront — level offsets.
+    pub(crate) stream: Option<ClaimStream>,
     /// Detected linear subscript (kept even when another variant won, for
     /// introspection).
     pub(crate) linear: Option<LinearSubscript>,
@@ -160,19 +162,9 @@ impl ExecutionPlan {
         &self.census
     }
 
-    /// The prebuilt writer map, when the variant consumes one.
-    pub fn prepared(&self) -> Option<&PreparedInspection> {
-        self.prepared.as_ref()
-    }
-
-    /// The doconsider claim order, when the variant uses one.
-    pub fn order(&self) -> Option<&[usize]> {
-        self.order.as_deref()
-    }
-
-    /// The wavefront level schedule, when the variant consumes one.
-    pub fn level_schedule(&self) -> Option<&LevelSchedule> {
-        self.levels.as_ref()
+    /// The claim stream, when the variant executes from one.
+    pub fn stream(&self) -> Option<&ClaimStream> {
+        self.stream.as_ref()
     }
 
     /// The detected linear left-hand-side subscript, if any.
@@ -207,25 +199,22 @@ impl ExecutionPlan {
     /// build produces; the projection exists so persisted or hand-built
     /// plans cannot dodge verification by dropping an artifact.
     pub fn sync_schedule(&self) -> Result<SyncSchedule<'_>, SoundnessViolation> {
-        let missing = |what: &'static str| SoundnessViolation::ArtifactMismatch {
-            what,
-            expected: 1,
-            got: 0,
+        let stream = || {
+            self.stream
+                .as_ref()
+                .ok_or(SoundnessViolation::ArtifactMismatch {
+                    what: "claim stream",
+                    expected: 1,
+                    got: 0,
+                })
         };
         Ok(match self.variant {
             PlanVariant::Sequential => SyncSchedule::Sequential,
-            PlanVariant::Doacross => SyncSchedule::FlagsNatural {
-                writers: self.prepared.as_ref().ok_or(missing("writer map"))?,
-            },
+            PlanVariant::Doacross => SyncSchedule::FlagsNatural { stream: stream()? },
             PlanVariant::Linear(subscript) => SyncSchedule::FlagsLinear { subscript },
-            PlanVariant::Reordered => SyncSchedule::FlagsOrdered {
-                writers: self.prepared.as_ref().ok_or(missing("writer map"))?,
-                order: self.order.as_deref().ok_or(missing("claim order"))?,
-            },
+            PlanVariant::Reordered => SyncSchedule::FlagsOrdered { stream: stream()? },
             PlanVariant::Blocked { block_size } => SyncSchedule::Blocked { block_size },
-            PlanVariant::Wavefront => SyncSchedule::Wavefront {
-                schedule: self.levels.as_ref().ok_or(missing("level schedule"))?,
-            },
+            PlanVariant::Wavefront => SyncSchedule::Wavefront { stream: stream()? },
         })
     }
 
@@ -248,19 +237,10 @@ impl ExecutionPlan {
         doacross_verify::verify_artifacts(&self.census.facts(), &self.sync_schedule()?)
     }
 
-    /// Approximate heap footprint in bytes (writer map + order + level
-    /// schedule), for cache sizing decisions.
+    /// Heap footprint in bytes — the claim stream's, the plan's only heap
+    /// artifact — for cache sizing decisions.
     pub fn memory_bytes(&self) -> usize {
-        let map = self
-            .prepared
-            .as_ref()
-            .map_or(0, |p| p.data_len() * std::mem::size_of::<i64>());
-        let order = self
-            .order
-            .as_ref()
-            .map_or(0, |o| o.len() * std::mem::size_of::<usize>());
-        let levels = self.levels.as_ref().map_or(0, |l| l.memory_bytes());
-        map + order + levels
+        self.stream.as_ref().map_or(0, ClaimStream::memory_bytes)
     }
 }
 

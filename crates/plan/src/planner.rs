@@ -41,8 +41,8 @@
 //!
 //! Sequential is priced with the paper's `T_seq` model and wins ties (it
 //! uses the fewest resources); the linear variant wins ties against the
-//! inspected one (it carries no writer map), and the flag-based variants
-//! win ties against the wavefront (its artifact is larger).
+//! streamed one (it carries no artifact at all), and the flag-based
+//! variants win ties against the wavefront (its artifact is larger).
 //!
 //! ## Stage 1: the floor
 //!
@@ -77,17 +77,19 @@
 //!
 //! **Stage 2** ([`Planner::price`], gate not taken) prices every candidate
 //! from the level array stage 1 holds — this is the one place candidates
-//! are priced. **Stage 3** captures the chosen variant's artifact only
-//! (writer map, claim order, or the wavefront's class stream).
+//! are priced. **Stage 3** captures the chosen variant's artifact only:
+//! the one [`ClaimStream`](doacross_core::ClaimStream) of a doacross,
+//! reordered or wavefront plan, laid out in that variant's claim order
+//! from what the census pass already holds — no inspector region runs and
+//! no writer map is kept. A loop too large for the stream's `u32` indices
+//! is planned like a non-injective one: none of the three is priced.
 
 use crate::census::{CensusPass, PlanCensus};
 use crate::fingerprint::PatternFingerprint;
 use crate::plan::{ExecutionPlan, PlanVariant, VariantCosts};
-use doacross_core::{
-    AccessPattern, DoacrossError, LevelSchedule, LinearSubscript, PreparedInspection,
-};
+use doacross_core::{AccessPattern, ClaimStream, DoacrossError, LinearSubscript};
 use doacross_doconsider::{invert_permutation, DependenceDag};
-use doacross_par::{Schedule, ThreadPool};
+use doacross_par::ThreadPool;
 use doacross_sim::CostModel;
 use std::time::Instant;
 
@@ -105,7 +107,6 @@ pub const BLOCKED_DATA_SPACE_FACTOR: usize = 8;
 #[derive(Debug, Clone)]
 pub struct Planner {
     costs: CostModel,
-    schedule: Schedule,
 }
 
 impl Default for Planner {
@@ -123,10 +124,7 @@ impl Planner {
     /// Planner with explicit cost constants (e.g. from
     /// `doacross_sim::calibrate` for host-accurate selection).
     pub fn with_costs(costs: CostModel) -> Self {
-        Self {
-            costs,
-            schedule: Schedule::multimax(),
-        }
+        Self { costs }
     }
 
     /// The cost constants selection runs on.
@@ -134,9 +132,8 @@ impl Planner {
         &self.costs
     }
 
-    /// Builds a plan for `pattern`, using `pool` both as the processor
-    /// count the cost model prices for and to parallelize the inspection
-    /// capture.
+    /// Builds a plan for `pattern`; `pool` supplies the processor count the
+    /// cost model prices for (planning itself dispatches nothing).
     ///
     /// Fails only on genuinely unexecutable patterns (out-of-bounds
     /// subscripts); loops the flat construct rejects (non-injective
@@ -172,44 +169,41 @@ impl Planner {
         let linear = detect_linear(pattern);
         let p = pool.threads();
 
-        let plan = if !pass.census.injective {
-            self.plan_non_injective(fingerprint, pass.census, linear, p, start)
+        let census = &pass.census;
+        let streamed =
+            ClaimStream::fits(census.iterations, census.total_terms, census.critical_path);
+        let plan = if !census.injective || !streamed {
+            self.plan_without_stream(fingerprint, pass.census, linear, p, start)
         } else {
             let Pricing {
                 variant,
                 costs,
                 sorted,
-            } = if gated(&self.costs, &pass.census, p) {
-                Pricing::sequential_only(&self.costs, &pass.census)
+            } = if gated(&self.costs, census, p) {
+                Pricing::sequential_only(&self.costs, census)
             } else {
                 self.price(pattern, &pass, linear, p)
             };
 
-            // Stage 3: capture only what the chosen variant consumes.
-            let prepared = match variant {
-                PlanVariant::Doacross | PlanVariant::Reordered => Some(
-                    PreparedInspection::inspect(pool, self.schedule, pattern, true)?,
-                ),
+            // Stage 3: capture only what the chosen variant consumes — its
+            // claim stream, in its claim order.
+            let (offsets, order) = sorted.unzip();
+            let stream = match variant {
+                PlanVariant::Doacross => Some((None, None)),
+                PlanVariant::Reordered => Some((order.as_deref(), None)),
+                PlanVariant::Wavefront => Some((order.as_deref(), offsets.as_deref())),
                 _ => None,
-            };
-            let (order, levels) = match (variant, sorted) {
-                (PlanVariant::Reordered, Some((_, order))) => (Some(order), None),
-                (PlanVariant::Wavefront, Some((offsets, order))) => {
-                    let (term_offsets, classes) = pass.operand_classes(pattern);
-                    let schedule =
-                        LevelSchedule::from_sorted(offsets, order, term_offsets, classes);
-                    (None, Some(schedule))
-                }
-                _ => (None, None),
-            };
+            }
+            .map(|(order, offsets)| {
+                pass.stream(pattern, order, offsets)
+                    .expect("a census that fits() has a stream")
+            });
             ExecutionPlan {
                 fingerprint,
                 processors: p,
                 variant,
                 census: pass.census,
-                prepared,
-                order,
-                levels,
+                stream,
                 linear,
                 costs,
                 build_time: start.elapsed(),
@@ -301,7 +295,7 @@ impl Planner {
 
         // Selection: cheapest wins; sequential wins ties (fewest
         // resources); among equal parallel candidates, linear beats
-        // inspected (no writer map), the natural order beats the
+        // streamed (no artifact at all), the natural order beats the
         // reordered one (no order array) unless reordering is a real
         // improvement, and the flag-based variants beat the wavefront (its
         // artifact is larger) unless level scheduling is a real
@@ -352,9 +346,11 @@ impl Planner {
         }
     }
 
-    /// Plans a loop the flat construct rejects: blocked if duplicate writes
-    /// are far enough apart to leave room for parallelism, else sequential.
-    fn plan_non_injective(
+    /// Plans a loop no stream-backed candidate can run — the flat construct
+    /// rejects its non-injective left-hand side, or it outgrows the stream's
+    /// `u32` indices: blocked if duplicate writes are far enough apart to
+    /// leave room for parallelism, else sequential.
+    fn plan_without_stream(
         &self,
         fingerprint: PatternFingerprint,
         census: PlanCensus,
@@ -383,9 +379,7 @@ impl Planner {
             processors: p,
             variant,
             census,
-            prepared: None,
-            order: None,
-            levels: None,
+            stream: None,
             linear,
             costs,
             build_time: start.elapsed(),
@@ -569,7 +563,7 @@ mod tests {
         let t = TestLoop::new(2_000, 1, 7);
         let plan = Planner::new().plan(&pool(), &t).unwrap();
         assert!(matches!(plan.variant(), PlanVariant::Linear(_)), "{plan}");
-        assert!(plan.prepared().is_none(), "linear variant needs no map");
+        assert!(plan.stream().is_none(), "linear variant needs no artifact");
         assert!(plan.census().is_doall());
     }
 
@@ -621,9 +615,13 @@ mod tests {
         let l = IndirectLoop::new(n, a, rhs, coeff).unwrap();
         let plan = Planner::new().plan(&pool(), &l).unwrap();
         assert_eq!(plan.variant(), PlanVariant::Reordered, "{plan}");
-        let order = plan.order().expect("reordered plan carries its order");
-        assert_eq!(order.len(), n);
-        assert!(plan.prepared().is_some());
+        let stream = plan.stream().expect("reordered plan carries its stream");
+        assert_eq!(stream.order().expect("with its claim order").len(), n);
+        assert!(
+            stream.level_offsets().is_none(),
+            "levels are the wavefront's"
+        );
+        assert_eq!(plan.memory_bytes(), 4 * (2 * n + 1) + (n - chains));
         assert!(
             plan.costs().reordered.unwrap() < plan.costs().doacross.unwrap(),
             "{:?}",
@@ -642,8 +640,9 @@ mod tests {
         let l = IndirectLoop::new(n, a, vec![vec![]; n], vec![vec![]; n]).unwrap();
         let plan = Planner::new().plan(&pool(), &l).unwrap();
         assert_eq!(plan.variant(), PlanVariant::Doacross, "{plan}");
-        assert!(plan.prepared().is_some());
-        assert_eq!(plan.prepared().unwrap().writer(n - 1), 0);
+        let stream = plan.stream().expect("doacross plan carries its stream");
+        assert!(stream.order().is_none(), "natural order is no order");
+        assert_eq!(stream.total_terms(), 0);
     }
 
     #[test]
@@ -654,12 +653,11 @@ mod tests {
         let l = crate::testgrid::deep_grid(64, 20, 3, 7);
         let plan = Planner::new().plan(&pool(), &l).unwrap();
         assert_eq!(plan.variant(), PlanVariant::Wavefront, "{plan}");
-        let schedule = plan.level_schedule().expect("wavefront carries levels");
+        let schedule = plan.stream().expect("wavefront carries its stream");
         assert_eq!(schedule.level_count(), 20);
         assert_eq!(schedule.level_count(), plan.census().critical_path);
         assert_eq!(schedule.max_width(), 64);
-        assert!(plan.prepared().is_none(), "no writer map at all");
-        assert!(plan.order().is_none());
+        assert!(schedule.order().is_some(), "claimed in level order");
         let costs = plan.costs();
         assert!(
             costs.wavefront.unwrap() < costs.doacross.unwrap(),
@@ -702,7 +700,7 @@ mod tests {
         let plan = Planner::new().plan(&pool(), &l).unwrap();
         assert_eq!(plan.variant(), PlanVariant::Sequential, "{plan}");
         assert!(plan.costs().wavefront.is_none(), "gated: never priced");
-        assert!(plan.level_schedule().is_none(), "artifact not captured");
+        assert!(plan.stream().is_none(), "artifact not captured");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`PlanExecutor`] owns one [`Doacross`] runtime — one scratch for every
 //! variant — and executes any [`ExecutionPlan`] against a loop: sequential,
-//! flat doacross against the plan's prebuilt writer map, linear-subscript,
-//! doconsider-reordered, strip-mined, or level-scheduled. It is the
+//! flat doacross (natural or doconsider-reordered claims) and
+//! level-scheduled off the plan's one claim stream, linear-subscript, or
+//! strip-mined. It is the
 //! execution half of the thread-safe `doacross_engine::Engine`, which
 //! keeps one executor per scheduler sub-pool so concurrent callers each
 //! run on private scratch. The flat variants report `inspector == 0`; a
@@ -16,12 +17,26 @@
 //! structure in-bounds, injective where required, and its order
 //! topological; the fingerprint key guarantees the structure has not
 //! changed) — the executor's release-mode bounds asserts remain as the
-//! final defense.
+//! final defense, and a loop whose reference counts differ from the
+//! stream's is a typed error before dispatch.
+//!
+//! ## Claim grain
+//!
+//! How many claim slots a worker takes per grab of the shared counter is
+//! derived here, per solve, from what the plan knows and the pool it runs
+//! on — [`claim_grain`]`(hint, pool.threads())` — stored nowhere and
+//! settable nowhere. The hint is how many consecutive slots are expected
+//! to be independent: the level-sorted order's average parallelism for
+//! `Reordered`, the minimum true-dependence distance for the natural order
+//! (so a distance-1 loop keeps the paper's one-iteration claims), each
+//! level's own width for the wavefront (taken inside
+//! [`Doacross::run_wavefront`]). It sizes the grabs of a dynamic base
+//! schedule; a static `config.schedule` is honoured as it is.
 
 use crate::plan::{ExecutionPlan, PlanVariant};
 use doacross_core::{
-    seq::run_sequential, Doacross, DoacrossConfig, DoacrossError, DoacrossLoop, PlanProvenance,
-    RunStats,
+    claim_grain, seq::run_sequential, Doacross, DoacrossConfig, DoacrossError, DoacrossLoop,
+    PlanProvenance, RunStats,
 };
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
 use doacross_par::ThreadPool;
@@ -98,7 +113,6 @@ impl PlanExecutor {
                 expected: data_len,
             });
         }
-        let rt = &mut self.runtime;
         let span_start = prof.map(|arena| arena.now_ns());
         let mut stats = match plan.variant() {
             PlanVariant::Sequential => {
@@ -106,23 +120,15 @@ impl PlanExecutor {
                 run_sequential(loop_, y);
                 RunStats::sequential(loop_.iterations(), start.elapsed())
             }
-            PlanVariant::Doacross => {
-                let prepared = plan.prepared().expect("doacross plan carries a map");
-                return rt.run_planned(pool, loop_, y, prepared, None, prof);
+            PlanVariant::Doacross | PlanVariant::Reordered | PlanVariant::Wavefront => {
+                return self.execute_stream(pool, loop_, y, plan, prof);
             }
-            PlanVariant::Reordered => {
-                let prepared = plan.prepared().expect("reordered plan carries a map");
-                let order = plan.order().expect("reordered plan carries an order");
-                return rt.run_planned(pool, loop_, y, prepared, Some(order), prof);
+            PlanVariant::Linear(subscript) => {
+                self.runtime.run_linear(pool, loop_, y, subscript, None)?
             }
-            PlanVariant::Wavefront => {
-                let schedule = plan
-                    .level_schedule()
-                    .expect("wavefront plan carries its level schedule");
-                return rt.run_wavefront(pool, loop_, y, schedule, None, prof);
+            PlanVariant::Blocked { block_size } => {
+                self.runtime.run_blocked(pool, loop_, y, block_size)?
             }
-            PlanVariant::Linear(subscript) => rt.run_linear(pool, loop_, y, subscript, None)?,
-            PlanVariant::Blocked { block_size } => rt.run_blocked(pool, loop_, y, block_size)?,
         };
         // The variants without span sites of their own (`Sequential`,
         // `Linear`, `Blocked`): one whole-run work span on worker 0, `aux` =
@@ -140,6 +146,37 @@ impl PlanExecutor {
             );
         }
         Ok(stats)
+    }
+
+    /// The three stream-backed variants, with the claim grain derived (see
+    /// the module docs). Out of line, so the sequential arm of
+    /// [`Self::execute`] — the default engine's whole solve path on a host
+    /// where no parallel variant pays — carries none of their code.
+    #[inline(never)]
+    fn execute_stream<L: DoacrossLoop + ?Sized>(
+        &mut self,
+        pool: &ThreadPool,
+        loop_: &L,
+        y: &mut [f64],
+        plan: &ExecutionPlan,
+        prof: Option<&ProfArena>,
+    ) -> Result<RunStats, DoacrossError> {
+        let stream = plan
+            .stream()
+            .expect("a stream-backed plan carries its stream");
+        let census = plan.census();
+        let hint = match plan.variant() {
+            PlanVariant::Wavefront => {
+                return self
+                    .runtime
+                    .run_wavefront(pool, loop_, y, stream, None, prof);
+            }
+            PlanVariant::Reordered => census.average_parallelism as usize,
+            _ => census.min_true_distance.unwrap_or(census.iterations),
+        };
+        let grain = claim_grain(hint, pool.threads());
+        self.runtime
+            .run_planned(pool, loop_, y, stream, grain, prof)
     }
 }
 

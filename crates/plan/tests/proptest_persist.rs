@@ -7,12 +7,70 @@
 
 use doacross_core::{seq::run_sequential, DoacrossConfig, IndirectLoop};
 use doacross_par::ThreadPool;
-use doacross_plan::persist::{decode_plan, encode_plan};
+use doacross_plan::persist::{decode_plan, encode_plan, FORMAT_VERSION, MAGIC};
 use doacross_plan::{
-    PatternFingerprint, PersistError, PlanCache, PlanExecutor, PlanStore, Planner,
+    PatternFingerprint, PersistError, PlanCache, PlanExecutor, PlanStore, PlanVariant, Planner,
 };
+use doacross_sim::CostModel;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// An arbitrary *injective* loop (lhs a shuffled prefix of the data space)
+/// — the patterns the three stream-backed variants are legal for.
+fn arb_injective(max_n: usize) -> impl Strategy<Value = IndirectLoop> {
+    (2..=max_n)
+        .prop_flat_map(move |n| {
+            let data_len = 2 * n + 1;
+            let lhs = Just((0..data_len).collect::<Vec<usize>>())
+                .prop_shuffle()
+                .prop_map(move |perm| perm[..n].to_vec());
+            let rhs =
+                proptest::collection::vec(proptest::collection::vec(0..data_len, 0..4), n..=n);
+            (lhs, rhs, Just(data_len))
+        })
+        .prop_map(|(lhs, rhs, data_len)| {
+            let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.375; r.len()]).collect();
+            IndirectLoop::new(data_len, lhs, rhs, coeff).expect("valid")
+        })
+}
+
+/// Prices that pin a parallel family the way `benchmark/` does: sequential
+/// costs a fortune, and either the flag polls or the level hand-offs do
+/// too.
+fn pinned(flags: bool) -> Planner {
+    let (wait_poll, barrier) = if flags { (0.0, 1e9) } else { (1e6, 0.0) };
+    Planner::with_costs(CostModel {
+        seq_iter: 1e6,
+        seq_term: 1e6,
+        wait_poll,
+        barrier,
+        ..CostModel::multimax()
+    })
+}
+
+/// A store written by the parent's format (v3: writer-map, claim-order and
+/// level-schedule sections) is not parsed, patched or migrated: it fails
+/// with the typed version error before the checksum is even looked at, and
+/// every warm-start path treats that as a cold start.
+#[test]
+fn a_format_version_3_blob_cold_starts_typed() {
+    assert_eq!(FORMAT_VERSION, 4);
+    let pool = ThreadPool::new(2);
+    let grid = doacross_plan::testgrid::deep_grid(24, 8, 3, 5);
+    let mut cache = PlanCache::new(2);
+    cache.insert(Arc::new(
+        Planner::new().plan(&pool, &grid).expect("in-bounds"),
+    ));
+    let mut bytes = cache.snapshot().to_bytes();
+    bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+    assert!(matches!(
+        PlanStore::from_bytes(&bytes),
+        Err(PersistError::UnsupportedVersion {
+            found: 3,
+            supported: 4,
+        })
+    ));
+}
 
 /// An arbitrary valid loop — injective or not, so every planner fallback
 /// (sequential, linear, doacross, reordered, blocked) is reachable.
@@ -80,6 +138,32 @@ proptest! {
     }
 
     #[test]
+    fn stream_backed_plans_round_trip_equal_and_verify(loop_ in arb_injective(40), flags in 0..2usize) {
+        // Pinned by price to a flag variant or to the wavefront, every
+        // plan that carries a claim stream decodes to an *equal* stream
+        // (order, ends, classes, levels, counts), passes the pattern-free
+        // artifact check, and still proves sound against the live pattern.
+        let pool = ThreadPool::new(3);
+        let plan = pinned(flags == 1).plan(&pool, &loop_).expect("in-bounds");
+        // (A dependence-free draw has no wavefront candidate, and a tiny one
+        // may have a linear lhs: those go to a flag variant either way.)
+        prop_assert!(
+            plan.census().true_deps == 0
+                || (plan.variant() == PlanVariant::Wavefront) == (flags == 0),
+            "{} under flags={}", plan.variant(), flags
+        );
+        prop_assert!(
+            plan.stream().is_some() || matches!(plan.variant(), PlanVariant::Linear(_)),
+            "{}", plan.variant()
+        );
+        let decoded = decode_plan(&encode_plan(&plan)).expect("own encoding decodes");
+        prop_assert_eq!(decoded.stream(), plan.stream());
+        prop_assert_eq!(decoded.memory_bytes(), plan.memory_bytes());
+        prop_assert!(decoded.verify_artifacts().is_ok());
+        prop_assert!(decoded.verify_against(&loop_).is_ok());
+    }
+
+    #[test]
     fn decoded_plans_execute_like_the_original((loop_, y0) in arb_loop(32)) {
         let pool = ThreadPool::new(3);
         let plan = Planner::new().plan(&pool, &loop_).expect("in-bounds");
@@ -97,8 +181,8 @@ proptest! {
     #[test]
     fn wavefront_records_round_trip_and_execute((loop_, y0) in arb_deep_grid()) {
         // Deep grids make the planner select the wavefront on its own; the
-        // v2 record (level offsets, order, term offsets, operand classes)
-        // must round-trip bit-exactly and the decoded plan must execute
+        // record's stream section (order, ends, level offsets, operand
+        // classes) must round-trip bit-exactly and the decoded plan must execute
         // bit-identically to the oracle with zero wait polls.
         let pool = ThreadPool::new(4);
         let plan = Planner::new().plan(&pool, &loop_).expect("in-bounds");
@@ -110,7 +194,7 @@ proptest! {
         let bytes = encode_plan(&plan);
         let decoded = decode_plan(&bytes).expect("own encoding decodes");
         prop_assert_eq!(encode_plan(&decoded), bytes, "bit-exact round trip");
-        prop_assert_eq!(decoded.level_schedule(), plan.level_schedule());
+        prop_assert_eq!(decoded.stream(), plan.stream());
 
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);

@@ -88,3 +88,48 @@ fn table1_structures_stay_sequential_on_a_host_like_model_and_go_wavefront_on_th
     }
     assert_eq!(wavefronts, 4);
 }
+
+/// The bytes a plan holds are pinned, because `benchmark/` gates them
+/// (`plan_kb`, bound 0.10): the struct itself — what every sequential plan
+/// costs, five to ten of them being the whole of `plan_kb` on four of the
+/// five workloads — and the one heap artifact of a stream-backed plan,
+/// `u32` indices in claim order plus one class byte per reference.
+#[test]
+fn plan_bytes_are_the_struct_plus_the_stream_formula() {
+    assert!(
+        std::mem::size_of::<ExecutionPlan>() <= 512,
+        "ExecutionPlan grew to {} B",
+        std::mem::size_of::<ExecutionPlan>()
+    );
+
+    // Flag plans pinned the way `benchmark/`'s `table1-par` pins them.
+    let flag_prices = CostModel {
+        seq_iter: 1e6,
+        seq_term: 1e6,
+        wait_poll: 0.0,
+        barrier: 1e9,
+        ..CostModel::multimax()
+    };
+    let pool = ThreadPool::new(2);
+    for (kind, pattern) in table1_patterns() {
+        let n = pattern.lhs_array().len();
+        let ends = 4 * (n + 1); // one `u32` per claim, plus the sentinel
+        let preset = planned(CostModel::multimax(), &pool, &pattern);
+        let nnz = preset.census().total_terms as usize;
+        let levels = preset.census().critical_path;
+        let expected = match preset.variant() {
+            PlanVariant::Wavefront => 4 * n + ends + nnz + 4 * (levels + 1),
+            _ => 0, // sequential: no artifact
+        };
+        assert_eq!(preset.memory_bytes(), expected, "{} preset", kind.name());
+
+        let flags = planned(flag_prices, &pool, &pattern);
+        assert_eq!(flags.variant(), PlanVariant::Reordered, "{}", kind.name());
+        assert_eq!(
+            flags.memory_bytes(),
+            4 * n + ends + nnz,
+            "{} reordered",
+            kind.name()
+        );
+    }
+}

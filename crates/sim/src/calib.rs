@@ -21,7 +21,7 @@
 
 use crate::cost::CostModel;
 use doacross_core::{
-    seq::run_sequential, Doacross, IndirectLoop, LevelSchedule, OperandClass, TestLoop,
+    seq::run_sequential, ClaimStream, Doacross, IndirectLoop, OperandClass, TestLoop,
 };
 use doacross_par::ThreadPool;
 use std::sync::OnceLock;
@@ -135,7 +135,9 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
         let levels: Vec<usize> = (1..=LEVELS).collect();
         let mut classes = vec![OperandClass::NewValue as u8; LEVELS];
         classes[0] = OperandClass::OldValue as u8;
-        let schedule = LevelSchedule::from_levels(&levels, LEVELS, (0..=LEVELS).collect(), classes);
+        let term_offsets: Vec<usize> = (0..=LEVELS).collect();
+        let schedule = ClaimStream::from_levels(&levels, LEVELS, &term_offsets, classes)
+            .expect("a chain's stream");
         let y0 = vec![1.0; LEVELS + 1];
         let body = best_of(reps, || {
             let mut y = y0.clone();

@@ -11,7 +11,7 @@
 
 use crate::cost::CostModel;
 use crate::result::SimResult;
-use doacross_core::{AccessPattern, MAXINT};
+use doacross_core::{claim_grain, AccessPattern, MAXINT};
 
 /// Knobs of a simulated run.
 #[derive(Debug, Clone, Copy)]
@@ -197,11 +197,17 @@ impl Machine {
     /// `level_sizes[l]` is the number of iterations in wavefront `l`; terms
     /// are charged per iteration exactly as in the doacross executor, minus
     /// the check cost (no `iter` lookups are needed once levels are known).
+    /// `chunk` is the claim-slot count per counter grab, as
+    /// `Doacross::run_wavefront` takes it: `Some(1)` is the paper's
+    /// one-iteration policy, `None` derives it from each level's width
+    /// ([`claim_grain`]). One grab is charged per chunk, and a level cannot
+    /// finish faster than its costliest chunk.
     pub fn simulate_level_scheduled<P: AccessPattern + ?Sized>(
         &self,
         pattern: &P,
         order: &[usize],
         level_sizes: &[usize],
+        chunk: Option<usize>,
     ) -> SimResult {
         let n = pattern.iterations();
         assert_eq!(order.len(), n, "order must cover all iterations");
@@ -216,19 +222,24 @@ impl Machine {
         let mut cursor = 0usize;
         for &width in level_sizes {
             // Work in this wavefront, ideally balanced over p processors;
-            // a level cannot finish faster than its largest single row.
+            // a level cannot finish faster than its largest single chunk.
+            let chunk = chunk
+                .unwrap_or_else(|| claim_grain(width, self.processors))
+                .max(1);
             let mut work = 0.0f64;
-            let mut max_row = 0.0f64;
-            for &i in &order[cursor..cursor + width] {
-                let row = c.schedule_grab
-                    + c.iteration_setup
-                    + pattern.terms(i) as f64 * c.term
-                    + c.publish;
-                work += row;
-                max_row = max_row.max(row);
+            let mut max_chunk = 0.0f64;
+            for claimed in order[cursor..cursor + width].chunks(chunk) {
+                // Summed left to right, so a one-iteration chunk costs what
+                // a row always has, to the last bit.
+                let mut cost = c.schedule_grab;
+                for &i in claimed {
+                    cost = cost + c.iteration_setup + pattern.terms(i) as f64 * c.term + c.publish;
+                }
+                work += cost;
+                max_chunk = max_chunk.max(cost);
             }
             cursor += width;
-            t_total += c.region_dispatch + (work / p).max(max_row);
+            t_total += c.region_dispatch + (work / p).max(max_chunk);
         }
         let t_seq = self.sequential_time(pattern);
         let efficiency = if t_total > 0.0 {
@@ -435,7 +446,7 @@ mod tests {
         let l = IndirectLoop::new(n, a, rhs, vec![vec![]; n]).unwrap();
         let machine = Machine::multimax();
         let order: Vec<usize> = (0..n).collect();
-        let r = machine.simulate_level_scheduled(&l, &order, &[n]);
+        let r = machine.simulate_level_scheduled(&l, &order, &[n], Some(1));
         let c = &machine.costs;
         let per_iter = c.schedule_grab + c.iteration_setup + c.publish;
         let expect = c.region_dispatch + n as f64 * per_iter / 16.0;
@@ -454,7 +465,7 @@ mod tests {
         let machine = Machine::multimax();
         let order: Vec<usize> = (0..n).collect();
         let levels = vec![1usize; n];
-        let lvl = machine.simulate_level_scheduled(&l, &order, &levels);
+        let lvl = machine.simulate_level_scheduled(&l, &order, &levels, Some(1));
         let doacross = machine.simulate_doacross(&l, None, SimOptions::default());
         assert!(
             lvl.t_par > doacross.t_par,
@@ -471,6 +482,6 @@ mod tests {
         let l =
             IndirectLoop::new(2, vec![0, 1], vec![vec![], vec![]], vec![vec![], vec![]]).unwrap();
         let machine = Machine::new(2);
-        let _ = machine.simulate_level_scheduled(&l, &[0, 1], &[1]);
+        let _ = machine.simulate_level_scheduled(&l, &[0, 1], &[1], Some(1));
     }
 }

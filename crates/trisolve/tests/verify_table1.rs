@@ -4,7 +4,7 @@
 //! implies — full translation validation through `Engine::verify_plan`,
 //! plus a direct pass over all legal variants of one structure.
 
-use doacross_core::AccessPattern;
+use doacross_core::{AccessPattern, ClaimStream};
 use doacross_engine::Engine;
 use doacross_plan::{PlanVariant, Planner, SyncSchedule};
 use doacross_sparse::{table1_problems, ProblemKind};
@@ -69,11 +69,24 @@ fn first_table1_structure_sound_under_all_legal_schedules() {
     let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
     let n = loop_.iterations();
 
-    let writers =
-        doacross_core::PreparedInspection::from_writer_map(n, &(0..n as i64).collect::<Vec<_>>())
-            .expect("identity subscript map");
-    doacross_verify::verify_pattern(&loop_, &SyncSchedule::FlagsNatural { writers: &writers })
-        .expect("flat doacross covers a lower-triangular solve");
+    // A row of L reads strictly earlier unknowns: every reference is a
+    // true dependency, in any claim order.
+    let mut term_offsets = vec![0usize];
+    for i in 0..n {
+        term_offsets.push(term_offsets[i] + loop_.terms(i));
+    }
+    let all_new = vec![0u8; term_offsets[n]];
+    let stream = |order: Option<&[usize]>| {
+        ClaimStream::from_iteration_order(order, None, &term_offsets, all_new.clone())
+            .expect("a consistent stream")
+    };
+    doacross_verify::verify_pattern(
+        &loop_,
+        &SyncSchedule::FlagsNatural {
+            stream: &stream(None),
+        },
+    )
+    .expect("flat doacross covers a lower-triangular solve");
     doacross_verify::verify_pattern(
         &loop_,
         &SyncSchedule::FlagsLinear {
@@ -85,8 +98,7 @@ fn first_table1_structure_sound_under_all_legal_schedules() {
     doacross_verify::verify_pattern(
         &loop_,
         &SyncSchedule::FlagsOrdered {
-            writers: &writers,
-            order: &natural,
+            stream: &stream(Some(&natural)),
         },
     )
     .expect("natural order is topological for a triangular system");

@@ -17,22 +17,26 @@
 //! ## Dependence-coverage rules per variant
 //!
 //! The executor resolves each right-hand-side reference `y[e]` in
-//! iteration `i` by comparing the schedule's claimed writer `w(e)` against
-//! `i` (paper Figure 5): `w < i` → wait on `ready[e]`, read the new value;
-//! `w == i` → read the iteration's own accumulator; `w > i` or unwritten →
-//! read the old value. Flags are indexed by *element*, so a schedule is
-//! sound exactly when every reference's claimed three-way outcome matches
-//! the outcome the true last-writer map implies, plus each variant's
-//! ordering obligation:
+//! iteration `i` three ways (paper Figure 5): *new value* → check
+//! `ready[e]`, wait if it is down, read the shadow array; *accumulator* →
+//! read the iteration's own partial result; *old value* → read `y[e]`. The
+//! three stream-backed variants (`FlagsNatural`, `FlagsOrdered`,
+//! `Wavefront`) act on the class byte the plan's one `ClaimStream` holds
+//! for that reference — slot `k = pos[i]`, term `j` — and the linear
+//! variant on the comparison `w(e) − i` its arithmetic oracle yields.
+//! Flags are indexed by *element*, so a schedule is sound exactly when
+//! every reference's claimed class matches the class the true last-writer
+//! map implies (`w < i` new, `w == i` accumulator, `w > i` or unwritten
+//! old), plus each variant's ordering obligation:
 //!
-//! | Variant (`SyncSchedule`) | Flow (true) deps | Anti deps | Output deps | Ordering obligation |
-//! |---|---|---|---|---|
-//! | `Sequential` | program order | program order | program order | — |
-//! | `FlagsNatural` (doacross) | per-element flag: claimed class must be *new value* | claimed class must be *old value* | inexpressible — lhs must be injective | natural claim order covers `w < i` by construction |
-//! | `FlagsLinear` (linear) | as doacross, writer derived from `a(i) = c·i + d` | as doacross | lhs injective (`c ≥ 1` ⇒ automatic) | `lhs(i) ≡ c·i + d` must hold exactly |
-//! | `FlagsOrdered` (reordered) | as doacross | as doacross | lhs must be injective | claim order must be a permutation *and* topological: `pos[w] < pos[i]` for every flow edge, else livelock |
-//! | `Blocked` | cross-block: sequential block order + copy-back; in-block: the per-block inspector re-derives them | same | tolerated *across* blocks only — two writes must never share a block | `block_size ≥ 1` |
-//! | `Wavefront` | level barrier: `level(w) < level(i)` strictly, and the stored operand class must be *new value* | class must be *old value* | inexpressible — lhs must be injective | per-iteration class stream must match the pattern's reference count |
+//! | Variant (`SyncSchedule`) | Claimed class comes from | Flow (true) deps | Anti deps | Output deps | Ordering obligation |
+//! |---|---|---|---|---|---|
+//! | `Sequential` | — (program order) | program order | program order | program order | — |
+//! | `FlagsNatural` (doacross) | stream byte `(i, j)`; the stream carries no order | per-element flag: byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | natural claim order covers `w < i` by construction; each row as long as the pattern's |
+//! | `FlagsLinear` (linear) | `a(i) = c·i + d`, arithmetically | as doacross | as doacross | lhs injective (`c ≥ 1` ⇒ automatic) | `lhs(i) ≡ c·i + d` must hold exactly |
+//! | `FlagsOrdered` (reordered) | stream byte `(pos[i], j)` | as doacross | as doacross | lhs must be injective | the stream's order must be a permutation *and* topological: `pos[w] < pos[i]` for every flow edge, else livelock — at any claim grain, since a worker walks its chunk in slot order |
+//! | `Blocked` | the per-block inspector, at run time | cross-block: sequential block order + copy-back; in-block: re-derived per block | same | tolerated *across* blocks only — two writes must never share a block | `block_size ≥ 1` |
+//! | `Wavefront` | stream byte `(pos[i], j)` | completion count: `level(w) < level(i)` strictly, and the byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | the stream carries level offsets; each row as long as the pattern's |
 //!
 //! A reference to an element no iteration writes must be classified *old
 //! value* everywhere; claiming it *new* is a [`SoundnessViolation::PhantomWait`]
@@ -45,9 +49,10 @@
 //!   (a trial plan must verify before it is swapped in), and
 //!   `Engine::verify_plan()`.
 //! * [`verify_artifacts`] — the pattern-free check persisted-plan loading
-//!   runs: writer-map bijectivity, claim-order permutation, block size vs
-//!   the census's minimum duplicate-write gap, wavefront class counts vs
-//!   the census — everything provable from the artifacts alone.
+//!   runs: the stream's shape for its variant (order / no order / level
+//!   offsets), claim-order permutation, reference total and per-class
+//!   counts vs the census, block size vs the census's minimum
+//!   duplicate-write gap — everything provable from the artifacts alone.
 //!
 //! The crate deliberately depends only on `doacross-core`:
 //! `doacross-plan` sits *above* it and projects `ExecutionPlan` into

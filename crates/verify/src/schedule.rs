@@ -4,12 +4,13 @@
 //! plan layer calls into it from plan build, persistence load, and
 //! adaptive promotion), so it cannot name `ExecutionPlan` or
 //! `PlanVariant`. Instead it verifies a [`SyncSchedule`] — the
-//! synchronization-relevant artifacts of each variant, all of which are
+//! synchronization-relevant artifact of each variant (for the three
+//! stream-backed ones, the plan's one [`ClaimStream`]), all of which are
 //! `doacross-core` types. `doacross-plan` provides the lossless
 //! `ExecutionPlan → SyncSchedule` projection on its side (the same
 //! arrangement `doacross-obs` uses for its event vocabulary).
 
-use doacross_core::{LevelSchedule, LinearSubscript, PreparedInspection};
+use doacross_core::{ClaimStream, LinearSubscript};
 
 /// The synchronization schedule of one executor variant, borrowed from a
 /// plan's artifacts.
@@ -19,11 +20,11 @@ pub enum SyncSchedule<'a> {
     /// order.
     Sequential,
     /// The flat preprocessed doacross: per-element ready flags, natural
-    /// (increasing) claim order, writer queries answered by the prebuilt
-    /// inspector map.
+    /// (increasing) claim order, every operand class read from the plan's
+    /// stream (which must carry no claim order).
     FlagsNatural {
-        /// The prebuilt writer map (`iter(a(i)) = i`).
-        writers: &'a PreparedInspection,
+        /// The prebuilt claim stream (classes in iteration order).
+        stream: &'a ClaimStream,
     },
     /// §2.3's linear-subscript doacross: per-element ready flags, natural
     /// claim order, writer queries answered arithmetically from
@@ -33,13 +34,13 @@ pub enum SyncSchedule<'a> {
         subscript: LinearSubscript,
     },
     /// The flat doacross claiming iterations in a doconsider order: the
-    /// flags are the same, but progress additionally requires the order to
-    /// be topological over the flow dependences.
+    /// flags and the class rule are the same, but progress additionally
+    /// requires the stream's claim order to be topological over the flow
+    /// dependences.
     FlagsOrdered {
-        /// The prebuilt writer map.
-        writers: &'a PreparedInspection,
-        /// The claim order (must be a permutation of the iteration space).
-        order: &'a [usize],
+        /// The prebuilt claim stream (its order a permutation of the
+        /// iteration space, its classes laid out in that order).
+        stream: &'a ClaimStream,
     },
     /// §2.3's strip-mined doacross: blocks of `block_size` contiguous
     /// iterations run as flat doacrosses with a per-block inspector;
@@ -49,17 +50,28 @@ pub enum SyncSchedule<'a> {
         /// Iterations per `L_outer` step.
         block_size: usize,
     },
-    /// Level-scheduled wavefront: each level is a barrier-separated doall;
-    /// flow dependences are covered iff the writer's level is strictly
-    /// earlier, and every reference's operand class routes it to the right
-    /// array (shadow / old / accumulator).
+    /// Level-scheduled wavefront: each level is a doall behind the previous
+    /// level's completion count; flow dependences are covered iff the
+    /// writer's level is strictly earlier, and every reference's operand
+    /// class routes it to the right array (shadow / old / accumulator).
     Wavefront {
-        /// The prebuilt level schedule (CSR levels + operand classes).
-        schedule: &'a LevelSchedule,
+        /// The prebuilt claim stream with its CSR level offsets.
+        stream: &'a ClaimStream,
     },
 }
 
-impl SyncSchedule<'_> {
+impl<'a> SyncSchedule<'a> {
+    /// The claim stream the schedule's executor reads its operand classes
+    /// from — `None` for the variants that re-derive them at run time.
+    pub fn stream(&self) -> Option<&'a ClaimStream> {
+        match *self {
+            SyncSchedule::FlagsNatural { stream }
+            | SyncSchedule::FlagsOrdered { stream }
+            | SyncSchedule::Wavefront { stream } => Some(stream),
+            _ => None,
+        }
+    }
+
     /// Short lowercase name of the schedule's variant family (matches the
     /// planner's `PlanVariant` display names).
     pub fn variant_name(&self) -> &'static str {

@@ -3,17 +3,18 @@
 //!
 //! [`verify_pattern`] is the full check (pattern in hand): it re-derives
 //! the last-writer map and walks every right-hand-side reference,
-//! comparing the dependence class the executor *will* act on (from the
-//! schedule's oracle, claim order, or level/class artifacts) against the
-//! class the index arrays *imply* — reporting the first uncovered edge.
-//! [`verify_artifacts`] is the pattern-free check persistence runs at load
-//! time: everything provable from the schedule artifacts and the census
-//! alone (injectivity prerequisites, writer-map bijectivity, block size vs
-//! duplicate-write gap, class counts).
+//! comparing the dependence class the executor *will* act on (the byte the
+//! plan's claim stream holds for that reference, or the linear oracle's
+//! arithmetic) against the class the index arrays *imply* — reporting the
+//! first uncovered edge — and then the ordering obligation of the variant
+//! (claim positions, levels). [`verify_artifacts`] is the pattern-free
+//! check persistence runs at load time: everything provable from the
+//! schedule artifacts and the census alone (injectivity prerequisites, the
+//! stream's shape and class counts, block size vs duplicate-write gap).
 
 use crate::schedule::{CensusFacts, SyncSchedule};
 use crate::violation::{DependenceEdge, SoundnessReport, SoundnessViolation};
-use doacross_core::{AccessPattern, LinearWriter, OperandClass, WriterOracle, MAXINT};
+use doacross_core::{AccessPattern, ClaimStream, LinearWriter, OperandClass, WriterOracle, MAXINT};
 
 /// How the executor will treat one right-hand-side reference — the
 /// behavioral collapse of the writer comparison: `w < i` waits and reads
@@ -82,6 +83,69 @@ fn class_violation(
     }
 }
 
+/// The shape a stream-backed schedule's artifact must have before any of
+/// it is read: built for `iterations` iterations, and carrying exactly the
+/// optional parts its variant executes with — no claim order under natural
+/// flags, one under ordered flags, level offsets under the wavefront.
+fn stream_shape(
+    schedule: &SyncSchedule<'_>,
+    stream: &ClaimStream,
+    iterations: usize,
+) -> Result<(), SoundnessViolation> {
+    if stream.iterations() != iterations {
+        return Err(SoundnessViolation::ShapeMismatch {
+            what: "claim stream iterations",
+            expected: iterations,
+            got: stream.iterations(),
+        });
+    }
+    let order_len = stream.order().map(<[u32]>::len);
+    match schedule {
+        SyncSchedule::FlagsNatural { .. } if order_len.is_some() => {
+            Err(SoundnessViolation::ShapeMismatch {
+                what: "claim order of a natural-order stream",
+                expected: 0,
+                got: iterations,
+            })
+        }
+        SyncSchedule::FlagsOrdered { .. } if order_len != Some(iterations) => {
+            Err(SoundnessViolation::ShapeMismatch {
+                what: "claim order length",
+                expected: iterations,
+                got: order_len.unwrap_or(0),
+            })
+        }
+        SyncSchedule::Wavefront { .. } if stream.level_offsets().is_none() => {
+            Err(SoundnessViolation::ArtifactMismatch {
+                what: "level offsets of a wavefront stream",
+                expected: 1,
+                got: 0,
+            })
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `positions[i]` = the claim slot that executes iteration `i`, re-derived
+/// from the stream's order (the identity in natural order) — and with it
+/// the proof that the order is a permutation, taken here rather than on
+/// the constructor's word.
+fn claim_positions(stream: &ClaimStream) -> Result<Vec<usize>, SoundnessViolation> {
+    let n = stream.iterations();
+    let Some(order) = stream.order() else {
+        return Ok((0..n).collect());
+    };
+    let mut positions = vec![usize::MAX; n];
+    for (k, &i) in order.iter().enumerate() {
+        let i = i as usize;
+        if i >= n || positions[i] != usize::MAX {
+            return Err(SoundnessViolation::OrderNotPermutation { entry: i });
+        }
+        positions[i] = k;
+    }
+    Ok(positions)
+}
+
 /// Statically proves that `schedule` covers every flow, anti, and output
 /// dependence `pattern`'s index arrays imply, or reports the first
 /// uncovered dependence edge. See the crate docs for the coverage rule of
@@ -101,41 +165,16 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
         ..Default::default()
     };
 
-    // Per-variant shape prerequisites, before any O(n) work.
+    // Per-variant shape prerequisites, before any O(n) work; for the
+    // stream-backed variants also the slot each iteration is claimed at.
     let mut positions: Vec<usize> = Vec::new();
     match schedule {
         SyncSchedule::Sequential => {}
-        SyncSchedule::FlagsNatural { writers } | SyncSchedule::FlagsOrdered { writers, .. } => {
-            if writers.iterations() != n {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "writer map iterations",
-                    expected: n,
-                    got: writers.iterations(),
-                });
-            }
-            if writers.data_len() != data_len {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "writer map data space",
-                    expected: data_len,
-                    got: writers.data_len(),
-                });
-            }
-            if let SyncSchedule::FlagsOrdered { order, .. } = schedule {
-                if order.len() != n {
-                    return Err(SoundnessViolation::ShapeMismatch {
-                        what: "claim order length",
-                        expected: n,
-                        got: order.len(),
-                    });
-                }
-                positions = vec![usize::MAX; n];
-                for (k, &i) in order.iter().enumerate() {
-                    if i >= n || positions[i] != usize::MAX {
-                        return Err(SoundnessViolation::OrderNotPermutation { entry: i });
-                    }
-                    positions[i] = k;
-                }
-            }
+        SyncSchedule::FlagsNatural { stream }
+        | SyncSchedule::FlagsOrdered { stream }
+        | SyncSchedule::Wavefront { stream } => {
+            stream_shape(schedule, stream, n)?;
+            positions = claim_positions(stream)?;
         }
         SyncSchedule::FlagsLinear { subscript } => {
             if subscript.c == 0 {
@@ -152,15 +191,6 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
                     what: "block size",
                     expected: 1,
                     got: 0,
-                });
-            }
-        }
-        SyncSchedule::Wavefront { schedule } => {
-            if schedule.iterations() != n {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "level schedule iterations",
-                    expected: n,
-                    got: schedule.iterations(),
                 });
             }
         }
@@ -216,14 +246,14 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
         truth[a] = i as i64;
     }
 
-    // Wavefront artifacts: the per-iteration level (1-based, from the CSR
-    // buckets) and the class stream, both needed in the reference walk.
+    // Wavefront artifact: the per-iteration level (1-based, from the CSR
+    // buckets over the claim slots), needed in the reference walk.
     let mut levels: Vec<usize> = Vec::new();
-    if let SyncSchedule::Wavefront { schedule } = schedule {
+    if let SyncSchedule::Wavefront { stream } = schedule {
         levels = vec![0usize; n];
-        for l in 0..schedule.level_count() {
-            for &i in schedule.level_iterations(l) {
-                levels[i] = l + 1;
+        for l in 0..stream.level_count() {
+            for k in stream.level_slots(l) {
+                levels[stream.order().map_or(k, |order| order[k] as usize)] = l + 1;
             }
         }
     }
@@ -241,17 +271,24 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
     // covers the dependence it implies.
     for i in 0..n {
         let terms = pattern.terms(i);
-        if let SyncSchedule::Wavefront { schedule } = schedule {
-            let to = schedule.term_offsets();
-            let declared = to[i + 1] - to[i];
-            if declared != terms {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "iteration reference count",
-                    expected: terms,
-                    got: declared,
-                });
+        // The stream's row for this iteration sits at the slot that claims
+        // it; a row of another length would be read out of step.
+        let row = match schedule.stream() {
+            Some(stream) => {
+                let ends = stream.ends();
+                let row = ends[positions[i]] as usize..ends[positions[i] + 1] as usize;
+                if row.len() != terms {
+                    return Err(SoundnessViolation::ShapeMismatch {
+                        what: "iteration reference count",
+                        expected: terms,
+                        got: row.len(),
+                    });
+                }
+                &stream.classes()[row]
             }
-        }
+            None => &[],
+        };
+        #[allow(clippy::needless_range_loop)] // `j` is the pattern's term index first
         for j in 0..terms {
             let e = pattern.term_element(i, j);
             if e >= data_len {
@@ -277,8 +314,6 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
                 // arrays at run time; there is no prebuilt class to
                 // disagree with.
                 SyncSchedule::Sequential | SyncSchedule::Blocked { .. } => continue,
-                SyncSchedule::FlagsNatural { writers }
-                | SyncSchedule::FlagsOrdered { writers, .. } => classify(writers.writer(e), i),
                 SyncSchedule::FlagsLinear { .. } => {
                     // The subscript was proven to match `lhs` above, so the
                     // arithmetic oracle necessarily agrees with the truth
@@ -287,8 +322,12 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
                     let oracle = linear_oracle.as_ref().expect("constructed for this arm");
                     classify(oracle.writer(e), i)
                 }
-                SyncSchedule::Wavefront { schedule } => {
-                    let byte = schedule.classes()[schedule.term_offsets()[i] + j];
+                // The three stream-backed variants share one rule: the
+                // executor acts on the byte the stream holds for (k, j).
+                SyncSchedule::FlagsNatural { .. }
+                | SyncSchedule::FlagsOrdered { .. }
+                | SyncSchedule::Wavefront { .. } => {
+                    let byte = row[j];
                     match OperandClass::from_u8(byte) {
                         Some(OperandClass::NewValue) => RefClass::New,
                         Some(OperandClass::OldValue) => RefClass::Old,
@@ -380,63 +419,37 @@ pub fn verify_artifacts(
     }
     match schedule {
         SyncSchedule::Sequential => {}
-        SyncSchedule::FlagsNatural { writers } | SyncSchedule::FlagsOrdered { writers, .. } => {
-            if writers.iterations() != facts.iterations {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "writer map iterations",
-                    expected: facts.iterations,
-                    got: writers.iterations(),
-                });
-            }
-            if writers.data_len() != facts.data_len {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "writer map data space",
-                    expected: facts.data_len,
-                    got: writers.data_len(),
-                });
-            }
-            // An injective pattern's writer map is a bijection between
-            // iterations and written elements: exactly `iterations`
-            // entries, no iteration appearing twice.
-            let mut seen = vec![false; facts.iterations];
-            let mut written = 0usize;
-            for e in 0..facts.data_len {
-                let w = writers.writer(e);
-                if w == MAXINT {
-                    continue;
-                }
-                written += 1;
-                if w < 0
-                    || w as usize >= facts.iterations
-                    || std::mem::replace(&mut seen[w as usize], true)
-                {
-                    return Err(SoundnessViolation::ArtifactMismatch {
-                        what: "writer map bijectivity",
-                        expected: facts.iterations as u64,
-                        got: w.max(0) as u64,
-                    });
-                }
-            }
-            if written != facts.iterations {
+        // One rule for the three stream-backed variants: the stream was
+        // built for this census — its shape, its reference total, and how
+        // many references it routes to each source.
+        SyncSchedule::FlagsNatural { stream }
+        | SyncSchedule::FlagsOrdered { stream }
+        | SyncSchedule::Wavefront { stream } => {
+            stream_shape(schedule, stream, facts.iterations)?;
+            claim_positions(stream)?;
+            if stream.total_terms() as u64 != facts.total_terms {
                 return Err(SoundnessViolation::ArtifactMismatch {
-                    what: "writer map entries",
-                    expected: facts.iterations as u64,
-                    got: written as u64,
+                    what: "claim stream references",
+                    expected: facts.total_terms,
+                    got: stream.total_terms() as u64,
                 });
             }
-            if let SyncSchedule::FlagsOrdered { order, .. } = schedule {
-                if order.len() != facts.iterations {
-                    return Err(SoundnessViolation::ShapeMismatch {
-                        what: "claim order length",
-                        expected: facts.iterations,
-                        got: order.len(),
+            let counts = stream.class_counts();
+            for (what, expected, got) in [
+                ("new-value class count", facts.true_deps, counts.true_deps),
+                (
+                    "old-value class count",
+                    facts.anti_deps + facts.unwritten,
+                    counts.anti_or_unwritten,
+                ),
+                ("accumulator class count", facts.intra, counts.intra),
+            ] {
+                if got != expected {
+                    return Err(SoundnessViolation::ArtifactMismatch {
+                        what,
+                        expected,
+                        got,
                     });
-                }
-                let mut seen = vec![false; facts.iterations];
-                for &i in order.iter() {
-                    if i >= facts.iterations || std::mem::replace(&mut seen[i], true) {
-                        return Err(SoundnessViolation::OrderNotPermutation { entry: i });
-                    }
                 }
             }
         }
@@ -485,44 +498,6 @@ pub fn verify_artifacts(
                         min_gap: gap,
                     });
                 }
-            }
-        }
-        SyncSchedule::Wavefront { schedule } => {
-            if schedule.iterations() != facts.iterations {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "level schedule iterations",
-                    expected: facts.iterations,
-                    got: schedule.iterations(),
-                });
-            }
-            if schedule.total_terms() as u64 != facts.total_terms {
-                return Err(SoundnessViolation::ArtifactMismatch {
-                    what: "level schedule references",
-                    expected: facts.total_terms,
-                    got: schedule.total_terms() as u64,
-                });
-            }
-            let (new, old, acc) = schedule.class_counts();
-            if new != facts.true_deps {
-                return Err(SoundnessViolation::ArtifactMismatch {
-                    what: "new-value class count",
-                    expected: facts.true_deps,
-                    got: new,
-                });
-            }
-            if old != facts.anti_deps + facts.unwritten {
-                return Err(SoundnessViolation::ArtifactMismatch {
-                    what: "old-value class count",
-                    expected: facts.anti_deps + facts.unwritten,
-                    got: old,
-                });
-            }
-            if acc != facts.intra {
-                return Err(SoundnessViolation::ArtifactMismatch {
-                    what: "accumulator class count",
-                    expected: facts.intra,
-                    got: acc,
-                });
             }
         }
     }

@@ -270,8 +270,8 @@ impl std::fmt::Display for SoundnessViolation {
                 reader_position,
             } => write!(
                 f,
-                "claim order inverts {edge}: writer claimed at position {writer_position}, \
-                 reader at {reader_position}"
+                "claim order is not topological: it inverts {edge} (writer claimed at position \
+                 {writer_position}, reader at {reader_position})"
             ),
             SoundnessViolation::OrderNotPermutation { entry } => {
                 write!(f, "claim order is not a permutation (entry {entry})")

@@ -7,10 +7,10 @@
 //! strip-mining, wavefront levels; sequential is the oracle itself).
 
 use doacross_core::{
-    seq::run_sequential, AccessPattern, Doacross, IndirectLoop, LevelSchedule, LinearSubscript,
-    PreparedInspection, MAXINT,
+    claim_grain, seq::run_sequential, AccessPattern, ClaimStream, Doacross, IndirectLoop,
+    LinearSubscript, MAXINT,
 };
-use doacross_par::{Schedule, ThreadPool};
+use doacross_par::ThreadPool;
 use doacross_verify::{verify_pattern, DependenceEdge, SoundnessViolation, SyncSchedule};
 use proptest::prelude::*;
 
@@ -24,52 +24,74 @@ fn truth_writers<P: AccessPattern + ?Sized>(p: &P) -> Vec<i64> {
     writers
 }
 
-/// Honest level schedule derived from the truth map (injective patterns).
-fn honest_wavefront<P: AccessPattern + ?Sized>(p: &P) -> LevelSchedule {
-    let writers = truth_writers(p);
-    let n = p.iterations();
-    let mut levels = vec![0usize; n];
-    let mut term_offsets = Vec::with_capacity(n + 1);
-    let mut classes = Vec::new();
-    term_offsets.push(0);
-    let mut nlevels = 1;
-    for i in 0..n {
-        let mut lvl = 1;
-        for j in 0..p.terms(i) {
-            let e = p.term_element(i, j);
-            let w = writers[e];
-            classes.push(if w == MAXINT || w as usize > i {
-                1 // OldValue
-            } else if (w as usize) == i {
-                2 // Accumulator
-            } else {
-                lvl = lvl.max(levels[w as usize] + 1);
-                0 // NewValue
-            });
-        }
-        levels[i] = lvl;
-        nlevels = nlevels.max(lvl);
-        term_offsets.push(classes.len());
-    }
-    LevelSchedule::from_levels(&levels, nlevels, term_offsets, classes)
+/// The honest classification of an injective pattern, derived from the
+/// truth map and in *iteration* order: per-iteration term offsets, one
+/// class byte per reference, and each iteration's wavefront level.
+struct Honest {
+    term_offsets: Vec<usize>,
+    classes: Vec<u8>,
+    levels: Vec<usize>,
+    nlevels: usize,
 }
 
-/// Stable level-sorted claim order (the `doconsider` reordering).
-fn level_order<P: AccessPattern + ?Sized>(p: &P) -> Vec<usize> {
-    let writers = truth_writers(p);
-    let n = p.iterations();
-    let mut levels = vec![1usize; n];
-    for i in 0..n {
-        for j in 0..p.terms(i) {
-            let w = writers[p.term_element(i, j)];
-            if w != MAXINT && (w as usize) < i {
-                levels[i] = levels[i].max(levels[w as usize] + 1);
+impl Honest {
+    fn of<P: AccessPattern + ?Sized>(p: &P) -> Self {
+        let writers = truth_writers(p);
+        let n = p.iterations();
+        let mut levels = vec![0usize; n];
+        let mut term_offsets = Vec::with_capacity(n + 1);
+        let mut classes = Vec::new();
+        term_offsets.push(0);
+        let mut nlevels = 1;
+        for i in 0..n {
+            let mut lvl = 1;
+            for j in 0..p.terms(i) {
+                let e = p.term_element(i, j);
+                let w = writers[e];
+                classes.push(if w == MAXINT || w as usize > i {
+                    1 // OldValue
+                } else if (w as usize) == i {
+                    2 // Accumulator
+                } else {
+                    lvl = lvl.max(levels[w as usize] + 1);
+                    0 // NewValue
+                });
             }
+            levels[i] = lvl;
+            nlevels = nlevels.max(lvl);
+            term_offsets.push(classes.len());
+        }
+        Self {
+            term_offsets,
+            classes,
+            levels,
+            nlevels,
         }
     }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| levels[i]);
-    order
+
+    /// Stable level-sorted claim order (the `doconsider` reordering) and its
+    /// CSR level offsets.
+    fn level_sorted(&self) -> (Vec<usize>, Vec<usize>) {
+        ClaimStream::sort_levels(&self.levels, self.nlevels)
+    }
+
+    /// The flag stream under `order` (`None` = natural).
+    fn flags(&self, order: Option<&[usize]>) -> ClaimStream {
+        ClaimStream::from_iteration_order(order, None, &self.term_offsets, self.classes.clone())
+            .expect("consistent parts")
+    }
+
+    /// The wavefront stream.
+    fn wavefront(&self) -> ClaimStream {
+        let (offsets, order) = self.level_sorted();
+        ClaimStream::from_iteration_order(
+            Some(&order),
+            Some(&offsets),
+            &self.term_offsets,
+            self.classes.clone(),
+        )
+        .expect("consistent parts")
+    }
 }
 
 fn oracle<P: AccessPattern + doacross_core::DoacrossLoop + ?Sized>(p: &P, y0: &[f64]) -> Vec<f64> {
@@ -165,52 +187,86 @@ fn edge_is_real<P: AccessPattern + ?Sized>(p: &P, edge: &DependenceEdge) -> bool
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// For injective patterns: the honest schedule of every variant is
-    /// accepted, and the matching real executor reproduces the oracle.
+    /// For injective patterns: the honest stream of every stream-backed
+    /// variant is accepted, and the real executor reproduces the oracle bit
+    /// for bit at every worker count and claim grain — one-iteration
+    /// claims, the grain the plan layer would derive, and the cap — with
+    /// `RunStats.deps` stamped to exactly the counts the verifier derived
+    /// from the index arrays. Blocked and sequential ride along.
     #[test]
     fn accepted_schedules_execute_like_the_oracle((loop_, y0) in arb_injective(24),
                                                   block_size in 1..8usize) {
-        let pool = ThreadPool::new(3);
-        let expect = oracle(&loop_, &y0);
+        let expect: Vec<u64> = oracle(&loop_, &y0).iter().map(|v| v.to_bits()).collect();
         let data_len = loop_.data_len();
         let n = loop_.iterations();
+        let honest = Honest::of(&loop_);
+        let (_, order) = honest.level_sorted();
 
-        // Doacross (natural flag claims): inspector artifact.
-        let prepared = PreparedInspection::inspect(&pool, Schedule::default(), &loop_, true)
-            .expect("injective pattern inspects cleanly");
-        verify_pattern(&loop_, &SyncSchedule::FlagsNatural { writers: &prepared })
+        let natural = honest.flags(None);
+        let reordered = honest.flags(Some(&order));
+        let wavefront = honest.wavefront();
+        let report = verify_pattern(&loop_, &SyncSchedule::FlagsNatural { stream: &natural })
             .expect("honest natural schedule is sound");
-        let mut y = y0.clone();
-        Doacross::new(data_len).run_planned(&pool, &loop_, &mut y, &prepared, None, None)
-            .expect("planned run");
-        prop_assert_eq!(&y, &expect, "doacross");
-
-        // Reordered (level-sorted claim order).
-        let order = level_order(&loop_);
-        verify_pattern(&loop_, &SyncSchedule::FlagsOrdered { writers: &prepared, order: &order })
+        verify_pattern(&loop_, &SyncSchedule::FlagsOrdered { stream: &reordered })
             .expect("topological order is sound");
-        let mut y = y0.clone();
-        Doacross::new(data_len).run_planned(&pool, &loop_, &mut y, &prepared, Some(&order), None)
-            .expect("reordered run");
-        prop_assert_eq!(&y, &expect, "reordered");
-
-        // Wavefront (level schedule).
-        let schedule = honest_wavefront(&loop_);
-        verify_pattern(&loop_, &SyncSchedule::Wavefront { schedule: &schedule })
+        verify_pattern(&loop_, &SyncSchedule::Wavefront { stream: &wavefront })
             .expect("honest level schedule is sound");
-        let mut y = y0.clone();
-        Doacross::new(data_len).run_wavefront(&pool, &loop_, &mut y, &schedule, None, None)
-            .expect("wavefront run");
-        prop_assert_eq!(&y, &expect, "wavefront");
+        // The hints the plan layer derives its grain from.
+        let writers = truth_writers(&loop_);
+        let min_distance = (0..n)
+            .flat_map(|i| (0..loop_.terms(i)).map(move |j| (i, j)))
+            .filter_map(|(i, j)| {
+                let w = writers[loop_.term_element(i, j)];
+                (w != MAXINT && (w as usize) < i).then(|| i - w as usize)
+            })
+            .min()
+            .unwrap_or(n);
+        let parallelism = n / honest.nlevels;
+
+        for workers in [1usize, 2, 4] {
+            let pool = ThreadPool::new(workers);
+            let mut rt = Doacross::new(data_len);
+            let check = |what: &str, stats: doacross_core::RunStats, y: &[f64]| {
+                let bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&bits, &expect, "{} on {} workers", what, workers);
+                prop_assert_eq!(stats.deps.true_deps, report.flow_edges, "{}", what);
+                prop_assert_eq!(
+                    stats.deps.anti_or_unwritten,
+                    report.anti_edges + report.unwritten_refs,
+                    "{}", what
+                );
+                prop_assert_eq!(stats.deps.intra, report.intra_refs, "{}", what);
+                Ok(())
+            };
+            for (stream, hint, what) in [
+                (&natural, min_distance, "doacross"),
+                (&reordered, parallelism, "reordered"),
+            ] {
+                for grain in [1, claim_grain(hint, workers), 16] {
+                    let mut y = y0.clone();
+                    let stats = rt.run_planned(&pool, &loop_, &mut y, stream, grain, None)
+                        .expect("planned run");
+                    check(&format!("{what} grain {grain}"), stats, &y)?;
+                }
+            }
+            for chunk in [Some(1), None, Some(16)] {
+                let mut y = y0.clone();
+                let stats = rt.run_wavefront(&pool, &loop_, &mut y, &wavefront, chunk, None)
+                    .expect("wavefront run");
+                prop_assert_eq!(stats.wait_polls, 0);
+                check(&format!("wavefront chunk {chunk:?}"), stats, &y)?;
+            }
+        }
 
         // Blocked: any block size is sound for an injective pattern.
+        let pool = ThreadPool::new(3);
         let bs = block_size.min(n);
         verify_pattern(&loop_, &SyncSchedule::Blocked { block_size: bs })
             .expect("injective patterns never share a block between duplicate writes");
         let mut y = y0.clone();
         Doacross::new(0).run_blocked(&pool, &loop_, &mut y, bs)
             .expect("blocked run");
-        prop_assert_eq!(&y, &expect, "blocked");
+        prop_assert_eq!(&y, &oracle(&loop_, &y0), "blocked");
 
         // Sequential is the oracle by definition.
         verify_pattern(&loop_, &SyncSchedule::Sequential).expect("always sound");
@@ -272,10 +328,15 @@ proptest! {
             return Ok(());
         }
 
-        let writers = truth_writers(&loop_);
-        let prepared = PreparedInspection::from_writer_map(n, &writers)
-            .expect("truth map is well-formed");
-        let violation = verify_pattern(&loop_, &SyncSchedule::FlagsNatural { writers: &prepared })
+        // Whatever classes a stream claims, flags fire once per element.
+        let terms: usize = (0..n).map(|i| loop_.terms(i)).sum();
+        let mut term_offsets = vec![0usize];
+        for i in 0..n {
+            term_offsets.push(term_offsets[i] + loop_.terms(i));
+        }
+        let stream = ClaimStream::from_iteration_order(None, None, &term_offsets, vec![1; terms])
+            .expect("consistent parts");
+        let violation = verify_pattern(&loop_, &SyncSchedule::FlagsNatural { stream: &stream })
             .expect_err("duplicate writers cannot share one flag generation");
         if let SoundnessViolation::UncoveredOutput { edge } = &violation {
             prop_assert!(edge_is_real(&loop_, edge), "fabricated edge: {edge}");
@@ -304,62 +365,73 @@ proptest! {
         }
     }
 
-    /// Random writer-map corruption: when the verifier accepts the mutant
-    /// the executor still matches the oracle (the corruption was benign —
-    /// it touched no classified reference); when it rejects, the violation
-    /// names a dependence that genuinely exists.
+    /// Random stream corruption, the two kinds a stream can suffer. A claim
+    /// order with two slots swapped: the verifier accepts it exactly when
+    /// the swap crossed no true dependence, and then the executor still
+    /// matches the oracle at every worker count and grain (accepted ⇒
+    /// executes); when it rejects, the inversion names a flow edge that
+    /// genuinely exists — and the mutant is *not* run, because that edge is
+    /// a livelock. A class byte changed: never benign, always rejected,
+    /// pinned to the element that reference reads.
     #[test]
-    fn writer_map_corruption_is_benign_iff_accepted((loop_, y0) in arb_injective(20),
-                                                    slot in 0..64usize,
-                                                    coin in 0..2usize) {
-        let to_maxint = coin == 0;
-        let pool = ThreadPool::new(3);
+    fn stream_corruption_is_benign_iff_accepted((loop_, y0) in arb_injective(20),
+                                                a in 0..64usize,
+                                                b in 0..64usize,
+                                                coin in 0..2usize) {
         let n = loop_.iterations();
-        let mut writers = truth_writers(&loop_);
-        let slot = slot % writers.len();
-        let mutated = if to_maxint {
-            writers[slot] != MAXINT && { writers[slot] = MAXINT; true }
-        } else {
-            // Remap to a different (possibly bogus) iteration.
-            let new = (slot % n) as i64;
-            writers[slot] != new && { writers[slot] = new; true }
-        };
-        prop_assume!(mutated);
-        let prepared = PreparedInspection::from_writer_map(n, &writers)
-            .expect("entries stay in range");
-        match verify_pattern(&loop_, &SyncSchedule::FlagsNatural { writers: &prepared }) {
-            Ok(_) => {
-                // Accepted ⇒ behaviorally identical: run it for real.
-                let expect = oracle(&loop_, &y0);
-                let mut y = y0.clone();
-                Doacross::new(loop_.data_len())
-                    .run_planned(&pool, &loop_, &mut y, &prepared, None, None)
-                    .expect("accepted mutant executes");
-                prop_assert_eq!(&y, &expect, "accepted mutant must match the oracle");
-            }
-            Err(violation) => {
-                // The corruption touched exactly one map entry, so the
-                // violation must be pinned to that element (the edge mixes
-                // claimed-writer and true-pattern facts, so it need not
-                // exist verbatim in the pattern — but its element must be
-                // the corrupted one).
-                let element = match &violation {
-                    SoundnessViolation::UncoveredFlow { edge }
-                    | SoundnessViolation::UncoveredAnti { edge }
-                    | SoundnessViolation::UncoveredOutput { edge }
-                    | SoundnessViolation::UncoveredIntra { edge } => Some(match *edge {
-                        DependenceEdge::Flow { element, .. }
-                        | DependenceEdge::Anti { element, .. }
-                        | DependenceEdge::Output { element, .. }
-                        | DependenceEdge::Intra { element, .. } => element,
-                    }),
-                    SoundnessViolation::PhantomWait { element, .. } => Some(*element),
-                    _ => None,
-                };
-                if let Some(element) = element {
-                    prop_assert_eq!(element, slot, "violation strayed from the corrupted slot: {}", violation);
+        let honest = Honest::of(&loop_);
+        let (_, mut order) = honest.level_sorted();
+        if coin == 0 {
+            let (a, b) = (a % n, b % n);
+            prop_assume!(a != b);
+            order.swap(a, b);
+            let stream = honest.flags(Some(&order));
+            match verify_pattern(&loop_, &SyncSchedule::FlagsOrdered { stream: &stream }) {
+                Ok(_) => {
+                    let expect = oracle(&loop_, &y0);
+                    for workers in [1usize, 2, 4] {
+                        let pool = ThreadPool::new(workers);
+                        for grain in [1usize, 3, 16] {
+                            let mut y = y0.clone();
+                            Doacross::new(loop_.data_len())
+                                .run_planned(&pool, &loop_, &mut y, &stream, grain, None)
+                                .expect("accepted mutant executes");
+                            prop_assert_eq!(&y, &expect, "accepted mutant must match the oracle");
+                        }
+                    }
                 }
+                Err(SoundnessViolation::ClaimOrderInversion { edge, writer_position, reader_position }) => {
+                    prop_assert!(edge_is_real(&loop_, &edge), "fabricated edge: {edge}");
+                    prop_assert!(writer_position > reader_position);
+                }
+                Err(other) => prop_assert!(false, "unexpected violation: {other}"),
             }
+        } else {
+            prop_assume!(!honest.classes.is_empty());
+            let at = a % honest.classes.len();
+            let mut classes = honest.classes.clone();
+            classes[at] = (classes[at] + 1 + (b % 2) as u8) % 3;
+            let stream =
+                ClaimStream::from_iteration_order(None, None, &honest.term_offsets, classes)
+                    .expect("consistent parts");
+            let violation = verify_pattern(&loop_, &SyncSchedule::FlagsNatural { stream: &stream })
+                .expect_err("a changed class byte is a changed operand source");
+            // The reference the byte belongs to, and the element it reads.
+            let i = honest.term_offsets.partition_point(|&o| o <= at) - 1;
+            let read = loop_.term_element(i, at - honest.term_offsets[i]);
+            let element = match &violation {
+                SoundnessViolation::UncoveredFlow { edge }
+                | SoundnessViolation::UncoveredAnti { edge }
+                | SoundnessViolation::UncoveredIntra { edge } => Some(match *edge {
+                    DependenceEdge::Flow { element, .. }
+                    | DependenceEdge::Anti { element, .. }
+                    | DependenceEdge::Output { element, .. }
+                    | DependenceEdge::Intra { element, .. } => element,
+                }),
+                SoundnessViolation::PhantomWait { element, .. } => Some(*element),
+                _ => None,
+            };
+            prop_assert_eq!(element, Some(read), "violation strayed from the corrupted reference: {}", violation);
         }
     }
 }

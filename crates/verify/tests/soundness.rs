@@ -2,9 +2,7 @@
 //! be caught with a structured violation naming the uncovered dependence
 //! edge, and every honest schedule must verify sound.
 
-use doacross_core::{
-    AccessPattern, IndirectLoop, LevelSchedule, LinearSubscript, PreparedInspection, MAXINT,
-};
+use doacross_core::{AccessPattern, ClaimStream, IndirectLoop, LinearSubscript, MAXINT};
 use doacross_verify::{
     verify_artifacts, verify_pattern, CensusFacts, DependenceEdge, SoundnessViolation, SyncSchedule,
 };
@@ -22,20 +20,22 @@ fn truth_writers<P: AccessPattern + ?Sized>(p: &P) -> Vec<i64> {
     w
 }
 
-fn prepared<P: AccessPattern + ?Sized>(p: &P) -> PreparedInspection {
-    PreparedInspection::from_writer_map(p.iterations(), &truth_writers(p)).expect("valid map")
+/// The honest classification of a pattern in *iteration* order: term
+/// offsets, one operand-class byte per reference (0 new / 1 old / 2
+/// accumulator, against the last-writer map) and 1-based wavefront levels.
+struct Honest {
+    term_offsets: Vec<usize>,
+    classes: Vec<u8>,
+    levels: Vec<usize>,
 }
 
-/// Honest wavefront artifacts: 1-based levels, per-reference operand
-/// classes in term order (for injective patterns).
-fn honest_wavefront<P: AccessPattern + ?Sized>(p: &P) -> LevelSchedule {
+fn honest<P: AccessPattern + ?Sized>(p: &P) -> Honest {
     let writers = truth_writers(p);
     let n = p.iterations();
     let mut levels = vec![0usize; n];
     let mut term_offsets = Vec::with_capacity(n + 1);
     let mut classes = Vec::new();
     term_offsets.push(0);
-    let mut nlevels = 1;
     for i in 0..n {
         let mut lvl = 1;
         for j in 0..p.terms(i) {
@@ -51,32 +51,68 @@ fn honest_wavefront<P: AccessPattern + ?Sized>(p: &P) -> LevelSchedule {
             });
         }
         levels[i] = lvl;
-        nlevels = nlevels.max(lvl);
         term_offsets.push(classes.len());
     }
-    LevelSchedule::from_levels(&levels, nlevels, term_offsets, classes)
+    Honest {
+        term_offsets,
+        classes,
+        levels,
+    }
 }
 
-/// Rebuilds a wavefront schedule with one mutation applied to the level
-/// assignment or the class stream.
+/// A flag stream for `p` under `order` (`None` = natural), with one
+/// mutation applied to the iteration-order class bytes.
+fn flag_stream(
+    p: &impl AccessPattern,
+    order: Option<&[usize]>,
+    mutate_classes: impl Fn(&mut Vec<u8>),
+) -> ClaimStream {
+    let Honest {
+        term_offsets,
+        mut classes,
+        ..
+    } = honest(p);
+    mutate_classes(&mut classes);
+    ClaimStream::from_iteration_order(order, None, &term_offsets, classes)
+        .expect("a structurally valid stream")
+}
+
+/// Where iteration `i`'s `j`-th reference sits in the iteration-order
+/// class bytes.
+fn class_at(p: &impl AccessPattern, i: usize, j: usize) -> usize {
+    honest(p).term_offsets[i] + j
+}
+
+/// Honest wavefront stream.
+fn honest_wavefront(p: &impl AccessPattern) -> ClaimStream {
+    mutate_wavefront(p, |_| {}, |_| {})
+}
+
+/// A wavefront stream with one mutation applied to the level assignment
+/// or the class bytes (both in iteration order).
 fn mutate_wavefront(
     p: &impl AccessPattern,
     mutate_levels: impl Fn(&mut Vec<usize>),
     mutate_classes: impl Fn(&mut Vec<u8>),
-) -> LevelSchedule {
-    let honest = honest_wavefront(p);
-    let n = p.iterations();
-    let mut levels = vec![0usize; n];
-    for l in 0..honest.level_count() {
-        for &i in honest.level_iterations(l) {
-            levels[i] = l + 1;
-        }
-    }
-    let mut classes = honest.classes().to_vec();
+) -> ClaimStream {
+    let Honest {
+        term_offsets,
+        mut classes,
+        mut levels,
+    } = honest(p);
     mutate_levels(&mut levels);
     mutate_classes(&mut classes);
-    let nlevels = levels.iter().copied().max().unwrap_or(1);
-    LevelSchedule::from_levels(&levels, nlevels, honest.term_offsets().to_vec(), classes)
+    // Levels left empty by a mutation are squeezed out: the stream's CSR
+    // form has none, and relative order is what the proof is about.
+    let mut used = levels.clone();
+    used.sort_unstable();
+    used.dedup();
+    let dense: Vec<usize> = levels
+        .iter()
+        .map(|l| used.binary_search(l).unwrap() + 1)
+        .collect();
+    ClaimStream::from_levels(&dense, used.len(), &term_offsets, classes)
+        .expect("a structurally valid stream")
 }
 
 /// A chain: iteration `i` writes `y[i]` and reads `y[i-1]` — one flow edge
@@ -125,8 +161,9 @@ fn duplicate_writes() -> IndirectLoop {
 #[test]
 fn honest_doacross_is_sound() {
     let l = mixed();
-    let w = prepared(&l);
-    let report = verify_pattern(&l, &SyncSchedule::FlagsNatural { writers: &w }).expect("sound");
+    let stream = flag_stream(&l, None, |_| {});
+    let report =
+        verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &stream }).expect("sound");
     assert_eq!(report.references, 8);
     assert_eq!(report.flow_edges, 3);
     assert_eq!(report.anti_edges, 1);
@@ -137,20 +174,16 @@ fn honest_doacross_is_sound() {
 #[test]
 fn honest_ordered_and_wavefront_are_sound() {
     let l = mixed();
-    let w = prepared(&l);
     // Any topological order works; this one interleaves independent
     // iterations ahead of dependent ones.
-    let order = vec![4, 2, 0, 3, 1, 5];
-    verify_pattern(
-        &l,
-        &SyncSchedule::FlagsOrdered {
-            writers: &w,
-            order: &order,
-        },
-    )
-    .expect("topological order is sound");
+    let stream = flag_stream(&l, Some(&[4, 2, 0, 3, 1, 5]), |_| {});
+    verify_pattern(&l, &SyncSchedule::FlagsOrdered { stream: &stream })
+        .expect("topological order is sound");
     let ls = honest_wavefront(&l);
-    verify_pattern(&l, &SyncSchedule::Wavefront { schedule: &ls }).expect("honest levels sound");
+    verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ls }).expect("honest levels sound");
+    // A wavefront stream's level-sorted order is itself a topological
+    // claim order: the same artifact passes the flag rule too.
+    verify_pattern(&l, &SyncSchedule::FlagsOrdered { stream: &ls }).expect("levels are an order");
 }
 
 #[test]
@@ -159,7 +192,7 @@ fn deepened_but_consistent_levels_stay_sound() {
     // iteration to a deeper level only adds synchronization.
     let l = chain(4);
     let ls = mutate_wavefront(&l, |levels| levels[3] = 7, |_| {});
-    verify_pattern(&l, &SyncSchedule::Wavefront { schedule: &ls }).expect("deeper is still sound");
+    verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ls }).expect("deeper is still sound");
 }
 
 #[test]
@@ -189,15 +222,15 @@ fn sequential_and_blocked_tolerate_duplicate_writes() {
 // violation, naming the uncovered dependence edge.
 // ---------------------------------------------------------------------------
 
-/// Mutation 1 — dropped flag: the writer map forgets that iteration 0
-/// produces y[0], so reader 1 would consume a stale value.
+/// Mutation 1 — dropped flag: one class byte of a *flag* stream flipped
+/// from new-value to old-value, so reader 1 never checks `ready[0]` and
+/// consumes the stale y[0].
 #[test]
 fn kills_dropped_flag() {
     let l = chain(4);
-    let mut writers = truth_writers(&l);
-    writers[0] = MAXINT;
-    let w = PreparedInspection::from_writer_map(l.iterations(), &writers).unwrap();
-    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let at = class_at(&l, 1, 0);
+    let stream = flag_stream(&l, None, |classes| classes[at] = 1);
+    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::UncoveredFlow {
@@ -210,15 +243,15 @@ fn kills_dropped_flag() {
     );
 }
 
-/// Mutation 2 — flow misrouted to the accumulator: the map claims the
-/// reader itself writes the element it actually receives from iteration 0.
+/// Mutation 2 — flow misrouted to the accumulator: the stream claims the
+/// reader itself produces the element it actually receives from
+/// iteration 0.
 #[test]
 fn kills_flow_redirected_to_self() {
     let l = chain(4);
-    let mut writers = truth_writers(&l);
-    writers[0] = 1; // reader 1's reference to y[0] now classifies as intra
-    let w = PreparedInspection::from_writer_map(l.iterations(), &writers).unwrap();
-    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let at = class_at(&l, 1, 0);
+    let stream = flag_stream(&l, None, |classes| classes[at] = 2);
+    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::UncoveredFlow {
@@ -232,15 +265,14 @@ fn kills_flow_redirected_to_self() {
 }
 
 /// Mutation 3 — inverted antidependence: y[4] is written by iteration 4,
-/// read (old value) by iteration 3; the corrupt map claims an earlier
-/// writer, making reader 3 wait for — and consume — the overwritten value.
+/// read (old value) by iteration 3; the corrupt byte says new-value,
+/// making reader 3 wait for — and consume — the overwritten value.
 #[test]
 fn kills_inverted_antidependence() {
     let l = mixed();
-    let mut writers = truth_writers(&l);
-    writers[4] = 1;
-    let w = PreparedInspection::from_writer_map(l.iterations(), &writers).unwrap();
-    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let at = class_at(&l, 3, 0);
+    let stream = flag_stream(&l, None, |classes| classes[at] = 0);
+    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::UncoveredAnti {
@@ -253,16 +285,15 @@ fn kills_inverted_antidependence() {
     );
 }
 
-/// Mutation 4 — phantom wait: the map claims y[6] (which no iteration
-/// writes) is produced by iteration 0, so reader 4 waits on a flag that
-/// can never fire.
+/// Mutation 4 — phantom wait: the stream claims y[6] (which no iteration
+/// writes) arrives as a new value, so reader 4 waits on a flag that can
+/// never fire.
 #[test]
 fn kills_phantom_wait() {
     let l = mixed();
-    let mut writers = truth_writers(&l);
-    writers[6] = 0;
-    let w = PreparedInspection::from_writer_map(l.iterations(), &writers).unwrap();
-    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let at = class_at(&l, 4, 0);
+    let stream = flag_stream(&l, None, |classes| classes[at] = 0);
+    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::PhantomWait {
@@ -273,15 +304,14 @@ fn kills_phantom_wait() {
 }
 
 /// Mutation 5 — intra-iteration reference misrouted: y[2] is iteration 2's
-/// own output, but the map forgets the write, so the executor reads the
-/// old array instead of the accumulator.
+/// own output, but the byte says old-value, so the executor reads the old
+/// array instead of the accumulator.
 #[test]
 fn kills_misrouted_intra() {
     let l = mixed();
-    let mut writers = truth_writers(&l);
-    writers[2] = MAXINT;
-    let w = PreparedInspection::from_writer_map(l.iterations(), &writers).unwrap();
-    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let at = class_at(&l, 2, 0);
+    let stream = flag_stream(&l, None, |classes| classes[at] = 1);
+    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::UncoveredIntra {
@@ -298,9 +328,8 @@ fn kills_misrouted_intra() {
 #[test]
 fn kills_duplicate_writes_under_flat_flags() {
     let l = duplicate_writes();
-    let writers = truth_writers(&l);
-    let w = PreparedInspection::from_writer_map(l.iterations(), &writers).unwrap();
-    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let stream = flag_stream(&l, None, |_| {});
+    let err = verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::UncoveredOutput {
@@ -313,21 +342,15 @@ fn kills_duplicate_writes_under_flat_flags() {
     );
 }
 
-/// Mutation 7 — claim-order inversion: reversing the doconsider order puts
-/// every reader ahead of its writer; the executor would livelock.
+/// Mutation 7 — claim-order inversion: two order entries swapped across a
+/// true dependence (rows moving with their iterations, so every class is
+/// still right) put reader 1 ahead of its writer; the order is not
+/// topological and the executor would livelock.
 #[test]
 fn kills_claim_order_inversion() {
     let l = chain(4);
-    let w = prepared(&l);
-    let order = vec![3, 2, 1, 0];
-    let err = verify_pattern(
-        &l,
-        &SyncSchedule::FlagsOrdered {
-            writers: &w,
-            order: &order,
-        },
-    )
-    .unwrap_err();
+    let stream = flag_stream(&l, Some(&[1, 0, 2, 3]), |_| {});
+    let err = verify_pattern(&l, &SyncSchedule::FlagsOrdered { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::ClaimOrderInversion {
@@ -336,27 +359,82 @@ fn kills_claim_order_inversion() {
                 writer: 0,
                 reader: 1
             },
-            writer_position: 3,
-            reader_position: 2,
+            writer_position: 1,
+            reader_position: 0,
         }
+    );
+    assert!(err.to_string().contains("not topological"), "{err}");
+}
+
+/// Mutation 8 — order with a repeated entry is not a permutation: it never
+/// becomes a stream, so there is nothing for a solve to re-check.
+#[test]
+fn kills_non_permutation_order() {
+    let h = honest(&chain(4));
+    assert!(ClaimStream::from_iteration_order(
+        Some(&[0, 1, 1, 3]),
+        None,
+        &h.term_offsets,
+        h.classes.clone()
+    )
+    .is_none());
+    assert!(
+        ClaimStream::from_iteration_order(Some(&[0, 1, 2]), None, &h.term_offsets, h.classes)
+            .is_none(),
+        "nor does a short one"
     );
 }
 
-/// Mutation 8 — order with a repeated entry is not a permutation.
+/// Mutation 8b — a truncated `ends` (the last slot's row cut off) no longer
+/// covers the class bytes: dies in `from_parts`.
 #[test]
-fn kills_non_permutation_order() {
+fn kills_truncated_ends() {
+    let stream = flag_stream(&chain(4), Some(&[0, 1, 2, 3]), |_| {});
+    let parts = |ends: Vec<u32>| {
+        ClaimStream::from_parts(
+            stream.order().map(<[u32]>::to_vec),
+            ends,
+            stream.classes().to_vec(),
+            None,
+        )
+    };
+    assert_eq!(parts(stream.ends().to_vec()).as_ref(), Some(&stream));
+    let mut ends = stream.ends().to_vec();
+    ends.pop();
+    assert!(parts(ends).is_none());
+}
+
+/// The shape each variant's stream must have: no order under natural
+/// flags, one under ordered flags, level offsets under the wavefront.
+#[test]
+fn kills_stream_shaped_for_another_variant() {
     let l = chain(4);
-    let w = prepared(&l);
-    let order = vec![0, 1, 1, 3];
-    let err = verify_pattern(
-        &l,
-        &SyncSchedule::FlagsOrdered {
-            writers: &w,
-            order: &order,
-        },
-    )
-    .unwrap_err();
-    assert_eq!(err, SoundnessViolation::OrderNotPermutation { entry: 1 });
+    let natural = flag_stream(&l, None, |_| {});
+    let ordered = flag_stream(&l, Some(&[0, 1, 2, 3]), |_| {});
+    assert!(matches!(
+        verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &ordered }),
+        Err(SoundnessViolation::ShapeMismatch { .. })
+    ));
+    assert!(matches!(
+        verify_pattern(&l, &SyncSchedule::FlagsOrdered { stream: &natural }),
+        Err(SoundnessViolation::ShapeMismatch {
+            what: "claim order length",
+            ..
+        })
+    ));
+    assert!(matches!(
+        verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ordered }),
+        Err(SoundnessViolation::ArtifactMismatch { .. })
+    ));
+    let shorter = flag_stream(&chain(3), None, |_| {});
+    assert!(matches!(
+        verify_pattern(&l, &SyncSchedule::FlagsNatural { stream: &shorter }),
+        Err(SoundnessViolation::ShapeMismatch {
+            what: "claim stream iterations",
+            expected: 4,
+            got: 3
+        })
+    ));
 }
 
 /// Mutation 9 — wrong linear subscript: the declared line `a(i) = 2i`
@@ -392,7 +470,7 @@ fn kills_level_reorder() {
         },
         |_| {},
     );
-    let err = verify_pattern(&l, &SyncSchedule::Wavefront { schedule: &ls }).unwrap_err();
+    let err = verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ls }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::LevelOrderViolation {
@@ -413,7 +491,7 @@ fn kills_level_reorder() {
 fn kills_flattened_levels() {
     let l = chain(3);
     let ls = mutate_wavefront(&l, |levels| levels.iter_mut().for_each(|l| *l = 1), |_| {});
-    let err = verify_pattern(&l, &SyncSchedule::Wavefront { schedule: &ls }).unwrap_err();
+    let err = verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ls }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::LevelOrderViolation {
@@ -435,7 +513,7 @@ fn kills_flipped_flow_class() {
     let l = chain(3);
     // Reference 0 of iteration 1 is the chain's first flow edge.
     let ls = mutate_wavefront(&l, |_| {}, |classes| classes[0] = 1);
-    let err = verify_pattern(&l, &SyncSchedule::Wavefront { schedule: &ls }).unwrap_err();
+    let err = verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ls }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::UncoveredFlow {
@@ -453,11 +531,10 @@ fn kills_flipped_flow_class() {
 #[test]
 fn kills_flipped_anti_class() {
     let l = mixed();
-    let honest = honest_wavefront(&l);
     // Iteration 3's single reference (to y[4]) is an antidependence.
-    let anti_pos = honest.term_offsets()[3];
+    let anti_pos = class_at(&l, 3, 0);
     let ls = mutate_wavefront(&l, |_| {}, |classes| classes[anti_pos] = 0);
-    let err = verify_pattern(&l, &SyncSchedule::Wavefront { schedule: &ls }).unwrap_err();
+    let err = verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ls }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::UncoveredAnti {
@@ -549,11 +626,13 @@ fn mixed_facts() -> CensusFacts {
 #[test]
 fn artifact_mode_accepts_honest_schedules() {
     let l = mixed();
-    let w = prepared(&l);
     let facts = mixed_facts();
-    verify_artifacts(&facts, &SyncSchedule::FlagsNatural { writers: &w }).expect("sound");
+    let natural = flag_stream(&l, None, |_| {});
+    verify_artifacts(&facts, &SyncSchedule::FlagsNatural { stream: &natural }).expect("sound");
+    let ordered = flag_stream(&l, Some(&[4, 2, 0, 3, 1, 5]), |_| {});
+    verify_artifacts(&facts, &SyncSchedule::FlagsOrdered { stream: &ordered }).expect("sound");
     let ls = honest_wavefront(&l);
-    verify_artifacts(&facts, &SyncSchedule::Wavefront { schedule: &ls }).expect("sound");
+    verify_artifacts(&facts, &SyncSchedule::Wavefront { stream: &ls }).expect("sound");
 }
 
 /// Mutation 15 — block size exceeding the census's duplicate-write gap:
@@ -583,13 +662,14 @@ fn artifact_mode_kills_block_exceeding_write_gap() {
 #[test]
 fn artifact_mode_kills_flags_on_non_injective_census() {
     let l = mixed();
-    let w = prepared(&l);
+    let stream = flag_stream(&l, None, |_| {});
     let facts = CensusFacts {
         injective: false,
         min_duplicate_write_gap: Some(1),
         ..mixed_facts()
     };
-    let err = verify_artifacts(&facts, &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let err =
+        verify_artifacts(&facts, &SyncSchedule::FlagsNatural { stream: &stream }).unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::RequiresInjective {
@@ -598,45 +678,56 @@ fn artifact_mode_kills_flags_on_non_injective_census() {
     );
 }
 
-/// Mutation 17 — writer map missing an entry: an injective pattern's map
-/// is a bijection, so 5 entries for 6 iterations is corruption.
+/// Mutation 17 — a flag stream with one flow byte dropped to old-value (the
+/// at-rest form of a dropped flag): without the index arrays the census
+/// still knows how many references wait, and 2 is not 3.
 #[test]
-fn artifact_mode_kills_non_bijective_writer_map() {
+fn artifact_mode_kills_flag_stream_class_flip() {
     let l = mixed();
-    let mut writers = truth_writers(&l);
-    writers[3] = MAXINT;
-    let w = PreparedInspection::from_writer_map(l.iterations(), &writers).unwrap();
-    let err =
-        verify_artifacts(&mixed_facts(), &SyncSchedule::FlagsNatural { writers: &w }).unwrap_err();
+    let at = class_at(&l, 1, 0);
+    let stream = flag_stream(&l, None, |classes| classes[at] = 1);
+    let err = verify_artifacts(
+        &mixed_facts(),
+        &SyncSchedule::FlagsNatural { stream: &stream },
+    )
+    .unwrap_err();
     assert_eq!(
         err,
         SoundnessViolation::ArtifactMismatch {
-            what: "writer map entries",
-            expected: 6,
-            got: 5
+            what: "new-value class count",
+            expected: 3,
+            got: 2
         }
     );
 }
 
-/// Mutation 18 — wavefront class counts disagreeing with the census.
+/// Mutation 18 — class counts disagreeing with the census: one rule for
+/// all three stream-backed variants.
 #[test]
 fn artifact_mode_kills_class_count_mismatch() {
     let l = mixed();
     let ls = honest_wavefront(&l);
+    let flags = flag_stream(&l, None, |_| {});
     let facts = CensusFacts {
         true_deps: 4,
         anti_deps: 0,
         ..mixed_facts()
     };
-    let err = verify_artifacts(&facts, &SyncSchedule::Wavefront { schedule: &ls }).unwrap_err();
-    assert_eq!(
-        err,
-        SoundnessViolation::ArtifactMismatch {
-            what: "new-value class count",
-            expected: 4,
-            got: 3
-        }
-    );
+    for schedule in [
+        SyncSchedule::Wavefront { stream: &ls },
+        SyncSchedule::FlagsOrdered { stream: &ls },
+        SyncSchedule::FlagsNatural { stream: &flags },
+    ] {
+        let err = verify_artifacts(&facts, &schedule).unwrap_err();
+        assert_eq!(
+            err,
+            SoundnessViolation::ArtifactMismatch {
+                what: "new-value class count",
+                expected: 4,
+                got: 3
+            }
+        );
+    }
 }
 
 /// Mutation 19 — linear subscript running off the data space.

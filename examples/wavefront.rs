@@ -150,7 +150,7 @@ fn main() {
         "cost model must pick the wavefront on its own: {:?}",
         prepared.plan().costs()
     );
-    let schedule = prepared.plan().level_schedule().expect("carries levels");
+    let schedule = prepared.plan().stream().expect("carries its claim stream");
 
     let mut y = vec![0.0; l3d.n()];
     let stats = prepared.execute(&deep, &mut y).expect("valid system");

@@ -30,6 +30,18 @@
 #                  parallel price as computed, so stopping a plan build
 #                  at the gate changes no decision and no price).
 #
+#                  Five of those are what the plan's one claim stream
+#                  stands on, and are run again by name so that a rename
+#                  or a filter can not drop them silently (a name that
+#                  matches no test fails the gate): the chunked-claim
+#                  hand-off model and its back-to-front mutation
+#                  (interleave_models), the stream equivalence proptest
+#                  (every stream-backed variant x workers x claim grain,
+#                  bit for bit, stamped counts exact), and the three
+#                  stream mutation kills (soundness: a flag-stream class
+#                  byte flipped new -> old, two order entries swapped
+#                  across a true dependence, a truncated `ends`).
+#
 # Exit nonzero on any violation, loudly.
 
 set -euo pipefail
@@ -106,6 +118,21 @@ cargo test -q -p doacross-verify ||
   violation "verifier suites failed"
 cargo test -q -p doacross-trisolve --test verify_table1 ||
   violation "Table 1 plan-soundness acceptance failed"
+
+# The claim stream's own proofs, by name: `--exact` plus a count check, so
+# a test that was renamed away fails here instead of passing vacuously.
+say "analysis_gate: claim-stream proofs, by name"
+named() { # package, test target, test name
+  if ! cargo test -q -p "$1" --test "$2" -- --exact "$3" 2>&1 | grep -q '^test result: ok. 1 passed'; then
+    violation "$1 --test $2: '$3' did not run and pass"
+  fi
+}
+named doacross-par interleave_models chunked_claims_walked_in_slot_order_never_deadlock_or_race
+named doacross-par interleave_models mutation_chunk_walked_back_to_front_is_a_deadlock
+named doacross-verify proptest_equivalence accepted_schedules_execute_like_the_oracle
+named doacross-verify soundness kills_dropped_flag
+named doacross-verify soundness kills_claim_order_inversion
+named doacross-verify soundness kills_truncated_ends
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||

@@ -74,9 +74,9 @@
 //! ```
 //!
 //! Stores are never trusted blindly: loading verifies a whole-file
-//! checksum and structurally revalidates every record (writer maps must
-//! be injective and in range, claim orders must be permutations, the
-//! census must agree with the fingerprint) before anything reaches the
+//! checksum and structurally revalidates every record (a claim stream's
+//! order must be a permutation and its reference ends must cover its
+//! class bytes, the census must agree with the fingerprint) before anything reaches the
 //! cache — never a panic, never a silently wrong plan. A boot-path load
 //! (`warm_start` / `Engine::warm_start_plans`) treats a damaged store as
 //! a fault to recover from, not an error to die on: the file is renamed
@@ -189,8 +189,8 @@
 //! * [`core`] — the preprocessed doacross runtime itself: one
 //!   [`core::Doacross`] struct, one reusable scratch, one entry point per
 //!   way of running (inspector / executor / postprocessor inline, a
-//!   prebuilt writer map, the §2.3 blocked and linear-subscript variants,
-//!   a level schedule).
+//!   prebuilt claim stream under flags or under level counters, the §2.3
+//!   blocked and linear-subscript variants).
 //! * [`par`] — the parallel substrate (thread pool, self-scheduled
 //!   `parallel do`, busy-wait primitives).
 //! * [`sparse`] — sparse-matrix substrate: stencil operators, ILU(0), and

@@ -4,7 +4,10 @@
 use preprocessed_doacross::core::{
     seq::run_sequential, Doacross, DoacrossError, IndirectLoop, TestLoop,
 };
+use preprocessed_doacross::engine::{Engine, EngineError};
 use preprocessed_doacross::par::{Schedule, ThreadPool, WaitStrategy};
+use preprocessed_doacross::plan::{PlanVariant, Planner};
+use preprocessed_doacross::sim::CostModel;
 
 fn pool(n: usize) -> ThreadPool {
     ThreadPool::new(n)
@@ -235,5 +238,82 @@ fn dense_random_web() {
         let mut y = y0.clone();
         rt.run(&pool(4), &l, &mut y).unwrap();
         assert_eq!(y, expect, "{schedule:?}");
+    }
+}
+
+/// A loop that disagrees with the plan it is run under — same iteration
+/// count, same data space, one row longer — is a typed error on the flag
+/// variants as on the wavefront: the planned entry points sweep the
+/// per-claim reference counts before dispatch, so nothing reaches the
+/// in-region assert (which would tear the solve down as a worker panic),
+/// `y` is untouched, and the sub-pool serves the next solve.
+#[test]
+fn loop_disagreeing_with_its_plan_is_a_typed_error() {
+    // Interleaved distance-1 chains: reordering pays, levels exist.
+    let (chains, len) = (16usize, 12usize);
+    let n = chains * len;
+    let rows = |extra: Option<usize>| -> IndirectLoop {
+        let rhs: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                let mut row = if i % len == 0 { vec![] } else { vec![i - 1] };
+                if extra == Some(i) {
+                    row.push(0);
+                }
+                row
+            })
+            .collect();
+        let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+        IndirectLoop::new(n, (0..n).collect(), rhs, coeff).unwrap()
+    };
+    let grown = n / 2 + 1; // a mid-chain row
+    let (planned, longer) = (rows(None), rows(Some(grown)));
+    let y0: Vec<f64> = (0..n).map(|e| 1.0 + (e % 7) as f64 * 0.25).collect();
+    let mut expect = y0.clone();
+    run_sequential(&planned, &mut expect);
+
+    // Pinned by price, the way `benchmark/` pins them: to a flag variant
+    // (polls free, level hand-offs ruinous), then to the wavefront.
+    for (wait_poll, barrier, wavefront) in [(0.0, 1e9, false), (1e6, 0.0, true)] {
+        let prices = CostModel {
+            seq_iter: 1e6,
+            seq_term: 1e6,
+            wait_poll,
+            barrier,
+            ..CostModel::multimax()
+        };
+        let engine = Engine::builder()
+            .workers(2)
+            .pools(1)
+            .planner(Planner::with_costs(prices))
+            .build();
+        let prepared = engine.prepare(&planned).unwrap();
+        match prepared.variant() {
+            PlanVariant::Wavefront => assert!(wavefront),
+            PlanVariant::Reordered => assert!(!wavefront),
+            other => panic!("prices pin a stream-backed variant, got {other}"),
+        }
+
+        for round in 0..3 {
+            let mut y = y0.clone();
+            let err = prepared.execute(&longer, &mut y).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EngineError::Doacross(DoacrossError::ScheduleTermsMismatch {
+                        iteration,
+                        schedule_terms: 1,
+                        loop_terms: 2,
+                    }) if iteration == grown
+                ),
+                "{}: {err:?}",
+                prepared.variant()
+            );
+            assert_eq!(y, y0, "round {round}: a refused solve leaves y alone");
+
+            let mut y = y0.clone();
+            let stats = prepared.execute(&planned, &mut y).unwrap();
+            assert_eq!(y, expect, "round {round}: the sub-pool is reusable");
+            assert_eq!(stats.attempts, 1, "and nothing fell back");
+        }
     }
 }

@@ -182,15 +182,15 @@ pub fn refine(
 
     // Blend weight from the thinnest evidenced channel: the refined model
     // moves no faster than its least-supported constant justifies.
-    let supported: Vec<u64> = [
+    let thinnest = [
         out.constants.wait_poll.map(|_| out.wait_poll_samples),
         out.constants.barrier.map(|_| out.barrier_samples),
         out.constants.chain_per_term.map(|_| out.chain_samples),
     ]
     .into_iter()
     .flatten()
-    .collect();
-    if let Some(&k) = supported.iter().min() {
+    .min();
+    if let Some(k) = thinnest {
         out.constants.weight = k as f64 / (k + cfg.confidence) as f64;
     }
     out

@@ -18,9 +18,9 @@
 //! solves being recorded. No allocation happens in steady state (an entry
 //! allocates once, on its first sample).
 
+use doacross_obs::FpMap;
 use doacross_plan::{PatternFingerprint, PlanVariant, StoredTelemetry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// Weight of the newest sample in the per-entry moving average. 0.2 keeps
 /// roughly the last ~10 solves in view: fast enough to track a phase
@@ -318,8 +318,12 @@ pub struct TelemetryTotals {
     pub structures: usize,
 }
 
-/// One shard's accumulators, keyed by `(structure, variant)`.
-type TelemetryShard = HashMap<(PatternFingerprint, VariantKind), TelemetryEntry>;
+/// One shard's accumulators, keyed by `(structure, variant)` and hashed
+/// with the fingerprint-map hasher (`doacross_obs::FpBuildHasher`).
+type TelemetryShard = FpMap<(PatternFingerprint, VariantKind), TelemetryEntry>;
+
+/// One telemetry row: which structure, which variant, what was observed.
+pub type TelemetryRow = (PatternFingerprint, VariantKind, TelemetryEntry);
 
 /// The sharded recorder (see module docs). All methods take `&self`.
 pub struct VariantTelemetry {
@@ -335,7 +339,7 @@ impl VariantTelemetry {
     pub fn new(shards: usize) -> Self {
         let nshards = shards.max(1).next_power_of_two();
         Self {
-            shards: (0..nshards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..nshards).map(|_| Mutex::new(FpMap::default())).collect(),
             shift: 64 - nshards.trailing_zeros(),
         }
     }
@@ -349,14 +353,22 @@ impl VariantTelemetry {
         &self.shards[index]
     }
 
-    /// Deposits one solve under `(fingerprint, kind)`.
-    pub fn record(&self, fingerprint: &PatternFingerprint, kind: VariantKind, sample: SolveSample) {
+    /// Deposits one solve under `(fingerprint, kind)` and returns the
+    /// updated accumulator — what a [`VariantTelemetry::get`] right after
+    /// would return, without the second lookup.
+    pub fn record(
+        &self,
+        fingerprint: &PatternFingerprint,
+        kind: VariantKind,
+        sample: SolveSample,
+    ) -> TelemetryEntry {
         let mut shard = self.shard(fingerprint).lock();
         match shard.entry((*fingerprint, kind)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().record(&sample),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(TelemetryEntry::new(&sample));
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                e.get_mut().record(&sample);
+                *e.get()
             }
+            std::collections::hash_map::Entry::Vacant(e) => *e.insert(TelemetryEntry::new(&sample)),
         }
     }
 
@@ -375,8 +387,17 @@ impl VariantTelemetry {
     /// Snapshot of every key's accumulator. Shards are locked one at a
     /// time — each entry is internally consistent, the vector is not a
     /// global atomic cut (the same contract as the plan cache's stats).
-    pub fn entries(&self) -> Vec<(PatternFingerprint, VariantKind, TelemetryEntry)> {
+    pub fn entries(&self) -> Vec<TelemetryRow> {
         let mut out = Vec::new();
+        self.entries_into(&mut out);
+        out
+    }
+
+    /// [`VariantTelemetry::entries`] into a buffer the caller owns and
+    /// reuses (cleared first): once it has grown to the number of keys, a
+    /// snapshot allocates nothing.
+    pub fn entries_into(&self, out: &mut Vec<TelemetryRow>) {
+        out.clear();
         for shard in self.shards.iter() {
             for (&(fp, kind), entry) in shard.lock().iter() {
                 out.push((fp, kind, *entry));
@@ -384,9 +405,9 @@ impl VariantTelemetry {
         }
         // Deterministic order for consumers and tests (HashMap iteration
         // order is not) — raw fingerprint words are the allocation-free
-        // total order.
-        out.sort_by_key(|(fp, kind, _)| (fp.to_raw(), *kind));
-        out
+        // total order, and keys are unique, so an in-place unstable sort
+        // orders exactly like a stable one.
+        out.sort_unstable_by_key(|(fp, kind, _)| (fp.to_raw(), *kind));
     }
 
     /// Engine-wide aggregate counts. Sums shard by shard — no snapshot

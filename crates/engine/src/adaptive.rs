@@ -18,17 +18,17 @@
 
 use crate::engine::EngineInner;
 use crate::solve::clamp_ns;
+use doacross_adapt::telemetry::TelemetryRow;
 use doacross_adapt::{
     policy::Action, pricing, refine, AdaptiveConfig, PromotionPolicy, RefinementConfig,
     SolveSample, StructureState, TelemetryEntry, TelemetryTotals, VariantKind, VariantTelemetry,
 };
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::profile::ProfileSummary;
-use doacross_obs::TraceEvent;
+use doacross_obs::{FpMap, TraceEvent};
 use doacross_plan::{ExecutionPlan, PatternFingerprint, Planner, StoredCalibration};
 use doacross_sim::CostModel;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -72,6 +72,16 @@ struct Structure {
     profile: Option<ProfileSummary>,
 }
 
+/// What the engine-wide structure lock guards: every structure's state,
+/// and the telemetry snapshot an evaluation refines from — a buffer kept
+/// across evaluations, so after the first one a snapshot allocates
+/// nothing.
+#[derive(Default)]
+struct Structures {
+    map: FpMap<PatternFingerprint, Structure>,
+    snapshot: Vec<TelemetryRow>,
+}
+
 /// The adaptive half of an engine (present when built with
 /// [`crate::EngineBuilder::adaptive`]).
 pub(crate) struct AdaptiveRuntime {
@@ -80,7 +90,7 @@ pub(crate) struct AdaptiveRuntime {
     /// ns-per-model-unit from host calibration, when the engine measured
     /// (or restored) one — the preferred refinement anchor.
     unit_ns_hint: Option<f64>,
-    structures: Mutex<HashMap<PatternFingerprint, Structure>>,
+    structures: Mutex<Structures>,
     repricings: AtomicU64,
     trials: AtomicU64,
     promotions: AtomicU64,
@@ -99,7 +109,7 @@ impl AdaptiveRuntime {
             policy: PromotionPolicy::new(config),
             telemetry: VariantTelemetry::new(shards),
             unit_ns_hint: calibration.map(|c| c.unit_ns),
-            structures: Mutex::new(HashMap::new()),
+            structures: Mutex::default(),
             repricings: AtomicU64::new(0),
             trials: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
@@ -124,9 +134,7 @@ impl AdaptiveRuntime {
         self.telemetry.totals()
     }
 
-    pub(crate) fn telemetry_entries(
-        &self,
-    ) -> Vec<(PatternFingerprint, VariantKind, TelemetryEntry)> {
+    pub(crate) fn telemetry_entries(&self) -> Vec<TelemetryRow> {
         self.telemetry.entries()
     }
 
@@ -159,18 +167,8 @@ impl AdaptiveRuntime {
     /// rejections) because invalidation means the *caller* asserts the
     /// old observations no longer describe the structure.
     pub(crate) fn forget(&self, fingerprint: &PatternFingerprint) {
-        self.structures.lock().remove(fingerprint);
+        self.structures.lock().map.remove(fingerprint);
         self.telemetry.forget(fingerprint);
-    }
-
-    /// Folds one profiled solve's summary into the structure's evidence
-    /// ledger — the profiler's stall attribution (wait fraction, realized
-    /// critical path) rides alongside the variant telemetry, queryable
-    /// via [`crate::Engine::profile_evidence`]. Called by the engine
-    /// right after a successful harvest, before the policy hook runs.
-    pub(crate) fn observe_profile(&self, plan: &Arc<ExecutionPlan>, summary: ProfileSummary) {
-        let mut structures = self.structures.lock();
-        structures.entry(*plan.fingerprint()).or_default().profile = Some(summary);
     }
 
     /// The latest profile summary recorded for `fingerprint`, if any.
@@ -180,13 +178,18 @@ impl AdaptiveRuntime {
     ) -> Option<ProfileSummary> {
         self.structures
             .lock()
+            .map
             .get(fingerprint)
             .and_then(|s| s.profile)
     }
 
     /// The post-execute hook (see module docs). `y` is the solved output
     /// — used only as value material for the baseline probe's scratch
-    /// copy; the probe's timing is value-independent.
+    /// copy; the probe's timing is value-independent. `profile` is the
+    /// solve's profile summary when the engine also profiles: the
+    /// profiler's stall attribution (wait fraction, realized critical
+    /// path) rides alongside the variant telemetry as the structure's
+    /// evidence, queryable via [`crate::Engine::profile_evidence`].
     pub(crate) fn after_solve<L: DoacrossLoop + ?Sized>(
         &self,
         inner: &EngineInner,
@@ -194,14 +197,16 @@ impl AdaptiveRuntime {
         y: &[f64],
         plan: &Arc<ExecutionPlan>,
         stats: &RunStats,
+        profile: Option<ProfileSummary>,
     ) {
         let fingerprint = *plan.fingerprint();
         let kind = VariantKind::from(plan.variant());
         let statics = inner.planner.costs();
 
         // 1. Record the solve.
-        self.telemetry
-            .record(&fingerprint, kind, executed_sample(plan, statics, stats));
+        let current_entry =
+            self.telemetry
+                .record(&fingerprint, kind, executed_sample(plan, statics, stats));
 
         // 2. Let the policy look at the updated ledger. The structure map
         // is one engine-wide mutex: the common path holds it for a lookup
@@ -219,10 +224,10 @@ impl AdaptiveRuntime {
         let mut decision_event: Option<TraceEvent> = None;
         let wants_evaluation = {
             let mut structures = self.structures.lock();
-            let structure = structures.entry(fingerprint).or_default();
-            let Some(current_entry) = self.telemetry.get(&fingerprint, kind) else {
-                return; // unreachable: just recorded
-            };
+            let structure = structures.map.entry(fingerprint).or_default();
+            if profile.is_some() {
+                structure.profile = profile;
+            }
             let incumbent_entry = structure
                 .policy
                 .trial()
@@ -280,11 +285,14 @@ impl AdaptiveRuntime {
                 self.probe_baseline(inner, loop_, y, plan);
             }
             let mut events = Vec::new();
-            {
-                let mut structures = self.structures.lock();
-                let structure = structures.entry(fingerprint).or_default();
-                self.evaluate(inner, loop_, plan, kind, structure, &mut events);
-            }
+            self.evaluate(
+                inner,
+                loop_,
+                plan,
+                kind,
+                &mut self.structures.lock(),
+                &mut events,
+            );
             for event in events {
                 inner.obs.emit(event);
             }
@@ -354,24 +362,28 @@ impl AdaptiveRuntime {
         );
     }
 
-    /// One evaluation point: refine, re-price, and — if the policy
-    /// proposes a challenger — build it with the refined model and swap
-    /// it in as a trial. Runs under the structure lock; trace events go
-    /// into `events` for the caller to emit after release.
+    /// One evaluation point: refine from a snapshot of every structure's
+    /// telemetry, re-price, and — if the policy proposes a challenger —
+    /// build it with the refined model and swap it in as a trial. Runs
+    /// under the structure lock (`structures` is its guard); trace events
+    /// go into `events` for the caller to emit after release.
     fn evaluate<L: DoacrossLoop + ?Sized>(
         &self,
         inner: &EngineInner,
         loop_: &L,
         plan: &Arc<ExecutionPlan>,
         kind: VariantKind,
-        structure: &mut Structure,
+        structures: &mut Structures,
         events: &mut Vec<TraceEvent>,
     ) {
+        let Structures { map, snapshot } = structures;
+        let structure = map.entry(*plan.fingerprint()).or_default();
+        self.telemetry.entries_into(snapshot);
         let statics = inner.planner.costs();
         self.repricings.fetch_add(1, Ordering::Relaxed);
         let refinement = refine(
             statics,
-            &self.telemetry.entries(),
+            snapshot,
             plan.processors(),
             &RefinementConfig {
                 confidence: self.policy.config().confidence,

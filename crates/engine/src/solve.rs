@@ -7,16 +7,16 @@
 //! 1. **`admit`** — the bounded admission gate: lease a sub-pool from the
 //!    scheduler (or refuse typed, leaving a `Saturated` flight record) and
 //!    trace the routing decision.
-//! 2. **`arm`** — take the leased sub-pool's [`LeaseScratch`], reset the
-//!    profiler arena and book the admission wait on it, keep a pristine
-//!    copy of `y` when a fault would be answered by a replay, start the
-//!    deadline.
+//! 2. **`arm`** — take the leased sub-pool's [`LeaseScratch`] and its
+//!    profiler arena, keep a pristine copy of `y` when a fault would be
+//!    answered by a replay, start the deadline.
 //! 3. **`run`** — one `PlanExecutor::execute` under `catch_unwind`, with
-//!    wall time and the dispatching thread's allocation bill around it.
+//!    the dispatching thread's allocation bill around it; a delivered
+//!    attempt's admission wait goes on the profiler's dispatcher track.
 //! 4. **`recover`** — only when `run` unwound: fresh executor into the
-//!    scratch, fault triage, `y` put back from the pristine copy, health
-//!    probe, lease released, the fault traced and flight-recorded, and —
-//!    policy permitting — the sequential replay.
+//!    scratch, the abandoned spans dropped, fault triage, `y` put back from
+//!    the pristine copy, health probe, lease released, the fault traced and
+//!    flight-recorded, and — policy permitting — the sequential replay.
 //! 5. **`record`** — the one place a delivered solve's `allocations`,
 //!    `attempts` and `provenance` are stamped, then the flight record,
 //!    the profile harvest and the adaptive hook.
@@ -26,6 +26,24 @@
 //! observability layer's `SolveRecord` is a projection of it with exactly
 //! one constructor (`Solve::solve_record`), as the adaptive layer's
 //! samples are in [`crate::adaptive`].
+//!
+//! ## Clock budget
+//!
+//! A clock reading costs ≈ 30 ns on the benchmark host (`bench.timer_ns`),
+//! a few percent of a 1–2 µs solve each, so a stage reads the clock only
+//! where it consumes the reading, and everything that consumes it there
+//! shares it:
+//!
+//! | Stage | Readings | Taken when, and why |
+//! |---|---|---|
+//! | `admit` | 2 | profiling on, or tracing a multi-pool engine: the admission wait, measured once — the `PoolDispatched` event and the dispatch span both use it |
+//! | `arm` | 1 | a solve deadline is configured: when it expires |
+//! | `run` | 1 | the plan opens a region (only those can fault): when the attempt began, which `recover` turns into the fault's wall time |
+//! | `PlanExecutor::execute` | 2 | a sequential plan: one pair for `RunStats::total`, which is also its profile span (the parallel executors time their own regions) |
+//! | `record` | 1 | observability on: one stamp for every event the stage emits |
+//!
+//! A warm sequential solve therefore reads the clock twice with everything
+//! off and five times with observability, profiling and adaptation on.
 
 use crate::engine::EngineInner;
 use crate::error::EngineError;
@@ -34,7 +52,7 @@ use doacross_core::{
     alloc::thread_allocations, seq::run_sequential, DoacrossConfig, DoacrossError, DoacrossLoop,
     PlanProvenance, RunStats,
 };
-use doacross_obs::profile::ProfArena;
+use doacross_obs::profile::{ProfArena, ProfileSummary, Profiler};
 use doacross_obs::{ObsFault, ObsProvenance, ObsVariant, SolveOutcome, SolveRecord, TraceEvent};
 use doacross_par::RegionFault;
 use doacross_plan::{ExecutionPlan, PlanExecutor, PlanVariant};
@@ -95,14 +113,32 @@ struct Lease<'e> {
     /// Sub-pools run one solve at a time, so it is exclusively this
     /// solve's until the guard drops.
     arena: Option<&'e ProfArena>,
+    /// What `admit` measured, when something consumes it.
+    admission: Option<AdmissionWait>,
     guard: PoolGuard<'e>,
+}
+
+/// How long admission waited for a sub-pool: one clock reading on each
+/// side of `PoolSet::acquire`, taken only when something consumes them.
+#[derive(Clone, Copy)]
+struct AdmissionWait {
+    started: Instant,
+    granted: Instant,
+}
+
+impl AdmissionWait {
+    fn ns(&self) -> u64 {
+        clamp_ns(self.granted.saturating_duration_since(self.started))
+    }
 }
 
 /// What `run` measured around one `PlanExecutor::execute`.
 struct Attempt {
     /// `Err` holds the payload of whatever unwound out of the executor.
     outcome: std::thread::Result<Result<RunStats, DoacrossError>>,
-    elapsed: Duration,
+    /// When an attempt that can fault — one that opens a region — began;
+    /// `recover` turns it into the faulted attempt's wall time.
+    started: Option<Instant>,
     /// The dispatching thread's heap-allocation bill — exactly 0 on a
     /// warm solve, and always 0 unless the audit allocator
     /// (`doacross_core::alloc::CountingAllocator`) is installed.
@@ -142,9 +178,9 @@ impl EngineInner {
             generation,
             provenance,
         };
-        let (guard, wait_started) = solve.admit()?;
+        let (guard, admission) = solve.admit()?;
         let pool = guard.index();
-        let mut lease = solve.arm(guard, wait_started, y);
+        let mut lease = solve.arm(guard, admission, y);
         let attempt = solve.run(&mut lease, loop_, y);
         let (outcome, stats) = match attempt.outcome {
             Ok(result) => {
@@ -152,11 +188,12 @@ impl EngineInner {
                 // A typed rejection (mismatched buffer, bad plan) is
                 // deterministic: it would fail — or panic — identically
                 // on the sequential variant, so it is neither replayed
-                // nor recorded.
+                // nor recorded — and it is refused before any span is
+                // deposited.
                 (SolveOutcome::Ok, result?)
             }
             Err(payload) => {
-                let replayed = solve.recover(lease, payload, attempt.elapsed, loop_, y)?;
+                let replayed = solve.recover(lease, payload, attempt.started, loop_, y)?;
                 (SolveOutcome::FellBack, replayed)
             }
         };
@@ -176,12 +213,12 @@ impl<'e> Solve<'e> {
 
     /// Stage 1. Every solve passes through the same bounded admission
     /// gate — uniform saturation semantics, and the per-pool dispatch
-    /// ledger reconciles exactly with the solve totals. Also returns when
-    /// the wait began, if anyone downstream reads it.
-    fn admit(&self) -> Result<(PoolGuard<'e>, Option<Instant>), EngineError> {
+    /// ledger reconciles exactly with the solve totals. Also returns how
+    /// long the wait was, if anyone downstream reads it.
+    fn admit(&self) -> Result<(PoolGuard<'e>, Option<AdmissionWait>), EngineError> {
         let engine = self.engine;
         let trace_dispatch = engine.obs.enabled() && engine.pools.pools() > 1;
-        let wait_started = (trace_dispatch || engine.profiler.is_some()).then(Instant::now);
+        let started = (trace_dispatch || engine.profiler.is_some()).then(Instant::now);
         let guard = match engine.pools.acquire() {
             Ok(guard) => guard,
             Err(saturated) => {
@@ -192,37 +229,38 @@ impl<'e> Solve<'e> {
                     attempts: 1,
                     ..RunStats::default()
                 };
-                self.emit_solve_record(0, SolveOutcome::Saturated, &refused);
+                self.emit_solve_record(None, 0, SolveOutcome::Saturated, &refused);
                 return Err(saturated.into());
             }
         };
-        if let (true, Some(t0)) = (trace_dispatch, wait_started) {
-            engine.obs.emit(TraceEvent::PoolDispatched {
-                pool: guard.index() as u64,
-                stolen: guard.stolen(),
-                wait_ns: clamp_ns(t0.elapsed()),
-            });
+        let admission = started.map(|started| AdmissionWait {
+            started,
+            granted: Instant::now(),
+        });
+        if let (true, Some(wait)) = (trace_dispatch, admission) {
+            engine.obs.emit_at(
+                wait.granted,
+                TraceEvent::PoolDispatched {
+                    pool: guard.index() as u64,
+                    stolen: guard.stolen(),
+                    wait_ns: wait.ns(),
+                },
+            );
         }
-        Ok((guard, wait_started))
+        Ok((guard, admission))
     }
 
     /// Stage 2. Everything that has to be in place before the executor
-    /// starts, none of which can fail.
-    fn arm(&self, guard: PoolGuard<'e>, wait_started: Option<Instant>, y: &[f64]) -> Lease<'e> {
+    /// starts, none of which can fail. The profiler arena needs no reset:
+    /// the last solve that ran here either was harvested, which drained
+    /// it, or faulted, and `recover` dropped what it left.
+    fn arm(&self, guard: PoolGuard<'e>, admission: Option<AdmissionWait>, y: &[f64]) -> Lease<'e> {
         let engine = self.engine;
         let mut scratch = engine.scratch[guard.index()].lock();
-        // Drop any spans a previously faulted attempt abandoned, and
-        // account the acquire wait on the dispatcher track.
-        let arena = engine.profiler.as_ref().map(|profiler| {
-            let arena = profiler.arena(guard.index());
-            arena.reset();
-            if let Some(t0) = wait_started {
-                let wait_ns = clamp_ns(t0.elapsed());
-                let end = arena.now_ns();
-                arena.record_dispatch(end.saturating_sub(wait_ns), wait_ns);
-            }
-            arena
-        });
+        let arena = engine
+            .profiler
+            .as_ref()
+            .map(|profiler| profiler.arena(guard.index()));
         // A faulted parallel region may leave `y` torn (the blocked
         // variant copies back per block), so the replay needs the input
         // as it was *before* the attempt.
@@ -235,12 +273,14 @@ impl<'e> Solve<'e> {
         Lease {
             scratch,
             arena,
+            admission,
             guard,
         }
     }
 
     /// Stage 3. The attempt itself; leaves the sub-pool's deadline
-    /// cleared however the executor came back.
+    /// cleared however the executor came back. Only a delivered attempt
+    /// is harvested, so only its profile gets the admission wait.
     fn run<L: DoacrossLoop + ?Sized>(
         &self,
         lease: &mut Lease<'_>,
@@ -250,16 +290,18 @@ impl<'e> Solve<'e> {
         let pool = lease.guard.pool();
         let (executor, arena) = (&mut lease.scratch.executor, lease.arena);
         let allocs_before = thread_allocations();
-        let started = Instant::now();
+        let started = (self.plan.variant() != PlanVariant::Sequential).then(Instant::now);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             executor.execute(pool, loop_, y, self.plan, arena)
         }));
-        let elapsed = started.elapsed();
         let allocations = thread_allocations() - allocs_before;
         pool.set_deadline(None);
+        if let (Ok(Ok(_)), Some(arena), Some(wait)) = (&outcome, arena, lease.admission) {
+            arena.record_dispatch(arena.ns_at(wait.started), wait.ns());
+        }
         Attempt {
             outcome,
-            elapsed,
+            started,
             allocations,
         }
     }
@@ -272,15 +314,21 @@ impl<'e> Solve<'e> {
         &self,
         mut lease: Lease<'_>,
         payload: Box<dyn Any + Send>,
-        elapsed: Duration,
+        started: Option<Instant>,
         loop_: &L,
         y: &mut [f64],
     ) -> Result<RunStats, EngineError> {
         let engine = self.engine;
+        let elapsed = started.map(|t| t.elapsed()).unwrap_or_default();
         // The executor's scratch (raised flags, half-filled completion
         // counts) is mid-flight state: whatever unwound through it, the
-        // sub-pool's next tenant starts from a fresh one.
+        // sub-pool's next tenant starts from a fresh one — and so do the
+        // profiler spans its workers deposited before unwinding, which no
+        // harvest will drain.
         lease.scratch.executor = PlanExecutor::new(engine.config);
+        if let Some(arena) = lease.arena {
+            arena.reset();
+        }
         let fault = match payload.downcast::<RegionFault>() {
             Ok(fault) => *fault,
             // Not a contained region fault (e.g. an assertion in engine
@@ -343,7 +391,7 @@ impl<'e> Solve<'e> {
             attempts: 1,
             ..RunStats::default()
         };
-        self.emit_solve_record(pool, failed_outcome, &aborted);
+        self.emit_solve_record(None, pool, failed_outcome, &aborted);
         if !replays {
             return Err(err);
         }
@@ -388,34 +436,57 @@ impl<'e> Solve<'e> {
         stats.allocations = allocations;
         stats.attempts = if fell_back { 2 } else { 1 };
         stats.provenance = self.provenance;
-        self.emit_solve_record(pool, outcome, &stats);
+        // One reading stamps every event this stage emits.
+        let at = engine.obs.enabled().then(Instant::now);
+        self.emit_solve_record(at, pool, outcome, &stats);
         if fell_back {
-            // Nothing to harvest (the faulted attempt's partial spans are
-            // discarded by the reset when the pool's next solve arms), and
-            // the replay already reached the adaptive layer as a
-            // sequential anchor sample — it says nothing about how the
-            // plan's own variant performs.
+            // Nothing to harvest (`recover` dropped the faulted attempt's
+            // partial spans), and the replay already reached the adaptive
+            // layer as a sequential anchor sample — it says nothing about
+            // how the plan's own variant performs.
             return stats;
         }
+        let profile = engine
+            .profiler
+            .as_ref()
+            .map(|profiler| self.harvest(profiler, pool, &stats, at));
+        if let Some(adaptive) = &engine.adaptive {
+            adaptive.after_solve(engine, loop_, y, self.plan, &stats, profile);
+        }
+        stats
+    }
+
+    /// `record`'s profile step: the arena is harvested into the ring, and
+    /// the summary is traced (stamped `at`, with the rest of the stage)
+    /// and handed back for the adaptive layer.
+    fn harvest(
+        &self,
+        profiler: &Profiler,
+        pool: usize,
+        stats: &RunStats,
+        at: Option<Instant>,
+    ) -> ProfileSummary {
+        let engine = self.engine;
         // The priced cost is the plan's model price converted through the
         // host calibration when one exists — otherwise unpriced, never a
         // fabricated number.
-        if let Some(profiler) = &engine.profiler {
-            let priced_ns = self
-                .plan
-                .costs()
-                .of(self.plan.variant())
-                .filter(|price| price.is_finite())
-                .and_then(|price| engine.calibration.as_ref().map(|c| price * c.unit_ns));
-            let summary = profiler.harvest(
-                pool,
-                self.plan.fingerprint().into(),
-                self.plan.variant().into(),
-                clamp_ns(stats.total),
-                priced_ns,
-            );
-            if engine.obs.enabled() {
-                engine.obs.emit(TraceEvent::SolveProfiled {
+        let priced_ns = self
+            .plan
+            .costs()
+            .of(self.plan.variant())
+            .filter(|price| price.is_finite())
+            .and_then(|price| engine.calibration.as_ref().map(|c| price * c.unit_ns));
+        let summary = profiler.harvest(
+            pool,
+            self.plan.fingerprint().into(),
+            self.plan.variant().into(),
+            clamp_ns(stats.total),
+            priced_ns,
+        );
+        if let Some(at) = at {
+            engine.obs.emit_at(
+                at,
+                TraceEvent::SolveProfiled {
                     fp: self.plan.fingerprint().into(),
                     variant: self.plan.variant().into(),
                     realized_critical_ns: summary.realized_critical_ns,
@@ -424,16 +495,10 @@ impl<'e> Solve<'e> {
                     barrier_wait_ns: summary.barrier_wait_ns,
                     dispatch_wait_ns: summary.dispatch_wait_ns,
                     spans: summary.spans,
-                });
-            }
-            if let Some(adaptive) = &engine.adaptive {
-                adaptive.observe_profile(self.plan, summary);
-            }
+                },
+            );
         }
-        if let Some(adaptive) = &engine.adaptive {
-            adaptive.after_solve(engine, loop_, y, self.plan, &stats);
-        }
-        stats
+        summary
     }
 
     /// The flight-recorder row of one solve attempt: `stats` projected
@@ -462,11 +527,24 @@ impl<'e> Solve<'e> {
         }
     }
 
-    fn emit_solve_record(&self, pool: usize, outcome: SolveOutcome, stats: &RunStats) {
-        if self.engine.obs.enabled() {
-            self.engine.obs.emit(TraceEvent::SolveFinished {
+    /// Traces one solve attempt's flight record, stamped `at` when the
+    /// caller already read the clock for its stage.
+    fn emit_solve_record(
+        &self,
+        at: Option<Instant>,
+        pool: usize,
+        outcome: SolveOutcome,
+        stats: &RunStats,
+    ) {
+        let obs = &self.engine.obs;
+        if obs.enabled() {
+            let event = TraceEvent::SolveFinished {
                 record: self.solve_record(pool, outcome, stats),
-            });
+            };
+            match at {
+                Some(at) => obs.emit_at(at, event),
+                None => obs.emit(event),
+            }
         }
     }
 }

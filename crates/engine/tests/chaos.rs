@@ -13,7 +13,8 @@
 //! [`chaos_lock`] and disarms on the way out.
 
 use doacross_core::{
-    seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, PlanProvenance, TestLoop,
+    seq::run_sequential, AccessPattern, DoacrossError, DoacrossLoop, IndirectLoop, PlanProvenance,
+    TestLoop,
 };
 use doacross_engine::{
     AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, ObsProvenance,
@@ -693,4 +694,82 @@ fn consecutive_panics_do_not_wedge_the_pool() {
     let stats = prepared.execute(&loop_, &mut y).unwrap();
     assert_eq!(y, oracle, "pool recovered after repeated poisonings");
     assert_eq!(stats.workers, 4, "still running the full parallel width");
+}
+
+/// The profiler arena is not reset before every solve: a harvest drains
+/// it, so only an attempt that never reaches the harvest can leave spans
+/// behind. A worker panic is one (its workers deposited, then unwound —
+/// `recover` drops what they left); a typed rejection is refused before
+/// any span is deposited. Either way the next clean solve's profile holds
+/// that solve's spans and nothing else: the same per-kind counts as the
+/// same solve on a fresh engine, nothing dropped.
+#[test]
+fn a_fault_leaves_no_spans_in_the_next_profile() {
+    let _serial = chaos_lock();
+    for policy in [FallbackPolicy::SequentialRetry, FallbackPolicy::Disabled] {
+        let profiled = || {
+            victim_engine()
+                .pools(1)
+                .fallback(policy)
+                .profiling_default()
+                .build()
+        };
+        // A dependence-free doall: one work span per worker and the
+        // dispatch wait, never a stall — a span count scheduling can not
+        // move.
+        let loop_ = doacross_victim();
+        let y0 = fresh_y(loop_.data_len());
+        let oracle = oracle_of(&loop_, &y0);
+        let clean_profile = |engine: &Engine| {
+            let prepared = engine.prepare(&loop_).unwrap();
+            assert_eq!(prepared.variant(), PlanVariant::Doacross);
+            let mut y = y0.clone();
+            prepared.execute(&loop_, &mut y).unwrap();
+            assert_eq!(y, oracle);
+            engine
+                .recent_profiles()
+                .pop()
+                .expect("clean solve profiled")
+        };
+        let fresh = clean_profile(&profiled());
+
+        let engine = profiled();
+        let prepared = engine.prepare(&loop_).unwrap();
+        failpoint::arm(EXECUTOR_ITER, FailAction::PanicAt { iteration: 3_900 });
+        let faulted = {
+            let (prepared, loop_, mut y) = (prepared.clone(), loop_.clone(), y0.clone());
+            within(HANG_BOUND, move || prepared.execute(&loop_, &mut y))
+        };
+        failpoint::disarm(EXECUTOR_ITER);
+        match policy {
+            FallbackPolicy::SequentialRetry => assert_eq!(faulted.unwrap().attempts, 2),
+            FallbackPolicy::Disabled => assert!(
+                matches!(faulted, Err(EngineError::SolvePanicked { .. })),
+                "{faulted:?}"
+            ),
+        }
+        let mut short = vec![1.0; loop_.data_len() - 1];
+        let rejected = prepared.execute(&loop_, &mut short).unwrap_err();
+        assert!(
+            matches!(
+                rejected,
+                EngineError::Doacross(DoacrossError::DataLenMismatch { .. })
+            ),
+            "{rejected:?}"
+        );
+        assert!(
+            engine.recent_profiles().is_empty(),
+            "{policy:?}: neither attempt was harvested"
+        );
+
+        let clean = clean_profile(&engine);
+        assert_eq!(engine.recent_profiles().len(), 1, "{policy:?}");
+        assert_eq!(clean.kind_spans, fresh.kind_spans, "{policy:?}");
+        assert_eq!(clean.dropped, 0, "{policy:?}");
+        assert_eq!(
+            clean.spans.len() as u64,
+            clean.kind_spans.iter().sum::<u64>()
+        );
+    }
+    failpoint::disarm_all();
 }

@@ -207,6 +207,48 @@ fn chrome_trace_exports_one_track_per_worker() {
     assert_eq!(empty.events, 0);
 }
 
+/// A profiled, traced sequential solve reads the clock once per stage
+/// boundary and shares each reading: the executor's one pair is both
+/// `RunStats::total` and the work span, and the record stage's one
+/// reading stamps both of its events. Pinned by equality, so the test
+/// never reads a clock itself.
+#[test]
+fn a_sequential_solve_shares_its_clock_readings() {
+    // A serial chain is sequential under any cost model.
+    let n = 400usize;
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let chain = IndirectLoop::new(n + 1, (1..=n).collect(), rhs, vec![vec![0.5]; n]).unwrap();
+    let engine = Engine::builder()
+        .workers(2)
+        .pools(1)
+        .planner(Planner::new())
+        .observability_default()
+        .profiling_default()
+        .build();
+    for _ in 0..3 {
+        let (stats, profile) = solve_profiled(&engine, &chain);
+        assert_eq!(profile.variant.as_str(), "sequential");
+        let work: Vec<_> = profile
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Work)
+            .collect();
+        assert_eq!(work.len(), 1);
+        assert_eq!(u128::from(work[0].dur_ns), stats.total.as_nanos());
+
+        let events = engine.trace_events();
+        let stamp_of = |kind: &str| {
+            events
+                .iter()
+                .rev()
+                .find(|e| e.event.kind() == kind)
+                .map(|e| e.at_ns)
+                .expect("traced")
+        };
+        assert_eq!(stamp_of("solve_finished"), stamp_of("solve_profiled"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 

@@ -11,15 +11,18 @@
 //! and pins the bill: after the cold solve grows the scratch, a warm
 //! solve reports **zero** allocations on the dispatching thread
 //! ([`RunStats::allocations`]). The same warm solves pin the region count:
-//! executor and postprocessor share one `ThreadPool::run`. One audit
-//! moves the bracket out to the whole `PreparedLoop::execute` call, so
-//! what the engine does around the executor is covered too.
+//! executor and postprocessor share one `ThreadPool::run`. Two audits
+//! move the bracket out to the whole `PreparedLoop::execute` call, so
+//! what the engine does around the executor is covered too — the second
+//! with observability, profiling and adaptation all on.
 
 use doacross_core::alloc::CountingAllocator;
 use doacross_core::{
     seq::run_sequential, DoacrossLoop, IndirectLoop, PlanProvenance, RunStats, TestLoop,
 };
-use doacross_engine::{Engine, EngineBuilder, FallbackPolicy, PlanStore};
+use doacross_engine::{
+    AdaptiveConfig, Engine, EngineBuilder, FallbackPolicy, PlanStore, ProfConfig,
+};
 use doacross_par::ThreadPool;
 use doacross_plan::{PatternFingerprint, PlanVariant, Planner, VariantCosts};
 
@@ -148,9 +151,9 @@ fn warm_blocked_solves_allocate_nothing_in_two_regions_per_block() {
 /// The profiler's off-path discipline, audited: an engine built
 /// *without* profiling pays one branch per site and no heap — the warm
 /// flat-doacross solve stays at exactly zero allocations with the
-/// profiling code compiled in. (The armed path deposits spans into
-/// pre-grown arenas, but harvesting copies them out per solve, so only
-/// the disarmed path is part of the zero-alloc contract.)
+/// profiling code compiled in. (The armed path is audited whole-call, with
+/// observability and adaptation, in
+/// `warm_observed_profiled_adaptive_calls_allocate_nothing`.)
 #[test]
 fn disabled_profiling_keeps_warm_solves_allocation_free() {
     let engine = preset_engine().build();
@@ -255,6 +258,117 @@ fn warm_whole_calls_allocate_nothing_under_the_default_policy() {
     assert_whole_call_allocates_nothing(&tenants, &TestLoop::new(300, 1, 8), |v| {
         v == PlanVariant::Sequential
     });
+}
+
+/// Warm whole calls with observability, profiling and adaptation all on:
+/// the record stage traces, harvests into the profile ring and feeds the
+/// adaptive layer without touching the heap — across adaptive evaluation
+/// points (the telemetry snapshot is a buffer the runtime keeps) and
+/// across wraps of the profile ring (a harvest drains into the evicted
+/// profile's buffer, which is as large as the largest profile so far).
+/// Only a solve that deposits more spans than every solve before it may
+/// grow that capacity; a flag-variant solve's span count is its stall
+/// count, which scheduling decides, so such a call is exempt and counted.
+fn assert_observed_calls_allocate_nothing<L: DoacrossLoop>(
+    engine: &Engine,
+    loop_: &L,
+    wants: fn(PlanVariant) -> bool,
+) {
+    let ring = ProfConfig::default().ring;
+    let eval_interval = AdaptiveConfig::default().eval_interval as usize;
+    let prepared = engine.prepare(loop_).expect("plannable");
+    assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
+    let y0: Vec<f64> = (0..loop_.data_len())
+        .map(|e| 1.0 + (e % 7) as f64 / 8.0)
+        .collect();
+    let mut oracle = y0.clone();
+    run_sequential(loop_, &mut oracle);
+    let latest_spans = || {
+        engine
+            .recent_profiles()
+            .last()
+            .expect("profiled")
+            .spans
+            .len()
+    };
+
+    // Warm-up: the first evaluation (and its one-off baseline probe), the
+    // ring filling up with profiles whose buffers the harvest recycles
+    // from then on, twice round.
+    let mut y = y0.clone();
+    let mut most_spans = 0;
+    for _ in 0..2 * ring + 2 * eval_interval {
+        y.copy_from_slice(&y0);
+        prepared.execute(loop_, &mut y).expect("warm-up solve");
+        most_spans = most_spans.max(latest_spans());
+    }
+    let evaluations_before = engine.adaptive_stats().expect("adaptive").repricings;
+    let calls = ring + 2 * eval_interval + 1;
+    let mut new_maxima = 0;
+    for call in 0..calls {
+        y.copy_from_slice(&y0);
+        let before = doacross_core::alloc::thread_allocations();
+        let stats = prepared.execute(loop_, &mut y).expect("valid");
+        let allocated = doacross_core::alloc::thread_allocations() - before;
+        assert_eq!(y, oracle);
+        assert_eq!(stats.allocations, 0, "inside the executor");
+        let spans = latest_spans();
+        if spans > most_spans {
+            (most_spans, new_maxima) = (spans, new_maxima + 1);
+            continue;
+        }
+        assert_eq!(
+            allocated,
+            0,
+            "{:?}: observed call {call} ({spans} spans) allocated",
+            prepared.variant()
+        );
+    }
+    // The bracket really spanned what it claims to.
+    let evaluations = engine.adaptive_stats().expect("adaptive").repricings - evaluations_before;
+    assert!(evaluations >= 2, "{evaluations} evaluation points");
+    assert!(calls - new_maxima > ring, "the ring wrapped under audit");
+    assert!(!prepared.is_stale(), "no trial swapped the plan mid-audit");
+}
+
+#[test]
+fn warm_observed_profiled_adaptive_calls_allocate_nothing() {
+    let everything_on = |builder: EngineBuilder, adaptive: AdaptiveConfig| {
+        builder
+            .pools(1)
+            .observability_default()
+            .profiling_default()
+            .adaptive_config(adaptive)
+            .build()
+    };
+    // A serial chain is sequential under any model; here, the host's.
+    let n = 300usize;
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let chain = IndirectLoop::new(n + 1, (1..=n).collect(), rhs, vec![vec![0.5]; n]).unwrap();
+    assert_observed_calls_allocate_nothing(
+        &everything_on(Engine::builder().workers(2), AdaptiveConfig::default()),
+        &chain,
+        |v| v == PlanVariant::Sequential,
+    );
+    // The preset misprices this host, and an evaluation that acts on it
+    // starts a trial: a plan build and a generation bump that retires the
+    // handle — adaptation's one by-design allocating path. A divergence
+    // band nothing leaves keeps every evaluation point on the path under
+    // audit: snapshot, refine, re-price, keep.
+    let never_diverges = AdaptiveConfig {
+        divergence: f64::INFINITY,
+        ..AdaptiveConfig::default()
+    };
+    assert_observed_calls_allocate_nothing(
+        &everything_on(preset_engine(), never_diverges),
+        &doacross_plan::testgrid::deep_grid(64, 20, 3, 7),
+        |v| v == PlanVariant::Wavefront,
+    );
+    assert_observed_calls_allocate_nothing(
+        &everything_on(preset_engine(), never_diverges),
+        &interleaved_chains(32, 16),
+        |v| v == PlanVariant::Reordered,
+    );
 }
 
 /// What a build that stops at the planner's stage-1 gate costs, and that

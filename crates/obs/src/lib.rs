@@ -69,11 +69,27 @@
 //! `doacross_cache_misses_total`, `doacross_cache_evictions_total`,
 //! `doacross_cache_insertions_total`, and the adaptive decision gauges
 //! sampled from `AdaptiveStats`.
+//!
+//! # What "on" costs
+//!
+//! Off, every site is one branch. On, the engine's record stage reads the
+//! clock once and stamps every event it emits with that reading
+//! ([`Obs::emit_at`]); a delivered solve's `SolveFinished` is a handful of
+//! relaxed atomic adds (zero-valued ones skipped) and three uncontended
+//! locks — flight ring, trace-ring shard, per-structure map with one
+//! lookup — and nothing is allocated. The per-structure map, like the
+//! adaptive layer's telemetry shards and structure map, hashes with
+//! [`FpBuildHasher`]: its keys are fingerprints — already 128-bit hashes
+//! — so SipHash's DoS resistance is paid for twice, and one
+//! multiply-fold per word replaces it. The fold is seeded once per
+//! process from `RandomState`, so which fingerprints share a bucket
+//! cannot be worked out ahead of time.
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
 mod event;
 mod flight;
+mod fphash;
 pub mod metrics;
 pub mod profile;
 pub mod render;
@@ -83,6 +99,7 @@ pub use event::{
     CandidatePrices, ColdStartReason, FpId, ObsFault, ObsProvenance, ObsVariant, SolveOutcome,
     SolveRecord, TraceEvent, TracedEvent, VerifyRecord,
 };
+pub use fphash::{FpBuildHasher, FpHasher, FpMap};
 pub use metrics::{HistogramSnapshot, VariantLatency};
 
 use flight::{FlightRecorder, VerifyRing};
@@ -200,91 +217,94 @@ impl Obs {
     /// [`TraceEvent::SolveFinished`]), and notifies sinks. A no-op on a
     /// disabled handle.
     pub fn emit(&self, event: TraceEvent) {
-        let Some(inner) = &self.inner else { return };
-        let at_ns = inner.start.elapsed().as_nanos() as u64;
+        if let Some(inner) = &self.inner {
+            inner.absorb(inner.start.elapsed(), event);
+        }
+    }
+
+    /// [`Obs::emit`] stamped with a clock reading the caller already took,
+    /// so several events of one stage share one reading (and one
+    /// `at_ns`). A no-op on a disabled handle.
+    pub fn emit_at(&self, at: Instant, event: TraceEvent) {
+        if let Some(inner) = &self.inner {
+            inner.absorb(at.saturating_duration_since(inner.start), event);
+        }
+    }
+}
+
+impl ObsInner {
+    fn absorb(&self, since_start: std::time::Duration, event: TraceEvent) {
+        let at_ns = since_start.as_nanos() as u64;
         match &event {
             TraceEvent::SolveFinished { record } => {
-                inner
-                    .registry
-                    .record_solve(record, inner.config.max_fingerprints);
-                inner.flight.push(*record);
+                self.registry
+                    .record_solve(record, self.config.max_fingerprints);
+                self.flight.push(*record);
             }
             TraceEvent::PlanBuilt {
                 variant, build_ns, ..
-            } => inner.registry.record_plan_built(*variant, *build_ns),
+            } => self.registry.record_plan_built(*variant, *build_ns),
             TraceEvent::CacheInvalidated { .. } => {
-                inner
-                    .registry
+                self.registry
                     .cache_invalidations_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::PlanSwapped { .. } => {
-                inner
-                    .registry
+                self.registry
                     .plan_swaps_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::StoreSaved { plans } => {
-                inner
-                    .registry
+                self.registry
                     .store_saves_total
                     .fetch_add(1, Ordering::Relaxed);
-                inner
-                    .registry
+                self.registry
                     .store_plans_saved_total
                     .fetch_add(*plans, Ordering::Relaxed);
             }
             TraceEvent::StoreLoaded { restored, .. } => {
-                inner
-                    .registry
+                self.registry
                     .store_loads_total
                     .fetch_add(1, Ordering::Relaxed);
-                inner
-                    .registry
+                self.registry
                     .store_plans_restored_total
                     .fetch_add(*restored, Ordering::Relaxed);
             }
             TraceEvent::ColdStart { .. } => {
-                inner
-                    .registry
+                self.registry
                     .cold_starts_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::PlanVerified { sound, .. } => {
                 let counter = if *sound {
-                    &inner.registry.verify_passes_total
+                    &self.registry.verify_passes_total
                 } else {
-                    &inner.registry.verify_failures_total
+                    &self.registry.verify_failures_total
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::Divergence { .. } => {
-                inner
-                    .registry
+                self.registry
                     .divergences_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::TrialStarted { .. } => {
-                inner
-                    .registry
+                self.registry
                     .trials_started_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::TrialCommitted { .. } => {
-                inner
-                    .registry
+                self.registry
                     .trials_committed_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::TrialDemoted { .. } => {
-                inner
-                    .registry
+                self.registry
                     .trials_demoted_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::BaselineProbed { .. } => {
-                inner
-                    .registry
+                self.registry
                     .baseline_probes_total
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -293,29 +313,25 @@ impl Obs {
                 stolen,
                 wait_ns,
             } => {
-                inner
-                    .registry
-                    .record_pool_dispatch(*pool, *stolen, *wait_ns);
+                self.registry.record_pool_dispatch(*pool, *stolen, *wait_ns);
             }
             TraceEvent::SolvePoisoned { fault, .. } => {
                 let counter = match fault {
-                    ObsFault::WorkerPanic { .. } => &inner.registry.fault_panics_total,
-                    ObsFault::DeadlineExpired => &inner.registry.fault_timeouts_total,
+                    ObsFault::WorkerPanic { .. } => &self.registry.fault_panics_total,
+                    ObsFault::DeadlineExpired => &self.registry.fault_timeouts_total,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::SolveFellBack { .. } => {
-                inner
-                    .registry
+                self.registry
                     .fault_fallbacks_total
                     .fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::SolveRetried { .. } => {
-                inner.registry.retry_total.fetch_add(1, Ordering::Relaxed);
+                self.registry.retry_total.fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::StoreQuarantined { .. } => {
-                inner
-                    .registry
+                self.registry
                     .store_quarantines_total
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -332,9 +348,9 @@ impl Obs {
                 // duplicate them. The ring and sinks still see the event.
             }
         }
-        inner.trace.push(at_ns, event);
-        if inner.has_sinks.load(Ordering::Acquire) {
-            let sinks = match inner.sinks.read() {
+        self.trace.push(at_ns, event);
+        if self.has_sinks.load(Ordering::Acquire) {
+            let sinks = match self.sinks.read() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
@@ -343,7 +359,9 @@ impl Obs {
             }
         }
     }
+}
 
+impl Obs {
     /// Snapshot of the retained trace events, oldest first.
     pub fn trace_events(&self) -> Vec<TracedEvent> {
         self.inner
@@ -621,7 +639,7 @@ impl Obs {
         if overflow_dispatches > 0 {
             pool_samples.push(([("pool", "other")], overflow_dispatches));
         }
-        if !pool_samples.is_empty() {
+        if r.pools_dispatched.load(Ordering::Relaxed) {
             let pool_refs: Vec<(&[(&str, &str)], u64)> =
                 pool_samples.iter().map(|(l, n)| (&l[..], *n)).collect();
             render::counter_family(
@@ -939,6 +957,23 @@ mod tests {
         obs.render_prometheus(&mut quiet);
         assert!(!quiet.contains("doacross_pool_"));
 
+        // A single-pool engine never traces a dispatch: its scrape has no
+        // pool family, and the per-pool latency it would never render is
+        // not recorded either.
+        let single = Obs::new(ObsConfig::default());
+        single.emit(solve_event(FpId(1, 1), ObsVariant::Sequential, 10));
+        let mut text = String::new();
+        single.render_prometheus(&mut text);
+        assert!(!text.contains("doacross_pool_"));
+        let (_, _, unrecorded) =
+            single.inner.as_ref().unwrap().registry.pool_solve_ns[0].snapshot();
+        assert_eq!(
+            unrecorded, 0,
+            "pool latency recorded where it is never shown"
+        );
+
+        // Multi-pool: each solve traces its dispatch before it finishes,
+        // so every delivered solve lands in its pool's series.
         obs.emit(TraceEvent::PoolDispatched {
             pool: 1,
             stolen: true,

@@ -7,8 +7,8 @@
 //! the bound aggregate into an `other` bucket rather than growing the map.
 
 use crate::event::{FpId, ObsVariant};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::fphash::FpMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Upper bounds (ns) of the latency histogram buckets: factor-4 steps from
@@ -91,6 +91,13 @@ pub(crate) struct FpMetrics {
     pub(crate) solve_ns_total: [AtomicU64; 6],
 }
 
+impl FpMetrics {
+    fn add(&self, variant: usize, ns: u64) {
+        self.solves[variant].fetch_add(1, Ordering::Relaxed);
+        self.solve_ns_total[variant].fetch_add(ns, Ordering::Relaxed);
+    }
+}
+
 /// The registry. One per `Obs` handle; all fields are updated from
 /// [`crate::Obs::emit`] and read by the renderers.
 #[derive(Default)]
@@ -125,12 +132,16 @@ pub(crate) struct Registry {
     /// beyond aggregate into [`Registry::pool_overflow_dispatches`].
     pub(crate) pool_dispatches: [AtomicU64; MAX_POOL_SERIES],
     pub(crate) pool_overflow_dispatches: AtomicU64,
+    /// Whether any dispatch has been recorded — the one gate of every
+    /// per-pool series, recorded and rendered alike.
+    pub(crate) pools_dispatched: AtomicBool,
     /// Dispatches that the work-stealing fallback redirected.
     pub(crate) pool_steals_total: AtomicU64,
     /// Time spent waiting for a free sub-pool (0 on the fast path).
     pub(crate) pool_wait_ns: Histogram,
     /// Solve latency per sub-pool (from `SolveFinished`, bounded like
-    /// `pool_dispatches`).
+    /// `pool_dispatches`; recorded only once a dispatch has been, since a
+    /// single-pool engine never traces one and never renders the family).
     pub(crate) pool_solve_ns: [Histogram; MAX_POOL_SERIES],
     /// Parallel attempts abandoned because a worker panicked.
     pub(crate) fault_panics_total: AtomicU64,
@@ -144,7 +155,7 @@ pub(crate) struct Registry {
     pub(crate) store_quarantines_total: AtomicU64,
     /// Per-structure breakdown, bounded; overflow aggregates under
     /// [`Registry::overflow`].
-    pub(crate) per_fp: Mutex<HashMap<FpId, FpMetrics>>,
+    pub(crate) per_fp: Mutex<FpMap<FpId, FpMetrics>>,
     /// Aggregate bucket for structures beyond `max_fingerprints`.
     pub(crate) overflow: FpMetrics,
 }
@@ -160,29 +171,35 @@ impl Registry {
         }
         self.solves[v][record.provenance.index()].fetch_add(1, Ordering::Relaxed);
         self.solve_ns[v].record(record.total_ns);
-        self.wait_polls_total
-            .fetch_add(record.wait_polls, Ordering::Relaxed);
-        self.stalls_total
-            .fetch_add(record.stalls, Ordering::Relaxed);
-        self.barrier_crossings_total
-            .fetch_add(record.barrier_crossings, Ordering::Relaxed);
-        if let Some(h) = self.pool_solve_ns.get(record.pool as usize) {
-            h.record(record.total_ns);
+        // Most solves stall nowhere: adding zero is an RMW for nothing.
+        for (total, n) in [
+            (&self.wait_polls_total, record.wait_polls),
+            (&self.stalls_total, record.stalls),
+            (&self.barrier_crossings_total, record.barrier_crossings),
+        ] {
+            if n != 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        if self.pools_dispatched.load(Ordering::Relaxed) {
+            if let Some(h) = self.pool_solve_ns.get(record.pool as usize) {
+                h.record(record.total_ns);
+            }
         }
         let mut map = match self.per_fp.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let slot = if map.contains_key(&record.fp) || map.len() < max_fingerprints {
-            map.entry(record.fp).or_default()
+        // One lookup for a structure already in the map; a second only
+        // the first time it is seen.
+        if let Some(slot) = map.get(&record.fp) {
+            slot.add(v, record.total_ns);
+        } else if map.len() < max_fingerprints {
+            map.entry(record.fp).or_default().add(v, record.total_ns);
         } else {
             drop(map);
-            self.overflow.solves[v].fetch_add(1, Ordering::Relaxed);
-            self.overflow.solve_ns_total[v].fetch_add(record.total_ns, Ordering::Relaxed);
-            return;
-        };
-        slot.solves[v].fetch_add(1, Ordering::Relaxed);
-        slot.solve_ns_total[v].fetch_add(record.total_ns, Ordering::Relaxed);
+            self.overflow.add(v, record.total_ns);
+        }
     }
 
     pub(crate) fn record_plan_built(&self, variant: ObsVariant, build_ns: u64) {
@@ -201,6 +218,9 @@ impl Registry {
             self.pool_steals_total.fetch_add(1, Ordering::Relaxed);
         }
         self.pool_wait_ns.record(wait_ns);
+        if !self.pools_dispatched.load(Ordering::Relaxed) {
+            self.pools_dispatched.store(true, Ordering::Relaxed);
+        }
     }
 }
 

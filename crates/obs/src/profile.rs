@@ -151,8 +151,12 @@ struct ArenaCell {
 }
 
 /// A per-solve span arena: one cell per pool worker plus a dispatcher
-/// cell. The engine resets it before a profiled solve, the execution
-/// layers deposit into it, and the profiler harvests it afterwards.
+/// cell. The execution layers deposit into it and the profiler's harvest
+/// drains it, which leaves it empty for the sub-pool's next solve — so a
+/// solve does not reset it first. Only an attempt that never reaches the
+/// harvest (a faulted region, whose workers deposited and then unwound)
+/// leaves spans behind, and the engine resets the arena on exactly that
+/// path.
 pub struct ProfArena {
     epoch: Instant,
     /// Worker cells `0..workers`, then one dispatcher cell.
@@ -189,6 +193,14 @@ impl ProfArena {
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// A clock reading the caller already took, in the arena's clock base
+    /// (readings from before the epoch clamp to 0) — so a measurement
+    /// that also feeds something else costs no second reading.
+    #[inline]
+    pub fn ns_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// Deposits a span on `worker`'s track. Out-of-range workers (a pool
@@ -235,7 +247,7 @@ impl ProfArena {
     }
 
     /// Clears every cell (retaining capacity) and the drop counter — the
-    /// engine calls this right before a profiled solve starts.
+    /// engine calls this when a faulted attempt abandons its spans.
     pub fn reset(&self) {
         for cell in &self.cells {
             let mut spans = match cell.spans.lock() {
@@ -252,21 +264,36 @@ impl ProfArena {
     /// so no worker is still depositing.
     pub fn take(&self) -> (Vec<ProfSpan>, u64) {
         let mut all = Vec::new();
+        let dropped = self.drain_into(&mut all);
+        all.sort_unstable_by_key(span_order);
+        (all, dropped)
+    }
+
+    /// Appends every cell's spans to `out`, cell by cell (unsorted), and
+    /// takes the drop count: [`ProfArena::take`] into a buffer the caller
+    /// owns.
+    fn drain_into(&self, out: &mut Vec<ProfSpan>) -> u64 {
         for cell in &self.cells {
             let mut spans = match cell.spans.lock() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            all.extend(spans.drain(..));
+            out.extend(spans.drain(..));
         }
-        all.sort_by_key(|s| (s.worker, s.start_ns));
-        (all, self.dropped.swap(0, Ordering::Relaxed))
+        self.dropped.swap(0, Ordering::Relaxed)
     }
 
     /// Spans dropped (bounding) since the last [`ProfArena::take`]/reset.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
+}
+
+/// The order of a harvested timeline: by worker, then start time. Kind
+/// breaks ties so the key is total enough for an unstable sort — the
+/// stable one allocates a merge buffer past 20 spans.
+fn span_order(span: &ProfSpan) -> (u32, u64, usize) {
+    (span.worker, span.start_ns, span.kind.index())
 }
 
 /// A harvested solve: the full span timeline plus the attribution the
@@ -357,6 +384,15 @@ impl ProfileSummary {
     }
 }
 
+/// The retained profiles, oldest first, and the span capacity every one
+/// of their buffers is kept at: the most spans any harvest has held. A
+/// buffer recycled from an evicted profile therefore fits any solve no
+/// larger than the largest so far.
+struct ProfileRing {
+    profiles: VecDeque<SolveProfile>,
+    span_capacity: usize,
+}
+
 /// The engine's profiling state: per-pool span arenas, the profile ring,
 /// per-level barrier-wait histograms, and the `doacross_profile_*`
 /// counters. Built once by `EngineBuilder::profiling(..)`; absent on an
@@ -365,7 +401,7 @@ pub struct Profiler {
     config: ProfConfig,
     arenas: Vec<ProfArena>,
     seq: AtomicU64,
-    ring: Mutex<VecDeque<SolveProfile>>,
+    ring: Mutex<ProfileRing>,
     /// `max_levels` labelled histograms plus the `"other"` overflow.
     level_wait: Vec<Histogram>,
     solves: AtomicU64,
@@ -399,7 +435,10 @@ impl Profiler {
             config,
             arenas,
             seq: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(ProfileRing {
+                profiles: VecDeque::with_capacity(config.ring),
+                span_capacity: 0,
+            }),
             level_wait,
             solves: AtomicU64::new(0),
             spans_by_kind: Default::default(),
@@ -426,6 +465,15 @@ impl Profiler {
     /// path, feeds the per-level barrier-wait histograms, pushes the ring
     /// (drop-oldest), and returns the summary for the trace stream and
     /// the adaptive layer.
+    ///
+    /// Draining is what empties the arena for the sub-pool's next solve —
+    /// there is no reset per solve. Once the ring is full, the spans land
+    /// in the buffer of the profile about to be evicted: its capacity is
+    /// recycled, not freed and re-allocated. Every buffer in the ring is
+    /// kept as large as the largest profile so far (grown all at once,
+    /// the one time a solve sets a new maximum), so a warm harvest
+    /// allocates nothing unless its solve deposited more spans than any
+    /// before it. The ring lock is taken once for the whole harvest.
     pub fn harvest(
         &self,
         pool: usize,
@@ -436,12 +484,33 @@ impl Profiler {
     ) -> ProfileSummary {
         let arena = self.arena(pool);
         let workers = arena.workers();
-        let (mut spans, dropped) = arena.take();
+        let mut ring = match self.ring.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let evicted = if ring.profiles.len() >= self.config.ring {
+            ring.profiles.pop_front()
+        } else {
+            None
+        };
+        let mut spans = evicted.map_or_else(|| Vec::with_capacity(ring.span_capacity), |p| p.spans);
+        spans.clear();
+        let dropped = arena.drain_into(&mut spans);
+        if spans.len() > ring.span_capacity {
+            ring.span_capacity = spans.len();
+            let capacity = ring.span_capacity;
+            for profile in ring.profiles.iter_mut() {
+                profile.spans.reserve(capacity - profile.spans.len());
+            }
+        }
+        spans.sort_unstable_by_key(span_order);
 
         let base = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
         let mut kind_ns = [0u64; 4];
         let mut kind_spans = [0u64; 4];
-        let mut chain = vec![0u64; workers];
+        // Spans arrive grouped by worker, so each worker's chain is a
+        // running sum that restarts when the track changes.
+        let (mut track, mut chain, mut longest_chain) = (u32::MAX, 0u64, 0u64);
         for span in &mut spans {
             span.start_ns -= base;
             let k = span.kind.index();
@@ -451,12 +520,14 @@ impl Profiler {
                 // Flag waits nest inside work spans; dispatch waits live
                 // on the dispatcher track — neither extends a worker's
                 // realized chain on its own.
-                SpanKind::Work | SpanKind::BarrierWait => {
-                    if let Some(c) = chain.get_mut(span.worker as usize) {
-                        *c += span.dur_ns;
+                SpanKind::Work | SpanKind::BarrierWait if (span.worker as usize) < workers => {
+                    if span.worker != track {
+                        (track, chain) = (span.worker, 0);
                     }
+                    chain += span.dur_ns;
+                    longest_chain = longest_chain.max(chain);
                 }
-                SpanKind::FlagWait | SpanKind::DispatchWait => {}
+                _ => {}
             }
             if span.kind == SpanKind::BarrierWait {
                 let idx = (span.level as usize).min(self.config.max_levels);
@@ -464,7 +535,7 @@ impl Profiler {
             }
         }
         let dispatch_ns = kind_ns[SpanKind::DispatchWait.index()];
-        let realized_critical_ns = chain.iter().copied().max().unwrap_or(0) + dispatch_ns;
+        let realized_critical_ns = longest_chain + dispatch_ns;
 
         let summary = ProfileSummary {
             realized_critical_ns,
@@ -489,7 +560,7 @@ impl Profiler {
         );
         self.variant_profiled[v].fetch_add(1, Ordering::Relaxed);
 
-        let profile = SolveProfile {
+        ring.profiles.push_back(SolveProfile {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             fp,
             variant,
@@ -502,15 +573,7 @@ impl Profiler {
             kind_spans,
             dropped,
             spans,
-        };
-        let mut ring = match self.ring.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if ring.len() >= self.config.ring {
-            ring.pop_front();
-        }
-        ring.push_back(profile);
+        });
         summary
     }
 
@@ -520,7 +583,7 @@ impl Profiler {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        ring.iter().cloned().collect()
+        ring.profiles.iter().cloned().collect()
     }
 
     /// Solves profiled so far.

@@ -1,8 +1,10 @@
 //! Property tests of the observability layer's concurrency and bounding
 //! invariants: counters never lose increments under concurrent emitters,
-//! histogram totals reconcile with their counts, and the bounded rings
-//! (trace, flight) wrap without tearing records.
+//! histogram totals reconcile with their counts, the bounded rings
+//! (trace, flight) wrap without tearing records, and the profiler's
+//! allocation-free harvest computes exactly what the old one did.
 
+use doacross_obs::profile::{ProfConfig, ProfSpan, ProfileSummary, Profiler, SpanKind, NO_LEVEL};
 use doacross_obs::{
     FpId, Obs, ObsConfig, ObsProvenance, ObsVariant, SolveOutcome, SolveRecord, TraceEvent,
 };
@@ -208,6 +210,167 @@ proptest! {
                 TraceEvent::SolveFinished { record } => assert_untorn(record),
                 other => prop_assert!(false, "unexpected event {:?}", other),
             }
+        }
+    }
+}
+
+/// One deposit into a profiling arena: `(track, kind, level, start, dur,
+/// aux)`, where `track` past the arena's workers means the dispatcher
+/// (`record_dispatch`) or, one further, a worker the arena does not have.
+type Deposit = (usize, usize, u32, u64, u64, u64);
+
+/// The harvest as it was before buffers were recycled, kept verbatim as
+/// the oracle: each cell bounded drop-oldest, every cell drained into a
+/// fresh vector, a stable sort by (worker, start), and the realized chain
+/// accumulated in a per-worker vector.
+struct ReferenceHarvest {
+    spans: Vec<ProfSpan>,
+    dropped: u64,
+    kind_ns: [u64; 4],
+    kind_spans: [u64; 4],
+    realized_critical_ns: u64,
+}
+
+fn reference_harvest(workers: usize, cap: usize, deposits: &[Deposit]) -> ReferenceHarvest {
+    let mut cells = vec![std::collections::VecDeque::new(); workers + 1];
+    let mut dropped = 0u64;
+    for &(track, kind, level, start_ns, dur_ns, aux) in deposits {
+        let span = match track % (workers + 2) {
+            t if t == workers + 1 => {
+                dropped += 1; // out-of-range worker: counted, not recorded
+                continue;
+            }
+            t if t == workers => ProfSpan {
+                worker: t as u32,
+                kind: SpanKind::DispatchWait,
+                level: NO_LEVEL,
+                start_ns,
+                dur_ns,
+                aux: 0,
+            },
+            t => ProfSpan {
+                worker: t as u32,
+                kind: SpanKind::ALL[kind],
+                level,
+                start_ns,
+                dur_ns,
+                aux,
+            },
+        };
+        let cell: &mut std::collections::VecDeque<ProfSpan> = &mut cells[span.worker as usize];
+        if cell.len() >= cap {
+            cell.pop_front();
+            dropped += 1;
+        }
+        cell.push_back(span);
+    }
+    let mut spans: Vec<ProfSpan> = cells.into_iter().flatten().collect();
+    spans.sort_by_key(|s| (s.worker, s.start_ns));
+    let base = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
+    let mut kind_ns = [0u64; 4];
+    let mut kind_spans = [0u64; 4];
+    let mut chain = vec![0u64; workers];
+    for span in &mut spans {
+        span.start_ns -= base;
+        let k = span.kind.index();
+        kind_ns[k] += span.dur_ns;
+        kind_spans[k] += 1;
+        if matches!(span.kind, SpanKind::Work | SpanKind::BarrierWait) {
+            if let Some(c) = chain.get_mut(span.worker as usize) {
+                *c += span.dur_ns;
+            }
+        }
+    }
+    let realized_critical_ns =
+        chain.iter().copied().max().unwrap_or(0) + kind_ns[SpanKind::DispatchWait.index()];
+    ReferenceHarvest {
+        spans,
+        dropped,
+        kind_ns,
+        kind_spans,
+        realized_critical_ns,
+    }
+}
+
+/// Every field of a span, for comparing timelines as multisets.
+fn span_key(s: &ProfSpan) -> (u32, u64, usize, u32, u64, u64) {
+    (
+        s.worker,
+        s.start_ns,
+        s.kind.index(),
+        s.level,
+        s.dur_ns,
+        s.aux,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The recycling harvest is the old harvest: on random timelines —
+    /// several workers, the dispatcher track, an out-of-range worker,
+    /// drop-oldest bounding, past 20 spans (where a stable sort would
+    /// allocate) — and across wraps of a small ring whose evicted buffers
+    /// it refills, each profile's summary, per-kind totals, realized
+    /// critical path, drop count and span timeline equal the reference's,
+    /// in (worker, start) order.
+    #[test]
+    fn harvest_equals_the_reference_harvest(
+        workers in 1usize..5,
+        cap in 4usize..40,
+        ring in 1usize..4,
+        solves in proptest::collection::vec(
+            proptest::collection::vec((0usize..8, 0usize..4, 0u32..20, 0u64..5_000, 0u64..400, 0u64..50), 0..90),
+            1..8,
+        ),
+    ) {
+        let prof = Profiler::new(
+            1,
+            workers,
+            ProfConfig { ring, per_worker_spans: cap, ..ProfConfig::default() },
+        );
+        let arena = prof.arena(0);
+        for (n, deposits) in solves.iter().enumerate() {
+            for &(track, kind, level, start_ns, dur_ns, aux) in deposits {
+                match track % (workers + 2) {
+                    t if t == workers => arena.record_dispatch(start_ns, dur_ns),
+                    t if t == workers + 1 => {
+                        arena.record(workers + 3, SpanKind::ALL[kind], level, start_ns, dur_ns, aux)
+                    }
+                    t => arena.record(t, SpanKind::ALL[kind], level, start_ns, dur_ns, aux),
+                }
+            }
+            let summary = prof.harvest(0, FpId(n as u64, 0), ObsVariant::Doacross, 1, None);
+            let want = reference_harvest(workers, cap, deposits);
+            let recent = prof.recent();
+            prop_assert_eq!(recent.len(), (n + 1).min(ring));
+            let got = recent.last().unwrap();
+            prop_assert_eq!(got.fp, FpId(n as u64, 0));
+            prop_assert_eq!(got.kind_ns, want.kind_ns);
+            prop_assert_eq!(got.kind_spans, want.kind_spans);
+            prop_assert_eq!(got.realized_critical_ns, want.realized_critical_ns);
+            prop_assert_eq!(got.dropped, want.dropped);
+            prop_assert_eq!(
+                summary,
+                ProfileSummary {
+                    realized_critical_ns: want.realized_critical_ns,
+                    work_ns: want.kind_ns[SpanKind::Work.index()],
+                    flag_wait_ns: want.kind_ns[SpanKind::FlagWait.index()],
+                    barrier_wait_ns: want.kind_ns[SpanKind::BarrierWait.index()],
+                    dispatch_wait_ns: want.kind_ns[SpanKind::DispatchWait.index()],
+                    spans: want.spans.len() as u64,
+                    dropped: want.dropped,
+                }
+            );
+            let order = |spans: &[ProfSpan]| -> Vec<(u32, u64)> {
+                spans.iter().map(|s| (s.worker, s.start_ns)).collect()
+            };
+            prop_assert_eq!(order(&got.spans), order(&want.spans));
+            let mut got_set: Vec<_> = got.spans.iter().map(span_key).collect();
+            let mut want_set: Vec<_> = want.spans.iter().map(span_key).collect();
+            got_set.sort_unstable();
+            want_set.sort_unstable();
+            prop_assert_eq!(got_set, want_set);
         }
     }
 }

@@ -113,37 +113,44 @@ impl PlanExecutor {
                 expected: data_len,
             });
         }
+        // The variants without span sites of their own (`Sequential`,
+        // `Linear`, `Blocked`) get one whole-run work span on worker 0,
+        // `aux` = iterations.
+        let whole_run_span = |arena: &ProfArena, start_ns: u64, dur_ns: u64| {
+            arena.record(
+                0,
+                SpanKind::Work,
+                NO_LEVEL,
+                start_ns,
+                dur_ns,
+                loop_.iterations() as u64,
+            );
+        };
+        if plan.variant() == PlanVariant::Sequential {
+            // One clock pair times the run for both its stats and its span.
+            let started = Instant::now();
+            run_sequential(loop_, y);
+            let mut stats = RunStats::sequential(loop_.iterations(), started.elapsed());
+            stats.provenance = PlanProvenance::PlanCold;
+            if let Some(arena) = prof {
+                whole_run_span(arena, arena.ns_at(started), stats.total.as_nanos() as u64);
+            }
+            return Ok(stats);
+        }
         let span_start = prof.map(|arena| arena.now_ns());
         let mut stats = match plan.variant() {
-            PlanVariant::Sequential => {
-                let start = Instant::now();
-                run_sequential(loop_, y);
-                RunStats::sequential(loop_.iterations(), start.elapsed())
-            }
-            PlanVariant::Doacross | PlanVariant::Reordered | PlanVariant::Wavefront => {
-                return self.execute_stream(pool, loop_, y, plan, prof);
-            }
             PlanVariant::Linear(subscript) => {
                 self.runtime.run_linear(pool, loop_, y, subscript, None)?
             }
             PlanVariant::Blocked { block_size } => {
                 self.runtime.run_blocked(pool, loop_, y, block_size)?
             }
+            // `Doacross`, `Reordered`, `Wavefront`: the stream-backed variants.
+            _ => return self.execute_stream(pool, loop_, y, plan, prof),
         };
-        // The variants without span sites of their own (`Sequential`,
-        // `Linear`, `Blocked`): one whole-run work span on worker 0, `aux` =
-        // iterations.
         stats.provenance = PlanProvenance::PlanCold;
         if let (Some(arena), Some(started)) = (prof, span_start) {
-            let end = arena.now_ns();
-            arena.record(
-                0,
-                SpanKind::Work,
-                NO_LEVEL,
-                started,
-                end.saturating_sub(started),
-                loop_.iterations() as u64,
-            );
+            whole_run_span(arena, started, arena.now_ns().saturating_sub(started));
         }
         Ok(stats)
     }

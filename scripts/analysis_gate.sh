@@ -40,7 +40,12 @@
 #                  bit for bit, stamped counts exact), and the three
 #                  stream mutation kills (soundness: a flag-stream class
 #                  byte flipped new -> old, two order entries swapped
-#                  across a true dependence, a truncated `ends`).
+#                  across a true dependence, a truncated `ends`). Two more
+#                  run by name for the profiler: its buffer-recycling
+#                  harvest equals a verbatim copy of the old harvest on
+#                  random timelines, and a faulted or rejected solve
+#                  leaves no spans in the next profile (the arena is reset
+#                  on the fault path only, not before every solve).
 #
 # Exit nonzero on any violation, loudly.
 
@@ -133,6 +138,12 @@ named doacross-verify proptest_equivalence accepted_schedules_execute_like_the_o
 named doacross-verify soundness kills_dropped_flag
 named doacross-verify soundness kills_claim_order_inversion
 named doacross-verify soundness kills_truncated_ends
+
+# The profiler's recycling harvest against a verbatim copy of the old one,
+# and the fault path that is now the only arena reset, by name.
+say "analysis_gate: profile harvest equivalence and fault hygiene, by name"
+named doacross-obs proptests harvest_equals_the_reference_harvest
+named doacross-engine chaos a_fault_leaves_no_spans_in_the_next_profile
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||

@@ -100,11 +100,14 @@ impl EngineBuilder {
 
     /// Scheduler sub-pool count: the engine's workers are partitioned
     /// into `pools` independent thread pools of
-    /// [`EngineBuilder::workers`] threads each, and every solve leases
-    /// exactly one — so up to `pools` solves from concurrent tenants
-    /// execute truly in parallel instead of serializing at region
-    /// dispatch. Each sub-pool keeps its own scratch-executor stack, so
-    /// the paper's scratch-reuse economics survive multi-tenancy.
+    /// [`EngineBuilder::workers`] threads each, and every parallel solve
+    /// leases exactly one — so up to `pools` solves from concurrent
+    /// tenants execute truly in parallel instead of serializing at region
+    /// dispatch. Each sub-pool keeps its own scratch executor, so the
+    /// paper's scratch-reuse economics survive multi-tenancy. A
+    /// sequential plan leases none: it runs on the caller's thread, so
+    /// any number of sequential solves proceed beside the `pools`
+    /// parallel ones.
     ///
     /// Defaults to the host's available parallelism divided by the worker
     /// count (at least 1): a 16-way host with `workers(4)` gets 4
@@ -124,7 +127,9 @@ impl EngineBuilder {
     /// caller is refused with [`crate::EngineError::Saturated`] instead
     /// of queueing without bound. `0` means never wait — refuse the
     /// moment all sub-pools are busy. Defaults to
-    /// [`doacross_sched::DEFAULT_MAX_PENDING`].
+    /// [`doacross_sched::DEFAULT_MAX_PENDING`]. Only parallel solves are
+    /// admitted: a sequential plan occupies no worker, never waits here
+    /// and is never refused.
     pub fn max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending;
         self
@@ -264,7 +269,8 @@ impl EngineBuilder {
     /// [`EngineBuilder::fallback`] policy then delivers the answer on the
     /// sequential variant. Partial statistics for the aborted attempt
     /// land in the flight recorder. Unset by default: solves may run
-    /// arbitrarily long.
+    /// arbitrarily long. A sequential plan has no poll site and runs on
+    /// the caller's thread; the deadline neither bounds nor costs it.
     pub fn solve_deadline(mut self, deadline: Duration) -> Self {
         self.solve_deadline = Some(deadline);
         self

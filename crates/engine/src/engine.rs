@@ -68,7 +68,7 @@ pub(crate) struct EngineInner {
     pub(crate) profiler: Option<Profiler>,
     /// What each sub-pool's lease comes with — scratch executor and
     /// pristine-input buffer — indexed by `PoolGuard::index()`
-    /// ([`crate::solve`] is the only reader).
+    /// ([`crate::solve`]'s parallel path is the only reader).
     pub(crate) scratch: Vec<Mutex<LeaseScratch>>,
     /// Wall-clock budget per parallel solve
     /// ([`EngineBuilder::solve_deadline`]); `None` means unbounded.
@@ -184,7 +184,8 @@ impl Engine {
         self.inner.pools.max_pending()
     }
 
-    /// Solve admissions refused with [`EngineError::Saturated`] so far.
+    /// Solve admissions refused with [`EngineError::Saturated`] so far —
+    /// parallel solves only, since a sequential plan is never admitted.
     pub fn saturations(&self) -> u64 {
         self.inner.pools.saturations()
     }
@@ -247,8 +248,11 @@ impl Engine {
 
     /// Per-sub-pool dispatch and steal counters, in pool order. The
     /// dispatch sum reconciles exactly with the solves this engine has
-    /// admitted: every solve leases exactly one sub-pool, once, and
-    /// nothing else ever leases one.
+    /// admitted: every parallel solve leases exactly one sub-pool, once,
+    /// and nothing else ever leases one. A sequential plan is not
+    /// admitted — it runs on the caller's thread and occupies no worker —
+    /// so on a fault-free run the sum is the number of solves whose
+    /// variant is not `sequential`.
     pub fn pool_stats(&self) -> Vec<PoolStats> {
         self.inner.pools.stats()
     }
@@ -1000,8 +1004,8 @@ mod tests {
             err,
             EngineError::Doacross(DoacrossError::DataLenMismatch { got: 3, .. })
         ));
-        // The rejection fails that call only: the lease it held is back,
-        // and the next solve of the same structure delivers.
+        // The rejection fails that call only, and the next solve of the
+        // same structure delivers.
         let mut y = loop_.initial_y();
         engine.run(&loop_, &mut y).unwrap();
         let mut oracle = loop_.initial_y();

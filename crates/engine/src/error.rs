@@ -23,7 +23,8 @@ pub enum EngineError {
     /// engine's state is untouched — retry later, shed the request, or
     /// rebuild with more pools / a deeper queue
     /// ([`crate::EngineBuilder::pools`] /
-    /// [`crate::EngineBuilder::max_pending`]).
+    /// [`crate::EngineBuilder::max_pending`]). A parallel-solve condition
+    /// only: a sequential plan is never admitted, so it is never refused.
     Saturated {
         /// Sub-pool count of the engine's scheduler.
         pools: usize,

@@ -35,8 +35,10 @@
 //! There is one way a solve crosses the engine —
 //! [`PreparedLoop::execute`] ([`Engine::run`] prepares and then calls it)
 //! — and its whole life is written down in one private module, `solve`:
-//! admit → arm → run → recover → record, five stages over the scratch
-//! the leased sub-pool owns. Many solves are a `for` loop over that call.
+//! a sequential plan runs on the caller's thread and is recorded; a
+//! parallel one crosses admit → arm → run → recover → record, five stages
+//! over the scratch the leased sub-pool owns. Many solves are a `for` loop
+//! over that call.
 //!
 //! Plans are also **durable**: [`Engine::save_plans`] checkpoints the
 //! cache to a versioned, checksummed store

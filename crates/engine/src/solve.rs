@@ -2,7 +2,20 @@
 //!
 //! [`crate::PreparedLoop::execute`] → [`EngineInner::execute_plan`] is the
 //! only way a solve crosses the engine, and `execute_plan` is a short
-//! driver over five stages, in this order:
+//! driver. Which path it takes is one fact about the plan: whether it
+//! opens a parallel region.
+//!
+//! A **sequential** plan runs on the caller's thread and pays for nothing
+//! it does not use: the plan's shape checks and `run_sequential` timed by
+//! one clock pair ([`doacross_plan::execute_sequential`]), bracketed by
+//! the thread's allocation counter, then `record`. It leases no sub-pool,
+//! locks no scratch, sets no deadline and runs under no `catch_unwind`:
+//! it has no region to fault and nothing to replay, so a panic in the
+//! loop body unwinds straight to the caller. Admission bounds concurrency
+//! on *workers*, and a sequential solve occupies none — it is served even
+//! while every sub-pool is held, and no sub-pool's ledger counts it.
+//!
+//! A **parallel** plan crosses five stages, in this order:
 //!
 //! 1. **`admit`** — the bounded admission gate: lease a sub-pool from the
 //!    scheduler (or refuse typed, leaving a `Saturated` flight record) and
@@ -19,7 +32,9 @@
 //!    flight-recorded, and — policy permitting — the sequential replay.
 //! 5. **`record`** — the one place a delivered solve's `allocations`,
 //!    `attempts` and `provenance` are stamped, then the flight record,
-//!    the profile harvest and the adaptive hook.
+//!    the profile harvest and the adaptive hook. Both paths end here; a
+//!    sequential solve's record names no sub-pool, and its profile is its
+//!    one work span, made from its stats.
 //!
 //! The stages talk to each other through the [`Lease`] and the
 //! [`RunStats`] only. `RunStats` is *the* record of a solve; the
@@ -36,14 +51,14 @@
 //!
 //! | Stage | Readings | Taken when, and why |
 //! |---|---|---|
-//! | `admit` | 2 | profiling on, or tracing a multi-pool engine: the admission wait, measured once — the `PoolDispatched` event and the dispatch span both use it |
-//! | `arm` | 1 | a solve deadline is configured: when it expires |
-//! | `run` | 1 | the plan opens a region (only those can fault): when the attempt began, which `recover` turns into the fault's wall time |
-//! | `PlanExecutor::execute` | 2 | a sequential plan: one pair for `RunStats::total`, which is also its profile span (the parallel executors time their own regions) |
+//! | sequential: `execute_sequential` | 2 | always: one pair for `RunStats::total`, which is also a profiled solve's one work span |
+//! | parallel: `admit` | 2 | profiling on, or tracing a multi-pool engine: the admission wait, measured once — the `PoolDispatched` event and the dispatch span both use it |
+//! | parallel: `arm` | 1 | a solve deadline is configured: when it expires |
+//! | parallel: `run` | 1 | always (a region can fault): when the attempt began, which `recover` turns into the fault's wall time; the executors time their own regions |
 //! | `record` | 1 | observability on: one stamp for every event the stage emits |
 //!
 //! A warm sequential solve therefore reads the clock twice with everything
-//! off and five times with observability, profiling and adaptation on.
+//! off and three times with observability, profiling and adaptation on.
 
 use crate::engine::EngineInner;
 use crate::error::EngineError;
@@ -52,10 +67,10 @@ use doacross_core::{
     alloc::thread_allocations, seq::run_sequential, DoacrossConfig, DoacrossError, DoacrossLoop,
     PlanProvenance, RunStats,
 };
-use doacross_obs::profile::{ProfArena, ProfileSummary, Profiler};
+use doacross_obs::profile::{ProfArena, ProfileSummary, Profiler, SpanSource};
 use doacross_obs::{ObsFault, ObsProvenance, ObsVariant, SolveOutcome, SolveRecord, TraceEvent};
 use doacross_par::RegionFault;
-use doacross_plan::{ExecutionPlan, PlanExecutor, PlanVariant};
+use doacross_plan::{execute_sequential, ExecutionPlan, PlanExecutor, PlanVariant};
 use doacross_sched::PoolGuard;
 use parking_lot::MutexGuard;
 use std::any::Any;
@@ -79,7 +94,7 @@ fn obs_provenance(p: PlanProvenance) -> ObsProvenance {
 }
 
 /// What a sub-pool lease comes with, one per sub-pool for the life of the
-/// engine: the scratch executor every solve on that sub-pool reuses
+/// engine: the scratch executor every parallel solve on that sub-pool reuses
 /// (per-variant scratch arrays are `&mut` state that grows to the largest
 /// structure seen — the paper's reuse economics, kept across calls *and*
 /// tenants) and the buffer the pristine input of a replayable solve is
@@ -136,9 +151,9 @@ impl AdmissionWait {
 struct Attempt {
     /// `Err` holds the payload of whatever unwound out of the executor.
     outcome: std::thread::Result<Result<RunStats, DoacrossError>>,
-    /// When an attempt that can fault — one that opens a region — began;
-    /// `recover` turns it into the faulted attempt's wall time.
-    started: Option<Instant>,
+    /// When the attempt began; `recover` turns it into a faulted
+    /// attempt's wall time.
+    started: Instant,
     /// The dispatching thread's heap-allocation bill — exactly 0 on a
     /// warm solve, and always 0 unless the audit allocator
     /// (`doacross_core::alloc::CountingAllocator`) is installed.
@@ -155,10 +170,11 @@ struct Solve<'e> {
 }
 
 impl EngineInner {
-    /// Executes `plan` against `loop_` on a leased sub-pool: the driver of
-    /// the five stages in the module docs. Adaptation runs inside
-    /// `record`, off the result path — it can never change what this call
-    /// returns, only what a *later* prepare serves.
+    /// Executes `plan` against `loop_`: a sequential plan on the caller's
+    /// thread, a parallel one on a leased sub-pool through the five stages
+    /// in the module docs. Adaptation runs inside `record`, off the result
+    /// path — it can never change what this call returns, only what a
+    /// *later* prepare serves.
     pub(crate) fn execute_plan<L: DoacrossLoop + ?Sized>(
         &self,
         loop_: &L,
@@ -178,6 +194,12 @@ impl EngineInner {
             generation,
             provenance,
         };
+        if plan.variant() == PlanVariant::Sequential {
+            let allocs_before = thread_allocations();
+            let stats = execute_sequential(loop_, y, plan)?;
+            let allocations = thread_allocations() - allocs_before;
+            return Ok(solve.record(None, SolveOutcome::Ok, allocations, stats, loop_, y));
+        }
         let (guard, admission) = solve.admit()?;
         let pool = guard.index();
         let mut lease = solve.arm(guard, admission, y);
@@ -197,24 +219,22 @@ impl EngineInner {
                 (SolveOutcome::FellBack, replayed)
             }
         };
-        Ok(solve.record(pool, outcome, attempt.allocations, stats, loop_, y))
+        Ok(solve.record(Some(pool), outcome, attempt.allocations, stats, loop_, y))
     }
 }
 
 impl<'e> Solve<'e> {
-    /// Whether a fault in this solve is answered by a sequential replay.
-    /// Only parallel variants can fault (the sequential variant runs no
-    /// region), and a disabled policy never replays — in both cases the
-    /// pristine copy is skipped.
+    /// Whether a fault in this parallel solve is answered by a sequential
+    /// replay. A disabled policy never replays, and then the pristine
+    /// copy is skipped.
     fn replays(&self) -> bool {
         self.engine.fallback == FallbackPolicy::SequentialRetry
-            && self.plan.variant() != PlanVariant::Sequential
     }
 
-    /// Stage 1. Every solve passes through the same bounded admission
-    /// gate — uniform saturation semantics, and the per-pool dispatch
-    /// ledger reconciles exactly with the solve totals. Also returns how
-    /// long the wait was, if anyone downstream reads it.
+    /// Stage 1. Every parallel solve passes through the same bounded
+    /// admission gate — uniform saturation semantics, and the per-pool
+    /// dispatch ledger reconciles exactly with the parallel solves. Also
+    /// returns how long the wait was, if anyone downstream reads it.
     fn admit(&self) -> Result<(PoolGuard<'e>, Option<AdmissionWait>), EngineError> {
         let engine = self.engine;
         let trace_dispatch = engine.obs.enabled() && engine.pools.pools() > 1;
@@ -222,14 +242,14 @@ impl<'e> Solve<'e> {
         let guard = match engine.pools.acquire() {
             Ok(guard) => guard,
             Err(saturated) => {
-                // No pool was ever leased, but the refused attempt still
-                // shows in the flight recorder (counters and histograms
-                // skip non-delivered outcomes).
+                // No pool was ever leased, so the record names none, but
+                // the refused attempt still shows in the flight recorder
+                // (counters and histograms skip non-delivered outcomes).
                 let refused = RunStats {
                     attempts: 1,
                     ..RunStats::default()
                 };
-                self.emit_solve_record(None, 0, SolveOutcome::Saturated, &refused);
+                self.emit_solve_record(None, None, SolveOutcome::Saturated, &refused);
                 return Err(saturated.into());
             }
         };
@@ -290,7 +310,7 @@ impl<'e> Solve<'e> {
         let pool = lease.guard.pool();
         let (executor, arena) = (&mut lease.scratch.executor, lease.arena);
         let allocs_before = thread_allocations();
-        let started = (self.plan.variant() != PlanVariant::Sequential).then(Instant::now);
+        let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             executor.execute(pool, loop_, y, self.plan, arena)
         }));
@@ -314,12 +334,12 @@ impl<'e> Solve<'e> {
         &self,
         mut lease: Lease<'_>,
         payload: Box<dyn Any + Send>,
-        started: Option<Instant>,
+        started: Instant,
         loop_: &L,
         y: &mut [f64],
     ) -> Result<RunStats, EngineError> {
         let engine = self.engine;
-        let elapsed = started.map(|t| t.elapsed()).unwrap_or_default();
+        let elapsed = started.elapsed();
         // The executor's scratch (raised flags, half-filled completion
         // counts) is mid-flight state: whatever unwound through it, the
         // sub-pool's next tenant starts from a fresh one — and so do the
@@ -391,7 +411,7 @@ impl<'e> Solve<'e> {
             attempts: 1,
             ..RunStats::default()
         };
-        self.emit_solve_record(None, pool, failed_outcome, &aborted);
+        self.emit_solve_record(None, Some(pool), failed_outcome, &aborted);
         if !replays {
             return Err(err);
         }
@@ -418,13 +438,14 @@ impl<'e> Solve<'e> {
         stats
     }
 
-    /// Stage 5. `stats` is what delivered the answer — the attempt's own
-    /// or the replay's — on sub-pool `pool`; it is stamped here, before
-    /// the observability and adaptive hooks, so they see the solve the
-    /// caller will see.
+    /// Stage 5, and the end of the sequential path. `stats` is what
+    /// delivered the answer — the attempt's own or the replay's — on
+    /// sub-pool `pool`, or on the caller's thread holding none; it is
+    /// stamped here, before the observability and adaptive hooks, so they
+    /// see the solve the caller will see.
     fn record<L: DoacrossLoop + ?Sized>(
         &self,
-        pool: usize,
+        pool: Option<usize>,
         outcome: SolveOutcome,
         allocations: u64,
         mut stats: RunStats,
@@ -456,13 +477,15 @@ impl<'e> Solve<'e> {
         stats
     }
 
-    /// `record`'s profile step: the arena is harvested into the ring, and
-    /// the summary is traced (stamped `at`, with the rest of the stage)
-    /// and handed back for the adaptive layer.
+    /// `record`'s profile step: the solve's spans — the leased sub-pool's
+    /// arena, or for a solve that held none the one work span its stats
+    /// make — are harvested into the ring, and the summary is traced
+    /// (stamped `at`, with the rest of the stage) and handed back for the
+    /// adaptive layer.
     fn harvest(
         &self,
         profiler: &Profiler,
-        pool: usize,
+        pool: Option<usize>,
         stats: &RunStats,
         at: Option<Instant>,
     ) -> ProfileSummary {
@@ -476,8 +499,14 @@ impl<'e> Solve<'e> {
             .of(self.plan.variant())
             .filter(|price| price.is_finite())
             .and_then(|price| engine.calibration.as_ref().map(|c| price * c.unit_ns));
+        let source = match pool {
+            Some(pool) => SpanSource::Arena(pool),
+            None => SpanSource::Caller {
+                iterations: stats.iterations as u64,
+            },
+        };
         let summary = profiler.harvest(
-            pool,
+            source,
             self.plan.fingerprint().into(),
             self.plan.variant().into(),
             clamp_ns(stats.total),
@@ -504,7 +533,12 @@ impl<'e> Solve<'e> {
     /// The flight-recorder row of one solve attempt: `stats` projected
     /// for the observability layer. A fell-back solve was delivered by
     /// the sequential loop, whatever the plan says.
-    fn solve_record(&self, pool: usize, outcome: SolveOutcome, stats: &RunStats) -> SolveRecord {
+    fn solve_record(
+        &self,
+        pool: Option<usize>,
+        outcome: SolveOutcome,
+        stats: &RunStats,
+    ) -> SolveRecord {
         SolveRecord {
             fp: self.plan.fingerprint().into(),
             variant: match outcome {
@@ -522,7 +556,7 @@ impl<'e> Solve<'e> {
             stalls: stats.stalls,
             wait_polls: stats.wait_polls,
             barrier_crossings: stats.barrier_crossings,
-            pool: pool as u64,
+            pool: pool.map(|pool| pool as u64),
             outcome,
         }
     }
@@ -532,7 +566,7 @@ impl<'e> Solve<'e> {
     fn emit_solve_record(
         &self,
         at: Option<Instant>,
-        pool: usize,
+        pool: Option<usize>,
         outcome: SolveOutcome,
         stats: &RunStats,
     ) {

@@ -309,7 +309,8 @@ fn assert_fallback_delivers(pools: usize) {
     assert_eq!(fell_back.variant, ObsVariant::Sequential);
     assert_eq!(fell_back.workers, 1);
     assert_eq!(
-        fell_back.pool, poisoned_pool,
+        fell_back.pool,
+        Some(poisoned_pool),
         "the replay is charged to the sub-pool the faulted attempt held"
     );
     if pools > 1 {
@@ -435,18 +436,42 @@ fn solve_deadline_with_fallback_still_delivers() {
     assert_eq!(stats.attempts, 2);
 }
 
+/// Prices under which a flag variant wins: the sequential loop and
+/// barriers cost a fortune, polls nothing.
+fn flag_prices() -> Planner {
+    Planner::with_costs(CostModel {
+        seq_iter: 1e6,
+        seq_term: 1e6,
+        wait_poll: 0.0,
+        barrier: 1e9,
+        ..CostModel::multimax()
+    })
+}
+
+/// Injected saturation lands on admission, which only a parallel solve
+/// crosses: the retry loop spends its backoffs on a flag-variant solve and
+/// delivers, a refusal budget past the retry budget surfaces typed, and a
+/// sequential solve on the same engine — never admitted — is served with
+/// the failpoint still armed, consuming none of its refusals.
 #[test]
 fn injected_saturation_is_retried_with_bounded_backoff() {
     let _serial = chaos_lock();
     let engine = Engine::builder()
         .workers(2)
         .pools(1)
+        .planner(flag_prices())
         .observability(ObsConfig::default())
         .build();
     let loop_ = TestLoop::new(600, 1, 7);
     let prepared = engine.prepare(&loop_).unwrap();
+    assert!(
+        matches!(prepared.variant(), PlanVariant::Linear(_)),
+        "{:?}",
+        prepared.variant()
+    );
     let y0 = fresh_y(loop_.data_len());
     let oracle = oracle_of(&loop_, &y0);
+    let dispatches = || -> u64 { engine.pool_stats().iter().map(|p| p.dispatches).sum() };
 
     // Two synthetic refusals, then the gate opens: the retry loop spends
     // two backoffs and delivers.
@@ -464,6 +489,8 @@ fn injected_saturation_is_retried_with_bounded_backoff() {
     assert_eq!(y, oracle);
     assert_eq!(stats.attempts, 3, "1 delivery + 2 saturated retries");
     assert!(engine.metrics_text().contains("doacross_retry_total 2"));
+    assert_eq!(engine.saturations(), 2);
+    assert_eq!(dispatches(), 1, "a refusal dispatches nothing");
 
     // A refusal budget larger than the retry budget surfaces typed.
     failpoint::arm(SCHED_ACQUIRE, FailAction::Saturate { times: 100 });
@@ -472,12 +499,36 @@ fn injected_saturation_is_retried_with_bounded_backoff() {
         .execute_with_retry(&prepared, &loop_, &mut y, policy)
         .unwrap_err();
     assert!(matches!(err, EngineError::Saturated { .. }), "{err:?}");
+    assert_eq!(engine.saturations(), 2 + 4, "one refusal per attempt");
+
+    // With the gate still armed, a sequential plan is served: it is never
+    // admitted, so it neither consumes a refusal nor moves the ledger.
+    let n = 300;
+    let rhs: Vec<Vec<usize>> = (1..=n).map(|j| vec![j]).collect();
+    let serial = IndirectLoop::new(n + 1, vec![0; n], rhs, vec![vec![0.5]; n]).unwrap();
+    let sequential = engine.prepare(&serial).unwrap();
+    assert_eq!(sequential.variant(), PlanVariant::Sequential);
+    let s0 = fresh_y(serial.data_len());
+    let mut y = s0.clone();
+    let stats = engine
+        .execute_with_retry(&sequential, &serial, &mut y, policy)
+        .expect("a sequential solve is not admitted");
+    assert_eq!(y, oracle_of(&serial, &s0));
+    assert_eq!(stats.attempts, 1, "no retry spent");
+    assert_eq!(engine.saturations(), 6);
+    assert_eq!(dispatches(), 1);
+    assert_eq!(
+        failpoint::lookup(SCHED_ACQUIRE),
+        Some(FailAction::Saturate { times: 100 - 4 }),
+        "the armed site saw the four parallel attempts only"
+    );
     failpoint::disarm(SCHED_ACQUIRE);
 
     // And with the gate open again, the plain path works.
     let mut y = y0;
     prepared.execute(&loop_, &mut y).unwrap();
     assert_eq!(y, oracle);
+    assert_eq!(dispatches(), 2);
     failpoint::disarm_all();
 }
 

@@ -4,8 +4,10 @@
 //! of the required metric families, and reconciliation of the scraped
 //! numbers against the engine's own counters.
 
-use doacross_core::{AccessPattern, TestLoop};
+use doacross_core::{AccessPattern, IndirectLoop, TestLoop};
 use doacross_engine::{Engine, ObsConfig, ObsProvenance, SolveOutcome, TraceEvent};
+use doacross_plan::{PlanVariant, Planner};
+use doacross_sim::CostModel;
 use std::collections::BTreeMap;
 
 /// One parsed sample: label set (sorted) and value.
@@ -433,27 +435,69 @@ fn disabled_observability_is_inert_but_sampled_metrics_remain() {
 /// Scheduler observability: on a multi-pool engine the `doacross_pool_*`
 /// families (documented at [`doacross_obs`]'s crate root) render, parse
 /// strictly, and reconcile exactly — in total and per pool — with the
-/// scheduler's own dispatch ledger, which in turn is the solve count:
-/// every admitted solve is one dispatch, and nothing else dispatches.
+/// scheduler's own dispatch ledger, which in turn is the count of solves
+/// whose variant is not `sequential`: every parallel solve is one
+/// dispatch, a sequential one is none, and nothing else dispatches.
 #[test]
 fn pool_metrics_reconcile_with_the_scheduler() {
+    // Two flag-variant structures and one that is sequential under any
+    // cost model (every iteration writes element 0).
+    let prices = CostModel {
+        seq_iter: 1e6,
+        seq_term: 1e6,
+        wait_poll: 0.0,
+        barrier: 1e9,
+        ..CostModel::multimax()
+    };
     let engine = Engine::builder()
         .workers(1)
         .pools(2)
+        .planner(Planner::with_costs(prices))
         .observability_default()
         .build();
-    let loops: Vec<TestLoop> = [(300usize, 8usize), (400, 7)]
+    let parallel: Vec<TestLoop> = [(300usize, 8usize), (400, 7)]
         .iter()
         .map(|&(n, l)| TestLoop::new(n, 1, l))
         .collect();
+    let n = 200;
+    let rhs: Vec<Vec<usize>> = (1..=n).map(|j| vec![j]).collect();
+    let serial = IndirectLoop::new(n + 1, vec![0; n], rhs, vec![vec![0.5]; n]).unwrap();
 
-    // Each solve traces its sub-pool dispatch (pools > 1).
-    let mut solves = 0u64;
+    // Sequential solves first: they dispatch nowhere, so a multi-pool
+    // engine that has run only those renders no pool family at all.
     for _ in 0..3 {
-        for l in &loops {
+        let mut y = vec![1.0; serial.data_len()];
+        let stats = engine.run(&serial, &mut y).unwrap();
+        assert_eq!(stats.workers, 1);
+    }
+    assert_eq!(
+        engine.prepare(&serial).unwrap().variant(),
+        PlanVariant::Sequential
+    );
+    let quiet = engine.metrics_text();
+    assert!(!quiet.contains("doacross_pool_"), "{quiet}");
+    for p in engine.pool_stats() {
+        assert_eq!((p.dispatches, p.steals), (0, 0), "{p:?}");
+    }
+    assert!(engine.recent_solves().iter().all(|s| s.pool.is_none()));
+
+    // Each parallel solve traces its sub-pool dispatch (pools > 1).
+    let mut parallel_solves = 0u64;
+    for l in &parallel {
+        let variant = engine.prepare(l).unwrap().variant();
+        assert!(
+            matches!(
+                variant,
+                PlanVariant::Doacross | PlanVariant::Linear(_) | PlanVariant::Reordered
+            ),
+            "{variant:?}"
+        );
+    }
+    for _ in 0..3 {
+        for l in &parallel {
             let mut y = l.initial_y();
             engine.run(l, &mut y).unwrap();
-            solves += 1;
+            parallel_solves += 1;
         }
     }
 
@@ -461,17 +505,25 @@ fn pool_metrics_reconcile_with_the_scheduler() {
     let families = parse_prometheus(&text);
 
     // The scraped dispatch counter reconciles with the scheduler's own
-    // ledger — in total and per pool — and both with the solves.
+    // ledger — in total and per pool — and both with the parallel solves;
+    // the solve counter with those plus the sequential ones.
     let pool_stats = engine.pool_stats();
     let ledger: u64 = pool_stats.iter().map(|p| p.dispatches).sum();
-    assert_eq!(ledger, solves, "one dispatch per admitted solve");
+    assert_eq!(ledger, parallel_solves, "one dispatch per parallel solve");
     assert_eq!(
         counter_value(&families, "doacross_pool_dispatches_total") as u64,
         ledger
     );
+    let sequential_solves: f64 = families["doacross_solves_total"]
+        .samples
+        .iter()
+        .filter(|(labels, _)| labels.get("variant").is_some_and(|v| v == "sequential"))
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(sequential_solves as u64, 3);
     assert_eq!(
         counter_value(&families, "doacross_solves_total") as u64,
-        ledger
+        ledger + 3
     );
     for p in &pool_stats {
         let scraped: f64 = families["doacross_pool_dispatches_total"]
@@ -487,18 +539,39 @@ fn pool_metrics_reconcile_with_the_scheduler() {
         pool_stats.iter().map(|p| p.steals).sum::<u64>()
     );
     assert!(families.contains_key("doacross_pool_wait_ns"));
-    assert!(families.contains_key("doacross_pool_solve_ns"));
+    // Only the parallel solves are in the per-pool latency histograms.
+    let pool_latencies: f64 = families["doacross_pool_solve_ns"]
+        .samples
+        .iter()
+        .filter(|(labels, _)| {
+            labels
+                .get("__series")
+                .is_some_and(|s| s == "doacross_pool_solve_ns_count")
+        })
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(pool_latencies as u64, parallel_solves);
 
     // The engine-sampled scheduler gauges scrape.
     assert_eq!(counter_value(&families, "doacross_pools"), 2.0);
     assert_eq!(counter_value(&families, "doacross_saturations_total"), 0.0);
 
-    // Flight-recorded solves carry an in-range pool stamp, and the JSON
-    // view exports the counter family.
+    // Flight-recorded solves carry an in-range pool stamp exactly when
+    // they were parallel, and the JSON view exports the counter family.
     for s in engine.recent_solves() {
-        assert!((s.pool as usize) < engine.pools());
+        match s.variant.as_str() {
+            "sequential" => assert_eq!(s.pool, None, "{s:?}"),
+            _ => assert!(
+                s.pool.is_some_and(|p| (p as usize) < engine.pools()),
+                "{s:?}"
+            ),
+        }
     }
-    assert!(engine.metrics_json().contains("\"pool_dispatches\":"));
+    let json = engine.metrics_json();
+    assert!(
+        json.contains(&format!("\"pool_dispatches\":{ledger}")),
+        "{json}"
+    );
 }
 
 #[test]

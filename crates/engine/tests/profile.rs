@@ -6,8 +6,11 @@
 //! lossless under concurrent deposits (property-tested).
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop};
-use doacross_engine::{validate_chrome_trace, Engine, ProfConfig, SolveProfile, SpanKind};
-use doacross_obs::profile::ProfArena;
+use doacross_engine::{
+    validate_chrome_trace, Engine, ObsVariant, ProfConfig, ProfSpan, SolveProfile, SpanKind,
+    TraceEvent,
+};
+use doacross_obs::profile::{ProfArena, NO_LEVEL};
 use doacross_plan::Planner;
 use proptest::prelude::*;
 
@@ -208,7 +211,7 @@ fn chrome_trace_exports_one_track_per_worker() {
 }
 
 /// A profiled, traced sequential solve reads the clock once per stage
-/// boundary and shares each reading: the executor's one pair is both
+/// boundary and shares each reading: the one pair around the run is both
 /// `RunStats::total` and the work span, and the record stage's one
 /// reading stamps both of its events. Pinned by equality, so the test
 /// never reads a clock itself.
@@ -246,6 +249,71 @@ fn a_sequential_solve_shares_its_clock_readings() {
                 .expect("traced")
         };
         assert_eq!(stamp_of("solve_finished"), stamp_of("solve_profiled"));
+    }
+}
+
+/// A profiled sequential solve runs on the caller's thread and holds no
+/// sub-pool, so no arena: its profile is made from its stats — exactly one
+/// work span on worker 0, starting at 0, lasting `RunStats::total`, its
+/// payload the iteration count, and no dispatch wait — and the
+/// `SolveProfiled` event it traces says exactly the same.
+#[test]
+fn a_profiled_sequential_solve_is_one_work_span_made_from_its_stats() {
+    // A serial chain is sequential under any cost model.
+    let n = 300usize;
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let chain = IndirectLoop::new(n + 1, (1..=n).collect(), rhs, vec![vec![0.5]; n]).unwrap();
+    let engine = Engine::builder()
+        .workers(2)
+        .pools(2)
+        .planner(Planner::new())
+        .observability_default()
+        .profiling_default()
+        .build();
+    for _ in 0..3 {
+        let (stats, profile) = solve_profiled(&engine, &chain);
+        let total_ns = u64::try_from(stats.total.as_nanos()).unwrap();
+        let work = ProfSpan {
+            worker: 0,
+            kind: SpanKind::Work,
+            level: NO_LEVEL,
+            start_ns: 0,
+            dur_ns: total_ns,
+            aux: stats.iterations as u64,
+        };
+        assert_eq!(profile.variant, ObsVariant::Sequential);
+        assert_eq!(profile.spans, [work]);
+        assert_eq!(profile.kind_spans, [1, 0, 0, 0]);
+        assert_eq!(profile.pool, None, "the solve held no sub-pool");
+        assert_eq!(profile.workers, 1);
+        assert_eq!(
+            (profile.total_ns, profile.realized_critical_ns),
+            (total_ns, total_ns)
+        );
+        assert_eq!(profile.dropped, 0);
+
+        let traced = engine
+            .trace_events()
+            .into_iter()
+            .rev()
+            .find(|e| e.event.kind() == "solve_profiled")
+            .expect("traced");
+        assert_eq!(
+            traced.event,
+            TraceEvent::SolveProfiled {
+                fp: profile.fp,
+                variant: ObsVariant::Sequential,
+                realized_critical_ns: total_ns,
+                work_ns: total_ns,
+                flag_wait_ns: 0,
+                barrier_wait_ns: 0,
+                dispatch_wait_ns: 0,
+                spans: 1,
+            }
+        );
+    }
+    for pool in engine.pool_stats() {
+        assert_eq!(pool.dispatches, 0, "{pool:?}");
     }
 }
 

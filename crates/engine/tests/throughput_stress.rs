@@ -9,12 +9,46 @@
 //! ledgers (per-pool dispatches, cache shard traffic) reconcile exactly.
 //! Saturation is pinned deterministically with a gated loop that holds a
 //! sub-pool open on purpose.
+//!
+//! Only a parallel solve is admitted to a sub-pool, and on this host the
+//! default engine plans nearly everything sequential, so the engines here
+//! are priced ([`flag_prices`]) to run a flag variant: the scheduler is
+//! what is under test.
 
 use doacross_core::{seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, TestLoop};
-use doacross_engine::{Engine, EngineError};
+use doacross_engine::{Engine, EngineError, SolveOutcome};
+use doacross_plan::{PlanVariant, Planner};
+use doacross_sim::CostModel;
 use doacross_sparse::{ilu0, stencil, TriangularMatrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Prices under which a flag variant wins on any structure with a legal
+/// one: the sequential loop and barriers cost a fortune, polls nothing —
+/// the way `benchmark/` pins `table1-par`'s flag engine.
+fn flag_prices() -> Planner {
+    Planner::with_costs(CostModel {
+        seq_iter: 1e6,
+        seq_term: 1e6,
+        wait_poll: 0.0,
+        barrier: 1e9,
+        ..CostModel::multimax()
+    })
+}
+
+fn is_flags(v: PlanVariant) -> bool {
+    matches!(
+        v,
+        PlanVariant::Doacross | PlanVariant::Linear(_) | PlanVariant::Reordered
+    )
+}
+
+/// Every iteration writes element 0: no parallel candidate is legal, so
+/// the plan is sequential under any cost model.
+fn accumulator(n: usize) -> IndirectLoop {
+    let rhs: Vec<Vec<usize>> = (1..=n).map(|j| vec![j]).collect();
+    IndirectLoop::new(n + 1, vec![0; n], rhs, vec![vec![0.5]; n]).expect("valid structure")
+}
 
 /// Forward-substitution-shaped indirect loop over a strict-lower factor:
 /// `y[i] += Σ_j (−L_ij)·y[col_j]`, row by row — the §3.2 workload.
@@ -73,7 +107,8 @@ fn tenant_loops() -> Vec<IndirectLoop> {
 /// 16 tenants × several rounds on one shared 2-pool engine: bit-identical
 /// results throughout, no deadlock across sub-pools, and afterwards the
 /// scheduler's per-pool dispatch ledger and the cache's per-shard ledger
-/// both reconcile exactly with the work submitted.
+/// both reconcile exactly with the work submitted. Every tenant runs a
+/// flag variant, so every solve is admitted.
 #[test]
 fn sixteen_tenants_on_a_shared_multi_pool_engine_stay_bit_identical() {
     const ROUNDS: usize = 3;
@@ -83,6 +118,7 @@ fn sixteen_tenants_on_a_shared_multi_pool_engine_stay_bit_identical() {
             .pools(2)
             .cache_capacity(32)
             .shards(4)
+            .planner(flag_prices())
             .build(),
     );
     assert_eq!(engine.pools(), 2);
@@ -90,6 +126,16 @@ fn sixteen_tenants_on_a_shared_multi_pool_engine_stay_bit_identical() {
     assert_eq!(engine.total_workers(), 2);
 
     let loops = tenant_loops();
+    // Priced on a bare planner, so the engine's cache ledger below sees
+    // only the tenants' own traffic.
+    for l in &loops {
+        let variant = engine
+            .planner()
+            .plan(engine.pool(), l)
+            .expect("plannable")
+            .variant();
+        assert!(is_flags(variant), "tenant planned {variant:?}");
+    }
     let oracles: Vec<Vec<f64>> = loops
         .iter()
         .map(|l| {
@@ -112,9 +158,9 @@ fn sixteen_tenants_on_a_shared_multi_pool_engine_stay_bit_identical() {
         }
     });
 
-    // Scheduler ledger: every solve acquired exactly one sub-pool; the
-    // per-pool dispatch counts sum to the solves submitted, and each
-    // sub-pool reports its configured worker count.
+    // Scheduler ledger: every solve is parallel and acquired exactly one
+    // sub-pool; the per-pool dispatch counts sum to the solves submitted,
+    // and each sub-pool reports its configured worker count.
     let total_solves = (loops.len() * ROUNDS) as u64;
     let pool_stats = engine.pool_stats();
     assert_eq!(pool_stats.len(), 2);
@@ -206,16 +252,36 @@ impl DoacrossLoop for GateLoop {
     }
 }
 
-/// With one sub-pool and a zero-waiter admission bound, a second solve
-/// arriving while the pool is held fails fast with the typed
-/// [`EngineError::Saturated`] — and the engine serves normally again once
-/// the pool frees up.
+/// With one sub-pool and a zero-waiter admission bound, a second parallel
+/// solve arriving while the pool is held fails fast with the typed
+/// [`EngineError::Saturated`] — its flight record names no sub-pool, since
+/// it was granted none — while a sequential solve, which occupies no
+/// worker, is served beside the held pool without touching admission. The
+/// engine serves normally again once the pool frees up.
 #[test]
 fn saturated_admission_fails_typed_and_recovers() {
-    let engine = Engine::builder().workers(1).pools(1).max_pending(0).build();
+    let engine = Engine::builder()
+        .workers(1)
+        .pools(1)
+        .max_pending(0)
+        .planner(flag_prices())
+        .observability_default()
+        .build();
     assert_eq!(engine.max_pending(), 0);
     let gate = GateLoop::new(4);
+    let holding = engine.prepare(&gate).expect("plannable").variant();
+    assert!(
+        is_flags(holding),
+        "the holder must lease the pool: {holding:?}"
+    );
     let small = TestLoop::new(40, 1, 7);
+    let victim = engine.prepare(&small).expect("plannable");
+    assert!(is_flags(victim.variant()), "{:?}", victim.variant());
+    let serial = accumulator(64);
+    let sequential = engine.prepare(&serial).expect("plannable");
+    assert_eq!(sequential.variant(), PlanVariant::Sequential);
+    let mut oracle = small.initial_y();
+    run_sequential(&small, &mut oracle);
 
     std::thread::scope(|scope| {
         let (engine_ref, gate_ref) = (&engine, &gate);
@@ -231,7 +297,7 @@ fn saturated_admission_fails_typed_and_recovers() {
             std::thread::yield_now();
         }
         let mut y = small.initial_y();
-        let err = engine.run(&small, &mut y).expect_err("pool is held");
+        let err = victim.execute(&small, &mut y).expect_err("pool is held");
         assert!(
             matches!(
                 err,
@@ -242,7 +308,28 @@ fn saturated_admission_fails_typed_and_recovers() {
             ),
             "unexpected error: {err}"
         );
-        assert!(engine.saturations() >= 1);
+        assert_eq!(engine.saturations(), 1);
+        assert_eq!(y, small.initial_y(), "a refused solve never ran");
+        let refused = engine.recent_solves().pop().expect("flight-recorded");
+        assert_eq!(refused.outcome, SolveOutcome::Saturated);
+        assert_eq!(refused.pool, None, "a refused attempt held no sub-pool");
+
+        // The only sub-pool is still held: a sequential plan is served on
+        // this thread all the same, and admission never sees it.
+        let mut y = vec![1.0; serial.data_len()];
+        let mut serial_oracle = y.clone();
+        run_sequential(&serial, &mut serial_oracle);
+        sequential
+            .execute(&serial, &mut y)
+            .expect("sequential solves are not admitted");
+        assert_eq!(y, serial_oracle);
+        assert_eq!(engine.saturations(), 1);
+        let served = engine.recent_solves().pop().expect("flight-recorded");
+        assert_eq!(
+            (served.outcome, served.pool),
+            (SolveOutcome::Ok, None),
+            "a sequential solve held no sub-pool"
+        );
 
         gate.release.store(true, Ordering::Release);
         let (y, _stats) = holder.join().expect("holder thread");
@@ -253,10 +340,13 @@ fn saturated_admission_fails_typed_and_recovers() {
         );
     });
 
-    // The rejection was admission-only: nothing is poisoned.
+    // The rejection was admission-only: nothing is poisoned, and the
+    // ledger holds the two parallel solves admitted, not the refused one
+    // or the sequential one.
     let mut y = small.initial_y();
-    let mut oracle = small.initial_y();
-    run_sequential(&small, &mut oracle);
-    engine.run(&small, &mut y).expect("engine recovered");
+    victim.execute(&small, &mut y).expect("engine recovered");
     assert_eq!(y, oracle);
+    let dispatches: u64 = engine.pool_stats().iter().map(|p| p.dispatches).sum();
+    assert_eq!(dispatches, 2, "the holder and the recovered victim");
+    assert_eq!(engine.saturations(), 1);
 }

@@ -11,10 +11,11 @@
 //! and pins the bill: after the cold solve grows the scratch, a warm
 //! solve reports **zero** allocations on the dispatching thread
 //! ([`RunStats::allocations`]). The same warm solves pin the region count:
-//! executor and postprocessor share one `ThreadPool::run`. Two audits
+//! executor and postprocessor share one `ThreadPool::run`. Three audits
 //! move the bracket out to the whole `PreparedLoop::execute` call, so
-//! what the engine does around the executor is covered too — the second
-//! with observability, profiling and adaptation all on.
+//! what the engine does around the executor is covered too — one on the
+//! sequential path, which leases no sub-pool, and one with observability,
+//! profiling and adaptation all on.
 
 use doacross_core::alloc::CountingAllocator;
 use doacross_core::{
@@ -25,6 +26,7 @@ use doacross_engine::{
 };
 use doacross_par::ThreadPool;
 use doacross_plan::{PatternFingerprint, PlanVariant, Planner, VariantCosts};
+use doacross_sim::CostModel;
 
 #[global_allocator]
 static AUDIT: CountingAllocator = CountingAllocator;
@@ -187,7 +189,8 @@ fn disabled_profiling_keeps_warm_solves_allocation_free() {
 /// the whole `PreparedLoop::execute` call instead of the executor alone:
 /// the output is the oracle's and the calling thread allocates nothing —
 /// not in admission, not arming the lease (the pristine copy reuses the
-/// sub-pool's buffer), not recording.
+/// sub-pool's buffer), not recording. A parallel plan is one dispatch per
+/// call, spread evenly over the sub-pools; a sequential one leases none.
 fn assert_whole_call_allocates_nothing<L: DoacrossLoop>(
     engine: &Engine,
     loop_: &L,
@@ -201,6 +204,7 @@ fn assert_whole_call_allocates_nothing<L: DoacrossLoop>(
         .collect();
     let mut oracle = y0.clone();
     run_sequential(loop_, &mut oracle);
+    let ledger_before = engine.pool_stats();
 
     // Cold solves, one per sub-pool (the scheduler's rotor walks them in
     // turn): each grows that sub-pool's executor scratch and pristine
@@ -225,11 +229,24 @@ fn assert_whole_call_allocates_nothing<L: DoacrossLoop>(
             prepared.variant()
         );
     }
-    // Every sub-pool served its share (one cold solve plus the warm ones):
-    // the zeros above cover each lease's scratch, not one warm sub-pool
-    // over and over.
-    for pool in engine.pool_stats() {
-        assert!(pool.dispatches > WARM_PER_POOL as u64, "{pool:?}");
+    // Every sub-pool served exactly its share (one cold solve plus the
+    // warm ones, never stolen: each call finds its preferred sub-pool
+    // free): the zeros above cover each lease's scratch, not one warm
+    // sub-pool over and over. A sequential plan leased nothing.
+    let share = match prepared.variant() {
+        PlanVariant::Sequential => 0,
+        _ => 1 + WARM_PER_POOL as u64,
+    };
+    for (before, after) in ledger_before.iter().zip(engine.pool_stats()) {
+        assert_eq!(
+            (
+                after.dispatches - before.dispatches,
+                after.steals - before.steals
+            ),
+            (share, 0),
+            "{:?}: {after:?}",
+            prepared.variant()
+        );
     }
 }
 
@@ -248,8 +265,32 @@ fn warm_whole_calls_allocate_nothing_under_the_default_policy() {
     assert_whole_call_allocates_nothing(&engine, &scattered_doall(4_000), |v| {
         v == PlanVariant::Doacross
     });
-    // A sequential plan takes no pristine copy; two single-worker
-    // sub-pools make consecutive solves alternate between both leases.
+    // Two single-worker sub-pools make consecutive solves alternate
+    // between both leases, each with its own scratch and pristine buffer;
+    // the prices pin a flag variant, since only a parallel plan leases.
+    let flag_prices = CostModel {
+        seq_iter: 1e6,
+        seq_term: 1e6,
+        wait_poll: 0.0,
+        barrier: 1e9,
+        ..CostModel::multimax()
+    };
+    let tenants = Engine::builder()
+        .workers(1)
+        .pools(2)
+        .planner(Planner::with_costs(flag_prices))
+        .build();
+    assert_whole_call_allocates_nothing(&tenants, &TestLoop::new(300, 1, 8), |v| {
+        matches!(v, PlanVariant::Linear(_))
+    });
+}
+
+/// A sequential plan runs on the caller's thread: on a multi-pool engine a
+/// warm whole call allocates nothing and dispatches nothing — no lease, no
+/// scratch, no pristine copy — and its stats count its allocations all the
+/// same.
+#[test]
+fn warm_sequential_calls_allocate_nothing_and_lease_no_sub_pool() {
     let tenants = Engine::builder()
         .workers(1)
         .pools(2)
@@ -258,6 +299,9 @@ fn warm_whole_calls_allocate_nothing_under_the_default_policy() {
     assert_whole_call_allocates_nothing(&tenants, &TestLoop::new(300, 1, 8), |v| {
         v == PlanVariant::Sequential
     });
+    for pool in tenants.pool_stats() {
+        assert_eq!((pool.dispatches, pool.steals), (0, 0), "{pool:?}");
+    }
 }
 
 /// Warm whole calls with observability, profiling and adaptation all on:

@@ -18,6 +18,18 @@ impl std::fmt::Display for FpId {
     }
 }
 
+/// An optional count as a JSON value: the number, or `null`.
+pub(crate) struct JsonOpt(pub(crate) Option<u64>);
+
+impl std::fmt::Display for JsonOpt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(n) => write!(f, "{n}"),
+            None => f.write_str("null"),
+        }
+    }
+}
+
 /// Executor variant families, mirroring the planner's `PlanVariant` (and
 /// the adaptive layer's `VariantKind`) without their payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -219,9 +231,11 @@ pub struct SolveRecord {
     pub wait_polls: u64,
     /// Barrier crossings (wavefront variant; 0 elsewhere).
     pub barrier_crossings: u64,
-    /// Scheduler sub-pool the solve was dispatched to (0 on a
-    /// single-pool engine).
-    pub pool: u64,
+    /// Scheduler sub-pool the solve held (0 on a single-pool engine), or
+    /// `None` when it held none: a sequential plan runs on the caller's
+    /// thread without admission, and a refused attempt was never granted
+    /// one. JSON views write `null`.
+    pub pool: Option<u64>,
     /// How the attempt ended. Non-[`SolveOutcome::Ok`] records carry
     /// partial stats (`total_ns` of the failed attempt; zeros elsewhere).
     pub outcome: SolveOutcome,
@@ -565,7 +579,7 @@ impl TraceEvent {
                     record.stalls,
                     record.wait_polls,
                     record.barrier_crossings,
-                    record.pool,
+                    JsonOpt(record.pool),
                     record.outcome.as_str()
                 );
             }

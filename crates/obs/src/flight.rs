@@ -102,7 +102,7 @@ mod tests {
             stalls: 0,
             wait_polls: i,
             barrier_crossings: 0,
-            pool: 0,
+            pool: Some(0),
             outcome: SolveOutcome::Ok,
         }
     }

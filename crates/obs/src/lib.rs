@@ -46,7 +46,13 @@
 //! | `doacross_pool_dispatches_total` | counter | `pool` | Solves routed per scheduler sub-pool (bounded; overflow aggregates under `pool="other"`). |
 //! | `doacross_pool_steals_total` | counter | — | Dispatches redirected by the work-stealing fallback (preferred sub-pool busy). |
 //! | `doacross_pool_wait_ns` | histogram | — | Time spent waiting for a free sub-pool (0 on the lock-free fast path). |
-//! | `doacross_pool_solve_ns` | histogram | `pool` | End-to-end solve latency per sub-pool (emitted once any multi-pool dispatch has been traced). |
+//! | `doacross_pool_solve_ns` | histogram | `pool` | End-to-end solve latency per sub-pool (emitted once any multi-pool dispatch has been traced; a solve that held no sub-pool is not in it). |
+//!
+//! Only solves that open a parallel region are admitted to a sub-pool, so
+//! the `doacross_pool_*` families count parallel solves: a sequential plan
+//! runs on the caller's thread, is dispatched nowhere, and its record
+//! carries `pool: None`. An engine that has only run sequential plans
+//! renders none of these families.
 //! | `doacross_trace_events_total` | counter | — | Trace events ever emitted. |
 //! | `doacross_trace_dropped_total` | counter | — | Trace events dropped to bound the ring. |
 //! | `doacross_structure_solves_total` | counter | `fingerprint`, `variant` | Per-structure solve counts (bounded; overflow aggregates under `fingerprint="other"`). |
@@ -858,7 +864,7 @@ impl Obs {
                 s.stalls,
                 s.wait_polls,
                 s.barrier_crossings,
-                s.pool,
+                event::JsonOpt(s.pool),
                 s.outcome.as_str()
             );
         }
@@ -887,7 +893,7 @@ mod tests {
                 stalls: 1,
                 wait_polls: 3,
                 barrier_crossings: 0,
-                pool: 0,
+                pool: Some(0),
                 outcome: SolveOutcome::Ok,
             },
         }
@@ -1003,5 +1009,28 @@ mod tests {
         assert!(buf.contains("\"solves\":{\"linear/plan_cached\":1}"));
         assert!(buf
             .contains("\"recent_solves\":[{\"fingerprint\":\"00000000000000070000000000000007\""));
+    }
+
+    #[test]
+    fn a_solve_that_held_no_sub_pool_is_in_no_pool_series() {
+        let obs = Obs::new(ObsConfig::default());
+        obs.emit(TraceEvent::PoolDispatched {
+            pool: 0,
+            stolen: false,
+            wait_ns: 0,
+        });
+        let mut event = solve_event(FpId(3, 3), ObsVariant::Sequential, 10);
+        if let TraceEvent::SolveFinished { record } = &mut event {
+            record.pool = None;
+        }
+        obs.emit(event);
+        let r = &obs.inner.as_ref().unwrap().registry;
+        assert!(r.pool_solve_ns.iter().all(|h| h.snapshot().2 == 0));
+        let mut json = String::new();
+        obs.render_json(&mut json);
+        assert!(json.contains("\"pool\":null"), "{json}");
+        let mut line = String::new();
+        event.to_json(&mut line);
+        assert!(line.contains("\"pool\":null"), "{line}");
     }
 }

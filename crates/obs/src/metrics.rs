@@ -181,9 +181,11 @@ impl Registry {
                 total.fetch_add(n, Ordering::Relaxed);
             }
         }
-        if self.pools_dispatched.load(Ordering::Relaxed) {
-            if let Some(h) = self.pool_solve_ns.get(record.pool as usize) {
-                h.record(record.total_ns);
+        if let Some(pool) = record.pool {
+            if self.pools_dispatched.load(Ordering::Relaxed) {
+                if let Some(h) = self.pool_solve_ns.get(pool as usize) {
+                    h.record(record.total_ns);
+                }
             }
         }
         let mut map = match self.per_fp.lock() {
@@ -277,7 +279,7 @@ mod tests {
                 stalls: 0,
                 wait_polls: 0,
                 barrier_crossings: 0,
-                pool: 0,
+                pool: Some(0),
                 outcome: crate::SolveOutcome::Ok,
             };
             r.record_solve(&record, 4);

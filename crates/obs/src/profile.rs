@@ -306,9 +306,11 @@ pub struct SolveProfile {
     pub fp: FpId,
     /// Variant that executed.
     pub variant: ObsVariant,
-    /// Scheduler sub-pool the solve ran on.
-    pub pool: u64,
-    /// Worker tracks in the arena the spans came from.
+    /// Scheduler sub-pool the solve ran on; `None` for a solve that held
+    /// none (a sequential plan runs on the caller's thread).
+    pub pool: Option<u64>,
+    /// Worker tracks the spans came from: the arena's, or 1 for a solve
+    /// that held no sub-pool.
     pub workers: u64,
     /// Wall time of the whole solve (engine-measured).
     pub total_ns: u64,
@@ -382,6 +384,19 @@ impl ProfileSummary {
             wait as f64 / total as f64
         }
     }
+}
+
+/// Where a harvest's spans come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanSource {
+    /// Sub-pool `pool`'s arena: what its workers and its dispatcher track
+    /// deposited during the solve.
+    Arena(usize),
+    /// A solve that ran on the caller's thread and held no sub-pool, so
+    /// no arena: its one span is made from its stats — a whole-run
+    /// [`SpanKind::Work`] span on worker 0, starting at 0, lasting the
+    /// solve's `total_ns`, `aux` = `iterations`.
+    Caller { iterations: u64 },
 }
 
 /// The retained profiles, oldest first, and the span capacity every one
@@ -460,11 +475,14 @@ impl Profiler {
         &self.arenas[pool.min(self.arenas.len() - 1)]
     }
 
-    /// Harvests `pool`'s arena into a [`SolveProfile`]: re-bases span
-    /// timestamps, derives the per-kind attribution and realized critical
-    /// path, feeds the per-level barrier-wait histograms, pushes the ring
-    /// (drop-oldest), and returns the summary for the trace stream and
-    /// the adaptive layer.
+    /// Harvests one solve's spans — drained from a sub-pool's arena, or
+    /// made from the stats of a solve that held none (see [`SpanSource`])
+    /// — into a [`SolveProfile`]: re-bases span timestamps, derives the
+    /// per-kind attribution and realized critical path, feeds the
+    /// per-level barrier-wait histograms, pushes the ring (drop-oldest),
+    /// and returns the summary for the trace stream and the adaptive
+    /// layer. Only the span source differs between the two; everything
+    /// after it is one body.
     ///
     /// Draining is what empties the arena for the sub-pool's next solve —
     /// there is no reset per solve. Once the ring is full, the spans land
@@ -476,14 +494,12 @@ impl Profiler {
     /// before it. The ring lock is taken once for the whole harvest.
     pub fn harvest(
         &self,
-        pool: usize,
+        source: SpanSource,
         fp: FpId,
         variant: ObsVariant,
         total_ns: u64,
         priced_ns: Option<f64>,
     ) -> ProfileSummary {
-        let arena = self.arena(pool);
-        let workers = arena.workers();
         let mut ring = match self.ring.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -495,7 +511,27 @@ impl Profiler {
         };
         let mut spans = evicted.map_or_else(|| Vec::with_capacity(ring.span_capacity), |p| p.spans);
         spans.clear();
-        let dropped = arena.drain_into(&mut spans);
+        let (pool, workers, dropped) = match source {
+            SpanSource::Arena(pool) => {
+                let arena = self.arena(pool);
+                (
+                    Some(pool as u64),
+                    arena.workers(),
+                    arena.drain_into(&mut spans),
+                )
+            }
+            SpanSource::Caller { iterations } => {
+                spans.push(ProfSpan {
+                    worker: 0,
+                    kind: SpanKind::Work,
+                    level: NO_LEVEL,
+                    start_ns: 0,
+                    dur_ns: total_ns,
+                    aux: iterations,
+                });
+                (None, 1, 0)
+            }
+        };
         if spans.len() > ring.span_capacity {
             ring.span_capacity = spans.len();
             let capacity = ring.span_capacity;
@@ -564,7 +600,7 @@ impl Profiler {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             fp,
             variant,
-            pool: pool as u64,
+            pool,
             workers: workers as u64,
             total_ns,
             priced_ns,
@@ -1005,7 +1041,13 @@ mod tests {
         arena.record(1, SpanKind::Work, 0, 1000, 50, 4);
         arena.record(1, SpanKind::BarrierWait, 0, 1050, 70, 0);
         arena.record_dispatch(990, 10);
-        let summary = prof.harvest(0, fp(), ObsVariant::Wavefront, 130, Some(125.0));
+        let summary = prof.harvest(
+            SpanSource::Arena(0),
+            fp(),
+            ObsVariant::Wavefront,
+            130,
+            Some(125.0),
+        );
         assert_eq!(summary.work_ns, 150);
         assert_eq!(summary.flag_wait_ns, 30);
         assert_eq!(summary.barrier_wait_ns, 90);
@@ -1027,6 +1069,35 @@ mod tests {
     }
 
     #[test]
+    fn a_caller_harvest_is_one_work_span_and_leaves_the_arenas_alone() {
+        let prof = Profiler::new(2, 4, ProfConfig::default());
+        prof.arena(0).record(1, SpanKind::Work, NO_LEVEL, 5, 7, 1);
+        let summary = prof.harvest(
+            SpanSource::Caller { iterations: 40 },
+            fp(),
+            ObsVariant::Sequential,
+            900,
+            None,
+        );
+        assert_eq!(summary.work_ns, 900);
+        assert_eq!(summary.realized_critical_ns, 900);
+        assert_eq!((summary.spans, summary.dropped), (1, 0));
+        let p = prof.recent().pop().unwrap();
+        assert_eq!((p.pool, p.workers), (None, 1));
+        assert_eq!(p.kind_spans, [1, 0, 0, 0]);
+        let work = ProfSpan {
+            worker: 0,
+            kind: SpanKind::Work,
+            level: NO_LEVEL,
+            start_ns: 0,
+            dur_ns: 900,
+            aux: 40,
+        };
+        assert_eq!(p.spans, [work]);
+        assert_eq!(prof.arena(0).take().0.len(), 1, "the arena was not drained");
+    }
+
+    #[test]
     fn ring_is_bounded_drop_oldest() {
         let prof = Profiler::new(
             1,
@@ -1038,7 +1109,7 @@ mod tests {
         );
         for i in 0..5u64 {
             prof.arena(0).record(0, SpanKind::Work, NO_LEVEL, i, 1, 1);
-            prof.harvest(0, fp(), ObsVariant::Doacross, 1, None);
+            prof.harvest(SpanSource::Arena(0), fp(), ObsVariant::Doacross, 1, None);
         }
         let recent = prof.recent();
         assert_eq!(recent.len(), 2);
@@ -1062,7 +1133,7 @@ mod tests {
         arena.record(0, SpanKind::BarrierWait, 1, 10, 10, 0);
         arena.record(0, SpanKind::BarrierWait, 2, 20, 10, 0);
         arena.record(0, SpanKind::BarrierWait, 9, 30, 10, 0);
-        prof.harvest(0, fp(), ObsVariant::Wavefront, 40, None);
+        prof.harvest(SpanSource::Arena(0), fp(), ObsVariant::Wavefront, 40, None);
         let levels = prof.level_histograms();
         let labels: Vec<&str> = levels.iter().map(|(l, _)| *l).collect();
         assert_eq!(labels, vec!["0", "1", "other"]);
@@ -1081,7 +1152,13 @@ mod tests {
         assert!(quiet.is_empty(), "armed-but-idle renders nothing");
 
         prof.arena(0).record(0, SpanKind::Work, NO_LEVEL, 0, 42, 7);
-        prof.harvest(0, fp(), ObsVariant::Doacross, 42, Some(40.0));
+        prof.harvest(
+            SpanSource::Arena(0),
+            fp(),
+            ObsVariant::Doacross,
+            42,
+            Some(40.0),
+        );
         let mut buf = String::new();
         prof.render_prometheus(&mut buf);
         assert!(buf.contains("doacross_profile_solves_total 1"));
@@ -1098,7 +1175,7 @@ mod tests {
         arena.record(0, SpanKind::BarrierWait, 0, 150, 5, 0);
         arena.record(1, SpanKind::Work, 0, 100, 40, 2);
         arena.record(1, SpanKind::BarrierWait, 0, 140, 15, 0);
-        prof.harvest(0, fp(), ObsVariant::Wavefront, 60, None);
+        prof.harvest(SpanSource::Arena(0), fp(), ObsVariant::Wavefront, 60, None);
         let trace = prof.chrome_trace();
         let stats = validate_chrome_trace(&trace).expect("trace must validate");
         assert_eq!(stats.events, 4);

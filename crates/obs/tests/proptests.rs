@@ -4,7 +4,9 @@
 //! (trace, flight) wrap without tearing records, and the profiler's
 //! allocation-free harvest computes exactly what the old one did.
 
-use doacross_obs::profile::{ProfConfig, ProfSpan, ProfileSummary, Profiler, SpanKind, NO_LEVEL};
+use doacross_obs::profile::{
+    ProfConfig, ProfSpan, ProfileSummary, Profiler, SpanKind, SpanSource, NO_LEVEL,
+};
 use doacross_obs::{
     FpId, Obs, ObsConfig, ObsProvenance, ObsVariant, SolveOutcome, SolveRecord, TraceEvent,
 };
@@ -29,7 +31,7 @@ fn seeded_record(seed: u64, variant: ObsVariant) -> SolveRecord {
         stalls: seed % 7,
         wait_polls: seed % 11,
         barrier_crossings: 0,
-        pool: 0,
+        pool: Some(0),
         outcome: SolveOutcome::Ok,
     }
 }
@@ -340,7 +342,7 @@ proptest! {
                     t => arena.record(t, SpanKind::ALL[kind], level, start_ns, dur_ns, aux),
                 }
             }
-            let summary = prof.harvest(0, FpId(n as u64, 0), ObsVariant::Doacross, 1, None);
+            let summary = prof.harvest(SpanSource::Arena(0), FpId(n as u64, 0), ObsVariant::Doacross, 1, None);
             let want = reference_harvest(workers, cap, deposits);
             let recent = prof.recent();
             prop_assert_eq!(recent.len(), (n + 1).min(ring));

@@ -54,10 +54,11 @@
 //!
 //! There is one planned path: `doacross_engine::Engine` fingerprints a
 //! loop, serves or builds its plan through the concurrent cache, and runs
-//! it on the [`PlanExecutor`] of the scheduler sub-pool the solve leased
-//! (one executor per sub-pool, owned by the engine), with the skip
-//! observable via [`doacross_core::PlanProvenance`] in the returned
-//! stats. The pieces compose by hand too:
+//! a parallel plan on the [`PlanExecutor`] of the scheduler sub-pool the
+//! solve leased (one executor per sub-pool, owned by the engine) and a
+//! sequential one through [`execute_sequential`] on the caller's thread,
+//! with the skip observable via [`doacross_core::PlanProvenance`] in the
+//! returned stats. The pieces compose by hand too:
 //!
 //! ```
 //! use doacross_par::ThreadPool;
@@ -100,7 +101,7 @@ pub use plan::{ExecutionPlan, PlanVariant, VariantCosts};
 pub use planner::{
     detect_linear, gated, parallel_floor, Planner, Pricing, BLOCKED_DATA_SPACE_FACTOR,
 };
-pub use runtime::PlanExecutor;
+pub use runtime::{execute_sequential, PlanExecutor};
 // The verifier's verdict vocabulary, re-exported so plan consumers can
 // match on violations without depending on `doacross-verify` directly.
 pub use doacross_verify::{

@@ -85,11 +85,13 @@ impl PlanExecutor {
     /// (`None` costs one branch per would-be span). Span fidelity varies by
     /// variant. The flat doacross variants (`Doacross`/`Reordered`) record
     /// fine-grained work spans and per-stall flag waits; `Wavefront`
-    /// records per-level work and barrier-wait spans. `Sequential`,
-    /// `Linear`, and `Blocked` record one coarse whole-run work span on
-    /// worker 0 — enough for the critical-path and wait-fraction accounting
-    /// to stay total-correct, without threading timers through their inner
-    /// loops.
+    /// records per-level work and barrier-wait spans. `Linear` and
+    /// `Blocked` record one coarse whole-run work span on worker 0 —
+    /// enough for the critical-path and wait-fraction accounting to stay
+    /// total-correct, without threading timers through their inner loops.
+    /// `Sequential` is [`execute_sequential`], which opens no region and
+    /// records no span: its one span is made from its stats by whoever
+    /// profiles it.
     pub fn execute<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
@@ -98,45 +100,10 @@ impl PlanExecutor {
         plan: &ExecutionPlan,
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = loop_.data_len();
-        if plan.census().iterations != loop_.iterations() || plan.census().data_len != data_len {
-            return Err(DoacrossError::PlanMismatch {
-                plan_iterations: plan.census().iterations,
-                plan_data_len: plan.census().data_len,
-                loop_iterations: loop_.iterations(),
-                loop_data_len: data_len,
-            });
-        }
-        if y.len() != data_len {
-            return Err(DoacrossError::DataLenMismatch {
-                got: y.len(),
-                expected: data_len,
-            });
-        }
-        // The variants without span sites of their own (`Sequential`,
-        // `Linear`, `Blocked`) get one whole-run work span on worker 0,
-        // `aux` = iterations.
-        let whole_run_span = |arena: &ProfArena, start_ns: u64, dur_ns: u64| {
-            arena.record(
-                0,
-                SpanKind::Work,
-                NO_LEVEL,
-                start_ns,
-                dur_ns,
-                loop_.iterations() as u64,
-            );
-        };
         if plan.variant() == PlanVariant::Sequential {
-            // One clock pair times the run for both its stats and its span.
-            let started = Instant::now();
-            run_sequential(loop_, y);
-            let mut stats = RunStats::sequential(loop_.iterations(), started.elapsed());
-            stats.provenance = PlanProvenance::PlanCold;
-            if let Some(arena) = prof {
-                whole_run_span(arena, arena.ns_at(started), stats.total.as_nanos() as u64);
-            }
-            return Ok(stats);
+            return execute_sequential(loop_, y, plan);
         }
+        check_shape(loop_, y, plan)?;
         let span_start = prof.map(|arena| arena.now_ns());
         let mut stats = match plan.variant() {
             PlanVariant::Linear(subscript) => {
@@ -149,16 +116,25 @@ impl PlanExecutor {
             _ => return self.execute_stream(pool, loop_, y, plan, prof),
         };
         stats.provenance = PlanProvenance::PlanCold;
+        // No span sites of their own: one whole-run work span on worker 0,
+        // `aux` = iterations.
         if let (Some(arena), Some(started)) = (prof, span_start) {
-            whole_run_span(arena, started, arena.now_ns().saturating_sub(started));
+            let dur_ns = arena.now_ns().saturating_sub(started);
+            arena.record(
+                0,
+                SpanKind::Work,
+                NO_LEVEL,
+                started,
+                dur_ns,
+                loop_.iterations() as u64,
+            );
         }
         Ok(stats)
     }
 
     /// The three stream-backed variants, with the claim grain derived (see
-    /// the module docs). Out of line, so the sequential arm of
-    /// [`Self::execute`] — the default engine's whole solve path on a host
-    /// where no parallel variant pays — carries none of their code.
+    /// the module docs). Out of line, so [`Self::execute`]'s own arms
+    /// carry none of their code.
     #[inline(never)]
     fn execute_stream<L: DoacrossLoop + ?Sized>(
         &mut self,
@@ -185,6 +161,54 @@ impl PlanExecutor {
         self.runtime
             .run_planned(pool, loop_, y, stream, grain, prof)
     }
+}
+
+/// Runs `loop_` under a [`PlanVariant::Sequential`] `plan` on the calling
+/// thread: the plan's shape checks, then [`run_sequential`] timed by one
+/// clock pair, reported as [`RunStats::sequential`] with
+/// [`PlanProvenance::PlanCold`]. No pool, no scratch, no region: the
+/// engine calls it directly for a sequential plan, and
+/// [`PlanExecutor::execute`] hands such a plan here. Inlined: it is the
+/// whole of a sequential solve's work beyond the loop itself.
+#[inline]
+pub fn execute_sequential<L: DoacrossLoop + ?Sized>(
+    loop_: &L,
+    y: &mut [f64],
+    plan: &ExecutionPlan,
+) -> Result<RunStats, DoacrossError> {
+    debug_assert_eq!(plan.variant(), PlanVariant::Sequential);
+    check_shape(loop_, y, plan)?;
+    let started = Instant::now();
+    run_sequential(loop_, y);
+    let mut stats = RunStats::sequential(loop_.iterations(), started.elapsed());
+    stats.provenance = PlanProvenance::PlanCold;
+    Ok(stats)
+}
+
+/// The typed refusals every plan-driven run starts with: a loop whose
+/// iteration or data space is not the plan's, or a `y` of the wrong
+/// length.
+fn check_shape<L: DoacrossLoop + ?Sized>(
+    loop_: &L,
+    y: &[f64],
+    plan: &ExecutionPlan,
+) -> Result<(), DoacrossError> {
+    let data_len = loop_.data_len();
+    if plan.census().iterations != loop_.iterations() || plan.census().data_len != data_len {
+        return Err(DoacrossError::PlanMismatch {
+            plan_iterations: plan.census().iterations,
+            plan_data_len: plan.census().data_len,
+            loop_iterations: loop_.iterations(),
+            loop_data_len: data_len,
+        });
+    }
+    if y.len() != data_len {
+        return Err(DoacrossError::DataLenMismatch {
+            got: y.len(),
+            expected: data_len,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -45,7 +45,11 @@
 #                  harvest equals a verbatim copy of the old harvest on
 #                  random timelines, and a faulted or rejected solve
 #                  leaves no spans in the next profile (the arena is reset
-#                  on the fault path only, not before every solve).
+#                  on the fault path only, not before every solve). Two
+#                  more for the sequential path that bypasses admission:
+#                  a held engine refuses a parallel solve typed while it
+#                  serves a sequential one, and a profiled sequential
+#                  solve is exactly one work span made from its stats.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -144,6 +148,13 @@ named doacross-verify soundness kills_truncated_ends
 say "analysis_gate: profile harvest equivalence and fault hygiene, by name"
 named doacross-obs proptests harvest_equals_the_reference_harvest
 named doacross-engine chaos a_fault_leaves_no_spans_in_the_next_profile
+
+# A sequential plan bypasses admission: a held engine refuses a parallel
+# solve typed and still serves a sequential one, and a profiled sequential
+# solve is exactly one work span made from its stats, by name.
+say "analysis_gate: the sequential path bypasses admission, by name"
+named doacross-engine throughput_stress saturated_admission_fails_typed_and_recovers
+named doacross-engine profile a_profiled_sequential_solve_is_one_work_span_made_from_its_stats
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||

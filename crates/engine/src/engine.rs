@@ -399,9 +399,10 @@ impl Engine {
     ///
     /// **Price:** every call fingerprints the pattern — one scan of its
     /// index arrays to find the plan, hit or miss; at Table-1 size that is
-    /// ≈ two bare sequential solves (`plan.cache_hit_ns` in the benchmark
-    /// ledger) before the solve starts. A caller that solves one structure
-    /// repeatedly should call [`Engine::prepare`] once and
+    /// ≈ 1.2 bare sequential solves before the solve starts (the benchmark
+    /// ledger's `plan.cache_hit_ns` 21–24 µs against `sparse.bare_p01_ns`
+    /// ≈ 19 µs, one CPU of a 2-vCPU x86-64 host). A caller that solves one
+    /// structure repeatedly should call [`Engine::prepare`] once and
     /// [`PreparedLoop::execute`] per solve: the handle carries the plan, so
     /// a warmed solve scans nothing.
     pub fn run<L: DoacrossLoop + ?Sized>(

@@ -244,54 +244,62 @@ fn damaged_boot_store_quarantines_and_the_boot_loop_recovers() {
 #[test]
 fn old_format_stores_cold_start_the_boot_path_but_fail_explicit_loads() {
     // The version-succession rule: a store whose format version differs
-    // (here a crafted "v1" relic from before the wavefront bump) is a
-    // clean cold start through the warm-start boot path — a
-    // format-bumping deploy must not crash-loop on its own previous
-    // checkpoint — while the explicit load stays strict and typed.
-    let path = store_path("old-format");
-    let source = engine(2);
-    let loop_ = TestLoop::new(400, 1, 8);
-    let mut y = loop_.initial_y();
-    source.run(&loop_, &mut y).unwrap();
-    source.save_plans(&path).unwrap();
+    // (a crafted "v1" relic from before the wavefront bump, and the v4
+    // store a deploy of this format actually meets on disk) is a clean
+    // cold start through the warm-start boot path — a format-bumping
+    // deploy must not crash-loop on its own previous checkpoint — while
+    // the explicit load stays strict and typed.
+    for relic in [1u32, 4] {
+        let path = store_path(&format!("old-format-v{relic}"));
+        let source = engine(2);
+        let loop_ = TestLoop::new(400, 1, 8);
+        let mut y = loop_.initial_y();
+        source.run(&loop_, &mut y).unwrap();
+        source.save_plans(&path).unwrap();
 
-    // Rewrite the version field to 1 (the magic is 8 bytes, the version
-    // the next 4). The checksum is irrelevant: the version is checked
-    // before it.
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+        // Rewrite the version field (the magic is 8 bytes, the version the
+        // next 4). The checksum is irrelevant: the version is checked
+        // before it.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&relic.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
 
-    let fresh = Engine::builder()
-        .workers(2)
-        .cache_capacity(8)
-        .warm_start(&path)
-        .try_build()
-        .expect("old format is succession, not damage");
-    assert_eq!(fresh.cache_len(), 0, "cold start, nothing restored");
-    assert_eq!(fresh.warm_start_plans(&path).unwrap(), 0);
-    let err = fresh.load_plans(&path).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            EngineError::Persist(PersistError::UnsupportedVersion { found: 1, .. })
-        ),
-        "{err:?}"
-    );
+        let fresh = Engine::builder()
+            .workers(2)
+            .cache_capacity(8)
+            .warm_start(&path)
+            .try_build()
+            .expect("old format is succession, not damage");
+        assert_eq!(
+            fresh.cache_len(),
+            0,
+            "v{relic}: cold start, nothing restored"
+        );
+        assert_eq!(fresh.warm_start_plans(&path).unwrap(), 0);
+        let err = fresh.load_plans(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::Persist(PersistError::UnsupportedVersion { found, .. })
+                    if found == relic
+            ),
+            "v{relic}: {err:?}"
+        );
 
-    // The next save rewrites the current format and warm starts again.
-    let mut y = loop_.initial_y();
-    fresh.run(&loop_, &mut y).unwrap();
-    assert_eq!(fresh.save_plans(&path).unwrap(), 1);
-    let healed = Engine::builder()
-        .workers(2)
-        .cache_capacity(8)
-        .warm_start(&path)
-        .try_build()
-        .unwrap();
-    assert_eq!(healed.cache_len(), 1);
+        // The next save rewrites the current format and warm starts again.
+        let mut y = loop_.initial_y();
+        fresh.run(&loop_, &mut y).unwrap();
+        assert_eq!(fresh.save_plans(&path).unwrap(), 1);
+        let healed = Engine::builder()
+            .workers(2)
+            .cache_capacity(8)
+            .warm_start(&path)
+            .try_build()
+            .unwrap();
+        assert_eq!(healed.cache_len(), 1);
 
-    std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
 }
 
 #[test]

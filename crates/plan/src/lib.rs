@@ -87,6 +87,7 @@ pub mod cache;
 pub mod census;
 pub mod concurrent;
 pub mod fingerprint;
+mod fnv;
 pub mod persist;
 pub mod plan;
 pub mod planner;

@@ -23,7 +23,7 @@
 //! plan records     (count + per record: generation, length, plan bytes)
 //! calibration      (flag + 12 model f64s + unit_ns) — optional, v3
 //! telemetry table  (count + fixed-width records)    — v3
-//! checksum         (u64 LE, FNV-1a over everything above)
+//! checksum         (u64 LE, four-lane FNV-1a over everything above)
 //! ```
 //!
 //! All integers are little-endian and fixed-width; plan records are
@@ -54,6 +54,7 @@
 
 use crate::census::PlanCensus;
 use crate::fingerprint::PatternFingerprint;
+use crate::fnv;
 use crate::plan::{ExecutionPlan, PlanVariant, VariantCosts};
 use doacross_core::{ClaimStream, LinearSubscript};
 use std::path::Path;
@@ -85,22 +86,12 @@ pub const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// re-observing from scratch. **v4** replaced the three artifact sections
 /// of a plan record (writer map, claim order, level schedule — `u64`
 /// fields) with one claim-stream section (`u32` fields: optional order,
-/// ends, class bytes, optional level offsets); v1–v3 stores are rejected
-/// per the policy above.
-pub const FORMAT_VERSION: u32 = 4;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a over a byte slice — the store checksum. Not cryptographic (the
-/// threat model is bit rot and truncation, not adversaries), but any
-/// single-bit flip provably changes it: each absorption step is injective
-/// in the running state.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
+/// ends, class bytes, optional level offsets). **v5** changed both hashes
+/// the store carries, with the byte layout unchanged: fingerprints (the
+/// store's keys) hash each stream over four lanes, and the checksum
+/// absorbs a word at a time over the same lanes, plus the byte length.
+/// v1–v4 stores are rejected per the policy above.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Reasons a store cannot be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1015,7 +1006,7 @@ impl PlanStore {
             put_f64(&mut out, t.sum_ns);
             put_f64(&mut out, t.sum_polls_ns);
         }
-        let checksum = fnv64(&out);
+        let checksum = fnv::checksum(&out);
         put_u64(&mut out, checksum);
         out
     }
@@ -1043,7 +1034,7 @@ impl PlanStore {
         }
         let body = &bytes[..bytes.len() - 8];
         let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let computed = fnv64(body);
+        let computed = fnv::checksum(body);
         if stored != computed {
             return Err(PersistError::ChecksumMismatch { stored, computed });
         }
@@ -1390,6 +1381,67 @@ mod tests {
                     PersistError::Truncated { .. } | PersistError::ChecksumMismatch { .. }
                 ),
                 "prefix {k}: {err:?}"
+            );
+        }
+    }
+
+    /// A store with every section present and a body whose length is not
+    /// a multiple of the checksum's 8-byte word.
+    fn store_with_a_padded_last_word() -> Vec<u8> {
+        let plan = plans_of_every_variant().remove(0);
+        let fp = *plan.fingerprint();
+        let mut store = PlanStore::new();
+        store.push_entry(0, Arc::new(plan));
+        store.set_calibration(Some(sample_calibration()));
+        store.push_telemetry(sample_telemetry(fp, TAG_DOACROSS));
+        let bytes = store.to_bytes();
+        assert_ne!(
+            (bytes.len() - 8) % 8,
+            0,
+            "the last checksummed word is padded"
+        );
+        bytes
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected_typed_including_the_padded_last_word() {
+        let bytes = store_with_a_padded_last_word();
+        let header = MAGIC.len() + 4;
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let err = PlanStore::from_bytes(&flipped).unwrap_err();
+            let expected = match bit / 8 {
+                at if at < MAGIC.len() => matches!(err, PersistError::BadMagic),
+                at if at < header => matches!(err, PersistError::UnsupportedVersion { .. }),
+                _ => matches!(err, PersistError::ChecksumMismatch { .. }),
+            };
+            assert!(expected, "bit {bit}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn a_blob_extended_by_zero_bytes_is_rejected_typed() {
+        let bytes = store_with_a_padded_last_word();
+        let (body, checksum) = bytes.split_at(bytes.len() - 8);
+        for zeros in 1..=16 {
+            // Zeros inside the checksummed body: the padded last word reads
+            // the same, the length does not.
+            let mut longer = body.to_vec();
+            longer.resize(body.len() + zeros, 0);
+            longer.extend_from_slice(checksum);
+            let err = PlanStore::from_bytes(&longer).unwrap_err();
+            assert!(
+                matches!(err, PersistError::ChecksumMismatch { .. }),
+                "{zeros} zeros before the checksum: {err:?}"
+            );
+            // Zeros after it.
+            let mut longer = bytes.clone();
+            longer.resize(bytes.len() + zeros, 0);
+            let err = PlanStore::from_bytes(&longer).unwrap_err();
+            assert!(
+                matches!(err, PersistError::ChecksumMismatch { .. }),
+                "{zeros} zeros after the checksum: {err:?}"
             );
         }
     }

@@ -48,13 +48,13 @@ fn pinned(flags: bool) -> Planner {
     })
 }
 
-/// A store written by the parent's format (v3: writer-map, claim-order and
+/// A store written by an older format (v3: writer-map, claim-order and
 /// level-schedule sections) is not parsed, patched or migrated: it fails
 /// with the typed version error before the checksum is even looked at, and
 /// every warm-start path treats that as a cold start.
 #[test]
 fn a_format_version_3_blob_cold_starts_typed() {
-    assert_eq!(FORMAT_VERSION, 4);
+    assert_eq!(FORMAT_VERSION, 5);
     let pool = ThreadPool::new(2);
     let grid = doacross_plan::testgrid::deep_grid(24, 8, 3, 5);
     let mut cache = PlanCache::new(2);
@@ -67,7 +67,7 @@ fn a_format_version_3_blob_cold_starts_typed() {
         PlanStore::from_bytes(&bytes),
         Err(PersistError::UnsupportedVersion {
             found: 3,
-            supported: 4,
+            supported: 5,
         })
     ));
 }
@@ -248,8 +248,9 @@ proptest! {
         cache.insert(Arc::new(plan));
         let bytes = cache.snapshot().to_bytes();
 
-        // Any single-bit flip must surface as a typed error (FNV absorbs
-        // every byte injectively, so no flip can slip past the checksum).
+        // Any single-bit flip must surface as a typed error (a flip changes
+        // one checksummed word, which the lanes absorb injectively, so no
+        // flip can slip past the checksum).
         let mut flipped = bytes.clone();
         let bit = flip_bit % (bytes.len() * 8);
         flipped[bit / 8] ^= 1 << (bit % 8);

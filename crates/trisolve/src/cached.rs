@@ -86,7 +86,7 @@ impl EngineSolver {
     /// `provenance` field tells whether this solve reused a cached plan.
     ///
     /// **Price:** this is [`Engine::run`] — each call fingerprints `l`'s
-    /// index arrays to find its plan (≈ two bare solves at Table-1 size)
+    /// index arrays to find its plan (≈ 1.2 bare solves at Table-1 size)
     /// and allocates `y`. An iteration loop over one structure should take
     /// the handle from [`EngineSolver::prepare`] once and call
     /// [`PreparedLoop::execute`] per right-hand side instead.

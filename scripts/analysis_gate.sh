@@ -50,6 +50,10 @@
 #                  a held engine refuses a parallel solve typed while it
 #                  serves a sequential one, and a profiled sequential
 #                  solve is exactly one work span made from its stats.
+#                  The fingerprint's collision proptest and its crafted
+#                  row-split pair run by name too: the plan key is the
+#                  cache's and the store's, and a lane that stopped
+#                  separating edits would alias plans silently.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -131,9 +135,11 @@ cargo test -q -p doacross-trisolve --test verify_table1 ||
 # The claim stream's own proofs, by name: `--exact` plus a count check, so
 # a test that was renamed away fails here instead of passing vacuously.
 say "analysis_gate: claim-stream proofs, by name"
-named() { # package, test target, test name
-  if ! cargo test -q -p "$1" --test "$2" -- --exact "$3" 2>&1 | grep -q '^test result: ok. 1 passed'; then
-    violation "$1 --test $2: '$3' did not run and pass"
+named() { # package, test target ("lib" for the crate's unit tests), test name
+  local target=(--test "$2")
+  [ "$2" = lib ] && target=(--lib)
+  if ! cargo test -q -p "$1" "${target[@]}" -- --exact "$3" 2>&1 | grep -q '^test result: ok. 1 passed'; then
+    violation "$1 ${target[*]}: '$3' did not run and pass"
   fi
 }
 named doacross-par interleave_models chunked_claims_walked_in_slot_order_never_deadlock_or_race
@@ -155,6 +161,18 @@ named doacross-engine chaos a_fault_leaves_no_spans_in_the_next_profile
 say "analysis_gate: the sequential path bypasses admission, by name"
 named doacross-engine throughput_stress saturated_admission_fails_typed_and_recovers
 named doacross-engine profile a_profiled_sequential_solve_is_one_work_span_made_from_its_stats
+
+# The plan key's collision properties: single-word edits, row splits and
+# wide subscripts change both hash streams, and the crafted row-split pair
+# keeps separating each stream, by name.
+say "analysis_gate: fingerprint collision properties, by name"
+for t in single_edits_change_both_streams \
+  an_element_moved_across_a_row_boundary_changes_both_streams \
+  a_subscript_at_or_above_2_pow_32_never_aliases_its_low_bits \
+  structures_spread_over_eight_shards; do
+  named doacross-plan proptest_fingerprint "$t"
+done
+named doacross-plan lib fingerprint::tests::row_boundary_split_perturbs_both_streams
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||

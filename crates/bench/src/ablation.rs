@@ -12,10 +12,13 @@
 use crate::report::Table;
 use crate::table1::solve_sim_options;
 use doacross_core::{Doacross, TestLoop};
+use doacross_doconsider::{
+    doconsider_order, level_histogram, reorder::order_from_levels, DependenceDag, LevelAssignment,
+};
 use doacross_par::{ThreadPool, WaitStrategy};
 use doacross_sim::{Machine, SimOptions};
 use doacross_sparse::{Problem, ProblemKind};
-use doacross_trisolve::{SolvePlan, TriSolveLoop};
+use doacross_trisolve::TriSolveLoop;
 use std::time::Instant;
 
 /// `repro ablation`: every section in order.
@@ -65,7 +68,7 @@ fn inspector_elimination() {
     let machine = Machine::multimax();
     let sys = Problem::build(ProblemKind::FivePt).triangular_system();
     let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
-    let plan = SolvePlan::for_matrix(&sys.l);
+    let order = doconsider_order(&loop_);
     let mut t = Table::new(["configuration", "T_par (kc)", "efficiency"]);
     for (name, insp, light) in [
         ("full inspector + copy-back", true, false),
@@ -75,7 +78,7 @@ fn inspector_elimination() {
     ] {
         let r = machine.simulate_doacross(
             &loop_,
-            Some(&plan.order),
+            Some(&order),
             SimOptions {
                 chunk: 1,
                 include_inspector: insp,
@@ -177,7 +180,7 @@ fn processor_scaling() {
     println!("Ablation 5 — processor scaling (simulated, 5-PT solve)\n");
     let sys = Problem::build(ProblemKind::FivePt).triangular_system();
     let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
-    let plan = SolvePlan::for_matrix(&sys.l);
+    let order = doconsider_order(&loop_);
     let opts = solve_sim_options();
     let mut t = Table::new([
         "p",
@@ -189,7 +192,7 @@ fn processor_scaling() {
     for p in [1usize, 2, 4, 8, 16, 32, 64] {
         let machine = Machine::new(p);
         let plain = machine.simulate_doacross(&loop_, None, opts);
-        let re = machine.simulate_doacross(&loop_, Some(&plan.order), opts);
+        let re = machine.simulate_doacross(&loop_, Some(&order), opts);
         t.row([
             p.to_string(),
             format!("{:.3}", plain.efficiency),
@@ -220,12 +223,14 @@ fn sync_granularity() {
     for kind in ProblemKind::all() {
         let sys = Problem::build(kind).triangular_system();
         let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
-        let plan = SolvePlan::for_matrix(&sys.l);
-        let doacross = machine.simulate_doacross(&loop_, Some(&plan.order), opts);
-        let level = machine.simulate_level_scheduled(&loop_, &plan.order, &plan.histogram, Some(1));
+        let levels = LevelAssignment::compute(&DependenceDag::build(&loop_));
+        let order = order_from_levels(&levels);
+        let doacross = machine.simulate_doacross(&loop_, Some(&order), opts);
+        let level =
+            machine.simulate_level_scheduled(&loop_, &order, &level_histogram(&levels), Some(1));
         t.row([
             sys.kind.name().to_string(),
-            plan.critical_path().to_string(),
+            levels.critical_path().to_string(),
             format!("{:.1}", doacross.t_par / 1e3),
             format!("{:.1}", level.t_par / 1e3),
             if doacross.t_par <= level.t_par {

@@ -1,7 +1,7 @@
 //! End-user tool: load a (general, square) matrix in Matrix Market
 //! format, ILU(0)-factor it, and solve the unit lower-triangular system
-//! with any of the library's solvers — the full §3.2 pipeline on a matrix
-//! of your own.
+//! sequentially and with each way the runtime runs it — the full §3.2
+//! pipeline on a matrix of your own.
 //!
 //! Usage:
 //!   cargo run -p doacross-bench --release -- solve MATRIX.mtx \
@@ -11,16 +11,15 @@
 //! With no file argument, a built-in 63×63 five-point demo matrix is used.
 
 use crate::report::Table;
+use doacross_core::Doacross;
+use doacross_doconsider::{reorder::order_from_levels, DependenceDag, LevelAssignment};
 use doacross_par::ThreadPool;
 use doacross_sparse::{
     ilu0, io::read_matrix_market, stencil::five_point, CsrMatrix, TriangularMatrix,
 };
-use doacross_trisolve::{
-    seq::time_sequential, verify::residual, BlockedSolver, DoacrossSolver, ReorderedSolver,
-    SolvePlan,
-};
+use doacross_trisolve::{verify::residual, TriSolveLoop};
 use std::io::BufReader;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Args {
     path: Option<String>,
@@ -96,69 +95,73 @@ pub fn run(args: impl Iterator<Item = String>) {
         l.nnz(),
         t0.elapsed()
     );
-    let plan = SolvePlan::for_matrix(&l);
-    println!(
-        "dependence structure: {} wavefronts, average parallelism {:.1}\n",
-        plan.critical_path(),
-        plan.levels.average_parallelism()
-    );
-
     // Manufactured RHS with known solution.
     let x_true: Vec<f64> = (0..l.n()).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect();
     let rhs = l.matvec(&x_true);
+    let loop_ = TriSolveLoop::new(&l, &rhs);
+    let levels = LevelAssignment::compute(&DependenceDag::build(&loop_));
+    println!(
+        "dependence structure: {} wavefronts, average parallelism {:.1}\n",
+        levels.critical_path(),
+        levels.average_parallelism()
+    );
 
-    let pool = ThreadPool::new(args.workers);
-    let mut table = Table::new(["solver", "best time (µs)", "residual", "vs seq"]);
-    let (y_seq, t_seq) = time_sequential(&l, &rhs, args.reps);
-    let lane = |name: &str, f: &mut dyn FnMut() -> Vec<f64>, table: &mut Table| {
-        let mut best = std::time::Duration::MAX;
+    // Every lane, the sequential baseline included, reports its best of
+    // `reps`.
+    let best_of = |f: &mut dyn FnMut() -> Vec<f64>| {
+        let mut best = Duration::MAX;
         let mut y = Vec::new();
         for _ in 0..args.reps {
             let start = Instant::now();
             y = f();
             best = best.min(start.elapsed());
         }
-        let r = residual(&l, &y, &rhs);
+        (best, residual(&l, &y, &rhs))
+    };
+    let seq = best_of(&mut || l.forward_solve(&rhs));
+    let mut table = Table::new(["solver", "best time (µs)", "residual", "vs seq"]);
+    let mut row = |name: &str, (best, r): (Duration, f64)| {
         table.row([
             name.to_string(),
             best.as_micros().to_string(),
             format!("{r:.2e}"),
-            format!("{:.2}x", t_seq.as_secs_f64() / best.as_secs_f64()),
+            format!("{:.2}x", seq.0.as_secs_f64() / best.as_secs_f64()),
         ]);
     };
-
     // The baseline row is always printed; `--solver seq` prints only it.
-    table.row([
-        "sequential".to_string(),
-        t_seq.as_micros().to_string(),
-        format!("{:.2e}", residual(&l, &y_seq, &rhs)),
-        "1.00x".to_string(),
-    ]);
+    row("sequential", seq);
 
+    // The parallel lanes are the one runtime's entry points: the §2.3
+    // linear subscript in natural or doconsider claim order, and the §2.3
+    // strip-mined variant.
+    let pool = ThreadPool::new(args.workers);
+    let mut runtime = Doacross::new(l.n());
+    let order = order_from_levels(&levels);
     let want = |name: &str| args.solver == "all" || args.solver == name;
-    if want("doacross") {
-        let mut s = DoacrossSolver::new(l.n());
-        lane(
-            "doacross",
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
-            &mut table,
-        );
-    }
-    if want("reordered") {
-        let mut s = ReorderedSolver::new(l.n());
-        s.prepare(&l);
-        lane(
-            "reordered",
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
-            &mut table,
-        );
+    for (name, order) in [("doacross", None), ("reordered", Some(&order[..]))] {
+        if want(name) {
+            row(
+                name,
+                best_of(&mut || {
+                    let mut y = vec![0.0; l.n()];
+                    runtime
+                        .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), order)
+                        .expect("valid");
+                    y
+                }),
+            );
+        }
     }
     if want("blocked") {
-        let mut s = BlockedSolver::new(args.block).expect("nonzero block");
-        lane(
+        row(
             &format!("blocked (B={})", args.block),
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
-            &mut table,
+            best_of(&mut || {
+                let mut y = vec![0.0; l.n()];
+                runtime
+                    .run_blocked(&pool, &loop_, &mut y, args.block)
+                    .expect("nonzero block");
+                y
+            }),
         );
     }
     println!("{}", table.render());

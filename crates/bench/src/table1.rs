@@ -13,9 +13,10 @@
 //! the construct.
 
 use crate::report::Table;
+use doacross_doconsider::{reorder::order_from_levels, DependenceDag, LevelAssignment};
 use doacross_sim::{Machine, SimOptions};
 use doacross_sparse::{Problem, ProblemKind, TriSystem};
-use doacross_trisolve::{SolvePlan, TriSolveLoop};
+use doacross_trisolve::TriSolveLoop;
 
 /// One row of the regenerated Table 1 (times in simulated kilocycles).
 #[derive(Debug, Clone)]
@@ -63,14 +64,14 @@ pub fn simulate_row(machine: &Machine, sys: &TriSystem) -> Table1Row {
     let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
     let opts = solve_sim_options();
     let plain = machine.simulate_doacross(&loop_, None, opts);
-    let plan = SolvePlan::for_matrix(&sys.l);
-    let reordered = machine.simulate_doacross(&loop_, Some(&plan.order), opts);
+    let levels = LevelAssignment::compute(&DependenceDag::build(&loop_));
+    let reordered = machine.simulate_doacross(&loop_, Some(&order_from_levels(&levels)), opts);
     Table1Row {
         name: sys.kind.name(),
         n: sys.n(),
         nnz: sys.l.nnz(),
-        critical_path: plan.critical_path(),
-        avg_parallelism: plan.levels.average_parallelism(),
+        critical_path: levels.critical_path(),
+        avg_parallelism: levels.average_parallelism(),
         t_seq: plain.t_seq / 1e3,
         t_plain: plain.t_par / 1e3,
         t_reordered: reordered.t_par / 1e3,

@@ -11,11 +11,10 @@
 //! dependence analysis, and ordering entirely, observable via
 //! [`doacross_core::PlanProvenance::PlanCached`] in the returned stats.
 //!
-//! Unlike [`crate::ReorderedSolver`], which pins one strategy and one
-//! structure, the engine holds a sharded LRU of plans across *many*
-//! structures — e.g. the L and U factors of several preconditioners in one
-//! service — and because every entry point is `&self`, one solver instance
-//! serves concurrent solve threads without external locking.
+//! The engine holds a sharded LRU of plans across *many* structures — e.g.
+//! the L and U factors of several preconditioners in one service — and
+//! because every entry point is `&self`, one solver instance serves
+//! concurrent solve threads without external locking.
 
 use crate::fig7::TriSolveLoop;
 use doacross_core::RunStats;

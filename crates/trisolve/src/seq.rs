@@ -1,46 +1,8 @@
 //! Sequential triangular solve — the paper's `T_seq` baseline.
 
 use doacross_sparse::TriangularMatrix;
-use std::time::{Duration, Instant};
 
 /// Figure 7 verbatim: sequential forward substitution. Returns `y`.
 pub fn solve_sequential(l: &TriangularMatrix, rhs: &[f64]) -> Vec<f64> {
     l.forward_solve(rhs)
-}
-
-/// Timed sequential solve, averaged over `reps` repetitions (the paper
-/// reports milliseconds for a single solve; averaging suppresses timer
-/// noise on fast systems).
-pub fn time_sequential(l: &TriangularMatrix, rhs: &[f64], reps: usize) -> (Vec<f64>, Duration) {
-    assert!(reps > 0, "need at least one repetition");
-    let mut y = Vec::new();
-    let start = Instant::now();
-    for _ in 0..reps {
-        y = l.forward_solve(rhs);
-    }
-    (y, start.elapsed() / reps as u32)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use doacross_sparse::{ilu0, stencil::five_point, TriangularMatrix};
-
-    #[test]
-    fn timed_solve_matches_untimed() {
-        let a = five_point(8, 8, 44);
-        let l = TriangularMatrix::from_strict_lower(&ilu0(&a).l);
-        let rhs: Vec<f64> = (0..l.n()).map(|i| i as f64 * 0.5).collect();
-        let (y, t) = time_sequential(&l, &rhs, 3);
-        assert_eq!(y, solve_sequential(&l, &rhs));
-        assert!(t >= Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn zero_reps_rejected() {
-        let a = five_point(2, 2, 1);
-        let l = TriangularMatrix::from_strict_lower(&ilu0(&a).l);
-        let _ = time_sequential(&l, &[0.0; 4], 0);
-    }
 }

@@ -7,17 +7,13 @@
 //! index reversal: iterate `k = 0..n` over rows `i = n−1−k`. In `k`-space
 //! every dependency points backward again (`row j > i` ⇔ `iteration
 //! n−1−j < k`), so the unmodified executor machinery applies. The non-unit
-//! diagonal division is the [`DoacrossLoop::finish`] hook.
+//! diagonal division is the [`DoacrossLoop::finish`] hook. The loop is
+//! planned and priced like any other; [`crate::IluPreconditioner`] holds
+//! it as a prepared loop.
 
-use crate::plan::SolvePlan;
-use doacross_core::{
-    AccessPattern, Doacross, DoacrossConfig, DoacrossError, DoacrossLoop, RunStats,
-};
-use doacross_doconsider::{reorder::order_from_levels, DependenceDag, LevelAssignment};
-use doacross_par::ThreadPool;
+use doacross_core::{AccessPattern, DoacrossLoop};
 use doacross_sparse::UpperTriangularMatrix;
 use std::ops::Range;
-use std::time::Instant;
 
 /// The backward solve viewed as a doacross loop over reversed rows.
 #[derive(Debug, Clone, Copy)]
@@ -99,96 +95,12 @@ impl DoacrossLoop for UpperSolveLoop<'_> {
     }
 }
 
-/// Preprocessed-doacross backward solver, with an optional cached
-/// doconsider reordering (in `k`-space).
-#[derive(Debug)]
-pub struct UpperSolver {
-    runtime: Doacross,
-    plan: Option<SolvePlan>,
-    reorder: bool,
-}
-
-impl UpperSolver {
-    /// Solver for systems up to dimension `n`, natural (reversed-row)
-    /// claim order.
-    pub fn new(n: usize) -> Self {
-        Self::with_config(n, DoacrossConfig::default())
-    }
-
-    /// Solver with explicit configuration.
-    pub fn with_config(n: usize, config: DoacrossConfig) -> Self {
-        Self {
-            runtime: Doacross::with_config(n, config),
-            plan: None,
-            reorder: false,
-        }
-    }
-
-    /// Enables the doconsider (wavefront-sorted) claim order; the plan is
-    /// computed on first solve and cached.
-    pub fn with_reordering(mut self) -> Self {
-        self.reorder = true;
-        self
-    }
-
-    /// The cached plan, if reordering is enabled and a solve has run.
-    pub fn plan(&self) -> Option<&SolvePlan> {
-        self.plan.as_ref()
-    }
-
-    fn plan_for(&mut self, u: &UpperTriangularMatrix) -> &SolvePlan {
-        let needs = self
-            .plan
-            .as_ref()
-            .map(|p| p.order.len() != u.n())
-            .unwrap_or(true);
-        if needs {
-            let start = Instant::now();
-            let n = u.n();
-            // Predecessors in k-space: iteration k depends on iterations
-            // n-1-j for every stored column j of row n-1-k.
-            let dag = DependenceDag::from_predecessors(n, |k| {
-                let i = n - 1 - k;
-                u.row_cols(i).iter().map(move |&j| n - 1 - j)
-            });
-            let levels = LevelAssignment::compute(&dag);
-            let order = order_from_levels(&levels);
-            let histogram = doacross_doconsider::level_histogram(&levels);
-            self.plan = Some(SolvePlan {
-                levels,
-                order,
-                histogram,
-                planning_time: start.elapsed(),
-            });
-        }
-        self.plan.as_ref().expect("plan prepared")
-    }
-
-    /// Solves `U x = rhs` in parallel; bit-identical to
-    /// [`UpperTriangularMatrix::backward_solve`].
-    pub fn solve(
-        &mut self,
-        pool: &ThreadPool,
-        u: &UpperTriangularMatrix,
-        rhs: &[f64],
-    ) -> Result<(Vec<f64>, RunStats), DoacrossError> {
-        let loop_ = UpperSolveLoop::new(u, rhs);
-        let mut x = vec![0.0; u.n()];
-        let order = if self.reorder {
-            self.plan_for(u);
-            self.plan.as_ref().map(|p| &p.order[..])
-        } else {
-            None
-        };
-        let stats = self.runtime.run_with_order(pool, &loop_, &mut x, order)?;
-        Ok((x, stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doacross_core::seq::run_sequential;
+    use doacross_core::{seq::run_sequential, RunStats};
+    use doacross_engine::{Engine, PreparedLoop};
+    use doacross_plan::{PlanVariant, Planner};
     use doacross_sparse::{ilu0, stencil::five_point, CsrMatrix};
 
     fn system(seed: u64) -> (UpperTriangularMatrix, Vec<f64>) {
@@ -207,37 +119,60 @@ mod tests {
         assert_eq!(x, u.backward_solve(&rhs));
     }
 
+    /// Prepares and runs `U x = rhs` on four workers priced by the
+    /// paper's Multimax preset, which plans this grid factor parallel (the
+    /// default engine may keep it sequential): the diagonal division runs
+    /// as the `finish` hook inside a planned executor.
+    fn preset_solve(u: &UpperTriangularMatrix, rhs: &[f64]) -> (PreparedLoop, Vec<f64>, RunStats) {
+        let engine = Engine::builder()
+            .workers(4)
+            .pools(1)
+            .planner(Planner::new())
+            .build();
+        let loop_ = UpperSolveLoop::new(u, rhs);
+        let prepared = engine.prepare(&loop_).unwrap();
+        let mut x = vec![0.0; u.n()];
+        let stats = prepared.execute(&loop_, &mut x).unwrap();
+        (prepared, x, stats)
+    }
+
     #[test]
     fn parallel_solver_matches_bitwise() {
         let (u, rhs) = system(72);
-        let expect = u.backward_solve(&rhs);
-        let pool = ThreadPool::new(4);
-        let mut solver = UpperSolver::new(u.n());
-        let (x, stats) = solver.solve(&pool, &u, &rhs).unwrap();
-        assert_eq!(x, expect);
+        let (prepared, x, stats) = preset_solve(&u, &rhs);
+        assert_ne!(prepared.variant(), PlanVariant::Sequential);
+        assert_eq!(x, u.backward_solve(&rhs));
         assert_eq!(stats.deps.true_deps, u.nnz() as u64);
     }
 
     #[test]
     fn reordered_solver_matches_and_reduces_stalls_structurally() {
+        // The plan claims iterations in the level-sorted (doconsider)
+        // order of k-space.
         let (u, rhs) = system(73);
-        let expect = u.backward_solve(&rhs);
-        let pool = ThreadPool::new(4);
-        let mut solver = UpperSolver::new(u.n()).with_reordering();
-        let (x, _) = solver.solve(&pool, &u, &rhs).unwrap();
-        assert_eq!(x, expect);
-        let plan = solver.plan().expect("plan cached");
-        assert!(plan.critical_path() >= 1);
-        assert_eq!(plan.order.len(), u.n());
+        let (prepared, x, _) = preset_solve(&u, &rhs);
+        assert_eq!(prepared.variant(), PlanVariant::Reordered);
+        assert_eq!(x, u.backward_solve(&rhs));
+        let plan = prepared.plan();
+        assert!(plan.census().critical_path >= 1);
+        let order = plan
+            .stream()
+            .and_then(|s| s.order())
+            .expect("a claim order");
+        assert_eq!(order.len(), u.n());
     }
 
     #[test]
     fn diagonal_only_system() {
         let m = CsrMatrix::from_parts(3, 3, vec![0, 1, 2, 3], vec![0, 1, 2], vec![2.0, 4.0, 8.0]);
         let u = UpperTriangularMatrix::from_upper(&m);
-        let pool = ThreadPool::new(2);
-        let mut solver = UpperSolver::new(3);
-        let (x, stats) = solver.solve(&pool, &u, &[2.0, 4.0, 8.0]).unwrap();
+        let rhs = [2.0, 4.0, 8.0];
+        let mut x = vec![0.0; 3];
+        let stats = Engine::builder()
+            .workers(2)
+            .build()
+            .run(&UpperSolveLoop::new(&u, &rhs), &mut x)
+            .unwrap();
         assert_eq!(x, vec![1.0, 1.0, 1.0]);
         assert_eq!(stats.deps.total(), 0);
     }

@@ -6,10 +6,10 @@
 //! Solves `A x = b` for a 5-point operator with preconditioned Richardson
 //! iteration: `x ← x + M⁻¹ (b − A x)`, `M = L·U` from ILU(0). Both halves
 //! of every `M⁻¹` application (forward and backward substitution) are
-//! doacross-parallel, with their doconsider reorderings computed once and
-//! amortized across all iterations. The session's `Engine` owns the one
-//! worker pool everything runs on — preconditioner applications borrow it
-//! via `engine.pool()`.
+//! loops the session's `Engine` planned once, when the preconditioner was
+//! built — variant chosen by its cost model, preprocessing amortized
+//! across all iterations — and every application runs both prepared
+//! loops over the preconditioner's own scratch, allocating nothing.
 //!
 //! Run: `cargo run --release --example krylov`
 
@@ -27,20 +27,20 @@ fn main() {
     let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 9) as f64 * 0.25).collect();
     let b = csr_matvec(&a, &x_true);
 
+    // One engine per service: it plans and runs both triangular solves.
+    let engine = Engine::builder().build();
+    let workers = engine.threads();
     println!("factoring with ILU(0) and planning both doacross solves...");
-    let mut precond = IluPreconditioner::new(&a);
+    let mut precond = IluPreconditioner::new(&engine, &a).expect("plannable");
     println!(
         "  L: {} deps; U: {} deps",
         precond.l().nnz(),
         precond.u().nnz()
     );
 
-    // One engine per service: its pool is the session's only pool.
-    let engine = Engine::builder().build();
-    let workers = engine.threads();
-
     // Preconditioned Richardson: x += M^-1 (b - A x).
     let mut x = vec![0.0; n];
+    let mut z = vec![0.0; n];
     let b_norm = norm2(&b);
     println!("\npreconditioned Richardson iteration ({workers} workers):");
     for iter in 0..30 {
@@ -53,9 +53,8 @@ fn main() {
         if rel < 1e-10 {
             break;
         }
-        // Two preprocessed-doacross triangular solves per application, on
-        // the engine's workers.
-        let z = precond.apply(engine.pool(), &r).expect("valid solves");
+        // Two prepared triangular solves per application.
+        precond.apply_into(&r, &mut z).expect("valid solves");
         for (xi, zi) in x.iter_mut().zip(&z) {
             *xi += zi;
         }

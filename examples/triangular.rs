@@ -1,18 +1,22 @@
 //! Sparse triangular solve (the paper's §3.2 application): generate a
-//! Table 1 problem, ILU(0)-factor it, and solve with all the solvers the
+//! Table 1 problem, ILU(0)-factor it, and solve it every way the
 //! evaluation compares — sequential, preprocessed doacross,
-//! doconsider-rearranged doacross, and the engine-cached solver —
-//! verifying they agree bit for bit.
+//! doconsider-rearranged doacross, strip-mined doacross, and the
+//! engine-cached solver — verifying they agree bit for bit.
 //!
 //! Run: `cargo run --release --example triangular [spe2|spe5|5pt|7pt|9pt]`
 //! (default: 5pt)
 
-use preprocessed_doacross::core::PlanProvenance;
+use preprocessed_doacross::core::{Doacross, PlanProvenance};
+use preprocessed_doacross::doconsider::{
+    reorder::order_from_levels, DependenceDag, LevelAssignment,
+};
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
 use preprocessed_doacross::trisolve::{
-    seq::solve_sequential, verify::assert_solves, DoacrossSolver, EngineSolver, ReorderedSolver,
+    seq::solve_sequential, verify::assert_solves, EngineSolver, TriSolveLoop,
 };
 use preprocessed_doacross::Engine;
+use std::time::Instant;
 
 fn main() {
     let kind = match std::env::args().nth(1).as_deref() {
@@ -35,7 +39,7 @@ fn main() {
         sys.l.nnz()
     );
 
-    // One engine: its pool serves every solver below, and its plan cache
+    // One engine: its pool serves the runtime below, and its plan cache
     // serves the engine-cached solves.
     let engine = Engine::builder().build();
     let workers = engine.threads();
@@ -45,22 +49,37 @@ fn main() {
     let y_seq = solve_sequential(&sys.l, &sys.rhs);
     assert_solves(&sys.l, &y_seq, &sys.rhs, 1e-10);
 
-    // 2. Preprocessed doacross, natural row order.
-    let mut plain = DoacrossSolver::new(sys.n());
-    let (y_plain, stats_plain) = plain.solve(pool, &sys.l, &sys.rhs).expect("valid");
+    // 2. Preprocessed doacross, natural row order: the identity subscript
+    // is the §2.3 linear variant, so there is no inspector.
+    let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
+    let mut runtime = Doacross::new(sys.n());
+    let mut y_plain = vec![0.0; sys.n()];
+    let stats_plain = runtime
+        .run_linear(pool, &loop_, &mut y_plain, TriSolveLoop::subscript(), None)
+        .expect("valid");
     assert_eq!(y_plain, y_seq, "doacross == sequential, bitwise");
     println!("\npreprocessed doacross ({workers} workers): {stats_plain}");
 
-    // 3. Doconsider-rearranged doacross.
-    let mut reordered = ReorderedSolver::new(sys.n());
-    let plan = reordered.prepare(&sys.l);
+    // 3. Doconsider-rearranged doacross: rows claimed in wavefront order.
+    let start = Instant::now();
+    let levels = LevelAssignment::compute(&DependenceDag::build(&loop_));
+    let order = order_from_levels(&levels);
     println!(
         "\ndoconsider plan: {} wavefronts (critical path), avg parallelism {:.1}, planned in {:?}",
-        plan.critical_path(),
-        plan.levels.average_parallelism(),
-        plan.planning_time
+        levels.critical_path(),
+        levels.average_parallelism(),
+        start.elapsed()
     );
-    let (y_re, stats_re) = reordered.solve(pool, &sys.l, &sys.rhs).expect("valid");
+    let mut y_re = vec![0.0; sys.n()];
+    let stats_re = runtime
+        .run_linear(
+            pool,
+            &loop_,
+            &mut y_re,
+            TriSolveLoop::subscript(),
+            Some(&order),
+        )
+        .expect("valid");
     assert_eq!(y_re, y_seq, "rearranged == sequential, bitwise");
     println!("rearranged doacross:  {stats_re}");
     println!(
@@ -74,7 +93,15 @@ fn main() {
         }
     );
 
-    // 4. Engine-cached: the cost model picks the variant, the plan is
+    // 4. Strip-mined: 256 rows per block, scratch the size of a block.
+    let mut y_blocked = vec![0.0; sys.n()];
+    let stats_blocked = Doacross::new(0)
+        .run_blocked(pool, &loop_, &mut y_blocked, 256)
+        .expect("valid");
+    assert_eq!(y_blocked, y_seq, "strip-mined == sequential, bitwise");
+    println!("strip-mined doacross: {stats_blocked}");
+
+    // 5. Engine-cached: the cost model picks the variant, the plan is
     // cached, and the second solve skips preprocessing entirely.
     let solver = EngineSolver::new(engine.clone());
     let (y_eng, cold) = solver.solve(&sys.l, &sys.rhs).expect("valid");

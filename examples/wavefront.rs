@@ -20,13 +20,15 @@
 
 use preprocessed_doacross::core::seq::run_sequential;
 use preprocessed_doacross::core::PlanProvenance;
-use preprocessed_doacross::doconsider::{level_histogram, DependenceDag, LevelAssignment};
+use preprocessed_doacross::doconsider::{
+    level_histogram, reorder::order_from_levels, DependenceDag, LevelAssignment,
+};
 use preprocessed_doacross::plan::{detect_linear, CensusPass, PlanVariant, Planner};
 use preprocessed_doacross::sim::Machine;
 use preprocessed_doacross::sparse::{
     ilu0, stencil::five_point, stencil::seven_point, TriangularMatrix,
 };
-use preprocessed_doacross::trisolve::{SolvePlan, TriSolveLoop};
+use preprocessed_doacross::trisolve::TriSolveLoop;
 use preprocessed_doacross::Engine;
 
 fn main() {
@@ -61,10 +63,10 @@ fn main() {
     }
     println!("  (each point's level = 1 + max(level of W and S neighbors) — diagonal wavefronts)");
 
-    let plan = SolvePlan::for_matrix(&l);
+    let order = order_from_levels(&levels);
     println!("\nnatural claim order : 0 1 2 3 ... (row-major; consecutive claims are dependent)");
-    let shown = 16.min(plan.order.len());
-    let head: Vec<String> = plan.order[..shown].iter().map(|i| i.to_string()).collect();
+    let shown = 16.min(order.len());
+    let head: Vec<String> = order[..shown].iter().map(|i| i.to_string()).collect();
     println!(
         "doconsider order    : {} ... (wavefront-major; consecutive claims independent)",
         head.join(" ")
@@ -80,7 +82,7 @@ fn main() {
         chunk: 1,
     };
     let natural = machine.simulate_doacross(&loop_, None, opts);
-    let reordered = machine.simulate_doacross(&loop_, Some(&plan.order), opts);
+    let reordered = machine.simulate_doacross(&loop_, Some(&order), opts);
     println!("\nsimulated Multimax/320 (16 processors):");
     println!("  natural    : {natural}");
     println!("  doconsider : {reordered}");

@@ -9,8 +9,8 @@
 #   audit          every crate root must pin its unsafe posture: either
 #                  #![forbid(unsafe_code)] or
 #                  #![deny(unsafe_op_in_unsafe_fn)], and every `unsafe`
-#                  block or impl in a deny-posture crate (core, par,
-#                  trisolve — every other crate, the engine included,
+#                  block or impl in a deny-posture crate (core, par —
+#                  every other crate, the engine and trisolve included,
 #                  forbids unsafe code outright) must carry a SAFETY
 #                  comment within the three lines above it.
 #
@@ -54,6 +54,10 @@
 #                  row-split pair run by name too: the plan key is the
 #                  cache's and the store's, and a lane that stopped
 #                  separating edits would alias plans silently.
+#                  And the paper's application on the engine: both halves
+#                  of the ILU(0) preconditioner on every Table-1 operator,
+#                  planned parallel, the backward half's `finish` hook
+#                  inside the stream executors, bit for bit.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -103,7 +107,7 @@ audit=$(awk '
     if (ok) { lastfile = FILENAME; lastok = FNR }
     else printf "%s:%d: unsafe without a SAFETY comment above it\n", FILENAME, FNR
   }
-' $(find crates/core/src crates/par/src crates/trisolve/src -name '*.rs'))
+' $(find crates/core/src crates/par/src -name '*.rs'))
 if [ -n "$audit" ]; then
   while IFS= read -r miss; do violation "$miss"; done <<<"$audit"
 fi
@@ -173,6 +177,9 @@ for t in single_edits_change_both_streams \
   named doacross-plan proptest_fingerprint "$t"
 done
 named doacross-plan lib fingerprint::tests::row_boundary_split_perturbs_both_streams
+
+say "analysis_gate: the preconditioner's two prepared loops, by name"
+named doacross-trisolve lib precond::tests::table1_halves_plan_parallel_on_the_preset_engine_and_match_bitwise
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||

@@ -196,8 +196,10 @@
 //! * [`sparse`] — sparse-matrix substrate: stencil operators, ILU(0), and
 //!   the five Table 1 triangular systems.
 //! * [`doconsider`] — the iteration-reordering transformation of §3.2.
-//! * [`trisolve`] — the triangular solvers the evaluation compares;
-//!   `trisolve::EngineSolver` runs them through a shared engine.
+//! * [`trisolve`] — the evaluation's loops and the preconditioner:
+//!   Figure 7's forward solve, the backward solve, and the ILU(0)
+//!   preconditioner and `trisolve::EngineSolver` that run them on a
+//!   shared engine.
 //! * [`sim`] — the 16-processor Encore Multimax discrete-event model used
 //!   to regenerate Figure 6 and Table 1, plus host calibration.
 //! * [`plan`] — the execution-plan subsystem the engine is built on:

@@ -3,11 +3,10 @@
 //! workloads, at host scale.
 
 use preprocessed_doacross::core::{seq::run_sequential, Doacross, DoacrossConfig, TestLoop};
+use preprocessed_doacross::doconsider::doconsider_order;
 use preprocessed_doacross::par::{Schedule, ThreadPool, WaitStrategy};
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
-use preprocessed_doacross::trisolve::{
-    seq::solve_sequential, verify::assert_solves, DoacrossSolver, ReorderedSolver,
-};
+use preprocessed_doacross::trisolve::{seq::solve_sequential, verify::assert_solves, TriSolveLoop};
 
 fn pool() -> ThreadPool {
     ThreadPool::new(4)
@@ -15,22 +14,40 @@ fn pool() -> ThreadPool {
 
 #[test]
 fn all_table1_systems_solve_with_all_solvers() {
+    // Every way the one runtime runs Figure 7 — inspector/executor, the
+    // §2.3 linear subscript in natural and doconsider claim order, and the
+    // strip-mined variant — on one runtime reused across the five systems.
     let pool = pool();
+    let mut runtime = Doacross::new(0);
     for kind in ProblemKind::all() {
+        let name = kind.name();
         let sys = Problem::build(kind).triangular_system();
         let expect = solve_sequential(&sys.l, &sys.rhs);
         assert_solves(&sys.l, &expect, &sys.rhs, 1e-9);
+        let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
+        let true_deps = sys.l.nnz() as u64;
 
-        let (y_plain, stats) = DoacrossSolver::new(sys.n())
-            .solve(&pool, &sys.l, &sys.rhs)
-            .expect("valid system");
-        assert_eq!(y_plain, expect, "{}: doacross", kind.name());
+        let mut y = vec![0.0; sys.n()];
+        let stats = runtime.run(&pool, &loop_, &mut y).expect("valid system");
+        assert_eq!(y, expect, "{name}: inspected");
         assert_eq!(stats.iterations, sys.n());
+        assert_eq!(stats.deps.true_deps, true_deps, "{name}: inspected");
 
-        let (y_re, _) = ReorderedSolver::new(sys.n())
-            .solve(&pool, &sys.l, &sys.rhs)
+        let order = doconsider_order(&loop_);
+        for (lane, order) in [("doacross", None), ("rearranged", Some(&order[..]))] {
+            let mut y = vec![0.0; sys.n()];
+            let stats = runtime
+                .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), order)
+                .expect("valid system");
+            assert_eq!(y, expect, "{name}: {lane}");
+            assert_eq!(stats.deps.true_deps, true_deps, "{name}: {lane}");
+        }
+
+        let mut y = vec![0.0; sys.n()];
+        runtime
+            .run_blocked(&pool, &loop_, &mut y, 256)
             .expect("valid system");
-        assert_eq!(y_re, expect, "{}: rearranged", kind.name());
+        assert_eq!(y, expect, "{name}: blocked");
 
         // Accuracy against the manufactured solution.
         let max_err = expect
@@ -130,8 +147,15 @@ fn oversubscribed_pool_still_correct() {
     let big_pool = ThreadPool::new(16);
     let sys = Problem::build(ProblemKind::Spe2).triangular_system();
     let expect = solve_sequential(&sys.l, &sys.rhs);
-    let (y, _) = DoacrossSolver::new(sys.n())
-        .solve(&big_pool, &sys.l, &sys.rhs)
+    let mut y = vec![0.0; sys.n()];
+    Doacross::new(sys.n())
+        .run_linear(
+            &big_pool,
+            &TriSolveLoop::new(&sys.l, &sys.rhs),
+            &mut y,
+            TriSolveLoop::subscript(),
+            None,
+        )
         .expect("valid system");
     assert_eq!(y, expect);
 
@@ -153,16 +177,14 @@ fn reordered_solver_reduces_stalls_on_host() {
     // deterministic — the simulated machine, same processor count, natural
     // vs. doconsider claim order of the same system.
     use preprocessed_doacross::sim::{Machine, SimOptions};
-    use preprocessed_doacross::trisolve::TriSolveLoop;
 
     let pool = pool();
     let sys = Problem::build(ProblemKind::FivePt).triangular_system();
     let expect = sys.l.forward_solve(&sys.rhs);
-    let mut reordered = ReorderedSolver::new(sys.n());
-    let order = reordered.prepare(&sys.l).order.clone();
+    let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
+    let order = doconsider_order(&loop_);
 
     let machine = Machine::new(pool.threads());
-    let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
     let sim_plain = machine.simulate_doacross(&loop_, None, SimOptions::default());
     let sim_re = machine.simulate_doacross(&loop_, Some(&order), SimOptions::default());
     assert_eq!(sim_plain.true_deps, sim_re.true_deps, "same dependencies");
@@ -175,10 +197,16 @@ fn reordered_solver_reduces_stalls_on_host() {
 
     // What threads do guarantee: both claim orders resolve the same
     // dependencies and produce the sequential result bit for bit.
-    let (y_plain, plain) = DoacrossSolver::new(sys.n())
-        .solve(&pool, &sys.l, &sys.rhs)
-        .expect("valid");
-    let (y_re, re) = reordered.solve(&pool, &sys.l, &sys.rhs).expect("valid");
+    let mut runtime = Doacross::new(sys.n());
+    let mut solve = |order: Option<&[usize]>| {
+        let mut y = vec![0.0; sys.n()];
+        let stats = runtime
+            .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), order)
+            .expect("valid");
+        (y, stats)
+    };
+    let (y_plain, plain) = solve(None);
+    let (y_re, re) = solve(Some(&order));
     assert_eq!(plain.deps.true_deps, re.deps.true_deps, "same dependencies");
     assert_eq!(plain.deps.true_deps, sim_plain.true_deps);
     assert_eq!(y_plain, expect);

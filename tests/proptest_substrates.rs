@@ -10,7 +10,7 @@ use preprocessed_doacross::sparse::{
     dense::{matmul, max_diff},
     ilu0, TriangularMatrix, TripletBuilder,
 };
-use preprocessed_doacross::trisolve::{SolvePlan, TriSolveLoop};
+use preprocessed_doacross::trisolve::TriSolveLoop;
 use proptest::prelude::*;
 
 /// An arbitrary square diagonally-dominant sparse matrix.
@@ -128,8 +128,7 @@ proptest! {
         // instances a level order can lose a little to the natural order
         // (different claim interleavings), but never by much — and it must
         // obey the same physical bounds.
-        let plan = SolvePlan::for_matrix(&l);
-        let re = machine.simulate_doacross(&loop_, Some(&plan.order), opts);
+        let re = machine.simulate_doacross(&loop_, Some(&doconsider_order(&loop_)), opts);
         prop_assert!(
             re.t_executor <= r.t_executor * 1.15 + machine.costs.region_dispatch,
             "reordered {} vs natural {}", re.t_executor, r.t_executor

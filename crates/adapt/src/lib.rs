@@ -12,9 +12,9 @@
 //!
 //! * [`telemetry`] — [`VariantTelemetry`], a lock-light (sharded,
 //!   short-critical-section) recorder keyed by `(structure fingerprint,
-//!   variant)`: per-solve wall time EWMA + minimum + exact counts, poll
-//!   and barrier counters, and the running sums of a polls-vs-time
-//!   regression. Fed by the engine after every execute; aggregated
+//!   variant family)`, the family a `doacross_obs::ObsVariant`: per-solve
+//!   wall time EWMA + minimum + exact counts, poll and barrier counters,
+//!   and the running sums of a polls-vs-time regression. Fed by the engine after every execute; aggregated
 //!   engine-wide; persisted in v3 plan stores so a warm start resumes
 //!   mid-confidence.
 //! * [`refine`] — turns telemetry into measured cost-model constants
@@ -23,9 +23,9 @@
 //!   them into the static model via
 //!   [`doacross_sim::CostModel::refined_from`] with a weight that grows
 //!   with the evidence. [`pricing`] then re-prices a plan's candidate
-//!   table under the refined model with pure arithmetic (the stall sums
-//!   and wavefront rounds are recovered from the static prices by
-//!   inverting the planner's formulas).
+//!   table under the refined model with the planner's own pricing
+//!   function over the structure features the plan keeps — pure
+//!   arithmetic, and exact.
 //! * [`policy`] — [`PromotionPolicy`]: *when observed cost diverges from
 //!   prediction by more than the configured factor, re-price; if a
 //!   candidate wins by the hysteresis margin, trial it (the engine swaps
@@ -49,8 +49,6 @@ pub mod refine;
 pub mod telemetry;
 
 pub use policy::{Action, AdaptiveConfig, PromotionPolicy, StructureState, Trial};
-pub use pricing::{breakdown, cheapest, cheapest_by, price_of, reprice, Breakdown};
+pub use pricing::{breakdown, cheapest, cheapest_by, price_of, Breakdown, PREFERENCE};
 pub use refine::{refine, Refinement, RefinementConfig};
-pub use telemetry::{
-    SolveSample, TelemetryEntry, TelemetryTotals, VariantKind, VariantTelemetry, EWMA_ALPHA,
-};
+pub use telemetry::{SolveSample, TelemetryEntry, TelemetryTotals, VariantTelemetry, EWMA_ALPHA};

@@ -11,7 +11,8 @@
 //!    construction.
 //! 2. **Re-price on divergence.** At an evaluation point the engine
 //!    refines the cost model from telemetry ([`crate::refine`]) and
-//!    re-prices the plan's candidates ([`crate::pricing::reprice`]). The
+//!    re-prices the plan's candidates under it
+//!    ([`doacross_plan::price_features`] over the plan's features). The
 //!    **divergence threshold** ([`AdaptiveConfig::divergence`], default
 //!    1.5) gates everything: only when the refined price of the *running*
 //!    variant differs from its static price by more than the factor —
@@ -42,17 +43,19 @@
 //!
 //! ## Why it cannot replan forever either
 //!
-//! A proposal is only an estimate (re-pricing inverts the static prices;
-//! a gated plan has just a floor), so the engine answers it with one exact
-//! replan under the refined constants. When that replan *agrees with the
-//! running variant*, the proposal is **settled** ([`PromotionPolicy::settle`]):
+//! A proposal is arithmetic on the plan's features (a gated plan has just
+//! a floor), and the challenger it names is not built yet, so the engine
+//! answers it with one full replan under the refined constants. When that
+//! replan *agrees with the running variant*, the proposal is **settled**
+//! ([`PromotionPolicy::settle`]):
 //! the proposed kind — or, for a gated plan, the floor re-check itself —
 //! lost an exact pricing and is not raised again for this structure. The
 //! replan runs on the solving thread under the engine-wide structure
 //! lock, so a contradicted proposal costs one build, not one every
 //! `eval_interval` solves for as long as the refined constants stand still.
 
-use crate::telemetry::{TelemetryEntry, VariantKind};
+use crate::telemetry::TelemetryEntry;
+use doacross_obs::ObsVariant;
 
 /// Knobs of the adaptive policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,9 +95,9 @@ impl Default for AdaptiveConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trial {
     /// The variant under trial (currently cached and executing).
-    pub target: VariantKind,
+    pub target: ObsVariant,
     /// The variant it is trying to displace.
-    pub incumbent: VariantKind,
+    pub incumbent: ObsVariant,
 }
 
 /// Per-structure policy state. Owned by the engine, advanced by
@@ -104,9 +107,9 @@ pub struct Trial {
 pub struct StructureState {
     solves_since_eval: u64,
     trial: Option<Trial>,
-    rejected: Vec<VariantKind>,
+    rejected: Vec<ObsVariant>,
     /// Proposed kinds an exact replan contradicted (see module docs).
-    settled: Vec<VariantKind>,
+    settled: Vec<ObsVariant>,
     /// Same, for the floor re-check of a gated plan (which names no kind).
     floor_settled: bool,
     trials_started: u32,
@@ -121,13 +124,13 @@ impl StructureState {
 
     /// Variants that lost a measured comparison here and are out of the
     /// running.
-    pub fn rejected(&self) -> &[VariantKind] {
+    pub fn rejected(&self) -> &[ObsVariant] {
         &self.rejected
     }
 
     /// Proposals an exact replan under refined constants contradicted;
     /// they are not raised again.
-    pub fn settled(&self) -> &[VariantKind] {
+    pub fn settled(&self) -> &[ObsVariant] {
         &self.settled
     }
 
@@ -188,7 +191,7 @@ impl PromotionPolicy {
     pub fn on_solve(
         &self,
         state: &mut StructureState,
-        current: VariantKind,
+        current: ObsVariant,
         current_entry: &TelemetryEntry,
         incumbent_entry: Option<&TelemetryEntry>,
         has_baseline: bool,
@@ -236,7 +239,7 @@ impl PromotionPolicy {
         }
         state.solves_since_eval = 0;
         Action::Evaluate {
-            probe_baseline: !has_baseline && current != VariantKind::Sequential,
+            probe_baseline: !has_baseline && current != ObsVariant::Sequential,
         }
     }
 
@@ -248,11 +251,11 @@ impl PromotionPolicy {
     pub fn propose(
         &self,
         state: &mut StructureState,
-        current: VariantKind,
+        current: ObsVariant,
         static_price: f64,
         refined_price: f64,
-        mut refined_prices: impl FnMut(VariantKind) -> Option<f64>,
-    ) -> Option<VariantKind> {
+        mut refined_prices: impl FnMut(ObsVariant) -> Option<f64>,
+    ) -> Option<ObsVariant> {
         if state.pinned || state.trial.is_some() {
             return None;
         }
@@ -272,7 +275,7 @@ impl PromotionPolicy {
     /// Judges the evaluation of a *gated* plan — one whose build stopped
     /// at the planner's parallel floor, so there are no candidate prices
     /// to re-price. `reopens` is the floor re-checked under the refined
-    /// model ([`crate::pricing::gate_reopens`]); the answer is whether to
+    /// model (`!`[`doacross_plan::gated`]); the answer is whether to
     /// replan past the gate.
     pub fn propose_past_gate(&self, state: &StructureState, reopens: bool) -> bool {
         reopens && !state.pinned && state.trial.is_none() && !state.floor_settled
@@ -281,7 +284,7 @@ impl PromotionPolicy {
     /// Records that the exact replan a proposal asked for agreed with the
     /// running variant: `proposed` (`None` = the floor re-check of a gated
     /// plan) is not raised again for this structure.
-    pub fn settle(&self, state: &mut StructureState, proposed: Option<VariantKind>) {
+    pub fn settle(&self, state: &mut StructureState, proposed: Option<ObsVariant>) {
         match proposed {
             Some(kind) if !state.settled.contains(&kind) => state.settled.push(kind),
             Some(_) => {}
@@ -296,8 +299,8 @@ impl PromotionPolicy {
     pub fn begin_trial(
         &self,
         state: &mut StructureState,
-        target: VariantKind,
-        incumbent: VariantKind,
+        target: ObsVariant,
+        incumbent: ObsVariant,
     ) -> bool {
         if state.pinned || state.trials_started >= self.cfg.max_trials {
             state.pinned = true;
@@ -380,7 +383,7 @@ mod tests {
         // Too few samples: never evaluates, however many solves pass.
         for _ in 0..10 {
             assert_eq!(
-                p.on_solve(&mut st, VariantKind::Doacross, &entry(2, 100), None, true),
+                p.on_solve(&mut st, ObsVariant::Doacross, &entry(2, 100), None, true),
                 Action::Keep
             );
         }
@@ -388,7 +391,7 @@ mod tests {
         let mut evals = 0;
         for _ in 0..12 {
             if let Action::Evaluate { probe_baseline } =
-                p.on_solve(&mut st, VariantKind::Doacross, &entry(9, 100), None, true)
+                p.on_solve(&mut st, ObsVariant::Doacross, &entry(9, 100), None, true)
             {
                 assert!(!probe_baseline, "baseline present");
                 evals += 1;
@@ -403,7 +406,7 @@ mod tests {
         let mut st = StructureState::default();
         let mut action = Action::Keep;
         for _ in 0..4 {
-            action = p.on_solve(&mut st, VariantKind::Wavefront, &entry(9, 100), None, false);
+            action = p.on_solve(&mut st, ObsVariant::Wavefront, &entry(9, 100), None, false);
         }
         assert_eq!(
             action,
@@ -415,13 +418,7 @@ mod tests {
         let mut st = StructureState::default();
         let mut action = Action::Keep;
         for _ in 0..4 {
-            action = p.on_solve(
-                &mut st,
-                VariantKind::Sequential,
-                &entry(9, 100),
-                None,
-                false,
-            );
+            action = p.on_solve(&mut st, ObsVariant::Sequential, &entry(9, 100), None, false);
         }
         assert_eq!(
             action,
@@ -435,38 +432,38 @@ mod tests {
     fn propose_requires_divergence_and_a_margin_winner() {
         let p = policy();
         let mut st = StructureState::default();
-        let prices = |k: VariantKind| match k {
-            VariantKind::Sequential => Some(500.0),
-            VariantKind::Wavefront => Some(2_000.0),
+        let prices = |k: ObsVariant| match k {
+            ObsVariant::Sequential => Some(500.0),
+            ObsVariant::Wavefront => Some(2_000.0),
             _ => None,
         };
         // Within the divergence band: no proposal even with a cheaper
         // candidate on the table.
         assert_eq!(
-            p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 1_400.0, prices),
+            p.propose(&mut st, ObsVariant::Wavefront, 1_000.0, 1_400.0, prices),
             None
         );
         // Diverged: the cheapest non-rejected candidate that clears the
         // hysteresis margin wins.
         assert_eq!(
-            p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 2_000.0, prices),
-            Some(VariantKind::Sequential)
+            p.propose(&mut st, ObsVariant::Wavefront, 1_000.0, 2_000.0, prices),
+            Some(ObsVariant::Sequential)
         );
         // Divergence can fire downward too (the model *over*-priced us) —
         // but a candidate must still beat the refined price by the margin.
         assert_eq!(
-            p.propose(&mut st, VariantKind::Wavefront, 10_000.0, 600.0, prices),
-            Some(VariantKind::Sequential)
+            p.propose(&mut st, ObsVariant::Wavefront, 10_000.0, 600.0, prices),
+            Some(ObsVariant::Sequential)
         );
         assert_eq!(
-            p.propose(&mut st, VariantKind::Wavefront, 10_000.0, 520.0, prices),
+            p.propose(&mut st, ObsVariant::Wavefront, 10_000.0, 520.0, prices),
             None,
             "within the hysteresis margin of the best candidate"
         );
         // A rejected candidate is invisible.
-        st.rejected.push(VariantKind::Sequential);
+        st.rejected.push(ObsVariant::Sequential);
         assert_eq!(
-            p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 2_000.0, prices),
+            p.propose(&mut st, ObsVariant::Wavefront, 1_000.0, 2_000.0, prices),
             None
         );
     }
@@ -478,31 +475,31 @@ mod tests {
         // ask for a second build at the next evaluation point.
         let p = policy();
         let mut st = StructureState::default();
-        let prices = |k: VariantKind| match k {
-            VariantKind::Wavefront => Some(2_000.0),
-            VariantKind::Sequential => Some(500.0),
-            VariantKind::Doacross => Some(1_950.0), // inside the margin
+        let prices = |k: ObsVariant| match k {
+            ObsVariant::Wavefront => Some(2_000.0),
+            ObsVariant::Sequential => Some(500.0),
+            ObsVariant::Doacross => Some(1_950.0), // inside the margin
             _ => None,
         };
         let mut builds = 0;
         for _ in 0..2 {
-            if let Some(kind) = p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 2_000.0, prices)
+            if let Some(kind) = p.propose(&mut st, ObsVariant::Wavefront, 1_000.0, 2_000.0, prices)
             {
                 builds += 1;
                 p.settle(&mut st, Some(kind)); // the replan kept the wavefront
             }
         }
         assert_eq!(builds, 1, "unchanged prices, one build");
-        assert_eq!(st.settled(), &[VariantKind::Sequential]);
+        assert_eq!(st.settled(), &[ObsVariant::Sequential]);
         assert!(st.rejected().is_empty(), "nothing was measured");
         // A different candidate clearing the margin is still heard.
-        let moved = |k: VariantKind| match k {
-            VariantKind::Doacross => Some(900.0),
+        let moved = |k: ObsVariant| match k {
+            ObsVariant::Doacross => Some(900.0),
             other => prices(other),
         };
         assert_eq!(
-            p.propose(&mut st, VariantKind::Wavefront, 1_000.0, 2_000.0, moved),
-            Some(VariantKind::Doacross)
+            p.propose(&mut st, ObsVariant::Wavefront, 1_000.0, 2_000.0, moved),
+            Some(ObsVariant::Doacross)
         );
 
         // The floor re-check of a gated plan settles the same way.
@@ -522,37 +519,37 @@ mod tests {
         // Commit: the trial's measured minimum beats the incumbent's by
         // more than the 5% margin.
         let mut st = StructureState::default();
-        assert!(p.begin_trial(&mut st, VariantKind::Sequential, VariantKind::Wavefront));
+        assert!(p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Wavefront));
         let action = p.on_solve(
             &mut st,
-            VariantKind::Sequential,
+            ObsVariant::Sequential,
             &entry(3, 100),
             Some(&entry(5, 500)),
             true,
         );
         let trial = Trial {
-            target: VariantKind::Sequential,
-            incumbent: VariantKind::Wavefront,
+            target: ObsVariant::Sequential,
+            incumbent: ObsVariant::Wavefront,
         };
         assert_eq!(action, Action::Commit(trial));
         p.complete_trial(&mut st, trial, true);
-        assert_eq!(st.rejected(), &[VariantKind::Wavefront]);
+        assert_eq!(st.rejected(), &[ObsVariant::Wavefront]);
         assert!(st.trial().is_none());
 
         // Demote: marginal improvement below the margin is a regression
         // by policy (hysteresis), and the challenger is rejected.
         let mut st = StructureState::default();
-        assert!(p.begin_trial(&mut st, VariantKind::Sequential, VariantKind::Wavefront));
+        assert!(p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Wavefront));
         let action = p.on_solve(
             &mut st,
-            VariantKind::Sequential,
+            ObsVariant::Sequential,
             &entry(3, 490),
             Some(&entry(5, 500)),
             true,
         );
         assert_eq!(action, Action::Demote(trial));
         p.complete_trial(&mut st, trial, false);
-        assert_eq!(st.rejected(), &[VariantKind::Sequential]);
+        assert_eq!(st.rejected(), &[ObsVariant::Sequential]);
     }
 
     #[test]
@@ -564,12 +561,12 @@ mod tests {
         // on a phantom cancellation).
         let p = policy();
         let mut st = StructureState::default();
-        assert!(p.begin_trial(&mut st, VariantKind::Sequential, VariantKind::Wavefront));
+        assert!(p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Wavefront));
         let started = st.trials_started();
         for _ in 0..5 {
             let action = p.on_solve(
                 &mut st,
-                VariantKind::Wavefront, // the in-flight incumbent solve
+                ObsVariant::Wavefront, // the in-flight incumbent solve
                 &entry(9, 500),
                 Some(&entry(9, 500)),
                 true,
@@ -581,7 +578,7 @@ mod tests {
 
         // A solve of something that is NEITHER side means the plan
         // changed externally: the trial is abandoned without judgment.
-        let action = p.on_solve(&mut st, VariantKind::Doacross, &entry(9, 100), None, true);
+        let action = p.on_solve(&mut st, ObsVariant::Doacross, &entry(9, 100), None, true);
         assert_eq!(action, Action::Keep);
         assert!(st.trial().is_none(), "external replan cancels");
         assert!(st.rejected().is_empty(), "cancellation judges nobody");
@@ -594,7 +591,7 @@ mod tests {
         // converge (bounded swaps), not chase it forever.
         let p = policy();
         let mut st = StructureState::default();
-        let mut current = VariantKind::Wavefront;
+        let mut current = ObsVariant::Wavefront;
         let mut swaps = 0;
         for round in 0..50 {
             // Adversarial refinement: every candidate always looks 20x
@@ -630,16 +627,16 @@ mod tests {
         let mut st = StructureState::default();
         for _ in 0..3 {
             assert!(p.may_trial(&st));
-            assert!(p.begin_trial(&mut st, VariantKind::Sequential, VariantKind::Doacross));
+            assert!(p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Doacross));
             let trial = *st.trial().unwrap();
             p.complete_trial(&mut st, trial, false);
             st.rejected.clear(); // re-arm the oscillation adversarially
         }
         assert!(st.is_pinned());
         assert!(!p.may_trial(&st));
-        assert!(!p.begin_trial(&mut st, VariantKind::Sequential, VariantKind::Doacross));
+        assert!(!p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Doacross));
         assert_eq!(
-            p.on_solve(&mut st, VariantKind::Doacross, &entry(99, 1), None, true),
+            p.on_solve(&mut st, ObsVariant::Doacross, &entry(99, 1), None, true),
             Action::Keep
         );
         // Invalidation resets the slate.

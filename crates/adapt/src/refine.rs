@@ -35,7 +35,8 @@
 //! blends with a weight that grows with the evidence — a fresh engine
 //! prices like its preset, a seasoned one like its hardware.
 
-use crate::telemetry::{TelemetryEntry, VariantKind};
+use crate::telemetry::TelemetryEntry;
+use doacross_obs::ObsVariant;
 use doacross_plan::PatternFingerprint;
 use doacross_sim::{CostModel, ObservedConstants};
 
@@ -88,7 +89,7 @@ impl Refinement {
 /// worker count those predictions priced for.
 pub fn refine(
     base: &CostModel,
-    entries: &[(PatternFingerprint, VariantKind, TelemetryEntry)],
+    entries: &[(PatternFingerprint, ObsVariant, TelemetryEntry)],
     p: usize,
     cfg: &RefinementConfig,
 ) -> Refinement {
@@ -108,7 +109,7 @@ pub fn refine(
             entries
                 .iter()
                 .filter(|(_, kind, e)| {
-                    *kind == VariantKind::Sequential && e.pred_units > 0.0 && e.min_ns > 0
+                    *kind == ObsVariant::Sequential && e.pred_units > 0.0 && e.min_ns > 0
                 })
                 .map(|(_, _, e)| e.min_ns as f64 / e.pred_units)
                 .min_by(f64::total_cmp)
@@ -139,7 +140,7 @@ pub fn refine(
     let mut barrier_est: Option<f64> = None;
     let mut barrier_samples = 0u64;
     for (_, kind, e) in entries {
-        if *kind != VariantKind::Wavefront || e.barriers == 0 {
+        if *kind != ObsVariant::Wavefront || e.barriers == 0 {
             continue;
         }
         let excess_ns = e.min_ns as f64 - e.work_units * unit;
@@ -165,8 +166,9 @@ pub fn refine(
         if !kind.uses_flags() || e.wait_polls != 0 || e.terms == 0 {
             continue;
         }
-        // work_units = dispatch + (n·e + T·r_base)/p + post  — solve for
-        // the observed r from the anchored observation.
+        // work_units = dispatch + max((n·e + T·r_base)/p, CP·chain) + post
+        // — solve its work branch for the observed r from the anchored
+        // observation.
         let t_over_p = e.terms as f64 / p.max(1) as f64;
         let non_term_units = e.work_units - t_over_p * base_per_term;
         let r_obs = (e.min_ns as f64 / unit - non_term_units) / t_over_p;
@@ -222,7 +224,7 @@ mod tests {
         for polls in 0..10u64 {
             telemetry.record(
                 &fp(5),
-                VariantKind::Doacross,
+                ObsVariant::Doacross,
                 SolveSample {
                     ns: 10_000 + 13 * polls,
                     wait_polls: polls,
@@ -248,7 +250,7 @@ mod tests {
         for _ in 0..4 {
             telemetry.record(
                 &key,
-                VariantKind::Sequential,
+                ObsVariant::Sequential,
                 SolveSample {
                     ns: 4_000,
                     wait_polls: 0,
@@ -263,7 +265,7 @@ mod tests {
         for polls in [0u64, 5, 10, 20, 40] {
             telemetry.record(
                 &key,
-                VariantKind::Doacross,
+                ObsVariant::Doacross,
                 SolveSample {
                     ns: 9_000 + 26 * polls,
                     wait_polls: polls,
@@ -295,7 +297,7 @@ mod tests {
         for _ in 0..5 {
             telemetry.record(
                 &key,
-                VariantKind::Wavefront,
+                ObsVariant::Wavefront,
                 SolveSample {
                     ns: 3_000 + 19 * 600,
                     wait_polls: 0,
@@ -328,7 +330,7 @@ mod tests {
         let key = fp(4);
         telemetry.record(
             &key,
-            VariantKind::Sequential,
+            ObsVariant::Sequential,
             SolveSample {
                 ns: 1_000,
                 wait_polls: 0,
@@ -342,7 +344,7 @@ mod tests {
         for _ in 0..3 {
             telemetry.record(
                 &key,
-                VariantKind::Wavefront,
+                ObsVariant::Wavefront,
                 SolveSample {
                     ns: 5_000,
                     wait_polls: 0,

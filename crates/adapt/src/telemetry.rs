@@ -3,12 +3,14 @@
 //!
 //! Every plan execution deposits one [`SolveSample`] — observed wall time,
 //! busy-wait polls, barrier crossings — keyed by the structure's
-//! [`PatternFingerprint`] and the executed [`VariantKind`]. The recorder
-//! keeps, per key, an exponentially-weighted moving average, the observed
-//! minimum (the noise-robust "how fast can this variant actually go"
-//! estimate), exact counts, and the running sums of a polls-vs-nanoseconds
-//! regression — the raw material [`crate::refine`] turns into measured
-//! cost-model constants.
+//! [`PatternFingerprint`] and the executed variant family, an
+//! [`ObsVariant`] (a `PlanVariant`'s payloads — linear subscript, block
+//! size — are functions of the structure, which the fingerprint already
+//! pins). The recorder keeps, per key, an exponentially-weighted moving
+//! average, the observed minimum (the noise-robust "how fast can this
+//! variant actually go" estimate), exact counts, and the running sums of a
+//! polls-vs-nanoseconds regression — the raw material [`crate::refine`]
+//! turns into measured cost-model constants.
 //!
 //! "Lock-light" means sharded short critical sections, exactly like the
 //! engine's plan cache: keys route to one of `N` mutex-guarded maps by
@@ -18,8 +20,8 @@
 //! solves being recorded. No allocation happens in steady state (an entry
 //! allocates once, on its first sample).
 
-use doacross_obs::FpMap;
-use doacross_plan::{PatternFingerprint, PlanVariant, StoredTelemetry};
+use doacross_obs::{FpMap, ObsVariant};
+use doacross_plan::{PatternFingerprint, StoredTelemetry};
 use parking_lot::Mutex;
 
 /// Weight of the newest sample in the per-entry moving average. 0.2 keeps
@@ -30,111 +32,6 @@ pub const EWMA_ALPHA: f64 = 0.2;
 /// Minimum samples (and poll-count spread) before
 /// [`TelemetryEntry::poll_slope_ns`] reports a regression slope.
 pub const MIN_SLOPE_SAMPLES: u64 = 4;
-
-/// An execution-variant family, payload-free — the telemetry key.
-/// [`PlanVariant`]'s payloads (linear subscript, block size) are functions
-/// of the structure, which the fingerprint half of the key already pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum VariantKind {
-    Sequential,
-    Doacross,
-    Linear,
-    Reordered,
-    Blocked,
-    Wavefront,
-}
-
-impl VariantKind {
-    /// All kinds, in the planner's tie-breaking preference order (fewest
-    /// resources first: a cheaper-or-equal earlier kind wins ties).
-    pub fn all() -> [VariantKind; 6] {
-        [
-            VariantKind::Sequential,
-            VariantKind::Linear,
-            VariantKind::Doacross,
-            VariantKind::Reordered,
-            VariantKind::Wavefront,
-            VariantKind::Blocked,
-        ]
-    }
-
-    /// Stable wire tag — matches the plan-record variant tags of
-    /// `doacross_plan::persist`.
-    pub fn tag(self) -> u8 {
-        match self {
-            VariantKind::Sequential => 0,
-            VariantKind::Doacross => 1,
-            VariantKind::Linear => 2,
-            VariantKind::Reordered => 3,
-            VariantKind::Blocked => 4,
-            VariantKind::Wavefront => 5,
-        }
-    }
-
-    /// Inverse of [`VariantKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<VariantKind> {
-        Some(match tag {
-            0 => VariantKind::Sequential,
-            1 => VariantKind::Doacross,
-            2 => VariantKind::Linear,
-            3 => VariantKind::Reordered,
-            4 => VariantKind::Blocked,
-            5 => VariantKind::Wavefront,
-            _ => return None,
-        })
-    }
-
-    /// Whether this variant synchronizes through per-element `ready` flags
-    /// (and therefore produces wait-poll evidence).
-    pub fn uses_flags(self) -> bool {
-        matches!(
-            self,
-            VariantKind::Doacross | VariantKind::Linear | VariantKind::Reordered
-        )
-    }
-}
-
-/// The observability family of a telemetry kind — a 1:1 rename (both sides
-/// are the payload-free variant families).
-impl From<VariantKind> for doacross_obs::ObsVariant {
-    fn from(kind: VariantKind) -> Self {
-        match kind {
-            VariantKind::Sequential => doacross_obs::ObsVariant::Sequential,
-            VariantKind::Doacross => doacross_obs::ObsVariant::Doacross,
-            VariantKind::Linear => doacross_obs::ObsVariant::Linear,
-            VariantKind::Reordered => doacross_obs::ObsVariant::Reordered,
-            VariantKind::Blocked => doacross_obs::ObsVariant::Blocked,
-            VariantKind::Wavefront => doacross_obs::ObsVariant::Wavefront,
-        }
-    }
-}
-
-impl From<PlanVariant> for VariantKind {
-    fn from(variant: PlanVariant) -> Self {
-        match variant {
-            PlanVariant::Sequential => VariantKind::Sequential,
-            PlanVariant::Doacross => VariantKind::Doacross,
-            PlanVariant::Linear(_) => VariantKind::Linear,
-            PlanVariant::Reordered => VariantKind::Reordered,
-            PlanVariant::Blocked { .. } => VariantKind::Blocked,
-            PlanVariant::Wavefront => VariantKind::Wavefront,
-        }
-    }
-}
-
-impl std::fmt::Display for VariantKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            VariantKind::Sequential => "sequential",
-            VariantKind::Doacross => "doacross",
-            VariantKind::Linear => "linear",
-            VariantKind::Reordered => "reordered",
-            VariantKind::Blocked => "blocked",
-            VariantKind::Wavefront => "wavefront",
-        };
-        write!(f, "{name}")
-    }
-}
 
 /// One observed solve, as deposited by the engine after an execution.
 #[derive(Debug, Clone, Copy)]
@@ -259,10 +156,10 @@ impl TelemetryEntry {
     }
 
     /// Converts to the persistence mirror (`doacross_plan::persist`).
-    pub fn to_stored(&self, fingerprint: PatternFingerprint, kind: VariantKind) -> StoredTelemetry {
+    pub fn to_stored(&self, fingerprint: PatternFingerprint, kind: ObsVariant) -> StoredTelemetry {
         StoredTelemetry {
             fingerprint,
-            variant: kind.tag(),
+            variant: kind.index() as u8,
             samples: self.samples,
             ewma_ns: self.ewma_ns,
             min_ns: self.min_ns,
@@ -281,10 +178,8 @@ impl TelemetryEntry {
 
     /// Reconstructs from the persistence mirror; `None` for a tag this
     /// build does not know.
-    pub fn from_stored(
-        stored: &StoredTelemetry,
-    ) -> Option<(PatternFingerprint, VariantKind, Self)> {
-        let kind = VariantKind::from_tag(stored.variant)?;
+    pub fn from_stored(stored: &StoredTelemetry) -> Option<(PatternFingerprint, ObsVariant, Self)> {
+        let kind = *ObsVariant::ALL.get(usize::from(stored.variant))?;
         Some((
             stored.fingerprint,
             kind,
@@ -320,10 +215,10 @@ pub struct TelemetryTotals {
 
 /// One shard's accumulators, keyed by `(structure, variant)` and hashed
 /// with the fingerprint-map hasher (`doacross_obs::FpBuildHasher`).
-type TelemetryShard = FpMap<(PatternFingerprint, VariantKind), TelemetryEntry>;
+type TelemetryShard = FpMap<(PatternFingerprint, ObsVariant), TelemetryEntry>;
 
 /// One telemetry row: which structure, which variant, what was observed.
-pub type TelemetryRow = (PatternFingerprint, VariantKind, TelemetryEntry);
+pub type TelemetryRow = (PatternFingerprint, ObsVariant, TelemetryEntry);
 
 /// The sharded recorder (see module docs). All methods take `&self`.
 pub struct VariantTelemetry {
@@ -359,7 +254,7 @@ impl VariantTelemetry {
     pub fn record(
         &self,
         fingerprint: &PatternFingerprint,
-        kind: VariantKind,
+        kind: ObsVariant,
         sample: SolveSample,
     ) -> TelemetryEntry {
         let mut shard = self.shard(fingerprint).lock();
@@ -376,7 +271,7 @@ impl VariantTelemetry {
     pub fn get(
         &self,
         fingerprint: &PatternFingerprint,
-        kind: VariantKind,
+        kind: ObsVariant,
     ) -> Option<TelemetryEntry> {
         self.shard(fingerprint)
             .lock()
@@ -407,7 +302,7 @@ impl VariantTelemetry {
         // order is not) — raw fingerprint words are the allocation-free
         // total order, and keys are unique, so an in-place unstable sort
         // orders exactly like a stable one.
-        out.sort_unstable_by_key(|(fp, kind, _)| (fp.to_raw(), *kind));
+        out.sort_unstable_by_key(|(fp, kind, _)| (fp.to_raw(), kind.index()));
     }
 
     /// Engine-wide aggregate counts. Sums shard by shard — no snapshot
@@ -435,7 +330,7 @@ impl VariantTelemetry {
     pub fn restore(
         &self,
         fingerprint: PatternFingerprint,
-        kind: VariantKind,
+        kind: ObsVariant,
         entry: TelemetryEntry,
     ) -> bool {
         if entry.samples == 0 {
@@ -509,14 +404,23 @@ mod tests {
 
     #[test]
     fn kind_tags_round_trip_and_match_persist_tags() {
-        for kind in VariantKind::all() {
-            assert_eq!(VariantKind::from_tag(kind.tag()), Some(kind));
+        // The stored tag is the family's index — the plan record's variant
+        // tag, so telemetry and plan records name families alike.
+        let key = fp(3);
+        for kind in ObsVariant::ALL {
+            let stored = TelemetryEntry::new(&sample(1, 0)).to_stored(key, kind);
+            assert_eq!(TelemetryEntry::from_stored(&stored).unwrap().1, kind);
         }
-        assert_eq!(VariantKind::from_tag(6), None);
-        assert_eq!(VariantKind::from(PlanVariant::Wavefront).tag(), 5);
+        let stored = TelemetryEntry::new(&sample(1, 0)).to_stored(key, ObsVariant::Wavefront);
+        assert_eq!(stored.variant, 5);
+        let unknown = StoredTelemetry {
+            variant: 6,
+            ..stored
+        };
+        assert!(TelemetryEntry::from_stored(&unknown).is_none());
         assert_eq!(
-            VariantKind::from(PlanVariant::Blocked { block_size: 4 }),
-            VariantKind::Blocked
+            ObsVariant::from(doacross_plan::PlanVariant::Blocked { block_size: 4 }),
+            ObsVariant::Blocked
         );
     }
 
@@ -525,15 +429,15 @@ mod tests {
         let telemetry = VariantTelemetry::new(4);
         let key = fp(10);
         for (ns, polls) in [(100u64, 0u64), (300, 10), (200, 5)] {
-            telemetry.record(&key, VariantKind::Doacross, sample(ns, polls));
+            telemetry.record(&key, ObsVariant::Doacross, sample(ns, polls));
         }
-        let e = telemetry.get(&key, VariantKind::Doacross).unwrap();
+        let e = telemetry.get(&key, ObsVariant::Doacross).unwrap();
         assert_eq!(e.samples, 3);
         assert_eq!(e.min_ns, 100);
         assert_eq!(e.last_ns, 200);
         assert_eq!(e.wait_polls, 15);
         assert!(e.ewma_ns >= 100.0 && e.ewma_ns <= 300.0, "{}", e.ewma_ns);
-        assert_eq!(telemetry.get(&key, VariantKind::Wavefront), None);
+        assert_eq!(telemetry.get(&key, ObsVariant::Wavefront), None);
 
         let totals = telemetry.totals();
         assert_eq!(totals.samples, 3);
@@ -547,24 +451,20 @@ mod tests {
         let telemetry = VariantTelemetry::new(1);
         let key = fp(7);
         for polls in [0u64, 10, 20, 40, 80] {
-            telemetry.record(
-                &key,
-                VariantKind::Doacross,
-                sample(1_000 + 7 * polls, polls),
-            );
+            telemetry.record(&key, ObsVariant::Doacross, sample(1_000 + 7 * polls, polls));
         }
-        let e = telemetry.get(&key, VariantKind::Doacross).unwrap();
+        let e = telemetry.get(&key, ObsVariant::Doacross).unwrap();
         let slope = e.poll_slope_ns().expect("varying polls, enough samples");
         assert!((slope - 7.0).abs() < 1e-6, "{slope}");
 
         // Constant poll counts carry no slope information.
         let flat = fp(8);
         for _ in 0..6 {
-            telemetry.record(&flat, VariantKind::Doacross, sample(1_000, 5));
+            telemetry.record(&flat, ObsVariant::Doacross, sample(1_000, 5));
         }
         assert_eq!(
             telemetry
-                .get(&flat, VariantKind::Doacross)
+                .get(&flat, ObsVariant::Doacross)
                 .unwrap()
                 .poll_slope_ns(),
             None
@@ -576,13 +476,13 @@ mod tests {
         let telemetry = VariantTelemetry::new(2);
         let key = fp(5);
         for polls in [3u64, 9, 1] {
-            telemetry.record(&key, VariantKind::Reordered, sample(2_000 + polls, polls));
+            telemetry.record(&key, ObsVariant::Reordered, sample(2_000 + polls, polls));
         }
-        let entry = telemetry.get(&key, VariantKind::Reordered).unwrap();
-        let stored = entry.to_stored(key, VariantKind::Reordered);
+        let entry = telemetry.get(&key, ObsVariant::Reordered).unwrap();
+        let stored = entry.to_stored(key, ObsVariant::Reordered);
         let (fp2, kind2, back) = TelemetryEntry::from_stored(&stored).unwrap();
         assert_eq!(fp2, key);
-        assert_eq!(kind2, VariantKind::Reordered);
+        assert_eq!(kind2, ObsVariant::Reordered);
         assert_eq!(back, entry);
     }
 
@@ -591,28 +491,28 @@ mod tests {
         let telemetry = VariantTelemetry::new(1);
         let key = fp(6);
         for _ in 0..5 {
-            telemetry.record(&key, VariantKind::Linear, sample(900, 0));
+            telemetry.record(&key, ObsVariant::Linear, sample(900, 0));
         }
-        let live = telemetry.get(&key, VariantKind::Linear).unwrap();
+        let live = telemetry.get(&key, ObsVariant::Linear).unwrap();
 
         // A snapshot with fewer samples never displaces live state.
         let mut stale = live;
         stale.samples = 2;
         stale.min_ns = 1; // would corrupt the minimum if accepted
-        assert!(!telemetry.restore(key, VariantKind::Linear, stale));
-        assert_eq!(telemetry.get(&key, VariantKind::Linear).unwrap(), live);
+        assert!(!telemetry.restore(key, ObsVariant::Linear, stale));
+        assert_eq!(telemetry.get(&key, ObsVariant::Linear).unwrap(), live);
 
         // A richer snapshot wins; restoring it twice changes nothing.
         let mut richer = live;
         richer.samples = 50;
-        assert!(telemetry.restore(key, VariantKind::Linear, richer));
-        assert!(!telemetry.restore(key, VariantKind::Linear, richer));
-        assert_eq!(telemetry.get(&key, VariantKind::Linear).unwrap(), richer);
+        assert!(telemetry.restore(key, ObsVariant::Linear, richer));
+        assert!(!telemetry.restore(key, ObsVariant::Linear, richer));
+        assert_eq!(telemetry.get(&key, ObsVariant::Linear).unwrap(), richer);
 
         // Empty snapshots are dropped outright.
         let mut empty = live;
         empty.samples = 0;
-        assert!(!telemetry.restore(fp(60), VariantKind::Linear, empty));
+        assert!(!telemetry.restore(fp(60), ObsVariant::Linear, empty));
     }
 
     #[test]
@@ -632,7 +532,7 @@ mod tests {
                     for i in 0..PER_THREAD {
                         let key = &keys[(t + i) as usize % keys.len()];
                         let ns = 1_000 + (t * 37 + i * 13) % 500;
-                        telemetry.record(key, VariantKind::Doacross, sample(ns, i % 7));
+                        telemetry.record(key, ObsVariant::Doacross, sample(ns, i % 7));
                     }
                 })
             })

@@ -4,8 +4,9 @@
 //! (counts, sums, minimum) and the order-dependent EWMA must stay inside
 //! the sample hull.
 
-use doacross_adapt::{SolveSample, TelemetryEntry, VariantKind, VariantTelemetry};
+use doacross_adapt::{SolveSample, TelemetryEntry, VariantTelemetry};
 use doacross_core::IndirectLoop;
+use doacross_obs::ObsVariant;
 use doacross_plan::PatternFingerprint;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -27,7 +28,7 @@ proptest! {
         let telemetry = VariantTelemetry::new(4);
         let key = fingerprint(17);
         for &(ns, polls) in &samples {
-            telemetry.record(&key, VariantKind::Doacross, SolveSample {
+            telemetry.record(&key, ObsVariant::Doacross, SolveSample {
                 ns,
                 wait_polls: polls,
                 barriers: 0,
@@ -36,7 +37,7 @@ proptest! {
                 work_units: 750.0,
             });
         }
-        let e = telemetry.get(&key, VariantKind::Doacross).expect("recorded");
+        let e = telemetry.get(&key, ObsVariant::Doacross).expect("recorded");
         prop_assert_eq!(e.samples, samples.len() as u64);
         prop_assert_eq!(e.min_ns, samples.iter().map(|s| s.0).min().unwrap());
         prop_assert_eq!(e.last_ns, samples.last().unwrap().0);
@@ -48,7 +49,7 @@ proptest! {
         let hi = samples.iter().map(|s| s.0).max().unwrap() as f64;
         prop_assert!(e.ewma_ns >= lo && e.ewma_ns <= hi, "{} not in [{lo}, {hi}]", e.ewma_ns);
         // The persisted mirror is lossless.
-        let stored = e.to_stored(key, VariantKind::Doacross);
+        let stored = e.to_stored(key, ObsVariant::Doacross);
         let (_, _, back) = TelemetryEntry::from_stored(&stored).unwrap();
         prop_assert_eq!(back, e);
     }
@@ -69,7 +70,7 @@ proptest! {
                 Arc::clone(&telemetry), Arc::clone(&keys), Arc::clone(&samples));
             std::thread::spawn(move || {
                 for (i, &(ns, polls)) in samples.iter().enumerate() {
-                    telemetry.record(&keys[i % keys.len()], VariantKind::Reordered, SolveSample {
+                    telemetry.record(&keys[i % keys.len()], ObsVariant::Reordered, SolveSample {
                         ns,
                         wait_polls: polls,
                         barriers: 0,
@@ -89,7 +90,7 @@ proptest! {
         for (k, key) in keys.iter().enumerate() {
             let slice: Vec<&(u64, u64)> = samples
                 .iter().skip(k).step_by(keys.len()).collect();
-            let Some(e) = telemetry.get(key, VariantKind::Reordered) else {
+            let Some(e) = telemetry.get(key, ObsVariant::Reordered) else {
                 prop_assert!(slice.is_empty());
                 continue;
             };

@@ -21,12 +21,14 @@ use crate::solve::clamp_ns;
 use doacross_adapt::telemetry::TelemetryRow;
 use doacross_adapt::{
     policy::Action, pricing, refine, AdaptiveConfig, PromotionPolicy, RefinementConfig,
-    SolveSample, StructureState, TelemetryEntry, TelemetryTotals, VariantKind, VariantTelemetry,
+    SolveSample, StructureState, TelemetryEntry, TelemetryTotals, VariantTelemetry,
 };
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::profile::ProfileSummary;
-use doacross_obs::{FpMap, TraceEvent};
-use doacross_plan::{ExecutionPlan, PatternFingerprint, Planner, StoredCalibration};
+use doacross_obs::{FpMap, ObsVariant, TraceEvent};
+use doacross_plan::{
+    gated, price_features, ExecutionPlan, PatternFingerprint, Planner, StoredCalibration,
+};
 use doacross_sim::CostModel;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,7 +143,7 @@ impl AdaptiveRuntime {
     pub(crate) fn telemetry_of(
         &self,
         fingerprint: &PatternFingerprint,
-        kind: VariantKind,
+        kind: ObsVariant,
     ) -> Option<TelemetryEntry> {
         self.telemetry.get(fingerprint, kind)
     }
@@ -200,7 +202,7 @@ impl AdaptiveRuntime {
         profile: Option<ProfileSummary>,
     ) {
         let fingerprint = *plan.fingerprint();
-        let kind = VariantKind::from(plan.variant());
+        let kind = ObsVariant::from(plan.variant());
         let statics = inner.planner.costs();
 
         // 1. Record the solve.
@@ -232,10 +234,10 @@ impl AdaptiveRuntime {
                 .policy
                 .trial()
                 .and_then(|t| self.telemetry.get(&fingerprint, t.incumbent));
-            let has_baseline = kind == VariantKind::Sequential
+            let has_baseline = kind == ObsVariant::Sequential
                 || self
                     .telemetry
-                    .get(&fingerprint, VariantKind::Sequential)
+                    .get(&fingerprint, ObsVariant::Sequential)
                     .is_some();
 
             match self.policy.on_solve(
@@ -254,7 +256,7 @@ impl AdaptiveRuntime {
                     if inner.obs.enabled() {
                         decision_event = Some(TraceEvent::TrialCommitted {
                             fp: plan.fingerprint().into(),
-                            variant: kind.into(),
+                            variant: kind,
                         });
                     }
                     None
@@ -269,7 +271,7 @@ impl AdaptiveRuntime {
                     if inner.obs.enabled() {
                         decision_event = Some(TraceEvent::TrialDemoted {
                             fp: plan.fingerprint().into(),
-                            variant: kind.into(),
+                            variant: kind,
                         });
                     }
                     None
@@ -350,7 +352,7 @@ impl AdaptiveRuntime {
             .sequential_time(census.iterations, census.total_terms as usize);
         self.telemetry.record(
             plan.fingerprint(),
-            VariantKind::Sequential,
+            ObsVariant::Sequential,
             SolveSample {
                 ns,
                 wait_polls: 0,
@@ -372,7 +374,7 @@ impl AdaptiveRuntime {
         inner: &EngineInner,
         loop_: &L,
         plan: &Arc<ExecutionPlan>,
-        kind: VariantKind,
+        kind: ObsVariant,
         structures: &mut Structures,
         events: &mut Vec<TraceEvent>,
     ) {
@@ -399,20 +401,21 @@ impl AdaptiveRuntime {
         // at its parallel floor — so the same floor is re-checked under
         // the refined model and, when it no longer holds, the replan below
         // (which then passes the gate and prices everything) decides.
+        let p = plan.processors();
         let proposed = if plan.is_gated() {
-            let reopens = pricing::gate_reopens(plan, &refined_model);
+            let reopens = !gated(&refined_model, plan.census(), p);
             if !self.policy.propose_past_gate(&structure.policy, reopens) {
                 return;
             }
             None
         } else {
-            // Approximation note: for a previously-promoted plan the
-            // stored candidate prices were computed under the refined
-            // model of that evaluation, not `statics`; the inversion then
-            // recovers slightly shifted stall sums. The measured
-            // commit/demote gate downstream means a shifted proposal can
-            // waste a trial, never keep a wrong plan.
-            let refined_costs = pricing::reprice(plan, statics, &refined_model);
+            let (_, refined_costs) = price_features(
+                &refined_model,
+                plan.census(),
+                plan.features(),
+                plan.linear_subscript(),
+                p,
+            );
             let static_price = plan.costs().of(plan.variant()).unwrap_or(f64::INFINITY);
             let Some(refined_price) = pricing::price_of(&refined_costs, kind) else {
                 return;
@@ -431,7 +434,7 @@ impl AdaptiveRuntime {
             if inner.obs.enabled() {
                 events.push(TraceEvent::Divergence {
                     fp: plan.fingerprint().into(),
-                    variant: kind.into(),
+                    variant: kind,
                     static_price,
                     refined_price,
                 });
@@ -460,7 +463,7 @@ impl AdaptiveRuntime {
             Ok(built) => built,
             Err(_) => return, // never trade a working plan for a failed build
         };
-        let built_kind = VariantKind::from(built.variant());
+        let built_kind = ObsVariant::from(built.variant());
         if built_kind == kind {
             // The full replan agreed with the running variant: settled —
             // and remembered, so the same contradicted proposal does not
@@ -503,8 +506,8 @@ impl AdaptiveRuntime {
             if inner.obs.enabled() {
                 events.push(TraceEvent::TrialStarted {
                     fp: plan.fingerprint().into(),
-                    challenger: built_kind.into(),
-                    incumbent: kind.into(),
+                    challenger: built_kind,
+                    incumbent: kind,
                 });
             }
         }

@@ -6,10 +6,10 @@ use crate::error::EngineError;
 use crate::fault::{FallbackPolicy, RetryPolicy};
 use crate::prepared::PreparedLoop;
 use crate::solve::{clamp_ns, LeaseScratch};
-use doacross_adapt::{TelemetryEntry, TelemetryTotals, VariantKind};
+use doacross_adapt::{TelemetryEntry, TelemetryTotals};
 use doacross_core::{AccessPattern, DoacrossConfig, DoacrossLoop, RunStats};
 use doacross_obs::profile::{ProfileSummary, Profiler, SolveProfile};
-use doacross_obs::{render, Obs, SolveRecord, TraceEvent, TracedEvent};
+use doacross_obs::{render, Obs, ObsVariant, SolveRecord, TraceEvent, TracedEvent};
 use doacross_par::ThreadPool;
 use doacross_plan::{
     CacheStats, ConcurrentPlanCache, ExecutionPlan, PatternFingerprint, PlanStore, Planner,
@@ -450,7 +450,7 @@ impl Engine {
 
     /// Snapshot of every `(structure, variant)` telemetry accumulator
     /// (empty for a static engine).
-    pub fn telemetry_entries(&self) -> Vec<(PatternFingerprint, VariantKind, TelemetryEntry)> {
+    pub fn telemetry_entries(&self) -> Vec<(PatternFingerprint, ObsVariant, TelemetryEntry)> {
         self.inner
             .adaptive
             .as_ref()
@@ -462,7 +462,7 @@ impl Engine {
     pub fn telemetry_of(
         &self,
         fingerprint: &PatternFingerprint,
-        kind: VariantKind,
+        kind: ObsVariant,
     ) -> Option<TelemetryEntry> {
         self.inner
             .adaptive

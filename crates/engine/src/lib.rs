@@ -101,7 +101,7 @@ pub use doacross_plan::{PersistError, PlanStore, StoredCalibration};
 pub use doacross_plan::ShardStats;
 // The adaptive-policy vocabulary ([`EngineBuilder::adaptive_config`],
 // telemetry accessors), re-exported likewise.
-pub use doacross_adapt::{AdaptiveConfig, TelemetryEntry, TelemetryTotals, VariantKind};
+pub use doacross_adapt::{AdaptiveConfig, TelemetryEntry, TelemetryTotals};
 // The observability vocabulary ([`EngineBuilder::observability`], sinks,
 // the trace/flight types behind [`Engine::trace_events`] /
 // [`Engine::recent_solves`]). Metric names are documented at

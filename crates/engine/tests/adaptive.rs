@@ -4,7 +4,7 @@
 //! v2 → v3 store-version regression.
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop, TestLoop};
-use doacross_engine::{AdaptiveConfig, Engine, EngineError, PersistError, VariantKind};
+use doacross_engine::{AdaptiveConfig, Engine, EngineError, ObsVariant, PersistError};
 use doacross_plan::{PlanVariant, Planner};
 use doacross_sim::CostModel;
 
@@ -100,10 +100,10 @@ fn mispriced_model_promotes_to_the_measured_cheaper_variant() {
     // telemetry: sequential's observed floor beats the wavefront's.
     let fp = *promoted.fingerprint();
     let seq = engine
-        .telemetry_of(&fp, VariantKind::Sequential)
+        .telemetry_of(&fp, ObsVariant::Sequential)
         .expect("sequential was measured");
     let wave = engine
-        .telemetry_of(&fp, VariantKind::Wavefront)
+        .telemetry_of(&fp, ObsVariant::Wavefront)
         .expect("wavefront was measured");
     assert!(
         (seq.min_ns as f64) * 1.05 <= wave.min_ns as f64,
@@ -168,10 +168,10 @@ fn invalidation_resets_the_structure_s_learned_state() {
         engine.run(&loop_, &mut y).unwrap();
     }
     let fp = doacross_plan::PatternFingerprint::of(&loop_);
-    assert!(engine.telemetry_of(&fp, VariantKind::Wavefront).is_some());
+    assert!(engine.telemetry_of(&fp, ObsVariant::Wavefront).is_some());
     engine.invalidate(&fp);
     assert_eq!(
-        engine.telemetry_of(&fp, VariantKind::Wavefront),
+        engine.telemetry_of(&fp, ObsVariant::Wavefront),
         None,
         "observations of the retired structure are dropped"
     );

@@ -244,12 +244,12 @@ fn damaged_boot_store_quarantines_and_the_boot_loop_recovers() {
 #[test]
 fn old_format_stores_cold_start_the_boot_path_but_fail_explicit_loads() {
     // The version-succession rule: a store whose format version differs
-    // (a crafted "v1" relic from before the wavefront bump, and the v4
-    // store a deploy of this format actually meets on disk) is a clean
+    // (a crafted "v1" relic from before the wavefront bump, a v4 one, and
+    // the v5 store a deploy of this format actually meets on disk) is a clean
     // cold start through the warm-start boot path — a format-bumping
     // deploy must not crash-loop on its own previous checkpoint — while
     // the explicit load stays strict and typed.
-    for relic in [1u32, 4] {
+    for relic in [1u32, 4, 5] {
         let path = store_path(&format!("old-format-v{relic}"));
         let source = engine(2);
         let loop_ = TestLoop::new(400, 1, 8);

@@ -30,8 +30,9 @@ impl std::fmt::Display for JsonOpt {
     }
 }
 
-/// Executor variant families, mirroring the planner's `PlanVariant` (and
-/// the adaptive layer's `VariantKind`) without their payloads.
+/// Executor variant families, mirroring the planner's `PlanVariant`
+/// without its payloads — also the adaptive layer's telemetry key, whose
+/// stored tag is [`ObsVariant::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObsVariant {
     Sequential,
@@ -63,6 +64,15 @@ impl ObsVariant {
             ObsVariant::Blocked => 4,
             ObsVariant::Wavefront => 5,
         }
+    }
+
+    /// Whether this family synchronizes through per-element `ready` flags
+    /// (and therefore produces wait-poll evidence).
+    pub fn uses_flags(self) -> bool {
+        matches!(
+            self,
+            ObsVariant::Doacross | ObsVariant::Linear | ObsVariant::Reordered
+        )
     }
 
     /// The `variant` metric-label value.

@@ -65,13 +65,6 @@ pub struct PlanCensus {
     /// Wavefront critical path (0 for an empty loop; only computed for
     /// injective patterns).
     pub critical_path: usize,
-    /// `iterations / critical_path` (0 for an empty loop).
-    pub average_parallelism: f64,
-    /// First `(iteration, element)` reference outside the declared data
-    /// space, if any. A pattern with out-of-bounds subscripts cannot be
-    /// planned (or legally executed); the planner surfaces this as
-    /// [`doacross_core::DoacrossError::SubscriptOutOfBounds`].
-    pub first_out_of_bounds: Option<(usize, usize)>,
 }
 
 /// What stage 1 of a plan build leaves behind: the census and the two
@@ -80,6 +73,12 @@ pub struct PlanCensus {
 pub struct CensusPass {
     /// The structural facts.
     pub census: PlanCensus,
+    /// First `(iteration, element)` reference outside the declared data
+    /// space, if any. A pattern with out-of-bounds subscripts cannot be
+    /// planned (or legally executed); the planner surfaces this as
+    /// [`doacross_core::DoacrossError::SubscriptOutOfBounds`], so no built
+    /// plan's census ever describes one.
+    pub first_out_of_bounds: Option<(usize, usize)>,
     /// Writer map as the inspector would fill it (last writer wins,
     /// `MAXINT` = never written).
     writer: Vec<i64>,
@@ -227,16 +226,11 @@ impl CensusPass {
             injective,
             min_duplicate_write_gap: (!injective).then_some(min_gap),
             critical_path,
-            average_parallelism: if critical_path == 0 {
-                0.0
-            } else {
-                n as f64 / critical_path as f64
-            },
-            first_out_of_bounds: (cold[OOB_ITERATION] != UNSET)
-                .then_some((cold[OOB_ITERATION], cold[OOB_ELEMENT])),
         };
         Self {
             census,
+            first_out_of_bounds: (cold[OOB_ITERATION] != UNSET)
+                .then_some((cold[OOB_ITERATION], cold[OOB_ELEMENT])),
             writer,
             levels,
         }
@@ -245,7 +239,7 @@ impl CensusPass {
     /// Whether the wavefront artifacts exist for this pattern: the flat
     /// construct's own legality conditions (injective, in bounds).
     fn schedulable(&self) -> bool {
-        self.census.injective && self.census.first_out_of_bounds.is_none()
+        self.census.injective && self.first_out_of_bounds.is_none()
     }
 
     /// Stage 2's product: the level array counting-sorted into CSR level
@@ -349,6 +343,15 @@ impl PlanCensus {
         self.injective && self.true_deps == 0 && self.anti_deps == 0 && self.intra == 0
     }
 
+    /// `iterations / critical_path` (0 for an empty loop).
+    pub fn average_parallelism(&self) -> f64 {
+        if self.critical_path == 0 {
+            0.0
+        } else {
+            self.iterations as f64 / self.critical_path as f64
+        }
+    }
+
     /// Mean references per iteration (0 for an empty loop).
     pub fn terms_per_iteration(&self) -> f64 {
         if self.iterations == 0 {
@@ -379,7 +382,7 @@ mod tests {
         assert_eq!(c.min_true_distance, Some(1));
         assert_eq!(c.max_true_distance, Some(1));
         assert_eq!(c.critical_path, 10);
-        assert_eq!(c.average_parallelism, 1.0);
+        assert_eq!(c.average_parallelism(), 1.0);
         assert!(!c.is_doall());
     }
 
@@ -403,8 +406,10 @@ mod tests {
 
     /// The census written the obvious way — every reference updates the
     /// struct's fields and `Option`s directly — as the oracle for the
-    /// register-counting pass.
-    fn reference_census<P: AccessPattern + ?Sized>(pattern: &P) -> PlanCensus {
+    /// register-counting pass (with its first out-of-bounds reference).
+    fn reference_census<P: AccessPattern + ?Sized>(
+        pattern: &P,
+    ) -> (PlanCensus, Option<(usize, usize)>) {
         let (n, data_len) = (pattern.iterations(), pattern.data_len());
         let mut c = PlanCensus {
             iterations: n,
@@ -412,11 +417,12 @@ mod tests {
             injective: true,
             ..Default::default()
         };
+        let mut first_out_of_bounds = None;
         let mut writer = vec![MAXINT; data_len];
         for i in 0..n {
             let lhs = pattern.lhs(i);
             if lhs >= data_len {
-                c.first_out_of_bounds.get_or_insert((i, lhs));
+                first_out_of_bounds.get_or_insert((i, lhs));
                 continue;
             }
             if writer[lhs] != MAXINT {
@@ -434,7 +440,7 @@ mod tests {
                 c.total_terms += 1;
                 let e = pattern.term_element(i, j);
                 if e >= data_len {
-                    c.first_out_of_bounds.get_or_insert((i, e));
+                    first_out_of_bounds.get_or_insert((i, e));
                 } else if !c.injective {
                     // counted and bounds-checked only
                 } else if writer[e] == MAXINT {
@@ -456,10 +462,7 @@ mod tests {
                 c.critical_path = c.critical_path.max(level);
             }
         }
-        if c.critical_path > 0 {
-            c.average_parallelism = n as f64 / c.critical_path as f64;
-        }
-        c
+        (c, first_out_of_bounds)
     }
 
     #[test]
@@ -527,11 +530,13 @@ mod tests {
             if data_len == 0 && raw.rhs.iter().any(|r| !r.is_empty()) {
                 continue; // `stray` draws from an empty space
             }
-            let expect = reference_census(&raw);
-            assert_eq!(PlanCensus::of(&raw), expect, "case {case}");
+            let (expect, expect_oob) = reference_census(&raw);
+            let pass = CensusPass::of(&raw);
+            assert_eq!(pass.census, expect, "case {case}");
+            assert_eq!(pass.first_out_of_bounds, expect_oob, "case {case}");
             injective += expect.injective as usize;
             collided += !expect.injective as usize;
-            out_of_bounds += expect.first_out_of_bounds.is_some() as usize;
+            out_of_bounds += expect_oob.is_some() as usize;
         }
         assert!(injective > 100 && collided > 30 && out_of_bounds > 30);
     }
@@ -544,7 +549,7 @@ mod tests {
         let c = PlanCensus::of(&l);
         assert!(c.is_doall());
         assert_eq!(c.critical_path, 1);
-        assert_eq!(c.average_parallelism, n as f64);
+        assert_eq!(c.average_parallelism(), n as f64);
     }
 
     #[test]
@@ -581,7 +586,7 @@ mod tests {
         let l = IndirectLoop::new(8, a, rhs, coeff).unwrap();
         let c = PlanCensus::of(&l);
         assert_eq!(c.critical_path, 2);
-        assert_eq!(c.average_parallelism, 2.0);
+        assert_eq!(c.average_parallelism(), 2.0);
     }
 
     #[test]
@@ -637,9 +642,9 @@ mod tests {
                 9
             }
         }
-        let (c, schedule) = PlanCensus::of_with_schedule(&Oob);
-        assert!(c.first_out_of_bounds.is_some());
-        assert!(schedule.is_none());
+        let pass = CensusPass::of(&Oob);
+        assert!(pass.first_out_of_bounds.is_some());
+        assert!(pass.level_schedule(&Oob).is_none());
     }
 
     #[test]
@@ -647,7 +652,7 @@ mod tests {
         let l = IndirectLoop::new(0, vec![], vec![], vec![]).unwrap();
         let c = PlanCensus::of(&l);
         assert_eq!(c.critical_path, 0);
-        assert_eq!(c.average_parallelism, 0.0);
+        assert_eq!(c.average_parallelism(), 0.0);
         assert!(c.is_doall());
     }
 }

@@ -98,9 +98,10 @@ pub use census::{CensusPass, PlanCensus};
 pub use concurrent::{default_shard_count, ConcurrentPlanCache, ShardStats};
 pub use fingerprint::PatternFingerprint;
 pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
-pub use plan::{ExecutionPlan, PlanVariant, VariantCosts};
+pub use plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};
 pub use planner::{
-    detect_linear, gated, parallel_floor, Planner, Pricing, BLOCKED_DATA_SPACE_FACTOR,
+    detect_linear, gated, parallel_floor, price_features, Planner, Pricing,
+    BLOCKED_DATA_SPACE_FACTOR,
 };
 pub use runtime::{execute_sequential, PlanExecutor};
 // The verifier's verdict vocabulary, re-exported so plan consumers can

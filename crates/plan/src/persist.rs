@@ -55,7 +55,7 @@
 use crate::census::PlanCensus;
 use crate::fingerprint::PatternFingerprint;
 use crate::fnv;
-use crate::plan::{ExecutionPlan, PlanVariant, VariantCosts};
+use crate::plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};
 use doacross_core::{ClaimStream, LinearSubscript};
 use std::path::Path;
 use std::sync::Arc;
@@ -90,8 +90,13 @@ pub const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// the store carries, with the byte layout unchanged: fingerprints (the
 /// store's keys) hash each stream over four lanes, and the checksum
 /// absorbs a word at a time over the same lanes, plus the byte length.
-/// v1–v4 stores are rejected per the policy above.
-pub const FORMAT_VERSION: u32 = 5;
+/// **v6** stores what a plan's prices were computed from: an optional
+/// features section after the candidate prices (two stall weights and the
+/// wavefront rounds, [`crate::PlanFeatures`]), validated on load; the
+/// census lost its derived average parallelism and its out-of-bounds
+/// record, which no built plan ever carried. v1–v5 stores are rejected
+/// per the policy above.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Reasons a store cannot be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -433,15 +438,6 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
     put_bool(&mut out, census.injective);
     put_opt_u64(&mut out, census.min_duplicate_write_gap.map(|v| v as u64));
     put_u64(&mut out, census.critical_path as u64);
-    put_f64(&mut out, census.average_parallelism);
-    match census.first_out_of_bounds {
-        Some((i, e)) => {
-            put_bool(&mut out, true);
-            put_u64(&mut out, i as u64);
-            put_u64(&mut out, e as u64);
-        }
-        None => put_bool(&mut out, false),
-    }
     // The one artifact section: the claim stream, part by part.
     put_bool(&mut out, stream.is_some());
     if let Some((order, ends, levels, classes)) = stream {
@@ -466,6 +462,12 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
     put_opt_f64(&mut out, costs.reordered);
     put_opt_f64(&mut out, costs.blocked);
     put_opt_f64(&mut out, costs.wavefront);
+    put_bool(&mut out, plan.features().is_some());
+    if let Some(features) = plan.features() {
+        put_f64(&mut out, features.stall_natural);
+        put_f64(&mut out, features.stall_reordered);
+        put_u64(&mut out, features.rounds as u64);
+    }
     put_u64(
         &mut out,
         u64::try_from(plan.build_time().as_nanos()).unwrap_or(u64::MAX),
@@ -532,12 +534,6 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         injective: r.bool()?,
         min_duplicate_write_gap: r.opt_u64()?.map(|v| v as usize),
         critical_path: r.usize()?,
-        average_parallelism: r.f64()?,
-        first_out_of_bounds: if r.bool()? {
-            Some((r.usize()?, r.usize()?))
-        } else {
-            None
-        },
     };
 
     let stream_parts = if r.bool()? {
@@ -564,6 +560,15 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         blocked: r.opt_f64()?,
         wavefront: r.opt_f64()?,
     };
+    let features = if r.bool()? {
+        Some(PlanFeatures {
+            stall_natural: r.f64()?,
+            stall_reordered: r.f64()?,
+            rounds: r.usize()?,
+        })
+    } else {
+        None
+    };
     let build_time = Duration::from_nanos(r.u64()?);
 
     // --- Structural revalidation: the record parsed, now make it *prove*
@@ -580,11 +585,6 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
             census.iterations, census.data_len, census.total_terms, fingerprint
         )));
     }
-    if census.first_out_of_bounds.is_some() {
-        return Err(structural(
-            "plan for a pattern with out-of-bounds subscripts (never cacheable)",
-        ));
-    }
     let classified = census.true_deps + census.anti_deps + census.intra + census.unwritten;
     if classified > census.total_terms {
         return Err(structural(format!(
@@ -592,6 +592,8 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
             census.total_terms
         )));
     }
+
+    check_features(&census, &costs, processors, features.as_ref())?;
 
     let linear = match linear {
         Some((0, _)) => {
@@ -714,8 +716,51 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         stream,
         linear,
         costs,
+        features,
         build_time,
     })
+}
+
+/// The features section against the rest of the record: present exactly
+/// when the planner prices from features (an injective loop that fits a
+/// claim stream and got past the gate, so it carries a flat-doacross
+/// price), and within what its census allows — each stall weight in
+/// `[0, true_deps·(p − 1)/p]` (an edge's gap is at least one claim), the
+/// wavefront rounds in `[max(⌈n/p⌉, CP), n]` (every level at least one
+/// round, no round empty).
+fn check_features(
+    census: &PlanCensus,
+    costs: &VariantCosts,
+    p: usize,
+    features: Option<&PlanFeatures>,
+) -> Result<(), PersistError> {
+    let priced = census.injective
+        && ClaimStream::fits(census.iterations, census.total_terms, census.critical_path)
+        && costs.doacross.is_some();
+    let features = match (features, priced) {
+        (Some(features), true) => features,
+        (None, false) => return Ok(()),
+        (None, true) => return Err(structural("priced plan without its features")),
+        (Some(_), false) => return Err(structural("features on a gated or stream-less plan")),
+    };
+    // NaN and the infinities fall outside the finite range too.
+    let max_weight = census.true_deps.saturating_mul(p as u64 - 1) as f64 / p as f64;
+    for weight in [features.stall_natural, features.stall_reordered] {
+        if !(0.0..=max_weight).contains(&weight) {
+            return Err(structural(format!(
+                "stall weight {weight} outside [0, {max_weight}]"
+            )));
+        }
+    }
+    let n = census.iterations;
+    let min_rounds = n.div_ceil(p).max(census.critical_path);
+    if !(min_rounds..=n).contains(&features.rounds) {
+        return Err(structural(format!(
+            "{} wavefront rounds outside [{min_rounds}, {n}]",
+            features.rounds
+        )));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1241,6 +1286,7 @@ mod tests {
             assert_eq!(decoded.variant(), plan.variant());
             assert_eq!(decoded.census(), plan.census());
             assert_eq!(decoded.costs(), plan.costs());
+            assert_eq!(decoded.features(), plan.features());
             assert_eq!(decoded.build_time(), plan.build_time());
             assert_eq!(decoded.stream(), plan.stream());
             assert_eq!(decoded.linear_subscript(), plan.linear_subscript());
@@ -1612,13 +1658,6 @@ mod tests {
             mutate(&mut patient);
             decode_plan(&encode_plan(&patient))
         };
-        let assert_structural = |result: Result<ExecutionPlan, PersistError>, what: &str| {
-            assert!(
-                matches!(result, Err(PersistError::Structural(_))),
-                "{what}: {:?}",
-                result.map(|p| p.variant())
-            );
-        };
 
         assert_structural(corrupt(doacross, &|p| p.processors = 0), "zero processors");
         assert_structural(
@@ -1714,6 +1753,110 @@ mod tests {
             let _ = decode_plan(&bytes); // must not panic
             bytes[i] = bytes[i].wrapping_sub(0x5B);
         }
+    }
+
+    /// Re-encodes `plan` with its features section rewritten by `mutate`
+    /// and decodes the result.
+    fn with_features(
+        plan: &ExecutionPlan,
+        mutate: impl Fn(&mut Option<PlanFeatures>),
+    ) -> Result<ExecutionPlan, PersistError> {
+        let mut patient = decode_plan(&encode_plan(plan)).unwrap();
+        mutate(&mut patient.features);
+        decode_plan(&encode_plan(&patient))
+    }
+
+    fn assert_structural(result: Result<ExecutionPlan, PersistError>, what: &str) {
+        assert!(
+            matches!(result, Err(PersistError::Structural(_))),
+            "{what}: {:?}",
+            result.map(|p| p.variant())
+        );
+    }
+
+    /// The reordered fixture: true dependencies, so every features field
+    /// has room on both sides of its bounds.
+    fn featured_plan() -> ExecutionPlan {
+        let plan = plans_of_every_variant().remove(3);
+        assert!(plan.features().is_some() && plan.census().true_deps > 0);
+        plan
+    }
+
+    #[test]
+    fn decode_rejects_a_non_finite_or_negative_stall_weight() {
+        let plan = featured_plan();
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+        ] {
+            assert_structural(
+                with_features(&plan, |f| f.as_mut().unwrap().stall_natural = bad),
+                &format!("natural stall weight {bad}"),
+            );
+            assert_structural(
+                with_features(&plan, |f| f.as_mut().unwrap().stall_reordered = bad),
+                &format!("reordered stall weight {bad}"),
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_stall_weight_above_every_edge_stalling() {
+        // Every edge at gap 1 is the most a claim order can stall:
+        // `true_deps·(p − 1)/p` is accepted, the next float is not.
+        let plan = featured_plan();
+        let p = plan.processors();
+        let max = (plan.census().true_deps * (p as u64 - 1)) as f64 / p as f64;
+        with_features(&plan, |f| f.as_mut().unwrap().stall_natural = max).unwrap();
+        let above = f64::from_bits(max.to_bits() + 1);
+        assert_structural(
+            with_features(&plan, |f| f.as_mut().unwrap().stall_natural = above),
+            "natural stall weight above the bound",
+        );
+        assert_structural(
+            with_features(&plan, |f| f.as_mut().unwrap().stall_reordered = above),
+            "reordered stall weight above the bound",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_wavefront_rounds_outside_the_level_bounds() {
+        let plan = featured_plan();
+        let census = plan.census();
+        let n = census.iterations;
+        let least = n.div_ceil(plan.processors()).max(census.critical_path);
+        for (rounds, ok) in [(least, true), (n, true), (least - 1, false), (n + 1, false)] {
+            let result = with_features(&plan, |f| f.as_mut().unwrap().rounds = rounds);
+            if ok {
+                result.unwrap();
+            } else {
+                assert_structural(result, &format!("{rounds} rounds"));
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_features_on_a_gated_or_stream_less_record() {
+        let plans = plans_of_every_variant();
+        let features = *featured_plan().features().unwrap();
+        let (gated, stream_less) = (&plans[0], &plans[4]);
+        assert!(gated.is_gated() && gated.features().is_none());
+        assert!(!stream_less.census().injective && stream_less.features().is_none());
+        for plan in [gated, stream_less] {
+            assert_structural(
+                with_features(plan, |f| *f = Some(features)),
+                &format!("features on a {} plan", plan.variant()),
+            );
+        }
+        // And the converse: a priced record must carry what it was priced
+        // from.
+        assert_structural(
+            with_features(&plans[3], |f| *f = None),
+            "priced plan without features",
+        );
     }
 
     #[test]

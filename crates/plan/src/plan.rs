@@ -110,6 +110,25 @@ impl VariantCosts {
     }
 }
 
+/// The model-free structure quantities stage 2 of the planner prices from
+/// (see [`crate::planner`]): everything a price needs beyond the census,
+/// the processor count and the linear subscript. Pricing them under any
+/// [`doacross_sim::CostModel`] is arithmetic
+/// ([`crate::planner::price_features`]); computing them needs the
+/// dependence edges and the level widths, which is why they are kept.
+/// Both depend on the processor count `p` the plan was priced for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanFeatures {
+    /// Stall weight of the natural claim order: over every true-dependence
+    /// edge with claim gap `g`, `Σ max(0, p − g)/p` — the stall sum in
+    /// units of one serial iteration.
+    pub stall_natural: f64,
+    /// The same weight for the doconsider (level-sorted) claim order.
+    pub stall_reordered: f64,
+    /// Wavefront claim rounds `Σ⌈width/p⌉` over the dependence levels.
+    pub rounds: usize,
+}
+
 /// A reusable, cached execution recipe for one access pattern: the
 /// preprocessing products the paper computes per run, captured once.
 ///
@@ -133,6 +152,9 @@ pub struct ExecutionPlan {
     /// introspection).
     pub(crate) linear: Option<LinearSubscript>,
     pub(crate) costs: VariantCosts,
+    /// What `costs` was priced from; `None` for a gated or stream-less
+    /// plan, whose prices need the census alone.
+    pub(crate) features: Option<PlanFeatures>,
     /// Wall time spent building this plan — the cost a cache hit saves.
     pub(crate) build_time: Duration,
 }
@@ -172,9 +194,18 @@ impl ExecutionPlan {
         self.linear
     }
 
-    /// Predicted per-run costs of all evaluated candidates.
+    /// Predicted per-run costs of all evaluated candidates: the planner's
+    /// model applied to [`ExecutionPlan::features`] — the recorded decision.
     pub fn costs(&self) -> &VariantCosts {
         &self.costs
+    }
+
+    /// The model-free structure quantities `costs` was priced from, for
+    /// re-pricing under another model; `None` for a gated plan (nothing
+    /// but sequential was priced) and a stream-less one (non-injective, or
+    /// too large for a claim stream), whose prices follow from the census.
+    pub fn features(&self) -> Option<&PlanFeatures> {
+        self.features.as_ref()
     }
 
     /// Whether the build stopped at the planner's stage-1 gate (see

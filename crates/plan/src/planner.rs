@@ -75,18 +75,28 @@
 //! floor under refined constants instead of re-pricing candidates it
 //! never had.
 //!
-//! **Stage 2** ([`Planner::price`], gate not taken) prices every candidate
-//! from the level array stage 1 holds — this is the one place candidates
-//! are priced. **Stage 3** captures the chosen variant's artifact only:
-//! the one [`ClaimStream`](doacross_core::ClaimStream) of a doacross,
-//! reordered or wavefront plan, laid out in that variant's claim order
-//! from what the census pass already holds — no inspector region runs and
-//! no writer map is kept. A loop too large for the stream's `u32` indices
+//! **Stage 2** ([`Planner::price`], gate not taken) measures the
+//! structure quantities a price needs beyond the census — the stall
+//! weights of the natural and the doconsider claim order and the
+//! wavefront's claim rounds — from the level array stage 1 holds, and
+//! keeps them in the plan ([`PlanFeatures`], [`ExecutionPlan::features`]).
+//! They are model-free: [`price_features`] turns them into every
+//! candidate's price under any [`CostModel`] with arithmetic alone, and it
+//! is the one place candidates are priced — by the planner under its own
+//! model (the plan's `costs`), and by the adaptive layer under refined
+//! ones. A gated or stream-less plan keeps no features; the same function
+//! prices it from the census.
+//!
+//! **Stage 3** captures the chosen variant's artifact only: the one
+//! [`ClaimStream`](doacross_core::ClaimStream) of a doacross, reordered or
+//! wavefront plan, laid out in that variant's claim order from what the
+//! census pass already holds — no inspector region runs and no writer map
+//! is kept. A loop too large for the stream's `u32` indices
 //! is planned like a non-injective one: none of the three is priced.
 
 use crate::census::{CensusPass, PlanCensus};
 use crate::fingerprint::PatternFingerprint;
-use crate::plan::{ExecutionPlan, PlanVariant, VariantCosts};
+use crate::plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};
 use doacross_core::{AccessPattern, ClaimStream, DoacrossError, LinearSubscript};
 use doacross_doconsider::{invert_permutation, DependenceDag};
 use doacross_par::ThreadPool;
@@ -159,7 +169,7 @@ impl Planner {
         let start = Instant::now();
         // Stage 1: the census pass and the gate on its counters.
         let pass = CensusPass::of(pattern);
-        if let Some((iteration, element)) = pass.census.first_out_of_bounds {
+        if let Some((iteration, element)) = pass.first_out_of_bounds {
             return Err(DoacrossError::SubscriptOutOfBounds {
                 iteration,
                 element,
@@ -169,45 +179,54 @@ impl Planner {
         let linear = detect_linear(pattern);
         let p = pool.threads();
 
+        // A loop no stream-backed candidate can run — the flat construct
+        // rejects its non-injective left-hand side, or it outgrows the
+        // stream's `u32` indices — is priced from its census alone, and so
+        // is one the gate settles.
         let census = &pass.census;
-        let streamed =
-            ClaimStream::fits(census.iterations, census.total_terms, census.critical_path);
-        let plan = if !census.injective || !streamed {
-            self.plan_without_stream(fingerprint, pass.census, linear, p, start)
+        let Pricing {
+            variant,
+            costs,
+            features,
+            sorted,
+        } = if census.injective
+            && ClaimStream::fits(census.iterations, census.total_terms, census.critical_path)
+            && !gated(&self.costs, census, p)
+        {
+            self.price(pattern, &pass, linear, p)
         } else {
-            let Pricing {
+            let (variant, costs) = price_features(&self.costs, census, None, linear, p);
+            Pricing {
                 variant,
                 costs,
-                sorted,
-            } = if gated(&self.costs, census, p) {
-                Pricing::sequential_only(&self.costs, census)
-            } else {
-                self.price(pattern, &pass, linear, p)
-            };
+                features: None,
+                sorted: None,
+            }
+        };
 
-            // Stage 3: capture only what the chosen variant consumes — its
-            // claim stream, in its claim order.
-            let (offsets, order) = sorted.unzip();
-            let stream = match variant {
-                PlanVariant::Doacross => Some((None, None)),
-                PlanVariant::Reordered => Some((order.as_deref(), None)),
-                PlanVariant::Wavefront => Some((order.as_deref(), offsets.as_deref())),
-                _ => None,
-            }
-            .map(|(order, offsets)| {
-                pass.stream(pattern, order, offsets)
-                    .expect("a census that fits() has a stream")
-            });
-            ExecutionPlan {
-                fingerprint,
-                processors: p,
-                variant,
-                census: pass.census,
-                stream,
-                linear,
-                costs,
-                build_time: start.elapsed(),
-            }
+        // Stage 3: capture only what the chosen variant consumes — its
+        // claim stream, in its claim order.
+        let (offsets, order) = sorted.unzip();
+        let stream = match variant {
+            PlanVariant::Doacross => Some((None, None)),
+            PlanVariant::Reordered => Some((order.as_deref(), None)),
+            PlanVariant::Wavefront => Some((order.as_deref(), offsets.as_deref())),
+            _ => None,
+        }
+        .map(|(order, offsets)| {
+            pass.stream(pattern, order, offsets)
+                .expect("a census that fits() has a stream")
+        });
+        let plan = ExecutionPlan {
+            fingerprint,
+            processors: p,
+            variant,
+            census: pass.census,
+            stream,
+            linear,
+            costs,
+            features,
+            build_time: start.elapsed(),
         };
         // Translation validation: in debug builds every freshly built plan
         // is proven sound against the very pattern it was built from. The
@@ -222,12 +241,12 @@ impl Planner {
         Ok(plan)
     }
 
-    /// Stage 2: prices every legal candidate of the injective, in-bounds
-    /// pattern `pass` ran over and selects among them — the one place
-    /// candidates are priced. [`Planner::plan_with_fingerprint`] calls it
-    /// whenever the stage-1 gate is not taken; calling it on a census the
-    /// gate would have taken is legal and selects `Sequential` (that is the
-    /// gate's proof obligation, `tests/staged_equivalence.rs`).
+    /// Stage 2: measures the [`PlanFeatures`] of the injective, in-bounds
+    /// pattern `pass` ran over and prices them ([`price_features`]).
+    /// [`Planner::plan_with_fingerprint`] calls it whenever the stage-1
+    /// gate is not taken; calling it on a census the gate would have taken
+    /// is legal and selects `Sequential` (that is the gate's proof
+    /// obligation, `tests/staged_equivalence.rs`).
     pub fn price<P: AccessPattern + ?Sized>(
         &self,
         pattern: &P,
@@ -236,242 +255,233 @@ impl Planner {
         p: usize,
     ) -> Pricing {
         let census = &pass.census;
-        let n = census.iterations as f64;
-        let t_seq = sequential_cost(&self.costs, census);
-        let chain = chain_cost(&self.costs, census);
-        let work = raw_work(&self.costs, census);
-        // The flag-based variants check `ready` once per true dependency
-        // even when the writer already finished (Figure 5 S4's successful
-        // poll); the wavefront variant has no flags to check.
-        let flag_checks = census.true_deps as f64 * self.costs.wait_poll;
-        let cp_bound = census.critical_path as f64 * chain;
-        let post = n * self.costs.post_per_iter / p as f64;
-        // One region per parallel solve: the copy-back rides behind the
-        // executor's completion count in the same dispatch.
-        let dispatch = self.costs.region_dispatch;
-
-        // Stall pricing needs the dependence edges and the doconsider
-        // order; the wavefront needs the level widths. Both come from the
+        // Stall weights need the dependence edges and the doconsider
+        // order; the rounds need the level widths. Both come from the
         // counting sort of stage 1's level array (identical to
         // `order_from_levels` over a fresh `LevelAssignment`) — skipped,
-        // with the DAG, for dependence-free loops.
-        let (sorted, stall_natural, stall_reordered) = if census.true_deps == 0 {
-            (None, 0.0, 0.0)
+        // with the DAG, for dependence-free loops: one level, no stalls.
+        let (sorted, features) = if census.true_deps == 0 {
+            let features = PlanFeatures {
+                stall_natural: 0.0,
+                stall_reordered: 0.0,
+                rounds: census.iterations.div_ceil(p),
+            };
+            (None, features)
         } else {
             let dag = DependenceDag::build(pattern);
             let (offsets, order) = pass.sorted_levels();
             let pos = invert_permutation(&order);
-            let stall_nat = self.stall_sum(&dag, None, p, chain);
-            let stall_reo = self.stall_sum(&dag, Some(&pos), p, chain);
-            (Some((offsets, order)), stall_nat, stall_reo)
+            let features = PlanFeatures {
+                stall_natural: stall_weight(&dag, None, p),
+                stall_reordered: stall_weight(&dag, Some(&pos), p),
+                rounds: offsets.windows(2).map(|w| (w[1] - w[0]).div_ceil(p)).sum(),
+            };
+            (Some((offsets, order)), features)
         };
-
-        let parallel = |stalls: f64| {
-            dispatch + ((work + flag_checks + stalls) / p as f64).max(cp_bound) + post
-        };
-        let t_doacross = parallel(stall_natural);
-        let t_reordered = parallel(stall_reordered);
-
-        // Wavefront candidate: each level is a whole claim round —
-        // `⌈width/p⌉ · chain` (a level cannot borrow slack from its
-        // neighbors) — plus one barrier crossing per level boundary. No
-        // flag checks, no stalls, by construction. Only meaningful when
-        // there are true dependencies: a doall is one level and the flat
-        // variants already never wait on it.
-        let t_wavefront = sorted.as_ref().map(|(offsets, _)| {
-            let rounds: usize = offsets.windows(2).map(|w| (w[1] - w[0]).div_ceil(p)).sum();
-            let barriers = (offsets.len() - 2) as f64 * self.costs.barrier;
-            dispatch + rounds as f64 * chain + barriers + post
-        });
-
-        let mut costs = VariantCosts {
-            sequential: t_seq,
-            doacross: Some(t_doacross),
-            linear: linear.map(|_| t_doacross),
-            reordered: sorted.as_ref().map(|_| t_reordered),
-            blocked: None,
-            wavefront: t_wavefront,
-        };
-
-        // Selection: cheapest wins; sequential wins ties (fewest
-        // resources); among equal parallel candidates, linear beats
-        // streamed (no artifact at all), the natural order beats the
-        // reordered one (no order array) unless reordering is a real
-        // improvement, and the flag-based variants beat the wavefront (its
-        // artifact is larger) unless level scheduling is a real
-        // improvement.
-        let best_flagged = t_doacross.min(t_reordered);
-        let best_parallel = best_flagged.min(t_wavefront.unwrap_or(f64::INFINITY));
-        let mut variant = if t_seq <= best_parallel {
-            PlanVariant::Sequential
-        } else if t_wavefront.is_some_and(|t| t < best_flagged) {
-            PlanVariant::Wavefront
-        } else if t_reordered < t_doacross {
-            PlanVariant::Reordered
-        } else if let Some(subscript) = linear {
-            PlanVariant::Linear(subscript)
-        } else {
-            PlanVariant::Doacross
-        };
-
-        // §2.3's memory argument as a selection rule: an injective loop
-        // whose data space dwarfs its iteration space
-        // ([`BLOCKED_DATA_SPACE_FACTOR`]) wastes `data_len`-sized scratch
-        // on the flat variants; strip-mining bounds scratch to block
-        // windows and is always legal when `a` is injective. Applied only
-        // when a parallel variant is otherwise profitable, and only if the
-        // priced blocked run still beats sequential — ~16 blocks of at
-        // least `4p` iterations keep self-scheduling busy while shrinking
-        // the window.
-        if variant != PlanVariant::Sequential
-            && census.iterations > 0
-            && census.data_len >= BLOCKED_DATA_SPACE_FACTOR * census.iterations
-        {
-            let block_size = census
-                .iterations
-                .div_ceil(16)
-                .max(4 * p)
-                .min(census.iterations);
-            let t_blocked = self.blocked_cost(census, block_size, p);
-            costs.blocked = Some(t_blocked);
-            if t_blocked < t_seq {
-                variant = PlanVariant::Blocked { block_size };
-            }
-        }
-
+        let (variant, costs) = price_features(&self.costs, census, Some(&features), linear, p);
         Pricing {
             variant,
             costs,
+            features: Some(features),
             sorted,
         }
-    }
-
-    /// Plans a loop no stream-backed candidate can run — the flat construct
-    /// rejects its non-injective left-hand side, or it outgrows the stream's
-    /// `u32` indices: blocked if duplicate writes are far enough apart to
-    /// leave room for parallelism, else sequential.
-    fn plan_without_stream(
-        &self,
-        fingerprint: PatternFingerprint,
-        census: PlanCensus,
-        linear: Option<LinearSubscript>,
-        p: usize,
-        start: Instant,
-    ) -> ExecutionPlan {
-        let t_seq = sequential_cost(&self.costs, &census);
-        let gap = census.min_duplicate_write_gap.unwrap_or(1);
-        // Two writes `d` apart can only collide within one block of size
-        // `B > d`, so any `B ≤ gap` is collision-free.
-        let block_size = gap.max(1);
-        let t_blocked = self.blocked_cost(&census, block_size, p);
-        let costs = VariantCosts {
-            sequential: t_seq,
-            blocked: (block_size > 1).then_some(t_blocked),
-            ..Default::default()
-        };
-        let variant = if block_size > 1 && t_blocked < t_seq {
-            PlanVariant::Blocked { block_size }
-        } else {
-            PlanVariant::Sequential
-        };
-        ExecutionPlan {
-            fingerprint,
-            processors: p,
-            variant,
-            census,
-            stream: None,
-            linear,
-            costs,
-            build_time: start.elapsed(),
-        }
-    }
-
-    /// Price of the §2.3 strip-mined run at `block_size`: each block pays
-    /// two parallel regions (inspector, then executor with its copy-back)
-    /// and the per-iteration inspector cost stays in the run — blocked runs
-    /// cannot reuse a prebuilt map across blocks.
-    fn blocked_cost(&self, census: &PlanCensus, block_size: usize, p: usize) -> f64 {
-        let nblocks = census.iterations.div_ceil(block_size).max(1) as f64;
-        let work = census.iterations as f64
-            * (exec_per_iter(&self.costs) + self.costs.inspect_per_iter + self.costs.post_per_iter)
-            + census.total_terms as f64 * per_term(&self.costs);
-        nblocks * 2.0 * self.costs.region_dispatch + work / p as f64
-    }
-
-    /// Total predicted stall (processor-cycles) of a claim order: for each
-    /// true-dependence edge with claim gap `g`, `chain · max(0, p − g)/p`.
-    fn stall_sum(&self, dag: &DependenceDag, pos: Option<&[usize]>, p: usize, chain: f64) -> f64 {
-        let mut total = 0.0;
-        for i in 0..dag.len() {
-            for &w in dag.predecessors(i) {
-                let gap = match pos {
-                    Some(pos) => pos[i] - pos[w],
-                    None => i - w,
-                };
-                if gap < p {
-                    total += chain * (p - gap) as f64 / p as f64;
-                }
-            }
-        }
-        total
     }
 }
 
 /// What stage 2 hands stage 3: the selection, every candidate's price,
-/// and the level sort it priced from (so the chosen variant's artifact is
-/// assembled, not recomputed).
+/// what they were priced from, and the level sort behind it (so the
+/// chosen variant's artifact is assembled, not recomputed).
 #[derive(Debug)]
 pub struct Pricing {
     /// The selected variant.
     pub variant: PlanVariant,
     /// Every candidate's price (`None` = not legal or not applicable).
     pub costs: VariantCosts,
+    /// The model-free quantities `costs` was priced from (`None` when the
+    /// census alone priced it).
+    pub features: Option<PlanFeatures>,
     /// `(offsets, order)` of [`CensusPass::sorted_levels`], present when
     /// the loop has true dependencies.
     sorted: Option<(Vec<usize>, Vec<usize>)>,
 }
 
-impl Pricing {
-    /// The gated outcome: sequential, and nothing else priced or built.
-    fn sequential_only(costs: &CostModel, census: &PlanCensus) -> Self {
-        Self {
-            variant: PlanVariant::Sequential,
-            costs: VariantCosts {
-                sequential: sequential_cost(costs, census),
-                ..Default::default()
-            },
-            sorted: None,
+/// Prices every candidate of a plan under `model` and selects among them
+/// — the one place candidates are priced, by the planner under its own
+/// model and by the adaptive layer under refined ones. `features` are
+/// stage 2's ([`ExecutionPlan::features`]); `None` prices what a census
+/// alone can: sequential and, for a non-injective left-hand side, the
+/// blocked run at its duplicate-write gap (a gated or stream-less plan).
+/// `linear` and `p` are the plan's subscript and processor count.
+pub fn price_features(
+    model: &CostModel,
+    census: &PlanCensus,
+    features: Option<&PlanFeatures>,
+    linear: Option<LinearSubscript>,
+    p: usize,
+) -> (PlanVariant, VariantCosts) {
+    let t_seq = sequential_cost(model, census);
+    let Some(features) = features else {
+        // Two writes `d` apart can only collide within one block of size
+        // `B > d`, so any `B ≤ gap` is collision-free; an injective loop
+        // has no gap and no blocked candidate here.
+        let block_size = census.min_duplicate_write_gap.unwrap_or(1).max(1);
+        let t_blocked = (block_size > 1).then(|| blocked_cost(model, census, block_size, p));
+        let variant = match t_blocked {
+            Some(t) if t < t_seq => PlanVariant::Blocked { block_size },
+            _ => PlanVariant::Sequential,
+        };
+        let costs = VariantCosts {
+            sequential: t_seq,
+            blocked: t_blocked,
+            ..Default::default()
+        };
+        return (variant, costs);
+    };
+
+    let n = census.iterations as f64;
+    let chain = chain_cost(model, census);
+    let work = raw_work(model, census);
+    // The flag-based variants check `ready` once per true dependency even
+    // when the writer already finished (Figure 5 S4's successful poll);
+    // the wavefront variant has no flags to check.
+    let flag_checks = census.true_deps as f64 * model.wait_poll;
+    let cp_bound = census.critical_path as f64 * chain;
+    let post = n * model.post_per_iter / p as f64;
+    // One region per parallel solve: the copy-back rides behind the
+    // executor's completion count in the same dispatch.
+    let dispatch = model.region_dispatch;
+
+    let parallel = |stall_weight: f64| {
+        dispatch + ((work + flag_checks + chain * stall_weight) / p as f64).max(cp_bound) + post
+    };
+    let t_doacross = parallel(features.stall_natural);
+    let t_reordered = parallel(features.stall_reordered);
+
+    // Wavefront candidate: each level is a whole claim round —
+    // `⌈width/p⌉ · chain` (a level cannot borrow slack from its
+    // neighbors) — plus one barrier crossing per level boundary. No flag
+    // checks, no stalls, by construction. Only meaningful when there are
+    // true dependencies (so is the doconsider order): a doall is one level
+    // and the flat variants already never wait on it.
+    let dependent = census.true_deps > 0;
+    let t_wavefront = dependent.then(|| {
+        let barriers = census.critical_path.saturating_sub(1) as f64 * model.barrier;
+        dispatch + features.rounds as f64 * chain + barriers + post
+    });
+
+    let mut costs = VariantCosts {
+        sequential: t_seq,
+        doacross: Some(t_doacross),
+        linear: linear.map(|_| t_doacross),
+        reordered: dependent.then_some(t_reordered),
+        blocked: None,
+        wavefront: t_wavefront,
+    };
+
+    // Selection: cheapest wins; sequential wins ties (fewest resources);
+    // among equal parallel candidates, linear beats streamed (no artifact
+    // at all), the natural order beats the reordered one (no order array)
+    // unless reordering is a real improvement, and the flag-based variants
+    // beat the wavefront (its artifact is larger) unless level scheduling
+    // is a real improvement.
+    let best_flagged = t_doacross.min(t_reordered);
+    let best_parallel = best_flagged.min(t_wavefront.unwrap_or(f64::INFINITY));
+    let mut variant = if t_seq <= best_parallel {
+        PlanVariant::Sequential
+    } else if t_wavefront.is_some_and(|t| t < best_flagged) {
+        PlanVariant::Wavefront
+    } else if t_reordered < t_doacross {
+        PlanVariant::Reordered
+    } else if let Some(subscript) = linear {
+        PlanVariant::Linear(subscript)
+    } else {
+        PlanVariant::Doacross
+    };
+
+    // §2.3's memory argument as a selection rule: an injective loop whose
+    // data space dwarfs its iteration space ([`BLOCKED_DATA_SPACE_FACTOR`])
+    // wastes `data_len`-sized scratch on the flat variants; strip-mining
+    // bounds scratch to block windows and is always legal when `a` is
+    // injective. Applied only when a parallel variant is otherwise
+    // profitable, and only if the priced blocked run still beats
+    // sequential — ~16 blocks of at least `4p` iterations keep
+    // self-scheduling busy while shrinking the window.
+    if variant != PlanVariant::Sequential
+        && census.iterations > 0
+        && census.data_len >= BLOCKED_DATA_SPACE_FACTOR * census.iterations
+    {
+        let block_size = census
+            .iterations
+            .div_ceil(16)
+            .max(4 * p)
+            .min(census.iterations);
+        let t_blocked = blocked_cost(model, census, block_size, p);
+        costs.blocked = Some(t_blocked);
+        if t_blocked < t_seq {
+            variant = PlanVariant::Blocked { block_size };
         }
     }
+    (variant, costs)
+}
+
+/// Price of the §2.3 strip-mined run at `block_size`: each block pays two
+/// parallel regions (inspector, then executor with its copy-back) and the
+/// per-iteration inspector cost stays in the run — blocked runs cannot
+/// reuse a prebuilt map across blocks.
+fn blocked_cost(model: &CostModel, census: &PlanCensus, block_size: usize, p: usize) -> f64 {
+    let nblocks = census.iterations.div_ceil(block_size).max(1) as f64;
+    let work = census.iterations as f64
+        * (exec_per_iter(model) + model.inspect_per_iter + model.post_per_iter)
+        + census.total_terms as f64 * per_term(model);
+    nblocks * 2.0 * model.region_dispatch + work / p as f64
+}
+
+/// Stall weight of a claim order: for each true-dependence edge with claim
+/// gap `g`, `max(0, p − g)/p`. The numerators are summed as integers and
+/// divided once, so the weight is one rounding from exact and never above
+/// `true_deps·(p − 1)/p` as computed (the bound a stored plan is checked
+/// against).
+fn stall_weight(dag: &DependenceDag, pos: Option<&[usize]>, p: usize) -> f64 {
+    let mut slots = 0u64;
+    for i in 0..dag.len() {
+        for &w in dag.predecessors(i) {
+            let gap = match pos {
+                Some(pos) => pos[i] - pos[w],
+                None => i - w,
+            };
+            slots += p.saturating_sub(gap) as u64;
+        }
+    }
+    slots as f64 / p as f64
 }
 
 /// The paper's `T_seq` for this census.
-fn sequential_cost(costs: &CostModel, census: &PlanCensus) -> f64 {
-    costs.sequential_time(census.iterations, census.total_terms as usize)
+fn sequential_cost(model: &CostModel, census: &PlanCensus) -> f64 {
+    model.sequential_time(census.iterations, census.total_terms as usize)
 }
 
 /// Per-iteration executor overhead `e`.
-fn exec_per_iter(costs: &CostModel) -> f64 {
-    costs.schedule_grab + costs.iteration_setup + costs.publish
+fn exec_per_iter(model: &CostModel) -> f64 {
+    model.schedule_grab + model.iteration_setup + model.publish
 }
 
 /// Per-reference executor work `r`.
-fn per_term(costs: &CostModel) -> f64 {
-    costs.term + costs.check
+fn per_term(model: &CostModel) -> f64 {
+    model.term + model.check
 }
 
 /// Serial cost of one average iteration.
-fn chain_cost(costs: &CostModel, census: &PlanCensus) -> f64 {
-    exec_per_iter(costs) + census.terms_per_iteration() * per_term(costs)
+fn chain_cost(model: &CostModel, census: &PlanCensus) -> f64 {
+    exec_per_iter(model) + census.terms_per_iteration() * per_term(model)
 }
 
 /// Total executor work `W = n·e + T·r`.
-fn raw_work(costs: &CostModel, census: &PlanCensus) -> f64 {
-    census.iterations as f64 * exec_per_iter(costs) + census.total_terms as f64 * per_term(costs)
+fn raw_work(model: &CostModel, census: &PlanCensus) -> f64 {
+    census.iterations as f64 * exec_per_iter(model) + census.total_terms as f64 * per_term(model)
 }
 
 /// The lower bound on every parallel candidate's price for an injective
-/// loop with this census on `p` processors under `costs` — see "Stage 1:
+/// loop with this census on `p` processors under `model` — see "Stage 1:
 /// the floor" in the module docs for the three inequalities. Pure
 /// arithmetic on the census, so the adaptive layer re-evaluates it under
 /// refined constants at no cost.
@@ -481,20 +491,20 @@ fn raw_work(costs: &CostModel, census: &PlanCensus) -> f64 {
 /// paper the second is never below the first, but they are rounded
 /// separately, and taking the minimum keeps the bound exact on the
 /// computed prices.
-pub fn parallel_floor(costs: &CostModel, census: &PlanCensus, p: usize) -> f64 {
-    let chain = chain_cost(costs, census);
-    let flagged = (raw_work(costs, census) / p as f64).max(census.critical_path as f64 * chain);
+pub fn parallel_floor(model: &CostModel, census: &PlanCensus, p: usize) -> f64 {
+    let chain = chain_cost(model, census);
+    let flagged = (raw_work(model, census) / p as f64).max(census.critical_path as f64 * chain);
     let rounds = census.iterations.div_ceil(p).max(census.critical_path);
     let inner = flagged.min(rounds as f64 * chain);
-    costs.region_dispatch + inner + census.iterations as f64 * costs.post_per_iter / p as f64
+    model.region_dispatch + inner + census.iterations as f64 * model.post_per_iter / p as f64
 }
 
 /// The stage-1 gate: whether `T_seq ≤` [`parallel_floor`], i.e. sequential
 /// is what pricing every candidate of this injective census would select.
 /// The planner asks it of its own constants; the adaptive layer asks it
 /// again of the refined ones.
-pub fn gated(costs: &CostModel, census: &PlanCensus, p: usize) -> bool {
-    sequential_cost(costs, census) <= parallel_floor(costs, census, p)
+pub fn gated(model: &CostModel, census: &PlanCensus, p: usize) -> bool {
+    sequential_cost(model, census) <= parallel_floor(model, census, p)
 }
 
 /// Detects a linear left-hand-side subscript `a(i) = c·i + d` with `c ≥ 1`.
@@ -595,6 +605,40 @@ mod tests {
         assert_eq!(full.variant, PlanVariant::Sequential);
         assert_eq!(full.costs.sequential, costs.sequential);
         assert!(costs.sequential <= full.costs.doacross.unwrap());
+    }
+
+    #[test]
+    fn a_gated_plan_reopens_under_cheaper_executor_constants() {
+        // A serial chain under the preset: the floor settles it, and the
+        // census alone prices it — sequential, nothing else.
+        let l = chain(500);
+        let statics = CostModel::multimax();
+        let plan = Planner::with_costs(statics).plan(&pool(), &l).unwrap();
+        assert!(plan.is_gated() && plan.features().is_none(), "{plan}");
+        let (variant, costs) =
+            price_features(&statics, plan.census(), None, plan.linear_subscript(), 4);
+        assert_eq!((variant, &costs), (plan.variant(), plan.costs()));
+
+        // A model whose executor work is nearly free pulls the floor
+        // (dispatch + CP·chain + post) under T_seq: the gate, asked again,
+        // opens, and the rebuild it asks for prices everything.
+        let mut refined = statics;
+        for c in [
+            &mut refined.schedule_grab,
+            &mut refined.iteration_setup,
+            &mut refined.publish,
+            &mut refined.term,
+            &mut refined.check,
+            &mut refined.post_per_iter,
+        ] {
+            *c *= 1e-3;
+        }
+        refined.region_dispatch = 1.0;
+        assert!(gated(&statics, plan.census(), 4));
+        assert!(!gated(&refined, plan.census(), 4));
+        let rebuilt = Planner::with_costs(refined).plan(&pool(), &l).unwrap();
+        assert!(!rebuilt.is_gated() && rebuilt.features().is_some());
+        assert!(rebuilt.costs().doacross.is_some() && rebuilt.costs().wavefront.is_some());
     }
 
     #[test]

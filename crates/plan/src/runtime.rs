@@ -154,7 +154,7 @@ impl PlanExecutor {
                     .runtime
                     .run_wavefront(pool, loop_, y, stream, None, prof);
             }
-            PlanVariant::Reordered => census.average_parallelism as usize,
+            PlanVariant::Reordered => census.average_parallelism() as usize,
             _ => census.min_true_distance.unwrap_or(census.iterations),
         };
         let grain = claim_grain(hint, pool.threads());

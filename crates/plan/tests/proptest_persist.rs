@@ -54,7 +54,7 @@ fn pinned(flags: bool) -> Planner {
 /// every warm-start path treats that as a cold start.
 #[test]
 fn a_format_version_3_blob_cold_starts_typed() {
-    assert_eq!(FORMAT_VERSION, 5);
+    assert_eq!(FORMAT_VERSION, 6);
     let pool = ThreadPool::new(2);
     let grid = doacross_plan::testgrid::deep_grid(24, 8, 3, 5);
     let mut cache = PlanCache::new(2);
@@ -67,7 +67,7 @@ fn a_format_version_3_blob_cold_starts_typed() {
         PlanStore::from_bytes(&bytes),
         Err(PersistError::UnsupportedVersion {
             found: 3,
-            supported: 5,
+            supported: 6,
         })
     ));
 }

@@ -9,12 +9,17 @@
 //! called directly, gate or no gate, and compared with what the planner
 //! did — across random injective patterns, cost models whose constants
 //! span six decades, and every worker count the engine prices for.
+//!
+//! The same check proves the plan's features are model-free: priced under
+//! the build model they reproduce the plan's prices, and priced under any
+//! other model they reproduce what stage 2 computes from the pattern under
+//! that model — bit for bit, so re-pricing a plan needs no inversion.
 
 use doacross_core::IndirectLoop;
 use doacross_par::ThreadPool;
 use doacross_plan::{
-    detect_linear, gated, parallel_floor, testgrid::deep_grid, CensusPass, PlanVariant, Planner,
-    VariantCosts,
+    detect_linear, gated, parallel_floor, price_features, testgrid::deep_grid, CensusPass,
+    PlanVariant, Planner, VariantCosts,
 };
 use doacross_sim::CostModel;
 use doacross_sparse::table1_problems;
@@ -113,11 +118,18 @@ fn bounded_prices(costs: &VariantCosts) -> [(&'static str, Option<f64>); 4] {
     ]
 }
 
-/// Asserts the three staged-planner properties for one (pattern, model, p):
-/// the floor bounds stage 2's prices, the gate agrees with stage 2's
+/// Asserts the staged-planner properties for one (pattern, model, p): the
+/// floor bounds stage 2's prices, the gate agrees with stage 2's
 /// selection, and the planner's own output is stage 2's (or, gated, its
-/// sequential price alone).
-fn check(pattern: &IndirectLoop, model: CostModel, pool: &ThreadPool) -> Result<(), String> {
+/// sequential price alone) — and that a non-gated plan's features, priced
+/// under `model` and under `other`, are stage 2's selection and prices
+/// under each.
+fn check(
+    pattern: &IndirectLoop,
+    model: CostModel,
+    other: CostModel,
+    pool: &ThreadPool,
+) -> Result<(), String> {
     let p = pool.threads();
     let planner = Planner::with_costs(model);
     let pass = CensusPass::of(pattern);
@@ -163,6 +175,38 @@ fn check(pattern: &IndirectLoop, model: CostModel, pool: &ThreadPool) -> Result<
     if gate && plan.memory_bytes() != 0 {
         return Err(format!("p={p}: gated plan carries an artifact"));
     }
+
+    let Some(features) = plan.features() else {
+        return if gate {
+            Ok(())
+        } else {
+            Err(format!("p={p}: a priced plan keeps no features"))
+        };
+    };
+    let priced = |m: &CostModel| {
+        price_features(m, plan.census(), Some(features), plan.linear_subscript(), p)
+    };
+    if priced(&model) != (plan.variant(), *plan.costs()) {
+        return Err(format!(
+            "p={p}: features under the build model price {:?}, the plan carries {:?}",
+            priced(&model),
+            plan.costs()
+        ));
+    }
+    let fresh = Planner::with_costs(other).price(pattern, &pass, detect_linear(pattern), p);
+    if fresh.features.as_ref() != Some(features) {
+        return Err(format!(
+            "p={p}: features moved with the model: {features:?} vs {:?}",
+            fresh.features
+        ));
+    }
+    if priced(&other) != (fresh.variant, fresh.costs) {
+        return Err(format!(
+            "p={p}: features under another model price {:?}, stage 2 {:?}",
+            priced(&other),
+            (fresh.variant, fresh.costs)
+        ));
+    }
     Ok(())
 }
 
@@ -173,10 +217,11 @@ proptest! {
     fn the_gate_changes_no_decision_and_no_price(
         pattern in arb_pattern(),
         model in arb_model(),
+        other in arb_model(),
     ) {
         for p in WORKERS {
             let pool = ThreadPool::new(p);
-            if let Err(why) = check(&pattern, model, &pool) {
+            if let Err(why) = check(&pattern, model, other, &pool) {
                 prop_assert!(false, "{}", why);
             }
         }
@@ -204,7 +249,7 @@ proptest! {
                 seq_term: per_reference,
                 ..preset
             };
-            if let Err(why) = check(&pattern, model, &pool) {
+            if let Err(why) = check(&pattern, model, preset, &pool) {
                 prop_assert!(false, "nudge {}: {}", nudge, why);
             }
         }
@@ -231,7 +276,7 @@ fn the_floor_survives_rounding_when_wavefront_rounds_equal_work_over_p() {
                 model.term *= scale;
                 model.check *= scale;
                 model.publish *= scale;
-                check(&grid, model, &pool).unwrap();
+                check(&grid, model, free_barriers, &pool).unwrap();
             }
         }
     }
@@ -248,7 +293,12 @@ fn table1_plans_under_the_preset_carry_exactly_stage_two_prices() {
             let l = problem.triangular_system().l;
             let rhs: Vec<Vec<usize>> = (0..l.n()).map(|i| l.row_cols(i).to_vec()).collect();
             let pattern = loop_of(l.n(), (0..l.n()).collect(), rhs);
-            check(&pattern, CostModel::multimax(), &pool)
+            let refined = CostModel {
+                wait_poll: 2.0,
+                barrier: 40.0,
+                ..CostModel::multimax()
+            };
+            check(&pattern, CostModel::multimax(), refined, &pool)
                 .unwrap_or_else(|why| panic!("{}: {why}", problem.kind.name()));
             let plan = Planner::new().plan(&pool, &pattern).unwrap();
             assert!(
@@ -257,5 +307,44 @@ fn table1_plans_under_the_preset_carry_exactly_stage_two_prices() {
                 problem.kind.name()
             );
         }
+    }
+}
+
+#[test]
+fn a_flag_price_clamped_at_the_critical_path_reprices_exactly() {
+    // Four interleaved chains of 32 links on 8 workers: `(W + flags +
+    // stalls)/p` stays below `CP·chain`, so every flag price is the
+    // critical-path clamp, 50 + 32·3.9609375 + 40 = 216.75. A poll eight
+    // times dearer moves the unclamped sum but not past the clamp, so the
+    // fresh price does not move. Inverting the stored price instead read
+    // the clamp's slack as stalls and re-priced the flag variants at
+    // 243.875 under the dearer poll.
+    let (chains, len, p) = (4usize, 32usize, 8usize);
+    let n = chains * len;
+    let rhs = (0..n)
+        .map(|i| if i < chains { vec![] } else { vec![i - chains] })
+        .collect();
+    let pattern = loop_of(n, (0..n).collect(), rhs);
+    let model = CostModel::multimax();
+    let dear_polls = CostModel {
+        wait_poll: 2.0,
+        ..model
+    };
+    let pool = ThreadPool::new(p);
+    check(&pattern, model, dear_polls, &pool).unwrap();
+
+    let plan = Planner::with_costs(model).plan(&pool, &pattern).unwrap();
+    assert!(matches!(plan.variant(), PlanVariant::Linear(_)), "{plan}");
+    let clamp = Some(216.75);
+    assert_eq!(plan.costs().doacross, clamp, "{:?}", plan.costs());
+    let (_, repriced) = price_features(
+        &dear_polls,
+        plan.census(),
+        plan.features(),
+        plan.linear_subscript(),
+        p,
+    );
+    for price in [repriced.doacross, repriced.linear, repriced.reordered] {
+        assert_eq!(price, clamp, "{repriced:?}");
     }
 }

@@ -28,7 +28,7 @@ fn main() {
             "  {name:<22} -> {} (critical path {}, avg parallelism {:.1})",
             prepared.variant(),
             prepared.plan().census().critical_path,
-            prepared.plan().census().average_parallelism,
+            prepared.plan().census().average_parallelism(),
         );
     }
 

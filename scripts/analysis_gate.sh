@@ -58,6 +58,12 @@
 #                  of the ILU(0) preconditioner on every Table-1 operator,
 #                  planned parallel, the backward half's `finish` hook
 #                  inside the stream executors, bit for bit.
+#                  And the one pricing function: a plan's features priced
+#                  under its build model are its prices and under any
+#                  other model a fresh stage-2 price, bit for bit (the
+#                  extended gate proptest and the clamped-critical-path
+#                  structure), and a stored plan whose features its census
+#                  cannot produce is rejected typed, one case per rule.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -180,6 +186,18 @@ named doacross-plan lib fingerprint::tests::row_boundary_split_perturbs_both_str
 
 say "analysis_gate: the preconditioner's two prepared loops, by name"
 named doacross-trisolve lib precond::tests::table1_halves_plan_parallel_on_the_preset_engine_and_match_bitwise
+
+say "analysis_gate: one pricing function over stored features, by name"
+for t in the_gate_changes_no_decision_and_no_price \
+  a_flag_price_clamped_at_the_critical_path_reprices_exactly; do
+  named doacross-plan staged_equivalence "$t"
+done
+for t in decode_rejects_a_non_finite_or_negative_stall_weight \
+  decode_rejects_a_stall_weight_above_every_edge_stalling \
+  decode_rejects_wavefront_rounds_outside_the_level_bounds \
+  decode_rejects_features_on_a_gated_or_stream_less_record; do
+  named doacross-plan lib "persist::tests::$t"
+done
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||

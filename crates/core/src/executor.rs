@@ -1,7 +1,8 @@
 //! The executor: the doacross proper (paper Figure 5).
 //!
-//! Each pool worker self-schedules claim slots and runs, per claimed slot
-//! `k` (iteration `i = order(k)`, or `k` itself in natural order):
+//! Each worker of the region self-schedules claim slots and runs, per
+//! claimed slot `k` (iteration `i = order(k)`, or `k` itself in natural
+//! order):
 //!
 //! ```text
 //! S2      acc = init(i, y[a(i)])
@@ -55,10 +56,16 @@
 //! The postprocessor (Figure 3, right) runs in the same region: a worker
 //! that runs out of iterations adds how many it executed to an
 //! iterations-finished [`Completion`] counter, waits for the count to
-//! reach the range's length, and then postprocesses its fixed share
-//! ([`crate::post`]). The counter's release/acquire pair orders every
-//! iteration's `y` loads and `ynew` stores before any copy-back store, and
-//! a worker that claimed nothing delays nobody.
+//! reach the range's length, and then claims copy-back chunks until none
+//! is left ([`crate::post`]). The counter's release/acquire pair orders
+//! every iteration's `y` loads and `ynew` stores before any copy-back
+//! store, and a worker that claimed nothing delays nobody — which is why a
+//! dynamic schedule's region is *joinable*
+//! ([`ThreadPool::run_joinable`]): the dispatching thread is worker 0 and
+//! returns only once every claim is taken and finished, so a helper that
+//! has not woken by then is not waited for. A static schedule assigns
+//! fixed shares by worker id and keeps full attendance
+//! ([`ThreadPool::run`]).
 
 use crate::completion::{Completion, RegionGuard};
 use crate::flags::ReadyFlags;
@@ -147,13 +154,13 @@ fn await_flag(
 ///   [retires](ReadyFlags::retire) the flags afterwards.
 /// * Executor-side counters land in `sink`, one cell per worker — the
 ///   per-class counts only when `C::COUNTED`.
-/// * With `prof` set, each worker records one [`SpanKind::Work`] span
-///   covering its share of the iterations (`aux` = iterations executed,
-///   actual stalls nested inside) plus one [`SpanKind::FlagWait`] span per
-///   stall (`aux` = poll count), so span counts reconcile exactly with
-///   `RunStats`' `stalls` and the span `aux` totals with `wait_polls`.
-///   `None` costs one branch per would-be span — the never-stalling fast
-///   path reads no clock.
+/// * With `prof` set, each worker that joined the region records one
+///   [`SpanKind::Work`] span covering its share of the iterations (`aux` =
+///   iterations executed, actual stalls nested inside) plus one
+///   [`SpanKind::FlagWait`] span per stall (`aux` = poll count), so span
+///   counts reconcile exactly with `RunStats`' `stalls` and the span `aux`
+///   totals with `wait_polls`. `None` costs one branch per would-be span —
+///   the never-stalling fast path reads no clock.
 ///
 /// The failpoint, the fault poll and the deadline tick are paid once per
 /// iteration, whatever the chunk size. Bounds are enforced with
@@ -187,6 +194,7 @@ where
         return (Duration::ZERO, Duration::ZERO);
     }
     let counter = AtomicUsize::new(0);
+    let post_claim = AtomicUsize::new(0);
     let finished = Completion::new();
     let data_len = loop_.data_len();
     let window_len = ynew.len();
@@ -205,7 +213,7 @@ where
     let failpoint = failpoint::lookup(FAILPOINT_ITER);
     let clock = PhaseClock::start();
 
-    pool.run(|worker| {
+    pool.run_for(schedule, |worker| {
         let mut local = LocalCounters::default();
         let mut executed: u64 = 0;
         let work_started = prof.map(|arena| arena.now_ns());
@@ -319,8 +327,7 @@ where
                 post,
                 y,
                 ynew,
-                worker,
-                nworkers,
+                &post_claim,
             )
         };
         sink.deposit(worker, local);

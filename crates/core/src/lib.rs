@@ -73,8 +73,11 @@
 //!   dependencies, deep structures, contended flags): the per-element cost
 //!   disappears and the price is one counter hand-off per level.
 //!
-//! Either way a solve is one pool region: the postprocessor's copy-back
-//! runs behind the same kind of counter once the last iteration is in. And
+//! Either way a solve is one pool region, which the solving thread runs as
+//! worker 0 and, under a dynamic schedule, helpers join while it does
+//! (`ThreadPool::run_for`): the postprocessor's copy-back runs behind the
+//! same kind of counter once the last iteration is in, claimed in chunks
+//! by whoever is present. And
 //! either way a *planned* solve reads where each operand comes from off
 //! one artifact, the plan's [`ClaimStream`] — claim order, per-claim
 //! reference ends and one [`OperandClass`] byte per reference, laid out in

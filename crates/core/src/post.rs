@@ -16,17 +16,23 @@
 //!
 //! It is not a region of its own. The executors run it *inside* their
 //! region, behind the [`Completion`](crate::completion) gate that opens
-//! when the last iteration is counted: each worker then postprocesses a
-//! fixed block of the iteration range ([`post_share`]) with no claims at
-//! all. And `ready(a(i)) = NOTDONE` is not a store per element but one
-//! epoch bump after the region ([`crate::flags::ReadyFlags::retire`]).
+//! when the last iteration is counted: every participant then claims
+//! fixed-size chunks of the iteration range off one counter per region
+//! ([`post_share`]) until none is left. There are no fixed per-worker
+//! blocks, because which workers take part in a region is not fixed: a
+//! joinable region ([`ThreadPool::run_joinable`]) is attended by the
+//! dispatching thread and whichever helpers joined in time, and whoever is
+//! present copies everything once. And `ready(a(i)) = NOTDONE` is not a
+//! store per element but one epoch bump after the region
+//! ([`crate::flags::ReadyFlags::retire`]).
+//!
+//! [`ThreadPool::run_joinable`]: doacross_par::ThreadPool::run_joinable
 
 use crate::flags::IterMap;
 use crate::pattern::AccessPattern;
-use doacross_par::schedule::block_range;
 use doacross_par::SharedSlice;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What a region does once all its iterations are counted.
@@ -38,17 +44,24 @@ pub struct Post<'a> {
     pub map: Option<&'a IterMap>,
 }
 
-/// Worker `worker`'s fixed block (of `nworkers`) of the postprocessing of
-/// iterations `iter_range`: for each iteration's `lhs` element, clears the
-/// `iter` entry (window-relative) when `post` names a map, and copies
-/// `ynew` back into `y`.
+/// Iterations per copy-back claim: large enough that the shared counter
+/// is touched a few times per region, small enough that a helper arriving
+/// late still finds work on a Table-1-sized loop.
+const POST_CHUNK: usize = 512;
+
+/// The caller's share of the postprocessing of iterations `iter_range`:
+/// chunks of [`POST_CHUNK`] claimed off `claim` (zero at the region's
+/// start, shared by every participant) until none is left. For each
+/// claimed iteration's `lhs` element, clears the `iter` entry
+/// (window-relative) when `post` names a map, and copies `ynew` back into
+/// `y`. Once every participant has returned, every iteration was
+/// postprocessed exactly once, however many took part.
 ///
 /// # Safety
 /// Every iteration of `iter_range` must have completed its `ynew` store,
 /// ordered before this call (the caller passed the region's completion
 /// gate), and no thread may still read `y` — which the same gate implies,
 /// since only iteration bodies do.
-#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn post_share<P: AccessPattern + ?Sized>(
     pattern: &P,
     iter_range: Range<usize>,
@@ -56,21 +69,29 @@ pub(crate) unsafe fn post_share<P: AccessPattern + ?Sized>(
     post: Post<'_>,
     y: SharedSlice<'_, f64>,
     ynew: SharedSlice<'_, f64>,
-    worker: usize,
-    nworkers: usize,
+    claim: &AtomicUsize,
 ) {
-    let base = iter_range.start;
-    for k in block_range(iter_range.len(), nworkers, worker) {
-        let elem = pattern.lhs(base + k);
-        let slot = elem - window_start;
-        if let Some(map) = post.map {
-            map.clear(slot);
+    let (base, len) = (iter_range.start, iter_range.len());
+    loop {
+        // `Relaxed`: the add only hands out disjoint chunks; the data is
+        // ordered by the completion gate and the region's join.
+        let start = claim.fetch_add(POST_CHUNK, Ordering::Relaxed);
+        if start >= len {
+            break;
         }
-        // SAFETY: distinct iterations have distinct `lhs` elements
-        // (injective `a`, verified by the inspector), so writes to `y`
-        // are disjoint across workers; `ynew[slot]` is complete and
-        // `y` has no readers left by the caller's contract.
-        unsafe { y.write(elem, ynew.read(slot)) };
+        for k in start..(start + POST_CHUNK).min(len) {
+            let elem = pattern.lhs(base + k);
+            let slot = elem - window_start;
+            if let Some(map) = post.map {
+                map.clear(slot);
+            }
+            // SAFETY: each chunk is claimed by exactly one participant and
+            // distinct iterations have distinct `lhs` elements (injective
+            // `a`, verified by the inspector), so writes to `y` are
+            // disjoint; `ynew[slot]` is complete and `y` has no readers
+            // left by the caller's contract.
+            unsafe { y.write(elem, ynew.read(slot)) };
+        }
     }
 }
 
@@ -124,8 +145,8 @@ mod tests {
         IndirectLoop::new(data_len, a, vec![vec![]; n], vec![vec![]; n]).unwrap()
     }
 
-    /// Every worker's share, one after the other — the shares are disjoint,
-    /// so the order is immaterial.
+    /// `participants` shares claimed one after the other off one counter:
+    /// the first takes everything, the rest find nothing left.
     fn post_all(
         l: &IndirectLoop,
         iter_range: Range<usize>,
@@ -133,23 +154,13 @@ mod tests {
         post: Post<'_>,
         y: &mut [f64],
         ynew: &mut [f64],
-        nworkers: usize,
+        participants: usize,
     ) {
         let (y, ynew) = (SharedSlice::new(y), SharedSlice::new(ynew));
-        for worker in 0..nworkers {
+        let claim = AtomicUsize::new(0);
+        for _ in 0..participants {
             // SAFETY: single-threaded; `ynew` is fully written by the test.
-            unsafe {
-                post_share(
-                    l,
-                    iter_range.clone(),
-                    window_start,
-                    post,
-                    y,
-                    ynew,
-                    worker,
-                    nworkers,
-                )
-            };
+            unsafe { post_share(l, iter_range.clone(), window_start, post, y, ynew, &claim) };
         }
     }
 
@@ -197,6 +208,33 @@ mod tests {
         post_all(&l, 0..2, 0, post, &mut y, &mut ynew, 4);
         assert_eq!(map.writer(2), 2, "iteration 2's entry untouched");
         assert_eq!(y, vec![1.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn concurrent_participants_post_every_iteration() {
+        // More than three chunks, the last one partial, claimed by three
+        // threads at once: every element copied, every entry cleared.
+        let n = 3 * POST_CHUNK + 7;
+        let l = loop_with_lhs((0..n).rev().collect(), n);
+        let map = IterMap::new(n);
+        for i in 0..n {
+            map.record(n - 1 - i, i);
+        }
+        let mut y = vec![0.0; n];
+        let mut ynew: Vec<f64> = (0..n).map(|e| e as f64 + 0.5).collect();
+        let expect = ynew.clone();
+        let (yv, ynewv) = (SharedSlice::new(&mut y), SharedSlice::new(&mut ynew));
+        let claim = AtomicUsize::new(0);
+        let post = Post { map: Some(&map) };
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                // SAFETY: `ynew` is fully written before the threads start
+                // and nobody reads `y` until the scope joins them.
+                s.spawn(|| unsafe { post_share(&l, 0..n, 0, post, yv, ynewv, &claim) });
+            }
+        });
+        assert!(map.all_clear());
+        assert_eq!(y, expect);
     }
 
     #[test]

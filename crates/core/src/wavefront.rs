@@ -513,23 +513,27 @@ fn poll_faults(
 /// Runs the level-scheduled executor: one parallel region for the whole
 /// solve — every level a self-scheduled doall over
 /// [`ClaimStream::level_slots`], entered once the previous level's
-/// completion count is full, then each worker's fixed share of the
-/// copy-back once the last level's is. No `ready` flags, no writer map —
-/// operands are resolved from the stream's class bytes, slot by slot (see
-/// module docs). Returns the region's wall time split into
-/// `(executor, post)`.
+/// completion count is full, then claimed chunks of the copy-back once the
+/// last level's is. No `ready` flags, no writer map — operands are
+/// resolved from the stream's class bytes, slot by slot (see module docs).
+/// Returns the region's wall time split into `(executor, post)`.
+///
+/// Levels complete by work, not attendance, so under a dynamic base
+/// schedule the region is joinable ([`ThreadPool::run_joinable`]): the
+/// dispatching thread walks every level itself and helpers join while it
+/// does; a static base schedule keeps full attendance.
 ///
 /// * `chunk`: `Some(c)` claims `c` slots per counter grab on every level;
 ///   `None` picks [`claim_grain`] from each level's width (dynamic base
 ///   schedules only — static schedules ignore chunking entirely).
 /// * `cells` must hold at least one cell per level, all zero on entry.
-/// * With `prof` set, each worker records per level one
-///   [`SpanKind::Work`] span (`aux` = iterations executed in that level)
-///   and, between adjacent levels, one [`SpanKind::BarrierWait`] span for
-///   its wait on the earlier level's counter — so each worker's span count
-///   equals the run's `barrier_crossings` and the per-level totals feed the
-///   profiler's level histograms. `None` costs one branch per would-be
-///   span.
+/// * With `prof` set, each worker that joined the region records per
+///   level one [`SpanKind::Work`] span (`aux` = iterations executed in that
+///   level) and, between adjacent levels, one [`SpanKind::BarrierWait`]
+///   span for its wait on the earlier level's counter — so each joined
+///   worker's span count equals the run's `barrier_crossings` and the
+///   per-level totals feed the profiler's level histograms. `None` costs
+///   one branch per would-be span.
 ///
 /// The failpoint, the fault poll and the deadline tick are paid once per
 /// iteration, whatever the claiming policy (a static share is one claim
@@ -576,8 +580,9 @@ where
     };
     let failpoint = failpoint::lookup(FAILPOINT_ITER);
     let clock = PhaseClock::start();
+    let post_claim = AtomicUsize::new(0);
 
-    pool.run(|worker| {
+    pool.run_for(config.schedule, |worker| {
         // Nothing is counted per reference or per wait here (the stream
         // knows its class totals and no flag is ever polled), so a worker
         // that leaves early has no partial counters to hand over.
@@ -693,8 +698,7 @@ where
                 Post { map: None },
                 y,
                 ynew,
-                worker,
-                nworkers,
+                &post_claim,
             )
         };
     });

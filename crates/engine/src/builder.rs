@@ -87,9 +87,10 @@ impl EngineBuilder {
         }
     }
 
-    /// Worker thread count (the paper's processor count `p`). Defaults to
-    /// the host's available parallelism, capped at 8 — oversubscribing
-    /// busy-wait executors degrades everyone.
+    /// Workers per sub-pool (the paper's processor count `p`): the solving
+    /// thread itself plus `p − 1` helper threads. Defaults to the host's
+    /// available parallelism, capped at 8 — oversubscribing busy-wait
+    /// executors degrades everyone.
     ///
     /// # Panics
     /// [`EngineBuilder::build`] panics if `workers` is 0.

@@ -53,7 +53,8 @@ pub enum EngineError {
         /// Scheduler sub-pool the faulted region ran on.
         pool: usize,
         /// Worker index whose closure panicked (first cause wins when
-        /// several race).
+        /// several race); 0 is the solving thread itself, which runs
+        /// worker 0's share of every region it dispatches.
         worker: usize,
     },
     /// The parallel solve ran past the engine's

@@ -18,7 +18,7 @@ use doacross_core::{
 };
 use doacross_engine::{
     AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, ObsProvenance,
-    ObsVariant, PersistError, RetryPolicy, SolveOutcome, TraceEvent,
+    ObsVariant, PersistError, RetryPolicy, SolveOutcome, SolveProfile, SpanKind, TraceEvent,
 };
 use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
 use doacross_sim::CostModel;
@@ -753,7 +753,9 @@ fn consecutive_panics_do_not_wedge_the_pool() {
 /// `recover` drops what they left); a typed rejection is refused before
 /// any span is deposited. Either way the next clean solve's profile holds
 /// that solve's spans and nothing else: the same per-kind counts as the
-/// same solve on a fresh engine, nothing dropped.
+/// same solve on a fresh engine, nothing dropped — except the work spans,
+/// one per worker that joined the region (worker 0 always, a helper when
+/// it joined in time), which attendance decides.
 #[test]
 fn a_fault_leaves_no_spans_in_the_next_profile() {
     let _serial = chaos_lock();
@@ -765,9 +767,9 @@ fn a_fault_leaves_no_spans_in_the_next_profile() {
                 .profiling_default()
                 .build()
         };
-        // A dependence-free doall: one work span per worker and the
-        // dispatch wait, never a stall — a span count scheduling can not
-        // move.
+        // A dependence-free doall: one work span per joined worker and
+        // the dispatch wait, never a stall — span counts scheduling can
+        // not move, bar attendance.
         let loop_ = doacross_victim();
         let y0 = fresh_y(loop_.data_len());
         let oracle = oracle_of(&loop_, &y0);
@@ -815,7 +817,30 @@ fn a_fault_leaves_no_spans_in_the_next_profile() {
 
         let clean = clean_profile(&engine);
         assert_eq!(engine.recent_profiles().len(), 1, "{policy:?}");
-        assert_eq!(clean.kind_spans, fresh.kind_spans, "{policy:?}");
+        let work = SpanKind::Work.index();
+        for profile in [&clean, &fresh] {
+            let mut joined: Vec<u32> = profile
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Work)
+                .map(|s| s.worker)
+                .collect();
+            joined.sort_unstable();
+            joined.dedup();
+            assert_eq!(
+                joined.first(),
+                Some(&0),
+                "{policy:?}: worker 0 always joins"
+            );
+            assert!(joined.len() <= 4, "{policy:?}: {joined:?}");
+            assert_eq!(profile.kind_spans[work], joined.len() as u64, "{policy:?}");
+        }
+        let others = |p: &SolveProfile| {
+            let mut kinds = p.kind_spans;
+            kinds[work] = 0;
+            kinds
+        };
+        assert_eq!(others(&clean), others(&fresh), "{policy:?}");
         assert_eq!(clean.dropped, 0, "{policy:?}");
         assert_eq!(
             clean.spans.len() as u64,

@@ -685,7 +685,7 @@ fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
 
     // The barrier-wait histogram collapses levels 2..19 under "other"
     // and its total count is exactly the barrier-wait spans harvested:
-    // one per worker per crossing.
+    // one per joined worker per crossing.
     let hist = &families["doacross_profile_barrier_wait_ns"];
     assert_eq!(hist.kind, "histogram");
     let mut levels: Vec<String> = hist
@@ -715,10 +715,28 @@ fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
         .map(|p| p.kind_spans[SpanKind::BarrierWait.index()])
         .sum();
     assert_eq!(count_total as u64, barrier_spans);
+    // Joined workers are the tracks carrying a work span (`SpanKind::Work`):
+    // worker 0 always, a helper when it joined the region in time.
+    let joined: u64 = profiles
+        .iter()
+        .map(|p| {
+            let mut workers: Vec<u32> = p
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Work)
+                .map(|s| s.worker)
+                .collect();
+            workers.sort_unstable();
+            workers.dedup();
+            assert_eq!(workers.first(), Some(&0), "worker 0 always joins");
+            assert!(workers.len() <= stats.workers, "{workers:?}");
+            workers.len() as u64
+        })
+        .sum();
     assert_eq!(
         barrier_spans,
-        3 * stats.workers as u64 * stats.barrier_crossings,
-        "one barrier-wait span per worker per crossing, every solve"
+        joined * stats.barrier_crossings,
+        "one barrier-wait span per joined worker per crossing, every solve"
     );
 
     // The JSON view exports the same profiler state.

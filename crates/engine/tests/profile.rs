@@ -56,6 +56,24 @@ fn wavefront_victim() -> IndirectLoop {
     doacross_plan::testgrid::deep_grid(64, 20, 3, 7)
 }
 
+/// The workers that joined the profiled region: the tracks carrying a
+/// [`SpanKind::Work`] span, which every joined worker records and no
+/// absent one does (see `SpanKind::Work`). Worker 0 — the dispatching
+/// thread — always joins, so `1 ≤ joined ≤ workers`.
+fn joined(profile: &SolveProfile, workers: usize) -> Vec<u32> {
+    let mut joined: Vec<u32> = profile
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Work)
+        .map(|s| s.worker)
+        .collect();
+    joined.sort_unstable();
+    joined.dedup();
+    assert_eq!(joined.first(), Some(&0), "worker 0 always joins");
+    assert!(joined.len() <= workers, "{joined:?} of {workers}");
+    joined
+}
+
 fn solve_profiled(
     engine: &Engine,
     loop_: &IndirectLoop,
@@ -86,14 +104,14 @@ fn flat_executor_spans_reconcile_with_run_stats() {
         );
         assert_eq!(profile.dropped, 0);
 
-        // One Work span per worker per region; their payloads sum to the
-        // iterations actually executed.
+        // One Work span per joined worker per region; their payloads sum
+        // to the iterations actually executed.
         let work: Vec<_> = profile
             .spans
             .iter()
             .filter(|s| s.kind == SpanKind::Work)
             .collect();
-        assert_eq!(work.len(), stats.workers);
+        assert_eq!(work.len(), joined(&profile, stats.workers).len());
         assert_eq!(
             work.iter().map(|s| s.aux).sum::<u64>(),
             stats.iterations as u64
@@ -126,20 +144,26 @@ fn wavefront_spans_reconcile_with_barrier_crossings() {
     assert_eq!(profile.dropped, 0);
     assert!(stats.barrier_crossings > 0);
 
-    // Every worker records one BarrierWait per crossing — the per-worker
-    // count *is* the stats counter, and the level stamps cover exactly
-    // the levels before each barrier.
+    // Every joined worker records one BarrierWait per crossing — the
+    // per-worker count *is* the stats counter — and an absent one records
+    // nothing.
+    let joined = joined(&profile, stats.workers);
     for worker in 0..stats.workers as u32 {
         let crossings = profile
             .spans
             .iter()
             .filter(|s| s.worker == worker && s.kind == SpanKind::BarrierWait)
             .count() as u64;
-        assert_eq!(crossings, stats.barrier_crossings, "worker {worker}");
+        let expect = if joined.contains(&worker) {
+            stats.barrier_crossings
+        } else {
+            0
+        };
+        assert_eq!(crossings, expect, "worker {worker}");
     }
     assert_eq!(
         profile.kind_spans[SpanKind::BarrierWait.index()],
-        stats.workers as u64 * stats.barrier_crossings
+        joined.len() as u64 * stats.barrier_crossings
     );
 
     // Per worker per level at most one Work span; the payloads sum to
@@ -180,8 +204,8 @@ fn chrome_trace_exports_one_track_per_worker() {
     let summary = validate_chrome_trace(&trace).expect("structurally valid trace");
     assert_eq!(summary.events as u64, profile.spans.len() as u64);
 
-    // One track per worker (plus the dispatcher track), all under the
-    // solve's pid, and each track carries exactly that worker's spans.
+    // One track per joined worker (plus the dispatcher track), all under
+    // the solve's pid, and each track carries exactly that worker's spans.
     let pid = profile.seq;
     let tids: Vec<u64> = summary
         .tracks
@@ -189,11 +213,12 @@ fn chrome_trace_exports_one_track_per_worker() {
         .filter(|(p, _)| *p == pid)
         .map(|(_, t)| *t)
         .collect();
-    assert_eq!(
-        tids,
-        (0..=stats.workers as u64).collect::<Vec<_>>(),
-        "worker tracks 0..workers plus dispatcher"
-    );
+    let mut expect: Vec<u64> = joined(&profile, stats.workers)
+        .into_iter()
+        .map(u64::from)
+        .collect();
+    expect.push(stats.workers as u64);
+    assert_eq!(tids, expect, "joined worker tracks plus dispatcher");
     for ((_, tid), count) in summary.tracks.iter().filter(|((p, _), _)| *p == pid) {
         let expect = profile
             .spans

@@ -40,14 +40,24 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Executing claimed iterations (flag waits nest inside on the
-    /// flag-based variants; wavefront work spans exclude boundary waits).
+    /// flag-based variants; wavefront work spans exclude boundary waits):
+    /// one span per joined worker per region — per level on the wavefront
+    /// — its iterations (possibly none) as `aux`.
+    ///
+    /// A worker *joined* a region when the region ran its job: the
+    /// dispatching thread (worker 0) always, a helper when it registered
+    /// before the dispatcher closed registration (`doacross_par`'s
+    /// `ThreadPool::run_joinable`; full-attendance regions join everyone).
+    /// These spans are the record of it — the tracks carrying a `Work`
+    /// span are the joined workers, `1 ≤ joined ≤ workers`.
     Work,
     /// Busy-waiting on a ready flag for a true dependency (one span per
     /// stall event; `aux` carries the poll count).
     FlagWait,
     /// Waiting at a wavefront level boundary for the earlier level's
-    /// completion count to fill (one span per worker per boundary, the
-    /// near-zero wait of a worker that finds it full included).
+    /// completion count to fill (one span per joined worker per boundary —
+    /// see [`SpanKind::Work`] — the near-zero wait of a worker that finds
+    /// it full included).
     BarrierWait,
     /// Waiting for a free scheduler sub-pool before the solve ran
     /// (recorded on the dispatcher track, not a worker's).

@@ -8,6 +8,17 @@
 //! [`SharedSlice`], the single audited `unsafe` abstraction through which
 //! concurrently-executing loop iterations touch shared arrays.
 //!
+//! The thread that encounters a region is processor 0 of it, as in
+//! OpenMP's `taskloop`: a pool of `p` workers is the calling thread plus
+//! `p − 1` helpers, and a one-worker region never leaves the caller's
+//! thread. Under a dynamic schedule a region is *joinable*
+//! ([`ThreadPool::run_joinable`]) — helpers join while the caller's own
+//! share runs, and nobody waits for a helper that was not there — while a
+//! static schedule, which hands each worker id a fixed share, keeps full
+//! attendance ([`ThreadPool::run`]). Every region of the runtime is
+//! dispatched through [`ThreadPool::run_for`], which reads the attendance
+//! off the schedule; it is never a setting.
+//!
 //! The paper (Saltz & Mirchandaney, *The Preprocessed Doacross Loop*, ICPP
 //! 1991) ran its `parallel do` loops on a 16-processor Encore Multimax/320
 //! with self-scheduling: each processor repeatedly grabs the next unclaimed

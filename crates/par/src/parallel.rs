@@ -1,9 +1,12 @@
 //! `parallel do` loops: [`parallel_for`] and friends.
 //!
 //! These are the direct Rust counterparts of the paper's `parallel do i=1,N`
-//! regions (Figures 2, 3 and 5): every pool worker enters the region,
-//! iterations are distributed by a [`Schedule`], and the call returns when
-//! all iterations have executed. The doacross executor itself lives in
+//! regions (Figures 2, 3 and 5): the calling thread and the pool's helpers
+//! enter the region, iterations are distributed by a [`Schedule`], and the
+//! call returns when all iterations have executed. A dynamic schedule's
+//! region is joinable — the caller claims until nothing is left and waits
+//! only for the helpers that joined in time — and a static one has every
+//! worker id check in. The doacross executor itself lives in
 //! `doacross-core`; it uses the same pool/schedule machinery but manages its
 //! own per-iteration synchronization.
 
@@ -47,7 +50,7 @@ where
     }
     let nworkers = pool.threads();
     let counter = AtomicUsize::new(0);
-    pool.run(|worker| {
+    pool.run_for(schedule, |worker| {
         schedule.drive(worker, nworkers, n, &counter, |i| body(worker, i));
     });
 }
@@ -77,7 +80,7 @@ where
     let nworkers = pool.threads();
     let counter = AtomicUsize::new(0);
     let partials: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(nworkers));
-    pool.run(|worker| {
+    pool.run_for(schedule, |worker| {
         let mut acc = identity.clone();
         schedule.drive(worker, nworkers, n, &counter, |i| {
             acc = reduce(acc.clone(), map(i));

@@ -8,16 +8,19 @@
 //! [`RegionPoison`] is the one-word protocol that turns that hang into a
 //! clean, typed teardown:
 //!
-//! 1. The pool's `catch_unwind` (or a deadline-expired waiter) stores the
-//!    fault cause into the region's poison word with a first-cause-wins
-//!    CAS (`Release`).
+//! 1. The pool's `catch_unwind` around each participant's share — the
+//!    dispatching thread's own (worker 0) included — or a
+//!    deadline-expired waiter stores the fault cause into the region's
+//!    poison word with a first-cause-wins CAS (`Release`).
 //! 2. Every guarded wait site polls the word (`Acquire`) alongside its
 //!    real condition and, on observing a fault, unwinds cooperatively via
 //!    [`cooperative_unwind`] — a marker panic the pool recognizes and does
-//!    **not** re-poison — so `active` drains and the dispatcher wakes.
-//! 3. After the drain, [`ThreadPool::run`](crate::ThreadPool::run) takes
-//!    the fault and re-panics with the typed [`RegionFault`] payload for
-//!    the engine boundary to catch and convert.
+//!    **not** re-poison — so every participant drains.
+//! 3. After the dispatcher's own share returned (or unwound) and every
+//!    helper that joined has left,
+//!    [`ThreadPool::run`](crate::ThreadPool::run) takes the fault and
+//!    re-panics with the typed [`RegionFault`] payload for the engine
+//!    boundary to catch and convert.
 //!
 //! The `Release` store / `Acquire` poll pair also publishes everything the
 //! faulting thread wrote *before* poisoning (e.g. partial per-worker
@@ -37,7 +40,9 @@ pub enum RegionFault {
     /// A worker's job invocation panicked; `worker` is the pool-local id
     /// of the first worker whose panic poisoned the region.
     WorkerPanicked {
-        /// Pool-local worker index (0-based).
+        /// Pool-local worker index (0-based). Worker 0 is the thread that
+        /// dispatched the region — the caller itself runs worker 0's
+        /// share — and `1..p` are the pool's helper threads.
         worker: usize,
     },
     /// A guarded wait observed the region deadline in the past.
@@ -148,8 +153,9 @@ fn decode(word: u64) -> Option<RegionFault> {
 }
 
 /// Marker payload of a cooperative unwind: the panic a guarded wait site
-/// throws after observing poison. `worker_loop`'s `catch_unwind`
-/// recognizes it and does not re-poison (the original cause stands).
+/// throws after observing poison. The pool's `catch_unwind` around each
+/// participant's share recognizes it and does not re-poison (the original
+/// cause stands).
 #[derive(Debug)]
 pub(crate) struct CoopUnwind;
 

@@ -1,56 +1,99 @@
 //! A fixed-size thread pool whose workers model the paper's processors.
 //!
-//! The pool hands one job closure to every worker per dispatch — the moral
-//! equivalent of entering a `parallel do` region on the Encore Multimax: all
-//! `p` processors enter the loop, self-schedule iterations among themselves
-//! (see [`crate::schedule`]), and the region ends when every processor is
-//! done. [`ThreadPool::run`] blocks the dispatching thread until the region
-//! completes, which is also the synchronization point that makes
-//! postprocessing reads of executor-written data race-free.
+//! A dispatch is the moral equivalent of entering a `parallel do` region on
+//! the Encore Multimax: the processors enter the loop, self-schedule
+//! iterations among themselves (see [`crate::schedule`]), and the region
+//! ends when they are done. The thread that dispatches a region is
+//! processor 0 of it — the encountering thread of OpenMP's `taskloop` — so
+//! a pool of `p` workers spawns `p − 1` helper threads (workers `1..p`)
+//! and a one-worker region runs entirely on the caller's thread. Two
+//! entries share one dispatch body:
 //!
-//! Workers are created once and reused across dispatches (the paper reuses
-//! its `iter`/`ready` scratch arrays across loops for the same reason:
-//! per-instance setup cost must be amortizable).
+//! * [`ThreadPool::run`] — *full attendance*: every worker id runs the job
+//!   exactly once. Static schedules assign fixed shares by worker id and a
+//!   barrier waits for all `p`, so they need it.
+//! * [`ThreadPool::run_joinable`] — helpers *join* while registration is
+//!   open. The dispatcher runs `job(0)`, closes registration when it
+//!   returns, and waits only for the helpers that joined; nobody waits for
+//!   an absent worker. A job whose claims are dynamic (a participant that
+//!   finds nothing left claims nothing) needs no more, and it never pays
+//!   for waking a helper that arrives after the work is gone.
+//!
+//! [`ThreadPool::run_for`] picks between them from the caller's
+//! [`Schedule`](crate::Schedule), which is how every region of the
+//! runtime is dispatched.
+//!
+//! Registration is one word: the region's epoch, an open bit and the count
+//! of helpers that joined. A helper joins with one compare-and-swap that
+//! succeeds only while the word still carries the open bit and the epoch it
+//! woke for; the dispatcher closes with one `fetch_and`, whose result is
+//! exactly the set it must wait for. `crates/par/tests/join_models.rs`
+//! model-checks the protocol.
+//!
+//! Either entry blocks the dispatching thread until every participant has
+//! returned, which is also the synchronization point that makes reads of
+//! region-written data race-free afterwards. Helpers are created once and
+//! reused across dispatches (the paper reuses its `iter`/`ready` scratch
+//! arrays across loops for the same reason: per-instance setup cost must
+//! be amortizable).
 
 use crate::poison::{CoopUnwind, RegionPoison};
+use crate::schedule::Schedule;
 use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Type-erased pointer to the job closure currently being executed.
+/// Type-erased pointer to the job closure of a region.
 ///
-/// The pointer is only dereferenced while the dispatching thread is blocked
-/// inside [`ThreadPool::run`], so the pointee outlives every use.
+/// Dereferenced only by a helper whose registration for the region the
+/// pointer was published with succeeded; the dispatcher keeps the closure
+/// alive until every registered helper has left.
 #[derive(Clone, Copy)]
 struct Job(*const (dyn Fn(usize) + Sync));
 
-// SAFETY: the pointer is dereferenced only between job publication and the
-// final `active == 0` hand-shake, during which the dispatcher keeps the
-// closure alive; `Sync` on the closure makes concurrent calls sound.
+// SAFETY: the pointer is dereferenced only between a successful
+// registration and the same helper's departure, during which the
+// dispatcher keeps the closure alive; `Sync` on the closure makes
+// concurrent calls sound.
 unsafe impl Send for Job {}
 
+/// Region word layout: `epoch << EPOCH_SHIFT | OPEN | joined`.
+const JOINED: u64 = (1 << 16) - 1;
+const OPEN: u64 = 1 << 16;
+const EPOCH_SHIFT: u32 = 17;
+
+/// Largest pool: the joined-helper count must fit its field of the word.
+const MAX_WORKERS: usize = JOINED as usize + 1;
+
+fn epoch_of(word: u64) -> u64 {
+    word >> EPOCH_SHIFT
+}
+
 struct PoolState {
-    /// Monotonically increasing dispatch counter; workers use it to detect
-    /// fresh jobs.
-    epoch: u64,
-    /// The published job, if a dispatch is in flight.
+    /// The job published with the region word's current epoch.
     job: Option<Job>,
-    /// Workers still executing the current job.
-    active: usize,
-    /// Set by `Drop` to terminate the workers.
+    /// The dispatcher is asleep on `done_cv`: a departing helper wakes it.
+    waiting: bool,
+    /// Set by `Drop` to terminate the helpers.
     shutdown: bool,
 }
 
 struct PoolShared {
+    /// The region word. Its epoch changes only under `state`'s lock, which
+    /// is what helpers sleep on; registration and close are lock-free.
+    region: AtomicU64,
+    /// Helpers of the current region that have returned from its job.
+    left: AtomicU64,
     state: Mutex<PoolState>,
-    /// Workers sleep here between dispatches.
+    /// Helpers sleep here between regions.
     work_cv: Condvar,
-    /// The dispatcher sleeps here until `active` drops to zero.
+    /// The dispatcher sleeps here until every helper that joined has left.
     done_cv: Condvar,
     /// The current region's fault latch: set (first cause wins, with the
-    /// panicking worker's id) by the worker-side `catch_unwind`, polled by
-    /// every guarded wait site, consumed by the dispatcher after the
+    /// panicking worker's id) by the participant's `catch_unwind`, polled
+    /// by every guarded wait site, consumed by the dispatcher after the
     /// drain, and reset at the start of every dispatch.
     poison: RegionPoison,
     /// Deadline applied to guarded wait sites of subsequent regions; set
@@ -58,8 +101,8 @@ struct PoolShared {
     deadline: Mutex<Option<Instant>>,
 }
 
-/// A pool of `p` persistent worker threads; `p` plays the role of the
-/// paper's processor count.
+/// A pool of `p` workers — the dispatching thread and `p − 1` persistent
+/// helpers; `p` plays the role of the paper's processor count.
 ///
 /// ```
 /// use doacross_par::ThreadPool;
@@ -83,17 +126,23 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Spawns a pool with `nworkers` worker threads.
+    /// A pool of `nworkers` workers: the dispatching thread is worker 0,
+    /// and `nworkers − 1` helper threads are spawned here.
     ///
     /// # Panics
-    /// Panics if `nworkers == 0`.
+    /// Panics if `nworkers` is 0 or above 65 536.
     pub fn new(nworkers: usize) -> Self {
         assert!(nworkers > 0, "a pool needs at least one worker");
+        assert!(
+            nworkers <= MAX_WORKERS,
+            "a pool has at most {MAX_WORKERS} workers"
+        );
         let shared = Arc::new(PoolShared {
+            region: AtomicU64::new(0),
+            left: AtomicU64::new(0),
             state: Mutex::new(PoolState {
-                epoch: 0,
                 job: None,
-                active: 0,
+                waiting: false,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -101,12 +150,12 @@ impl ThreadPool {
             poison: RegionPoison::new(),
             deadline: Mutex::new(None),
         });
-        let handles = (0..nworkers)
+        let handles = (1..nworkers)
             .map(|worker_id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("doacross-worker-{worker_id}"))
-                    .spawn(move || worker_loop(&shared, worker_id))
+                    .spawn(move || helper_loop(&shared, worker_id))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -118,16 +167,18 @@ impl ThreadPool {
         }
     }
 
-    /// Number of workers ("processors") in the pool.
+    /// Number of workers ("processors") in the pool, the dispatching
+    /// thread included.
     #[inline]
     pub fn threads(&self) -> usize {
         self.nworkers
     }
 
-    /// Regions dispatched so far ([`Self::run`] calls, faulted ones
-    /// included) — lets a caller assert how many regions a solve cost.
+    /// Regions dispatched so far ([`Self::run`] and [`Self::run_joinable`]
+    /// calls, faulted ones included) — lets a caller assert how many
+    /// regions a solve cost.
     pub fn dispatches(&self) -> u64 {
-        self.shared.state.lock().epoch
+        epoch_of(self.shared.region.load(Ordering::Relaxed))
     }
 
     /// The pool's region fault latch. Wait sites inside a region capture
@@ -152,48 +203,124 @@ impl ThreadPool {
         *self.shared.deadline.lock()
     }
 
-    /// Executes `job(worker_id)` once on every worker, blocking until all
-    /// workers have returned. Equivalent to one `parallel do` region.
+    /// Executes `job(worker_id)` exactly once for every worker id, blocking
+    /// until all have returned: worker 0 on the calling thread, the rest on
+    /// the helpers. Equivalent to one `parallel do` region in which every
+    /// processor checks in — what static schedules and barriers need.
     ///
-    /// The spawn→join pair establishes happens-before between everything the
-    /// workers wrote and the dispatcher's subsequent reads.
+    /// The join establishes happens-before between everything the
+    /// participants wrote and the dispatcher's subsequent reads.
     ///
     /// # Panics
     /// Panics if any worker's `job` invocation panicked or a guarded wait
-    /// expired the region deadline — after all workers drained the region
-    /// (poisoning keeps the drain finite; see [`crate::poison`]). The
-    /// panic payload is the typed [`crate::RegionFault`], carrying the
-    /// panicking worker's id, for an engine boundary to downcast.
+    /// expired the region deadline — after all participants drained the
+    /// region (poisoning keeps the drain finite; see [`crate::poison`]).
+    /// The panic payload is the typed [`crate::RegionFault`], carrying the
+    /// panicking worker's id (0 is the calling thread), for an engine
+    /// boundary to downcast.
     pub fn run<F>(&self, job: F)
     where
         F: Fn(usize) + Sync,
     {
+        self.dispatch(&job, false);
+    }
+
+    /// Executes `job(0)` on the calling thread and `job(w)` on every helper
+    /// `w` that joins before `job(0)` returns, then blocks until those
+    /// helpers have returned. Helpers that arrive later do not run the
+    /// job, so each id runs at most once and worker 0 exactly once.
+    ///
+    /// For jobs that claim their work dynamically: a participant that finds
+    /// no claim left must be free to do nothing, and `job(0)` must not
+    /// return before every claim has been taken and finished — whoever is
+    /// present then does everything once. Same join guarantee and the same
+    /// typed panic as [`Self::run`].
+    pub fn run_joinable<F>(&self, job: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        self.dispatch(&job, true);
+    }
+
+    /// Dispatches `job` with the attendance `schedule` needs: joinable
+    /// ([`Self::run_joinable`]) when its claims are dynamic, so whoever is
+    /// present does everything; full ([`Self::run`]) when it hands each
+    /// worker id a fixed share. Attendance follows the schedule and is
+    /// never a setting.
+    pub fn run_for<F>(&self, schedule: Schedule, job: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        self.dispatch(&job, schedule.is_dynamic());
+    }
+
+    /// The one dispatch body: publish the region, run worker 0's share,
+    /// close registration (at once when `joinable`, after everyone checked
+    /// in otherwise), wait for the helpers that joined, report the fault.
+    fn dispatch(&self, job: &(dyn Fn(usize) + Sync), joinable: bool) {
         let _dispatch = self.dispatch_lock.lock();
+        let shared = &*self.shared;
         // Panic-flag hygiene: a stale fault (e.g. latched by a region
         // whose dispatcher unwound early) must not leak into this region.
-        self.shared.poison.clear();
-        let erased: *const (dyn Fn(usize) + Sync) = &job;
-        // SAFETY: we erase the closure's lifetime to store it in the shared
-        // slot; the blocking loop below guarantees the pointer is dead
-        // before `job` is dropped.
-        let erased: *const (dyn Fn(usize) + Sync + 'static) =
-            unsafe { std::mem::transmute(erased) };
-        {
-            let mut state = self.shared.state.lock();
-            debug_assert!(state.job.is_none() && state.active == 0);
-            state.job = Some(Job(erased));
-            state.active = self.nworkers;
-            state.epoch += 1;
-            self.shared.work_cv.notify_all();
+        shared.poison.clear();
+        let epoch = epoch_of(shared.region.load(Ordering::Relaxed)) + 1;
+        let helpers = (self.nworkers - 1) as u64;
+        if helpers == 0 {
+            shared.region.store(epoch << EPOCH_SHIFT, Ordering::Relaxed);
+            run_worker(&shared.poison, job, 0);
+        } else {
+            let erased: *const (dyn Fn(usize) + Sync) = job;
+            // SAFETY: we erase the closure's lifetime to store it in the
+            // shared slot; it is dereferenced only by helpers that
+            // registered for this epoch, and `await_helpers` below returns
+            // only once every one of them has left, before `job` can die.
+            let erased: *const (dyn Fn(usize) + Sync + 'static) =
+                unsafe { std::mem::transmute(erased) };
+            {
+                let mut state = shared.state.lock();
+                state.job = Some(Job(erased));
+                shared.left.store(0, Ordering::Relaxed);
+                shared
+                    .region
+                    .store(epoch << EPOCH_SHIFT | OPEN, Ordering::Release);
+            }
+            shared.work_cv.notify_all();
+            run_worker(&shared.poison, job, 0);
+            if !joinable {
+                self.await_helpers(helpers);
+            }
+            // Close registration: one read-modify-write in the word's
+            // modification order, so every registration either precedes it
+            // (and is counted here) or fails.
+            let joined = shared.region.fetch_and(!OPEN, Ordering::AcqRel) & JOINED;
+            self.await_helpers(joined);
         }
-        let mut state = self.shared.state.lock();
-        while state.active != 0 || state.job.is_some() {
-            self.shared.done_cv.wait(&mut state);
-        }
-        drop(state);
-        if let Some(fault) = self.shared.poison.take() {
+        if let Some(fault) = shared.poison.take() {
             std::panic::panic_any(fault);
         }
+    }
+
+    /// Blocks until `joined` helpers have left the current region.
+    /// `Acquire` pairs with each helper's `Release` departure, so their
+    /// writes happen-before the dispatcher's return. A helper that joined
+    /// has usually finished by the time the dispatcher's own share returns,
+    /// so the dispatcher first yields a few times — on a CPU it shares with
+    /// the helper, that lets the helper finish — and only then sleeps.
+    fn await_helpers(&self, joined: u64) {
+        const YIELDS: usize = 8;
+        let left = || self.shared.left.load(Ordering::Acquire) == joined;
+        for _ in 0..YIELDS {
+            if left() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        let mut state = self.shared.state.lock();
+        state.waiting = true;
+        while !left() {
+            self.shared.done_cv.wait(&mut state);
+        }
+        state.waiting = false;
     }
 }
 
@@ -202,8 +329,8 @@ impl Drop for ThreadPool {
         {
             let mut state = self.shared.state.lock();
             state.shutdown = true;
-            self.shared.work_cv.notify_all();
         }
+        self.shared.work_cv.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -218,40 +345,64 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared, worker_id: usize) {
-    let mut last_epoch = 0u64;
+/// Runs one participant's share. A real panic poisons the region with the
+/// worker's id; a cooperative unwind is a *reaction* to an existing fault
+/// (or carries its own deadline poison already) and does not re-poison,
+/// and first cause wins, so the cascade of sibling unwinds never masks the
+/// original worker id. The dispatcher's share goes through here too.
+fn run_worker(poison: &RegionPoison, job: &(dyn Fn(usize) + Sync), worker: usize) {
+    let call = std::panic::AssertUnwindSafe(|| job(worker));
+    if let Err(payload) = std::panic::catch_unwind(call) {
+        if payload.downcast_ref::<CoopUnwind>().is_none() {
+            poison.poison_worker(worker);
+        }
+    }
+}
+
+/// Joins `word`'s region if it is still open: one compare-and-swap per
+/// attempt, failing for good once the word is closed or carries another
+/// epoch. `Acquire` pairs with the dispatcher's `Release` publication.
+fn register(region: &AtomicU64, mut word: u64) -> bool {
+    let epoch = epoch_of(word);
+    while word & OPEN != 0 && epoch_of(word) == epoch {
+        match region.compare_exchange_weak(word, word + 1, Ordering::Acquire, Ordering::Relaxed) {
+            Ok(_) => return true,
+            Err(now) => word = now,
+        }
+    }
+    false
+}
+
+fn helper_loop(shared: &PoolShared, worker_id: usize) {
+    let mut seen = 0u64;
     loop {
-        let job = {
+        // The epoch and its job are read together under the lock they were
+        // published under; a region missed while asleep is simply skipped.
+        let (job, word) = {
             let mut state = shared.state.lock();
             loop {
                 if state.shutdown {
                     return;
                 }
-                if state.epoch != last_epoch {
-                    if let Some(job) = state.job {
-                        last_epoch = state.epoch;
-                        break job;
-                    }
+                let word = shared.region.load(Ordering::Relaxed);
+                if epoch_of(word) != seen {
+                    break (state.job, word);
                 }
                 shared.work_cv.wait(&mut state);
             }
         };
-        // SAFETY: the dispatcher keeps the closure alive until `active`
-        // reaches zero, which happens only after this call returns.
-        let call = std::panic::AssertUnwindSafe(|| unsafe { (*job.0)(worker_id) });
-        if let Err(payload) = std::panic::catch_unwind(call) {
-            // A cooperative unwind is a *reaction* to an existing fault
-            // (or carries its own deadline poison already); only a real
-            // panic poisons, and first cause wins so the cascade of
-            // sibling unwinds never masks the original worker id.
-            if payload.downcast_ref::<CoopUnwind>().is_none() {
-                shared.poison.poison_worker(worker_id);
-            }
-        }
-        let mut state = shared.state.lock();
-        state.active -= 1;
-        if state.active == 0 {
-            state.job = None;
+        seen = epoch_of(word);
+        let Some(job) = job.filter(|_| register(&shared.region, word)) else {
+            continue;
+        };
+        // SAFETY: registration succeeded for the epoch `job` was published
+        // with, so the dispatcher waits for this helper's departure below
+        // before the closure can die.
+        run_worker(&shared.poison, unsafe { &*job.0 }, worker_id);
+        shared.left.fetch_add(1, Ordering::Release);
+        // Under the lock, a dispatcher that checked `left` before this add
+        // has set `waiting` and is asleep; one that checks after sees it.
+        if shared.state.lock().waiting {
             shared.done_cv.notify_all();
         }
     }
@@ -295,22 +446,30 @@ mod tests {
     #[test]
     fn run_establishes_happens_before() {
         // Plain (non-atomic) writes by workers must be visible to the
-        // dispatcher after run() returns.
+        // dispatcher after run() returns — joinable or not.
         let pool = ThreadPool::new(4);
-        let mut data = vec![0usize; 1024];
-        let view = crate::SharedSlice::new(&mut data);
-        let next = AtomicUsize::new(0);
-        pool.run(|_| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= 1024 {
-                break;
+        for joinable in [false, true] {
+            let mut data = vec![0usize; 1024];
+            let view = crate::SharedSlice::new(&mut data);
+            let next = AtomicUsize::new(0);
+            let job = |_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= 1024 {
+                    break;
+                }
+                // SAFETY: `fetch_add` hands each index to exactly one
+                // worker; the region's join orders the writes before the
+                // reads.
+                unsafe { view.write(i, i + 1) };
+            };
+            if joinable {
+                pool.run_joinable(job);
+            } else {
+                pool.run(job);
             }
-            // SAFETY: `fetch_add` hands each index to exactly one
-            // worker; `run`'s join orders the writes before the reads.
-            unsafe { view.write(i, i + 1) };
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i + 1);
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(*v, i + 1, "joinable {joinable}");
+            }
         }
     }
 
@@ -319,8 +478,11 @@ mod tests {
         let pool = ThreadPool::new(2);
         assert_eq!(pool.dispatches(), 0);
         pool.run(|_| {});
-        pool.run(|_| {});
+        pool.run_joinable(|_| {});
         assert_eq!(pool.dispatches(), 2);
+        let single = ThreadPool::new(1);
+        single.run(|_| {});
+        assert_eq!(single.dispatches(), 1);
     }
 
     #[test]
@@ -332,6 +494,58 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_one_worker_region_runs_on_the_callers_thread_and_spawns_nothing() {
+        let pool = ThreadPool::new(1);
+        assert!(pool.handles.is_empty(), "no helper thread");
+        let caller = std::thread::current().id();
+        for joinable in [false, true] {
+            let ran_on = std::sync::Mutex::new(None);
+            let job = |w: usize| {
+                assert_eq!(w, 0);
+                *ran_on.lock().unwrap() = Some(std::thread::current().id());
+            };
+            if joinable {
+                pool.run_joinable(job);
+            } else {
+                pool.run(job);
+            }
+            assert_eq!(ran_on.into_inner().unwrap(), Some(caller));
+        }
+    }
+
+    #[test]
+    fn worker_zero_is_the_dispatching_thread() {
+        let pool = ThreadPool::new(3);
+        let caller = std::thread::current().id();
+        pool.run(|w| {
+            assert_eq!(w == 0, std::thread::current().id() == caller, "worker {w}");
+        });
+    }
+
+    #[test]
+    fn joinable_regions_run_worker_zero_once_and_never_more_than_p_calls() {
+        const REGIONS: usize = 10_000;
+        let pool = ThreadPool::new(3);
+        let zero = AtomicUsize::new(0);
+        let calls = AtomicUsize::new(0);
+        for region in 0..REGIONS {
+            zero.store(0, Ordering::Relaxed);
+            calls.store(0, Ordering::Relaxed);
+            pool.run_joinable(|w| {
+                assert!(w < 3);
+                if w == 0 {
+                    zero.fetch_add(1, Ordering::Relaxed);
+                }
+                calls.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(zero.load(Ordering::Relaxed), 1, "region {region}");
+            let calls = calls.load(Ordering::Relaxed);
+            assert!((1..=3).contains(&calls), "region {region}: {calls} calls");
+        }
+        assert_eq!(pool.dispatches(), REGIONS as u64);
     }
 
     #[test]
@@ -358,7 +572,8 @@ mod tests {
             });
         }));
         let payload = result.expect_err("panic must propagate");
-        // The dispatcher re-panics with the typed fault naming the worker.
+        // The dispatcher re-panics with the typed fault naming the worker —
+        // here the calling thread's own share.
         let fault = payload
             .downcast_ref::<crate::RegionFault>()
             .expect("payload must be the typed RegionFault");
@@ -372,12 +587,54 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_dispatcher_share_waits_for_a_helper_still_inside_the_job() {
+        // Worker 0 (the caller) panics while helper 1 sleeps inside the
+        // job; the entry may return — and re-raise — only once that helper
+        // has finished, because the job it runs borrows the caller's frame.
+        use std::sync::atomic::AtomicBool;
+        let pool = ThreadPool::new(2);
+        for joinable in [false, true] {
+            let (entered, finished) = (AtomicBool::new(false), AtomicBool::new(false));
+            let job = |w: usize| {
+                if w == 0 {
+                    while !entered.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    panic!("the caller's share fails");
+                }
+                entered.store(true, Ordering::Release);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.store(true, Ordering::Release);
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if joinable {
+                    pool.run_joinable(job);
+                } else {
+                    pool.run(job);
+                }
+            }));
+            assert!(
+                finished.load(Ordering::Acquire),
+                "joinable {joinable}: returned while a helper was still inside the job"
+            );
+            let payload = result.expect_err("the caller's panic must propagate");
+            let fault = payload.downcast_ref::<crate::RegionFault>().unwrap();
+            assert_eq!(*fault, crate::RegionFault::WorkerPanicked { worker: 0 });
+        }
+        let hits = AtomicUsize::new(0);
+        pool.run(|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 2, "pool reusable");
+    }
+
+    #[test]
     fn consecutive_panicking_regions_each_report_and_pool_stays_usable() {
         // Panic-flag hygiene: the fault latch must reset per dispatch, so
         // back-to-back failing regions each surface their own worker id
         // and a following clean region runs silently.
         let pool = ThreadPool::new(4);
-        for victim in [1usize, 3, 2] {
+        for victim in [1usize, 3, 2, 0] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 pool.run(|w| {
                     if w == victim {
@@ -508,6 +765,7 @@ mod tests {
         for _ in 0..20 {
             let pool = ThreadPool::new(3);
             pool.run(|_| {});
+            pool.run_joinable(|_| {});
         }
     }
 }

@@ -2,9 +2,10 @@
 //! replaced the wavefront barrier (`doacross-core`'s `completion` module,
 //! built on this crate's guarded wait): per level a claim counter and a
 //! completion count; a worker that executed `k > 0` iterations of a level
-//! adds `k` (`Release`); a worker enters the next level, and finally copies
-//! its fixed share of `ynew` back into `y`, only after an `Acquire` load
-//! saw the earlier count full — or aborts on the region's poison word.
+//! adds `k` (`Release`); a worker enters the next level, and finally claims
+//! elements of the copy-back of `ynew` into `y` off a shared counter until
+//! none is left, only after an `Acquire` load saw the earlier count full —
+//! or aborts on the region's poison word.
 //!
 //! The model is the smallest loop that has every hazard: level 0 is
 //! iterations 0 and 1 (`ynew[i] = y[i] + 1`), level 1 is iteration 2
@@ -24,6 +25,8 @@ const WIDTHS: [usize; 2] = [2, 1];
 struct Levels {
     claim: [AtomicUsize; 2],
     done: [AtomicUsize; 2],
+    /// The copy-back's claim counter.
+    post: AtomicUsize,
     y: [Shared<f64>; 3],
     ynew: [Shared<f64>; 3],
     /// The region poison word: 0 = clean.
@@ -34,6 +37,7 @@ fn levels() -> Levels {
     Levels {
         claim: [AtomicUsize::new(0), AtomicUsize::new(0)],
         done: [AtomicUsize::new(0), AtomicUsize::new(0)],
+        post: AtomicUsize::new(0),
         y: [
             Shared::named("y[0]", 1.0),
             Shared::named("y[1]", 2.0),
@@ -86,8 +90,9 @@ fn iteration(m: &Levels, i: usize) -> f64 {
 /// One pool worker's pass through the region. `dies_at` makes the worker
 /// panic instead of executing that iteration: it publishes poison and
 /// unwinds, its claimed iteration never counted. Returns whether the
-/// worker reached the end of the region (copied its share back).
-fn worker(m: &Levels, id: usize, mutation: Mutation, dies_at: Option<usize>) -> bool {
+/// worker reached the end of the region (claimed copy-back work until none
+/// was left).
+fn worker(m: &Levels, mutation: Mutation, dies_at: Option<usize>) -> bool {
     let mut first = 0;
     for (level, &width) in WIDTHS.iter().enumerate() {
         if level > 0 && mutation != Mutation::SkipLevelWait && !gate(m, level - 1, mutation) {
@@ -124,12 +129,15 @@ fn worker(m: &Levels, id: usize, mutation: Mutation, dies_at: Option<usize>) -> 
     if mutation != Mutation::SkipCopyBackWait && !gate(m, WIDTHS.len() - 1, mutation) {
         return false;
     }
-    // `post_share`: a fixed block of the iterations per worker, no claims.
-    let share = if id == 0 { 2..3 } else { 0..2 };
-    for e in share {
+    // `post_share`: claimed chunks (one element here) until none is left,
+    // so whoever reaches the copy-back copies everything once.
+    loop {
+        let e = m.post.fetch_add(1, Ordering::Relaxed);
+        if e >= m.y.len() {
+            return true;
+        }
         m.y[e].write(m.ynew[e].read());
     }
-    true
 }
 
 /// The schedule space of the full region is too large to exhaust (no
@@ -147,7 +155,7 @@ fn explore(mutation: Mutation, dies_at: Option<usize>) -> Result<(), interleave:
             // the fatal iteration. Claims are unique, so a region where it
             // died holds an iteration nobody will ever count.
             let dies = dies_at.filter(|_| id == 1);
-            if worker(m, id, mutation, dies) {
+            if worker(m, mutation, dies) {
                 assert_eq!(
                     m.poison.load(Ordering::Acquire),
                     0,
@@ -199,9 +207,11 @@ fn mutation_skipped_level_wait_is_a_data_race_on_ynew() {
 
 #[test]
 fn mutation_copy_back_before_the_last_count_fills_is_a_data_race_on_y() {
-    // A worker that finds no level-1 work left would overwrite y[0]
-    // while its sibling's iteration 2 still reads the old value.
-    race_on(Mutation::SkipCopyBackWait, &["y[0]"]);
+    // A worker that finds no level-1 work left would start claiming the
+    // copy-back at once: overwrite y[0] while its sibling's iteration 2
+    // still reads the old value, or — when the sibling claimed the first
+    // elements — copy the unpublished ynew[2].
+    race_on(Mutation::SkipCopyBackWait, &["y[0]", "ynew[2]"]);
 }
 
 #[test]

@@ -105,9 +105,11 @@ proptest! {
         // loop on ANY injective pattern — true deps, antideps, intra
         // references, unwritten reads, any level shape — at any worker
         // count, under any claiming policy and chunking, with zero
-        // busy-wait polls by construction. Profiled, every worker records
-        // exactly one boundary wait per level boundary, whether it found
-        // the earlier level's count full or had to wait for it.
+        // busy-wait polls by construction. Profiled, every worker that
+        // joined the region (worker 0 always; the tracks carrying a work
+        // span) records exactly one boundary wait per level boundary,
+        // whether it found the earlier level's count full or had to wait
+        // for it, and an absent worker records nothing.
         let (census, schedule) = PlanCensus::of_with_schedule(&loop_);
         let schedule = schedule.expect("arb_loop lhs is injective and in bounds");
         prop_assert_eq!(schedule.level_count(), census.critical_path);
@@ -144,11 +146,16 @@ proptest! {
                     let (spans, dropped) = arena.take();
                     prop_assert_eq!(dropped, 0);
                     for worker in 0..workers as u32 {
+                        let joined = spans
+                            .iter()
+                            .any(|s| s.worker == worker && s.kind == SpanKind::Work);
+                        prop_assert!(joined || worker > 0, "worker 0 always joins: {}", case);
                         let waits = spans
                             .iter()
                             .filter(|s| s.worker == worker && s.kind == SpanKind::BarrierWait)
                             .count() as u64;
-                        prop_assert_eq!(waits, stats.barrier_crossings, "{}", case);
+                        let expect = if joined { stats.barrier_crossings } else { 0 };
+                        prop_assert_eq!(waits, expect, "worker {}: {}", worker, case);
                     }
                 }
             }

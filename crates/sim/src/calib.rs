@@ -3,8 +3,8 @@
 //! The [`CostModel::multimax`] preset encodes the paper's Encore
 //! Multimax/320 overhead ratios. This module measures the *host's* actual
 //! ratios — sequential per-term and per-iteration costs, the doacross
-//! executor's per-term and per-iteration overheads, and the pool's region
-//! dispatch latency — and assembles a [`CostModel`] in the same normalized
+//! executor's per-term and per-iteration overheads, and the latency of the
+//! joinable region a planned parallel solve opens — and assembles a [`CostModel`] in the same normalized
 //! units (`seq_term = 1`). Simulating with a calibrated model answers
 //! "what would this host look like with `p` processors", while the preset
 //! answers "what did the paper's machine look like".
@@ -106,10 +106,16 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
     let par_lo = doacross_ns_per_iter(&pool, n, M_LO, reps);
     let par_hi = doacross_ns_per_iter(&pool, n, M_HI, reps);
 
+    // The region a planned parallel solve pays: dynamic claims make it
+    // joinable, so the dispatching thread runs worker 0's share itself and
+    // waits only for helpers that joined in time. Timed on the two-worker
+    // pool the level hand-off below runs on — a one-worker pool opens no
+    // region worth the name.
+    let two = ThreadPool::new(2);
     let dispatch_ns = {
         let t = best_of(reps, || {
             let start = Instant::now();
-            pool.run(|_| {});
+            two.run_joinable(|_| {});
             start.elapsed()
         });
         t.as_nanos() as f64
@@ -147,7 +153,6 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
             std::hint::black_box(&y);
             e
         });
-        let two = ThreadPool::new(2);
         let mut rt = Doacross::new(LEVELS + 1);
         let t = best_of(reps, || {
             let mut y = y0.clone();
@@ -175,7 +180,8 @@ const FLOOR_NS: f64 = 0.1;
 ///
 /// `seq_lo`/`seq_hi` are nanoseconds per iteration of the sequential
 /// Figure 4 loop at `M = 1` and `M = 5`, `par_lo`/`par_hi` the same for
-/// the single-worker doacross, `dispatch_ns` one empty pool region and
+/// the single-worker doacross, `dispatch_ns` one empty joinable region on
+/// two workers and
 /// `barrier_ns` one wavefront level boundary.
 ///
 /// Two floors tie the parallel costs to the sequential ones, because a

@@ -6,10 +6,13 @@
 //! disk that `chrome://tracing` or Perfetto can open directly.
 //!
 //! The example asserts its own contract as it goes: the wavefront
-//! profile must carry one barrier-wait span per worker per crossing
+//! profile must carry one barrier-wait span per joined worker per crossing
 //! (exactly `RunStats::barrier_crossings`), work-span payloads must sum
 //! to the iteration count, and the exported trace must validate
-//! structurally with one track per worker.
+//! structurally with one track per joined worker. A worker *joined* when
+//! the region ran its job — the dispatching thread (worker 0) always, a
+//! helper when it woke before the work was gone — and the tracks carrying
+//! a work span are exactly those (`SpanKind::Work`).
 //!
 //! Run: `cargo run --release --example profile`
 
@@ -46,14 +49,22 @@ fn main() {
     print_attribution(&wavefront);
 
     // Wait attribution is the executor's own bookkeeping with
-    // timestamps: one barrier-wait span per worker per crossing...
+    // timestamps: one barrier-wait span per joined worker per crossing...
+    let joined = joined_workers(&wavefront);
+    assert!(joined.first() == Some(&0) && joined.len() <= stats.workers);
+    println!("  joined workers: {joined:?} of {}", stats.workers);
     for worker in 0..stats.workers as u32 {
         let crossings = wavefront
             .spans
             .iter()
             .filter(|s| s.worker == worker && s.kind == SpanKind::BarrierWait)
             .count() as u64;
-        assert_eq!(crossings, stats.barrier_crossings, "worker {worker}");
+        let expect = if joined.contains(&worker) {
+            stats.barrier_crossings
+        } else {
+            0
+        };
+        assert_eq!(crossings, expect, "worker {worker}");
     }
     // ...and the work-span payloads sum to the full iteration space.
     let worked: u64 = wavefront
@@ -103,13 +114,17 @@ fn main() {
     let trace = engine.profile_chrome_trace();
     let summary = validate_chrome_trace(&trace).expect("structurally valid trace");
     // One pid per profiled solve; the wavefront solve's tracks cover
-    // every worker plus the dispatcher.
+    // every joined worker plus the dispatcher.
     let wavefront_tracks = summary
         .tracks
         .keys()
         .filter(|(pid, _)| *pid == wavefront.seq)
         .count();
-    assert_eq!(wavefront_tracks, stats.workers + 1, "workers + dispatcher");
+    assert_eq!(
+        wavefront_tracks,
+        joined.len() + 1,
+        "joined workers + dispatcher"
+    );
     let path = std::env::temp_dir().join(format!("doacross-profile-{}.json", std::process::id()));
     std::fs::write(&path, &trace).expect("write trace");
     println!(
@@ -121,6 +136,19 @@ fn main() {
     println!("open it in chrome://tracing or https://ui.perfetto.dev");
 
     println!("\nprofile example: all assertions passed");
+}
+
+/// The workers that joined the profiled region: the tracks with a work span.
+fn joined_workers(profile: &SolveProfile) -> Vec<u32> {
+    let mut joined: Vec<u32> = profile
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Work)
+        .map(|s| s.worker)
+        .collect();
+    joined.sort_unstable();
+    joined.dedup();
+    joined
 }
 
 fn latest_profile(engine: &Engine) -> SolveProfile {

@@ -17,9 +17,13 @@
 #   checkers       the machine-checked soundness suites: the interleave
 #                  model checker's own tests, the par/sched protocol
 #                  models — including the poison-aware wait/barrier
-#                  models and the level-completion protocol the wavefront
-#                  and the fused copy-back run on, whose mutation tests
-#                  prove the checker still catches corrupted protocols —
+#                  models, the level-completion protocol the wavefront
+#                  and the fused, claimed copy-back run on, and the join
+#                  protocol of a caller-run region (a helper registers
+#                  while the region word is open, the dispatcher closes it
+#                  when its own share returns and waits for exactly the
+#                  helpers that joined), whose mutation tests prove the
+#                  checker still catches corrupted protocols —
 #                  the fault-injection chaos suite (every injected failure
 #                  mode must resolve typed and recoverable, `y` untouched),
 #                  the plan-soundness
@@ -58,6 +62,14 @@
 #                  of the ILU(0) preconditioner on every Table-1 operator,
 #                  planned parallel, the backward half's `finish` hook
 #                  inside the stream executors, bit for bit.
+#                  And the caller-run region's join protocol, every test
+#                  of its model by name: sound, a late helper's poison, the
+#                  deadline's abandon-before-abort rule, and the kills —
+#                  a registration after close calls a dead job, a close
+#                  before the dispatcher's share is exhausted loses
+#                  iterations, a dispatcher that does not wait for a
+#                  joined helper races it, an abort that did not abandon
+#                  the gate tears `y`.
 #                  And the one pricing function: a plan's features priced
 #                  under its build model are its prices and under any
 #                  other model a fresh stage-2 price, bit for bit (the
@@ -129,6 +141,8 @@ cargo test -q -p doacross-par --test interleave_models ||
   violation "par protocol models failed (ready flags / spin barrier / poison protocol)"
 cargo test -q -p doacross-par --test completion_models ||
   violation "par protocol models failed (level completion counts / fused copy-back / commit-or-abort gate)"
+cargo test -q -p doacross-par --test join_models ||
+  violation "par protocol models failed (caller-run region: register / close / wait)"
 cargo test -q -p doacross-sched --test interleave_models ||
   violation "sched protocol models failed (free-pool bitmask)"
 
@@ -186,6 +200,17 @@ named doacross-plan lib fingerprint::tests::row_boundary_split_perturbs_both_str
 
 say "analysis_gate: the preconditioner's two prepared loops, by name"
 named doacross-trisolve lib precond::tests::table1_halves_plan_parallel_on_the_preset_engine_and_match_bitwise
+
+say "analysis_gate: the caller-run region's join protocol, by name"
+for t in join_protocol_is_sound \
+  a_late_helper_that_dies_poisons_the_region_and_nobody_copies_back \
+  a_deadline_struck_participant_commits_or_aborts_with_everyone_else \
+  mutation_register_after_close_calls_a_dead_job \
+  mutation_close_before_the_share_is_exhausted_loses_iterations \
+  mutation_returning_without_waiting_for_a_joined_helper_is_a_race \
+  mutation_aborting_without_abandoning_the_gate_tears_y; do
+  named doacross-par join_models "$t"
+done
 
 say "analysis_gate: one pricing function over stored features, by name"
 for t in the_gate_changes_no_decision_and_no_price \

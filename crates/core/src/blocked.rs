@@ -24,10 +24,12 @@
 //! sufficiently-separated iterations run correctly when blocked.
 
 use crate::error::DoacrossError;
+use crate::executor::{own_grain, Flags, Region};
 use crate::inspector::{reset_scratch, run_inspector};
 use crate::oracle::{ByWriter, InspectedWriter};
 use crate::pattern::DoacrossLoop;
-use crate::runtime::{check_y_len, exec_and_post, region_stats, Doacross};
+use crate::post::Post;
+use crate::runtime::{check_y_len, region_stats, Doacross};
 use crate::stats::{PlanProvenance, RunStats};
 use doacross_par::ThreadPool;
 use std::time::Instant;
@@ -106,22 +108,24 @@ impl Doacross {
             // Per-block executor and, in the same region, postprocessing:
             // the copy-back carries the cross-block dependencies.
             let oracle = InspectedWriter::new(&self.iter, window.clone());
-            exec_and_post(
+            self.scratch.run(
                 pool,
-                schedule,
-                self.config.wait,
-                loop_,
-                lo..hi,
-                &ByWriter {
-                    oracle: &oracle,
-                    order: None,
+                &self.config,
+                Region {
+                    loop_,
+                    claims: &ByWriter {
+                        oracle: &oracle,
+                        order: None,
+                    },
+                    slots: lo..hi,
+                    window: window.clone(),
+                    y: &mut *y,
+                    post: Post {
+                        map: Some(&self.iter),
+                    },
+                    grain: Some(own_grain(schedule)),
                 },
-                y,
-                &mut self.ynew[..window.len()],
-                &mut self.ready,
-                window.start,
-                Some(&self.iter),
-                &mut self.sink,
+                Flags,
                 &mut stats,
                 None,
             );

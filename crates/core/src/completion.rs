@@ -8,7 +8,7 @@
 //! A [`Completion`] is the coarse-grained `ready` flag that replaces both:
 //! workers that executed iterations of the set add how many (`Release`),
 //! and whoever needs the set's results polls for the full count
-//! (`Acquire`) through the same guarded wait the flag executor uses. A
+//! (`Acquire`) through the same guarded wait a ready-flag stall uses. A
 //! worker that executed nothing adds nothing and is waited for by nobody.
 //!
 //! ## Memory ordering
@@ -21,8 +21,8 @@
 //!
 //! ## Commit or abort, never both
 //!
-//! One counter per region — the last level's, or the flag executor's
-//! iteration total — gates the copy-back into `y`. `y` must stay
+//! One counter per region — the last level's, which for a flag-gated
+//! region is its only one — gates the copy-back into `y`. `y` must stay
 //! byte-identical to its input unless the solve succeeds, so once any
 //! worker may have begun copying, no worker may abort, and vice versa. A
 //! worker that dies holding unfinished iterations (a panic, a deadline
@@ -78,12 +78,6 @@ pub(crate) struct Completion {
 }
 
 impl Completion {
-    pub(crate) const fn new() -> Self {
-        Self {
-            done: AtomicUsize::new(0),
-        }
-    }
-
     /// Back to zero for the next run. `Relaxed`: no region is in flight,
     /// and the pool's dispatch orders this before every worker's access.
     pub(crate) fn reset(&self) {
@@ -153,7 +147,7 @@ mod tests {
 
     #[test]
     fn the_add_that_fills_the_count_says_so() {
-        let c = Completion::new();
+        let c = Completion::default();
         assert!(!c.add(3, 5));
         assert!(!c.is_full(5));
         assert!(c.add(2, 5));
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn waiting_on_a_full_count_returns_at_once() {
         let poison = RegionPoison::new();
-        let c = Completion::new();
+        let c = Completion::default();
         c.add(4, 4);
         assert_eq!(c.wait(4, &guard(&poison, None, (&c, 4))), Ok(()));
     }
@@ -173,7 +167,7 @@ mod tests {
     #[test]
     fn wakes_when_a_sibling_fills_the_count() {
         let poison = RegionPoison::new();
-        let c = Completion::new();
+        let c = Completion::default();
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(5));
@@ -188,7 +182,7 @@ mod tests {
     fn a_poisoned_region_aborts_the_wait() {
         let poison = RegionPoison::new();
         poison.poison_worker(1);
-        let c = Completion::new();
+        let c = Completion::default();
         assert!(matches!(
             c.wait(1, &guard(&poison, None, (&c, 1))),
             Err(WaitAbort::Poisoned(_))
@@ -199,7 +193,7 @@ mod tests {
     fn an_expired_deadline_abandons_the_commit_counter() {
         let poison = RegionPoison::new();
         let past = Instant::now() - Duration::from_millis(1);
-        let (level, last) = (Completion::new(), Completion::new());
+        let (level, last) = (Completion::default(), Completion::default());
         assert_eq!(
             level.wait(3, &guard(&poison, Some(past), (&last, 2))),
             Err(WaitAbort::DeadlineExpired)
@@ -213,7 +207,7 @@ mod tests {
     fn a_deadline_after_the_commit_point_is_ignored() {
         let poison = RegionPoison::new();
         let past = Instant::now() - Duration::from_millis(1);
-        let (level, last) = (Completion::new(), Completion::new());
+        let (level, last) = (Completion::default(), Completion::default());
         last.add(2, 2);
         // `level` never fills here, which the real executor excludes (the
         // last level fills last); the point is that the waiter may not

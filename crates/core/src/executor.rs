@@ -1,129 +1,345 @@
-//! The executor: the doacross proper (paper Figure 5).
+//! The one region driver: the doacross proper (paper Figure 5), under
+//! either of two gates.
 //!
-//! Each worker of the region self-schedules claim slots and runs, per
-//! claimed slot `k` (iteration `i = order(k)`, or `k` itself in natural
-//! order):
+//! Each worker of the region self-schedules claim slots, level by level,
+//! and runs, per claimed slot `k` (iteration `i = order(k)`, or `k` itself
+//! in natural order):
 //!
 //! ```text
 //! S2      acc = init(i, y[a(i)])
 //!         do j = 0, terms(i)-1
 //!             off   = term_element(i, j)
 //!             class = classes(k, j)            // the Claims source
-//! S3/S4/S5    NewValue:    wait until ready(off) == DONE; operand = ynew(off)
+//! S3/S4/S5    NewValue:    gate(off); operand = ynew(off)
 //! S6/S7       OldValue:    operand = y(off)
 //! S8          Accumulator: operand = acc       // intra-iteration
 //!             acc = combine(i, j, acc, operand)
 //!         end do
-//!         ynew(a(i)) = acc
-//!         ready(a(i)) = DONE                   // release store
+//!         ynew(a(i)) = finish(i, acc); publish(a(i))
 //! ```
+//!
+//! ## Two gates
+//!
+//! The only thing that differs between the ways of running is how a true
+//! dependence is met — what `gate(off)` waits for and what `publish`
+//! raises. It is a `Gate` type parameter, so each way of running is its
+//! own monomorphised body, with no dispatch on the per-reference path:
+//!
+//! * `Flags`, Figure 5 itself: `gate(off)` is an inline acquire load of
+//!   `ready(off)`, and on a miss the out-of-line `await_flag` polls
+//!   under the region's guard; `publish` is a release store of
+//!   `ready(a(i))`. `ynew` and `ready` are indexed relative to a window,
+//!   so the strip-mined variant runs a block on block-sized scratch.
+//! * `Levels`, the doconsider wavefront (§3.2): iterations are grouped
+//!   by dependence level at plan time, so a true dependence's writer sits
+//!   in a strictly earlier level. `gate(off)` is nothing at all and
+//!   `publish` is the plain store. Levels are separated by completion
+//!   counts: a worker enters level `l` once level `l − 1`'s count is full,
+//!   whoever filled it. There is no barrier, because nobody waits for a
+//!   worker that holds no work, and no flag traffic inside a level.
+//!
+//! The flat executor is the one-level case: one claim counter, one
+//! completion count, no level boundary. Either way the region ends in
+//! the postprocessor (Figure 3, right). A worker that runs out of claims
+//! adds how many iterations it executed to the last level's count, waits
+//! for that count to fill, and then claims copy-back chunks until none is
+//! left ([`crate::post`]).
 //!
 //! ## Resolution policy
 //!
 //! Figure 5 decides the class per reference, per run, as `check =
-//! iter(off) − i`. The executor is generic over *who decides*
-//! ([`Claims`]): the entry points that inspect ([`crate::Doacross::run`],
+//! iter(off) − i`. The driver is generic over *who decides* ([`Claims`]).
+//! The entry points that inspect ([`crate::Doacross::run`],
 //! `run_with_order`, `run_linear`, `run_blocked`) pass a
-//! [`ByWriter`](crate::oracle::ByWriter) adapter over their writer oracle —
-//! the paper's comparison, taken where the paper takes it, and counted —
-//! while a planned run passes the plan's [`ClaimStream`](crate::ClaimStream),
+//! [`ByWriter`](crate::oracle::ByWriter) adapter over their writer oracle:
+//! the paper's comparison, taken where the paper takes it, and counted. A
+//! planned run passes the plan's [`ClaimStream`](crate::ClaimStream),
 //! where slot `k`'s classes were resolved once at plan time and sit
-//! stride-1 in claim order: no writer map is consulted, nothing is counted
-//! per reference (the stream knows its totals), and a `NewValue` operand
-//! whose flag is already up costs one acquire load before the `ynew` read.
-//! One body, monomorphised per source.
+//! stride-1 in claim order. No writer map is consulted and nothing is
+//! counted per reference, because the stream knows its totals.
 //!
-//! Memory-ordering argument: the only cross-thread data hand-off is
-//! `ynew(off)` guarded by `ready(off)`; [`ReadyFlags::mark_done`] is a
-//! release store and both the inline check and the wait loop poll with
-//! acquire loads, so the writer's plain `ynew` store happens-before the
-//! reader's plain load. `y` is read-only while iterations run, and each
-//! `ynew` element has exactly one writer (injective `a`, enforced by the
-//! inspector or proven by the plan's verifier).
+//! ## Memory ordering
 //!
-//! Progress argument: a wait only targets a writer claimed at a strictly
-//! earlier slot (`check < 0` in natural order; a topological claim order
-//! otherwise), every [`Schedule`] hands a worker its slots — one at a time
-//! or a chunk per grab — in increasing slot order, and a worker walks a
-//! chunk front to back. So the owner of the lowest pending slot is never
-//! parked on a later one: everything before that slot is done, hence all
-//! its operands are published, and it runs to completion — no deadlock,
-//! for any schedule, any chunk size and any dependence pattern the
-//! inspector or the verifier admits
-//! (`crates/par/tests/interleave_models.rs` checks exactly this walk, and
-//! that walking a chunk back to front deadlocks).
+//! `y` is read-only while iterations run, and each `ynew` element has
+//! exactly one writer (injective `a`, enforced by the inspector or proven
+//! by the plan's verifier). There are two cross-thread hand-offs:
 //!
-//! The postprocessor (Figure 3, right) runs in the same region: a worker
-//! that runs out of iterations adds how many it executed to an
-//! iterations-finished [`Completion`] counter, waits for the count to
-//! reach the range's length, and then claims copy-back chunks until none
-//! is left ([`crate::post`]). The counter's release/acquire pair orders
-//! every iteration's `y` loads and `ynew` stores before any copy-back
-//! store, and a worker that claimed nothing delays nobody — which is why a
-//! dynamic schedule's region is *joinable*
-//! ([`ThreadPool::run_joinable`]): the dispatching thread is worker 0 and
-//! returns only once every claim is taken and finished, so a helper that
-//! has not woken by then is not waited for. A static schedule assigns
-//! fixed shares by worker id and keeps full attendance
+//! * **A value, under flags.** `ynew(off)` is guarded by `ready(off)`.
+//!   [`ReadyFlags::mark_done`] is a release store, and both the inline
+//!   check and the wait loop poll with acquire loads, so the writer's
+//!   plain `ynew` store happens-before the reader's plain load.
+//! * **A level, under either gate.** A worker that executed `k > 0`
+//!   iterations of level `l` adds `k` to that level's completion
+//!   count. The add is a `Release` read-modify-write, so it continues the
+//!   release sequence of the adds before it. A worker enters level `l + 1`
+//!   only after an `Acquire` load returned the level's width, which
+//!   synchronizes with *every* contributor's add. So all of level `l`'s
+//!   `ynew` stores happen-before all of level `l + 1`'s loads, and by
+//!   transitivity before every later level's. The copy-back into `y` waits
+//!   on the *last* level's count, which by the same chain orders every `y`
+//!   load and `ynew` store of the region before the first copy-back store.
+//!
+//! ## Progress
+//!
+//! * **Flags.** A wait only targets a writer claimed at a strictly earlier
+//!   slot (`check < 0` in natural order; a topological claim order
+//!   otherwise). Every [`Schedule`] hands a worker its slots in increasing
+//!   slot order, one at a time or a chunk per grab, and a worker walks a
+//!   chunk front to back. So the owner of the lowest pending slot is never
+//!   parked on a later one. Everything before that slot is done, hence all
+//!   its operands are published, and it runs to completion. There is no
+//!   deadlock for any schedule, any chunk size and any dependence pattern
+//!   the inspector or the verifier admits. The `interleave_models` suite
+//!   of `doacross-par` checks exactly this walk, and that walking a chunk
+//!   back to front deadlocks.
+//! * **Levels.** Nothing inside a level waits, so every claimed iteration
+//!   of level `l` finishes and its count fills. A worker that claimed
+//!   nothing delays nobody.
+//!
+//! Because a count fills by work, not attendance, a dynamic schedule's
+//! region is *joinable* ([`ThreadPool::run_joinable`]). The dispatching
+//! thread is worker 0 and walks every level itself; a helper that has not
+//! woken by the time worker 0 returns is not waited for. A static schedule
+//! assigns fixed shares by worker id and keeps full attendance
 //! ([`ThreadPool::run`]).
+//!
+//! ## Faults
+//!
+//! Each iteration pays one failpoint hit (the gate names the site:
+//! `core::executor::iter` or `core::wavefront::iter`) and one poll of
+//! the region's poison word, plus a deadline clock read every
+//! `DEADLINE_ITER_PERIOD` iterations executed. Waits check the deadline
+//! themselves; the tick catches a region that is slow while *making*
+//! progress. A worker that leaves early deposits its partial counters and
+//! never counts its unfinished iterations, so the copy-back gate never
+//! opens (the `completion` module).
 
 use crate::completion::{Completion, RegionGuard};
 use crate::flags::ReadyFlags;
 use crate::oracle::Claims;
 use crate::pattern::DoacrossLoop;
 use crate::post::{post_share, PhaseClock, Post};
-use crate::stats::{LocalCounters, StatsSink};
-use crate::wavefront::OperandClass;
+use crate::runtime::DoacrossConfig;
+use crate::stats::{LocalCounters, RunStats, StatsSink};
+use crate::wavefront::{claim_grain, grained, OperandClass};
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
-use doacross_par::{Schedule, SharedSlice, ThreadPool, WaitAbort, WaitStrategy};
+use doacross_par::{CachePadded, Schedule, SharedSlice, ThreadPool, WaitAbort};
 use std::ops::Range;
-use std::sync::atomic::AtomicUsize;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
-/// Fault-injection site consulted once per executor region; armed actions
-/// apply per iteration (see the `failpoint` crate's hot-path discipline).
-pub(crate) const FAILPOINT_ITER: &str = "core::executor::iter";
-
-/// Iterations between deadline clock reads in the executor body (power of
-/// two). Waits check the deadline themselves; this catches regions that
-/// are slow while *making* progress, so a wedged solve still times out
-/// even when no wait ever stalls.
+/// Iterations between deadline clock reads in the driver (see the module
+/// docs, "Faults").
 pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
 
-/// The stall path of a `NewValue` operand: the inline flag check missed, so
-/// poll `ready(slot)` under the region's guard. Books the stall (the inline
-/// miss is its first failed poll) and, when profiling, its
-/// [`SpanKind::FlagWait`] span. Out of line: a planned run on a good claim
-/// order almost never gets here.
+/// How a region meets a true dependence (see the module docs). The gate
+/// also names the region's levels, its failpoint site and its spans'
+/// level labels.
+pub(crate) trait Gate: Sync {
+    /// Fault-injection site, looked up once per region; armed actions
+    /// apply per iteration.
+    const SITE: &'static str;
+
+    /// Whether `ynew` is indexed relative to the region's window. A gate
+    /// that is not windowed reads element `off` at `ynew[off]`, so the
+    /// driver checks once per region that the window starts at 0 and
+    /// covers the data space.
+    const WINDOWED: bool;
+
+    /// How many levels the region's `slots` claim slots form (`slots > 0`).
+    fn level_count(&self, slots: usize) -> usize;
+
+    /// Level `l`'s slots, relative to the region's first slot.
+    fn level(&self, l: usize, slots: usize) -> Range<usize>;
+
+    /// The `level` label of level `l`'s spans.
+    fn label(l: usize) -> u32;
+
+    /// S3–S5: the new value of element `off`, once it may be read.
+    ///
+    /// # Safety
+    /// `off < loop_.data_len()`, and the shadow is the region's own.
+    unsafe fn new_value(shadow: &Shadow<'_>, off: usize, p: &mut Participant<'_>) -> f64;
+
+    /// Stores iteration result `value` for element `lhs` and publishes it.
+    ///
+    /// # Safety
+    /// `lhs < loop_.data_len()`, the calling iteration is `lhs`'s unique
+    /// writer, and the shadow is the region's own.
+    unsafe fn publish(shadow: &Shadow<'_>, lhs: usize, value: f64);
+}
+
+/// Figure 5's gate: a ready flag per element, windowed (see the module
+/// docs). One level.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Flags;
+
+impl Gate for Flags {
+    const SITE: &'static str = "core::executor::iter";
+    const WINDOWED: bool = true;
+
+    #[inline]
+    fn level_count(&self, _slots: usize) -> usize {
+        1
+    }
+
+    #[inline]
+    fn level(&self, _l: usize, slots: usize) -> Range<usize> {
+        0..slots
+    }
+
+    #[inline]
+    fn label(_l: usize) -> u32 {
+        NO_LEVEL
+    }
+
+    #[inline]
+    unsafe fn new_value(shadow: &Shadow<'_>, off: usize, p: &mut Participant<'_>) -> f64 {
+        let slot = off.wrapping_sub(shadow.window_start);
+        assert!(
+            slot < shadow.ynew.len(),
+            "executor: term {off} escapes window"
+        );
+        if !shadow.ready.is_done(slot) {
+            await_flag(shadow.ready, slot, p);
+        }
+        // SAFETY: `slot` is in the window (asserted); the acquire in
+        // `is_done` pairs with the writer's release in `mark_done`, and
+        // `ynew[slot]` was stored before that release.
+        unsafe { shadow.ynew.read(slot) }
+    }
+
+    #[inline]
+    unsafe fn publish(shadow: &Shadow<'_>, lhs: usize, value: f64) {
+        let slot = lhs.wrapping_sub(shadow.window_start);
+        assert!(
+            slot < shadow.ynew.len(),
+            "executor: lhs {lhs} escapes window"
+        );
+        // SAFETY: `slot` is in the window (asserted) and has the calling
+        // iteration as its unique writer (the caller's contract).
+        unsafe { shadow.ynew.write(slot, value) };
+        shadow.ready.mark_done(slot);
+    }
+}
+
+/// The wavefront's gate: the CSR level offsets of a plan's claim stream
+/// (see the module docs). No flags.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Levels<'a>(pub(crate) &'a [u32]);
+
+impl Gate for Levels<'_> {
+    const SITE: &'static str = "core::wavefront::iter";
+    const WINDOWED: bool = false;
+
+    #[inline]
+    fn level_count(&self, _slots: usize) -> usize {
+        self.0.len() - 1
+    }
+
+    #[inline]
+    fn level(&self, l: usize, _slots: usize) -> Range<usize> {
+        self.0[l] as usize..self.0[l + 1] as usize
+    }
+
+    #[inline]
+    fn label(l: usize) -> u32 {
+        l as u32
+    }
+
+    #[inline]
+    unsafe fn new_value(shadow: &Shadow<'_>, off: usize, _p: &mut Participant<'_>) -> f64 {
+        // SAFETY: `off < data_len <= ynew.len()` (the caller's contract and
+        // the driver's window check). The writer's level is strictly
+        // earlier; its plain store happens-before this load via that
+        // level's completion count.
+        unsafe { shadow.ynew.read(off) }
+    }
+
+    #[inline]
+    unsafe fn publish(shadow: &Shadow<'_>, lhs: usize, value: f64) {
+        // SAFETY: in bounds and uniquely written (the caller's contract);
+        // no other level touches `lhs` this run.
+        unsafe { shadow.ynew.write(lhs, value) }
+    }
+}
+
+/// Where a region's new values live: the shadow array and its ready
+/// flags, standing for elements `window_start ..`.
+pub(crate) struct Shadow<'a> {
+    ynew: SharedSlice<'a, f64>,
+    ready: &'a ReadyFlags,
+    window_start: usize,
+}
+
+/// One worker's standing in a region: who it is, how it leaves early, and
+/// what it has counted so far.
+pub(crate) struct Participant<'r> {
+    worker: usize,
+    guard: &'r RegionGuard<'r>,
+    sink: &'r StatsSink,
+    prof: Option<&'r ProfArena>,
+    local: LocalCounters,
+}
+
+impl Participant<'_> {
+    /// Leaves the region early (see [`RegionGuard::bail`]).
+    fn bail(&mut self, abort: WaitAbort) -> ! {
+        self.guard
+            .bail(self.sink, self.worker, &mut self.local, abort)
+    }
+
+    /// A span's start, when profiling.
+    #[inline]
+    fn started(&self) -> Option<u64> {
+        self.prof.map(ProfArena::now_ns)
+    }
+
+    /// Records a span from `started` to now, when profiling.
+    #[inline]
+    fn span(&self, kind: SpanKind, level: u32, started: Option<u64>, aux: u64) {
+        if let (Some(arena), Some(started)) = (self.prof, started) {
+            let end = arena.now_ns();
+            arena.record(
+                self.worker,
+                kind,
+                level,
+                started,
+                end.saturating_sub(started),
+                aux,
+            );
+        }
+    }
+}
+
+/// The stall path of a `NewValue` operand under [`Flags`]: the inline
+/// flag check missed, so poll `ready(slot)` under the region's guard.
+/// Books the stall (the inline miss is its first failed poll) and, when
+/// profiling, its [`SpanKind::FlagWait`] span; leaves the region on a
+/// fault. Out of line: a planned run on a good claim order almost never
+/// gets here.
 #[cold]
 #[inline(never)]
-fn await_flag(
-    ready: &ReadyFlags,
-    slot: usize,
-    guard: &RegionGuard<'_>,
-    prof: Option<&ProfArena>,
-    worker: usize,
-    local: &mut LocalCounters,
-) -> Result<(), WaitAbort> {
+fn await_flag(ready: &ReadyFlags, slot: usize, p: &mut Participant<'_>) {
     let cond = || ready.is_done(slot);
-    let (polls, wait_ns) = match prof {
-        None => (
-            guard
-                .wait
-                .wait_until_guarded(cond, guard.poison, guard.deadline)?,
-            0,
-        ),
+    let guard = p.guard;
+    let waited = match p.prof {
+        None => guard
+            .wait
+            .wait_until_guarded(cond, guard.poison, guard.deadline)
+            .map(|polls| (polls, 0)),
         Some(_) => guard
             .wait
-            .wait_until_guarded_timed(cond, guard.poison, guard.deadline)?,
+            .wait_until_guarded_timed(cond, guard.poison, guard.deadline),
     };
+    let (polls, wait_ns) = waited.unwrap_or_else(|abort| p.bail(abort));
     let polls = polls + 1;
-    local.stalls += 1;
-    local.wait_polls += polls;
-    if let Some(arena) = prof {
+    p.local.stalls += 1;
+    p.local.wait_polls += polls;
+    if let Some(arena) = p.prof {
         let end = arena.now_ns();
         arena.record(
-            worker,
+            p.worker,
             SpanKind::FlagWait,
             NO_LEVEL,
             end.saturating_sub(wait_ns),
@@ -131,208 +347,317 @@ fn await_flag(
             polls,
         );
     }
+}
+
+/// What a worker owes the region before each iteration: one poll of the
+/// fault latch, and a deadline clock read every [`DEADLINE_ITER_PERIOD`]
+/// iterations executed.
+#[inline]
+fn poll_faults(
+    guard: &RegionGuard<'_>,
+    executed: u64,
+    next_tick: &mut u64,
+) -> Result<(), WaitAbort> {
+    if let Some(fault) = guard.poison.fault() {
+        return Err(WaitAbort::Poisoned(fault));
+    }
+    if let Some(deadline) = guard.deadline {
+        if executed >= *next_tick {
+            *next_tick = executed + DEADLINE_ITER_PERIOD;
+            if Instant::now() >= deadline {
+                return Err(WaitAbort::DeadlineExpired);
+            }
+        }
+    }
     Ok(())
 }
 
-/// Runs the doacross executor over claim slots `iter_range`, then — in the
-/// same region — the postprocessor (copy-back, plus clearing `post.map`). Returns the region's
-/// wall time split into `(executor, post)` at the moment the last
-/// iteration was counted.
-///
-/// * `claims` names the iteration each slot executes and the class of each
-///   of its references (see the module docs). A claim order other than the
-///   natural one is the doconsider "rearranged iterations" mechanism of
-///   §3.2 — semantics are unchanged; only the claim order (and hence
-///   waiting behaviour) differs. It must be a topological order of the
-///   true dependencies or the executor may livelock (the `Doacross` facade
-///   validates a caller's order in full-validation mode; a plan's is proven
-///   by `doacross-verify`).
-/// * `y` is the full data array: read-only until every iteration is
-///   counted, then the copy-back target.
-/// * `ynew`/`ready` are the shadow array and flag set, holding elements
-///   `window_start .. window_start + ynew.len()`. The caller
-///   [retires](ReadyFlags::retire) the flags afterwards.
-/// * Executor-side counters land in `sink`, one cell per worker — the
-///   per-class counts only when `C::COUNTED`.
-/// * With `prof` set, each worker that joined the region records one
-///   [`SpanKind::Work`] span covering its share of the iterations (`aux` =
-///   iterations executed, actual stalls nested inside) plus one
-///   [`SpanKind::FlagWait`] span per stall (`aux` = poll count), so span
-///   counts reconcile exactly with `RunStats`' `stalls` and the span `aux`
-///   totals with `wait_polls`. `None` costs one branch per would-be span —
-///   the never-stalling fast path reads no clock.
-///
-/// The failpoint, the fault poll and the deadline tick are paid once per
-/// iteration, whatever the chunk size. Bounds are enforced with
-/// release-mode asserts on every index the loop supplies: the inspector or
-/// the plan already validated them, so these asserts are a final defense
-/// rather than the primary check.
-#[allow(clippy::too_many_arguments)]
-pub fn run_executor<L, C>(
-    pool: &ThreadPool,
-    schedule: Schedule,
-    wait: WaitStrategy,
-    loop_: &L,
-    iter_range: Range<usize>,
-    claims: &C,
-    y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    ready: &ReadyFlags,
-    window_start: usize,
-    post: Post<'_>,
-    sink: &StatsSink,
-    prof: Option<&ProfArena>,
-) -> (Duration, Duration)
-where
-    L: DoacrossLoop + ?Sized,
-    C: Claims,
-{
-    let nworkers = pool.threads();
-    let base = iter_range.start;
-    let count = iter_range.len();
-    if count == 0 {
-        return (Duration::ZERO, Duration::ZERO);
-    }
-    let counter = AtomicUsize::new(0);
-    let post_claim = AtomicUsize::new(0);
-    let finished = Completion::new();
-    let data_len = loop_.data_len();
-    let window_len = ynew.len();
-    // Fault containment: capture the region's poison word and deadline
-    // once, and snapshot any armed fault-injection action, all before
-    // dispatch — per-iteration checks then touch only a stack local and
-    // one shared read-mostly atomic.
-    let poison = pool.poison();
-    let deadline = pool.deadline();
-    let guard = RegionGuard {
-        wait,
-        poison,
-        deadline,
-        commit: (&finished, count),
-    };
-    let failpoint = failpoint::lookup(FAILPOINT_ITER);
-    let clock = PhaseClock::start();
+/// One level's shared cells — the self-scheduling claim counter and the
+/// completion count — on one cache line (the same workers touch both at
+/// the same time), padded away from the next level's.
+#[derive(Debug, Default)]
+struct LevelCell {
+    claim: AtomicUsize,
+    done: Completion,
+}
 
-    pool.run_for(schedule, |worker| {
-        let mut local = LocalCounters::default();
-        let mut executed: u64 = 0;
-        let work_started = prof.map(|arena| arena.now_ns());
-        schedule.drive(worker, nworkers, count, &counter, |k| {
-            let i = claims.iteration(base + k);
-            failpoint::hit(failpoint, i as u64);
-            // A sibling's fault means flags may never be published past
-            // this point: stop claiming work and drain.
-            if let Some(fault) = poison.fault() {
-                guard.bail(sink, worker, &mut local, WaitAbort::Poisoned(fault));
+/// The grab size `schedule` already claims with, so that
+/// `grained(schedule, own_grain(schedule))` is `schedule`: the grain an
+/// inspected run passes to keep its configured policy as it is.
+pub(crate) fn own_grain(schedule: Schedule) -> usize {
+    match schedule {
+        Schedule::Dynamic { chunk } => chunk,
+        Schedule::Guided { min_chunk } => min_chunk,
+        Schedule::StaticBlock | Schedule::StaticCyclic => 1,
+    }
+}
+
+/// What one region runs: the loop, who decides each reference's class,
+/// and where results go.
+pub(crate) struct Region<'a, L: ?Sized, C> {
+    pub loop_: &'a L,
+    pub claims: &'a C,
+    /// The claim slots run, which are also the iterations copied back.
+    /// Level offsets count from `slots.start`.
+    pub slots: Range<usize>,
+    /// The elements the shadow array and the flags stand for: the data
+    /// space, or a strip-mined block's window.
+    pub window: Range<usize>,
+    /// Read-only until every iteration is counted, then the copy-back
+    /// target.
+    pub y: &'a mut [f64],
+    /// What the copy-back also clears.
+    pub post: Post<'a>,
+    /// Slots per counter grab under a dynamic base schedule: `Some(c)` on
+    /// every level, `None` [`claim_grain`] of each level's width. A static
+    /// base schedule is honoured as it is.
+    pub grain: Option<usize>,
+}
+
+/// A runtime's region scratch: the shadow array `ynew`, its `ready` flags,
+/// one [`LevelCell`] per level and the per-worker counter cells. It grows
+/// to the largest loop seen and is then reused, so a warm region allocates
+/// nothing.
+#[derive(Debug)]
+pub(crate) struct Scratch {
+    pub(crate) ready: ReadyFlags,
+    pub(crate) ynew: Vec<f64>,
+    cells: Vec<CachePadded<LevelCell>>,
+    sink: StatsSink,
+}
+
+impl Scratch {
+    /// Scratch covering a data space of `len` elements.
+    pub(crate) fn new(len: usize) -> Self {
+        Self {
+            ready: ReadyFlags::new(len),
+            ynew: vec![0.0; len],
+            cells: Vec::new(),
+            sink: StatsSink::new(0),
+        }
+    }
+
+    /// Runs `region` under `gate` in one pool region: the executor level
+    /// by level, then the copy-back (see the module docs). Fills `stats`'
+    /// `executor` and `post` (the region's wall time split where the last
+    /// iteration was counted), `barrier_crossings` (the region's level
+    /// boundaries) and the executor-side counters; the per-class counts
+    /// only when `C::COUNTED`. Retires the flags afterwards.
+    ///
+    /// The claim order must be topological over the true dependences (a
+    /// caller's order is validated by its entry point, a plan's by
+    /// `doacross-verify`), and a level stream's levels mutually
+    /// independent, or the region may livelock.
+    ///
+    /// With `prof` set, each worker that joined the region records per
+    /// level one [`SpanKind::Work`] span (`aux` = iterations it executed
+    /// there, label [`Gate::label`]), between adjacent levels one
+    /// [`SpanKind::BarrierWait`] span labelled with the earlier level,
+    /// and one [`SpanKind::FlagWait`] span per stall (`aux` = polls). So
+    /// span counts reconcile exactly with `RunStats`' `stalls`,
+    /// `wait_polls` and `barrier_crossings`. `None` costs one branch per
+    /// would-be span, and the never-stalling fast path reads no clock.
+    ///
+    /// Bounds are enforced with release-mode asserts on every index the
+    /// loop supplies. The inspector or the plan already validated them, so
+    /// these asserts are a final defence rather than the primary check.
+    pub(crate) fn run<L, C, G>(
+        &mut self,
+        pool: &ThreadPool,
+        config: &DoacrossConfig,
+        region: Region<'_, L, C>,
+        gate: G,
+        stats: &mut RunStats,
+        prof: Option<&ProfArena>,
+    ) where
+        L: DoacrossLoop + ?Sized,
+        C: Claims,
+        G: Gate,
+    {
+        let Region {
+            loop_,
+            claims,
+            slots,
+            window,
+            y,
+            post,
+            grain,
+        } = region;
+        let nworkers = pool.threads();
+        let count = slots.len();
+        let nlevels = if count == 0 {
+            0
+        } else {
+            gate.level_count(count)
+        };
+        self.sink.ensure_workers(nworkers);
+        if nlevels > self.cells.len() {
+            self.cells.resize_with(nlevels, CachePadded::default);
+        }
+        if nlevels > 0 {
+            let data_len = loop_.data_len();
+            assert!(
+                G::WINDOWED || (window.start == 0 && window.len() >= data_len),
+                "an unwindowed gate needs the whole data space"
+            );
+            // Claim and completion counters start at zero every run (they
+            // are dirty after the previous one); O(levels), off the
+            // parallel path.
+            let cells = &self.cells[..nlevels];
+            for cell in cells {
+                cell.claim.store(0, Ordering::Relaxed);
+                cell.done.reset();
             }
-            executed += 1;
-            if deadline.is_some() && executed.is_multiple_of(DEADLINE_ITER_PERIOD) {
-                if let Some(d) = deadline {
-                    if std::time::Instant::now() >= d {
-                        guard.bail(sink, worker, &mut local, WaitAbort::DeadlineExpired);
+            let shadow = Shadow {
+                ynew: SharedSlice::new(&mut self.ynew[..window.len()]),
+                ready: &self.ready,
+                window_start: window.start,
+            };
+            let y = SharedSlice::new(y);
+            let sink = &self.sink;
+            let width_of = |l: usize| gate.level(l, count).len();
+            let last = nlevels - 1;
+            // Fault containment: the region's poison word and deadline are
+            // captured once, and any armed fault-injection action
+            // snapshotted, all before dispatch. The last level's count
+            // gates the copy-back, so it is what a deadline-struck waiter
+            // abandons.
+            let guard = RegionGuard {
+                wait: config.wait,
+                poison: pool.poison(),
+                deadline: pool.deadline(),
+                commit: (&cells[last].done, width_of(last)),
+            };
+            let failpoint = failpoint::lookup(G::SITE);
+            let clock = PhaseClock::start();
+            let post_claim = AtomicUsize::new(0);
+
+            pool.run_for(config.schedule, |worker| {
+                let mut p = Participant {
+                    worker,
+                    guard: &guard,
+                    sink,
+                    prof,
+                    local: LocalCounters::default(),
+                };
+                let mut executed: u64 = 0;
+                let mut next_tick = DEADLINE_ITER_PERIOD;
+                for (l, cell) in cells.iter().enumerate() {
+                    if l > 0 {
+                        let started = p.started();
+                        if let Err(abort) = cells[l - 1].done.wait(width_of(l - 1), &guard) {
+                            p.bail(abort);
+                        }
+                        p.span(SpanKind::BarrierWait, (l - 1) as u32, started, 0);
+                    }
+                    let level = gate.level(l, count);
+                    let width = level.len();
+                    let claiming = match (config.schedule, grain) {
+                        (Schedule::Dynamic { .. }, None) => Schedule::Dynamic {
+                            chunk: claim_grain(width, nworkers),
+                        },
+                        (base, Some(c)) => grained(base, c),
+                        (base, None) => base,
+                    };
+                    let started = p.started();
+                    let executed_before = executed;
+                    claiming.drive(worker, nworkers, width, &cell.claim, |k| {
+                        let slot = slots.start + level.start + k;
+                        let i = claims.iteration(slot);
+                        executed += 1;
+                        failpoint::hit(failpoint, i as u64);
+                        if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
+                            p.bail(abort);
+                        }
+                        let lhs = loop_.lhs(i);
+                        assert!(lhs < data_len, "executor: lhs {lhs} out of bounds");
+
+                        // S2: seed from the old value of the output element.
+                        // SAFETY: y is read-only until the copy-back gate;
+                        // bounds asserted.
+                        let mut acc = loop_.init(i, unsafe { y.read(lhs) });
+
+                        let terms = loop_.terms(i);
+                        let row = claims.row(slot, i, terms);
+                        for j in 0..terms {
+                            let off = loop_.term_element(i, j);
+                            assert!(off < data_len, "executor: term {off} out of bounds");
+                            let operand = match claims.class(row, j, off) {
+                                OperandClass::NewValue => {
+                                    // S3–S5: true dependency on an earlier
+                                    // claim or level.
+                                    if C::COUNTED {
+                                        p.local.true_deps += 1;
+                                    }
+                                    // SAFETY: bounds asserted; the shadow is
+                                    // this region's.
+                                    unsafe { G::new_value(&shadow, off, &mut p) }
+                                }
+                                OperandClass::OldValue => {
+                                    // S6–S7: antidependency or never-written
+                                    // element — old value.
+                                    if C::COUNTED {
+                                        p.local.anti_or_unwritten += 1;
+                                    }
+                                    // SAFETY: y is read-only until the
+                                    // copy-back gate; bounds asserted.
+                                    unsafe { y.read(off) }
+                                }
+                                OperandClass::Accumulator => {
+                                    // S8: intra-iteration reference — the
+                                    // element being accumulated is `lhs`
+                                    // itself (injective `a`), so serve it
+                                    // from the register accumulator.
+                                    if C::COUNTED {
+                                        p.local.intra += 1;
+                                    }
+                                    debug_assert_eq!(off, lhs, "class says intra but off != lhs");
+                                    acc
+                                }
+                            };
+                            acc = loop_.combine(i, j, acc, operand);
+                        }
+
+                        // SAFETY: bounds asserted; `lhs` has this iteration
+                        // as its unique writer (injective `a`).
+                        unsafe { G::publish(&shadow, lhs, loop_.finish(i, acc)) };
+                    });
+                    let in_level = executed - executed_before;
+                    p.span(SpanKind::Work, G::label(l), started, in_level);
+                    // One add per worker per level, and none from a worker
+                    // that claimed nothing: a level is complete by work,
+                    // not attendance.
+                    if in_level > 0 && cell.done.add(in_level as usize, width) && l == last {
+                        clock.gate_opened();
                     }
                 }
-            }
-            let lhs = loop_.lhs(i);
-            assert!(lhs < data_len, "executor: lhs {lhs} out of bounds");
-            let lhs_slot = lhs.wrapping_sub(window_start);
-            assert!(lhs_slot < window_len, "executor: lhs {lhs} escapes window");
-
-            // S2: seed from the old value of the output element.
-            // SAFETY: y is read-only until the completion gate; bounds
-            // asserted.
-            let mut acc = loop_.init(i, unsafe { y.read(lhs) });
-
-            let terms = loop_.terms(i);
-            let row = claims.row(base + k, i, terms);
-            for j in 0..terms {
-                let off = loop_.term_element(i, j);
-                assert!(off < data_len, "executor: term {off} out of bounds");
-                let operand = match claims.class(row, j, off) {
-                    OperandClass::NewValue => {
-                        // S3–S5: true dependency on an earlier claim.
-                        if C::COUNTED {
-                            local.true_deps += 1;
-                        }
-                        let slot = off.wrapping_sub(window_start);
-                        assert!(slot < window_len, "executor: term {off} escapes window");
-                        if !ready.is_done(slot) {
-                            if let Err(abort) =
-                                await_flag(ready, slot, &guard, prof, worker, &mut local)
-                            {
-                                guard.bail(sink, worker, &mut local, abort);
-                            }
-                        }
-                        // SAFETY: bounds asserted; the acquire in `is_done`
-                        // pairs with the writer's release in `mark_done`,
-                        // and `ynew[slot]` was stored before that release.
-                        unsafe { ynew.read(slot) }
-                    }
-                    OperandClass::Accumulator => {
-                        // S8: intra-iteration reference — the element being
-                        // accumulated is `lhs` itself (injective `a`), so
-                        // serve it from the register accumulator.
-                        if C::COUNTED {
-                            local.intra += 1;
-                        }
-                        debug_assert_eq!(off, lhs, "class says intra but off != lhs");
-                        acc
-                    }
-                    OperandClass::OldValue => {
-                        // S6–S7: antidependency or never-written element —
-                        // old value.
-                        if C::COUNTED {
-                            local.anti_or_unwritten += 1;
-                        }
-                        // SAFETY: y is read-only until the gate; bounds
-                        // asserted.
-                        unsafe { y.read(off) }
-                    }
+                let (last_done, last_width) = guard.commit;
+                if let Err(abort) = last_done.wait(last_width, &guard) {
+                    p.bail(abort);
+                }
+                // SAFETY: the last level's count is full, which orders
+                // every iteration's `y` loads and `ynew` stores before this
+                // point (module docs).
+                unsafe {
+                    post_share(
+                        loop_,
+                        slots.clone(),
+                        window.start,
+                        post,
+                        y,
+                        shadow.ynew,
+                        &post_claim,
+                    )
                 };
-                acc = loop_.combine(i, j, acc, operand);
-            }
-
-            // SAFETY: `lhs_slot` is in the window (asserted) and has this
-            // iteration as its unique writer.
-            unsafe { ynew.write(lhs_slot, loop_.finish(i, acc)) };
-            ready.mark_done(lhs_slot);
-        });
-        if let (Some(arena), Some(started)) = (prof, work_started) {
-            let end = arena.now_ns();
-            arena.record(
-                worker,
-                SpanKind::Work,
-                NO_LEVEL,
-                started,
-                end.saturating_sub(started),
-                executed,
-            );
+                sink.deposit(worker, p.local);
+            });
+            (stats.executor, stats.post) = clock.split();
         }
-        // One add per worker, not per iteration: nobody can use a partial
-        // count, and a worker that executed nothing skips it.
-        if executed > 0 && finished.add(executed as usize, count) {
-            clock.gate_opened();
-        }
-        if let Err(abort) = finished.wait(count, &guard) {
-            guard.bail(sink, worker, &mut local, abort);
-        }
-        // SAFETY: the gate above saw all `count` iterations counted, each
-        // add a release after that worker's last `y` load and `ynew` store
-        // (module docs).
-        unsafe {
-            post_share(
-                loop_,
-                iter_range.clone(),
-                window_start,
-                post,
-                y,
-                ynew,
-                &post_claim,
-            )
-        };
-        sink.deposit(worker, local);
-    });
-    clock.split()
+        self.ready.retire();
+        self.sink.drain_into(stats);
+        self.sink.reset();
+        stats.barrier_crossings = nlevels.saturating_sub(1) as u64;
+    }
 }
 
 #[cfg(test)]
@@ -343,10 +668,9 @@ mod tests {
     use crate::oracle::{ByWriter, InspectedWriter};
     use crate::pattern::{AccessPattern, IndirectLoop};
     use crate::seq::run_sequential;
-    use crate::stats::RunStats;
 
-    /// Manual pipeline (inspector, then executor with fused copy-back) so
-    /// the executor can be probed in isolation.
+    /// Manual pipeline (inspector, then the driver under the flag gate
+    /// with fused copy-back) so the executor can be probed in isolation.
     fn execute(
         loop_: &IndirectLoop,
         y: &[f64],
@@ -356,7 +680,6 @@ mod tests {
         let pool = ThreadPool::new(workers);
         let dl = loop_.data_len();
         let map = IterMap::new(dl);
-        let ready = ReadyFlags::new(dl);
         run_inspector(
             &pool,
             schedule,
@@ -368,35 +691,35 @@ mod tests {
         )
         .unwrap();
         let mut y_buf = y.to_vec();
-        let mut ynew_buf = vec![0.0; dl];
-        let y_view = SharedSlice::new(&mut y_buf);
-        let ynew_view = SharedSlice::new(&mut ynew_buf);
-        let sink = StatsSink::new(workers);
         let oracle = InspectedWriter::new(&map, 0..dl);
-        run_executor(
-            &pool,
-            schedule,
-            WaitStrategy::default(),
-            loop_,
-            0..loop_.iterations(),
-            &ByWriter {
-                oracle: &oracle,
-                order: None,
-            },
-            y_view,
-            ynew_view,
-            &ready,
-            0,
-            Post { map: None },
-            &sink,
-            None,
-        );
         let mut stats = RunStats {
             workers,
             iterations: loop_.iterations(),
             ..Default::default()
         };
-        sink.drain_into(&mut stats);
+        let config = DoacrossConfig {
+            schedule,
+            ..DoacrossConfig::default()
+        };
+        Scratch::new(dl).run(
+            &pool,
+            &config,
+            Region {
+                loop_,
+                claims: &ByWriter {
+                    oracle: &oracle,
+                    order: None,
+                },
+                slots: 0..loop_.iterations(),
+                window: 0..dl,
+                y: &mut y_buf,
+                post: Post { map: None },
+                grain: Some(own_grain(schedule)),
+            },
+            Flags,
+            &mut stats,
+            None,
+        );
         (y_buf, stats)
     }
 
@@ -502,32 +825,30 @@ mod tests {
     fn empty_iteration_range_is_noop() {
         let l = IndirectLoop::new(4, vec![0], vec![vec![1]], vec![vec![1.0]]).unwrap();
         let pool = ThreadPool::new(2);
-        let ready = ReadyFlags::new(4);
         let map = IterMap::new(4);
         let mut y = vec![0.0; 4];
-        let mut ynew = vec![0.0; 4];
-        let sink = StatsSink::new(2);
         let oracle = InspectedWriter::new(&map, 0..4);
-        run_executor(
+        let mut stats = RunStats::default();
+        Scratch::new(4).run(
             &pool,
-            Schedule::multimax(),
-            WaitStrategy::default(),
-            &l,
-            1..1,
-            &ByWriter {
-                oracle: &oracle,
-                order: None,
+            &DoacrossConfig::default(),
+            Region {
+                loop_: &l,
+                claims: &ByWriter {
+                    oracle: &oracle,
+                    order: None,
+                },
+                slots: 1..1,
+                window: 0..4,
+                y: &mut y,
+                post: Post { map: None },
+                grain: Some(1),
             },
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            &ready,
-            0,
-            Post { map: None },
-            &sink,
+            Flags,
+            &mut stats,
             None,
         );
-        let mut stats = RunStats::default();
-        sink.drain_into(&mut stats);
         assert_eq!(stats.deps.total(), 0);
+        assert_eq!(stats.barrier_crossings, 0);
     }
 }

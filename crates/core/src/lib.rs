@@ -45,39 +45,43 @@
 //! ## One runtime
 //!
 //! [`Doacross`] is the only runtime struct. It owns one grow-don't-shrink
-//! scratch — `iter`, `ready`, `ynew`, the wavefront's level cells, the
-//! per-worker counters — and has one entry point per way of running a
-//! loop: [`Doacross::run`] / [`Doacross::run_with_order`] (inspector
-//! inline), [`Doacross::run_planned`] (a prebuilt [`ClaimStream`], under
-//! ready flags), [`Doacross::run_linear`], [`Doacross::run_blocked`] and
-//! [`Doacross::run_wavefront`] (the same stream with level offsets, under
-//! completion counters). Every one of them copies its results back
-//! into `y` before it returns; after warm-up none allocates. That is §2.1's
-//! "we reuse the same arrays iter and ready for multiple preprocessed
-//! doacross loops", extended across the variants.
+//! scratch — `iter`, `ready`, `ynew`, the level cells, the per-worker
+//! counters — and has one entry point per way of running a loop:
+//! [`Doacross::run`] / [`Doacross::run_with_order`] (inspector inline),
+//! [`Doacross::run_planned`] (a prebuilt [`ClaimStream`]),
+//! [`Doacross::run_linear`] and [`Doacross::run_blocked`]. Every one of
+//! them copies its results back into `y` before it returns; after warm-up
+//! none allocates. That is §2.1's "we reuse the same arrays iter and ready
+//! for multiple preprocessed doacross loops", extended across the
+//! variants.
 //!
-//! ## Executors: per-element flags vs. per-level counters
+//! ## One driver, two gates: per-element flags vs. per-level counts
 //!
-//! Two executors bracket the synchronization design space:
+//! Every entry point runs its iterations through one region driver
+//! ([`executor`]): one claim loop, one reference loop, one fault poll,
+//! one copy-back. What differs is the *gate* a true dependence meets, a
+//! type parameter that brackets the synchronization design space:
 //!
-//! * the **flat doacross** ([`executor`]) synchronizes per element — a
-//!   reader busy-waits on `ready(off)` exactly where a true dependency
-//!   bites, and independent iterations never wait. Best when dependencies
-//!   are sparse or the wavefronts are narrow (few iterations per level):
-//!   the only overhead is where the structure demands it.
-//! * the **wavefront executor** ([`wavefront`]) synchronizes per *level* —
-//!   iterations are grouped by dependence level at preprocessing time and
-//!   each level runs as a doall that is complete when its iterations are
-//!   counted (no barrier: nobody waits for a worker that holds no work),
-//!   with **zero** ready-flag traffic inside a level. Best when the poll/stall bill dominates (many true
-//!   dependencies, deep structures, contended flags): the per-element cost
-//!   disappears and the price is one counter hand-off per level.
+//! * **flags** synchronize per element — a reader busy-waits on
+//!   `ready(off)` exactly where a true dependency bites, and independent
+//!   iterations never wait. Best when dependencies are sparse or the
+//!   wavefronts are narrow (few iterations per level): the only overhead
+//!   is where the structure demands it. The flat doacross is the one-level
+//!   case.
+//! * **levels** synchronize per *level* — iterations are grouped by
+//!   dependence level at preprocessing time and each level runs as a doall
+//!   that is complete when its iterations are counted (no barrier: nobody
+//!   waits for a worker that holds no work), with **zero** ready-flag
+//!   traffic inside a level. Best when the poll/stall bill dominates (many
+//!   true dependencies, deep structures, contended flags): the per-element
+//!   cost disappears and the price is one counter hand-off per level. A
+//!   planned run takes this gate when its stream carries level offsets
+//!   ([`wavefront`]).
 //!
 //! Either way a solve is one pool region, which the solving thread runs as
 //! worker 0 and, under a dynamic schedule, helpers join while it does
 //! (`ThreadPool::run_for`): the postprocessor's copy-back runs behind the
-//! same kind of counter once the last iteration is in, claimed in chunks
-//! by whoever is present. And
+//! last level's count, claimed in chunks by whoever is present. And
 //! either way a *planned* solve reads where each operand comes from off
 //! one artifact, the plan's [`ClaimStream`] — claim order, per-claim
 //! reference ends and one [`OperandClass`] byte per reference, laid out in
@@ -86,7 +90,7 @@
 //!
 //! The `doacross-plan` cost model prices both and picks the crossover
 //! automatically ([`stats::RunStats::wait_polls`] makes the trade
-//! observable: wavefront runs report exactly zero).
+//! observable: level-gated runs report exactly zero).
 //!
 //! ## Quick start
 //!

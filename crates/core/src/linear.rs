@@ -16,10 +16,12 @@
 //! function.
 
 use crate::error::DoacrossError;
+use crate::executor::{own_grain, Flags, Region};
 use crate::inspector::ErrorSlot;
 use crate::oracle::{ByWriter, LinearWriter};
 use crate::pattern::DoacrossLoop;
-use crate::runtime::{check_y_len, exec_and_post, region_stats, validate_order, Doacross};
+use crate::post::Post;
+use crate::runtime::{check_y_len, region_stats, validate_order, Doacross};
 use crate::stats::{PlanProvenance, RunStats};
 use doacross_par::{parallel_for, ThreadPool};
 use std::time::Instant;
@@ -139,22 +141,22 @@ impl Doacross {
         if let Some(ord) = order {
             validate_order(&self.config, &mut self.position, pool, loop_, ord, &oracle)?;
         }
-        exec_and_post(
+        self.scratch.run(
             pool,
-            self.config.schedule,
-            self.config.wait,
-            loop_,
-            0..n,
-            &ByWriter {
-                oracle: &oracle,
-                order,
+            &self.config,
+            Region {
+                loop_,
+                claims: &ByWriter {
+                    oracle: &oracle,
+                    order,
+                },
+                slots: 0..n,
+                window: 0..data_len,
+                y,
+                post: Post { map: None },
+                grain: Some(own_grain(self.config.schedule)),
             },
-            y,
-            &mut self.ynew[..data_len],
-            &mut self.ready,
-            0,
-            None,
-            &mut self.sink,
+            Flags,
             &mut stats,
             None,
         );

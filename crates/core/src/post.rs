@@ -14,7 +14,7 @@
 //! inspector, it is a doall: distinct iterations touch distinct elements
 //! because `a` is injective.
 //!
-//! It is not a region of its own. The executors run it *inside* their
+//! It is not a region of its own. The region driver runs it *inside* its
 //! region, behind the [`Completion`](crate::completion) gate that opens
 //! when the last iteration is counted: every participant then claims
 //! fixed-size chunks of the iteration range off one counter per region

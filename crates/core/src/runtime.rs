@@ -1,12 +1,13 @@
 //! [`Doacross`]: the preprocessed-doacross runtime — the one execution
 //! core behind every way of running a loop.
 //!
-//! Owns the reusable scratch state — the `iter` writer map, the `ready`
-//! flags, the shadow array `ynew`, the wavefront's per-level cells, the
-//! per-worker counter cells and the claim-order buffer — and runs the
-//! three phases (inspector → executor → postprocessor) over any
-//! [`DoacrossLoop`]. Reuse across many loop instances is the point of the
-//! paper's postprocessing phase: "In order to limit the cost of
+//! Owns the reusable scratch state — the `iter` writer map, the region
+//! scratch of the one driver ([`crate::executor`]: the shadow array
+//! `ynew`, the `ready` flags, the per-level cells and the per-worker
+//! counter cells) and the claim-order buffer — and runs the three phases
+//! (inspector → executor → postprocessor) over any [`DoacrossLoop`].
+//! Reuse across many loop instances is the point of the paper's
+//! postprocessing phase: "In order to limit the cost of
 //! initialization and the use of memory associated with this implementation
 //! of the doacross construct, we reuse the same arrays iter and ready for
 //! multiple preprocessed doacross loops" (§2.1). Here that covers every
@@ -15,26 +16,24 @@
 //!
 //! * [`Doacross::run`] / [`Doacross::run_with_order`] — inspector inline;
 //! * [`Doacross::run_planned`] — a prebuilt claim stream, no inspector and
-//!   no writer map;
+//!   no writer map: under ready flags, or level by level when the stream
+//!   carries level offsets;
 //! * [`Doacross::run_linear`] — §2.3's `a(i) = c·i + d`, no writer map;
 //! * [`Doacross::run_blocked`] — §2.3's strip-mined loop, windowed scratch;
-//! * [`Doacross::run_wavefront`] — the same stream with level offsets, no
-//!   flags;
 //!
 //! and after warm-up none of them allocates.
 
 use crate::error::DoacrossError;
-use crate::executor::run_executor;
+use crate::executor::{own_grain, Flags, Levels, Region, Scratch};
 use crate::flags::{IterMap, ReadyFlags, MAXINT};
 use crate::inspector::{reset_scratch, run_inspector, ErrorSlot};
-use crate::oracle::{ByWriter, Claims, InspectedWriter, WriterOracle};
+use crate::oracle::{ByWriter, InspectedWriter, WriterOracle};
 use crate::pattern::{AccessPattern, DoacrossLoop};
 use crate::post::Post;
-use crate::stats::{PlanProvenance, RunStats, StatsSink};
-use crate::wavefront::{check_stream, grained, ClaimStream, LevelCell};
+use crate::stats::{PlanProvenance, RunStats};
+use crate::wavefront::{check_stream, ClaimStream};
 use doacross_obs::profile::ProfArena;
-use doacross_par::{parallel_for, CachePadded, Schedule, SharedSlice, ThreadPool, WaitStrategy};
-use std::ops::Range;
+use doacross_par::{parallel_for, Schedule, ThreadPool, WaitStrategy};
 use std::time::Instant;
 
 /// Tunables of a doacross run.
@@ -88,19 +87,13 @@ impl Default for DoacrossConfig {
 #[derive(Debug)]
 pub struct Doacross {
     pub(crate) config: DoacrossConfig,
-    /// Elements `ready` and `ynew` cover.
-    data_len: usize,
     /// Writer map. Only the entry points that inspect grow it
     /// ([`Doacross::ensure_iter`]), so a runtime that only executes
     /// prebuilt plans never carries one.
     pub(crate) iter: IterMap,
-    pub(crate) ready: ReadyFlags,
-    pub(crate) ynew: Vec<f64>,
-    /// One claim counter and completion count per wavefront level.
-    pub(crate) cells: Vec<CachePadded<LevelCell>>,
-    /// Per-worker counter cells, reused across runs (grow-don't-shrink +
-    /// reset after drain) so a warm solve allocates nothing.
-    pub(crate) sink: StatsSink,
+    /// The region driver's scratch, its `ynew` and `ready` covering
+    /// [`Doacross::data_len`] elements.
+    pub(crate) scratch: Scratch,
     /// Claim-order validation scratch of the entry points that take a
     /// caller's order (`position[i]` = slot that claims iteration `i`),
     /// reused across runs for the same reason.
@@ -123,12 +116,8 @@ impl Doacross {
     pub fn with_config(data_len: usize, config: DoacrossConfig) -> Self {
         Self {
             config,
-            data_len,
             iter: IterMap::new(0),
-            ready: ReadyFlags::new(data_len),
-            ynew: vec![0.0; data_len],
-            cells: Vec::new(),
-            sink: StatsSink::new(0),
+            scratch: Scratch::new(data_len),
             position: Vec::new(),
         }
     }
@@ -147,16 +136,15 @@ impl Doacross {
     /// has seen, or the largest block window of a strip-mined one — the
     /// §2.3 memory footprint.
     pub fn data_len(&self) -> usize {
-        self.data_len
+        self.scratch.ynew.len()
     }
 
     /// Grows the scratch arrays to cover `len` elements (no-op if already
     /// large enough). Newly added entries satisfy the reuse invariant.
     pub fn ensure_data_len(&mut self, len: usize) {
-        if len > self.data_len {
-            self.data_len = len;
-            self.ready = ReadyFlags::new(len);
-            self.ynew = vec![0.0; len];
+        if len > self.data_len() {
+            self.scratch.ready = ReadyFlags::new(len);
+            self.scratch.ynew = vec![0.0; len];
         }
     }
 
@@ -171,7 +159,7 @@ impl Doacross {
     /// (`iter` all `MAXINT`, `ready` all `NOTDONE`). O(data_len); intended
     /// for tests.
     pub fn scratch_is_clean(&self) -> bool {
-        self.iter.all_clear() && self.ready.all_clear()
+        self.iter.all_clear() && self.scratch.ready.all_clear()
     }
 
     /// Runs the full preprocessed doacross (inspector → executor →
@@ -244,22 +232,24 @@ impl Doacross {
         // Phases 2 + 3: executor (Figure 5), then postprocessor (Figure 3,
         // right) — the post pass clears this run's `iter` entries to
         // restore the reuse invariant.
-        exec_and_post(
+        self.scratch.run(
             pool,
-            schedule,
-            self.config.wait,
-            loop_,
-            0..n,
-            &ByWriter {
-                oracle: &oracle,
-                order,
+            &self.config,
+            Region {
+                loop_,
+                claims: &ByWriter {
+                    oracle: &oracle,
+                    order,
+                },
+                slots: 0..n,
+                window: 0..data_len,
+                y,
+                post: Post {
+                    map: Some(&self.iter),
+                },
+                grain: Some(own_grain(schedule)),
             },
-            y,
-            &mut self.ynew[..data_len],
-            &mut self.ready,
-            0,
-            Some(&self.iter),
-            &mut self.sink,
+            Flags,
             &mut stats,
             None,
         );
@@ -274,36 +264,74 @@ impl Doacross {
     /// follow the stream's order (natural when it has none) and every
     /// operand class is read from the stream; no writer map exists.
     ///
+    /// The stream picks the gate. Without level offsets a true dependence
+    /// waits on its element's ready flag (Figure 5). With them the loop
+    /// runs as a sequence of level doalls in the same region, each entered
+    /// once the previous level's completion count is full: the stats then
+    /// report zero `stalls` and zero `wait_polls` by construction and
+    /// `barrier_crossings` = levels − 1, and no flag is raised.
+    ///
     /// `stream` must have been built for this loop's access pattern. The
     /// iteration count and every claim's reference count are checked here
     /// ([`DoacrossError::PlanMismatch`] /
     /// [`DoacrossError::ScheduleTermsMismatch`], before dispatch, `y`
     /// untouched); *content* equality is the caller's contract — the
     /// `doacross-plan` crate enforces it with structural fingerprints, and
-    /// `doacross-verify` proves the stream's order topological and its
-    /// classes right, once, when the plan is built or loaded. The stream is
-    /// only read, so it serves arbitrarily many runs.
+    /// `doacross-verify` proves the stream's order topological, its levels
+    /// independent and its classes right, once, when the plan is built or
+    /// loaded. The stream is only read, so it serves arbitrarily many runs.
     ///
-    /// `grain` is the claim-slot count per counter grab
-    /// ([`crate::wavefront::claim_grain`] derives it from what a plan knows;
-    /// 1 is the paper's policy). It sizes a dynamic base schedule's grabs;
-    /// a static `config.schedule` is honoured as it is.
+    /// `grain` is the claim-slot count per counter grab under a dynamic
+    /// `config.schedule`: `Some(c)` on every level
+    /// ([`crate::wavefront::claim_grain`] derives `c` from what a plan
+    /// knows; 1 is the paper's policy), `None` derived from each level's
+    /// width. A static `config.schedule` is honoured as it is.
     ///
-    /// With `prof` set, per-worker profiling spans (work intervals and
-    /// true-dependency flag waits) are deposited there; `None` costs one
-    /// branch per would-be span site and reads no clock.
+    /// With `prof` set, per-worker profiling spans (work per level, level
+    /// boundary waits and true-dependency flag waits) are deposited there;
+    /// `None` costs one branch per would-be span site and reads no clock.
     ///
     /// The returned stats report `inspector == Duration::ZERO`, `deps`
     /// stamped from the stream's [`ClaimStream::class_counts`] and
     /// [`PlanProvenance::PlanCold`]; plan caches overwrite the provenance
     /// with [`PlanProvenance::PlanCached`] on hits.
+    ///
+    /// ```
+    /// use doacross_core::{ClaimStream, Doacross, IndirectLoop};
+    /// use doacross_core::seq::run_sequential;
+    /// use doacross_par::ThreadPool;
+    ///
+    /// // y[i+1] += y[i]: a chain — levels are the iterations themselves.
+    /// let n = 64;
+    /// let a: Vec<usize> = (1..=n).collect();
+    /// let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    /// let loop_ = IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
+    ///
+    /// // Level assignment for the chain: level(i) = i + 1; every reference is
+    /// // a true dependency except iteration 0's read of the unwritten y[0].
+    /// let levels: Vec<usize> = (1..=n).collect();
+    /// let term_offsets: Vec<usize> = (0..=n).collect();
+    /// let mut classes = vec![0u8; n];
+    /// classes[0] = 1;
+    /// let stream = ClaimStream::from_levels(&levels, n, &term_offsets, classes).unwrap();
+    ///
+    /// let pool = ThreadPool::new(2);
+    /// let mut rt = Doacross::new(n + 1);
+    /// let mut y = vec![1.0; n + 1];
+    /// let mut oracle = y.clone();
+    /// let stats = rt.run_planned(&pool, &loop_, &mut y, &stream, None, None).unwrap();
+    /// run_sequential(&loop_, &mut oracle);
+    /// assert_eq!(y, oracle);
+    /// assert_eq!(stats.wait_polls, 0, "no busy waiting, ever");
+    /// assert_eq!(stats.barrier_crossings, 63);
+    /// ```
     pub fn run_planned<L: DoacrossLoop + ?Sized>(
         &mut self,
         pool: &ThreadPool,
         loop_: &L,
         y: &mut [f64],
         stream: &ClaimStream,
-        grain: usize,
+        grain: Option<usize>,
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
         let data_len = check_stream(loop_, y, stream)?;
@@ -314,24 +342,23 @@ impl Doacross {
         let mut stats = region_stats(pool, n, PlanProvenance::PlanCold);
         let t_start = Instant::now();
 
-        // Executor + postprocessor; `post_map: None` — there is no map to
-        // clear, only the `ready` flags retire.
-        exec_and_post(
-            pool,
-            grained(self.config.schedule, grain),
-            self.config.wait,
+        // Executor + postprocessor; `map: None` — there is no map to clear.
+        let region = Region {
             loop_,
-            0..n,
-            stream,
+            claims: stream,
+            slots: 0..n,
+            window: 0..data_len,
             y,
-            &mut self.ynew[..data_len],
-            &mut self.ready,
-            0,
-            None,
-            &mut self.sink,
-            &mut stats,
-            prof,
-        );
+            post: Post { map: None },
+            grain,
+        };
+        let scratch = &mut self.scratch;
+        match stream.level_offsets() {
+            Some(levels) => {
+                scratch.run(pool, &self.config, region, Levels(levels), &mut stats, prof)
+            }
+            None => scratch.run(pool, &self.config, region, Flags, &mut stats, prof),
+        }
         stats.deps = stream.class_counts();
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on exit");
@@ -420,54 +447,6 @@ pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
         }
     }
     Ok(())
-}
-
-/// The executor + postprocessor phases of every flag-synchronized run: one
-/// pool region over claim slots `iter_range` under `schedule`, after which
-/// the `ready` flags are retired. `ynew`/`ready` hold the elements from
-/// `window_start` on (the whole data space for a flat run, a block's
-/// window for a strip-mined one); `post_map` is the writer map the post
-/// phase clears — the runtime's own scratch map — or `None` when `claims`
-/// is a prebuilt stream or reads a subscript. Fills `stats.executor`,
-/// `stats.post` and the executor-side counters. `sink` is the runtime's
-/// per-worker counter scratch, drained into `stats` and reset before
-/// returning — once it covers the pool, no allocation happens here.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_and_post<L: DoacrossLoop + ?Sized, C: Claims>(
-    pool: &ThreadPool,
-    schedule: Schedule,
-    wait: WaitStrategy,
-    loop_: &L,
-    iter_range: Range<usize>,
-    claims: &C,
-    y: &mut [f64],
-    ynew: &mut [f64],
-    ready: &mut ReadyFlags,
-    window_start: usize,
-    post_map: Option<&IterMap>,
-    sink: &mut StatsSink,
-    stats: &mut RunStats,
-    prof: Option<&ProfArena>,
-) {
-    sink.ensure_workers(pool.threads());
-    (stats.executor, stats.post) = run_executor(
-        pool,
-        schedule,
-        wait,
-        loop_,
-        iter_range,
-        claims,
-        SharedSlice::new(y),
-        SharedSlice::new(ynew),
-        ready,
-        window_start,
-        Post { map: post_map },
-        sink,
-        prof,
-    );
-    ready.retire();
-    sink.drain_into(stats);
-    sink.reset();
 }
 
 #[cfg(test)]
@@ -683,7 +662,7 @@ mod tests {
         for (round, grain) in [1usize, 4, 16].into_iter().enumerate() {
             let mut y = vec![1.0; 151];
             let stats = rt
-                .run_planned(&p, &l, &mut y, &stream, grain, None)
+                .run_planned(&p, &l, &mut y, &stream, Some(grain), None)
                 .unwrap();
             assert_eq!(y, expect, "round {round}");
             assert_eq!(stats.inspector, std::time::Duration::ZERO);
@@ -705,7 +684,8 @@ mod tests {
         let stream = chain_stream(64, Some(&identity));
         let mut y = vec![1.0; 65];
         let mut rt = Doacross::for_loop(&l);
-        rt.run_planned(&p, &l, &mut y, &stream, 1, None).unwrap();
+        rt.run_planned(&p, &l, &mut y, &stream, Some(1), None)
+            .unwrap();
         assert_eq!(y, expect);
         // The order is the plan's and validated where the plan is built: a
         // non-permutation never becomes a stream, so no solve re-checks it.
@@ -727,7 +707,7 @@ mod tests {
         let mut rt = Doacross::for_loop(&big);
         let mut y = vec![1.0; 9];
         let err = rt
-            .run_planned(&p, &big, &mut y, &stream, 1, None)
+            .run_planned(&p, &big, &mut y, &stream, Some(1), None)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -745,7 +725,7 @@ mod tests {
         let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![1.0; r.len()]).collect();
         let longer = IndirectLoop::new(9, a, rhs, coeff).unwrap();
         let err = rt
-            .run_planned(&p, &longer, &mut y, &chain_stream(8, None), 1, None)
+            .run_planned(&p, &longer, &mut y, &chain_stream(8, None), Some(1), None)
             .unwrap_err();
         assert_eq!(
             err,

@@ -10,6 +10,10 @@ use doacross_par::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+// Defined once, in the observability layer below this crate, so a solve
+// record carries the very value a run's stats report.
+pub use doacross_obs::PlanProvenance;
+
 /// How the executor classified the right-hand-side references it resolved —
 /// one count per (iteration, term) pair, matching Figure 5's three-way
 /// branch.
@@ -29,58 +33,6 @@ impl DepCounts {
     /// Total references resolved.
     pub fn total(&self) -> u64 {
         self.true_deps + self.anti_or_unwritten + self.intra
-    }
-}
-
-/// Where a run's preprocessing came from — how the executor learned the
-/// writer of every element.
-///
-/// The paper's amortization argument (§2.1: inspect once, execute many
-/// times) is only real if callers can *observe* that a given run skipped
-/// the inspector. This enum is that observation: plan-driven runs report
-/// whether their preprocessing products were built for this call or served
-/// from a cache, and a planned run's `inspector` duration is exactly zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PlanProvenance {
-    /// Preprocessing (if any) ran inside this call — the classic
-    /// inspector-per-run construct.
-    #[default]
-    Inline,
-    /// A prebuilt execution plan was supplied and its preprocessing was
-    /// performed for this call (a cache miss or an explicit plan).
-    PlanCold,
-    /// The execution plan was served from a plan cache: no planning work
-    /// (fingerprint census, dependence analysis, variant selection,
-    /// inspection capture) happened in this call. Whatever preprocessing is
-    /// *inherent to the selected variant* still runs — notably the
-    /// strip-mined variant re-inspects per block, because its windowed
-    /// scratch arrays cannot outlive a block; check `inspector` for the
-    /// per-run bill. The flat planned variants report `inspector == 0`.
-    PlanCached,
-}
-
-impl PlanProvenance {
-    /// How much per-call preprocessing work the provenance implies:
-    /// `Inline` (2) ran the inspector in this call, `PlanCold` (1) built a
-    /// plan for this call, `PlanCached` (0) reused one. Aggregation keeps
-    /// the *coldest* constituent (see [`RunStats::absorb`]) so a merged
-    /// stat never claims more amortization than its worst block had.
-    pub fn coldness(self) -> u8 {
-        match self {
-            PlanProvenance::Inline => 2,
-            PlanProvenance::PlanCold => 1,
-            PlanProvenance::PlanCached => 0,
-        }
-    }
-}
-
-impl std::fmt::Display for PlanProvenance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanProvenance::Inline => write!(f, "inline"),
-            PlanProvenance::PlanCold => write!(f, "plan:cold"),
-            PlanProvenance::PlanCached => write!(f, "plan:cached"),
-        }
     }
 }
 

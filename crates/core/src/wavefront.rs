@@ -1,22 +1,14 @@
-//! The plan's one artifact — the [`ClaimStream`] — and the level-scheduled
-//! (wavefront) executor that runs it as a sequence of doalls, each complete
-//! when its iterations are.
+//! The plan's one artifact — the [`ClaimStream`] — and the claim grain its
+//! runs take.
 //!
-//! The flat executor ([`crate::executor`]) pays a per-element price on
-//! every true dependency: check `ready(off)` and, if the writer is late,
-//! poll until it publishes (Figure 5, S4). This module converts that
-//! fine-grained dataflow synchronization into coarse *level*
-//! synchronization: iterations are grouped by wavefront level (`level(i) =
-//! 1 + max(level of true-dep writers)`), each level is executed as a
-//! `parallel do` over mutually independent iterations, and each level
-//! carries one *ready flag of its own* — a completion counter
-//! ([`crate::completion`]) that reads done when the level's iterations are
-//! all counted. **Zero ready-flag traffic** inside a level, and zero
-//! barriers between them: a worker enters level `l` as soon as level
-//! `l − 1`'s counter is full, whoever filled it. Like the paper's executor
-//! it waits only on data, never on a processor — a late, preempted or
-//! descheduled worker that holds no iterations costs nothing, and a single
-//! running worker streams through the levels alone.
+//! A planned run ([`Doacross::run_planned`](crate::Doacross::run_planned))
+//! hands the stream to the one region driver ([`crate::executor`]). A
+//! stream without level offsets runs under per-element ready flags
+//! (Figure 5). A stream with them runs the doconsider wavefront:
+//! iterations grouped by level (`level(i) = 1 + max(level of true-dep
+//! writers)`), each level a `parallel do` over mutually independent
+//! iterations, entered once the previous level's completion count is
+//! full.
 //!
 //! ## One preprocessing product
 //!
@@ -28,7 +20,7 @@
 //!
 //! * the **claim order** (`u32`, absent = natural): slot `k` executes
 //!   iteration `order[k]`. Topological over the true dependences, which is
-//!   the flag executors' progress condition;
+//!   the flag gate's progress condition;
 //! * per-slot reference **ends** (`u32` prefix sums) into
 //! * one [`OperandClass`] byte per reference — Figure 5's three-way check
 //!   `iter(off) − i`, resolved ahead of time. It replaces the `iter` map:
@@ -40,32 +32,13 @@
 //!   (CSR-style), which replace the `ready` flags — a true-dep operand's
 //!   writer lives in a strictly earlier level, so by the time a reader
 //!   runs, the value is already published and ordered by that level's
-//!   counter.
+//!   completion count (the driver's memory-ordering argument).
 //!
 //! The order and the stream are plan-owned and immutable: validated once,
 //! at [`ClaimStream::from_parts`], never per solve. What a solve does check
 //! is the one thing the plan cannot know — that the loop it is handed has
 //! the reference counts the stream was resolved for (one O(n) sweep before
 //! dispatch, a typed [`DoacrossError::ScheduleTermsMismatch`] otherwise).
-//!
-//! ## Memory-ordering argument
-//!
-//! Writers store `ynew(a(i))` with plain writes. A worker that executed
-//! `k > 0` iterations of level `l` then adds `k` to `done[l]` — a `Release`
-//! read-modify-write, so every add continues the release sequence of the
-//! adds before it — and a worker enters level `l + 1` only after an
-//! `Acquire` load of `done[l]` returned the level's width. That load
-//! synchronizes with *every* contributor's add, so all of level `l`'s
-//! `ynew` stores happen-before all of level `l + 1`'s loads. Every worker
-//! passes every gate in order, so it has acquired each earlier level
-//! directly; and even if it had not, the chain is transitive: whoever
-//! filled `done[l + 1]` had itself acquired `done[l]` before adding.
-//! Within a level there is no cross-iteration communication at all — that
-//! is what a wavefront *is*. `y` is read-only while iterations run; the
-//! copy-back into `y` happens in the same region, behind the *last*
-//! level's counter, which (by the same chain) orders every `y` load of
-//! every level before the first copy-back store. Each `ynew` element has
-//! exactly one writer (injective `a`).
 //!
 //! ## When it wins
 //!
@@ -79,23 +52,13 @@
 //! `doacross-plan`'s cost model prices exactly that crossover (its
 //! `barrier` constant is the per-boundary price).
 
-use crate::completion::{Completion, RegionGuard};
 use crate::error::DoacrossError;
-use crate::executor::DEADLINE_ITER_PERIOD;
 use crate::oracle::Claims;
 use crate::pattern::DoacrossLoop;
-use crate::post::{post_share, PhaseClock, Post};
-use crate::runtime::{check_y_len, region_stats, Doacross, DoacrossConfig};
-use crate::stats::{DepCounts, LocalCounters, PlanProvenance, RunStats, StatsSink};
-use doacross_obs::profile::{ProfArena, SpanKind};
-use doacross_par::{CachePadded, Schedule, SharedSlice, ThreadPool, WaitAbort};
+use crate::runtime::check_y_len;
+use crate::stats::DepCounts;
+use doacross_par::Schedule;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-/// Fault-injection site consulted once per wavefront region; armed
-/// actions apply per iteration.
-pub(crate) const FAILPOINT_ITER: &str = "core::wavefront::iter";
 
 /// Where an executor resolves a right-hand-side operand from — Figure 5's
 /// three-way check, decided at preprocessing time instead of per run.
@@ -443,12 +406,13 @@ impl Claims for ClaimStream {
 
     #[inline]
     fn class(&self, row: &[u8], j: usize, _off: usize) -> OperandClass {
-        // Every byte was validated at construction.
-        match row[j] {
-            0 => OperandClass::NewValue,
-            1 => OperandClass::OldValue,
-            _ => OperandClass::Accumulator,
-        }
+        // Every byte was validated at construction, so this never panics
+        // on a row of this stream. Decoded through the checked `from_u8`:
+        // with a catch-all arm here the compiler turned the decode into a
+        // select chain that the driver's match on the class then tested
+        // again, about six more instructions per reference (x86-64); with
+        // every value explicit, the driver branches on the byte itself.
+        OperandClass::from_u8(row[j]).expect("a validated class byte")
     }
 }
 
@@ -475,346 +439,6 @@ pub(crate) fn grained(base: Schedule, grain: usize) -> Schedule {
             min_chunk: grain.max(1),
         },
         fixed => fixed,
-    }
-}
-
-/// One level's shared cells — the self-scheduling claim counter and the
-/// completion count — on one cache line (the same workers touch both at
-/// the same time), padded away from the next level's.
-#[derive(Debug, Default)]
-pub(crate) struct LevelCell {
-    claim: AtomicUsize,
-    done: Completion,
-}
-
-/// What a worker owes the region before each iteration: one poll of the
-/// fault latch, and a deadline clock read every [`DEADLINE_ITER_PERIOD`]
-/// iterations executed.
-#[inline]
-fn poll_faults(
-    guard: &RegionGuard<'_>,
-    executed: u64,
-    next_tick: &mut u64,
-) -> Result<(), WaitAbort> {
-    if let Some(fault) = guard.poison.fault() {
-        return Err(WaitAbort::Poisoned(fault));
-    }
-    if let Some(deadline) = guard.deadline {
-        if executed >= *next_tick {
-            *next_tick = executed + DEADLINE_ITER_PERIOD;
-            if Instant::now() >= deadline {
-                return Err(WaitAbort::DeadlineExpired);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs the level-scheduled executor: one parallel region for the whole
-/// solve — every level a self-scheduled doall over
-/// [`ClaimStream::level_slots`], entered once the previous level's
-/// completion count is full, then claimed chunks of the copy-back once the
-/// last level's is. No `ready` flags, no writer map — operands are
-/// resolved from the stream's class bytes, slot by slot (see module docs).
-/// Returns the region's wall time split into `(executor, post)`.
-///
-/// Levels complete by work, not attendance, so under a dynamic base
-/// schedule the region is joinable ([`ThreadPool::run_joinable`]): the
-/// dispatching thread walks every level itself and helpers join while it
-/// does; a static base schedule keeps full attendance.
-///
-/// * `chunk`: `Some(c)` claims `c` slots per counter grab on every level;
-///   `None` picks [`claim_grain`] from each level's width (dynamic base
-///   schedules only — static schedules ignore chunking entirely).
-/// * `cells` must hold at least one cell per level, all zero on entry.
-/// * With `prof` set, each worker that joined the region records per
-///   level one [`SpanKind::Work`] span (`aux` = iterations executed in that
-///   level) and, between adjacent levels, one [`SpanKind::BarrierWait`]
-///   span for its wait on the earlier level's counter — so each joined
-///   worker's span count equals the run's `barrier_crossings` and the
-///   per-level totals feed the profiler's level histograms. `None` costs
-///   one branch per would-be span.
-///
-/// The failpoint, the fault poll and the deadline tick are paid once per
-/// iteration, whatever the claiming policy (a static share is one claim
-/// for a whole level, so nothing coarser polls inside a wide level).
-/// Bounds are enforced with release-mode asserts on every index the loop
-/// supplies, mirroring the flat executor: the plan already proved the
-/// structure in-bounds.
-#[allow(clippy::too_many_arguments)]
-fn run_levels<L>(
-    pool: &ThreadPool,
-    config: &DoacrossConfig,
-    chunk: Option<usize>,
-    loop_: &L,
-    stream: &ClaimStream,
-    y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    cells: &[CachePadded<LevelCell>],
-    sink: &StatsSink,
-    prof: Option<&ProfArena>,
-) -> (Duration, Duration)
-where
-    L: DoacrossLoop + ?Sized,
-{
-    let nworkers = pool.threads();
-    let nlevels = stream.level_count();
-    if nlevels == 0 {
-        return (Duration::ZERO, Duration::ZERO);
-    }
-    assert!(cells.len() >= nlevels, "one cell per level");
-    let data_len = loop_.data_len();
-    let width_of = |l: usize| stream.level_slots(l).len();
-    let last = nlevels - 1;
-    // Fault containment (same shape as the flat executor): a worker that
-    // panics mid-level never counts its iterations, so both the claim loop
-    // and the level gates poll the region's poison word and the optional
-    // deadline. The last level's counter gates the copy-back: a waiter may
-    // only give up on the deadline while that count can still be kept from
-    // filling.
-    let guard = RegionGuard {
-        wait: config.wait,
-        poison: pool.poison(),
-        deadline: pool.deadline(),
-        commit: (&cells[last].done, width_of(last)),
-    };
-    let failpoint = failpoint::lookup(FAILPOINT_ITER);
-    let clock = PhaseClock::start();
-    let post_claim = AtomicUsize::new(0);
-
-    pool.run_for(config.schedule, |worker| {
-        // Nothing is counted per reference or per wait here (the stream
-        // knows its class totals and no flag is ever polled), so a worker
-        // that leaves early has no partial counters to hand over.
-        let bail = |abort: WaitAbort| -> ! {
-            guard.bail(sink, worker, &mut LocalCounters::default(), abort)
-        };
-        let mut executed: u64 = 0;
-        let mut next_tick = DEADLINE_ITER_PERIOD;
-        for (l, cell) in cells[..nlevels].iter().enumerate() {
-            if l > 0 {
-                let wait_started = prof.map(|arena| arena.now_ns());
-                if let Err(abort) = cells[l - 1].done.wait(width_of(l - 1), &guard) {
-                    bail(abort);
-                }
-                if let (Some(arena), Some(started)) = (prof, wait_started) {
-                    let end = arena.now_ns();
-                    arena.record(
-                        worker,
-                        SpanKind::BarrierWait,
-                        (l - 1) as u32,
-                        started,
-                        end.saturating_sub(started),
-                        0,
-                    );
-                }
-            }
-            let level = stream.level_slots(l);
-            let width = level.len();
-            let level_sched = match (config.schedule, chunk) {
-                (Schedule::Dynamic { .. }, None) => Schedule::Dynamic {
-                    chunk: claim_grain(width, nworkers),
-                },
-                (base, Some(c)) => grained(base, c),
-                (base, None) => base,
-            };
-            let level_started = prof.map(|arena| arena.now_ns());
-            let executed_before = executed;
-            level_sched.drive(worker, nworkers, width, &cell.claim, |k| {
-                let slot = level.start + k;
-                let i = stream.iteration(slot);
-                executed += 1;
-                failpoint::hit(failpoint, i as u64);
-                if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
-                    bail(abort);
-                }
-                let lhs = loop_.lhs(i);
-                assert!(lhs < data_len, "wavefront: lhs {lhs} out of bounds");
-
-                // S2: seed from the old value of the output element.
-                // SAFETY: y is read-only until the last level's gate; bounds
-                // asserted.
-                let mut acc = loop_.init(i, unsafe { y.read(lhs) });
-
-                let terms = loop_.terms(i);
-                let row = stream.row(slot, i, terms);
-                for j in 0..terms {
-                    let off = loop_.term_element(i, j);
-                    assert!(off < data_len, "wavefront: term {off} out of bounds");
-                    let operand = match stream.class(row, j, off) {
-                        // SAFETY: bounds asserted above. True dependency:
-                        // the writer's level is strictly earlier; its plain
-                        // `ynew` store happens-before this load via that
-                        // level's completion count (module docs).
-                        OperandClass::NewValue => unsafe { ynew.read(off) },
-                        // SAFETY: antidependency / never written — the old
-                        // value; `y` is read-only until the last level's
-                        // gate; bounds asserted above.
-                        OperandClass::OldValue => unsafe { y.read(off) },
-                        // Intra-iteration: the register accumulator.
-                        OperandClass::Accumulator => {
-                            debug_assert_eq!(off, lhs, "class says intra but off != lhs");
-                            acc
-                        }
-                    };
-                    acc = loop_.combine(i, j, acc, operand);
-                }
-
-                // SAFETY: bounds asserted; `lhs` has this iteration as its
-                // unique writer (injective `a`), and no other level touches
-                // it this run.
-                unsafe { ynew.write(lhs, loop_.finish(i, acc)) };
-            });
-            let in_level = (executed - executed_before) as usize;
-            if let (Some(arena), Some(started)) = (prof, level_started) {
-                let end = arena.now_ns();
-                arena.record(
-                    worker,
-                    SpanKind::Work,
-                    l as u32,
-                    started,
-                    end.saturating_sub(started),
-                    in_level as u64,
-                );
-            }
-            // One add per worker per level, and none from a worker that
-            // claimed nothing: a level is complete by work, not attendance.
-            if in_level > 0 && cell.done.add(in_level, width) && l == last {
-                clock.gate_opened();
-            }
-        }
-        let (last_done, last_width) = guard.commit;
-        if let Err(abort) = last_done.wait(last_width, &guard) {
-            bail(abort);
-        }
-        // SAFETY: the last level's count is full, which orders every
-        // level's `y` loads and `ynew` stores before this point (module
-        // docs).
-        unsafe {
-            post_share(
-                loop_,
-                0..stream.iterations(),
-                0,
-                Post { map: None },
-                y,
-                ynew,
-                &post_claim,
-            )
-        };
-    });
-    clock.split()
-}
-
-impl Doacross {
-    /// Runs `loop_` under a prebuilt wavefront [`ClaimStream`] as a
-    /// sequence of level doalls in one pool region, updating `y` exactly as
-    /// the sequential source loop would. The returned stats report zero
-    /// `stalls` and zero `wait_polls` by construction — there are no flags
-    /// to poll — and `deps` stamped from the stream's
-    /// [`ClaimStream::class_counts`]; of the runtime's scratch only the
-    /// shadow array and the per-level cells are touched. Both grow to the
-    /// largest data space / deepest level structure seen and are then
-    /// reused (the paper's §2.1 scratch-reuse economics), so a workload
-    /// alternating structures — an L and a U factor, many tenants — does
-    /// not churn allocations.
-    ///
-    /// `chunk` is the per-grab chunk size of the within-level
-    /// self-scheduling: `None` derives it from each level's width
-    /// ([`claim_grain`]); `Some(1)` reproduces the paper's one-iteration
-    /// Multimax policy (the chunking ablation's baseline). With `prof` set,
-    /// each worker records one [`SpanKind::Work`] span per level and one
-    /// [`SpanKind::BarrierWait`] span per level boundary.
-    ///
-    /// A loop whose per-iteration reference counts differ from the
-    /// stream's is rejected before dispatch with
-    /// [`DoacrossError::ScheduleTermsMismatch`].
-    ///
-    /// # Panics
-    /// When `stream` carries no level offsets — it was built for a flag
-    /// variant; `doacross-plan` never pairs one with the wavefront.
-    ///
-    /// ```
-    /// use doacross_core::{ClaimStream, Doacross, IndirectLoop};
-    /// use doacross_core::seq::run_sequential;
-    /// use doacross_par::ThreadPool;
-    ///
-    /// // y[i+1] += y[i]: a chain — levels are the iterations themselves.
-    /// let n = 64;
-    /// let a: Vec<usize> = (1..=n).collect();
-    /// let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    /// let loop_ = IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
-    ///
-    /// // Level assignment for the chain: level(i) = i + 1; every reference is
-    /// // a true dependency except iteration 0's read of the unwritten y[0].
-    /// let levels: Vec<usize> = (1..=n).collect();
-    /// let term_offsets: Vec<usize> = (0..=n).collect();
-    /// let mut classes = vec![0u8; n];
-    /// classes[0] = 1;
-    /// let stream = ClaimStream::from_levels(&levels, n, &term_offsets, classes).unwrap();
-    ///
-    /// let pool = ThreadPool::new(2);
-    /// let mut rt = Doacross::new(n + 1);
-    /// let mut y = vec![1.0; n + 1];
-    /// let mut oracle = y.clone();
-    /// let stats = rt.run_wavefront(&pool, &loop_, &mut y, &stream, None, None).unwrap();
-    /// run_sequential(&loop_, &mut oracle);
-    /// assert_eq!(y, oracle);
-    /// assert_eq!(stats.wait_polls, 0, "no busy waiting, ever");
-    /// ```
-    pub fn run_wavefront<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        stream: &ClaimStream,
-        chunk: Option<usize>,
-        prof: Option<&ProfArena>,
-    ) -> Result<RunStats, DoacrossError> {
-        assert!(
-            stream.level_offsets().is_some(),
-            "run_wavefront needs a stream with level offsets"
-        );
-        let data_len = check_stream(loop_, y, stream)?;
-        let nlevels = stream.level_count();
-        self.ensure_data_len(data_len);
-        if nlevels > self.cells.len() {
-            self.cells.resize_with(nlevels, CachePadded::default);
-        }
-
-        let mut stats = region_stats(pool, loop_.iterations(), PlanProvenance::PlanCold);
-        let t_start = Instant::now();
-
-        // Per-level claim and completion counters start at zero every run
-        // (they are dirty after the previous one); O(levels), off the
-        // parallel path.
-        for cell in &self.cells[..nlevels] {
-            cell.claim.store(0, Ordering::Relaxed);
-            cell.done.reset();
-        }
-
-        // Executor and copy-back: all levels inside one pool dispatch, a
-        // completion count between each pair, the copy-back behind the
-        // last (no flags to retire — a wavefront run raises none).
-        self.sink.ensure_workers(pool.threads());
-        (stats.executor, stats.post) = run_levels(
-            pool,
-            &self.config,
-            chunk,
-            loop_,
-            stream,
-            SharedSlice::new(y),
-            SharedSlice::new(&mut self.ynew[..data_len]),
-            &self.cells[..nlevels],
-            &self.sink,
-            prof,
-        );
-        stats.deps = stream.class_counts();
-        // The wavefront's synchronization bill: one boundary between each
-        // pair of adjacent levels. Without this, `wait_polls == 0` by
-        // construction makes the variant's synchronization cost invisible.
-        stats.barrier_crossings = nlevels.saturating_sub(1) as u64;
-        stats.total = t_start.elapsed();
-        Ok(stats)
     }
 }
 
@@ -845,8 +469,10 @@ pub(crate) fn check_stream<L: DoacrossLoop + ?Sized>(
 mod tests {
     use super::*;
     use crate::pattern::{AccessPattern, IndirectLoop};
+    use crate::runtime::{Doacross, DoacrossConfig};
     use crate::seq::run_sequential;
     use crate::MAXINT;
+    use doacross_par::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -916,7 +542,7 @@ mod tests {
             let mut rt = Doacross::new(301);
             let mut y = y0.clone();
             let stats = rt
-                .run_wavefront(&p, &l, &mut y, &schedule, None, None)
+                .run_planned(&p, &l, &mut y, &schedule, None, None)
                 .unwrap();
             assert_eq!(y, expect, "workers={workers}");
             assert_eq!(stats.wait_polls, 0);
@@ -949,7 +575,7 @@ mod tests {
         let mut rt = Doacross::new(dl);
         let mut y = y0.clone();
         let stats = rt
-            .run_wavefront(&pool(), &l, &mut y, &schedule, None, None)
+            .run_planned(&pool(), &l, &mut y, &schedule, None, None)
             .unwrap();
         assert_eq!(y, expect);
         assert_eq!(
@@ -997,7 +623,7 @@ mod tests {
                     },
                 );
                 let mut y = y0.clone();
-                rt.run_wavefront(&p, &l, &mut y, &schedule, chunk, None)
+                rt.run_planned(&p, &l, &mut y, &schedule, chunk, None)
                     .unwrap();
                 assert_eq!(y, expect, "{config_schedule:?} chunk {chunk:?}");
             }
@@ -1014,11 +640,11 @@ mod tests {
         let mut rt = Doacross::new(0);
         for _ in 0..3 {
             let mut y = vec![1.0; 11];
-            rt.run_wavefront(&p, &small, &mut y, &sched_small, None, None)
+            rt.run_planned(&p, &small, &mut y, &sched_small, None, None)
                 .unwrap();
             assert_eq!(y, oracle(&small, &[1.0; 11]));
             let mut y = vec![1.0; 81];
-            rt.run_wavefront(&p, &big, &mut y, &sched_big, None, None)
+            rt.run_planned(&p, &big, &mut y, &sched_big, None, None)
                 .unwrap();
             assert_eq!(y, oracle(&big, &[1.0; 81]));
         }
@@ -1043,7 +669,7 @@ mod tests {
                     rt.run_linear(&p, &l, &mut y, sub, Some(&identity))
                 }
                 "blocked" => rt.run_blocked(&p, &l, &mut y, 7),
-                _ => rt.run_wavefront(&p, &l, &mut y, &schedule_of(&l), None, None),
+                _ => rt.run_planned(&p, &l, &mut y, &schedule_of(&l), None, None),
             }
             .unwrap();
             assert_eq!(y, oracle(&l, &vec![1.0; n + 1]), "{how} n={n}");
@@ -1068,13 +694,13 @@ mod tests {
         let mut rt = Doacross::new(10);
         let mut y = vec![1.0; 9];
         assert!(matches!(
-            rt.run_wavefront(&pool(), &l, &mut y, &schedule, None, None),
+            rt.run_planned(&pool(), &l, &mut y, &schedule, None, None),
             Err(DoacrossError::PlanMismatch { .. })
         ));
         let good = schedule_of(&l);
         let mut short = vec![1.0; 3];
         assert!(matches!(
-            rt.run_wavefront(&pool(), &l, &mut short, &good, None, None),
+            rt.run_planned(&pool(), &l, &mut short, &good, None, None),
             Err(DoacrossError::DataLenMismatch { .. })
         ));
 
@@ -1085,7 +711,7 @@ mod tests {
         let termless = IndirectLoop::new(9, a, vec![vec![]; 8], vec![vec![]; 8]).unwrap();
         let mut y = vec![1.0; 9];
         assert!(matches!(
-            rt.run_wavefront(&pool(), &termless, &mut y, &good, None, None),
+            rt.run_planned(&pool(), &termless, &mut y, &good, None, None),
             Err(DoacrossError::ScheduleTermsMismatch {
                 iteration: 0,
                 schedule_terms: 1,
@@ -1102,7 +728,7 @@ mod tests {
         let mut rt = Doacross::new(0);
         let mut y: Vec<f64> = vec![];
         let stats = rt
-            .run_wavefront(&pool(), &l, &mut y, &schedule, None, None)
+            .run_planned(&pool(), &l, &mut y, &schedule, None, None)
             .unwrap();
         assert_eq!(stats.deps.total(), 0);
     }

@@ -107,7 +107,7 @@ pub use doacross_adapt::{AdaptiveConfig, TelemetryEntry, TelemetryTotals};
 // [`Engine::recent_solves`]). Metric names are documented at
 // [`doacross_obs`]'s crate root.
 pub use doacross_obs::{
-    Obs, ObsConfig, ObsFault, ObsProvenance, ObsSink, ObsVariant, SolveOutcome, SolveRecord,
+    Obs, ObsConfig, ObsFault, ObsSink, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord,
     TraceEvent, TracedEvent,
 };
 // The deep-profiling vocabulary ([`EngineBuilder::profiling`], the

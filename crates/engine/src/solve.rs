@@ -68,7 +68,7 @@ use doacross_core::{
     PlanProvenance, RunStats,
 };
 use doacross_obs::profile::{ProfArena, ProfileSummary, Profiler, SpanSource};
-use doacross_obs::{ObsFault, ObsProvenance, ObsVariant, SolveOutcome, SolveRecord, TraceEvent};
+use doacross_obs::{ObsFault, ObsVariant, SolveOutcome, SolveRecord, TraceEvent};
 use doacross_par::RegionFault;
 use doacross_plan::{execute_sequential, ExecutionPlan, PlanExecutor, PlanVariant};
 use doacross_sched::PoolGuard;
@@ -81,16 +81,6 @@ use std::time::{Duration, Instant};
 /// Nanoseconds of `d`, saturating — the width every emitted duration has.
 pub(crate) fn clamp_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// The observability view of a core provenance. A free function because
-/// both types are foreign to this crate (orphan rule).
-fn obs_provenance(p: PlanProvenance) -> ObsProvenance {
-    match p {
-        PlanProvenance::Inline => ObsProvenance::Inline,
-        PlanProvenance::PlanCold => ObsProvenance::PlanCold,
-        PlanProvenance::PlanCached => ObsProvenance::PlanCached,
-    }
 }
 
 /// What a sub-pool lease comes with, one per sub-pool for the life of the
@@ -545,7 +535,7 @@ impl<'e> Solve<'e> {
                 SolveOutcome::FellBack => ObsVariant::Sequential,
                 _ => self.plan.variant().into(),
             },
-            provenance: obs_provenance(stats.provenance),
+            provenance: stats.provenance,
             generation: self.generation,
             total_ns: clamp_ns(stats.total),
             inspector_ns: clamp_ns(stats.inspector),

@@ -17,8 +17,8 @@ use doacross_core::{
     TestLoop,
 };
 use doacross_engine::{
-    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, ObsProvenance,
-    ObsVariant, PersistError, RetryPolicy, SolveOutcome, SolveProfile, SpanKind, TraceEvent,
+    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, ObsVariant,
+    PersistError, RetryPolicy, SolveOutcome, SolveProfile, SpanKind, TraceEvent,
 };
 use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
 use doacross_sim::CostModel;
@@ -305,7 +305,7 @@ fn assert_fallback_delivers(pools: usize) {
         .iter()
         .find(|r| r.outcome == SolveOutcome::FellBack)
         .unwrap_or_else(|| panic!("no FellBack record: {outcomes:?}"));
-    assert_eq!(fell_back.provenance, ObsProvenance::PlanCold);
+    assert_eq!(fell_back.provenance, PlanProvenance::PlanCold);
     assert_eq!(fell_back.variant, ObsVariant::Sequential);
     assert_eq!(fell_back.workers, 1);
     assert_eq!(

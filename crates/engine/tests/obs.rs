@@ -5,7 +5,7 @@
 //! numbers against the engine's own counters.
 
 use doacross_core::{AccessPattern, IndirectLoop, TestLoop};
-use doacross_engine::{Engine, ObsConfig, ObsProvenance, SolveOutcome, TraceEvent};
+use doacross_engine::{Engine, ObsConfig, PlanProvenance, SolveOutcome, TraceEvent};
 use doacross_plan::{PlanVariant, Planner};
 use doacross_sim::CostModel;
 use std::collections::BTreeMap;
@@ -301,7 +301,7 @@ fn recent_solves_returns_the_last_n_with_variant_and_provenance() {
     let expected_fp = doacross_obs::FpId::from(&doacross_plan::PatternFingerprint::of(&loop_));
     for s in &solves {
         assert_eq!(s.fp, expected_fp);
-        assert_eq!(s.provenance, ObsProvenance::PlanCached);
+        assert_eq!(s.provenance, PlanProvenance::PlanCached);
         assert!(s.total_ns > 0);
         assert!(s.workers >= 1, "a solve always reports its worker count");
         assert_eq!(s.outcome, SolveOutcome::Ok, "clean solves record Ok");
@@ -317,7 +317,7 @@ fn recent_solves_returns_the_last_n_with_variant_and_provenance() {
         last.fp,
         doacross_obs::FpId::from(&doacross_plan::PatternFingerprint::of(&other))
     );
-    assert_eq!(last.provenance, ObsProvenance::PlanCold);
+    assert_eq!(last.provenance, PlanProvenance::PlanCold);
 }
 
 #[test]

@@ -116,6 +116,12 @@ fn flat_executor_spans_reconcile_with_run_stats() {
             work.iter().map(|s| s.aux).sum::<u64>(),
             stats.iterations as u64
         );
+        // The flag gate runs one level, and its spans carry no level label.
+        assert!(
+            work.iter().all(|s| s.level == NO_LEVEL),
+            "{:?}",
+            work.iter().map(|s| s.level).collect::<Vec<_>>()
+        );
 
         // One FlagWait span per counted stall, and the poll payloads sum
         // to the executor's own wait-poll counter — wait attribution is
@@ -176,6 +182,35 @@ fn wavefront_spans_reconcile_with_barrier_crossings() {
             .filter(|s| s.worker == worker && s.kind == SpanKind::Work)
             .count() as u64;
         assert!(per_level <= nlevels, "worker {worker}: {per_level} levels");
+    }
+
+    // The `level` labels the per-level histograms are built from: a joined
+    // worker's Work spans name distinct levels of the structure, and its
+    // BarrierWait spans name exactly the levels it waited out.
+    let levels_of = |worker: u32, kind: SpanKind| -> Vec<u64> {
+        let mut levels: Vec<u64> = profile
+            .spans
+            .iter()
+            .filter(|s| s.worker == worker && s.kind == kind)
+            .map(|s| u64::from(s.level))
+            .collect();
+        levels.sort_unstable();
+        levels
+    };
+    for &worker in &joined {
+        let mut work = levels_of(worker, SpanKind::Work);
+        let before = work.len();
+        work.dedup();
+        assert_eq!(work.len(), before, "worker {worker}: a level twice");
+        assert!(
+            work.iter().all(|&l| l < nlevels),
+            "worker {worker}: {work:?} against {nlevels} levels"
+        );
+        assert_eq!(
+            levels_of(worker, SpanKind::BarrierWait),
+            (0..stats.barrier_crossings).collect::<Vec<_>>(),
+            "worker {worker}"
+        );
     }
     assert_eq!(
         profile

@@ -1,10 +1,10 @@
 //! The trace vocabulary: every structured event the engine can emit.
 //!
-//! This crate deliberately owns its own copies of the engine's small
-//! enums ([`ObsVariant`], [`ObsProvenance`]) instead of depending on
-//! `doacross-plan` / `doacross-core` — the observability layer sits *below*
-//! every other crate in the dependency graph so all of them can emit into
-//! it. The producing crates provide `From` conversions on their side.
+//! The observability layer sits *below* every other crate in the
+//! dependency graph so all of them can emit into it. So it defines the
+//! small enums its records carry: [`PlanProvenance`], which
+//! `doacross-core` re-exports as its own, and [`ObsVariant`], which
+//! mirrors the planner's variant kinds.
 
 /// A pattern fingerprint reduced to its two independent 64-bit hash
 /// streams — enough to identify a structure in traces and metric labels
@@ -94,47 +94,83 @@ impl std::fmt::Display for ObsVariant {
     }
 }
 
-/// Where a solve's plan came from, mirroring `RunStats`' `PlanProvenance`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ObsProvenance {
-    /// No plan involved: inspector ran inline with the executor.
+/// Where a run's preprocessing came from — how the executor learned the
+/// writer of every element. `RunStats` carries it, and so does every
+/// solve the observability layer records, under this one definition.
+///
+/// The paper's amortization argument (§2.1: inspect once, execute many
+/// times) is only real if callers can *observe* that a given run skipped
+/// the inspector. This enum is that observation: plan-driven runs report
+/// whether their preprocessing products were built for this call or served
+/// from a cache, and a planned run's `inspector` duration is exactly zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum PlanProvenance {
+    /// Preprocessing (if any) ran inside this call — the classic
+    /// inspector-per-run construct.
+    #[default]
     Inline,
-    /// A plan was built for this solve (cache miss).
+    /// A prebuilt execution plan was supplied and its preprocessing was
+    /// performed for this call (a cache miss or an explicit plan).
     PlanCold,
-    /// A previously built plan was reused (cache hit).
+    /// The execution plan was served from a plan cache: no planning work
+    /// (fingerprint census, dependence analysis, variant selection,
+    /// inspection capture) happened in this call. Whatever preprocessing is
+    /// *inherent to the selected variant* still runs — notably the
+    /// strip-mined variant re-inspects per block, because its windowed
+    /// scratch arrays cannot outlive a block; check `inspector` for the
+    /// per-run bill. The flat planned variants report `inspector == 0`.
     PlanCached,
 }
 
-impl ObsProvenance {
-    /// All provenances, in [`ObsProvenance::index`] order.
-    pub const ALL: [ObsProvenance; 3] = [
-        ObsProvenance::Inline,
-        ObsProvenance::PlanCold,
-        ObsProvenance::PlanCached,
+impl PlanProvenance {
+    /// All provenances, in [`PlanProvenance::index`] order.
+    pub const ALL: [PlanProvenance; 3] = [
+        PlanProvenance::Inline,
+        PlanProvenance::PlanCold,
+        PlanProvenance::PlanCached,
     ];
 
     /// Dense index (0..3) for per-provenance metric arrays.
     pub fn index(self) -> usize {
         match self {
-            ObsProvenance::Inline => 0,
-            ObsProvenance::PlanCold => 1,
-            ObsProvenance::PlanCached => 2,
+            PlanProvenance::Inline => 0,
+            PlanProvenance::PlanCold => 1,
+            PlanProvenance::PlanCached => 2,
         }
     }
 
     /// The `provenance` metric-label value.
     pub fn as_str(self) -> &'static str {
         match self {
-            ObsProvenance::Inline => "inline",
-            ObsProvenance::PlanCold => "plan_cold",
-            ObsProvenance::PlanCached => "plan_cached",
+            PlanProvenance::Inline => "inline",
+            PlanProvenance::PlanCold => "plan_cold",
+            PlanProvenance::PlanCached => "plan_cached",
+        }
+    }
+
+    /// How much per-call preprocessing work the provenance implies:
+    /// `Inline` (2) ran the inspector in this call, `PlanCold` (1) built a
+    /// plan for this call, `PlanCached` (0) reused one. Aggregation keeps
+    /// the *coldest* constituent (`RunStats::absorb`) so a merged stat
+    /// never claims more amortization than its worst block had.
+    pub fn coldness(self) -> u8 {
+        match self {
+            PlanProvenance::Inline => 2,
+            PlanProvenance::PlanCold => 1,
+            PlanProvenance::PlanCached => 0,
         }
     }
 }
 
-impl std::fmt::Display for ObsProvenance {
+/// The human-readable form (`inline`, `plan:cold`, `plan:cached`) that
+/// run summaries print; metric labels use [`PlanProvenance::as_str`].
+impl std::fmt::Display for PlanProvenance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(match self {
+            PlanProvenance::Inline => "inline",
+            PlanProvenance::PlanCold => "plan:cold",
+            PlanProvenance::PlanCached => "plan:cached",
+        })
     }
 }
 
@@ -220,7 +256,7 @@ pub struct SolveRecord {
     /// Variant that executed.
     pub variant: ObsVariant,
     /// Where the plan came from.
-    pub provenance: ObsProvenance,
+    pub provenance: PlanProvenance,
     /// Cache generation of the plan at execute time.
     pub generation: u64,
     /// Wall time of the whole solve.
@@ -578,7 +614,7 @@ impl TraceEvent {
                     ",\"fp\":\"{}\",\"variant\":\"{}\",\"provenance\":\"{}\",\"generation\":{},\"total_ns\":{},\"inspector_ns\":{},\"executor_ns\":{},\"post_ns\":{},\"iterations\":{},\"workers\":{},\"stalls\":{},\"wait_polls\":{},\"barrier_crossings\":{},\"pool\":{},\"outcome\":\"{}\"",
                     record.fp,
                     record.variant,
-                    record.provenance,
+                    record.provenance.as_str(),
                     record.generation,
                     record.total_ns,
                     record.inspector_ns,

@@ -85,13 +85,13 @@ impl VerifyRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FpId, ObsProvenance, ObsVariant, SolveOutcome};
+    use crate::event::{FpId, ObsVariant, PlanProvenance, SolveOutcome};
 
     fn record(i: u64) -> SolveRecord {
         SolveRecord {
             fp: FpId(i, i),
             variant: ObsVariant::Doacross,
-            provenance: ObsProvenance::PlanCached,
+            provenance: PlanProvenance::PlanCached,
             generation: i,
             total_ns: i * 10,
             inspector_ns: 0,

@@ -102,7 +102,7 @@ pub mod render;
 mod trace;
 
 pub use event::{
-    CandidatePrices, ColdStartReason, FpId, ObsFault, ObsProvenance, ObsVariant, SolveOutcome,
+    CandidatePrices, ColdStartReason, FpId, ObsFault, ObsVariant, PlanProvenance, SolveOutcome,
     SolveRecord, TraceEvent, TracedEvent, VerifyRecord,
 };
 pub use fphash::{FpBuildHasher, FpHasher, FpMap};
@@ -435,7 +435,7 @@ impl Obs {
 
         let mut solve_samples: Vec<([(&str, &str); 2], u64)> = Vec::new();
         for v in ObsVariant::ALL {
-            for p in ObsProvenance::ALL {
+            for p in PlanProvenance::ALL {
                 let n = load(&r.solves[v.index()][p.index()]);
                 if n > 0 {
                     solve_samples.push(([("variant", v.as_str()), ("provenance", p.as_str())], n));
@@ -780,7 +780,7 @@ impl Obs {
         buf.push_str("\"solves\":{");
         let mut first = true;
         for v in ObsVariant::ALL {
-            for p in ObsProvenance::ALL {
+            for p in PlanProvenance::ALL {
                 let n = load(&r.solves[v.index()][p.index()]);
                 if n > 0 {
                     if !first {
@@ -882,7 +882,7 @@ mod tests {
             record: SolveRecord {
                 fp,
                 variant,
-                provenance: ObsProvenance::PlanCached,
+                provenance: PlanProvenance::PlanCached,
                 generation: 1,
                 total_ns: ns,
                 inspector_ns: 0,

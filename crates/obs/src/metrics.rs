@@ -236,7 +236,7 @@ pub struct VariantLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ObsProvenance;
+    use crate::event::PlanProvenance;
 
     #[test]
     fn bucket_bounds_are_strictly_increasing_factor_4() {
@@ -268,7 +268,7 @@ mod tests {
             let record = crate::SolveRecord {
                 fp: FpId(i, 0),
                 variant: ObsVariant::Doacross,
-                provenance: ObsProvenance::PlanCached,
+                provenance: PlanProvenance::PlanCached,
                 generation: 0,
                 total_ns: 100,
                 inspector_ns: 0,

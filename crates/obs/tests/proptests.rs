@@ -8,7 +8,7 @@ use doacross_obs::profile::{
     ProfConfig, ProfSpan, ProfileSummary, Profiler, SpanKind, SpanSource, NO_LEVEL,
 };
 use doacross_obs::{
-    FpId, Obs, ObsConfig, ObsProvenance, ObsVariant, SolveOutcome, SolveRecord, TraceEvent,
+    FpId, Obs, ObsConfig, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord, TraceEvent,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ fn seeded_record(seed: u64, variant: ObsVariant) -> SolveRecord {
     SolveRecord {
         fp: FpId(seed, !seed),
         variant,
-        provenance: ObsProvenance::PlanCached,
+        provenance: PlanProvenance::PlanCached,
         generation: seed % 5,
         total_ns: seed.wrapping_mul(3).wrapping_add(1),
         inspector_ns: 0,

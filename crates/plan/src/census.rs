@@ -293,7 +293,7 @@ impl CensusPass {
         ClaimStream::from_parts(narrowed(order)?, ends, classes, narrowed(level_offsets)?)
     }
 
-    /// All three stages at once: the wavefront executor's artifact, or
+    /// All three stages at once: the wavefront's level stream, or
     /// `None` for patterns it cannot run (non-injective left-hand sides,
     /// out-of-bounds subscripts) — exactly the patterns the flat construct
     /// rejects too.

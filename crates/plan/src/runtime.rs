@@ -28,9 +28,9 @@
 //! settable nowhere. The hint is how many consecutive slots are expected
 //! to be independent: the level-sorted order's average parallelism for
 //! `Reordered`, the minimum true-dependence distance for the natural order
-//! (so a distance-1 loop keeps the paper's one-iteration claims), each
-//! level's own width for the wavefront (taken inside
-//! [`Doacross::run_wavefront`]). It sizes the grabs of a dynamic base
+//! (so a distance-1 loop keeps the paper's one-iteration claims). The
+//! wavefront passes no grain, and [`Doacross::run_planned`] takes each
+//! level's own width as its hint. It sizes the grabs of a dynamic base
 //! schedule; a static `config.schedule` is honoured as it is.
 
 use crate::plan::{ExecutionPlan, PlanVariant};
@@ -132,8 +132,9 @@ impl PlanExecutor {
         Ok(stats)
     }
 
-    /// The three stream-backed variants, with the claim grain derived (see
-    /// the module docs). Out of line, so [`Self::execute`]'s own arms
+    /// The three stream-backed variants through the one planned entry, with
+    /// the claim grain derived (see the module docs); the stream's level
+    /// offsets pick the gate. Out of line, so [`Self::execute`]'s own arms
     /// carry none of their code.
     #[inline(never)]
     fn execute_stream<L: DoacrossLoop + ?Sized>(
@@ -149,15 +150,11 @@ impl PlanExecutor {
             .expect("a stream-backed plan carries its stream");
         let census = plan.census();
         let hint = match plan.variant() {
-            PlanVariant::Wavefront => {
-                return self
-                    .runtime
-                    .run_wavefront(pool, loop_, y, stream, None, prof);
-            }
-            PlanVariant::Reordered => census.average_parallelism() as usize,
-            _ => census.min_true_distance.unwrap_or(census.iterations),
+            PlanVariant::Wavefront => None,
+            PlanVariant::Reordered => Some(census.average_parallelism() as usize),
+            _ => Some(census.min_true_distance.unwrap_or(census.iterations)),
         };
-        let grain = claim_grain(hint, pool.threads());
+        let grain = hint.map(|hint| claim_grain(hint, pool.threads()));
         self.runtime
             .run_planned(pool, loop_, y, stream, grain, prof)
     }

@@ -135,7 +135,7 @@ proptest! {
                     arena.reset();
                     let mut y = y0.clone();
                     let stats = rt
-                        .run_wavefront(&pool, &loop_, &mut y, &schedule, chunk, Some(&arena))
+                        .run_planned(&pool, &loop_, &mut y, &schedule, chunk, Some(&arena))
                         .expect("valid");
                     let bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
                     prop_assert_eq!(&bits, &expect, "{}", case);

@@ -121,15 +121,15 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
         t.as_nanos() as f64
     };
 
-    // Level hand-off, measured on the executor that performs it: a chain
-    // (one iteration per level) run by `Doacross::run_wavefront` on two
-    // workers, minus the same loop's sequential time, per level boundary. Nothing
-    // forces the workers to alternate, exactly as nothing does in a real
-    // solve: where they run side by side the count's cache line changes
-    // hands between levels, where they are time-sliced on one CPU whoever
-    // is running streams through alone, and each host prices the boundary
-    // it will actually pay. Long enough that the region's dispatch
-    // disappears in the quotient.
+    // Level hand-off, measured on the driver that performs it: a chain
+    // (one iteration per level) run level-gated by `Doacross::run_planned`
+    // on two workers, minus the same loop's sequential time, per level
+    // boundary. Nothing forces the workers to alternate, exactly as
+    // nothing does in a real solve: where they run side by side the
+    // count's cache line changes hands between levels, where they are
+    // time-sliced on one CPU whoever is running streams through alone, and
+    // each host prices the boundary it will actually pay. Long enough that
+    // the region's dispatch disappears in the quotient.
     let barrier_ns = {
         const LEVELS: usize = 16_384;
         let a: Vec<usize> = (1..=LEVELS).collect();
@@ -157,7 +157,7 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
         let t = best_of(reps, || {
             let mut y = y0.clone();
             let start = Instant::now();
-            rt.run_wavefront(&two, &chain, &mut y, &schedule, None, None)
+            rt.run_planned(&two, &chain, &mut y, &schedule, None, None)
                 .expect("chain schedule");
             let e = start.elapsed();
             std::hint::black_box(&y);

@@ -198,7 +198,7 @@ impl Machine {
     /// are charged per iteration exactly as in the doacross executor, minus
     /// the check cost (no `iter` lookups are needed once levels are known).
     /// `chunk` is the claim-slot count per counter grab, as
-    /// `Doacross::run_wavefront` takes it: `Some(1)` is the paper's
+    /// `Doacross::run_planned` takes it: `Some(1)` is the paper's
     /// one-iteration policy, `None` derives it from each level's width
     /// ([`claim_grain`]). One grab is charged per chunk, and a level cannot
     /// finish faster than its costliest chunk.

@@ -39,17 +39,6 @@ pub mod seq;
 pub mod upper;
 pub mod verify;
 
-// Tests of the forward loop on the runtime's entry points (flat, blocked,
-// doconsider-ordered) and of its doconsider plan.
-#[cfg(test)]
-mod blocked_solver;
-#[cfg(test)]
-mod plan;
-#[cfg(test)]
-mod reordered;
-#[cfg(test)]
-mod solver;
-
 pub use cached::EngineSolver;
 pub use fig7::TriSolveLoop;
 pub use precond::IluPreconditioner;

@@ -244,14 +244,14 @@ proptest! {
             ] {
                 for grain in [1, claim_grain(hint, workers), 16] {
                     let mut y = y0.clone();
-                    let stats = rt.run_planned(&pool, &loop_, &mut y, stream, grain, None)
+                    let stats = rt.run_planned(&pool, &loop_, &mut y, stream, Some(grain), None)
                         .expect("planned run");
                     check(&format!("{what} grain {grain}"), stats, &y)?;
                 }
             }
             for chunk in [Some(1), None, Some(16)] {
                 let mut y = y0.clone();
-                let stats = rt.run_wavefront(&pool, &loop_, &mut y, &wavefront, chunk, None)
+                let stats = rt.run_planned(&pool, &loop_, &mut y, &wavefront, chunk, None)
                     .expect("wavefront run");
                 prop_assert_eq!(stats.wait_polls, 0);
                 check(&format!("wavefront chunk {chunk:?}"), stats, &y)?;
@@ -394,7 +394,7 @@ proptest! {
                         for grain in [1usize, 3, 16] {
                             let mut y = y0.clone();
                             Doacross::new(loop_.data_len())
-                                .run_planned(&pool, &loop_, &mut y, &stream, grain, None)
+                                .run_planned(&pool, &loop_, &mut y, &stream, Some(grain), None)
                                 .expect("accepted mutant executes");
                             prop_assert_eq!(&y, &expect, "accepted mutant must match the oracle");
                         }

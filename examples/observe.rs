@@ -12,7 +12,7 @@
 //! Run: `cargo run --release --example observe`
 
 use preprocessed_doacross::core::TestLoop;
-use preprocessed_doacross::obs::ObsProvenance;
+use preprocessed_doacross::obs::PlanProvenance;
 use preprocessed_doacross::sparse::{ilu0, stencil::seven_point, TriangularMatrix};
 use preprocessed_doacross::trisolve::TriSolveLoop;
 use preprocessed_doacross::Engine;
@@ -68,7 +68,7 @@ fn main() {
     assert_eq!(recent.len() as u64, solves, "every solve was recorded");
     assert_eq!(
         recent.last().unwrap().provenance,
-        ObsProvenance::PlanCached,
+        PlanProvenance::PlanCached,
         "the rerun of the triangular structure was cache-served"
     );
     println!("== flight recorder (last {} solves) ==", recent.len());

@@ -76,6 +76,14 @@
 #                  extended gate proptest and the clamped-critical-path
 #                  structure), and a stored plan whose features its census
 #                  cannot produce is rejected typed, one case per rule.
+#                  And the one region driver, under both of its gates:
+#                  the flag gate and the level gate each match the oracle
+#                  under every static and dynamic schedule and chunking,
+#                  the profiler's spans keep their shape (a flag region's
+#                  work spans carry no level, a level region's name
+#                  distinct levels and its boundary waits exactly the
+#                  levels crossed), and an injected panic or a wedged
+#                  solve resolves typed on every parallel variant.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -222,6 +230,18 @@ for t in decode_rejects_a_non_finite_or_negative_stall_weight \
   decode_rejects_wavefront_rounds_outside_the_level_bounds \
   decode_rejects_features_on_a_gated_or_stream_less_record; do
   named doacross-plan lib "persist::tests::$t"
+done
+
+say "analysis_gate: one region driver, by name"
+named doacross-core lib executor::tests::mixed_pattern_matches_sequential_under_all_schedules
+named doacross-core lib wavefront::tests::all_chunkings_and_schedules_agree
+for t in flat_executor_spans_reconcile_with_run_stats \
+  wavefront_spans_reconcile_with_barrier_crossings; do
+  named doacross-engine profile "$t"
+done
+for t in injected_worker_panic_fails_typed_across_every_parallel_variant \
+  solve_deadline_resolves_a_wedged_solve_typed; do
+  named doacross-engine chaos "$t"
 done
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"

@@ -125,15 +125,6 @@ impl TelemetryEntry {
         self.sum_polls_ns += polls * ns;
     }
 
-    /// Mean failed polls per solve.
-    pub fn mean_polls(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.wait_polls as f64 / self.samples as f64
-        }
-    }
-
     /// Least-squares slope of per-solve nanoseconds over per-solve poll
     /// counts — the *measured* cost of one busy-wait poll, model-free:
     /// solves of the same structure differ in how often readers caught

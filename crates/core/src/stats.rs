@@ -99,16 +99,6 @@ impl RunStats {
         }
     }
 
-    /// Fraction of total time spent outside the executor: the paper's
-    /// "pre/postprocessing overhead". Returns 0 for an empty run.
-    pub fn overhead_fraction(&self) -> f64 {
-        let total = self.total.as_secs_f64();
-        if total == 0.0 {
-            return 0.0;
-        }
-        (self.inspector + self.post).as_secs_f64() / total
-    }
-
     /// Merges another run's statistics into this one (used by the blocked
     /// variant to aggregate per-block runs).
     pub fn absorb(&mut self, other: &RunStats) {
@@ -399,18 +389,6 @@ mod tests {
             ..Default::default()
         };
         assert!(s.to_string().contains("9 barrier crossings"));
-    }
-
-    #[test]
-    fn overhead_fraction_is_bounded() {
-        let mut s = RunStats::default();
-        assert_eq!(s.overhead_fraction(), 0.0);
-        s.inspector = Duration::from_millis(10);
-        s.post = Duration::from_millis(10);
-        s.executor = Duration::from_millis(80);
-        s.total = Duration::from_millis(100);
-        let f = s.overhead_fraction();
-        assert!((f - 0.2).abs() < 1e-9, "{f}");
     }
 
     #[test]

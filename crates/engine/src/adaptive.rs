@@ -24,7 +24,6 @@ use doacross_adapt::{
     SolveSample, StructureState, TelemetryEntry, TelemetryTotals, VariantTelemetry,
 };
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
-use doacross_obs::profile::ProfileSummary;
 use doacross_obs::{FpMap, ObsVariant, TraceEvent};
 use doacross_plan::{
     gated, price_features, ExecutionPlan, PatternFingerprint, Planner, StoredCalibration,
@@ -67,11 +66,6 @@ pub struct AdaptiveStats {
 struct Structure {
     policy: StructureState,
     incumbent: Option<Arc<ExecutionPlan>>,
-    /// The structure's most recent profiled solve (present when the
-    /// engine also runs the deep profiler): realized critical path and
-    /// the work/wait split — stall-structure evidence the policy and
-    /// operators can consult alongside the variant telemetry.
-    profile: Option<ProfileSummary>,
 }
 
 /// What the engine-wide structure lock guards: every structure's state,
@@ -136,18 +130,6 @@ impl AdaptiveRuntime {
         self.telemetry.totals()
     }
 
-    pub(crate) fn telemetry_entries(&self) -> Vec<TelemetryRow> {
-        self.telemetry.entries()
-    }
-
-    pub(crate) fn telemetry_of(
-        &self,
-        fingerprint: &PatternFingerprint,
-        kind: ObsVariant,
-    ) -> Option<TelemetryEntry> {
-        self.telemetry.get(fingerprint, kind)
-    }
-
     /// Restores persisted telemetry (warm start). Returns records taken.
     pub(crate) fn restore_telemetry(&self, records: &[doacross_plan::StoredTelemetry]) -> usize {
         records
@@ -173,25 +155,9 @@ impl AdaptiveRuntime {
         self.telemetry.forget(fingerprint);
     }
 
-    /// The latest profile summary recorded for `fingerprint`, if any.
-    pub(crate) fn profile_evidence(
-        &self,
-        fingerprint: &PatternFingerprint,
-    ) -> Option<ProfileSummary> {
-        self.structures
-            .lock()
-            .map
-            .get(fingerprint)
-            .and_then(|s| s.profile)
-    }
-
     /// The post-execute hook (see module docs). `y` is the solved output
     /// — used only as value material for the baseline probe's scratch
-    /// copy; the probe's timing is value-independent. `profile` is the
-    /// solve's profile summary when the engine also profiles: the
-    /// profiler's stall attribution (wait fraction, realized critical
-    /// path) rides alongside the variant telemetry as the structure's
-    /// evidence, queryable via [`crate::Engine::profile_evidence`].
+    /// copy; the probe's timing is value-independent.
     pub(crate) fn after_solve<L: DoacrossLoop + ?Sized>(
         &self,
         inner: &EngineInner,
@@ -199,7 +165,6 @@ impl AdaptiveRuntime {
         y: &[f64],
         plan: &Arc<ExecutionPlan>,
         stats: &RunStats,
-        profile: Option<ProfileSummary>,
     ) {
         let fingerprint = *plan.fingerprint();
         let kind = ObsVariant::from(plan.variant());
@@ -220,16 +185,12 @@ impl AdaptiveRuntime {
         // tenants' bookkeeping; the policy re-checks its state when the
         // lock is re-taken, so a racing evaluation degrades to a no-op.
         // Trace events decided under the structure lock are emitted after
-        // it is released: a sink is user code, and one that re-enters the
-        // engine (say, `invalidate` on a demotion) must not deadlock on
-        // the lock we would still hold.
+        // it is released, so the engine-wide lock is never held across the
+        // trace ring's own locks.
         let mut decision_event: Option<TraceEvent> = None;
         let wants_evaluation = {
             let mut structures = self.structures.lock();
             let structure = structures.map.entry(fingerprint).or_default();
-            if profile.is_some() {
-                structure.profile = profile;
-            }
             let incumbent_entry = structure
                 .policy
                 .trial()
@@ -486,12 +447,6 @@ impl AdaptiveRuntime {
                 variant: built.variant().into(),
                 sound: verdict.is_ok(),
             });
-            // The verify ring holds the latest verdict per fingerprint —
-            // a challenger's verification is as load-bearing as an
-            // explicit `verify_plan` call, so it lands there too.
-            inner
-                .obs
-                .record_verification(crate::engine::verify_record(&built, verdict.as_ref().ok()));
         }
         if verdict.is_err() {
             return;

@@ -4,7 +4,6 @@
 
 use crate::adaptive::AdaptiveRuntime;
 use crate::engine::Engine;
-use crate::error::EngineError;
 use crate::fault::FallbackPolicy;
 use doacross_adapt::AdaptiveConfig;
 use doacross_core::DoacrossConfig;
@@ -115,9 +114,10 @@ impl EngineBuilder {
     /// sub-pools; a 1-core container gets 1 and behaves exactly like the
     /// historical single-pool engine.
     ///
+    /// A count above [`doacross_sched::MAX_POOLS`] is clamped to it.
+    ///
     /// # Panics
-    /// [`EngineBuilder::build`] panics if `pools` is 0 or exceeds
-    /// [`doacross_sched::MAX_POOLS`].
+    /// [`EngineBuilder::build`] panics if `pools` is 0.
     pub fn pools(mut self, pools: usize) -> Self {
         self.pools = Some(pools);
         self
@@ -221,10 +221,10 @@ impl EngineBuilder {
     /// plan build, cache operation, persistence operation, adaptive
     /// decision, and completed solve emits a structured
     /// [`doacross_obs::TraceEvent`] into a bounded ring, feeds the metric
-    /// registry behind [`crate::Engine::metrics_text`] /
-    /// [`crate::Engine::metrics_json`], and (for solves) the flight
-    /// recorder behind [`crate::Engine::recent_solves`]. Off by default —
-    /// a disabled handle costs one branch per would-be event.
+    /// registry behind [`crate::Engine::metrics_text`], and (for solves)
+    /// the flight recorder behind [`crate::Engine::recent_solves`]. Off
+    /// by default — a disabled handle costs one branch per would-be
+    /// event.
     pub fn observability_default(self) -> Self {
         self.observability(ObsConfig::default())
     }
@@ -324,8 +324,17 @@ impl EngineBuilder {
     /// [`EngineBuilder::planner`] gave one). First-boot
     /// rules as in [`EngineBuilder::warm_start`]: missing or
     /// version-superseded stores are a clean cold start, damaged stores
-    /// are quarantined aside and the boot proceeds cold.
-    pub fn try_build(self) -> Result<Engine, EngineError> {
+    /// are quarantined aside and the boot proceeds cold — no store makes
+    /// a build fail.
+    ///
+    /// # Panics
+    /// Panics while spawning the pools if
+    /// - [`EngineBuilder::workers`] was given 0, or more than 65 536 (one
+    ///   thread pool's limit);
+    /// - [`EngineBuilder::pools`] was given 0.
+    ///
+    /// No warm-start store, however damaged, makes the build panic.
+    pub fn build(self) -> Engine {
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|v| v.get())
@@ -421,19 +430,7 @@ impl EngineBuilder {
         if let Some(store) = &store {
             engine.warm_from(store);
         }
-        Ok(engine)
-    }
-
-    /// Builds the engine; identical to [`EngineBuilder::try_build`] except
-    /// that a failing build panics. Since store quarantine made damaged
-    /// warm starts a cold boot instead of an error, the two only differ
-    /// on future fallible configuration.
-    ///
-    /// # Panics
-    /// Panics if `workers` is 0.
-    pub fn build(self) -> Engine {
-        self.try_build()
-            .expect("engine build failed: configured warm-start store is unreadable")
+        engine
     }
 }
 
@@ -531,29 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_shard_routing_matches_the_adaptive_default() {
-        // Skew test for the adaptive shard count: fingerprints route
-        // consistently between `shard_of` and where traffic actually
-        // lands, at whatever count the host picked.
-        let engine = EngineBuilder::new().workers(2).build();
-        let loops: Vec<TestLoop> = (1..=6).map(|k| TestLoop::new(50 + 10 * k, 1, 7)).collect();
-        for l in &loops {
-            let mut y = l.initial_y();
-            engine.run(l, &mut y).unwrap();
-        }
-        let rows = engine.shard_stats();
-        assert_eq!(rows.len(), doacross_plan::default_shard_count());
-        for l in &loops {
-            let fp = doacross_plan::PatternFingerprint::of(l);
-            let shard = engine.shard_of(&fp);
-            assert!(shard < rows.len());
-            assert!(rows[shard].stats.misses >= 1, "traffic landed on {shard}");
-        }
-        let landed: usize = rows.iter().map(|r| r.len).sum();
-        assert_eq!(landed, engine.cache_len());
-    }
-
-    #[test]
     fn fresh_engine_stats_report_zero_hit_rate() {
         // Regression for the 0/0 hit-rate case: a fresh engine's merged
         // multi-shard stats must report 0.0, never NaN.
@@ -570,11 +544,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let engine = EngineBuilder::new()
-            .workers(2)
-            .warm_start(&path)
-            .try_build()
-            .expect("missing store is first boot, not an error");
+        let engine = EngineBuilder::new().workers(2).warm_start(&path).build();
         assert_eq!(engine.cache_len(), 0);
         assert_eq!(engine.cache_stats().hit_rate(), 0.0);
     }
@@ -613,11 +583,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let store = dir.join("engine.plans");
         std::fs::write(&store, b"garbage bytes, not a store").unwrap();
-        let engine = EngineBuilder::new()
-            .workers(2)
-            .warm_start(&store)
-            .try_build()
-            .expect("corrupt store is quarantined, not fatal");
+        let engine = EngineBuilder::new().workers(2).warm_start(&store).build();
         assert_eq!(engine.cache_len(), 0, "booted cold");
         assert!(!store.exists(), "damaged store moved aside");
         assert!(dir.join("engine.plans.corrupt-0").exists());

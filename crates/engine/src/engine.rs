@@ -3,42 +3,21 @@
 use crate::adaptive::{AdaptiveRuntime, AdaptiveStats};
 use crate::builder::EngineBuilder;
 use crate::error::EngineError;
-use crate::fault::{FallbackPolicy, RetryPolicy};
+use crate::fault::FallbackPolicy;
 use crate::prepared::PreparedLoop;
 use crate::solve::{clamp_ns, LeaseScratch};
-use doacross_adapt::{TelemetryEntry, TelemetryTotals};
+use doacross_adapt::TelemetryTotals;
 use doacross_core::{AccessPattern, DoacrossConfig, DoacrossLoop, RunStats};
-use doacross_obs::profile::{ProfileSummary, Profiler, SolveProfile};
-use doacross_obs::{render, Obs, ObsVariant, SolveRecord, TraceEvent, TracedEvent};
+use doacross_obs::profile::{Profiler, SolveProfile};
+use doacross_obs::{render, Obs, SolveRecord, TraceEvent, TracedEvent};
 use doacross_par::ThreadPool;
 use doacross_plan::{
-    CacheStats, ConcurrentPlanCache, ExecutionPlan, PatternFingerprint, PlanStore, Planner,
-    ShardStats, StoredCalibration,
+    CacheStats, ConcurrentPlanCache, PatternFingerprint, PlanStore, Planner, StoredCalibration,
 };
 use doacross_sched::{PoolSet, PoolStats};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Builds the verify-ring row for one plan-soundness verdict: sound
-/// verdicts carry the verified dependence census, unsound ones zeros
-/// (the verifier stops at the first uncovered edge).
-pub(crate) fn verify_record(
-    plan: &ExecutionPlan,
-    report: Option<&doacross_plan::SoundnessReport>,
-) -> doacross_obs::VerifyRecord {
-    doacross_obs::VerifyRecord {
-        fp: plan.fingerprint().into(),
-        variant: plan.variant().into(),
-        sound: report.is_some(),
-        references: report.map_or(0, |r| r.references),
-        flow_edges: report.map_or(0, |r| r.flow_edges),
-        anti_edges: report.map_or(0, |r| r.anti_edges),
-        intra_refs: report.map_or(0, |r| r.intra_refs),
-        unwritten_refs: report.map_or(0, |r| r.unwritten_refs),
-        output_pairs: report.map_or(0, |r| r.output_pairs),
-    }
-}
 
 /// Shared state behind every [`Engine`] clone and [`PreparedLoop`] handle.
 pub(crate) struct EngineInner {
@@ -190,60 +169,10 @@ impl Engine {
         self.inner.pools.saturations()
     }
 
-    /// The per-solve wall-clock budget
-    /// ([`crate::EngineBuilder::solve_deadline`]), when configured.
-    pub fn solve_deadline(&self) -> Option<Duration> {
-        self.inner.solve_deadline
-    }
-
     /// What this engine does when a parallel solve faults
     /// ([`crate::EngineBuilder::fallback`]).
     pub fn fallback_policy(&self) -> FallbackPolicy {
         self.inner.fallback
-    }
-
-    /// [`PreparedLoop::execute`] with bounded, jittered exponential
-    /// backoff on [`EngineError::Saturated`] — the one transient,
-    /// load-induced failure. Every other error (fault containment's typed
-    /// panics/timeouts included — those already spent the fallback) is
-    /// returned unchanged on first sight: retrying a deterministic
-    /// rejection reproduces it, slower.
-    ///
-    /// Each retry emits a `solve_retried` trace event (counted in
-    /// `doacross_retry_total`), and the retries spent are added to the
-    /// returned [`RunStats::attempts`].
-    pub fn execute_with_retry<L: DoacrossLoop + ?Sized>(
-        &self,
-        handle: &PreparedLoop,
-        loop_: &L,
-        y: &mut [f64],
-        policy: RetryPolicy,
-    ) -> Result<RunStats, EngineError> {
-        let mut delays = policy.delays();
-        let mut retries = 0u32;
-        loop {
-            match handle.execute(loop_, y) {
-                Err(EngineError::Saturated { .. }) if retries < policy.max_retries => {
-                    retries += 1;
-                    if self.inner.obs.enabled() {
-                        self.inner.obs.emit(TraceEvent::SolveRetried {
-                            fp: handle.plan().fingerprint().into(),
-                            attempt: retries as u64,
-                        });
-                    }
-                    if let Some(delay) = delays.next() {
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                    }
-                }
-                Ok(mut stats) => {
-                    stats.attempts += retries;
-                    return Ok(stats);
-                }
-                Err(err) => return Err(err),
-            }
-        }
     }
 
     /// Per-sub-pool dispatch and steal counters, in pool order. The
@@ -262,13 +191,6 @@ impl Engine {
         &self.inner.planner
     }
 
-    /// The doacross configuration executions run under, as given to the
-    /// builder (executors switch `validate_terms` off — see
-    /// [`doacross_plan::PlanExecutor`]).
-    pub fn config(&self) -> &DoacrossConfig {
-        &self.inner.config
-    }
-
     /// Merged traffic counters of the plan cache's shards.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
@@ -282,26 +204,6 @@ impl Engine {
     /// Shard count of the plan cache.
     pub fn shards(&self) -> usize {
         self.inner.cache.shard_count()
-    }
-
-    /// Per-shard occupancy and traffic of the plan cache, in shard order —
-    /// the capacity-tuning view: a shard pinned at full occupancy while
-    /// others idle means this workload's fingerprints skew and the shard
-    /// count (or capacity) wants adjusting. Rows reconcile exactly with
-    /// [`Engine::cache_stats`] / [`Engine::cache_len`].
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.inner.cache.shard_stats()
-    }
-
-    /// The cache shard `fingerprint` routes to — correlates a structure
-    /// with its [`Engine::shard_stats`] row.
-    pub fn shard_of(&self, fingerprint: &PatternFingerprint) -> usize {
-        self.inner.cache.shard_of(fingerprint)
-    }
-
-    /// Whether a plan for `fingerprint` is currently cached.
-    pub fn contains(&self, fingerprint: &PatternFingerprint) -> bool {
-        self.inner.cache.contains(fingerprint)
     }
 
     /// Resolves `pattern` to a [`PreparedLoop`] handle: fingerprint →
@@ -353,42 +255,6 @@ impl Engine {
             generation,
             hit,
         ))
-    }
-
-    /// Statically proves the pattern's plan (cached, or built by this
-    /// call) covers every flow/anti/output dependence its index arrays
-    /// imply — full translation validation via `doacross-verify`, sharing
-    /// no code with the planner's own census. Returns the verified
-    /// dependence census on success and
-    /// [`EngineError::Unsound`] naming the first uncovered dependence edge
-    /// otherwise; either way the outcome is traced as a `plan_verified`
-    /// event and counted in `doacross_verify_{passes,failures}_total`.
-    pub fn verify_plan<P: AccessPattern + ?Sized>(
-        &self,
-        pattern: &P,
-    ) -> Result<doacross_plan::SoundnessReport, EngineError> {
-        let prepared = self.prepare(pattern)?;
-        let plan = prepared.plan();
-        let verdict = plan.verify_against(pattern);
-        if self.inner.obs.enabled() {
-            self.inner.obs.emit(TraceEvent::PlanVerified {
-                fp: plan.fingerprint().into(),
-                variant: plan.variant().into(),
-                sound: verdict.is_ok(),
-            });
-            self.inner
-                .obs
-                .record_verification(verify_record(plan, verdict.as_ref().ok()));
-        }
-        verdict.map_err(EngineError::Unsound)
-    }
-
-    /// The verify ring: the latest plan-soundness verdict per recently
-    /// verified fingerprint, oldest first — the flight recorder's
-    /// parallel ring, fed by [`Engine::verify_plan`] and the adaptive
-    /// loop's challenger gate. Empty when observability is disabled.
-    pub fn recent_verifications(&self) -> Vec<doacross_obs::VerifyRecord> {
-        self.inner.obs.recent_verifications()
     }
 
     /// Prepares and executes in one call: plan on first sight of the
@@ -448,39 +314,12 @@ impl Engine {
         self.inner.adaptive.as_ref().map(|a| a.telemetry_totals())
     }
 
-    /// Snapshot of every `(structure, variant)` telemetry accumulator
-    /// (empty for a static engine).
-    pub fn telemetry_entries(&self) -> Vec<(PatternFingerprint, ObsVariant, TelemetryEntry)> {
-        self.inner
-            .adaptive
-            .as_ref()
-            .map(|a| a.telemetry_entries())
-            .unwrap_or_default()
-    }
-
-    /// One `(structure, variant)` accumulator, if observed.
-    pub fn telemetry_of(
-        &self,
-        fingerprint: &PatternFingerprint,
-        kind: ObsVariant,
-    ) -> Option<TelemetryEntry> {
-        self.inner
-            .adaptive
-            .as_ref()
-            .and_then(|a| a.telemetry_of(fingerprint, kind))
-    }
-
     /// The host calibration this engine prices with: present unless
     /// `.planner(..)` was given, and either the process-wide measurement
     /// ([`doacross_sim::host_calibration`]) or the one restored from a
     /// warm-start store.
     pub fn calibration(&self) -> Option<&StoredCalibration> {
         self.inner.calibration.as_ref()
-    }
-
-    /// Drops every cached plan (traffic counters and generations survive).
-    pub fn clear_cache(&self) {
-        self.inner.cache.clear()
     }
 
     /// Captures the plan cache — resident plans in recency order, tagged
@@ -559,81 +398,6 @@ impl Engine {
         Ok(self.warm_from(&store))
     }
 
-    /// [`Engine::load_plans`] with first-boot semantics: a **missing**
-    /// store is a clean cold start (`Ok(0)`), and so is a store written
-    /// by a **different format version** — the ROADMAP's version policy
-    /// ("a rejected store is just a cold start, and the next save
-    /// rewrites the current format") applied at the boot path, so a
-    /// deploy that bumps `persist::FORMAT_VERSION` starts cold instead of
-    /// crash-looping on its own previous checkpoint. A *damaged* store of
-    /// the current format (bad magic, checksum mismatch, truncation,
-    /// structural inconsistency) is **quarantined**: renamed aside to
-    /// `<path>.corrupt-<n>` (the two newest corpses are kept for
-    /// post-mortem), traced as `store_quarantined` plus a `corrupt` cold
-    /// start, and the boot proceeds cold (`Ok(0)`) — a service must never
-    /// crash-loop on a checkpoint it half-wrote before dying, and the
-    /// damage stays loud in the trace, the
-    /// `doacross_store_quarantines_total` counter, and the preserved
-    /// `.corrupt-*` file.
-    ///
-    /// This is the one place the boot rules live; `trisolve`'s
-    /// warm-started solver routes through it
-    /// ([`crate::EngineBuilder::warm_start`] applies the same rules at
-    /// build time), and checking the error instead of pre-checking
-    /// existence leaves no window for the store to vanish between the
-    /// two. [`Engine::load_plans`] stays strict — an explicit load of a
-    /// version-mismatched or damaged store reports the typed
-    /// [`doacross_plan::PersistError`].
-    pub fn warm_start_plans(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<usize, EngineError> {
-        use doacross_obs::ColdStartReason;
-        use doacross_plan::PersistError;
-        let path = path.as_ref();
-        match self.load_plans(path) {
-            Err(EngineError::Persist(PersistError::NotFound)) => {
-                if self.inner.obs.enabled() {
-                    self.inner.obs.emit(TraceEvent::ColdStart {
-                        reason: ColdStartReason::NotFound,
-                    });
-                }
-                Ok(0)
-            }
-            Err(EngineError::Persist(PersistError::UnsupportedVersion { .. })) => {
-                if self.inner.obs.enabled() {
-                    self.inner.obs.emit(TraceEvent::ColdStart {
-                        reason: ColdStartReason::VersionMismatch,
-                    });
-                }
-                Ok(0)
-            }
-            // Anything else `PlanStore::load` reports is corruption-class:
-            // quarantine the corpse and boot cold (see the doc above).
-            Err(EngineError::Persist(_)) => {
-                if let Some(index) = crate::builder::quarantine_store(path) {
-                    if self.inner.obs.enabled() {
-                        self.inner.obs.emit(TraceEvent::StoreQuarantined { index });
-                    }
-                }
-                if self.inner.obs.enabled() {
-                    self.inner.obs.emit(TraceEvent::ColdStart {
-                        reason: ColdStartReason::Corrupt,
-                    });
-                }
-                Ok(0)
-            }
-            other => other,
-        }
-    }
-
-    /// The engine's observability handle — disabled (inert) unless the
-    /// engine was built with [`EngineBuilder::observability`]. Use it to
-    /// register an [`doacross_obs::ObsSink`] for live event streaming.
-    pub fn obs(&self) -> &Obs {
-        &self.inner.obs
-    }
-
     /// Whether observability was enabled at build time.
     pub fn observability_enabled(&self) -> bool {
         self.inner.obs.enabled()
@@ -670,18 +434,6 @@ impl Engine {
         }
     }
 
-    /// The latest profile evidence the adaptive layer holds for
-    /// `fingerprint` — realized critical path and the work/wait split of
-    /// the structure's most recent profiled solve. `None` unless the
-    /// engine is both adaptive and profiling and the structure has
-    /// completed a profiled solve.
-    pub fn profile_evidence(&self, fingerprint: &PatternFingerprint) -> Option<ProfileSummary> {
-        self.inner
-            .adaptive
-            .as_ref()
-            .and_then(|a| a.profile_evidence(fingerprint))
-    }
-
     /// The flight recorder: the last N completed solves (oldest first),
     /// each with its structure, variant, provenance, generation, timing
     /// split, and synchronization counters. Empty when observability is
@@ -713,7 +465,7 @@ impl Engine {
         render::gauge(
             &mut buf,
             "doacross_workers",
-            "Worker (processor) count of the engine's pool.",
+            "Workers per scheduler sub-pool (the processor count each solve runs on).",
             self.threads() as u64,
         );
         render::gauge(
@@ -821,55 +573,6 @@ impl Engine {
         }
         buf
     }
-
-    /// The same payload as [`Engine::metrics_text`] as one JSON object:
-    /// `workers`, `cache` (gauges + exact traffic), `adaptive` (decision
-    /// counters or `null` for a static engine), and `obs` (the registry —
-    /// `{}` when observability is disabled).
-    pub fn metrics_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut buf = String::new();
-        let cache = self.cache_stats();
-        let _ = write!(
-            buf,
-            "{{\"workers\":{},\"pools\":{},\"max_pending\":{},\"saturations\":{},\"cache\":{{\"plans\":{},\"capacity\":{},\"shards\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"insertions\":{}}},\"adaptive\":",
-            self.threads(),
-            self.pools(),
-            self.max_pending(),
-            self.saturations(),
-            self.cache_len(),
-            self.inner.cache.capacity(),
-            self.shards(),
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.insertions,
-        );
-        match self.adaptive_stats() {
-            Some(a) => {
-                let _ = write!(
-                    buf,
-                    "{{\"repricings\":{},\"trials\":{},\"promotions\":{},\"demotions\":{},\"baseline_probes\":{},\"fallbacks\":{}}}",
-                    a.repricings,
-                    a.trials,
-                    a.promotions,
-                    a.demotions,
-                    a.baseline_probes,
-                    a.fallbacks,
-                );
-            }
-            None => buf.push_str("null"),
-        }
-        buf.push_str(",\"obs\":");
-        self.inner.obs.render_json(&mut buf);
-        buf.push_str(",\"profile\":");
-        match &self.inner.profiler {
-            Some(profiler) => profiler.render_json(&mut buf),
-            None => buf.push_str("null"),
-        }
-        buf.push('}');
-        buf
-    }
 }
 
 impl std::fmt::Debug for Engine {
@@ -927,39 +630,6 @@ mod tests {
         let hot = clone.run(&loop_, &mut y).unwrap();
         assert_eq!(hot.provenance, PlanProvenance::PlanCached);
         assert_eq!(clone.cache_len(), 1);
-    }
-
-    #[test]
-    fn shard_stats_reconcile_with_the_merged_view() {
-        let engine = Engine::builder()
-            .workers(2)
-            .cache_capacity(8)
-            .shards(4)
-            .build();
-        let loops: Vec<TestLoop> = (1..=6).map(|k| TestLoop::new(100 + 10 * k, 1, 7)).collect();
-        for l in &loops {
-            let mut y = l.initial_y();
-            engine.run(l, &mut y).unwrap();
-            let mut y = l.initial_y();
-            engine.run(l, &mut y).unwrap();
-        }
-        let rows = engine.shard_stats();
-        assert_eq!(rows.len(), engine.shards());
-        let mut merged = CacheStats::default();
-        let mut total_len = 0;
-        for row in &rows {
-            merged.absorb(&row.stats);
-            total_len += row.len;
-        }
-        assert_eq!(merged, engine.cache_stats());
-        assert_eq!(total_len, engine.cache_len());
-        // Each structure's traffic landed on the shard its fingerprint
-        // routes to.
-        for l in &loops {
-            let fp = doacross_plan::PatternFingerprint::of(l);
-            let shard = engine.shard_of(&fp);
-            assert!(rows[shard].stats.hits >= 1, "shard {shard} saw the hit");
-        }
     }
 
     #[test]

@@ -39,10 +39,6 @@ pub enum EngineError {
     Persist(PersistError),
     /// The underlying planner or runtime rejected the loop.
     Doacross(DoacrossError),
-    /// [`crate::Engine::verify_plan`] proved the pattern's plan unsound:
-    /// its synchronization schedule fails to cover a dependence the index
-    /// arrays imply. Carries the first uncovered edge.
-    Unsound(doacross_plan::SoundnessViolation),
     /// A worker panicked inside a parallel region. The region was
     /// poisoned, every other worker unwound cooperatively (no hang), the
     /// sub-pool was health-probed and released, and the caller's output
@@ -111,9 +107,6 @@ impl std::fmt::Display for EngineError {
             ),
             EngineError::Persist(err) => write!(f, "{err}"),
             EngineError::Doacross(err) => write!(f, "{err}"),
-            EngineError::Unsound(violation) => {
-                write!(f, "plan failed soundness verification: {violation}")
-            }
             EngineError::SolvePanicked { pool, worker } => write!(
                 f,
                 "parallel solve panicked: worker {worker} on sub-pool {pool} \
@@ -134,7 +127,6 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Doacross(err) => Some(err),
             EngineError::Persist(err) => Some(err),
-            EngineError::Unsound(violation) => Some(violation),
             EngineError::StalePlan { .. }
             | EngineError::Saturated { .. }
             | EngineError::SolvePanicked { .. }

@@ -21,12 +21,13 @@
 //!   value: a cheap cloneable handle (an `Arc`'d
 //!   [`ExecutionPlan`](doacross_plan::ExecutionPlan) plus the generation
 //!   it was prepared under) that can be built once and executed from many
-//!   threads via [`PreparedLoop::execute`] / [`PreparedLoop::execute_into`].
+//!   threads via [`PreparedLoop::execute`].
 //! * **Observability** — [`EngineBuilder::observability`] turns on the
 //!   `doacross-obs` layer: structured trace events from plan build, cache,
-//!   persistence, adaptive policy, and execute; Prometheus / JSON metrics
-//!   via [`Engine::metrics_text`] / [`Engine::metrics_json`]; and a
-//!   flight recorder of recent solves via [`Engine::recent_solves`].
+//!   persistence, adaptive policy, and execute
+//!   ([`Engine::trace_events`]); Prometheus text metrics via
+//!   [`Engine::metrics_text`]; and a flight recorder of recent solves via
+//!   [`Engine::recent_solves`].
 //! * [`EngineError`] — the typed failure surface, including
 //!   [`EngineError::StalePlan`] for handles outlived by
 //!   [`Engine::invalidate`] and [`EngineError::Persist`] for plan stores
@@ -88,7 +89,7 @@ pub use adaptive::AdaptiveStats;
 pub use builder::EngineBuilder;
 pub use engine::Engine;
 pub use error::EngineError;
-pub use fault::{FallbackPolicy, RetryPolicy};
+pub use fault::FallbackPolicy;
 pub use prepared::PreparedLoop;
 // The scheduler vocabulary ([`EngineBuilder::pools`] /
 // [`EngineBuilder::max_pending`], per-pool accounting behind
@@ -97,24 +98,23 @@ pub use doacross_sched::{PoolStats, DEFAULT_MAX_PENDING, MAX_POOLS};
 // The persistence vocabulary engine callers need, re-exported so they can
 // save/restore plans without naming doacross-plan directly.
 pub use doacross_plan::{PersistError, PlanStore, StoredCalibration};
-// Per-shard cache observability, re-exported for the same reason.
-pub use doacross_plan::ShardStats;
 // The adaptive-policy vocabulary ([`EngineBuilder::adaptive_config`],
-// telemetry accessors), re-exported likewise.
+// [`Engine::telemetry_totals`], and the stored telemetry records of
+// [`Engine::snapshot`] read through [`TelemetryEntry::from_stored`]),
+// re-exported likewise.
 pub use doacross_adapt::{AdaptiveConfig, TelemetryEntry, TelemetryTotals};
-// The observability vocabulary ([`EngineBuilder::observability`], sinks,
-// the trace/flight types behind [`Engine::trace_events`] /
+// The observability vocabulary ([`EngineBuilder::observability`], the
+// trace/flight types behind [`Engine::trace_events`] /
 // [`Engine::recent_solves`]). Metric names are documented at
 // [`doacross_obs`]'s crate root.
 pub use doacross_obs::{
-    Obs, ObsConfig, ObsFault, ObsSink, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord,
-    TraceEvent, TracedEvent,
+    ObsConfig, ObsFault, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord, TraceEvent,
+    TracedEvent,
 };
 // The deep-profiling vocabulary ([`EngineBuilder::profiling`], the
-// profile ring behind [`Engine::recent_profiles`], the Chrome-trace
-// exporter behind [`Engine::profile_chrome_trace`] and its structural
-// validator, and the NDJSON streaming sink).
+// profile ring behind [`Engine::recent_profiles`], and the Chrome-trace
+// exporter behind [`Engine::profile_chrome_trace`] with its structural
+// validator).
 pub use doacross_obs::profile::{
-    validate_chrome_trace, ChromeTraceStats, ProfConfig, ProfSpan, ProfileSummary, SolveProfile,
-    SpanKind, StreamingSink,
+    validate_chrome_trace, ChromeTraceStats, ProfConfig, ProfSpan, SolveProfile, SpanKind,
 };

@@ -2,7 +2,7 @@
 
 use crate::engine::EngineInner;
 use crate::error::EngineError;
-use doacross_core::{DoacrossError, DoacrossLoop, RunStats};
+use doacross_core::{DoacrossLoop, RunStats};
 use doacross_plan::{ExecutionPlan, PatternFingerprint, PlanVariant};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,7 +74,7 @@ impl PreparedLoop {
 
     /// Whether the prepare that produced this handle was served from the
     /// cache (`true`) or built the plan (`false`). Executions report this
-    /// as their [`PlanProvenance`].
+    /// as their [`doacross_core::PlanProvenance`].
     pub fn from_cache(&self) -> bool {
         self.from_cache
     }
@@ -93,8 +93,9 @@ impl PreparedLoop {
     /// index arrays; coefficient *values* and `y` contents are free to
     /// differ per call (that is the point: one triangular structure, many
     /// right-hand sides). Shape mismatches are rejected with
-    /// [`DoacrossError::PlanMismatch`]; content equality is the caller's
-    /// contract, exactly as it is for the fingerprint-keyed cache.
+    /// [`doacross_core::DoacrossError::PlanMismatch`]; content equality is
+    /// the caller's contract, exactly as it is for the fingerprint-keyed
+    /// cache.
     ///
     /// Staleness is checked at entry: a concurrent
     /// [`crate::Engine::invalidate`] landing *during* an execution affects
@@ -123,25 +124,6 @@ impl PreparedLoop {
             });
         }
         Ok(())
-    }
-
-    /// Like [`PreparedLoop::execute`], but leaves `y` untouched and writes
-    /// the results into `out` (seeded from `y` first) — the
-    /// fresh-output-vector protocol solvers want.
-    pub fn execute_into<L: DoacrossLoop + ?Sized>(
-        &self,
-        loop_: &L,
-        y: &[f64],
-        out: &mut [f64],
-    ) -> Result<RunStats, EngineError> {
-        if out.len() != y.len() {
-            return Err(EngineError::Doacross(DoacrossError::DataLenMismatch {
-                got: out.len(),
-                expected: y.len(),
-            }));
-        }
-        out.copy_from_slice(y);
-        self.execute(loop_, out)
     }
 }
 
@@ -185,24 +167,6 @@ mod tests {
         assert_eq!(y, oracle);
         assert_eq!(stats.provenance, PlanProvenance::PlanCached);
         assert_eq!(hot.fingerprint(), cold.fingerprint());
-    }
-
-    #[test]
-    fn execute_into_leaves_the_input_untouched() {
-        let engine = Engine::builder().workers(2).build();
-        let loop_ = TestLoop::new(200, 1, 8);
-        let y0 = loop_.initial_y();
-        let mut oracle = y0.clone();
-        run_sequential(&loop_, &mut oracle);
-
-        let prepared = engine.prepare(&loop_).unwrap();
-        let mut out = vec![0.0; y0.len()];
-        prepared.execute_into(&loop_, &y0, &mut out).unwrap();
-        assert_eq!(out, oracle);
-        assert_eq!(y0, loop_.initial_y(), "input untouched");
-
-        let mut short = vec![0.0; 3];
-        assert!(prepared.execute_into(&loop_, &y0, &mut short).is_err());
     }
 
     #[test]

@@ -67,7 +67,7 @@ use doacross_core::{
     alloc::thread_allocations, seq::run_sequential, DoacrossConfig, DoacrossError, DoacrossLoop,
     PlanProvenance, RunStats,
 };
-use doacross_obs::profile::{ProfArena, ProfileSummary, Profiler, SpanSource};
+use doacross_obs::profile::{ProfArena, Profiler, SpanSource};
 use doacross_obs::{ObsFault, ObsVariant, SolveOutcome, SolveRecord, TraceEvent};
 use doacross_par::RegionFault;
 use doacross_plan::{execute_sequential, ExecutionPlan, PlanExecutor, PlanVariant};
@@ -457,12 +457,11 @@ impl<'e> Solve<'e> {
             // how the plan's own variant performs.
             return stats;
         }
-        let profile = engine
-            .profiler
-            .as_ref()
-            .map(|profiler| self.harvest(profiler, pool, &stats, at));
+        if let Some(profiler) = &engine.profiler {
+            self.harvest(profiler, pool, &stats, at);
+        }
         if let Some(adaptive) = &engine.adaptive {
-            adaptive.after_solve(engine, loop_, y, self.plan, &stats, profile);
+            adaptive.after_solve(engine, loop_, y, self.plan, &stats);
         }
         stats
     }
@@ -470,15 +469,14 @@ impl<'e> Solve<'e> {
     /// `record`'s profile step: the solve's spans — the leased sub-pool's
     /// arena, or for a solve that held none the one work span its stats
     /// make — are harvested into the ring, and the summary is traced
-    /// (stamped `at`, with the rest of the stage) and handed back for the
-    /// adaptive layer.
+    /// (stamped `at`, with the rest of the stage).
     fn harvest(
         &self,
         profiler: &Profiler,
         pool: Option<usize>,
         stats: &RunStats,
         at: Option<Instant>,
-    ) -> ProfileSummary {
+    ) {
         let engine = self.engine;
         // The priced cost is the plan's model price converted through the
         // host calibration when one exists — otherwise unpriced, never a
@@ -517,7 +515,6 @@ impl<'e> Solve<'e> {
                 },
             );
         }
-        summary
     }
 
     /// The flight-recorder row of one solve attempt: `stats` projected

@@ -4,9 +4,44 @@
 //! v2 → v3 store-version regression.
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop, TestLoop};
-use doacross_engine::{AdaptiveConfig, Engine, EngineError, ObsVariant, PersistError};
-use doacross_plan::{PlanVariant, Planner};
+use doacross_engine::{
+    AdaptiveConfig, Engine, EngineError, ObsVariant, PersistError, TelemetryEntry, TraceEvent,
+};
+use doacross_plan::{PatternFingerprint, PlanVariant, Planner};
 use doacross_sim::CostModel;
+
+/// The engine's telemetry as its snapshot stores it, read back through
+/// the stored-record decoder: one `(structure, variant, entry)` row per
+/// accumulator, in recorder order (empty for a static engine).
+fn telemetry(engine: &Engine) -> Vec<(PatternFingerprint, ObsVariant, TelemetryEntry)> {
+    engine
+        .snapshot()
+        .telemetry()
+        .iter()
+        .filter_map(TelemetryEntry::from_stored)
+        .collect()
+}
+
+/// One `(structure, variant)` accumulator of [`telemetry`], if observed.
+fn telemetry_of(
+    engine: &Engine,
+    fp: &PatternFingerprint,
+    kind: ObsVariant,
+) -> Option<TelemetryEntry> {
+    telemetry(engine)
+        .into_iter()
+        .find(|(f, k, _)| f == fp && *k == kind)
+        .map(|(_, _, entry)| entry)
+}
+
+/// The value of an unlabelled counter in a `metrics_text` scrape.
+fn scraped(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from the scrape"))
+        .parse()
+        .unwrap()
+}
 
 /// A deliberately mispriced cost model: busy-wait polls priced absurdly
 /// expensive (so every flag-based variant is off the table) and barriers
@@ -50,6 +85,7 @@ fn mispriced_model_promotes_to_the_measured_cheaper_variant() {
         .workers(2)
         .planner(Planner::with_costs(mispriced()))
         .adaptive_config(fast_adaptive())
+        .observability_default()
         .build();
     assert!(engine.is_adaptive());
 
@@ -99,18 +135,40 @@ fn mispriced_model_promotes_to_the_measured_cheaper_variant() {
     // The measured comparison that justified the commit is visible in
     // telemetry: sequential's observed floor beats the wavefront's.
     let fp = *promoted.fingerprint();
-    let seq = engine
-        .telemetry_of(&fp, ObsVariant::Sequential)
-        .expect("sequential was measured");
-    let wave = engine
-        .telemetry_of(&fp, ObsVariant::Wavefront)
-        .expect("wavefront was measured");
+    let seq = telemetry_of(&engine, &fp, ObsVariant::Sequential).expect("sequential was measured");
+    let wave = telemetry_of(&engine, &fp, ObsVariant::Wavefront).expect("wavefront was measured");
     assert!(
         (seq.min_ns as f64) * 1.05 <= wave.min_ns as f64,
         "promotion implies a measured win: seq {} vs wave {}",
         seq.min_ns,
         wave.min_ns
     );
+
+    // Every challenger was proved sound against the live pattern before
+    // it could be trialed: one `plan_verified` verdict per verified
+    // challenger, every one sound, and the verify counters are exactly
+    // those verdicts.
+    let verdicts: Vec<bool> = engine
+        .trace_events()
+        .iter()
+        .filter_map(|e| match e.event {
+            TraceEvent::PlanVerified { fp: got, sound, .. } => {
+                assert_eq!(
+                    got,
+                    doacross_obs::FpId::from(&fp),
+                    "the structure's own challenger"
+                );
+                Some(sound)
+            }
+            _ => None,
+        })
+        .collect();
+    let passes = verdicts.iter().filter(|&&sound| sound).count() as u64;
+    assert_eq!(passes, verdicts.len() as u64, "no unsound challenger");
+    assert!(passes >= stats.trials, "{passes} verdicts for {stats:?}");
+    let text = engine.metrics_text();
+    assert_eq!(scraped(&text, "doacross_verify_passes_total"), passes);
+    assert_eq!(scraped(&text, "doacross_verify_failures_total"), 0);
 
     // Handles prepared before the promotion observed the generation bump
     // and fail typed; nothing ever silently executes the superseded plan.
@@ -139,7 +197,7 @@ fn adaptation_is_off_the_result_path_for_static_engines() {
     assert!(!engine.is_adaptive());
     assert_eq!(engine.adaptive_stats(), None);
     assert_eq!(engine.telemetry_totals(), None);
-    assert!(engine.telemetry_entries().is_empty());
+    assert!(telemetry(&engine).is_empty());
 }
 
 #[test]
@@ -168,10 +226,10 @@ fn invalidation_resets_the_structure_s_learned_state() {
         engine.run(&loop_, &mut y).unwrap();
     }
     let fp = doacross_plan::PatternFingerprint::of(&loop_);
-    assert!(engine.telemetry_of(&fp, ObsVariant::Wavefront).is_some());
+    assert!(telemetry_of(&engine, &fp, ObsVariant::Wavefront).is_some());
     engine.invalidate(&fp);
     assert_eq!(
-        engine.telemetry_of(&fp, ObsVariant::Wavefront),
+        telemetry_of(&engine, &fp, ObsVariant::Wavefront),
         None,
         "observations of the retired structure are dropped"
     );
@@ -203,7 +261,7 @@ fn learned_state_persists_across_a_restart() {
             let mut y = y0.clone();
             engine.run(&loop_, &mut y).unwrap();
         }
-        let entries = engine.telemetry_entries();
+        let entries = telemetry(&engine);
         assert!(!entries.is_empty());
         let saved = engine.save_plans(&path).unwrap();
         (entries, saved)
@@ -216,25 +274,20 @@ fn learned_state_persists_across_a_restart() {
         .workers(2)
         .adaptive_config(fast_adaptive())
         .warm_start(&path)
-        .try_build()
-        .expect("store is healthy");
+        .build();
     assert!(engine.cache_len() >= 1);
-    let restored = engine.telemetry_entries();
+    let restored = telemetry(&engine);
     assert_eq!(restored, first_entries, "telemetry survives the restart");
     let kind = restored
         .iter()
         .find(|(f, _, _)| f == &fp)
         .map(|(_, k, _)| *k)
         .expect("the structure's entry survived");
-    assert!(engine.telemetry_of(&fp, kind).is_some());
+    assert!(telemetry_of(&engine, &fp, kind).is_some());
 
     // A static engine ignores the telemetry section without error.
-    let plain = Engine::builder()
-        .workers(2)
-        .warm_start(&path)
-        .try_build()
-        .expect("same store");
-    assert!(plain.telemetry_entries().is_empty());
+    let plain = Engine::builder().workers(2).warm_start(&path).build();
+    assert!(telemetry(&plain).is_empty());
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -273,11 +326,7 @@ fn calibration_persists_and_a_warm_calibrated_engine_skips_measurement() {
     assert!(perturbed.is_valid());
     store.set_calibration(Some(perturbed));
     store.save(&path).unwrap();
-    let engine = Engine::builder()
-        .workers(2)
-        .warm_start(&path)
-        .try_build()
-        .expect("store is healthy");
+    let engine = Engine::builder().workers(2).warm_start(&path).build();
     assert_eq!(engine.calibration(), Some(&perturbed));
     assert_eq!(engine.planner().costs(), &perturbed.model);
 
@@ -288,11 +337,7 @@ fn calibration_persists_and_a_warm_calibrated_engine_skips_measurement() {
     poisoned.unit_ns = f64::NAN;
     store.set_calibration(Some(poisoned));
     store.save(&path).unwrap();
-    let engine = Engine::builder()
-        .workers(2)
-        .warm_start(&path)
-        .try_build()
-        .expect("invalid calibration falls back, never fails the boot");
+    let engine = Engine::builder().workers(2).warm_start(&path).build();
     let fresh = engine.calibration().expect("measured instead");
     assert!(fresh.is_valid());
     assert_eq!(fresh, &measured, "the process-wide measurement");
@@ -306,8 +351,7 @@ fn calibration_persists_and_a_warm_calibrated_engine_skips_measurement() {
         .workers(2)
         .planner(preset.clone())
         .warm_start(&path)
-        .try_build()
-        .unwrap();
+        .build();
     assert_eq!(pinned.calibration(), None);
     assert_eq!(pinned.planner().costs(), preset.costs());
     assert_eq!(pinned.snapshot().calibration(), None);
@@ -352,10 +396,7 @@ fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
         Engine::builder().workers(2),
         Engine::builder().workers(2).adaptive(),
     ] {
-        let engine = builder
-            .warm_start(&path)
-            .try_build()
-            .expect("version policy: a rejected store is just a cold start");
+        let engine = builder.warm_start(&path).build();
         assert_eq!(engine.cache_len(), 0);
     }
     std::fs::remove_file(&path).unwrap();

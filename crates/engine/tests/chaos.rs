@@ -18,7 +18,7 @@ use doacross_core::{
 };
 use doacross_engine::{
     AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, ObsVariant,
-    PersistError, RetryPolicy, SolveOutcome, SolveProfile, SpanKind, TraceEvent,
+    PersistError, SolveOutcome, SolveProfile, SpanKind, TraceEvent,
 };
 use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
 use doacross_sim::CostModel;
@@ -343,7 +343,6 @@ where
         .fallback(FallbackPolicy::Disabled)
         .observability(ObsConfig::default())
         .build();
-    assert_eq!(engine.solve_deadline(), Some(deadline));
     let prepared = engine.prepare(&loop_).unwrap();
     assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
     let y0 = fresh_y(loop_.data_len());
@@ -449,12 +448,13 @@ fn flag_prices() -> Planner {
 }
 
 /// Injected saturation lands on admission, which only a parallel solve
-/// crosses: the retry loop spends its backoffs on a flag-variant solve and
-/// delivers, a refusal budget past the retry budget surfaces typed, and a
-/// sequential solve on the same engine — never admitted — is served with
-/// the failpoint still armed, consuming none of its refusals.
+/// crosses: each refusal is a typed `Saturated` that leaves `y` as it was,
+/// is counted once and dispatches nothing, and the solve after the last
+/// refusal delivers. A sequential solve on the same engine — never
+/// admitted — is served with the failpoint still armed, consuming none of
+/// its refusals.
 #[test]
-fn injected_saturation_is_retried_with_bounded_backoff() {
+fn injected_saturation_fails_typed_and_spares_sequential_plans() {
     let _serial = chaos_lock();
     let engine = Engine::builder()
         .workers(2)
@@ -473,36 +473,26 @@ fn injected_saturation_is_retried_with_bounded_backoff() {
     let oracle = oracle_of(&loop_, &y0);
     let dispatches = || -> u64 { engine.pool_stats().iter().map(|p| p.dispatches).sum() };
 
-    // Two synthetic refusals, then the gate opens: the retry loop spends
-    // two backoffs and delivers.
+    // Two synthetic refusals, then the gate opens.
     failpoint::arm(SCHED_ACQUIRE, FailAction::Saturate { times: 2 });
-    let policy = RetryPolicy {
-        max_retries: 3,
-        base_delay: Duration::from_micros(200),
-        max_delay: Duration::from_millis(2),
-        seed: 42,
-    };
+    for refused in 1..=2u64 {
+        let mut y = y0.clone();
+        let err = prepared.execute(&loop_, &mut y).unwrap_err();
+        assert!(matches!(err, EngineError::Saturated { .. }), "{err:?}");
+        assert_eq!(y, y0, "a refused solve leaves y as it was");
+        assert_eq!(engine.saturations(), refused, "one count per refusal");
+        assert_eq!(dispatches(), 0, "a refusal dispatches nothing");
+    }
     let mut y = y0.clone();
-    let stats = engine
-        .execute_with_retry(&prepared, &loop_, &mut y, policy)
-        .expect("retries outlast the injected saturation");
+    let stats = prepared.execute(&loop_, &mut y).unwrap();
     assert_eq!(y, oracle);
-    assert_eq!(stats.attempts, 3, "1 delivery + 2 saturated retries");
-    assert!(engine.metrics_text().contains("doacross_retry_total 2"));
+    assert_eq!(stats.attempts, 1);
     assert_eq!(engine.saturations(), 2);
-    assert_eq!(dispatches(), 1, "a refusal dispatches nothing");
+    assert_eq!(dispatches(), 1);
 
-    // A refusal budget larger than the retry budget surfaces typed.
-    failpoint::arm(SCHED_ACQUIRE, FailAction::Saturate { times: 100 });
-    let mut y = y0.clone();
-    let err = engine
-        .execute_with_retry(&prepared, &loop_, &mut y, policy)
-        .unwrap_err();
-    assert!(matches!(err, EngineError::Saturated { .. }), "{err:?}");
-    assert_eq!(engine.saturations(), 2 + 4, "one refusal per attempt");
-
-    // With the gate still armed, a sequential plan is served: it is never
+    // With the gate armed again, a sequential plan is served: it is never
     // admitted, so it neither consumes a refusal nor moves the ledger.
+    failpoint::arm(SCHED_ACQUIRE, FailAction::Saturate { times: 100 });
     let n = 300;
     let rhs: Vec<Vec<usize>> = (1..=n).map(|j| vec![j]).collect();
     let serial = IndirectLoop::new(n + 1, vec![0; n], rhs, vec![vec![0.5]; n]).unwrap();
@@ -510,17 +500,17 @@ fn injected_saturation_is_retried_with_bounded_backoff() {
     assert_eq!(sequential.variant(), PlanVariant::Sequential);
     let s0 = fresh_y(serial.data_len());
     let mut y = s0.clone();
-    let stats = engine
-        .execute_with_retry(&sequential, &serial, &mut y, policy)
+    let stats = sequential
+        .execute(&serial, &mut y)
         .expect("a sequential solve is not admitted");
     assert_eq!(y, oracle_of(&serial, &s0));
-    assert_eq!(stats.attempts, 1, "no retry spent");
-    assert_eq!(engine.saturations(), 6);
+    assert_eq!(stats.attempts, 1);
+    assert_eq!(engine.saturations(), 2);
     assert_eq!(dispatches(), 1);
     assert_eq!(
         failpoint::lookup(SCHED_ACQUIRE),
-        Some(FailAction::Saturate { times: 100 - 4 }),
-        "the armed site saw the four parallel attempts only"
+        Some(FailAction::Saturate { times: 100 }),
+        "the armed site saw no attempt"
     );
     failpoint::disarm(SCHED_ACQUIRE);
 

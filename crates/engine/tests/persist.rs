@@ -39,8 +39,7 @@ fn warm_start_serves_the_first_solve_from_the_store() {
         .workers(2)
         .cache_capacity(8)
         .warm_start(&path)
-        .try_build()
-        .unwrap();
+        .build();
     assert_eq!(second.cache_len(), 2);
     for loop_ in &loops {
         let prepared = second.prepare(loop_).unwrap();
@@ -99,7 +98,7 @@ fn wavefront_plans_warm_start_across_processes() {
     assert_eq!(first.save_plans(&path).unwrap(), 1);
     drop(first);
 
-    let second = preset().warm_start(&path).try_build().unwrap();
+    let second = preset().warm_start(&path).build();
     let restored = second.prepare(&loop_).unwrap();
     assert!(restored.from_cache(), "restored wavefront plan hits");
     assert_eq!(restored.variant(), doacross_plan::PlanVariant::Wavefront);
@@ -170,12 +169,17 @@ fn corrupt_stores_fail_with_typed_persist_errors() {
     std::fs::remove_file(&path).unwrap();
 
     // Explicit loads report a missing store as typed NotFound; the
-    // warm-start entry point treats exactly that case as first boot.
+    // warm-start boot treats exactly that case as first boot.
     assert!(matches!(
         fresh.load_plans(&path),
         Err(EngineError::Persist(PersistError::NotFound))
     ));
-    assert_eq!(fresh.warm_start_plans(&path).unwrap(), 0);
+    let booted = Engine::builder()
+        .workers(2)
+        .cache_capacity(8)
+        .warm_start(&path)
+        .build();
+    assert_eq!(booted.cache_len(), 0, "a missing store is a cold boot");
 }
 
 #[test]
@@ -205,8 +209,7 @@ fn damaged_boot_store_quarantines_and_the_boot_loop_recovers() {
             .workers(2)
             .cache_capacity(8)
             .warm_start(&path)
-            .try_build()
-            .expect("a corrupt checkpoint must not prevent boot");
+            .build();
         assert_eq!(booted.cache_len(), 0, "round {round}: booted cold");
         assert!(!path.exists(), "round {round}: corpse moved aside");
         let mut y = loop_.initial_y();
@@ -226,12 +229,6 @@ fn damaged_boot_store_quarantines_and_the_boot_loop_recovers() {
         .filter(|f| f.starts_with(&prefix))
         .collect();
     assert_eq!(corpses.len(), 2, "{corpses:?}");
-
-    // The runtime boot path (warm_start_plans) applies the same rule.
-    corrupt_checkpoint(&path);
-    let fresh = engine(2);
-    assert_eq!(fresh.warm_start_plans(&path).unwrap(), 0);
-    assert!(!path.exists(), "runtime boot path quarantines too");
 
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
@@ -268,14 +265,13 @@ fn old_format_stores_cold_start_the_boot_path_but_fail_explicit_loads() {
             .workers(2)
             .cache_capacity(8)
             .warm_start(&path)
-            .try_build()
-            .expect("old format is succession, not damage");
+            .build();
         assert_eq!(
             fresh.cache_len(),
             0,
             "v{relic}: cold start, nothing restored"
         );
-        assert_eq!(fresh.warm_start_plans(&path).unwrap(), 0);
+        assert!(path.exists(), "v{relic}: succession is not quarantined");
         let err = fresh.load_plans(&path).unwrap_err();
         assert!(
             matches!(
@@ -294,8 +290,7 @@ fn old_format_stores_cold_start_the_boot_path_but_fail_explicit_loads() {
             .workers(2)
             .cache_capacity(8)
             .warm_start(&path)
-            .try_build()
-            .unwrap();
+            .build();
         assert_eq!(healed.cache_len(), 1);
 
         std::fs::remove_file(&path).unwrap();
@@ -314,7 +309,7 @@ fn restores_drop_plans_invalidated_after_the_snapshot() {
     // resurrect the retired plan in this engine...
     source.invalidate(prepared.fingerprint());
     assert_eq!(source.load_plans(&path).unwrap(), 0);
-    assert!(!source.contains(prepared.fingerprint()));
+    assert_eq!(source.cache_len(), 0, "the retired plan stays out");
     assert!(prepared.is_stale());
 
     // ...and a *new* engine that loads the post-invalidation checkpoint
@@ -328,7 +323,7 @@ fn restores_drop_plans_invalidated_after_the_snapshot() {
         0,
         "old store is stale"
     );
-    assert!(!restarted.contains(prepared.fingerprint()));
+    assert_eq!(restarted.cache_len(), 0, "the retired plan stays out");
 
     std::fs::remove_file(&path).unwrap();
     std::fs::remove_file(&newer).unwrap();
@@ -350,8 +345,7 @@ fn worker_count_mismatch_restores_but_replans() {
         .workers(3)
         .cache_capacity(8)
         .warm_start(&path)
-        .try_build()
-        .unwrap();
+        .build();
     assert_eq!(wider.cache_len(), 1, "plan restored");
     let mut y = loop_.initial_y();
     let stats = wider.run(&loop_, &mut y).unwrap();

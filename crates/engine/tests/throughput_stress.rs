@@ -180,25 +180,10 @@ fn sixteen_tenants_on_a_shared_multi_pool_engine_stay_bit_identical() {
     );
 
     // Cache ledger: one miss per tenant structure, every other lookup a
-    // hit, and the per-shard counters sum to the engine totals.
+    // hit.
     let cache = engine.cache_stats();
     assert_eq!(cache.misses, loops.len() as u64);
     assert_eq!(cache.hits + cache.misses, total_solves);
-    let shards = engine.shard_stats();
-    assert_eq!(
-        shards.iter().map(|s| s.stats.hits).sum::<u64>(),
-        cache.hits,
-        "shard hit ledgers reconcile"
-    );
-    assert_eq!(
-        shards.iter().map(|s| s.stats.misses).sum::<u64>(),
-        cache.misses,
-        "shard miss ledgers reconcile"
-    );
-    assert_eq!(
-        shards.iter().map(|s| s.len).sum::<usize>(),
-        engine.cache_len()
-    );
 }
 
 /// A loop whose first iteration parks until released — holds its engine

@@ -18,18 +18,6 @@ impl std::fmt::Display for FpId {
     }
 }
 
-/// An optional count as a JSON value: the number, or `null`.
-pub(crate) struct JsonOpt(pub(crate) Option<u64>);
-
-impl std::fmt::Display for JsonOpt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            Some(n) => write!(f, "{n}"),
-            None => f.write_str("null"),
-        }
-    }
-}
-
 /// Executor variant families, mirroring the planner's `PlanVariant`
 /// without its payloads — also the adaptive layer's telemetry key, whose
 /// stored tag is [`ObsVariant::index`].
@@ -187,16 +175,6 @@ pub enum ColdStartReason {
     Corrupt,
 }
 
-impl ColdStartReason {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ColdStartReason::NotFound => "not_found",
-            ColdStartReason::VersionMismatch => "version_mismatch",
-            ColdStartReason::Corrupt => "corrupt",
-        }
-    }
-}
-
 /// Why a parallel solve attempt was abandoned mid-region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsFault {
@@ -230,17 +208,6 @@ pub enum SolveOutcome {
 }
 
 impl SolveOutcome {
-    /// The `outcome` label / JSON value.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolveOutcome::Ok => "ok",
-            SolveOutcome::Panicked => "panicked",
-            SolveOutcome::TimedOut => "timed_out",
-            SolveOutcome::FellBack => "fell_back",
-            SolveOutcome::Saturated => "saturated",
-        }
-    }
-
     /// Whether the record carries a correct completed solve (its stats
     /// belong in the latency histograms and throughput counters).
     pub fn delivered(self) -> bool {
@@ -280,38 +247,11 @@ pub struct SolveRecord {
     /// Scheduler sub-pool the solve held (0 on a single-pool engine), or
     /// `None` when it held none: a sequential plan runs on the caller's
     /// thread without admission, and a refused attempt was never granted
-    /// one. JSON views write `null`.
+    /// one.
     pub pool: Option<u64>,
     /// How the attempt ended. Non-[`SolveOutcome::Ok`] records carry
     /// partial stats (`total_ns` of the failed attempt; zeros elsewhere).
     pub outcome: SolveOutcome,
-}
-
-/// One plan-soundness verification, as kept by the verify ring (the
-/// flight recorder's parallel ring — latest verdict per fingerprint).
-/// Sound records carry the verified dependence census; unsound records
-/// carry zeros (the verifier stops at the first uncovered edge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerifyRecord {
-    /// Fingerprint of the verified structure.
-    pub fp: FpId,
-    /// Variant of the verified plan.
-    pub variant: ObsVariant,
-    /// Whether the plan's synchronization schedule covered every
-    /// dependence its index arrays imply.
-    pub sound: bool,
-    /// Right-hand-side references checked.
-    pub references: u64,
-    /// Flow (true) dependence edges covered.
-    pub flow_edges: u64,
-    /// Antidependence edges covered.
-    pub anti_edges: u64,
-    /// Intra-iteration references routed to the accumulator.
-    pub intra_refs: u64,
-    /// References to elements no iteration writes.
-    pub unwritten_refs: u64,
-    /// Output-dependence pairs covered (blocked variant only).
-    pub output_pairs: u64,
 }
 
 /// Per-candidate predicted prices recorded with a plan build, indexed by
@@ -335,8 +275,9 @@ pub enum TraceEvent {
         candidate_prices: CandidatePrices,
     },
     /// A plan's synchronization schedule was run through the soundness
-    /// verifier (`doacross-verify`): at build, at persisted-store load, on
-    /// `Engine::verify_plan`, or gating an adaptive promotion.
+    /// verifier (`doacross-verify`) gating an adaptive promotion: the
+    /// challenger plan is proved against the live pattern before it may
+    /// replace a working one.
     PlanVerified {
         fp: FpId,
         variant: ObsVariant,
@@ -426,12 +367,6 @@ pub enum TraceEvent {
         /// The parallel variant that faulted.
         from: ObsVariant,
     },
-    /// `execute_with_retry` re-submitted a saturated solve after backoff.
-    SolveRetried {
-        fp: FpId,
-        /// 1-based retry number (the first retry is 1).
-        attempt: u64,
-    },
     /// A warm-start store failed to parse and was renamed aside
     /// (`<path>.corrupt-<index>`) so the next boot starts clean; a
     /// [`TraceEvent::ColdStart`] with [`ColdStartReason::Corrupt`]
@@ -441,8 +376,8 @@ pub enum TraceEvent {
         index: u64,
     },
     /// The profiler harvested a solve's span arena: the per-kind time
-    /// attribution and realized critical path, as a summary event so
-    /// streaming sinks see profiles without holding the full span vector.
+    /// attribution and realized critical path, as a summary event so the
+    /// trace carries profiles without holding the full span vector.
     /// Only emitted by engines built with `profiling(..)`, so traces from
     /// unprofiled engines read exactly as before.
     SolveProfiled {
@@ -477,7 +412,7 @@ pub struct TracedEvent {
 }
 
 impl TraceEvent {
-    /// Short lowercase tag naming the event kind (for sinks and logs).
+    /// Short lowercase tag naming the event kind (for logs).
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::PlanBuilt { .. } => "plan_built",
@@ -499,190 +434,8 @@ impl TraceEvent {
             TraceEvent::PoolDispatched { .. } => "pool_dispatched",
             TraceEvent::SolvePoisoned { .. } => "solve_poisoned",
             TraceEvent::SolveFellBack { .. } => "solve_fell_back",
-            TraceEvent::SolveRetried { .. } => "solve_retried",
             TraceEvent::StoreQuarantined { .. } => "store_quarantined",
             TraceEvent::SolveProfiled { .. } => "solve_profiled",
         }
-    }
-
-    /// Appends the event as a single-line JSON object (`{"kind":...}`) —
-    /// the NDJSON record format used by
-    /// [`profile::StreamingSink`](crate::profile::StreamingSink). Every
-    /// field of every variant is carried; fingerprints render as the same
-    /// 32-hex-digit string used in metric labels.
-    pub fn to_json(&self, buf: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(buf, "{{\"kind\":\"{}\"", self.kind());
-        match self {
-            TraceEvent::PlanBuilt {
-                fp,
-                variant,
-                build_ns,
-                iterations,
-                true_deps,
-                critical_path,
-                chosen_price,
-                candidate_prices,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"variant\":\"{variant}\",\"build_ns\":{build_ns},\"iterations\":{iterations},\"true_deps\":{true_deps},\"critical_path\":{critical_path},\"chosen_price\":{chosen_price},\"candidate_prices\":{{"
-                );
-                let mut first = true;
-                for v in ObsVariant::ALL {
-                    if let Some(price) = candidate_prices[v.index()] {
-                        if !first {
-                            buf.push(',');
-                        }
-                        first = false;
-                        let _ = write!(buf, "\"{v}\":{price}");
-                    }
-                }
-                buf.push('}');
-            }
-            TraceEvent::PlanVerified { fp, variant, sound } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"variant\":\"{variant}\",\"sound\":{sound}"
-                );
-            }
-            TraceEvent::CacheHit { fp }
-            | TraceEvent::CacheMiss { fp }
-            | TraceEvent::CacheEvicted { fp } => {
-                let _ = write!(buf, ",\"fp\":\"{fp}\"");
-            }
-            TraceEvent::CacheInvalidated {
-                fp,
-                generation,
-                dropped,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"generation\":{generation},\"dropped\":{dropped}"
-                );
-            }
-            TraceEvent::PlanSwapped {
-                fp,
-                variant,
-                generation,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"variant\":\"{variant}\",\"generation\":{generation}"
-                );
-            }
-            TraceEvent::StoreSaved { plans } => {
-                let _ = write!(buf, ",\"plans\":{plans}");
-            }
-            TraceEvent::StoreLoaded { plans, restored } => {
-                let _ = write!(buf, ",\"plans\":{plans},\"restored\":{restored}");
-            }
-            TraceEvent::ColdStart { reason } => {
-                let _ = write!(buf, ",\"reason\":\"{}\"", reason.as_str());
-            }
-            TraceEvent::Divergence {
-                fp,
-                variant,
-                static_price,
-                refined_price,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"variant\":\"{variant}\",\"static_price\":{static_price},\"refined_price\":{refined_price}"
-                );
-            }
-            TraceEvent::TrialStarted {
-                fp,
-                challenger,
-                incumbent,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"challenger\":\"{challenger}\",\"incumbent\":\"{incumbent}\""
-                );
-            }
-            TraceEvent::TrialCommitted { fp, variant }
-            | TraceEvent::TrialDemoted { fp, variant } => {
-                let _ = write!(buf, ",\"fp\":\"{fp}\",\"variant\":\"{variant}\"");
-            }
-            TraceEvent::BaselineProbed { fp, ns } => {
-                let _ = write!(buf, ",\"fp\":\"{fp}\",\"ns\":{ns}");
-            }
-            TraceEvent::SolveFinished { record } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{}\",\"variant\":\"{}\",\"provenance\":\"{}\",\"generation\":{},\"total_ns\":{},\"inspector_ns\":{},\"executor_ns\":{},\"post_ns\":{},\"iterations\":{},\"workers\":{},\"stalls\":{},\"wait_polls\":{},\"barrier_crossings\":{},\"pool\":{},\"outcome\":\"{}\"",
-                    record.fp,
-                    record.variant,
-                    record.provenance.as_str(),
-                    record.generation,
-                    record.total_ns,
-                    record.inspector_ns,
-                    record.executor_ns,
-                    record.post_ns,
-                    record.iterations,
-                    record.workers,
-                    record.stalls,
-                    record.wait_polls,
-                    record.barrier_crossings,
-                    JsonOpt(record.pool),
-                    record.outcome.as_str()
-                );
-            }
-            TraceEvent::PoolDispatched {
-                pool,
-                stolen,
-                wait_ns,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"pool\":{pool},\"stolen\":{stolen},\"wait_ns\":{wait_ns}"
-                );
-            }
-            TraceEvent::SolvePoisoned {
-                fp,
-                variant,
-                pool,
-                fault,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"variant\":\"{variant}\",\"pool\":{pool}"
-                );
-                match fault {
-                    ObsFault::WorkerPanic { worker } => {
-                        let _ = write!(buf, ",\"fault\":\"worker_panic\",\"worker\":{worker}");
-                    }
-                    ObsFault::DeadlineExpired => {
-                        buf.push_str(",\"fault\":\"deadline_expired\"");
-                    }
-                }
-            }
-            TraceEvent::SolveFellBack { fp, from } => {
-                let _ = write!(buf, ",\"fp\":\"{fp}\",\"from\":\"{from}\"");
-            }
-            TraceEvent::SolveRetried { fp, attempt } => {
-                let _ = write!(buf, ",\"fp\":\"{fp}\",\"attempt\":{attempt}");
-            }
-            TraceEvent::StoreQuarantined { index } => {
-                let _ = write!(buf, ",\"index\":{index}");
-            }
-            TraceEvent::SolveProfiled {
-                fp,
-                variant,
-                realized_critical_ns,
-                work_ns,
-                flag_wait_ns,
-                barrier_wait_ns,
-                dispatch_wait_ns,
-                spans,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"fp\":\"{fp}\",\"variant\":\"{variant}\",\"realized_critical_ns\":{realized_critical_ns},\"work_ns\":{work_ns},\"flag_wait_ns\":{flag_wait_ns},\"barrier_wait_ns\":{barrier_wait_ns},\"dispatch_wait_ns\":{dispatch_wait_ns},\"spans\":{spans}"
-                );
-            }
-        }
-        buf.push('}');
     }
 }

@@ -1,5 +1,5 @@
 //! Observability layer for the preprocessed-doacross engine: structured
-//! tracing, a metrics registry with Prometheus/JSON export, and a solve
+//! tracing, a metrics registry with Prometheus text export, and a solve
 //! flight recorder.
 //!
 //! This crate has **zero dependencies** (std only) and sits below every
@@ -41,22 +41,21 @@
 //! | `doacross_fault_panics_total` | counter | — | Parallel attempts abandoned because a worker panicked (poison protocol). |
 //! | `doacross_fault_timeouts_total` | counter | — | Parallel attempts abandoned because the solve deadline expired. |
 //! | `doacross_fault_fallbacks_total` | counter | — | Faulted attempts re-run successfully on the sequential variant. |
-//! | `doacross_retry_total` | counter | — | Saturated solves re-submitted after bounded backoff (`execute_with_retry`). |
 //! | `doacross_store_quarantines_total` | counter | — | Corrupt warm-start stores renamed aside (`.corrupt-<n>`). |
 //! | `doacross_pool_dispatches_total` | counter | `pool` | Solves routed per scheduler sub-pool (bounded; overflow aggregates under `pool="other"`). |
 //! | `doacross_pool_steals_total` | counter | — | Dispatches redirected by the work-stealing fallback (preferred sub-pool busy). |
 //! | `doacross_pool_wait_ns` | histogram | — | Time spent waiting for a free sub-pool (0 on the lock-free fast path). |
 //! | `doacross_pool_solve_ns` | histogram | `pool` | End-to-end solve latency per sub-pool (emitted once any multi-pool dispatch has been traced; a solve that held no sub-pool is not in it). |
+//! | `doacross_trace_events_total` | counter | — | Trace events ever emitted. |
+//! | `doacross_trace_dropped_total` | counter | — | Trace events dropped to bound the ring. |
+//! | `doacross_structure_solves_total` | counter | `fingerprint`, `variant` | Per-structure solve counts (bounded; overflow aggregates under `fingerprint="other"`). |
+//! | `doacross_structure_solve_ns_total` | counter | `fingerprint`, `variant` | Per-structure total solve time. |
 //!
 //! Only solves that open a parallel region are admitted to a sub-pool, so
 //! the `doacross_pool_*` families count parallel solves: a sequential plan
 //! runs on the caller's thread, is dispatched nowhere, and its record
 //! carries `pool: None`. An engine that has only run sequential plans
 //! renders none of these families.
-//! | `doacross_trace_events_total` | counter | — | Trace events ever emitted. |
-//! | `doacross_trace_dropped_total` | counter | — | Trace events dropped to bound the ring. |
-//! | `doacross_structure_solves_total` | counter | `fingerprint`, `variant` | Per-structure solve counts (bounded; overflow aggregates under `fingerprint="other"`). |
-//! | `doacross_structure_solve_ns_total` | counter | `fingerprint`, `variant` | Per-structure total solve time. |
 //!
 //! Engines built with `EngineBuilder::profiling(..)` additionally render
 //! the [`profile`] module's families (only once at least one solve has
@@ -68,13 +67,21 @@
 //! `doacross_profile_barrier_wait_ns{level}` histograms (levels past the
 //! configured bound collapse under `level="other"`).
 //!
-//! The engine's `metrics_text()` prepends engine-sampled values that live
-//! outside this registry (documented on the engine): `doacross_workers`,
-//! `doacross_cache_plans`, `doacross_cache_capacity`,
-//! `doacross_cache_shards`, `doacross_cache_hits_total`,
-//! `doacross_cache_misses_total`, `doacross_cache_evictions_total`,
-//! `doacross_cache_insertions_total`, and the adaptive decision gauges
-//! sampled from `AdaptiveStats`.
+//! The engine's `metrics_text()` prepends values it samples itself, which
+//! live outside this registry and render on every engine, observability
+//! on or off:
+//!
+//! | Metric | Type | Meaning |
+//! |---|---|---|
+//! | `doacross_workers` | gauge | Workers per scheduler sub-pool — the processor count `p` each solve runs on, not the engine's total (`doacross_workers × doacross_pools`). |
+//! | `doacross_pools` | gauge | Scheduler sub-pool count. |
+//! | `doacross_max_pending` | gauge | Callers allowed to wait for a free sub-pool before admission refuses. |
+//! | `doacross_saturations_total` | counter | Admissions refused (every sub-pool busy, wait queue full). |
+//! | `doacross_cache_plans` | gauge | Plans currently cached. |
+//! | `doacross_cache_capacity` | gauge | Total plan capacity across cache shards. |
+//! | `doacross_cache_shards` | gauge | Shard count of the plan cache. |
+//! | `doacross_cache_{hits,misses,evictions,insertions}_total` | counter | The cache's exact traffic counters. |
+//! | `doacross_adaptive_*_total` | counter | The adaptive loop's decision counters (`AdaptiveStats`), adaptive engines only. |
 //!
 //! # What "on" costs
 //!
@@ -103,12 +110,12 @@ mod trace;
 
 pub use event::{
     CandidatePrices, ColdStartReason, FpId, ObsFault, ObsVariant, PlanProvenance, SolveOutcome,
-    SolveRecord, TraceEvent, TracedEvent, VerifyRecord,
+    SolveRecord, TraceEvent, TracedEvent,
 };
 pub use fphash::{FpBuildHasher, FpHasher, FpMap};
 pub use metrics::{HistogramSnapshot, VariantLatency};
 
-use flight::{FlightRecorder, VerifyRing};
+use flight::FlightRecorder;
 use metrics::Registry;
 
 /// Static `pool` label values for the bounded per-sub-pool series
@@ -116,16 +123,9 @@ use metrics::Registry;
 const POOL_LABELS: [&str; metrics::MAX_POOL_SERIES] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
 ];
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// A subscriber notified synchronously of every emitted [`TraceEvent`]
-/// (after the registry and rings have absorbed it). Keep `on_event` cheap:
-/// it runs on the emitting thread.
-pub trait ObsSink: Send + Sync {
-    fn on_event(&self, event: &TraceEvent);
-}
 
 /// Capacity knobs for the observability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,9 +159,6 @@ struct ObsInner {
     trace: trace::TraceRing,
     registry: Registry,
     flight: FlightRecorder,
-    verify: VerifyRing,
-    sinks: RwLock<Vec<Arc<dyn ObsSink>>>,
-    has_sinks: AtomicBool,
 }
 
 /// The observability handle. Cheap to clone (an `Option<Arc<_>>`); a
@@ -186,9 +183,6 @@ impl Obs {
                 trace: trace::TraceRing::new(config.trace_capacity, config.trace_shards),
                 registry: Registry::default(),
                 flight: FlightRecorder::new(config.flight_capacity),
-                verify: VerifyRing::new(config.flight_capacity),
-                sinks: RwLock::new(Vec::new()),
-                has_sinks: AtomicBool::new(false),
             })),
         }
     }
@@ -206,22 +200,9 @@ impl Obs {
         self.inner.as_ref().map(|i| i.config)
     }
 
-    /// Registers a subscriber for all future events.
-    pub fn add_sink(&self, sink: Arc<dyn ObsSink>) {
-        if let Some(inner) = &self.inner {
-            let mut sinks = match inner.sinks.write() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            sinks.push(sink);
-            inner.has_sinks.store(true, Ordering::Release);
-        }
-    }
-
     /// Records `event`: updates the metrics registry, appends to the
     /// trace ring, feeds the flight recorder (for
-    /// [`TraceEvent::SolveFinished`]), and notifies sinks. A no-op on a
-    /// disabled handle.
+    /// [`TraceEvent::SolveFinished`]). A no-op on a disabled handle.
     pub fn emit(&self, event: TraceEvent) {
         if let Some(inner) = &self.inner {
             inner.absorb(inner.start.elapsed(), event);
@@ -333,9 +314,6 @@ impl ObsInner {
                     .fault_fallbacks_total
                     .fetch_add(1, Ordering::Relaxed);
             }
-            TraceEvent::SolveRetried { .. } => {
-                self.registry.retry_total.fetch_add(1, Ordering::Relaxed);
-            }
             TraceEvent::StoreQuarantined { .. } => {
                 self.registry
                     .store_quarantines_total
@@ -351,19 +329,10 @@ impl ObsInner {
             TraceEvent::SolveProfiled { .. } => {
                 // Counted by the engine's Profiler, which renders its own
                 // doacross_profile_* families; the registry does not
-                // duplicate them. The ring and sinks still see the event.
+                // duplicate them. The ring still records the event.
             }
         }
         self.trace.push(at_ns, event);
-        if self.has_sinks.load(Ordering::Acquire) {
-            let sinks = match self.sinks.read() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for sink in sinks.iter() {
-                sink.on_event(&event);
-            }
-        }
     }
 }
 
@@ -381,25 +350,6 @@ impl Obs {
         self.inner
             .as_ref()
             .map(|i| i.flight.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Deposits a plan-soundness verdict into the verify ring (the
-    /// flight recorder's parallel ring — latest verdict per
-    /// fingerprint). A no-op on a disabled handle; the caller emits the
-    /// matching [`TraceEvent::PlanVerified`] separately.
-    pub fn record_verification(&self, record: VerifyRecord) {
-        if let Some(inner) = &self.inner {
-            inner.verify.push(record);
-        }
-    }
-
-    /// Retained verification verdicts, oldest first — at most one (the
-    /// latest) per fingerprint. Empty when observability is disabled.
-    pub fn recent_verifications(&self) -> Vec<VerifyRecord> {
-        self.inner
-            .as_ref()
-            .map(|i| i.verify.snapshot())
             .unwrap_or_default()
     }
 
@@ -619,12 +569,6 @@ impl Obs {
         );
         render::counter(
             buf,
-            "doacross_retry_total",
-            "Saturated solves re-submitted after bounded backoff.",
-            load(&r.retry_total),
-        );
-        render::counter(
-            buf,
             "doacross_store_quarantines_total",
             "Corrupt warm-start stores renamed aside.",
             load(&r.store_quarantines_total),
@@ -764,118 +708,11 @@ impl Obs {
             &ns_row_refs,
         );
     }
-
-    /// Renders the registry as a JSON object into `buf` (the engine wraps
-    /// it with its sampled values). A no-op on a disabled handle appends
-    /// `{}`.
-    pub fn render_json(&self, buf: &mut String) {
-        use std::fmt::Write as _;
-        let Some(inner) = &self.inner else {
-            buf.push_str("{}");
-            return;
-        };
-        let r = &inner.registry;
-        let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
-        buf.push('{');
-        buf.push_str("\"solves\":{");
-        let mut first = true;
-        for v in ObsVariant::ALL {
-            for p in PlanProvenance::ALL {
-                let n = load(&r.solves[v.index()][p.index()]);
-                if n > 0 {
-                    if !first {
-                        buf.push(',');
-                    }
-                    first = false;
-                    let _ = write!(buf, "\"{}/{}\":{}", v.as_str(), p.as_str(), n);
-                }
-            }
-        }
-        buf.push_str("},\"solve_ns\":{");
-        let latencies = self.solve_latency();
-        for (i, l) in latencies.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let _ = write!(
-                buf,
-                "\"{}\":{{\"count\":{},\"sum_ns\":{},\"buckets\":[",
-                l.variant.as_str(),
-                l.histogram.count,
-                l.histogram.sum_ns
-            );
-            for (j, b) in l.histogram.buckets.iter().enumerate() {
-                if j > 0 {
-                    buf.push(',');
-                }
-                let _ = write!(buf, "{b}");
-            }
-            buf.push_str("]}");
-        }
-        buf.push_str("},\"counters\":{");
-        let pool_dispatches_total =
-            r.pool_dispatches.iter().map(load).sum::<u64>() + load(&r.pool_overflow_dispatches);
-        let counters: [(&str, u64); 25] = [
-            ("wait_polls", load(&r.wait_polls_total)),
-            ("stalls", load(&r.stalls_total)),
-            ("barrier_crossings", load(&r.barrier_crossings_total)),
-            ("cache_invalidations", load(&r.cache_invalidations_total)),
-            ("plan_swaps", load(&r.plan_swaps_total)),
-            ("store_saves", load(&r.store_saves_total)),
-            ("store_loads", load(&r.store_loads_total)),
-            ("store_plans_saved", load(&r.store_plans_saved_total)),
-            ("store_plans_restored", load(&r.store_plans_restored_total)),
-            ("cold_starts", load(&r.cold_starts_total)),
-            ("verify_passes", load(&r.verify_passes_total)),
-            ("verify_failures", load(&r.verify_failures_total)),
-            ("divergences", load(&r.divergences_total)),
-            ("trials_started", load(&r.trials_started_total)),
-            ("trials_committed", load(&r.trials_committed_total)),
-            ("trials_demoted", load(&r.trials_demoted_total)),
-            ("baseline_probes", load(&r.baseline_probes_total)),
-            ("pool_dispatches", pool_dispatches_total),
-            ("pool_steals", load(&r.pool_steals_total)),
-            ("fault_panics", load(&r.fault_panics_total)),
-            ("fault_timeouts", load(&r.fault_timeouts_total)),
-            ("fault_fallbacks", load(&r.fault_fallbacks_total)),
-            ("retries", load(&r.retry_total)),
-            ("store_quarantines", load(&r.store_quarantines_total)),
-            ("trace_dropped", inner.trace.dropped()),
-        ];
-        for (i, (name, value)) in counters.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let _ = write!(buf, "\"{name}\":{value}");
-        }
-        buf.push_str("},\"recent_solves\":[");
-        for (i, s) in self.recent_solves().iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let _ = write!(
-                buf,
-                "{{\"fingerprint\":\"{}\",\"variant\":\"{}\",\"provenance\":\"{}\",\"generation\":{},\"total_ns\":{},\"stalls\":{},\"wait_polls\":{},\"barrier_crossings\":{},\"pool\":{},\"outcome\":\"{}\"}}",
-                s.fp,
-                s.variant.as_str(),
-                s.provenance.as_str(),
-                s.generation,
-                s.total_ns,
-                s.stalls,
-                s.wait_polls,
-                s.barrier_crossings,
-                event::JsonOpt(s.pool),
-                s.outcome.as_str()
-            );
-        }
-        buf.push_str("]}");
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     fn solve_event(fp: FpId, variant: ObsVariant, ns: u64) -> TraceEvent {
         TraceEvent::SolveFinished {
@@ -909,8 +746,6 @@ mod tests {
         let mut buf = String::new();
         obs.render_prometheus(&mut buf);
         assert!(buf.is_empty());
-        obs.render_json(&mut buf);
-        assert_eq!(buf, "{}");
     }
 
     #[test]
@@ -936,22 +771,6 @@ mod tests {
         assert!(buf.contains("doacross_wait_polls_total 3"));
         assert!(buf.contains("doacross_trace_events_total 2"));
         assert!(buf.contains("doacross_structure_solves_total{fingerprint=\"0000000000000abc0000000000000def\",variant=\"wavefront\"} 1"));
-    }
-
-    #[test]
-    fn sinks_see_every_event() {
-        struct Counting(AtomicUsize);
-        impl ObsSink for Counting {
-            fn on_event(&self, _event: &TraceEvent) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let obs = Obs::new(ObsConfig::default());
-        let sink = Arc::new(Counting(AtomicUsize::new(0)));
-        obs.add_sink(sink.clone());
-        obs.emit(TraceEvent::CacheMiss { fp: FpId(1, 1) });
-        obs.emit(solve_event(FpId(1, 1), ObsVariant::Sequential, 10));
-        assert_eq!(sink.0.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -992,23 +811,6 @@ mod tests {
         assert!(buf.contains("doacross_pool_steals_total 1"));
         assert!(buf.contains("doacross_pool_wait_ns_count 1"));
         assert!(buf.contains("doacross_pool_solve_ns_bucket{pool=\"0\",le=\"+Inf\"} 1"));
-
-        let mut json = String::new();
-        obs.render_json(&mut json);
-        assert!(json.contains("\"pool_dispatches\":1"));
-        assert!(json.contains("\"pool_steals\":1"));
-    }
-
-    #[test]
-    fn json_is_parseable_shape() {
-        let obs = Obs::new(ObsConfig::default());
-        obs.emit(solve_event(FpId(7, 7), ObsVariant::Linear, 42));
-        let mut buf = String::new();
-        obs.render_json(&mut buf);
-        assert!(buf.starts_with('{') && buf.ends_with('}'));
-        assert!(buf.contains("\"solves\":{\"linear/plan_cached\":1}"));
-        assert!(buf
-            .contains("\"recent_solves\":[{\"fingerprint\":\"00000000000000070000000000000007\""));
     }
 
     #[test]
@@ -1026,11 +828,8 @@ mod tests {
         obs.emit(event);
         let r = &obs.inner.as_ref().unwrap().registry;
         assert!(r.pool_solve_ns.iter().all(|h| h.snapshot().2 == 0));
-        let mut json = String::new();
-        obs.render_json(&mut json);
-        assert!(json.contains("\"pool\":null"), "{json}");
-        let mut line = String::new();
-        event.to_json(&mut line);
-        assert!(line.contains("\"pool\":null"), "{line}");
+        let solves = obs.recent_solves();
+        assert_eq!(solves.len(), 1);
+        assert_eq!(solves[0].pool, None);
     }
 }

@@ -149,8 +149,6 @@ pub(crate) struct Registry {
     pub(crate) fault_timeouts_total: AtomicU64,
     /// Faulted attempts re-run (successfully) on the sequential variant.
     pub(crate) fault_fallbacks_total: AtomicU64,
-    /// Saturated solves re-submitted by `execute_with_retry` backoff.
-    pub(crate) retry_total: AtomicU64,
     /// Corrupt warm-start stores renamed aside.
     pub(crate) store_quarantines_total: AtomicU64,
     /// Per-structure breakdown, bounded; overflow aggregates under
@@ -227,7 +225,7 @@ impl Registry {
 }
 
 /// Public snapshot of one variant's solve-latency histogram, paired with
-/// its variant label — what `metrics_json` exposes.
+/// its variant label — what [`crate::Obs::solve_latency`] returns.
 pub struct VariantLatency {
     pub variant: ObsVariant,
     pub histogram: HistogramSnapshot,

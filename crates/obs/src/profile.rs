@@ -22,18 +22,17 @@
 //! - **Workers touch only their own cache-padded cell.** A span deposit is
 //!   an uncontended mutex on a line no other worker writes.
 //!
-//! Exporters: [`Profiler::chrome_trace`] renders retained profiles as
+//! Exporter: [`Profiler::chrome_trace`] renders retained profiles as
 //! Chrome trace-event JSON (loads in Perfetto / `about://tracing`; one
-//! track per worker), validated by [`validate_chrome_trace`]; and
-//! [`StreamingSink`] fans every [`TraceEvent`] — profile summaries
-//! included — to any `io::Write` as NDJSON.
+//! track per worker), validated by [`validate_chrome_trace`]. Each
+//! harvest's summary also reaches the trace ring as a
+//! [`crate::TraceEvent::SolveProfiled`] event.
 
 use crate::metrics::{Histogram, LATENCY_BUCKET_BOUNDS_NS};
-use crate::{render, FpId, HistogramSnapshot, ObsSink, ObsVariant, TraceEvent};
+use crate::{render, FpId, HistogramSnapshot, ObsVariant};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write as IoWrite;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// What a [`ProfSpan`] measures.
@@ -363,7 +362,7 @@ impl SolveProfile {
 }
 
 /// The attribution summary [`Profiler::harvest`] hands back to the
-/// engine — what it forwards to the trace stream and the adaptive layer.
+/// engine — what it forwards to the trace stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProfileSummary {
     /// See [`SolveProfile::realized_critical_ns`].
@@ -380,20 +379,6 @@ pub struct ProfileSummary {
     pub spans: u64,
     /// Spans dropped by arena bounding.
     pub dropped: u64,
-}
-
-impl ProfileSummary {
-    /// Fraction of measured time (work + waits) that was synchronization
-    /// wait — the evidence stream the adaptive layer consumes.
-    pub fn wait_fraction(&self) -> f64 {
-        let wait = self.flag_wait_ns + self.barrier_wait_ns;
-        let total = self.work_ns + wait;
-        if total == 0 {
-            0.0
-        } else {
-            wait as f64 / total as f64
-        }
-    }
 }
 
 /// Where a harvest's spans come from.
@@ -750,51 +735,6 @@ impl Profiler {
         );
     }
 
-    /// Appends the profiler's JSON fragment (an object) to `buf`.
-    pub fn render_json(&self, buf: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            buf,
-            "{{\"solves\":{},\"dropped_spans\":{}",
-            self.solves(),
-            self.dropped_total.load(Ordering::Relaxed)
-        );
-        buf.push_str(",\"spans\":{");
-        for (i, k) in SpanKind::ALL.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let _ = write!(
-                buf,
-                "\"{}\":{}",
-                k.as_str(),
-                self.spans_by_kind[k.index()].load(Ordering::Relaxed)
-            );
-        }
-        buf.push_str("},\"recent\":[");
-        for (i, p) in self.recent().iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let _ = write!(
-                buf,
-                "{{\"seq\":{},\"fingerprint\":\"{}\",\"variant\":\"{}\",\"workers\":{},\"total_ns\":{},\"realized_critical_ns\":{},\"work_ns\":{},\"flag_wait_ns\":{},\"barrier_wait_ns\":{},\"dispatch_wait_ns\":{},\"spans\":{}}}",
-                p.seq,
-                p.fp,
-                p.variant,
-                p.workers,
-                p.total_ns,
-                p.realized_critical_ns,
-                p.work_ns(),
-                p.flag_wait_ns(),
-                p.barrier_wait_ns(),
-                p.dispatch_wait_ns(),
-                p.spans.len()
-            );
-        }
-        buf.push_str("]}");
-    }
-
     /// Renders the retained profiles as Chrome trace-event JSON — loads
     /// directly in Perfetto or `about://tracing`. One process per
     /// profiled solve (named after its sequence number and variant), one
@@ -958,45 +898,6 @@ fn field_f64(obj: &str, key: &str) -> Option<f64> {
     field_raw(obj, key)?.parse().ok()
 }
 
-/// An [`ObsSink`] that streams every [`TraceEvent`] — profile summaries
-/// included, on engines that profile — to a writer as NDJSON: one
-/// `{"kind":...}` object per line. Events arrive on the emitting thread
-/// *after* the registry and rings have absorbed them and outside any
-/// engine lock; the sink serializes writers behind its own mutex. Write
-/// errors are swallowed (observability must never fail a solve).
-pub struct StreamingSink<W: IoWrite + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: IoWrite + Send> StreamingSink<W> {
-    /// Wraps `out` as an NDJSON event stream.
-    pub fn new(out: W) -> Self {
-        Self {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Runs `f` with exclusive access to the writer (flushing, testing).
-    pub fn with_writer<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
-        let mut guard: MutexGuard<'_, W> = match self.out.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard)
-    }
-}
-
-impl<W: IoWrite + Send> ObsSink for StreamingSink<W> {
-    fn on_event(&self, event: &TraceEvent) {
-        let mut line = String::with_capacity(128);
-        event.to_json(&mut line);
-        line.push('\n');
-        self.with_writer(|w| {
-            let _ = w.write_all(line.as_bytes());
-        });
-    }
-}
-
 /// Re-exported so profile consumers can interpret histogram snapshots
 /// without importing the metrics module.
 pub const BARRIER_WAIT_BUCKET_BOUNDS_NS: [u64; 11] = LATENCY_BUCKET_BOUNDS_NS;
@@ -1066,7 +967,6 @@ mod tests {
         assert_eq!(summary.dropped, 0);
         // Chains: w0 = 100 + 20 = 120, w1 = 50 + 70 = 120; + dispatch 10.
         assert_eq!(summary.realized_critical_ns, 130);
-        assert!((summary.wait_fraction() - 120.0 / 270.0).abs() < 1e-9);
 
         let profiles = prof.recent();
         assert_eq!(profiles.len(), 1);
@@ -1206,31 +1106,5 @@ mod tests {
             {\"name\":\"mystery\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":1.000,\"dur\":1.000,\"args\":{\"aux\":0}}\
             ],\"displayTimeUnit\":\"ns\"}";
         assert!(validate_chrome_trace(bad_kind).is_err());
-    }
-
-    #[test]
-    fn streaming_sink_writes_one_json_line_per_event() {
-        let sink = StreamingSink::new(Vec::<u8>::new());
-        sink.on_event(&TraceEvent::CacheMiss { fp: fp() });
-        sink.on_event(&TraceEvent::SolveProfiled {
-            fp: fp(),
-            variant: ObsVariant::Wavefront,
-            realized_critical_ns: 130,
-            work_ns: 150,
-            flag_wait_ns: 30,
-            barrier_wait_ns: 90,
-            dispatch_wait_ns: 10,
-            spans: 6,
-        });
-        let written = sink.with_writer(|w| String::from_utf8(w.clone()).unwrap());
-        let lines: Vec<&str> = written.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"kind\":\"cache_miss\""));
-        assert!(lines[1].starts_with("{\"kind\":\"solve_profiled\""));
-        assert!(lines[1].contains("\"realized_critical_ns\":130"));
-        assert!(lines[1].contains("\"barrier_wait_ns\":90"));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Prometheus text-exposition and JSON rendering helpers.
+//! Prometheus text-exposition rendering helpers.
 //!
 //! The helpers are public so the engine can compose its own sampled
 //! values (cache occupancy, adaptive decision counters, pool gauges) into
@@ -119,25 +119,6 @@ pub fn histogram_family(
         write_labels(buf, labels);
         let _ = writeln!(buf, " {}", snap.count);
     }
-}
-
-/// Appends a JSON string literal (quoted, escaped) to `buf`.
-pub fn json_string(buf: &mut String, value: &str) {
-    buf.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            _ => buf.push(c),
-        }
-    }
-    buf.push('"');
 }
 
 #[cfg(test)]

@@ -67,34 +67,6 @@ pub fn default_shard_count() -> usize {
         .next_power_of_two()
 }
 
-/// One shard's occupancy and traffic, as reported by
-/// [`ConcurrentPlanCache::shard_stats`] — the observability hook for
-/// capacity tuning: a shard whose `len` sits at `capacity` while others
-/// idle means the fingerprint distribution is skewed for this workload
-/// and the shard count (or total capacity) wants adjusting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index (`0..shard_count`).
-    pub shard: usize,
-    /// Plans currently resident in this shard.
-    pub len: usize,
-    /// This shard's plan capacity.
-    pub capacity: usize,
-    /// This shard's traffic counters.
-    pub stats: CacheStats,
-}
-
-impl ShardStats {
-    /// `len / capacity` (0 for a zero-capacity shard).
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.len as f64 / self.capacity as f64
-        }
-    }
-}
-
 struct Shard {
     lru: PlanCache,
     /// Per-fingerprint generation cells. Handed out as `Arc`s by
@@ -203,29 +175,8 @@ impl ConcurrentPlanCache {
         total
     }
 
-    /// Per-shard occupancy and traffic, in shard order. Shards are locked
-    /// one at a time, so each row is internally consistent but the vector
-    /// is not a global atomic cut — the same contract as
-    /// [`ConcurrentPlanCache::snapshot`], and enough for capacity tuning.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                let shard = shard.lock();
-                ShardStats {
-                    shard: index,
-                    len: shard.lru.len(),
-                    capacity: shard.lru.capacity(),
-                    stats: shard.lru.stats(),
-                }
-            })
-            .collect()
-    }
-
-    /// The shard index `key` routes to — lets callers correlate a
-    /// fingerprint with its [`ShardStats`] row.
-    pub fn shard_of(&self, key: &PatternFingerprint) -> usize {
+    /// The shard index `key` routes to.
+    fn shard_of(&self, key: &PatternFingerprint) -> usize {
         if self.shards.len() == 1 {
             0
         } else {
@@ -733,66 +684,6 @@ mod tests {
             "stale entry in an older store is dropped"
         );
         assert!(!fresh.contains(&retired_key));
-    }
-
-    #[test]
-    fn shard_stats_expose_skew() {
-        let pool = ThreadPool::new(2);
-        let cache = ConcurrentPlanCache::new(16, 4);
-        // A skewed-fingerprint workload: whatever shard each structure
-        // hashes to, drive ALL the repeat traffic at the single hottest
-        // one, so one shard accumulates the hits while the others idle.
-        let loops: Vec<IndirectLoop> = (1..=12).map(scatter_loop).collect();
-        let keys: Vec<_> = loops.iter().map(crate::PatternFingerprint::of).collect();
-        for l in &loops {
-            cache.insert(build_plan(&pool, l));
-        }
-        let mut per_shard_inserts = vec![0usize; cache.shard_count()];
-        for key in &keys {
-            per_shard_inserts[cache.shard_of(key)] += 1;
-        }
-        let hot = (0..cache.shard_count())
-            .max_by_key(|&s| per_shard_inserts[s])
-            .unwrap();
-        // Only the most recently inserted `capacity` keys of the hot shard
-        // are guaranteed resident (earlier ones may have been evicted).
-        let all_hot: Vec<_> = keys.iter().filter(|k| cache.shard_of(k) == hot).collect();
-        let hot_keys = &all_hot[all_hot.len().saturating_sub(4)..];
-        assert!(!hot_keys.is_empty());
-        for _ in 0..5 {
-            for key in hot_keys {
-                assert!(cache.get(key).is_some());
-            }
-        }
-
-        let rows = cache.shard_stats();
-        assert_eq!(rows.len(), cache.shard_count());
-        for (s, row) in rows.iter().enumerate() {
-            assert_eq!(row.shard, s);
-            assert_eq!(row.capacity, 4, "16 plans over 4 shards");
-            assert_eq!(
-                row.len,
-                per_shard_inserts[s].min(row.capacity),
-                "occupancy reflects where the fingerprints actually landed"
-            );
-            assert!(row.occupancy() <= 1.0);
-            let expected_hits = if s == hot {
-                5 * hot_keys.len() as u64
-            } else {
-                0
-            };
-            assert_eq!(row.stats.hits, expected_hits, "shard {s}");
-        }
-
-        // The per-shard rows must reconcile exactly with the merged view.
-        let mut merged = CacheStats::default();
-        let mut total_len = 0;
-        for row in &rows {
-            merged.absorb(&row.stats);
-            total_len += row.len;
-        }
-        assert_eq!(merged, cache.stats());
-        assert_eq!(total_len, cache.len());
     }
 
     #[test]

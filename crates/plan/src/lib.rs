@@ -95,7 +95,7 @@ pub mod runtime;
 
 pub use cache::{CacheStats, PlanCache};
 pub use census::{CensusPass, PlanCensus};
-pub use concurrent::{default_shard_count, ConcurrentPlanCache, ShardStats};
+pub use concurrent::{default_shard_count, ConcurrentPlanCache};
 pub use fingerprint::PatternFingerprint;
 pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
 pub use plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};

@@ -20,15 +20,6 @@ pub fn csr_matvec(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
     y
 }
 
-/// Residual max-norm `‖A x − b‖_∞`.
-pub fn residual_inf_norm(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
-    csr_matvec(a, x)
-        .iter()
-        .zip(b)
-        .map(|(ax, bi)| (ax - bi).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,19 +41,6 @@ mod tests {
     fn identity_matvec() {
         let i = CsrMatrix::identity(3);
         assert_eq!(csr_matvec(&i, &[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn residual_zero_for_exact_solution() {
-        let i = CsrMatrix::identity(3);
-        assert_eq!(
-            residual_inf_norm(&i, &[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]),
-            0.0
-        );
-        assert_eq!(
-            residual_inf_norm(&i, &[1.0, 2.0, 3.0], &[1.0, 2.0, 4.0]),
-            1.0
-        );
     }
 
     #[test]

@@ -54,23 +54,11 @@ pub struct EngineSolver {
 impl EngineSolver {
     /// Solver over `engine` — typically a clone of a session-wide engine,
     /// so triangular solves share the pool and plan cache with everything
-    /// else the service runs.
+    /// else the service runs. A restarted process warm-starts the engine
+    /// itself ([`doacross_engine::EngineBuilder::warm_start`]), so the
+    /// first solve of a structure a previous process saved is a hit.
     pub fn new(engine: Engine) -> Self {
         Self { engine }
-    }
-
-    /// Solver over `engine`, warm-started from the plan store at `path`:
-    /// structures solved (and saved) by a previous process start cached,
-    /// so the first solve after a restart skips preprocessing. A missing
-    /// file is a clean cold start; a corrupt, truncated, or
-    /// version-mismatched store fails with
-    /// [`doacross_engine::EngineError::Persist`].
-    pub fn with_warm_start(
-        engine: Engine,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<Self, EngineError> {
-        engine.warm_start_plans(path)?;
-        Ok(Self { engine })
     }
 
     /// Checkpoints the engine's plan cache to `path` (see
@@ -232,21 +220,25 @@ mod tests {
         let rhs = vec![1.0; l.n()];
 
         // "First process": missing store → cold start, solve, checkpoint.
-        let first = EngineSolver::with_warm_start(
-            Engine::builder().workers(2).cache_capacity(8).build(),
-            &path,
-        )
-        .unwrap();
+        let first = EngineSolver::new(
+            Engine::builder()
+                .workers(2)
+                .cache_capacity(8)
+                .warm_start(&path)
+                .build(),
+        );
         let (_, stats) = first.solve(&l, &rhs).unwrap();
         assert_eq!(stats.provenance, PlanProvenance::PlanCold);
         assert_eq!(first.save_plans(&path).unwrap(), 1);
 
         // "Restarted process": same structure, first solve is a hit.
-        let second = EngineSolver::with_warm_start(
-            Engine::builder().workers(2).cache_capacity(8).build(),
-            &path,
-        )
-        .unwrap();
+        let second = EngineSolver::new(
+            Engine::builder()
+                .workers(2)
+                .cache_capacity(8)
+                .warm_start(&path)
+                .build(),
+        );
         let (y, stats) = second.solve(&l, &rhs).unwrap();
         assert_eq!(stats.provenance, PlanProvenance::PlanCached);
         assert_eq!(stats.inspector, std::time::Duration::ZERO);

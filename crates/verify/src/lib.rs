@@ -46,8 +46,8 @@
 //!
 //! * [`verify_pattern`] — the full check, used when the index arrays are
 //!   in hand: plan build (`debug_assert!`-gated), adaptive promotion
-//!   (a trial plan must verify before it is swapped in), and
-//!   `Engine::verify_plan()`.
+//!   (a trial plan must verify before it is swapped in), and any caller
+//!   holding a plan and its pattern (`ExecutionPlan::verify_against`).
 //! * [`verify_artifacts`] — the pattern-free check persisted-plan loading
 //!   runs: the stream's shape for its variant (order / no order / level
 //!   offsets), claim-order permutation, reference total and per-class

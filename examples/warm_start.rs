@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .workers(2)
         .cache_capacity(16)
         .warm_start(&path)
-        .try_build()?;
+        .build();
     // Gate the assertion on plans actually restored, not on the file
     // existing: a store from a superseded FORMAT_VERSION (e.g. a relic
     // in the temp dir from before a format bump) is a legitimate cold

@@ -143,7 +143,7 @@ fn main() {
     if let Some(path) = &store {
         builder = builder.warm_start(path);
     }
-    let engine = builder.try_build().expect("store unreadable or corrupt");
+    let engine = builder.build();
 
     let prepared = engine.prepare(&deep).expect("plannable");
     assert_eq!(

@@ -2,9 +2,22 @@
 # analysis_gate.sh — the static-analysis gate.
 #
 # benchmark/run.sh keeps the perf claims honest; this gate keeps the
-# *soundness* claims honest. Three tiers, all cheap enough for CI:
+# *soundness* claims honest (and the public surface small). Four tiers,
+# all cheap enough for CI:
 #
 #   lints          cargo clippy --workspace --all-targets -D warnings.
+#
+#   surface        every `pub fn` in `impl Engine` and `impl PreparedLoop`
+#                  must have a caller outside tests. A call site is
+#                  `.name(` or `::name(` on a non-comment line that comes
+#                  before its file's first `#[cfg(test)]`, in examples/,
+#                  src/, benchmark/src/ or a crates/*/src file other than
+#                  the defining one. Integration tests, `#[cfg(test)]`
+#                  modules and doc comments do not count: a method only
+#                  they call is surface nothing ships through. Known blind
+#                  spot: the match is by name, not by receiver type, so a
+#                  method that shares its name with another type's method
+#                  (`contains`, `config`) passes on the other's call sites.
 #
 #   audit          every crate root must pin its unsafe posture: either
 #                  #![forbid(unsafe_code)] or
@@ -99,6 +112,34 @@ violation() { say "analysis_gate: FAIL: $*" >&2; fail=1; }
 say "analysis_gate: clippy (deny warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings ||
   violation "clippy reported warnings"
+
+# --- surface ----------------------------------------------------------------
+
+say "analysis_gate: public surface has callers outside tests"
+surface() { # defining file, type name
+  local def=$1 ty=$2 names corpus
+  names=$(awk -v ty="$ty" '
+    $0 ~ "^impl(<[^>]*>)? " ty " \\{" { inside = 1; next }
+    inside && /^}/ { inside = 0 }
+    inside && match($0, /^    pub fn [A-Za-z_0-9]+/) { print substr($0, 12, RLENGTH - 11) }
+  ' "$def")
+  if [ -z "$names" ]; then
+    violation "$def: no pub fn found in impl $ty"
+    return
+  fi
+  corpus=$(find examples src benchmark/src crates/*/src -name '*.rs' ! -path "$def" -print0 |
+    xargs -0 awk '
+      FNR == 1 { skip = 0 }
+      /#\[cfg\(test\)\]/ { skip = 1 }
+      !skip && !/^[[:space:]]*\/\// { print }
+    ')
+  for name in $names; do
+    grep -Eq "(\.|::)${name}\(" <<<"$corpus" ||
+      violation "$ty::$name has no caller outside tests ($def)"
+  done
+}
+surface crates/engine/src/engine.rs Engine
+surface crates/engine/src/prepared.rs PreparedLoop
 
 # --- audit ------------------------------------------------------------------
 

@@ -67,7 +67,7 @@
 //! let engine = Engine::builder()
 //!     .workers(4)
 //!     .warm_start("plans.bin")   // missing = cold start; corrupt =
-//!     .try_build()?;             //   quarantined aside + cold start
+//!     .build();                  //   quarantined aside + cold start
 //! // ... serve traffic; first solves of persisted structures hit ...
 //! engine.save_plans("plans.bin")?;
 //! # Ok::<(), preprocessed_doacross::EngineError>(())
@@ -77,9 +77,9 @@
 //! checksum and structurally revalidates every record (a claim stream's
 //! order must be a permutation and its reference ends must cover its
 //! class bytes, the census must agree with the fingerprint) before anything reaches the
-//! cache — never a panic, never a silently wrong plan. A boot-path load
-//! (`warm_start` / `Engine::warm_start_plans`) treats a damaged store as
-//! a fault to recover from, not an error to die on: the file is renamed
+//! cache — never a panic, never a silently wrong plan. The boot-path load
+//! (`EngineBuilder::warm_start`) treats a damaged store as a fault to
+//! recover from, not an error to die on: the file is renamed
 //! aside to `<path>.corrupt-<n>` (the two newest corpses are kept for
 //! forensics) and the engine boots cold, so a service caught in a
 //! crash-restart loop self-heals instead of crashing on the same bytes
@@ -97,10 +97,9 @@
 //! [`TraceEvent`] into a bounded in-memory ring; `Engine::metrics_text()`
 //! renders the whole registry — cache traffic, per-variant solve-latency
 //! histograms, adaptive decision counts, per-structure series — in
-//! Prometheus text-exposition format (`Engine::metrics_json()` is the
-//! same payload as JSON); and `Engine::recent_solves()` is a flight
-//! recorder of the last N solves with variant, provenance, and timing
-//! split. Disabled (the default), the whole layer is one branch per
+//! Prometheus text-exposition format; and `Engine::recent_solves()` is a
+//! flight recorder of the last N solves with variant, provenance, and
+//! timing split. Disabled (the default), the whole layer is one branch per
 //! would-be event. `examples/observe.rs` walks the surface.
 //!
 //! ## Profiling
@@ -116,14 +115,13 @@
 //! per-worker work + barrier-wait chain, plus the dispatch wait) and
 //! pairs it with the plan's *priced* cost on calibrated engines, so the
 //! cost model's prediction can be audited against measured truth per
-//! variant — the same evidence the adaptive layer reads via
-//! `Engine::profile_evidence`.
+//! variant; with observability on, each harvest's summary is also traced
+//! as a `solve_profiled` event.
 //!
 //! The timelines export: `Engine::profile_chrome_trace()` renders the
 //! ring as Chrome trace-event JSON (load it in `chrome://tracing` or
 //! Perfetto; one process per solve, one track per worker —
-//! [`validate_chrome_trace`] checks the structure), [`StreamingSink`]
-//! fans live trace events out as NDJSON, and the scrape gains
+//! [`validate_chrome_trace`] checks the structure), and the scrape gains
 //! `doacross_profile_*` families including per-level barrier-wait
 //! histograms (bounded cardinality: deep levels collapse under
 //! `level="other"`). Off (the default), every deposit site is one branch
@@ -172,9 +170,9 @@
 //! input, delivering the correct answer at reduced speed —
 //! `RunStats::attempts` records the demotion, and the trace, flight
 //! recorder ([`SolveOutcome`]), and `doacross_fault_*` metrics make every
-//! fault visible. [`Engine::execute_with_retry`] adds bounded,
-//! jittered backoff for transient [`EngineError::Saturated`] admission
-//! failures ([`RetryPolicy`]).
+//! fault visible. A refused admission ([`EngineError::Saturated`]) is
+//! returned at once and leaves the engine untouched, so whether to shed
+//! the request or try again is the caller's decision.
 //!
 //! All of it is proven by deterministic fault injection: the `failpoint`
 //! shim compiles to a no-op branch when disarmed, and the chaos suite
@@ -213,7 +211,7 @@
 //!   counted — zero busy-wait polls, zero barriers — whenever the cost
 //!   model predicts the flag bill exceeds the level-boundary bill.
 //! * [`obs`] — the observability layer: the trace-event vocabulary, the
-//!   metrics registry and Prometheus/JSON renderers, and the flight
+//!   metrics registry and its Prometheus text renderer, and the flight
 //!   recorder. Zero dependencies; every other crate emits into it.
 //! * [`sched`] — the multi-pool scheduler behind
 //!   `Engine::builder().pools(n)`: worker partitioning, the lock-light
@@ -248,8 +246,8 @@ pub use doacross_trisolve as trisolve;
 
 pub use doacross_engine::{
     validate_chrome_trace, ChromeTraceStats, Engine, EngineBuilder, EngineError, FallbackPolicy,
-    PreparedLoop, ProfConfig, ProfileSummary, RetryPolicy, SolveProfile, SpanKind, StreamingSink,
+    PreparedLoop, ProfConfig, SolveProfile, SpanKind,
 };
-pub use doacross_obs::{ObsConfig, ObsSink, SolveOutcome, SolveRecord, TraceEvent};
+pub use doacross_obs::{ObsConfig, SolveOutcome, SolveRecord, TraceEvent};
 pub use doacross_plan::{PersistError, PlanStore};
 pub use doacross_sched::PoolStats;

@@ -254,9 +254,16 @@ fn facade_engine_serves_concurrent_callers() {
     assert_eq!(stats.misses, loops.len() as u64, "one plan per structure");
     assert!(stats.hits > 0, "shared cache serves hits across threads");
 
-    // Prepared handles survive cache eviction but not invalidation.
-    let prepared = engine.prepare(&loops[0]).expect("cached");
-    engine.clear_cache();
+    // Prepared handles survive cache eviction but not invalidation: on a
+    // one-plan cache, preparing a second structure evicts the first.
+    let engine = Engine::builder()
+        .workers(2)
+        .cache_capacity(1)
+        .shards(1)
+        .build();
+    let prepared = engine.prepare(&loops[0]).expect("plannable");
+    engine.prepare(&loops[1]).expect("plannable");
+    assert_eq!(engine.cache_stats().evictions, 1);
     let mut y = loops[0].initial_y();
     prepared.execute(&loops[0], &mut y).expect("eviction-proof");
     assert_eq!(y, oracles[0]);

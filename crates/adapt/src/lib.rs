@@ -22,33 +22,32 @@
 //!   host calibration or a sequential baseline observation, and blends
 //!   them into the static model via
 //!   [`doacross_sim::CostModel::refined_from`] with a weight that grows
-//!   with the evidence. [`pricing`] then re-prices a plan's candidate
-//!   table under the refined model with the planner's own pricing
-//!   function over the structure features the plan keeps — pure
-//!   arithmetic, and exact.
-//! * [`policy`] — [`PromotionPolicy`]: *when observed cost diverges from
-//!   prediction by more than the configured factor, re-price; if a
-//!   candidate wins by the hysteresis margin, trial it (the engine swaps
-//!   the cached plan under the shard lock with a generation bump — stale
+//!   with the evidence.
+//! * [`policy`] — [`PromotionPolicy`]: *when the running variant's price
+//!   under the refined model diverges from its static price by more than
+//!   the configured factor, ask what the planner would choose under that
+//!   model ([`doacross_plan::price_features`] over the features the plan
+//!   keeps — arithmetic, and exactly what a replan builds); if that
+//!   choice wins by the hysteresis margin, trial it (the engine swaps the
+//!   cached plan under the shard lock with a generation bump — stale
 //!   handles fail typed); commit or demote on the measured comparison.*
 //!   Every trial rejects its loser permanently, so the policy provably
-//!   cannot flip-flop — see [`policy`]'s module docs for the full
-//!   argument.
+//!   cannot flip-flop, and an evaluation builds only to trial, so it
+//!   cannot replan forever either — see [`policy`]'s module docs for the
+//!   full argument.
 //!
 //! The engine-side wiring (what feeds the recorder, runs the baseline
 //! probe, builds promoted plans via the existing census, and performs the
 //! swap) lives in `doacross_engine::adaptive`; this crate is the part
 //! with no locks held across solves and no engine in sight, which is why
-//! all three layers are unit-testable with synthetic numbers.
+//! all three layers are unit-testable without one.
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
 pub mod policy;
-pub mod pricing;
 pub mod refine;
 pub mod telemetry;
 
-pub use policy::{Action, AdaptiveConfig, PromotionPolicy, StructureState, Trial};
-pub use pricing::{breakdown, cheapest, cheapest_by, price_of, Breakdown, PREFERENCE};
+pub use policy::{Action, AdaptiveConfig, Challenger, PromotionPolicy, StructureState, Trial};
 pub use refine::{refine, Refinement, RefinementConfig};
 pub use telemetry::{SolveSample, TelemetryEntry, TelemetryTotals, VariantTelemetry, EWMA_ALPHA};

@@ -352,13 +352,6 @@ impl VariantTelemetry {
             .lock()
             .retain(|(fp, _), _| fp != fingerprint);
     }
-
-    /// Drops every accumulator.
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().clear();
-        }
-    }
 }
 
 impl std::fmt::Debug for VariantTelemetry {

@@ -1,5 +1,5 @@
 //! Engine wiring for `doacross-adapt`: telemetry feeding, the sequential
-//! baseline probe, refined re-pricing, and the plan swap itself.
+//! baseline probe, refinement, and the plan swap itself.
 //!
 //! The division of labor: `doacross_adapt` owns the *decisions* (when to
 //! evaluate, what to trial, commit vs. demote — all value-level and
@@ -11,6 +11,13 @@
 //! outstanding handles fail typed ([`crate::EngineError::StalePlan`])
 //! instead of executing a superseded plan.
 //!
+//! Adaptation is re-planning. What an evaluation trials is the planner's
+//! own choice under the refined model, priced from the plan's features
+//! ([`PromotionPolicy::challenger`]), so the rebuild is that choice — in
+//! debug builds asserted so — and runs only to start a trial. A gated
+//! plan, which keeps no features, pays one rebuild per reopening of its
+//! floor instead.
+//!
 //! Everything here runs *after* a solve returns, off the result path: a
 //! solve's correctness never depends on adaptation (every variant is
 //! bit-identical to the sequential oracle by construction), and a failed
@@ -20,13 +27,13 @@ use crate::engine::EngineInner;
 use crate::solve::clamp_ns;
 use doacross_adapt::telemetry::TelemetryRow;
 use doacross_adapt::{
-    policy::Action, pricing, refine, AdaptiveConfig, PromotionPolicy, RefinementConfig,
+    policy::Action, refine, AdaptiveConfig, Challenger, PromotionPolicy, RefinementConfig,
     SolveSample, StructureState, TelemetryEntry, TelemetryTotals, VariantTelemetry,
 };
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::{FpMap, ObsVariant, TraceEvent};
 use doacross_plan::{
-    gated, price_features, ExecutionPlan, PatternFingerprint, Planner, StoredCalibration,
+    price_features, ExecutionPlan, PatternFingerprint, PlanFeatures, Planner, StoredCalibration,
 };
 use doacross_sim::CostModel;
 use parking_lot::Mutex;
@@ -43,7 +50,7 @@ pub const FAILPOINT_TRIAL: &str = "engine::adaptive::trial";
 /// Counters of the adaptive feedback loop, engine-wide.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
-    /// Evaluation points that refined the model and re-priced a plan.
+    /// Evaluation points reached, re-priced or not.
     pub repricings: u64,
     /// Trials started (plans swapped in on refined evidence).
     pub trials: u64,
@@ -326,8 +333,8 @@ impl AdaptiveRuntime {
     }
 
     /// One evaluation point: refine from a snapshot of every structure's
-    /// telemetry, re-price, and — if the policy proposes a challenger —
-    /// build it with the refined model and swap it in as a trial. Runs
+    /// telemetry and — if the policy names a challenger under the refined
+    /// model — build it with that model and swap it in as a trial. Runs
     /// under the structure lock (`structures` is its guard); trace events
     /// go into `events` for the caller to emit after release.
     fn evaluate<L: DoacrossLoop + ?Sized>(
@@ -357,41 +364,21 @@ impl AdaptiveRuntime {
             return;
         }
         let refined_model = refinement.model(statics);
-        // What (if anything) asks for a challenger build. A gated plan
-        // carries no candidate prices to re-price — the planner settled it
-        // at its parallel floor — so the same floor is re-checked under
-        // the refined model and, when it no longer holds, the replan below
-        // (which then passes the gate and prices everything) decides.
-        let p = plan.processors();
-        let proposed = if plan.is_gated() {
-            let reopens = !gated(&refined_model, plan.census(), p);
-            if !self.policy.propose_past_gate(&structure.policy, reopens) {
-                return;
-            }
-            None
-        } else {
-            let (_, refined_costs) = price_features(
-                &refined_model,
-                plan.census(),
-                plan.features(),
-                plan.linear_subscript(),
-                p,
-            );
-            let static_price = plan.costs().of(plan.variant()).unwrap_or(f64::INFINITY);
-            let Some(refined_price) = pricing::price_of(&refined_costs, kind) else {
-                return;
-            };
-            let proposal = self.policy.propose(
-                &mut structure.policy,
-                kind,
-                static_price,
-                refined_price,
-                |k| pricing::price_of(&refined_costs, k),
-            );
-            let Some(proposal) = proposal else { return };
-            // A proposal means the refined price disagreed with the
-            // static one enough to consider acting: the divergence event,
-            // whether or not a trial follows.
+        let Some(challenger) = self
+            .policy
+            .challenger(&mut structure.policy, plan, &refined_model)
+        else {
+            return;
+        };
+        // A priced challenger means the refined price left the divergence
+        // band and the planner's refined choice clears the margin: the
+        // divergence event, whether or not the trial then starts.
+        if let Challenger::Priced {
+            static_price,
+            refined_price,
+            ..
+        } = challenger
+        {
             if inner.obs.enabled() {
                 events.push(TraceEvent::Divergence {
                     fp: plan.fingerprint().into(),
@@ -400,10 +387,6 @@ impl AdaptiveRuntime {
                     refined_price,
                 });
             }
-            Some(proposal)
-        };
-        if !self.policy.may_trial(&structure.policy) {
-            return;
         }
         // Failpoint: an injected trial fault behaves exactly like a
         // failed challenger build — the incumbent keeps running and the
@@ -425,15 +408,13 @@ impl AdaptiveRuntime {
             Err(_) => return, // never trade a working plan for a failed build
         };
         let built_kind = ObsVariant::from(built.variant());
-        if built_kind == kind {
-            // The full replan agreed with the running variant: settled —
-            // and remembered, so the same contradicted proposal does not
-            // buy another build at the next evaluation point.
-            self.policy.settle(&mut structure.policy, proposed);
-            return;
+        if let Challenger::Priced { kind: chosen, .. } = challenger {
+            debug_assert_eq!(built_kind, chosen, "the replan builds the refined choice");
         }
-        if structure.policy.rejected().contains(&built_kind) {
-            return; // the full replan landed on a measured loser
+        // A priced challenger is neither; a gated plan's replan may be
+        // either, and then starts no trial — its floor stays settled.
+        if built_kind == kind || structure.policy.rejected().contains(&built_kind) {
+            return;
         }
         // Promotion gate: a challenger must prove its synchronization
         // schedule sound against the live pattern before it can replace a
@@ -472,16 +453,53 @@ impl AdaptiveRuntime {
 /// The telemetry sample of a completed solve that ran `plan`'s own
 /// variant: [`RunStats`] projected for the adaptive layer. Barrier
 /// crossings come straight from the run's own count (the wavefront
-/// executor reports `levels − 1`; every other variant reports 0).
+/// executor reports `levels − 1`; every other variant reports 0). The
+/// prediction is the variant's price under `statics` ([`price_features`]);
+/// its work part is the same price with free polls and barriers and no
+/// stalls, and the gap between an *observed* solve and it is the measured
+/// synchronization bill refinement attributes to the model's sync
+/// constants. When `statics` prices no candidate of the plan's variant (a
+/// plan built under a refined model whose selection `statics` would not
+/// reach), the recorded price stands for both.
 fn executed_sample(plan: &ExecutionPlan, statics: &CostModel, stats: &RunStats) -> SolveSample {
-    let split = pricing::breakdown(plan, statics);
+    let own = |model: &CostModel, features: Option<PlanFeatures>| {
+        let (_, costs) = price_features(
+            model,
+            plan.census(),
+            features.as_ref(),
+            plan.linear_subscript(),
+            plan.processors(),
+        );
+        costs.of(plan.variant())
+    };
+    let free = CostModel {
+        wait_poll: 0.0,
+        barrier: 0.0,
+        ..*statics
+    };
+    let unstalled = plan.features().map(|f| PlanFeatures {
+        stall_natural: 0.0,
+        stall_reordered: 0.0,
+        ..*f
+    });
+    let (pred_units, work_units) = match (
+        own(statics, plan.features().copied()),
+        own(&free, unstalled),
+    ) {
+        (Some(pred), Some(work)) => (pred, work),
+        _ => {
+            let costs = plan.costs();
+            let units = costs.of(plan.variant()).unwrap_or(costs.sequential);
+            (units, units)
+        }
+    };
     SolveSample {
         ns: clamp_ns(stats.total),
         wait_polls: stats.wait_polls,
         barriers: stats.barrier_crossings,
         terms: plan.census().total_terms,
-        pred_units: split.pred_units,
-        work_units: split.work_units,
+        pred_units,
+        work_units,
     }
 }
 
@@ -491,5 +509,36 @@ impl std::fmt::Debug for AdaptiveRuntime {
             .field("stats", &self.stats())
             .field("telemetry", &self.telemetry)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use doacross_core::IndirectLoop;
+    use doacross_par::ThreadPool;
+
+    #[test]
+    fn breakdown_work_never_exceeds_prediction() {
+        let planner = Planner::new();
+        // A wide doall with a non-linear lhs (doacross), interleaved
+        // chains (reordered), and a deep grid (wavefront).
+        let n = 4_000;
+        let scatter =
+            IndirectLoop::new(n, (0..n).rev().collect(), vec![vec![]; n], vec![vec![]; n]);
+        let n = 32 * 16;
+        let rhs: Vec<Vec<usize>> = (0..n)
+            .map(|i| if i % 16 == 0 { vec![] } else { vec![i - 1] })
+            .collect();
+        let coeff = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+        let chains = IndirectLoop::new(n, (0..n).collect(), rhs, coeff);
+        let grid = doacross_plan::testgrid::deep_grid(64, 20, 3, 7);
+        for loop_ in [scatter.unwrap(), chains.unwrap(), grid] {
+            let plan = planner.plan(&ThreadPool::new(4), &loop_).unwrap();
+            let s = executed_sample(&plan, planner.costs(), &RunStats::default());
+            assert_eq!(Some(s.pred_units), plan.costs().of(plan.variant()));
+            assert!(s.work_units <= s.pred_units, "{plan}: {s:?}");
+            assert!(s.work_units > 0.0);
+        }
     }
 }

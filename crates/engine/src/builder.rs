@@ -6,7 +6,6 @@ use crate::adaptive::AdaptiveRuntime;
 use crate::engine::Engine;
 use crate::fault::FallbackPolicy;
 use doacross_adapt::AdaptiveConfig;
-use doacross_core::DoacrossConfig;
 use doacross_obs::profile::{ProfConfig, Profiler};
 use doacross_obs::{ColdStartReason, Obs, ObsConfig, TraceEvent};
 use doacross_plan::{
@@ -44,7 +43,6 @@ pub struct EngineBuilder {
     cache_capacity: usize,
     shards: Option<usize>,
     planner: Planner,
-    config: DoacrossConfig,
     warm_start: Option<PathBuf>,
     calibrate: bool,
     adaptive: Option<AdaptiveConfig>,
@@ -64,9 +62,8 @@ impl EngineBuilder {
     /// Builder with defaults: host-sized worker count, a
     /// [`DEFAULT_CACHE_CAPACITY`]-plan cache sharded per the host's
     /// available parallelism ([`doacross_plan::default_shard_count`]),
-    /// a planner pricing with this host's measured costs (see
-    /// [`EngineBuilder::calibrated`]), and the default doacross
-    /// configuration.
+    /// and a planner pricing with this host's measured costs (see
+    /// [`EngineBuilder::calibrated`]).
     pub fn new() -> Self {
         Self {
             workers: None,
@@ -75,7 +72,6 @@ impl EngineBuilder {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             shards: None,
             planner: Planner::new(),
-            config: DoacrossConfig::default(),
             warm_start: None,
             calibrate: true,
             adaptive: None,
@@ -164,14 +160,6 @@ impl EngineBuilder {
     pub fn planner(mut self, planner: Planner) -> Self {
         self.planner = planner;
         self.calibrate = false;
-        self
-    }
-
-    /// Doacross configuration for executions. `schedule` and `wait` are
-    /// honored; `validate_terms` is switched off — validation happened at
-    /// plan time (see [`doacross_plan::PlanExecutor`]).
-    pub fn config(mut self, config: DoacrossConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -418,7 +406,6 @@ impl EngineBuilder {
         let engine = Engine::from_parts(
             doacross_sched::PoolSet::new(pools, workers, self.max_pending),
             planner,
-            self.config,
             cache,
             calibration,
             adaptive,

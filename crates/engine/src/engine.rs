@@ -7,7 +7,7 @@ use crate::fault::FallbackPolicy;
 use crate::prepared::PreparedLoop;
 use crate::solve::{clamp_ns, LeaseScratch};
 use doacross_adapt::TelemetryTotals;
-use doacross_core::{AccessPattern, DoacrossConfig, DoacrossLoop, RunStats};
+use doacross_core::{AccessPattern, DoacrossLoop, RunStats};
 use doacross_obs::profile::{Profiler, SolveProfile};
 use doacross_obs::{render, Obs, SolveRecord, TraceEvent, TracedEvent};
 use doacross_par::ThreadPool;
@@ -27,7 +27,6 @@ pub(crate) struct EngineInner {
     /// behaves exactly like the old single-pool engine.
     pub(crate) pools: PoolSet,
     pub(crate) planner: Planner,
-    pub(crate) config: DoacrossConfig,
     pub(crate) cache: ConcurrentPlanCache,
     /// Host calibration the planner's model came from (present unless
     /// `.planner(..)` was given) — persisted with snapshots so a warm
@@ -103,7 +102,6 @@ impl Engine {
     pub(crate) fn from_parts(
         pools: PoolSet,
         planner: Planner,
-        config: DoacrossConfig,
         cache: ConcurrentPlanCache,
         calibration: Option<StoredCalibration>,
         adaptive: Option<AdaptiveRuntime>,
@@ -113,13 +111,12 @@ impl Engine {
         fallback: FallbackPolicy,
     ) -> Self {
         let scratch = (0..pools.pools())
-            .map(|_| Mutex::new(LeaseScratch::new(config)))
+            .map(|_| Mutex::new(LeaseScratch::new()))
             .collect();
         Self {
             inner: Arc::new(EngineInner {
                 pools,
                 planner,
-                config,
                 cache,
                 calibration,
                 adaptive,
@@ -533,7 +530,7 @@ impl Engine {
             render::counter(
                 &mut buf,
                 "doacross_adaptive_repricings_total",
-                "Adaptive evaluation points that refined the model and re-priced a plan.",
+                "Adaptive evaluation points reached.",
                 a.repricings,
             );
             render::counter(

@@ -100,9 +100,9 @@ pub(crate) struct LeaseScratch {
 }
 
 impl LeaseScratch {
-    pub(crate) fn new(config: DoacrossConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            executor: PlanExecutor::new(config),
+            executor: PlanExecutor::new(DoacrossConfig::default()),
             pristine: Vec::new(),
         }
     }
@@ -335,7 +335,7 @@ impl<'e> Solve<'e> {
         // sub-pool's next tenant starts from a fresh one — and so do the
         // profiler spans its workers deposited before unwinding, which no
         // harvest will drain.
-        lease.scratch.executor = PlanExecutor::new(engine.config);
+        lease.scratch.executor = PlanExecutor::new(DoacrossConfig::default());
         if let Some(arena) = lease.arena {
             arena.reset();
         }

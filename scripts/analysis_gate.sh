@@ -97,6 +97,13 @@
 #                  distinct levels and its boundary waits exactly the
 #                  levels crossed), and an injected panic or a wedged
 #                  solve resolves typed on every parallel variant.
+#                  And the one selection: an adaptive evaluation names as
+#                  its challenger exactly the variant a replan under the
+#                  refined model builds, names nothing when that variant
+#                  was rejected (even with a third kind clearing the
+#                  margin), and a gated plan pays one replan per reopening
+#                  of its floor; end to end, the mispriced engine promotes
+#                  the measured-cheaper variant.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -284,6 +291,10 @@ for t in injected_worker_panic_fails_typed_across_every_parallel_variant \
   solve_deadline_resolves_a_wedged_solve_typed; do
   named doacross-engine chaos "$t"
 done
+
+say "analysis_gate: one selection, by name"
+named doacross-adapt lib policy::tests::the_challenger_is_the_planners_own_choice_under_the_refined_model
+named doacross-engine adaptive mispriced_model_promotes_to_the_measured_cheaper_variant
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||

@@ -466,20 +466,59 @@ mod tests {
             .unwrap()
     }
 
+    /// A wide doall with a non-linear lhs (doacross) and interleaved
+    /// chains (reordered), planned under the Multimax preset.
+    fn preset_plans() -> Vec<ExecutionPlan> {
+        let (pool, planner) = (ThreadPool::new(4), Planner::new());
+        let n = 4_000;
+        let a: Vec<usize> = (0..n).map(|i| n - 1 - i).collect();
+        let scatter =
+            doacross_core::IndirectLoop::new(n, a, vec![vec![]; n], vec![vec![]; n]).unwrap();
+        let (chains, len) = (32usize, 16usize);
+        let n = chains * len;
+        let rhs: Vec<Vec<usize>> = (0..n)
+            .map(|i| if i % len == 0 { vec![] } else { vec![i - 1] })
+            .collect();
+        let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+        let chained = doacross_core::IndirectLoop::new(n, (0..n).collect(), rhs, coeff).unwrap();
+        [scatter, chained]
+            .iter()
+            .map(|l| planner.plan(&pool, l).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn the_plan_is_its_own_challenger_under_its_build_model() {
+        let p = policy();
+        let plans = preset_plans()
+            .into_iter()
+            .map(|plan| (plan, CostModel::multimax()))
+            .chain(refined_models().map(|m| (replan(m), m)));
+        for (plan, built_with) in plans {
+            // Re-pricing the stored features under the build model is the
+            // identity: the same variant at the same prices.
+            let (variant, repriced) = price_features(
+                &built_with,
+                plan.census(),
+                plan.features(),
+                plan.linear_subscript(),
+                plan.processors(),
+            );
+            assert_eq!(variant, plan.variant(), "{plan}");
+            assert_eq!(&repriced, plan.costs(), "{plan}");
+            let mut st = StructureState::default();
+            assert_eq!(p.challenger(&mut st, &plan, &built_with), None, "{plan}");
+        }
+    }
+
     #[test]
     fn the_challenger_is_the_planners_own_choice_under_the_refined_model() {
         let p = policy();
         let plan = replan(model(500.0, 0.001));
         assert_eq!(plan.variant(), PlanVariant::Wavefront);
-        let running = ObsVariant::Wavefront;
-        // Under the model it was built with, the plan is its own answer.
-        let mut st = StructureState::default();
-        assert_eq!(p.challenger(&mut st, &plan, &model(500.0, 0.001)), None);
-
-        let (mut named, mut cleared) = (0, 0);
+        let mut named = 0;
         for refined in refined_models() {
-            let built = replan(refined);
-            let choice = ObsVariant::from(built.variant());
+            let choice = ObsVariant::from(replan(refined).variant());
             // A named challenger is what the replan builds.
             let mut st = StructureState::default();
             if let Some(challenger) = p.challenger(&mut st, &plan, &refined) {
@@ -489,11 +528,66 @@ mod tests {
                 );
                 named += 1;
             }
+        }
+        assert!(named > 0, "no refined model named a challenger");
+    }
+
+    #[test]
+    fn propose_requires_divergence_and_a_margin_winner() {
+        let plan = replan(model(500.0, 0.001));
+        let names = |p: &PromotionPolicy| {
+            refined_models()
+                .filter(|m| {
+                    p.challenger(&mut StructureState::default(), &plan, m)
+                        .is_some()
+                })
+                .count()
+        };
+        assert!(names(&policy()) > 0);
+        // A band no refined price can leave: nothing diverges, nothing is
+        // named.
+        let mut cfg = *policy().config();
+        cfg.divergence = f64::INFINITY;
+        assert_eq!(names(&PromotionPolicy::new(cfg)), 0);
+        // A margin no choice can win by: divergence alone names nothing.
+        let mut cfg = *policy().config();
+        cfg.hysteresis = f64::INFINITY;
+        assert_eq!(names(&PromotionPolicy::new(cfg)), 0);
+        // Every named challenger diverged and won by the margin.
+        let p = policy();
+        for refined in refined_models() {
+            let mut st = StructureState::default();
+            if let Some(Challenger::Priced {
+                kind,
+                static_price,
+                refined_price,
+            }) = p.challenger(&mut st, &plan, &refined)
+            {
+                let ratio = refined_price / static_price;
+                assert!(ratio > p.config().divergence || ratio < 1.0 / p.config().divergence);
+                let built = replan(refined);
+                let price = built.costs().of(built.variant()).unwrap();
+                assert_eq!(ObsVariant::from(built.variant()), kind);
+                assert!(price * p.config().hysteresis < refined_price, "{refined:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_settled_proposal_is_not_raised_again() {
+        let p = policy();
+        let plan = replan(model(500.0, 0.001));
+        let running = ObsVariant::Wavefront;
+        let mut cleared = 0;
+        for refined in refined_models() {
+            let built = replan(refined);
+            let choice = ObsVariant::from(built.variant());
             if choice == running {
                 continue;
             }
             // A rejected choice names nothing, even when the third kind
             // clears the margin over the running variant's refined price.
+            let mut st = StructureState::default();
             assert!(p.begin_trial(&mut st, choice, running));
             let trial = *st.trial().unwrap();
             p.complete_trial(&mut st, trial, false);
@@ -505,7 +599,7 @@ mod tests {
             };
             cleared += u32::from(third * p.config().hysteresis < costs.wavefront.unwrap());
         }
-        assert!(named > 0 && cleared > 0, "{named} named, {cleared} cleared");
+        assert!(cleared > 0, "no third kind cleared the margin");
 
         // A gated plan: each reopening of its floor costs one replan,
         // whatever that replan returns.

@@ -293,7 +293,12 @@ for t in injected_worker_panic_fails_typed_across_every_parallel_variant \
 done
 
 say "analysis_gate: one selection, by name"
-named doacross-adapt lib policy::tests::the_challenger_is_the_planners_own_choice_under_the_refined_model
+for t in the_challenger_is_the_planners_own_choice_under_the_refined_model \
+  the_plan_is_its_own_challenger_under_its_build_model \
+  propose_requires_divergence_and_a_margin_winner \
+  a_settled_proposal_is_not_raised_again; do
+  named doacross-adapt lib "policy::tests::$t"
+done
 named doacross-engine adaptive mispriced_model_promotes_to_the_measured_cheaper_variant
 
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"

@@ -122,11 +122,6 @@ impl Doacross {
         }
     }
 
-    /// Current configuration.
-    pub fn config(&self) -> &DoacrossConfig {
-        &self.config
-    }
-
     /// Mutable configuration (e.g. to switch schedules between runs).
     pub fn config_mut(&mut self) -> &mut DoacrossConfig {
         &mut self.config

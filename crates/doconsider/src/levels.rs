@@ -8,6 +8,7 @@
 //! 16 processors.
 
 use crate::dag::DependenceDag;
+use doacross_core::ClaimStream;
 
 /// The level (wavefront) of every iteration, plus summary statistics.
 #[derive(Debug, Clone)]
@@ -73,13 +74,11 @@ impl LevelAssignment {
     }
 }
 
-/// Iterations per level: `histogram[l - 1]` is the width of level `l`.
+/// Iterations per level: `histogram[l - 1]` is the width of level `l` —
+/// the differences of [`ClaimStream::sort_levels`]' level offsets.
 pub fn level_histogram(assignment: &LevelAssignment) -> Vec<usize> {
-    let mut hist = vec![0usize; assignment.critical_path()];
-    for &l in assignment.levels() {
-        hist[l - 1] += 1;
-    }
-    hist
+    let (offsets, _) = ClaimStream::sort_levels(assignment.levels(), assignment.critical_path());
+    offsets.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
 #[cfg(test)]

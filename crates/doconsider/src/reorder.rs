@@ -10,7 +10,7 @@
 
 use crate::dag::DependenceDag;
 use crate::levels::LevelAssignment;
-use doacross_core::AccessPattern;
+use doacross_core::{AccessPattern, ClaimStream};
 
 /// Computes the doconsider claim order for `pattern`: iterations sorted by
 /// dependence level, stable within a level. The result is a permutation of
@@ -23,24 +23,10 @@ pub fn doconsider_order<P: AccessPattern + ?Sized>(pattern: &P) -> Vec<usize> {
 }
 
 /// The level-sorted permutation for a precomputed [`LevelAssignment`]
-/// (counting sort by level — O(n + levels), stable).
+/// (counting sort by level — O(n + levels), stable): the order half of
+/// [`ClaimStream::sort_levels`].
 pub fn order_from_levels(levels: &LevelAssignment) -> Vec<usize> {
-    let n = levels.len();
-    let nlevels = levels.critical_path();
-    let mut counts = vec![0usize; nlevels + 1];
-    for &l in levels.levels() {
-        counts[l] += 1;
-    }
-    let mut starts = vec![0usize; nlevels + 1];
-    for l in 1..=nlevels {
-        starts[l] = starts[l - 1] + counts[l - 1];
-    }
-    let mut order = vec![0usize; n];
-    for (i, &l) in levels.levels().iter().enumerate() {
-        order[starts[l]] = i;
-        starts[l] += 1;
-    }
-    order
+    ClaimStream::sort_levels(levels.levels(), levels.critical_path()).1
 }
 
 /// Inverts a permutation: `inv[order[k]] == k`.

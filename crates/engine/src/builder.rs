@@ -46,8 +46,8 @@ pub struct EngineBuilder {
     warm_start: Option<PathBuf>,
     calibrate: bool,
     adaptive: Option<AdaptiveConfig>,
-    observability: Option<ObsConfig>,
-    profiling: Option<ProfConfig>,
+    observability: bool,
+    profiling: bool,
     solve_deadline: Option<Duration>,
     fallback: FallbackPolicy,
 }
@@ -75,8 +75,8 @@ impl EngineBuilder {
             warm_start: None,
             calibrate: true,
             adaptive: None,
-            observability: None,
-            profiling: None,
+            observability: false,
+            profiling: false,
             solve_deadline: None,
             fallback: FallbackPolicy::default(),
         }
@@ -213,15 +213,8 @@ impl EngineBuilder {
     /// the flight recorder behind [`crate::Engine::recent_solves`]. Off
     /// by default — a disabled handle costs one branch per would-be
     /// event.
-    pub fn observability_default(self) -> Self {
-        self.observability(ObsConfig::default())
-    }
-
-    /// [`EngineBuilder::observability_default`] with explicit capacities
-    /// (trace-ring size and sharding, flight-recorder depth, the
-    /// per-fingerprint metric-series bound).
-    pub fn observability(mut self, config: ObsConfig) -> Self {
-        self.observability = Some(config);
+    pub fn observability_default(mut self) -> Self {
+        self.observability = true;
         self
     }
 
@@ -234,19 +227,12 @@ impl EngineBuilder {
     /// [`crate::Engine::profile_chrome_trace`], with realized-critical-
     /// path and per-level barrier-wait metrics under the
     /// `doacross_profile_` prefix. Independent of
-    /// [`EngineBuilder::observability`] (the profiler keeps its own
-    /// counters), though the per-solve `solve_profiled` trace event only
-    /// flows when observability is also on. Off by default — a disabled
+    /// [`EngineBuilder::observability_default`] (the profiler keeps its
+    /// own counters), though the per-solve `solve_profiled` trace event
+    /// only flows when observability is also on. Off by default — a disabled
     /// profiler costs one branch per would-be span site.
-    pub fn profiling_default(self) -> Self {
-        self.profiling(ProfConfig::default())
-    }
-
-    /// [`EngineBuilder::profiling_default`] with explicit capacities
-    /// (profile-ring depth, per-worker span cap, barrier-histogram level
-    /// cardinality bound).
-    pub fn profiling(mut self, config: ProfConfig) -> Self {
-        self.profiling = Some(config);
+    pub fn profiling_default(mut self) -> Self {
+        self.profiling = true;
         self
     }
 
@@ -338,10 +324,11 @@ impl EngineBuilder {
                 (avail / workers.max(1)).max(1)
             })
             .min(doacross_sched::MAX_POOLS);
-        let obs = self
-            .observability
-            .map(Obs::new)
-            .unwrap_or_else(Obs::disabled);
+        let obs = if self.observability {
+            Obs::new(ObsConfig::default())
+        } else {
+            Obs::disabled()
+        };
         let store = match &self.warm_start {
             None => None,
             Some(path) => match PlanStore::load(path) {
@@ -402,7 +389,7 @@ impl EngineBuilder {
         cache.set_obs(obs.clone());
         let profiler = self
             .profiling
-            .map(|config| Profiler::new(pools, workers, config));
+            .then(|| Profiler::new(pools, workers, ProfConfig::default()));
         let engine = Engine::from_parts(
             doacross_sched::PoolSet::new(pools, workers, self.max_pending),
             planner,

@@ -35,12 +35,12 @@ pub(crate) struct EngineInner {
     /// The feedback loop (present for `adaptive()` engines).
     pub(crate) adaptive: Option<AdaptiveRuntime>,
     /// The observability handle every layer emits into (disabled unless
-    /// built with [`EngineBuilder::observability`] — then each emit is a
-    /// single branch).
+    /// built with [`EngineBuilder::observability_default`] — then each
+    /// emit is a single branch).
     pub(crate) obs: Obs,
     /// The deep solve profiler (present when built with
-    /// [`EngineBuilder::profiling`]): per-pool span arenas the executors
-    /// deposit per-worker timelines into, harvested after every
+    /// [`EngineBuilder::profiling_default`]): per-pool span arenas the
+    /// executors deposit per-worker timelines into, harvested after every
     /// successful solve into the profile ring and the
     /// `doacross_profile_` metric families.
     pub(crate) profiler: Option<Profiler>,
@@ -401,7 +401,7 @@ impl Engine {
     }
 
     /// Whether the deep solve profiler was enabled at build time
-    /// ([`EngineBuilder::profiling`]).
+    /// ([`EngineBuilder::profiling_default`]).
     pub fn profiling_enabled(&self) -> bool {
         self.inner.profiler.is_some()
     }

@@ -12,19 +12,19 @@
 //!   ([`ConcurrentPlanCache`](doacross_plan::ConcurrentPlanCache)).
 //!   Every method takes `&self`; concurrent callers hit the cache without
 //!   external locking.
-//! * [`EngineBuilder`] — worker count, cache capacity, shard count,
-//!   planner, and doacross configuration. Unless
-//!   [`EngineBuilder::planner`] names a model, variant selection prices
-//!   with the *host's* cost ratios, measured once per process
-//!   (`doacross_sim::host_calibration`), not the paper's Multimax preset.
+//! * [`EngineBuilder`] — worker count, cache capacity, shard count and
+//!   planner. Unless [`EngineBuilder::planner`] names a model, variant
+//!   selection prices with the *host's* cost ratios, measured once per
+//!   process (`doacross_sim::host_calibration`), not the paper's Multimax
+//!   preset.
 //! * [`PreparedLoop`] — the compiled-loop artifact as a first-class
 //!   value: a cheap cloneable handle (an `Arc`'d
 //!   [`ExecutionPlan`](doacross_plan::ExecutionPlan) plus the generation
 //!   it was prepared under) that can be built once and executed from many
 //!   threads via [`PreparedLoop::execute`].
-//! * **Observability** — [`EngineBuilder::observability`] turns on the
-//!   `doacross-obs` layer: structured trace events from plan build, cache,
-//!   persistence, adaptive policy, and execute
+//! * **Observability** — [`EngineBuilder::observability_default`] turns on
+//!   the `doacross-obs` layer: structured trace events from plan build,
+//!   cache, persistence, adaptive policy, and execute
 //!   ([`Engine::trace_events`]); Prometheus text metrics via
 //!   [`Engine::metrics_text`]; and a flight recorder of recent solves via
 //!   [`Engine::recent_solves`].
@@ -103,18 +103,16 @@ pub use doacross_plan::{PersistError, PlanStore, StoredCalibration};
 // [`Engine::snapshot`] read through [`TelemetryEntry::from_stored`]),
 // re-exported likewise.
 pub use doacross_adapt::{AdaptiveConfig, TelemetryEntry, TelemetryTotals};
-// The observability vocabulary ([`EngineBuilder::observability`], the
-// trace/flight types behind [`Engine::trace_events`] /
-// [`Engine::recent_solves`]). Metric names are documented at
-// [`doacross_obs`]'s crate root.
+// The observability vocabulary (the trace/flight types behind
+// [`Engine::trace_events`] / [`Engine::recent_solves`]). Metric names are
+// documented at [`doacross_obs`]'s crate root.
 pub use doacross_obs::{
-    ObsConfig, ObsFault, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord, TraceEvent,
-    TracedEvent,
+    ObsFault, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord, TraceEvent, TracedEvent,
 };
-// The deep-profiling vocabulary ([`EngineBuilder::profiling`], the
-// profile ring behind [`Engine::recent_profiles`], and the Chrome-trace
-// exporter behind [`Engine::profile_chrome_trace`] with its structural
-// validator).
+// The deep-profiling vocabulary (the profile ring behind
+// [`Engine::recent_profiles`], whose depth is `ProfConfig::default().ring`,
+// and the Chrome-trace exporter behind [`Engine::profile_chrome_trace`]
+// with its structural validator).
 pub use doacross_obs::profile::{
     validate_chrome_trace, ChromeTraceStats, ProfConfig, ProfSpan, SolveProfile, SpanKind,
 };

@@ -17,8 +17,8 @@ use doacross_core::{
     TestLoop,
 };
 use doacross_engine::{
-    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsConfig, ObsVariant,
-    PersistError, SolveOutcome, SolveProfile, SpanKind, TraceEvent,
+    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsVariant, PersistError,
+    SolveOutcome, SolveProfile, SpanKind, TraceEvent,
 };
 use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
 use doacross_sim::CostModel;
@@ -183,7 +183,7 @@ fn injected_worker_panic_fails_typed_across_every_parallel_variant() {
     let engine = victim_engine()
         .pools(1)
         .fallback(FallbackPolicy::Disabled)
-        .observability(ObsConfig::default())
+        .observability_default()
         .build();
 
     assert_panic_contained(
@@ -249,7 +249,7 @@ fn assert_fallback_delivers(pools: usize) {
     let engine = victim_engine()
         .pools(pools)
         .adaptive()
-        .observability(ObsConfig::default())
+        .observability_default()
         .build();
     assert_eq!(engine.fallback_policy(), FallbackPolicy::SequentialRetry);
     let loop_ = doacross_victim();
@@ -341,7 +341,7 @@ where
         .pools(1)
         .solve_deadline(deadline)
         .fallback(FallbackPolicy::Disabled)
-        .observability(ObsConfig::default())
+        .observability_default()
         .build();
     let prepared = engine.prepare(&loop_).unwrap();
     assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
@@ -460,7 +460,7 @@ fn injected_saturation_fails_typed_and_spares_sequential_plans() {
         .workers(2)
         .pools(1)
         .planner(flag_prices())
-        .observability(ObsConfig::default())
+        .observability_default()
         .build();
     let loop_ = TestLoop::new(600, 1, 7);
     let prepared = engine.prepare(&loop_).unwrap();

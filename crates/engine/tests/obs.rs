@@ -5,7 +5,7 @@
 //! numbers against the engine's own counters.
 
 use doacross_core::{AccessPattern, IndirectLoop, TestLoop};
-use doacross_engine::{Engine, ObsConfig, PlanProvenance, SolveOutcome, TraceEvent};
+use doacross_engine::{Engine, PlanProvenance, SolveOutcome, TraceEvent};
 use doacross_plan::{PlanVariant, Planner};
 use doacross_sim::CostModel;
 use std::collections::BTreeMap;
@@ -284,21 +284,16 @@ fn scrape_parses_and_covers_the_required_metrics() {
 
 #[test]
 fn recent_solves_returns_the_last_n_with_variant_and_provenance() {
-    let engine = Engine::builder()
-        .workers(2)
-        .observability(ObsConfig {
-            flight_capacity: 4,
-            ..ObsConfig::default()
-        })
-        .build();
+    let engine = Engine::builder().workers(2).observability_default().build();
+    let capacity = doacross_obs::ObsConfig::default().flight_capacity;
     let loop_ = TestLoop::new(300, 1, 8);
-    for _ in 0..7 {
+    for _ in 0..capacity + 3 {
         let mut y = loop_.initial_y();
         engine.run(&loop_, &mut y).unwrap();
     }
     let solves = engine.recent_solves();
-    assert_eq!(solves.len(), 4, "bounded to flight capacity");
-    // All seven solves were of the same structure; all retained ones are
+    assert_eq!(solves.len(), capacity, "bounded to flight capacity");
+    // Every solve was of the same structure; all retained ones are
     // cache-served (the cold first solve aged out of the ring).
     let expected_fp = doacross_obs::FpId::from(&doacross_plan::PatternFingerprint::of(&loop_));
     for s in &solves {
@@ -560,9 +555,9 @@ fn cold_start_reasons_are_traced() {
 /// The `doacross_profile_*` families (documented at [`doacross_obs`]'s
 /// crate root) pass the same strict parse as everything else and
 /// reconcile exactly with the profiler's own solve ring — including the
-/// per-level barrier-wait histogram and its cardinality cap: with
-/// `max_levels = 2`, a 20-level wavefront must scrape as exactly the
-/// series `level="0"`, `level="1"`, and the `level="other"` overflow.
+/// per-level barrier-wait histogram and its cardinality cap: at the
+/// default `max_levels` (16), a 20-level wavefront must scrape as exactly
+/// the series `level="0"` to `level="15"` and the `level="other"` overflow.
 #[test]
 fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
     use doacross_engine::{ProfConfig, SpanKind};
@@ -573,10 +568,7 @@ fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
         .pools(1)
         .planner(doacross_plan::Planner::new())
         .observability_default()
-        .profiling(ProfConfig {
-            max_levels: 2,
-            ..ProfConfig::default()
-        })
+        .profiling_default()
         .build();
     assert!(engine.profiling_enabled());
 
@@ -645,7 +637,7 @@ fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
         "uncalibrated engine must not price"
     );
 
-    // The barrier-wait histogram collapses levels 2..19 under "other"
+    // The barrier-wait histogram collapses levels 16..19 under "other"
     // and its total count is exactly the barrier-wait spans harvested:
     // one per joined worker per crossing.
     let hist = &families["doacross_profile_barrier_wait_ns"];
@@ -657,11 +649,11 @@ fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
         .collect();
     levels.sort();
     levels.dedup();
-    assert_eq!(
-        levels,
-        ["0", "1", "other"],
-        "cardinality cap at max_levels=2"
-    );
+    let max_levels = ProfConfig::default().max_levels;
+    let mut capped: Vec<String> = (0..max_levels).map(|l| l.to_string()).collect();
+    capped.push("other".to_string());
+    capped.sort();
+    assert_eq!(levels, capped, "cardinality cap at max_levels={max_levels}");
     let count_total: f64 = hist
         .samples
         .iter()

@@ -7,8 +7,7 @@
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop};
 use doacross_engine::{
-    validate_chrome_trace, Engine, ObsVariant, ProfConfig, ProfSpan, SolveProfile, SpanKind,
-    TraceEvent,
+    validate_chrome_trace, Engine, ObsVariant, ProfSpan, SolveProfile, SpanKind, TraceEvent,
 };
 use doacross_obs::profile::{ProfArena, NO_LEVEL};
 use doacross_plan::Planner;
@@ -22,7 +21,7 @@ fn profiled_engine(workers: usize) -> Engine {
         .workers(workers)
         .pools(1)
         .planner(Planner::new())
-        .profiling(ProfConfig::default())
+        .profiling_default()
         .build()
 }
 

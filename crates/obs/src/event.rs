@@ -378,8 +378,8 @@ pub enum TraceEvent {
     /// The profiler harvested a solve's span arena: the per-kind time
     /// attribution and realized critical path, as a summary event so the
     /// trace carries profiles without holding the full span vector.
-    /// Only emitted by engines built with `profiling(..)`, so traces from
-    /// unprofiled engines read exactly as before.
+    /// Only emitted by engines built with `profiling_default()`, so
+    /// traces from unprofiled engines read exactly as before.
     SolveProfiled {
         fp: FpId,
         variant: ObsVariant,

@@ -57,9 +57,9 @@
 //! carries `pool: None`. An engine that has only run sequential plans
 //! renders none of these families.
 //!
-//! Engines built with `EngineBuilder::profiling(..)` additionally render
-//! the [`profile`] module's families (only once at least one solve has
-//! been profiled, so unprofiled scrapes are byte-identical):
+//! Engines built with `EngineBuilder::profiling_default()` additionally
+//! render the [`profile`] module's families (only once at least one solve
+//! has been profiled, so unprofiled scrapes are byte-identical):
 //! `doacross_profile_solves_total`, `doacross_profile_spans_total{kind}`,
 //! `doacross_profile_dropped_spans_total`,
 //! `doacross_profile_realized_critical_ns{variant}`,
@@ -113,10 +113,10 @@ pub use event::{
     SolveRecord, TraceEvent, TracedEvent,
 };
 pub use fphash::{FpBuildHasher, FpHasher, FpMap};
-pub use metrics::{HistogramSnapshot, VariantLatency};
+pub use metrics::HistogramSnapshot;
 
 use flight::FlightRecorder;
-use metrics::Registry;
+use metrics::{Registry, VariantLatency};
 
 /// Static `pool` label values for the bounded per-sub-pool series
 /// (indices at or past [`metrics::MAX_POOL_SERIES`] render as `other`).
@@ -193,11 +193,6 @@ impl Obs {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The configuration this handle was built with (`None` if disabled).
-    pub fn config(&self) -> Option<ObsConfig> {
-        self.inner.as_ref().map(|i| i.config)
     }
 
     /// Records `event`: updates the metrics registry, appends to the
@@ -355,7 +350,7 @@ impl Obs {
 
     /// Per-variant solve-latency histograms (only variants with at least
     /// one recorded solve).
-    pub fn solve_latency(&self) -> Vec<VariantLatency> {
+    fn solve_latency(&self) -> Vec<VariantLatency> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };

@@ -224,11 +224,11 @@ impl Registry {
     }
 }
 
-/// Public snapshot of one variant's solve-latency histogram, paired with
-/// its variant label — what [`crate::Obs::solve_latency`] returns.
-pub struct VariantLatency {
-    pub variant: ObsVariant,
-    pub histogram: HistogramSnapshot,
+/// Snapshot of one variant's solve-latency histogram, paired with its
+/// variant label — what `Obs::solve_latency` returns to the renderer.
+pub(crate) struct VariantLatency {
+    pub(crate) variant: ObsVariant,
+    pub(crate) histogram: HistogramSnapshot,
 }
 
 #[cfg(test)]

@@ -405,8 +405,8 @@ struct ProfileRing {
 
 /// The engine's profiling state: per-pool span arenas, the profile ring,
 /// per-level barrier-wait histograms, and the `doacross_profile_*`
-/// counters. Built once by `EngineBuilder::profiling(..)`; absent on an
-/// unprofiled engine, which therefore pays nothing at all.
+/// counters. Built once by `EngineBuilder::profiling_default()`; absent
+/// on an unprofiled engine, which therefore pays nothing at all.
 pub struct Profiler {
     config: ProfConfig,
     arenas: Vec<ProfArena>,
@@ -457,11 +457,6 @@ impl Profiler {
             priced_ns: Default::default(),
             variant_profiled: Default::default(),
         }
-    }
-
-    /// The configuration this profiler was built with (after clamping).
-    pub fn config(&self) -> ProfConfig {
-        self.config
     }
 
     /// The span arena for sub-pool `pool` (clamped to the last arena, so
@@ -618,13 +613,13 @@ impl Profiler {
     }
 
     /// Solves profiled so far.
-    pub fn solves(&self) -> u64 {
+    fn solves(&self) -> u64 {
         self.solves.load(Ordering::Relaxed)
     }
 
     /// Per-level barrier-wait snapshots: `(label, snapshot)` for every
     /// level with at least one recording, deepest-capped under `"other"`.
-    pub fn level_histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
+    fn level_histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
         self.level_wait
             .iter()
             .enumerate()

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 /// Escapes a label value per the Prometheus text format (backslash,
 /// double-quote, newline).
-pub fn escape_label(value: &str) -> String {
+fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -60,11 +60,22 @@ fn scrape_counter(text: &str, name: &str) -> u64 {
         .unwrap()
 }
 
+/// Every sample value of `name`'s series, labelled or not, in a
+/// Prometheus text document.
+fn scrape_samples<'a>(text: &'a str, name: &'a str) -> impl Iterator<Item = u64> + 'a {
+    text.lines()
+        .filter(move |l| {
+            l.strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with(['{', ' ']))
+        })
+        .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Concurrent emitters never lose a counter increment: after all
-    /// threads join, the per-variant histogram counts and the scraped
+    /// threads join, the scraped per-variant histogram counts and
     /// poll/stall totals equal what was emitted, exactly.
     #[test]
     fn concurrent_recorders_lose_no_increments(
@@ -89,16 +100,12 @@ proptest! {
         for h in handles {
             h.join().unwrap();
         }
-        let total: u64 = obs
-            .solve_latency()
-            .iter()
-            .map(|l| l.histogram.count)
-            .sum();
+        let mut text = String::new();
+        obs.render_prometheus(&mut text);
+        let total: u64 = scrape_samples(&text, "doacross_solve_ns_count").sum();
         prop_assert_eq!(total, (threads * per_thread) as u64);
         let expected_polls: u64 = (0..(threads * per_thread) as u64).map(|s| s % 11).sum();
         let expected_stalls: u64 = (0..(threads * per_thread) as u64).map(|s| s % 7).sum();
-        let mut text = String::new();
-        obs.render_prometheus(&mut text);
         prop_assert_eq!(scrape_counter(&text, "doacross_wait_polls_total"), expected_polls);
         prop_assert_eq!(scrape_counter(&text, "doacross_stalls_total"), expected_stalls);
         prop_assert_eq!(
@@ -107,9 +114,9 @@ proptest! {
         );
     }
 
-    /// For any latency sequence, every variant histogram reconciles:
-    /// bucket counts sum to `count`, `sum_ns` is the exact (wrapping)
-    /// total, and the rendered `+Inf` cumulative bucket equals `_count`.
+    /// For any latency sequence, the rendered latency histogram
+    /// reconciles: `_count` counts every solve, `_sum` is the exact
+    /// (wrapping) total, and the cumulative buckets end at `_count`.
     #[test]
     fn histogram_totals_reconcile_with_counts(
         latencies in proptest::collection::vec(0u64..1_000_000_000, 1..120),
@@ -120,20 +127,20 @@ proptest! {
             record.total_ns = ns;
             obs.emit(TraceEvent::SolveFinished { record });
         }
-        let lat = obs.solve_latency();
-        prop_assert_eq!(lat.len(), 1);
-        let h = &lat[0].histogram;
-        prop_assert_eq!(h.count, latencies.len() as u64);
-        prop_assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
+        let mut text = String::new();
+        obs.render_prometheus(&mut text);
+        let count = latencies.len() as u64;
+        let counts: Vec<u64> = scrape_samples(&text, "doacross_solve_ns_count").collect();
+        prop_assert_eq!(counts, vec![count], "one variant, every solve");
         let expected_sum = latencies
             .iter()
             .fold(0u64, |acc, &ns| acc.wrapping_add(ns));
-        prop_assert_eq!(h.sum_ns, expected_sum);
-        let mut text = String::new();
-        obs.render_prometheus(&mut text);
+        let sums: Vec<u64> = scrape_samples(&text, "doacross_solve_ns_sum").collect();
+        prop_assert_eq!(sums, vec![expected_sum]);
+        let buckets: Vec<u64> = scrape_samples(&text, "doacross_solve_ns_bucket").collect();
+        prop_assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "buckets are cumulative");
         let inf_line = format!(
-            "doacross_solve_ns_bucket{{variant=\"doacross\",le=\"+Inf\"}} {}",
-            h.count
+            "doacross_solve_ns_bucket{{variant=\"doacross\",le=\"+Inf\"}} {count}"
         );
         prop_assert!(text.contains(&inf_line), "cumulative +Inf != count");
     }

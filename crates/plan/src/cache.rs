@@ -1,16 +1,16 @@
-//! Fingerprint-keyed LRU cache of execution plans.
+//! Fingerprint-keyed LRU of execution plans: one shard of
+//! [`ConcurrentPlanCache`](crate::ConcurrentPlanCache).
 //!
 //! This is where the amortization the paper argues for in §2.1 becomes a
 //! systems feature: a solver iterating on a fixed sparse structure, or a
 //! service replaying the same loop shapes for many requests, pays
 //! inspection + dependence analysis + ordering once per *structure*
-//! instead of once per *run*. The cache is a plain LRU over
+//! instead of once per *run*. A shard is a plain LRU over
 //! [`PatternFingerprint`] keys — a doubly-linked recency list threaded
 //! through a slab, O(1) hit, insert, and eviction — with hit/miss/eviction
 //! counters so the skip is observable from the outside.
 
 use crate::fingerprint::PatternFingerprint;
-use crate::persist::PlanStore;
 use crate::plan::ExecutionPlan;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,12 +68,14 @@ fn resident(entry: &Entry) -> &Arc<ExecutionPlan> {
     entry.plan.as_ref().expect("resident entry holds a plan")
 }
 
-/// LRU cache of [`ExecutionPlan`]s keyed by [`PatternFingerprint`].
+/// LRU cache of [`ExecutionPlan`]s keyed by [`PatternFingerprint`]: the
+/// shard type of [`ConcurrentPlanCache`](crate::ConcurrentPlanCache),
+/// which owns every instance and calls it under the shard's lock.
 ///
 /// Plans are handed out as [`Arc`]s, so a caller can keep executing a plan
 /// that has since been evicted.
 #[derive(Debug)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     capacity: usize,
     map: HashMap<PatternFingerprint, usize>,
     slab: Vec<Entry>,
@@ -111,41 +113,16 @@ impl PlanCache {
         self.map.len()
     }
 
-    /// Whether the cache holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Traffic counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Whether a plan for `key` is cached (does not touch recency or
-    /// counters).
-    pub fn contains(&self, key: &PatternFingerprint) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// The plan stored under `key`, without touching recency or counters —
-    /// the read snapshots and diagnostics use. [`PlanCache::get`] is the
-    /// traffic path.
+    /// the read snapshots use. [`PlanCache::get_matching`] is the traffic
+    /// path.
     pub fn peek(&self, key: &PatternFingerprint) -> Option<&Arc<ExecutionPlan>> {
         self.map.get(key).map(|&slot| resident(&self.slab[slot]))
-    }
-
-    /// Drops every plan (counters survive).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    /// Looks up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
-        self.get_matching(key, |_| true)
     }
 
     /// Looks up `key`, but counts an entry failing `matches` as a miss —
@@ -234,54 +211,8 @@ impl PlanCache {
         plan
     }
 
-    /// Looks up `key`; on a miss, builds a plan with `build`, stores it,
-    /// and returns it. The boolean is `true` on a hit.
-    pub fn get_or_build<E>(
-        &mut self,
-        key: &PatternFingerprint,
-        build: impl FnOnce() -> Result<ExecutionPlan, E>,
-    ) -> Result<(Arc<ExecutionPlan>, bool), E> {
-        if let Some(plan) = self.get(key) {
-            return Ok((plan, true));
-        }
-        let plan = Arc::new(build()?);
-        self.insert(Arc::clone(&plan));
-        Ok((plan, false))
-    }
-
-    /// Captures every resident plan into a [`PlanStore`], most recently
-    /// used first, so a later [`PlanCache::warm_from`] reproduces both the
-    /// contents and the eviction order. The single-owner cache has no
-    /// invalidation generations; entries snapshot at generation 0.
-    pub fn snapshot(&self) -> PlanStore {
-        let mut store = PlanStore::new();
-        let mut slot = self.head;
-        while slot != NIL {
-            store.push_entry(0, Arc::clone(resident(&self.slab[slot])));
-            slot = self.slab[slot].next;
-        }
-        store
-    }
-
-    /// Restores `store`'s plans, least recently used first, so the store's
-    /// recency order becomes this cache's recency order (if the store
-    /// outsizes the capacity, the usual LRU eviction keeps the most recent
-    /// plans). Restores count as insertions, never as hits or misses — a
-    /// warm-started cache still reports a 0.0 hit rate until real traffic
-    /// arrives. Returns the number of plans inserted.
-    pub fn warm_from(&mut self, store: &PlanStore) -> usize {
-        if self.capacity == 0 {
-            return 0;
-        }
-        let mut restored = 0;
-        for (_, plan) in store.entries.iter().rev() {
-            self.insert(Arc::clone(plan));
-            restored += 1;
-        }
-        restored
-    }
-
-    /// Keys from most to least recently used (for tests and diagnostics).
+    /// Keys from most to least recently used: the order a snapshot
+    /// captures.
     pub fn keys_by_recency(&self) -> Vec<PatternFingerprint> {
         let mut keys = Vec::with_capacity(self.map.len());
         let mut slot = self.head;
@@ -336,14 +267,18 @@ mod tests {
         (*plan.fingerprint(), Arc::new(plan))
     }
 
+    fn hit(cache: &mut PlanCache, key: &PatternFingerprint) -> bool {
+        cache.get_matching(key, |_| true).is_some()
+    }
+
     #[test]
     fn hit_miss_and_stats() {
         let mut cache = PlanCache::new(4);
         let (key, plan) = plan_for(10);
-        assert!(cache.get(&key).is_none());
+        assert!(!hit(&mut cache, &key));
         cache.insert(plan);
-        assert!(cache.get(&key).is_some());
-        assert!(cache.contains(&key));
+        assert!(hit(&mut cache, &key));
+        assert!(cache.peek(&key).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -373,9 +308,9 @@ mod tests {
 
     #[test]
     fn get_matching_hits_promote_recency_like_get() {
-        // Regression: a hit through the matching path must touch the LRU
-        // exactly like `get`, or snapshots serialize a wrong recency order
-        // and eviction picks the wrong victim.
+        // Regression: a hit must touch the LRU, or snapshots serialize a
+        // wrong recency order and eviction picks the wrong victim; a
+        // rejected match must not.
         let mut cache = PlanCache::new(3);
         let (k1, p1) = plan_for(1);
         let (k2, p2) = plan_for(2);
@@ -385,57 +320,22 @@ mod tests {
         cache.insert(p3);
         assert_eq!(cache.keys_by_recency(), vec![k3, k2, k1]);
 
-        // Interleave the two hit paths; both must promote.
-        assert!(cache.get_matching(&k1, |_| true).is_some());
+        assert!(hit(&mut cache, &k1));
         assert_eq!(cache.keys_by_recency(), vec![k1, k3, k2]);
-        assert!(cache.get(&k2).is_some());
+        assert!(hit(&mut cache, &k2));
         assert_eq!(cache.keys_by_recency(), vec![k2, k1, k3]);
-        assert!(cache.get_matching(&k3, |_| true).is_some());
+        assert!(hit(&mut cache, &k3));
         assert_eq!(cache.keys_by_recency(), vec![k3, k2, k1]);
 
         // A rejected match is a miss and must NOT promote.
         assert!(cache.get_matching(&k1, |_| false).is_none());
         assert_eq!(cache.keys_by_recency(), vec![k3, k2, k1]);
 
-        // Eviction respects the interleaved order: k1 is now the LRU.
+        // Eviction respects the touched order: k1 is now the LRU.
         let (k4, p4) = plan_for(4);
         cache.insert(p4);
-        assert!(!cache.contains(&k1), "LRU after interleaved touches");
-        assert!(cache.contains(&k2) && cache.contains(&k3) && cache.contains(&k4));
-    }
-
-    #[test]
-    fn snapshot_and_warm_from_preserve_recency() {
-        let mut cache = PlanCache::new(4);
-        let keyed: Vec<_> = (1..=3).map(plan_for).collect();
-        for (_, p) in &keyed {
-            cache.insert(Arc::clone(p));
-        }
-        // Touch k1 so recency is [k1, k3, k2].
-        assert!(cache.get(&keyed[0].0).is_some());
-        let store = cache.snapshot();
-        assert_eq!(store.len(), 3);
-
-        let mut fresh = PlanCache::new(4);
-        assert_eq!(fresh.warm_from(&store), 3);
-        assert_eq!(fresh.keys_by_recency(), cache.keys_by_recency());
-        // Restores are insertions, not traffic.
-        let s = fresh.stats();
-        assert_eq!((s.hits, s.misses, s.insertions), (0, 0, 3));
-        assert_eq!(s.hit_rate(), 0.0);
-        // The restored plan is the same Arc (no deep copy on warm).
-        assert!(Arc::ptr_eq(fresh.peek(&keyed[0].0).unwrap(), &keyed[0].1));
-
-        // A smaller cache keeps the *most recent* plans from the store.
-        let mut small = PlanCache::new(2);
-        assert_eq!(small.warm_from(&store), 3, "all offered, LRU evicted");
-        assert_eq!(
-            small.keys_by_recency(),
-            cache.keys_by_recency()[..2].to_vec()
-        );
-
-        // Capacity 0 restores nothing.
-        assert_eq!(PlanCache::new(0).warm_from(&store), 0);
+        assert!(cache.peek(&k1).is_none(), "LRU after the touches");
+        assert_eq!(cache.keys_by_recency(), vec![k4, k3, k2]);
     }
 
     #[test]
@@ -447,12 +347,10 @@ mod tests {
         assert!(cache.insert(p1).is_none());
         assert!(cache.insert(p2).is_none());
         // Touch k1 so k2 becomes the LRU.
-        assert!(cache.get(&k1).is_some());
+        assert!(hit(&mut cache, &k1));
         let evicted = cache.insert(p3).expect("full cache evicts");
         assert_eq!(evicted.fingerprint(), &k2, "the LRU plan is returned");
-        assert!(cache.contains(&k1), "recently used survives");
-        assert!(!cache.contains(&k2), "LRU evicted");
-        assert!(cache.contains(&k3));
+        assert!(cache.peek(&k2).is_none(), "LRU evicted");
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.keys_by_recency(), vec![k3, k1]);
@@ -473,11 +371,10 @@ mod tests {
             vec![plans[9].0, plans[8].0, plans[7].0]
         );
         // Touch the middle one and insert another: oldest goes.
-        assert!(cache.get(&plans[8].0).is_some());
-        let (_, extra) = plan_for(11);
-        cache.insert(extra);
-        assert!(!cache.contains(&plans[7].0));
-        assert!(cache.contains(&plans[8].0));
+        assert!(hit(&mut cache, &plans[8].0));
+        let (extra, p) = plan_for(11);
+        cache.insert(p);
+        assert_eq!(cache.keys_by_recency(), vec![extra, plans[8].0, plans[9].0]);
     }
 
     #[test]
@@ -485,8 +382,8 @@ mod tests {
         let mut cache = PlanCache::new(0);
         let (key, plan) = plan_for(5);
         cache.insert(plan);
-        assert!(cache.is_empty());
-        assert!(cache.get(&key).is_none());
+        assert_eq!(cache.len(), 0);
+        assert!(!hit(&mut cache, &key));
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().evictions, 0);
     }
@@ -497,10 +394,10 @@ mod tests {
         let (key, p1) = plan_for(6);
         let (_, p1b) = plan_for(6);
         cache.insert(p1);
-        cache.insert(p1b);
+        cache.insert(Arc::clone(&p1b));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
-        assert!(cache.get(&key).is_some());
+        assert!(Arc::ptr_eq(cache.peek(&key).unwrap(), &p1b));
     }
 
     #[test]
@@ -516,39 +413,11 @@ mod tests {
         let removed = cache.remove(&k2).expect("resident");
         drop(removed);
         assert_eq!(Arc::strong_count(&p2), 1, "removal frees the plan");
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert!(cache.remove(&k2).is_none(), "second removal is a no-op");
 
         // A freed slot is reusable.
         cache.insert(Arc::clone(&p2));
-        assert!(cache.contains(&k2));
-    }
-
-    #[test]
-    fn get_or_build_builds_once() {
-        let mut cache = PlanCache::new(2);
-        let a: Vec<usize> = (0..8).collect();
-        let l = IndirectLoop::new(8, a, vec![vec![]; 8], vec![vec![]; 8]).unwrap();
-        let pool = ThreadPool::new(2);
-        let planner = Planner::new();
-        let key = crate::PatternFingerprint::of(&l);
-        let mut builds = 0;
-        for round in 0..3 {
-            let (plan, hit) = cache
-                .get_or_build(&key, || {
-                    builds += 1;
-                    planner.plan(&pool, &l)
-                })
-                .unwrap();
-            assert_eq!(hit, round > 0);
-            assert_eq!(plan.fingerprint(), &key);
-        }
-        assert_eq!(builds, 1);
-        // Arc keeps an evicted plan alive.
-        let (held, _) = cache
-            .get_or_build::<std::convert::Infallible>(&key, || unreachable!())
-            .unwrap();
-        cache.clear();
-        assert_eq!(held.fingerprint(), &key);
+        assert!(cache.peek(&k2).is_some());
     }
 }

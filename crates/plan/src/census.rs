@@ -22,15 +22,13 @@
 //!   parallel-floor gate is arithmetic on the counters.
 //! * **Stage 2** — [`CensusPass::sorted_levels`]: the counting sort of the
 //!   level array into level widths and the doconsider claim order, which is
-//!   what stall pricing and the wavefront's round count need. No scan of
-//!   the index arrays.
+//!   what stall pricing and the wavefront's round count need. Stall pricing
+//!   reads the dependence edges off the writer map stage 1 kept: no second
+//!   writer map, no edge list.
 //! * **Stage 3** — [`CensusPass::stream`]: the chosen variant's
 //!   [`ClaimStream`] — the per-reference operand classes read off the
 //!   writer map stage 1 kept, written in the variant's claim order. Only a plan that runs a stream-backed
 //!   variant (doacross, reordered, wavefront) pays for it.
-//!
-//! [`PlanCensus::of_with_schedule`] runs all three for callers that want
-//! the wavefront stream outright.
 
 use doacross_core::{AccessPattern, ClaimStream, OperandClass, MAXINT};
 
@@ -81,7 +79,7 @@ pub struct CensusPass {
     pub first_out_of_bounds: Option<(usize, usize)>,
     /// Writer map as the inspector would fill it (last writer wins,
     /// `MAXINT` = never written).
-    writer: Vec<i64>,
+    pub(crate) writer: Vec<i64>,
     /// Wavefront level of each iteration, `1..=critical_path`; empty for
     /// non-injective patterns (no level structure is computed for them).
     levels: Vec<usize>,
@@ -243,10 +241,10 @@ impl CensusPass {
     }
 
     /// Stage 2's product: the level array counting-sorted into CSR level
-    /// boundaries and the stable level-sorted iteration order — identical
-    /// to `order_from_levels` over a fresh `LevelAssignment`, so it doubles
-    /// as the doconsider claim order. Only meaningful for injective
-    /// patterns.
+    /// boundaries and the stable level-sorted iteration order — the same
+    /// [`ClaimStream::sort_levels`] `doconsider_order` runs, so it doubles
+    /// as the doconsider claim order (`tests/staged_equivalence.rs`). Only
+    /// meaningful for injective patterns.
     pub fn sorted_levels(&self) -> (Vec<usize>, Vec<usize>) {
         ClaimStream::sort_levels(&self.levels, self.census.critical_path)
     }
@@ -292,32 +290,12 @@ impl CensusPass {
         };
         ClaimStream::from_parts(narrowed(order)?, ends, classes, narrowed(level_offsets)?)
     }
-
-    /// All three stages at once: the wavefront's level stream, or
-    /// `None` for patterns it cannot run (non-injective left-hand sides,
-    /// out-of-bounds subscripts) — exactly the patterns the flat construct
-    /// rejects too.
-    pub fn level_schedule<P: AccessPattern + ?Sized>(&self, pattern: &P) -> Option<ClaimStream> {
-        if !self.schedulable() {
-            return None;
-        }
-        let (offsets, order) = self.sorted_levels();
-        self.stream(pattern, Some(&order), Some(&offsets))
-    }
 }
 
 impl PlanCensus {
     /// Builds the census in O(data space + references).
     pub fn of<P: AccessPattern + ?Sized>(pattern: &P) -> Self {
         CensusPass::of(pattern).census
-    }
-
-    /// Like [`PlanCensus::of`], additionally materializing the wavefront
-    /// [`ClaimStream`] ([`CensusPass::level_schedule`]).
-    pub fn of_with_schedule<P: AccessPattern + ?Sized>(pattern: &P) -> (Self, Option<ClaimStream>) {
-        let pass = CensusPass::of(pattern);
-        let schedule = pass.level_schedule(pattern);
-        (pass.census, schedule)
     }
 
     /// The census facts `doacross-verify`'s artifact-mode checks run on —
@@ -597,9 +575,12 @@ mod tests {
         let rhs = vec![vec![0], vec![], vec![4], vec![5]];
         let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![1.0; r.len()]).collect();
         let l = IndirectLoop::new(8, a, rhs, coeff).unwrap();
-        let (c, schedule) = PlanCensus::of_with_schedule(&l);
-        assert_eq!(c, PlanCensus::of(&l), "collecting never changes the census");
-        let s = schedule.expect("injective in-bounds pattern");
+        let pass = CensusPass::of(&l);
+        let (offsets, order) = pass.sorted_levels();
+        let s = pass
+            .stream(&l, Some(&order), Some(&offsets))
+            .expect("injective in-bounds pattern");
+        let c = &pass.census;
         assert_eq!(s.level_count(), c.critical_path);
         assert_eq!(s.iterations(), 4);
         assert_eq!(s.order(), Some(&[0u32, 1, 2, 3][..]));
@@ -613,7 +594,8 @@ mod tests {
 
     #[test]
     fn schedule_absent_for_illegal_patterns() {
-        // Non-injective lhs: no schedule.
+        // Non-injective lhs: no schedule (the planner asks before it
+        // builds a stream).
         let dup = IndirectLoop::new(
             3,
             vec![1, 1, 2],
@@ -621,7 +603,7 @@ mod tests {
             vec![vec![], vec![], vec![]],
         )
         .unwrap();
-        assert!(PlanCensus::of_with_schedule(&dup).1.is_none());
+        assert!(!CensusPass::of(&dup).schedulable());
 
         // Out-of-bounds right-hand side: no schedule either.
         struct Oob;
@@ -644,7 +626,7 @@ mod tests {
         }
         let pass = CensusPass::of(&Oob);
         assert!(pass.first_out_of_bounds.is_some());
-        assert!(pass.level_schedule(&Oob).is_none());
+        assert!(!pass.schedulable());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! [`ConcurrentPlanCache`]: the sharded, internally-synchronized plan
 //! cache behind `doacross_engine::Engine`.
 //!
-//! The single-owner [`PlanCache`](crate::PlanCache) is `&mut`-only — fine
-//! for a solver that owns its runtime, useless for a session object served
-//! from many threads. This type shards the key space across `N`
-//! mutex-guarded [`PlanCache`]s, routed by the top bits of the
-//! [`PatternFingerprint`]'s hash, so concurrent callers contend only when
+//! A session object served from many threads needs a cache it can reach
+//! through `&self`. This type shards the key space across `N`
+//! mutex-guarded LRUs (the crate-private `PlanCache`), routed by the top
+//! bits of the [`PatternFingerprint`]'s hash, so concurrent callers contend only when
 //! their structures land in the same shard. Each shard keeps its own LRU
 //! recency and counters; [`ConcurrentPlanCache::stats`] merges them.
 //!
@@ -23,8 +22,7 @@
 //!   increasing *generation* (0 until first invalidated); a handle records
 //!   the generation it was prepared under plus the shared atomic cell
 //!   tracking the current one, so staleness checks on the execute hot path
-//!   are one lock-free load ([`ConcurrentPlanCache::generation_of`] is the
-//!   lock-taking query for callers without a cell).
+//!   are one lock-free load.
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::fingerprint::PatternFingerprint;
@@ -163,7 +161,7 @@ impl ConcurrentPlanCache {
 
     /// Whether no shard holds a plan.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().lru.is_empty())
+        self.len() == 0
     }
 
     /// Merged traffic counters of all shards.
@@ -182,50 +180,6 @@ impl ConcurrentPlanCache {
         } else {
             (key.high_bits() >> self.shift) as usize
         }
-    }
-
-    /// Whether a plan for `key` is cached (no recency or counter effects).
-    pub fn contains(&self, key: &PatternFingerprint) -> bool {
-        self.shard(key).lock().lru.contains(key)
-    }
-
-    /// Drops every plan from every shard. Traffic counters and generations
-    /// survive (a cleared cache does not resurrect invalidated handles).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().lru.clear();
-        }
-    }
-
-    /// Looks up `key`, marking it most recently used in its shard.
-    pub fn get(&self, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
-        let plan = self.shard(key).lock().lru.get(key);
-        if self.obs.enabled() {
-            self.obs.emit(match plan {
-                Some(_) => TraceEvent::CacheHit { fp: key.into() },
-                None => TraceEvent::CacheMiss { fp: key.into() },
-            });
-        }
-        plan
-    }
-
-    /// Stores `plan` under its own fingerprint in the owning shard.
-    pub fn insert(&self, plan: Arc<ExecutionPlan>) {
-        let key = *plan.fingerprint();
-        let evicted = self.shard(&key).lock().lru.insert(plan);
-        if self.obs.enabled() {
-            if let Some(out) = &evicted {
-                self.obs.emit(TraceEvent::CacheEvicted {
-                    fp: out.fingerprint().into(),
-                });
-            }
-        }
-    }
-
-    /// The current generation of `key`: 0 until the first
-    /// [`ConcurrentPlanCache::invalidate`], incremented by each one.
-    pub fn generation_of(&self, key: &PatternFingerprint) -> u64 {
-        self.shard(key).lock().generation_of(key)
     }
 
     /// Invalidates `key`: drops any cached plan and bumps the key's
@@ -276,8 +230,8 @@ impl ConcurrentPlanCache {
         generation
     }
 
-    /// Looks up `key` (an entry failing `matches` counts as a miss, as in
-    /// [`PlanCache::get_matching`]); on a miss, builds a plan with `build`
+    /// Looks up `key` (an entry failing `matches` counts as a miss, and
+    /// stays until this call's insert replaces it); on a miss, builds a plan with `build`
     /// — while holding the shard lock, see module docs — and stores it.
     /// Returns the plan, the key's shared generation cell (the lock-free
     /// watch point for staleness checks), the generation **read while the
@@ -419,6 +373,34 @@ mod tests {
         Arc::new(Planner::new().plan(pool, l).unwrap())
     }
 
+    // Test-side reads and writes of one key's shard, under its lock.
+    fn resident(cache: &ConcurrentPlanCache, key: &PatternFingerprint) -> bool {
+        cache.shard(key).lock().lru.peek(key).is_some()
+    }
+
+    fn generation(cache: &ConcurrentPlanCache, key: &PatternFingerprint) -> u64 {
+        cache.shard(key).lock().generation_of(key)
+    }
+
+    fn insert(cache: &ConcurrentPlanCache, plan: Arc<ExecutionPlan>) {
+        let key = *plan.fingerprint();
+        cache.shard(&key).lock().lru.insert(plan);
+    }
+
+    /// A lookup that builds nothing: the served plan on a hit, `None` (a
+    /// counted miss) otherwise.
+    fn lookup(cache: &ConcurrentPlanCache, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
+        let (plan, ..) = cache.get_or_build(key, |_| true, || Err(())).ok()?;
+        Some(plan)
+    }
+
+    fn stored_generation(store: &PlanStore, key: &PatternFingerprint) -> u64 {
+        store
+            .generations()
+            .find(|(k, _)| *k == key)
+            .map_or(0, |(_, generation)| generation)
+    }
+
     #[test]
     fn shard_count_normalizes_to_powers_of_two() {
         assert_eq!(ConcurrentPlanCache::new(16, 0).shard_count(), 1);
@@ -447,15 +429,18 @@ mod tests {
         let loops: Vec<IndirectLoop> = (1..=6).map(scatter_loop).collect();
         for l in &loops {
             let key = crate::PatternFingerprint::of(l);
-            assert!(cache.get(&key).is_none());
-            cache.insert(build_plan(&pool, l));
-            assert!(cache.contains(&key));
-            assert!(cache.get(&key).is_some());
+            let build = || Planner::new().plan(&pool, l);
+            let (_, _, _, hit) = cache.get_or_build(&key, |_| true, build).unwrap();
+            assert!(!hit && resident(&cache, &key));
+            let (_, _, _, hit) = cache.get_or_build(&key, |_| true, build).unwrap();
+            assert!(hit);
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (6, 6, 6));
         assert_eq!(cache.len(), 6);
-        cache.clear();
+        for l in &loops {
+            assert!(cache.invalidate(&crate::PatternFingerprint::of(l)));
+        }
         assert!(cache.is_empty());
     }
 
@@ -509,7 +494,7 @@ mod tests {
         let bumped = cache.swap_plan(build_plan(&pool, &l));
         assert_eq!(bumped, 2);
         assert!(cell.load(Ordering::Acquire) > generation);
-        let served = cache.get(&key).expect("swapped plan resident");
+        let served = lookup(&cache, &key).expect("swapped plan resident");
         assert!(!Arc::ptr_eq(&served, &plan), "old pair no longer served");
     }
 
@@ -519,14 +504,14 @@ mod tests {
         let cache = ConcurrentPlanCache::new(8, 2);
         let l = scatter_loop(5);
         let key = crate::PatternFingerprint::of(&l);
-        assert_eq!(cache.generation_of(&key), 0);
+        assert_eq!(generation(&cache, &key), 0);
         assert!(!cache.invalidate(&key), "nothing cached yet");
-        assert_eq!(cache.generation_of(&key), 1, "generation advances anyway");
+        assert_eq!(generation(&cache, &key), 1, "generation advances anyway");
 
-        cache.insert(build_plan(&pool, &l));
+        insert(&cache, build_plan(&pool, &l));
         assert!(cache.invalidate(&key), "cached plan dropped");
-        assert_eq!(cache.generation_of(&key), 2);
-        assert!(!cache.contains(&key));
+        assert_eq!(generation(&cache, &key), 2);
+        assert!(!resident(&cache, &key));
 
         // A rebuild after invalidation serves the *new* generation, and
         // the cell keeps tracking later invalidations lock-free.
@@ -545,7 +530,7 @@ mod tests {
         let cache = ConcurrentPlanCache::new(4, 1);
         let l = scatter_loop(7);
         let key = crate::PatternFingerprint::of(&l);
-        cache.insert(build_plan(&pool, &l));
+        insert(&cache, build_plan(&pool, &l));
         let (_, _, _, hit) = cache
             .get_or_build(&key, |_| false, || Planner::new().plan(&pool, &l))
             .unwrap();
@@ -595,7 +580,7 @@ mod tests {
             "unwatched, never-invalidated cells pruned (kept {retained})"
         );
         assert_eq!(watched_cell.load(Ordering::Acquire), 0);
-        assert_eq!(cache.generation_of(&invalidated_key), 1);
+        assert_eq!(generation(&cache, &invalidated_key), 1);
     }
 
     #[test]
@@ -607,7 +592,7 @@ mod tests {
         assert!(!cache.stats().hit_rate().is_nan());
 
         let pool = ThreadPool::new(2);
-        cache.insert(build_plan(&pool, &scatter_loop(5)));
+        insert(&cache, build_plan(&pool, &scatter_loop(5)));
         let warm = ConcurrentPlanCache::new(16, 4);
         assert_eq!(warm.warm_from(&cache.snapshot()), 1);
         assert_eq!(warm.stats().hit_rate(), 0.0, "restores are not traffic");
@@ -622,20 +607,20 @@ mod tests {
         let loops: Vec<IndirectLoop> = (1..=4).map(scatter_loop).collect();
         let keys: Vec<_> = loops.iter().map(crate::PatternFingerprint::of).collect();
         for l in &loops {
-            cache.insert(build_plan(&pool, l));
+            insert(&cache, build_plan(&pool, l));
         }
         // Touch key 0 so recency is [0, 3, 2, 1]; invalidate key 1 (which
         // also drops its plan) and bump a never-cached key's generation.
-        assert!(cache.get(&keys[0]).is_some());
+        assert!(lookup(&cache, &keys[0]).is_some());
         assert!(cache.invalidate(&keys[1]));
         let ghost = crate::PatternFingerprint::of(&scatter_loop(9));
         cache.invalidate(&ghost);
 
         let store = cache.snapshot();
         assert_eq!(store.len(), 3, "invalidated plan not captured");
-        assert_eq!(store.generation_of(&keys[1]), 1);
-        assert_eq!(store.generation_of(&ghost), 1);
-        assert_eq!(store.generation_of(&keys[0]), 0);
+        assert_eq!(stored_generation(&store, &keys[1]), 1);
+        assert_eq!(stored_generation(&store, &ghost), 1);
+        assert_eq!(stored_generation(&store, &keys[0]), 0);
 
         let restored = ConcurrentPlanCache::new(8, 1);
         assert_eq!(restored.warm_from(&store), 3);
@@ -646,8 +631,48 @@ mod tests {
         );
         // Invalidation generations survive too: a handle prepared at
         // generation 0 before the save would still be stale after restore.
-        assert_eq!(restored.generation_of(&keys[1]), 1);
-        assert_eq!(restored.generation_of(&ghost), 1);
+        assert_eq!(generation(&restored, &keys[1]), 1);
+        assert_eq!(generation(&restored, &ghost), 1);
+    }
+
+    #[test]
+    fn snapshot_and_warm_from_preserve_recency() {
+        let pool = ThreadPool::new(2);
+        let cache = ConcurrentPlanCache::new(4, 1);
+        let plans: Vec<_> = (1..=3)
+            .map(|n| build_plan(&pool, &scatter_loop(n)))
+            .collect();
+        for plan in &plans {
+            insert(&cache, Arc::clone(plan));
+        }
+        // Touch the first so recency is [1, 3, 2].
+        assert!(lookup(&cache, plans[0].fingerprint()).is_some());
+        let recency = cache.shards[0].lock().lru.keys_by_recency();
+        let store = cache.snapshot();
+
+        // Same recency, and the restored plan is the same Arc (no deep
+        // copy on warm).
+        let fresh = ConcurrentPlanCache::new(4, 1);
+        assert_eq!(fresh.warm_from(&store), 3);
+        let s = fresh.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.insertions),
+            (0, 0, 3),
+            "restores are not traffic"
+        );
+        let shard = fresh.shards[0].lock();
+        assert_eq!(shard.lru.keys_by_recency(), recency);
+        let first = plans[0].fingerprint();
+        assert!(Arc::ptr_eq(shard.lru.peek(first).unwrap(), &plans[0]));
+        drop(shard);
+
+        // A smaller cache keeps the *most recent* plans from the store.
+        let small = ConcurrentPlanCache::new(2, 1);
+        assert_eq!(small.warm_from(&store), 3, "all offered, LRU evicted");
+        assert_eq!(small.shards[0].lock().lru.keys_by_recency(), recency[..2]);
+
+        // Capacity 0 restores nothing.
+        assert_eq!(ConcurrentPlanCache::new(0, 1).warm_from(&store), 0);
     }
 
     #[test]
@@ -656,8 +681,8 @@ mod tests {
         let cache = ConcurrentPlanCache::new(8, 2);
         let keep = scatter_loop(6);
         let retire = scatter_loop(7);
-        cache.insert(build_plan(&pool, &keep));
-        cache.insert(build_plan(&pool, &retire));
+        insert(&cache, build_plan(&pool, &keep));
+        insert(&cache, build_plan(&pool, &retire));
         let store = cache.snapshot();
         assert_eq!(store.len(), 2);
 
@@ -665,11 +690,11 @@ mod tests {
         // cache must not resurrect the retired plan.
         let retired_key = crate::PatternFingerprint::of(&retire);
         cache.invalidate(&retired_key);
-        assert!(!cache.contains(&retired_key));
+        assert!(!resident(&cache, &retired_key));
         assert_eq!(cache.warm_from(&store), 1, "only the live plan returns");
-        assert!(cache.contains(&crate::PatternFingerprint::of(&keep)));
+        assert!(resident(&cache, &crate::PatternFingerprint::of(&keep)));
         assert!(
-            !cache.contains(&retired_key),
+            !resident(&cache, &retired_key),
             "pre-snapshot-generation plan dropped on restore"
         );
 
@@ -683,7 +708,7 @@ mod tests {
             1,
             "stale entry in an older store is dropped"
         );
-        assert!(!fresh.contains(&retired_key));
+        assert!(!resident(&fresh, &retired_key));
     }
 
     #[test]
@@ -711,7 +736,7 @@ mod tests {
         let generation = cache.swap_plan(Arc::clone(&replacement));
         assert_eq!(generation, 1, "swap advances the key's generation");
         assert_eq!(cell.load(Ordering::Acquire), 1, "watchers see the bump");
-        let served = cache.get(&key).expect("plan still cached");
+        let served = lookup(&cache, &key).expect("plan still cached");
         assert!(
             Arc::ptr_eq(&served, &replacement),
             "the swapped plan is the one served"
@@ -723,7 +748,7 @@ mod tests {
         let fresh_plan = build_plan(&pool, &fresh);
         let fresh_key = *fresh_plan.fingerprint();
         assert_eq!(cache.swap_plan(fresh_plan), 1);
-        assert!(cache.contains(&fresh_key));
+        assert!(resident(&cache, &fresh_key));
     }
 
     #[test]
@@ -731,7 +756,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         let cache = ConcurrentPlanCache::new(4, 4);
         for n in 1..=32 {
-            cache.insert(build_plan(&pool, &scatter_loop(n)));
+            insert(&cache, build_plan(&pool, &scatter_loop(n)));
         }
         let s = cache.stats();
         assert!(cache.len() <= cache.capacity());

@@ -18,8 +18,7 @@
 //!   the minimum duplicate-write gap that bounds a legal block size.
 //!   [`CensusPass`] is the pass itself, split along the planner's stages
 //!   (counters, level sort, claim stream) so each product is built only
-//!   once a decision needs it; [`PlanCensus::of_with_schedule`] runs them
-//!   all and returns the wavefront's [`doacross_core::ClaimStream`].
+//!   once a decision needs it.
 //! * [`Planner`] — prices every legal variant (sequential, flat
 //!   doacross, §2.3 linear-subscript, doconsider-reordered, §2.3
 //!   strip-mined, level-scheduled wavefront) with the calibrated
@@ -37,18 +36,14 @@
 //!   generations), servable through `&self` from many threads — the
 //!   storage behind `doacross_engine::Engine`. Repeated structures
 //!   (solver iterations, repeated service traffic) skip inspection
-//!   entirely.
-//! * [`PlanCache`] — the single-owner LRU over fingerprints with
-//!   hit/miss/eviction stats. It stays public for two reasons only: it is
-//!   [`ConcurrentPlanCache`]'s shard type, and it is the reference
-//!   `tests/proptest_concurrent.rs` compares the sharded cache against.
-//!   Nothing executes through it on its own.
+//!   entirely. A shard is a slab LRU over fingerprints with
+//!   hit/miss/eviction counters, private to this crate.
 //! * [`PlanExecutor`] — variant dispatch for prebuilt plans over one
 //!   [`doacross_core::Doacross`] runtime and its one scratch.
 //! * [`persist`] — durable plans: a versioned, checksummed binary codec
-//!   for [`ExecutionPlan`] and the [`PlanStore`] snapshot format, so both
-//!   caches can [`PlanCache::snapshot`] / [`PlanCache::warm_from`] (and
-//!   the concurrent equivalents) across process restarts —
+//!   for [`ExecutionPlan`] and the [`PlanStore`] snapshot format, so the
+//!   cache can [`ConcurrentPlanCache::snapshot`] /
+//!   [`ConcurrentPlanCache::warm_from`] across process restarts —
 //!   recency-preserving and invalidation-generation-aware. Loads
 //!   revalidate every record structurally instead of trusting the bytes.
 //!
@@ -93,7 +88,7 @@ pub mod plan;
 pub mod planner;
 pub mod runtime;
 
-pub use cache::{CacheStats, PlanCache};
+pub use cache::CacheStats;
 pub use census::{CensusPass, PlanCensus};
 pub use concurrent::{default_shard_count, ConcurrentPlanCache};
 pub use fingerprint::PatternFingerprint;

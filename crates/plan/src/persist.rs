@@ -787,24 +787,7 @@ impl StoredCalibration {
     /// Whether every constant is finite and positive — the revalidation
     /// gate a loader applies before trusting the stored model.
     pub fn is_valid(&self) -> bool {
-        let m = &self.model;
-        [
-            m.schedule_grab,
-            m.iteration_setup,
-            m.check,
-            m.term,
-            m.wait_poll,
-            m.publish,
-            m.inspect_per_iter,
-            m.post_per_iter,
-            m.region_dispatch,
-            m.barrier,
-            m.seq_iter,
-            m.seq_term,
-            self.unit_ns,
-        ]
-        .iter()
-        .all(|v| v.is_finite() && *v > 0.0)
+        self.fields().iter().all(|v| v.is_finite() && *v > 0.0)
     }
 
     fn fields(&self) -> [f64; 13] {
@@ -924,9 +907,10 @@ impl StoredTelemetry {
 /// equivalent state (same plans, same recency, same staleness semantics)
 /// in another process.
 ///
-/// Produced by `PlanCache::snapshot` / `ConcurrentPlanCache::snapshot`
-/// (or assembled by [`PlanStore::from_bytes`]); consumed by the matching
-/// `warm_from` methods and [`PlanStore::to_bytes`].
+/// Produced by [`ConcurrentPlanCache::snapshot`](crate::ConcurrentPlanCache::snapshot)
+/// (or assembled by [`PlanStore::from_bytes`]); consumed by
+/// [`ConcurrentPlanCache::warm_from`](crate::ConcurrentPlanCache::warm_from)
+/// and [`PlanStore::to_bytes`].
 #[derive(Debug, Clone, Default)]
 pub struct PlanStore {
     /// Most-recently-used first (per shard for sharded snapshots).
@@ -963,15 +947,6 @@ impl PlanStore {
     /// The nonzero invalidation generations captured with the snapshot.
     pub fn generations(&self) -> impl Iterator<Item = (&PatternFingerprint, u64)> {
         self.generations.iter().map(|(fp, gen)| (fp, *gen))
-    }
-
-    /// The generation recorded for `key` (0 when absent, matching a
-    /// never-invalidated fingerprint).
-    pub fn generation_of(&self, key: &PatternFingerprint) -> u64 {
-        self.generations
-            .iter()
-            .find(|(fp, _)| fp == key)
-            .map_or(0, |(_, gen)| *gen)
     }
 
     pub(crate) fn push_entry(&mut self, generation: u64, plan: Arc<ExecutionPlan>) {
@@ -1375,7 +1350,7 @@ mod tests {
         let bytes = store.to_bytes();
         let back = PlanStore::from_bytes(&bytes).expect("own bytes parse");
         assert_eq!(back.len(), store.len());
-        assert_eq!(back.generation_of(&ghost_fp), 7);
+        assert_eq!(back.generations().collect::<Vec<_>>(), [(&ghost_fp, 7)]);
         for ((ga, pa), (gb, pb)) in store.entries.iter().zip(back.entries.iter()) {
             assert_eq!(ga, gb);
             assert_eq!(encode_plan(pa), encode_plan(pb));

@@ -174,7 +174,7 @@ impl ExecutionPlan {
     /// applied under a different pool size still computes correct results,
     /// but its variant choice may no longer be the cheapest — the engine
     /// treats such a cache entry as a miss and replans
-    /// ([`crate::PlanCache::get_matching`]).
+    /// ([`crate::ConcurrentPlanCache::get_or_build`]'s `matches`).
     pub fn processors(&self) -> usize {
         self.processors
     }

@@ -66,8 +66,8 @@
 //!
 //! So when `T_seq ≤ floor`, sequential is what exhaustive pricing would
 //! have picked (ties go sequential), and the planner returns it with only
-//! `costs.sequential` priced: no DAG, no claim order or its inversion, no
-//! stall sums, no class stream, no level schedule. Every operation between
+//! `costs.sequential` priced: no edge walk, no claim order or its
+//! inversion, no stall sums, no class stream, no level schedule. Every operation between
 //! the floor and a real price is monotone in floating point too, so the
 //! bound holds on the computed values, not just on paper
 //! (`tests/staged_equivalence.rs`). A plan built this way is *gated*
@@ -78,8 +78,8 @@
 //! **Stage 2** ([`Planner::price`], gate not taken) measures the
 //! structure quantities a price needs beyond the census — the stall
 //! weights of the natural and the doconsider claim order and the
-//! wavefront's claim rounds — from the level array stage 1 holds, and
-//! keeps them in the plan ([`PlanFeatures`], [`ExecutionPlan::features`]).
+//! wavefront's claim rounds — from the writer map and level array stage 1
+//! holds, and keeps them in the plan ([`PlanFeatures`], [`ExecutionPlan::features`]).
 //! They are model-free: [`price_features`] turns them into every
 //! candidate's price under any [`CostModel`] with arithmetic alone, and it
 //! is the one place candidates are priced — by the planner under its own
@@ -98,7 +98,6 @@ use crate::census::{CensusPass, PlanCensus};
 use crate::fingerprint::PatternFingerprint;
 use crate::plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};
 use doacross_core::{AccessPattern, ClaimStream, DoacrossError, LinearSubscript};
-use doacross_doconsider::{invert_permutation, DependenceDag};
 use doacross_par::ThreadPool;
 use doacross_sim::CostModel;
 use std::time::Instant;
@@ -256,10 +255,11 @@ impl Planner {
     ) -> Pricing {
         let census = &pass.census;
         // Stall weights need the dependence edges and the doconsider
-        // order; the rounds need the level widths. Both come from the
-        // counting sort of stage 1's level array (identical to
-        // `order_from_levels` over a fresh `LevelAssignment`) — skipped,
-        // with the DAG, for dependence-free loops: one level, no stalls.
+        // order; the rounds need the level widths. The edges are read off
+        // stage 1's writer map and the order and widths come from the
+        // counting sort of its level array (identical to
+        // `doconsider_order`) — all skipped for dependence-free loops: one
+        // level, no stalls.
         let (sorted, features) = if census.true_deps == 0 {
             let features = PlanFeatures {
                 stall_natural: 0.0,
@@ -268,12 +268,11 @@ impl Planner {
             };
             (None, features)
         } else {
-            let dag = DependenceDag::build(pattern);
             let (offsets, order) = pass.sorted_levels();
-            let pos = invert_permutation(&order);
+            let (stall_natural, stall_reordered) = stall_weights(pattern, pass, &order, p);
             let features = PlanFeatures {
-                stall_natural: stall_weight(&dag, None, p),
-                stall_reordered: stall_weight(&dag, Some(&pos), p),
+                stall_natural,
+                stall_reordered,
                 rounds: offsets.windows(2).map(|w| (w[1] - w[0]).div_ceil(p)).sum(),
             };
             (Some((offsets, order)), features)
@@ -436,23 +435,41 @@ fn blocked_cost(model: &CostModel, census: &PlanCensus, block_size: usize, p: us
     nblocks * 2.0 * model.region_dispatch + work / p as f64
 }
 
-/// Stall weight of a claim order: for each true-dependence edge with claim
-/// gap `g`, `max(0, p − g)/p`. The numerators are summed as integers and
-/// divided once, so the weight is one rounding from exact and never above
-/// `true_deps·(p − 1)/p` as computed (the bound a stored plan is checked
-/// against).
-fn stall_weight(dag: &DependenceDag, pos: Option<&[usize]>, p: usize) -> f64 {
-    let mut slots = 0u64;
-    for i in 0..dag.len() {
-        for &w in dag.predecessors(i) {
-            let gap = match pos {
-                Some(pos) => pos[i] - pos[w],
-                None => i - w,
-            };
-            slots += p.saturating_sub(gap) as u64;
+/// Stall weights of the natural claim order and of `order`: for each
+/// true-dependence edge with claim gap `g`, `max(0, p − g)/p`. The edges
+/// are one pass over the references against the writer map of `pass` (an
+/// injective, in-bounds pattern), each row's writers deduplicated — one
+/// edge per (writer, reader) pair. The numerators are summed as integers
+/// and divided once, so each weight is one rounding from exact and never
+/// above `true_deps·(p − 1)/p` as computed (the bound a stored plan is
+/// checked against).
+fn stall_weights<P: AccessPattern + ?Sized>(
+    pattern: &P,
+    pass: &CensusPass,
+    order: &[usize],
+    p: usize,
+) -> (f64, f64) {
+    let mut pos = vec![0usize; order.len()];
+    for (slot, &i) in order.iter().enumerate() {
+        pos[i] = slot;
+    }
+    let (mut natural, mut reordered) = (0u64, 0u64);
+    let mut writers = Vec::new();
+    for i in 0..pattern.iterations() {
+        writers.clear();
+        writers.extend(
+            (0..pattern.terms(i))
+                .map(|j| pass.writer[pattern.term_element(i, j)] as usize)
+                .filter(|&w| w < i),
+        );
+        writers.sort_unstable();
+        writers.dedup();
+        for &w in &writers {
+            natural += p.saturating_sub(i - w) as u64;
+            reordered += p.saturating_sub(pos[i] - pos[w]) as u64;
         }
     }
-    slots as f64 / p as f64
+    (natural as f64 / p as f64, reordered as f64 / p as f64)
 }
 
 /// The paper's `T_seq` for this census.

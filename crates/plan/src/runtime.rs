@@ -69,11 +69,6 @@ impl PlanExecutor {
         }
     }
 
-    /// The configuration executions run under.
-    pub fn config(&self) -> &DoacrossConfig {
-        self.runtime.config()
-    }
-
     /// Runs `loop_` under `plan`, dispatching to the plan's variant.
     ///
     /// Results are bit-identical to [`run_sequential`] for every variant a

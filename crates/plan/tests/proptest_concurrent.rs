@@ -1,12 +1,12 @@
-//! Property tests of the sharded cache: for any access sequence, the
-//! sharded [`ConcurrentPlanCache`] and the single-owner [`PlanCache`]
-//! agree on plan selection — same variant, same census, same hit/miss
-//! outcome per access (given no evictions) — and invalidation generations
-//! are monotone per key.
+//! Property tests of the sharded cache: for any access sequence, a
+//! [`ConcurrentPlanCache`] of any shard count agrees with a one-shard one
+//! on plan selection — same variant, same census, same hit/miss outcome
+//! per access (given no evictions) — and invalidation generations are
+//! monotone per key.
 
 use doacross_core::IndirectLoop;
 use doacross_par::ThreadPool;
-use doacross_plan::{ConcurrentPlanCache, PatternFingerprint, PlanCache, Planner};
+use doacross_plan::{ConcurrentPlanCache, PatternFingerprint, Planner};
 use proptest::prelude::*;
 
 /// Distinct injective structures indexable by a small id. Mixes doall
@@ -43,7 +43,7 @@ proptest! {
 
     /// Same access sequence, ample capacity: identical per-access
     /// (variant, hit) outcomes and identical merged traffic counters,
-    /// regardless of shard count.
+    /// regardless of shard count — sharding changes nothing.
     #[test]
     fn sharded_and_unsharded_caches_agree_on_plan_selection(
         shards in 1usize..=8,
@@ -52,7 +52,7 @@ proptest! {
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
         let distinct = 6usize;
-        let mut unsharded = PlanCache::new(distinct);
+        let unsharded = ConcurrentPlanCache::new(distinct, 1);
         // The shard count is rounded up to a power of two, so size against
         // the *rounded* count: every shard then holds ≥ `distinct` plans
         // and the sharded cache never evicts, however the keys distribute.
@@ -62,8 +62,8 @@ proptest! {
         for &id in &accesses {
             let l = structure(id);
             let key = PatternFingerprint::of(&l);
-            let (plan_u, hit_u) = unsharded
-                .get_or_build(&key, || planner.plan(&pool, &l))
+            let (plan_u, _, _, hit_u) = unsharded
+                .get_or_build(&key, |_| true, || planner.plan(&pool, &l))
                 .expect("plannable");
             let (plan_s, _, _, hit_s) = sharded
                 .get_or_build(&key, |_| true, || planner.plan(&pool, &l))
@@ -90,8 +90,14 @@ proptest! {
         for &k in &invalidations {
             cache.invalidate(&keys[k]);
             expected[k] += 1;
+            // A snapshot carries every nonzero generation.
+            let store = cache.snapshot();
             for (i, key) in keys.iter().enumerate() {
-                prop_assert_eq!(cache.generation_of(key), expected[i], "key {}", i);
+                let generation = store
+                    .generations()
+                    .find(|(k, _)| *k == key)
+                    .map_or(0, |(_, generation)| generation);
+                prop_assert_eq!(generation, expected[i], "key {}", i);
             }
         }
     }

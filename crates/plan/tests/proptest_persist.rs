@@ -9,11 +9,11 @@ use doacross_core::{seq::run_sequential, DoacrossConfig, IndirectLoop};
 use doacross_par::ThreadPool;
 use doacross_plan::persist::{decode_plan, encode_plan, FORMAT_VERSION, MAGIC};
 use doacross_plan::{
-    PatternFingerprint, PersistError, PlanCache, PlanExecutor, PlanStore, PlanVariant, Planner,
+    ConcurrentPlanCache, PatternFingerprint, PersistError, PlanExecutor, PlanStore, PlanVariant,
+    Planner,
 };
 use doacross_sim::CostModel;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// An arbitrary *injective* loop (lhs a shuffled prefix of the data space)
 /// — the patterns the three stream-backed variants are legal for.
@@ -48,6 +48,16 @@ fn pinned(flags: bool) -> Planner {
     })
 }
 
+/// The snapshot of a one-shard cache that planned `loop_`.
+fn store_of(pool: &ThreadPool, planner: &Planner, loop_: &IndirectLoop) -> PlanStore {
+    let cache = ConcurrentPlanCache::new(2, 1);
+    let key = PatternFingerprint::of(loop_);
+    cache
+        .get_or_build(&key, |_| true, || planner.plan(pool, loop_))
+        .expect("in-bounds");
+    cache.snapshot()
+}
+
 /// A store written by an older format (v3: writer-map, claim-order and
 /// level-schedule sections) is not parsed, patched or migrated: it fails
 /// with the typed version error before the checksum is even looked at, and
@@ -57,11 +67,7 @@ fn a_format_version_3_blob_cold_starts_typed() {
     assert_eq!(FORMAT_VERSION, 6);
     let pool = ThreadPool::new(2);
     let grid = doacross_plan::testgrid::deep_grid(24, 8, 3, 5);
-    let mut cache = PlanCache::new(2);
-    cache.insert(Arc::new(
-        Planner::new().plan(&pool, &grid).expect("in-bounds"),
-    ));
-    let mut bytes = cache.snapshot().to_bytes();
+    let mut bytes = store_of(&pool, &Planner::new(), &grid).to_bytes();
     bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
     assert!(matches!(
         PlanStore::from_bytes(&bytes),
@@ -213,23 +219,29 @@ proptest! {
     ) {
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
-        let mut cache = PlanCache::new(8);
-        for (l, _) in &loops {
+        // One shard, so a snapshot's plan order is one recency order.
+        let cache = ConcurrentPlanCache::new(8, 1);
+        let prepare = |l: &IndirectLoop| {
             let key = PatternFingerprint::of(l);
             cache
-                .get_or_build(&key, || planner.plan(&pool, l))
+                .get_or_build(&key, |_| true, || planner.plan(&pool, l))
                 .expect("in-bounds");
+        };
+        for (l, _) in &loops {
+            prepare(l);
         }
         // Touch one structure so the recency order is not just insertion
         // order.
-        let (l, _) = &loops[touch % loops.len()];
-        cache.get(&PatternFingerprint::of(l));
+        prepare(&loops[touch % loops.len()].0);
 
         let bytes = cache.snapshot().to_bytes();
         let store = PlanStore::from_bytes(&bytes).expect("own bytes parse");
-        let mut warmed = PlanCache::new(8);
+        let warmed = ConcurrentPlanCache::new(8, 1);
         warmed.warm_from(&store);
-        prop_assert_eq!(warmed.keys_by_recency(), cache.keys_by_recency());
+        let recency = |cache: &ConcurrentPlanCache| -> Vec<PatternFingerprint> {
+            cache.snapshot().plans().map(|plan| *plan.fingerprint()).collect()
+        };
+        prop_assert_eq!(recency(&warmed), recency(&cache));
         // Restores are insertions, never traffic: the fresh cache still
         // reports a 0.0 (not NaN) hit rate.
         prop_assert_eq!(warmed.stats().hit_rate(), 0.0);
@@ -243,10 +255,7 @@ proptest! {
         cut in 0usize..1_000_000,
     ) {
         let pool = ThreadPool::new(2);
-        let plan = Planner::new().plan(&pool, &loop_).expect("in-bounds");
-        let mut cache = PlanCache::new(2);
-        cache.insert(Arc::new(plan));
-        let bytes = cache.snapshot().to_bytes();
+        let bytes = store_of(&pool, &Planner::new(), &loop_).to_bytes();
 
         // Any single-bit flip must surface as a typed error (a flip changes
         // one checksummed word, which the lanes absorb injectively, so no

@@ -7,7 +7,7 @@
 use doacross_core::{seq::run_sequential, Doacross, DoacrossConfig, IndirectLoop, PlanProvenance};
 use doacross_obs::profile::{ProfArena, SpanKind};
 use doacross_par::{Schedule, ThreadPool};
-use doacross_plan::{PatternFingerprint, PlanCache, PlanCensus, PlanExecutor, Planner};
+use doacross_plan::{CensusPass, ConcurrentPlanCache, PatternFingerprint, PlanExecutor, Planner};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -110,8 +110,12 @@ proptest! {
         // span) records exactly one boundary wait per level boundary,
         // whether it found the earlier level's count full or had to wait
         // for it, and an absent worker records nothing.
-        let (census, schedule) = PlanCensus::of_with_schedule(&loop_);
-        let schedule = schedule.expect("arb_loop lhs is injective and in bounds");
+        let pass = CensusPass::of(&loop_);
+        let (offsets, order) = pass.sorted_levels();
+        let schedule = pass
+            .stream(&loop_, Some(&order), Some(&offsets))
+            .expect("arb_loop lhs is injective and in bounds");
+        let census = &pass.census;
         prop_assert_eq!(schedule.level_count(), census.critical_path);
         prop_assert_eq!(schedule.iterations(), census.iterations);
 
@@ -194,7 +198,7 @@ proptest! {
     fn cache_eviction_keeps_lru_invariants(capacity in 1usize..6, touches in 8usize..40) {
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
-        let mut cache = PlanCache::new(capacity);
+        let cache = ConcurrentPlanCache::new(capacity, 1);
         // A rotating working set twice the capacity: forced evictions.
         let distinct = capacity * 2;
         let loops: Vec<IndirectLoop> = (1..=distinct)
@@ -206,8 +210,8 @@ proptest! {
         for t in 0..touches {
             let l = &loops[t % distinct];
             let key = PatternFingerprint::of(l);
-            let (plan, _hit) = cache
-                .get_or_build(&key, || planner.plan(&pool, l))
+            let (plan, ..) = cache
+                .get_or_build(&key, |_| true, || planner.plan(&pool, l))
                 .expect("plannable");
             prop_assert_eq!(plan.fingerprint(), &key);
             prop_assert!(cache.len() <= capacity, "capacity respected");
@@ -216,8 +220,8 @@ proptest! {
         prop_assert_eq!(s.hits + s.misses, touches as u64);
         prop_assert_eq!(s.insertions, s.misses);
         prop_assert!(s.evictions <= s.insertions);
-        // Recency list and map agree.
-        prop_assert_eq!(cache.keys_by_recency().len(), cache.len());
+        // Recency list and map agree: a snapshot walks the list.
+        prop_assert_eq!(cache.snapshot().len(), cache.len());
     }
 
     #[test]
@@ -225,13 +229,13 @@ proptest! {
         // An Arc'd plan keeps working after the cache dropped it.
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
-        let mut cache = PlanCache::new(1);
+        let cache = ConcurrentPlanCache::new(1, 1);
         let key = PatternFingerprint::of(&loop_);
-        let (plan, _) = cache
-            .get_or_build(&key, || planner.plan(&pool, &loop_))
+        let (plan, ..) = cache
+            .get_or_build(&key, |_| true, || planner.plan(&pool, &loop_))
             .expect("plannable");
         let held: Arc<_> = Arc::clone(&plan);
-        cache.clear();
+        prop_assert!(cache.invalidate(&key));
         let mut rt = PlanExecutor::new(DoacrossConfig::default());
         let mut y = y0.clone();
         let mut expect = y0;

@@ -348,3 +348,101 @@ fn a_flag_price_clamped_at_the_critical_path_reprices_exactly() {
         assert_eq!(price, clamp, "{repriced:?}");
     }
 }
+
+/// The reference stall weight of a claim order, over the doconsider
+/// crate's `DependenceDag` (its own writer map, deduplicated edges): for
+/// each edge with claim gap `g`, `max(0, p − g)`, summed as integers and
+/// divided once by `p`. `pos` is each iteration's claim slot (`None` =
+/// natural order).
+fn dag_stall_weight(
+    dag: &doacross_doconsider::DependenceDag,
+    pos: Option<&[usize]>,
+    p: usize,
+) -> f64 {
+    let mut slots = 0u64;
+    for i in 0..dag.len() {
+        for &w in dag.predecessors(i) {
+            let gap = match pos {
+                Some(pos) => pos[i] - pos[w],
+                None => i - w,
+            };
+            slots += p.saturating_sub(gap) as u64;
+        }
+    }
+    slots as f64 / p as f64
+}
+
+/// Stage 2 against the doconsider crate on one injective pattern at `p`:
+/// the census pass's level sort is the level histogram's prefix sums and
+/// `doconsider_order`, and `Planner::price` keeps exactly the features the
+/// dependence DAG gives — stall weights bit for bit, rounds from the
+/// histogram.
+fn check_doconsider(pattern: &IndirectLoop, p: usize) -> Result<(), String> {
+    use doacross_doconsider::{
+        doconsider_order, invert_permutation, level_histogram, DependenceDag, LevelAssignment,
+    };
+    let pass = CensusPass::of(pattern);
+    let (offsets, order) = pass.sorted_levels();
+    let dag = DependenceDag::build(pattern);
+    let widths = level_histogram(&LevelAssignment::compute(&dag));
+    let prefix: Vec<usize> = std::iter::once(0)
+        .chain(widths.iter().scan(0, |sum, w| {
+            *sum += w;
+            Some(*sum)
+        }))
+        .collect();
+    if offsets != prefix {
+        return Err(format!(
+            "level offsets {offsets:?}, histogram prefix sums {prefix:?}"
+        ));
+    }
+    let reference = doconsider_order(pattern);
+    if order != reference {
+        return Err(format!(
+            "level-sorted order {order:?}, doconsider {reference:?}"
+        ));
+    }
+    let features = Planner::new()
+        .price(pattern, &pass, detect_linear(pattern), p)
+        .features
+        .ok_or("stage 2 keeps its features")?;
+    let pos = invert_permutation(&reference);
+    let expected = [
+        dag_stall_weight(&dag, None, p),
+        dag_stall_weight(&dag, Some(&pos), p),
+    ];
+    let rounds: usize = widths.iter().map(|w| w.div_ceil(p)).sum();
+    let got = [features.stall_natural, features.stall_reordered];
+    if got.map(f64::to_bits) != expected.map(f64::to_bits) || features.rounds != rounds {
+        return Err(format!(
+            "p={p}: stage 2 keeps {features:?}, the DAG gives stalls {expected:?} and {rounds} rounds"
+        ));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    #[test]
+    fn stage_two_is_the_doconsider_reference_on_random_patterns(pattern in arb_pattern()) {
+        for p in WORKERS {
+            if let Err(why) = check_doconsider(&pattern, p) {
+                prop_assert!(false, "{}", why);
+            }
+        }
+    }
+}
+
+#[test]
+fn stage_two_is_the_doconsider_reference_on_table1() {
+    for problem in table1_problems() {
+        let l = problem.triangular_system().l;
+        let rhs: Vec<Vec<usize>> = (0..l.n()).map(|i| l.row_cols(i).to_vec()).collect();
+        let pattern = loop_of(l.n(), (0..l.n()).collect(), rhs);
+        for p in WORKERS {
+            check_doconsider(&pattern, p)
+                .unwrap_or_else(|why| panic!("{}: {why}", problem.kind.name()));
+        }
+    }
+}

@@ -98,6 +98,8 @@ impl DoacrossLoop for TriSolveLoop<'_> {
 mod tests {
     use super::*;
     use doacross_core::seq::run_sequential;
+    use doacross_engine::Engine;
+    use doacross_plan::Planner;
     use doacross_sparse::{ilu0, stencil::five_point, CsrMatrix};
 
     fn small() -> (TriangularMatrix, Vec<f64>) {
@@ -145,6 +147,50 @@ mod tests {
         let s = TriSolveLoop::subscript();
         assert_eq!(s.at(0), 0);
         assert_eq!(s.at(41), 41);
+    }
+
+    fn grid_factor(nx: usize, ny: usize, seed: u64) -> TriangularMatrix {
+        TriangularMatrix::from_strict_lower(&ilu0(&five_point(nx, ny, seed)).l)
+    }
+
+    #[test]
+    fn prepared_handles_cover_any_rhs() {
+        // Fingerprints are value-blind: a handle prepared on a zero rhs
+        // executes the system with any other.
+        let l = grid_factor(10, 10, 55);
+        let engine = Engine::builder().workers(4).cache_capacity(2).build();
+        let zero = vec![0.0; l.n()];
+        let prepared = engine.prepare(&TriSolveLoop::new(&l, &zero)).unwrap();
+        for round in 0..3 {
+            let rhs: Vec<f64> = (0..l.n()).map(|i| ((i * round) % 7) as f64).collect();
+            let mut y = vec![0.0; l.n()];
+            prepared
+                .execute(&TriSolveLoop::new(&l, &rhs), &mut y)
+                .unwrap();
+            assert_eq!(y, l.forward_solve(&rhs), "round {round}");
+        }
+    }
+
+    #[test]
+    fn trisolve_plans_pick_a_parallel_variant_on_grids() {
+        // The 10x10 five-point ILU(0) factor has average parallelism ≈ 5;
+        // priced for the paper's machine (the Multimax preset — this
+        // host's own model decides for itself) the planner must not fall
+        // back to sequential on 4 workers.
+        let l = grid_factor(10, 10, 55);
+        let engine = Engine::builder()
+            .workers(4)
+            .cache_capacity(2)
+            .planner(Planner::new())
+            .build();
+        let rhs = vec![1.0; l.n()];
+        let mut y = vec![0.0; l.n()];
+        let stats = engine.run(&TriSolveLoop::new(&l, &rhs), &mut y).unwrap();
+        assert!(
+            stats.workers > 1,
+            "expected a parallel plan for a wide wavefront structure"
+        );
+        assert_eq!(y, l.forward_solve(&rhs));
     }
 
     #[test]

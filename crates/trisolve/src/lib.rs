@@ -15,15 +15,14 @@
 //! * [`UpperSolveLoop`] — backward substitution over reversed rows, the
 //!   diagonal division in the `finish` hook.
 //!
-//! On top of them, two users of a shared `doacross_engine::Engine`:
-//!
-//! * [`IluPreconditioner`] — ILU(0) application `z = U⁻¹ L⁻¹ r`, both
-//!   halves prepared once and run per application through
-//!   [`IluPreconditioner::apply_into`] over owned scratch: the Krylov
-//!   workload the paper's amortization argument is about.
-//! * [`EngineSolver`] — a forward solve routed through the engine's
-//!   fingerprint-keyed plan cache, one instance serving many structures
-//!   and concurrent threads through `&self`.
+//! Both run on a shared `doacross_engine::Engine` as they are: `Engine::run`
+//! for a one-off solve, `Engine::prepare` once and `PreparedLoop::execute`
+//! per right-hand side for a fixed structure (fingerprints are
+//! value-blind, so one handle serves every rhs). On top of them,
+//! [`IluPreconditioner`] — ILU(0) application `z = U⁻¹ L⁻¹ r`, both
+//! halves prepared once and run per application through
+//! [`IluPreconditioner::apply_into`] over owned scratch: the Krylov
+//! workload the paper's amortization argument is about.
 //!
 //! Every path is bit-identical to the scalar kernels (same per-row
 //! reduction order), which the test suites exploit.
@@ -32,14 +31,12 @@
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
-pub mod cached;
 pub mod fig7;
 pub mod precond;
 pub mod seq;
 pub mod upper;
 pub mod verify;
 
-pub use cached::EngineSolver;
 pub use fig7::TriSolveLoop;
 pub use precond::IluPreconditioner;
 pub use upper::UpperSolveLoop;

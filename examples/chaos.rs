@@ -15,6 +15,10 @@
 //! 3. The fault is fully observable: `SolvePoisoned`/`SolveFellBack`
 //!    trace events, `Panicked`/`FellBack` flight-recorder outcomes, and
 //!    nonzero `doacross_fault_*` counters in the Prometheus scrape.
+//! 4. A solve dragged past `EngineBuilder::solve_deadline` (a `DelayNs`
+//!    failpoint on every iteration, fallback disabled) is aborted
+//!    cooperatively and surfaces as typed `EngineError::SolveTimeout`,
+//!    with `y` exactly as the caller passed it.
 //!
 //! Run: `cargo run --release --example chaos`
 
@@ -23,6 +27,7 @@ use preprocessed_doacross::core::{AccessPattern, IndirectLoop};
 use preprocessed_doacross::obs::SolveOutcome;
 use preprocessed_doacross::plan::Planner;
 use preprocessed_doacross::{Engine, EngineError, FallbackPolicy, TraceEvent};
+use std::time::Duration;
 
 /// A dependence-free scattered doall — priced by the paper's Multimax
 /// preset the planner runs it as the flat preprocessed doacross, so a
@@ -130,6 +135,24 @@ fn main() {
         assert!(scrape.contains(needle), "scrape missing `{needle}`");
         println!("scrape: {needle}");
     }
+
+    // --- 4. A wedged solve resolves typed at its deadline: ~200 µs of
+    // drag per iteration puts the region far past a 40 ms budget.
+    let deadline = Duration::from_millis(40);
+    let bounded = Engine::builder()
+        .workers(4)
+        .pools(1)
+        .planner(Planner::new())
+        .solve_deadline(deadline)
+        .fallback(FallbackPolicy::Disabled)
+        .build();
+    failpoint::arm(SITE, failpoint::FailAction::DelayNs { ns: 200_000 });
+    let mut y = y0.clone();
+    let err = bounded.run(&loop_, &mut y).unwrap_err();
+    failpoint::disarm(SITE);
+    assert_eq!(err, EngineError::SolveTimeout { pool: 0, deadline });
+    assert_eq!(y, y0, "a timed-out solve leaves y untouched");
+    println!("wedged solve, {deadline:?} deadline -> {err}");
 
     println!("chaos example: all containment contracts held");
 }

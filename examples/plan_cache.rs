@@ -9,7 +9,7 @@
 use preprocessed_doacross::core::{PlanProvenance, TestLoop};
 use preprocessed_doacross::plan::PatternFingerprint;
 use preprocessed_doacross::sparse::{ilu0, stencil::five_point, TriangularMatrix};
-use preprocessed_doacross::trisolve::EngineSolver;
+use preprocessed_doacross::trisolve::TriSolveLoop;
 use preprocessed_doacross::{Engine, EngineError};
 
 fn main() {
@@ -86,14 +86,13 @@ fn main() {
     let l = TriangularMatrix::from_strict_lower(&ilu0(&a).l);
     let rhs1 = vec![1.0; l.n()];
     let rhs2: Vec<f64> = (0..l.n()).map(|i| (i % 5) as f64).collect();
-    let fp = PatternFingerprint::of(&preprocessed_doacross::trisolve::TriSolveLoop::new(
-        &l, &rhs1,
-    ));
+    let (system1, system2) = (TriSolveLoop::new(&l, &rhs1), TriSolveLoop::new(&l, &rhs2));
+    let fp = PatternFingerprint::of(&system1);
     println!("  L factor fingerprint: {fp}");
 
-    let solver = EngineSolver::new(engine.clone());
-    let (y1, cold) = solver.solve(&l, &rhs1).expect("valid system");
-    let (y2, hot) = solver.solve(&l, &rhs2).expect("valid system");
+    let (mut y1, mut y2) = (vec![0.0; l.n()], vec![0.0; l.n()]);
+    let cold = engine.run(&system1, &mut y1).expect("valid system");
+    let hot = engine.run(&system2, &mut y2).expect("valid system");
     assert_eq!(y1, l.forward_solve(&rhs1));
     assert_eq!(y2, l.forward_solve(&rhs2));
     println!(
@@ -103,11 +102,10 @@ fn main() {
 
     // --- 5. Invalidation retires stale handles, typed. -------------------
     println!("\n== invalidation fails stale handles fast ==");
-    let handle = solver.prepare(&l).expect("cached");
+    let handle = engine.prepare(&system1).expect("cached");
     engine.invalidate(handle.fingerprint());
-    let loop_ = preprocessed_doacross::trisolve::TriSolveLoop::new(&l, &rhs1);
     let mut y = vec![0.0; l.n()];
-    match handle.execute(&loop_, &mut y) {
+    match handle.execute(&system1, &mut y) {
         Err(EngineError::StalePlan {
             prepared_generation,
             current_generation,
@@ -118,8 +116,8 @@ fn main() {
         ),
         other => panic!("expected StalePlan, got {other:?}"),
     }
-    let fresh = solver.prepare(&l).expect("replanned");
-    fresh.execute(&loop_, &mut y).expect("fresh handle works");
+    let fresh = engine.prepare(&system1).expect("replanned");
+    fresh.execute(&system1, &mut y).expect("fresh handle works");
     assert_eq!(y, l.forward_solve(&rhs1));
     println!(
         "  fresh handle (generation {}) solves again.",

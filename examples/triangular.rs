@@ -2,7 +2,7 @@
 //! Table 1 problem, ILU(0)-factor it, and solve it every way the
 //! evaluation compares — sequential, preprocessed doacross,
 //! doconsider-rearranged doacross, strip-mined doacross, and the
-//! engine-cached solver — verifying they agree bit for bit.
+//! engine's cached plan — verifying they agree bit for bit.
 //!
 //! Run: `cargo run --release --example triangular [spe2|spe5|5pt|7pt|9pt]`
 //! (default: 5pt)
@@ -12,9 +12,7 @@ use preprocessed_doacross::doconsider::{
     reorder::order_from_levels, DependenceDag, LevelAssignment,
 };
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
-use preprocessed_doacross::trisolve::{
-    seq::solve_sequential, verify::assert_solves, EngineSolver, TriSolveLoop,
-};
+use preprocessed_doacross::trisolve::{seq::solve_sequential, verify::assert_solves, TriSolveLoop};
 use preprocessed_doacross::Engine;
 use std::time::Instant;
 
@@ -103,14 +101,14 @@ fn main() {
 
     // 5. Engine-cached: the cost model picks the variant, the plan is
     // cached, and the second solve skips preprocessing entirely.
-    let solver = EngineSolver::new(engine.clone());
-    let (y_eng, cold) = solver.solve(&sys.l, &sys.rhs).expect("valid");
+    let mut y_eng = vec![0.0; sys.n()];
+    let cold = engine.run(&loop_, &mut y_eng).expect("valid");
     assert_eq!(y_eng, y_seq, "engine == sequential, bitwise");
-    let (_, hot) = solver.solve(&sys.l, &sys.rhs).expect("valid");
+    let hot = engine.run(&loop_, &mut y_eng).expect("valid");
     assert_eq!(cold.provenance, PlanProvenance::PlanCold);
     assert_eq!(hot.provenance, PlanProvenance::PlanCached);
     println!(
-        "\nengine-cached solver: cold {:?} -> cached {:?} (inspector {:?})",
+        "\nengine, plan cached: cold {:?} -> cached {:?} (inspector {:?})",
         cold.total, hot.total, hot.inspector
     );
 

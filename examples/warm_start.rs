@@ -21,7 +21,7 @@
 
 use preprocessed_doacross::core::PlanProvenance;
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
-use preprocessed_doacross::trisolve::EngineSolver;
+use preprocessed_doacross::trisolve::TriSolveLoop;
 use preprocessed_doacross::Engine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,10 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    let solver = EngineSolver::new(engine.clone());
     for kind in [ProblemKind::FivePt, ProblemKind::Spe5] {
         let sys = Problem::build(kind).triangular_system();
-        let (y, stats) = solver.solve(&sys.l, &sys.rhs)?;
+        let mut y = vec![0.0; sys.n()];
+        let stats = engine.run(&TriSolveLoop::new(&sys.l, &sys.rhs), &mut y)?;
         assert_eq!(y, sys.l.forward_solve(&sys.rhs), "solves stay bit-exact");
         println!(
             "{:>5}: first solve provenance = {} ({:?} total, inspector {:?})",

@@ -14,8 +14,8 @@
 //!
 //! With a store path argument the engine warm-starts from (and saves to)
 //! that plan store, so a second run's first solve is `plan:cached` — the
-//! CI smoke that a wavefront plan survives a restart through the v2
-//! persistence format:
+//! CI smoke that a wavefront plan, level offsets included, survives a
+//! restart through the plan store:
 //! `cargo run --release --example wavefront -- /tmp/wavefront.plans`
 
 use preprocessed_doacross::core::seq::run_sequential;
@@ -29,7 +29,7 @@ use preprocessed_doacross::sparse::{
     ilu0, stencil::five_point, stencil::seven_point, TriangularMatrix,
 };
 use preprocessed_doacross::trisolve::TriSolveLoop;
-use preprocessed_doacross::Engine;
+use preprocessed_doacross::{Engine, PlanStore};
 
 fn main() {
     // Small enough that the level map fits a terminal, large enough that
@@ -184,6 +184,19 @@ fn main() {
 
     if let Some(path) = &store {
         let saved = engine.save_plans(path).expect("store writable");
+        // What the next run restores: this wavefront plan, level offsets
+        // included.
+        let stored = PlanStore::load(path).expect("a store just written loads");
+        let levels = stored
+            .plans()
+            .find(|plan| plan.fingerprint() == prepared.fingerprint())
+            .and_then(|plan| plan.stream())
+            .map(|stream| stream.level_count());
+        assert_eq!(
+            levels,
+            Some(schedule.level_count()),
+            "stored wavefront plan"
+        );
         println!("  saved {saved} plan(s) to {path} (run again for a warm start)");
     }
 }

@@ -7,8 +7,11 @@
 #
 #   lints          cargo clippy --workspace --all-targets -D warnings.
 #
-#   surface        every `pub fn` in `impl Engine` and `impl PreparedLoop`
-#                  must have a caller outside tests. A call site is
+#   surface        every `pub fn` in the `impl` blocks of `Engine`,
+#                  `PreparedLoop` and the types the engine is built from
+#                  (`EngineBuilder`, `ConcurrentPlanCache`, `PlanStore`,
+#                  `Obs`, `Profiler`, `PlanExecutor`) must have a caller
+#                  outside tests. A call site is
 #                  `.name(` or `::name(` on a non-comment line that comes
 #                  before its file's first `#[cfg(test)]`, in examples/,
 #                  src/, benchmark/src/ or a crates/*/src file other than
@@ -147,6 +150,12 @@ surface() { # defining file, type name
 }
 surface crates/engine/src/engine.rs Engine
 surface crates/engine/src/prepared.rs PreparedLoop
+surface crates/engine/src/builder.rs EngineBuilder
+surface crates/plan/src/concurrent.rs ConcurrentPlanCache
+surface crates/plan/src/persist.rs PlanStore
+surface crates/obs/src/lib.rs Obs
+surface crates/obs/src/profile.rs Profiler
+surface crates/plan/src/runtime.rs PlanExecutor
 
 # --- audit ------------------------------------------------------------------
 

@@ -106,7 +106,7 @@
 //!
 //! Where observability answers *what happened*, the profiler answers
 //! *where the nanoseconds went*. `Engine::builder().profiling_default()`
-//! (or `.profiling(`[`ProfConfig`]`)`) arms per-worker span recording:
+//! arms per-worker span recording:
 //! every profiled solve deposits timestamped [`SpanKind`] spans — work,
 //! ready-flag stalls, barrier waits per wavefront level, and the
 //! dispatcher's admission wait — into bounded per-solve arenas, harvested
@@ -195,15 +195,15 @@
 //!   the five Table 1 triangular systems.
 //! * [`doconsider`] — the iteration-reordering transformation of §3.2.
 //! * [`trisolve`] — the evaluation's loops and the preconditioner:
-//!   Figure 7's forward solve, the backward solve, and the ILU(0)
-//!   preconditioner and `trisolve::EngineSolver` that run them on a
+//!   Figure 7's forward solve and the backward solve, which an engine
+//!   runs as they are, and the ILU(0) preconditioner that runs both on a
 //!   shared engine.
 //! * [`sim`] — the 16-processor Encore Multimax discrete-event model used
 //!   to regenerate Figure 6 and Table 1, plus host calibration.
 //! * [`plan`] — the execution-plan subsystem the engine is built on:
 //!   pattern fingerprinting, cost-model variant selection (sequential /
 //!   doacross / linear / reordered / blocked / wavefront), the sharded
-//!   [`plan::ConcurrentPlanCache`] (whose shards are [`plan::PlanCache`]s),
+//!   [`plan::ConcurrentPlanCache`] (slab LRU shards behind mutexes),
 //!   [`plan::PlanExecutor`] dispatching a plan onto one `core::Doacross`,
 //!   and the [`plan::persist`] codec behind warm starts. [`Engine`] is the
 //!   only planned path through it. The wavefront variant converts the doacross into
@@ -246,8 +246,8 @@ pub use doacross_trisolve as trisolve;
 
 pub use doacross_engine::{
     validate_chrome_trace, ChromeTraceStats, Engine, EngineBuilder, EngineError, FallbackPolicy,
-    PreparedLoop, ProfConfig, SolveProfile, SpanKind,
+    PreparedLoop, SolveProfile, SpanKind,
 };
-pub use doacross_obs::{ObsConfig, SolveOutcome, SolveRecord, TraceEvent};
+pub use doacross_obs::{SolveOutcome, SolveRecord, TraceEvent};
 pub use doacross_plan::{PersistError, PlanStore};
 pub use doacross_sched::PoolStats;

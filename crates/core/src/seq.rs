@@ -8,7 +8,12 @@
 //! match exactly, not just approximately).
 //!
 //! This is also the paper's `T_seq` measurement kernel: "the time required
-//! to solve a problem using an optimized sequential version" (§3).
+//! to solve a problem using an optimized sequential version" (§3). Each
+//! iteration is `init`, one [`DoacrossLoop::fold_terms`] over its terms,
+//! then `finish`: a loop that overrides `fold_terms` (the triangular
+//! solves hand over their row slices) runs its own inner loop here, and
+//! every caller of this function — the engine's sequential plans, its
+//! fallback replay, `&dyn` callers — gets it with no further change.
 
 use crate::pattern::DoacrossLoop;
 
@@ -24,18 +29,9 @@ pub fn run_sequential<L: DoacrossLoop + ?Sized>(loop_: &L, y: &mut [f64]) {
         loop_.data_len(),
         "y buffer must match the loop's data space"
     );
-    let n = loop_.iterations();
-    for i in 0..n {
+    for i in 0..loop_.iterations() {
         let lhs = loop_.lhs(i);
-        let mut acc = loop_.init(i, y[lhs]);
-        for j in 0..loop_.terms(i) {
-            let off = loop_.term_element(i, j);
-            // In the source loop the iteration's own partial result is
-            // visible through y[lhs]; mirror that with the accumulator.
-            let operand = if off == lhs { acc } else { y[off] };
-            acc = loop_.combine(i, j, acc, operand);
-        }
-        y[lhs] = loop_.finish(i, acc);
+        y[lhs] = loop_.finish(i, loop_.fold_terms(i, lhs, loop_.init(i, y[lhs]), y));
     }
 }
 

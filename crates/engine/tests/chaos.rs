@@ -22,6 +22,8 @@ use doacross_engine::{
 };
 use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
 use doacross_sim::CostModel;
+use doacross_sparse::{ilu0, stencil::five_point, TriangularMatrix};
+use doacross_trisolve::TriSolveLoop;
 use failpoint::FailAction;
 use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -325,6 +327,53 @@ fn assert_fallback_delivers(pools: usize) {
     assert!(text.contains("doacross_fault_panics_total 1"), "{text}");
     assert!(text.contains("doacross_fault_fallbacks_total 1"), "{text}");
     assert!(text.contains("doacross_adaptive_fallbacks_total 1"));
+    failpoint::disarm_all();
+}
+
+/// The default fallback replays a faulted parallel solve through
+/// `run_sequential`, which on a `TriSolveLoop` folds each row through the
+/// loop's own `fold_terms`: the delivered answer is the matrix's
+/// `forward_solve`, bit for bit.
+#[test]
+fn fallback_replay_of_a_triangular_solve_is_forward_solve() {
+    let _serial = chaos_lock();
+    let engine = Engine::builder()
+        .workers(4)
+        .pools(1)
+        .planner(flag_prices())
+        .build();
+    assert_eq!(engine.fallback_policy(), FallbackPolicy::SequentialRetry);
+    // Leaked so the solve can move onto the watchdog's thread.
+    let l: &'static TriangularMatrix = Box::leak(Box::new(TriangularMatrix::from_strict_lower(
+        &ilu0(&five_point(30, 30, 41)).l,
+    )));
+    let rhs: &'static [f64] = (0..l.n())
+        .map(|i| 1.0 - (i % 7) as f64 * 0.375)
+        .collect::<Vec<_>>()
+        .leak();
+    let loop_ = TriSolveLoop::new(l, rhs);
+    let prepared = engine.prepare(&loop_).unwrap();
+    assert!(
+        matches!(
+            prepared.variant(),
+            PlanVariant::Doacross | PlanVariant::Reordered | PlanVariant::Linear(_)
+        ),
+        "flag prices pick a flag variant, got {:?}",
+        prepared.variant()
+    );
+
+    failpoint::arm(EXECUTOR_ITER, FailAction::PanicAt { iteration: 700 });
+    let (stats, y) = within(HANG_BOUND, move || {
+        let mut y = vec![f64::NAN; l.n()];
+        let stats = prepared.execute(&loop_, &mut y).unwrap();
+        (stats, y)
+    });
+    failpoint::disarm(EXECUTOR_ITER);
+
+    assert_eq!(stats.attempts, 2, "one parallel fault, one replay");
+    assert_eq!(stats.workers, 1, "the replay is sequential");
+    let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&y), bits(&l.forward_solve(rhs)));
     failpoint::disarm_all();
 }
 

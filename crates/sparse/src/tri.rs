@@ -231,13 +231,22 @@ impl UpperTriangularMatrix {
         &self.values[self.row_ptr[i]..self.row_ptr[i + 1]]
     }
 
+    /// Row `i`'s strictly-upper column indices and coefficients, sliced
+    /// from one read of the row bounds.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        let row = self.row_ptr[i]..self.row_ptr[i + 1];
+        (&self.col_idx[row.clone()], &self.values[row])
+    }
+
     /// Sequential backward substitution: returns `x` with `U x = rhs`.
     pub fn backward_solve(&self, rhs: &[f64]) -> Vec<f64> {
         assert_eq!(rhs.len(), self.n, "rhs length mismatch");
         let mut x = vec![0.0; self.n];
         for i in (0..self.n).rev() {
             let mut acc = rhs[i];
-            for (&j, &v) in self.row_cols(i).iter().zip(self.row_values(i)) {
+            let (cols, values) = self.row(i);
+            for (&j, &v) in cols.iter().zip(values) {
                 acc -= v * x[j];
             }
             x[i] = acc / self.diag[i];

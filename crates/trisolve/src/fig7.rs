@@ -16,6 +16,13 @@
 //! (`column(j) < i` in a strictly lower-triangular structure), so the
 //! executor's three-way check always takes the S3–S5 branch — the paper's
 //! triangular solve is the pure-waiting stress case for the construct.
+//!
+//! The sequential kernel folds a row through
+//! [`DoacrossLoop::fold_terms`], which this loop overrides with the
+//! Figure 7 inner loop itself: one zipped walk over the row's `column` and
+//! `a` slices, bit-identical to the per-term default (same operations,
+//! same order) without its per-term trait calls, index checks and
+//! intra-iteration branch.
 
 use doacross_core::{AccessPattern, DoacrossLoop, LinearSubscript};
 use doacross_sparse::TriangularMatrix;
@@ -91,6 +98,20 @@ impl DoacrossLoop for TriSolveLoop<'_> {
     #[inline]
     fn combine(&self, i: usize, j: usize, acc: f64, operand: f64) -> f64 {
         acc - self.l.coeff()[self.l.low(i) + j] * operand
+    }
+
+    /// Row `i`'s column and coefficient slices, zipped: the default body's
+    /// `combine`s in its order, with `low(i)`/`high(i)` read once and no
+    /// S8 branch (a strictly lower row never reads `y(i)`;
+    /// `TriangularMatrix::from_strict_lower` asserts it).
+    #[inline(always)]
+    fn fold_terms(&self, i: usize, _lhs: usize, mut acc: f64, y: &[f64]) -> f64 {
+        let row = self.l.low(i)..self.l.high(i);
+        let (cols, coeffs) = (&self.l.column()[row.clone()], &self.l.coeff()[row]);
+        for (&c, &a) in cols.iter().zip(coeffs) {
+            acc -= a * y[c];
+        }
+        acc
     }
 }
 

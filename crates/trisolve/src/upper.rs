@@ -7,9 +7,11 @@
 //! index reversal: iterate `k = 0..n` over rows `i = n−1−k`. In `k`-space
 //! every dependency points backward again (`row j > i` ⇔ `iteration
 //! n−1−j < k`), so the unmodified executor machinery applies. The non-unit
-//! diagonal division is the [`DoacrossLoop::finish`] hook. The loop is
-//! planned and priced like any other; [`crate::IluPreconditioner`] holds
-//! it as a prepared loop.
+//! diagonal division is the [`DoacrossLoop::finish`] hook, and the
+//! sequential kernel's row fold ([`DoacrossLoop::fold_terms`]) walks the
+//! row's strictly-upper slices once, as [`crate::TriSolveLoop`]'s does. The
+//! loop is planned and priced like any other; [`crate::IluPreconditioner`]
+//! holds it as a prepared loop.
 
 use doacross_core::{AccessPattern, DoacrossLoop};
 use doacross_sparse::UpperTriangularMatrix;
@@ -86,6 +88,19 @@ impl DoacrossLoop for UpperSolveLoop<'_> {
     fn combine(&self, k: usize, j: usize, acc: f64, operand: f64) -> f64 {
         let i = self.row(k);
         acc - self.u.row_values(i)[j] * operand
+    }
+
+    /// Row `n−1−k`'s strictly-upper slices, zipped: the default body's
+    /// `combine`s in its order, with the row bounds read once and no S8
+    /// branch (a strictly upper row never reads `x(i)`;
+    /// `UpperTriangularMatrix::from_upper` splits the diagonal out).
+    #[inline(always)]
+    fn fold_terms(&self, k: usize, _lhs: usize, mut acc: f64, y: &[f64]) -> f64 {
+        let (cols, values) = self.u.row(self.row(k));
+        for (&c, &v) in cols.iter().zip(values) {
+            acc -= v * y[c];
+        }
+        acc
     }
 
     /// The backward solve's diagonal division.

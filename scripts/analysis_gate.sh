@@ -266,6 +266,18 @@ named doacross-plan lib fingerprint::tests::row_boundary_split_perturbs_both_str
 say "analysis_gate: the preconditioner's two prepared loops, by name"
 named doacross-trisolve lib precond::tests::table1_halves_plan_parallel_on_the_preset_engine_and_match_bitwise
 
+# The sequential kernel's row fold: each triangular loop's `fold_terms`
+# override returns the trait's default body bit for bit, the fallback replay
+# of a faulted triangular solve runs it, and the row-bucketed triplet build
+# matches the sort-based build it replaced, by name.
+say "analysis_gate: each fold_terms override is the default body, by name"
+for t in each_fold_terms_override_is_the_default_body \
+  table1_factor_overrides_fold_like_the_default_body; do
+  named doacross-trisolve fold_terms "$t"
+done
+named doacross-engine chaos fallback_replay_of_a_triangular_solve_is_forward_solve
+named doacross-sparse lib builder::tests::bucketed_build_is_bit_identical_to_the_sort_based_build
+
 say "analysis_gate: the caller-run region's join protocol, by name"
 for t in join_protocol_is_sound \
   a_late_helper_that_dies_poisons_the_region_and_nobody_copies_back \

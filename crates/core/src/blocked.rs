@@ -24,7 +24,7 @@
 //! sufficiently-separated iterations run correctly when blocked.
 
 use crate::error::DoacrossError;
-use crate::executor::{own_grain, Flags, Region};
+use crate::executor::{Flags, Region};
 use crate::inspector::{reset_scratch, run_inspector};
 use crate::oracle::{ByWriter, InspectedWriter};
 use crate::pattern::DoacrossLoop;
@@ -72,7 +72,6 @@ impl Doacross {
         }
         let data_len = check_y_len(loop_, y)?;
         let n = loop_.iterations();
-        let schedule = self.config.schedule;
         let mut total = RunStats {
             workers: pool.threads(),
             ..Default::default()
@@ -93,14 +92,13 @@ impl Doacross {
             let t0 = Instant::now();
             if let Err(e) = run_inspector(
                 pool,
-                schedule,
                 loop_,
                 lo..hi,
                 window.clone(),
                 &self.iter,
                 self.config.validate_terms,
             ) {
-                reset_scratch(pool, schedule, &self.iter, window.len());
+                reset_scratch(pool, &self.iter, window.len());
                 return Err(e);
             }
             stats.inspector = t0.elapsed();
@@ -110,7 +108,7 @@ impl Doacross {
             let oracle = InspectedWriter::new(&self.iter, window.clone());
             self.scratch.run(
                 pool,
-                &self.config,
+                self.config.wait,
                 Region {
                     loop_,
                     claims: &ByWriter {
@@ -123,7 +121,7 @@ impl Doacross {
                     post: Post {
                         map: Some(&self.iter),
                     },
-                    grain: Some(own_grain(schedule)),
+                    grain: Some(1),
                 },
                 Flags,
                 &mut stats,

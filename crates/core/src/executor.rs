@@ -83,25 +83,23 @@
 //!
 //! * **Flags.** A wait only targets a writer claimed at a strictly earlier
 //!   slot (`check < 0` in natural order; a topological claim order
-//!   otherwise). Every [`Schedule`] hands a worker its slots in increasing
+//!   otherwise). [`claim_chunks`] hands a worker its slots in increasing
 //!   slot order, one at a time or a chunk per grab, and a worker walks a
 //!   chunk front to back. So the owner of the lowest pending slot is never
 //!   parked on a later one. Everything before that slot is done, hence all
 //!   its operands are published, and it runs to completion. There is no
-//!   deadlock for any schedule, any chunk size and any dependence pattern
-//!   the inspector or the verifier admits. The `interleave_models` suite
+//!   deadlock for any chunk size and any dependence pattern the inspector
+//!   or the verifier admits. The `interleave_models` suite
 //!   of `doacross-par` checks exactly this walk, and that walking a chunk
 //!   back to front deadlocks.
 //! * **Levels.** Nothing inside a level waits, so every claimed iteration
 //!   of level `l` finishes and its count fills. A worker that claimed
 //!   nothing delays nobody.
 //!
-//! Because a count fills by work, not attendance, a dynamic schedule's
-//! region is *joinable* ([`ThreadPool::run_joinable`]). The dispatching
-//! thread is worker 0 and walks every level itself; a helper that has not
-//! woken by the time worker 0 returns is not waited for. A static schedule
-//! assigns fixed shares by worker id and keeps full attendance
-//! ([`ThreadPool::run`]).
+//! Because a count fills by work, not attendance, every region is
+//! *joinable* ([`ThreadPool::run_joinable`]). The dispatching thread is
+//! worker 0 and walks every level itself; a helper that has not woken by
+//! the time worker 0 returns is not waited for.
 //!
 //! ## Faults
 //!
@@ -119,11 +117,10 @@ use crate::flags::ReadyFlags;
 use crate::oracle::Claims;
 use crate::pattern::DoacrossLoop;
 use crate::post::{post_share, PhaseClock, Post};
-use crate::runtime::DoacrossConfig;
 use crate::stats::{LocalCounters, RunStats, StatsSink};
-use crate::wavefront::{claim_grain, grained, OperandClass};
+use crate::wavefront::{claim_grain, OperandClass};
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
-use doacross_par::{CachePadded, Schedule, SharedSlice, ThreadPool, WaitAbort};
+use doacross_par::{claim_chunks, CachePadded, SharedSlice, ThreadPool, WaitAbort, WaitStrategy};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -381,17 +378,6 @@ struct LevelCell {
     done: Completion,
 }
 
-/// The grab size `schedule` already claims with, so that
-/// `grained(schedule, own_grain(schedule))` is `schedule`: the grain an
-/// inspected run passes to keep its configured policy as it is.
-pub(crate) fn own_grain(schedule: Schedule) -> usize {
-    match schedule {
-        Schedule::Dynamic { chunk } => chunk,
-        Schedule::Guided { min_chunk } => min_chunk,
-        Schedule::StaticBlock | Schedule::StaticCyclic => 1,
-    }
-}
-
 /// What one region runs: the loop, who decides each reference's class,
 /// and where results go.
 pub(crate) struct Region<'a, L: ?Sized, C> {
@@ -408,9 +394,8 @@ pub(crate) struct Region<'a, L: ?Sized, C> {
     pub y: &'a mut [f64],
     /// What the copy-back also clears.
     pub post: Post<'a>,
-    /// Slots per counter grab under a dynamic base schedule: `Some(c)` on
-    /// every level, `None` [`claim_grain`] of each level's width. A static
-    /// base schedule is honoured as it is.
+    /// Slots per counter grab: `Some(c)` on every level, `None`
+    /// [`claim_grain`] of each level's width.
     pub grain: Option<usize>,
 }
 
@@ -464,7 +449,7 @@ impl Scratch {
     pub(crate) fn run<L, C, G>(
         &mut self,
         pool: &ThreadPool,
-        config: &DoacrossConfig,
+        wait: WaitStrategy,
         region: Region<'_, L, C>,
         gate: G,
         stats: &mut RunStats,
@@ -523,7 +508,7 @@ impl Scratch {
             // gates the copy-back, so it is what a deadline-struck waiter
             // abandons.
             let guard = RegionGuard {
-                wait: config.wait,
+                wait,
                 poison: pool.poison(),
                 deadline: pool.deadline(),
                 commit: (&cells[last].done, width_of(last)),
@@ -532,7 +517,7 @@ impl Scratch {
             let clock = PhaseClock::start();
             let post_claim = AtomicUsize::new(0);
 
-            pool.run_for(config.schedule, |worker| {
+            pool.run_joinable(|worker| {
                 let mut p = Participant {
                     worker,
                     guard: &guard,
@@ -552,16 +537,10 @@ impl Scratch {
                     }
                     let level = gate.level(l, count);
                     let width = level.len();
-                    let claiming = match (config.schedule, grain) {
-                        (Schedule::Dynamic { .. }, None) => Schedule::Dynamic {
-                            chunk: claim_grain(width, nworkers),
-                        },
-                        (base, Some(c)) => grained(base, c),
-                        (base, None) => base,
-                    };
+                    let chunk = grain.unwrap_or_else(|| claim_grain(width, nworkers));
                     let started = p.started();
                     let executed_before = executed;
-                    claiming.drive(worker, nworkers, width, &cell.claim, |k| {
+                    claim_chunks(&cell.claim, width, chunk, |k| {
                         let slot = slots.start + level.start + k;
                         let i = claims.iteration(slot);
                         executed += 1;
@@ -670,26 +649,18 @@ mod tests {
     use crate::seq::run_sequential;
 
     /// Manual pipeline (inspector, then the driver under the flag gate
-    /// with fused copy-back) so the executor can be probed in isolation.
+    /// with fused copy-back, `grain` slots per claim) so the executor can
+    /// be probed in isolation.
     fn execute(
         loop_: &IndirectLoop,
         y: &[f64],
         workers: usize,
-        schedule: Schedule,
+        grain: Option<usize>,
     ) -> (Vec<f64>, RunStats) {
         let pool = ThreadPool::new(workers);
         let dl = loop_.data_len();
         let map = IterMap::new(dl);
-        run_inspector(
-            &pool,
-            schedule,
-            loop_,
-            0..loop_.iterations(),
-            0..dl,
-            &map,
-            true,
-        )
-        .unwrap();
+        run_inspector(&pool, loop_, 0..loop_.iterations(), 0..dl, &map, true).unwrap();
         let mut y_buf = y.to_vec();
         let oracle = InspectedWriter::new(&map, 0..dl);
         let mut stats = RunStats {
@@ -697,13 +668,9 @@ mod tests {
             iterations: loop_.iterations(),
             ..Default::default()
         };
-        let config = DoacrossConfig {
-            schedule,
-            ..DoacrossConfig::default()
-        };
         Scratch::new(dl).run(
             &pool,
-            &config,
+            WaitStrategy::default(),
             Region {
                 loop_,
                 claims: &ByWriter {
@@ -714,7 +681,7 @@ mod tests {
                 window: 0..dl,
                 y: &mut y_buf,
                 post: Post { map: None },
-                grain: Some(own_grain(schedule)),
+                grain,
             },
             Flags,
             &mut stats,
@@ -740,7 +707,7 @@ mod tests {
         let y0 = vec![1.0; n + 1];
         let expect = oracle_result(&l, &y0);
         for workers in [1, 2, 4] {
-            let (got, stats) = execute(&l, &y0, workers, Schedule::multimax());
+            let (got, stats) = execute(&l, &y0, workers, Some(1));
             assert_eq!(got, expect, "workers={workers}");
             // Iteration 0 reads element 0, which nobody writes (lhs starts
             // at 1); the other n-1 reads are true dependencies.
@@ -760,7 +727,7 @@ mod tests {
         let y0: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let expect = oracle_result(&l, &y0);
         for workers in [1, 3, 4] {
-            let (got, stats) = execute(&l, &y0, workers, Schedule::multimax());
+            let (got, stats) = execute(&l, &y0, workers, Some(1));
             assert_eq!(got, expect, "workers={workers}");
             assert!(stats.deps.anti_or_unwritten >= (n as u64) - 1);
         }
@@ -775,7 +742,7 @@ mod tests {
         let l = IndirectLoop::new(n, a, rhs, vec![vec![1.0, 1.0]; n]).unwrap();
         let y0 = vec![1.0; n];
         let expect = oracle_result(&l, &y0);
-        let (got, stats) = execute(&l, &y0, 4, Schedule::multimax());
+        let (got, stats) = execute(&l, &y0, 4, Some(1));
         assert_eq!(got, expect);
         assert_eq!(stats.deps.intra, 2 * n as u64);
         // 1 + 1 = 2, then 2 + 2 = 4.
@@ -798,15 +765,9 @@ mod tests {
         let l = IndirectLoop::new(dl, a, rhs, coeff).unwrap();
         let y0: Vec<f64> = (0..dl).map(|e| (e % 17) as f64 * 0.125).collect();
         let expect = oracle_result(&l, &y0);
-        for schedule in [
-            Schedule::StaticBlock,
-            Schedule::StaticCyclic,
-            Schedule::Dynamic { chunk: 1 },
-            Schedule::Dynamic { chunk: 8 },
-            Schedule::Guided { min_chunk: 2 },
-        ] {
-            let (got, _) = execute(&l, &y0, 4, schedule);
-            assert_eq!(got, expect, "{schedule:?}");
+        for grain in [Some(1), Some(2), Some(8), Some(1000), None] {
+            let (got, _) = execute(&l, &y0, 4, grain);
+            assert_eq!(got, expect, "grain {grain:?}");
         }
     }
 
@@ -817,7 +778,7 @@ mod tests {
         let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i / 2, i]).collect();
         let l = IndirectLoop::new(n, a, rhs, vec![vec![1.0, 1.0]; n]).unwrap();
         let y0 = vec![1.0; n];
-        let (_, stats) = execute(&l, &y0, 2, Schedule::multimax());
+        let (_, stats) = execute(&l, &y0, 2, Some(1));
         assert_eq!(stats.deps.total(), 2 * n as u64, "every (i,j) classified");
     }
 
@@ -831,7 +792,7 @@ mod tests {
         let mut stats = RunStats::default();
         Scratch::new(4).run(
             &pool,
-            &DoacrossConfig::default(),
+            WaitStrategy::default(),
             Region {
                 loop_: &l,
                 claims: &ByWriter {

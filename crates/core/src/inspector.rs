@@ -21,7 +21,7 @@
 use crate::error::DoacrossError;
 use crate::flags::{IterMap, MAXINT};
 use crate::pattern::AccessPattern;
-use doacross_par::{parallel_for, Schedule, ThreadPool};
+use doacross_par::{parallel_for, ThreadPool};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -75,7 +75,6 @@ impl ErrorSlot {
 /// [`reset_scratch`]).
 pub fn run_inspector<P: AccessPattern + ?Sized>(
     pool: &ThreadPool,
-    schedule: Schedule,
     pattern: &P,
     iter_range: Range<usize>,
     window: Range<usize>,
@@ -89,7 +88,7 @@ pub fn run_inspector<P: AccessPattern + ?Sized>(
     let base = iter_range.start;
     let count = iter_range.end - iter_range.start;
 
-    parallel_for(pool, count, schedule, |k| {
+    parallel_for(pool, count, 1, |k| {
         let i = base + k;
         let lhs = pattern.lhs(i);
         if lhs >= data_len {
@@ -139,8 +138,8 @@ pub fn run_inspector<P: AccessPattern + ?Sized>(
 /// `MAXINT`. Used to restore the reuse invariant after a failed
 /// (partially-executed) inspector; the `ready` flags need nothing — none
 /// was raised since they were last retired.
-pub fn reset_scratch(pool: &ThreadPool, schedule: Schedule, map: &IterMap, len: usize) {
-    parallel_for(pool, len, schedule, |e| map.clear(e));
+pub fn reset_scratch(pool: &ThreadPool, map: &IterMap, len: usize) {
+    parallel_for(pool, len, 1, |e| map.clear(e));
 }
 
 #[cfg(test)]
@@ -161,7 +160,7 @@ mod tests {
     fn fills_writer_map() {
         let l = loop_with_lhs(vec![3, 1, 4, 0], 6);
         let map = IterMap::new(6);
-        run_inspector(&pool(), Schedule::multimax(), &l, 0..4, 0..6, &map, true).unwrap();
+        run_inspector(&pool(), &l, 0..4, 0..6, &map, true).unwrap();
         assert_eq!(map.writer(3), 0);
         assert_eq!(map.writer(1), 1);
         assert_eq!(map.writer(4), 2);
@@ -174,8 +173,7 @@ mod tests {
     fn detects_output_dependency() {
         let l = loop_with_lhs(vec![2, 5, 2], 6);
         let map = IterMap::new(6);
-        let err =
-            run_inspector(&pool(), Schedule::multimax(), &l, 0..3, 0..6, &map, false).unwrap_err();
+        let err = run_inspector(&pool(), &l, 0..3, 0..6, &map, false).unwrap_err();
         assert_eq!(err, DoacrossError::OutputDependency { element: 2 });
     }
 
@@ -204,16 +202,7 @@ mod tests {
         }
         let lying = Lying(&l);
         let map = IterMap::new(2);
-        let err = run_inspector(
-            &pool(),
-            Schedule::multimax(),
-            &lying,
-            0..1,
-            0..2,
-            &map,
-            true,
-        )
-        .unwrap_err();
+        let err = run_inspector(&pool(), &lying, 0..1, 0..2, &map, true).unwrap_err();
         assert!(matches!(
             err,
             DoacrossError::SubscriptOutOfBounds { element: 3, .. }
@@ -221,24 +210,14 @@ mod tests {
 
         // Without term validation the same pattern passes the inspector.
         let map2 = IterMap::new(2);
-        run_inspector(
-            &pool(),
-            Schedule::multimax(),
-            &lying,
-            0..1,
-            0..2,
-            &map2,
-            false,
-        )
-        .unwrap();
+        run_inspector(&pool(), &lying, 0..1, 0..2, &map2, false).unwrap();
     }
 
     #[test]
     fn detects_window_escape() {
         let l = loop_with_lhs(vec![1, 7], 8);
         let map = IterMap::new(4);
-        let err =
-            run_inspector(&pool(), Schedule::multimax(), &l, 0..2, 0..4, &map, false).unwrap_err();
+        let err = run_inspector(&pool(), &l, 0..2, 0..4, &map, false).unwrap_err();
         assert!(matches!(
             err,
             DoacrossError::WindowViolation {
@@ -254,7 +233,7 @@ mod tests {
     fn windowed_inspector_uses_relative_indices() {
         let l = loop_with_lhs(vec![10, 12], 16);
         let map = IterMap::new(4);
-        run_inspector(&pool(), Schedule::multimax(), &l, 0..2, 10..14, &map, false).unwrap();
+        run_inspector(&pool(), &l, 0..2, 10..14, &map, false).unwrap();
         assert_eq!(map.writer(0), 0, "element 10 -> slot 0");
         assert_eq!(map.writer(2), 1, "element 12 -> slot 2");
     }
@@ -263,7 +242,7 @@ mod tests {
     fn sub_range_inspection_records_global_iteration_numbers() {
         let l = loop_with_lhs(vec![0, 1, 2, 3], 4);
         let map = IterMap::new(4);
-        run_inspector(&pool(), Schedule::multimax(), &l, 2..4, 0..4, &map, false).unwrap();
+        run_inspector(&pool(), &l, 2..4, 0..4, &map, false).unwrap();
         assert_eq!(map.writer(0), MAXINT);
         assert_eq!(
             map.writer(2),
@@ -277,7 +256,7 @@ mod tests {
     fn reset_scratch_restores_invariant() {
         let map = IterMap::new(8);
         map.record(3, 1);
-        reset_scratch(&pool(), Schedule::multimax(), &map, 8);
+        reset_scratch(&pool(), &map, 8);
         assert!(map.all_clear());
     }
 

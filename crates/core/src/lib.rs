@@ -79,9 +79,11 @@
 //!   ([`wavefront`]).
 //!
 //! Either way a solve is one pool region, which the solving thread runs as
-//! worker 0 and, under a dynamic schedule, helpers join while it does
-//! (`ThreadPool::run_for`): the postprocessor's copy-back runs behind the
-//! last level's count, claimed in chunks by whoever is present. And
+//! worker 0 and helpers join while it does (`ThreadPool::run_joinable`).
+//! Every worker present claims iterations off a shared counter, one per
+//! claim on the inspected entry points and the plan's claim grain on a
+//! planned one, and the postprocessor's copy-back runs behind the last
+//! level's count, claimed in chunks by whoever is present. And
 //! either way a *planned* solve reads where each operand comes from off
 //! one artifact, the plan's [`ClaimStream`] — claim order, per-claim
 //! reference ends and one [`OperandClass`] byte per reference, laid out in

@@ -16,7 +16,7 @@
 //! function.
 
 use crate::error::DoacrossError;
-use crate::executor::{own_grain, Flags, Region};
+use crate::executor::{Flags, Region};
 use crate::inspector::ErrorSlot;
 use crate::oracle::{ByWriter, LinearWriter};
 use crate::pattern::DoacrossLoop;
@@ -102,7 +102,7 @@ impl Doacross {
         if self.config.validate_terms {
             let mismatch = ErrorSlot::new();
             let oob = ErrorSlot::new();
-            parallel_for(pool, n, self.config.schedule, |i| {
+            parallel_for(pool, n, 1, |i| {
                 let lhs = loop_.lhs(i);
                 if lhs != subscript.at(i) {
                     mismatch.try_set(i, lhs);
@@ -143,7 +143,7 @@ impl Doacross {
         }
         self.scratch.run(
             pool,
-            &self.config,
+            self.config.wait,
             Region {
                 loop_,
                 claims: &ByWriter {
@@ -154,7 +154,7 @@ impl Doacross {
                 window: 0..data_len,
                 y,
                 post: Post { map: None },
-                grain: Some(own_grain(self.config.schedule)),
+                grain: Some(1),
             },
             Flags,
             &mut stats,

@@ -24,7 +24,7 @@
 //! and after warm-up none of them allocates.
 
 use crate::error::DoacrossError;
-use crate::executor::{own_grain, Flags, Levels, Region, Scratch};
+use crate::executor::{Flags, Levels, Region, Scratch};
 use crate::flags::{IterMap, ReadyFlags, MAXINT};
 use crate::inspector::{reset_scratch, run_inspector, ErrorSlot};
 use crate::oracle::{ByWriter, InspectedWriter, WriterOracle};
@@ -33,16 +33,12 @@ use crate::post::Post;
 use crate::stats::{PlanProvenance, RunStats};
 use crate::wavefront::{check_stream, ClaimStream};
 use doacross_obs::profile::ProfArena;
-use doacross_par::{parallel_for, Schedule, ThreadPool, WaitStrategy};
+use doacross_par::{parallel_for, ThreadPool, WaitStrategy};
 use std::time::Instant;
 
 /// Tunables of a doacross run.
 #[derive(Debug, Clone, Copy)]
 pub struct DoacrossConfig {
-    /// Iteration-to-worker assignment for all three phases (within a level
-    /// for wavefront runs). Default: [`Schedule::multimax()`]
-    /// (one-iteration self-scheduling).
-    pub schedule: Schedule,
     /// Busy-wait policy for true-dependency stalls and level gates.
     /// Default: spin-then-yield, which is safe under oversubscription.
     pub wait: WaitStrategy,
@@ -60,7 +56,6 @@ pub struct DoacrossConfig {
 impl Default for DoacrossConfig {
     fn default() -> Self {
         Self {
-            schedule: Schedule::multimax(),
             wait: WaitStrategy::default(),
             validate_terms: true,
         }
@@ -122,7 +117,7 @@ impl Doacross {
         }
     }
 
-    /// Mutable configuration (e.g. to switch schedules between runs).
+    /// Mutable configuration (e.g. to switch wait strategies between runs).
     pub fn config_mut(&mut self) -> &mut DoacrossConfig {
         &mut self.config
     }
@@ -194,7 +189,6 @@ impl Doacross {
         self.ensure_data_len(data_len);
         self.ensure_iter(data_len);
         let n = loop_.iterations();
-        let schedule = self.config.schedule;
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on entry");
 
         let mut stats = region_stats(pool, n, PlanProvenance::Inline);
@@ -206,7 +200,6 @@ impl Doacross {
         let oracle = InspectedWriter::new(&self.iter, 0..data_len);
         let inspected = run_inspector(
             pool,
-            schedule,
             loop_,
             0..n,
             0..data_len,
@@ -220,7 +213,7 @@ impl Doacross {
             })
         });
         if let Err(e) = inspected {
-            reset_scratch(pool, schedule, &self.iter, data_len);
+            reset_scratch(pool, &self.iter, data_len);
             return Err(e);
         }
 
@@ -229,7 +222,7 @@ impl Doacross {
         // restore the reuse invariant.
         self.scratch.run(
             pool,
-            &self.config,
+            self.config.wait,
             Region {
                 loop_,
                 claims: &ByWriter {
@@ -242,7 +235,7 @@ impl Doacross {
                 post: Post {
                     map: Some(&self.iter),
                 },
-                grain: Some(own_grain(schedule)),
+                grain: Some(1),
             },
             Flags,
             &mut stats,
@@ -276,11 +269,10 @@ impl Doacross {
     /// independent and its classes right, once, when the plan is built or
     /// loaded. The stream is only read, so it serves arbitrarily many runs.
     ///
-    /// `grain` is the claim-slot count per counter grab under a dynamic
-    /// `config.schedule`: `Some(c)` on every level
-    /// ([`crate::wavefront::claim_grain`] derives `c` from what a plan
-    /// knows; 1 is the paper's policy), `None` derived from each level's
-    /// width. A static `config.schedule` is honoured as it is.
+    /// `grain` is the claim-slot count per counter grab: `Some(c)` on
+    /// every level ([`crate::wavefront::claim_grain`] derives `c` from what
+    /// a plan knows; 1 is the paper's policy), `None` derived from each
+    /// level's width.
     ///
     /// With `prof` set, per-worker profiling spans (work per level, level
     /// boundary waits and true-dependency flag waits) are deposited there;
@@ -347,12 +339,10 @@ impl Doacross {
             post: Post { map: None },
             grain,
         };
-        let scratch = &mut self.scratch;
+        let (scratch, wait) = (&mut self.scratch, self.config.wait);
         match stream.level_offsets() {
-            Some(levels) => {
-                scratch.run(pool, &self.config, region, Levels(levels), &mut stats, prof)
-            }
-            None => scratch.run(pool, &self.config, region, Flags, &mut stats, prof),
+            Some(levels) => scratch.run(pool, wait, region, Levels(levels), &mut stats, prof),
+            None => scratch.run(pool, wait, region, Flags, &mut stats, prof),
         }
         stats.deps = stream.class_counts();
         stats.total = t_start.elapsed();
@@ -426,7 +416,7 @@ pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
     if config.validate_terms {
         let violation = ErrorSlot::new();
         let position = &position[..];
-        parallel_for(pool, n, config.schedule, |i| {
+        parallel_for(pool, n, 1, |i| {
             for j in 0..loop_.terms(i) {
                 let w = oracle.writer(loop_.term_element(i, j));
                 if w != MAXINT && (w as usize) < i {
@@ -548,7 +538,6 @@ mod tests {
     fn config_is_adjustable() {
         let l = chain_loop(32);
         let mut rt = Doacross::for_loop(&l);
-        rt.config_mut().schedule = Schedule::StaticCyclic;
         rt.config_mut().wait = WaitStrategy::Backoff { max_spin_batch: 8 };
         rt.config_mut().validate_terms = false;
         let mut y = vec![1.0; 33];

@@ -57,7 +57,6 @@ use crate::oracle::Claims;
 use crate::pattern::DoacrossLoop;
 use crate::runtime::check_y_len;
 use crate::stats::DepCounts;
-use doacross_par::Schedule;
 use std::ops::Range;
 
 /// Where an executor resolves a right-hand-side operand from — Figure 5's
@@ -428,20 +427,6 @@ pub fn claim_grain(hint: usize, nworkers: usize) -> usize {
     (hint / (2 * nworkers.max(1))).clamp(1, 16)
 }
 
-/// `base` claiming `grain` slots per grab: dynamic policies take the grain,
-/// static ones have no grabs to size and are honoured as they are.
-pub(crate) fn grained(base: Schedule, grain: usize) -> Schedule {
-    match base {
-        Schedule::Dynamic { .. } => Schedule::Dynamic {
-            chunk: grain.max(1),
-        },
-        Schedule::Guided { .. } => Schedule::Guided {
-            min_chunk: grain.max(1),
-        },
-        fixed => fixed,
-    }
-}
-
 /// What every planned entry point checks before it dispatches: `y` covers
 /// the loop's data space, the stream was built for this many iterations,
 /// and every claim's reference count is the loop's
@@ -469,7 +454,7 @@ pub(crate) fn check_stream<L: DoacrossLoop + ?Sized>(
 mod tests {
     use super::*;
     use crate::pattern::{AccessPattern, IndirectLoop};
-    use crate::runtime::{Doacross, DoacrossConfig};
+    use crate::runtime::Doacross;
     use crate::seq::run_sequential;
     use crate::MAXINT;
     use doacross_par::ThreadPool;
@@ -608,25 +593,12 @@ mod tests {
         let y0 = vec![1.0; n];
         let expect = oracle(&l, &y0);
         let p = pool();
-        for config_schedule in [
-            Schedule::multimax(),
-            Schedule::StaticBlock,
-            Schedule::StaticCyclic,
-            Schedule::Guided { min_chunk: 2 },
-        ] {
-            for chunk in [None, Some(1), Some(3), Some(1000)] {
-                let mut rt = Doacross::with_config(
-                    n,
-                    DoacrossConfig {
-                        schedule: config_schedule,
-                        ..DoacrossConfig::default()
-                    },
-                );
-                let mut y = y0.clone();
-                rt.run_planned(&p, &l, &mut y, &schedule, chunk, None)
-                    .unwrap();
-                assert_eq!(y, expect, "{config_schedule:?} chunk {chunk:?}");
-            }
+        for grain in [Some(1), Some(2), Some(8), Some(1000), None] {
+            let mut rt = Doacross::new(n);
+            let mut y = y0.clone();
+            rt.run_planned(&p, &l, &mut y, &schedule, grain, None)
+                .unwrap();
+            assert_eq!(y, expect, "grain {grain:?}");
         }
     }
 
@@ -872,14 +844,5 @@ mod tests {
         assert_eq!(claim_grain(16, 4), 2);
         assert_eq!(claim_grain(138, 2), 16, "capped");
         assert_eq!(claim_grain(10, 0), 5, "zero workers clamped to one");
-        assert_eq!(
-            grained(Schedule::StaticCyclic, 8),
-            Schedule::StaticCyclic,
-            "static schedules are honoured"
-        );
-        assert_eq!(
-            grained(Schedule::multimax(), 8),
-            Schedule::Dynamic { chunk: 8 }
-        );
     }
 }

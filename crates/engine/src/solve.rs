@@ -64,8 +64,8 @@ use crate::engine::EngineInner;
 use crate::error::EngineError;
 use crate::fault::FallbackPolicy;
 use doacross_core::{
-    alloc::thread_allocations, seq::run_sequential, DoacrossConfig, DoacrossError, DoacrossLoop,
-    PlanProvenance, RunStats,
+    alloc::thread_allocations, seq::run_sequential, DoacrossError, DoacrossLoop, PlanProvenance,
+    RunStats,
 };
 use doacross_obs::profile::{ProfArena, Profiler, SpanSource};
 use doacross_obs::{ObsFault, ObsVariant, SolveOutcome, SolveRecord, TraceEvent};
@@ -102,7 +102,7 @@ pub(crate) struct LeaseScratch {
 impl LeaseScratch {
     pub(crate) fn new() -> Self {
         Self {
-            executor: PlanExecutor::new(DoacrossConfig::default()),
+            executor: PlanExecutor::new(),
             pristine: Vec::new(),
         }
     }
@@ -335,7 +335,7 @@ impl<'e> Solve<'e> {
         // sub-pool's next tenant starts from a fresh one — and so do the
         // profiler spans its workers deposited before unwinding, which no
         // harvest will drain.
-        lease.scratch.executor = PlanExecutor::new(DoacrossConfig::default());
+        lease.scratch.executor = PlanExecutor::new();
         if let Some(arena) = lease.arena {
             arena.reset();
         }

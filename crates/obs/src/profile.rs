@@ -46,8 +46,8 @@ pub enum SpanKind {
     /// A worker *joined* a region when the region ran its job: the
     /// dispatching thread (worker 0) always, a helper when it registered
     /// before the dispatcher closed registration (`doacross_par`'s
-    /// `ThreadPool::run_joinable`; full-attendance regions join everyone).
-    /// These spans are the record of it — the tracks carrying a `Work`
+    /// `ThreadPool::run_joinable`, which opens every region of the
+    /// runtime). These spans are the record of it — the tracks carrying a `Work`
     /// span are the joined workers, `1 ≤ joined ≤ workers`.
     Work,
     /// Busy-waiting on a ready flag for a true dependency (one span per

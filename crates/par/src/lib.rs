@@ -11,27 +11,25 @@
 //! The thread that encounters a region is processor 0 of it, as in
 //! OpenMP's `taskloop`: a pool of `p` workers is the calling thread plus
 //! `p − 1` helpers, and a one-worker region never leaves the caller's
-//! thread. Under a dynamic schedule a region is *joinable*
-//! ([`ThreadPool::run_joinable`]) — helpers join while the caller's own
-//! share runs, and nobody waits for a helper that was not there — while a
-//! static schedule, which hands each worker id a fixed share, keeps full
-//! attendance ([`ThreadPool::run`]). Every region of the runtime is
-//! dispatched through [`ThreadPool::run_for`], which reads the attendance
-//! off the schedule; it is never a setting.
+//! thread. Every region of the runtime is *joinable*
+//! ([`ThreadPool::run_joinable`]): helpers join while the caller's own
+//! share runs, and nobody waits for a helper that was not there. Full
+//! attendance ([`ThreadPool::run`], every worker id once) is kept for the
+//! callers that need every worker present, such as a [`SpinBarrier`].
 //!
 //! The paper (Saltz & Mirchandaney, *The Preprocessed Doacross Loop*, ICPP
 //! 1991) ran its `parallel do` loops on a 16-processor Encore Multimax/320
 //! with self-scheduling: each processor repeatedly grabs the next unclaimed
-//! iteration (or chunk of iterations) from a shared counter. That policy is
-//! [`Schedule::Dynamic`]; static block and cyclic assignments are provided
-//! for ablation studies.
+//! iteration (or chunk of iterations) from a shared counter. That is the
+//! one way work is claimed here ([`claim_chunks`]); only the chunk size
+//! varies.
 //!
 //! ## Deadlock-freedom contract
 //!
 //! A doacross executor busy-waits for *earlier* iterations only (true
 //! dependencies always point backwards in the iteration space — see
-//! `doacross-core`). Every [`Schedule`] in this crate enumerates each
-//! worker's assigned iterations in increasing global order, which makes any
+//! `doacross-core`). [`claim_chunks`] hands each worker its iterations in
+//! increasing global order, whatever the chunk size, which makes any
 //! backward-waiting loop deadlock-free: the lowest-numbered unexecuted
 //! iteration is always at the front of some worker's remaining work, and by
 //! definition none of its dependencies are pending. When the machine is
@@ -45,7 +43,7 @@
 //! through the fault-aware [`WaitStrategy::wait_until_guarded`], which
 //! polls the region's [`RegionPoison`] word and unwinds cooperatively,
 //! turning a would-be deadlock into a finite drain and a typed
-//! [`RegionFault`] panic from [`ThreadPool::run`].
+//! [`RegionFault`] panic from the region's dispatcher.
 //! The same poll sites enforce an optional region deadline
 //! ([`ThreadPool::set_deadline`]). See [`poison`] for the full protocol.
 
@@ -60,10 +58,10 @@ pub mod shared;
 pub mod sync;
 pub mod wait;
 
-pub use parallel::{parallel_for, parallel_for_with_id, parallel_reduce};
+pub use parallel::parallel_for;
 pub use poison::{abort_region, RegionFault, RegionPoison, WaitAbort};
 pub use pool::ThreadPool;
-pub use schedule::Schedule;
+pub use schedule::claim_chunks;
 pub use shared::SharedSlice;
 pub use sync::{CachePadded, SpinBarrier};
 pub use wait::WaitStrategy;

@@ -9,19 +9,17 @@
 //! and a one-worker region runs entirely on the caller's thread. Two
 //! entries share one dispatch body:
 //!
-//! * [`ThreadPool::run`] — *full attendance*: every worker id runs the job
-//!   exactly once. Static schedules assign fixed shares by worker id and a
-//!   barrier waits for all `p`, so they need it.
 //! * [`ThreadPool::run_joinable`] — helpers *join* while registration is
 //!   open. The dispatcher runs `job(0)`, closes registration when it
 //!   returns, and waits only for the helpers that joined; nobody waits for
-//!   an absent worker. A job whose claims are dynamic (a participant that
-//!   finds nothing left claims nothing) needs no more, and it never pays
-//!   for waking a helper that arrives after the work is gone.
-//!
-//! [`ThreadPool::run_for`] picks between them from the caller's
-//! [`Schedule`](crate::Schedule), which is how every region of the
-//! runtime is dispatched.
+//!   an absent worker. Every region of the runtime claims its work off a
+//!   shared counter (a participant that finds nothing left claims
+//!   nothing), so this is how every one is dispatched, and none pays for
+//!   waking a helper that arrives after the work is gone.
+//! * [`ThreadPool::run`] — *full attendance*: every worker id runs the job
+//!   exactly once. For callers that need every worker present: the
+//!   engine's health probe of a pool after a faulted solve, and a
+//!   [`SpinBarrier`](crate::SpinBarrier) that waits for all `p`.
 //!
 //! Registration is one word: the region's epoch, an open bit and the count
 //! of helpers that joined. A helper joins with one compare-and-swap that
@@ -38,7 +36,6 @@
 //! be amortizable).
 
 use crate::poison::{CoopUnwind, RegionPoison};
-use crate::schedule::Schedule;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -206,7 +203,7 @@ impl ThreadPool {
     /// Executes `job(worker_id)` exactly once for every worker id, blocking
     /// until all have returned: worker 0 on the calling thread, the rest on
     /// the helpers. Equivalent to one `parallel do` region in which every
-    /// processor checks in — what static schedules and barriers need.
+    /// processor checks in — what a health probe and a barrier need.
     ///
     /// The join establishes happens-before between everything the
     /// participants wrote and the dispatcher's subsequent reads.
@@ -240,18 +237,6 @@ impl ThreadPool {
         F: Fn(usize) + Sync,
     {
         self.dispatch(&job, true);
-    }
-
-    /// Dispatches `job` with the attendance `schedule` needs: joinable
-    /// ([`Self::run_joinable`]) when its claims are dynamic, so whoever is
-    /// present does everything; full ([`Self::run`]) when it hands each
-    /// worker id a fixed share. Attendance follows the schedule and is
-    /// never a setting.
-    pub fn run_for<F>(&self, schedule: Schedule, job: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.dispatch(&job, schedule.is_dynamic());
     }
 
     /// The one dispatch body: publish the region, run worker 0's share,

@@ -1,257 +1,57 @@
-//! Iteration-to-processor assignment policies (`parallel do` scheduling).
+//! Self-scheduling off a shared counter: the one way a region's workers
+//! claim iterations.
 //!
 //! The Encore Multimax FORTRAN runtime self-scheduled `parallel do` loops:
 //! every processor repeatedly grabbed the next unclaimed iteration from a
-//! shared counter. [`Schedule::Dynamic`] with `chunk == 1` reproduces that
-//! policy and is the default throughout the workspace
-//! ([`Schedule::multimax`]). Static block/cyclic policies are included for
-//! the ablation benches ("how much of the doacross overhead is scheduling,
-//! how much is waiting?").
+//! shared counter. [`claim_chunks`] is that policy with `chunk` iterations
+//! per grab; `chunk == 1` is the paper's.
 //!
-//! Every policy enumerates each worker's iterations in **increasing global
-//! order**; see the crate docs for why that guarantees deadlock-freedom for
-//! backward (true-dependency) waiting.
+//! A worker walks each grab front to back, and its grabs come off the
+//! counter in increasing order, so it enumerates its iterations in
+//! **increasing global order**; see the crate docs for why that guarantees
+//! deadlock-freedom for backward (true-dependency) waiting.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Assignment of a loop's iterations `0..n` to `nworkers` workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Worker `w` executes one contiguous block of `≈ n / nworkers`
-    /// iterations. Lowest scheduling overhead; worst for doacross loops with
-    /// short-distance dependencies (all waits cross block boundaries late).
-    StaticBlock,
-    /// Worker `w` executes iterations `w, w + nworkers, w + 2·nworkers, …`.
-    /// Good dependency overlap for short-distance dependencies.
-    StaticCyclic,
-    /// Self-scheduling off a shared counter, `chunk` iterations per grab.
-    /// `chunk == 1` is the paper's Multimax policy.
-    Dynamic {
-        /// Iterations claimed per counter increment (≥ 1).
-        chunk: usize,
-    },
-    /// Guided self-scheduling: grab `max(remaining / (2·nworkers),
-    /// min_chunk)` iterations per visit to the counter.
-    Guided {
-        /// Smallest grab size (≥ 1).
-        min_chunk: usize,
-    },
-}
-
-impl Default for Schedule {
-    fn default() -> Self {
-        Schedule::multimax()
-    }
-}
-
-impl Schedule {
-    /// The paper's policy: one-iteration self-scheduling, as on the Encore
-    /// Multimax/320.
-    pub const fn multimax() -> Self {
-        Schedule::Dynamic { chunk: 1 }
-    }
-
-    /// Whether this policy needs the shared counter (dynamic policies).
-    pub fn is_dynamic(&self) -> bool {
-        matches!(self, Schedule::Dynamic { .. } | Schedule::Guided { .. })
-    }
-
-    /// Enumerates, in increasing order, the iterations of `0..n` that worker
-    /// `worker` (of `nworkers`) executes, invoking `body` on each.
-    ///
-    /// `counter` is the shared self-scheduling counter; it must start at 0
-    /// and be shared by all workers of the same loop instance. Static
-    /// policies ignore it.
-    #[inline]
-    pub fn drive<F: FnMut(usize)>(
-        &self,
-        worker: usize,
-        nworkers: usize,
-        n: usize,
-        counter: &AtomicUsize,
-        mut body: F,
-    ) {
-        debug_assert!(worker < nworkers, "worker {worker} of {nworkers}");
-        match *self {
-            Schedule::StaticBlock => {
-                for i in block_range(n, nworkers, worker) {
-                    body(i);
-                }
-            }
-            Schedule::StaticCyclic => {
-                let mut i = worker;
-                while i < n {
-                    body(i);
-                    i += nworkers;
-                }
-            }
-            Schedule::Dynamic { chunk } => {
-                let chunk = chunk.max(1);
-                loop {
-                    let start = counter.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    for i in start..end {
-                        body(i);
-                    }
-                }
-            }
-            Schedule::Guided { min_chunk } => {
-                let min_chunk = min_chunk.max(1);
-                loop {
-                    // Stale `claimed` only affects the grab size, never
-                    // correctness: the fetch_add below is the claim.
-                    let claimed = counter.load(Ordering::Relaxed);
-                    if claimed >= n {
-                        break;
-                    }
-                    let remaining = n - claimed;
-                    let grab = (remaining / (2 * nworkers)).max(min_chunk);
-                    let start = counter.fetch_add(grab, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + grab).min(n);
-                    for i in start..end {
-                        body(i);
-                    }
-                }
-            }
+/// Runs `body(i)` for every iteration `i` of `0..n` this worker claims off
+/// `counter`, `chunk` iterations per grab (0 claims like 1), in increasing
+/// order, and returns once the counter has passed `n`.
+///
+/// `counter` must start at 0 and be shared by every worker of the same
+/// loop instance; it is the only arbiter, so each iteration runs on exactly
+/// one worker whoever turns up.
+#[inline]
+pub fn claim_chunks<F: FnMut(usize)>(counter: &AtomicUsize, n: usize, chunk: usize, mut body: F) {
+    let chunk = chunk.max(1);
+    loop {
+        let start = counter.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        let end = (start + chunk).min(n);
+        for i in start..end {
+            body(i);
         }
     }
-}
-
-/// The contiguous range of iterations worker `worker` receives under
-/// [`Schedule::StaticBlock`]. The first `n % nworkers` workers receive one
-/// extra iteration, so block sizes differ by at most one.
-pub fn block_range(n: usize, nworkers: usize, worker: usize) -> Range<usize> {
-    debug_assert!(worker < nworkers);
-    let base = n / nworkers;
-    let extra = n % nworkers;
-    let start = worker * base + worker.min(extra);
-    let len = base + usize::from(worker < extra);
-    start..start + len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn collect_assignment(sched: Schedule, nworkers: usize, n: usize) -> Vec<Vec<usize>> {
-        // Drive workers round-robin on one thread; dynamic policies still
-        // interleave correctly because the counter is the only shared state.
-        let counter = AtomicUsize::new(0);
-        let mut out = vec![Vec::new(); nworkers];
-        // For dynamic policies a sequential drive gives worker 0 everything,
-        // which is a legal (if extreme) interleaving; coverage and order
-        // invariants must hold regardless.
-        for (w, bucket) in out.iter_mut().enumerate() {
-            sched.drive(w, nworkers, n, &counter, |i| bucket.push(i));
-        }
-        out
-    }
-
-    fn assert_exact_coverage(assignment: &[Vec<usize>], n: usize) {
-        let mut seen = vec![0u32; n];
-        for bucket in assignment {
-            for &i in bucket {
-                seen[i] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "every iteration must run exactly once: {seen:?}"
-        );
-    }
-
-    fn assert_increasing(assignment: &[Vec<usize>]) {
-        for bucket in assignment {
-            assert!(
-                bucket.windows(2).all(|w| w[0] < w[1]),
-                "per-worker order must be increasing: {bucket:?}"
-            );
-        }
-    }
-
-    fn all_schedules() -> Vec<Schedule> {
-        vec![
-            Schedule::StaticBlock,
-            Schedule::StaticCyclic,
-            Schedule::Dynamic { chunk: 1 },
-            Schedule::Dynamic { chunk: 7 },
-            Schedule::Guided { min_chunk: 1 },
-            Schedule::Guided { min_chunk: 4 },
-        ]
-    }
-
     #[test]
     fn every_schedule_covers_exactly_once_in_order() {
-        for sched in all_schedules() {
-            for &(nworkers, n) in &[
-                (1usize, 0usize),
-                (1, 17),
-                (3, 17),
-                (4, 4),
-                (5, 3),
-                (16, 100),
-            ] {
-                let a = collect_assignment(sched, nworkers, n);
-                assert_exact_coverage(&a, n);
-                assert_increasing(&a);
+        // One thread drives every worker in turn: the first takes
+        // everything, a legal (if extreme) interleaving.
+        for chunk in [1usize, 7] {
+            for &(nworkers, n) in &[(1usize, 0usize), (1, 17), (3, 17), (5, 3), (16, 100)] {
+                let counter = AtomicUsize::new(0);
+                let mut seen = Vec::new();
+                for _ in 0..nworkers {
+                    claim_chunks(&counter, n, chunk, |i| seen.push(i));
+                }
+                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "chunk {chunk}");
             }
-        }
-    }
-
-    #[test]
-    fn static_block_is_contiguous_and_balanced() {
-        let a = collect_assignment(Schedule::StaticBlock, 4, 10);
-        assert_eq!(a[0], vec![0, 1, 2]);
-        assert_eq!(a[1], vec![3, 4, 5]);
-        assert_eq!(a[2], vec![6, 7]);
-        assert_eq!(a[3], vec![8, 9]);
-    }
-
-    #[test]
-    fn static_cyclic_strides_by_worker_count() {
-        let a = collect_assignment(Schedule::StaticCyclic, 3, 8);
-        assert_eq!(a[0], vec![0, 3, 6]);
-        assert_eq!(a[1], vec![1, 4, 7]);
-        assert_eq!(a[2], vec![2, 5]);
-    }
-
-    #[test]
-    fn block_range_partitions_exactly() {
-        for &(n, p) in &[
-            (0usize, 1usize),
-            (1, 1),
-            (10, 3),
-            (10, 4),
-            (3, 5),
-            (100, 16),
-        ] {
-            let mut total = 0;
-            let mut next = 0;
-            for w in 0..p {
-                let r = block_range(n, p, w);
-                assert_eq!(r.start, next, "blocks must tile: n={n} p={p} w={w}");
-                next = r.end;
-                total += r.len();
-            }
-            assert_eq!(total, n);
-            assert_eq!(next, n);
-        }
-    }
-
-    #[test]
-    fn block_sizes_differ_by_at_most_one() {
-        for &(n, p) in &[(10usize, 3usize), (17, 4), (1000, 16), (5, 7)] {
-            let sizes: Vec<usize> = (0..p).map(|w| block_range(n, p, w).len()).collect();
-            let min = *sizes.iter().min().unwrap();
-            let max = *sizes.iter().max().unwrap();
-            assert!(max - min <= 1, "n={n} p={p} sizes={sizes:?}");
         }
     }
 
@@ -260,45 +60,41 @@ mod tests {
         // chunk=0 must not spin forever.
         let counter = AtomicUsize::new(0);
         let mut seen = Vec::new();
-        Schedule::Dynamic { chunk: 0 }.drive(0, 1, 5, &counter, |i| seen.push(i));
+        claim_chunks(&counter, 5, 0, |i| seen.push(i));
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn multimax_is_single_iteration_dynamic() {
-        assert_eq!(Schedule::multimax(), Schedule::Dynamic { chunk: 1 });
-        assert!(Schedule::multimax().is_dynamic());
-        assert!(!Schedule::StaticBlock.is_dynamic());
-    }
-
-    #[test]
     fn dynamic_policies_share_work_across_concurrent_workers() {
-        // Real-thread check: with 4 threads, a dynamic schedule must cover
-        // all indices exactly once (the atomic counter is the arbiter).
-        use std::sync::Mutex;
+        // Real threads: the counter is the arbiter, so every index runs
+        // exactly once, and each worker sees its own in increasing order
+        // (the deadlock-freedom contract).
         const N: usize = 10_000;
-        for sched in [
-            Schedule::Dynamic { chunk: 3 },
-            Schedule::Guided { min_chunk: 2 },
-        ] {
+        for chunk in [0usize, 1, 7, 16] {
             let counter = AtomicUsize::new(0);
-            let hits = Mutex::new(vec![0u8; N]);
-            std::thread::scope(|s| {
-                for w in 0..4 {
-                    let counter = &counter;
-                    let hits = &hits;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        sched.drive(w, 4, N, counter, |i| local.push(i));
-                        let mut h = hits.lock().unwrap();
-                        for i in local {
-                            h[i] += 1;
-                        }
-                    });
-                }
+            let claimed: Vec<Vec<usize>> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut mine = Vec::new();
+                            claim_chunks(&counter, N, chunk, |i| mine.push(i));
+                            mine
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
             });
-            let h = hits.into_inner().unwrap();
-            assert!(h.iter().all(|&c| c == 1), "{sched:?}");
+            let mut hits = vec![0u8; N];
+            for mine in &claimed {
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "chunk {chunk}: per-worker order must increase"
+                );
+                for &i in mine {
+                    hits[i] += 1;
+                }
+            }
+            assert!(hits.iter().all(|&c| c == 1), "chunk {chunk}");
         }
     }
 }

@@ -106,7 +106,7 @@ fn mutation_dropped_ready_store_is_a_deadlock() {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked claims: `Schedule::Dynamic { chunk }` under the flag executor. A
+// Chunked claims: `claim_chunks` with `chunk` under the flag executor. A
 // worker grabs `chunk` consecutive claim slots off the shared counter and
 // executes them; slot k's iteration has a NewValue operand produced by slot
 // k − 1 (a distance-1 chain in claim order: the tightest dependence a
@@ -138,7 +138,7 @@ fn chunked_claims(slots: usize, with_data: bool) -> ChunkedClaims {
     }
 }
 
-/// One worker of the region: `Schedule::drive`'s dynamic arm around the
+/// One worker of the region: `claim_chunks` around the
 /// executor body. `back_to_front` walks each claimed chunk in decreasing
 /// slot order.
 fn chunk_worker(m: &ChunkedClaims, chunk: usize, back_to_front: bool) {

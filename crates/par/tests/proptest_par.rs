@@ -1,42 +1,16 @@
-//! Property-based tests of the parallel substrate: scheduling coverage,
-//! reduction correctness, and wait-primitive behaviour under arbitrary
-//! parameters.
+//! Property-based tests of the parallel substrate: claim coverage and
+//! order, and wait-primitive behaviour under arbitrary parameters.
 
-use doacross_par::{parallel_for, parallel_reduce, schedule::block_range, Schedule, ThreadPool};
+use doacross_par::{claim_chunks, parallel_for, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-fn arb_schedule() -> impl Strategy<Value = Schedule> {
-    prop_oneof![
-        Just(Schedule::StaticBlock),
-        Just(Schedule::StaticCyclic),
-        (1usize..32).prop_map(|chunk| Schedule::Dynamic { chunk }),
-        (1usize..16).prop_map(|min_chunk| Schedule::Guided { min_chunk }),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn block_range_tiles_any_split(n in 0usize..10_000, p in 1usize..64) {
-        let mut next = 0usize;
-        let mut min = usize::MAX;
-        let mut max = 0usize;
-        for w in 0..p {
-            let r = block_range(n, p, w);
-            prop_assert_eq!(r.start, next);
-            next = r.end;
-            min = min.min(r.len());
-            max = max.max(r.len());
-        }
-        prop_assert_eq!(next, n);
-        prop_assert!(max - min <= 1, "balanced within one iteration");
-    }
-
-    #[test]
     fn drive_covers_exactly_once_in_order(
-        sched in arb_schedule(),
+        chunk in 0usize..32,
         n in 0usize..2_000,
         p in 1usize..9,
     ) {
@@ -45,9 +19,9 @@ proptest! {
         let counter = AtomicUsize::new(0);
         let mut seen = vec![0u8; n];
         let mut order_ok = true;
-        for w in 0..p {
+        for _ in 0..p {
             let mut last: i64 = -1;
-            sched.drive(w, p, n, &counter, |i| {
+            claim_chunks(&counter, n, chunk, |i| {
                 seen[i] += 1;
                 order_ok &= i as i64 > last;
                 last = i as i64;
@@ -59,35 +33,16 @@ proptest! {
 
     #[test]
     fn parallel_for_touches_every_index_exactly_once(
-        sched in arb_schedule(),
+        chunk in 0usize..32,
         n in 0usize..5_000,
         p in 1usize..5,
     ) {
         let pool = ThreadPool::new(p);
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        parallel_for(&pool, n, sched, |i| {
+        parallel_for(&pool, n, chunk, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_reduce_matches_sequential_fold(
-        sched in arb_schedule(),
-        values in proptest::collection::vec(-100i64..100, 0..2_000),
-        p in 1usize..5,
-    ) {
-        let pool = ThreadPool::new(p);
-        let expect: i64 = values.iter().sum();
-        let got = parallel_reduce(
-            &pool,
-            values.len(),
-            sched,
-            0i64,
-            |i| values[i],
-            |a, b| a + b,
-        );
-        prop_assert_eq!(got, expect);
     }
 
     #[test]

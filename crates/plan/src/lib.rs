@@ -58,14 +58,14 @@
 //! ```
 //! use doacross_par::ThreadPool;
 //! use doacross_plan::{PlanExecutor, Planner};
-//! use doacross_core::{seq::run_sequential, DoacrossConfig, TestLoop};
+//! use doacross_core::{seq::run_sequential, TestLoop};
 //!
 //! let pool = ThreadPool::new(2);
 //! let loop_ = TestLoop::new(1_000, 1, 8);
 //! let plan = Planner::new().plan(&pool, &loop_).unwrap();
 //!
 //! // One plan, any number of executions; no inspector after the first.
-//! let mut executor = PlanExecutor::new(DoacrossConfig::default());
+//! let mut executor = PlanExecutor::new();
 //! let mut oracle = loop_.initial_y();
 //! run_sequential(&loop_, &mut oracle);
 //! for _ in 0..2 {

@@ -30,8 +30,7 @@
 //! `Reordered`, the minimum true-dependence distance for the natural order
 //! (so a distance-1 loop keeps the paper's one-iteration claims). The
 //! wavefront passes no grain, and [`Doacross::run_planned`] takes each
-//! level's own width as its hint. It sizes the grabs of a dynamic base
-//! schedule; a static `config.schedule` is honoured as it is.
+//! level's own width as its hint.
 
 use crate::plan::{ExecutionPlan, PlanVariant};
 use doacross_core::{
@@ -49,20 +48,26 @@ use std::time::Instant;
 /// sizes) does not churn allocations, and — executing plans only — never
 /// carries a writer map unless a blocked plan runs.
 ///
-/// The configuration's `validate_terms` is off: validation happened at plan
+/// The runtime's `validate_terms` is off: validation happened at plan
 /// time.
 #[derive(Debug)]
 pub struct PlanExecutor {
     runtime: Doacross,
 }
 
+impl Default for PlanExecutor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PlanExecutor {
-    /// Executor with the given doacross configuration (`schedule` and
-    /// `wait` honored; `validate_terms` off, see type docs).
-    pub fn new(config: DoacrossConfig) -> Self {
+    /// Executor with the default wait strategy and `validate_terms` off
+    /// (see type docs).
+    pub fn new() -> Self {
         let config = DoacrossConfig {
             validate_terms: false,
-            ..config
+            ..DoacrossConfig::default()
         };
         Self {
             runtime: Doacross::with_config(0, config),
@@ -223,7 +228,7 @@ mod tests {
     fn every_variant_matches_the_oracle() {
         let p = pool();
         let planner = Planner::new();
-        let mut rt = PlanExecutor::new(DoacrossConfig::default());
+        let mut rt = PlanExecutor::new();
 
         // Sequential (serial chain).
         let n = 60;
@@ -271,7 +276,7 @@ mod tests {
         let p = pool();
         let loop_ = TestLoop::new(200, 1, 7);
         let plan = Planner::new().plan(&p, &loop_).unwrap();
-        let mut rt = PlanExecutor::new(DoacrossConfig::default());
+        let mut rt = PlanExecutor::new();
         let y0 = loop_.initial_y();
         let mut y = y0.clone();
         let stats = rt.execute(&p, &loop_, &mut y, &plan, None).unwrap();
@@ -285,7 +290,7 @@ mod tests {
         let small = TestLoop::new(50, 1, 7);
         let big = TestLoop::new(60, 1, 7);
         let plan = Planner::new().plan(&p, &small).unwrap();
-        let mut rt = PlanExecutor::new(DoacrossConfig::default());
+        let mut rt = PlanExecutor::new();
         let mut y = big.initial_y();
         let err = rt.execute(&p, &big, &mut y, &plan, None).unwrap_err();
         assert!(matches!(err, DoacrossError::PlanMismatch { .. }));

@@ -5,7 +5,7 @@
 //! intact, and arbitrarily corrupted stores fail with a typed error — a
 //! panic or a silently wrong plan is a test failure.
 
-use doacross_core::{seq::run_sequential, DoacrossConfig, IndirectLoop};
+use doacross_core::{seq::run_sequential, IndirectLoop};
 use doacross_par::ThreadPool;
 use doacross_plan::persist::{decode_plan, encode_plan, FORMAT_VERSION, MAGIC};
 use doacross_plan::{
@@ -178,7 +178,7 @@ proptest! {
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
         let mut y = y0.clone();
-        PlanExecutor::new(DoacrossConfig::default())
+        PlanExecutor::new()
             .execute(&pool, &loop_, &mut y, &decoded, None)
             .expect("a revalidated plan executes");
         prop_assert_eq!(&y, &expect, "deserialized plan is bit-identical");
@@ -205,7 +205,7 @@ proptest! {
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
         let mut y = y0.clone();
-        let stats = PlanExecutor::new(DoacrossConfig::default())
+        let stats = PlanExecutor::new()
             .execute(&pool, &loop_, &mut y, &decoded, None)
             .expect("a revalidated plan executes");
         prop_assert_eq!(&y, &expect, "deserialized wavefront plan is bit-identical");

@@ -4,9 +4,9 @@
 //! collision-free across generated structures, and the cache actually
 //! serves hits.
 
-use doacross_core::{seq::run_sequential, Doacross, DoacrossConfig, IndirectLoop, PlanProvenance};
+use doacross_core::{seq::run_sequential, Doacross, IndirectLoop, PlanProvenance};
 use doacross_obs::profile::{ProfArena, SpanKind};
-use doacross_par::{Schedule, ThreadPool};
+use doacross_par::ThreadPool;
 use doacross_plan::{CensusPass, ConcurrentPlanCache, PatternFingerprint, PlanExecutor, Planner};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -70,7 +70,7 @@ proptest! {
         run_sequential(&loop_, &mut expect);
 
         let plan = Planner::new().plan(&pool, &loop_).expect("injective lhs");
-        let mut rt = PlanExecutor::new(DoacrossConfig::default());
+        let mut rt = PlanExecutor::new();
         let mut y_cold = y0.clone();
         let cold = rt.execute(&pool, &loop_, &mut y_cold, &plan, None).expect("first");
         prop_assert_eq!(cold.provenance, PlanProvenance::PlanCold);
@@ -91,7 +91,7 @@ proptest! {
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
         let plan = Planner::new().plan(&pool, &loop_).expect("every pattern is plannable");
-        let mut rt = PlanExecutor::new(DoacrossConfig::default());
+        let mut rt = PlanExecutor::new();
         for _ in 0..2 {
             let mut y = y0.clone();
             rt.execute(&pool, &loop_, &mut y, &plan, None).expect("legal variant");
@@ -104,7 +104,7 @@ proptest! {
         // The level-scheduled executor is bit-identical to the sequential
         // loop on ANY injective pattern — true deps, antideps, intra
         // references, unwritten reads, any level shape — at any worker
-        // count, under any claiming policy and chunking, with zero
+        // count, under any chunking, with zero
         // busy-wait polls by construction. Profiled, every worker that
         // joined the region (worker 0 always; the tracks carrying a work
         // span) records exactly one boundary wait per level boundary,
@@ -126,41 +126,33 @@ proptest! {
             use doacross_core::AccessPattern;
             let pool = ThreadPool::new(workers);
             let arena = ProfArena::new(workers, 4 * census.critical_path + 4);
-            for claiming in [
-                Schedule::multimax(),
-                Schedule::StaticBlock,
-                Schedule::StaticCyclic,
-                Schedule::Guided { min_chunk: 2 },
-            ] {
-                let config = DoacrossConfig { schedule: claiming, ..DoacrossConfig::default() };
-                let mut rt = Doacross::with_config(loop_.data_len(), config);
-                for chunk in [None, Some(1), Some(3), Some(1000)] {
-                    let case = format!("{workers} workers, {claiming:?}, chunk {chunk:?}");
-                    arena.reset();
-                    let mut y = y0.clone();
-                    let stats = rt
-                        .run_planned(&pool, &loop_, &mut y, &schedule, chunk, Some(&arena))
-                        .expect("valid");
-                    let bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-                    prop_assert_eq!(&bits, &expect, "{}", case);
-                    prop_assert_eq!(stats.wait_polls, 0);
-                    prop_assert_eq!(stats.stalls, 0);
-                    prop_assert_eq!(stats.deps.total(), census.total_terms);
-                    prop_assert_eq!(stats.barrier_crossings + 1, census.critical_path as u64);
-                    let (spans, dropped) = arena.take();
-                    prop_assert_eq!(dropped, 0);
-                    for worker in 0..workers as u32 {
-                        let joined = spans
-                            .iter()
-                            .any(|s| s.worker == worker && s.kind == SpanKind::Work);
-                        prop_assert!(joined || worker > 0, "worker 0 always joins: {}", case);
-                        let waits = spans
-                            .iter()
-                            .filter(|s| s.worker == worker && s.kind == SpanKind::BarrierWait)
-                            .count() as u64;
-                        let expect = if joined { stats.barrier_crossings } else { 0 };
-                        prop_assert_eq!(waits, expect, "worker {}: {}", worker, case);
-                    }
+            let mut rt = Doacross::new(loop_.data_len());
+            for chunk in [None, Some(1), Some(2), Some(8), Some(1000)] {
+                let case = format!("{workers} workers, chunk {chunk:?}");
+                arena.reset();
+                let mut y = y0.clone();
+                let stats = rt
+                    .run_planned(&pool, &loop_, &mut y, &schedule, chunk, Some(&arena))
+                    .expect("valid");
+                let bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&bits, &expect, "{}", case);
+                prop_assert_eq!(stats.wait_polls, 0);
+                prop_assert_eq!(stats.stalls, 0);
+                prop_assert_eq!(stats.deps.total(), census.total_terms);
+                prop_assert_eq!(stats.barrier_crossings + 1, census.critical_path as u64);
+                let (spans, dropped) = arena.take();
+                prop_assert_eq!(dropped, 0);
+                for worker in 0..workers as u32 {
+                    let joined = spans
+                        .iter()
+                        .any(|s| s.worker == worker && s.kind == SpanKind::Work);
+                    prop_assert!(joined || worker > 0, "worker 0 always joins: {}", case);
+                    let waits = spans
+                        .iter()
+                        .filter(|s| s.worker == worker && s.kind == SpanKind::BarrierWait)
+                        .count() as u64;
+                    let expect = if joined { stats.barrier_crossings } else { 0 };
+                    prop_assert_eq!(waits, expect, "worker {}: {}", worker, case);
                 }
             }
         }
@@ -236,7 +228,7 @@ proptest! {
             .expect("plannable");
         let held: Arc<_> = Arc::clone(&plan);
         prop_assert!(cache.invalidate(&key));
-        let mut rt = PlanExecutor::new(DoacrossConfig::default());
+        let mut rt = PlanExecutor::new();
         let mut y = y0.clone();
         let mut expect = y0;
         run_sequential(&loop_, &mut expect);

@@ -94,7 +94,9 @@
 #                  cannot produce is rejected typed, one case per rule.
 #                  And the one region driver, under both of its gates:
 #                  the flag gate and the level gate each match the oracle
-#                  under every static and dynamic schedule and chunking,
+#                  at every claim grain, the one claim function covers
+#                  every index once, in increasing order per worker, on
+#                  real threads at every chunk size,
 #                  the profiler's spans keep their shape (a flag region's
 #                  work spans carry no level, a level region's name
 #                  distinct levels and its boundary waits exactly the
@@ -304,6 +306,7 @@ done
 say "analysis_gate: one region driver, by name"
 named doacross-core lib executor::tests::mixed_pattern_matches_sequential_under_all_schedules
 named doacross-core lib wavefront::tests::all_chunkings_and_schedules_agree
+named doacross-par lib schedule::tests::dynamic_policies_share_work_across_concurrent_workers
 for t in flat_executor_spans_reconcile_with_run_stats \
   wavefront_spans_reconcile_with_barrier_crossings; do
   named doacross-engine profile "$t"

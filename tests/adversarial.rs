@@ -5,8 +5,8 @@ use preprocessed_doacross::core::{
     seq::run_sequential, Doacross, DoacrossError, IndirectLoop, TestLoop,
 };
 use preprocessed_doacross::engine::{Engine, EngineError};
-use preprocessed_doacross::par::{Schedule, ThreadPool, WaitStrategy};
-use preprocessed_doacross::plan::{PlanVariant, Planner};
+use preprocessed_doacross::par::{ThreadPool, WaitStrategy};
+use preprocessed_doacross::plan::{CensusPass, PlanVariant, Planner};
 use preprocessed_doacross::sim::CostModel;
 
 fn pool(n: usize) -> ThreadPool {
@@ -23,19 +23,21 @@ fn fully_serial_chain_under_all_schedules() {
     let l = IndirectLoop::new(n + 1, a, rhs, vec![vec![0.5]; n]).unwrap();
     let mut expect = vec![1.0; n + 1];
     run_sequential(&l, &mut expect);
-    for schedule in [
-        Schedule::StaticBlock,
-        Schedule::StaticCyclic,
-        Schedule::Dynamic { chunk: 1 },
-        Schedule::Dynamic { chunk: 100 },
-    ] {
-        let mut rt = Doacross::for_loop(&l);
-        rt.config_mut().schedule = schedule;
+    let mut rt = Doacross::for_loop(&l);
+    let mut y = vec![1.0; n + 1];
+    let stats = rt.run(&pool(4), &l, &mut y).unwrap();
+    assert_eq!(y, expect, "inspected");
+    // Iteration 0 reads the unwritten element 0; the rest chain.
+    assert_eq!(stats.deps.true_deps, (n - 1) as u64, "inspected");
+    // Planned, a chunk of up to 100 links of the chain per claim.
+    let stream = CensusPass::of(&l).stream(&l, None, None).unwrap();
+    for grain in [1, 2, 8, 100] {
         let mut y = vec![1.0; n + 1];
-        let stats = rt.run(&pool(4), &l, &mut y).unwrap();
-        assert_eq!(y, expect, "{schedule:?}");
-        // Iteration 0 reads the unwritten element 0; the rest chain.
-        assert_eq!(stats.deps.true_deps, (n - 1) as u64, "{schedule:?}");
+        let stats = rt
+            .run_planned(&pool(4), &l, &mut y, &stream, Some(grain), None)
+            .unwrap();
+        assert_eq!(y, expect, "grain {grain}");
+        assert_eq!(stats.deps.true_deps, (n - 1) as u64, "grain {grain}");
     }
 }
 
@@ -208,7 +210,8 @@ fn concurrent_runtimes_share_one_pool() {
 }
 
 /// Dense dependence web: every iteration reads three pseudo-random earlier
-/// outputs (plus one forward/antidependency), repeatedly, across schedules.
+/// outputs (plus one forward/antidependency), repeatedly, across claim
+/// grains.
 #[test]
 fn dense_random_web() {
     let n = 800;
@@ -232,12 +235,16 @@ fn dense_random_web() {
     let y0: Vec<f64> = (0..2 * n).map(|e| 1.0 + (e % 13) as f64 * 0.0625).collect();
     let mut expect = y0.clone();
     run_sequential(&l, &mut expect);
-    for schedule in [Schedule::multimax(), Schedule::StaticCyclic] {
-        let mut rt = Doacross::for_loop(&l);
-        rt.config_mut().schedule = schedule;
+    let mut rt = Doacross::for_loop(&l);
+    let mut y = y0.clone();
+    rt.run(&pool(4), &l, &mut y).unwrap();
+    assert_eq!(y, expect, "inspected");
+    let stream = CensusPass::of(&l).stream(&l, None, None).unwrap();
+    for grain in [Some(1), Some(8), None] {
         let mut y = y0.clone();
-        rt.run(&pool(4), &l, &mut y).unwrap();
-        assert_eq!(y, expect, "{schedule:?}");
+        rt.run_planned(&pool(4), &l, &mut y, &stream, grain, None)
+            .unwrap();
+        assert_eq!(y, expect, "grain {grain:?}");
     }
 }
 

@@ -4,7 +4,8 @@
 
 use preprocessed_doacross::core::{seq::run_sequential, Doacross, DoacrossConfig, TestLoop};
 use preprocessed_doacross::doconsider::doconsider_order;
-use preprocessed_doacross::par::{Schedule, ThreadPool, WaitStrategy};
+use preprocessed_doacross::par::{ThreadPool, WaitStrategy};
+use preprocessed_doacross::plan::CensusPass;
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
 use preprocessed_doacross::trisolve::{seq::solve_sequential, verify::assert_solves, TriSolveLoop};
 
@@ -107,35 +108,43 @@ fn one_runtime_serves_many_loop_instances() {
 
 #[test]
 fn doacross_runs_under_every_configuration() {
+    // Inspected (one iteration per claim) under every wait strategy, with
+    // and without validation; planned off the census's flag stream under
+    // every wait strategy and claim grain.
     let pool = pool();
     let loop_ = TestLoop::new(400, 3, 6);
     let mut expect = loop_.initial_y();
     run_sequential(&loop_, &mut expect);
-    for schedule in [
-        Schedule::StaticBlock,
-        Schedule::StaticCyclic,
-        Schedule::Dynamic { chunk: 1 },
-        Schedule::Dynamic { chunk: 32 },
-        Schedule::Guided { min_chunk: 4 },
+    let stream = CensusPass::of(&loop_)
+        .stream(&loop_, None, None)
+        .expect("an injective, in-bounds loop");
+    for wait in [
+        WaitStrategy::Spin,
+        WaitStrategy::SpinYield { spins: 32 },
+        WaitStrategy::Backoff { max_spin_batch: 32 },
     ] {
-        for wait in [
-            WaitStrategy::Spin,
-            WaitStrategy::SpinYield { spins: 32 },
-            WaitStrategy::Backoff { max_spin_batch: 32 },
-        ] {
-            for validate in [true, false] {
-                let mut rt = Doacross::with_config(
-                    loop_.initial_y().len(),
-                    DoacrossConfig {
-                        schedule,
-                        wait,
-                        validate_terms: validate,
-                    },
-                );
-                let mut y = loop_.initial_y();
-                rt.run(&pool, &loop_, &mut y).expect("valid loop");
-                assert_eq!(y, expect, "{schedule:?} {wait:?} validate={validate}");
-            }
+        for validate in [true, false] {
+            let mut rt = Doacross::with_config(
+                loop_.initial_y().len(),
+                DoacrossConfig {
+                    wait,
+                    validate_terms: validate,
+                },
+            );
+            let mut y = loop_.initial_y();
+            rt.run(&pool, &loop_, &mut y).expect("valid loop");
+            assert_eq!(y, expect, "{wait:?} validate={validate}");
+        }
+        let config = DoacrossConfig {
+            wait,
+            ..DoacrossConfig::default()
+        };
+        let mut rt = Doacross::with_config(loop_.initial_y().len(), config);
+        for grain in [Some(1), Some(2), Some(8), Some(32), None] {
+            let mut y = loop_.initial_y();
+            rt.run_planned(&pool, &loop_, &mut y, &stream, grain, None)
+                .expect("the loop's own stream");
+            assert_eq!(y, expect, "{wait:?} grain {grain:?}");
         }
     }
 }

@@ -2,10 +2,9 @@
 //! dependence pattern, the preprocessed doacross (in every variant)
 //! computes exactly what the sequential loop computes.
 
-use preprocessed_doacross::core::{
-    seq::run_sequential, AccessPattern, Doacross, DoacrossConfig, DoacrossError, IndirectLoop,
-};
-use preprocessed_doacross::par::{Schedule, ThreadPool};
+use preprocessed_doacross::core::{seq::run_sequential, Doacross, DoacrossError, IndirectLoop};
+use preprocessed_doacross::par::ThreadPool;
+use preprocessed_doacross::plan::CensusPass;
 use proptest::prelude::*;
 
 /// An arbitrary valid loop: injective lhs (a permutation prefix of the
@@ -76,19 +75,18 @@ proptest! {
         let pool = ThreadPool::new(3);
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
-        for schedule in [
-            Schedule::StaticBlock,
-            Schedule::StaticCyclic,
-            Schedule::Dynamic { chunk },
-            Schedule::Guided { min_chunk: chunk },
-        ] {
-            let mut rt = Doacross::with_config(
-                loop_.data_len(),
-                DoacrossConfig { schedule, ..Default::default() },
-            );
+        let mut rt = Doacross::for_loop(&loop_);
+        let mut y = y0.clone();
+        rt.run(&pool, &loop_, &mut y).expect("injective lhs");
+        prop_assert_eq!(&y, &expect, "inspected");
+        let stream = CensusPass::of(&loop_)
+            .stream(&loop_, None, None)
+            .expect("injective, in-bounds lhs");
+        for grain in [Some(1), Some(chunk), None] {
             let mut y = y0.clone();
-            rt.run(&pool, &loop_, &mut y).expect("injective lhs");
-            prop_assert_eq!(&y, &expect, "{:?}", schedule);
+            rt.run_planned(&pool, &loop_, &mut y, &stream, grain, None)
+                .expect("the loop's own stream");
+            prop_assert_eq!(&y, &expect, "grain {:?}", grain);
         }
     }
 

@@ -17,7 +17,7 @@
 //!   and the running sums of a polls-vs-time regression. Fed by the engine after every execute; aggregated
 //!   engine-wide; persisted in v3 plan stores so a warm start resumes
 //!   mid-confidence.
-//! * [`refine`] — turns telemetry into measured cost-model constants
+//! * [`refine()`] — turns telemetry into measured cost-model constants
 //!   (`wait_poll`, `barrier`, per-reference `chain` cost), anchored by
 //!   host calibration or a sequential baseline observation, and blends
 //!   them into the static model via
@@ -50,4 +50,4 @@ pub mod telemetry;
 
 pub use policy::{Action, AdaptiveConfig, Challenger, PromotionPolicy, StructureState, Trial};
 pub use refine::{refine, Refinement, RefinementConfig};
-pub use telemetry::{SolveSample, TelemetryEntry, TelemetryTotals, VariantTelemetry, EWMA_ALPHA};
+pub use telemetry::{SolveSample, TelemetryEntry, TelemetryTotals, VariantTelemetry};

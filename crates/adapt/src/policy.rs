@@ -10,7 +10,7 @@
 //!    evaluation — evaluation is off the per-solve hot path by
 //!    construction.
 //! 2. **Re-price on divergence.** At an evaluation point the engine
-//!    refines the cost model from telemetry ([`crate::refine`]) and asks
+//!    refines the cost model from telemetry ([`crate::refine()`]) and asks
 //!    [`PromotionPolicy::challenger`] what the planner would choose under
 //!    it: [`doacross_plan::price_features`] over the plan's features. The
 //!    **divergence threshold** ([`AdaptiveConfig::divergence`], default
@@ -79,7 +79,7 @@ pub struct AdaptiveConfig {
     pub hysteresis: f64,
     /// Trials per structure before it is pinned to its current variant.
     pub max_trials: u32,
-    /// Confidence threshold handed to [`crate::refine`].
+    /// Confidence threshold handed to [`crate::refine()`].
     pub confidence: u64,
 }
 
@@ -132,16 +132,6 @@ impl StructureState {
     pub fn rejected(&self) -> &[ObsVariant] {
         &self.rejected
     }
-
-    /// Whether this structure stopped adapting (trial budget exhausted).
-    pub fn is_pinned(&self) -> bool {
-        self.pinned
-    }
-
-    /// Trials started so far.
-    pub fn trials_started(&self) -> u32 {
-        self.trials_started
-    }
 }
 
 /// What an evaluation point asks the engine to build and trial
@@ -172,7 +162,7 @@ pub enum Action {
     /// An evaluation point: refine the model and re-price.
     /// `probe_baseline` asks the engine to time one sequential pass of the
     /// structure first, so refinement has its anchor (see
-    /// [`crate::refine`]) and a measured sequential baseline exists before
+    /// [`crate::refine()`]) and a measured sequential baseline exists before
     /// any promotion decision.
     Evaluate {
         /// Whether a sequential baseline observation is still missing.
@@ -688,7 +678,7 @@ mod tests {
         let p = policy();
         let mut st = StructureState::default();
         assert!(p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Wavefront));
-        let started = st.trials_started();
+        let started = st.trials_started;
         for _ in 0..5 {
             let action = p.on_solve(
                 &mut st,
@@ -700,7 +690,7 @@ mod tests {
             assert_eq!(action, Action::Keep);
         }
         assert!(st.trial().is_some(), "trial survives straggler solves");
-        assert_eq!(st.trials_started(), started, "no budget burned");
+        assert_eq!(st.trials_started, started, "no budget burned");
 
         // A solve of something that is NEITHER side means the plan
         // changed externally: the trial is abandoned without judgment.
@@ -740,7 +730,7 @@ mod tests {
         }
         // Every trial consumed a kind: of the three ever chosen here, two
         // trials end it, inside the budget.
-        assert_eq!((swaps, st.rejected().len(), st.is_pinned()), (2, 2, false));
+        assert_eq!((swaps, st.rejected().len(), st.pinned), (2, 2, false));
         // Terminal state: the challenger stream has gone quiet for good,
         // however the refined constants keep moving.
         assert!(refined_models().all(|m| p.challenger(&mut st, &current, &m).is_none()));
@@ -751,13 +741,13 @@ mod tests {
         let p = policy();
         let mut st = StructureState::default();
         for _ in 0..3 {
-            assert!(!st.is_pinned());
+            assert!(!st.pinned);
             assert!(p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Doacross));
             let trial = *st.trial().unwrap();
             p.complete_trial(&mut st, trial, false);
             st.rejected.clear(); // re-arm the oscillation adversarially
         }
-        assert!(st.is_pinned());
+        assert!(st.pinned);
         assert!(!p.begin_trial(&mut st, ObsVariant::Sequential, ObsVariant::Doacross));
         assert_eq!(
             p.on_solve(&mut st, ObsVariant::Doacross, &entry(99, 1), None, true),

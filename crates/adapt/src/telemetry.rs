@@ -9,7 +9,7 @@
 //! pins). The recorder keeps, per key, an exponentially-weighted moving
 //! average, the observed minimum (the noise-robust "how fast can this
 //! variant actually go" estimate), exact counts, and the running sums of a
-//! polls-vs-nanoseconds regression — the raw material [`crate::refine`]
+//! polls-vs-nanoseconds regression — the raw material [`crate::refine()`]
 //! turns into measured cost-model constants.
 //!
 //! "Lock-light" means sharded short critical sections, exactly like the
@@ -27,11 +27,11 @@ use parking_lot::Mutex;
 /// Weight of the newest sample in the per-entry moving average. 0.2 keeps
 /// roughly the last ~10 solves in view: fast enough to track a phase
 /// change, slow enough that one preempted solve cannot trigger the policy.
-pub const EWMA_ALPHA: f64 = 0.2;
+const EWMA_ALPHA: f64 = 0.2;
 
 /// Minimum samples (and poll-count spread) before
 /// [`TelemetryEntry::poll_slope_ns`] reports a regression slope.
-pub const MIN_SLOPE_SAMPLES: u64 = 4;
+const MIN_SLOPE_SAMPLES: u64 = 4;
 
 /// One observed solve, as deposited by the engine after an execution.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +60,8 @@ pub struct SolveSample {
 pub struct TelemetryEntry {
     /// Solves recorded.
     pub samples: u64,
-    /// EWMA of per-solve wall time ([`EWMA_ALPHA`]), nanoseconds.
+    /// EWMA of per-solve wall time (newest sample weighted 0.2),
+    /// nanoseconds.
     pub ewma_ns: f64,
     /// Fastest observed solve, nanoseconds.
     pub min_ns: u64,
@@ -129,7 +130,7 @@ impl TelemetryEntry {
     /// counts — the *measured* cost of one busy-wait poll, model-free:
     /// solves of the same structure differ in how often readers caught
     /// their writers unfinished, and the slope is what each extra poll
-    /// cost. `None` until [`MIN_SLOPE_SAMPLES`] solves exist, the poll
+    /// cost. `None` until four solves exist, the poll
     /// counts actually varied, and the slope came out non-negative (a
     /// negative slope means scheduling noise dominated, not that polls
     /// have negative cost).

@@ -8,7 +8,7 @@ use doacross_sim::{Machine, SimOptions, SimResult};
 
 /// One point of the Figure 6 series.
 #[derive(Debug, Clone)]
-pub struct Fig6Point {
+struct Fig6Point {
     /// The loop's `L` parameter (x-axis).
     pub l: usize,
     /// Simulated 16-processor parallel efficiency (y-axis).
@@ -22,7 +22,7 @@ pub struct Fig6Point {
 }
 
 /// The paper's parameter grid: `L = 1..=14`, for one `M`.
-pub fn series(machine: &Machine, n: usize, m: usize) -> Vec<Fig6Point> {
+fn series(machine: &Machine, n: usize, m: usize) -> Vec<Fig6Point> {
     (1..=14)
         .map(|l| {
             let loop_ = TestLoop::new(n, m, l);
@@ -40,7 +40,7 @@ pub fn series(machine: &Machine, n: usize, m: usize) -> Vec<Fig6Point> {
 
 /// Both series of the figure (`M = 1` and `M = 5`), paper-sized
 /// (`N = 10000`) unless overridden.
-pub fn figure6(machine: &Machine, n: usize) -> (Vec<Fig6Point>, Vec<Fig6Point>) {
+fn figure6(machine: &Machine, n: usize) -> (Vec<Fig6Point>, Vec<Fig6Point>) {
     (series(machine, n, 1), series(machine, n, 5))
 }
 

@@ -20,7 +20,7 @@ use doacross_trisolve::TriSolveLoop;
 
 /// One row of the regenerated Table 1 (times in simulated kilocycles).
 #[derive(Debug, Clone)]
-pub struct Table1Row {
+struct Table1Row {
     /// Problem name as in the paper.
     pub name: &'static str,
     /// Equations.
@@ -60,7 +60,7 @@ pub fn solve_sim_options() -> SimOptions {
 }
 
 /// Simulates one problem's row.
-pub fn simulate_row(machine: &Machine, sys: &TriSystem) -> Table1Row {
+fn simulate_row(machine: &Machine, sys: &TriSystem) -> Table1Row {
     let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
     let opts = solve_sim_options();
     let plain = machine.simulate_doacross(&loop_, None, opts);
@@ -86,7 +86,7 @@ pub fn simulate_row(machine: &Machine, sys: &TriSystem) -> Table1Row {
 
 /// Regenerates the full table on the given machine (16-processor Multimax
 /// for the paper's configuration).
-pub fn table1(machine: &Machine) -> Vec<Table1Row> {
+fn table1(machine: &Machine) -> Vec<Table1Row> {
     ProblemKind::all()
         .iter()
         .map(|&kind| {

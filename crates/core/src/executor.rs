@@ -50,7 +50,7 @@
 //! Figure 5 decides the class per reference, per run, as `check =
 //! iter(off) − i`. The driver is generic over *who decides* ([`Claims`]).
 //! The entry points that inspect ([`crate::Doacross::run`],
-//! `run_with_order`, `run_linear`, `run_blocked`) pass a
+//! `run_linear`, `run_blocked`) pass a
 //! [`ByWriter`](crate::oracle::ByWriter) adapter over their writer oracle:
 //! the paper's comparison, taken where the paper takes it, and counted. A
 //! planned run passes the plan's [`ClaimStream`](crate::ClaimStream),

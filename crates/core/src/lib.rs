@@ -47,7 +47,7 @@
 //! [`Doacross`] is the only runtime struct. It owns one grow-don't-shrink
 //! scratch — `iter`, `ready`, `ynew`, the level cells, the per-worker
 //! counters — and has one entry point per way of running a loop:
-//! [`Doacross::run`] / [`Doacross::run_with_order`] (inspector inline),
+//! [`Doacross::run`] (inspector inline),
 //! [`Doacross::run_planned`] (a prebuilt [`ClaimStream`]),
 //! [`Doacross::run_linear`] and [`Doacross::run_blocked`]. Every one of
 //! them copies its results back into `y` before it returns; after warm-up

@@ -187,11 +187,6 @@ impl IndirectLoop {
             coeff,
         })
     }
-
-    /// The left-hand-side index array `a`.
-    pub fn lhs_array(&self) -> &[usize] {
-        &self.a
-    }
 }
 
 impl AccessPattern for IndirectLoop {
@@ -270,7 +265,7 @@ mod tests {
         assert_eq!(l.terms(0), 2);
         assert_eq!(l.terms(1), 1);
         assert_eq!(l.term_element(2, 1), 4);
-        assert_eq!(l.lhs_array(), &[1, 3, 5]);
+        assert_eq!(l.a, [1, 3, 5]);
     }
 
     #[test]

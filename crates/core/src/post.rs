@@ -15,10 +15,10 @@
 //! because `a` is injective.
 //!
 //! It is not a region of its own. The region driver runs it *inside* its
-//! region, behind the [`Completion`](crate::completion) gate that opens
-//! when the last iteration is counted: every participant then claims
-//! fixed-size chunks of the iteration range off one counter per region
-//! ([`post_share`]) until none is left. There are no fixed per-worker
+//! region, behind the completion gate that opens when the last iteration
+//! is counted: every participant then claims fixed-size chunks of the
+//! iteration range off one counter per region (`post_share`) until none
+//! is left. There are no fixed per-worker
 //! blocks, because which workers take part in a region is not fixed: a
 //! joinable region ([`ThreadPool::run_joinable`]) is attended by the
 //! dispatching thread and whichever helpers joined in time, and whoever is

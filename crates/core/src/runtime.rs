@@ -14,7 +14,7 @@
 //! variant too: one scratch, grown to the largest loop seen and never
 //! shrunk, serves the entry points
 //!
-//! * [`Doacross::run`] / [`Doacross::run_with_order`] — inspector inline;
+//! * [`Doacross::run`] — inspector inline;
 //! * [`Doacross::run_planned`] — a prebuilt claim stream, no inspector and
 //!   no writer map: under ready flags, or level by level when the stream
 //!   carries level offsets;
@@ -89,8 +89,8 @@ pub struct Doacross {
     /// The region driver's scratch, its `ynew` and `ready` covering
     /// [`Doacross::data_len`] elements.
     pub(crate) scratch: Scratch,
-    /// Claim-order validation scratch of the entry points that take a
-    /// caller's order (`position[i]` = slot that claims iteration `i`),
+    /// Claim-order validation scratch of [`Doacross::run_linear`], which
+    /// takes a caller's order (`position[i]` = slot that claims iteration `i`),
     /// reused across runs for the same reason.
     pub(crate) position: Vec<usize>,
 }
@@ -165,26 +165,6 @@ impl Doacross {
         loop_: &L,
         y: &mut [f64],
     ) -> Result<RunStats, DoacrossError> {
-        self.run_with_order(pool, loop_, y, None)
-    }
-
-    /// Like [`Doacross::run`], but claims iterations in the supplied order
-    /// — the doconsider "rearranged iterations" mechanism of §3.2. The
-    /// order must be a permutation of `0..iterations` that is topologically
-    /// consistent with the loop's true dependencies; both properties are
-    /// verified (the topological check only in full-validation mode, since
-    /// it costs a pass over all references).
-    ///
-    /// Semantics are identical to the unordered run — the paper's point is
-    /// that reordering "leaves the inter-iteration dependencies unchanged
-    /// but reduces the effects of these dependencies on performance".
-    pub fn run_with_order<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        order: Option<&[usize]>,
-    ) -> Result<RunStats, DoacrossError> {
         let data_len = check_y_len(loop_, y)?;
         self.ensure_data_len(data_len);
         self.ensure_iter(data_len);
@@ -194,28 +174,20 @@ impl Doacross {
         let mut stats = region_stats(pool, n, PlanProvenance::Inline);
         let t_start = Instant::now();
 
-        // Phase 1: inspector (Figure 3, left), then the claim order, if one
-        // was supplied: the inspector has already filled `iter`, so the
-        // topological check is a lookup per reference.
-        let oracle = InspectedWriter::new(&self.iter, 0..data_len);
-        let inspected = run_inspector(
+        // Phase 1: inspector (Figure 3, left).
+        if let Err(e) = run_inspector(
             pool,
             loop_,
             0..n,
             0..data_len,
             &self.iter,
             self.config.validate_terms,
-        )
-        .and_then(|()| {
-            stats.inspector = t_start.elapsed();
-            order.map_or(Ok(()), |ord| {
-                validate_order(&self.config, &mut self.position, pool, loop_, ord, &oracle)
-            })
-        });
-        if let Err(e) = inspected {
+        ) {
             reset_scratch(pool, &self.iter, data_len);
             return Err(e);
         }
+        stats.inspector = t_start.elapsed();
+        let oracle = InspectedWriter::new(&self.iter, 0..data_len);
 
         // Phases 2 + 3: executor (Figure 5), then postprocessor (Figure 3,
         // right) — the post pass clears this run's `iter` entries to
@@ -227,7 +199,7 @@ impl Doacross {
                 loop_,
                 claims: &ByWriter {
                     oracle: &oracle,
-                    order,
+                    order: None,
                 },
                 slots: 0..n,
                 window: 0..data_len,
@@ -386,8 +358,9 @@ pub(crate) fn region_stats(
 /// Checks that `order` is a permutation of `0..n` and — in
 /// full-validation mode — that no true dependency's writer is claimed
 /// after its reader, as `oracle` (the runtime's own scratch map or a
-/// linear subscript's arithmetic) names the writers. Only the entry points
-/// that take a caller's order come through here; a plan's order is
+/// linear subscript's arithmetic) names the writers. Only
+/// [`Doacross::run_linear`], the entry point that takes a caller's order,
+/// comes through here; a plan's order is
 /// validated once, at [`ClaimStream::from_parts`]. `position` is the
 /// caller's reusable scratch.
 pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
@@ -437,12 +410,16 @@ pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::LinearSubscript;
     use crate::pattern::IndirectLoop;
     use crate::seq::run_sequential;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
     }
+
+    /// `chain_loop`'s left-hand side, `a(i) = i + 1`.
+    const CHAIN: LinearSubscript = LinearSubscript { c: 1, d: 1 };
 
     fn chain_loop(n: usize) -> IndirectLoop {
         let a: Vec<usize> = (1..=n).collect();
@@ -548,21 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_order_matches_unordered_semantics() {
-        let l = chain_loop(100);
-        let p = pool();
-        let mut expect = vec![1.0; 101];
-        run_sequential(&l, &mut expect);
-
-        // Identity order and the natural order itself.
-        let identity: Vec<usize> = (0..100).collect();
-        let mut y = vec![1.0; 101];
-        let mut rt = Doacross::for_loop(&l);
-        rt.run_with_order(&p, &l, &mut y, Some(&identity)).unwrap();
-        assert_eq!(y, expect);
-    }
-
-    #[test]
     fn reordering_independent_iterations_is_legal() {
         // Loop with no cross-iteration deps: any permutation is valid.
         let n = 64;
@@ -574,8 +536,14 @@ mod tests {
         let mut expect = y.clone();
         run_sequential(&l, &mut expect);
         let mut rt = Doacross::for_loop(&l);
-        rt.run_with_order(&pool(), &l, &mut y, Some(&reversed))
-            .unwrap();
+        rt.run_linear(
+            &pool(),
+            &l,
+            &mut y,
+            LinearSubscript::new(1, 0),
+            Some(&reversed),
+        )
+        .unwrap();
         assert_eq!(y, expect);
     }
 
@@ -588,7 +556,7 @@ mod tests {
         let mut y = vec![1.0; 9];
         let mut rt = Doacross::for_loop(&l);
         let err = rt
-            .run_with_order(&pool(), &l, &mut y, Some(&reversed))
+            .run_linear(&pool(), &l, &mut y, CHAIN, Some(&reversed))
             .unwrap_err();
         assert!(matches!(err, DoacrossError::OrderNotTopological { .. }));
         assert!(rt.scratch_is_clean(), "error path restores invariant");
@@ -601,7 +569,7 @@ mod tests {
         let mut y = vec![1.0; 5];
         let short = vec![0usize, 1];
         assert!(matches!(
-            rt.run_with_order(&pool(), &l, &mut y, Some(&short)),
+            rt.run_linear(&pool(), &l, &mut y, CHAIN, Some(&short)),
             Err(DoacrossError::OrderLengthMismatch {
                 got: 2,
                 expected: 4
@@ -609,12 +577,12 @@ mod tests {
         ));
         let dup = vec![0usize, 1, 1, 3];
         assert!(matches!(
-            rt.run_with_order(&pool(), &l, &mut y, Some(&dup)),
+            rt.run_linear(&pool(), &l, &mut y, CHAIN, Some(&dup)),
             Err(DoacrossError::OrderNotPermutation { entry: 1 })
         ));
         let oor = vec![0usize, 1, 2, 9];
         assert!(matches!(
-            rt.run_with_order(&pool(), &l, &mut y, Some(&oor)),
+            rt.run_linear(&pool(), &l, &mut y, CHAIN, Some(&oor)),
             Err(DoacrossError::OrderNotPermutation { entry: 9 })
         ));
         assert!(rt.scratch_is_clean());

@@ -48,7 +48,7 @@ pub struct TestLoop {
 
 impl TestLoop {
     /// Largest supported `L` (the paper sweeps 1..=14).
-    pub const MAX_L: usize = PAD + 4;
+    const MAX_L: usize = PAD + 4;
 
     /// Builds the loop for outer trip count `n`, inner trip count `m`
     /// (paper `M`), and dependence parameter `l` (paper `L`).
@@ -81,11 +81,6 @@ impl TestLoop {
     /// Outer trip count `N`.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Inner trip count `M`.
-    pub fn m(&self) -> usize {
-        self.m
     }
 
     /// Dependence parameter `L`.

@@ -86,21 +86,10 @@ impl DependenceDag {
         self.len() == 0
     }
 
-    /// Number of (deduplicated) true-dependence edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.preds.len()
-    }
-
     /// The true-dependence predecessors of iteration `i` (ascending).
     #[inline]
     pub fn predecessors(&self, i: usize) -> &[usize] {
         &self.preds[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Iterations with no predecessors — claimable immediately.
-    pub fn sources(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).filter(|&i| self.predecessors(i).is_empty())
     }
 }
 
@@ -108,6 +97,13 @@ impl DependenceDag {
 mod tests {
     use super::*;
     use doacross_core::IndirectLoop;
+
+    /// Iterations with no predecessors — claimable immediately.
+    fn sources(dag: &DependenceDag) -> Vec<usize> {
+        (0..dag.len())
+            .filter(|&i| dag.predecessors(i).is_empty())
+            .collect()
+    }
 
     fn chain(n: usize) -> IndirectLoop {
         let a: Vec<usize> = (1..=n).collect();
@@ -119,12 +115,12 @@ mod tests {
     fn chain_produces_path_graph() {
         let dag = DependenceDag::build(&chain(5));
         assert_eq!(dag.len(), 5);
-        assert_eq!(dag.edge_count(), 4);
+        assert_eq!(dag.preds.len(), 4);
         assert!(dag.predecessors(0).is_empty());
         for i in 1..5 {
             assert_eq!(dag.predecessors(i), &[i - 1]);
         }
-        assert_eq!(dag.sources().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(sources(&dag), vec![0]);
     }
 
     #[test]
@@ -134,8 +130,8 @@ mod tests {
         let rhs: Vec<Vec<usize>> = (0..n).map(|_| vec![]).collect();
         let l = IndirectLoop::new(n, a, rhs, vec![vec![]; n]).unwrap();
         let dag = DependenceDag::build(&l);
-        assert_eq!(dag.edge_count(), 0);
-        assert_eq!(dag.sources().count(), n);
+        assert_eq!(dag.preds.len(), 0);
+        assert_eq!(sources(&dag).len(), n);
     }
 
     #[test]
@@ -166,15 +162,15 @@ mod tests {
         let dag = DependenceDag::build(&l);
         assert_eq!(dag.predecessors(1), &[0]);
         assert_eq!(dag.predecessors(2), &[0, 1]);
-        assert_eq!(dag.edge_count(), 3);
+        assert_eq!(dag.preds.len(), 3);
     }
 
     #[test]
     fn from_predecessors_round_trip() {
         let dag = DependenceDag::from_predecessors(4, |i| if i == 3 { vec![0, 1] } else { vec![] });
         assert_eq!(dag.predecessors(3), &[0, 1]);
-        assert_eq!(dag.edge_count(), 2);
-        assert_eq!(dag.sources().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(dag.preds.len(), 2);
+        assert_eq!(sources(&dag), vec![0, 1, 2]);
     }
 
     #[test]
@@ -187,6 +183,6 @@ mod tests {
     fn empty_dag() {
         let dag = DependenceDag::from_predecessors(0, |_| Vec::<usize>::new());
         assert!(dag.is_empty());
-        assert_eq!(dag.edge_count(), 0);
+        assert_eq!(dag.preds.len(), 0);
     }
 }

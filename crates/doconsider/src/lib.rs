@@ -19,7 +19,7 @@
 //!    independent; the number of levels is the dependence-critical path.
 //! 3. [`reorder::doconsider_order`] — the level-sorted permutation (stable
 //!    within a level to preserve locality), a valid topological claim
-//!    order for `doacross_core::Doacross::run_with_order`.
+//!    order for `doacross_core::Doacross::run_linear`.
 //!
 //! Like the paper's inspector, all of this is execution-time preprocessing:
 //! it is computed from index arrays that only exist at run time, and its
@@ -35,4 +35,4 @@ pub mod reorder;
 
 pub use dag::DependenceDag;
 pub use levels::{level_histogram, LevelAssignment};
-pub use reorder::{doconsider_order, invert_permutation, is_topological_order, min_dependence_gap};
+pub use reorder::{doconsider_order, is_topological_order};

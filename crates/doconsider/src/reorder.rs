@@ -15,7 +15,7 @@ use doacross_core::{AccessPattern, ClaimStream};
 /// Computes the doconsider claim order for `pattern`: iterations sorted by
 /// dependence level, stable within a level. The result is a permutation of
 /// `0..n` and a topological order of the true dependencies, suitable for
-/// `Doacross::run_with_order`.
+/// `Doacross::run_linear`.
 pub fn doconsider_order<P: AccessPattern + ?Sized>(pattern: &P) -> Vec<usize> {
     let dag = DependenceDag::build(pattern);
     let levels = LevelAssignment::compute(&dag);
@@ -33,7 +33,7 @@ pub fn order_from_levels(levels: &LevelAssignment) -> Vec<usize> {
 ///
 /// # Panics
 /// Panics if `order` is not a permutation of `0..order.len()`.
-pub fn invert_permutation(order: &[usize]) -> Vec<usize> {
+fn invert_permutation(order: &[usize]) -> Vec<usize> {
     let n = order.len();
     let mut inv = vec![usize::MAX; n];
     for (k, &i) in order.iter().enumerate() {
@@ -52,33 +52,33 @@ pub fn is_topological_order(dag: &DependenceDag, order: &[usize]) -> bool {
     (0..dag.len()).all(|i| dag.predecessors(i).iter().all(|&p| pos[p] < pos[i]))
 }
 
-/// The smallest claim-distance between any dependent pair under `order`:
-/// `min over edges (w → i) of pos[i] − pos[w]`. Returns `None` for a
-/// dependence-free loop.
-///
-/// This is the quantity the doconsider transformation maximizes: under
-/// self-scheduling on `p` processors, a dependent pair closer than ≈`p`
-/// claim slots executes concurrently and the reader stalls. The natural
-/// order of a distance-1 chain has gap 1 (maximal stalling); a level order
-/// pushes every gap to at least the width of the predecessor's level.
-pub fn min_dependence_gap(dag: &DependenceDag, order: &[usize]) -> Option<usize> {
-    assert_eq!(order.len(), dag.len(), "order must cover the loop");
-    let pos = invert_permutation(order);
-    let mut min_gap: Option<usize> = None;
-    for i in 0..dag.len() {
-        for &w in dag.predecessors(i) {
-            debug_assert!(pos[w] < pos[i], "order must be topological");
-            let gap = pos[i] - pos[w];
-            min_gap = Some(min_gap.map_or(gap, |g| g.min(gap)));
-        }
-    }
-    min_gap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use doacross_core::IndirectLoop;
+
+    /// The smallest claim-distance between any dependent pair under `order`:
+    /// `min over edges (w → i) of pos[i] − pos[w]`. Returns `None` for a
+    /// dependence-free loop.
+    ///
+    /// This is the quantity the doconsider transformation maximizes: under
+    /// self-scheduling on `p` processors, a dependent pair closer than ≈`p`
+    /// claim slots executes concurrently and the reader stalls. The natural
+    /// order of a distance-1 chain has gap 1 (maximal stalling); a level order
+    /// pushes every gap to at least the width of the predecessor's level.
+    fn min_dependence_gap(dag: &DependenceDag, order: &[usize]) -> Option<usize> {
+        assert_eq!(order.len(), dag.len(), "order must cover the loop");
+        let pos = invert_permutation(order);
+        let mut min_gap: Option<usize> = None;
+        for i in 0..dag.len() {
+            for &w in dag.predecessors(i) {
+                debug_assert!(pos[w] < pos[i], "order must be topological");
+                let gap = pos[i] - pos[w];
+                min_gap = Some(min_gap.map_or(gap, |g| g.min(gap)));
+            }
+        }
+        min_gap
+    }
 
     fn chain(n: usize) -> IndirectLoop {
         let a: Vec<usize> = (1..=n).collect();

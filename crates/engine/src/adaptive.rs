@@ -45,7 +45,7 @@ use std::time::Instant;
 /// challenger plan: a `Saturate` action is absorbed as a failed
 /// challenger build (incumbent retained, no trial), a `DelayNs` action
 /// stretches the evaluation.
-pub const FAILPOINT_TRIAL: &str = "engine::adaptive::trial";
+const FAILPOINT_TRIAL: &str = "engine::adaptive::trial";
 
 /// Counters of the adaptive feedback loop, engine-wide.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

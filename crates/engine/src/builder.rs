@@ -15,13 +15,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Default total plan capacity across shards.
-pub const DEFAULT_CACHE_CAPACITY: usize = 128;
-/// The historical fixed shard count. Since the adaptive-shard change the
-/// builder defaults to [`doacross_plan::default_shard_count`] (the host's
-/// available parallelism, clamped to a power of two) instead; this
-/// constant remains for callers that want the old behavior explicitly via
-/// [`EngineBuilder::shards`].
-pub const DEFAULT_SHARDS: usize = 8;
+const DEFAULT_CACHE_CAPACITY: usize = 128;
+
 /// Configures and builds an [`Engine`].
 ///
 /// ```
@@ -39,7 +34,6 @@ pub const DEFAULT_SHARDS: usize = 8;
 pub struct EngineBuilder {
     workers: Option<usize>,
     pools: Option<usize>,
-    max_pending: usize,
     cache_capacity: usize,
     shards: Option<usize>,
     planner: Planner,
@@ -60,7 +54,7 @@ impl Default for EngineBuilder {
 
 impl EngineBuilder {
     /// Builder with defaults: host-sized worker count, a
-    /// [`DEFAULT_CACHE_CAPACITY`]-plan cache sharded per the host's
+    /// 128-plan cache sharded per the host's
     /// available parallelism ([`doacross_plan::default_shard_count`]),
     /// and a planner pricing with this host's measured costs (see
     /// [`EngineBuilder::calibrated`]).
@@ -68,7 +62,6 @@ impl EngineBuilder {
         Self {
             workers: None,
             pools: None,
-            max_pending: doacross_sched::DEFAULT_MAX_PENDING,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             shards: None,
             planner: Planner::new(),
@@ -116,19 +109,6 @@ impl EngineBuilder {
     /// [`EngineBuilder::build`] panics if `pools` is 0.
     pub fn pools(mut self, pools: usize) -> Self {
         self.pools = Some(pools);
-        self
-    }
-
-    /// Bounded solve admission: when every sub-pool is busy, up to
-    /// `max_pending` callers block waiting for one to free; the next
-    /// caller is refused with [`crate::EngineError::Saturated`] instead
-    /// of queueing without bound. `0` means never wait — refuse the
-    /// moment all sub-pools are busy. Defaults to
-    /// [`doacross_sched::DEFAULT_MAX_PENDING`]. Only parallel solves are
-    /// admitted: a sequential plan occupies no worker, never waits here
-    /// and is never refused.
-    pub fn max_pending(mut self, max_pending: usize) -> Self {
-        self.max_pending = max_pending;
         self
     }
 
@@ -391,7 +371,7 @@ impl EngineBuilder {
             .profiling
             .then(|| Profiler::new(pools, workers, ProfConfig::default()));
         let engine = Engine::from_parts(
-            doacross_sched::PoolSet::new(pools, workers, self.max_pending),
+            doacross_sched::PoolSet::new(pools, workers, doacross_sched::DEFAULT_MAX_PENDING),
             planner,
             cache,
             calibration,
@@ -465,11 +445,8 @@ mod tests {
         let calibration = engine.calibration().expect("host pricing is the default");
         assert!(calibration.is_valid());
         assert_eq!(engine.planner().costs(), &calibration.model);
-        let fixed = EngineBuilder::new()
-            .workers(2)
-            .shards(DEFAULT_SHARDS)
-            .build();
-        assert_eq!(fixed.shards(), DEFAULT_SHARDS);
+        let fixed = EngineBuilder::new().workers(2).shards(8).build();
+        assert_eq!(fixed.shards(), 8);
     }
 
     #[test]

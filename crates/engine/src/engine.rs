@@ -155,7 +155,7 @@ impl Engine {
 
     /// Callers allowed to wait for a free sub-pool before admission
     /// refuses with [`EngineError::Saturated`]
-    /// ([`crate::EngineBuilder::max_pending`]).
+    /// ([`crate::DEFAULT_MAX_PENDING`]).
     pub fn max_pending(&self) -> usize {
         self.inner.pools.max_pending()
     }

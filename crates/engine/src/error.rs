@@ -21,10 +21,9 @@ pub enum EngineError {
     /// Solve admission was refused: every scheduler sub-pool was busy and
     /// the bounded wait queue was already at `max_pending` callers. The
     /// engine's state is untouched — retry later, shed the request, or
-    /// rebuild with more pools / a deeper queue
-    /// ([`crate::EngineBuilder::pools`] /
-    /// [`crate::EngineBuilder::max_pending`]). A parallel-solve condition
-    /// only: a sequential plan is never admitted, so it is never refused.
+    /// rebuild with more pools ([`crate::EngineBuilder::pools`]). A
+    /// parallel-solve condition only: a sequential plan is never
+    /// admitted, so it is never refused.
     Saturated {
         /// Sub-pool count of the engine's scheduler.
         pools: usize,

@@ -91,8 +91,8 @@ pub use engine::Engine;
 pub use error::EngineError;
 pub use fault::FallbackPolicy;
 pub use prepared::PreparedLoop;
-// The scheduler vocabulary ([`EngineBuilder::pools`] /
-// [`EngineBuilder::max_pending`], per-pool accounting behind
+// The scheduler vocabulary ([`EngineBuilder::pools`], the admission
+// bound [`Engine::max_pending`] reports, per-pool accounting behind
 // [`Engine::pool_stats`]), re-exported likewise.
 pub use doacross_sched::{PoolStats, DEFAULT_MAX_PENDING, MAX_POOLS};
 // The persistence vocabulary engine callers need, re-exported so they can

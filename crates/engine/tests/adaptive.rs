@@ -385,7 +385,7 @@ fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
         err,
         EngineError::Persist(PersistError::UnsupportedVersion {
             found: 2,
-            supported: doacross_plan::FORMAT_VERSION,
+            supported: 6,
         })
     );
     assert_eq!(engine.cache_len(), 0, "cache untouched");

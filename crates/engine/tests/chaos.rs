@@ -20,7 +20,7 @@ use doacross_engine::{
     AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsVariant, PersistError,
     SolveOutcome, SolveProfile, SpanKind, TraceEvent,
 };
-use doacross_plan::{PlanVariant, Planner, BLOCKED_DATA_SPACE_FACTOR};
+use doacross_plan::{PlanVariant, Planner};
 use doacross_sim::CostModel;
 use doacross_sparse::{ilu0, stencil::five_point, TriangularMatrix};
 use doacross_trisolve::TriSolveLoop;
@@ -88,11 +88,12 @@ fn reordered_victim() -> IndirectLoop {
     IndirectLoop::new(n, a, rhs, coeff).unwrap()
 }
 
-/// Sparse doall over a data space `BLOCKED_DATA_SPACE_FACTOR` times the
-/// iteration count: strip-mined into cache-sized blocks.
+/// Sparse doall over a data space 8 times the iteration count — the
+/// planner's strip-mining ratio — so it runs blocked (the test asserts the
+/// variant).
 fn blocked_victim() -> IndirectLoop {
     let n = 4_096;
-    let spread = BLOCKED_DATA_SPACE_FACTOR;
+    let spread = 8;
     let a: Vec<usize> = (0..n).map(|i| (n - 1 - i) * spread).collect();
     let rhs: Vec<Vec<usize>> = (0..n)
         .map(|i| vec![i * spread + 3, ((i + 9) % n) * spread + 3])

@@ -16,12 +16,23 @@
 //! what is under test.
 
 use doacross_core::{seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, TestLoop};
-use doacross_engine::{Engine, EngineError, SolveOutcome};
+use doacross_engine::{Engine, EngineError, SolveOutcome, DEFAULT_MAX_PENDING};
 use doacross_plan::{PlanVariant, Planner};
 use doacross_sim::CostModel;
 use doacross_sparse::{ilu0, stencil, TriangularMatrix};
+use failpoint::FailAction;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Serializes this file's tests: the saturation test arms the
+/// process-global `sched::acquire` failpoint, whose one refusal a
+/// concurrent tenant's admission would otherwise take.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    failpoint::disarm_all();
+    guard
+}
 
 /// Prices under which a flag variant wins on any structure with a legal
 /// one: the sequential loop and barriers cost a fortune, polls nothing —
@@ -111,6 +122,7 @@ fn tenant_loops() -> Vec<IndirectLoop> {
 /// flag variant, so every solve is admitted.
 #[test]
 fn sixteen_tenants_on_a_shared_multi_pool_engine_stay_bit_identical() {
+    let _serial = serial();
     const ROUNDS: usize = 3;
     let engine = Arc::new(
         Engine::builder()
@@ -237,22 +249,24 @@ impl DoacrossLoop for GateLoop {
     }
 }
 
-/// With one sub-pool and a zero-waiter admission bound, a second parallel
-/// solve arriving while the pool is held fails fast with the typed
-/// [`EngineError::Saturated`] — its flight record names no sub-pool, since
-/// it was granted none — while a sequential solve, which occupies no
-/// worker, is served beside the held pool without touching admission. The
-/// engine serves normally again once the pool frees up.
+/// With the only sub-pool held, a second parallel solve is refused with the
+/// typed [`EngineError::Saturated`] — the `sched::acquire` failpoint
+/// refuses it once, so it fails fast instead of joining the wait queue —
+/// and its flight record names no sub-pool, since it was granted none,
+/// while a sequential solve, which occupies no worker, is served beside the
+/// held pool without touching admission. The engine serves normally again
+/// once the pool frees up. (A refusal because the wait queue is full is
+/// `sched`'s own unit tests' case.)
 #[test]
 fn saturated_admission_fails_typed_and_recovers() {
+    let _serial = serial();
     let engine = Engine::builder()
         .workers(1)
         .pools(1)
-        .max_pending(0)
         .planner(flag_prices())
         .observability_default()
         .build();
-    assert_eq!(engine.max_pending(), 0);
+    assert_eq!(engine.max_pending(), DEFAULT_MAX_PENDING);
     let gate = GateLoop::new(4);
     let holding = engine.prepare(&gate).expect("plannable").variant();
     assert!(
@@ -282,13 +296,15 @@ fn saturated_admission_fails_typed_and_recovers() {
             std::thread::yield_now();
         }
         let mut y = small.initial_y();
+        failpoint::arm("sched::acquire", FailAction::Saturate { times: 1 });
         let err = victim.execute(&small, &mut y).expect_err("pool is held");
+        failpoint::disarm("sched::acquire");
         assert!(
             matches!(
                 err,
                 EngineError::Saturated {
                     pools: 1,
-                    max_pending: 0
+                    max_pending: DEFAULT_MAX_PENDING
                 }
             ),
             "unexpected error: {err}"

@@ -28,7 +28,7 @@
 //! harvest's summary also reaches the trace ring as a
 //! [`crate::TraceEvent::SolveProfiled`] event.
 
-use crate::metrics::{Histogram, LATENCY_BUCKET_BOUNDS_NS};
+use crate::metrics::Histogram;
 use crate::{render, FpId, HistogramSnapshot, ObsVariant};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,7 +65,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// All kinds, in [`SpanKind::index`] order.
-    pub const ALL: [SpanKind; 4] = [
+    const ALL: [SpanKind; 4] = [
         SpanKind::Work,
         SpanKind::FlagWait,
         SpanKind::BarrierWait,
@@ -128,7 +128,7 @@ pub struct ProfConfig {
     pub per_worker_spans: usize,
     /// Wavefront levels with their own `level` label in the barrier-wait
     /// histograms; deeper levels aggregate under `level="other"`. Capped
-    /// at [`MAX_LEVEL_SERIES`].
+    /// at 16.
     pub max_levels: usize,
 }
 
@@ -143,7 +143,7 @@ impl Default for ProfConfig {
 }
 
 /// Hard bound on per-level histogram series (and the static label table).
-pub const MAX_LEVEL_SERIES: usize = 16;
+const MAX_LEVEL_SERIES: usize = 16;
 
 /// Static `level` label values (indices at or past the configured
 /// `max_levels` render as `other`).
@@ -892,10 +892,6 @@ fn field_u64(obj: &str, key: &str) -> Option<u64> {
 fn field_f64(obj: &str, key: &str) -> Option<f64> {
     field_raw(obj, key)?.parse().ok()
 }
-
-/// Re-exported so profile consumers can interpret histogram snapshots
-/// without importing the metrics module.
-pub const BARRIER_WAIT_BUCKET_BOUNDS_NS: [u64; 11] = LATENCY_BUCKET_BOUNDS_NS;
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,14 @@ use doacross_obs::{
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Every span kind, in `SpanKind::index` order.
+const KINDS: [SpanKind; 4] = [
+    SpanKind::Work,
+    SpanKind::FlagWait,
+    SpanKind::BarrierWait,
+    SpanKind::DispatchWait,
+];
+
 /// A solve record whose every field is a function of `seed` — any torn or
 /// corrupted record in a snapshot breaks at least one of the derivations
 /// that [`assert_untorn`] re-checks.
@@ -259,7 +267,7 @@ fn reference_harvest(workers: usize, cap: usize, deposits: &[Deposit]) -> Refere
             },
             t => ProfSpan {
                 worker: t as u32,
-                kind: SpanKind::ALL[kind],
+                kind: KINDS[kind],
                 level,
                 start_ns,
                 dur_ns,
@@ -344,9 +352,9 @@ proptest! {
                 match track % (workers + 2) {
                     t if t == workers => arena.record_dispatch(start_ns, dur_ns),
                     t if t == workers + 1 => {
-                        arena.record(workers + 3, SpanKind::ALL[kind], level, start_ns, dur_ns, aux)
+                        arena.record(workers + 3, KINDS[kind], level, start_ns, dur_ns, aux)
                     }
-                    t => arena.record(t, SpanKind::ALL[kind], level, start_ns, dur_ns, aux),
+                    t => arena.record(t, KINDS[kind], level, start_ns, dur_ns, aux),
                 }
             }
             let summary = prof.harvest(SpanSource::Arena(0), FpId(n as u64, 0), ObsVariant::Doacross, 1, None);

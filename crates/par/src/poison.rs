@@ -14,7 +14,7 @@
 //!    poison word with a first-cause-wins CAS (`Release`).
 //! 2. Every guarded wait site polls the word (`Acquire`) alongside its
 //!    real condition and, on observing a fault, unwinds cooperatively via
-//!    [`cooperative_unwind`] — a marker panic the pool recognizes and does
+//!    [`abort_region`] — a marker panic the pool recognizes and does
 //!    **not** re-poison — so every participant drains.
 //! 3. After the dispatcher's own share returned (or unwound) and every
 //!    helper that joined has left,
@@ -98,13 +98,6 @@ impl RegionPoison {
         }
     }
 
-    /// `true` when the region carries a fault. One `Acquire` load — cheap
-    /// enough for per-iteration polling.
-    #[inline]
-    pub fn is_poisoned(&self) -> bool {
-        self.state.load(Ordering::Acquire) != CLEAN
-    }
-
     /// The fault, if any. `Acquire`: observing a fault also makes the
     /// faulting thread's prior writes visible.
     #[inline]
@@ -123,7 +116,7 @@ impl RegionPoison {
 
     /// Records a deadline expiry. First cause wins; returns `true` when
     /// this call was the poisoning one.
-    pub fn poison_deadline(&self) -> bool {
+    fn poison_deadline(&self) -> bool {
         self.state
             .compare_exchange(CLEAN, DEADLINE, Ordering::Release, Ordering::Relaxed)
             .is_ok()
@@ -180,7 +173,6 @@ mod tests {
     #[test]
     fn clean_word_reports_nothing() {
         let p = RegionPoison::new();
-        assert!(!p.is_poisoned());
         assert_eq!(p.fault(), None);
         assert_eq!(p.take(), None);
     }
@@ -208,7 +200,7 @@ mod tests {
         p.poison_worker(5);
         assert_eq!(p.take(), Some(RegionFault::WorkerPanicked { worker: 5 }));
         assert_eq!(p.take(), None, "take must leave the word clean");
-        assert!(!p.is_poisoned());
+        assert!(p.fault().is_none());
     }
 
     #[test]

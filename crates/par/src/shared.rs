@@ -126,19 +126,6 @@ impl<'a, T> SharedSlice<'a, T> {
         // SAFETY: bounds ensured by contract; racing writes ruled out by contract.
         unsafe { self.ptr.add(index).read() }
     }
-
-    /// Borrows the element at `index`.
-    ///
-    /// # Safety
-    /// Same as [`SharedSlice::read`], and additionally no thread may write
-    /// `index` for the lifetime of the returned reference.
-    #[inline]
-    pub unsafe fn get_ref(&self, index: usize) -> &'a T {
-        self.check(index);
-        // SAFETY: bounds ensured by contract; immutability during the borrow
-        // is the caller's obligation.
-        unsafe { &*self.ptr.add(index) }
-    }
 }
 
 impl<'a, T> std::fmt::Debug for SharedSlice<'a, T> {

@@ -86,11 +86,6 @@ impl SpinBarrier {
         }
     }
 
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.total
-    }
-
     /// Blocks until all `total` participants have called `wait` in this
     /// generation. Returns `true` on exactly one participant per generation
     /// (the last arriver), mirroring `std::sync::Barrier`'s leader flag.

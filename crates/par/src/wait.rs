@@ -51,7 +51,7 @@ impl WaitStrategy {
     /// The returned count is the paper's "busy wait" overhead in units of
     /// flag loads, which the instrumentation layer aggregates per run.
     #[inline]
-    pub fn wait_until<F: FnMut() -> bool>(&self, mut cond: F) -> u64 {
+    fn wait_until<F: FnMut() -> bool>(&self, mut cond: F) -> u64 {
         if cond() {
             return 0;
         }
@@ -97,15 +97,16 @@ impl WaitStrategy {
         misses
     }
 
-    /// [`Self::wait_until`], fault-aware: alongside `cond`, every poll
-    /// also checks the region's poison word, and (when a `deadline` is
-    /// set) the clock every [`DEADLINE_POLL_PERIOD`] misses. The spin
-    /// policy (spin/yield/backoff cadence) is exactly `wait_until`'s.
+    /// Polls `cond` until it returns `true`, fault-aware: alongside `cond`,
+    /// every poll also checks the region's poison word, and (when a
+    /// `deadline` is set) the clock every 1024 misses. The spin policy
+    /// (spin/yield/backoff cadence) is the strategy's.
     ///
     /// Returns `Ok(misses)` when `cond` came true, `Err` when the wait
-    /// aborted: [`WaitAbort::Poisoned`] if a sibling already faulted (stop
-    /// waiting for flags that will never be published),
-    /// [`WaitAbort::DeadlineExpired`] if this waiter noticed the expiry
+    /// aborted: [`WaitAbort::Poisoned`](crate::WaitAbort::Poisoned) if a
+    /// sibling already faulted (stop waiting for flags that will never be
+    /// published), [`WaitAbort::DeadlineExpired`](crate::WaitAbort::DeadlineExpired)
+    /// if this waiter noticed the expiry
     /// first — the caller must poison the region before unwinding, which
     /// is what [`abort_region`](crate::abort_region) does.
     #[inline]
@@ -294,7 +295,7 @@ mod tests {
                 .expect_err("an already-expired deadline must abort");
             assert_eq!(abort, WaitAbort::DeadlineExpired, "{s:?}");
             assert!(
-                !poison.is_poisoned(),
+                poison.fault().is_none(),
                 "the wait itself must not poison; that is the caller's job"
             );
         }

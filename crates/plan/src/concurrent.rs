@@ -36,20 +36,20 @@ use std::sync::Arc;
 
 /// Upper bound on the shard count (a power of two; beyond this the
 /// per-shard LRUs are too small to be useful).
-pub const MAX_SHARDS: usize = 4096;
+const MAX_SHARDS: usize = 4096;
 
 /// Fallback shard count when the host's parallelism cannot be queried.
-pub const FALLBACK_SHARDS: usize = 8;
+const FALLBACK_SHARDS: usize = 8;
 
 /// Upper bound for [`default_shard_count`]: shards exist to keep
 /// concurrent callers off each other's locks, and callers are threads —
 /// beyond a generous multiple of any sane machine's core count, extra
 /// shards only fragment the LRU capacity.
-pub const DEFAULT_SHARDS_CAP: usize = 64;
+const DEFAULT_SHARDS_CAP: usize = 64;
 
 /// Shard count matched to *this host*: the available parallelism, rounded
-/// up to a power of two and clamped to `1..=`[`DEFAULT_SHARDS_CAP`]
-/// ([`FALLBACK_SHARDS`] when the host cannot be queried). Contention on
+/// up to a power of two and clamped to `1..=64` (8 when the host cannot
+/// be queried). Contention on
 /// the cache scales with the threads that can actually run concurrently,
 /// so a 1-core container gets one shard (its whole capacity in one LRU)
 /// while a 32-way server gets 32.
@@ -112,7 +112,7 @@ pub struct ConcurrentPlanCache {
 impl ConcurrentPlanCache {
     /// Cache holding up to `capacity` plans in total, spread over
     /// `shards` shards (rounded up to a power of two, clamped to
-    /// `1..=`[`MAX_SHARDS`]). Each shard holds `ceil(capacity / shards)`
+    /// `1..=4096`). Each shard holds `ceil(capacity / shards)`
     /// plans, so the realized total capacity may slightly exceed
     /// `capacity`. A capacity of 0 is legal and makes every lookup a miss.
     pub fn new(capacity: usize, shards: usize) -> Self {

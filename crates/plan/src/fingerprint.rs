@@ -153,8 +153,8 @@ impl PatternFingerprint {
     /// The five words of the fingerprint in a fixed serialization order —
     /// the persist codec's view, and an allocation-free total-order key
     /// for consumers that need deterministic fingerprint ordering (the
-    /// telemetry recorder sorts snapshots with it). Paired with
-    /// [`PatternFingerprint::from_raw`]; treat the words as opaque.
+    /// telemetry recorder sorts snapshots with it). Paired with the
+    /// crate's `from_raw`; treat the words as opaque.
     pub fn to_raw(self) -> [u64; 5] {
         [
             self.hash,

@@ -92,12 +92,9 @@ pub use cache::CacheStats;
 pub use census::{CensusPass, PlanCensus};
 pub use concurrent::{default_shard_count, ConcurrentPlanCache};
 pub use fingerprint::PatternFingerprint;
-pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
+pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry};
 pub use plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};
-pub use planner::{
-    detect_linear, gated, parallel_floor, price_features, Planner, Pricing,
-    BLOCKED_DATA_SPACE_FACTOR,
-};
+pub use planner::{detect_linear, gated, parallel_floor, price_features, Planner, Pricing};
 pub use runtime::{execute_sequential, PlanExecutor};
 // The verifier's verdict vocabulary, re-exported so plan consumers can
 // match on violations without depending on `doacross-verify` directly.

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! magic "DOAXPLAN" (8 bytes)
-//! format version   (u32 LE)                    — see [`FORMAT_VERSION`]
+//! format version   (u32 LE)                    — see `FORMAT_VERSION`
 //! generation table (count + fingerprint, gen)  — nonzero generations only
 //! plan records     (count + per record: generation, length, plan bytes)
 //! calibration      (flag + 12 model f64s + unit_ns) — optional, v3
@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// File magic: identifies a blob as a doacross plan store.
-pub const MAGIC: [u8; 8] = *b"DOAXPLAN";
+const MAGIC: [u8; 8] = *b"DOAXPLAN";
 
 /// Current store format version.
 ///
@@ -96,7 +96,7 @@ pub const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// census lost its derived average parallelism and its out-of-bounds
 /// record, which no built plan ever carried. v1–v5 stores are rejected
 /// per the policy above.
-pub const FORMAT_VERSION: u32 = 6;
+const FORMAT_VERSION: u32 = 6;
 
 /// Reasons a store cannot be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +108,8 @@ pub enum PersistError {
         /// Bytes actually remaining.
         available: usize,
     },
-    /// The blob does not start with [`MAGIC`] — not a plan store.
+    /// The blob does not start with the `DOAXPLAN` magic — not a plan
+    /// store.
     BadMagic,
     /// The store was written by a format this reader does not parse.
     UnsupportedVersion {
@@ -206,11 +207,11 @@ impl From<std::io::Error> for PersistError {
 /// Failpoint site consulted at the top of [`PlanStore::save`]: a
 /// `Saturate` action injects a typed [`PersistError::Io`] before any
 /// bytes touch the filesystem, a `DelayNs` action stretches the save.
-pub const FAILPOINT_SAVE: &str = "plan::persist::save";
+const FAILPOINT_SAVE: &str = "plan::persist::save";
 
 /// Failpoint site consulted at the top of [`PlanStore::load`]
 /// (same actions as [`FAILPOINT_SAVE`], injected before the read).
-pub const FAILPOINT_LOAD: &str = "plan::persist::load";
+const FAILPOINT_LOAD: &str = "plan::persist::load";
 
 // ---------------------------------------------------------------------
 // Little-endian primitives.
@@ -394,7 +395,7 @@ type StreamParts<'a> = (Option<&'a [u32]>, &'a [u32], Option<&'a [u32]>, &'a [u8
 /// [`PlanStore`] blob carries one for the whole file). The encoding is
 /// deterministic: equal plans produce equal bytes, which the round-trip
 /// tests exploit.
-pub fn encode_plan(plan: &ExecutionPlan) -> Vec<u8> {
+fn encode_plan(plan: &ExecutionPlan) -> Vec<u8> {
     let stream = plan
         .stream()
         .map(|s| (s.order(), s.ends(), s.level_offsets(), s.classes()));
@@ -478,7 +479,7 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
 /// Decodes one plan record, revalidating it structurally (see module
 /// docs). The record must be exactly consumed — trailing bytes are
 /// rejected, so a length-prefix mismatch cannot hide.
-pub fn decode_plan(bytes: &[u8]) -> Result<ExecutionPlan, PersistError> {
+fn decode_plan(bytes: &[u8]) -> Result<ExecutionPlan, PersistError> {
     let mut r = Reader::new(bytes);
     let plan = decode_plan_fields(&mut r)?;
     if r.remaining() != 0 {

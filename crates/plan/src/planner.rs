@@ -88,7 +88,7 @@
 //! prices it from the census.
 //!
 //! **Stage 3** captures the chosen variant's artifact only: the one
-//! [`ClaimStream`](doacross_core::ClaimStream) of a doacross, reordered or
+//! [`doacross_core::ClaimStream`] of a doacross, reordered or
 //! wavefront plan, laid out in that variant's claim order from what the
 //! census pass already holds — no inspector region runs and no writer map
 //! is kept. A loop too large for the stream's `u32` indices
@@ -110,7 +110,7 @@ use std::time::Instant;
 /// window. Below the ratio the flat variants' single inspector-free
 /// region wins; at or above it the planner prices the blocked run and
 /// takes it whenever it also beats sequential.
-pub const BLOCKED_DATA_SPACE_FACTOR: usize = 8;
+const BLOCKED_DATA_SPACE_FACTOR: usize = 8;
 
 /// Builds [`ExecutionPlan`]s for access patterns.
 #[derive(Debug, Clone)]

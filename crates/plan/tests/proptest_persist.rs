@@ -7,13 +7,13 @@
 
 use doacross_core::{seq::run_sequential, IndirectLoop};
 use doacross_par::ThreadPool;
-use doacross_plan::persist::{decode_plan, encode_plan, FORMAT_VERSION, MAGIC};
 use doacross_plan::{
-    ConcurrentPlanCache, PatternFingerprint, PersistError, PlanExecutor, PlanStore, PlanVariant,
-    Planner,
+    ConcurrentPlanCache, ExecutionPlan, PatternFingerprint, PersistError, PlanExecutor, PlanStore,
+    PlanVariant, Planner,
 };
 use doacross_sim::CostModel;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// An arbitrary *injective* loop (lhs a shuffled prefix of the data space)
 /// — the patterns the three stream-backed variants are legal for.
@@ -58,17 +58,34 @@ fn store_of(pool: &ThreadPool, planner: &Planner, loop_: &IndirectLoop) -> PlanS
     cache.snapshot()
 }
 
+/// `plan` and its one-record store read back: the record codec, exercised
+/// through the store that carries it. Returns the original store's bytes,
+/// the decoded plan and the decoded store's bytes.
+fn round_trip(
+    pool: &ThreadPool,
+    planner: &Planner,
+    loop_: &IndirectLoop,
+) -> (Arc<ExecutionPlan>, Vec<u8>, Arc<ExecutionPlan>, Vec<u8>) {
+    let store = store_of(pool, planner, loop_);
+    let plan = store.plans().next().expect("one plan").clone();
+    let bytes = store.to_bytes();
+    let decoded = PlanStore::from_bytes(&bytes).expect("own encoding decodes");
+    let again = decoded.to_bytes();
+    let decoded = decoded.plans().next().expect("one plan").clone();
+    (plan, bytes, decoded, again)
+}
+
 /// A store written by an older format (v3: writer-map, claim-order and
 /// level-schedule sections) is not parsed, patched or migrated: it fails
 /// with the typed version error before the checksum is even looked at, and
 /// every warm-start path treats that as a cold start.
 #[test]
 fn a_format_version_3_blob_cold_starts_typed() {
-    assert_eq!(FORMAT_VERSION, 6);
     let pool = ThreadPool::new(2);
     let grid = doacross_plan::testgrid::deep_grid(24, 8, 3, 5);
     let mut bytes = store_of(&pool, &Planner::new(), &grid).to_bytes();
-    bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+    // The version word follows the 8-byte magic.
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     assert!(matches!(
         PlanStore::from_bytes(&bytes),
         Err(PersistError::UnsupportedVersion {
@@ -135,10 +152,8 @@ proptest! {
     #[test]
     fn planner_built_plans_round_trip_bit_exactly((loop_, _y0) in arb_loop(40)) {
         let pool = ThreadPool::new(3);
-        let plan = Planner::new().plan(&pool, &loop_).expect("in-bounds");
-        let bytes = encode_plan(&plan);
-        let decoded = decode_plan(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(encode_plan(&decoded), bytes, "bit-exact round trip");
+        let (plan, bytes, decoded, again) = round_trip(&pool, &Planner::new(), &loop_);
+        prop_assert_eq!(again, bytes, "bit-exact round trip");
         prop_assert_eq!(decoded.variant(), plan.variant());
         prop_assert_eq!(decoded.fingerprint(), plan.fingerprint());
     }
@@ -150,7 +165,7 @@ proptest! {
         // (order, ends, classes, levels, counts), passes the pattern-free
         // artifact check, and still proves sound against the live pattern.
         let pool = ThreadPool::new(3);
-        let plan = pinned(flags == 1).plan(&pool, &loop_).expect("in-bounds");
+        let (plan, _, decoded, _) = round_trip(&pool, &pinned(flags == 1), &loop_);
         // (A dependence-free draw has no wavefront candidate, and a tiny one
         // may have a linear lhs: those go to a flag variant either way.)
         prop_assert!(
@@ -162,7 +177,6 @@ proptest! {
             plan.stream().is_some() || matches!(plan.variant(), PlanVariant::Linear(_)),
             "{}", plan.variant()
         );
-        let decoded = decode_plan(&encode_plan(&plan)).expect("own encoding decodes");
         prop_assert_eq!(decoded.stream(), plan.stream());
         prop_assert_eq!(decoded.memory_bytes(), plan.memory_bytes());
         prop_assert!(decoded.verify_artifacts().is_ok());
@@ -172,8 +186,7 @@ proptest! {
     #[test]
     fn decoded_plans_execute_like_the_original((loop_, y0) in arb_loop(32)) {
         let pool = ThreadPool::new(3);
-        let plan = Planner::new().plan(&pool, &loop_).expect("in-bounds");
-        let decoded = decode_plan(&encode_plan(&plan)).expect("decodes");
+        let (_, _, decoded, _) = round_trip(&pool, &Planner::new(), &loop_);
 
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
@@ -191,15 +204,13 @@ proptest! {
         // classes) must round-trip bit-exactly and the decoded plan must execute
         // bit-identically to the oracle with zero wait polls.
         let pool = ThreadPool::new(4);
-        let plan = Planner::new().plan(&pool, &loop_).expect("in-bounds");
+        let (plan, bytes, decoded, again) = round_trip(&pool, &Planner::new(), &loop_);
         prop_assert_eq!(
             plan.variant(),
             doacross_plan::PlanVariant::Wavefront,
             "{:?}", plan.costs()
         );
-        let bytes = encode_plan(&plan);
-        let decoded = decode_plan(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(encode_plan(&decoded), bytes, "bit-exact round trip");
+        prop_assert_eq!(again, bytes, "bit-exact round trip");
         prop_assert_eq!(decoded.stream(), plan.stream());
 
         let mut expect = y0.clone();

@@ -4,7 +4,7 @@
 //! collision-free across generated structures, and the cache actually
 //! serves hits.
 
-use doacross_core::{seq::run_sequential, Doacross, IndirectLoop, PlanProvenance};
+use doacross_core::{seq::run_sequential, AccessPattern, Doacross, IndirectLoop, PlanProvenance};
 use doacross_obs::profile::{ProfArena, SpanKind};
 use doacross_par::ThreadPool;
 use doacross_plan::{CensusPass, ConcurrentPlanCache, PatternFingerprint, PlanExecutor, Planner};
@@ -163,7 +163,7 @@ proptest! {
         let a = PatternFingerprint::of(&loop_);
         let b = PatternFingerprint::of(&loop_);
         prop_assert_eq!(a, b, "same pattern, same fingerprint");
-        prop_assert_eq!(a.iterations(), loop_.lhs_array().len());
+        prop_assert_eq!(a.iterations(), loop_.iterations());
     }
 
     #[test]

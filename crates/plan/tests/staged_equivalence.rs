@@ -378,9 +378,7 @@ fn dag_stall_weight(
 /// dependence DAG gives — stall weights bit for bit, rounds from the
 /// histogram.
 fn check_doconsider(pattern: &IndirectLoop, p: usize) -> Result<(), String> {
-    use doacross_doconsider::{
-        doconsider_order, invert_permutation, level_histogram, DependenceDag, LevelAssignment,
-    };
+    use doacross_doconsider::{doconsider_order, level_histogram, DependenceDag, LevelAssignment};
     let pass = CensusPass::of(pattern);
     let (offsets, order) = pass.sorted_levels();
     let dag = DependenceDag::build(pattern);
@@ -406,7 +404,10 @@ fn check_doconsider(pattern: &IndirectLoop, p: usize) -> Result<(), String> {
         .price(pattern, &pass, detect_linear(pattern), p)
         .features
         .ok_or("stage 2 keeps its features")?;
-    let pos = invert_permutation(&reference);
+    let mut pos = vec![0; reference.len()];
+    for (k, &i) in reference.iter().enumerate() {
+        pos[i] = k;
+    }
     let expected = [
         dag_stall_weight(&dag, None, p),
         dag_stall_weight(&dag, Some(&pos), p),

@@ -7,7 +7,7 @@
 //! (nothing priced but `sequential`, nothing built), the preset prices
 //! every candidate.
 
-use doacross_core::IndirectLoop;
+use doacross_core::{AccessPattern, IndirectLoop};
 use doacross_par::ThreadPool;
 use doacross_plan::{ExecutionPlan, PlanVariant, Planner};
 use doacross_sim::{calib::assemble, CostModel};
@@ -112,7 +112,7 @@ fn plan_bytes_are_the_struct_plus_the_stream_formula() {
     };
     let pool = ThreadPool::new(2);
     for (kind, pattern) in table1_patterns() {
-        let n = pattern.lhs_array().len();
+        let n = pattern.iterations();
         let ends = 4 * (n + 1); // one `u32` per claim, plus the sentinel
         let preset = planned(CostModel::multimax(), &pool, &pattern);
         let nnz = preset.census().total_terms as usize;

@@ -90,7 +90,7 @@ struct PoolSlot {
 /// Fault-injection site: arm with `FailAction::Saturate { times }` to make
 /// the next `times` calls to [`PoolSet::acquire`] fail as if every sub-pool
 /// were busy, exercising admission-control error paths deterministically.
-pub const FAILPOINT_ACQUIRE: &str = "sched::acquire";
+const FAILPOINT_ACQUIRE: &str = "sched::acquire";
 
 /// A partition of the engine's workers into independent sub-pools with a
 /// lock-light free-pool dispatcher and bounded solve admission.

@@ -37,7 +37,7 @@
 //!
 //! let report = check(
 //!     &Config::default(),
-//!     || Model { data: Shared::new(0), flag: AtomicU64::new(0) },
+//!     || Model { data: Shared::named("data", 0), flag: AtomicU64::new(0) },
 //!     &[
 //!         &|m: &Model| {
 //!             m.data.write(42);
@@ -522,7 +522,7 @@ mod tests {
         assert!(b.load(Ordering::Acquire));
         let u = AtomicUsize::new(5);
         assert_eq!(u.fetch_add(1, Ordering::Relaxed), 5);
-        let s = Shared::new(10u64);
+        let s = Shared::named("shared", 10u64);
         s.write(11);
         assert_eq!(s.read(), 11);
         let mut polled = false;

@@ -270,11 +270,6 @@ pub struct Shared<T> {
 }
 
 impl<T> Shared<T> {
-    /// Creates the cell.
-    pub fn new(value: T) -> Self {
-        Self::named("shared", value)
-    }
-
     /// Creates the cell with a label used in race reports.
     pub fn named(label: &'static str, value: T) -> Self {
         Shared {

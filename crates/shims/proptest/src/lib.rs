@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so this shim implements
 //! the subset of proptest the workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map` / `prop_flat_map` / `prop_shuffle`,
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_flat_map` / `prop_shuffle`,
 //! range and tuple strategies, [`collection::vec`], [`strategy::Just`],
 //! `prop_oneof!`, and the `proptest!` / `prop_assert*` / `prop_assume!`
 //! macros. Differences from real proptest:
@@ -24,7 +24,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Size specification for [`vec`]: a fixed size or a range of sizes.
+    /// Size specification for [`vec()`]: a fixed size or a range of sizes.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
@@ -67,7 +67,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

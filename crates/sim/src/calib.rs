@@ -81,7 +81,7 @@ const M_HI: usize = 5;
 
 /// Repetitions behind [`host_calibration`] — enough to suppress scheduler
 /// noise without a perceptible pause.
-pub const CALIBRATION_REPS: usize = 3;
+const CALIBRATION_REPS: usize = 3;
 
 /// The process-wide host calibration: [`calibrate`] run once, on first
 /// use, and shared by every caller after that — the one place the host is

@@ -98,16 +98,6 @@ impl CostModel {
     pub fn sequential_time(&self, n: usize, total_terms: usize) -> f64 {
         self.seq_iter * n as f64 + self.seq_term * total_terms as f64
     }
-
-    /// The closed-form dependence-free efficiency on any processor count
-    /// (large-`n` limit): useful as an analytic cross-check of the
-    /// simulator.
-    pub fn doall_efficiency(&self, terms_per_iter: usize) -> f64 {
-        let m = terms_per_iter as f64;
-        let seq = self.seq_iter + m * self.seq_term;
-        let par = self.overhead_per_iteration() + m * (self.term + self.check);
-        seq / par
-    }
 }
 
 impl Default for CostModel {
@@ -188,6 +178,18 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// The closed-form dependence-free efficiency on any processor
+        /// count (large-`n` limit): the analytic cross-check the
+        /// simulator's tests compare against.
+        pub(crate) fn doall_efficiency(&self, terms_per_iter: usize) -> f64 {
+            let m = terms_per_iter as f64;
+            let seq = self.seq_iter + m * self.seq_term;
+            let par = self.overhead_per_iteration() + m * (self.term + self.check);
+            seq / par
+        }
+    }
 
     #[test]
     fn multimax_calibration_hits_paper_plateaus() {

@@ -39,7 +39,7 @@ impl SimResult {
     }
 
     /// Fraction of total processor time lost to busy-waiting.
-    pub fn wait_fraction(&self) -> f64 {
+    fn wait_fraction(&self) -> f64 {
         let total = self.t_par * self.processors as f64;
         if total == 0.0 {
             0.0

@@ -11,8 +11,7 @@
 
 use crate::builder::TripletBuilder;
 use crate::csr::CsrMatrix;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::SmallRng;
 
 /// Builds a block 7-point operator on an `nx × ny × nz` grid with dense
 /// `b × b` blocks: grid point `p` couples to itself and its six axis
@@ -46,7 +45,7 @@ pub fn block_seven_point(nx: usize, ny: usize, nz: usize, b: usize, seed: u64) -
                 if row == col {
                     continue; // diagonal handled after accumulation
                 }
-                let v = -(0.5 + 0.5 * rng.gen::<f64>());
+                let v = -(0.5 + 0.5 * rng.next_f64());
                 row_offdiag[row] += v.abs();
                 builder.push(row, col, v);
             }
@@ -116,7 +115,7 @@ pub fn block_seven_point(nx: usize, ny: usize, nz: usize, b: usize, seed: u64) -
         }
     }
     for (row, &off) in row_offdiag.iter().enumerate() {
-        builder.push(row, row, 1.0 + rng.gen::<f64>() + off);
+        builder.push(row, row, 1.0 + rng.next_f64() + off);
     }
     builder.build()
 }

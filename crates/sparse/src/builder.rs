@@ -13,16 +13,7 @@ pub struct TripletBuilder {
 }
 
 impl TripletBuilder {
-    /// A builder for an `nrows × ncols` matrix.
-    pub fn new(nrows: usize, ncols: usize) -> Self {
-        Self {
-            nrows,
-            ncols,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Pre-allocates room for `n` triplets.
+    /// A builder for an `nrows × ncols` matrix with room for `n` triplets.
     pub fn with_capacity(nrows: usize, ncols: usize, n: usize) -> Self {
         Self {
             nrows,
@@ -175,7 +166,7 @@ mod tests {
         // 1 + 1e16 rounds back to 1e16, so the order of the three adds
         // decides the sum: ((1 + 1e16) - 1e16) = 0, ((1e16 - 1e16) + 1) = 1.
         let sum = |vals: [f64; 3]| {
-            let mut b = TripletBuilder::new(2, 2);
+            let mut b = TripletBuilder::with_capacity(2, 2, 0);
             b.push(1, 0, 5.0);
             for v in vals {
                 b.push(0, 1, v);
@@ -191,7 +182,7 @@ mod tests {
 
     #[test]
     fn builds_in_any_order() {
-        let mut b = TripletBuilder::new(2, 3);
+        let mut b = TripletBuilder::with_capacity(2, 3, 0);
         b.push(1, 2, 5.0);
         b.push(0, 0, 1.0);
         b.push(1, 0, 4.0);
@@ -202,7 +193,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_summed() {
-        let mut b = TripletBuilder::new(2, 2);
+        let mut b = TripletBuilder::with_capacity(2, 2, 0);
         b.push(0, 1, 1.0);
         b.push(0, 1, 2.5);
         b.push(1, 1, 1.0);
@@ -215,7 +206,7 @@ mod tests {
 
     #[test]
     fn duplicate_in_different_rows_not_merged() {
-        let mut b = TripletBuilder::new(2, 2);
+        let mut b = TripletBuilder::with_capacity(2, 2, 0);
         b.push(0, 1, 1.0);
         b.push(1, 1, 2.0);
         let m = b.build();
@@ -226,7 +217,7 @@ mod tests {
 
     #[test]
     fn empty_builder_yields_empty_matrix() {
-        let m = TripletBuilder::new(3, 3).build();
+        let m = TripletBuilder::with_capacity(3, 3, 0).build();
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.nrows(), 3);
     }
@@ -234,7 +225,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_rejected() {
-        TripletBuilder::new(1, 1).push(0, 1, 1.0);
+        TripletBuilder::with_capacity(1, 1, 0).push(0, 1, 1.0);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl CsrMatrix {
         }
     }
 
-    /// An `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        Self::from_parts(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -128,60 +123,68 @@ impl CsrMatrix {
             .ok()
             .map(|k| self.values[self.row_ptr[i] + k])
     }
-
-    /// Whether every stored entry satisfies `col <= row` (lower
-    /// triangular pattern).
-    pub fn is_lower_triangular(&self) -> bool {
-        (0..self.nrows).all(|i| self.row_cols(i).iter().all(|&j| j <= i))
-    }
-
-    /// Whether every stored entry satisfies `col >= row` (upper
-    /// triangular pattern).
-    pub fn is_upper_triangular(&self) -> bool {
-        (0..self.nrows).all(|i| self.row_cols(i).iter().all(|&j| j >= i))
-    }
-
-    /// Dense copy (row-major `nrows × ncols`); for tests and small
-    /// reference computations only.
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; self.ncols]; self.nrows];
-        #[allow(clippy::needless_range_loop)] // row index mirrors CSR layout
-        for i in 0..self.nrows {
-            for (&j, &v) in self.row_cols(i).iter().zip(self.row_values(i)) {
-                out[i][j] = v;
-            }
-        }
-        out
-    }
-
-    /// Transpose (CSR of the transposed matrix), via counting sort — O(nnz).
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &j in &self.col_idx {
-            counts[j + 1] += 1;
-        }
-        for k in 0..self.ncols {
-            counts[k + 1] += counts[k];
-        }
-        let row_ptr_t = counts.clone();
-        let mut cursor = counts;
-        let mut col_idx_t = vec![0usize; self.nnz()];
-        let mut values_t = vec![0.0f64; self.nnz()];
-        for i in 0..self.nrows {
-            for (&j, &v) in self.row_cols(i).iter().zip(self.row_values(i)) {
-                let slot = cursor[j];
-                cursor[j] += 1;
-                col_idx_t[slot] = i;
-                values_t[slot] = v;
-            }
-        }
-        CsrMatrix::from_parts(self.ncols, self.nrows, row_ptr_t, col_idx_t, values_t)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dense and structural views the crate's unit tests compare against.
+    impl CsrMatrix {
+        /// An `n × n` identity matrix.
+        pub(crate) fn identity(n: usize) -> Self {
+            Self::from_parts(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
+        }
+
+        /// Whether every stored entry satisfies `col <= row` (lower
+        /// triangular pattern).
+        pub(crate) fn is_lower_triangular(&self) -> bool {
+            (0..self.nrows).all(|i| self.row_cols(i).iter().all(|&j| j <= i))
+        }
+
+        /// Whether every stored entry satisfies `col >= row` (upper
+        /// triangular pattern).
+        pub(crate) fn is_upper_triangular(&self) -> bool {
+            (0..self.nrows).all(|i| self.row_cols(i).iter().all(|&j| j >= i))
+        }
+
+        /// Dense copy (row-major `nrows × ncols`); for tests and small
+        /// reference computations only.
+        pub(crate) fn to_dense(&self) -> Vec<Vec<f64>> {
+            let mut out = vec![vec![0.0; self.ncols]; self.nrows];
+            #[allow(clippy::needless_range_loop)] // row index mirrors CSR layout
+            for i in 0..self.nrows {
+                for (&j, &v) in self.row_cols(i).iter().zip(self.row_values(i)) {
+                    out[i][j] = v;
+                }
+            }
+            out
+        }
+
+        /// Transpose (CSR of the transposed matrix), via counting sort — O(nnz).
+        pub(crate) fn transpose(&self) -> CsrMatrix {
+            let mut counts = vec![0usize; self.ncols + 1];
+            for &j in &self.col_idx {
+                counts[j + 1] += 1;
+            }
+            for k in 0..self.ncols {
+                counts[k + 1] += counts[k];
+            }
+            let row_ptr_t = counts.clone();
+            let mut cursor = counts;
+            let mut col_idx_t = vec![0usize; self.nnz()];
+            let mut values_t = vec![0.0f64; self.nnz()];
+            for i in 0..self.nrows {
+                for (&j, &v) in self.row_cols(i).iter().zip(self.row_values(i)) {
+                    let slot = cursor[j];
+                    cursor[j] += 1;
+                    col_idx_t[slot] = i;
+                    values_t[slot] = v;
+                }
+            }
+            CsrMatrix::from_parts(self.ncols, self.nrows, row_ptr_t, col_idx_t, values_t)
+        }
+    }
 
     /// [[1, 2, 0], [0, 3, 0], [4, 0, 5]]
     fn sample() -> CsrMatrix {

@@ -2,14 +2,14 @@
 //! only — everything here is O(n²) or worse and allocates freely).
 
 /// Dense matrix–vector product `A x`.
-pub fn matvec(a: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
+pub(crate) fn matvec(a: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
     a.iter()
         .map(|row| row.iter().zip(x).map(|(aij, xj)| aij * xj).sum())
         .collect()
 }
 
 /// Dense matrix product `A B`.
-pub fn matmul(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
+pub(crate) fn matmul(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let n = a.len();
     let m = if b.is_empty() { 0 } else { b[0].len() };
     let k = b.len();
@@ -30,7 +30,7 @@ pub fn matmul(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// Forward substitution for a dense *unit* lower-triangular `L`:
 /// solves `L y = rhs` (diagonal assumed 1 and not read).
-pub fn forward_solve_unit(l: &[Vec<f64>], rhs: &[f64]) -> Vec<f64> {
+pub(crate) fn forward_solve_unit(l: &[Vec<f64>], rhs: &[f64]) -> Vec<f64> {
     let n = l.len();
     let mut y = vec![0.0; n];
     for i in 0..n {
@@ -48,7 +48,7 @@ pub fn forward_solve_unit(l: &[Vec<f64>], rhs: &[f64]) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if a diagonal entry is exactly zero.
-pub fn backward_solve(u: &[Vec<f64>], rhs: &[f64]) -> Vec<f64> {
+pub(crate) fn backward_solve(u: &[Vec<f64>], rhs: &[f64]) -> Vec<f64> {
     let n = u.len();
     let mut x = vec![0.0; n];
     for i in (0..n).rev() {
@@ -63,7 +63,7 @@ pub fn backward_solve(u: &[Vec<f64>], rhs: &[f64]) -> Vec<f64> {
 }
 
 /// Max-norm of the difference of two vectors.
-pub fn max_diff(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn max_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs())

@@ -8,7 +8,7 @@
 
 use crate::builder::TripletBuilder;
 use crate::csr::CsrMatrix;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Errors from Matrix Market parsing.
 #[derive(Debug)]
@@ -162,26 +162,9 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MmError> {
     Ok(builder.build())
 }
 
-/// Writes `m` as `matrix coordinate real general` Matrix Market.
-pub fn write_matrix_market<W: Write>(m: &CsrMatrix, mut writer: W) -> Result<(), MmError> {
-    writeln!(writer, "%%MatrixMarket matrix coordinate real general")?;
-    writeln!(
-        writer,
-        "% written by preprocessed-doacross (doacross-sparse)"
-    )?;
-    writeln!(writer, "{} {} {}", m.nrows(), m.ncols(), m.nnz())?;
-    for i in 0..m.nrows() {
-        for (&j, &v) in m.row_cols(i).iter().zip(m.row_values(i)) {
-            writeln!(writer, "{} {} {:.17e}", i + 1, j + 1, v)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stencil::five_point;
     use std::io::BufReader;
 
     fn parse(text: &str) -> Result<CsrMatrix, MmError> {
@@ -219,15 +202,6 @@ mod tests {
         assert_eq!(m.nnz(), 3, "mirror entry added");
         assert_eq!(m.get(0, 1), Some(1.5));
         assert_eq!(m.get(1, 0), Some(1.5));
-    }
-
-    #[test]
-    fn round_trips_a_stencil_matrix() {
-        let a = five_point(6, 7, 99);
-        let mut buf = Vec::new();
-        write_matrix_market(&a, &mut buf).unwrap();
-        let b = read_matrix_market(BufReader::new(&buf[..])).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

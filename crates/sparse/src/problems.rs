@@ -42,7 +42,7 @@ impl ProblemKind {
     }
 
     /// Number of equations the appendix specifies.
-    pub fn equations(&self) -> usize {
+    pub(crate) fn equations(&self) -> usize {
         match self {
             ProblemKind::Spe2 => 1080,
             ProblemKind::Spe5 => 3312,
@@ -64,7 +64,7 @@ impl ProblemKind {
     }
 
     /// Builds the discretized operator (deterministic for a given seed).
-    pub fn matrix(&self, seed: u64) -> CsrMatrix {
+    pub(crate) fn matrix(&self, seed: u64) -> CsrMatrix {
         match self {
             ProblemKind::Spe2 => block_seven_point(6, 6, 5, 6, seed),
             ProblemKind::Spe5 => block_seven_point(16, 23, 3, 3, seed),

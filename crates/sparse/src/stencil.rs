@@ -4,15 +4,14 @@
 //! difference (2D), 7-point central difference (3D), and 9-point box
 //! scheme (2D) of the paper's appendix. Grid points are numbered in natural
 //! (lexicographic) order. Coefficients are synthetic but deterministic
-//! (seeded [`SmallRng`]) and rows are made strictly diagonally dominant so
+//! (seeded xoshiro256**) and rows are made strictly diagonally dominant so
 //! the ILU(0) factorization downstream is well defined; the triangular
 //! solve's *dependence structure* — what the paper measures — depends only
 //! on the sparsity pattern.
 
 use crate::builder::TripletBuilder;
 use crate::csr::CsrMatrix;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::SmallRng;
 
 /// Assembles a matrix from an adjacency enumeration: `neighbors(p)` yields
 /// the off-diagonal columns of row `p`. Off-diagonal values are drawn from
@@ -29,11 +28,11 @@ where
         let mut offdiag_sum = 0.0;
         for q in neighbors(p) {
             debug_assert!(q < n && q != p);
-            let v = -(1.0 + 0.25 * rng.gen::<f64>());
+            let v = -(1.0 + 0.25 * rng.next_f64());
             offdiag_sum += v.abs();
             b.push(p, q, v);
         }
-        b.push(p, p, 1.0 + rng.gen::<f64>() + offdiag_sum);
+        b.push(p, p, 1.0 + rng.next_f64() + offdiag_sum);
     }
     b.build()
 }

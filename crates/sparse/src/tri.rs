@@ -266,20 +266,6 @@ impl UpperTriangularMatrix {
         }
         out
     }
-
-    /// Longest chain of rows linked by direct dependencies in the backward
-    /// solve (row `i` depends on row `j > i` when `U_ij != 0`).
-    pub fn critical_path_len(&self) -> usize {
-        let mut depth = vec![1usize; self.n];
-        let mut max = if self.n == 0 { 0 } else { 1 };
-        for i in (0..self.n).rev() {
-            for &j in self.row_cols(i) {
-                depth[i] = depth[i].max(depth[j] + 1);
-            }
-            max = max.max(depth[i]);
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -390,21 +376,6 @@ mod tests {
         let expect = crate::dense::backward_solve(&f.u.to_dense(), &rhs);
         let got = u.backward_solve(&rhs);
         assert!(max_diff(&got, &expect) < 1e-10);
-    }
-
-    #[test]
-    fn upper_critical_path_of_reverse_chain() {
-        // Upper bidiagonal: row i depends on i+1 -> path n.
-        let m = CsrMatrix::from_parts(
-            3,
-            3,
-            vec![0, 2, 4, 5],
-            vec![0, 1, 1, 2, 2],
-            vec![2.0, 1.0, 2.0, 1.0, 2.0],
-        );
-        let u = UpperTriangularMatrix::from_upper(&m);
-        assert_eq!(u.critical_path_len(), 3);
-        assert_eq!(u.diag(), &[2.0, 2.0, 2.0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Small dense-vector kernels shared by solvers and benches.
 
 /// Dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }

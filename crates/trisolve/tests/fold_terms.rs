@@ -135,8 +135,8 @@ fn arb_factors() -> impl Strategy<Value = (TriangularMatrix, UpperTriangularMatr
             (Just(n), entries, rhs)
         })
         .prop_map(|(n, entries, rhs)| {
-            let mut lower = TripletBuilder::new(n, n);
-            let mut upper = TripletBuilder::new(n, n);
+            let mut lower = TripletBuilder::with_capacity(n, n, 0);
+            let mut upper = TripletBuilder::with_capacity(n, n, 0);
             for &(r, c, v) in &entries {
                 if r != c {
                     lower.push(r.max(c), r.min(c), v);

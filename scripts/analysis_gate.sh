@@ -5,22 +5,38 @@
 # *soundness* claims honest (and the public surface small). Four tiers,
 # all cheap enough for CI:
 #
-#   lints          cargo clippy --workspace --all-targets -D warnings.
+#   lints          cargo clippy --workspace --all-targets -D warnings, and
+#                  rustdoc with -D warnings (a doc link to an item that
+#                  stopped being public fails here instead of rotting).
 #
-#   surface        every `pub fn` in the `impl` blocks of `Engine`,
-#                  `PreparedLoop` and the types the engine is built from
-#                  (`EngineBuilder`, `ConcurrentPlanCache`, `PlanStore`,
-#                  `Obs`, `Profiler`, `PlanExecutor`) must have a caller
-#                  outside tests. A call site is
-#                  `.name(` or `::name(` on a non-comment line that comes
-#                  before its file's first `#[cfg(test)]`, in examples/,
-#                  src/, benchmark/src/ or a crates/*/src file other than
-#                  the defining one. Integration tests, `#[cfg(test)]`
-#                  modules and doc comments do not count: a method only
-#                  they call is surface nothing ships through. Known blind
-#                  spot: the match is by name, not by receiver type, so a
-#                  method that shares its name with another type's method
-#                  (`contains`, `config`) passes on the other's call sites.
+#   surface        one rule over the whole tree: every `pub` fn, method,
+#                  struct, enum, trait, type alias, const and static before
+#                  its file's test tail (the first `#[cfg(test)]` at the
+#                  start of a line), in crates/*/src and crates/shims/*/src,
+#                  has a caller outside tests. A caller is a non-comment
+#                  line before its file's test tail, in examples/, src/,
+#                  benchmark/src/ or a crates/*/src file other than the
+#                  defining one; for a shim item, the test code of every
+#                  other package counts too, since a shim exists to serve
+#                  it. Examples and the benchmark count because they are the
+#                  programs that define what is public. The match is
+#                  qualified wherever the call form allows: an associated
+#                  fn or const must appear as `Type::name`, a free item by
+#                  its path or through a `use` (a `use` alone, re-exports
+#                  included, is never a caller); only a method call
+#                  (`.name(`) matches by name. scripts/surface.awk holds
+#                  the rule and scripts/surface_allowlist.txt the items
+#                  exempt from it, each with one reason from a closed set
+#                  (a type in a called item's signature, a fixture or
+#                  reference an integration test compares against, a trait
+#                  item users implement); an entry that names nothing or
+#                  whose item now has a caller fails. The tier is proven to
+#                  bite on a scratch copy of the tree: a planted uncalled
+#                  `pub fn` and a planted entry naming nothing must each be
+#                  reported, and nothing else. Blind spots left: enum
+#                  variants and struct fields are not items here, and a
+#                  method name shared across types passes on any type's
+#                  call site.
 #
 #   audit          every crate root must pin its unsafe posture: either
 #                  #![forbid(unsafe_code)] or
@@ -125,39 +141,44 @@ say "analysis_gate: clippy (deny warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings ||
   violation "clippy reported warnings"
 
+say "analysis_gate: rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet ||
+  violation "rustdoc reported warnings"
+
 # --- surface ----------------------------------------------------------------
 
-say "analysis_gate: public surface has callers outside tests"
-surface() { # defining file, type name
-  local def=$1 ty=$2 names corpus
-  names=$(awk -v ty="$ty" '
-    $0 ~ "^impl(<[^>]*>)? " ty " \\{" { inside = 1; next }
-    inside && /^}/ { inside = 0 }
-    inside && match($0, /^    pub fn [A-Za-z_0-9]+/) { print substr($0, 12, RLENGTH - 11) }
-  ' "$def")
-  if [ -z "$names" ]; then
-    violation "$def: no pub fn found in impl $ty"
-    return
-  fi
-  corpus=$(find examples src benchmark/src crates/*/src -name '*.rs' ! -path "$def" -print0 |
-    xargs -0 awk '
-      FNR == 1 { skip = 0 }
-      /#\[cfg\(test\)\]/ { skip = 1 }
-      !skip && !/^[[:space:]]*\/\// { print }
-    ')
-  for name in $names; do
-    grep -Eq "(\.|::)${name}\(" <<<"$corpus" ||
-      violation "$ty::$name has no caller outside tests ($def)"
-  done
+say "analysis_gate: every public item has a caller outside tests"
+surface_tier() { # tree root; prints one line per violation
+  (
+    cd "$1"
+    # shellcheck disable=SC2046 # one argument per source path
+    awk -f scripts/surface.awk scripts/surface_allowlist.txt \
+      $(find examples src tests benchmark/src crates -name '*.rs' | sort)
+  )
 }
-surface crates/engine/src/engine.rs Engine
-surface crates/engine/src/prepared.rs PreparedLoop
-surface crates/engine/src/builder.rs EngineBuilder
-surface crates/plan/src/concurrent.rs ConcurrentPlanCache
-surface crates/plan/src/persist.rs PlanStore
-surface crates/obs/src/lib.rs Obs
-surface crates/obs/src/profile.rs Profiler
-surface crates/plan/src/runtime.rs PlanExecutor
+surface=$(surface_tier .)
+if [ -n "$surface" ]; then
+  while IFS= read -r miss; do violation "surface: $miss"; done <<<"$surface"
+fi
+
+# The tier bites: on a scratch copy, an uncalled `pub fn` and an allowlist
+# entry naming nothing are each reported, alone.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+tar -cf - examples src tests benchmark/src crates scripts | tar -xf - -C "$scratch"
+bites() { # the one violation (a fixed string) the scratch copy must report
+  local got
+  got=$(surface_tier "$scratch")
+  if [ "$(grep -c . <<<"$got")" -ne 1 ] || ! grep -qF "$1" <<<"$got"; then
+    violation "surface tier did not report exactly '$1' on a planted copy: ${got:-nothing}"
+  fi
+}
+planted=crates/sparse/src/vec_ops.rs
+sed -i '1i pub fn surface_gate_planted() {}' "$scratch/$planted"
+bites 'sparse::vec_ops::surface_gate_planted has no caller outside tests'
+cp "$planted" "$scratch/$planted"
+echo 'sparse::surface_gate_planted (a) names nothing' >>"$scratch/scripts/surface_allowlist.txt"
+bites 'sparse::surface_gate_planted names nothing'
 
 # --- audit ------------------------------------------------------------------
 

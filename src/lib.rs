@@ -136,7 +136,7 @@
 //! builds 4 independent 2-worker pools, and each solve is dispatched to a
 //! free pool (stealing a busy one only when all are taken), so tenants
 //! stop serializing on one worker set. Admission is bounded —
-//! `EngineBuilder::max_pending` callers may wait per pool before the
+//! `engine::DEFAULT_MAX_PENDING` callers may wait for a pool before the
 //! engine fails fast with typed [`EngineError::Saturated`]. By default
 //! `pools` is derived from host parallelism, so a plain
 //! `Engine::builder().build()` already scales out.

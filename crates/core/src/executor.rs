@@ -1,22 +1,31 @@
 //! The one region driver: the doacross proper (paper Figure 5), under
 //! either of two gates.
 //!
-//! Each worker of the region self-schedules claim slots, level by level,
-//! and runs, per claimed slot `k` (iteration `i = order(k)`, or `k` itself
-//! in natural order):
+//! Each worker of the region self-schedules claims — runs of consecutive
+//! claim slots — level by level, and runs, per claim and per claimed slot
+//! `k` in it (iteration `i = order(k)`, or `k` itself in natural order):
 //!
 //! ```text
-//! S2      acc = init(i, y[a(i)])
-//!         do j = 0, terms(i)-1
-//!             off   = term_element(i, j)
-//!             class = classes(k, j)            // the Claims source
-//! S3/S4/S5    NewValue:    gate(off); operand = ynew(off)
-//! S6/S7       OldValue:    operand = y(off)
-//! S8          Accumulator: operand = acc       // intra-iteration
-//!             acc = combine(i, j, acc, operand)
-//!         end do
-//!         ynew(a(i)) = finish(i, acc); publish(a(i))
+//!         poll_faults                          // once per claim
+//!         for k in claim:
+//!             failpoint(i)                     // once per iteration
+//! S2          acc = init(i, y[a(i)])
+//!             acc = fold_terms_with(i, acc, operand)
+//!             ynew(a(i)) = finish(i, acc); publish(a(i))
+//!
+//!         operand(j, off, acc):                // per term j, in order;
+//!             class = classes(k, j)            // off = term_element(i, j)
+//! S3/S4/S5    NewValue:    gate(off); return ynew(off)
+//! S6/S7       OldValue:    return y(off)
+//! S8          Accumulator: return acc          // intra-iteration
 //! ```
+//!
+//! The loop drives its own row ([`DoacrossLoop::fold_terms_with`]): it
+//! walks the row's elements and folds each operand in with `combine`
+//! (S5/S7/S8), and the driver's callback resolves each operand. A
+//! CSR-shaped loop overrides the fold with one walk over its row slices;
+//! monomorphised, the callback inlines into that walk, so a term costs the
+//! walk plus the class branch.
 //!
 //! ## Two gates
 //!
@@ -103,10 +112,14 @@
 //!
 //! ## Faults
 //!
-//! Each iteration pays one failpoint hit (the gate names the site:
-//! `core::executor::iter` or `core::wavefront::iter`) and one poll of
-//! the region's poison word, plus a deadline clock read every
-//! `DEADLINE_ITER_PERIOD` iterations executed. Waits check the deadline
+//! Each claim pays one poll of the region's poison word before its first
+//! slot, plus a deadline clock read every `DEADLINE_ITER_PERIOD` claimed
+//! slots. A planned claim is at most 16 slots ([`claim_grain`]), so a
+//! poisoned or expired region is noticed within one claim. Each iteration
+//! pays one failpoint hit (the gate names the site: `core::executor::iter`
+//! or `core::wavefront::iter`) against the worker's own copy of the
+//! region's snapshot, so an injected panic fires at its exact iteration
+//! and a disarmed site costs a register test. Waits check the deadline
 //! themselves; the tick catches a region that is slow while *making*
 //! progress. A worker that leaves early deposits its partial counters and
 //! never counts its unfinished iterations, so the copy-back gate never
@@ -125,8 +138,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Iterations between deadline clock reads in the driver (see the module
-/// docs, "Faults").
+/// Claimed slots between deadline clock reads in the driver, which checks
+/// at claim boundaries (see the module docs, "Faults").
 pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
 
 /// How a region meets a true dependence (see the module docs). The gate
@@ -262,7 +275,9 @@ impl Gate for Levels<'_> {
 }
 
 /// Where a region's new values live: the shadow array and its ready
-/// flags, standing for elements `window_start ..`.
+/// flags, standing for elements `window_start ..`. `Copy`, so the operand
+/// callback holds it by value.
+#[derive(Clone, Copy)]
 pub(crate) struct Shadow<'a> {
     ynew: SharedSlice<'a, f64>,
     ready: &'a ReadyFlags,
@@ -346,9 +361,10 @@ fn await_flag(ready: &ReadyFlags, slot: usize, p: &mut Participant<'_>) {
     }
 }
 
-/// What a worker owes the region before each iteration: one poll of the
-/// fault latch, and a deadline clock read every [`DEADLINE_ITER_PERIOD`]
-/// iterations executed.
+/// What a worker owes the region before each claim: one poll of the fault
+/// latch, and a deadline clock read once `executed` (the slots claimed so
+/// far, this claim's included) has grown by [`DEADLINE_ITER_PERIOD`] since
+/// the last read.
 #[inline]
 fn poll_faults(
     guard: &RegionGuard<'_>,
@@ -513,11 +529,14 @@ impl Scratch {
                 deadline: pool.deadline(),
                 commit: (&cells[last].done, width_of(last)),
             };
-            let failpoint = failpoint::lookup(G::SITE);
+            let snapshot = failpoint::lookup(G::SITE);
             let clock = PhaseClock::start();
             let post_claim = AtomicUsize::new(0);
 
             pool.run_joinable(|worker| {
+                // The worker's own copy of the snapshot: a register test
+                // per iteration, not a load through the capture.
+                let failpoint = snapshot;
                 let mut p = Participant {
                     worker,
                     guard: &guard,
@@ -540,66 +559,73 @@ impl Scratch {
                     let chunk = grain.unwrap_or_else(|| claim_grain(width, nworkers));
                     let started = p.started();
                     let executed_before = executed;
-                    claim_chunks(&cell.claim, width, chunk, |k| {
-                        let slot = slots.start + level.start + k;
-                        let i = claims.iteration(slot);
-                        executed += 1;
-                        failpoint::hit(failpoint, i as u64);
+                    claim_chunks(&cell.claim, width, chunk, |claim| {
+                        executed += claim.len() as u64;
                         if let Err(abort) = poll_faults(&guard, executed, &mut next_tick) {
                             p.bail(abort);
                         }
-                        let lhs = loop_.lhs(i);
-                        assert!(lhs < data_len, "executor: lhs {lhs} out of bounds");
+                        for k in claim {
+                            let slot = slots.start + level.start + k;
+                            let i = claims.iteration(slot);
+                            failpoint::hit(failpoint, i as u64);
+                            let lhs = loop_.lhs(i);
+                            assert!(lhs < data_len, "executor: lhs {lhs} out of bounds");
 
-                        // S2: seed from the old value of the output element.
-                        // SAFETY: y is read-only until the copy-back gate;
-                        // bounds asserted.
-                        let mut acc = loop_.init(i, unsafe { y.read(lhs) });
+                            // S2: seed from the old value of the output
+                            // element.
+                            // SAFETY: y is read-only until the copy-back
+                            // gate; bounds asserted.
+                            let acc = loop_.init(i, unsafe { y.read(lhs) });
 
-                        let terms = loop_.terms(i);
-                        let row = claims.row(slot, i, terms);
-                        for j in 0..terms {
-                            let off = loop_.term_element(i, j);
-                            assert!(off < data_len, "executor: term {off} out of bounds");
-                            let operand = match claims.class(row, j, off) {
-                                OperandClass::NewValue => {
-                                    // S3–S5: true dependency on an earlier
-                                    // claim or level.
-                                    if C::COUNTED {
-                                        p.local.true_deps += 1;
+                            let row = claims.row(slot, i, loop_.terms(i));
+                            let p = &mut p;
+                            // Everything the callback reads is captured by
+                            // value, so an acquire load in the flag gate
+                            // does not make the compiler reload it.
+                            let acc = loop_.fold_terms_with(i, acc, &mut move |j, off, acc| {
+                                assert!(off < data_len, "executor: term {off} out of bounds");
+                                match claims.class(row, j, off) {
+                                    OperandClass::NewValue => {
+                                        // S3–S5: true dependency on an
+                                        // earlier claim or level.
+                                        if C::COUNTED {
+                                            p.local.true_deps += 1;
+                                        }
+                                        // SAFETY: bounds asserted; the
+                                        // shadow is this region's.
+                                        unsafe { G::new_value(&shadow, off, p) }
                                     }
-                                    // SAFETY: bounds asserted; the shadow is
-                                    // this region's.
-                                    unsafe { G::new_value(&shadow, off, &mut p) }
-                                }
-                                OperandClass::OldValue => {
-                                    // S6–S7: antidependency or never-written
-                                    // element — old value.
-                                    if C::COUNTED {
-                                        p.local.anti_or_unwritten += 1;
+                                    OperandClass::OldValue => {
+                                        // S6–S7: antidependency or
+                                        // never-written element — old value.
+                                        if C::COUNTED {
+                                            p.local.anti_or_unwritten += 1;
+                                        }
+                                        // SAFETY: y is read-only until the
+                                        // copy-back gate; bounds asserted.
+                                        unsafe { y.read(off) }
                                     }
-                                    // SAFETY: y is read-only until the
-                                    // copy-back gate; bounds asserted.
-                                    unsafe { y.read(off) }
-                                }
-                                OperandClass::Accumulator => {
-                                    // S8: intra-iteration reference — the
-                                    // element being accumulated is `lhs`
-                                    // itself (injective `a`), so serve it
-                                    // from the register accumulator.
-                                    if C::COUNTED {
-                                        p.local.intra += 1;
+                                    OperandClass::Accumulator => {
+                                        // S8: intra-iteration reference —
+                                        // the element being accumulated is
+                                        // `lhs` itself (injective `a`), so
+                                        // serve it from the accumulator.
+                                        if C::COUNTED {
+                                            p.local.intra += 1;
+                                        }
+                                        debug_assert_eq!(
+                                            off, lhs,
+                                            "class says intra but off != lhs"
+                                        );
+                                        acc
                                     }
-                                    debug_assert_eq!(off, lhs, "class says intra but off != lhs");
-                                    acc
                                 }
-                            };
-                            acc = loop_.combine(i, j, acc, operand);
+                            });
+
+                            // SAFETY: bounds asserted; `lhs` has this
+                            // iteration as its unique writer (injective `a`).
+                            unsafe { G::publish(&shadow, lhs, loop_.finish(i, acc)) };
                         }
-
-                        // SAFETY: bounds asserted; `lhs` has this iteration
-                        // as its unique writer (injective `a`).
-                        unsafe { G::publish(&shadow, lhs, loop_.finish(i, acc)) };
                     });
                     let in_level = executed - executed_before;
                     p.span(SpanKind::Work, G::label(l), started, in_level);

@@ -22,8 +22,9 @@ use std::ops::Range;
 
 /// The dependence-relevant shape of a loop nest: subscript functions only.
 ///
-/// Implementations must be cheap to query; the executor calls `lhs` /
-/// `terms` / `term_element` once per (iteration, term) in its hot loop.
+/// Implementations must be cheap to query: the executor calls `lhs` and
+/// `terms` once per iteration in its hot loop, and the default row folds
+/// of [`DoacrossLoop`] call `term_element` once per term.
 pub trait AccessPattern: Sync {
     /// Number of outer-loop iterations (`N`).
     fn iterations(&self) -> usize;
@@ -71,15 +72,33 @@ pub trait AccessPattern: Sync {
 /// branch), which the executor serves from the accumulator; every other
 /// iteration reads `ynew(a(i))` only after observing `ready == DONE`.
 ///
-/// The sequential kernel ([`crate::seq::run_sequential`]) folds each
-/// iteration's terms through [`DoacrossLoop::fold_terms`], which a
-/// CSR-shaped loop overrides to walk its row slices once. The engine's
-/// speed claims hold for monomorphic callers: through `&dyn DoacrossLoop`
-/// every trait call is indirect. On a 2-vCPU Xeon (AVX-512) host the
-/// sequential Figure 7 solve of the five Table-1 operators read 1.4–1.6×
-/// a hand-written CSR loop that way (geometric mean of p01 ratios; 4.0–4.6×
-/// before the triangular loops overrode `fold_terms`), against 0.92–1.04×
-/// monomorphic.
+/// ## Two row folds
+///
+/// The inner `do j` loop is a provided method in two shapes, and a
+/// CSR-shaped loop overrides both to walk its row slices once:
+///
+/// * [`DoacrossLoop::fold_terms`] is the sequential kernel's
+///   ([`crate::seq::run_sequential`]): every operand is `y[off]`, or the
+///   accumulator for S8, and is read straight from a plain slice.
+/// * [`DoacrossLoop::fold_terms_with`] is the parallel executor's: each
+///   operand comes from a callback, `operand(j, off, acc)`, in which the
+///   executor checks bounds, reads the term's class and waits on its gate.
+///
+/// The sequential kernel keeps its own fold rather than passing a
+/// callback that reads `y`: with the S8 test inside the callback, a
+/// prototype read the sequential lanes at 1.11× the bare loop instead of
+/// 0.93× (`core.seq_mono_over_bare`, 2-vCPU Xeon host).
+///
+/// The engine's speed claims hold for monomorphic callers, where the
+/// compiler inlines the override and the callback into one loop. Through
+/// `&dyn DoacrossLoop` every trait call is indirect: a planned region
+/// then pays one virtual call per row (the fold) and one indirect call
+/// per term (the callback), where the per-term default pays two virtual
+/// calls per term (`term_element` and `combine`). On a 2-vCPU Xeon
+/// (AVX-512) host the sequential Figure 7 solve of the five Table-1
+/// operators read 1.4–1.6× a hand-written CSR loop through `&dyn`
+/// (geometric mean of p01 ratios; 4.0–4.6× before the triangular loops
+/// overrode `fold_terms`), against 0.92–1.04× monomorphic.
 pub trait DoacrossLoop: AccessPattern {
     /// Seed of the output element, given the *old* value `y[lhs(i)]`.
     /// Figure 5's S2 is `|_, old| old`; a triangular solve uses
@@ -117,6 +136,31 @@ pub trait DoacrossLoop: AccessPattern {
             // visible through y[lhs]; mirror that with the accumulator.
             let operand = if off == lhs { acc } else { y[off] };
             acc = self.combine(i, j, acc, operand);
+        }
+        acc
+    }
+
+    /// Folds every term of iteration `i` into `acc` in term order, taking
+    /// term `j`'s operand from `operand(j, off, acc)` — the parallel
+    /// executor's inner loop. `off` is `term_element(i, j)`, and `acc` is
+    /// the accumulator as it stands before term `j` is combined (which is
+    /// the operand of an intra-iteration reference, S8).
+    ///
+    /// `operand` is called exactly once per term, in term order; the
+    /// executor's bounds checks, class reads and gate waits live in it. An
+    /// override must make the same calls with the same arguments and
+    /// return the default body's result bit for bit. `&mut dyn` keeps the
+    /// trait object-safe; a monomorphic caller's callback is inlined.
+    #[inline]
+    fn fold_terms_with(
+        &self,
+        i: usize,
+        mut acc: f64,
+        operand: &mut dyn FnMut(usize, usize, f64) -> f64,
+    ) -> f64 {
+        for j in 0..self.terms(i) {
+            let value = operand(j, self.term_element(i, j), acc);
+            acc = self.combine(i, j, acc, value);
         }
         acc
     }

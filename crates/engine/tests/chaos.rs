@@ -13,14 +13,14 @@
 //! [`chaos_lock`] and disarms on the way out.
 
 use doacross_core::{
-    seq::run_sequential, AccessPattern, DoacrossError, DoacrossLoop, IndirectLoop, PlanProvenance,
-    TestLoop,
+    claim_grain, seq::run_sequential, AccessPattern, DoacrossError, DoacrossLoop, IndirectLoop,
+    PlanProvenance, TestLoop,
 };
 use doacross_engine::{
     AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsVariant, PersistError,
     SolveOutcome, SolveProfile, SpanKind, TraceEvent,
 };
-use doacross_plan::{PlanVariant, Planner};
+use doacross_plan::{ExecutionPlan, PlanVariant, Planner};
 use doacross_sim::CostModel;
 use doacross_sparse::{ilu0, stencil::five_point, TriangularMatrix};
 use doacross_trisolve::TriSolveLoop;
@@ -378,16 +378,21 @@ fn fallback_replay_of_a_triangular_solve_is_forward_solve() {
     failpoint::disarm_all();
 }
 
-/// One wedged-solve round trip on a fresh engine: ~200µs of injected drag
-/// per iteration pushes the region far past a 40ms budget; the deadline
-/// polls (claim loop, flag waits, level gates) drain it typed, `y` stays
-/// byte-identical to its input, and un-wedged the same handle solves.
-fn assert_deadline_contained<L>(loop_: L, wants: fn(PlanVariant) -> bool, site: &'static str)
-where
+/// One wedged-solve round trip on a fresh engine built from `engine`:
+/// ~200µs of injected drag per iteration pushes the region far past a
+/// 40ms budget; the deadline polls (one per claim, flag waits, level
+/// gates) drain it typed, `y` stays byte-identical to its input, and
+/// un-wedged the same handle solves.
+fn assert_deadline_contained<L>(
+    engine: EngineBuilder,
+    loop_: L,
+    wants: fn(PlanVariant) -> bool,
+    site: &'static str,
+) where
     L: DoacrossLoop + Clone + Send + 'static,
 {
     let deadline = Duration::from_millis(40);
-    let engine = victim_engine()
+    let engine = engine
         .pools(1)
         .solve_deadline(deadline)
         .fallback(FallbackPolicy::Disabled)
@@ -446,15 +451,122 @@ where
 fn solve_deadline_resolves_a_wedged_solve_typed() {
     let _serial = chaos_lock();
     assert_deadline_contained(
+        victim_engine(),
         doacross_victim(),
         |v| v == PlanVariant::Doacross,
         EXECUTOR_ITER,
     );
     assert_deadline_contained(
+        victim_engine(),
         wavefront_victim(),
         |v| v == PlanVariant::Wavefront,
         WAVEFRONT_ITER,
     );
+}
+
+/// Workers of the claim-granularity cases' engines.
+const CLAIM_WORKERS: usize = 2;
+
+/// A planner, the variant it must pick, and its gate's failpoint site.
+type ClaimCase = (Planner, fn(PlanVariant) -> bool, &'static str);
+
+/// The claim-granularity cases: Table 1's 5-PT forward solve planned on
+/// [`CLAIM_WORKERS`] workers as the wavefront (whose widest levels, 63
+/// rows, claim 15 slots a grab) and as a flag variant, each with the
+/// iteration-failpoint site of its gate.
+fn claim_cases() -> [ClaimCase; 2] {
+    [
+        (
+            wavefront_prices(),
+            |v| v == PlanVariant::Wavefront,
+            WAVEFRONT_ITER,
+        ),
+        (
+            flag_prices(),
+            |v| v == PlanVariant::Reordered,
+            EXECUTOR_ITER,
+        ),
+    ]
+}
+
+/// The lower ILU(0) factor of Table 1's 5-PT operator (a 63×63 grid) as a
+/// forward solve, leaked so a solve can move onto the watchdog's thread.
+fn five_pt_solve() -> TriSolveLoop<'static> {
+    let l: &'static TriangularMatrix = Box::leak(Box::new(TriangularMatrix::from_strict_lower(
+        &ilu0(&five_point(63, 63, 5)).l,
+    )));
+    let rhs: &'static [f64] = (0..l.n())
+        .map(|i| 1.0 - (i % 7) as f64 * 0.375)
+        .collect::<Vec<_>>()
+        .leak();
+    TriSolveLoop::new(l, rhs)
+}
+
+/// An iteration `plan` runs on `workers` workers in the middle of a claim,
+/// never at its first slot: half a claim into the widest level of a
+/// wavefront, or into the first claim of a reordered plan. A level's
+/// claims start at multiples of its claim grain from the level's first
+/// slot, whichever worker takes them, and the grain is the one the plan
+/// executor derives (`claim_grain` of the level's width, or of the
+/// average parallelism for a reordered plan).
+fn mid_claim_iteration(plan: &ExecutionPlan, workers: usize) -> u64 {
+    let stream = plan.stream().expect("a stream-backed plan");
+    let (first, grain) = match stream.level_offsets() {
+        Some(offsets) => {
+            let widest = offsets
+                .windows(2)
+                .max_by_key(|level| level[1] - level[0])
+                .expect("a level");
+            let width = (widest[1] - widest[0]) as usize;
+            (widest[0] as usize, claim_grain(width, workers))
+        }
+        None => {
+            assert_eq!(plan.variant(), PlanVariant::Reordered);
+            let hint = plan.census().average_parallelism() as usize;
+            (0, claim_grain(hint, workers))
+        }
+    };
+    assert!(grain > 1, "a claim of {grain} slot has no middle");
+    let slot = first + grain / 2;
+    stream.order().map_or(slot, |order| order[slot] as usize) as u64
+}
+
+/// Faults are polled once per claim but the failpoint still hits every
+/// iteration: a panic injected half a claim deep fails the solve typed,
+/// with `y` byte-identical to its input and the fallback off, on the
+/// 5-PT wavefront and on a flag-priced plan of the same solve.
+#[test]
+fn a_panic_inside_a_claim_fails_typed_with_y_untouched() {
+    let _serial = chaos_lock();
+    for (prices, wants, site) in claim_cases() {
+        let engine = Engine::builder()
+            .workers(CLAIM_WORKERS)
+            .pools(1)
+            .planner(prices)
+            .fallback(FallbackPolicy::Disabled)
+            .build();
+        let loop_ = five_pt_solve();
+        let prepared = engine.prepare(&loop_).unwrap();
+        let iteration = mid_claim_iteration(prepared.plan(), CLAIM_WORKERS);
+        assert_panic_contained(&engine, loop_, wants, site, iteration);
+    }
+    failpoint::disarm_all();
+}
+
+/// A deadline that expires while a region is running, polled once per
+/// claim, resolves typed on the 5-PT wavefront and on a flag-priced plan.
+#[test]
+fn a_deadline_expiring_mid_region_times_out_typed() {
+    let _serial = chaos_lock();
+    for (prices, wants, site) in claim_cases() {
+        assert_deadline_contained(
+            Engine::builder().workers(CLAIM_WORKERS).planner(prices),
+            five_pt_solve(),
+            wants,
+            site,
+        );
+    }
+    failpoint::disarm_all();
 }
 
 #[test]
@@ -483,6 +595,18 @@ fn solve_deadline_with_fallback_still_delivers() {
     failpoint::disarm(EXECUTOR_ITER);
     assert_eq!(y, oracle);
     assert_eq!(stats.attempts, 2);
+}
+
+/// Prices under which the wavefront wins: the sequential loop and every
+/// flag poll cost a fortune, barriers nothing.
+fn wavefront_prices() -> Planner {
+    Planner::with_costs(CostModel {
+        seq_iter: 1e6,
+        seq_term: 1e6,
+        wait_poll: 1e6,
+        barrier: 0.0,
+        ..CostModel::multimax()
+    })
 }
 
 /// Prices under which a flag variant wins: the sequential loop and

@@ -38,7 +38,7 @@ where
         return;
     }
     let counter = AtomicUsize::new(0);
-    pool.run_joinable(|_| claim_chunks(&counter, n, chunk, &body));
+    pool.run_joinable(|_| claim_chunks(&counter, n, chunk, |claim| claim.for_each(&body)));
 }
 
 #[cfg(test)]

@@ -6,32 +6,38 @@
 //! shared counter. [`claim_chunks`] is that policy with `chunk` iterations
 //! per grab; `chunk == 1` is the paper's.
 //!
-//! A worker walks each grab front to back, and its grabs come off the
-//! counter in increasing order, so it enumerates its iterations in
-//! **increasing global order**; see the crate docs for why that guarantees
-//! deadlock-freedom for backward (true-dependency) waiting.
+//! The body receives each grab whole, as a range, so per-claim work (a
+//! fault poll, say) is paid once per grab. A worker walks each grab front
+//! to back, and its grabs come off the counter in increasing order, so it
+//! enumerates its iterations in **increasing global order**; see the crate
+//! docs for why that guarantees deadlock-freedom for backward
+//! (true-dependency) waiting.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Runs `body(i)` for every iteration `i` of `0..n` this worker claims off
-/// `counter`, `chunk` iterations per grab (0 claims like 1), in increasing
-/// order, and returns once the counter has passed `n`.
+/// Runs `body(claim)` for every grab this worker claims off `counter`:
+/// `claim` is a non-empty range of `0..n`, at most `chunk` iterations long
+/// (0 claims like 1), and successive claims increase. The body must walk
+/// its claim front to back. Returns once the counter has passed `n`.
 ///
 /// `counter` must start at 0 and be shared by every worker of the same
-/// loop instance; it is the only arbiter, so each iteration runs on exactly
-/// one worker whoever turns up.
+/// loop instance; it is the only arbiter, so each iteration is claimed by
+/// exactly one worker whoever turns up.
 #[inline]
-pub fn claim_chunks<F: FnMut(usize)>(counter: &AtomicUsize, n: usize, chunk: usize, mut body: F) {
+pub fn claim_chunks<F: FnMut(Range<usize>)>(
+    counter: &AtomicUsize,
+    n: usize,
+    chunk: usize,
+    mut body: F,
+) {
     let chunk = chunk.max(1);
     loop {
         let start = counter.fetch_add(chunk, Ordering::Relaxed);
         if start >= n {
             break;
         }
-        let end = (start + chunk).min(n);
-        for i in start..end {
-            body(i);
-        }
+        body(start..(start + chunk).min(n));
     }
 }
 
@@ -40,7 +46,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_schedule_covers_exactly_once_in_order() {
+    fn claims_cover_exactly_once_in_order() {
         // One thread drives every worker in turn: the first takes
         // everything, a legal (if extreme) interleaving.
         for chunk in [1usize, 7] {
@@ -48,7 +54,10 @@ mod tests {
                 let counter = AtomicUsize::new(0);
                 let mut seen = Vec::new();
                 for _ in 0..nworkers {
-                    claim_chunks(&counter, n, chunk, |i| seen.push(i));
+                    claim_chunks(&counter, n, chunk, |claim| {
+                        assert!(!claim.is_empty() && claim.len() <= chunk, "{claim:?}");
+                        seen.extend(claim);
+                    });
                 }
                 assert_eq!(seen, (0..n).collect::<Vec<_>>(), "chunk {chunk}");
             }
@@ -60,7 +69,7 @@ mod tests {
         // chunk=0 must not spin forever.
         let counter = AtomicUsize::new(0);
         let mut seen = Vec::new();
-        claim_chunks(&counter, 5, 0, |i| seen.push(i));
+        claim_chunks(&counter, 5, 0, |claim| seen.extend(claim));
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
@@ -77,7 +86,7 @@ mod tests {
                     .map(|_| {
                         s.spawn(|| {
                             let mut mine = Vec::new();
-                            claim_chunks(&counter, N, chunk, |i| mine.push(i));
+                            claim_chunks(&counter, N, chunk, |claim| mine.extend(claim));
                             mine
                         })
                     })

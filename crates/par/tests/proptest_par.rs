@@ -19,15 +19,20 @@ proptest! {
         let counter = AtomicUsize::new(0);
         let mut seen = vec![0u8; n];
         let mut order_ok = true;
+        let mut claims_ok = true;
         for _ in 0..p {
             let mut last: i64 = -1;
-            claim_chunks(&counter, n, chunk, |i| {
-                seen[i] += 1;
-                order_ok &= i as i64 > last;
-                last = i as i64;
+            claim_chunks(&counter, n, chunk, |claim| {
+                claims_ok &= !claim.is_empty() && claim.len() <= chunk.max(1);
+                for i in claim {
+                    seen[i] += 1;
+                    order_ok &= i as i64 > last;
+                    last = i as i64;
+                }
             });
         }
         prop_assert!(order_ok, "per-worker claim order must increase");
+        prop_assert!(claims_ok, "every claim is non-empty and at most `chunk` long");
         prop_assert!(seen.iter().all(|&c| c == 1));
     }
 

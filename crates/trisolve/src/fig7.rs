@@ -17,12 +17,14 @@
 //! executor's three-way check always takes the S3–S5 branch — the paper's
 //! triangular solve is the pure-waiting stress case for the construct.
 //!
-//! The sequential kernel folds a row through
-//! [`DoacrossLoop::fold_terms`], which this loop overrides with the
-//! Figure 7 inner loop itself: one zipped walk over the row's `column` and
-//! `a` slices, bit-identical to the per-term default (same operations,
-//! same order) without its per-term trait calls, index checks and
-//! intra-iteration branch.
+//! Both row folds of [`DoacrossLoop`] are overridden with the Figure 7
+//! inner loop itself: one zipped walk over the row's `column` and `a`
+//! slices, bit-identical to the per-term default (same operations, same
+//! order) without its per-term trait calls and index checks. The
+//! sequential kernel's [`DoacrossLoop::fold_terms`] also drops the
+//! intra-iteration branch; the parallel executor's
+//! [`DoacrossLoop::fold_terms_with`] hands each column to the executor's
+//! operand callback.
 
 use doacross_core::{AccessPattern, DoacrossLoop, LinearSubscript};
 use doacross_sparse::TriangularMatrix;
@@ -110,6 +112,23 @@ impl DoacrossLoop for TriSolveLoop<'_> {
         let (cols, coeffs) = (&self.l.column()[row.clone()], &self.l.coeff()[row]);
         for (&c, &a) in cols.iter().zip(coeffs) {
             acc -= a * y[c];
+        }
+        acc
+    }
+
+    /// The same zipped walk for the parallel executor: term `j`'s operand
+    /// is `operand(j, column(low(i) + j), acc)`.
+    #[inline(always)]
+    fn fold_terms_with(
+        &self,
+        i: usize,
+        mut acc: f64,
+        operand: &mut dyn FnMut(usize, usize, f64) -> f64,
+    ) -> f64 {
+        let row = self.l.low(i)..self.l.high(i);
+        let (cols, coeffs) = (&self.l.column()[row.clone()], &self.l.coeff()[row]);
+        for (j, (&c, &a)) in cols.iter().zip(coeffs).enumerate() {
+            acc -= a * operand(j, c, acc);
         }
         acc
     }

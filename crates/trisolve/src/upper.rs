@@ -7,9 +7,10 @@
 //! index reversal: iterate `k = 0..n` over rows `i = n−1−k`. In `k`-space
 //! every dependency points backward again (`row j > i` ⇔ `iteration
 //! n−1−j < k`), so the unmodified executor machinery applies. The non-unit
-//! diagonal division is the [`DoacrossLoop::finish`] hook, and the
-//! sequential kernel's row fold ([`DoacrossLoop::fold_terms`]) walks the
-//! row's strictly-upper slices once, as [`crate::TriSolveLoop`]'s does. The
+//! diagonal division is the [`DoacrossLoop::finish`] hook, and both row
+//! folds ([`DoacrossLoop::fold_terms`] for the sequential kernel,
+//! [`DoacrossLoop::fold_terms_with`] for the parallel executor) walk the
+//! row's strictly-upper slices once, as [`crate::TriSolveLoop`]'s do. The
 //! loop is planned and priced like any other; [`crate::IluPreconditioner`]
 //! holds it as a prepared loop.
 
@@ -99,6 +100,22 @@ impl DoacrossLoop for UpperSolveLoop<'_> {
         let (cols, values) = self.u.row(self.row(k));
         for (&c, &v) in cols.iter().zip(values) {
             acc -= v * y[c];
+        }
+        acc
+    }
+
+    /// The same zipped walk for the parallel executor: term `j`'s operand
+    /// is `operand(j, column j of row n−1−k, acc)`.
+    #[inline(always)]
+    fn fold_terms_with(
+        &self,
+        k: usize,
+        mut acc: f64,
+        operand: &mut dyn FnMut(usize, usize, f64) -> f64,
+    ) -> f64 {
+        let (cols, values) = self.u.row(self.row(k));
+        for (j, (&c, &v)) in cols.iter().zip(values).enumerate() {
+            acc -= v * operand(j, c, acc);
         }
         acc
     }

@@ -1,11 +1,20 @@
-//! Proof that each `fold_terms` override is the trait's default body: for
+//! Proof that each row-fold override is the trait's default body: for
 //! every row of the ILU(0) factors of the five Table-1 operators and of
-//! arbitrary strictly triangular matrices, `TriSolveLoop::fold_terms` and
-//! `UpperSolveLoop::fold_terms` return the default per-term fold bit for
-//! bit, called monomorphically and through `&dyn DoacrossLoop`. The
-//! default body is reached through [`DefaultFold`], a wrapper forwarding
-//! every method except `fold_terms`. The sequential kernel over each loop
-//! also reproduces the matrix's own substitution bit for bit.
+//! arbitrary strictly triangular matrices, `TriSolveLoop` and
+//! `UpperSolveLoop` fold like the default per-term body bit for bit,
+//! called monomorphically and through `&dyn DoacrossLoop`:
+//!
+//! * `fold_terms` (the sequential kernel's) returns the same bits, and the
+//!   sequential kernel over each loop reproduces the matrix's own
+//!   substitution;
+//! * `fold_terms_with` (the parallel executor's) returns the same bits and
+//!   makes the same operand calls — the same `(j, off, acc)` sequence —
+//!   under a recording operand that answers with `y` values on some terms
+//!   and with the passed accumulator (as an intra-iteration reference
+//!   would) on others.
+//!
+//! The default bodies are reached through [`DefaultFold`], a wrapper
+//! forwarding every method except the two folds.
 
 use doacross_core::{seq::run_sequential, AccessPattern, DoacrossLoop};
 use doacross_sparse::{
@@ -15,9 +24,9 @@ use doacross_trisolve::{TriSolveLoop, UpperSolveLoop};
 use proptest::prelude::*;
 use std::ops::Range;
 
-/// Forwards every method of the wrapped loop except `fold_terms`, so its
-/// `fold_terms` is the trait's default body over the wrapped loop's
-/// `terms`, `term_element` and `combine`.
+/// Forwards every method of the wrapped loop except `fold_terms` and
+/// `fold_terms_with`, so its two folds are the trait's default bodies over
+/// the wrapped loop's `terms`, `term_element` and `combine`.
 struct DefaultFold<'a, L: ?Sized>(&'a L);
 
 impl<L: DoacrossLoop + ?Sized> AccessPattern for DefaultFold<'_, L> {
@@ -112,14 +121,100 @@ fn assert_factors(l: &TriangularMatrix, u: &UpperTriangularMatrix, rhs: &[f64], 
     assert_eq!(bits(&x), bits(&backward), "{what}: backward_solve");
 }
 
+/// One operand call: term, element, and the accumulator's bits.
+type Call = (usize, usize, u64);
+
+/// Folds row `i` through `fold_terms_with` under a recording operand that
+/// answers the accumulator on every third `j + off` and `y[off]` otherwise;
+/// returns the result's bits and the calls in order.
+fn fold_recorded<L: DoacrossLoop + ?Sized>(
+    loop_: &L,
+    i: usize,
+    acc: f64,
+    y: &[f64],
+) -> (u64, Vec<Call>) {
+    let mut calls = Vec::new();
+    let folded = loop_.fold_terms_with(i, acc, &mut |j, off, acc| {
+        calls.push((j, off, acc.to_bits()));
+        if (j + off) % 3 == 0 {
+            acc
+        } else {
+            y[off]
+        }
+    });
+    (folded.to_bits(), calls)
+}
+
+/// Every iteration of `loop_` folds through `fold_terms_with` to the
+/// default body's bits with the default body's operand calls, through `&L`
+/// and through `&dyn DoacrossLoop`.
+fn assert_folds_with_like_the_default<L: DoacrossLoop>(loop_: &L, y: &[f64], what: &str) {
+    let reference = DefaultFold(loop_);
+    let erased: &dyn DoacrossLoop = loop_;
+    for i in 0..loop_.iterations() {
+        let acc = loop_.init(i, y[loop_.lhs(i)]);
+        let want = fold_recorded(&reference, i, acc, y);
+        assert_eq!(want.1.len(), loop_.terms(i), "{what}: row {i} calls");
+        assert_eq!(fold_recorded(loop_, i, acc, y), want, "{what}: row {i}");
+        assert_eq!(
+            fold_recorded(erased, i, acc, y),
+            want,
+            "{what}: row {i} via dyn"
+        );
+    }
+}
+
+/// Both factors' loops fold through the executor's callback like the
+/// default body.
+fn assert_factors_fold_with(
+    l: &TriangularMatrix,
+    u: &UpperTriangularMatrix,
+    rhs: &[f64],
+    what: &str,
+) {
+    let forward = l.forward_solve(rhs);
+    let lower = TriSolveLoop::new(l, rhs);
+    let upper = UpperSolveLoop::new(u, rhs);
+    for y in [&forward, &rhs.to_vec()] {
+        assert_folds_with_like_the_default(&lower, y, &format!("{what} L"));
+        assert_folds_with_like_the_default(&upper, y, &format!("{what} U"));
+    }
+}
+
+/// One system's factors, right-hand side and name.
+type Factors = (
+    TriangularMatrix,
+    UpperTriangularMatrix,
+    Vec<f64>,
+    &'static str,
+);
+
+/// The ILU(0) factors of the five Table-1 operators with their right-hand
+/// sides.
+fn table1_factors() -> Vec<Factors> {
+    table1_problems()
+        .into_iter()
+        .map(|problem| {
+            let factors = ilu0(&problem.a);
+            let l = TriangularMatrix::from_strict_lower(&factors.l);
+            let u = UpperTriangularMatrix::from_upper(&factors.u);
+            let rhs: Vec<f64> = (0..l.n()).map(|i| 1.0 - (i % 9) as f64 * 0.3125).collect();
+            (l, u, rhs, problem.kind.name())
+        })
+        .collect()
+}
+
+#[test]
+fn table1_factor_overrides_fold_with_like_the_default_body() {
+    for (l, u, rhs, name) in table1_factors() {
+        assert_factors_fold_with(&l, &u, &rhs, name);
+    }
+}
+
 #[test]
 fn table1_factor_overrides_fold_like_the_default_body() {
-    for problem in table1_problems() {
-        let factors = ilu0(&problem.a);
-        let l = TriangularMatrix::from_strict_lower(&factors.l);
-        let u = UpperTriangularMatrix::from_upper(&factors.u);
-        let rhs: Vec<f64> = (0..l.n()).map(|i| 1.0 - (i % 9) as f64 * 0.3125).collect();
-        assert_factors(&l, &u, &rhs, problem.kind.name());
+    for (l, u, rhs, name) in table1_factors() {
+        assert_factors(&l, &u, &rhs, name);
     }
 }
 
@@ -158,5 +253,10 @@ proptest! {
     #[test]
     fn each_fold_terms_override_is_the_default_body((l, u, rhs) in arb_factors()) {
         assert_factors(&l, &u, &rhs, "random");
+    }
+
+    #[test]
+    fn each_fold_terms_with_override_is_the_default_body((l, u, rhs) in arb_factors()) {
+        assert_factors_fold_with(&l, &u, &rhs, "random");
     }
 }

@@ -117,7 +117,12 @@
 #                  work spans carry no level, a level region's name
 #                  distinct levels and its boundary waits exactly the
 #                  levels crossed), and an injected panic or a wedged
-#                  solve resolves typed on every parallel variant.
+#                  solve resolves typed on every parallel variant — and,
+#                  with faults polled once per claim, a panic half a claim
+#                  deep and a deadline expiring mid-region resolve typed
+#                  too. Each triangular loop's row folds (the sequential
+#                  kernel's and the parallel executor's) are the trait's
+#                  default bodies bit for bit.
 #                  And the one selection: an adaptive evaluation names as
 #                  its challenger exactly the variant a replan under the
 #                  refined model builds, names nothing when that variant
@@ -289,13 +294,17 @@ named doacross-plan lib fingerprint::tests::row_boundary_split_perturbs_both_str
 say "analysis_gate: the preconditioner's two prepared loops, by name"
 named doacross-trisolve lib precond::tests::table1_halves_plan_parallel_on_the_preset_engine_and_match_bitwise
 
-# The sequential kernel's row fold: each triangular loop's `fold_terms`
-# override returns the trait's default body bit for bit, the fallback replay
-# of a faulted triangular solve runs it, and the row-bucketed triplet build
-# matches the sort-based build it replaced, by name.
-say "analysis_gate: each fold_terms override is the default body, by name"
+# The two row folds: each triangular loop's `fold_terms` override (the
+# sequential kernel's) returns the trait's default body bit for bit, its
+# `fold_terms_with` override (the parallel executor's) returns the default
+# body's bits with the default body's operand calls, the fallback replay of
+# a faulted triangular solve runs the first, and the row-bucketed triplet
+# build matches the sort-based build it replaced, by name.
+say "analysis_gate: each row-fold override is the default body, by name"
 for t in each_fold_terms_override_is_the_default_body \
-  table1_factor_overrides_fold_like_the_default_body; do
+  table1_factor_overrides_fold_like_the_default_body \
+  each_fold_terms_with_override_is_the_default_body \
+  table1_factor_overrides_fold_with_like_the_default_body; do
   named doacross-trisolve fold_terms "$t"
 done
 named doacross-engine chaos fallback_replay_of_a_triangular_solve_is_forward_solve
@@ -334,6 +343,16 @@ for t in flat_executor_spans_reconcile_with_run_stats \
 done
 for t in injected_worker_panic_fails_typed_across_every_parallel_variant \
   solve_deadline_resolves_a_wedged_solve_typed; do
+  named doacross-engine chaos "$t"
+done
+
+# Faults are polled once per claim and the failpoint hits every iteration:
+# a panic injected half a claim deep fails typed with `y` untouched, and a
+# deadline that expires mid-region times out typed, on a wavefront with
+# 15-slot claims and on a flag-priced plan, by name.
+say "analysis_gate: faults at claim granularity, by name"
+for t in a_panic_inside_a_claim_fails_typed_with_y_untouched \
+  a_deadline_expiring_mid_region_times_out_typed; do
   named doacross-engine chaos "$t"
 done
 

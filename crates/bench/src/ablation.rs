@@ -1,32 +1,28 @@
 //! Ablation studies over the paper's §2.3 variants and the design
-//! choices around them:
+//! choices around them, all on the simulated machine:
 //!
-//! 1. Scheduling policy & chunk size (self-scheduling vs. static).
+//! 1. Self-scheduling chunk size.
 //! 2. Inspector elimination (§2.3 linear subscript) and light
 //!    postprocessing.
-//! 3. Strip-mined (blocked) execution vs. flat (§2.3 memory variant).
-//! 4. Wait strategy on the host runtime.
-//! 5. Processor-count scaling of both Table 1 solvers.
-//! 6. Flag synchronization vs. a barrier per level.
+//! 3. Processor-count scaling of both Table 1 solvers.
+//! 4. Flag synchronization vs. a barrier per level.
+//!
+//! The host is timed by `benchmark/` alone.
 
 use crate::report::Table;
 use crate::table1::solve_sim_options;
-use doacross_core::{Doacross, TestLoop};
+use doacross_core::TestLoop;
 use doacross_doconsider::{
     doconsider_order, level_histogram, reorder::order_from_levels, DependenceDag, LevelAssignment,
 };
-use doacross_par::{ThreadPool, WaitStrategy};
 use doacross_sim::{Machine, SimOptions};
 use doacross_sparse::{Problem, ProblemKind};
 use doacross_trisolve::TriSolveLoop;
-use std::time::Instant;
 
 /// `repro ablation`: every section in order.
 pub fn run() {
     chunk_sweep();
     inspector_elimination();
-    blocked_vs_flat();
-    wait_strategies();
     processor_scaling();
     sync_granularity();
 }
@@ -94,90 +90,9 @@ fn inspector_elimination() {
     println!("{}", t.render());
 }
 
-/// Host: blocked (strip-mined) vs. flat execution of the Figure 4 loop —
-/// the §2.3 memory/performance trade.
-fn blocked_vs_flat() {
-    println!("Ablation 3 — strip-mined vs. flat doacross (host threads)\n");
-    let workers = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(2);
-    let pool = ThreadPool::new(workers);
-    let loop_ = TestLoop::new(50_000, 3, 8);
-    let y0 = loop_.initial_y();
-    let mut t = Table::new(["variant", "scratch (elems)", "best time (µs)"]);
-
-    let mut flat = Doacross::for_loop(&loop_);
-    let mut best = u128::MAX;
-    for _ in 0..5 {
-        let mut y = y0.clone();
-        let start = Instant::now();
-        flat.run(&pool, &loop_, &mut y).expect("valid loop");
-        best = best.min(start.elapsed().as_micros());
-    }
-    t.row([
-        "flat".to_string(),
-        flat.data_len().to_string(),
-        best.to_string(),
-    ]);
-
-    for bs in [1_000usize, 5_000, 25_000] {
-        let mut blocked = Doacross::new(0);
-        let mut best = u128::MAX;
-        for _ in 0..5 {
-            let mut y = y0.clone();
-            let start = Instant::now();
-            blocked
-                .run_blocked(&pool, &loop_, &mut y, bs)
-                .expect("valid loop");
-            best = best.min(start.elapsed().as_micros());
-        }
-        t.row([
-            format!("blocked (B={bs})"),
-            blocked.data_len().to_string(),
-            best.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("Blocking shrinks the scratch arrays (the §2.3 memory claim) at the");
-    println!("price of one dispatch + pre/post sweep per block.\n");
-}
-
-/// Host: wait-strategy comparison on a dependence-heavy loop.
-fn wait_strategies() {
-    println!("Ablation 4 — busy-wait strategy (host threads, L=4 chain)\n");
-    let workers = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(2);
-    let pool = ThreadPool::new(workers);
-    let loop_ = TestLoop::new(20_000, 1, 4);
-    let y0 = loop_.initial_y();
-    let mut t = Table::new(["strategy", "best time (µs)", "wait polls"]);
-    for (name, wait) in [
-        ("spin", WaitStrategy::Spin),
-        ("spin-yield(128)", WaitStrategy::SpinYield { spins: 128 }),
-        ("backoff(64)", WaitStrategy::Backoff { max_spin_batch: 64 }),
-    ] {
-        let mut rt = Doacross::for_loop(&loop_);
-        rt.config_mut().wait = wait;
-        let mut best = u128::MAX;
-        let mut polls = 0u64;
-        for _ in 0..5 {
-            let mut y = y0.clone();
-            let start = Instant::now();
-            let stats = rt.run(&pool, &loop_, &mut y).expect("valid loop");
-            if start.elapsed().as_micros() < best {
-                best = start.elapsed().as_micros();
-                polls = stats.wait_polls;
-            }
-        }
-        t.row([name.to_string(), best.to_string(), polls.to_string()]);
-    }
-    println!("{}", t.render());
-}
-
 /// Simulated: efficiency of both Table 1 solvers as the machine grows.
 fn processor_scaling() {
-    println!("Ablation 5 — processor scaling (simulated, 5-PT solve)\n");
+    println!("Ablation 3 — processor scaling (simulated, 5-PT solve)\n");
     let sys = Problem::build(ProblemKind::FivePt).triangular_system();
     let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
     let order = doconsider_order(&loop_);
@@ -210,7 +125,7 @@ fn processor_scaling() {
 /// coarse barrier synchronization (level scheduling) over the same
 /// wavefront preprocessing — the design space the construct occupies.
 fn sync_granularity() {
-    println!("Ablation 6 — flag sync (doacross) vs. barrier sync (level-scheduled), simulated\n");
+    println!("Ablation 4 — flag sync (doacross) vs. barrier sync (level-scheduled), simulated\n");
     let machine = Machine::multimax();
     let opts = solve_sim_options();
     let mut t = Table::new([

@@ -9,14 +9,16 @@
 //! * `fig6` — Figure 6: parallel efficiency of the preprocessed doacross
 //!   on the Figure 4 test loop, `N = 10000`, `M ∈ {1, 5}`, `L = 1..14`.
 //! * `census` — the dependence census behind Figure 6's shape.
-//! * `ablation` — the §2.3 variants and the design choices around them.
+//! * `ablation` — the §2.3 variants and the design choices around them,
+//!   in four simulated sections.
 //! * `solve [MATRIX.mtx]` — the §3.2 pipeline on a Matrix Market file of
-//!   your own.
+//!   your own, through the engine: its census, plan and residual.
 //!
 //! Usage: `cargo run --release -p doacross-bench -- <subcommand> [args]`
 //!
-//! Host timing of the engine is not this crate's job: `benchmark/` is the
-//! repo's one measuring instrument (`BENCHMARK.json`).
+//! Nothing here times the host: `benchmark/` is the repo's one measuring
+//! instrument (`BENCHMARK.json`). A bad command line exits 2 with one line
+//! on stderr.
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
@@ -34,7 +36,12 @@ fn main() {
         Some("fig6") => fig6::run(),
         Some("census") => census::run(),
         Some("ablation") => ablation::run(),
-        Some("solve") => solve::run(args),
+        Some("solve") => {
+            if let Err(e) = solve::run(args) {
+                eprintln!("repro solve: {e}");
+                std::process::exit(2);
+            }
+        }
         _ => {
             eprintln!("usage: repro <table1|fig6|census|ablation|solve> [args]");
             std::process::exit(2);

@@ -1,172 +1,123 @@
 //! End-user tool: load a (general, square) matrix in Matrix Market
 //! format, ILU(0)-factor it, and solve the unit lower-triangular system
-//! sequentially and with each way the runtime runs it — the full §3.2
-//! pipeline on a matrix of your own.
+//! through the engine — the full §3.2 pipeline on a matrix of your own.
 //!
 //! Usage:
-//!   cargo run -p doacross-bench --release -- solve MATRIX.mtx \
-//!       [--solver seq|doacross|reordered|blocked] \
-//!       [--workers N] [--reps R] [--block B]
+//!   cargo run -p doacross-bench --release -- solve [MATRIX.mtx]
 //!
 //! With no file argument, a built-in 63×63 five-point demo matrix is used.
+//! Prints the dependence census of the `L` factor, the plan the engine
+//! made for it on this host (its priced candidates, or "gated" when the
+//! build stopped at the planner's parallel floor) and the residual, and
+//! checks the result bit for bit against the sequential `forward_solve`.
+//! It times nothing: `benchmark/` is the host timer.
 
-use crate::report::Table;
-use doacross_core::Doacross;
-use doacross_doconsider::{reorder::order_from_levels, DependenceDag, LevelAssignment};
-use doacross_par::ThreadPool;
+use doacross_engine::Engine;
 use doacross_sparse::{
     ilu0, io::read_matrix_market, stencil::five_point, CsrMatrix, TriangularMatrix,
 };
 use doacross_trisolve::{verify::residual, TriSolveLoop};
 use std::io::BufReader;
-use std::time::{Duration, Instant};
 
-struct Args {
-    path: Option<String>,
-    solver: String,
-    workers: usize,
-    reps: usize,
-    block: usize,
-}
-
-fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
-    let mut args = Args {
-        path: None,
-        solver: "all".to_string(),
-        workers: std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(2),
-        reps: 5,
-        block: 256,
-    };
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--solver" => args.solver = it.next().expect("--solver needs a value"),
-            "--workers" => {
-                args.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers needs a number")
-            }
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps needs a number")
-            }
-            "--block" => {
-                args.block = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--block needs a number")
-            }
-            other if !other.starts_with("--") => args.path = Some(other.to_string()),
-            other => panic!("unknown option {other:?}"),
+/// The matrix file named on the command line, if any; an error for an
+/// option (there are none) or a second file.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<String>, String> {
+    let mut path = None;
+    for arg in args {
+        if arg.starts_with("--") {
+            return Err(format!("unknown option {arg:?}"));
+        }
+        if let Some(first) = path.replace(arg) {
+            return Err(format!("one matrix file, got {first:?} and more"));
         }
     }
-    args
+    Ok(path)
 }
 
-fn load_matrix(path: &Option<String>) -> CsrMatrix {
+fn load_matrix(path: Option<&str>) -> Result<CsrMatrix, String> {
     match path {
         Some(p) => {
-            let file = std::fs::File::open(p).unwrap_or_else(|e| panic!("open {p:?}: {e}"));
-            read_matrix_market(BufReader::new(file)).unwrap_or_else(|e| panic!("parse {p:?}: {e}"))
+            let file = std::fs::File::open(p).map_err(|e| format!("open {p:?}: {e}"))?;
+            read_matrix_market(BufReader::new(file)).map_err(|e| format!("parse {p:?}: {e}"))
         }
         None => {
             eprintln!("(no matrix given: using a built-in 63x63 five-point demo operator)");
-            five_point(63, 63, 42)
+            Ok(five_point(63, 63, 42))
         }
     }
 }
 
-/// `repro solve`: `args` is the command line after the subcommand.
-pub fn run(args: impl Iterator<Item = String>) {
-    let args = parse_args(args);
-    let a = load_matrix(&args.path);
-    assert_eq!(a.nrows(), a.ncols(), "matrix must be square");
+/// `repro solve`: `args` is the command line after the subcommand. `Err`
+/// is a bad command line or matrix file, in one line.
+pub fn run(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let a = load_matrix(parse_args(args)?.as_deref())?;
+    if a.nrows() != a.ncols() {
+        return Err(format!(
+            "matrix must be square, got {} x {}",
+            a.nrows(),
+            a.ncols()
+        ));
+    }
     println!("A: {} x {} with {} nonzeros", a.nrows(), a.ncols(), a.nnz());
 
-    let t0 = Instant::now();
-    let factors = ilu0(&a);
-    let l = TriangularMatrix::from_strict_lower(&factors.l);
-    println!(
-        "ILU(0): {} strictly-lower dependencies in {:?}",
-        l.nnz(),
-        t0.elapsed()
-    );
+    let l = TriangularMatrix::from_strict_lower(&ilu0(&a).l);
+    println!("ILU(0): {} strictly-lower dependencies", l.nnz());
     // Manufactured RHS with known solution.
     let x_true: Vec<f64> = (0..l.n()).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect();
     let rhs = l.matvec(&x_true);
     let loop_ = TriSolveLoop::new(&l, &rhs);
-    let levels = LevelAssignment::compute(&DependenceDag::build(&loop_));
+
+    let engine = Engine::builder().build();
+    let prepared = engine.prepare(&loop_).expect("a triangular solve plans");
+    let plan = prepared.plan();
+    let census = plan.census();
     println!(
-        "dependence structure: {} wavefronts, average parallelism {:.1}\n",
-        levels.critical_path(),
-        levels.average_parallelism()
+        "census: {} rows, {} references: {} true deps, {} anti, {} intra, {} unwritten; \
+         {} wavefronts",
+        census.iterations,
+        census.total_terms,
+        census.true_deps,
+        census.anti_deps,
+        census.intra,
+        census.unwritten,
+        census.critical_path,
     );
-
-    // Every lane, the sequential baseline included, reports its best of
-    // `reps`.
-    let best_of = |f: &mut dyn FnMut() -> Vec<f64>| {
-        let mut best = Duration::MAX;
-        let mut y = Vec::new();
-        for _ in 0..args.reps {
-            let start = Instant::now();
-            y = f();
-            best = best.min(start.elapsed());
-        }
-        (best, residual(&l, &y, &rhs))
-    };
-    let seq = best_of(&mut || l.forward_solve(&rhs));
-    let mut table = Table::new(["solver", "best time (µs)", "residual", "vs seq"]);
-    let mut row = |name: &str, (best, r): (Duration, f64)| {
-        table.row([
-            name.to_string(),
-            best.as_micros().to_string(),
-            format!("{r:.2e}"),
-            format!("{:.2}x", seq.0.as_secs_f64() / best.as_secs_f64()),
-        ]);
-    };
-    // The baseline row is always printed; `--solver seq` prints only it.
-    row("sequential", seq);
-
-    // The parallel lanes are the one runtime's entry points: the §2.3
-    // linear subscript in natural or doconsider claim order, and the §2.3
-    // strip-mined variant.
-    let pool = ThreadPool::new(args.workers);
-    let mut runtime = Doacross::new(l.n());
-    let order = order_from_levels(&levels);
-    let want = |name: &str| args.solver == "all" || args.solver == name;
-    for (name, order) in [("doacross", None), ("reordered", Some(&order[..]))] {
-        if want(name) {
-            row(
-                name,
-                best_of(&mut || {
-                    let mut y = vec![0.0; l.n()];
-                    runtime
-                        .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), order)
-                        .expect("valid");
-                    y
-                }),
-            );
-        }
-    }
-    if want("blocked") {
-        row(
-            &format!("blocked (B={})", args.block),
-            best_of(&mut || {
-                let mut y = vec![0.0; l.n()];
-                runtime
-                    .run_blocked(&pool, &loop_, &mut y, args.block)
-                    .expect("nonzero block");
-                y
-            }),
+    println!("{plan}");
+    if plan.is_gated() {
+        println!(
+            "candidates ({} workers): gated — sequential settled at the planner's \
+             parallel floor, no parallel candidate priced",
+            engine.threads()
+        );
+    } else {
+        let price = |c: Option<f64>| c.map_or("-".to_string(), |c| format!("{c:.0}"));
+        let costs = plan.costs();
+        println!(
+            "candidates ({} workers): sequential {:.0}, doacross {}, linear {}, reordered {}, \
+             blocked {}, wavefront {}",
+            engine.threads(),
+            costs.sequential,
+            price(costs.doacross),
+            price(costs.linear),
+            price(costs.reordered),
+            price(costs.blocked),
+            price(costs.wavefront),
         );
     }
-    println!("{}", table.render());
-    println!(
-        "({} workers; times best-of-{}; all solvers produce bit-identical results)",
-        args.workers, args.reps
+
+    let mut y = vec![0.0; l.n()];
+    prepared
+        .execute(&loop_, &mut y)
+        .expect("the prepared system");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&y),
+        bits(&l.forward_solve(&rhs)),
+        "the engine's solve must equal forward_solve bit for bit"
     );
+    println!(
+        "residual: {:.2e} (max-norm of L y - b; bit-identical to forward_solve)",
+        residual(&l, &y, &rhs)
+    );
+    Ok(())
 }

@@ -40,8 +40,7 @@ impl Doacross {
     /// sequential source loop would. The returned stats aggregate all
     /// blocks (`stats.blocks` reports how many executed). A runtime used
     /// only this way grows its scratch to the largest block window, not the
-    /// data space — compare [`Doacross::data_len`] against `y.len()` to see
-    /// the reduction.
+    /// data space.
     ///
     /// ```
     /// use doacross_core::{seq::run_sequential, Doacross, TestLoop};
@@ -58,7 +57,6 @@ impl Doacross {
     /// run_sequential(&loop_, &mut oracle);
     /// assert_eq!(y, oracle);
     /// assert_eq!(stats.blocks, 10);
-    /// assert!(rt.data_len() < y.len());
     /// ```
     pub fn run_blocked<L: DoacrossLoop + ?Sized>(
         &mut self,
@@ -108,13 +106,9 @@ impl Doacross {
             let oracle = InspectedWriter::new(&self.iter, window.clone());
             self.scratch.run(
                 pool,
-                self.config.wait,
                 Region {
                     loop_,
-                    claims: &ByWriter {
-                        oracle: &oracle,
-                        order: None,
-                    },
+                    claims: &ByWriter { oracle: &oracle },
                     slots: lo..hi,
                     window: window.clone(),
                     y: &mut *y,

@@ -34,7 +34,7 @@
 //! in which case the waiter commits with everyone else instead.
 
 use crate::stats::{LocalCounters, StatsSink};
-use doacross_par::{abort_region, RegionPoison, WaitAbort, WaitStrategy};
+use doacross_par::{abort_region, wait_until_guarded, RegionPoison, WaitAbort};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -42,13 +42,12 @@ use std::time::Instant;
 /// count can then never read as full.
 const ABANDONED: usize = 1 << (usize::BITS - 1);
 
-/// How a worker waits inside a region, and how it leaves one early: the
-/// busy-wait policy, the region's fault latch and deadline (captured once
-/// before dispatch), and the counter — with its target — that gates the
-/// region's copy-back, which a deadline-struck waiter must abandon first.
+/// How a worker leaves a region early: the region's fault latch and
+/// deadline (captured once before dispatch), which every wait polls, and
+/// the counter — with its target — that gates the region's copy-back,
+/// which a deadline-struck waiter must abandon first.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RegionGuard<'a> {
-    pub wait: WaitStrategy,
     pub poison: &'a RegionPoison,
     pub deadline: Option<Instant>,
     pub commit: (&'a Completion, usize),
@@ -116,10 +115,7 @@ impl Completion {
     #[inline]
     pub(crate) fn wait(&self, target: usize, guard: &RegionGuard<'_>) -> Result<(), WaitAbort> {
         let (commit, commit_target) = guard.commit;
-        match guard
-            .wait
-            .wait_until_guarded(|| self.is_full(target), guard.poison, guard.deadline)
-        {
+        match wait_until_guarded(|| self.is_full(target), guard.poison, guard.deadline) {
             Ok(_) => Ok(()),
             Err(WaitAbort::DeadlineExpired) if !commit.abandon(commit_target) => Ok(()),
             Err(abort) => Err(abort),
@@ -138,7 +134,6 @@ mod tests {
         commit: (&'a Completion, usize),
     ) -> RegionGuard<'a> {
         RegionGuard {
-            wait: WaitStrategy::default(),
             poison,
             deadline,
             commit,

@@ -34,29 +34,6 @@ pub enum DoacrossError {
     },
     /// A blocked run was configured with a zero block size.
     EmptyBlock,
-    /// A rearranged-iterations run was given an order whose length does not
-    /// match the loop's iteration count.
-    OrderLengthMismatch {
-        /// `order.len()` as provided.
-        got: usize,
-        /// The loop's iteration count.
-        expected: usize,
-    },
-    /// A rearranged-iterations run was given an order that is not a
-    /// permutation (some iteration is missing or duplicated).
-    OrderNotPermutation {
-        /// A duplicated or out-of-range entry.
-        entry: usize,
-    },
-    /// A rearranged-iterations run was given an order that violates a true
-    /// dependency: the writer would be claimed after its reader, risking
-    /// livelock on a small machine.
-    OrderNotTopological {
-        /// The reading iteration.
-        reader: usize,
-        /// The writing iteration that is ordered after it.
-        writer: usize,
-    },
     /// A linear-subscript run (`a(i) = c·i + d`, §2.3) was requested but
     /// the loop's actual left-hand-side subscript disagrees.
     SubscriptNotLinear {
@@ -127,20 +104,6 @@ impl std::fmt::Display for DoacrossError {
                 "y buffer has {got} elements but the loop's data space is {expected}"
             ),
             DoacrossError::EmptyBlock => write!(f, "blocked doacross requires block size >= 1"),
-            DoacrossError::OrderLengthMismatch { got, expected } => write!(
-                f,
-                "iteration order has {got} entries but the loop has {expected} iterations"
-            ),
-            DoacrossError::OrderNotPermutation { entry } => write!(
-                f,
-                "iteration order is not a permutation: entry {entry} is missing, duplicated, \
-                 or out of range"
-            ),
-            DoacrossError::OrderNotTopological { reader, writer } => write!(
-                f,
-                "iteration order violates a true dependency: iteration {reader} reads a value \
-                 written by iteration {writer}, but {writer} is claimed later in the order"
-            ),
             DoacrossError::SubscriptNotLinear {
                 iteration,
                 expected,

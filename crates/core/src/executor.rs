@@ -133,7 +133,10 @@ use crate::post::{post_share, PhaseClock, Post};
 use crate::stats::{LocalCounters, RunStats, StatsSink};
 use crate::wavefront::{claim_grain, OperandClass};
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
-use doacross_par::{claim_chunks, CachePadded, SharedSlice, ThreadPool, WaitAbort, WaitStrategy};
+use doacross_par::{
+    claim_chunks, wait_until_guarded, wait_until_guarded_timed, CachePadded, SharedSlice,
+    ThreadPool, WaitAbort,
+};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -336,13 +339,8 @@ fn await_flag(ready: &ReadyFlags, slot: usize, p: &mut Participant<'_>) {
     let cond = || ready.is_done(slot);
     let guard = p.guard;
     let waited = match p.prof {
-        None => guard
-            .wait
-            .wait_until_guarded(cond, guard.poison, guard.deadline)
-            .map(|polls| (polls, 0)),
-        Some(_) => guard
-            .wait
-            .wait_until_guarded_timed(cond, guard.poison, guard.deadline),
+        None => wait_until_guarded(cond, guard.poison, guard.deadline).map(|polls| (polls, 0)),
+        Some(_) => wait_until_guarded_timed(cond, guard.poison, guard.deadline),
     };
     let (polls, wait_ns) = waited.unwrap_or_else(|abort| p.bail(abort));
     let polls = polls + 1;
@@ -445,9 +443,10 @@ impl Scratch {
     /// boundaries) and the executor-side counters; the per-class counts
     /// only when `C::COUNTED`. Retires the flags afterwards.
     ///
-    /// The claim order must be topological over the true dependences (a
-    /// caller's order is validated by its entry point, a plan's by
-    /// `doacross-verify`), and a level stream's levels mutually
+    /// The claim order must be topological over the true dependences (the
+    /// by-writer sources claim in natural order; a plan's order is checked
+    /// by [`ClaimStream::from_parts`](crate::ClaimStream::from_parts) and
+    /// proven by `doacross-verify`), and a level stream's levels mutually
     /// independent, or the region may livelock.
     ///
     /// With `prof` set, each worker that joined the region records per
@@ -465,7 +464,6 @@ impl Scratch {
     pub(crate) fn run<L, C, G>(
         &mut self,
         pool: &ThreadPool,
-        wait: WaitStrategy,
         region: Region<'_, L, C>,
         gate: G,
         stats: &mut RunStats,
@@ -524,7 +522,6 @@ impl Scratch {
             // gates the copy-back, so it is what a deadline-struck waiter
             // abandons.
             let guard = RegionGuard {
-                wait,
                 poison: pool.poison(),
                 deadline: pool.deadline(),
                 commit: (&cells[last].done, width_of(last)),
@@ -696,13 +693,9 @@ mod tests {
         };
         Scratch::new(dl).run(
             &pool,
-            WaitStrategy::default(),
             Region {
                 loop_,
-                claims: &ByWriter {
-                    oracle: &oracle,
-                    order: None,
-                },
+                claims: &ByWriter { oracle: &oracle },
                 slots: 0..loop_.iterations(),
                 window: 0..dl,
                 y: &mut y_buf,
@@ -818,13 +811,9 @@ mod tests {
         let mut stats = RunStats::default();
         Scratch::new(4).run(
             &pool,
-            WaitStrategy::default(),
             Region {
                 loop_: &l,
-                claims: &ByWriter {
-                    oracle: &oracle,
-                    order: None,
-                },
+                claims: &ByWriter { oracle: &oracle },
                 slots: 1..1,
                 window: 0..4,
                 y: &mut y,

@@ -142,7 +142,7 @@ pub mod wavefront;
 pub use error::DoacrossError;
 pub use flags::{IterMap, ReadyFlags, MAXINT};
 pub use linear::LinearSubscript;
-pub use oracle::{ByWriter, Claims, InspectedWriter, LinearWriter, WriterOracle};
+pub use oracle::{ByWriter, Claims, InspectedWriter, LinearWriter};
 pub use pattern::{AccessPattern, DoacrossLoop, IndirectLoop};
 pub use runtime::{Doacross, DoacrossConfig};
 pub use stats::{DepCounts, PlanProvenance, RunStats};

@@ -21,7 +21,7 @@ use crate::inspector::ErrorSlot;
 use crate::oracle::{ByWriter, LinearWriter};
 use crate::pattern::DoacrossLoop;
 use crate::post::Post;
-use crate::runtime::{check_y_len, region_stats, validate_order, Doacross};
+use crate::runtime::{check_y_len, region_stats, Doacross};
 use crate::stats::{PlanProvenance, RunStats};
 use doacross_par::{parallel_for, ThreadPool};
 use std::time::Instant;
@@ -58,10 +58,9 @@ impl Doacross {
     /// Preprocessed doacross without preprocessing: runs the loop under the
     /// declared linear `subscript` (§2.3), updating `y` in place. No
     /// inspector runs and the `iter` array is never touched — the memory
-    /// the paper saves is exactly that array. `order`, when present, is a
-    /// doconsider claim order (must be a permutation and a topological
-    /// order of the true dependencies; both are checked, the latter only
-    /// in full-validation mode).
+    /// the paper saves is exactly that array. Iterations are claimed in
+    /// natural order; a doconsider order is a plan's claim stream, run by
+    /// [`Doacross::run_planned`].
     ///
     /// `validate_terms` controls the whole validation pass (there is no
     /// inspector to piggyback on): when set, a parallel pre-pass checks
@@ -80,7 +79,7 @@ impl Doacross {
     /// let mut oracle = y.clone();
     ///
     /// let mut rt = Doacross::new(y.len());
-    /// rt.run_linear(&pool, &loop_, &mut y, loop_.linear_subscript(), None).unwrap();
+    /// rt.run_linear(&pool, &loop_, &mut y, loop_.linear_subscript()).unwrap();
     /// run_sequential(&loop_, &mut oracle);
     /// assert_eq!(y, oracle);
     /// ```
@@ -90,7 +89,6 @@ impl Doacross {
         loop_: &L,
         y: &mut [f64],
         subscript: LinearSubscript,
-        order: Option<&[usize]>,
     ) -> Result<RunStats, DoacrossError> {
         let data_len = check_y_len(loop_, y)?;
         self.ensure_data_len(data_len);
@@ -134,22 +132,14 @@ impl Doacross {
             stats.inspector = t_start.elapsed();
         }
 
-        // The claim order is validated against — and the executor then
-        // runs with — the arithmetic writer oracle; the copy-back follows
-        // in the same region (no `iter` to clear).
+        // The executor runs with the arithmetic writer oracle; the
+        // copy-back follows in the same region (no `iter` to clear).
         let oracle = LinearWriter::new(subscript.c, subscript.d, n);
-        if let Some(ord) = order {
-            validate_order(&self.config, &mut self.position, pool, loop_, ord, &oracle)?;
-        }
         self.scratch.run(
             pool,
-            self.config.wait,
             Region {
                 loop_,
-                claims: &ByWriter {
-                    oracle: &oracle,
-                    order,
-                },
+                claims: &ByWriter { oracle: &oracle },
                 slots: 0..n,
                 window: 0..data_len,
                 y,
@@ -199,7 +189,7 @@ mod tests {
 
         let mut y_lin = y0.clone();
         let mut lin = Doacross::new(l.data_len());
-        lin.run_linear(&pool(), &l, &mut y_lin, sub, None).unwrap();
+        lin.run_linear(&pool(), &l, &mut y_lin, sub).unwrap();
         assert_eq!(y_lin, oracle);
 
         let mut y_insp = y0;
@@ -214,7 +204,7 @@ mod tests {
         let mut lin = Doacross::new(l.data_len());
         let mut y = vec![0.0; l.data_len()];
         let err = lin
-            .run_linear(&pool(), &l, &mut y, LinearSubscript::new(2, 0), None)
+            .run_linear(&pool(), &l, &mut y, LinearSubscript::new(2, 0))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -231,12 +221,11 @@ mod tests {
         let (l, sub) = strided_loop(50);
         let cfg = DoacrossConfig {
             validate_terms: false,
-            ..Default::default()
         };
         let mut lin = Doacross::with_config(l.data_len(), cfg);
         let mut y = vec![1.0; l.data_len()];
         let mut oracle = y.clone();
-        let stats = lin.run_linear(&pool(), &l, &mut y, sub, None).unwrap();
+        let stats = lin.run_linear(&pool(), &l, &mut y, sub).unwrap();
         run_sequential(&l, &mut oracle);
         assert_eq!(y, oracle);
         assert_eq!(
@@ -259,7 +248,7 @@ mod tests {
         let mut y = y0;
         let mut lin = Doacross::new(n);
         let stats = lin
-            .run_linear(&pool(), &l, &mut y, LinearSubscript::new(1, 0), None)
+            .run_linear(&pool(), &l, &mut y, LinearSubscript::new(1, 0))
             .unwrap();
         assert_eq!(y, oracle);
         // Iteration 0 reads element 0 -> intra; the rest are true deps.
@@ -273,12 +262,12 @@ mod tests {
         let mut lin = Doacross::new(l.data_len());
         let mut wrong = vec![0.0; 3];
         assert!(matches!(
-            lin.run_linear(&pool(), &l, &mut wrong, sub, None),
+            lin.run_linear(&pool(), &l, &mut wrong, sub),
             Err(DoacrossError::DataLenMismatch { .. })
         ));
         let mut y = vec![1.0; l.data_len()];
         for _ in 0..3 {
-            lin.run_linear(&pool(), &l, &mut y, sub, None).unwrap();
+            lin.run_linear(&pool(), &l, &mut y, sub).unwrap();
             assert!(lin.scratch_is_clean());
         }
     }

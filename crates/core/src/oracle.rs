@@ -27,7 +27,7 @@ use crate::wavefront::OperandClass;
 use std::ops::Range;
 
 /// Maps a data element to the iteration that writes it, or [`MAXINT`].
-pub trait WriterOracle: Sync {
+pub(crate) trait WriterOracle: Sync {
     /// The (global) index of the iteration writing `element`, or [`MAXINT`]
     /// when no iteration in scope writes it.
     fn writer(&self, element: usize) -> i64;
@@ -63,14 +63,14 @@ pub trait Claims: Sync {
 }
 
 /// The by-writer adapter: resolves every reference at run time from a
-/// [`WriterOracle`], exactly Figure 5's `check = iter(off) − i`, under an
-/// optional caller-supplied claim order (validated by the entry point).
+/// writer oracle ([`InspectedWriter`] or [`LinearWriter`]), exactly
+/// Figure 5's `check = iter(off) − i`, in the natural claim order (slot
+/// `k` runs iteration `k`). A rearranged order is a plan's, carried by its
+/// [`ClaimStream`](crate::ClaimStream).
 #[derive(Debug, Clone, Copy)]
 pub struct ByWriter<'a, W> {
     /// Who writes element `e`.
     pub oracle: &'a W,
-    /// The `k`-th claim executes `order[k]`; `None` is the natural order.
-    pub order: Option<&'a [usize]>,
 }
 
 impl<W: WriterOracle> Claims for ByWriter<'_, W> {
@@ -82,7 +82,7 @@ impl<W: WriterOracle> Claims for ByWriter<'_, W> {
 
     #[inline]
     fn iteration(&self, k: usize) -> usize {
-        self.order.map_or(k, |order| order[k])
+        k
     }
 
     #[inline]
@@ -155,11 +155,12 @@ impl LinearWriter {
             iterations: iterations as i64,
         }
     }
-}
 
-impl WriterOracle for LinearWriter {
+    /// The iteration writing `element`, or [`MAXINT`] when no iteration
+    /// of the `0..iterations` range does. Inherent, so a caller outside
+    /// the crate (the verifier's re-check) can ask it too.
     #[inline]
-    fn writer(&self, element: usize) -> i64 {
+    pub fn writer(&self, element: usize) -> i64 {
         let e = element as i64 - self.d;
         if e < 0 || e % self.c != 0 {
             return MAXINT;
@@ -170,6 +171,13 @@ impl WriterOracle for LinearWriter {
         } else {
             MAXINT
         }
+    }
+}
+
+impl WriterOracle for LinearWriter {
+    #[inline]
+    fn writer(&self, element: usize) -> i64 {
+        LinearWriter::writer(self, element)
     }
 }
 

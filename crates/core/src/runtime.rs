@@ -4,8 +4,8 @@
 //! Owns the reusable scratch state — the `iter` writer map, the region
 //! scratch of the one driver ([`crate::executor`]: the shadow array
 //! `ynew`, the `ready` flags, the per-level cells and the per-worker
-//! counter cells) and the claim-order buffer — and runs the three phases
-//! (inspector → executor → postprocessor) over any [`DoacrossLoop`].
+//! counter cells) — and runs the three phases (inspector → executor →
+//! postprocessor) over any [`DoacrossLoop`].
 //! Reuse across many loop instances is the point of the paper's
 //! postprocessing phase: "In order to limit the cost of
 //! initialization and the use of memory associated with this implementation
@@ -25,38 +25,38 @@
 
 use crate::error::DoacrossError;
 use crate::executor::{Flags, Levels, Region, Scratch};
-use crate::flags::{IterMap, ReadyFlags, MAXINT};
-use crate::inspector::{reset_scratch, run_inspector, ErrorSlot};
-use crate::oracle::{ByWriter, InspectedWriter, WriterOracle};
+use crate::flags::{IterMap, ReadyFlags};
+use crate::inspector::{reset_scratch, run_inspector};
+use crate::oracle::{ByWriter, InspectedWriter};
 use crate::pattern::{AccessPattern, DoacrossLoop};
 use crate::post::Post;
 use crate::stats::{PlanProvenance, RunStats};
 use crate::wavefront::{check_stream, ClaimStream};
 use doacross_obs::profile::ProfArena;
-use doacross_par::{parallel_for, ThreadPool, WaitStrategy};
+use doacross_par::ThreadPool;
 use std::time::Instant;
 
-/// Tunables of a doacross run.
+/// Tunables of a doacross run. There is one: whether the unplanned entry
+/// points validate what they preprocess. Every wait is the one busy-wait
+/// of `doacross-par` ([`doacross_par::wait_until_guarded`]), and a claim
+/// order other than the natural one is a plan's
+/// ([`Doacross::run_planned`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DoacrossConfig {
-    /// Busy-wait policy for true-dependency stalls and level gates.
-    /// Default: spin-then-yield, which is safe under oversubscription.
-    pub wait: WaitStrategy,
     /// When set (default), the inspector also bounds-checks every
     /// right-hand-side subscript and reports
     /// [`DoacrossError::SubscriptOutOfBounds`] instead of relying on the
-    /// executor's asserts, claim orders are checked to be topological, and
-    /// [`Doacross::run_linear`] — which has no inspector to piggyback on —
-    /// runs a pre-pass checking `lhs(i) == c·i + d`. Disable to measure the
-    /// paper-faithful cost (one store per iteration; no preprocessing at
-    /// all for a linear subscript).
+    /// executor's asserts, and [`Doacross::run_linear`] — which has no
+    /// inspector to piggyback on — runs a pre-pass checking
+    /// `lhs(i) == c·i + d`. Disable to measure the paper-faithful cost
+    /// (one store per iteration; no preprocessing at all for a linear
+    /// subscript).
     pub validate_terms: bool,
 }
 
 impl Default for DoacrossConfig {
     fn default() -> Self {
         Self {
-            wait: WaitStrategy::default(),
             validate_terms: true,
         }
     }
@@ -89,10 +89,6 @@ pub struct Doacross {
     /// The region driver's scratch, its `ynew` and `ready` covering
     /// [`Doacross::data_len`] elements.
     pub(crate) scratch: Scratch,
-    /// Claim-order validation scratch of [`Doacross::run_linear`], which
-    /// takes a caller's order (`position[i]` = slot that claims iteration `i`),
-    /// reused across runs for the same reason.
-    pub(crate) position: Vec<usize>,
 }
 
 impl Doacross {
@@ -113,11 +109,10 @@ impl Doacross {
             config,
             iter: IterMap::new(0),
             scratch: Scratch::new(data_len),
-            position: Vec::new(),
         }
     }
 
-    /// Mutable configuration (e.g. to switch wait strategies between runs).
+    /// Mutable configuration (e.g. to switch validation off between runs).
     pub fn config_mut(&mut self) -> &mut DoacrossConfig {
         &mut self.config
     }
@@ -125,13 +120,13 @@ impl Doacross {
     /// Elements the scratch arrays cover: the largest data space a flat run
     /// has seen, or the largest block window of a strip-mined one — the
     /// §2.3 memory footprint.
-    pub fn data_len(&self) -> usize {
+    pub(crate) fn data_len(&self) -> usize {
         self.scratch.ynew.len()
     }
 
     /// Grows the scratch arrays to cover `len` elements (no-op if already
     /// large enough). Newly added entries satisfy the reuse invariant.
-    pub fn ensure_data_len(&mut self, len: usize) {
+    pub(crate) fn ensure_data_len(&mut self, len: usize) {
         if len > self.data_len() {
             self.scratch.ready = ReadyFlags::new(len);
             self.scratch.ynew = vec![0.0; len];
@@ -194,13 +189,9 @@ impl Doacross {
         // restore the reuse invariant.
         self.scratch.run(
             pool,
-            self.config.wait,
             Region {
                 loop_,
-                claims: &ByWriter {
-                    oracle: &oracle,
-                    order: None,
-                },
+                claims: &ByWriter { oracle: &oracle },
                 slots: 0..n,
                 window: 0..data_len,
                 y,
@@ -311,10 +302,10 @@ impl Doacross {
             post: Post { map: None },
             grain,
         };
-        let (scratch, wait) = (&mut self.scratch, self.config.wait);
+        let scratch = &mut self.scratch;
         match stream.level_offsets() {
-            Some(levels) => scratch.run(pool, wait, region, Levels(levels), &mut stats, prof),
-            None => scratch.run(pool, wait, region, Flags, &mut stats, prof),
+            Some(levels) => scratch.run(pool, region, Levels(levels), &mut stats, prof),
+            None => scratch.run(pool, region, Flags, &mut stats, prof),
         }
         stats.deps = stream.class_counts();
         stats.total = t_start.elapsed();
@@ -355,71 +346,16 @@ pub(crate) fn region_stats(
     }
 }
 
-/// Checks that `order` is a permutation of `0..n` and — in
-/// full-validation mode — that no true dependency's writer is claimed
-/// after its reader, as `oracle` (the runtime's own scratch map or a
-/// linear subscript's arithmetic) names the writers. Only
-/// [`Doacross::run_linear`], the entry point that takes a caller's order,
-/// comes through here; a plan's order is
-/// validated once, at [`ClaimStream::from_parts`]. `position` is the
-/// caller's reusable scratch.
-pub(crate) fn validate_order<L: DoacrossLoop + ?Sized, W: WriterOracle>(
-    config: &DoacrossConfig,
-    position: &mut Vec<usize>,
-    pool: &ThreadPool,
-    loop_: &L,
-    order: &[usize],
-    oracle: &W,
-) -> Result<(), DoacrossError> {
-    let n = loop_.iterations();
-    if order.len() != n {
-        return Err(DoacrossError::OrderLengthMismatch {
-            got: order.len(),
-            expected: n,
-        });
-    }
-    position.clear();
-    position.resize(n, usize::MAX);
-    for (k, &i) in order.iter().enumerate() {
-        if i >= n || position[i] != usize::MAX {
-            return Err(DoacrossError::OrderNotPermutation { entry: i });
-        }
-        position[i] = k;
-    }
-    if config.validate_terms {
-        let violation = ErrorSlot::new();
-        let position = &position[..];
-        parallel_for(pool, n, 1, |i| {
-            for j in 0..loop_.terms(i) {
-                let w = oracle.writer(loop_.term_element(i, j));
-                if w != MAXINT && (w as usize) < i {
-                    let w = w as usize;
-                    if position[w] > position[i] {
-                        violation.try_set(i, w);
-                    }
-                }
-            }
-        });
-        if let Some((reader, writer)) = violation.get() {
-            return Err(DoacrossError::OrderNotTopological { reader, writer });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearSubscript;
     use crate::pattern::IndirectLoop;
     use crate::seq::run_sequential;
+    use crate::wavefront::OperandClass;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
     }
-
-    /// `chain_loop`'s left-hand side, `a(i) = i + 1`.
-    const CHAIN: LinearSubscript = LinearSubscript { c: 1, d: 1 };
 
     fn chain_loop(n: usize) -> IndirectLoop {
         let a: Vec<usize> = (1..=n).collect();
@@ -515,7 +451,6 @@ mod tests {
     fn config_is_adjustable() {
         let l = chain_loop(32);
         let mut rt = Doacross::for_loop(&l);
-        rt.config_mut().wait = WaitStrategy::Backoff { max_spin_batch: 8 };
         rt.config_mut().validate_terms = false;
         let mut y = vec![1.0; 33];
         let mut oracle = y.clone();
@@ -535,59 +470,16 @@ mod tests {
         let mut y: Vec<f64> = (0..n).map(|e| e as f64).collect();
         let mut expect = y.clone();
         run_sequential(&l, &mut expect);
+        // Every reference reads the iteration's own output element.
+        let term_offsets: Vec<usize> = (0..=n).collect();
+        let classes = vec![OperandClass::Accumulator as u8; n];
+        let stream =
+            ClaimStream::from_iteration_order(Some(&reversed), None, &term_offsets, classes)
+                .expect("a consistent stream");
         let mut rt = Doacross::for_loop(&l);
-        rt.run_linear(
-            &pool(),
-            &l,
-            &mut y,
-            LinearSubscript::new(1, 0),
-            Some(&reversed),
-        )
-        .unwrap();
+        rt.run_planned(&pool(), &l, &mut y, &stream, Some(1), None)
+            .unwrap();
         assert_eq!(y, expect);
-    }
-
-    #[test]
-    fn non_topological_order_is_rejected() {
-        // Chain: iteration i depends on i-1; reversing the order puts every
-        // writer after its reader.
-        let l = chain_loop(8);
-        let reversed: Vec<usize> = (0..8).rev().collect();
-        let mut y = vec![1.0; 9];
-        let mut rt = Doacross::for_loop(&l);
-        let err = rt
-            .run_linear(&pool(), &l, &mut y, CHAIN, Some(&reversed))
-            .unwrap_err();
-        assert!(matches!(err, DoacrossError::OrderNotTopological { .. }));
-        assert!(rt.scratch_is_clean(), "error path restores invariant");
-    }
-
-    #[test]
-    fn bad_orders_are_rejected() {
-        let l = chain_loop(4);
-        let mut rt = Doacross::for_loop(&l);
-        let mut y = vec![1.0; 5];
-        let short = vec![0usize, 1];
-        assert!(matches!(
-            rt.run_linear(&pool(), &l, &mut y, CHAIN, Some(&short)),
-            Err(DoacrossError::OrderLengthMismatch {
-                got: 2,
-                expected: 4
-            })
-        ));
-        let dup = vec![0usize, 1, 1, 3];
-        assert!(matches!(
-            rt.run_linear(&pool(), &l, &mut y, CHAIN, Some(&dup)),
-            Err(DoacrossError::OrderNotPermutation { entry: 1 })
-        ));
-        let oor = vec![0usize, 1, 2, 9];
-        assert!(matches!(
-            rt.run_linear(&pool(), &l, &mut y, CHAIN, Some(&oor)),
-            Err(DoacrossError::OrderNotPermutation { entry: 9 })
-        ));
-        assert!(rt.scratch_is_clean());
-        // Still usable afterwards.
-        rt.run(&pool(), &l, &mut y).unwrap();
     }
 
     /// The chain's stream as a census would resolve it: iteration 0 reads

@@ -329,7 +329,6 @@ mod tests {
 
     #[test]
     fn linear_subscript_oracle_agrees_with_writer_of() {
-        use crate::oracle::WriterOracle;
         let t = TestLoop::new(300, 5, 6);
         let sub = t.linear_subscript();
         let oracle = crate::oracle::LinearWriter::new(sub.c, sub.d, t.n());

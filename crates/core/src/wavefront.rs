@@ -625,9 +625,10 @@ mod tests {
 
     #[test]
     fn one_runtime_serves_every_entry_point_in_turn() {
-        // flat -> linear -> blocked -> wavefront -> flat on chains of
-        // different sizes, all through one scratch: each run bit-identical
-        // to the sequential loop, the scratch clean in between.
+        // flat -> linear -> reordered -> blocked -> wavefront -> flat on
+        // chains of different sizes, all through one scratch: each run
+        // bit-identical to the sequential loop, the scratch clean in
+        // between.
         let p = pool();
         let mut rt = Doacross::new(0);
         let check = |n: usize, how: &str, rt: &mut Doacross| {
@@ -635,10 +636,23 @@ mod tests {
             let mut y = vec![1.0; n + 1];
             match how {
                 "flat" => rt.run(&p, &l, &mut y),
-                "linear" => {
+                "linear" => rt.run_linear(&p, &l, &mut y, crate::LinearSubscript::new(1, 1)),
+                "reordered" => {
+                    // A caller's claim order runs as a flag-gated stream:
+                    // iteration 0 reads the unwritten y[0], the rest their
+                    // predecessor's element.
                     let identity: Vec<usize> = (0..n).collect();
-                    let sub = crate::LinearSubscript::new(1, 1);
-                    rt.run_linear(&p, &l, &mut y, sub, Some(&identity))
+                    let term_offsets: Vec<usize> = (0..=n).collect();
+                    let mut classes = vec![OperandClass::NewValue as u8; n];
+                    classes[0] = OperandClass::OldValue as u8;
+                    let stream = ClaimStream::from_iteration_order(
+                        Some(&identity),
+                        None,
+                        &term_offsets,
+                        classes,
+                    )
+                    .expect("a consistent stream");
+                    rt.run_planned(&p, &l, &mut y, &stream, Some(1), None)
                 }
                 "blocked" => rt.run_blocked(&p, &l, &mut y, 7),
                 _ => rt.run_planned(&p, &l, &mut y, &schedule_of(&l), None, None),
@@ -650,6 +664,7 @@ mod tests {
         for (n, how) in [
             (40, "flat"),
             (90, "linear"),
+            (70, "reordered"),
             (60, "blocked"),
             (120, "wavefront"),
             (10, "flat"),

@@ -47,7 +47,7 @@ proptest! {
 
         let mut y_linear = y0;
         Doacross::new(loop_.data_len())
-            .run_linear(&pool, &loop_, &mut y_linear, subscript, None)
+            .run_linear(&pool, &loop_, &mut y_linear, subscript)
             .expect("declared subscript matches");
         prop_assert_eq!(&y_linear, &expect);
     }
@@ -95,7 +95,7 @@ proptest! {
 
         let mut y2 = loop_.initial_y();
         Doacross::new(loop_.data_len())
-            .run_linear(&pool, &loop_, &mut y2, loop_.linear_subscript(), None)
+            .run_linear(&pool, &loop_, &mut y2, loop_.linear_subscript())
             .expect("linear");
         prop_assert_eq!(&y2, &expect);
 

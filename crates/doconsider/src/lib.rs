@@ -19,7 +19,9 @@
 //!    independent; the number of levels is the dependence-critical path.
 //! 3. [`reorder::doconsider_order`] — the level-sorted permutation (stable
 //!    within a level to preserve locality), a valid topological claim
-//!    order for `doacross_core::Doacross::run_linear`.
+//!    order. It runs as a claim stream: `doacross_plan::CensusPass::stream`
+//!    lays the loop's resolved references out in it, and a `Reordered`
+//!    plan carries that stream to `doacross_core::Doacross::run_planned`.
 //!
 //! Like the paper's inspector, all of this is execution-time preprocessing:
 //! it is computed from index arrays that only exist at run time, and its

@@ -14,8 +14,9 @@ use doacross_core::{AccessPattern, ClaimStream};
 
 /// Computes the doconsider claim order for `pattern`: iterations sorted by
 /// dependence level, stable within a level. The result is a permutation of
-/// `0..n` and a topological order of the true dependencies, suitable for
-/// `Doacross::run_linear`.
+/// `0..n` and a topological order of the true dependencies, suitable as
+/// the claim order of a stream (`doacross_plan::CensusPass::stream`, the
+/// artifact of a `Reordered` plan).
 pub fn doconsider_order<P: AccessPattern + ?Sized>(pattern: &P) -> Vec<usize> {
     let dag = DependenceDag::build(pattern);
     let levels = LevelAssignment::compute(&dag);

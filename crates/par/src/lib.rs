@@ -3,10 +3,11 @@
 //! The building blocks underneath the preprocessed doacross runtime
 //! (`doacross-core`): a fixed-size [`ThreadPool`] whose workers model the
 //! paper's "processors", self-scheduled [`parallel_for`] loops in the style
-//! of the Encore Multimax `parallel do`, busy-wait [`WaitStrategy`]
-//! primitives for the executor's `while (ready(..) != DONE)` loops, and
-//! [`SharedSlice`], the single audited `unsafe` abstraction through which
-//! concurrently-executing loop iterations touch shared arrays.
+//! of the Encore Multimax `parallel do`, the one busy-wait
+//! ([`wait_until_guarded`]) for the executor's `while (ready(..) != DONE)`
+//! loops, and [`SharedSlice`], the single audited `unsafe` abstraction
+//! through which concurrently-executing loop iterations touch shared
+//! arrays.
 //!
 //! The thread that encounters a region is processor 0 of it, as in
 //! OpenMP's `taskloop`: a pool of `p` workers is the calling thread plus
@@ -34,16 +35,16 @@
 //! iteration is always at the front of some worker's remaining work, and by
 //! definition none of its dependencies are pending. When the machine is
 //! oversubscribed (more workers than hardware threads) the waiting side must
-//! yield the CPU so the writer can run; that is [`WaitStrategy::SpinYield`]
-//! and [`WaitStrategy::Backoff`].
+//! yield the CPU so the writer can run, which the one wait does every 128
+//! polls.
 //!
 //! That contract holds only while every iteration runs to completion. A
 //! worker that *panics* mid-region never publishes the flags (or never
 //! counts the iterations) its siblings wait on — so every wait site goes
-//! through the fault-aware [`WaitStrategy::wait_until_guarded`], which
-//! polls the region's [`RegionPoison`] word and unwinds cooperatively,
-//! turning a would-be deadlock into a finite drain and a typed
-//! [`RegionFault`] panic from the region's dispatcher.
+//! through the fault-aware [`wait_until_guarded`], which polls the
+//! region's [`RegionPoison`] word and unwinds cooperatively, turning a
+//! would-be deadlock into a finite drain and a typed [`RegionFault`] panic
+//! from the region's dispatcher.
 //! The same poll sites enforce an optional region deadline
 //! ([`ThreadPool::set_deadline`]). See [`poison`] for the full protocol.
 
@@ -64,4 +65,4 @@ pub use pool::ThreadPool;
 pub use schedule::claim_chunks;
 pub use shared::SharedSlice;
 pub use sync::{CachePadded, SpinBarrier};
-pub use wait::WaitStrategy;
+pub use wait::{wait_until_guarded, wait_until_guarded_timed};

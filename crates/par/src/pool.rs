@@ -180,7 +180,7 @@ impl ThreadPool {
 
     /// The pool's region fault latch. Wait sites inside a region capture
     /// this before dispatch and poll it alongside their real conditions
-    /// (see [`WaitStrategy::wait_until_guarded`](crate::WaitStrategy::wait_until_guarded)).
+    /// (see [`wait_until_guarded`](crate::wait_until_guarded)).
     #[inline]
     pub fn poison(&self) -> &RegionPoison {
         &self.shared.poison
@@ -665,14 +665,13 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let pool = ThreadPool::new(4);
         let flag = AtomicBool::new(false);
-        let wait = crate::WaitStrategy::default();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let poison = pool.poison();
             pool.run(|w| {
                 if w == 0 {
                     panic!("dies before raising the flag");
                 }
-                match wait.wait_until_guarded(|| flag.load(Ordering::Acquire), poison, None) {
+                match crate::wait_until_guarded(|| flag.load(Ordering::Acquire), poison, None) {
                     Ok(_) => {}
                     Err(abort) => crate::abort_region(poison, abort),
                 }
@@ -694,13 +693,12 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let pool = ThreadPool::new(2);
         let flag = AtomicBool::new(false); // never raised
-        let wait = crate::WaitStrategy::default();
         pool.set_deadline(Some(Instant::now() + std::time::Duration::from_millis(10)));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let poison = pool.poison();
             let deadline = pool.deadline();
             pool.run(|_| {
-                match wait.wait_until_guarded(|| flag.load(Ordering::Acquire), poison, deadline) {
+                match crate::wait_until_guarded(|| flag.load(Ordering::Acquire), poison, deadline) {
                     Ok(_) => {}
                     Err(abort) => crate::abort_region(poison, abort),
                 }

@@ -1,6 +1,6 @@
 //! Interleaving-checker models of `doacross-par`'s synchronization
 //! protocols: the executor's per-element ready-flag handoff (paper Fig. 5,
-//! statement S4 — the protocol `WaitStrategy::wait_until` polls and the
+//! statement S4 — the protocol `wait_until_guarded` polls and the
 //! workers' release stores complete), the same handoff under chunked
 //! claims (a worker takes several claim slots per grab of the shared
 //! counter and walks them front to back), its poison-aware variant, and the
@@ -45,9 +45,9 @@ fn writer(m: &ReadyFlag, ordering: Ordering, raise_flag: bool) {
 }
 
 fn reader(m: &ReadyFlag) -> f64 {
-    // The executor's S4 busy-wait: WaitStrategy only varies *how* the
-    // false polls are spent, never the exit condition, so one blocking
-    // poll models every strategy.
+    // The executor's S4 busy-wait: spinning and yielding only vary *how*
+    // the false polls are spent, never the exit condition, so one
+    // blocking poll models the wait.
     spin_until(|| m.ready.load(Ordering::Acquire) == 1);
     m.y.read()
 }

@@ -62,12 +62,10 @@ impl Default for PlanExecutor {
 }
 
 impl PlanExecutor {
-    /// Executor with the default wait strategy and `validate_terms` off
-    /// (see type docs).
+    /// Executor with `validate_terms` off (see type docs).
     pub fn new() -> Self {
         let config = DoacrossConfig {
             validate_terms: false,
-            ..DoacrossConfig::default()
         };
         Self {
             runtime: Doacross::with_config(0, config),
@@ -106,9 +104,7 @@ impl PlanExecutor {
         check_shape(loop_, y, plan)?;
         let span_start = prof.map(|arena| arena.now_ns());
         let mut stats = match plan.variant() {
-            PlanVariant::Linear(subscript) => {
-                self.runtime.run_linear(pool, loop_, y, subscript, None)?
-            }
+            PlanVariant::Linear(subscript) => self.runtime.run_linear(pool, loop_, y, subscript)?,
             PlanVariant::Blocked { block_size } => {
                 self.runtime.run_blocked(pool, loop_, y, block_size)?
             }

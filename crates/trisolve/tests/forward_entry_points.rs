@@ -1,12 +1,13 @@
-//! The forward solve on the runtime's unplanned entry points: the §2.3
-//! linear subscript (no inspector), the inspected flat executor, rows
-//! claimed in doconsider order, and the §2.3 strip-mined loop; plus the
-//! doconsider levels that order comes from.
+//! The forward solve on the runtime's entry points: the §2.3 linear
+//! subscript (no inspector), the inspected flat executor, rows claimed in
+//! doconsider order (a planned claim stream), and the §2.3 strip-mined
+//! loop; plus the doconsider levels that order comes from.
 
-use doacross_core::{Doacross, DoacrossError, RunStats};
+use doacross_core::{AccessPattern, Doacross, DoacrossError, RunStats};
 use doacross_doconsider::reorder::order_from_levels;
-use doacross_doconsider::{level_histogram, DependenceDag, LevelAssignment};
+use doacross_doconsider::{is_topological_order, level_histogram, DependenceDag, LevelAssignment};
 use doacross_par::ThreadPool;
+use doacross_plan::CensusPass;
 use doacross_sparse::{ilu0, stencil::five_point, CsrMatrix, TriangularMatrix};
 use doacross_trisolve::TriSolveLoop;
 
@@ -49,7 +50,7 @@ fn both_backends_match_sequential_bitwise() {
     for linear in [true, false] {
         let mut y = vec![0.0; l.n()];
         let stats = if linear {
-            runtime.run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), None)
+            runtime.run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript())
         } else {
             runtime.run(&pool, &loop_, &mut y)
         }
@@ -73,7 +74,7 @@ fn solver_is_reusable_across_systems() {
         let loop_ = TriSolveLoop::new(&l, &rhs);
         let mut y = vec![0.0; l.n()];
         runtime
-            .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), None)
+            .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript())
             .unwrap();
         assert_eq!(y, l.forward_solve(&rhs), "seed {seed}");
     }
@@ -82,17 +83,16 @@ fn solver_is_reusable_across_systems() {
 #[test]
 fn reordered_matches_sequential_bitwise() {
     let (l, rhs) = grid_system(11, 9, 31);
+    let loop_ = TriSolveLoop::new(&l, &rhs);
     let order = order_from_levels(&levels_of(&l));
+    assert!(is_topological_order(&DependenceDag::build(&loop_), &order));
+    let stream = CensusPass::of(&loop_)
+        .stream(&loop_, Some(&order), None)
+        .expect("an injective, in-bounds system");
     let pool = ThreadPool::new(4);
     let mut y = vec![0.0; l.n()];
     let stats = Doacross::new(l.n())
-        .run_linear(
-            &pool,
-            &TriSolveLoop::new(&l, &rhs),
-            &mut y,
-            TriSolveLoop::subscript(),
-            Some(&order),
-        )
+        .run_planned(&pool, &loop_, &mut y, &stream, Some(1), None)
         .unwrap();
     assert_eq!(y, l.forward_solve(&rhs));
     assert_eq!(stats.deps.true_deps, l.nnz() as u64);
@@ -137,18 +137,25 @@ fn blocked_solve_matches_sequential_for_many_block_sizes() {
     }
 }
 
+/// The runtime sizes a strip-mined run's scratch to the largest block
+/// window (core's `scratch_is_window_sized_not_data_sized`); the forward
+/// solve's identity subscript makes every window its block.
 #[test]
 fn scratch_is_block_sized() {
     let (l, rhs) = grid_system(11, 10, 82);
-    let pool = ThreadPool::new(2);
-    let mut runtime = Doacross::new(0);
-    solve_blocked(&mut runtime, &pool, &l, &rhs, 16).unwrap();
-    assert_eq!(
-        runtime.data_len(),
-        16,
-        "identity subscript -> window == block"
-    );
-    assert!(runtime.data_len() < l.n());
+    let loop_ = TriSolveLoop::new(&l, &rhs);
+    for lo in (0..l.n()).step_by(16) {
+        let hi = (lo + 16).min(l.n());
+        assert_eq!(
+            loop_.block_window(lo..hi),
+            lo..hi,
+            "identity subscript -> window == block"
+        );
+    }
+    let (y, stats) =
+        solve_blocked(&mut Doacross::new(0), &ThreadPool::new(2), &l, &rhs, 16).unwrap();
+    assert_eq!(y, l.forward_solve(&rhs));
+    assert_eq!(stats.blocks, l.n().div_ceil(16));
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use crate::schedule::{CensusFacts, SyncSchedule};
 use crate::violation::{DependenceEdge, SoundnessReport, SoundnessViolation};
-use doacross_core::{AccessPattern, ClaimStream, LinearWriter, OperandClass, WriterOracle, MAXINT};
+use doacross_core::{AccessPattern, ClaimStream, LinearWriter, OperandClass, MAXINT};
 
 /// How the executor will treat one right-hand-side reference — the
 /// behavioral collapse of the writer comparison: `w < i` waits and reads

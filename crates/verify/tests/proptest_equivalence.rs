@@ -283,7 +283,7 @@ proptest! {
         verify_pattern(&loop_, &SyncSchedule::FlagsLinear { subscript })
             .expect("the true subscript is sound");
         let mut y = y0.clone();
-        Doacross::new(loop_.data_len()).run_linear(&pool, &loop_, &mut y, subscript, None)
+        Doacross::new(loop_.data_len()).run_linear(&pool, &loop_, &mut y, subscript)
             .expect("linear run");
         prop_assert_eq!(&y, &expect, "linear");
 

@@ -54,13 +54,7 @@ fn main() {
     let mut y_lin = loop_.initial_y();
     let mut runtime = Doacross::new(y_lin.len());
     let lin_stats = runtime
-        .run_linear(
-            engine.pool(),
-            &loop_,
-            &mut y_lin,
-            loop_.linear_subscript(),
-            None,
-        )
+        .run_linear(engine.pool(), &loop_, &mut y_lin, loop_.linear_subscript())
         .expect("subscript is linear");
     assert_eq!(y_seq, y_lin);
     println!("host ({workers} workers), linear §2.3: {lin_stats}");

@@ -9,8 +9,9 @@
 
 use preprocessed_doacross::core::{Doacross, PlanProvenance};
 use preprocessed_doacross::doconsider::{
-    reorder::order_from_levels, DependenceDag, LevelAssignment,
+    is_topological_order, reorder::order_from_levels, DependenceDag, LevelAssignment,
 };
+use preprocessed_doacross::plan::CensusPass;
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
 use preprocessed_doacross::trisolve::{seq::solve_sequential, verify::assert_solves, TriSolveLoop};
 use preprocessed_doacross::Engine;
@@ -53,15 +54,22 @@ fn main() {
     let mut runtime = Doacross::new(sys.n());
     let mut y_plain = vec![0.0; sys.n()];
     let stats_plain = runtime
-        .run_linear(pool, &loop_, &mut y_plain, TriSolveLoop::subscript(), None)
+        .run_linear(pool, &loop_, &mut y_plain, TriSolveLoop::subscript())
         .expect("valid");
     assert_eq!(y_plain, y_seq, "doacross == sequential, bitwise");
     println!("\npreprocessed doacross ({workers} workers): {stats_plain}");
 
-    // 3. Doconsider-rearranged doacross: rows claimed in wavefront order.
+    // 3. Doconsider-rearranged doacross: rows claimed in wavefront order,
+    // which enters the runtime as a claim stream (a `Reordered` plan's
+    // artifact) and runs on the executor plans run.
     let start = Instant::now();
-    let levels = LevelAssignment::compute(&DependenceDag::build(&loop_));
+    let dag = DependenceDag::build(&loop_);
+    let levels = LevelAssignment::compute(&dag);
     let order = order_from_levels(&levels);
+    assert!(is_topological_order(&dag, &order));
+    let stream = CensusPass::of(&loop_)
+        .stream(&loop_, Some(&order), None)
+        .expect("an injective, in-bounds system");
     println!(
         "\ndoconsider plan: {} wavefronts (critical path), avg parallelism {:.1}, planned in {:?}",
         levels.critical_path(),
@@ -70,13 +78,7 @@ fn main() {
     );
     let mut y_re = vec![0.0; sys.n()];
     let stats_re = runtime
-        .run_linear(
-            pool,
-            &loop_,
-            &mut y_re,
-            TriSolveLoop::subscript(),
-            Some(&order),
-        )
+        .run_planned(pool, &loop_, &mut y_re, &stream, Some(1), None)
         .expect("valid");
     assert_eq!(y_re, y_seq, "rearranged == sequential, bitwise");
     println!("rearranged doacross:  {stats_re}");

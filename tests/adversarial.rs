@@ -5,7 +5,7 @@ use preprocessed_doacross::core::{
     seq::run_sequential, Doacross, DoacrossError, IndirectLoop, TestLoop,
 };
 use preprocessed_doacross::engine::{Engine, EngineError};
-use preprocessed_doacross::par::{ThreadPool, WaitStrategy};
+use preprocessed_doacross::par::ThreadPool;
 use preprocessed_doacross::plan::{CensusPass, PlanVariant, Planner};
 use preprocessed_doacross::sim::CostModel;
 
@@ -74,16 +74,11 @@ fn total_fan_out_hot_flag() {
     let y0 = vec![1.0; n];
     let mut expect = y0.clone();
     run_sequential(&l, &mut expect);
-    for wait in [
-        WaitStrategy::Spin,
-        WaitStrategy::SpinYield { spins: 8 },
-        WaitStrategy::Backoff { max_spin_batch: 16 },
-    ] {
-        let mut rt = Doacross::for_loop(&l);
-        rt.config_mut().wait = wait;
+    let mut rt = Doacross::for_loop(&l);
+    for workers in [2, 4, 8] {
         let mut y = y0.clone();
-        rt.run(&pool(4), &l, &mut y).unwrap();
-        assert_eq!(y, expect, "{wait:?}");
+        rt.run(&pool(workers), &l, &mut y).unwrap();
+        assert_eq!(y, expect, "workers={workers}");
     }
 }
 
@@ -155,17 +150,18 @@ fn error_recovery_across_repeated_failures() {
 }
 
 /// Massive oversubscription on a dependence-heavy loop: 32 workers on a
-/// small host, distance-1 chain. Yielding wait strategies must keep it live.
+/// small host, distance-1 chain. The wait's periodic yield must keep it
+/// live.
 #[test]
 fn oversubscription_stress() {
     let loop_ = TestLoop::new(2_000, 1, 4);
     let mut expect = loop_.initial_y();
     run_sequential(&loop_, &mut expect);
     let big = pool(32);
-    let mut rt = Doacross::for_loop(&loop_);
-    rt.config_mut().wait = WaitStrategy::SpinYield { spins: 16 };
     let mut y = loop_.initial_y();
-    rt.run(&big, &loop_, &mut y).unwrap();
+    Doacross::for_loop(&loop_)
+        .run(&big, &loop_, &mut y)
+        .unwrap();
     assert_eq!(y, expect);
 }
 

@@ -3,8 +3,8 @@
 //! workloads, at host scale.
 
 use preprocessed_doacross::core::{seq::run_sequential, Doacross, DoacrossConfig, TestLoop};
-use preprocessed_doacross::doconsider::doconsider_order;
-use preprocessed_doacross::par::{ThreadPool, WaitStrategy};
+use preprocessed_doacross::doconsider::{doconsider_order, is_topological_order, DependenceDag};
+use preprocessed_doacross::par::ThreadPool;
 use preprocessed_doacross::plan::CensusPass;
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
 use preprocessed_doacross::trisolve::{seq::solve_sequential, verify::assert_solves, TriSolveLoop};
@@ -16,8 +16,9 @@ fn pool() -> ThreadPool {
 #[test]
 fn all_table1_systems_solve_with_all_solvers() {
     // Every way the one runtime runs Figure 7 — inspector/executor, the
-    // §2.3 linear subscript in natural and doconsider claim order, and the
-    // strip-mined variant — on one runtime reused across the five systems.
+    // §2.3 linear subscript, the doconsider claim order as a planned
+    // stream, and the strip-mined variant — on one runtime reused across
+    // the five systems.
     let pool = pool();
     let mut runtime = Doacross::new(0);
     for kind in ProblemKind::all() {
@@ -34,15 +35,24 @@ fn all_table1_systems_solve_with_all_solvers() {
         assert_eq!(stats.iterations, sys.n());
         assert_eq!(stats.deps.true_deps, true_deps, "{name}: inspected");
 
+        let mut y = vec![0.0; sys.n()];
+        let stats = runtime
+            .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript())
+            .expect("valid system");
+        assert_eq!(y, expect, "{name}: doacross");
+        assert_eq!(stats.deps.true_deps, true_deps, "{name}: doacross");
+
         let order = doconsider_order(&loop_);
-        for (lane, order) in [("doacross", None), ("rearranged", Some(&order[..]))] {
-            let mut y = vec![0.0; sys.n()];
-            let stats = runtime
-                .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), order)
-                .expect("valid system");
-            assert_eq!(y, expect, "{name}: {lane}");
-            assert_eq!(stats.deps.true_deps, true_deps, "{name}: {lane}");
-        }
+        assert!(is_topological_order(&DependenceDag::build(&loop_), &order));
+        let stream = CensusPass::of(&loop_)
+            .stream(&loop_, Some(&order), None)
+            .expect("an injective, in-bounds system");
+        let mut y = vec![0.0; sys.n()];
+        let stats = runtime
+            .run_planned(&pool, &loop_, &mut y, &stream, Some(1), None)
+            .expect("the system's own stream");
+        assert_eq!(y, expect, "{name}: rearranged");
+        assert_eq!(stats.deps.true_deps, true_deps, "{name}: rearranged");
 
         let mut y = vec![0.0; sys.n()];
         runtime
@@ -77,7 +87,7 @@ fn figure6_grid_matches_sequential_on_host_threads() {
 
             let mut y2 = loop_.initial_y();
             Doacross::new(y2.len())
-                .run_linear(&pool, &loop_, &mut y2, loop_.linear_subscript(), None)
+                .run_linear(&pool, &loop_, &mut y2, loop_.linear_subscript())
                 .expect("linear subscript");
             assert_eq!(y2, expect, "linear L={l} M={m}");
 
@@ -108,9 +118,8 @@ fn one_runtime_serves_many_loop_instances() {
 
 #[test]
 fn doacross_runs_under_every_configuration() {
-    // Inspected (one iteration per claim) under every wait strategy, with
-    // and without validation; planned off the census's flag stream under
-    // every wait strategy and claim grain.
+    // Inspected (one iteration per claim) with and without validation;
+    // planned off the census's flag stream at every claim grain.
     let pool = pool();
     let loop_ = TestLoop::new(400, 3, 6);
     let mut expect = loop_.initial_y();
@@ -118,34 +127,23 @@ fn doacross_runs_under_every_configuration() {
     let stream = CensusPass::of(&loop_)
         .stream(&loop_, None, None)
         .expect("an injective, in-bounds loop");
-    for wait in [
-        WaitStrategy::Spin,
-        WaitStrategy::SpinYield { spins: 32 },
-        WaitStrategy::Backoff { max_spin_batch: 32 },
-    ] {
-        for validate in [true, false] {
-            let mut rt = Doacross::with_config(
-                loop_.initial_y().len(),
-                DoacrossConfig {
-                    wait,
-                    validate_terms: validate,
-                },
-            );
-            let mut y = loop_.initial_y();
-            rt.run(&pool, &loop_, &mut y).expect("valid loop");
-            assert_eq!(y, expect, "{wait:?} validate={validate}");
-        }
-        let config = DoacrossConfig {
-            wait,
-            ..DoacrossConfig::default()
-        };
-        let mut rt = Doacross::with_config(loop_.initial_y().len(), config);
-        for grain in [Some(1), Some(2), Some(8), Some(32), None] {
-            let mut y = loop_.initial_y();
-            rt.run_planned(&pool, &loop_, &mut y, &stream, grain, None)
-                .expect("the loop's own stream");
-            assert_eq!(y, expect, "{wait:?} grain {grain:?}");
-        }
+    for validate in [true, false] {
+        let mut rt = Doacross::with_config(
+            loop_.initial_y().len(),
+            DoacrossConfig {
+                validate_terms: validate,
+            },
+        );
+        let mut y = loop_.initial_y();
+        rt.run(&pool, &loop_, &mut y).expect("valid loop");
+        assert_eq!(y, expect, "validate={validate}");
+    }
+    let mut rt = Doacross::for_loop(&loop_);
+    for grain in [Some(1), Some(2), Some(8), Some(32), None] {
+        let mut y = loop_.initial_y();
+        rt.run_planned(&pool, &loop_, &mut y, &stream, grain, None)
+            .expect("the loop's own stream");
+        assert_eq!(y, expect, "grain {grain:?}");
     }
 }
 
@@ -163,7 +161,6 @@ fn oversubscribed_pool_still_correct() {
             &TriSolveLoop::new(&sys.l, &sys.rhs),
             &mut y,
             TriSolveLoop::subscript(),
-            None,
         )
         .expect("valid system");
     assert_eq!(y, expect);
@@ -205,12 +202,18 @@ fn reordered_solver_reduces_stalls_on_host() {
     );
 
     // What threads do guarantee: both claim orders resolve the same
-    // dependencies and produce the sequential result bit for bit.
+    // dependencies and produce the sequential result bit for bit. Both run
+    // the executor plans run, off the census's stream in each order.
+    assert!(is_topological_order(&DependenceDag::build(&loop_), &order));
+    let census = CensusPass::of(&loop_);
     let mut runtime = Doacross::new(sys.n());
     let mut solve = |order: Option<&[usize]>| {
+        let stream = census
+            .stream(&loop_, order, None)
+            .expect("an injective, in-bounds system");
         let mut y = vec![0.0; sys.n()];
         let stats = runtime
-            .run_linear(&pool, &loop_, &mut y, TriSolveLoop::subscript(), order)
+            .run_planned(&pool, &loop_, &mut y, &stream, Some(1), None)
             .expect("valid");
         (y, stats)
     };

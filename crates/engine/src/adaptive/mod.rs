@@ -1,15 +1,55 @@
-//! Engine wiring for `doacross-adapt`: telemetry feeding, the sequential
-//! baseline probe, refinement, and the plan swap itself.
+//! The adaptive feedback loop behind [`crate::EngineBuilder::adaptive`].
 //!
-//! The division of labor: `doacross_adapt` owns the *decisions* (when to
-//! evaluate, what to trial, commit vs. demote — all value-level and
-//! unit-tested there); this module owns the *mechanics* that need an
-//! engine — recording each execute into the shared recorder, timing the
-//! one-off sequential baseline that anchors refinement, rebuilding a plan
-//! with the refined cost model via the existing census path, and swapping
-//! the cached plan under its shard lock with a generation bump so
-//! outstanding handles fail typed ([`crate::EngineError::StalePlan`])
-//! instead of executing a superseded plan.
+//! The planner selects variants with an *a-priori* cost model: the
+//! Multimax preset, or a one-shot host calibration. Both are guesses about
+//! the future frozen at build time — and both the symbolic
+//! loop-compilation and speculative-taskloop literatures report the same
+//! thing this workspace's own benches show: when runtime behavior diverges
+//! from the model (oversubscription, contention, cache effects, a
+//! structure whose stall pattern the formulas only approximate), static
+//! selection leaves measured wins on the table. This module closes the
+//! loop in three layers, each unit-tested without an engine:
+//!
+//! * [`telemetry`] — per structure, one entry per executed variant family
+//!   (a `doacross_obs::ObsVariant`): the fastest observed solve, exact
+//!   counts, poll and barrier counters, and the running sums of a
+//!   polls-vs-time regression.
+//! * [`refine()`] — turns telemetry into measured cost-model constants
+//!   (`wait_poll`, `barrier`, per-reference `chain` cost), anchored by host
+//!   calibration or a sequential baseline observation, and blended into
+//!   the static model via [`doacross_sim::CostModel::refined_from`] with a
+//!   weight that grows with the evidence.
+//! * [`policy`] — [`PromotionPolicy`]: *when the running variant's price
+//!   under the refined model diverges from its static price by more than
+//!   a factor of 1.5, ask what the planner would choose under that model
+//!   ([`doacross_plan::price_features`] over the features the plan keeps —
+//!   arithmetic, and exactly what a replan builds); if that choice wins by
+//!   the 5 % hysteresis margin, trial it; commit or demote on the measured
+//!   comparison.* Every trial rejects its loser permanently, so the policy
+//!   provably cannot flip-flop, and an evaluation builds only to trial, so
+//!   it cannot replan forever either — see [`policy`]'s module docs for the
+//!   full argument. Its thresholds are constants
+//!   ([`PromotionPolicy::ENGINE`]).
+//!
+//! What needs an engine lives here, in [`AdaptiveRuntime`]: recording each
+//! execute, timing the one-off sequential baseline that anchors
+//! refinement, rebuilding a plan with the refined cost model via the
+//! existing census path, and swapping the cached plan under its shard lock
+//! with a generation bump so outstanding handles fail typed
+//! ([`crate::EngineError::StalePlan`]) instead of executing a superseded
+//! plan.
+//!
+//! ## One map under one lock
+//!
+//! Every structure's state — its policy state, its retained incumbent
+//! plan, and its telemetry entries — is one slot of one engine-wide map
+//! behind one mutex. A delivered solve builds its sample outside the lock,
+//! then takes the lock once to record the sample, read the incumbent's and
+//! the sequential anchor's entries, and run the policy step. The policy
+//! step needs that lock anyway, so keeping the evidence beside it costs a
+//! solve nothing; a separate recorder, however finely sharded, could only
+//! add locks to the path, never remove one. An evaluation refines from the
+//! entries of the map it already holds, so nothing is copied out for it.
 //!
 //! Adaptation is re-planning. What an evaluation trials is the planner's
 //! own choice under the refined model, priced from the plan's features
@@ -23,13 +63,12 @@
 //! bit-identical to the sequential oracle by construction), and a failed
 //! rebuild simply leaves the current plan in place.
 
+mod policy;
+mod refine;
+mod telemetry;
+
 use crate::engine::EngineInner;
 use crate::solve::clamp_ns;
-use doacross_adapt::telemetry::TelemetryRow;
-use doacross_adapt::{
-    policy::Action, refine, AdaptiveConfig, Challenger, PromotionPolicy, RefinementConfig,
-    SolveSample, StructureState, TelemetryEntry, TelemetryTotals, VariantTelemetry,
-};
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::{FpMap, ObsVariant, TraceEvent};
 use doacross_plan::{
@@ -37,9 +76,13 @@ use doacross_plan::{
 };
 use doacross_sim::CostModel;
 use parking_lot::Mutex;
+use policy::{Action, Challenger, PromotionPolicy, StructureState};
+use refine::refine;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+pub use telemetry::TelemetryTotals;
+use telemetry::{SolveSample, Telemetry};
 
 /// Failpoint site consulted just before an adaptive trial builds its
 /// challenger plan: a `Saturate` action is absorbed as a failed
@@ -67,33 +110,28 @@ pub struct AdaptiveStats {
     pub fallbacks: u64,
 }
 
-/// Per-structure engine-side state: the policy's value state plus the
-/// retained incumbent plan a demotion swaps back.
+/// Per-structure engine-side state: the policy's value state, the
+/// retained incumbent plan a demotion swaps back, and the structure's
+/// telemetry.
 #[derive(Default)]
 struct Structure {
     policy: StructureState,
     incumbent: Option<Arc<ExecutionPlan>>,
+    telemetry: Telemetry,
 }
 
-/// What the engine-wide structure lock guards: every structure's state,
-/// and the telemetry snapshot an evaluation refines from — a buffer kept
-/// across evaluations, so after the first one a snapshot allocates
-/// nothing.
-#[derive(Default)]
-struct Structures {
-    map: FpMap<PatternFingerprint, Structure>,
-    snapshot: Vec<TelemetryRow>,
-}
+/// The trace events one evaluation decides under the structure lock, in
+/// emission order: a divergence, a challenger's verdict, a trial start.
+type Decided = [Option<TraceEvent>; 3];
 
 /// The adaptive half of an engine (present when built with
 /// [`crate::EngineBuilder::adaptive`]).
 pub(crate) struct AdaptiveRuntime {
-    policy: PromotionPolicy,
-    telemetry: VariantTelemetry,
     /// ns-per-model-unit from host calibration, when the engine measured
     /// (or restored) one — the preferred refinement anchor.
     unit_ns_hint: Option<f64>,
-    structures: Mutex<Structures>,
+    /// Every structure's state (see the module docs: one map, one lock).
+    structures: Mutex<FpMap<PatternFingerprint, Structure>>,
     repricings: AtomicU64,
     trials: AtomicU64,
     promotions: AtomicU64,
@@ -103,14 +141,8 @@ pub(crate) struct AdaptiveRuntime {
 }
 
 impl AdaptiveRuntime {
-    pub(crate) fn new(
-        config: AdaptiveConfig,
-        shards: usize,
-        calibration: Option<&StoredCalibration>,
-    ) -> Self {
+    pub(crate) fn new(calibration: Option<&StoredCalibration>) -> Self {
         Self {
-            policy: PromotionPolicy::new(config),
-            telemetry: VariantTelemetry::new(shards),
             unit_ns_hint: calibration.map(|c| c.unit_ns),
             structures: Mutex::default(),
             repricings: AtomicU64::new(0),
@@ -134,32 +166,24 @@ impl AdaptiveRuntime {
     }
 
     pub(crate) fn telemetry_totals(&self) -> TelemetryTotals {
-        self.telemetry.totals()
-    }
-
-    /// Restores persisted telemetry (warm start). Returns records taken.
-    pub(crate) fn restore_telemetry(&self, records: &[doacross_plan::StoredTelemetry]) -> usize {
-        records
-            .iter()
-            .filter_map(TelemetryEntry::from_stored)
-            .filter(|(fp, kind, entry)| self.telemetry.restore(*fp, *kind, *entry))
-            .count()
-    }
-
-    /// Captures telemetry into a store snapshot.
-    pub(crate) fn snapshot_telemetry(&self, store: &mut doacross_plan::PlanStore) {
-        for (fp, kind, entry) in self.telemetry.entries() {
-            store.push_telemetry(entry.to_stored(fp, kind));
+        let mut totals = TelemetryTotals::default();
+        for structure in self.structures.lock().values() {
+            let entries = totals.entries;
+            for (_, entry) in structure.telemetry.iter() {
+                totals.samples += entry.samples;
+                totals.entries += 1;
+            }
+            totals.structures += usize::from(totals.entries > entries);
         }
+        totals
     }
 
     /// Drops adaptive state for an invalidated structure: its new
-    /// generation starts with a clean slate (fresh trial budget, no
-    /// rejections) because invalidation means the *caller* asserts the
-    /// old observations no longer describe the structure.
+    /// generation starts with a clean slate (no observations, fresh trial
+    /// budget, no rejections) because invalidation means the *caller*
+    /// asserts the old observations no longer describe the structure.
     pub(crate) fn forget(&self, fingerprint: &PatternFingerprint) {
-        self.structures.lock().map.remove(fingerprint);
-        self.telemetry.forget(fingerprint);
+        self.structures.lock().remove(fingerprint);
     }
 
     /// The post-execute hook (see module docs). `y` is the solved output
@@ -175,51 +199,43 @@ impl AdaptiveRuntime {
     ) {
         let fingerprint = *plan.fingerprint();
         let kind = ObsVariant::from(plan.variant());
-        let statics = inner.planner.costs();
+        let sample = executed_sample(plan, inner.planner.costs(), stats);
 
-        // 1. Record the solve.
-        let current_entry =
-            self.telemetry
-                .record(&fingerprint, kind, executed_sample(plan, statics, stats));
-
-        // 2. Let the policy look at the updated ledger. The structure map
-        // is one engine-wide mutex: the common path holds it for a lookup
-        // and a counter bump; the rare trial-start additionally holds it
-        // across one plan build, which is the same order of work a cache
-        // miss performs under its shard lock. The sequential baseline
-        // probe — a full solve — is deliberately run with the lock
-        // RELEASED, so a large structure's probe never stalls other
-        // tenants' bookkeeping; the policy re-checks its state when the
-        // lock is re-taken, so a racing evaluation degrades to a no-op.
-        // Trace events decided under the structure lock are emitted after
-        // it is released, so the engine-wide lock is never held across the
-        // trace ring's own locks.
+        // Record the solve and let the policy look at the updated entries,
+        // under the one lock. The common path holds it for a lookup, a
+        // handful of adds and a counter bump; the rare trial-start
+        // additionally holds it across one plan build, which is the same
+        // order of work a cache miss performs under its shard lock. The
+        // sequential baseline probe — a full solve — is deliberately run
+        // with the lock RELEASED, so a large structure's probe never
+        // stalls other tenants' bookkeeping; the policy re-checks its
+        // state when the lock is re-taken, so a racing evaluation degrades
+        // to a no-op. Trace events decided under the structure lock are
+        // emitted after it is released; only the cache's own swap events
+        // (`ConcurrentPlanCache::swap_plan`) are emitted under it.
         let mut decision_event: Option<TraceEvent> = None;
         let wants_evaluation = {
             let mut structures = self.structures.lock();
-            let structure = structures.map.entry(fingerprint).or_default();
-            let incumbent_entry = structure
+            let structure = structures.entry(fingerprint).or_default();
+            let current = structure.telemetry.record(kind, &sample);
+            let incumbent = structure
                 .policy
                 .trial()
-                .and_then(|t| self.telemetry.get(&fingerprint, t.incumbent));
-            let has_baseline = kind == ObsVariant::Sequential
-                || self
-                    .telemetry
-                    .get(&fingerprint, ObsVariant::Sequential)
-                    .is_some();
+                .and_then(|t| structure.telemetry.get(t.incumbent))
+                .copied();
+            let has_baseline = structure.telemetry.get(ObsVariant::Sequential).is_some();
 
-            match self.policy.on_solve(
+            match PromotionPolicy::ENGINE.on_solve(
                 &mut structure.policy,
                 kind,
-                &current_entry,
-                incumbent_entry.as_ref(),
+                &current,
+                incumbent.as_ref(),
                 has_baseline,
             ) {
                 Action::Keep => None,
                 Action::Commit(trial) => {
                     structure.incumbent = None;
-                    self.policy
-                        .complete_trial(&mut structure.policy, trial, true);
+                    PromotionPolicy::ENGINE.complete_trial(&mut structure.policy, trial, true);
                     self.promotions.fetch_add(1, Ordering::Relaxed);
                     if inner.obs.enabled() {
                         decision_event = Some(TraceEvent::TrialCommitted {
@@ -233,8 +249,7 @@ impl AdaptiveRuntime {
                     if let Some(incumbent) = structure.incumbent.take() {
                         inner.cache.swap_plan(incumbent);
                     }
-                    self.policy
-                        .complete_trial(&mut structure.policy, trial, false);
+                    PromotionPolicy::ENGINE.complete_trial(&mut structure.policy, trial, false);
                     self.demotions.fetch_add(1, Ordering::Relaxed);
                     if inner.obs.enabled() {
                         decision_event = Some(TraceEvent::TrialDemoted {
@@ -254,16 +269,8 @@ impl AdaptiveRuntime {
             if probe_baseline {
                 self.probe_baseline(inner, loop_, y, plan);
             }
-            let mut events = Vec::new();
-            self.evaluate(
-                inner,
-                loop_,
-                plan,
-                kind,
-                &mut self.structures.lock(),
-                &mut events,
-            );
-            for event in events {
+            let decided = self.evaluate(inner, loop_, plan, kind, &mut self.structures.lock());
+            for event in decided.into_iter().flatten() {
                 inner.obs.emit(event);
             }
         }
@@ -318,57 +325,54 @@ impl AdaptiveRuntime {
             .planner
             .costs()
             .sequential_time(census.iterations, census.total_terms as usize);
-        self.telemetry.record(
-            plan.fingerprint(),
-            ObsVariant::Sequential,
-            SolveSample {
-                ns,
-                wait_polls: 0,
-                barriers: 0,
-                terms: census.total_terms,
-                pred_units: units,
-                work_units: units,
-            },
-        );
+        let sample = SolveSample {
+            ns,
+            wait_polls: 0,
+            barriers: 0,
+            terms: census.total_terms,
+            pred_units: units,
+            work_units: units,
+        };
+        self.structures
+            .lock()
+            .entry(*plan.fingerprint())
+            .or_default()
+            .telemetry
+            .record(ObsVariant::Sequential, &sample);
     }
 
-    /// One evaluation point: refine from a snapshot of every structure's
-    /// telemetry and — if the policy names a challenger under the refined
-    /// model — build it with that model and swap it in as a trial. Runs
-    /// under the structure lock (`structures` is its guard); trace events
-    /// go into `events` for the caller to emit after release.
+    /// One evaluation point: refine from every structure's telemetry and —
+    /// if the policy names a challenger under the refined model — build it
+    /// with that model and swap it in as a trial. Runs under the structure
+    /// lock (`structures` is its guard); returns the trace events it
+    /// decided, for the caller to emit after release.
     fn evaluate<L: DoacrossLoop + ?Sized>(
         &self,
         inner: &EngineInner,
         loop_: &L,
         plan: &Arc<ExecutionPlan>,
         kind: ObsVariant,
-        structures: &mut Structures,
-        events: &mut Vec<TraceEvent>,
-    ) {
-        let Structures { map, snapshot } = structures;
-        let structure = map.entry(*plan.fingerprint()).or_default();
-        self.telemetry.entries_into(snapshot);
+        structures: &mut FpMap<PatternFingerprint, Structure>,
+    ) -> Decided {
+        let mut decided: Decided = [None; 3];
         let statics = inner.planner.costs();
         self.repricings.fetch_add(1, Ordering::Relaxed);
-        let refinement = refine(
+        let observed = refine(
             statics,
-            snapshot,
+            structures.values().flat_map(|s| s.telemetry.iter()),
             plan.processors(),
-            &RefinementConfig {
-                confidence: self.policy.config().confidence,
-                unit_ns_hint: self.unit_ns_hint,
-            },
+            PromotionPolicy::ENGINE.t.confidence,
+            self.unit_ns_hint,
         );
-        if !refinement.constants.has_evidence() {
-            return;
+        if !observed.has_evidence() {
+            return decided;
         }
-        let refined_model = refinement.model(statics);
-        let Some(challenger) = self
-            .policy
-            .challenger(&mut structure.policy, plan, &refined_model)
+        let refined_model = CostModel::refined_from(statics, &observed);
+        let structure = structures.entry(*plan.fingerprint()).or_default();
+        let Some(challenger) =
+            PromotionPolicy::ENGINE.challenger(&mut structure.policy, plan, &refined_model)
         else {
-            return;
+            return decided;
         };
         // A priced challenger means the refined price left the divergence
         // band and the planner's refined choice clears the margin: the
@@ -380,7 +384,7 @@ impl AdaptiveRuntime {
         } = challenger
         {
             if inner.obs.enabled() {
-                events.push(TraceEvent::Divergence {
+                decided[0] = Some(TraceEvent::Divergence {
                     fp: plan.fingerprint().into(),
                     variant: kind,
                     static_price,
@@ -394,7 +398,7 @@ impl AdaptiveRuntime {
         if failpoint::enabled() {
             failpoint::maybe_delay(FAILPOINT_TRIAL);
             if failpoint::fire_saturate(FAILPOINT_TRIAL) {
-                return;
+                return decided;
             }
         }
         // Build the challenger with the refined model: same census path,
@@ -405,7 +409,7 @@ impl AdaptiveRuntime {
             *plan.fingerprint(),
         ) {
             Ok(built) => built,
-            Err(_) => return, // never trade a working plan for a failed build
+            Err(_) => return decided, // never trade a working plan for a failed build
         };
         let built_kind = ObsVariant::from(built.variant());
         if let Challenger::Priced { kind: chosen, .. } = challenger {
@@ -414,7 +418,7 @@ impl AdaptiveRuntime {
         // A priced challenger is neither; a gated plan's replan may be
         // either, and then starts no trial — its floor stays settled.
         if built_kind == kind || structure.policy.rejected().contains(&built_kind) {
-            return;
+            return decided;
         }
         // Promotion gate: a challenger must prove its synchronization
         // schedule sound against the live pattern before it can replace a
@@ -423,30 +427,28 @@ impl AdaptiveRuntime {
         // dropped (and the failure traced), never trialed.
         let verdict = built.verify_against(loop_);
         if inner.obs.enabled() {
-            events.push(TraceEvent::PlanVerified {
+            decided[1] = Some(TraceEvent::PlanVerified {
                 fp: built.fingerprint().into(),
                 variant: built.variant().into(),
                 sound: verdict.is_ok(),
             });
         }
         if verdict.is_err() {
-            return;
+            return decided;
         }
-        if self
-            .policy
-            .begin_trial(&mut structure.policy, built_kind, kind)
-        {
+        if PromotionPolicy::ENGINE.begin_trial(&mut structure.policy, built_kind, kind) {
             structure.incumbent = Some(Arc::clone(plan));
             inner.cache.swap_plan(Arc::new(built));
             self.trials.fetch_add(1, Ordering::Relaxed);
             if inner.obs.enabled() {
-                events.push(TraceEvent::TrialStarted {
+                decided[2] = Some(TraceEvent::TrialStarted {
                     fp: plan.fingerprint().into(),
                     challenger: built_kind,
                     incumbent: kind,
                 });
             }
         }
+        decided
     }
 }
 
@@ -507,7 +509,7 @@ impl std::fmt::Debug for AdaptiveRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdaptiveRuntime")
             .field("stats", &self.stats())
-            .field("telemetry", &self.telemetry)
+            .field("telemetry", &self.telemetry_totals())
             .finish()
     }
 }

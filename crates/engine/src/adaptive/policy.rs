@@ -5,23 +5,23 @@
 //!
 //! 1. **Observe.** Solves accumulate telemetry under the running variant.
 //!    Nothing else happens until the variant has
-//!    [`AdaptiveConfig::min_samples`] observations *and*
-//!    [`AdaptiveConfig::eval_interval`] solves have passed since the last
+//!    [`Thresholds::min_samples`] (6) observations *and*
+//!    [`Thresholds::eval_interval`] (12) solves have passed since the last
 //!    evaluation — evaluation is off the per-solve hot path by
 //!    construction.
 //! 2. **Re-price on divergence.** At an evaluation point the engine
-//!    refines the cost model from telemetry ([`crate::refine()`]) and asks
+//!    refines the cost model from telemetry ([`super::refine()`]) and asks
 //!    [`PromotionPolicy::challenger`] what the planner would choose under
 //!    it: [`doacross_plan::price_features`] over the plan's features. The
-//!    **divergence threshold** ([`AdaptiveConfig::divergence`], default
-//!    1.5) gates everything: only when the refined price of the *running*
+//!    **divergence threshold** ([`Thresholds::divergence`], 1.5) gates
+//!    everything: only when the refined price of the *running*
 //!    variant differs from its static price by more than the factor —
 //!    i.e. the machine measurably disagrees with the model that chose the
 //!    variant — is a change even considered. Within the band, prediction
 //!    noise is tolerated and the plan is left alone.
 //! 3. **Trial.** If that choice is not the running variant, has not been
 //!    rejected, and beats the running variant's refined price by the
-//!    [`AdaptiveConfig::hysteresis`] margin, the engine builds it and
+//!    [`Thresholds::hysteresis`] margin (5 %), the engine builds it and
 //!    swaps it in (generation bump — stale handles fail typed). The
 //!    previous plan is retained.
 //! 4. **Commit or demote on measurement.** Once the trialed variant has
@@ -36,7 +36,7 @@
 //! incumbent, a demoted trial rejects the challenger — rejected variants
 //! are never trialed again for that structure (until an explicit
 //! invalidation resets the slate). With at most six variant families and
-//! [`AdaptiveConfig::max_trials`] trials (after which the structure is
+//! [`Thresholds::max_trials`] (3) trials (after which the structure is
 //! **pinned**), the per-structure swap count is bounded no matter how the
 //! workload oscillates; an adversarial phase change can waste at most
 //! `max_trials` round trips, ever, and each leg of a round trip must win
@@ -58,59 +58,48 @@
 //! the floor stays settled until an invalidation resets the slate, and
 //! the trials that do start are bounded by the budget above.
 
-use crate::telemetry::TelemetryEntry;
+use super::telemetry::TelemetryEntry;
 use doacross_obs::ObsVariant;
 use doacross_plan::{gated, price_features, ExecutionPlan};
 use doacross_sim::CostModel;
 
-/// Knobs of the adaptive policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
+/// The policy's thresholds. The engine runs [`PromotionPolicy::ENGINE`]'s;
+/// nothing outside this module sets them.
+#[derive(Debug)]
+pub(super) struct Thresholds {
     /// Observations a variant needs before any decision uses it — both to
     /// consider evaluation and to end a trial.
-    pub min_samples: u64,
+    min_samples: u64,
     /// Solves between evaluation points (re-pricing cadence).
-    pub eval_interval: u64,
+    eval_interval: u64,
     /// Divergence factor: re-pricing can only displace the running
     /// variant when its refined price leaves `[static/d, static·d]`.
-    pub divergence: f64,
+    divergence: f64,
     /// Multiplicative margin a challenger must win by — at trial start
     /// (refined prices) and at commit (measured minimums).
-    pub hysteresis: f64,
+    hysteresis: f64,
     /// Trials per structure before it is pinned to its current variant.
-    pub max_trials: u32,
-    /// Confidence threshold handed to [`crate::refine()`].
-    pub confidence: u64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            min_samples: 6,
-            eval_interval: 12,
-            divergence: 1.5,
-            hysteresis: 1.05,
-            max_trials: 3,
-            confidence: 6,
-        }
-    }
+    max_trials: u32,
+    /// Samples a refined constant needs before it is trusted, handed to
+    /// [`super::refine()`].
+    pub(super) confidence: u64,
 }
 
 /// An in-flight trial: `target` is executing, `incumbent` is retained for
 /// rollback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Trial {
+pub(super) struct Trial {
     /// The variant under trial (currently cached and executing).
-    pub target: ObsVariant,
+    target: ObsVariant,
     /// The variant it is trying to displace.
-    pub incumbent: ObsVariant,
+    pub(super) incumbent: ObsVariant,
 }
 
 /// Per-structure policy state. Owned by the engine, advanced by
 /// [`PromotionPolicy`]; deliberately value-only (no plan references) so it
 /// is unit-testable without an engine.
 #[derive(Debug, Clone, Default)]
-pub struct StructureState {
+pub(super) struct StructureState {
     solves_since_eval: u64,
     trial: Option<Trial>,
     rejected: Vec<ObsVariant>,
@@ -123,13 +112,13 @@ pub struct StructureState {
 
 impl StructureState {
     /// The in-flight trial, if any.
-    pub fn trial(&self) -> Option<&Trial> {
+    pub(super) fn trial(&self) -> Option<&Trial> {
         self.trial.as_ref()
     }
 
     /// Variants that lost a measured comparison here and are out of the
     /// running.
-    pub fn rejected(&self) -> &[ObsVariant] {
+    pub(super) fn rejected(&self) -> &[ObsVariant] {
         &self.rejected
     }
 }
@@ -137,7 +126,7 @@ impl StructureState {
 /// What an evaluation point asks the engine to build and trial
 /// ([`PromotionPolicy::challenger`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Challenger {
+pub(super) enum Challenger {
     /// A priced plan's: the variant the planner selects under the refined
     /// model, which is what the replan builds, with the running variant's
     /// static and refined prices that let it through.
@@ -156,13 +145,13 @@ pub enum Challenger {
 
 /// What the engine should do after a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
+pub(super) enum Action {
     /// Nothing — keep executing the cached plan.
     Keep,
     /// An evaluation point: refine the model and re-price.
     /// `probe_baseline` asks the engine to time one sequential pass of the
     /// structure first, so refinement has its anchor (see
-    /// [`crate::refine()`]) and a measured sequential baseline exists before
+    /// [`super::refine()`]) and a measured sequential baseline exists before
     /// any promotion decision.
     Evaluate {
         /// Whether a sequential baseline observation is still missing.
@@ -175,29 +164,31 @@ pub enum Action {
 }
 
 /// The decision maker (see module docs). Stateless apart from its
-/// configuration; all mutable state lives in [`StructureState`].
-#[derive(Debug, Clone)]
-pub struct PromotionPolicy {
-    cfg: AdaptiveConfig,
+/// thresholds; all mutable state lives in [`StructureState`].
+#[derive(Debug)]
+pub(super) struct PromotionPolicy {
+    pub(super) t: Thresholds,
 }
 
 impl PromotionPolicy {
-    /// Policy with the given knobs.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// The knobs in force.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
-    }
+    /// The policy every adaptive engine runs.
+    pub(super) const ENGINE: Self = Self {
+        t: Thresholds {
+            min_samples: 6,
+            eval_interval: 12,
+            divergence: 1.5,
+            hysteresis: 1.05,
+            max_trials: 3,
+            confidence: 6,
+        },
+    };
 
     /// Advances `state` by one observed solve of `current`.
     ///
     /// `current_entry` is the telemetry for `(structure, current)`;
     /// `incumbent_entry` the incumbent's during a trial; `has_baseline`
     /// whether a sequential observation of the structure exists.
-    pub fn on_solve(
+    pub(super) fn on_solve(
         &self,
         state: &mut StructureState,
         current: ObsVariant,
@@ -225,7 +216,7 @@ impl PromotionPolicy {
                 state.solves_since_eval = 0;
                 return Action::Keep;
             }
-            if current_entry.samples < self.cfg.min_samples {
+            if current_entry.samples < self.t.min_samples {
                 return Action::Keep;
             }
             let Some(incumbent) = incumbent_entry else {
@@ -233,16 +224,15 @@ impl PromotionPolicy {
                 // was cleared): keep the trial variant by default.
                 return Action::Commit(trial);
             };
-            return if (current_entry.min_ns as f64) * self.cfg.hysteresis <= incumbent.min_ns as f64
-            {
+            return if (current_entry.min_ns as f64) * self.t.hysteresis <= incumbent.min_ns as f64 {
                 Action::Commit(trial)
             } else {
                 Action::Demote(trial)
             };
         }
         state.solves_since_eval += 1;
-        if current_entry.samples < self.cfg.min_samples
-            || state.solves_since_eval < self.cfg.eval_interval
+        if current_entry.samples < self.t.min_samples
+            || state.solves_since_eval < self.t.eval_interval
         {
             return Action::Keep;
         }
@@ -259,7 +249,7 @@ impl PromotionPolicy {
     /// divergence band, the choice is neither running nor rejected, and it
     /// wins by the hysteresis margin; a gated plan's is
     /// [`Challenger::PastFloor`], once per reopening of its floor.
-    pub fn challenger(
+    pub(super) fn challenger(
         &self,
         state: &mut StructureState,
         plan: &ExecutionPlan,
@@ -286,14 +276,14 @@ impl PromotionPolicy {
             return None;
         }
         let ratio = refined_price / static_price;
-        if ratio <= self.cfg.divergence && ratio >= 1.0 / self.cfg.divergence {
+        if ratio <= self.t.divergence && ratio >= 1.0 / self.t.divergence {
             return None; // prediction still trusted
         }
         let kind = ObsVariant::from(choice);
         let price = refined_costs.of(choice)?;
         (kind != ObsVariant::from(plan.variant())
             && !state.rejected.contains(&kind)
-            && price * self.cfg.hysteresis < refined_price)
+            && price * self.t.hysteresis < refined_price)
             .then_some(Challenger::Priced {
                 kind,
                 static_price,
@@ -303,13 +293,13 @@ impl PromotionPolicy {
 
     /// Records that the engine swapped `target` in over `incumbent`.
     /// Returns `false` (and pins) when the trial budget is exhausted.
-    pub fn begin_trial(
+    pub(super) fn begin_trial(
         &self,
         state: &mut StructureState,
         target: ObsVariant,
         incumbent: ObsVariant,
     ) -> bool {
-        if state.pinned || state.trials_started >= self.cfg.max_trials {
+        if state.pinned || state.trials_started >= self.t.max_trials {
             state.pinned = true;
             return false;
         }
@@ -323,7 +313,7 @@ impl PromotionPolicy {
     /// Finishes a trial: the losing side is rejected (never trialed again
     /// for this structure) and the structure pins once the budget is
     /// spent.
-    pub fn complete_trial(&self, state: &mut StructureState, trial: Trial, committed: bool) {
+    pub(super) fn complete_trial(&self, state: &mut StructureState, trial: Trial, committed: bool) {
         let loser = if committed {
             trial.incumbent
         } else {
@@ -334,7 +324,7 @@ impl PromotionPolicy {
         }
         state.trial = None;
         state.solves_since_eval = 0;
-        if state.trials_started >= self.cfg.max_trials {
+        if state.trials_started >= self.t.max_trials {
             state.pinned = true;
         }
     }
@@ -343,36 +333,38 @@ impl PromotionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::telemetry::{SolveSample, Telemetry};
     use doacross_par::ThreadPool;
     use doacross_plan::{testgrid::deep_grid, PlanVariant, Planner};
 
     fn entry(samples: u64, min_ns: u64) -> TelemetryEntry {
-        TelemetryEntry {
-            samples,
-            ewma_ns: min_ns as f64,
-            min_ns,
-            last_ns: min_ns,
+        let mut telemetry = Telemetry::default();
+        let sample = SolveSample {
+            ns: min_ns,
             wait_polls: 0,
             barriers: 0,
             terms: 100,
             pred_units: 1_000.0,
             work_units: 900.0,
-            sum_polls: 0.0,
-            sum_polls_sq: 0.0,
-            sum_ns: 0.0,
-            sum_polls_ns: 0.0,
+        };
+        for _ in 0..samples {
+            telemetry.record(ObsVariant::Doacross, &sample);
         }
+        *telemetry.get(ObsVariant::Doacross).unwrap()
     }
 
+    /// Faster than the engine's, so a few solves reach each decision.
     fn policy() -> PromotionPolicy {
-        PromotionPolicy::new(AdaptiveConfig {
-            min_samples: 3,
-            eval_interval: 4,
-            divergence: 1.5,
-            hysteresis: 1.05,
-            max_trials: 3,
-            confidence: 3,
-        })
+        PromotionPolicy {
+            t: Thresholds {
+                min_samples: 3,
+                eval_interval: 4,
+                divergence: 1.5,
+                hysteresis: 1.05,
+                max_trials: 3,
+                confidence: 3,
+            },
+        }
     }
 
     #[test]
@@ -536,13 +528,13 @@ mod tests {
         assert!(names(&policy()) > 0);
         // A band no refined price can leave: nothing diverges, nothing is
         // named.
-        let mut cfg = *policy().config();
-        cfg.divergence = f64::INFINITY;
-        assert_eq!(names(&PromotionPolicy::new(cfg)), 0);
+        let mut p = policy();
+        p.t.divergence = f64::INFINITY;
+        assert_eq!(names(&p), 0);
         // A margin no choice can win by: divergence alone names nothing.
-        let mut cfg = *policy().config();
-        cfg.hysteresis = f64::INFINITY;
-        assert_eq!(names(&PromotionPolicy::new(cfg)), 0);
+        let mut p = policy();
+        p.t.hysteresis = f64::INFINITY;
+        assert_eq!(names(&p), 0);
         // Every named challenger diverged and won by the margin.
         let p = policy();
         for refined in refined_models() {
@@ -554,11 +546,11 @@ mod tests {
             }) = p.challenger(&mut st, &plan, &refined)
             {
                 let ratio = refined_price / static_price;
-                assert!(ratio > p.config().divergence || ratio < 1.0 / p.config().divergence);
+                assert!(ratio > p.t.divergence || ratio < 1.0 / p.t.divergence);
                 let built = replan(refined);
                 let price = built.costs().of(built.variant()).unwrap();
                 assert_eq!(ObsVariant::from(built.variant()), kind);
-                assert!(price * p.config().hysteresis < refined_price, "{refined:?}");
+                assert!(price * p.t.hysteresis < refined_price, "{refined:?}");
             }
         }
     }
@@ -587,7 +579,7 @@ mod tests {
                 ObsVariant::Sequential => costs.linear.unwrap(),
                 _ => costs.sequential,
             };
-            cleared += u32::from(third * p.config().hysteresis < costs.wavefront.unwrap());
+            cleared += u32::from(third * p.t.hysteresis < costs.wavefront.unwrap());
         }
         assert!(cleared > 0, "no third kind cleared the margin");
 

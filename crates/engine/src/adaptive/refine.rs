@@ -17,7 +17,7 @@
 //!   the model to agree with whatever it mispredicted.
 //! * **`wait_poll`** — the per-poll cost is the least-squares slope of
 //!   per-solve nanoseconds over per-solve poll counts within one
-//!   `(structure, flag-variant)` key ([`crate::telemetry::TelemetryEntry::poll_slope_ns`]):
+//!   `(structure, flag-variant)` key ([`TelemetryEntry::poll_slope_ns`]):
 //!   solves of one structure differ only in how often readers caught
 //!   writers unfinished, so the slope isolates the poll cost model-free.
 //! * **`barrier`** — from wavefront entries: the fastest observed solve,
@@ -35,94 +35,48 @@
 //! blends with a weight that grows with the evidence — a fresh engine
 //! prices like its preset, a seasoned one like its hardware.
 
-use crate::telemetry::TelemetryEntry;
+use super::telemetry::TelemetryEntry;
 use doacross_obs::ObsVariant;
-use doacross_plan::PatternFingerprint;
 use doacross_sim::{CostModel, ObservedConstants};
 
-/// Refinement knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefinementConfig {
-    /// Samples a channel needs before its constant is trusted at all, and
-    /// the half-saturation point of the blend weight
-    /// (`weight = k / (k + confidence)`).
-    pub confidence: u64,
-    /// Anchor from host calibration (ns per model unit), when the engine
-    /// measured one. Preferred over the sequential-solve anchor.
-    pub unit_ns_hint: Option<f64>,
-}
-
-impl Default for RefinementConfig {
-    fn default() -> Self {
-        Self {
-            confidence: 6,
-            unit_ns_hint: None,
-        }
-    }
-}
-
-/// The outcome of one refinement pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Refinement {
-    /// The anchor used, if one existed.
-    pub unit_ns: Option<f64>,
-    /// The measured constants (model units) with their blend weight —
-    /// feed to [`CostModel::refined_from`].
-    pub constants: ObservedConstants,
-    /// Samples behind the `wait_poll` estimate.
-    pub wait_poll_samples: u64,
-    /// Samples behind the `barrier` estimate.
-    pub barrier_samples: u64,
-    /// Samples behind the `chain` estimate.
-    pub chain_samples: u64,
-}
-
-impl Refinement {
-    /// The refined model: `base` with the evidenced constants blended in.
-    pub fn model(&self, base: &CostModel) -> CostModel {
-        CostModel::refined_from(base, &self.constants)
-    }
-}
-
-/// Runs one refinement pass over a telemetry snapshot. `base` is the
-/// model the engine planned (and recorded `work_units`) with; `p` is the
-/// worker count those predictions priced for.
-pub fn refine(
+/// Runs one refinement pass over `entries`, every structure's telemetry.
+/// `base` is the model the engine planned (and recorded `work_units`)
+/// with; `p` is the worker count those predictions priced for;
+/// `confidence` is the samples a channel needs before its constant is
+/// trusted at all, and the half-saturation point of the blend weight
+/// (`weight = k / (k + confidence)`); `unit_ns_hint` is the anchor from
+/// host calibration (ns per model unit), when the engine measured one —
+/// preferred over the sequential-solve anchor. The result feeds
+/// [`CostModel::refined_from`]; without an anchor it carries no evidence.
+pub(super) fn refine<'a>(
     base: &CostModel,
-    entries: &[(PatternFingerprint, ObsVariant, TelemetryEntry)],
+    entries: impl Iterator<Item = (ObsVariant, &'a TelemetryEntry)> + Clone,
     p: usize,
-    cfg: &RefinementConfig,
-) -> Refinement {
-    let mut out = Refinement {
-        unit_ns: None,
-        constants: ObservedConstants::default(),
-        wait_poll_samples: 0,
-        barrier_samples: 0,
-        chain_samples: 0,
-    };
+    confidence: u64,
+    unit_ns_hint: Option<f64>,
+) -> ObservedConstants {
+    let mut out = ObservedConstants::default();
 
     // Anchor.
-    let unit_ns = cfg
-        .unit_ns_hint
+    let unit_ns = unit_ns_hint
         .filter(|u| u.is_finite() && *u > 0.0)
         .or_else(|| {
             entries
-                .iter()
-                .filter(|(_, kind, e)| {
+                .clone()
+                .filter(|(kind, e)| {
                     *kind == ObsVariant::Sequential && e.pred_units > 0.0 && e.min_ns > 0
                 })
-                .map(|(_, _, e)| e.min_ns as f64 / e.pred_units)
+                .map(|(_, e)| e.min_ns as f64 / e.pred_units)
                 .min_by(f64::total_cmp)
         });
     let Some(unit) = unit_ns else {
         return out; // no independent clock reference — no refinement
     };
-    out.unit_ns = Some(unit);
 
     // wait_poll: pooled regression slope over flag-variant entries.
     let mut slope_weighted = 0.0f64;
     let mut slope_samples = 0u64;
-    for (_, kind, e) in entries {
+    for (kind, e) in entries.clone() {
         if !kind.uses_flags() {
             continue;
         }
@@ -131,16 +85,15 @@ pub fn refine(
             slope_samples += e.samples;
         }
     }
-    if slope_samples >= cfg.confidence {
-        out.constants.wait_poll = Some(slope_weighted / slope_samples as f64 / unit);
-        out.wait_poll_samples = slope_samples;
+    if slope_samples >= confidence {
+        out.wait_poll = Some(slope_weighted / slope_samples as f64 / unit);
     }
 
     // barrier: minimum anchored excess per crossing over wavefront entries.
     let mut barrier_est: Option<f64> = None;
     let mut barrier_samples = 0u64;
-    for (_, kind, e) in entries {
-        if *kind != ObsVariant::Wavefront || e.barriers == 0 {
+    for (kind, e) in entries.clone() {
+        if kind != ObsVariant::Wavefront || e.barriers == 0 {
             continue;
         }
         let excess_ns = e.min_ns as f64 - e.work_units * unit;
@@ -150,19 +103,18 @@ pub fn refine(
             barrier_samples += e.samples;
         }
     }
-    if barrier_samples >= cfg.confidence {
+    if barrier_samples >= confidence {
         // A measured-zero excess is evidence that barriers are ~free on
         // this host (e.g. one participant); floor at 1% of the base so
         // the blend still has a physical value to move toward.
-        out.constants.barrier = barrier_est.map(|b| b.max(base.barrier * 0.01));
-        out.barrier_samples = barrier_samples;
+        out.barrier = barrier_est.map(|b| b.max(base.barrier * 0.01));
     }
 
     // chain: per-reference aggregate from poll-free flag-variant entries.
     let base_per_term = base.term + base.check;
     let mut chain_weighted = 0.0f64;
     let mut chain_samples = 0u64;
-    for (_, kind, e) in entries {
+    for (kind, e) in entries {
         if !kind.uses_flags() || e.wait_polls != 0 || e.terms == 0 {
             continue;
         }
@@ -177,23 +129,22 @@ pub fn refine(
             chain_samples += e.samples;
         }
     }
-    if chain_samples >= cfg.confidence {
-        out.constants.chain_per_term = Some(chain_weighted / chain_samples as f64);
-        out.chain_samples = chain_samples;
+    if chain_samples >= confidence {
+        out.chain_per_term = Some(chain_weighted / chain_samples as f64);
     }
 
     // Blend weight from the thinnest evidenced channel: the refined model
     // moves no faster than its least-supported constant justifies.
     let thinnest = [
-        out.constants.wait_poll.map(|_| out.wait_poll_samples),
-        out.constants.barrier.map(|_| out.barrier_samples),
-        out.constants.chain_per_term.map(|_| out.chain_samples),
+        out.wait_poll.map(|_| slope_samples),
+        out.barrier.map(|_| barrier_samples),
+        out.chain_per_term.map(|_| chain_samples),
     ]
     .into_iter()
     .flatten()
     .min();
     if let Some(k) = thinnest {
-        out.constants.weight = k as f64 / (k + cfg.confidence) as f64;
+        out.weight = k as f64 / (k + confidence) as f64;
     }
     out
 }
@@ -201,31 +152,23 @@ pub fn refine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{SolveSample, VariantTelemetry};
-    use doacross_core::IndirectLoop;
+    use crate::adaptive::telemetry::{SolveSample, Telemetry};
 
-    fn fp(n: usize) -> PatternFingerprint {
-        let a: Vec<usize> = (0..n).collect();
-        PatternFingerprint::of(&IndirectLoop::new(n, a, vec![vec![]; n], vec![vec![]; n]).unwrap())
-    }
-
-    fn cfg() -> RefinementConfig {
-        RefinementConfig {
-            confidence: 4,
-            unit_ns_hint: None,
-        }
+    /// Refines `telemetry` against the Multimax preset at `p = 2` and a
+    /// confidence of 4.
+    fn refined(telemetry: &Telemetry, unit_ns_hint: Option<f64>) -> ObservedConstants {
+        refine(&CostModel::multimax(), telemetry.iter(), 2, 4, unit_ns_hint)
     }
 
     #[test]
     fn no_anchor_means_no_refinement() {
-        let telemetry = VariantTelemetry::new(1);
+        let mut telemetry = Telemetry::default();
         // Plenty of flag-variant samples, but nothing sequential and no
         // calibration hint: refinement must refuse to invent constants.
         for polls in 0..10u64 {
             telemetry.record(
-                &fp(5),
                 ObsVariant::Doacross,
-                SolveSample {
+                &SolveSample {
                     ns: 10_000 + 13 * polls,
                     wait_polls: polls,
                     barriers: 0,
@@ -235,23 +178,21 @@ mod tests {
                 },
             );
         }
-        let r = refine(&CostModel::multimax(), &telemetry.entries(), 2, &cfg());
-        assert_eq!(r.unit_ns, None);
-        assert!(!r.constants.has_evidence());
-        assert_eq!(r.model(&CostModel::multimax()), CostModel::multimax());
+        let r = refined(&telemetry, None);
+        assert!(!r.has_evidence());
+        let base = CostModel::multimax();
+        assert_eq!(CostModel::refined_from(&base, &r), base);
     }
 
     #[test]
     fn sequential_solves_anchor_and_slope_refines_wait_poll() {
         let base = CostModel::multimax();
-        let telemetry = VariantTelemetry::new(1);
-        let key = fp(9);
+        let mut telemetry = Telemetry::default();
         // Sequential: 2000 units predicted, observed 4000 ns → unit 2 ns.
         for _ in 0..4 {
             telemetry.record(
-                &key,
                 ObsVariant::Sequential,
-                SolveSample {
+                &SolveSample {
                     ns: 4_000,
                     wait_polls: 0,
                     barriers: 0,
@@ -261,12 +202,11 @@ mod tests {
                 },
             );
         }
-        // Doacross: each poll costs 26 ns = 13 units.
+        // Doacross: each poll costs 26 ns = 13 units at 2 ns per unit.
         for polls in [0u64, 5, 10, 20, 40] {
             telemetry.record(
-                &key,
                 ObsVariant::Doacross,
-                SolveSample {
+                &SolveSample {
                     ns: 9_000 + 26 * polls,
                     wait_polls: polls,
                     barriers: 0,
@@ -276,12 +216,11 @@ mod tests {
                 },
             );
         }
-        let r = refine(&base, &telemetry.entries(), 2, &cfg());
-        assert_eq!(r.unit_ns, Some(2.0));
-        let wait = r.constants.wait_poll.expect("slope evidence");
+        let r = refined(&telemetry, None);
+        let wait = r.wait_poll.expect("slope evidence");
         assert!((wait - 13.0).abs() < 1e-6, "{wait}");
-        assert!(r.constants.weight > 0.0 && r.constants.weight < 1.0);
-        let refined = r.model(&base);
+        assert!(r.weight > 0.0 && r.weight < 1.0);
+        let refined = CostModel::refined_from(&base, &r);
         assert!(refined.wait_poll > base.wait_poll);
         assert_eq!(refined.region_dispatch, base.region_dispatch);
     }
@@ -289,16 +228,26 @@ mod tests {
     #[test]
     fn calibration_hint_beats_the_sequential_anchor_and_barrier_refines() {
         let base = CostModel::multimax();
-        let telemetry = VariantTelemetry::new(1);
-        let key = fp(11);
+        let mut telemetry = Telemetry::default();
+        // A sequential anchor of 1 ns per unit, which the hint overrides.
+        telemetry.record(
+            ObsVariant::Sequential,
+            &SolveSample {
+                ns: 1_000,
+                wait_polls: 0,
+                barriers: 0,
+                terms: 400,
+                pred_units: 1_000.0,
+                work_units: 1_000.0,
+            },
+        );
         // Wavefront: 19 crossings/solve; work predicted 1000 units; with
         // the hinted unit of 3 ns, observed 3000 + 19·600 ns puts each
         // crossing at 600 ns = 200 units.
         for _ in 0..5 {
             telemetry.record(
-                &key,
                 ObsVariant::Wavefront,
-                SolveSample {
+                &SolveSample {
                     ns: 3_000 + 19 * 600,
                     wait_polls: 0,
                     barriers: 19,
@@ -308,30 +257,23 @@ mod tests {
                 },
             );
         }
-        let r = refine(
-            &base,
-            &telemetry.entries(),
-            2,
-            &RefinementConfig {
-                confidence: 4,
-                unit_ns_hint: Some(3.0),
-            },
-        );
-        assert_eq!(r.unit_ns, Some(3.0));
-        let barrier = r.constants.barrier.expect("barrier evidence");
+        let r = refined(&telemetry, Some(3.0));
+        let barrier = r.barrier.expect("barrier evidence");
         assert!((barrier - 200.0).abs() < 1e-6, "{barrier}");
-        assert_eq!(r.barrier_samples, 5);
-        assert!(r.model(&base).barrier > base.barrier);
+        assert_eq!(
+            r.weight,
+            5.0 / 9.0,
+            "five samples against a confidence of 4"
+        );
+        assert!(CostModel::refined_from(&base, &r).barrier > base.barrier);
     }
 
     #[test]
     fn thin_evidence_stays_below_the_confidence_threshold() {
-        let telemetry = VariantTelemetry::new(1);
-        let key = fp(4);
+        let mut telemetry = Telemetry::default();
         telemetry.record(
-            &key,
             ObsVariant::Sequential,
-            SolveSample {
+            &SolveSample {
                 ns: 1_000,
                 wait_polls: 0,
                 barriers: 0,
@@ -340,24 +282,23 @@ mod tests {
                 work_units: 500.0,
             },
         );
+        let wavefront = SolveSample {
+            ns: 5_000,
+            wait_polls: 0,
+            barriers: 10,
+            terms: 10,
+            pred_units: 1_100.0,
+            work_units: 1_000.0,
+        };
         // Only 3 wavefront samples against a confidence of 4.
         for _ in 0..3 {
-            telemetry.record(
-                &key,
-                ObsVariant::Wavefront,
-                SolveSample {
-                    ns: 5_000,
-                    wait_polls: 0,
-                    barriers: 10,
-                    terms: 10,
-                    pred_units: 1_100.0,
-                    work_units: 1_000.0,
-                },
-            );
+            telemetry.record(ObsVariant::Wavefront, &wavefront);
         }
-        let r = refine(&CostModel::multimax(), &telemetry.entries(), 2, &cfg());
-        assert!(r.unit_ns.is_some(), "anchor exists");
-        assert_eq!(r.constants.barrier, None, "below confidence");
-        assert!(!r.constants.has_evidence());
+        let r = refined(&telemetry, None);
+        assert_eq!(r.barrier, None, "below confidence");
+        assert!(!r.has_evidence());
+        // The fourth sample crosses it: the anchor was there all along.
+        telemetry.record(ObsVariant::Wavefront, &wavefront);
+        assert!(refined(&telemetry, None).barrier.is_some());
     }
 }

@@ -5,7 +5,6 @@
 use crate::adaptive::AdaptiveRuntime;
 use crate::engine::Engine;
 use crate::fault::FallbackPolicy;
-use doacross_adapt::AdaptiveConfig;
 use doacross_obs::profile::{ProfConfig, Profiler};
 use doacross_obs::{ColdStartReason, Obs, ObsConfig, TraceEvent};
 use doacross_plan::{
@@ -39,7 +38,7 @@ pub struct EngineBuilder {
     planner: Planner,
     warm_start: Option<PathBuf>,
     calibrate: bool,
-    adaptive: Option<AdaptiveConfig>,
+    adaptive: bool,
     observability: bool,
     profiling: bool,
     solve_deadline: Option<Duration>,
@@ -67,7 +66,7 @@ impl EngineBuilder {
             planner: Planner::new(),
             warm_start: None,
             calibrate: true,
-            adaptive: None,
+            adaptive: false,
             observability: false,
             profiling: false,
             solve_deadline: None,
@@ -163,25 +162,24 @@ impl EngineBuilder {
         self
     }
 
-    /// Turns on the adaptive feedback loop with default knobs: every
-    /// execute feeds a variant-telemetry recorder; when a structure's
-    /// observed cost diverges from its prediction by the configured
-    /// factor, the cost model is refined from the measurements and the
-    /// plan re-priced; a measured-cheaper variant is trialed (swapped in
-    /// under the shard lock with a generation bump — outstanding handles
-    /// fail typed with [`crate::EngineError::StalePlan`]), then committed
-    /// or rolled back on the measured comparison, with hysteresis. See
-    /// `doacross_adapt` for the policy in full.
+    /// Turns on the adaptive feedback loop: every execute records its
+    /// timing in the structure's telemetry; every 12 solves (once the
+    /// running variant has 6 samples) the cost model is refined from the
+    /// measurements and the plan re-priced; when the running variant's
+    /// refined price leaves its static price by more than a factor of 1.5
+    /// and the planner's choice under the refined model wins by 5 %, that
+    /// variant is trialed (swapped in under the shard lock with a
+    /// generation bump — outstanding handles fail typed with
+    /// [`crate::EngineError::StalePlan`]), then committed or rolled back on
+    /// the measured comparison, with the same 5 % hysteresis; after 3
+    /// trials a structure is pinned. The thresholds are fixed; the engine's
+    /// private `adaptive` module documents the policy in full. Telemetry
+    /// lives in memory only: a warm-started engine observes afresh.
     ///
     /// Adaptation needs a cache to swap plans in: it is disabled when
     /// [`EngineBuilder::cache_capacity`] is 0.
-    pub fn adaptive(self) -> Self {
-        self.adaptive_config(AdaptiveConfig::default())
-    }
-
-    /// [`EngineBuilder::adaptive`] with explicit policy knobs.
-    pub fn adaptive_config(mut self, config: AdaptiveConfig) -> Self {
-        self.adaptive = Some(config);
+    pub fn adaptive(mut self) -> Self {
+        self.adaptive = true;
         self
     }
 
@@ -244,7 +242,9 @@ impl EngineBuilder {
     /// Warm-starts the engine from the plan store at `path` (written by a
     /// previous process via [`Engine::save_plans`]): every structure in
     /// the store begins life cached, so its first solve after a restart
-    /// skips preprocessing entirely.
+    /// skips preprocessing entirely. The store carries plans and the host
+    /// calibration, not an adaptive engine's telemetry: adaptation starts
+    /// observing afresh after a restart.
     ///
     /// A **missing** file is a clean cold start (the natural first-boot
     /// state), and so is a store written by a different
@@ -273,9 +273,8 @@ impl EngineBuilder {
     /// if one was configured.
     ///
     /// The store is loaded once and used for everything it carries: its
-    /// plans warm the cache, its telemetry warms an adaptive engine's
-    /// recorder, and a valid stored calibration is the cost model (unless
-    /// [`EngineBuilder::planner`] gave one). First-boot
+    /// plans warm the cache, and a valid stored calibration is the cost
+    /// model (unless [`EngineBuilder::planner`] gave one). First-boot
     /// rules as in [`EngineBuilder::warm_start`]: missing or
     /// version-superseded stores are a clean cold start, damaged stores
     /// are quarantined aside and the boot proceeds cold — no store makes
@@ -361,10 +360,8 @@ impl EngineBuilder {
             (self.planner, None)
         };
         let shards = self.shards.unwrap_or_else(default_shard_count);
-        let adaptive = self
-            .adaptive
-            .filter(|_| self.cache_capacity > 0) // nothing to swap plans in
-            .map(|config| AdaptiveRuntime::new(config, shards, calibration.as_ref()));
+        let adaptive = (self.adaptive && self.cache_capacity > 0) // nothing to swap plans in
+            .then(|| AdaptiveRuntime::new(calibration.as_ref()));
         let mut cache = ConcurrentPlanCache::new(self.cache_capacity, shards);
         cache.set_obs(obs.clone());
         let profiler = self

@@ -1,12 +1,11 @@
 //! [`Engine`]: the Arc-shareable doacross session.
 
-use crate::adaptive::{AdaptiveRuntime, AdaptiveStats};
+use crate::adaptive::{AdaptiveRuntime, AdaptiveStats, TelemetryTotals};
 use crate::builder::EngineBuilder;
 use crate::error::EngineError;
 use crate::fault::FallbackPolicy;
 use crate::prepared::PreparedLoop;
 use crate::solve::{clamp_ns, LeaseScratch};
-use doacross_adapt::TelemetryTotals;
 use doacross_core::{AccessPattern, DoacrossLoop, RunStats};
 use doacross_obs::profile::{Profiler, SolveProfile};
 use doacross_obs::{render, Obs, SolveRecord, TraceEvent, TracedEvent};
@@ -321,19 +320,15 @@ impl Engine {
 
     /// Captures the plan cache — resident plans in recency order, tagged
     /// with their invalidation generations — as an in-memory
-    /// [`PlanStore`], together with the engine's learned state: the host
-    /// calibration (present unless `.planner(..)` was given) and the
-    /// variant telemetry (for `adaptive()` engines), so a warm start
-    /// resumes with learned costs instead of re-measuring and
-    /// re-observing. Serialize with
+    /// [`PlanStore`], together with the host calibration (present unless
+    /// `.planner(..)` was given), so a warm start prices with the measured
+    /// costs instead of re-measuring. An adaptive engine's telemetry is not
+    /// stored: a restarted engine observes afresh. Serialize with
     /// [`PlanStore::to_bytes`] or go straight to disk with
     /// [`Engine::save_plans`].
     pub fn snapshot(&self) -> PlanStore {
         let mut store = self.inner.cache.snapshot();
         store.set_calibration(self.inner.calibration);
-        if let Some(adaptive) = &self.inner.adaptive {
-            adaptive.snapshot_telemetry(&mut store);
-        }
         store
     }
 
@@ -350,17 +345,11 @@ impl Engine {
     /// [`Engine::prepare`] treats such plans as misses and replans (same
     /// rule as any pricing-context mismatch).
     ///
-    /// On an adaptive engine the store's telemetry records are restored
-    /// too (live accumulators with more samples win over stored ones), so
-    /// refinement resumes mid-confidence. Restoring a stored calibration
-    /// happens at build time ([`crate::EngineBuilder::warm_start`], unless
-    /// `.planner(..)` was given) — the planner's model is immutable once
-    /// built.
+    /// Restoring a stored calibration happens at build time
+    /// ([`crate::EngineBuilder::warm_start`], unless `.planner(..)` was
+    /// given) — the planner's model is immutable once built.
     pub fn warm_from(&self, store: &PlanStore) -> usize {
         let restored = self.inner.cache.warm_from(store);
-        if let Some(adaptive) = &self.inner.adaptive {
-            adaptive.restore_telemetry(store.telemetry());
-        }
         if self.inner.obs.enabled() {
             self.inner.obs.emit(TraceEvent::StoreLoaded {
                 plans: store.len() as u64,

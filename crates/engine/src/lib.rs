@@ -77,7 +77,7 @@
 // Audit posture: nothing here steps outside the borrow checker (the last
 // site went with batched submission); keep it that way.
 #![forbid(unsafe_code)]
-pub mod adaptive;
+mod adaptive;
 pub mod builder;
 pub mod engine;
 pub mod error;
@@ -85,7 +85,7 @@ pub mod fault;
 pub mod prepared;
 mod solve;
 
-pub use adaptive::AdaptiveStats;
+pub use adaptive::{AdaptiveStats, TelemetryTotals};
 pub use builder::EngineBuilder;
 pub use engine::Engine;
 pub use error::EngineError;
@@ -98,11 +98,6 @@ pub use doacross_sched::{PoolStats, DEFAULT_MAX_PENDING, MAX_POOLS};
 // The persistence vocabulary engine callers need, re-exported so they can
 // save/restore plans without naming doacross-plan directly.
 pub use doacross_plan::{PersistError, PlanStore, StoredCalibration};
-// The adaptive-policy vocabulary ([`EngineBuilder::adaptive_config`],
-// [`Engine::telemetry_totals`], and the stored telemetry records of
-// [`Engine::snapshot`] read through [`TelemetryEntry::from_stored`]),
-// re-exported likewise.
-pub use doacross_adapt::{AdaptiveConfig, TelemetryEntry, TelemetryTotals};
 // The observability vocabulary (the trace/flight types behind
 // [`Engine::trace_events`] / [`Engine::recent_solves`]). Metric names are
 // documented at [`doacross_obs`]'s crate root.

@@ -17,8 +17,8 @@ use doacross_core::{
     PlanProvenance, TestLoop,
 };
 use doacross_engine::{
-    AdaptiveConfig, Engine, EngineBuilder, EngineError, FallbackPolicy, ObsVariant, PersistError,
-    SolveOutcome, SolveProfile, SpanKind, TraceEvent,
+    Engine, EngineBuilder, EngineError, FallbackPolicy, ObsVariant, PersistError, SolveOutcome,
+    SolveProfile, SpanKind, TraceEvent,
 };
 use doacross_plan::{ExecutionPlan, PlanVariant, Planner};
 use doacross_sim::CostModel;
@@ -833,14 +833,7 @@ fn injected_trial_fault_keeps_the_incumbent_plan_running() {
         .workers(2)
         .pools(1)
         .planner(Planner::with_costs(mispriced))
-        .adaptive_config(AdaptiveConfig {
-            min_samples: 4,
-            eval_interval: 5,
-            divergence: 1.3,
-            hysteresis: 1.05,
-            max_trials: 3,
-            confidence: 4,
-        })
+        .adaptive()
         .build();
     let loop_ = doacross_plan::testgrid::deep_grid(2, 300, 1, 1);
     let prepared = engine.prepare(&loop_).unwrap();

@@ -21,9 +21,7 @@ use doacross_core::alloc::CountingAllocator;
 use doacross_core::{
     seq::run_sequential, DoacrossLoop, IndirectLoop, PlanProvenance, RunStats, TestLoop,
 };
-use doacross_engine::{
-    AdaptiveConfig, Engine, EngineBuilder, FallbackPolicy, PlanStore, ProfConfig,
-};
+use doacross_engine::{Engine, EngineBuilder, FallbackPolicy, PlanStore, ProfConfig};
 use doacross_par::ThreadPool;
 use doacross_plan::{PatternFingerprint, PlanVariant, Planner, VariantCosts};
 use doacross_sim::CostModel;
@@ -307,7 +305,7 @@ fn warm_sequential_calls_allocate_nothing_and_lease_no_sub_pool() {
 /// Warm whole calls with observability, profiling and adaptation all on:
 /// the record stage traces, harvests into the profile ring and feeds the
 /// adaptive layer without touching the heap — across adaptive evaluation
-/// points (the telemetry snapshot is a buffer the runtime keeps) and
+/// points (refinement reads the entries where they are kept) and
 /// across wraps of the profile ring (a harvest drains into the evicted
 /// profile's buffer, which is as large as the largest profile so far).
 /// Only a solve that deposits more spans than every solve before it may
@@ -319,7 +317,7 @@ fn assert_observed_calls_allocate_nothing<L: DoacrossLoop>(
     wants: fn(PlanVariant) -> bool,
 ) {
     let ring = ProfConfig::default().ring;
-    let eval_interval = AdaptiveConfig::default().eval_interval as usize;
+    let eval_interval = 12; // an adaptive engine's evaluation cadence, in solves
     let prepared = engine.prepare(loop_).expect("plannable");
     assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
     let y0: Vec<f64> = (0..loop_.data_len())
@@ -377,12 +375,12 @@ fn assert_observed_calls_allocate_nothing<L: DoacrossLoop>(
 
 #[test]
 fn warm_observed_profiled_adaptive_calls_allocate_nothing() {
-    let everything_on = |builder: EngineBuilder, adaptive: AdaptiveConfig| {
+    let everything_on = |builder: EngineBuilder| {
         builder
             .pools(1)
             .observability_default()
             .profiling_default()
-            .adaptive_config(adaptive)
+            .adaptive()
             .build()
     };
     // A serial chain is sequential under any model; here, the host's.
@@ -390,29 +388,32 @@ fn warm_observed_profiled_adaptive_calls_allocate_nothing() {
     let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     let chain = IndirectLoop::new(n + 1, (1..=n).collect(), rhs, vec![vec![0.5]; n]).unwrap();
     assert_observed_calls_allocate_nothing(
-        &everything_on(Engine::builder().workers(2), AdaptiveConfig::default()),
+        &everything_on(Engine::builder().workers(2)),
         &chain,
         |v| v == PlanVariant::Sequential,
     );
     // The preset misprices this host, and an evaluation that acts on it
     // starts a trial: a plan build and a generation bump that retires the
-    // handle — adaptation's one by-design allocating path. A divergence
-    // band nothing leaves keeps every evaluation point on the path under
-    // audit: snapshot, refine, re-price, keep.
-    let never_diverges = AdaptiveConfig {
-        divergence: f64::INFINITY,
-        ..AdaptiveConfig::default()
-    };
+    // handle — adaptation's one by-design allocating path. With the trial
+    // failpoint saturated, every challenger is absorbed before it is built
+    // (the path `chaos.rs` proves keeps the incumbent), so every
+    // evaluation point stays on the path under audit: refine, re-price,
+    // trace the divergence, keep.
+    failpoint::arm(
+        "engine::adaptive::trial",
+        failpoint::FailAction::Saturate { times: u64::MAX },
+    );
     assert_observed_calls_allocate_nothing(
-        &everything_on(preset_engine(), never_diverges),
+        &everything_on(preset_engine()),
         &doacross_plan::testgrid::deep_grid(64, 20, 3, 7),
         |v| v == PlanVariant::Wavefront,
     );
     assert_observed_calls_allocate_nothing(
-        &everything_on(preset_engine(), never_diverges),
+        &everything_on(preset_engine()),
         &interleaved_chains(32, 16),
         |v| v == PlanVariant::Reordered,
     );
+    failpoint::disarm("engine::adaptive::trial");
 }
 
 /// What a build that stops at the planner's stage-1 gate costs, and that

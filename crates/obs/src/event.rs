@@ -20,7 +20,7 @@ impl std::fmt::Display for FpId {
 
 /// Executor variant families, mirroring the planner's `PlanVariant`
 /// without its payloads — also the adaptive layer's telemetry key, whose
-/// stored tag is [`ObsVariant::index`].
+/// slot in a structure's entries is [`ObsVariant::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObsVariant {
     Sequential,

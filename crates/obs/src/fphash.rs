@@ -1,7 +1,7 @@
 //! The hasher of every fingerprint-keyed map on the solve path.
 //!
 //! Those maps — the registry's per-structure series, the adaptive layer's
-//! telemetry shards and structure map — are keyed by pattern
+//! structure map — are keyed by pattern
 //! fingerprints, which are already 128-bit hashes of the structure. The
 //! standard library's SipHash-1-3 runs every word of such a key through
 //! its rounds again; here each word costs one 64 × 64 → 128-bit multiply

@@ -91,7 +91,7 @@
 //! relaxed atomic adds (zero-valued ones skipped) and three uncontended
 //! locks — flight ring, trace-ring shard, per-structure map with one
 //! lookup — and nothing is allocated. The per-structure map, like the
-//! adaptive layer's telemetry shards and structure map, hashes with
+//! adaptive layer's structure map, hashes with
 //! [`FpBuildHasher`]: its keys are fingerprints — already 128-bit hashes
 //! — so SipHash's DoS resistance is paid for twice, and one
 //! multiply-fold per word replaces it. The fold is seeded once per

@@ -92,7 +92,7 @@ pub use cache::CacheStats;
 pub use census::{CensusPass, PlanCensus};
 pub use concurrent::{default_shard_count, ConcurrentPlanCache};
 pub use fingerprint::PatternFingerprint;
-pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry};
+pub use persist::{PersistError, PlanStore, StoredCalibration};
 pub use plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};
 pub use planner::{detect_linear, gated, parallel_floor, price_features, Planner, Pricing};
 pub use runtime::{execute_sequential, PlanExecutor};

@@ -22,7 +22,6 @@
 //! generation table (count + fingerprint, gen)  — nonzero generations only
 //! plan records     (count + per record: generation, length, plan bytes)
 //! calibration      (flag + 12 model f64s + unit_ns) — optional, v3
-//! telemetry table  (count + fixed-width records)    — v3
 //! checksum         (u64 LE, four-lane FNV-1a over everything above)
 //! ```
 //!
@@ -81,12 +80,12 @@ const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// in every record and a wavefront candidate price), changing the record
 /// layout. **v3** appended two sections after the plan records — an
 /// optional host-calibration block ([`StoredCalibration`]) and a variant-
-/// telemetry table ([`StoredTelemetry`]) — so a warm-started engine
-/// resumes with its learned cost constants instead of re-measuring and
-/// re-observing from scratch. **v4** replaced the three artifact sections
-/// of a plan record (writer map, claim order, level schedule — `u64`
-/// fields) with one claim-stream section (`u32` fields: optional order,
-/// ends, class bytes, optional level offsets). **v5** changed both hashes
+/// telemetry table — so a warm-started engine resumed with its learned
+/// cost constants instead of re-measuring and re-observing from scratch.
+/// **v4** replaced the three artifact sections of a plan record (writer
+/// map, claim order, level schedule — `u64` fields) with one claim-stream
+/// section (`u32` fields: optional order, ends, class bytes, optional
+/// level offsets). **v5** changed both hashes
 /// the store carries, with the byte layout unchanged: fingerprints (the
 /// store's keys) hash each stream over four lanes, and the checksum
 /// absorbs a word at a time over the same lanes, plus the byte length.
@@ -94,9 +93,13 @@ const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// features section after the candidate prices (two stall weights and the
 /// wavefront rounds, [`crate::PlanFeatures`]), validated on load; the
 /// census lost its derived average parallelism and its out-of-bounds
-/// record, which no built plan ever carried. v1–v5 stores are rejected
-/// per the policy above.
-const FORMAT_VERSION: u32 = 6;
+/// record, which no built plan ever carried. **v7** dropped the telemetry
+/// table (adaptive telemetry lives in the engine's memory only, and a
+/// restarted engine observes afresh) and the linear tag's `(c, d)`
+/// payload: a linear plan's subscript is stored once, in the record's
+/// detected-subscript section, which the tag then requires. v1–v6 stores
+/// are rejected per the policy above.
+const FORMAT_VERSION: u32 = 7;
 
 /// Reasons a store cannot be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -414,11 +417,7 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
     match plan.variant() {
         PlanVariant::Sequential => out.push(TAG_SEQUENTIAL),
         PlanVariant::Doacross => out.push(TAG_DOACROSS),
-        PlanVariant::Linear(s) => {
-            out.push(TAG_LINEAR);
-            put_u64(&mut out, s.c as u64);
-            put_u64(&mut out, s.d as u64);
-        }
+        PlanVariant::Linear(_) => out.push(TAG_LINEAR),
         PlanVariant::Reordered => out.push(TAG_REORDERED),
         PlanVariant::Blocked { block_size } => {
             out.push(TAG_BLOCKED);
@@ -511,10 +510,10 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
     let processors = r.usize()?;
 
     let tag = r.u8()?;
-    let variant_payload = match tag {
-        TAG_SEQUENTIAL | TAG_DOACROSS | TAG_REORDERED | TAG_WAVEFRONT => (0u64, 0u64),
-        TAG_LINEAR => (r.u64()?, r.u64()?),
-        TAG_BLOCKED => (r.u64()?, 0),
+    // The blocked variant's block size is the one tag payload.
+    let block_size = match tag {
+        TAG_SEQUENTIAL | TAG_DOACROSS | TAG_LINEAR | TAG_REORDERED | TAG_WAVEFRONT => 0u64,
+        TAG_BLOCKED => r.u64()?,
         other => {
             return Err(PersistError::Malformed(format!(
                 "unknown plan variant tag {other}"
@@ -608,21 +607,11 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         TAG_SEQUENTIAL => PlanVariant::Sequential,
         TAG_DOACROSS => PlanVariant::Doacross,
         TAG_REORDERED => PlanVariant::Reordered,
-        TAG_LINEAR => {
-            let (c, d) = variant_payload;
-            if c == 0 {
-                return Err(structural("linear variant with stride 0"));
-            }
-            let subscript = LinearSubscript::new(c as usize, d as usize);
-            if linear != Some(subscript) {
-                return Err(structural(
-                    "linear variant disagrees with the detected subscript",
-                ));
-            }
-            PlanVariant::Linear(subscript)
-        }
+        TAG_LINEAR => PlanVariant::Linear(
+            linear.ok_or_else(|| structural("linear variant without its detected subscript"))?,
+        ),
         TAG_BLOCKED => {
-            let block_size = usize::try_from(variant_payload.0)
+            let block_size = usize::try_from(block_size)
                 .map_err(|_| structural("block size overflows usize"))?;
             if block_size == 0 || block_size > census.iterations {
                 return Err(structural(format!(
@@ -831,74 +820,6 @@ impl StoredCalibration {
     }
 }
 
-/// One `(fingerprint, variant)` telemetry accumulator, as persisted in a
-/// v3 store — the raw sums `doacross-adapt`'s recorder maintains, so a
-/// restored engine's online refinement resumes mid-confidence instead of
-/// starting blind. This crate stores the numbers and checks only what the
-/// codec can know (a known variant tag, at least one sample, finite
-/// floats); their statistical meaning lives with the recorder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoredTelemetry {
-    /// Structure the samples belong to.
-    pub fingerprint: PatternFingerprint,
-    /// Variant family tag (the plan-record `TAG_*` values, `0..=5`).
-    pub variant: u8,
-    /// Solves recorded.
-    pub samples: u64,
-    /// Exponentially-weighted moving average of per-solve wall time (ns).
-    pub ewma_ns: f64,
-    /// Fastest observed solve (ns).
-    pub min_ns: u64,
-    /// Most recent solve (ns).
-    pub last_ns: u64,
-    /// Total failed `ready` polls across all samples.
-    pub wait_polls: u64,
-    /// Spin-barrier crossings per solve (0 for non-wavefront variants).
-    pub barriers: u64,
-    /// References per solve (the census total).
-    pub terms: u64,
-    /// Predicted per-solve cost of the variant, model units.
-    pub pred_units: f64,
-    /// Synchronization-free part of the prediction, model units.
-    pub work_units: f64,
-    /// Regression accumulators for the poll-cost slope: Σx, Σx², Σy, Σxy
-    /// over (polls, ns) pairs.
-    pub sum_polls: f64,
-    /// Σx² of the poll-cost regression.
-    pub sum_polls_sq: f64,
-    /// Σy of the poll-cost regression.
-    pub sum_ns: f64,
-    /// Σxy of the poll-cost regression.
-    pub sum_polls_ns: f64,
-}
-
-impl StoredTelemetry {
-    fn validate(&self) -> Result<(), PersistError> {
-        if self.variant > TAG_WAVEFRONT {
-            return Err(structural(format!(
-                "telemetry record with unknown variant tag {}",
-                self.variant
-            )));
-        }
-        if self.samples == 0 {
-            return Err(structural("telemetry record with zero samples"));
-        }
-        let floats = [
-            self.ewma_ns,
-            self.pred_units,
-            self.work_units,
-            self.sum_polls,
-            self.sum_polls_sq,
-            self.sum_ns,
-            self.sum_polls_ns,
-        ];
-        if floats.iter().any(|v| !v.is_finite()) {
-            return Err(structural("telemetry record with non-finite accumulator"));
-        }
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------------
 // The store.
 
@@ -920,8 +841,6 @@ pub struct PlanStore {
     pub(crate) generations: Vec<(PatternFingerprint, u64)>,
     /// Host calibration captured with the snapshot (v3, optional).
     pub(crate) calibration: Option<StoredCalibration>,
-    /// Variant telemetry captured with the snapshot (v3).
-    pub(crate) telemetry: Vec<StoredTelemetry>,
 }
 
 impl PlanStore {
@@ -969,16 +888,6 @@ impl PlanStore {
         self.calibration = calibration;
     }
 
-    /// The variant-telemetry records captured with this store.
-    pub fn telemetry(&self) -> &[StoredTelemetry] {
-        &self.telemetry
-    }
-
-    /// Appends one telemetry record to persist.
-    pub fn push_telemetry(&mut self, record: StoredTelemetry) {
-        self.telemetry.push(record);
-    }
-
     /// Serializes the store (see the module docs for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1006,26 +915,6 @@ impl PlanStore {
                 }
             }
             None => put_bool(&mut out, false),
-        }
-        put_u64(&mut out, self.telemetry.len() as u64);
-        for t in &self.telemetry {
-            for word in t.fingerprint.to_raw() {
-                put_u64(&mut out, word);
-            }
-            out.push(t.variant);
-            put_u64(&mut out, t.samples);
-            put_f64(&mut out, t.ewma_ns);
-            put_u64(&mut out, t.min_ns);
-            put_u64(&mut out, t.last_ns);
-            put_u64(&mut out, t.wait_polls);
-            put_u64(&mut out, t.barriers);
-            put_u64(&mut out, t.terms);
-            put_f64(&mut out, t.pred_units);
-            put_f64(&mut out, t.work_units);
-            put_f64(&mut out, t.sum_polls);
-            put_f64(&mut out, t.sum_polls_sq);
-            put_f64(&mut out, t.sum_ns);
-            put_f64(&mut out, t.sum_polls_ns);
         }
         let checksum = fnv::checksum(&out);
         put_u64(&mut out, checksum);
@@ -1089,37 +978,6 @@ impl PlanStore {
         } else {
             None
         };
-        // Fixed-width telemetry records: fingerprint + tag + 7 u64s/u8 +
-        // 7 f64s = 40 + 1 + 48 + 56 bytes.
-        let ntelemetry = r.counted(5 * 8 + 1 + 6 * 8 + 7 * 8)?;
-        let mut telemetry = Vec::with_capacity(ntelemetry);
-        for _ in 0..ntelemetry {
-            let mut raw = [0u64; 5];
-            for word in raw.iter_mut() {
-                *word = r.u64()?;
-            }
-            let fingerprint = PatternFingerprint::from_raw(raw)
-                .ok_or_else(|| structural("telemetry fingerprint overflows usize"))?;
-            let record = StoredTelemetry {
-                fingerprint,
-                variant: r.u8()?,
-                samples: r.u64()?,
-                ewma_ns: r.f64()?,
-                min_ns: r.u64()?,
-                last_ns: r.u64()?,
-                wait_polls: r.u64()?,
-                barriers: r.u64()?,
-                terms: r.u64()?,
-                pred_units: r.f64()?,
-                work_units: r.f64()?,
-                sum_polls: r.f64()?,
-                sum_polls_sq: r.f64()?,
-                sum_ns: r.f64()?,
-                sum_polls_ns: r.f64()?,
-            };
-            record.validate()?;
-            telemetry.push(record);
-        }
         if r.remaining() != 0 {
             return Err(PersistError::Malformed(format!(
                 "{} trailing bytes after last plan record",
@@ -1130,7 +988,6 @@ impl PlanStore {
             entries,
             generations,
             calibration,
-            telemetry,
         })
     }
 
@@ -1411,11 +1268,9 @@ mod tests {
     /// a multiple of the checksum's 8-byte word.
     fn store_with_a_padded_last_word() -> Vec<u8> {
         let plan = plans_of_every_variant().remove(0);
-        let fp = *plan.fingerprint();
         let mut store = PlanStore::new();
         store.push_entry(0, Arc::new(plan));
         store.set_calibration(Some(sample_calibration()));
-        store.push_telemetry(sample_telemetry(fp, TAG_DOACROSS));
         let bytes = store.to_bytes();
         assert_ne!(
             (bytes.len() - 8) % 8,
@@ -1475,53 +1330,22 @@ mod tests {
         }
     }
 
-    fn sample_telemetry(fp: PatternFingerprint, variant: u8) -> StoredTelemetry {
-        StoredTelemetry {
-            fingerprint: fp,
-            variant,
-            samples: 12,
-            ewma_ns: 52_000.0,
-            min_ns: 48_000,
-            last_ns: 55_000,
-            wait_polls: 340,
-            barriers: 0,
-            terms: 4_000,
-            pred_units: 9_800.0,
-            work_units: 9_000.0,
-            sum_polls: 340.0,
-            sum_polls_sq: 11_000.0,
-            sum_ns: 624_000.0,
-            sum_polls_ns: 17_900_000.0,
-        }
-    }
-
     #[test]
-    fn calibration_and_telemetry_sections_round_trip() {
-        let plan = plans_of_every_variant().remove(2);
-        let fp = *plan.fingerprint();
+    fn calibration_section_round_trips() {
         let mut store = PlanStore::new();
-        store.push_entry(0, Arc::new(plan));
+        store.push_entry(0, Arc::new(plans_of_every_variant().remove(2)));
         store.set_calibration(Some(sample_calibration()));
-        store.push_telemetry(sample_telemetry(fp, TAG_DOACROSS));
-        store.push_telemetry(StoredTelemetry {
-            barriers: 19,
-            ..sample_telemetry(fp, TAG_WAVEFRONT)
-        });
 
         let bytes = store.to_bytes();
         let back = PlanStore::from_bytes(&bytes).expect("own bytes parse");
         assert_eq!(back.calibration(), Some(&sample_calibration()));
         assert!(back.calibration().unwrap().is_valid());
-        assert_eq!(back.telemetry().len(), 2);
-        assert_eq!(back.telemetry()[0], store.telemetry()[0]);
-        assert_eq!(back.telemetry()[1].barriers, 19);
         assert_eq!(back.to_bytes(), bytes, "serialization is stable");
 
-        // Absent sections round-trip as absent.
+        // An absent section round-trips as absent.
         let empty = PlanStore::new();
         let back = PlanStore::from_bytes(&empty.to_bytes()).unwrap();
         assert!(back.calibration().is_none());
-        assert!(back.telemetry().is_empty());
     }
 
     #[test]
@@ -1542,42 +1366,6 @@ mod tests {
         cal.unit_ns = -1.0;
         assert!(!cal.is_valid());
         assert!(sample_calibration().is_valid());
-    }
-
-    #[test]
-    fn malformed_telemetry_records_are_rejected_typed() {
-        let fp = *Arc::new(plans_of_every_variant().remove(1)).fingerprint();
-        for (what, record) in [
-            (
-                "unknown tag",
-                StoredTelemetry {
-                    variant: 9,
-                    ..sample_telemetry(fp, 0)
-                },
-            ),
-            (
-                "zero samples",
-                StoredTelemetry {
-                    samples: 0,
-                    ..sample_telemetry(fp, 0)
-                },
-            ),
-            (
-                "non-finite accumulator",
-                StoredTelemetry {
-                    ewma_ns: f64::INFINITY,
-                    ..sample_telemetry(fp, 0)
-                },
-            ),
-        ] {
-            let mut store = PlanStore::new();
-            store.push_telemetry(record);
-            let err = PlanStore::from_bytes(&store.to_bytes()).unwrap_err();
-            assert!(
-                matches!(err, PersistError::Structural(_)),
-                "{what}: {err:?}"
-            );
-        }
     }
 
     #[test]
@@ -1659,6 +1447,10 @@ mod tests {
         assert_structural(
             corrupt(doacross, &|p| p.census.injective = false),
             "flat doacross over a non-injective lhs",
+        );
+        assert_structural(
+            corrupt(&plans[1], &|p| p.linear = None),
+            "linear variant without its detected subscript",
         );
         assert_structural(
             decode_plan(&record_with(reordered, &|p| {

@@ -107,8 +107,9 @@ impl Default for CostModel {
 }
 
 /// Runtime-measured per-action costs, in the same normalized units as the
-/// [`CostModel`] they refine. Produced by `doacross-adapt`'s telemetry
-/// layer from real solves; consumed by [`CostModel::refined_from`].
+/// [`CostModel`] they refine. Produced by the engine's adaptive layer
+/// (`doacross_engine`'s private `adaptive` module) from the telemetry of
+/// real solves; consumed by [`CostModel::refined_from`].
 ///
 /// Every field is optional: a constant is `Some` only once enough
 /// independent evidence exists for it (the recorder's confidence
@@ -152,7 +153,7 @@ fn lerp(base: f64, observed: Option<f64>, w: f64) -> f64 {
 impl CostModel {
     /// A copy of `base` with the runtime-observed constants blended in:
     /// `refined = base + (observed − base) · weight` per constant, the
-    /// online cost-model refinement behind `doacross-adapt`. Constants
+    /// online cost-model refinement behind the engine's adaptive layer. Constants
     /// without evidence (`None`, non-finite, or non-positive) keep their
     /// base values, so refinement can only move selection toward what the
     /// machine actually measured — never invent a cost out of noise.

@@ -15,7 +15,7 @@
 //! Run: `cargo run --release --example adaptive`
 
 use preprocessed_doacross::core::seq::run_sequential;
-use preprocessed_doacross::engine::{AdaptiveConfig, EngineError};
+use preprocessed_doacross::engine::EngineError;
 use preprocessed_doacross::plan::Planner;
 use preprocessed_doacross::sim::CostModel;
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
@@ -33,14 +33,7 @@ fn main() {
     let engine = Engine::builder()
         .workers(2)
         .planner(Planner::with_costs(mispriced))
-        .adaptive_config(AdaptiveConfig {
-            min_samples: 4,
-            eval_interval: 5,
-            divergence: 1.3,
-            hysteresis: 1.05,
-            max_trials: 3,
-            confidence: 4,
-        })
+        .adaptive()
         .build();
     assert!(engine.is_adaptive());
 
@@ -58,7 +51,9 @@ fn main() {
         before.variant()
     );
 
-    const SOLVES: usize = 30;
+    // The first evaluation comes at solve 12 and a trial needs 6 solves of
+    // its own, so 40 solves reach a verdict with room to spare.
+    const SOLVES: usize = 40;
     let mut last_samples = 0;
     for round in 1..=SOLVES {
         let mut y = vec![0.0; sys.n()];

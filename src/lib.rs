@@ -183,7 +183,16 @@
 //! ## The workspace underneath
 //!
 //! * [`engine`] — the session layer re-exported above: [`Engine`],
-//!   [`EngineBuilder`], [`PreparedLoop`], [`EngineError`].
+//!   [`EngineBuilder`], [`PreparedLoop`], [`EngineError`]. It also holds
+//!   the adaptive planning behind `Engine::builder().adaptive()`, in one
+//!   private module: per-`(structure, variant)` runtime telemetry, online
+//!   cost-model refinement (measured `wait_poll` / `barrier` /
+//!   per-reference costs blended into the static model), and the
+//!   promotion/demotion policy that re-prices a cached plan when its
+//!   observed cost diverges from prediction, trials the measured-cheaper
+//!   variant, and commits or rolls back on measurement — with hysteresis,
+//!   so it can never flip-flop. Its counters are `Engine::adaptive_stats`
+//!   and `Engine::telemetry_totals`; the telemetry lives in memory only.
 //! * [`core`] — the preprocessed doacross runtime itself: one
 //!   [`core::Doacross`] struct, one reusable scratch, one entry point per
 //!   way of running (inspector / executor / postprocessor inline, a
@@ -218,21 +227,10 @@
 //!   free-pool dispatcher (CAS on a bitmask, work-stealing fallback), and
 //!   bounded admission with per-pool dispatch/steal accounting
 //!   ([`PoolStats`]).
-//! * [`adapt`] — the adaptive-planning subsystem behind
-//!   `Engine::builder().adaptive()`: per-`(structure, variant)` runtime
-//!   telemetry, online cost-model refinement (measured `wait_poll` /
-//!   `barrier` / per-reference costs blended into the static model), and
-//!   the promotion/demotion policy that re-prices a cached plan when its
-//!   observed cost diverges from prediction, trials the measured-cheaper
-//!   variant, and commits or rolls back on measurement — with hysteresis,
-//!   so it can never flip-flop. Learned state (telemetry + host
-//!   calibration) persists in v3 plan stores, so a warm-started engine
-//!   resumes with what it already knew.
 
 // Audit posture: this facade re-exports the engine; it needs no unsafe code.
 #![forbid(unsafe_code)]
 
-pub use doacross_adapt as adapt;
 pub use doacross_core as core;
 pub use doacross_doconsider as doconsider;
 pub use doacross_engine as engine;

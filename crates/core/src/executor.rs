@@ -14,7 +14,7 @@
 //!             ynew(a(i)) = finish(i, acc); publish(a(i))
 //!
 //!         operand(j, off, acc):                // per term j, in order;
-//!             class = classes(k, j)            // off = term_element(i, j)
+//!             class = class(k, j)              // off = term_element(i, j)
 //! S3/S4/S5    NewValue:    gate(off); return ynew(off)
 //! S6/S7       OldValue:    return y(off)
 //! S8          Accumulator: return acc          // intra-iteration
@@ -57,15 +57,27 @@
 //! ## Resolution policy
 //!
 //! Figure 5 decides the class per reference, per run, as `check =
-//! iter(off) − i`. The driver is generic over *who decides* ([`Claims`]).
-//! The entry points that inspect ([`crate::Doacross::run`],
-//! `run_linear`, `run_blocked`) pass a
-//! [`ByWriter`](crate::oracle::ByWriter) adapter over their writer oracle:
-//! the paper's comparison, taken where the paper takes it, and counted. A
-//! planned run passes the plan's [`ClaimStream`](crate::ClaimStream),
-//! where slot `k`'s classes were resolved once at plan time and sit
-//! stride-1 in claim order. No writer map is consulted and nothing is
-//! counted per reference, because the stream knows its totals.
+//! iter(off) − i`. The driver is generic over *who decides* ([`Claims`]),
+//! and there are three claim sources:
+//!
+//! * **By writer.** The entry points that inspect ([`crate::Doacross::run`],
+//!   `run_linear`, `run_blocked`) pass a
+//!   [`ByWriter`](crate::oracle::ByWriter) adapter over their writer
+//!   oracle: the paper's comparison, taken where the paper takes it, and
+//!   counted.
+//! * **Class bytes.** A planned run over a stream that holds them passes
+//!   the plan's [`ClaimStream`](crate::ClaimStream), where slot `k`'s
+//!   classes were resolved once at plan time and sit stride-1 in claim
+//!   order. One byte is loaded and decoded per reference.
+//! * **Classless.** A planned run over a stream whose every reference is a
+//!   true dependence (it stores no bytes) passes the stream's classless
+//!   view: the class is the constant `NewValue`, so the per-term path
+//!   loads nothing and the class branch folds away. The row still checks
+//!   its term count against the stream's `ends`.
+//!
+//! A planned run picks its source once per region. No writer map is
+//! consulted and nothing is counted per reference on either planned
+//! source, because the stream knows its totals.
 //!
 //! ## Memory ordering
 //!
@@ -411,6 +423,24 @@ pub(crate) struct Region<'a, L: ?Sized, C> {
     /// Slots per counter grab: `Some(c)` on every level, `None`
     /// [`claim_grain`] of each level's width.
     pub grain: Option<usize>,
+}
+
+impl<'a, L: ?Sized, C> Region<'a, L, C> {
+    /// The same region, with its references resolved by `claims`.
+    pub(crate) fn with_claims<'b, D>(self, claims: &'b D) -> Region<'b, L, D>
+    where
+        'a: 'b,
+    {
+        Region {
+            loop_: self.loop_,
+            claims,
+            slots: self.slots,
+            window: self.window,
+            y: self.y,
+            post: self.post,
+            grain: self.grain,
+        }
+    }
 }
 
 /// A runtime's region scratch: the shadow array `ynew`, its `ready` flags,

@@ -86,8 +86,9 @@
 //! level's count, claimed in chunks by whoever is present. And
 //! either way a *planned* solve reads where each operand comes from off
 //! one artifact, the plan's [`ClaimStream`] — claim order, per-claim
-//! reference ends and one [`OperandClass`] byte per reference, laid out in
-//! claim order (plus level offsets for the wavefront) — instead of
+//! reference ends and one [`OperandClass`] byte per reference (none when
+//! every reference is a true dependence), laid out in claim order (plus
+//! level offsets for the wavefront) — instead of
 //! re-deriving Figure 5's `iter(off) − i` from a writer map per run.
 //!
 //! The `doacross-plan` cost model prices both and picks the crossover

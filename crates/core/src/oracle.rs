@@ -20,7 +20,9 @@
 //! in [`ByWriter`] (the comparison `iter(off) − i` of Figure 5, taken per
 //! reference); a planned run passes the plan's
 //! [`ClaimStream`](crate::ClaimStream), where every answer was resolved
-//! once and is read stride-1.
+//! once and is read stride-1, or — when the stream holds no class bytes
+//! because every reference is a true dependence — its classless view,
+//! whose answer is the constant `NewValue`.
 
 use crate::flags::{IterMap, MAXINT};
 use crate::wavefront::OperandClass;

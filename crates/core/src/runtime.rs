@@ -31,7 +31,7 @@ use crate::oracle::{ByWriter, InspectedWriter};
 use crate::pattern::{AccessPattern, DoacrossLoop};
 use crate::post::Post;
 use crate::stats::{PlanProvenance, RunStats};
-use crate::wavefront::{check_stream, ClaimStream};
+use crate::wavefront::{check_stream, ClaimStream, Classless};
 use doacross_obs::profile::ProfArena;
 use doacross_par::ThreadPool;
 use std::time::Instant;
@@ -302,10 +302,22 @@ impl Doacross {
             post: Post { map: None },
             grain,
         };
+        // The claim source is picked once per region: a stream without
+        // class bytes runs the classless one, which decodes nothing per
+        // reference.
+        let classless = Classless(stream);
         let scratch = &mut self.scratch;
-        match stream.level_offsets() {
-            Some(levels) => scratch.run(pool, region, Levels(levels), &mut stats, prof),
-            None => scratch.run(pool, region, Flags, &mut stats, prof),
+        match (stream.classes(), stream.level_offsets()) {
+            (Some(_), Some(levels)) => scratch.run(pool, region, Levels(levels), &mut stats, prof),
+            (Some(_), None) => scratch.run(pool, region, Flags, &mut stats, prof),
+            (None, Some(levels)) => {
+                let region = region.with_claims(&classless);
+                scratch.run(pool, region, Levels(levels), &mut stats, prof)
+            }
+            (None, None) => {
+                let region = region.with_claims(&classless);
+                scratch.run(pool, region, Flags, &mut stats, prof)
+            }
         }
         stats.deps = stream.class_counts();
         stats.total = t_start.elapsed();

@@ -27,7 +27,12 @@
 //!   the executor learns "new value / old value / accumulator" from a
 //!   sequentially-scanned byte instead of a randomly-indexed 8-byte map
 //!   entry, and because the stream knows how many of each it holds,
-//!   nothing is counted per reference at run time;
+//!   nothing is counted per reference at run time. A stream whose every
+//!   reference is a true dependence — any strictly-lower solve with
+//!   `lhs(i) = i`, so all five Table-1 factors — stores **no bytes**: the
+//!   class is `NewValue` by construction, and its regions run the
+//!   classless claim source, which loads and decodes nothing per
+//!   reference;
 //! * for the wavefront only, `u32` **level offsets** over the slots
 //!   (CSR-style), which replace the `ready` flags — a true-dep operand's
 //!   writer lives in a strictly earlier level, so by the time a reader
@@ -107,8 +112,10 @@ pub struct ClaimStream {
     /// `classes[ends[k]..ends[k + 1]]` classifies slot `k`'s references in
     /// term order (`ends[0] == 0` is the sentinel).
     ends: Vec<u32>,
-    /// One [`OperandClass`] byte per reference, in (slot, term) order.
-    classes: Vec<u8>,
+    /// One [`OperandClass`] byte per reference, in (slot, term) order;
+    /// `None` when every reference is [`OperandClass::NewValue`] (never
+    /// `Some` of only `NewValue` bytes: [`Self::from_parts`] canonicalises).
+    classes: Option<Vec<u8>>,
     /// CSR level boundaries over the slots, for the wavefront: level `l`
     /// (0-based) runs slots `levels[l]..levels[l + 1]`. Strictly increasing
     /// (every level is non-empty) from 0 to `iterations`.
@@ -202,29 +209,35 @@ impl ClaimStream {
             None => None,
             Some(offsets) => Some(Self::narrow(offsets)?),
         };
-        Self::from_parts(order, ends, classes, levels)
+        Self::from_parts(order, ends, Some(classes), levels)
     }
 
     /// Assembles a stream from its raw, claim-ordered parts — the one
     /// constructor, so also the deserialization path for persisted plans.
-    /// Returns `None` unless the parts are mutually consistent: `ends`
-    /// monotone from its 0 sentinel to exactly `classes.len()`, `order` (if
-    /// any) a permutation of the `ends.len() − 1` iterations, `levels` (if
-    /// any) strictly increasing from 0 to the iteration count, every class
-    /// byte a valid [`OperandClass`], and every count within `u32` — a blob
+    /// `classes: None` says every reference is a true dependence, and a
+    /// byte vector of only `NewValue` is stored as `None` too, so the two
+    /// give equal streams. Returns `None` unless the parts are mutually
+    /// consistent: `ends` monotone from its 0 sentinel (to exactly
+    /// `classes.len()` when there are bytes), `order` (if any) a
+    /// permutation of the `ends.len() − 1` iterations, `levels` (if any)
+    /// strictly increasing from 0 to the iteration count, every class byte
+    /// a valid [`OperandClass`], and every count within `u32` — a blob
     /// that no census pass could have produced is rejected rather than
     /// trusted. This is where the claim order is validated; no solve
     /// re-checks it.
     pub fn from_parts(
         order: Option<Vec<u32>>,
         ends: Vec<u32>,
-        classes: Vec<u8>,
+        classes: Option<Vec<u8>>,
         levels: Option<Vec<u32>>,
     ) -> Option<Self> {
         let n = ends.len().checked_sub(1)?;
         let n32 = u32::try_from(n).ok()?;
+        let total = *ends.last()?;
         if ends[0] != 0
-            || u32::try_from(classes.len()).ok() != ends.last().copied()
+            || classes
+                .as_ref()
+                .is_some_and(|c| u32::try_from(c.len()).ok() != Some(total))
             || !ends.windows(2).all(|w| w[0] <= w[1])
         {
             return None;
@@ -253,7 +266,7 @@ impl ClaimStream {
         // faster here than bumping a counter array through memory. A byte
         // that is none of the three classes shows up as a shortfall.
         let mut totals = [0u64; 3];
-        for chunk in classes.chunks(128) {
+        for chunk in classes.as_deref().unwrap_or_default().chunks(128) {
             let mut lanes = [0u8; 3];
             for &c in chunk {
                 for (class, lane) in lanes.iter_mut().enumerate() {
@@ -264,14 +277,19 @@ impl ClaimStream {
                 *total += u64::from(lane);
             }
         }
+        if classes.is_none() {
+            totals[OperandClass::NewValue as usize] = u64::from(total);
+        }
         let counts = DepCounts {
             true_deps: totals[OperandClass::NewValue as usize],
             anti_or_unwritten: totals[OperandClass::OldValue as usize],
             intra: totals[OperandClass::Accumulator as usize],
         };
-        if counts.total() != classes.len() as u64 {
+        if counts.total() != u64::from(total) {
             return None;
         }
+        // All `NewValue` is stored as no bytes, whichever form it came in.
+        let classes = classes.filter(|_| counts.true_deps != counts.total());
         Some(Self {
             order,
             ends,
@@ -288,7 +306,7 @@ impl ClaimStream {
 
     /// Total classified references.
     pub fn total_terms(&self) -> usize {
-        self.classes.len()
+        self.ends[self.ends.len() - 1] as usize
     }
 
     /// The claim order (`None` = natural).
@@ -302,9 +320,10 @@ impl ClaimStream {
         &self.ends
     }
 
-    /// The per-reference operand classes, in (slot, term) order.
-    pub fn classes(&self) -> &[u8] {
-        &self.classes
+    /// The per-reference operand classes, in (slot, term) order; `None`
+    /// when every reference is [`OperandClass::NewValue`].
+    pub fn classes(&self) -> Option<&[u8]> {
+        self.classes.as_deref()
     }
 
     /// The CSR level boundaries over the slots, when this is a wavefront
@@ -344,12 +363,13 @@ impl ClaimStream {
     }
 
     /// Heap footprint in bytes, for cache sizing decisions:
-    /// `4·(order + ends + levels) + classes`.
+    /// `4·(order + ends + levels) + classes` (no class bytes when every
+    /// reference is a true dependence).
     pub fn memory_bytes(&self) -> usize {
         let words = self.order.as_ref().map_or(0, Vec::len)
             + self.ends.len()
             + self.levels.as_ref().map_or(0, Vec::len);
-        words * std::mem::size_of::<u32>() + self.classes.len()
+        words * std::mem::size_of::<u32>() + self.classes.as_ref().map_or(0, Vec::len)
     }
 
     /// The first claim slot whose reference count disagrees with `loop_`'s,
@@ -380,7 +400,8 @@ impl ClaimStream {
     }
 }
 
-/// The planned runs' claim source: every answer is a read of slot `k`.
+/// The planned runs' claim source over a stream with class bytes: every
+/// answer is a read of slot `k`.
 impl Claims for ClaimStream {
     const COUNTED: bool = false;
     type Row<'a> = &'a [u8];
@@ -395,7 +416,8 @@ impl Claims for ClaimStream {
 
     #[inline]
     fn row(&self, k: usize, _i: usize, terms: usize) -> &[u8] {
-        let row = &self.classes[self.ends[k] as usize..self.ends[k + 1] as usize];
+        let classes = self.classes.as_deref().expect("a stream with class bytes");
+        let row = &classes[self.ends[k] as usize..self.ends[k + 1] as usize];
         assert!(
             row.len() == terms,
             "claim stream references disagree with the loop"
@@ -412,6 +434,40 @@ impl Claims for ClaimStream {
         // again, about six more instructions per reference (x86-64); with
         // every value explicit, the driver branches on the byte itself.
         OperandClass::from_u8(row[j]).expect("a validated class byte")
+    }
+}
+
+/// The planned runs' claim source over a stream without class bytes:
+/// every reference is a true dependence, so a row is only its term-count
+/// check against `ends` and the class is the constant `NewValue` — the
+/// per-term path loads no byte and decodes nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Classless<'a>(pub(crate) &'a ClaimStream);
+
+impl Claims for Classless<'_> {
+    const COUNTED: bool = false;
+    type Row<'a>
+        = ()
+    where
+        Self: 'a;
+
+    #[inline]
+    fn iteration(&self, k: usize) -> usize {
+        self.0.iteration(k)
+    }
+
+    #[inline]
+    fn row(&self, k: usize, _i: usize, terms: usize) {
+        let ends = &self.0.ends;
+        assert!(
+            (ends[k + 1] - ends[k]) as usize == terms,
+            "claim stream references disagree with the loop"
+        );
+    }
+
+    #[inline]
+    fn class(&self, _row: (), _j: usize, _off: usize) -> OperandClass {
+        OperandClass::NewValue
     }
 }
 
@@ -723,12 +779,17 @@ mod tests {
     #[test]
     fn from_parts_validates_structure() {
         let good = schedule_of(&chain(6));
-        type Parts = (Option<Vec<u32>>, Vec<u32>, Vec<u8>, Option<Vec<u32>>);
+        type Parts = (
+            Option<Vec<u32>>,
+            Vec<u32>,
+            Option<Vec<u8>>,
+            Option<Vec<u32>>,
+        );
         let parts = |mutate: &dyn Fn(&mut Parts)| {
             let mut parts: Parts = (
                 good.order().map(<[u32]>::to_vec),
                 good.ends().to_vec(),
-                good.classes().to_vec(),
+                good.classes().map(<[u8]>::to_vec),
                 good.level_offsets().map(<[u32]>::to_vec),
             );
             mutate(&mut parts);
@@ -790,7 +851,29 @@ mod tests {
             "a truncated `ends` no longer covers the classes"
         );
         assert!(parts(&|p| p.1.clear()).is_none(), "no sentinel at all");
-        assert!(parts(&|p| p.2[0] = 7).is_none(), "classes must decode");
+        fn classes(p: &mut Parts) -> &mut Vec<u8> {
+            p.2.as_mut().unwrap()
+        }
+        assert!(
+            parts(&|p| classes(p)[0] = 7).is_none(),
+            "classes must decode"
+        );
+        assert!(
+            parts(&|p| {
+                classes(p).pop();
+            })
+            .is_none(),
+            "classes must cover the ends"
+        );
+        // Without bytes the stream is classless: `ends` alone must hold.
+        let classless = parts(&|p| p.2 = None).expect("a classless stream");
+        assert_eq!(classless.classes(), None);
+        assert_eq!(classless.total_terms(), good.total_terms());
+        assert!(parts(&|p| {
+            p.2 = None;
+            p.1[1] = 3;
+        })
+        .is_none());
         // An empty level (repeated offset) is rejected: the census never
         // produces one.
         assert!(parts(&|p| {
@@ -835,7 +918,7 @@ mod tests {
             ClaimStream::from_iteration_order(Some(&order), None, &term_offsets, classes).unwrap();
         assert_eq!(s.order(), Some(&[2u32, 0, 1][..]));
         assert_eq!(s.ends(), &[0, 0, 1, 3]);
-        assert_eq!(s.classes(), &[1, 0, 2]);
+        assert_eq!(s.classes(), Some(&[1u8, 0, 2][..]));
         assert_eq!(s.row(2, 1, 2), &[0, 2]);
         assert_eq!(s.memory_bytes(), 4 * (3 + 4) + 3);
         let counts = s.class_counts();
@@ -843,6 +926,97 @@ mod tests {
             (counts.true_deps, counts.anti_or_unwritten, counts.intra),
             (1, 1, 1)
         );
+    }
+
+    /// A stream whose every reference is a true dependence stores no class
+    /// bytes, whether it was handed all-`NewValue` bytes or `None`, and
+    /// still counts, sizes and runs like the byte form.
+    #[test]
+    fn all_new_value_bytes_and_none_give_equal_streams() {
+        let (order, ends, levels) = (Some(vec![2u32, 0, 1]), vec![0u32, 2, 2, 5], None);
+        let bytes = ClaimStream::from_parts(
+            order.clone(),
+            ends.clone(),
+            Some(vec![0; 5]),
+            levels.clone(),
+        )
+        .unwrap();
+        let none = ClaimStream::from_parts(order, ends, None, levels).unwrap();
+        assert_eq!(bytes, none);
+        assert_eq!(none.classes(), None);
+        assert_eq!(none.total_terms(), 5);
+        assert_eq!(none.memory_bytes(), 4 * (3 + 4));
+        let counts = none.class_counts();
+        assert_eq!(
+            (counts.true_deps, counts.anti_or_unwritten, counts.intra),
+            (5, 0, 0)
+        );
+        // An empty stream has no reference to classify: classless too.
+        let empty = ClaimStream::from_parts(None, vec![0], Some(vec![]), None).unwrap();
+        assert_eq!(empty.classes(), None);
+        // One byte that is not `NewValue` keeps them all.
+        let mixed = ClaimStream::from_parts(None, vec![0, 1, 2], Some(vec![0, 1]), None).unwrap();
+        assert_eq!(mixed.classes(), Some(&[0u8, 1][..]));
+    }
+
+    /// A classless region runs the loop's terms with no class bytes, under
+    /// either gate, bit for bit the sequential loop's; a loop whose
+    /// reference counts disagree with `ends` is refused typed before
+    /// dispatch, as on the byte path.
+    #[test]
+    fn classless_streams_match_sequential_under_both_gates() {
+        let l = chain(200);
+        let n = l.iterations();
+        let y0: Vec<f64> = (0..=n).map(|e| 1.0 + (e % 5) as f64 * 0.25).collect();
+        let expect = oracle(&l, &y0);
+        // Every reference but iteration 0's (an unwritten read) is a true
+        // dependence; drop that one and the stream is classless.
+        let rhs: Vec<Vec<usize>> = (0..n)
+            .map(|i| if i == 0 { vec![] } else { vec![i] })
+            .collect();
+        let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![1.0; r.len()]).collect();
+        let deps = IndirectLoop::new(n + 1, (1..=n).collect(), rhs, coeff).unwrap();
+        let wavefront = schedule_of(&deps);
+        assert_eq!(
+            wavefront.classes(),
+            None,
+            "every reference a true dependence"
+        );
+        let flags = ClaimStream::from_parts(None, natural_ends(&deps), None, None).unwrap();
+        let expect_deps = oracle(&deps, &y0);
+        let p = pool();
+        let mut rt = Doacross::new(n + 1);
+        for (stream, grain) in [(&wavefront, None), (&flags, Some(1)), (&flags, Some(4))] {
+            let mut y = y0.clone();
+            let stats = rt
+                .run_planned(&p, &deps, &mut y, stream, grain, None)
+                .unwrap();
+            assert_eq!(y, expect_deps, "levels {}", stream.level_count());
+            assert_eq!(stats.deps.true_deps, n as u64 - 1);
+            assert_eq!(stats.deps.total(), n as u64 - 1);
+        }
+        // The mixed chain keeps its bytes and the byte path.
+        let mixed = schedule_of(&l);
+        assert!(mixed.classes().is_some());
+        let mut y = y0.clone();
+        rt.run_planned(&p, &l, &mut y, &mixed, None, None).unwrap();
+        assert_eq!(y, expect);
+        // The chain has one more reference than the classless stream.
+        let mut y = y0.clone();
+        assert!(matches!(
+            rt.run_planned(&p, &l, &mut y, &wavefront, None, None),
+            Err(DoacrossError::ScheduleTermsMismatch { iteration: 0, .. })
+        ));
+        assert_eq!(y, y0);
+    }
+
+    /// Natural-order reference ends of `loop_`.
+    fn natural_ends(loop_: &IndirectLoop) -> Vec<u32> {
+        let mut ends = vec![0u32];
+        for i in 0..loop_.iterations() {
+            ends.push(ends[i] + loop_.terms(i) as u32);
+        }
+        ends
     }
 
     /// A level's chunk is [`claim_grain`] of its width (and the flag

@@ -2,7 +2,7 @@
 //! divergence-triggered promotion to the measured-cheaper variant,
 //! generation-bump staleness, exact telemetry counts under concurrent
 //! solves, invalidation, calibration persistence, and the store-version
-//! regression (v2 and v6 stores against v7).
+//! regression (v2, v6 and v7 stores against v8).
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop, TestLoop};
 use doacross_engine::{Engine, EngineError, ObsVariant, PersistError, TraceEvent};
@@ -342,9 +342,10 @@ fn calibration_persists_and_a_warm_calibrated_engine_skips_measurement() {
 
 #[test]
 fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
-    // Relics of two superseded formats: v2 (before the adaptive
-    // sections) and v6 (the last store with a telemetry table).
-    for version in [2u32, 6] {
+    // Relics of three superseded formats: v2 (before the adaptive
+    // sections), v6 (the last store with a telemetry table) and v7 (the
+    // last whose streams always carry class bytes).
+    for version in [2u32, 6, 7] {
         let path = std::env::temp_dir().join(format!(
             "doacross-adaptive-v{version}-relic-{}.plans",
             std::process::id()
@@ -370,7 +371,7 @@ fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
             err,
             EngineError::Persist(PersistError::UnsupportedVersion {
                 found: version,
-                supported: 7,
+                supported: 8,
             })
         );
         assert_eq!(engine.cache_len(), 0, "cache untouched");

@@ -17,8 +17,8 @@ use doacross_core::{
     PlanProvenance, TestLoop,
 };
 use doacross_engine::{
-    Engine, EngineBuilder, EngineError, FallbackPolicy, ObsVariant, PersistError, SolveOutcome,
-    SolveProfile, SpanKind, TraceEvent,
+    Engine, EngineBuilder, EngineError, FallbackPolicy, ObsVariant, PersistError, PreparedLoop,
+    SolveOutcome, SolveProfile, SpanKind, TraceEvent,
 };
 use doacross_plan::{ExecutionPlan, PlanVariant, Planner};
 use doacross_sim::CostModel;
@@ -382,13 +382,14 @@ fn fallback_replay_of_a_triangular_solve_is_forward_solve() {
 /// ~200µs of injected drag per iteration pushes the region far past a
 /// 40ms budget; the deadline polls (one per claim, flag waits, level
 /// gates) drain it typed, `y` stays byte-identical to its input, and
-/// un-wedged the same handle solves.
+/// un-wedged the same handle solves. Returns that handle.
 fn assert_deadline_contained<L>(
     engine: EngineBuilder,
     loop_: L,
     wants: fn(PlanVariant) -> bool,
     site: &'static str,
-) where
+) -> PreparedLoop
+where
     L: DoacrossLoop + Clone + Send + 'static,
 {
     let deadline = Duration::from_millis(40);
@@ -445,6 +446,7 @@ fn assert_deadline_contained<L>(
     let mut y = y0;
     prepared.execute(&loop_, &mut y).unwrap();
     assert_eq!(y, oracle);
+    prepared
 }
 
 #[test]
@@ -502,6 +504,51 @@ fn five_pt_solve() -> TriSolveLoop<'static> {
     TriSolveLoop::new(l, rhs)
 }
 
+/// The same solve's pattern with one more reference per row, to an
+/// element no row writes: the same dependences, levels and claim grains,
+/// but old-value references beside the true dependences, so its stream
+/// keeps its class bytes — the byte claim source, where the 5-PT solve
+/// itself runs the classless one.
+fn five_pt_with_unwritten_reads() -> IndirectLoop {
+    let l = five_pt_solve();
+    let n = l.iterations();
+    let rhs: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            (0..l.terms(i))
+                .map(|j| l.term_element(i, j))
+                .chain([n])
+                .collect()
+        })
+        .collect();
+    let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.25; r.len()]).collect();
+    IndirectLoop::new(n + 1, (0..n).map(|i| l.lhs(i)).collect(), rhs, coeff).unwrap()
+}
+
+/// Whether `plan`'s stream holds class bytes (the byte claim source) or
+/// none (the classless one).
+fn has_class_bytes(plan: &ExecutionPlan) -> bool {
+    let stream = plan.stream().expect("a stream-backed plan");
+    stream.classes().is_some()
+}
+
+/// One panic half a claim deep, on `loop_` planned under `prices`, whose
+/// stream must hold class bytes exactly when `bytes`.
+fn assert_panic_mid_claim<L>((prices, wants, site): ClaimCase, loop_: L, bytes: bool)
+where
+    L: DoacrossLoop + Clone + Send + 'static,
+{
+    let engine = Engine::builder()
+        .workers(CLAIM_WORKERS)
+        .pools(1)
+        .planner(prices)
+        .fallback(FallbackPolicy::Disabled)
+        .build();
+    let prepared = engine.prepare(&loop_).unwrap();
+    assert_eq!(has_class_bytes(prepared.plan()), bytes);
+    let iteration = mid_claim_iteration(prepared.plan(), CLAIM_WORKERS);
+    assert_panic_contained(&engine, loop_, wants, site, iteration);
+}
+
 /// An iteration `plan` runs on `workers` workers in the middle of a claim,
 /// never at its first slot: half a claim into the widest level of a
 /// wavefront, or into the first claim of a reordered plan. A level's
@@ -534,37 +581,37 @@ fn mid_claim_iteration(plan: &ExecutionPlan, workers: usize) -> u64 {
 /// Faults are polled once per claim but the failpoint still hits every
 /// iteration: a panic injected half a claim deep fails the solve typed,
 /// with `y` byte-identical to its input and the fallback off, on the
-/// 5-PT wavefront and on a flag-priced plan of the same solve.
+/// 5-PT wavefront and on a flag-priced plan of the same solve — each once
+/// over the classless stream of the solve itself and once over the class
+/// bytes of the same pattern with an unwritten read per row.
 #[test]
 fn a_panic_inside_a_claim_fails_typed_with_y_untouched() {
     let _serial = chaos_lock();
-    for (prices, wants, site) in claim_cases() {
-        let engine = Engine::builder()
-            .workers(CLAIM_WORKERS)
-            .pools(1)
-            .planner(prices)
-            .fallback(FallbackPolicy::Disabled)
-            .build();
-        let loop_ = five_pt_solve();
-        let prepared = engine.prepare(&loop_).unwrap();
-        let iteration = mid_claim_iteration(prepared.plan(), CLAIM_WORKERS);
-        assert_panic_contained(&engine, loop_, wants, site, iteration);
+    for case in claim_cases() {
+        assert_panic_mid_claim(case, five_pt_solve(), false);
+    }
+    for case in claim_cases() {
+        assert_panic_mid_claim(case, five_pt_with_unwritten_reads(), true);
     }
     failpoint::disarm_all();
 }
 
 /// A deadline that expires while a region is running, polled once per
-/// claim, resolves typed on the 5-PT wavefront and on a flag-priced plan.
+/// claim, resolves typed on the 5-PT wavefront and on a flag-priced plan,
+/// each over a classless stream and over one with class bytes.
 #[test]
 fn a_deadline_expiring_mid_region_times_out_typed() {
     let _serial = chaos_lock();
     for (prices, wants, site) in claim_cases() {
-        assert_deadline_contained(
-            Engine::builder().workers(CLAIM_WORKERS).planner(prices),
-            five_pt_solve(),
-            wants,
-            site,
-        );
+        let engine = Engine::builder().workers(CLAIM_WORKERS).planner(prices);
+        let prepared = assert_deadline_contained(engine, five_pt_solve(), wants, site);
+        assert!(!has_class_bytes(prepared.plan()));
+    }
+    for (prices, wants, site) in claim_cases() {
+        let engine = Engine::builder().workers(CLAIM_WORKERS).planner(prices);
+        let loop_ = five_pt_with_unwritten_reads();
+        let prepared = assert_deadline_contained(engine, loop_, wants, site);
+        assert!(has_class_bytes(prepared.plan()));
     }
     failpoint::disarm_all();
 }

@@ -19,7 +19,8 @@
 
 use doacross_core::alloc::CountingAllocator;
 use doacross_core::{
-    seq::run_sequential, DoacrossLoop, IndirectLoop, PlanProvenance, RunStats, TestLoop,
+    seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, PlanProvenance, RunStats,
+    TestLoop,
 };
 use doacross_engine::{Engine, EngineBuilder, FallbackPolicy, PlanStore, ProfConfig};
 use doacross_par::ThreadPool;
@@ -53,11 +54,13 @@ fn preset_engine() -> EngineBuilder {
 /// one the caller means to audit, the output is the oracle's, the
 /// dispatching thread allocates nothing, and each solve costs
 /// `regions_per_block` regions per block (one block, unless strip-mined).
+/// Returns whether the plan's stream holds class bytes (`None` without a
+/// stream).
 fn assert_warm_solves_are_lean<L: DoacrossLoop>(
     loop_: &L,
     wants: fn(PlanVariant) -> bool,
     regions_per_block: u64,
-) {
+) -> Option<bool> {
     let engine = preset_engine().build();
     let prepared = engine.prepare(loop_).expect("plannable");
     assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());
@@ -94,6 +97,27 @@ fn assert_warm_solves_are_lean<L: DoacrossLoop>(
             prepared.variant()
         );
     }
+    let stream = prepared.plan().stream();
+    stream.map(|stream| stream.classes().is_some())
+}
+
+/// `loop_` with one more reference per row, to an element no iteration
+/// writes: the same dependences, so the same variant, but a stream that
+/// keeps its class bytes.
+fn with_unwritten_reads(loop_: &IndirectLoop) -> IndirectLoop {
+    let n = loop_.iterations();
+    let unwritten = loop_.data_len();
+    let rhs: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            (0..loop_.terms(i))
+                .map(|j| loop_.term_element(i, j))
+                .chain([unwritten])
+                .collect()
+        })
+        .collect();
+    let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+    let lhs = (0..n).map(|i| loop_.lhs(i)).collect();
+    IndirectLoop::new(unwritten + 1, lhs, rhs, coeff).expect("valid structure")
 }
 
 /// Interleaved distance-1 chains: the doconsider claim order wins.
@@ -108,28 +132,47 @@ fn interleaved_chains(chains: usize, len: usize) -> IndirectLoop {
 
 #[test]
 fn warm_wavefront_and_flag_solves_allocate_nothing_in_one_region() {
-    // Level-scheduled family: completion counters, no flags.
-    assert_warm_solves_are_lean(
-        &doacross_plan::testgrid::deep_grid(64, 20, 3, 7),
-        |v| v == PlanVariant::Wavefront,
-        1,
+    // Level-scheduled family: completion counters, no flags — over a
+    // stream of true dependences only (no class bytes) and over the same
+    // grid with an unwritten read per row (class bytes).
+    let wavefront = |v: PlanVariant| v == PlanVariant::Wavefront;
+    let grid = doacross_plan::testgrid::deep_grid(64, 20, 3, 7);
+    assert_eq!(
+        assert_warm_solves_are_lean(&grid, wavefront, 1),
+        Some(false)
     );
-    // Flag family, both claim sources: the linear subscript of Figure 4
+    let mixed = with_unwritten_reads(&grid);
+    assert_eq!(
+        assert_warm_solves_are_lean(&mixed, wavefront, 1),
+        Some(true)
+    );
+    // Flag family, every claim source: the linear subscript of Figure 4
     // through the by-writer adapter, and the plan's claim stream of a
     // scattered doall (natural order, claims in derived chunks).
-    assert_warm_solves_are_lean(
-        &TestLoop::new(2_000, 1, 7),
-        |v| matches!(v, PlanVariant::Linear(_)),
-        1,
+    let linear = |v: PlanVariant| matches!(v, PlanVariant::Linear(_));
+    assert_eq!(
+        assert_warm_solves_are_lean(&TestLoop::new(2_000, 1, 7), linear, 1),
+        None
     );
-    assert_warm_solves_are_lean(&scattered_doall(4_000), |v| v == PlanVariant::Doacross, 1);
+    let doacross = |v: PlanVariant| v == PlanVariant::Doacross;
+    assert_eq!(
+        assert_warm_solves_are_lean(&scattered_doall(4_000), doacross, 1),
+        Some(false)
+    );
     // ... and under the stream's doconsider claim order: validated when
     // the plan was built, so a solve's only pre-dispatch work is the
-    // allocation-free reference-count sweep.
-    assert_warm_solves_are_lean(
-        &interleaved_chains(32, 16),
-        |v| v == PlanVariant::Reordered,
-        1,
+    // allocation-free reference-count sweep. Classless, and with class
+    // bytes.
+    let reordered = |v: PlanVariant| v == PlanVariant::Reordered;
+    let chains = interleaved_chains(32, 16);
+    assert_eq!(
+        assert_warm_solves_are_lean(&chains, reordered, 1),
+        Some(false)
+    );
+    let mixed = with_unwritten_reads(&chains);
+    assert_eq!(
+        assert_warm_solves_are_lean(&mixed, reordered, 1),
+        Some(true)
     );
 }
 

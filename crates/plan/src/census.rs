@@ -27,8 +27,10 @@
 //!   writer map, no edge list.
 //! * **Stage 3** — [`CensusPass::stream`]: the chosen variant's
 //!   [`ClaimStream`] — the per-reference operand classes read off the
-//!   writer map stage 1 kept, written in the variant's claim order. Only a plan that runs a stream-backed
-//!   variant (doacross, reordered, wavefront) pays for it.
+//!   writer map stage 1 kept, written in the variant's claim order, or no
+//!   classes at all when the census counted every reference a true
+//!   dependence. Only a plan that runs a stream-backed variant (doacross,
+//!   reordered, wavefront) pays for it.
 
 use doacross_core::{AccessPattern, ClaimStream, OperandClass, MAXINT};
 
@@ -254,9 +256,11 @@ impl CensusPass {
     /// kept and written straight into claim order: `order` is `None` for
     /// the flat doacross (natural order) and the level-sorted order for the
     /// reordered doacross and the wavefront, which adds `level_offsets`
-    /// over it. `None` when the loop does not fit the stream's `u32`
-    /// indices ([`ClaimStream::fits`]). `pattern` must be the in-bounds,
-    /// injective pattern the pass ran over.
+    /// over it. When the census counted every reference a true dependence,
+    /// there is nothing to classify: the stream is the reference ends
+    /// alone, with no class bytes. `None` when the loop does not fit the
+    /// stream's `u32` indices ([`ClaimStream::fits`]). `pattern` must be
+    /// the in-bounds, injective pattern the pass ran over.
     pub fn stream<P: AccessPattern + ?Sized>(
         &self,
         pattern: &P,
@@ -265,24 +269,31 @@ impl CensusPass {
     ) -> Option<ClaimStream> {
         debug_assert!(self.schedulable());
         let n = self.census.iterations;
+        let census = &self.census;
         let mut ends = Vec::with_capacity(n + 1);
-        let mut classes = Vec::with_capacity(self.census.total_terms as usize);
+        let mut classes = (census.true_deps != census.total_terms)
+            .then(|| Vec::with_capacity(census.total_terms as usize));
+        let mut end = 0usize;
         ends.push(0u32);
         for k in 0..n {
             let i = order.map_or(k, |order| order[k]);
+            let terms = pattern.terms(i);
+            end += terms;
+            ends.push(u32::try_from(end).ok()?);
             // Figure 5's three-way check, once and for all. `MAXINT`
             // (unwritten) lies past every iteration, so it reads as a later
             // writer: old value. Branch-free, one exact-size extend per row.
-            classes.extend((0..pattern.terms(i)).map(|j| {
-                let w = self.writer[pattern.term_element(i, j)] as usize;
-                let class = match w.cmp(&i) {
-                    std::cmp::Ordering::Less => OperandClass::NewValue,
-                    std::cmp::Ordering::Equal => OperandClass::Accumulator,
-                    std::cmp::Ordering::Greater => OperandClass::OldValue,
-                };
-                class as u8
-            }));
-            ends.push(u32::try_from(classes.len()).ok()?);
+            if let Some(classes) = classes.as_mut() {
+                classes.extend((0..terms).map(|j| {
+                    let w = self.writer[pattern.term_element(i, j)] as usize;
+                    let class = match w.cmp(&i) {
+                        std::cmp::Ordering::Less => OperandClass::NewValue,
+                        std::cmp::Ordering::Equal => OperandClass::Accumulator,
+                        std::cmp::Ordering::Greater => OperandClass::OldValue,
+                    };
+                    class as u8
+                }));
+            }
         }
         let narrowed = |values: Option<&[usize]>| match values {
             Some(values) => ClaimStream::narrow(values).map(Some),

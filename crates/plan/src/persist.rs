@@ -43,7 +43,8 @@
 //! 3. every decoded plan is structurally revalidated against its own
 //!    census and fingerprint — a claim stream must rebuild through
 //!    [`ClaimStream::from_parts`] (order a permutation, ends covering the
-//!    classes, levels strictly increasing, every count within `u32`) and
+//!    classes if it has any, levels strictly increasing, every count
+//!    within `u32`) and
 //!    agree with the census, variants must carry exactly the artifact they
 //!    execute with ([`PersistError::Structural`] otherwise).
 //!
@@ -97,9 +98,11 @@ const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// table (adaptive telemetry lives in the engine's memory only, and a
 /// restarted engine observes afresh) and the linear tag's `(c, d)`
 /// payload: a linear plan's subscript is stored once, in the record's
-/// detected-subscript section, which the tag then requires. v1–v6 stores
-/// are rejected per the policy above.
-const FORMAT_VERSION: u32 = 7;
+/// detected-subscript section, which the tag then requires. **v8** made
+/// the claim stream's class bytes optional (a flag, then the count and
+/// bytes only when set): a stream whose every reference is a true
+/// dependence stores none. v1–v7 stores are rejected per the policy above.
+const FORMAT_VERSION: u32 = 8;
 
 /// Reasons a store cannot be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -391,8 +394,13 @@ const TAG_BLOCKED: u8 = 4;
 const TAG_WAVEFRONT: u8 = 5;
 
 /// A claim stream's four parts as the codec writes them: optional order,
-/// reference ends, optional level offsets, class bytes.
-type StreamParts<'a> = (Option<&'a [u32]>, &'a [u32], Option<&'a [u32]>, &'a [u8]);
+/// reference ends, optional level offsets, optional class bytes.
+type StreamParts<'a> = (
+    Option<&'a [u32]>,
+    &'a [u32],
+    Option<&'a [u32]>,
+    Option<&'a [u8]>,
+);
 
 /// Serializes one plan to the record format (no checksum — the enclosing
 /// [`PlanStore`] blob carries one for the whole file). The encoding is
@@ -444,8 +452,11 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
         put_opt_u32s(&mut out, order);
         put_u32s(&mut out, ends);
         put_opt_u32s(&mut out, levels);
-        put_u64(&mut out, classes.len() as u64);
-        out.extend_from_slice(classes);
+        put_bool(&mut out, classes.is_some());
+        if let Some(classes) = classes {
+            put_u64(&mut out, classes.len() as u64);
+            out.extend_from_slice(classes);
+        }
     }
     match plan.linear_subscript() {
         Some(s) => {
@@ -540,8 +551,13 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         let order = r.opt_u32s()?;
         let ends = r.u32s()?;
         let levels = r.opt_u32s()?;
-        let count = r.counted(1)?;
-        Some((order, ends, levels, r.take(count)?.to_vec()))
+        let classes = if r.bool()? {
+            let count = r.counted(1)?;
+            Some(r.take(count)?.to_vec())
+        } else {
+            None
+        };
+        Some((order, ends, levels, classes))
     } else {
         None
     };
@@ -1034,7 +1050,7 @@ impl PlanStore {
 mod tests {
     use super::*;
     use crate::planner::Planner;
-    use doacross_core::IndirectLoop;
+    use doacross_core::{AccessPattern, IndirectLoop};
     use doacross_par::ThreadPool;
 
     fn pool() -> ThreadPool {
@@ -1129,21 +1145,38 @@ mod tests {
     /// A plan's stream parts, owned, with one mutation applied — what
     /// `encode_record` then writes whether or not a `ClaimStream` could
     /// hold it.
-    type OwnedParts = (Option<Vec<u32>>, Vec<u32>, Option<Vec<u32>>, Vec<u8>);
+    type OwnedParts = (
+        Option<Vec<u32>>,
+        Vec<u32>,
+        Option<Vec<u32>>,
+        Option<Vec<u8>>,
+    );
     fn record_with(plan: &ExecutionPlan, mutate: &dyn Fn(&mut OwnedParts)) -> Vec<u8> {
         let s = plan.stream().expect("a stream-backed plan");
         let mut parts: OwnedParts = (
             s.order().map(<[u32]>::to_vec),
             s.ends().to_vec(),
             s.level_offsets().map(<[u32]>::to_vec),
-            s.classes().to_vec(),
+            s.classes().map(<[u8]>::to_vec),
         );
         mutate(&mut parts);
         let (order, ends, levels, classes) = &parts;
         encode_record(
             plan,
-            Some((order.as_deref(), ends, levels.as_deref(), classes)),
+            Some((
+                order.as_deref(),
+                ends,
+                levels.as_deref(),
+                classes.as_deref(),
+            )),
         )
+    }
+
+    /// The class bytes of `parts`, written out as `NewValue` bytes when the
+    /// stream holds none, so a mutation can change one.
+    fn class_bytes(parts: &mut OwnedParts) -> &mut Vec<u8> {
+        let total = *parts.1.last().expect("the sentinel") as usize;
+        parts.3.get_or_insert_with(|| vec![0; total])
     }
 
     /// A record that decodes and is structurally coherent but whose
@@ -1390,6 +1423,78 @@ mod tests {
     }
 
     #[test]
+    fn v7_stores_are_rejected_with_a_typed_version_error() {
+        // Regression for the v7 → v8 format bump (optional class bytes): a
+        // v7 store's stream section has no class flag, so it must fail
+        // typed before any record is read.
+        let mut store = PlanStore::new();
+        store.push_entry(0, Arc::new(plans_of_every_variant().remove(5)));
+        let mut bytes = store.to_bytes();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&7u32.to_le_bytes());
+        assert!(matches!(
+            PlanStore::from_bytes(&bytes),
+            Err(PersistError::UnsupportedVersion {
+                found: 7,
+                supported: FORMAT_VERSION,
+            })
+        ));
+    }
+
+    /// `loop_` with one more reference per row, to an element no
+    /// iteration writes: the same dependences, but old-value bytes in its
+    /// stream.
+    fn with_unwritten_reads(loop_: &IndirectLoop) -> IndirectLoop {
+        let n = loop_.iterations();
+        let unwritten = loop_.data_len();
+        let rhs: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                let mut row: Vec<usize> = (0..loop_.terms(i))
+                    .map(|j| loop_.term_element(i, j))
+                    .collect();
+                row.push(unwritten);
+                row
+            })
+            .collect();
+        let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+        let lhs = (0..n).map(|i| loop_.lhs(i)).collect();
+        IndirectLoop::new(unwritten + 1, lhs, rhs, coeff).unwrap()
+    }
+
+    /// A reordered and a wavefront plan whose every reference is a true
+    /// dependence store no class bytes, and round-trip — stream, census
+    /// and bytes — beside the same structures with an old-value read per
+    /// row, which keep theirs.
+    #[test]
+    fn classless_and_class_byte_streams_round_trip() {
+        let planner = Planner::new();
+        let pool = pool();
+        let (chains, len) = (32usize, 16usize);
+        let n = chains * len;
+        let rhs: Vec<Vec<usize>> = (0..n)
+            .map(|i| if i % len == 0 { vec![] } else { vec![i - 1] })
+            .collect();
+        let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+        let interleaved = IndirectLoop::new(n, (0..n).collect(), rhs, coeff).unwrap();
+        let grid = crate::testgrid::deep_grid(64, 20, 3, 7);
+        for (loop_, variant) in [
+            (interleaved, PlanVariant::Reordered),
+            (grid, PlanVariant::Wavefront),
+        ] {
+            for (loop_, bytes) in [(with_unwritten_reads(&loop_), true), (loop_, false)] {
+                let plan = planner.plan(&pool, &loop_).unwrap();
+                assert_eq!(plan.variant(), variant);
+                let stream = plan.stream().expect("a stream-backed plan");
+                assert_eq!(stream.classes().is_some(), bytes, "{variant}");
+                let encoded = encode_plan(&plan);
+                let decoded = decode_plan(&encoded).expect("self-encoded plans decode");
+                assert_eq!(decoded.stream(), plan.stream(), "{variant}");
+                assert_eq!(decoded.census(), plan.census());
+                assert_eq!(encode_plan(&decoded), encoded, "{variant}: bit-exact");
+            }
+        }
+    }
+
+    #[test]
     fn v1_stores_are_rejected_with_a_typed_version_error() {
         // Regression for the v1 → v2 format bump: a store whose version
         // field says 1 must fail typed — never parse, never panic — and
@@ -1503,14 +1608,15 @@ mod tests {
                     // Flip one true-dependency class to old-value: the
                     // class counts no longer match the census
                     // classification.
-                    let flip = p.3.iter().position(|&c| c == 0).expect("has true deps");
-                    p.3[flip] = 1;
+                    let classes = class_bytes(p);
+                    let flip = classes.iter().position(|&c| c == 0).expect("has true deps");
+                    classes[flip] = 1;
                 })),
                 "operand classes disagree with the census",
             );
         }
         assert_structural(
-            decode_plan(&record_with(wavefront, &|p| p.3[0] = 9)),
+            decode_plan(&record_with(wavefront, &|p| class_bytes(p)[0] = 9)),
             "a class byte no encoder writes",
         );
 

@@ -682,7 +682,9 @@ mod tests {
             stream.level_offsets().is_none(),
             "levels are the wavefront's"
         );
-        assert_eq!(plan.memory_bytes(), 4 * (2 * n + 1) + (n - chains));
+        // Every reference is a true dependence: no class bytes.
+        assert_eq!(stream.classes(), None);
+        assert_eq!(plan.memory_bytes(), 4 * (2 * n + 1));
         assert!(
             plan.costs().reordered.unwrap() < plan.costs().doacross.unwrap(),
             "{:?}",

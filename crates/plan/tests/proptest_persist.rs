@@ -90,7 +90,7 @@ fn a_format_version_3_blob_cold_starts_typed() {
         PlanStore::from_bytes(&bytes),
         Err(PersistError::UnsupportedVersion {
             found: 3,
-            supported: 7,
+            supported: 8,
         })
     ));
 }

@@ -93,7 +93,9 @@ fn table1_structures_stay_sequential_on_a_host_like_model_and_go_wavefront_on_th
 /// (`plan_kb`, bound 0.10): the struct itself — what every sequential plan
 /// costs, five to ten of them being the whole of `plan_kb` on four of the
 /// five workloads — and the one heap artifact of a stream-backed plan,
-/// `u32` indices in claim order plus one class byte per reference.
+/// `u32` indices in claim order plus one class byte per reference, of
+/// which a Table-1 factor stores none: it is strictly lower with
+/// `lhs(i) = i`, so every reference is a true dependence.
 #[test]
 fn plan_bytes_are_the_struct_plus_the_stream_formula() {
     assert!(
@@ -115,19 +117,21 @@ fn plan_bytes_are_the_struct_plus_the_stream_formula() {
         let n = pattern.iterations();
         let ends = 4 * (n + 1); // one `u32` per claim, plus the sentinel
         let preset = planned(CostModel::multimax(), &pool, &pattern);
-        let nnz = preset.census().total_terms as usize;
-        let levels = preset.census().critical_path;
+        let census = preset.census();
+        assert_eq!(census.true_deps, census.total_terms, "{}", kind.name());
+        let levels = census.critical_path;
         let expected = match preset.variant() {
-            PlanVariant::Wavefront => 4 * n + ends + nnz + 4 * (levels + 1),
+            PlanVariant::Wavefront => 4 * n + ends + 4 * (levels + 1),
             _ => 0, // sequential: no artifact
         };
         assert_eq!(preset.memory_bytes(), expected, "{} preset", kind.name());
 
         let flags = planned(flag_prices, &pool, &pattern);
         assert_eq!(flags.variant(), PlanVariant::Reordered, "{}", kind.name());
+        assert_eq!(flags.stream().unwrap().classes(), None, "{}", kind.name());
         assert_eq!(
             flags.memory_bytes(),
-            4 * n + ends + nnz,
+            4 * n + ends,
             "{} reordered",
             kind.name()
         );

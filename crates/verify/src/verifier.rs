@@ -4,8 +4,8 @@
 //! [`verify_pattern`] is the full check (pattern in hand): it re-derives
 //! the last-writer map and walks every right-hand-side reference,
 //! comparing the dependence class the executor *will* act on (the byte the
-//! plan's claim stream holds for that reference, or the linear oracle's
-//! arithmetic) against the class the index arrays *imply* — reporting the
+//! plan's claim stream holds for that reference — `NewValue` when the
+//! stream holds none — or the linear oracle's arithmetic) against the class the index arrays *imply* — reporting the
 //! first uncovered edge — and then the ordering obligation of the variant
 //! (claim positions, levels). [`verify_artifacts`] is the pattern-free
 //! check persistence runs at load time: everything provable from the
@@ -272,7 +272,9 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
     for i in 0..n {
         let terms = pattern.terms(i);
         // The stream's row for this iteration sits at the slot that claims
-        // it; a row of another length would be read out of step.
+        // it; a row of another length would be read out of step. A stream
+        // without class bytes has no row to read: every reference in it
+        // is `NewValue`.
         let row = match schedule.stream() {
             Some(stream) => {
                 let ends = stream.ends();
@@ -284,9 +286,9 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
                         got: row.len(),
                     });
                 }
-                &stream.classes()[row]
+                stream.classes().map(|classes| &classes[row])
             }
-            None => &[],
+            None => None,
         };
         #[allow(clippy::needless_range_loop)] // `j` is the pattern's term index first
         for j in 0..terms {
@@ -323,11 +325,12 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
                     classify(oracle.writer(e), i)
                 }
                 // The three stream-backed variants share one rule: the
-                // executor acts on the byte the stream holds for (k, j).
+                // executor acts on the byte the stream holds for (k, j),
+                // and on `NewValue` where the stream holds none.
                 SyncSchedule::FlagsNatural { .. }
                 | SyncSchedule::FlagsOrdered { .. }
                 | SyncSchedule::Wavefront { .. } => {
-                    let byte = row[j];
+                    let byte = row.map_or(OperandClass::NewValue as u8, |row| row[j]);
                     match OperandClass::from_u8(byte) {
                         Some(OperandClass::NewValue) => RefClass::New,
                         Some(OperandClass::OldValue) => RefClass::Old,

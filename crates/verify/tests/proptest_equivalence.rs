@@ -117,6 +117,32 @@ fn arb_injective(max_n: usize) -> impl Strategy<Value = (IndirectLoop, Vec<f64>)
         .prop_map(|(lhs, rhs, y0)| (build_loop(y0.len(), lhs, rhs), y0))
 }
 
+/// An arbitrary injective loop whose every reference is a true
+/// dependence: each row reads only elements earlier rows write. Its
+/// streams hold no class bytes.
+fn arb_true_deps(max_n: usize) -> impl Strategy<Value = (IndirectLoop, Vec<f64>)> {
+    (1..=max_n)
+        .prop_flat_map(move |n| {
+            let data_len = 2 * n + 1;
+            let lhs = Just((0..data_len).collect::<Vec<usize>>())
+                .prop_shuffle()
+                .prop_map(move |perm| perm[..n].to_vec());
+            let picks = proptest::collection::vec(proptest::collection::vec(0..n, 0..4), n..=n);
+            let y0 = proptest::collection::vec(-2.0..2.0f64, data_len..=data_len);
+            (lhs, picks, y0)
+        })
+        .prop_map(|(lhs, picks, y0)| {
+            // Row `i` reads the output of row `p % i` for each pick `p`.
+            let rhs = (0..lhs.len())
+                .map(|i| match i {
+                    0 => vec![],
+                    _ => picks[i].iter().map(|&p| lhs[p % i]).collect(),
+                })
+                .collect();
+            (build_loop(y0.len(), lhs, rhs), y0)
+        })
+}
+
 /// An arbitrary possibly-duplicating loop (non-injective lhs allowed).
 fn arb_any(max_n: usize) -> impl Strategy<Value = (IndirectLoop, Vec<f64>)> {
     (2..=max_n)
@@ -192,9 +218,11 @@ proptest! {
     /// for bit at every worker count and claim grain — one-iteration
     /// claims, the grain the plan layer would derive, and the cap — with
     /// `RunStats.deps` stamped to exactly the counts the verifier derived
-    /// from the index arrays. Blocked and sequential ride along.
+    /// from the index arrays. Blocked and sequential ride along. Half the
+    /// patterns have true dependences only, so both stream forms — class
+    /// bytes and none — are proven and run.
     #[test]
-    fn accepted_schedules_execute_like_the_oracle((loop_, y0) in arb_injective(24),
+    fn accepted_schedules_execute_like_the_oracle((loop_, y0) in prop_oneof![arb_injective(24), arb_true_deps(24)],
                                                   block_size in 1..8usize) {
         let expect: Vec<u64> = oracle(&loop_, &y0).iter().map(|v| v.to_bits()).collect();
         let data_len = loop_.data_len();
@@ -205,6 +233,12 @@ proptest! {
         let natural = honest.flags(None);
         let reordered = honest.flags(Some(&order));
         let wavefront = honest.wavefront();
+        // The stream holds class bytes exactly when some reference is not
+        // a true dependence.
+        let classless = honest.classes.iter().all(|&c| c == 0);
+        for stream in [&natural, &reordered, &wavefront] {
+            prop_assert_eq!(stream.classes().is_none(), classless);
+        }
         let report = verify_pattern(&loop_, &SyncSchedule::FlagsNatural { stream: &natural })
             .expect("honest natural schedule is sound");
         verify_pattern(&loop_, &SyncSchedule::FlagsOrdered { stream: &reordered })
@@ -362,6 +396,64 @@ proptest! {
                 prop_assert!(edge_is_real(&loop_, edge), "fabricated edge: {edge}");
             }
             other => prop_assert!(false, "unexpected violation: {other}"),
+        }
+    }
+
+    /// A stream with no class bytes is accepted exactly when every
+    /// reference is a true dependence, and an accepted one executes like
+    /// the oracle; on a pattern with any other reference it is rejected,
+    /// naming an edge that genuinely exists or an unwritten element the
+    /// pattern reads.
+    #[test]
+    fn classless_streams_are_accepted_iff_every_reference_is_a_true_dependence(
+        (loop_, y0) in prop_oneof![arb_injective(20), arb_true_deps(20)]
+    ) {
+        let honest = Honest::of(&loop_);
+        let all_new = vec![0u8; honest.classes.len()];
+        let (offsets, order) = honest.level_sorted();
+        let natural = ClaimStream::from_iteration_order(None, None, &honest.term_offsets, all_new.clone())
+            .expect("consistent parts");
+        let wavefront = ClaimStream::from_iteration_order(
+            Some(&order),
+            Some(&offsets),
+            &honest.term_offsets,
+            all_new,
+        )
+        .expect("consistent parts");
+        let truly = honest.classes.iter().all(|&c| c == 0);
+        let expect = oracle(&loop_, &y0);
+        for schedule in [
+            SyncSchedule::FlagsNatural { stream: &natural },
+            SyncSchedule::Wavefront { stream: &wavefront },
+        ] {
+            let stream = schedule.stream().expect("stream-backed");
+            prop_assert_eq!(stream.classes(), None);
+            match verify_pattern(&loop_, &schedule) {
+                Ok(_) => {
+                    prop_assert!(truly, "accepted a classless stream over other classes");
+                    let pool = ThreadPool::new(2);
+                    let mut y = y0.clone();
+                    Doacross::new(loop_.data_len())
+                        .run_planned(&pool, &loop_, &mut y, stream, None, None)
+                        .expect("accepted classless stream executes");
+                    prop_assert_eq!(&y, &expect, "{}", schedule.variant_name());
+                }
+                Err(violation) => {
+                    prop_assert!(!truly, "rejected an honest classless stream: {}", violation);
+                    match &violation {
+                        SoundnessViolation::UncoveredAnti { edge }
+                        | SoundnessViolation::UncoveredIntra { edge } => {
+                            prop_assert!(edge_is_real(&loop_, edge), "fabricated edge: {edge}");
+                        }
+                        SoundnessViolation::PhantomWait { element, reader } => {
+                            prop_assert!(
+                                (0..loop_.terms(*reader)).any(|j| loop_.term_element(*reader, j) == *element)
+                            );
+                        }
+                        other => prop_assert!(false, "unexpected violation: {other}"),
+                    }
+                }
+            }
         }
     }
 

@@ -385,23 +385,118 @@ fn kills_non_permutation_order() {
     );
 }
 
-/// Mutation 8b — a truncated `ends` (the last slot's row cut off) no longer
-/// covers the class bytes: dies in `from_parts`.
+/// Mutation 8b — a truncated `ends` (the last slot's row cut off) dies in
+/// `from_parts`: with class bytes, it no longer covers them; without (every
+/// reference a true dependence), the order names an iteration it no longer
+/// holds.
 #[test]
 fn kills_truncated_ends() {
-    let stream = flag_stream(&chain(4), Some(&[0, 1, 2, 3]), |_| {});
-    let parts = |ends: Vec<u32>| {
-        ClaimStream::from_parts(
-            stream.order().map(<[u32]>::to_vec),
-            ends,
-            stream.classes().to_vec(),
-            None,
-        )
-    };
-    assert_eq!(parts(stream.ends().to_vec()).as_ref(), Some(&stream));
-    let mut ends = stream.ends().to_vec();
-    ends.pop();
-    assert!(parts(ends).is_none());
+    for (l, bytes) in [(mixed(), true), (chain(4), false)] {
+        let order: Vec<usize> = (0..l.iterations()).collect();
+        let stream = flag_stream(&l, Some(&order), |_| {});
+        assert_eq!(stream.classes().is_some(), bytes);
+        let parts = |ends: Vec<u32>| {
+            ClaimStream::from_parts(
+                stream.order().map(<[u32]>::to_vec),
+                ends,
+                stream.classes().map(<[u8]>::to_vec),
+                None,
+            )
+        };
+        assert_eq!(parts(stream.ends().to_vec()).as_ref(), Some(&stream));
+        let mut ends = stream.ends().to_vec();
+        ends.pop();
+        assert!(parts(ends).is_none(), "class bytes: {bytes}");
+    }
+}
+
+/// `mixed()` with the references of `rows` dropped, so the first reference
+/// that is not a true dependence comes later.
+fn mixed_without(rows: &[usize]) -> IndirectLoop {
+    let l = mixed();
+    let rhs: Vec<Vec<usize>> = (0..l.iterations())
+        .map(|i| {
+            let row = (0..l.terms(i)).map(|j| l.term_element(i, j));
+            if rows.contains(&i) {
+                vec![]
+            } else {
+                row.collect()
+            }
+        })
+        .collect();
+    let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.25; r.len()]).collect();
+    IndirectLoop::new(l.data_len(), (0..l.iterations()).collect(), rhs, coeff).unwrap()
+}
+
+/// Mutation 8c — a classless stream (no class bytes: every reference read
+/// as a true dependence) over a pattern with anti, unwritten and intra
+/// references. The verifier reads a stream without bytes as all
+/// `NewValue`, so each variant's one class rule rejects it, naming the
+/// first reference that is not a true dependence: the intra reference of
+/// iteration 2, then — with that row dropped — the anti read of iteration
+/// 3, then the unwritten read of iteration 4. The same classless form over
+/// a pattern of true dependences only is sound.
+#[test]
+fn kills_classless_stream_over_mixed_references() {
+    let cases = [
+        (
+            mixed_without(&[]),
+            SoundnessViolation::UncoveredIntra {
+                edge: DependenceEdge::Intra {
+                    element: 2,
+                    iteration: 2,
+                },
+            },
+        ),
+        (
+            mixed_without(&[2]),
+            SoundnessViolation::UncoveredAnti {
+                edge: DependenceEdge::Anti {
+                    element: 4,
+                    reader: 3,
+                    writer: 4,
+                },
+            },
+        ),
+        (
+            mixed_without(&[2, 3]),
+            SoundnessViolation::PhantomWait {
+                element: 6,
+                reader: 4,
+            },
+        ),
+    ];
+    let all_new = |classes: &mut Vec<u8>| classes.fill(0);
+    for (l, violation) in cases {
+        let natural = flag_stream(&l, None, all_new);
+        let ordered = flag_stream(&l, Some(&[4, 2, 0, 3, 1, 5]), all_new);
+        let levels = mutate_wavefront(&l, |_| {}, all_new);
+        for (schedule, stream) in [
+            (SyncSchedule::FlagsNatural { stream: &natural }, &natural),
+            (SyncSchedule::FlagsOrdered { stream: &ordered }, &ordered),
+            (SyncSchedule::Wavefront { stream: &levels }, &levels),
+        ] {
+            assert_eq!(stream.classes(), None, "{}", schedule.variant_name());
+            assert_eq!(
+                verify_pattern(&l, &schedule).unwrap_err(),
+                violation,
+                "{}",
+                schedule.variant_name()
+            );
+        }
+    }
+    let l = mixed_without(&[2, 3, 4, 5]);
+    let natural = flag_stream(&l, None, |_| {});
+    let ordered = flag_stream(&l, Some(&[4, 2, 0, 3, 1, 5]), |_| {});
+    let levels = honest_wavefront(&l);
+    for schedule in [
+        SyncSchedule::FlagsNatural { stream: &natural },
+        SyncSchedule::FlagsOrdered { stream: &ordered },
+        SyncSchedule::Wavefront { stream: &levels },
+    ] {
+        assert_eq!(schedule.stream().unwrap().classes(), None);
+        verify_pattern(&l, &schedule).expect("true dependences only: sound");
+    }
 }
 
 /// The shape each variant's stream must have: no order under natural
@@ -726,6 +821,37 @@ fn artifact_mode_kills_class_count_mismatch() {
                 expected: 4,
                 got: 3
             }
+        );
+    }
+}
+
+/// Mutation 18b — a classless stream loaded against a census that counts
+/// other classes: without the index arrays, a stream without class bytes
+/// routes every reference to the new value, and the census says 3 of 8 are.
+#[test]
+fn artifact_mode_kills_a_classless_stream_under_a_mixed_census() {
+    let l = mixed();
+    let all_new = |classes: &mut Vec<u8>| classes.fill(0);
+    let natural = flag_stream(&l, None, all_new);
+    let ordered = flag_stream(&l, Some(&[4, 2, 0, 3, 1, 5]), all_new);
+    let levels = mutate_wavefront(&l, |_| {}, all_new);
+    let facts = mixed_facts();
+    assert!(facts.true_deps < facts.total_terms);
+    for schedule in [
+        SyncSchedule::FlagsNatural { stream: &natural },
+        SyncSchedule::FlagsOrdered { stream: &ordered },
+        SyncSchedule::Wavefront { stream: &levels },
+    ] {
+        assert_eq!(schedule.stream().unwrap().classes(), None);
+        assert_eq!(
+            verify_artifacts(&facts, &schedule).unwrap_err(),
+            SoundnessViolation::ArtifactMismatch {
+                what: "new-value class count",
+                expected: 3,
+                got: 8
+            },
+            "{}",
+            schedule.variant_name()
         );
     }
 }

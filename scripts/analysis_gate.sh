@@ -36,7 +36,10 @@
 #                  reported, and nothing else. Blind spots left: enum
 #                  variants and struct fields are not items here, and a
 #                  method name shared across types passes on any type's
-#                  call site.
+#                  call site; a trait counts as called only where its name
+#                  appears on a code line, so a trait used only through a
+#                  method call after a `use` is reported uncalled while it is
+#                  still depended on.
 #
 #   audit          every crate root must pin its unsafe posture: either
 #                  #![forbid(unsafe_code)] or
@@ -76,7 +79,15 @@
 #                  bit for bit, stamped counts exact), and the three
 #                  stream mutation kills (soundness: a flag-stream class
 #                  byte flipped new -> old, two order entries swapped
-#                  across a true dependence, a truncated `ends`). Two more
+#                  across a true dependence, a truncated `ends`). Beside
+#                  them, the stream without class bytes (every reference a
+#                  true dependence): rejected over anti, unwritten and
+#                  intra references under every stream-backed variant and
+#                  against a census that counts them, accepted iff every
+#                  reference is a true dependence and then run like the
+#                  oracle, equal to its all-`NewValue` byte form, run
+#                  under both gates, and round-tripped by the v8 store,
+#                  which refuses a v7 one typed. Two more
 #                  run by name for the profiler: its buffer-recycling
 #                  harvest equals a verbatim copy of the old harvest on
 #                  random timelines, and a faulted or rejected solve
@@ -252,10 +263,14 @@ cargo test -q -p doacross-trisolve --test verify_table1 ||
 # The claim stream's own proofs, by name: `--exact` plus a count check, so
 # a test that was renamed away fails here instead of passing vacuously.
 say "analysis_gate: claim-stream proofs, by name"
+# The output is captured before it is searched: `grep -q` reading a pipe
+# exits at its match, and the test binary's next write would then fail
+# under `pipefail` and turn a passing test into a violation.
 named() { # package, test target ("lib" for the crate's unit tests), test name
-  local target=(--test "$2")
+  local target=(--test "$2") out
   [ "$2" = lib ] && target=(--lib)
-  if ! cargo test -q -p "$1" "${target[@]}" -- --exact "$3" 2>&1 | grep -q '^test result: ok. 1 passed'; then
+  if ! out=$(cargo test -q -p "$1" "${target[@]}" -- --exact "$3" 2>&1) ||
+    ! grep -q '^test result: ok. 1 passed' <<<"$out"; then
     violation "$1 ${target[*]}: '$3' did not run and pass"
   fi
 }
@@ -265,6 +280,15 @@ named doacross-verify proptest_equivalence accepted_schedules_execute_like_the_o
 named doacross-verify soundness kills_dropped_flag
 named doacross-verify soundness kills_claim_order_inversion
 named doacross-verify soundness kills_truncated_ends
+named doacross-verify soundness kills_classless_stream_over_mixed_references
+named doacross-verify soundness artifact_mode_kills_a_classless_stream_under_a_mixed_census
+named doacross-verify proptest_equivalence classless_streams_are_accepted_iff_every_reference_is_a_true_dependence
+named doacross-core lib wavefront::tests::all_new_value_bytes_and_none_give_equal_streams
+named doacross-core lib wavefront::tests::classless_streams_match_sequential_under_both_gates
+for t in classless_and_class_byte_streams_round_trip \
+  v7_stores_are_rejected_with_a_typed_version_error; do
+  named doacross-plan lib "persist::tests::$t"
+done
 
 # The profiler's recycling harvest against a verbatim copy of the old one,
 # and the fault path that is now the only arena reset, by name.

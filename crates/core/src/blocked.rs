@@ -104,7 +104,7 @@ impl Doacross {
             // Per-block executor and, in the same region, postprocessing:
             // the copy-back carries the cross-block dependencies.
             let oracle = InspectedWriter::new(&self.iter, window.clone());
-            self.scratch.run(
+            let outcome = self.scratch.run(
                 pool,
                 Region {
                     loop_,
@@ -121,6 +121,7 @@ impl Doacross {
                 &mut stats,
                 None,
             );
+            outcome.expect("a by-writer source never rejects a row");
             stats.total = stats.inspector + stats.executor + stats.post;
             total.absorb(&stats);
         }

@@ -57,11 +57,13 @@ pub enum DoacrossError {
         /// The loop's actual data-space size.
         loop_data_len: usize,
     },
-    /// A wavefront level schedule was applied to a loop whose
-    /// per-iteration reference counts it does not match — the schedule's
-    /// operand classes were captured for a different reference structure.
+    /// A plan's claim stream was applied to a loop whose per-iteration
+    /// reference counts it does not match — the stream was resolved for a
+    /// different reference structure. The region finds it where it reads
+    /// the row, and the error names the first such row in claim order.
     ScheduleTermsMismatch {
-        /// First iteration whose reference count disagrees.
+        /// The iteration of the first claim slot whose reference count
+        /// disagrees.
         iteration: usize,
         /// References the schedule classified for that iteration.
         schedule_terms: usize,

@@ -77,7 +77,10 @@
 //!
 //! A planned run picks its source once per region. No writer map is
 //! consulted and nothing is counted per reference on either planned
-//! source, because the stream knows its totals.
+//! source, because the stream knows its totals. Both planned sources
+//! check each row's reference count against the loop's as the row is
+//! claimed ([`Claims::row`]); that check is the only one a planned solve
+//! makes, so nothing sweeps the stream before dispatch.
 //!
 //! ## Memory ordering
 //!
@@ -136,6 +139,14 @@
 //! progress. A worker that leaves early deposits its partial counters and
 //! never counts its unfinished iterations, so the copy-back gate never
 //! opens (the `completion` module).
+//!
+//! A row whose reference count is not the loop's is not a fault but a
+//! *rejection*: its worker leaves the same way, with
+//! [`WaitAbort::Rejected`] as the cause, before folding the row. The
+//! siblings drain on the poison word as they would for a fault, `y` is
+//! never copied into, and the pool returns the rejection to
+//! `Scratch::run` instead of unwinding, which retires the flags as
+//! after any region and hands the rejection to its caller.
 
 use crate::completion::{Completion, RegionGuard};
 use crate::flags::ReadyFlags;
@@ -146,7 +157,7 @@ use crate::stats::{LocalCounters, RunStats, StatsSink};
 use crate::wavefront::{claim_grain, OperandClass};
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
 use doacross_par::{
-    claim_chunks, wait_until_guarded, wait_until_guarded_timed, CachePadded, SharedSlice,
+    claim_chunks, wait_until_guarded, wait_until_guarded_timed, CachePadded, Rejected, SharedSlice,
     ThreadPool, WaitAbort,
 };
 use std::ops::Range;
@@ -371,6 +382,16 @@ fn await_flag(ready: &ReadyFlags, slot: usize, p: &mut Participant<'_>) {
     }
 }
 
+/// A claimed row whose reference count is not the loop's: the worker
+/// leaves the region with the rejection (see the module docs, "Faults").
+/// Out of line: a planned run of the loop it was planned for never gets
+/// here.
+#[cold]
+#[inline(never)]
+fn reject_row(p: &mut Participant<'_>) -> ! {
+    p.bail(WaitAbort::Rejected)
+}
+
 /// What a worker owes the region before each claim: one poll of the fault
 /// latch, and a deadline clock read once `executed` (the slots claimed so
 /// far, this claim's included) has grown by [`DEADLINE_ITER_PERIOD`] since
@@ -473,6 +494,12 @@ impl Scratch {
     /// boundaries) and the executor-side counters; the per-class counts
     /// only when `C::COUNTED`. Retires the flags afterwards.
     ///
+    /// # Errors
+    /// [`Rejected`] when `claims` reported a row whose reference count is
+    /// not the loop's ([`Claims::row`]). Every participant has then left
+    /// the region, `y` was not copied into and the flags are retired, so
+    /// the scratch serves the next region; `stats` is not meaningful.
+    ///
     /// The claim order must be topological over the true dependences (the
     /// by-writer sources claim in natural order; a plan's order is checked
     /// by [`ClaimStream::from_parts`](crate::ClaimStream::from_parts) and
@@ -498,7 +525,8 @@ impl Scratch {
         gate: G,
         stats: &mut RunStats,
         prof: Option<&ProfArena>,
-    ) where
+    ) -> Result<(), Rejected>
+    where
         L: DoacrossLoop + ?Sized,
         C: Claims,
         G: Gate,
@@ -519,6 +547,7 @@ impl Scratch {
         } else {
             gate.level_count(count)
         };
+        let mut outcome = Ok(());
         self.sink.ensure_workers(nworkers);
         if nlevels > self.cells.len() {
             self.cells.resize_with(nlevels, CachePadded::default);
@@ -560,7 +589,7 @@ impl Scratch {
             let clock = PhaseClock::start();
             let post_claim = AtomicUsize::new(0);
 
-            pool.run_joinable(|worker| {
+            outcome = pool.run_joinable(|worker| {
                 // The worker's own copy of the snapshot: a register test
                 // per iteration, not a load through the capture.
                 let failpoint = snapshot;
@@ -604,7 +633,9 @@ impl Scratch {
                             // gate; bounds asserted.
                             let acc = loop_.init(i, unsafe { y.read(lhs) });
 
-                            let row = claims.row(slot, i, loop_.terms(i));
+                            let Some(row) = claims.row(slot, i, loop_.terms(i)) else {
+                                reject_row(&mut p)
+                            };
                             let p = &mut p;
                             // Everything the callback reads is captured by
                             // value, so an acquire load in the flag gate
@@ -689,6 +720,7 @@ impl Scratch {
         self.sink.drain_into(stats);
         self.sink.reset();
         stats.barrier_crossings = nlevels.saturating_sub(1) as u64;
+        outcome
     }
 }
 
@@ -721,21 +753,23 @@ mod tests {
             iterations: loop_.iterations(),
             ..Default::default()
         };
-        Scratch::new(dl).run(
-            &pool,
-            Region {
-                loop_,
-                claims: &ByWriter { oracle: &oracle },
-                slots: 0..loop_.iterations(),
-                window: 0..dl,
-                y: &mut y_buf,
-                post: Post { map: None },
-                grain,
-            },
-            Flags,
-            &mut stats,
-            None,
-        );
+        Scratch::new(dl)
+            .run(
+                &pool,
+                Region {
+                    loop_,
+                    claims: &ByWriter { oracle: &oracle },
+                    slots: 0..loop_.iterations(),
+                    window: 0..dl,
+                    y: &mut y_buf,
+                    post: Post { map: None },
+                    grain,
+                },
+                Flags,
+                &mut stats,
+                None,
+            )
+            .expect("a by-writer region is never rejected");
         (y_buf, stats)
     }
 
@@ -839,21 +873,23 @@ mod tests {
         let mut y = vec![0.0; 4];
         let oracle = InspectedWriter::new(&map, 0..4);
         let mut stats = RunStats::default();
-        Scratch::new(4).run(
-            &pool,
-            Region {
-                loop_: &l,
-                claims: &ByWriter { oracle: &oracle },
-                slots: 1..1,
-                window: 0..4,
-                y: &mut y,
-                post: Post { map: None },
-                grain: Some(1),
-            },
-            Flags,
-            &mut stats,
-            None,
-        );
+        Scratch::new(4)
+            .run(
+                &pool,
+                Region {
+                    loop_: &l,
+                    claims: &ByWriter { oracle: &oracle },
+                    slots: 1..1,
+                    window: 0..4,
+                    y: &mut y,
+                    post: Post { map: None },
+                    grain: Some(1),
+                },
+                Flags,
+                &mut stats,
+                None,
+            )
+            .expect("an empty region is never rejected");
         assert_eq!(stats.deps.total(), 0);
         assert_eq!(stats.barrier_crossings, 0);
     }

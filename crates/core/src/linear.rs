@@ -135,7 +135,7 @@ impl Doacross {
         // The executor runs with the arithmetic writer oracle; the
         // copy-back follows in the same region (no `iter` to clear).
         let oracle = LinearWriter::new(subscript.c, subscript.d, n);
-        self.scratch.run(
+        let outcome = self.scratch.run(
             pool,
             Region {
                 loop_,
@@ -150,6 +150,7 @@ impl Doacross {
             &mut stats,
             None,
         );
+        outcome.expect("a by-writer source never rejects a row");
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean());
         Ok(stats)

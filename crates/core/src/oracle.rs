@@ -52,13 +52,13 @@ pub trait Claims: Sync {
     fn iteration(&self, k: usize) -> usize;
 
     /// Slot `k`'s references, given that it runs iteration `i` and the loop
-    /// reports `terms` of them.
-    ///
-    /// # Panics
-    /// When the source was resolved for a different reference count — the
-    /// executor's final defence; planned entry points rule it out with a
-    /// typed error before dispatch.
-    fn row(&self, k: usize, i: usize, terms: usize) -> Self::Row<'_>;
+    /// reports `terms` of them; `None` when the source was resolved for a
+    /// different reference count. This is where a planned run checks each
+    /// row's count, once, as the region reaches the row: the executor then
+    /// rejects the region, and the planned entry point names the first
+    /// mismatching slot as a typed error with `y` untouched. A by-writer
+    /// source resolves every reference as it comes and never mismatches.
+    fn row(&self, k: usize, i: usize, terms: usize) -> Option<Self::Row<'_>>;
 
     /// The class of the row's `j`-th reference, which reads element `off`.
     fn class<'a>(&'a self, row: Self::Row<'a>, j: usize, off: usize) -> OperandClass;
@@ -88,8 +88,8 @@ impl<W: WriterOracle> Claims for ByWriter<'_, W> {
     }
 
     #[inline]
-    fn row(&self, _k: usize, i: usize, _terms: usize) -> i64 {
-        i as i64
+    fn row(&self, _k: usize, i: usize, _terms: usize) -> Option<i64> {
+        Some(i as i64)
     }
 
     #[inline]

@@ -30,7 +30,7 @@
 
 use crate::flags::IterMap;
 use crate::pattern::AccessPattern;
-use doacross_par::SharedSlice;
+use doacross_par::{claim_chunks, SharedSlice};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -51,10 +51,10 @@ const POST_CHUNK: usize = 512;
 
 /// The caller's share of the postprocessing of iterations `iter_range`:
 /// chunks of [`POST_CHUNK`] claimed off `claim` (zero at the region's
-/// start, shared by every participant) until none is left. For each
-/// claimed iteration's `lhs` element, clears the `iter` entry
-/// (window-relative) when `post` names a map, and copies `ynew` back into
-/// `y`. Once every participant has returned, every iteration was
+/// start, shared by every participant) with [`claim_chunks`] until none is
+/// left. For each claimed iteration's `lhs` element, clears the `iter`
+/// entry (window-relative) when `post` names a map, and copies `ynew` back
+/// into `y`. Once every participant has returned, every iteration was
 /// postprocessed exactly once, however many took part.
 ///
 /// # Safety
@@ -72,14 +72,10 @@ pub(crate) unsafe fn post_share<P: AccessPattern + ?Sized>(
     claim: &AtomicUsize,
 ) {
     let (base, len) = (iter_range.start, iter_range.len());
-    loop {
-        // `Relaxed`: the add only hands out disjoint chunks; the data is
-        // ordered by the completion gate and the region's join.
-        let start = claim.fetch_add(POST_CHUNK, Ordering::Relaxed);
-        if start >= len {
-            break;
-        }
-        for k in start..(start + POST_CHUNK).min(len) {
+    // The claims only hand out disjoint chunks; the data is ordered by the
+    // completion gate and the region's join.
+    claim_chunks(claim, len, POST_CHUNK, |chunk| {
+        for k in chunk {
             let elem = pattern.lhs(base + k);
             let slot = elem - window_start;
             if let Some(map) = post.map {
@@ -92,7 +88,7 @@ pub(crate) unsafe fn post_share<P: AccessPattern + ?Sized>(
             // left by the caller's contract.
             unsafe { y.write(elem, ynew.read(slot)) };
         }
-    }
+    });
 }
 
 /// Splits one region's wall time into executor and post: the worker whose

@@ -187,7 +187,7 @@ impl Doacross {
         // Phases 2 + 3: executor (Figure 5), then postprocessor (Figure 3,
         // right) — the post pass clears this run's `iter` entries to
         // restore the reuse invariant.
-        self.scratch.run(
+        let outcome = self.scratch.run(
             pool,
             Region {
                 loop_,
@@ -204,6 +204,7 @@ impl Doacross {
             &mut stats,
             None,
         );
+        outcome.expect("a by-writer source never rejects a row");
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on exit");
         Ok(stats)
@@ -223,14 +224,22 @@ impl Doacross {
     /// `barrier_crossings` = levels − 1, and no flag is raised.
     ///
     /// `stream` must have been built for this loop's access pattern. The
-    /// iteration count and every claim's reference count are checked here
-    /// ([`DoacrossError::PlanMismatch`] /
-    /// [`DoacrossError::ScheduleTermsMismatch`], before dispatch, `y`
-    /// untouched); *content* equality is the caller's contract — the
-    /// `doacross-plan` crate enforces it with structural fingerprints, and
-    /// `doacross-verify` proves the stream's order topological, its levels
-    /// independent and its classes right, once, when the plan is built or
-    /// loaded. The stream is only read, so it serves arbitrarily many runs.
+    /// iteration count is checked here, before dispatch
+    /// ([`DoacrossError::PlanMismatch`], `y` untouched). Each claim's
+    /// reference count is checked inside the region, where the claim's
+    /// row is read ([`Claims::row`](crate::oracle::Claims::row)): a
+    /// mismatch rejects the region, and only then is the stream swept, to
+    /// name the first mismatching slot in claim order as
+    /// [`DoacrossError::ScheduleTermsMismatch`] — `y` untouched and the
+    /// scratch reusable, as before dispatch. A solve pays no O(n) pass of
+    /// its own before dispatch. *Content* equality is the caller's
+    /// contract — the `doacross-plan` crate enforces it with structural
+    /// fingerprints, and `doacross-verify` proves the stream's order
+    /// topological, its levels independent and its classes right, once,
+    /// when the plan is built or loaded. A loop that differs in content but
+    /// not in a count is not caught at all, and one that differs in both
+    /// runs until the region reaches a mismatching row (or its deadline).
+    /// The stream is only read, so it serves arbitrarily many runs.
     ///
     /// `grain` is the claim-slot count per counter grab: `Some(c)` on
     /// every level ([`crate::wavefront::claim_grain`] derives `c` from what
@@ -307,7 +316,7 @@ impl Doacross {
         // reference.
         let classless = Classless(stream);
         let scratch = &mut self.scratch;
-        match (stream.classes(), stream.level_offsets()) {
+        let outcome = match (stream.classes(), stream.level_offsets()) {
             (Some(_), Some(levels)) => scratch.run(pool, region, Levels(levels), &mut stats, prof),
             (Some(_), None) => scratch.run(pool, region, Flags, &mut stats, prof),
             (None, Some(levels)) => {
@@ -318,6 +327,14 @@ impl Doacross {
                 let region = region.with_claims(&classless);
                 scratch.run(pool, region, Flags, &mut stats, prof)
             }
+        };
+        if outcome.is_err() {
+            // A row's reference count disagreed with the loop's; the
+            // rejection path alone pays the sweep that names the first
+            // such slot in claim order.
+            return Err(stream
+                .check_terms(loop_)
+                .expect_err("a rejected region found a mismatching row"));
         }
         stats.deps = stream.class_counts();
         stats.total = t_start.elapsed();

@@ -42,8 +42,12 @@
 //! The order and the stream are plan-owned and immutable: validated once,
 //! at [`ClaimStream::from_parts`], never per solve. What a solve does check
 //! is the one thing the plan cannot know — that the loop it is handed has
-//! the reference counts the stream was resolved for (one O(n) sweep before
-//! dispatch, a typed [`DoacrossError::ScheduleTermsMismatch`] otherwise).
+//! the reference counts the stream was resolved for. Each row's count is
+//! checked once, where the region reads the row ([`Claims::row`]); a
+//! mismatch rejects the region, and only then does one O(n) sweep
+//! (`ClaimStream::check_terms`) name the first mismatching slot as a
+//! typed [`DoacrossError::ScheduleTermsMismatch`]. A solve of the loop the
+//! stream was built for sweeps nothing before dispatch.
 //!
 //! ## When it wins
 //!
@@ -373,14 +377,14 @@ impl ClaimStream {
     }
 
     /// The first claim slot whose reference count disagrees with `loop_`'s,
-    /// as the typed error a planned entry point returns before dispatch.
-    /// Inside the region the same disagreement would trip [`Claims::row`]'s
-    /// assert on one worker and tear the solve down as a worker panic; one
-    /// O(n) sweep here (two loads and a compare per iteration, the same
-    /// order as the copy-back pass) keeps it a typed failure with `y`
-    /// untouched. Deliberately not gated on `validate_terms`: that flag
-    /// controls subscript *bounds* validation, this guards region
-    /// *liveness*.
+    /// as the typed error a planned entry point returns. Reached only after
+    /// a region was rejected: inside the region each row's count is checked
+    /// as the row is read ([`Claims::row`]), but the first worker to find a
+    /// mismatch need not hold the first mismatching slot, so this O(n)
+    /// sweep (two loads and a compare per iteration) names the slot the
+    /// claim order reaches first — the same error whichever worker
+    /// rejected. Not gated on `validate_terms`: that flag controls
+    /// subscript *bounds* validation, this names a rejected region.
     pub(crate) fn check_terms<L: DoacrossLoop + ?Sized>(
         &self,
         loop_: &L,
@@ -415,14 +419,10 @@ impl Claims for ClaimStream {
     }
 
     #[inline]
-    fn row(&self, k: usize, _i: usize, terms: usize) -> &[u8] {
+    fn row(&self, k: usize, _i: usize, terms: usize) -> Option<&[u8]> {
         let classes = self.classes.as_deref().expect("a stream with class bytes");
         let row = &classes[self.ends[k] as usize..self.ends[k + 1] as usize];
-        assert!(
-            row.len() == terms,
-            "claim stream references disagree with the loop"
-        );
-        row
+        (row.len() == terms).then_some(row)
     }
 
     #[inline]
@@ -457,12 +457,9 @@ impl Claims for Classless<'_> {
     }
 
     #[inline]
-    fn row(&self, k: usize, _i: usize, terms: usize) {
+    fn row(&self, k: usize, _i: usize, terms: usize) -> Option<()> {
         let ends = &self.0.ends;
-        assert!(
-            (ends[k + 1] - ends[k]) as usize == terms,
-            "claim stream references disagree with the loop"
-        );
+        ((ends[k + 1] - ends[k]) as usize == terms).then_some(())
     }
 
     #[inline]
@@ -483,10 +480,10 @@ pub fn claim_grain(hint: usize, nworkers: usize) -> usize {
     (hint / (2 * nworkers.max(1))).clamp(1, 16)
 }
 
-/// What every planned entry point checks before it dispatches: `y` covers
-/// the loop's data space, the stream was built for this many iterations,
-/// and every claim's reference count is the loop's
-/// ([`ClaimStream::check_terms`]). Returns the data-space size.
+/// What every planned entry point checks before it dispatches, in O(1):
+/// `y` covers the loop's data space and the stream was built for this many
+/// iterations. Each claim's reference count is the region's to check, as
+/// it reads the row ([`Claims::row`]). Returns the data-space size.
 pub(crate) fn check_stream<L: DoacrossLoop + ?Sized>(
     loop_: &L,
     y: &[f64],
@@ -502,7 +499,6 @@ pub(crate) fn check_stream<L: DoacrossLoop + ?Sized>(
             loop_data_len: data_len,
         });
     }
-    stream.check_terms(loop_)?;
     Ok(data_len)
 }
 
@@ -919,7 +915,8 @@ mod tests {
         assert_eq!(s.order(), Some(&[2u32, 0, 1][..]));
         assert_eq!(s.ends(), &[0, 0, 1, 3]);
         assert_eq!(s.classes(), Some(&[1u8, 0, 2][..]));
-        assert_eq!(s.row(2, 1, 2), &[0, 2]);
+        assert_eq!(s.row(2, 1, 2), Some(&[0u8, 2][..]));
+        assert_eq!(s.row(2, 1, 3), None, "a count the loop disagrees with");
         assert_eq!(s.memory_bytes(), 4 * (3 + 4) + 3);
         let counts = s.class_counts();
         assert_eq!(
@@ -957,6 +954,71 @@ mod tests {
         // One byte that is not `NewValue` keeps them all.
         let mixed = ClaimStream::from_parts(None, vec![0, 1, 2], Some(vec![0, 1]), None).unwrap();
         assert_eq!(mixed.classes(), Some(&[0u8, 1][..]));
+        // The classless row is its count check against `ends` alone.
+        assert_eq!(Classless(&none).row(0, 2, 2), Some(()));
+        assert_eq!(Classless(&none).row(1, 0, 1), None);
+    }
+
+    /// A loop whose reference counts disagree with the stream in two rows
+    /// is rejected by the region itself, under either gate and either
+    /// claim source: the error names the mismatching slot the claim order
+    /// reaches first (here the higher iteration, because the order runs
+    /// backwards), `y` is untouched, the flags are retired, and the same
+    /// runtime and pool then solve the planned loop.
+    #[test]
+    fn a_rejected_region_names_the_first_mismatch_in_claim_order() {
+        let n = 64;
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        let one_level = [0, n];
+        // Dependence-free rows reading `reads` copies of the unwritten
+        // element `n`, one more in iterations 10 and 50.
+        let rows = |reads: usize, extra: bool| {
+            let rhs: Vec<Vec<usize>> = (0..n)
+                .map(|i| vec![n; reads + usize::from(extra && (i == 10 || i == 50))])
+                .collect();
+            let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+            IndirectLoop::new(n + 1, (0..n).collect(), rhs, coeff).unwrap()
+        };
+        let p = pool();
+        let mut rt = Doacross::new(n + 1);
+        let y0: Vec<f64> = (0..=n).map(|e| 1.0 + (e % 3) as f64).collect();
+        // No references at all is the classless stream; one old-value
+        // read per row keeps its bytes.
+        for reads in [0, 1] {
+            let (planned, longer) = (rows(reads, false), rows(reads, true));
+            let offsets: Vec<usize> = (0..=n).map(|i| i * reads).collect();
+            let expect = oracle(&planned, &y0);
+            for levels in [None, Some(&one_level[..])] {
+                let stream = ClaimStream::from_iteration_order(
+                    Some(&reversed),
+                    levels,
+                    &offsets,
+                    vec![OperandClass::OldValue as u8; n * reads],
+                )
+                .unwrap();
+                assert_eq!(stream.classes().is_some(), reads > 0);
+                for grain in [Some(1), Some(8), None] {
+                    let mut y = y0.clone();
+                    let err = rt
+                        .run_planned(&p, &longer, &mut y, &stream, grain, None)
+                        .unwrap_err();
+                    assert_eq!(
+                        err,
+                        DoacrossError::ScheduleTermsMismatch {
+                            iteration: 50,
+                            schedule_terms: reads,
+                            loop_terms: reads + 1,
+                        },
+                        "reads {reads}, levels {levels:?}, grain {grain:?}"
+                    );
+                    assert_eq!(y, y0, "a rejected region leaves y alone");
+                    assert!(rt.scratch_is_clean());
+                    rt.run_planned(&p, &planned, &mut y, &stream, grain, None)
+                        .unwrap();
+                    assert_eq!(y, expect, "the runtime serves the next solve");
+                }
+            }
+        }
     }
 
     /// A classless region runs the loop's terms with no class bytes, under

@@ -93,9 +93,17 @@ impl PreparedLoop {
     /// index arrays; coefficient *values* and `y` contents are free to
     /// differ per call (that is the point: one triangular structure, many
     /// right-hand sides). Shape mismatches are rejected with
-    /// [`doacross_core::DoacrossError::PlanMismatch`]; content equality is
-    /// the caller's contract, exactly as it is for the fingerprint-keyed
-    /// cache.
+    /// [`doacross_core::DoacrossError::PlanMismatch`] before anything runs.
+    /// A parallel plan checks each row's reference count where its region
+    /// reads the row, not in a pass before dispatch: a disagreeing count
+    /// stops the region, and the solve returns
+    /// [`doacross_core::DoacrossError::ScheduleTermsMismatch`] naming the
+    /// first such row in claim order, with `y` untouched, neither replayed
+    /// nor recorded. Content equality is the caller's contract, exactly as
+    /// it is for the fingerprint-keyed cache: a loop that differs only in
+    /// content is not detected, and one that differs in content and in a
+    /// count runs until the region reaches the mismatching row or the
+    /// solve deadline expires.
     ///
     /// Staleness is checked at entry: a concurrent
     /// [`crate::Engine::invalidate`] landing *during* an execution affects

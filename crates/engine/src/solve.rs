@@ -196,12 +196,18 @@ impl EngineInner {
         let attempt = solve.run(&mut lease, loop_, y);
         let (outcome, stats) = match attempt.outcome {
             Ok(result) => {
+                if let (Err(_), Some(arena)) = (&result, lease.arena) {
+                    // A typed rejection leaves no spans for the next
+                    // harvest: a loop whose reference counts disagree
+                    // with the plan is refused by the region itself, and
+                    // its workers may have deposited spans by then.
+                    arena.reset();
+                }
                 drop(lease);
                 // A typed rejection (mismatched buffer, bad plan) is
                 // deterministic: it would fail — or panic — identically
                 // on the sequential variant, so it is neither replayed
-                // nor recorded — and it is refused before any span is
-                // deposited.
+                // nor recorded.
                 (SolveOutcome::Ok, result?)
             }
             Err(payload) => {
@@ -382,6 +388,9 @@ impl<'e> Solve<'e> {
                     deadline: engine.solve_deadline.unwrap_or_default(),
                 },
             ),
+            // Every region of a solve is joinable, and a joinable region
+            // returns its rejection as the executor's typed error.
+            RegionFault::Rejected => unreachable!("a rejected region does not unwind"),
         };
         if engine.obs.enabled() {
             engine.obs.emit(TraceEvent::SolvePoisoned {

@@ -160,9 +160,9 @@ fn warm_wavefront_and_flag_solves_allocate_nothing_in_one_region() {
         Some(false)
     );
     // ... and under the stream's doconsider claim order: validated when
-    // the plan was built, so a solve's only pre-dispatch work is the
-    // allocation-free reference-count sweep. Classless, and with class
-    // bytes.
+    // the plan was built, so a solve checks only each row's reference
+    // count, inside the region, allocating nothing. Classless, and with
+    // class bytes.
     let reordered = |v: PlanVariant| v == PlanVariant::Reordered;
     let chains = interleaved_chains(32, 16);
     assert_eq!(

@@ -44,7 +44,10 @@
 //! through the fault-aware [`wait_until_guarded`], which polls the
 //! region's [`RegionPoison`] word and unwinds cooperatively, turning a
 //! would-be deadlock into a finite drain and a typed [`RegionFault`] panic
-//! from the region's dispatcher.
+//! from the region's dispatcher. A participant that finds the region's
+//! input unfit to run leaves the same way with a rejection, which
+//! [`ThreadPool::run_joinable`] returns as [`Rejected`] instead of
+//! panicking.
 //! The same poll sites enforce an optional region deadline
 //! ([`ThreadPool::set_deadline`]). See [`poison`] for the full protocol.
 
@@ -60,7 +63,7 @@ pub mod sync;
 pub mod wait;
 
 pub use parallel::parallel_for;
-pub use poison::{abort_region, RegionFault, RegionPoison, WaitAbort};
+pub use poison::{abort_region, RegionFault, RegionPoison, Rejected, WaitAbort};
 pub use pool::ThreadPool;
 pub use schedule::claim_chunks;
 pub use shared::SharedSlice;

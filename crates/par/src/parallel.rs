@@ -8,6 +8,7 @@
 //! executed. The doacross executor itself lives in `doacross-core`; it
 //! claims the same way but manages its own per-iteration synchronization.
 
+use crate::poison::RegionFault;
 use crate::pool::ThreadPool;
 use crate::schedule::claim_chunks;
 use std::sync::atomic::AtomicUsize;
@@ -38,7 +39,12 @@ where
         return;
     }
     let counter = AtomicUsize::new(0);
-    pool.run_joinable(|_| claim_chunks(&counter, n, chunk, |claim| claim.for_each(&body)));
+    // A doall has no row to reject; a body that rejects anyway unwinds
+    // from here as the typed fault, as under `ThreadPool::run`.
+    let job = |_| claim_chunks(&counter, n, chunk, |claim| claim.for_each(&body));
+    if pool.run_joinable(job).is_err() {
+        std::panic::panic_any(RegionFault::Rejected);
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,17 @@
 //!    helper that joined has left,
 //!    [`ThreadPool::run`](crate::ThreadPool::run) takes the fault and
 //!    re-panics with the typed [`RegionFault`] payload for the engine
-//!    boundary to catch and convert.
+//!    boundary to catch and convert — except a *rejection*, which
+//!    [`ThreadPool::run_joinable`](crate::ThreadPool::run_joinable)
+//!    returns to its caller as [`Rejected`].
+//!
+//! A rejection is the third cause, beside a worker panic and an expired
+//! deadline: a participant found the region's input unfit to run (a
+//! planned row whose reference count is not the loop's) and left through
+//! [`abort_region`] with [`WaitAbort::Rejected`]. Its siblings drain on the
+//! poison word exactly as they do for a fault, but nothing broke, so the
+//! dispatcher answers with a value instead of a panic and the caller turns
+//! it into its own typed error.
 //!
 //! The `Release` store / `Acquire` poll pair also publishes everything the
 //! faulting thread wrote *before* poisoning (e.g. partial per-worker
@@ -31,7 +41,7 @@
 //! Scratch left behind by a poisoned region (ready flags, writer maps,
 //! completion counts) is torn; callers must discard it, not reuse it.
 
-use std::panic::panic_any;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a parallel region was torn down early.
@@ -47,6 +57,11 @@ pub enum RegionFault {
     },
     /// A guarded wait observed the region deadline in the past.
     DeadlineExpired,
+    /// A participant rejected the region's input ([`WaitAbort::Rejected`]).
+    /// [`ThreadPool::run_joinable`](crate::ThreadPool::run_joinable)
+    /// returns it as [`Rejected`]; only a full-attendance region, whose
+    /// jobs have nothing to reject, would unwind with it.
+    Rejected,
 }
 
 impl std::fmt::Display for RegionFault {
@@ -57,6 +72,9 @@ impl std::fmt::Display for RegionFault {
             }
             RegionFault::DeadlineExpired => {
                 write!(f, "the parallel region's deadline expired")
+            }
+            RegionFault::Rejected => {
+                write!(f, "a participant rejected the parallel region's input")
             }
         }
     }
@@ -71,13 +89,24 @@ pub enum WaitAbort {
     /// This waiter itself observed the deadline in the past. The caller
     /// must poison the region (so siblings unwind too) before unwinding.
     DeadlineExpired,
+    /// This participant found the region's input unfit to run. The caller
+    /// must poison the region with the rejection before unwinding.
+    Rejected,
 }
 
-/// Poison word states. 0 = clean, 1 = deadline, `worker + WORKER_BASE` =
-/// worker panic.
+/// What [`ThreadPool::run_joinable`](crate::ThreadPool::run_joinable)
+/// returns when a participant rejected the region: every participant has
+/// drained and nothing panicked, so the caller answers with its own typed
+/// error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rejected;
+
+/// Poison word states. 0 = clean, 1 = deadline, 2 = rejected,
+/// `worker + WORKER_BASE` = worker panic.
 const CLEAN: u64 = 0;
 const DEADLINE: u64 = 1;
-const WORKER_BASE: u64 = 2;
+const REJECTED: u64 = 2;
+const WORKER_BASE: u64 = 3;
 
 /// One-word fault latch shared by every participant of a parallel region.
 ///
@@ -108,17 +137,24 @@ impl RegionPoison {
     /// Records a worker panic. First cause wins; returns `true` when this
     /// call was the poisoning one.
     pub fn poison_worker(&self, worker: usize) -> bool {
-        let encoded = (worker as u64).saturating_add(WORKER_BASE);
-        self.state
-            .compare_exchange(CLEAN, encoded, Ordering::Release, Ordering::Relaxed)
-            .is_ok()
+        self.poison((worker as u64).saturating_add(WORKER_BASE))
     }
 
     /// Records a deadline expiry. First cause wins; returns `true` when
     /// this call was the poisoning one.
     fn poison_deadline(&self) -> bool {
+        self.poison(DEADLINE)
+    }
+
+    /// Records a rejection. First cause wins; returns `true` when this
+    /// call was the poisoning one.
+    fn poison_rejected(&self) -> bool {
+        self.poison(REJECTED)
+    }
+
+    fn poison(&self, cause: u64) -> bool {
         self.state
-            .compare_exchange(CLEAN, DEADLINE, Ordering::Release, Ordering::Relaxed)
+            .compare_exchange(CLEAN, cause, Ordering::Release, Ordering::Relaxed)
             .is_ok()
     }
 
@@ -139,6 +175,7 @@ fn decode(word: u64) -> Option<RegionFault> {
     match word {
         CLEAN => None,
         DEADLINE => Some(RegionFault::DeadlineExpired),
+        REJECTED => Some(RegionFault::Rejected),
         encoded => Some(RegionFault::WorkerPanicked {
             worker: (encoded - WORKER_BASE) as usize,
         }),
@@ -153,17 +190,26 @@ fn decode(word: u64) -> Option<RegionFault> {
 pub(crate) struct CoopUnwind;
 
 /// Aborts the current region participant: records a deadline fault when
-/// this waiter is the one that noticed the expiry, then unwinds with the
-/// cooperative marker so the pool drains the region without treating this
-/// thread as a new, independent panic.
+/// this waiter is the one that noticed the expiry, or the rejection when
+/// this participant rejected the region, then unwinds with the cooperative
+/// marker so the pool drains the region without treating this thread as a
+/// new, independent panic. The unwind bypasses the panic hook: the poison
+/// word is the record of what happened, and a rejected region is no fault
+/// at all.
 ///
 /// Never returns. Only meaningful inside a pool region (or on a thread
 /// whose unwind a caller catches).
 pub fn abort_region(poison: &RegionPoison, abort: WaitAbort) -> ! {
-    if matches!(abort, WaitAbort::DeadlineExpired) {
-        poison.poison_deadline();
+    match abort {
+        WaitAbort::DeadlineExpired => {
+            poison.poison_deadline();
+        }
+        WaitAbort::Rejected => {
+            poison.poison_rejected();
+        }
+        WaitAbort::Poisoned(_) => {}
     }
-    panic_any(CoopUnwind)
+    resume_unwind(Box::new(CoopUnwind))
 }
 
 #[cfg(test)]
@@ -230,6 +276,27 @@ mod tests {
     }
 
     #[test]
+    fn abort_region_records_a_rejection_and_first_cause_wins() {
+        let p = RegionPoison::new();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            abort_region(&p, WaitAbort::Rejected)
+        }))
+        .expect_err("abort_region must unwind");
+        assert!(payload.downcast_ref::<CoopUnwind>().is_some());
+        assert_eq!(p.fault(), Some(RegionFault::Rejected));
+        assert!(!p.poison_worker(0), "a later panic must not overwrite");
+        assert!(!p.poison_deadline(), "nor a later deadline");
+        assert_eq!(p.take(), Some(RegionFault::Rejected));
+
+        p.poison_deadline();
+        assert!(
+            !p.poison_rejected(),
+            "a rejection does not overwrite either"
+        );
+        assert_eq!(p.fault(), Some(RegionFault::DeadlineExpired));
+    }
+
+    #[test]
     fn abort_region_on_observed_poison_does_not_repoison() {
         let p = RegionPoison::new();
         p.poison_worker(2);
@@ -248,5 +315,7 @@ mod tests {
         assert!(text.contains("worker 4"), "{text}");
         let text = RegionFault::DeadlineExpired.to_string();
         assert!(text.contains("deadline"), "{text}");
+        let text = RegionFault::Rejected.to_string();
+        assert!(text.contains("rejected"), "{text}");
     }
 }

@@ -15,7 +15,8 @@
 //!   an absent worker. Every region of the runtime claims its work off a
 //!   shared counter (a participant that finds nothing left claims
 //!   nothing), so this is how every one is dispatched, and none pays for
-//!   waking a helper that arrives after the work is gone.
+//!   waking a helper that arrives after the work is gone. A region a
+//!   participant rejected comes back as [`Rejected`], not as a panic.
 //! * [`ThreadPool::run`] — *full attendance*: every worker id runs the job
 //!   exactly once. For callers that need every worker present: the
 //!   engine's health probe of a pool after a faulted solve, and a
@@ -35,7 +36,7 @@
 //! arrays across loops for the same reason: per-instance setup cost must
 //! be amortizable).
 
-use crate::poison::{CoopUnwind, RegionPoison};
+use crate::poison::{CoopUnwind, RegionFault, RegionPoison, Rejected};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -214,12 +215,15 @@ impl ThreadPool {
     /// region (poisoning keeps the drain finite; see [`crate::poison`]).
     /// The panic payload is the typed [`crate::RegionFault`], carrying the
     /// panicking worker's id (0 is the calling thread), for an engine
-    /// boundary to downcast.
+    /// boundary to downcast. A full-attendance job has nothing to reject,
+    /// so a rejection here unwinds too, as [`RegionFault::Rejected`].
     pub fn run<F>(&self, job: F)
     where
         F: Fn(usize) + Sync,
     {
-        self.dispatch(&job, false);
+        if self.dispatch(&job, false).is_err() {
+            std::panic::panic_any(RegionFault::Rejected);
+        }
     }
 
     /// Executes `job(0)` on the calling thread and `job(w)` on every helper
@@ -231,18 +235,27 @@ impl ThreadPool {
     /// no claim left must be free to do nothing, and `job(0)` must not
     /// return before every claim has been taken and finished — whoever is
     /// present then does everything once. Same join guarantee and the same
-    /// typed panic as [`Self::run`].
-    pub fn run_joinable<F>(&self, job: F)
+    /// typed panic as [`Self::run`] for a worker panic or an expired
+    /// deadline.
+    ///
+    /// # Errors
+    /// [`Rejected`] when a participant left through
+    /// [`abort_region`](crate::abort_region) with
+    /// [`WaitAbort::Rejected`](crate::WaitAbort::Rejected) and no fault
+    /// came first: every participant has drained, nothing panicked, and
+    /// the pool is ready for the next region.
+    pub fn run_joinable<F>(&self, job: F) -> Result<(), Rejected>
     where
         F: Fn(usize) + Sync,
     {
-        self.dispatch(&job, true);
+        self.dispatch(&job, true)
     }
 
     /// The one dispatch body: publish the region, run worker 0's share,
     /// close registration (at once when `joinable`, after everyone checked
-    /// in otherwise), wait for the helpers that joined, report the fault.
-    fn dispatch(&self, job: &(dyn Fn(usize) + Sync), joinable: bool) {
+    /// in otherwise), wait for the helpers that joined, report the cause:
+    /// a rejection as the return value, a fault as a panic.
+    fn dispatch(&self, job: &(dyn Fn(usize) + Sync), joinable: bool) -> Result<(), Rejected> {
         let _dispatch = self.dispatch_lock.lock();
         let shared = &*self.shared;
         // Panic-flag hygiene: a stale fault (e.g. latched by a region
@@ -280,8 +293,10 @@ impl ThreadPool {
             let joined = shared.region.fetch_and(!OPEN, Ordering::AcqRel) & JOINED;
             self.await_helpers(joined);
         }
-        if let Some(fault) = shared.poison.take() {
-            std::panic::panic_any(fault);
+        match shared.poison.take() {
+            None => Ok(()),
+            Some(RegionFault::Rejected) => Err(Rejected),
+            Some(fault) => std::panic::panic_any(fault),
         }
     }
 
@@ -448,7 +463,7 @@ mod tests {
                 unsafe { view.write(i, i + 1) };
             };
             if joinable {
-                pool.run_joinable(job);
+                pool.run_joinable(job).unwrap();
             } else {
                 pool.run(job);
             }
@@ -463,7 +478,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         assert_eq!(pool.dispatches(), 0);
         pool.run(|_| {});
-        pool.run_joinable(|_| {});
+        pool.run_joinable(|_| {}).unwrap();
         assert_eq!(pool.dispatches(), 2);
         let single = ThreadPool::new(1);
         single.run(|_| {});
@@ -493,7 +508,7 @@ mod tests {
                 *ran_on.lock().unwrap() = Some(std::thread::current().id());
             };
             if joinable {
-                pool.run_joinable(job);
+                pool.run_joinable(job).unwrap();
             } else {
                 pool.run(job);
             }
@@ -525,7 +540,8 @@ mod tests {
                     zero.fetch_add(1, Ordering::Relaxed);
                 }
                 calls.fetch_add(1, Ordering::Relaxed);
-            });
+            })
+            .unwrap();
             assert_eq!(zero.load(Ordering::Relaxed), 1, "region {region}");
             let calls = calls.load(Ordering::Relaxed);
             assert!((1..=3).contains(&calls), "region {region}: {calls} calls");
@@ -593,7 +609,7 @@ mod tests {
             };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if joinable {
-                    pool.run_joinable(job);
+                    pool.run_joinable(job).unwrap();
                 } else {
                     pool.run(job);
                 }
@@ -742,13 +758,52 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_joinable_region_returns_after_every_participant_drained() {
+        // Worker 0 waits until a helper is inside the job, then rejects;
+        // the helper drains on the poison word. The dispatcher returns the
+        // rejection instead of unwinding, only after the helper left, and
+        // the next region starts clean.
+        use std::sync::atomic::AtomicBool;
+        let pool = ThreadPool::new(2);
+        let (entered, drained) = (AtomicBool::new(false), AtomicBool::new(false));
+        let poison = pool.poison();
+        let outcome = pool.run_joinable(|w| {
+            if w == 0 {
+                while !entered.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                crate::abort_region(poison, crate::WaitAbort::Rejected);
+            }
+            entered.store(true, Ordering::Release);
+            let waited = crate::wait_until_guarded(|| false, poison, None);
+            drained.store(true, Ordering::Release);
+            if let Err(abort) = waited {
+                assert_eq!(abort, crate::WaitAbort::Poisoned(RegionFault::Rejected));
+                crate::abort_region(poison, abort);
+            }
+        });
+        assert_eq!(outcome, Err(Rejected));
+        assert!(drained.load(Ordering::Acquire), "the helper drained first");
+        assert_eq!(pool.poison().fault(), None, "the cause was taken");
+        assert_eq!(pool.run_joinable(|_| {}), Ok(()));
+
+        // A full-attendance region has nothing to reject: it unwinds.
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(|_| crate::abort_region(poison, crate::WaitAbort::Rejected));
+        }))
+        .expect_err("a rejection in `run` unwinds");
+        let fault = payload.downcast_ref::<RegionFault>().unwrap();
+        assert_eq!(*fault, RegionFault::Rejected);
+    }
+
+    #[test]
     fn drop_joins_workers() {
         // Mainly a leak/deadlock check: building and dropping many pools
         // must terminate.
         for _ in 0..20 {
             let pool = ThreadPool::new(3);
             pool.run(|_| {});
-            pool.run_joinable(|_| {});
+            pool.run_joinable(|_| {}).unwrap();
         }
     }
 }

@@ -19,7 +19,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Runs `body(claim)` for every grab this worker claims off `counter`:
 /// `claim` is a non-empty range of `0..n`, at most `chunk` iterations long
 /// (0 claims like 1), and successive claims increase. The body must walk
-/// its claim front to back. Returns once the counter has passed `n`.
+/// its claim front to back. Returns once a grab found the counter at or
+/// past `n`, or once this worker's own grab reached `n` — the worker that
+/// takes the last iteration knows nothing is left and skips the grab that
+/// would only fail. Either way the counter ends at or past `n`.
 ///
 /// `counter` must start at 0 and be shared by every worker of the same
 /// loop instance; it is the only arbiter, so each iteration is claimed by
@@ -37,7 +40,11 @@ pub fn claim_chunks<F: FnMut(Range<usize>)>(
         if start >= n {
             break;
         }
-        body(start..(start + chunk).min(n));
+        let end = (start + chunk).min(n);
+        body(start..end);
+        if end == n {
+            break;
+        }
     }
 }
 
@@ -62,6 +69,25 @@ mod tests {
                 assert_eq!(seen, (0..n).collect::<Vec<_>>(), "chunk {chunk}");
             }
         }
+    }
+
+    #[test]
+    fn the_worker_that_takes_the_last_iteration_grabs_no_more() {
+        // One worker alone: `n / chunk` grabs when `chunk` divides `n`,
+        // one more for the short tail otherwise — and no failing grab
+        // after the last. The counter still ends at or past `n`.
+        for (n, chunk, grabs) in [(12usize, 4usize, 3usize), (13, 4, 4), (1, 1, 1), (5, 16, 1)] {
+            let counter = AtomicUsize::new(0);
+            let mut claims = 0;
+            claim_chunks(&counter, n, chunk, |_| claims += 1);
+            assert_eq!(claims, grabs, "n {n}, chunk {chunk}");
+            assert_eq!(counter.load(Ordering::Relaxed), grabs * chunk);
+            assert!(counter.load(Ordering::Relaxed) >= n);
+        }
+        // Nothing to claim: one grab that finds the counter past `n`.
+        let counter = AtomicUsize::new(0);
+        claim_chunks(&counter, 0, 3, |_| unreachable!("no iteration"));
+        assert_eq!(counter.load(Ordering::Relaxed), 3);
     }
 
     #[test]

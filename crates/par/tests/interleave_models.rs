@@ -112,7 +112,11 @@ fn mutation_dropped_ready_store_is_a_deadlock() {
 // k − 1 (a distance-1 chain in claim order: the tightest dependence a
 // topological order admits, so every chunk boundary and every chunk
 // interior carries one). Progress rests on one rule — a worker walks its
-// chunk in increasing slot order — which is what the mutation breaks.
+// chunk in increasing slot order — which is what the first mutation breaks.
+// A worker whose grab ends at the last slot stops without another grab,
+// and then waits at the copy-back gate (the last slot done: in a chain,
+// every slot is); the second mutation stops one slot early, which strands
+// the gate whenever no other worker is left to take that slot.
 // ---------------------------------------------------------------------------
 
 struct ChunkedClaims {
@@ -122,9 +126,12 @@ struct ChunkedClaims {
     /// plain access is a decision point, so the three-worker spaces are
     /// only exhaustible on the flags alone).
     ynew: Option<Vec<Shared<u64>>>,
+    /// Whether each worker waits at the copy-back gate once its claims are
+    /// done — modelled where the space stays exhaustible with it.
+    gated: bool,
 }
 
-fn chunked_claims(slots: usize, with_data: bool) -> ChunkedClaims {
+fn chunked_claims(slots: usize, with_data: bool, gated: bool) -> ChunkedClaims {
     const CELLS: [&str; 4] = ["ynew[0]", "ynew[1]", "ynew[2]", "ynew[3]"];
     ChunkedClaims {
         claim: AtomicUsize::new(0),
@@ -135,22 +142,35 @@ fn chunked_claims(slots: usize, with_data: bool) -> ChunkedClaims {
                 .map(|cell| Shared::named(cell, 0))
                 .collect()
         }),
+        gated,
     }
 }
 
-/// One worker of the region: `claim_chunks` around the
-/// executor body. `back_to_front` walks each claimed chunk in decreasing
-/// slot order.
-fn chunk_worker(m: &ChunkedClaims, chunk: usize, back_to_front: bool) {
+/// How a modelled worker walks and leaves its claims.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// Production: each chunk front to back, and no grab after the chunk
+    /// that ends at the last slot.
+    Production,
+    /// Mutation: each chunk back to front.
+    BackToFront,
+    /// Mutation: stops after a chunk that ends one slot before the last.
+    ExitOneEarly,
+}
+
+/// One worker of the region: `claim_chunks` around the executor body,
+/// then, when modelled, the copy-back gate.
+fn chunk_worker(m: &ChunkedClaims, chunk: usize, walk: Walk) {
     let slots = m.ready.len();
     loop {
         // The claim itself publishes nothing: `Relaxed`, as in production.
         let start = m.claim.fetch_add(chunk, Ordering::Relaxed);
         if start >= slots {
-            return;
+            break;
         }
-        let mut claimed: Vec<usize> = (start..(start + chunk).min(slots)).collect();
-        if back_to_front {
+        let end = (start + chunk).min(slots);
+        let mut claimed: Vec<usize> = (start..end).collect();
+        if walk == Walk::BackToFront {
             claimed.reverse();
         }
         for k in claimed {
@@ -168,40 +188,58 @@ fn chunk_worker(m: &ChunkedClaims, chunk: usize, back_to_front: bool) {
             }
             m.ready[k].store(1, Ordering::Release);
         }
+        let last = match walk {
+            Walk::ExitOneEarly => end + 1 >= slots,
+            _ => end == slots,
+        };
+        if last {
+            break;
+        }
+    }
+    if m.gated {
+        spin_until(|| m.ready[slots - 1].load(Ordering::Acquire) == 1);
     }
 }
 
 /// Depth-first over every schedule of `workers` workers claiming `chunk`
 /// slots of `slots`; deadlock- and race-freedom are the checker's verdicts.
+/// A copy-back gate is modelled for at most two workers.
 fn explore_chunked(
     workers: usize,
     chunk: usize,
     slots: usize,
     with_data: bool,
-    back_to_front: bool,
+    walk: Walk,
 ) -> Result<Report, Failure> {
-    let worker = move |m: &ChunkedClaims| chunk_worker(m, chunk, back_to_front);
+    let gated = workers <= 2;
+    let worker = move |m: &ChunkedClaims| chunk_worker(m, chunk, walk);
     let threads: Vec<&(dyn Fn(&ChunkedClaims) + Sync)> = (0..workers)
         .map(|_| &worker as &(dyn Fn(&ChunkedClaims) + Sync))
         .collect();
     check(
         &Config::default(),
-        || chunked_claims(slots, with_data),
+        || chunked_claims(slots, with_data, gated),
         &threads,
     )
 }
 
 #[test]
 fn chunked_claims_walked_in_slot_order_never_deadlock_or_race() {
-    // Chunks of 2 and of 3 on 2 workers, chunks of 2 on 3; the shadow array
-    // is modelled where the space stays exhaustible with it (≈ 1 800
-    // schedules; the three-worker space is ≈ 9 000 on the flags alone). The
-    // slot count leaves a short last chunk in every configuration, so a
-    // hand-off crosses a chunk boundary and one sits inside a chunk.
-    for (workers, chunk, slots, with_data) in [(2, 2, 3, true), (2, 3, 4, false), (3, 2, 3, false)]
-    {
-        let report =
-            explore_chunked(workers, chunk, slots, with_data, false).unwrap_or_else(|failure| {
+    // Chunks of 2 and of 3 on 2 workers, chunks of 2 on 3, and a worker
+    // alone (a joinable region whose helpers never joined); the shadow
+    // array is modelled where the space stays exhaustible with it. The
+    // slot count leaves a short last chunk in every configuration but
+    // one, so a hand-off crosses a chunk boundary and one sits inside a
+    // chunk; the lone worker's chunk divides the slots, so its last grab
+    // ends exactly at the end.
+    for (workers, chunk, slots, with_data) in [
+        (2, 2, 3, true),
+        (2, 3, 4, false),
+        (3, 2, 3, false),
+        (1, 2, 4, true),
+    ] {
+        let report = explore_chunked(workers, chunk, slots, with_data, Walk::Production)
+            .unwrap_or_else(|failure| {
                 panic!("{workers} workers, chunks of {chunk}, {slots} slots: {failure}")
             });
         assert!(
@@ -218,11 +256,28 @@ fn mutation_chunk_walked_back_to_front_is_a_deadlock() {
     // waits for a slot the same worker has yet to run — and no other worker
     // ever will.
     for (workers, chunk, slots) in [(2, 2, 3), (3, 3, 4)] {
-        let failure = explore_chunked(workers, chunk, slots, false, true)
+        let failure = explore_chunked(workers, chunk, slots, false, Walk::BackToFront)
             .expect_err("a chunk walked in decreasing order strands its own waiter");
         assert!(
             matches!(&failure.kind, FailureKind::Deadlock { blocked } if !blocked.is_empty()),
             "{failure}"
+        );
+        assert!(!failure.schedule.is_empty(), "counterexample must replay");
+    }
+}
+
+#[test]
+fn mutation_claim_loop_leaving_one_slot_early_strands_the_gate() {
+    // A worker whose grab ends one slot short of the end leaves as if it
+    // had taken the last one. A sibling still claiming would take it; a
+    // worker alone — a joinable region whose helpers never joined — leaves
+    // it to nobody, and the copy-back gate waits forever.
+    for (workers, chunk, slots) in [(1, 2, 3), (1, 1, 2)] {
+        let failure = explore_chunked(workers, chunk, slots, false, Walk::ExitOneEarly)
+            .expect_err("leaving one slot early skips the last slot");
+        assert!(
+            matches!(&failure.kind, FailureKind::Deadlock { blocked } if !blocked.is_empty()),
+            "{workers} workers, chunks of {chunk}: {failure}"
         );
         assert!(!failure.schedule.is_empty(), "counterexample must replay");
     }

@@ -17,8 +17,11 @@
 //! structure in-bounds, injective where required, and its order
 //! topological; the fingerprint key guarantees the structure has not
 //! changed) — the executor's release-mode bounds asserts remain as the
-//! final defense, and a loop whose reference counts differ from the
-//! stream's is a typed error before dispatch.
+//! final defense. A loop whose reference counts differ from the stream's
+//! is a typed error, found where the region reads the mismatching row
+//! rather than by a pass before dispatch
+//! ([`Doacross::run_planned`]); a sequential plan has no stream to
+//! disagree with.
 //!
 //! ## Claim grain
 //!

@@ -115,7 +115,7 @@ pub fn calibrate(reps: usize) -> CalibratedModel {
     let dispatch_ns = {
         let t = best_of(reps, || {
             let start = Instant::now();
-            two.run_joinable(|_| {});
+            let _ = two.run_joinable(|_| {});
             start.elapsed()
         });
         t.as_nanos() as f64

@@ -69,12 +69,14 @@
 #                  parallel price as computed, so stopping a plan build
 #                  at the gate changes no decision and no price).
 #
-#                  Five of those are what the plan's one claim stream
+#                  Six of those are what the plan's one claim stream
 #                  stands on, and are run again by name so that a rename
 #                  or a filter can not drop them silently (a name that
 #                  matches no test fails the gate): the chunked-claim
-#                  hand-off model and its back-to-front mutation
-#                  (interleave_models), the stream equivalence proptest
+#                  hand-off model (a worker whose grab ends at the last
+#                  slot grabs no more) and its two mutations, a chunk
+#                  walked back to front and a claim loop that leaves one
+#                  slot early (interleave_models), the stream equivalence proptest
 #                  (every stream-backed variant x workers x claim grain,
 #                  bit for bit, stamped counts exact), and the three
 #                  stream mutation kills (soundness: a flag-stream class
@@ -87,12 +89,22 @@
 #                  reference is a true dependence and then run like the
 #                  oracle, equal to its all-`NewValue` byte form, run
 #                  under both gates, and round-tripped by the v8 store,
-#                  which refuses a v7 one typed. Two more
+#                  which refuses a v7 one typed. A row's reference count
+#                  is checked only where the region reads the row: a
+#                  loop disagreeing with its plan is rejected by the
+#                  region under every stream-backed variant, claim source,
+#                  fallback policy and deadline, with the mismatch in the
+#                  first, a middle or the last claim slot, and still
+#                  fails typed naming the first mismatching slot in claim
+#                  order, `y` untouched, no fault counted, traced or
+#                  flight-recorded, no span left for the next profile
+#                  (terms_mismatch). Two more
 #                  run by name for the profiler: its buffer-recycling
 #                  harvest equals a verbatim copy of the old harvest on
 #                  random timelines, and a faulted or rejected solve
 #                  leaves no spans in the next profile (the arena is reset
-#                  on the fault path only, not before every solve). Two
+#                  on the fault and rejection paths only, not before every
+#                  solve). Two
 #                  more for the sequential path that bypasses admission:
 #                  a held engine refuses a parallel solve typed while it
 #                  serves a sequential one, and a profiled sequential
@@ -276,6 +288,7 @@ named() { # package, test target ("lib" for the crate's unit tests), test name
 }
 named doacross-par interleave_models chunked_claims_walked_in_slot_order_never_deadlock_or_race
 named doacross-par interleave_models mutation_chunk_walked_back_to_front_is_a_deadlock
+named doacross-par interleave_models mutation_claim_loop_leaving_one_slot_early_strands_the_gate
 named doacross-verify proptest_equivalence accepted_schedules_execute_like_the_oracle
 named doacross-verify soundness kills_dropped_flag
 named doacross-verify soundness kills_claim_order_inversion
@@ -285,6 +298,8 @@ named doacross-verify soundness artifact_mode_kills_a_classless_stream_under_a_m
 named doacross-verify proptest_equivalence classless_streams_are_accepted_iff_every_reference_is_a_true_dependence
 named doacross-core lib wavefront::tests::all_new_value_bytes_and_none_give_equal_streams
 named doacross-core lib wavefront::tests::classless_streams_match_sequential_under_both_gates
+named doacross-core lib wavefront::tests::a_rejected_region_names_the_first_mismatch_in_claim_order
+named doacross-engine terms_mismatch a_loop_disagreeing_with_its_plan_is_rejected_typed_by_the_region
 for t in classless_and_class_byte_streams_round_trip \
   v7_stores_are_rejected_with_a_typed_version_error; do
   named doacross-plan lib "persist::tests::$t"

@@ -71,17 +71,25 @@ pub fn run(args: impl Iterator<Item = String>) -> Result<(), String> {
     let prepared = engine.prepare(&loop_).expect("a triangular solve plans");
     let plan = prepared.plan();
     let census = plan.census();
-    println!(
-        "census: {} rows, {} references: {} true deps, {} anti, {} intra, {} unwritten; \
-         {} wavefronts",
-        census.iterations,
-        census.total_terms,
-        census.true_deps,
-        census.anti_deps,
-        census.intra,
-        census.unwritten,
-        census.critical_path,
-    );
+    if census.is_classified() {
+        println!(
+            "census: {} rows, {} references: {} true deps, {} anti, {} intra, {} unwritten; \
+             {} wavefronts",
+            census.iterations,
+            census.total_terms,
+            census.true_deps,
+            census.anti_deps,
+            census.intra,
+            census.unwritten,
+            census.critical_path,
+        );
+    } else {
+        println!(
+            "census: {} rows, {} references; dependences not counted (the reference \
+             counts settled the plan)",
+            census.iterations, census.total_terms,
+        );
+    }
     println!("{plan}");
     if plan.is_gated() {
         println!(

@@ -591,7 +591,8 @@ mod tests {
             }
         ));
 
-        // Same shape, one row longer: typed before dispatch, `y` untouched.
+        // Same shape, one row longer: the region rejects the row before
+        // folding it, typed, `y` untouched and the scratch clean.
         let a: Vec<usize> = (1..=8).collect();
         let mut rhs: Vec<Vec<usize>> = (0..8).map(|i| vec![i]).collect();
         rhs[3].push(0);

@@ -744,8 +744,8 @@ mod tests {
         ));
 
         // Same iteration count, different per-iteration reference counts:
-        // must fail typed up front — inside the region it would trip an
-        // assert and surface as a worker panic.
+        // the region rejects the first row it reads whose count differs,
+        // and the error names the first mismatching slot in claim order.
         let a: Vec<usize> = (1..=8).collect();
         let termless = IndirectLoop::new(9, a, vec![vec![]; 8], vec![vec![]; 8]).unwrap();
         let mut y = vec![1.0; 9];

@@ -261,6 +261,10 @@ impl PromotionPolicy {
         }
         let (census, p) = (plan.census(), plan.processors());
         if plan.is_gated() {
+            // On a census the planner settled on its reference counts this
+            // is the counts floor, a lower bound on the real one: it may
+            // open where the measured critical path would keep it shut,
+            // and the rebuild it asks for then measures that path.
             if state.floor_settled || gated(refined, census, p) {
                 return None;
             }

@@ -233,13 +233,14 @@ impl Engine {
         )?;
         if !hit && self.inner.obs.enabled() {
             let census = plan.census();
+            let measured = |value: u64| census.is_classified().then_some(value);
             self.inner.obs.emit(TraceEvent::PlanBuilt {
                 fp: plan.fingerprint().into(),
                 variant: plan.variant().into(),
                 build_ns: clamp_ns(plan.build_time()),
                 iterations: census.iterations as u64,
-                true_deps: census.true_deps,
-                critical_path: census.critical_path as u64,
+                true_deps: measured(census.true_deps),
+                critical_path: measured(census.critical_path as u64),
                 chosen_price: plan.costs().of(plan.variant()).unwrap_or(f64::NAN),
                 candidate_prices: plan.costs().as_candidate_prices(),
             });
@@ -266,7 +267,11 @@ impl Engine {
     /// ≈ 19 µs, one CPU of a 2-vCPU x86-64 host). A caller that solves one
     /// structure repeatedly should call [`Engine::prepare`] once and
     /// [`PreparedLoop::execute`] per solve: the handle carries the plan, so
-    /// a warmed solve scans nothing.
+    /// a warmed solve scans nothing. A miss adds the build: for a plan the
+    /// reference counts settle as sequential (a linear left-hand side, the
+    /// usual case for this host's prices) one sum of the row lengths and
+    /// one bounds pass over the references, and no census pass; any other
+    /// plan adds the census pass and whatever its variant needs.
     pub fn run<L: DoacrossLoop + ?Sized>(
         &self,
         loop_: &L,

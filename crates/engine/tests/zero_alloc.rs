@@ -520,6 +520,41 @@ fn a_gated_build_allocates_two_arrays_and_round_trips_through_a_store() {
     assert_eq!(y, oracle);
 }
 
+/// A plan the reference counts settle runs no census pass: its cold
+/// `prepare` makes exactly the census pass's two allocations (writer map,
+/// level array) fewer than the same structure gated at stage 1.
+#[test]
+fn a_cold_prepare_settled_on_counts_skips_the_census_pass_allocations() {
+    // The serial chain of the gated-build audit: under the preset its
+    // counts floor (`CP = 0`) is below `T_seq` and only the measured
+    // critical path closes the gate; a dispatch priced at 1e9 closes it
+    // on the counts alone.
+    let n = 500usize;
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let chain = IndirectLoop::new(n + 1, (1..=n).collect(), rhs, vec![vec![0.5]; n]).unwrap();
+    let settling = Planner::with_costs(CostModel {
+        region_dispatch: 1e9,
+        ..CostModel::multimax()
+    });
+    let cold_prepare = |planner: Planner| {
+        let engine = Engine::builder()
+            .workers(4)
+            .pools(1)
+            .planner(planner)
+            .build();
+        let before = doacross_core::alloc::thread_allocations();
+        let prepared = engine.prepare(&chain).expect("plannable");
+        let allocated = doacross_core::alloc::thread_allocations() - before;
+        assert!(!prepared.from_cache() && prepared.plan().is_gated());
+        (allocated, prepared.plan().census().is_classified())
+    };
+    let (stage_one, classified) = cold_prepare(Planner::new());
+    assert!(classified, "the preset needs the critical path");
+    let (stage_zero, classified) = cold_prepare(settling);
+    assert!(!classified, "the counts settle it");
+    assert_eq!(stage_one - stage_zero, 2, "writer map + level array");
+}
+
 #[test]
 fn the_audit_allocator_actually_counts() {
     // Self-check that the harness is live: an explicit heap allocation on

@@ -269,8 +269,11 @@ pub enum TraceEvent {
         variant: ObsVariant,
         build_ns: u64,
         iterations: u64,
-        true_deps: u64,
-        critical_path: u64,
+        /// `None` when the plan's census counted no dependence (the
+        /// planner settled it on its reference counts).
+        true_deps: Option<u64>,
+        /// `None` on the same unclassified census.
+        critical_path: Option<u64>,
         chosen_price: f64,
         candidate_prices: CandidatePrices,
     },

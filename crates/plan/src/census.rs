@@ -11,10 +11,14 @@
 //!
 //! ## What each planner stage materialises
 //!
-//! The planner builds a plan in three stages (see [`crate::planner`]), and
-//! the pass is split along the same line so nothing is built before the
-//! decision that needs it:
+//! The planner builds a plan in up to four stages (see [`crate::planner`]),
+//! and the pass is split along the same line so nothing is built before
+//! the decision that needs it:
 //!
+//! * **Stage 0** — no pass at all. A loop whose reference counts settle it
+//!   as sequential gets a census of shape totals alone
+//!   ([`PlanCensus::is_classified`] is false): no writer map, no level, no
+//!   class counted.
 //! * **Stage 1** — [`CensusPass::of`]: one scan of the index arrays. It
 //!   leaves the [`PlanCensus`] counters plus the two arrays every later
 //!   product derives from — the writer map and the per-iteration wavefront
@@ -35,6 +39,13 @@
 use doacross_core::{AccessPattern, ClaimStream, OperandClass, MAXINT};
 
 /// Everything the planner knows about a pattern's dependence structure.
+///
+/// The shape totals (`iterations`, `data_len`, `total_terms`) are always
+/// measured. The dependence fields are measured by the census pass; a
+/// census the planner settled on its reference counts (stage 0) holds
+/// zeros and `None`s there that mean "not counted"
+/// ([`PlanCensus::is_classified`]), as a non-injective census does for its
+/// classes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanCensus {
     /// Outer-loop iterations.
@@ -43,7 +54,8 @@ pub struct PlanCensus {
     pub data_len: usize,
     /// Total right-hand-side references.
     pub total_terms: u64,
-    /// References to elements written by an earlier iteration.
+    /// References to elements written by an earlier iteration (0 when not
+    /// counted: a non-injective or unclassified census).
     pub true_deps: u64,
     /// References to elements written by a later iteration.
     pub anti_deps: u64,
@@ -51,7 +63,8 @@ pub struct PlanCensus {
     pub intra: u64,
     /// References to elements no iteration writes.
     pub unwritten: u64,
-    /// Smallest true-dependency distance (`i − writer`), if any.
+    /// Smallest true-dependency distance (`i − writer`), if any was
+    /// measured.
     pub min_true_distance: Option<usize>,
     /// Largest true-dependency distance, if any.
     pub max_true_distance: Option<usize>,
@@ -62,8 +75,9 @@ pub struct PlanCensus {
     /// writes to the same element. Blocks of at most this many contiguous
     /// iterations are collision-free, making the strip-mined variant legal.
     pub min_duplicate_write_gap: Option<usize>,
-    /// Wavefront critical path (0 for an empty loop; only computed for
-    /// injective patterns).
+    /// Wavefront critical path: at least 1 for a non-empty injective loop
+    /// the census pass ran over; 0 for an empty loop, a non-injective one
+    /// (not computed) and an unclassified census (not measured).
     pub critical_path: usize,
 }
 
@@ -114,8 +128,9 @@ impl CensusPass {
     /// are what is left of the row, distances and the critical path are
     /// folded in once per row, and the [`PlanCensus`] is written once at
     /// the end. A counter that lives in memory is a load-modify-store
-    /// chain per reference, and this loop is the whole of a gated plan
-    /// build — keep its common path to those three registers.
+    /// chain per reference, and this loop is the whole of a plan build
+    /// that stage 1 gates (a plan the reference counts settle runs no pass
+    /// at all) — keep its common path to those three registers.
     pub fn of<P: AccessPattern + ?Sized>(pattern: &P) -> Self {
         let n = pattern.iterations();
         let data_len = pattern.data_len();
@@ -309,6 +324,28 @@ impl PlanCensus {
         CensusPass::of(pattern).census
     }
 
+    /// The census of an injective loop that the planner settled on its
+    /// reference counts (stage 0): the shape totals and nothing measured.
+    pub(crate) fn counts(iterations: usize, data_len: usize, total_terms: u64) -> Self {
+        Self {
+            iterations,
+            data_len,
+            total_terms,
+            injective: true,
+            ..Self::default()
+        }
+    }
+
+    /// Whether the dependence fields were measured. False only for a
+    /// census the planner settled on its reference counts: a non-empty
+    /// injective census with `critical_path == 0`, which the census pass
+    /// never produces (every iteration of such a loop sits on a level
+    /// ≥ 1). Its class counts, distances and critical path are "not
+    /// counted", never "none".
+    pub fn is_classified(&self) -> bool {
+        !(self.injective && self.iterations > 0 && self.critical_path == 0)
+    }
+
     /// The census facts `doacross-verify`'s artifact-mode checks run on —
     /// the schedule-relevant subset, converted into the verifier's own
     /// (layering-neutral) vocabulary.
@@ -323,16 +360,23 @@ impl PlanCensus {
             unwritten: self.unwritten,
             injective: self.injective,
             min_duplicate_write_gap: self.min_duplicate_write_gap,
+            classified: self.is_classified(),
         }
     }
 
     /// Whether the loop is a doall (no cross- or intra-iteration
-    /// dependencies at all — the odd-`L` regime of Figure 6).
+    /// dependencies at all — the odd-`L` regime of Figure 6). False on an
+    /// unclassified census: nothing was counted, so nothing is known.
     pub fn is_doall(&self) -> bool {
-        self.injective && self.true_deps == 0 && self.anti_deps == 0 && self.intra == 0
+        self.injective
+            && self.is_classified()
+            && self.true_deps == 0
+            && self.anti_deps == 0
+            && self.intra == 0
     }
 
-    /// `iterations / critical_path` (0 for an empty loop).
+    /// `iterations / critical_path` (0 for an empty loop and an
+    /// unclassified census).
     pub fn average_parallelism(&self) -> f64 {
         if self.critical_path == 0 {
             0.0

@@ -17,9 +17,11 @@
 //! Cost: one xor-multiply per word per stream, one sequential scan —
 //! ≈ 22 µs on a Table-1 structure (mean over the five, one CPU of a
 //! 2-vCPU x86-64 host), against ≈ 38 µs for the single chain and ≈ 12 µs
-//! for merely summing the same words through [`AccessPattern`]. The
-//! planner's census alone is a pass of its own on top, which is the spread
-//! the cache amortizes.
+//! for merely summing the same words through [`AccessPattern`]. A cache
+//! miss adds the planner's own passes on top, which is the spread the
+//! cache amortizes: for a plan the reference counts settle as sequential
+//! (planner stage 0) a sum of the row lengths and one bounds pass over the
+//! references, for any other the census pass and what its variant needs.
 //!
 //! Collisions require two different index-array contents to agree on both
 //! 64-bit streams *and* on all exact counts — probability ≈ 2⁻¹²⁸ per pair;

@@ -1733,6 +1733,39 @@ mod tests {
         );
     }
 
+    /// Mutation kill: a stream-backed record whose census counted no class
+    /// (the census of shape totals a plan settled on its reference counts
+    /// carries) is refused, since nothing vouches for its stream's
+    /// classes. On the reference-free scatter every class count agrees at
+    /// zero, so the artifact rule alone catches it; a sequential record
+    /// over the same census is what a settled plan is, and loads.
+    #[test]
+    fn decode_rejects_a_stream_under_an_unclassified_census() {
+        let plans = plans_of_every_variant();
+        let unclassified = |plan: &ExecutionPlan| {
+            let mut patient = decode_plan(&encode_plan(plan)).unwrap();
+            let c = &patient.census;
+            patient.census = PlanCensus::counts(c.iterations, c.data_len, c.total_terms);
+            assert!(!patient.census.is_classified());
+            decode_plan(&encode_plan(&patient))
+        };
+        let doacross = &plans[2];
+        assert_eq!(doacross.census().total_terms, 0);
+        assert!(matches!(
+            unclassified(doacross),
+            Err(PersistError::Unsound(
+                doacross_verify::SoundnessViolation::UnclassifiedCensus {
+                    variant: "doacross"
+                }
+            ))
+        ));
+        for plan in [&plans[3], &plans[5]] {
+            assert!(unclassified(plan).is_err(), "{}", plan.variant());
+        }
+        let settled = unclassified(&plans[0]).expect("a sequential plan needs no class");
+        assert!(settled.is_gated() && !settled.census().is_classified());
+    }
+
     #[test]
     fn empty_store_round_trips() {
         let store = PlanStore::new();

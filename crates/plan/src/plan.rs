@@ -179,7 +179,9 @@ impl ExecutionPlan {
         self.processors
     }
 
-    /// The dependence census the selection was based on.
+    /// The dependence census the selection was based on: the shape totals
+    /// alone when the reference counts settled the plan
+    /// ([`PlanCensus::is_classified`]).
     pub fn census(&self) -> &PlanCensus {
         &self.census
     }
@@ -208,9 +210,11 @@ impl ExecutionPlan {
         self.features.as_ref()
     }
 
-    /// Whether the build stopped at the planner's stage-1 gate (see
-    /// [`crate::planner`]): sequential was settled by the parallel floor,
-    /// so no parallel candidate was priced and no artifact built. Derived,
+    /// Whether the build stopped at the planner's stage-0 or stage-1 gate
+    /// (see [`crate::planner`]): sequential was settled by the parallel
+    /// floor, so no parallel candidate was priced and no artifact built; a
+    /// stage-0 plan's census is unclassified
+    /// ([`PlanCensus::is_classified`]). Derived,
     /// not stored — every injective plan that got as far as pricing carries
     /// a flat-doacross price.
     pub fn is_gated(&self) -> bool {
@@ -277,11 +281,17 @@ impl ExecutionPlan {
 
 impl std::fmt::Display for ExecutionPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "plan {} for {} ({} true deps, critical path {})",
-            self.variant, self.fingerprint, self.census.true_deps, self.census.critical_path,
-        )
+        let census = &self.census;
+        write!(f, "plan {} for {} ", self.variant, self.fingerprint)?;
+        if census.is_classified() {
+            write!(
+                f,
+                "({} true deps, critical path {})",
+                census.true_deps, census.critical_path
+            )
+        } else {
+            write!(f, "(settled on its reference counts)")
+        }
     }
 }
 

@@ -75,6 +75,35 @@
 //! floor under refined constants instead of re-pricing candidates it
 //! never had.
 //!
+//! ## Stage 0: the counts alone
+//!
+//! The floor never decreases as `CP` grows: `CP` enters it only through
+//! the flag bound's `max`, the integer `max` of the wavefront rounds and
+//! the `min` of the two, and each keeps order in floating point too. So
+//! the floor of a census that carries only the shape totals (`CP = 0`)
+//! is a lower bound on the real one, and when `T_seq` is not above it,
+//! stage 1 would gate the same loop with the same variant and the same
+//! prices, bit for bit: both price it with [`price_features`] and no
+//! features, which reads `n`, `T` and the duplicate-write gap (none for
+//! an injective loop) and nothing the census pass measures. Stage 0 asks
+//! exactly that before any census pass, of a loop whose left-hand side is
+//! a detected linear subscript (so injective) that ends inside the data
+//! space: one sum of the term counts, the gate, and, only when it holds,
+//! one bounds pass over the references. `n`, the data length and the
+//! reference total come from the pattern, never from the caller's
+//! fingerprint. A subscript out of bounds falls through to stage 1, so
+//! the error is the one the census pass names. The plan keeps that
+//! census of counts: [`PlanCensus::is_classified`] is false, and it
+//! claims no dependence fact it did not measure. A decreasing left-hand
+//! side (the upper solve) is not a detected subscript and always runs
+//! stage 1.
+//!
+//! On such a census [`gated`] is the counts floor, a lower bound on the
+//! real one. When the adaptive layer re-checks a gated plan under refined
+//! constants (`adaptive::policy`), a counts floor that opens asks for a
+//! rebuild under the refined model, whose stage 1 may close it again on
+//! the measured critical path.
+//!
 //! **Stage 2** ([`Planner::price`], gate not taken) measures the
 //! structure quantities a price needs beyond the census — the stall
 //! weights of the natural and the doconsider claim order and the
@@ -166,65 +195,27 @@ impl Planner {
         fingerprint: PatternFingerprint,
     ) -> Result<ExecutionPlan, DoacrossError> {
         let start = Instant::now();
-        // Stage 1: the census pass and the gate on its counters.
-        let pass = CensusPass::of(pattern);
-        if let Some((iteration, element)) = pass.first_out_of_bounds {
-            return Err(DoacrossError::SubscriptOutOfBounds {
-                iteration,
-                element,
-                data_len: pass.census.data_len,
-            });
-        }
         let linear = detect_linear(pattern);
         let p = pool.threads();
-
-        // A loop no stream-backed candidate can run — the flat construct
-        // rejects its non-injective left-hand side, or it outgrows the
-        // stream's `u32` indices — is priced from its census alone, and so
-        // is one the gate settles.
-        let census = &pass.census;
-        let Pricing {
-            variant,
-            costs,
-            features,
-            sorted,
-        } = if census.injective
-            && ClaimStream::fits(census.iterations, census.total_terms, census.critical_path)
-            && !gated(&self.costs, census, p)
+        // Stage 0: the reference counts settle it — no census pass.
+        let (census, pricing, stream) = match linear
+            .and_then(|subscript| settled_on_counts(&self.costs, pattern, subscript, p))
         {
-            self.price(pattern, &pass, linear, p)
-        } else {
-            let (variant, costs) = price_features(&self.costs, census, None, linear, p);
-            Pricing {
-                variant,
-                costs,
-                features: None,
-                sorted: None,
+            Some(census) => {
+                let pricing = Pricing::of_census(&self.costs, &census, linear, p);
+                (census, pricing, None)
             }
+            None => self.classify(pattern, linear, p)?,
         };
-
-        // Stage 3: capture only what the chosen variant consumes — its
-        // claim stream, in its claim order.
-        let (offsets, order) = sorted.unzip();
-        let stream = match variant {
-            PlanVariant::Doacross => Some((None, None)),
-            PlanVariant::Reordered => Some((order.as_deref(), None)),
-            PlanVariant::Wavefront => Some((order.as_deref(), offsets.as_deref())),
-            _ => None,
-        }
-        .map(|(order, offsets)| {
-            pass.stream(pattern, order, offsets)
-                .expect("a census that fits() has a stream")
-        });
         let plan = ExecutionPlan {
             fingerprint,
             processors: p,
-            variant,
-            census: pass.census,
+            variant: pricing.variant,
+            census,
             stream,
             linear,
-            costs,
-            features,
+            costs: pricing.costs,
+            features: pricing.features,
             build_time: start.elapsed(),
         };
         // Translation validation: in debug builds every freshly built plan
@@ -238,6 +229,53 @@ impl Planner {
             plan.verify_against(pattern).unwrap_err(),
         );
         Ok(plan)
+    }
+
+    /// Stages 1–3: the census pass and the gate on its counters, pricing
+    /// when the gate is not taken, and the chosen variant's claim stream.
+    fn classify<P: AccessPattern + ?Sized>(
+        &self,
+        pattern: &P,
+        linear: Option<LinearSubscript>,
+        p: usize,
+    ) -> Result<(PlanCensus, Pricing, Option<ClaimStream>), DoacrossError> {
+        let pass = CensusPass::of(pattern);
+        if let Some((iteration, element)) = pass.first_out_of_bounds {
+            return Err(DoacrossError::SubscriptOutOfBounds {
+                iteration,
+                element,
+                data_len: pass.census.data_len,
+            });
+        }
+
+        // A loop no stream-backed candidate can run — the flat construct
+        // rejects its non-injective left-hand side, or it outgrows the
+        // stream's `u32` indices — is priced from its census alone, and so
+        // is one the gate settles.
+        let census = &pass.census;
+        let mut pricing = if census.injective
+            && ClaimStream::fits(census.iterations, census.total_terms, census.critical_path)
+            && !gated(&self.costs, census, p)
+        {
+            self.price(pattern, &pass, linear, p)
+        } else {
+            Pricing::of_census(&self.costs, census, linear, p)
+        };
+
+        // Stage 3: capture only what the chosen variant consumes — its
+        // claim stream, in its claim order.
+        let (offsets, order) = pricing.sorted.take().unzip();
+        let stream = match pricing.variant {
+            PlanVariant::Doacross => Some((None, None)),
+            PlanVariant::Reordered => Some((order.as_deref(), None)),
+            PlanVariant::Wavefront => Some((order.as_deref(), offsets.as_deref())),
+            _ => None,
+        }
+        .map(|(order, offsets)| {
+            pass.stream(pattern, order, offsets)
+                .expect("a census that fits() has a stream")
+        });
+        Ok((pass.census, pricing, stream))
     }
 
     /// Stage 2: measures the [`PlanFeatures`] of the injective, in-bounds
@@ -302,6 +340,52 @@ pub struct Pricing {
     /// `(offsets, order)` of [`CensusPass::sorted_levels`], present when
     /// the loop has true dependencies.
     sorted: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+impl Pricing {
+    /// What a census alone prices ([`price_features`] without features):
+    /// a gated plan, a settled one and a stream-less one.
+    fn of_census(
+        model: &CostModel,
+        census: &PlanCensus,
+        linear: Option<LinearSubscript>,
+        p: usize,
+    ) -> Self {
+        let (variant, costs) = price_features(model, census, None, linear, p);
+        Self {
+            variant,
+            costs,
+            features: None,
+            sorted: None,
+        }
+    }
+}
+
+/// Stage 0: the census of an injective loop whose reference counts alone
+/// settle it as sequential under `model` on `p` processors, or `None` to
+/// run the census pass. `subscript` is the loop's detected linear
+/// left-hand side, so the left-hand side is injective and in bounds when
+/// its last value is. The gate is [`gated`] on a census that carries only
+/// the counts (`critical_path = 0`), a lower bound on the real floor; one
+/// bounds pass over the references runs only once that gate holds, and a
+/// subscript out of bounds falls through to the census pass, which names
+/// it.
+fn settled_on_counts<P: AccessPattern + ?Sized>(
+    model: &CostModel,
+    pattern: &P,
+    subscript: LinearSubscript,
+    p: usize,
+) -> Option<PlanCensus> {
+    let (n, data_len) = (pattern.iterations(), pattern.data_len());
+    // `detect_linear` computed `c·(n − 1) + d` without overflow.
+    if n > 0 && subscript.c * (n - 1) + subscript.d >= data_len {
+        return None;
+    }
+    let total_terms = (0..n).map(|i| pattern.terms(i) as u64).sum();
+    let census = PlanCensus::counts(n, data_len, total_terms);
+    let in_bounds =
+        || (0..n).all(|i| (0..pattern.terms(i)).all(|j| pattern.term_element(i, j) < data_len));
+    (gated(model, &census, p) && in_bounds()).then_some(census)
 }
 
 /// Prices every candidate of a plan under `model` and selects among them
@@ -519,7 +603,9 @@ pub fn parallel_floor(model: &CostModel, census: &PlanCensus, p: usize) -> f64 {
 /// The stage-1 gate: whether `T_seq ≤` [`parallel_floor`], i.e. sequential
 /// is what pricing every candidate of this injective census would select.
 /// The planner asks it of its own constants; the adaptive layer asks it
-/// again of the refined ones.
+/// again of the refined ones. On an unclassified census (stage 0's) the
+/// floor is the counts floor, a lower bound on the real one: `true` is
+/// still a proof, `false` is not.
 pub fn gated(model: &CostModel, census: &PlanCensus, p: usize) -> bool {
     sequential_cost(model, census) <= parallel_floor(model, census, p)
 }
@@ -542,8 +628,10 @@ pub fn detect_linear<P: AccessPattern + ?Sized>(pattern: &P) -> Option<LinearSub
         return None; // stride must be ≥ 1 for injectivity
     }
     let c = second - d;
+    // Checked: the planner asks this before any bounds check, so a stride
+    // past half the address space must read as "not linear", not overflow.
     for i in 2..n {
-        if pattern.lhs(i) != c * i + d {
+        if c.checked_mul(i).and_then(|ci| ci.checked_add(d)) != Some(pattern.lhs(i)) {
             return None;
         }
     }

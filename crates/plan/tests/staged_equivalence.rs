@@ -19,7 +19,7 @@ use doacross_core::IndirectLoop;
 use doacross_par::ThreadPool;
 use doacross_plan::{
     detect_linear, gated, parallel_floor, price_features, testgrid::deep_grid, CensusPass,
-    PlanVariant, Planner, VariantCosts,
+    PlanCensus, PlanVariant, Planner, VariantCosts,
 };
 use doacross_sim::CostModel;
 use doacross_sparse::table1_problems;
@@ -444,6 +444,213 @@ fn stage_two_is_the_doconsider_reference_on_table1() {
         for p in WORKERS {
             check_doconsider(&pattern, p)
                 .unwrap_or_else(|why| panic!("{}: {why}", problem.kind.name()));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stage 0: a plan the reference counts settle, before any census pass.
+//
+// Stage 0 gates on a census that carries only `n`, the data length and
+// the reference total (`critical_path = 0`). That is sound only if the
+// floor never decreases as the critical path grows — so the counts floor
+// bounds the real one from below, in floating point too — and if pricing
+// from the census alone reads nothing the census pass measures, so the
+// settled plan carries stage 1's variant and prices bit for bit.
+
+/// Linear left-hand sides `c·i + d` that end inside the data space, reads
+/// anywhere in it: the loops stage 0 may settle.
+fn arb_linear() -> impl Strategy<Value = IndirectLoop> {
+    (1..120usize, 1..4usize, 0..6usize, 0..8usize)
+        .prop_flat_map(|(n, c, d, slack)| {
+            let data_len = c * (n - 1) + d + 1 + slack;
+            let rhs =
+                proptest::collection::vec(proptest::collection::vec(0..data_len, 0..5), n..=n);
+            (Just((n, c, d, data_len)), rhs)
+        })
+        .prop_map(|((n, c, d, data_len), rhs)| {
+            loop_of(data_len, (0..n).map(|i| c * i + d).collect(), rhs)
+        })
+}
+
+/// The census stage 0 prices from: the shape totals, nothing measured.
+fn counts_of(census: &PlanCensus) -> PlanCensus {
+    PlanCensus {
+        iterations: census.iterations,
+        data_len: census.data_len,
+        total_terms: census.total_terms,
+        injective: true,
+        ..PlanCensus::default()
+    }
+}
+
+fn bits(costs: &VariantCosts) -> [Option<u64>; 6] {
+    costs
+        .as_candidate_prices()
+        .map(|price| price.map(f64::to_bits))
+}
+
+/// Stage 0 for one (pattern, model, p): the planner settles the plan on
+/// its counts exactly when the left-hand side is linear and the counts
+/// floor gates it; a settled plan is gated at stage 1 too, with the same
+/// variant and the same price bits, and carries the counts census (not a
+/// doall, no artifact); any other plan carries the measured census.
+/// Returns whether the plan was settled.
+fn check_counts(
+    pattern: &IndirectLoop,
+    model: CostModel,
+    pool: &ThreadPool,
+) -> Result<bool, String> {
+    let p = pool.threads();
+    let measured = PlanCensus::of(pattern);
+    let counts = counts_of(&measured);
+    let linear = detect_linear(pattern);
+    let settles = linear.is_some() && gated(&model, &counts, p);
+    let plan = Planner::with_costs(model)
+        .plan(pool, pattern)
+        .map_err(|e| e.to_string())?;
+    if plan.census().is_classified() == settles {
+        return Err(format!(
+            "p={p}: counts settle it: {settles}, but the plan carries {:?}",
+            plan.census()
+        ));
+    }
+    if !settles {
+        return if *plan.census() == measured {
+            Ok(false)
+        } else {
+            Err(format!(
+                "p={p}: an unsettled plan carries {:?}",
+                plan.census()
+            ))
+        };
+    }
+    if !gated(&model, &measured, p) {
+        return Err(format!(
+            "p={p}: the counts floor gates, the measured floor {} does not",
+            parallel_floor(&model, &measured, p)
+        ));
+    }
+    let (stage_one, stage_one_costs) = price_features(&model, &measured, None, linear, p);
+    let (stage_zero, stage_zero_costs) = price_features(&model, &counts, None, linear, p);
+    if stage_zero != stage_one || bits(&stage_zero_costs) != bits(&stage_one_costs) {
+        return Err(format!(
+            "p={p}: counts price {stage_zero} {stage_zero_costs:?}, \
+             stage 1 {stage_one} {stage_one_costs:?}"
+        ));
+    }
+    if plan.variant() != stage_one
+        || bits(plan.costs()) != bits(&stage_one_costs)
+        || !plan.is_gated()
+        || plan.features().is_some()
+        || plan.memory_bytes() != 0
+    {
+        return Err(format!(
+            "p={p}: settled plan {plan} carries {:?}, stage 1 {stage_one} {stage_one_costs:?}",
+            plan.costs()
+        ));
+    }
+    if *plan.census() != counts || plan.census().is_doall() {
+        return Err(format!("p={p}: settled plan census {:?}", plan.census()));
+    }
+    Ok(true)
+}
+
+#[test]
+fn the_parallel_floor_never_decreases_as_the_critical_path_grows() {
+    // Models with every constant drawn from `10^-3 ..= 10^3` (a fixed
+    // generator), the preset, and shapes from one iteration to thousands:
+    // raising the critical path one level at a time never lowers the floor.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut draw = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        10f64.powf(((state >> 11) as f64 / (1u64 << 53) as f64) * 6.0 - 3.0)
+    };
+    let mut models = vec![CostModel::multimax()];
+    for _ in 0..40 {
+        models.push(CostModel {
+            schedule_grab: draw(),
+            iteration_setup: draw(),
+            check: draw(),
+            term: draw(),
+            wait_poll: draw(),
+            publish: draw(),
+            inspect_per_iter: draw(),
+            post_per_iter: draw(),
+            region_dispatch: draw(),
+            barrier: draw(),
+            seq_iter: draw(),
+            seq_term: draw(),
+        });
+    }
+    for model in &models {
+        for p in WORKERS {
+            for (n, terms) in [(1usize, 0u64), (7, 3), (64, 200), (333, 1), (1000, 5000)] {
+                let mut census = PlanCensus {
+                    iterations: n,
+                    data_len: n,
+                    total_terms: terms,
+                    injective: true,
+                    ..PlanCensus::default()
+                };
+                let mut last = parallel_floor(model, &census, p);
+                for critical_path in 1..=n + 2 {
+                    census.critical_path = critical_path;
+                    let floor = parallel_floor(model, &census, p);
+                    assert!(
+                        floor >= last,
+                        "{model:?} p={p} n={n} T={terms}: CP {critical_path} floor {floor} \
+                         below {last}"
+                    );
+                    last = floor;
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_plan_the_counts_settle_is_gated_at_stage_one_with_the_same_bits(
+        pattern in prop_oneof![arb_linear(), arb_pattern()],
+        model in arb_model(),
+    ) {
+        for p in WORKERS {
+            let pool = ThreadPool::new(p);
+            if let Err(why) = check_counts(&pattern, model, &pool) {
+                prop_assert!(false, "{}", why);
+            }
+        }
+    }
+
+    #[test]
+    fn stage_zero_settles_exactly_below_the_counts_floor(
+        pattern in arb_linear(),
+        p in 0..WORKERS.len(),
+    ) {
+        // Pin the sequential constants so `T_seq` sits a tenth of a percent
+        // on either side of the preset's counts floor: below it the counts
+        // settle the plan, above it the census pass runs.
+        let pool = ThreadPool::new(WORKERS[p]);
+        let counts = counts_of(&PlanCensus::of(&pattern));
+        let preset = CostModel::multimax();
+        let floor = parallel_floor(&preset, &counts, pool.threads());
+        let references = counts.iterations as f64 + counts.total_terms as f64;
+        for (nudge, settles) in [(0.999, true), (1.001, false)] {
+            let per_reference = floor * nudge / references;
+            let model = CostModel {
+                seq_iter: per_reference,
+                seq_term: per_reference,
+                ..preset
+            };
+            match check_counts(&pattern, model, &pool) {
+                Ok(settled) => prop_assert_eq!(settled, settles, "nudge {}", nudge),
+                Err(why) => prop_assert!(false, "nudge {}: {}", nudge, why),
+            }
         }
     }
 }

@@ -122,4 +122,9 @@ pub struct CensusFacts {
     /// For non-injective patterns: the smallest iteration gap between two
     /// writes to the same element.
     pub min_duplicate_write_gap: Option<usize>,
+    /// Whether the census counted the dependence classes at all. `false`
+    /// for a census that holds the shape totals alone (a plan the planner
+    /// settled on its reference counts): its class counts are zeros that
+    /// vouch for nothing, so no claim stream can be checked against them.
+    pub classified: bool,
 }

@@ -399,6 +399,12 @@ pub fn verify_artifacts(
     facts: &CensusFacts,
     schedule: &SyncSchedule<'_>,
 ) -> Result<(), SoundnessViolation> {
+    // A census that counted no class vouches for no stream's classes.
+    if schedule.stream().is_some() && !facts.classified {
+        return Err(SoundnessViolation::UnclassifiedCensus {
+            variant: schedule.variant_name(),
+        });
+    }
     let classified = facts.true_deps + facts.anti_deps + facts.intra + facts.unwritten;
     // The blocked variant is selected precisely when the census could not
     // classify (non-injective lhs), so its census legitimately carries

@@ -221,6 +221,13 @@ pub enum SoundnessViolation {
         /// The variant making the presumption.
         variant: &'static str,
     },
+    /// The variant routes references by the operand classes of its claim
+    /// stream, but its census counted no class (it holds the shape totals
+    /// alone), so nothing vouches for the stream's classes.
+    UnclassifiedCensus {
+        /// The stream-backed variant.
+        variant: &'static str,
+    },
 }
 
 impl std::fmt::Display for SoundnessViolation {
@@ -321,6 +328,11 @@ impl std::fmt::Display for SoundnessViolation {
                 f,
                 "{variant} schedule requires an injective left-hand side, \
                  but the pattern has duplicate writes"
+            ),
+            SoundnessViolation::UnclassifiedCensus { variant } => write!(
+                f,
+                "{variant} schedule reads operand classes, \
+                 but its census counted none"
             ),
         }
     }

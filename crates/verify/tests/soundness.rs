@@ -715,6 +715,7 @@ fn mixed_facts() -> CensusFacts {
         unwritten: 2,
         injective: true,
         min_duplicate_write_gap: None,
+        classified: true,
     }
 }
 
@@ -854,6 +855,61 @@ fn artifact_mode_kills_a_classless_stream_under_a_mixed_census() {
             schedule.variant_name()
         );
     }
+}
+
+/// Mutation 18c — a stream-backed schedule shipped with a census that
+/// counted no class (the shape totals a plan settled on its reference
+/// counts carries). Honest streams, all three variants: the census vouches
+/// for none of their classes. On a loop with no references every count
+/// agrees at zero, so only this rule stands between that census and a
+/// stream; a sequential schedule over the same census still verifies.
+#[test]
+fn artifact_mode_kills_a_stream_under_an_unclassified_census() {
+    let l = mixed();
+    let natural = flag_stream(&l, None, |_| {});
+    let ordered = flag_stream(&l, Some(&[4, 2, 0, 3, 1, 5]), |_| {});
+    let levels = honest_wavefront(&l);
+    let counts_only = CensusFacts {
+        true_deps: 0,
+        anti_deps: 0,
+        intra: 0,
+        unwritten: 0,
+        classified: false,
+        ..mixed_facts()
+    };
+    let termless = IndirectLoop::new(4, vec![0, 1, 2, 3], vec![vec![]; 4], vec![vec![]; 4])
+        .expect("a valid doall");
+    let empty = flag_stream(&termless, None, |_| {});
+    let termless_counts = CensusFacts {
+        iterations: 4,
+        data_len: 4,
+        injective: true,
+        ..Default::default()
+    };
+    assert!(!termless_counts.classified);
+    let empty_schedule = SyncSchedule::FlagsNatural { stream: &empty };
+    verify_artifacts(
+        &CensusFacts {
+            classified: true,
+            ..termless_counts
+        },
+        &empty_schedule,
+    )
+    .expect("a classified doall census vouches for an empty stream");
+    for (facts, schedule) in [
+        (counts_only, SyncSchedule::FlagsNatural { stream: &natural }),
+        (counts_only, SyncSchedule::FlagsOrdered { stream: &ordered }),
+        (counts_only, SyncSchedule::Wavefront { stream: &levels }),
+        (termless_counts, empty_schedule),
+    ] {
+        assert_eq!(
+            verify_artifacts(&facts, &schedule).unwrap_err(),
+            SoundnessViolation::UnclassifiedCensus {
+                variant: schedule.variant_name()
+            },
+        );
+    }
+    verify_artifacts(&termless_counts, &SyncSchedule::Sequential).expect("nothing to vouch for");
 }
 
 /// Mutation 19 — linear subscript running off the data space.

@@ -24,12 +24,17 @@ fn main() {
     ] {
         let loop_ = TestLoop::new(2_000, 1, l);
         let prepared = engine.prepare(&loop_).expect("plannable");
-        println!(
-            "  {name:<22} -> {} (critical path {}, avg parallelism {:.1})",
-            prepared.variant(),
-            prepared.plan().census().critical_path,
-            prepared.plan().census().average_parallelism(),
-        );
+        let census = prepared.plan().census();
+        let why = if census.is_classified() {
+            format!(
+                "critical path {}, avg parallelism {:.1}",
+                census.critical_path,
+                census.average_parallelism()
+            )
+        } else {
+            "settled on its reference counts".to_string()
+        };
+        println!("  {name:<22} -> {} ({why})", prepared.variant());
     }
 
     // --- 2. Cold plan, then cached reruns. -------------------------------

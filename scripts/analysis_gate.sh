@@ -404,6 +404,25 @@ for t in the_challenger_is_the_planners_own_choice_under_the_refined_model \
 done
 named doacross-engine adaptive mispriced_model_promotes_to_the_measured_cheaper_variant
 
+# Stage 0: a plan the reference counts settle is the plan stage 1 would
+# gate, bit for bit; it runs no census pass (two allocations fewer), names
+# an out-of-bounds subscript as the census pass does, claims no dependence
+# it did not count, and no stream loads against its census, by name.
+say "analysis_gate: a plan the counts settle, by name"
+for t in the_parallel_floor_never_decreases_as_the_critical_path_grows \
+  a_plan_the_counts_settle_is_gated_at_stage_one_with_the_same_bits \
+  stage_zero_settles_exactly_below_the_counts_floor; do
+  named doacross-plan staged_equivalence "$t"
+done
+named doacross-engine zero_alloc a_cold_prepare_settled_on_counts_skips_the_census_pass_allocations
+for t in out_of_bounds_subscripts_are_the_census_passs_error_and_nothing_is_cached \
+  an_injective_left_hand_side_that_is_not_linear_is_classified \
+  a_plan_settled_on_counts_claims_no_dependence_and_round_trips; do
+  named doacross-engine settled_on_counts "$t"
+done
+named doacross-verify soundness artifact_mode_kills_a_stream_under_an_unclassified_census
+named doacross-plan lib persist::tests::decode_rejects_a_stream_under_an_unclassified_census
+
 say "analysis_gate: staged planner equivalence (the gate changes no decision and no price)"
 cargo test -q -p doacross-plan --test staged_equivalence ||
   violation "staged planner equivalence failed (parallel floor / stage-1 gate)"

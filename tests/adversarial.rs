@@ -246,10 +246,11 @@ fn dense_random_web() {
 
 /// A loop that disagrees with the plan it is run under — same iteration
 /// count, same data space, one row longer — is a typed error on the flag
-/// variants as on the wavefront: the planned entry points sweep the
-/// per-claim reference counts before dispatch, so nothing reaches the
-/// in-region assert (which would tear the solve down as a worker panic),
-/// `y` is untouched, and the sub-pool serves the next solve.
+/// variants as on the wavefront: the region checks each row's reference
+/// count where it reads the row, rejects the solve before that row is
+/// folded (a typed rejection, not a worker panic) and names the first
+/// mismatching slot in claim order, `y` is untouched, and the sub-pool
+/// serves the next solve.
 #[test]
 fn loop_disagreeing_with_its_plan_is_a_typed_error() {
     // Interleaved distance-1 chains: reordering pays, levels exist.

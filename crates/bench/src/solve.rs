@@ -102,13 +102,12 @@ pub fn run(args: impl Iterator<Item = String>) -> Result<(), String> {
         let costs = plan.costs();
         println!(
             "candidates ({} workers): sequential {:.0}, doacross {}, linear {}, reordered {}, \
-             blocked {}, wavefront {}",
+             wavefront {}",
             engine.threads(),
             costs.sequential,
             price(costs.doacross),
             price(costs.linear),
             price(costs.reordered),
-            price(costs.blocked),
             price(costs.wavefront),
         );
     }

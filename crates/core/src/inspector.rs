@@ -23,42 +23,34 @@ use crate::flags::{IterMap, MAXINT};
 use crate::pattern::AccessPattern;
 use doacross_par::{parallel_for, ThreadPool};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// First-error-wins slot for reporting a `(iteration, element)` pair out of
-/// a parallel region without locks.
+/// Slot for reporting an `(iteration, element)` pair out of a parallel
+/// region: of every pair offered, it keeps the one with the lowest
+/// iteration, so the report does not depend on which worker got there
+/// first. Only an error takes its lock.
 #[derive(Debug, Default)]
-pub(crate) struct ErrorSlot {
-    set: AtomicBool,
-    iteration: AtomicUsize,
-    element: AtomicUsize,
-}
+pub(crate) struct ErrorSlot(Mutex<Option<(usize, usize)>>);
 
 impl ErrorSlot {
     pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Records `(iteration, element)` if no error was recorded yet.
+    /// Records `(iteration, element)` unless a lower iteration was
+    /// recorded already.
     #[inline]
     pub(crate) fn try_set(&self, iteration: usize, element: usize) {
-        if !self.set.swap(true, Ordering::AcqRel) {
-            self.iteration.store(iteration, Ordering::Relaxed);
-            self.element.store(element, Ordering::Relaxed);
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_none_or(|(first, _)| iteration < first) {
+            *slot = Some((iteration, element));
         }
     }
 
     /// Returns the recorded pair, if any. Only meaningful after the region
     /// join (the pool's `run` return).
     pub(crate) fn get(&self) -> Option<(usize, usize)> {
-        if self.set.load(Ordering::Acquire) {
-            Some((
-                self.iteration.load(Ordering::Relaxed),
-                self.element.load(Ordering::Relaxed),
-            ))
-        } else {
-            None
-        }
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

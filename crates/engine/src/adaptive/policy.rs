@@ -35,12 +35,13 @@
 //! Every trial *consumes* a variant: a committed trial rejects the
 //! incumbent, a demoted trial rejects the challenger — rejected variants
 //! are never trialed again for that structure (until an explicit
-//! invalidation resets the slate). With at most six variant families and
-//! [`Thresholds::max_trials`] (3) trials (after which the structure is
-//! **pinned**), the per-structure swap count is bounded no matter how the
-//! workload oscillates; an adversarial phase change can waste at most
-//! `max_trials` round trips, ever, and each leg of a round trip must win
-//! a measured comparison by the margin to happen at all.
+//! invalidation resets the slate). With finitely many variant families
+//! (`ObsVariant::ALL`) and [`Thresholds::max_trials`] (3) trials (after
+//! which the structure is **pinned**), the per-structure swap count is
+//! bounded no matter how the workload oscillates; an adversarial phase
+//! change can waste at most `max_trials` round trips, ever, and each leg
+//! of a round trip must win a measured comparison by the margin to happen
+//! at all.
 //!
 //! ## Why it cannot replan forever either
 //!

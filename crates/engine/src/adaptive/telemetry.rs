@@ -3,9 +3,9 @@
 //!
 //! Every plan execution deposits one [`SolveSample`] — observed wall time,
 //! busy-wait polls, barrier crossings — under the executed variant family,
-//! an [`ObsVariant`] (a `PlanVariant`'s payloads — linear subscript, block
-//! size — are functions of the structure, which the runtime's map key, the
-//! fingerprint, already pins). An entry keeps the observed minimum (the
+//! an [`ObsVariant`] (a `PlanVariant`'s one payload, the linear
+//! subscript, is a function of the structure, which the runtime's map key,
+//! the fingerprint, already pins). An entry keeps the observed minimum (the
 //! noise-robust "how fast can this variant actually go" estimate), exact
 //! counts, and the running sums of a polls-vs-nanoseconds regression — the
 //! raw material [`super::refine()`] turns into measured cost-model
@@ -126,7 +126,7 @@ impl TelemetryEntry {
 /// One structure's entries, one slot per variant family
 /// ([`ObsVariant::index`]).
 #[derive(Debug, Default)]
-pub(super) struct Telemetry([Option<TelemetryEntry>; 6]);
+pub(super) struct Telemetry([Option<TelemetryEntry>; ObsVariant::ALL.len()]);
 
 impl Telemetry {
     /// Deposits one solve of `kind` and returns the updated entry.

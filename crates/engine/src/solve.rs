@@ -277,9 +277,9 @@ impl<'e> Solve<'e> {
             .profiler
             .as_ref()
             .map(|profiler| profiler.arena(guard.index()));
-        // A faulted parallel region may leave `y` torn (the blocked
-        // variant copies back per block), so the replay needs the input
-        // as it was *before* the attempt.
+        // The replay must start from the input as it was *before* the
+        // attempt, whatever the faulted region did to `y`: `recover`
+        // puts this copy back before it replays.
         if self.replays() {
             scratch.pristine.clear();
             scratch.pristine.extend_from_slice(y);

@@ -2,10 +2,11 @@
 //! divergence-triggered promotion to the measured-cheaper variant,
 //! generation-bump staleness, exact telemetry counts under concurrent
 //! solves, invalidation, calibration persistence, and the store-version
-//! regression (v2, v6 and v7 stores against v8).
+//! regression (v2, v6, v7 and v8 stores against v9).
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop, TestLoop};
 use doacross_engine::{Engine, EngineError, ObsVariant, PersistError, TraceEvent};
+use doacross_obs::ColdStartReason;
 use doacross_plan::{PatternFingerprint, PlanVariant, Planner};
 use doacross_sim::CostModel;
 
@@ -371,7 +372,7 @@ fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
             err,
             EngineError::Persist(PersistError::UnsupportedVersion {
                 found: version,
-                supported: 8,
+                supported: 9,
             })
         );
         assert_eq!(engine.cache_len(), 0, "cache untouched");
@@ -399,4 +400,61 @@ fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
         assert!(path.exists(), "the relic stays where it was");
         std::fs::remove_file(&path).unwrap();
     }
+}
+
+#[test]
+fn v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start() {
+    // The last format with the strip-mined variant: its census carries a
+    // duplicate-write gap and its prices a blocked candidate.
+    let path = std::env::temp_dir().join(format!(
+        "doacross-adaptive-v8-relic-{}.plans",
+        std::process::id()
+    ));
+    {
+        let engine = Engine::builder().workers(2).build();
+        let loop_ = TestLoop::new(200, 1, 8);
+        let mut y = loop_.initial_y();
+        engine.run(&loop_, &mut y).unwrap();
+        engine.save_plans(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    let engine = Engine::builder().workers(2).build();
+    assert_eq!(
+        engine.load_plans(&path).unwrap_err(),
+        EngineError::Persist(PersistError::UnsupportedVersion {
+            found: 8,
+            supported: 9,
+        })
+    );
+    assert_eq!(engine.cache_len(), 0, "cache untouched");
+
+    // The boot path starts cold, says why, and quarantines nothing.
+    let engine = Engine::builder()
+        .workers(2)
+        .observability_default()
+        .warm_start(&path)
+        .build();
+    assert_eq!(engine.cache_len(), 0);
+    let events: Vec<TraceEvent> = engine.trace_events().iter().map(|e| e.event).collect();
+    assert_eq!(
+        events,
+        [TraceEvent::ColdStart {
+            reason: ColdStartReason::VersionMismatch,
+        }]
+    );
+    let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+    let quarantined = std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .flatten()
+        .any(|e| {
+            e.file_name()
+                .to_string_lossy()
+                .starts_with(&format!("{name}.corrupt-"))
+        });
+    assert!(!quarantined, "a v8 store is not corrupt");
+    assert!(path.exists(), "the relic stays where it was");
+    std::fs::remove_file(&path).unwrap();
 }

@@ -1,6 +1,5 @@
 //! Allocation audit: warm solves of every parallel variant must not touch
-//! the heap — and must cost exactly one region dispatch (the strip-mined
-//! variant: two per block, inspector and executor).
+//! the heap — and must cost exactly one region dispatch.
 //!
 //! The paper's amortization argument assumes the executor's marginal cost
 //! is arithmetic plus synchronization — preprocessing products (the plan's
@@ -52,14 +51,13 @@ fn preset_engine() -> EngineBuilder {
 
 /// Warm solves of `loop_` on a fresh 4-worker engine: the variant is the
 /// one the caller means to audit, the output is the oracle's, the
-/// dispatching thread allocates nothing, and each solve costs
-/// `regions_per_block` regions per block (one block, unless strip-mined).
+/// dispatching thread allocates nothing, and each solve costs exactly one
+/// region.
 /// Returns whether the plan's stream holds class bytes (`None` without a
 /// stream).
 fn assert_warm_solves_are_lean<L: DoacrossLoop>(
     loop_: &L,
     wants: fn(PlanVariant) -> bool,
-    regions_per_block: u64,
 ) -> Option<bool> {
     let engine = preset_engine().build();
     let prepared = engine.prepare(loop_).expect("plannable");
@@ -92,7 +90,7 @@ fn assert_warm_solves_are_lean<L: DoacrossLoop>(
         );
         assert_eq!(
             regions,
-            regions_per_block * stats.blocks as u64,
+            1,
             "{:?}: executor and copy-back must share one region",
             prepared.variant()
         );
@@ -137,26 +135,20 @@ fn warm_wavefront_and_flag_solves_allocate_nothing_in_one_region() {
     // grid with an unwritten read per row (class bytes).
     let wavefront = |v: PlanVariant| v == PlanVariant::Wavefront;
     let grid = doacross_plan::testgrid::deep_grid(64, 20, 3, 7);
-    assert_eq!(
-        assert_warm_solves_are_lean(&grid, wavefront, 1),
-        Some(false)
-    );
+    assert_eq!(assert_warm_solves_are_lean(&grid, wavefront), Some(false));
     let mixed = with_unwritten_reads(&grid);
-    assert_eq!(
-        assert_warm_solves_are_lean(&mixed, wavefront, 1),
-        Some(true)
-    );
+    assert_eq!(assert_warm_solves_are_lean(&mixed, wavefront), Some(true));
     // Flag family, every claim source: the linear subscript of Figure 4
     // through the by-writer adapter, and the plan's claim stream of a
     // scattered doall (natural order, claims in derived chunks).
     let linear = |v: PlanVariant| matches!(v, PlanVariant::Linear(_));
     assert_eq!(
-        assert_warm_solves_are_lean(&TestLoop::new(2_000, 1, 7), linear, 1),
+        assert_warm_solves_are_lean(&TestLoop::new(2_000, 1, 7), linear),
         None
     );
     let doacross = |v: PlanVariant| v == PlanVariant::Doacross;
     assert_eq!(
-        assert_warm_solves_are_lean(&scattered_doall(4_000), doacross, 1),
+        assert_warm_solves_are_lean(&scattered_doall(4_000), doacross),
         Some(false)
     );
     // ... and under the stream's doconsider claim order: validated when
@@ -165,30 +157,9 @@ fn warm_wavefront_and_flag_solves_allocate_nothing_in_one_region() {
     // class bytes.
     let reordered = |v: PlanVariant| v == PlanVariant::Reordered;
     let chains = interleaved_chains(32, 16);
-    assert_eq!(
-        assert_warm_solves_are_lean(&chains, reordered, 1),
-        Some(false)
-    );
+    assert_eq!(assert_warm_solves_are_lean(&chains, reordered), Some(false));
     let mixed = with_unwritten_reads(&chains);
-    assert_eq!(
-        assert_warm_solves_are_lean(&mixed, reordered, 1),
-        Some(true)
-    );
-}
-
-/// The strip-mined variant shares the same scratch — windowed writer map,
-/// flags, shadow array, counter cells — across its blocks and across
-/// solves: nothing is allocated per block, and each block is an inspector
-/// region plus an executor region.
-#[test]
-fn warm_blocked_solves_allocate_nothing_in_two_regions_per_block() {
-    // Every element written 8 times, 256 iterations apart: only a
-    // strip-mined plan is legal in parallel.
-    let (n, period) = (2_048usize, 256usize);
-    let a: Vec<usize> = (0..n).map(|i| i % period).collect();
-    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 3) % period]).collect();
-    let repeated = IndirectLoop::new(period, a, rhs, vec![vec![0.5]; n]).expect("valid structure");
-    assert_warm_solves_are_lean(&repeated, |v| matches!(v, PlanVariant::Blocked { .. }), 2);
+    assert_eq!(assert_warm_solves_are_lean(&mixed, reordered), Some(true));
 }
 
 /// The profiler's off-path discipline, audited: an engine built

@@ -27,30 +27,28 @@ pub enum ObsVariant {
     Doacross,
     Linear,
     Reordered,
-    Blocked,
     Wavefront,
 }
 
 impl ObsVariant {
-    /// All variants, in [`ObsVariant::index`] order.
-    pub const ALL: [ObsVariant; 6] = [
+    /// All variants, in [`ObsVariant::index`] order. Its length sizes
+    /// every per-variant array in the workspace.
+    pub const ALL: [ObsVariant; 5] = [
         ObsVariant::Sequential,
         ObsVariant::Doacross,
         ObsVariant::Linear,
         ObsVariant::Reordered,
-        ObsVariant::Blocked,
         ObsVariant::Wavefront,
     ];
 
-    /// Dense index (0..6) for per-variant metric arrays.
+    /// Dense index (`0..ALL.len()`) for per-variant metric arrays.
     pub fn index(self) -> usize {
         match self {
             ObsVariant::Sequential => 0,
             ObsVariant::Doacross => 1,
             ObsVariant::Linear => 2,
             ObsVariant::Reordered => 3,
-            ObsVariant::Blocked => 4,
-            ObsVariant::Wavefront => 5,
+            ObsVariant::Wavefront => 4,
         }
     }
 
@@ -70,7 +68,6 @@ impl ObsVariant {
             ObsVariant::Doacross => "doacross",
             ObsVariant::Linear => "linear",
             ObsVariant::Reordered => "reordered",
-            ObsVariant::Blocked => "blocked",
             ObsVariant::Wavefront => "wavefront",
         }
     }
@@ -102,11 +99,7 @@ pub enum PlanProvenance {
     PlanCold,
     /// The execution plan was served from a plan cache: no planning work
     /// (fingerprint census, dependence analysis, variant selection,
-    /// inspection capture) happened in this call. Whatever preprocessing is
-    /// *inherent to the selected variant* still runs — notably the
-    /// strip-mined variant re-inspects per block, because its windowed
-    /// scratch arrays cannot outlive a block; check `inspector` for the
-    /// per-run bill. The flat planned variants report `inspector == 0`.
+    /// inspection capture) happened in this call.
     PlanCached,
 }
 
@@ -256,7 +249,7 @@ pub struct SolveRecord {
 
 /// Per-candidate predicted prices recorded with a plan build, indexed by
 /// [`ObsVariant::index`]; `None` = the planner never priced that family.
-pub type CandidatePrices = [Option<f64>; 6];
+pub type CandidatePrices = [Option<f64>; ObsVariant::ALL.len()];
 
 /// A structured event. Everything the engine does that changes plan or
 /// policy state emits exactly one of these.

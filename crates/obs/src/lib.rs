@@ -657,7 +657,8 @@ impl Obs {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let mut rows: Vec<(String, [u64; 6], [u64; 6])> = map
+        type PerVariant = [u64; ObsVariant::ALL.len()];
+        let mut rows: Vec<(String, PerVariant, PerVariant)> = map
             .iter()
             .map(|(fp, m)| {
                 let solves = std::array::from_fn(|i| load(&m.solves[i]));
@@ -667,8 +668,8 @@ impl Obs {
             .collect();
         drop(map);
         rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let overflow_solves: [u64; 6] = std::array::from_fn(|i| load(&r.overflow.solves[i]));
-        let overflow_ns: [u64; 6] = std::array::from_fn(|i| load(&r.overflow.solve_ns_total[i]));
+        let overflow_solves: PerVariant = std::array::from_fn(|i| load(&r.overflow.solves[i]));
+        let overflow_ns: PerVariant = std::array::from_fn(|i| load(&r.overflow.solve_ns_total[i]));
         if overflow_solves.iter().any(|&n| n > 0) {
             rows.push(("other".to_string(), overflow_solves, overflow_ns));
         }

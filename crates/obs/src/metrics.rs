@@ -86,9 +86,9 @@ pub struct HistogramSnapshot {
 #[derive(Default)]
 pub(crate) struct FpMetrics {
     /// Solves per variant, indexed by [`ObsVariant::index`].
-    pub(crate) solves: [AtomicU64; 6],
+    pub(crate) solves: [AtomicU64; ObsVariant::ALL.len()],
     /// Total solve ns per variant.
-    pub(crate) solve_ns_total: [AtomicU64; 6],
+    pub(crate) solve_ns_total: [AtomicU64; ObsVariant::ALL.len()],
 }
 
 impl FpMetrics {
@@ -103,14 +103,14 @@ impl FpMetrics {
 #[derive(Default)]
 pub(crate) struct Registry {
     /// Solves by (variant, provenance).
-    pub(crate) solves: [[AtomicU64; 3]; 6],
+    pub(crate) solves: [[AtomicU64; 3]; ObsVariant::ALL.len()],
     /// Solve latency by variant.
-    pub(crate) solve_ns: [Histogram; 6],
+    pub(crate) solve_ns: [Histogram; ObsVariant::ALL.len()],
     pub(crate) wait_polls_total: AtomicU64,
     pub(crate) stalls_total: AtomicU64,
     pub(crate) barrier_crossings_total: AtomicU64,
     /// Plan builds by variant.
-    pub(crate) plan_builds: [AtomicU64; 6],
+    pub(crate) plan_builds: [AtomicU64; ObsVariant::ALL.len()],
     pub(crate) plan_build_ns: Histogram,
     pub(crate) cache_invalidations_total: AtomicU64,
     pub(crate) plan_swaps_total: AtomicU64,

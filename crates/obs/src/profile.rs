@@ -419,11 +419,11 @@ pub struct Profiler {
     dropped_total: AtomicU64,
     /// Latest realized critical path per variant (valid when the
     /// matching `variant_profiled` count is non-zero).
-    realized_ns: [AtomicU64; 6],
+    realized_ns: [AtomicU64; ObsVariant::ALL.len()],
     /// Latest priced cost per variant, rounded to integer nanoseconds
     /// (`u64::MAX` = the planner never priced the executed variant).
-    priced_ns: [AtomicU64; 6],
-    variant_profiled: [AtomicU64; 6],
+    priced_ns: [AtomicU64; ObsVariant::ALL.len()],
+    variant_profiled: [AtomicU64; ObsVariant::ALL.len()],
 }
 
 impl Profiler {

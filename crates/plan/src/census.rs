@@ -4,10 +4,10 @@
 //! way the executor's three-way check (Figure 5) would — true dependency /
 //! antidependency / intra-iteration / unwritten — and extracts the
 //! schedule-relevant aggregates: dependence distances, the wavefront
-//! critical path, and average parallelism. For loops whose left-hand side
-//! is *not* injective (illegal for the flat construct) it instead measures
-//! the minimum gap between writes to the same element, which bounds the
-//! legal block size for the §2.3 strip-mined fallback.
+//! critical path, and average parallelism. A loop whose left-hand side is
+//! *not* injective (illegal for the flat construct, so planned
+//! sequential) has its references counted and bounds-checked, and
+//! nothing more.
 //!
 //! ## What each planner stage materialises
 //!
@@ -71,10 +71,6 @@ pub struct PlanCensus {
     /// Whether the left-hand-side subscript is injective (the flat
     /// construct's legality requirement).
     pub injective: bool,
-    /// For non-injective patterns: the smallest iteration gap between two
-    /// writes to the same element. Blocks of at most this many contiguous
-    /// iterations are collision-free, making the strip-mined variant legal.
-    pub min_duplicate_write_gap: Option<usize>,
     /// Wavefront critical path: at least 1 for a non-empty injective loop
     /// the census pass ran over; 0 for an empty loop, a non-injective one
     /// (not computed) and an unclassified census (not measured).
@@ -101,7 +97,7 @@ pub struct CensusPass {
     levels: Vec<usize>,
 }
 
-/// "Not seen yet" for the pass's running minima: no gap, distance or
+/// "Not seen yet" for the pass's running minima: no distance or
 /// iteration index reaches it.
 const UNSET: usize = usize::MAX;
 
@@ -137,10 +133,10 @@ impl CensusPass {
         let mut cold = [0usize; 6];
         cold[OOB_ITERATION] = UNSET;
 
-        // Writer map, plus duplicate-write detection for the blocked
-        // fallback.
+        // Writer map; a second write to any element makes the left-hand
+        // side non-injective.
         let mut writer = vec![MAXINT; data_len];
-        let mut min_gap = UNSET;
+        let mut injective = true;
         for i in 0..n {
             let lhs = pattern.lhs(i);
             if lhs >= data_len {
@@ -149,13 +145,9 @@ impl CensusPass {
                 }
                 continue;
             }
-            let prev = writer[lhs];
-            if prev != MAXINT {
-                min_gap = min_gap.min(i - prev as usize);
-            }
+            injective &= writer[lhs] == MAXINT;
             writer[lhs] = i as i64;
         }
-        let injective = min_gap == UNSET;
 
         let mut total_terms = 0u64;
         let (mut min_distance, mut max_distance) = (UNSET, 0usize);
@@ -239,7 +231,6 @@ impl CensusPass {
             min_true_distance: (true_deps > 0).then_some(min_distance),
             max_true_distance: (true_deps > 0).then_some(max_distance),
             injective,
-            min_duplicate_write_gap: (!injective).then_some(min_gap),
             critical_path,
         };
         Self {
@@ -359,7 +350,6 @@ impl PlanCensus {
             intra: self.intra,
             unwritten: self.unwritten,
             injective: self.injective,
-            min_duplicate_write_gap: self.min_duplicate_write_gap,
             classified: self.is_classified(),
         }
     }
@@ -460,9 +450,6 @@ mod tests {
             }
             if writer[lhs] != MAXINT {
                 c.injective = false;
-                let gap = i - writer[lhs] as usize;
-                c.min_duplicate_write_gap =
-                    Some(c.min_duplicate_write_gap.map_or(gap, |g| g.min(gap)));
             }
             writer[lhs] = i as i64;
         }
@@ -586,8 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn non_injective_census_measures_write_gap() {
-        // Element 0 written by iterations 0 and 3 → min gap 3.
+    fn non_injective_census_finds_the_duplicate_writes() {
+        // Element 0 written by iterations 0 and 3: counted, not classified.
         let l = IndirectLoop::new(
             4,
             vec![0, 1, 2, 0],
@@ -597,7 +584,7 @@ mod tests {
         .unwrap();
         let c = PlanCensus::of(&l);
         assert!(!c.injective);
-        assert_eq!(c.min_duplicate_write_gap, Some(3));
+        assert_eq!((c.true_deps, c.critical_path), (0, 0));
         assert!(!c.is_doall(), "non-injective is never a doall");
 
         let tight = IndirectLoop::new(
@@ -607,7 +594,7 @@ mod tests {
             vec![vec![], vec![], vec![]],
         )
         .unwrap();
-        assert_eq!(PlanCensus::of(&tight).min_duplicate_write_gap, Some(1));
+        assert!(!PlanCensus::of(&tight).injective);
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //!   (one triangular structure, many right-hand sides → one plan).
 //! * [`PlanCensus`] — the classified dependence structure: true/anti/
 //!   intra/unwritten reference counts, dependence distances, wavefront
-//!   critical path, average parallelism, and (for non-injective patterns)
-//!   the minimum duplicate-write gap that bounds a legal block size.
+//!   critical path, average parallelism, and whether the left-hand side is
+//!   injective (a loop whose left-hand side is not plans sequential).
 //!   [`CensusPass`] is the pass itself, split along the planner's stages
 //!   (counters, level sort, claim stream) so each product is built only
 //!   once a decision needs it.
 //! * [`Planner`] — prices every legal variant (sequential, flat
-//!   doacross, §2.3 linear-subscript, doconsider-reordered, §2.3
-//!   strip-mined, level-scheduled wavefront) with the calibrated
+//!   doacross, §2.3 linear-subscript, doconsider-reordered,
+//!   level-scheduled wavefront) with the calibrated
 //!   [`doacross_sim::CostModel`] and picks the cheapest; see [`planner`]
 //!   for the formulas, including the flag-bill vs. `levels × barrier`
 //!   crossover that converts a doacross into barrier-separated doalls,
@@ -30,7 +30,7 @@
 //! * [`ExecutionPlan`] — the captured products the chosen variant needs:
 //!   the one claim stream of the doacross / reordered / wavefront variants
 //!   (claim order, per-claim operand classes, level offsets), detected
-//!   linear subscript, block size, plus the census and candidate prices.
+//!   linear subscript, plus the census and candidate prices.
 //! * [`ConcurrentPlanCache`] — the plan cache: mutex-guarded LRU shards
 //!   (routed by fingerprint high bits, merged stats, per-key invalidation
 //!   generations), servable through `&self` from many threads — the

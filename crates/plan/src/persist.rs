@@ -101,8 +101,11 @@ const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// detected-subscript section, which the tag then requires. **v8** made
 /// the claim stream's class bytes optional (a flag, then the count and
 /// bytes only when set): a stream whose every reference is a true
-/// dependence stores none. v1–v7 stores are rejected per the policy above.
-const FORMAT_VERSION: u32 = 8;
+/// dependence stores none. **v9** dropped the strip-mined variant: its tag
+/// (the wavefront's tag is now 4) and block-size payload, the census's
+/// duplicate-write gap and the candidate price between the reordered and
+/// the wavefront ones. v1–v8 stores are rejected per the policy above.
+const FORMAT_VERSION: u32 = 9;
 
 /// Reasons a store cannot be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -390,8 +393,7 @@ const TAG_SEQUENTIAL: u8 = 0;
 const TAG_DOACROSS: u8 = 1;
 const TAG_LINEAR: u8 = 2;
 const TAG_REORDERED: u8 = 3;
-const TAG_BLOCKED: u8 = 4;
-const TAG_WAVEFRONT: u8 = 5;
+const TAG_WAVEFRONT: u8 = 4;
 
 /// A claim stream's four parts as the codec writes them: optional order,
 /// reference ends, optional level offsets, optional class bytes.
@@ -427,10 +429,6 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
         PlanVariant::Doacross => out.push(TAG_DOACROSS),
         PlanVariant::Linear(_) => out.push(TAG_LINEAR),
         PlanVariant::Reordered => out.push(TAG_REORDERED),
-        PlanVariant::Blocked { block_size } => {
-            out.push(TAG_BLOCKED);
-            put_u64(&mut out, block_size as u64);
-        }
         PlanVariant::Wavefront => out.push(TAG_WAVEFRONT),
     }
     let census = plan.census();
@@ -444,7 +442,6 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
     put_opt_u64(&mut out, census.min_true_distance.map(|v| v as u64));
     put_opt_u64(&mut out, census.max_true_distance.map(|v| v as u64));
     put_bool(&mut out, census.injective);
-    put_opt_u64(&mut out, census.min_duplicate_write_gap.map(|v| v as u64));
     put_u64(&mut out, census.critical_path as u64);
     // The one artifact section: the claim stream, part by part.
     put_bool(&mut out, stream.is_some());
@@ -471,7 +468,6 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
     put_opt_f64(&mut out, costs.doacross);
     put_opt_f64(&mut out, costs.linear);
     put_opt_f64(&mut out, costs.reordered);
-    put_opt_f64(&mut out, costs.blocked);
     put_opt_f64(&mut out, costs.wavefront);
     put_bool(&mut out, plan.features().is_some());
     if let Some(features) = plan.features() {
@@ -521,16 +517,11 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
     let processors = r.usize()?;
 
     let tag = r.u8()?;
-    // The blocked variant's block size is the one tag payload.
-    let block_size = match tag {
-        TAG_SEQUENTIAL | TAG_DOACROSS | TAG_LINEAR | TAG_REORDERED | TAG_WAVEFRONT => 0u64,
-        TAG_BLOCKED => r.u64()?,
-        other => {
-            return Err(PersistError::Malformed(format!(
-                "unknown plan variant tag {other}"
-            )))
-        }
-    };
+    if tag > TAG_WAVEFRONT {
+        return Err(PersistError::Malformed(format!(
+            "unknown plan variant tag {tag}"
+        )));
+    }
 
     let census = PlanCensus {
         iterations: r.usize()?,
@@ -543,7 +534,6 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         min_true_distance: r.opt_u64()?.map(|v| v as usize),
         max_true_distance: r.opt_u64()?.map(|v| v as usize),
         injective: r.bool()?,
-        min_duplicate_write_gap: r.opt_u64()?.map(|v| v as usize),
         critical_path: r.usize()?,
     };
 
@@ -573,7 +563,6 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         doacross: r.opt_f64()?,
         linear: r.opt_f64()?,
         reordered: r.opt_f64()?,
-        blocked: r.opt_f64()?,
         wavefront: r.opt_f64()?,
     };
     let features = if r.bool()? {
@@ -626,17 +615,6 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         TAG_LINEAR => PlanVariant::Linear(
             linear.ok_or_else(|| structural("linear variant without its detected subscript"))?,
         ),
-        TAG_BLOCKED => {
-            let block_size = usize::try_from(block_size)
-                .map_err(|_| structural("block size overflows usize"))?;
-            if block_size == 0 || block_size > census.iterations {
-                return Err(structural(format!(
-                    "block size {block_size} outside 1..={}",
-                    census.iterations
-                )));
-            }
-            PlanVariant::Blocked { block_size }
-        }
         TAG_WAVEFRONT => PlanVariant::Wavefront,
         _ => unreachable!("tag validated above"),
     };
@@ -1058,7 +1036,8 @@ mod tests {
     }
 
     /// One real plan per variant the planner can select (mirrors the
-    /// planner's own selection tests).
+    /// planner's own selection tests), plus the sequential plan of a
+    /// non-injective loop.
     fn plans_of_every_variant() -> Vec<ExecutionPlan> {
         let planner = Planner::new();
         let pool = pool();
@@ -1094,12 +1073,13 @@ mod tests {
         let interleaved = IndirectLoop::new(n, a, rhs, coeff).unwrap();
         out.push(planner.plan(&pool, &interleaved).unwrap());
 
-        // Blocked: non-injective with wide duplicate-write gaps.
+        // Sequential again: a non-injective left-hand side, whose census
+        // counts no class.
         let (n, period) = (4_096usize, 512usize);
         let a: Vec<usize> = (0..n).map(|i| i % period).collect();
         let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 7) % period]).collect();
-        let blocked = IndirectLoop::new(period, a, rhs, vec![vec![0.25]; n]).unwrap();
-        out.push(planner.plan(&pool, &blocked).unwrap());
+        let repeated = IndirectLoop::new(period, a, rhs, vec![vec![0.25]; n]).unwrap();
+        out.push(planner.plan(&pool, &repeated).unwrap());
 
         // Wavefront: a deep, wide, stall-free dependence grid — the flag
         // bill dwarfs the barrier bill.
@@ -1120,7 +1100,8 @@ mod tests {
         assert!(matches!(variants[1], PlanVariant::Linear(_)));
         assert!(matches!(variants[2], PlanVariant::Doacross));
         assert!(matches!(variants[3], PlanVariant::Reordered));
-        assert!(matches!(variants[4], PlanVariant::Blocked { .. }));
+        assert!(matches!(variants[4], PlanVariant::Sequential));
+        assert!(!plans[4].census().injective);
         assert!(matches!(variants[5], PlanVariant::Wavefront));
         for plan in &plans {
             let bytes = encode_plan(plan);
@@ -1177,35 +1158,6 @@ mod tests {
     fn class_bytes(parts: &mut OwnedParts) -> &mut Vec<u8> {
         let total = *parts.1.last().expect("the sentinel") as usize;
         parts.3.get_or_insert_with(|| vec![0; total])
-    }
-
-    /// A record that decodes and is structurally coherent but whose
-    /// schedule is unsound must be rejected with the typed `Unsound`
-    /// error: a block size one past the census's duplicate-write gap is a
-    /// well-formed encoding of a plan that would corrupt results.
-    #[test]
-    fn decode_rejects_block_size_exceeding_write_gap() {
-        let mut plan = plans_of_every_variant().into_iter().nth(4).unwrap();
-        let gap = plan
-            .census()
-            .min_duplicate_write_gap
-            .expect("blocked fixture is non-injective");
-        plan.variant = PlanVariant::Blocked {
-            block_size: gap + 1,
-        };
-        let bytes = encode_plan(&plan);
-        match decode_plan(&bytes) {
-            Err(PersistError::Unsound(
-                doacross_verify::SoundnessViolation::BlockExceedsWriteGap {
-                    block_size,
-                    min_gap,
-                },
-            )) => {
-                assert_eq!(block_size, gap + 1);
-                assert_eq!(min_gap, gap);
-            }
-            other => panic!("expected unsound rejection, got {other:?}"),
-        }
     }
 
     /// A stream whose `ends` lost its last entry (the at-rest form of a
@@ -1300,9 +1252,13 @@ mod tests {
     /// A store with every section present and a body whose length is not
     /// a multiple of the checksum's 8-byte word.
     fn store_with_a_padded_last_word() -> Vec<u8> {
-        let plan = plans_of_every_variant().remove(0);
+        // Two stream-less records: one alone leaves the body a whole
+        // number of words.
+        let mut plans = plans_of_every_variant();
         let mut store = PlanStore::new();
-        store.push_entry(0, Arc::new(plan));
+        for plan in [plans.remove(4), plans.remove(0)] {
+            store.push_entry(0, Arc::new(plan));
+        }
         store.set_calibration(Some(sample_calibration()));
         let bytes = store.to_bytes();
         assert_ne!(
@@ -1440,6 +1396,25 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn v8_stores_are_rejected_with_a_typed_version_error() {
+        // Regression for the v8 → v9 format bump (the strip-mined variant
+        // dropped): a v8 record's census carries a duplicate-write gap and
+        // its prices a blocked candidate, so it must fail typed before any
+        // record is read.
+        let mut store = PlanStore::new();
+        store.push_entry(0, Arc::new(plans_of_every_variant().remove(5)));
+        let mut bytes = store.to_bytes();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&8u32.to_le_bytes());
+        assert!(matches!(
+            PlanStore::from_bytes(&bytes),
+            Err(PersistError::UnsupportedVersion {
+                found: 8,
+                supported: FORMAT_VERSION,
+            })
+        ));
+    }
+
     /// `loop_` with one more reference per row, to an element no
     /// iteration writes: the same dependences, but old-value bytes in its
     /// stream.
@@ -1569,20 +1544,6 @@ mod tests {
                 p.0.as_mut().unwrap().pop();
             })),
             "claim order shorter than the iteration space",
-        );
-        assert_structural(
-            corrupt(&plans[4], &|p| {
-                p.variant = PlanVariant::Blocked { block_size: 0 };
-            }),
-            "zero block size",
-        );
-        assert_structural(
-            corrupt(&plans[4], &|p| {
-                p.variant = PlanVariant::Blocked {
-                    block_size: p.census.iterations + 1,
-                };
-            }),
-            "block size beyond the iteration space",
         );
 
         // Wavefront-specific inconsistencies.

@@ -25,12 +25,6 @@ pub enum PlanVariant {
     /// executor as [`PlanVariant::Doacross`]; the two differ only by that
     /// optional order.
     Reordered,
-    /// The §2.3 strip-mined doacross — the legal fallback for loops whose
-    /// left-hand side repeats elements at iteration gaps ≥ `block_size`.
-    Blocked {
-        /// Iterations per `L_outer` step.
-        block_size: usize,
-    },
     /// Level-scheduled wavefront execution: every dependence level runs as
     /// a doall behind the previous level's completion count, over the
     /// level offsets of the plan's [`ClaimStream`] — no ready-flag polling.
@@ -48,7 +42,6 @@ impl From<PlanVariant> for doacross_obs::ObsVariant {
             PlanVariant::Doacross => doacross_obs::ObsVariant::Doacross,
             PlanVariant::Linear(_) => doacross_obs::ObsVariant::Linear,
             PlanVariant::Reordered => doacross_obs::ObsVariant::Reordered,
-            PlanVariant::Blocked { .. } => doacross_obs::ObsVariant::Blocked,
             PlanVariant::Wavefront => doacross_obs::ObsVariant::Wavefront,
         }
     }
@@ -61,7 +54,6 @@ impl std::fmt::Display for PlanVariant {
             PlanVariant::Doacross => write!(f, "doacross"),
             PlanVariant::Linear(s) => write!(f, "linear(a(i) = {}*i + {})", s.c, s.d),
             PlanVariant::Reordered => write!(f, "reordered"),
-            PlanVariant::Blocked { block_size } => write!(f, "blocked({block_size})"),
             PlanVariant::Wavefront => write!(f, "wavefront"),
         }
     }
@@ -76,22 +68,20 @@ pub struct VariantCosts {
     pub doacross: Option<f64>,
     pub linear: Option<f64>,
     pub reordered: Option<f64>,
-    pub blocked: Option<f64>,
     pub wavefront: Option<f64>,
 }
 
 impl VariantCosts {
     /// The predicted price of `variant`'s candidate (`None` when the
     /// planner never priced it — illegal or inapplicable for the pattern).
-    /// Payloads (`Linear`'s subscript, `Blocked`'s block size) are ignored:
-    /// candidates are priced per variant family.
+    /// `Linear`'s subscript is ignored: candidates are priced per variant
+    /// family.
     pub fn of(&self, variant: PlanVariant) -> Option<f64> {
         match variant {
             PlanVariant::Sequential => Some(self.sequential),
             PlanVariant::Doacross => self.doacross,
             PlanVariant::Linear(_) => self.linear,
             PlanVariant::Reordered => self.reordered,
-            PlanVariant::Blocked { .. } => self.blocked,
             PlanVariant::Wavefront => self.wavefront,
         }
     }
@@ -104,7 +94,6 @@ impl VariantCosts {
             self.doacross,
             self.linear,
             self.reordered,
-            self.blocked,
             self.wavefront,
         ]
     }
@@ -248,7 +237,6 @@ impl ExecutionPlan {
             PlanVariant::Doacross => SyncSchedule::FlagsNatural { stream: stream()? },
             PlanVariant::Linear(subscript) => SyncSchedule::FlagsLinear { subscript },
             PlanVariant::Reordered => SyncSchedule::FlagsOrdered { stream: stream()? },
-            PlanVariant::Blocked { block_size } => SyncSchedule::Blocked { block_size },
             PlanVariant::Wavefront => SyncSchedule::Wavefront { stream: stream()? },
         })
     }

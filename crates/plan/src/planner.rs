@@ -49,7 +49,7 @@
 //! A plan build stops where its decision is made. Stage 1 is one census
 //! pass ([`CensusPass::of`]) and a gate that is arithmetic on its counters:
 //! [`parallel_floor`]` = dispatch + max(W/p, CP·chain) + n·post/p` bounds
-//! every parallel candidate of an injective loop from below, by three
+//! every parallel candidate of an injective loop from below, by two
 //! inequalities —
 //!
 //! 1. **flag variants**: `flags ≥ 0` and `stalls ≥ 0` sit *inside* the
@@ -60,9 +60,7 @@
 //!    `rounds·chain ≥ max(W/p, CP·chain)`, and `levels × barrier ≥ 0` only
 //!    adds to it (the two sides of that inequality are rounded
 //!    separately, so the computed floor takes the smaller of
-//!    `max(W/p, CP·chain)` and `max(⌈n/p⌉, CP)·chain`);
-//! 3. **blocked** (the injective memory rule) only ever *overrides* a
-//!    non-sequential choice — it never rescues a loop from sequential.
+//!    `max(W/p, CP·chain)` and `max(⌈n/p⌉, CP)·chain`).
 //!
 //! So when `T_seq ≤ floor`, sequential is what exhaustive pricing would
 //! have picked (ties go sequential), and the planner returns it with only
@@ -84,8 +82,8 @@
 //! is a lower bound on the real one, and when `T_seq` is not above it,
 //! stage 1 would gate the same loop with the same variant and the same
 //! prices, bit for bit: both price it with [`price_features`] and no
-//! features, which reads `n`, `T` and the duplicate-write gap (none for
-//! an injective loop) and nothing the census pass measures. Stage 0 asks
+//! features, which reads `n` and `T` and nothing the census pass
+//! measures. Stage 0 asks
 //! exactly that before any census pass, of a loop whose left-hand side is
 //! a detected linear subscript (so injective) that ends inside the data
 //! space: one sum of the term counts, the gate, and, only when it holds,
@@ -131,16 +129,6 @@ use doacross_par::ThreadPool;
 use doacross_sim::CostModel;
 use std::time::Instant;
 
-/// Data-space : iteration-space ratio at which an injective loop is
-/// strip-mined for memory (§2.3): when `data_len ≥ factor · iterations`,
-/// the flat variants drag `data_len`-sized scratch (`iter`, `ready`,
-/// `ynew`) through memory for a loop that writes only a sliver of it,
-/// while the blocked variant bounds scratch to each block's element
-/// window. Below the ratio the flat variants' single inspector-free
-/// region wins; at or above it the planner prices the blocked run and
-/// takes it whenever it also beats sequential.
-const BLOCKED_DATA_SPACE_FACTOR: usize = 8;
-
 /// Builds [`ExecutionPlan`]s for access patterns.
 #[derive(Debug, Clone)]
 pub struct Planner {
@@ -174,9 +162,9 @@ impl Planner {
     /// cost model prices for (planning itself dispatches nothing).
     ///
     /// Fails only on genuinely unexecutable patterns (out-of-bounds
-    /// subscripts); loops the flat construct rejects (non-injective
-    /// left-hand sides) get a legal [`PlanVariant::Blocked`] or
-    /// [`PlanVariant::Sequential`] plan instead of an error.
+    /// subscripts); a loop the flat construct rejects (a non-injective
+    /// left-hand side) gets a [`PlanVariant::Sequential`] plan instead of
+    /// an error. Every other variant runs the plan's one region.
     pub fn plan<P: AccessPattern + ?Sized>(
         &self,
         pool: &ThreadPool,
@@ -392,8 +380,7 @@ fn settled_on_counts<P: AccessPattern + ?Sized>(
 /// — the one place candidates are priced, by the planner under its own
 /// model and by the adaptive layer under refined ones. `features` are
 /// stage 2's ([`ExecutionPlan::features`]); `None` prices what a census
-/// alone can: sequential and, for a non-injective left-hand side, the
-/// blocked run at its duplicate-write gap (a gated or stream-less plan).
+/// alone can, sequential and nothing else (a gated or stream-less plan).
 /// `linear` and `p` are the plan's subscript and processor count.
 pub fn price_features(
     model: &CostModel,
@@ -404,21 +391,11 @@ pub fn price_features(
 ) -> (PlanVariant, VariantCosts) {
     let t_seq = sequential_cost(model, census);
     let Some(features) = features else {
-        // Two writes `d` apart can only collide within one block of size
-        // `B > d`, so any `B ≤ gap` is collision-free; an injective loop
-        // has no gap and no blocked candidate here.
-        let block_size = census.min_duplicate_write_gap.unwrap_or(1).max(1);
-        let t_blocked = (block_size > 1).then(|| blocked_cost(model, census, block_size, p));
-        let variant = match t_blocked {
-            Some(t) if t < t_seq => PlanVariant::Blocked { block_size },
-            _ => PlanVariant::Sequential,
-        };
         let costs = VariantCosts {
             sequential: t_seq,
-            blocked: t_blocked,
             ..Default::default()
         };
-        return (variant, costs);
+        return (PlanVariant::Sequential, costs);
     };
 
     let n = census.iterations as f64;
@@ -452,12 +429,11 @@ pub fn price_features(
         dispatch + features.rounds as f64 * chain + barriers + post
     });
 
-    let mut costs = VariantCosts {
+    let costs = VariantCosts {
         sequential: t_seq,
         doacross: Some(t_doacross),
         linear: linear.map(|_| t_doacross),
         reordered: dependent.then_some(t_reordered),
-        blocked: None,
         wavefront: t_wavefront,
     };
 
@@ -469,7 +445,7 @@ pub fn price_features(
     // is a real improvement.
     let best_flagged = t_doacross.min(t_reordered);
     let best_parallel = best_flagged.min(t_wavefront.unwrap_or(f64::INFINITY));
-    let mut variant = if t_seq <= best_parallel {
+    let variant = if t_seq <= best_parallel {
         PlanVariant::Sequential
     } else if t_wavefront.is_some_and(|t| t < best_flagged) {
         PlanVariant::Wavefront
@@ -481,42 +457,7 @@ pub fn price_features(
         PlanVariant::Doacross
     };
 
-    // §2.3's memory argument as a selection rule: an injective loop whose
-    // data space dwarfs its iteration space ([`BLOCKED_DATA_SPACE_FACTOR`])
-    // wastes `data_len`-sized scratch on the flat variants; strip-mining
-    // bounds scratch to block windows and is always legal when `a` is
-    // injective. Applied only when a parallel variant is otherwise
-    // profitable, and only if the priced blocked run still beats
-    // sequential — ~16 blocks of at least `4p` iterations keep
-    // self-scheduling busy while shrinking the window.
-    if variant != PlanVariant::Sequential
-        && census.iterations > 0
-        && census.data_len >= BLOCKED_DATA_SPACE_FACTOR * census.iterations
-    {
-        let block_size = census
-            .iterations
-            .div_ceil(16)
-            .max(4 * p)
-            .min(census.iterations);
-        let t_blocked = blocked_cost(model, census, block_size, p);
-        costs.blocked = Some(t_blocked);
-        if t_blocked < t_seq {
-            variant = PlanVariant::Blocked { block_size };
-        }
-    }
     (variant, costs)
-}
-
-/// Price of the §2.3 strip-mined run at `block_size`: each block pays two
-/// parallel regions (inspector, then executor with its copy-back) and the
-/// per-iteration inspector cost stays in the run — blocked runs cannot
-/// reuse a prebuilt map across blocks.
-fn blocked_cost(model: &CostModel, census: &PlanCensus, block_size: usize, p: usize) -> f64 {
-    let nblocks = census.iterations.div_ceil(block_size).max(1) as f64;
-    let work = census.iterations as f64
-        * (exec_per_iter(model) + model.inspect_per_iter + model.post_per_iter)
-        + census.total_terms as f64 * per_term(model);
-    nblocks * 2.0 * model.region_dispatch + work / p as f64
 }
 
 /// Stall weights of the natural claim order and of `order`: for each
@@ -583,7 +524,7 @@ fn raw_work(model: &CostModel, census: &PlanCensus) -> f64 {
 
 /// The lower bound on every parallel candidate's price for an injective
 /// loop with this census on `p` processors under `model` — see "Stage 1:
-/// the floor" in the module docs for the three inequalities. Pure
+/// the floor" in the module docs for the two inequalities. Pure
 /// arithmetic on the census, so the adaptive layer re-evaluates it under
 /// refined constants at no cost.
 ///
@@ -855,29 +796,34 @@ mod tests {
     }
 
     #[test]
-    fn non_injective_with_wide_gaps_selects_blocked() {
-        // Element reuse at distance 512: blocked with block_size <= 512 is
-        // legal, and with real per-reference work the strip-mined run
-        // beats the sequential loop.
+    fn non_injective_with_wide_gaps_plans_sequential() {
+        // Element reuse at distance 512 with real per-reference work: the
+        // flat construct rejects the left-hand side, so no parallel
+        // candidate is priced and no artifact is built.
         let n = 4_096usize;
         let period = 512usize;
         let a: Vec<usize> = (0..n).map(|i| i % period).collect();
         let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 7) % period]).collect();
         let l = IndirectLoop::new(period, a, rhs, vec![vec![0.25]; n]).unwrap();
         let plan = Planner::new().plan(&pool(), &l).unwrap();
+        assert_eq!(plan.variant(), PlanVariant::Sequential, "{plan}");
+        assert!(!plan.census().injective);
         assert_eq!(
-            plan.variant(),
-            PlanVariant::Blocked { block_size: 512 },
-            "{plan}"
+            *plan.costs(),
+            VariantCosts {
+                sequential: plan.costs().sequential,
+                ..Default::default()
+            }
         );
+        assert!(plan.stream().is_none() && plan.features().is_none());
     }
 
     #[test]
-    fn huge_data_space_selects_blocked_for_injective_loops() {
-        // §2.3 memory rule: an injective scatter over a data space 8x the
-        // iteration space crosses BLOCKED_DATA_SPACE_FACTOR and is
-        // strip-mined; the same structure over a denser data space keeps
-        // the flat inspected doacross.
+    fn huge_data_space_prices_like_a_dense_one() {
+        // An injective scatter over a data space 8x its iteration space
+        // and the same scatter over a data space 4x it: the data space
+        // enters no price, so both get the same variant at the same
+        // prices, bit for bit.
         let build = |spread: usize| {
             let n = 4_096usize;
             let data_len = n * spread;
@@ -890,49 +836,13 @@ mod tests {
             let coeff = vec![vec![0.5, 0.25]; n];
             IndirectLoop::new(data_len, a, rhs, coeff).unwrap()
         };
+        let bits = |costs: &VariantCosts| costs.as_candidate_prices().map(|c| c.map(f64::to_bits));
 
-        let at_threshold = build(BLOCKED_DATA_SPACE_FACTOR);
-        let plan = Planner::new().plan(&pool(), &at_threshold).unwrap();
-        assert!(
-            matches!(plan.variant(), PlanVariant::Blocked { .. }),
-            "{plan}"
-        );
-        assert!(
-            plan.costs().blocked.unwrap() < plan.costs().sequential,
-            "{:?}",
-            plan.costs()
-        );
-
-        let below_threshold = build(BLOCKED_DATA_SPACE_FACTOR / 2);
-        let plan = Planner::new().plan(&pool(), &below_threshold).unwrap();
-        assert_eq!(plan.variant(), PlanVariant::Doacross, "{plan}");
-        assert!(
-            plan.costs().blocked.is_none(),
-            "rule not engaged below the ratio: {:?}",
-            plan.costs()
-        );
-    }
-
-    #[test]
-    fn blocked_rule_never_overrides_sequential() {
-        // A serial chain across a huge data space: no parallel variant is
-        // profitable, so the memory rule must not strip-mine it.
-        let n = 64usize;
-        let spread = 16usize;
-        let a: Vec<usize> = (0..n).map(|i| i * spread).collect();
-        let rhs: Vec<Vec<usize>> = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    vec![]
-                } else {
-                    vec![(i - 1) * spread]
-                }
-            })
-            .collect();
-        let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![1.0; r.len()]).collect();
-        let l = IndirectLoop::new(n * spread, a, rhs, coeff).unwrap();
-        let plan = Planner::new().plan(&pool(), &l).unwrap();
-        assert_eq!(plan.variant(), PlanVariant::Sequential, "{plan}");
+        let sparse = Planner::new().plan(&pool(), &build(8)).unwrap();
+        let dense = Planner::new().plan(&pool(), &build(4)).unwrap();
+        assert_eq!(dense.variant(), PlanVariant::Doacross, "{dense}");
+        assert_eq!(sparse.variant(), dense.variant(), "{sparse}");
+        assert_eq!(bits(sparse.costs()), bits(dense.costs()));
     }
 
     #[test]
@@ -941,7 +851,7 @@ mod tests {
             IndirectLoop::new(2, vec![0, 0], vec![vec![], vec![]], vec![vec![], vec![]]).unwrap();
         let plan = Planner::new().plan(&pool(), &l).unwrap();
         assert_eq!(plan.variant(), PlanVariant::Sequential);
-        assert_eq!(plan.census().min_duplicate_write_gap, Some(1));
+        assert!(!plan.census().injective);
     }
 
     #[test]

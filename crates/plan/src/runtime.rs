@@ -3,15 +3,11 @@
 //! [`PlanExecutor`] owns one [`Doacross`] runtime — one scratch for every
 //! variant — and executes any [`ExecutionPlan`] against a loop: sequential,
 //! flat doacross (natural or doconsider-reordered claims) and
-//! level-scheduled off the plan's one claim stream, linear-subscript, or
-//! strip-mined. It is the
-//! execution half of the thread-safe `doacross_engine::Engine`, which
-//! keeps one executor per scheduler sub-pool so concurrent callers each
-//! run on private scratch. The flat variants report `inspector == 0`; a
-//! [`PlanVariant::Blocked`] plan is the one exception — strip-mined
-//! execution re-inspects per block by construction (§2.3 reuses one
-//! windowed scratch allocation across blocks), so a cached blocked plan
-//! skips the planning but keeps its per-block inspector time.
+//! level-scheduled off the plan's one claim stream, or linear-subscript.
+//! It is the execution half of the thread-safe `doacross_engine::Engine`,
+//! which keeps one executor per scheduler sub-pool so concurrent callers
+//! each run on private scratch. No planned variant inspects at run time
+//! (`inspector == 0`), and every parallel one runs in one region.
 //!
 //! Plan-driven runs skip per-run validation (the plan already proved the
 //! structure in-bounds, injective where required, and its order
@@ -47,9 +43,9 @@ use std::time::Instant;
 /// Executes prebuilt [`ExecutionPlan`]s on one reusable [`Doacross`]
 /// runtime (see module docs). The runtime's scratch grows to the largest
 /// structure seen and is then reused, so a workload alternating variants or
-/// structures (e.g. an L and a U factor with different depths or block
-/// sizes) does not churn allocations, and — executing plans only — never
-/// carries a writer map unless a blocked plan runs.
+/// structures (e.g. an L and a U factor with different depths) does not
+/// churn allocations, and — executing plans only — never carries a
+/// writer map.
 ///
 /// The runtime's `validate_terms` is off: validation happened at plan
 /// time.
@@ -86,10 +82,10 @@ impl PlanExecutor {
     /// (`None` costs one branch per would-be span). Span fidelity varies by
     /// variant. The flat doacross variants (`Doacross`/`Reordered`) record
     /// fine-grained work spans and per-stall flag waits; `Wavefront`
-    /// records per-level work and barrier-wait spans. `Linear` and
-    /// `Blocked` record one coarse whole-run work span on worker 0 —
-    /// enough for the critical-path and wait-fraction accounting to stay
-    /// total-correct, without threading timers through their inner loops.
+    /// records per-level work and barrier-wait spans. `Linear` records one
+    /// coarse whole-run work span on worker 0 — enough for the
+    /// critical-path and wait-fraction accounting to stay total-correct,
+    /// without threading timers through its inner loop.
     /// `Sequential` is [`execute_sequential`], which opens no region and
     /// records no span: its one span is made from its stats by whoever
     /// profiles it.
@@ -108,9 +104,6 @@ impl PlanExecutor {
         let span_start = prof.map(|arena| arena.now_ns());
         let mut stats = match plan.variant() {
             PlanVariant::Linear(subscript) => self.runtime.run_linear(pool, loop_, y, subscript)?,
-            PlanVariant::Blocked { block_size } => {
-                self.runtime.run_blocked(pool, loop_, y, block_size)?
-            }
             // `Doacross`, `Reordered`, `Wavefront`: the stream-backed variants.
             _ => return self.execute_stream(pool, loop_, y, plan, prof),
         };
@@ -240,7 +233,9 @@ mod tests {
         rt.execute(&p, &chain, &mut y, &plan, None).unwrap();
         assert_eq!(y, oracle(&chain, &y0));
 
-        // Blocked (non-injective, wide write gap, real work per term).
+        // Sequential again: a non-injective left-hand side (every element
+        // written eight times, 256 iterations apart) with real work per
+        // term runs on the calling thread, in no region.
         let n2 = 2_048usize;
         let period = 256usize;
         let a2: Vec<usize> = (0..n2).map(|i| i % period).collect();
@@ -249,9 +244,11 @@ mod tests {
         let y0 = vec![1.0; period];
         let mut y = y0.clone();
         let plan = planner.plan(&p, &dup).unwrap();
-        let stats = rt.execute(&p, &dup, &mut y, &plan, None).unwrap();
+        assert_eq!(plan.variant(), PlanVariant::Sequential, "{plan}");
+        let dispatches = p.dispatches();
+        rt.execute(&p, &dup, &mut y, &plan, None).unwrap();
         assert_eq!(y, oracle(&dup, &y0));
-        assert!(stats.blocks >= 2, "blocked plan executes in blocks");
+        assert_eq!(p.dispatches(), dispatches, "no region");
 
         // Reordered (interleaved tight chains).
         let chains = 16usize;

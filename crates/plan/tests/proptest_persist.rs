@@ -90,13 +90,13 @@ fn a_format_version_3_blob_cold_starts_typed() {
         PlanStore::from_bytes(&bytes),
         Err(PersistError::UnsupportedVersion {
             found: 3,
-            supported: 8,
+            supported: 9,
         })
     ));
 }
 
-/// An arbitrary valid loop — injective or not, so every planner fallback
-/// (sequential, linear, doacross, reordered, blocked) is reachable.
+/// An arbitrary valid loop — injective or not, so every planner choice
+/// (sequential, linear, doacross, reordered) is reachable.
 fn arb_loop(max_n: usize) -> impl Strategy<Value = (IndirectLoop, Vec<f64>)> {
     (1..=max_n)
         .prop_flat_map(move |n| {

@@ -7,7 +7,9 @@
 use doacross_core::{seq::run_sequential, AccessPattern, Doacross, IndirectLoop, PlanProvenance};
 use doacross_obs::profile::{ProfArena, SpanKind};
 use doacross_par::ThreadPool;
-use doacross_plan::{CensusPass, ConcurrentPlanCache, PatternFingerprint, PlanExecutor, Planner};
+use doacross_plan::{
+    CensusPass, ConcurrentPlanCache, PatternFingerprint, PlanExecutor, PlanVariant, Planner,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -42,7 +44,7 @@ fn arb_loop(max_n: usize) -> impl Strategy<Value = (IndirectLoop, Vec<f64>)> {
 }
 
 /// Like [`arb_loop`] but with a possibly non-injective lhs, exercising the
-/// blocked/sequential fallback paths.
+/// sequential plan such a loop gets.
 fn arb_any_loop(max_n: usize) -> impl Strategy<Value = (IndirectLoop, Vec<f64>)> {
     (1..=max_n)
         .prop_flat_map(move |n| {
@@ -85,12 +87,15 @@ proptest! {
 
     #[test]
     fn any_pattern_gets_a_correct_plan((loop_, y0) in arb_any_loop(32)) {
-        // Non-injective patterns included: the planner must fall back to a
-        // legal variant, never error, and stay bit-identical to the oracle.
+        // Non-injective patterns included: the planner must plan them
+        // sequential, never error, and stay bit-identical to the oracle.
         let pool = ThreadPool::new(3);
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
         let plan = Planner::new().plan(&pool, &loop_).expect("every pattern is plannable");
+        if !plan.census().injective {
+            prop_assert_eq!(plan.variant(), PlanVariant::Sequential);
+        }
         let mut rt = PlanExecutor::new();
         for _ in 0..2 {
             let mut y = y0.clone();

@@ -16,6 +16,7 @@
 //! that model — bit for bit, so re-pricing a plan needs no inversion.
 
 use doacross_core::IndirectLoop;
+use doacross_obs::ObsVariant;
 use doacross_par::ThreadPool;
 use doacross_plan::{
     detect_linear, gated, parallel_floor, price_features, testgrid::deep_grid, CensusPass,
@@ -106,9 +107,7 @@ fn arb_model() -> impl Strategy<Value = CostModel> {
     })
 }
 
-/// The candidates the floor bounds. `blocked` is deliberately absent: its
-/// price ignores the critical path, and the planner only ever lets it
-/// override a choice that was already parallel.
+/// The candidates the floor bounds: every parallel one.
 fn bounded_prices(costs: &VariantCosts) -> [(&'static str, Option<f64>); 4] {
     [
         ("doacross", costs.doacross),
@@ -484,7 +483,7 @@ fn counts_of(census: &PlanCensus) -> PlanCensus {
     }
 }
 
-fn bits(costs: &VariantCosts) -> [Option<u64>; 6] {
+fn bits(costs: &VariantCosts) -> [Option<u64>; ObsVariant::ALL.len()] {
     costs
         .as_candidate_prices()
         .map(|price| price.map(f64::to_bits))

@@ -35,7 +35,6 @@
 //! | `FlagsNatural` (doacross) | stream byte `(i, j)`; the stream carries no order | per-element flag: byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | natural claim order covers `w < i` by construction; each row as long as the pattern's |
 //! | `FlagsLinear` (linear) | `a(i) = c·i + d`, arithmetically | as doacross | as doacross | lhs injective (`c ≥ 1` ⇒ automatic) | `lhs(i) ≡ c·i + d` must hold exactly |
 //! | `FlagsOrdered` (reordered) | stream byte `(pos[i], j)` | as doacross | as doacross | lhs must be injective | the stream's order must be a permutation *and* topological: `pos[w] < pos[i]` for every flow edge, else livelock — at any claim grain, since a worker walks its chunk in slot order |
-//! | `Blocked` | the per-block inspector, at run time | cross-block: sequential block order + copy-back; in-block: re-derived per block | same | tolerated *across* blocks only — two writes must never share a block | `block_size ≥ 1` |
 //! | `Wavefront` | stream byte `(pos[i], j)` | completion count: `level(w) < level(i)` strictly, and the byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | the stream carries level offsets; each row as long as the pattern's |
 //!
 //! A reference to an element no iteration writes must be classified *old
@@ -51,8 +50,8 @@
 //! * [`verify_artifacts`] — the pattern-free check persisted-plan loading
 //!   runs: the stream's shape for its variant (order / no order / level
 //!   offsets), claim-order permutation, reference total and per-class
-//!   counts vs the census, block size vs the census's minimum
-//!   duplicate-write gap — everything provable from the artifacts alone.
+//!   counts vs the census — everything provable from the artifacts
+//!   alone.
 //!
 //! The crate deliberately depends only on `doacross-core`:
 //! `doacross-plan` sits *above* it and projects `ExecutionPlan` into

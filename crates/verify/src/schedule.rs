@@ -42,14 +42,6 @@ pub enum SyncSchedule<'a> {
         /// iteration space, its classes laid out in that order).
         stream: &'a ClaimStream,
     },
-    /// §2.3's strip-mined doacross: blocks of `block_size` contiguous
-    /// iterations run as flat doacrosses with a per-block inspector;
-    /// blocks execute sequentially with a copy-back in between, which
-    /// covers every cross-block dependence.
-    Blocked {
-        /// Iterations per `L_outer` step.
-        block_size: usize,
-    },
     /// Level-scheduled wavefront: each level is a doall behind the previous
     /// level's completion count; flow dependences are covered iff the
     /// writer's level is strictly earlier, and every reference's operand
@@ -62,7 +54,8 @@ pub enum SyncSchedule<'a> {
 
 impl<'a> SyncSchedule<'a> {
     /// The claim stream the schedule's executor reads its operand classes
-    /// from — `None` for the variants that re-derive them at run time.
+    /// from — `None` for the sequential loop (program order) and the
+    /// linear variant (arithmetic).
     pub fn stream(&self) -> Option<&'a ClaimStream> {
         match *self {
             SyncSchedule::FlagsNatural { stream }
@@ -80,20 +73,15 @@ impl<'a> SyncSchedule<'a> {
             SyncSchedule::FlagsNatural { .. } => "doacross",
             SyncSchedule::FlagsLinear { .. } => "linear",
             SyncSchedule::FlagsOrdered { .. } => "reordered",
-            SyncSchedule::Blocked { .. } => "blocked",
             SyncSchedule::Wavefront { .. } => "wavefront",
         }
     }
 
     /// Whether this schedule's executor presumes an injective left-hand
-    /// side (every flat flag-based variant and the wavefront; the blocked
-    /// variant tolerates duplicates across block boundaries, and the
-    /// sequential loop tolerates anything).
+    /// side: every parallel one does (flags fire, and levels complete,
+    /// once per element); the sequential loop tolerates anything.
     pub fn requires_injective(&self) -> bool {
-        !matches!(
-            self,
-            SyncSchedule::Sequential | SyncSchedule::Blocked { .. }
-        )
+        !matches!(self, SyncSchedule::Sequential)
     }
 }
 
@@ -119,9 +107,6 @@ pub struct CensusFacts {
     pub unwritten: u64,
     /// Whether the left-hand side is injective.
     pub injective: bool,
-    /// For non-injective patterns: the smallest iteration gap between two
-    /// writes to the same element.
-    pub min_duplicate_write_gap: Option<usize>,
     /// Whether the census counted the dependence classes at all. `false`
     /// for a census that holds the shape totals alone (a plan the planner
     /// settled on its reference counts): its class counts are zeros that

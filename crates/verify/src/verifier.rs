@@ -10,7 +10,7 @@
 //! (claim positions, levels). [`verify_artifacts`] is the pattern-free
 //! check persistence runs at load time: everything provable from the
 //! schedule artifacts and the census alone (injectivity prerequisites, the
-//! stream's shape and class counts, block size vs duplicate-write gap).
+//! stream's shape and class counts).
 
 use crate::schedule::{CensusFacts, SyncSchedule};
 use crate::violation::{DependenceEdge, SoundnessReport, SoundnessViolation};
@@ -185,15 +185,6 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
                 });
             }
         }
-        SyncSchedule::Blocked { block_size } => {
-            if *block_size == 0 {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "block size",
-                    expected: 1,
-                    got: 0,
-                });
-            }
-        }
     }
 
     // Ground truth, pass 1: the last-writer map exactly as the inspector
@@ -225,23 +216,13 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
                 first: prev as usize,
                 second: i,
             };
-            match schedule {
-                SyncSchedule::Sequential => report.output_pairs += 1,
-                SyncSchedule::Blocked { block_size } => {
-                    if prev as usize / block_size == i / block_size {
-                        return Err(SoundnessViolation::DuplicateWriteInBlock {
-                            edge,
-                            block: i / block_size,
-                            block_size: *block_size,
-                        });
-                    }
-                    report.output_pairs += 1;
-                }
-                // Flat flags fire once per element; the wavefront's level
-                // DAG has one producer per element. Neither can order two
-                // writes.
-                _ => return Err(SoundnessViolation::UncoveredOutput { edge }),
+            // Program order covers the pair. Flat flags fire once per
+            // element; the wavefront's level DAG has one producer per
+            // element. Neither can order two writes.
+            if schedule.requires_injective() {
+                return Err(SoundnessViolation::UncoveredOutput { edge });
             }
+            report.output_pairs += 1;
         }
         truth[a] = i as i64;
     }
@@ -311,11 +292,9 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
             }
 
             let claimed = match schedule {
-                // Program order (sequential) and the per-block inspector
-                // (blocked) re-derive the classification from the index
-                // arrays at run time; there is no prebuilt class to
-                // disagree with.
-                SyncSchedule::Sequential | SyncSchedule::Blocked { .. } => continue,
+                // Program order: there is no prebuilt class to disagree
+                // with.
+                SyncSchedule::Sequential => continue,
                 SyncSchedule::FlagsLinear { .. } => {
                     // The subscript was proven to match `lhs` above, so the
                     // arithmetic oracle necessarily agrees with the truth
@@ -405,26 +384,23 @@ pub fn verify_artifacts(
             variant: schedule.variant_name(),
         });
     }
-    let classified = facts.true_deps + facts.anti_deps + facts.intra + facts.unwritten;
-    // The blocked variant is selected precisely when the census could not
-    // classify (non-injective lhs), so its census legitimately carries
-    // zero classified references; every other variant's census comes from
-    // the full classification pass.
-    if !matches!(
-        schedule,
-        SyncSchedule::Blocked { .. } | SyncSchedule::Sequential
-    ) && classified != facts.total_terms
-    {
-        return Err(SoundnessViolation::ArtifactMismatch {
-            what: "census reference classification",
-            expected: facts.total_terms,
-            got: classified,
-        });
-    }
-    if schedule.requires_injective() && !facts.injective {
-        return Err(SoundnessViolation::RequiresInjective {
-            variant: schedule.variant_name(),
-        });
+    // A sequential plan's census may count no class (a non-injective
+    // left-hand side, or a plan settled on its reference counts); every
+    // parallel variant's comes from the full classification pass.
+    if schedule.requires_injective() {
+        if !facts.injective {
+            return Err(SoundnessViolation::RequiresInjective {
+                variant: schedule.variant_name(),
+            });
+        }
+        let classified = facts.true_deps + facts.anti_deps + facts.intra + facts.unwritten;
+        if classified != facts.total_terms {
+            return Err(SoundnessViolation::ArtifactMismatch {
+                what: "census reference classification",
+                expected: facts.total_terms,
+                got: classified,
+            });
+        }
     }
     match schedule {
         SyncSchedule::Sequential => {}
@@ -477,34 +453,6 @@ pub fn verify_artifacts(
                         iteration: facts.iterations - 1,
                         element: last,
                         data_len: facts.data_len,
-                    });
-                }
-            }
-        }
-        SyncSchedule::Blocked { block_size } => {
-            if *block_size == 0 {
-                return Err(SoundnessViolation::ShapeMismatch {
-                    what: "block size",
-                    expected: 1,
-                    got: 0,
-                });
-            }
-            if !facts.injective {
-                let Some(gap) = facts.min_duplicate_write_gap else {
-                    return Err(SoundnessViolation::ArtifactMismatch {
-                        what: "duplicate-write gap of a non-injective census",
-                        expected: 1,
-                        got: 0,
-                    });
-                };
-                // Two writes to one element `gap` iterations apart land in
-                // one block once the block spans more than `gap`
-                // iterations — the off-by-one-boundary failure mode,
-                // caught without the index arrays.
-                if *block_size > gap {
-                    return Err(SoundnessViolation::BlockExceedsWriteGap {
-                        block_size: *block_size,
-                        min_gap: gap,
                     });
                 }
             }

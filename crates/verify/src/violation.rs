@@ -174,25 +174,6 @@ pub enum SoundnessViolation {
         /// The reader's level — not strictly later, hence the violation.
         reader_level: usize,
     },
-    /// Blocked: two writes to one element land in the same block — the
-    /// "off-by-one block boundary" failure mode (the per-block inspector
-    /// would reject the block at run time).
-    DuplicateWriteInBlock {
-        /// The output edge landing inside one block.
-        edge: DependenceEdge,
-        /// Which block.
-        block: usize,
-        /// The block size that failed to separate the writes.
-        block_size: usize,
-    },
-    /// Blocked, artifact mode: the block size exceeds the census's minimum
-    /// duplicate-write gap, so some block must contain a duplicate write.
-    BlockExceedsWriteGap {
-        /// The plan's block size.
-        block_size: usize,
-        /// The census's minimum duplicate-write gap it exceeds.
-        min_gap: usize,
-    },
     /// Linear: the pattern's left-hand side disagrees with the declared
     /// subscript `a(i) = c·i + d`, so the arithmetic oracle answers for
     /// the wrong element.
@@ -292,21 +273,6 @@ impl std::fmt::Display for SoundnessViolation {
                 "no level barrier covers {edge}: writer at level {writer_level}, \
                  reader at level {reader_level}"
             ),
-            SoundnessViolation::DuplicateWriteInBlock {
-                edge,
-                block,
-                block_size,
-            } => write!(
-                f,
-                "{edge} falls inside block {block} (block size {block_size})"
-            ),
-            SoundnessViolation::BlockExceedsWriteGap {
-                block_size,
-                min_gap,
-            } => write!(
-                f,
-                "block size {block_size} exceeds the minimum duplicate-write gap {min_gap}"
-            ),
             SoundnessViolation::SubscriptMismatch {
                 iteration,
                 expected,
@@ -360,7 +326,8 @@ pub struct SoundnessReport {
     /// References to elements no iteration writes.
     pub unwritten_refs: u64,
     /// Output-dependence pairs (adjacent writes to one element) covered —
-    /// nonzero only for the blocked variant.
+    /// nonzero only for the sequential schedule, whose program order is
+    /// the only one that orders two writes.
     pub output_pairs: u64,
 }
 

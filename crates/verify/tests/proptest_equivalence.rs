@@ -2,9 +2,9 @@
 //! random index patterns, a schedule the verifier accepts executes
 //! bit-identically to the sequential oracle on the real executors, and a
 //! schedule it rejects is pinned to a dependence edge that actually exists
-//! in the pattern — across all five Table 1 execution structures
-//! (doacross flags, linear fast path, reordered claims, blocked
-//! strip-mining, wavefront levels; sequential is the oracle itself).
+//! in the pattern — across every schedule a plan can carry (doacross
+//! flags, linear fast path, reordered claims, wavefront levels;
+//! sequential is the oracle itself).
 
 use doacross_core::{
     claim_grain, seq::run_sequential, AccessPattern, ClaimStream, Doacross, IndirectLoop,
@@ -218,12 +218,11 @@ proptest! {
     /// for bit at every worker count and claim grain — one-iteration
     /// claims, the grain the plan layer would derive, and the cap — with
     /// `RunStats.deps` stamped to exactly the counts the verifier derived
-    /// from the index arrays. Blocked and sequential ride along. Half the
+    /// from the index arrays. Sequential rides along. Half the
     /// patterns have true dependences only, so both stream forms — class
     /// bytes and none — are proven and run.
     #[test]
-    fn accepted_schedules_execute_like_the_oracle((loop_, y0) in prop_oneof![arb_injective(24), arb_true_deps(24)],
-                                                  block_size in 1..8usize) {
+    fn accepted_schedules_execute_like_the_oracle((loop_, y0) in prop_oneof![arb_injective(24), arb_true_deps(24)]) {
         let expect: Vec<u64> = oracle(&loop_, &y0).iter().map(|v| v.to_bits()).collect();
         let data_len = loop_.data_len();
         let n = loop_.iterations();
@@ -292,16 +291,6 @@ proptest! {
             }
         }
 
-        // Blocked: any block size is sound for an injective pattern.
-        let pool = ThreadPool::new(3);
-        let bs = block_size.min(n);
-        verify_pattern(&loop_, &SyncSchedule::Blocked { block_size: bs })
-            .expect("injective patterns never share a block between duplicate writes");
-        let mut y = y0.clone();
-        Doacross::new(0).run_blocked(&pool, &loop_, &mut y, bs)
-            .expect("blocked run");
-        prop_assert_eq!(&y, &oracle(&loop_, &y0), "blocked");
-
         // Sequential is the oracle by definition.
         verify_pattern(&loop_, &SyncSchedule::Sequential).expect("always sound");
     }
@@ -337,32 +326,20 @@ proptest! {
         }
     }
 
-    /// Non-injective patterns: flag-based schedules are rejected with a
-    /// real output dependence; blocked schedules are accepted exactly when
-    /// no duplicate pair shares a block — and then execute like the
-    /// oracle.
+    /// Non-injective patterns: a flag-based schedule is rejected with an
+    /// output dependence that genuinely exists, whatever classes its
+    /// stream claims — per-element flags fire once. (The strip-mined run
+    /// such a loop can take is `tests/proptest_doacross.rs`'s.)
     #[test]
-    fn duplicate_writers_split_blocked_from_flagged((loop_, y0) in arb_any(20)) {
-        let pool = ThreadPool::new(3);
+    fn duplicate_writers_are_rejected_under_flat_flags((loop_, _y0) in arb_any(20)) {
         let n = loop_.iterations();
-        // Closest pair of same-element writers (by iteration distance).
-        let mut min_gap = usize::MAX;
-        let mut pair = (0usize, 0usize);
-        let mut last = vec![usize::MAX; loop_.data_len()];
-        for i in 0..n {
-            let e = loop_.lhs(i);
-            if last[e] != usize::MAX && i - last[e] < min_gap {
-                min_gap = i - last[e];
-                pair = (last[e], i);
-            }
-            last[e] = i;
-        }
-        if min_gap == usize::MAX {
-            // Injective after all: covered by the other property.
+        let mut written = vec![false; loop_.data_len()];
+        let injective = (0..n).all(|i| !std::mem::replace(&mut written[loop_.lhs(i)], true));
+        if injective {
+            // Covered by the other properties.
             return Ok(());
         }
 
-        // Whatever classes a stream claims, flags fire once per element.
         let terms: usize = (0..n).map(|i| loop_.terms(i)).sum();
         let mut term_offsets = vec![0usize];
         for i in 0..n {
@@ -372,27 +349,8 @@ proptest! {
             .expect("consistent parts");
         let violation = verify_pattern(&loop_, &SyncSchedule::FlagsNatural { stream: &stream })
             .expect_err("duplicate writers cannot share one flag generation");
-        if let SoundnessViolation::UncoveredOutput { edge } = &violation {
-            prop_assert!(edge_is_real(&loop_, edge), "fabricated edge: {edge}");
-        }
-
-        // A block size at or under the gap keeps duplicates apart.
-        let bs = min_gap.min(n);
-        verify_pattern(&loop_, &SyncSchedule::Blocked { block_size: bs })
-            .expect("blocks no larger than the write gap are sound");
-        let expect = oracle(&loop_, &y0);
-        let mut y = y0.clone();
-        Doacross::new(0).run_blocked(&pool, &loop_, &mut y, bs)
-            .expect("blocked run");
-        prop_assert_eq!(&y, &expect, "blocked with duplicates");
-
-        // Block boundaries are aligned, so `min_gap + 1` need not merge
-        // the pair — but a first block reaching past it must (block 0
-        // holds every iteration up to and including the later write).
-        let violation = verify_pattern(&loop_, &SyncSchedule::Blocked { block_size: pair.1 + 1 })
-            .expect_err("a block spanning a duplicate pair is unsound");
         match &violation {
-            SoundnessViolation::DuplicateWriteInBlock { edge, .. } => {
+            SoundnessViolation::UncoveredOutput { edge } => {
                 prop_assert!(edge_is_real(&loop_, edge), "fabricated edge: {edge}");
             }
             other => prop_assert!(false, "unexpected violation: {other}"),

@@ -8,10 +8,11 @@
 //! ```
 //!
 //! `a` and `b` are data read from somewhere at run time — no compiler can
-//! prove which iterations depend on which. The preprocessed doacross
-//! figures it out on the fly and runs the loop in parallel anyway; the
-//! `Engine` additionally remembers the analysis, so the second run of the
-//! same structure skips it entirely.
+//! prove which iterations depend on which. The engine's preprocessing
+//! figures it out on the fly, and its planner decides from that analysis
+//! and this machine's measured costs whether running the loop in parallel
+//! pays (a loop this small runs sequentially). The `Engine` remembers the
+//! analysis, so the second run of the same structure skips it entirely.
 //!
 //! Run: `cargo run --release --example quickstart`
 
@@ -21,8 +22,8 @@ use preprocessed_doacross::Engine;
 fn main() {
     // A scrambled dependency pattern: iteration i writes y[a[i]] and reads
     // y[b[i]]. Some reads hit elements written by earlier iterations (true
-    // dependencies), some by later ones (antidependencies), some never
-    // written at all.
+    // dependencies), the rest elements written by later ones
+    // (antidependencies).
     let n = 12usize;
     let a: Vec<usize> = vec![5, 2, 9, 0, 7, 11, 4, 1, 8, 3, 10, 6];
     let b: Vec<usize> = vec![2, 9, 0, 7, 5, 4, 2, 8, 11, 0, 3, 9];
@@ -44,14 +45,10 @@ fn main() {
     let stats = engine.run(&loop_, &mut y_par).expect("no output deps");
 
     println!("sequential : {y_seq:?}");
-    println!("doacross   : {y_par:?}");
+    println!("engine     : {y_par:?}");
     assert_eq!(y_seq, y_par, "bit-identical results");
 
     println!("\nrun statistics: {stats}");
-    println!(
-        "reference classification: {} true deps, {} old-value reads, {} intra",
-        stats.deps.true_deps, stats.deps.anti_or_unwritten, stats.deps.intra
-    );
     println!(
         "preprocessing: {} (first sight of this structure)",
         stats.provenance
@@ -60,6 +57,18 @@ fn main() {
     // Same structure again — any coefficients, any y contents: the plan is
     // served from the cache and the inspector never runs.
     let prepared = engine.prepare(&loop_).expect("cached");
+    // The plan keeps what its census measured. `a` is not a linear
+    // subscript, so the census pass ran and classified every reference.
+    let census = prepared.plan().census();
+    println!(
+        "reference classification (census classified: {}): {} true deps, {} anti deps, \
+         {} unwritten reads, {} intra",
+        census.is_classified(),
+        census.true_deps,
+        census.anti_deps,
+        census.unwritten,
+        census.intra
+    );
     let mut y_again = y0;
     let hot = prepared.execute(&loop_, &mut y_again).expect("valid");
     assert_eq!(y_again, y_seq);

@@ -88,8 +88,13 @@
 #                  against a census that counts them, accepted iff every
 #                  reference is a true dependence and then run like the
 #                  oracle, equal to its all-`NewValue` byte form, run
-#                  under both gates, and round-tripped by the v8 store,
-#                  which refuses a v7 one typed. A row's reference count
+#                  under both gates, and round-tripped by the v9 store,
+#                  which refuses v7 and v8 ones typed (and a warm start
+#                  from a v8 one is a traced cold start). The §2.3
+#                  strip-mined run, which no plan selects, is named too:
+#                  on a non-injective loop it matches the oracle at any
+#                  block size up to the write gap and fails typed past
+#                  it. A row's reference count
 #                  is checked only where the region reads the row: a
 #                  loop disagreeing with its plan is rejected by the
 #                  region under every stream-backed variant, claim source,
@@ -301,9 +306,12 @@ named doacross-core lib wavefront::tests::classless_streams_match_sequential_und
 named doacross-core lib wavefront::tests::a_rejected_region_names_the_first_mismatch_in_claim_order
 named doacross-engine terms_mismatch a_loop_disagreeing_with_its_plan_is_rejected_typed_by_the_region
 for t in classless_and_class_byte_streams_round_trip \
-  v7_stores_are_rejected_with_a_typed_version_error; do
+  v7_stores_are_rejected_with_a_typed_version_error \
+  v8_stores_are_rejected_with_a_typed_version_error; do
   named doacross-plan lib "persist::tests::$t"
 done
+named doacross-engine adaptive v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start
+named preprocessed-doacross proptest_doacross blocked_runs_duplicate_writers_up_to_the_write_gap
 
 # The profiler's recycling harvest against a verbatim copy of the old one,
 # and the fault path that is now the only arena reset, by name.

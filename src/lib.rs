@@ -197,7 +197,8 @@
 //!   [`core::Doacross`] struct, one reusable scratch, one entry point per
 //!   way of running (inspector / executor / postprocessor inline, a
 //!   prebuilt claim stream under flags or under level counters, the §2.3
-//!   blocked and linear-subscript variants).
+//!   linear-subscript variant, and the §2.3 strip-mined run, which no plan
+//!   selects).
 //! * [`par`] — the parallel substrate (thread pool, self-scheduled
 //!   `parallel do`, busy-wait primitives).
 //! * [`sparse`] — sparse-matrix substrate: stencil operators, ILU(0), and
@@ -211,7 +212,7 @@
 //!   to regenerate Figure 6 and Table 1, plus host calibration.
 //! * [`plan`] — the execution-plan subsystem the engine is built on:
 //!   pattern fingerprinting, cost-model variant selection (sequential /
-//!   doacross / linear / reordered / blocked / wavefront), the sharded
+//!   doacross / linear / reordered / wavefront), the sharded
 //!   [`plan::ConcurrentPlanCache`] (slab LRU shards behind mutexes),
 //!   [`plan::PlanExecutor`] dispatching a plan onto one `core::Doacross`,
 //!   and the [`plan::persist`] codec behind warm starts. [`Engine`] is the

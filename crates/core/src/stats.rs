@@ -129,6 +129,15 @@ impl RunStats {
 
 impl std::fmt::Display for RunStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // A sequential pass ([`RunStats::sequential`]) times no region and
+        // classifies no reference: its zeros there mean "not counted".
+        if self.workers == 1 && self.executor.is_zero() {
+            return write!(
+                f,
+                "{} iterations sequentially in {:?}; preprocessing {}",
+                self.iterations, self.total, self.provenance,
+            );
+        }
         write!(
             f,
             "{} iterations on {} workers in {:?} (inspector {:?}, executor {:?}, post {:?}); \
@@ -389,6 +398,27 @@ mod tests {
             ..Default::default()
         };
         assert!(s.to_string().contains("9 barrier crossings"));
+    }
+
+    #[test]
+    fn a_sequential_run_displays_no_uncounted_fields() {
+        let mut seq = RunStats::sequential(42, Duration::from_nanos(1_500));
+        seq.provenance = PlanProvenance::PlanCached;
+        assert_eq!(
+            seq.to_string(),
+            "42 iterations sequentially in 1.5µs; preprocessing plan:cached"
+        );
+        // A region-timed run keeps every counter.
+        let par = RunStats {
+            executor: Duration::from_nanos(900),
+            ..seq.clone()
+        };
+        assert_eq!(
+            par.to_string(),
+            "42 iterations on 1 workers in 1.5µs (inspector 0ns, executor 900ns, post 0ns); \
+             refs: 0 true / 0 old / 0 intra; 0 stalls, 0 wait polls, 0 barrier crossings; \
+             preprocessing plan:cached"
+        );
     }
 
     #[test]

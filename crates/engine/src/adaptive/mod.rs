@@ -22,7 +22,7 @@
 //! * [`policy`] — [`PromotionPolicy`]: *when the running variant's price
 //!   under the refined model diverges from its static price by more than
 //!   a factor of 1.5, ask what the planner would choose under that model
-//!   ([`doacross_plan::price_features`] over the features the plan keeps —
+//!   ([`doacross_plan::selection`]: the features the plan keeps, re-priced —
 //!   arithmetic, and exactly what a replan builds); if that choice wins by
 //!   the 5 % hysteresis margin, trial it; commit or demote on the measured
 //!   comparison.* Every trial rejects its loser permanently, so the policy
@@ -71,9 +71,7 @@ use crate::engine::EngineInner;
 use crate::solve::clamp_ns;
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::{FpMap, ObsVariant, TraceEvent};
-use doacross_plan::{
-    price_features, ExecutionPlan, PatternFingerprint, PlanFeatures, Planner, StoredCalibration,
-};
+use doacross_plan::{price_features, ExecutionPlan, PatternFingerprint, PlanFeatures, Planner};
 use doacross_sim::CostModel;
 use parking_lot::Mutex;
 use policy::{Action, Challenger, PromotionPolicy, StructureState};
@@ -127,8 +125,8 @@ type Decided = [Option<TraceEvent>; 3];
 /// The adaptive half of an engine (present when built with
 /// [`crate::EngineBuilder::adaptive`]).
 pub(crate) struct AdaptiveRuntime {
-    /// ns-per-model-unit from host calibration, when the engine measured
-    /// (or restored) one — the preferred refinement anchor.
+    /// ns-per-model-unit from host calibration, when the engine prices
+    /// with it — the preferred refinement anchor.
     unit_ns_hint: Option<f64>,
     /// Every structure's state (see the module docs: one map, one lock).
     structures: Mutex<FpMap<PatternFingerprint, Structure>>,
@@ -141,9 +139,9 @@ pub(crate) struct AdaptiveRuntime {
 }
 
 impl AdaptiveRuntime {
-    pub(crate) fn new(calibration: Option<&StoredCalibration>) -> Self {
+    pub(crate) fn new(unit_ns_hint: Option<f64>) -> Self {
         Self {
-            unit_ns_hint: calibration.map(|c| c.unit_ns),
+            unit_ns_hint,
             structures: Mutex::default(),
             repricings: AtomicU64::new(0),
             trials: AtomicU64::new(0),

@@ -12,7 +12,7 @@
 //! 2. **Re-price on divergence.** At an evaluation point the engine
 //!    refines the cost model from telemetry ([`super::refine()`]) and asks
 //!    [`PromotionPolicy::challenger`] what the planner would choose under
-//!    it: [`doacross_plan::price_features`] over the plan's features. The
+//!    it: [`doacross_plan::selection`], the plan's features re-priced. The
 //!    **divergence threshold** ([`Thresholds::divergence`], 1.5) gates
 //!    everything: only when the refined price of the *running*
 //!    variant differs from its static price by more than the factor —
@@ -52,8 +52,8 @@
 //! when the choice is the running variant, a rejected one, or no margin
 //! winner, nothing is built, however often the same refined constants
 //! come round. A gated plan keeps no features, just a floor, so when the
-//! floor no longer holds under the refined model
-//! ([`doacross_plan::gated`]) only a replan can name the challenger. That
+//! floor no longer holds under the refined model (`selection` is `None`)
+//! only a replan can name the challenger. That
 //! replan runs once per reopening of the floor: unless it starts a trial
 //! (it agreed with sequential, landed on a rejected variant, or failed),
 //! the floor stays settled until an invalidation resets the slate, and
@@ -61,7 +61,7 @@
 
 use super::telemetry::TelemetryEntry;
 use doacross_obs::ObsVariant;
-use doacross_plan::{gated, price_features, ExecutionPlan};
+use doacross_plan::{selection, ExecutionPlan};
 use doacross_sim::CostModel;
 
 /// The policy's thresholds. The engine runs [`PromotionPolicy::ENGINE`]'s;
@@ -244,11 +244,11 @@ impl PromotionPolicy {
     }
 
     /// Judges an evaluation point of `plan` under the `refined` model: the
-    /// challenger to build and trial, or `None` to keep the plan. A priced
-    /// plan's is the variant [`price_features`] selects under `refined`,
-    /// named only when the running variant's refined price has left the
-    /// divergence band, the choice is neither running nor rejected, and it
-    /// wins by the hysteresis margin; a gated plan's is
+    /// challenger to build and trial, or `None` to keep the plan. It is the
+    /// variant [`selection`] names under `refined`, named only when the
+    /// running variant's refined price has left the divergence band, the
+    /// choice is neither running nor rejected, and it wins by the
+    /// hysteresis margin; a gated plan whose floor no longer holds gets
     /// [`Challenger::PastFloor`], once per reopening of its floor.
     pub(super) fn challenger(
         &self,
@@ -260,21 +260,18 @@ impl PromotionPolicy {
         if state.pinned || state.trial.is_some() {
             return None;
         }
-        let (census, p) = (plan.census(), plan.processors());
-        if plan.is_gated() {
-            // On a census the planner settled on its reference counts this
-            // is the counts floor, a lower bound on the real one: it may
-            // open where the measured critical path would keep it shut,
-            // and the rebuild it asks for then measures that path.
-            if state.floor_settled || gated(refined, census, p) {
+        // A gated plan's floor opened. On a census the planner settled on
+        // its reference counts that is the counts floor, a lower bound on
+        // the real one: it may open where the measured critical path would
+        // keep it shut, and the rebuild it asks for then measures that path.
+        let Some((choice, refined_costs)) = selection(refined, plan) else {
+            if state.floor_settled {
                 return None;
             }
             // Settled now; the trial the replan may start re-arms it.
             state.floor_settled = true;
             return Some(Challenger::PastFloor);
-        }
-        let (choice, refined_costs) =
-            price_features(refined, census, plan.features(), plan.linear_subscript(), p);
+        };
         let static_price = plan.costs().of(plan.variant())?;
         let refined_price = refined_costs.of(plan.variant())?;
         if !(static_price.is_finite() && refined_price.is_finite()) || static_price <= 0.0 {
@@ -477,25 +474,30 @@ mod tests {
     #[test]
     fn the_plan_is_its_own_challenger_under_its_build_model() {
         let p = policy();
+        // A gated plan among them too: its selection is the floor's.
+        let gating = CostModel {
+            region_dispatch: 1_000.0,
+            ..model(500.0, 0.001)
+        };
         let plans = preset_plans()
             .into_iter()
             .map(|plan| (plan, CostModel::multimax()))
-            .chain(refined_models().map(|m| (replan(m), m)));
+            .chain(refined_models().chain([gating]).map(|m| (replan(m), m)));
+        let mut gated = 0;
         for (plan, built_with) in plans {
-            // Re-pricing the stored features under the build model is the
-            // identity: the same variant at the same prices.
-            let (variant, repriced) = price_features(
-                &built_with,
-                plan.census(),
-                plan.features(),
-                plan.linear_subscript(),
-                plan.processors(),
+            gated += usize::from(plan.is_gated());
+            // The plan's selection under its build model is the identity:
+            // the same variant at the same prices — what lets a warm start
+            // keep every plan a store written under its own model holds.
+            assert_eq!(
+                selection(&built_with, &plan),
+                Some((plan.variant(), *plan.costs())),
+                "{plan}"
             );
-            assert_eq!(variant, plan.variant(), "{plan}");
-            assert_eq!(&repriced, plan.costs(), "{plan}");
             let mut st = StructureState::default();
             assert_eq!(p.challenger(&mut st, &plan, &built_with), None, "{plan}");
         }
+        assert!(gated > 0);
     }
 
     #[test]

@@ -7,9 +7,7 @@ use crate::engine::Engine;
 use crate::fault::FallbackPolicy;
 use doacross_obs::profile::{ProfConfig, Profiler};
 use doacross_obs::{ColdStartReason, Obs, ObsConfig, TraceEvent};
-use doacross_plan::{
-    default_shard_count, ConcurrentPlanCache, PersistError, PlanStore, Planner, StoredCalibration,
-};
+use doacross_plan::{default_shard_count, ConcurrentPlanCache, PersistError, PlanStore, Planner};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -133,8 +131,8 @@ impl EngineBuilder {
 
     /// Explicit planner: [`Planner::new`] for the paper's Encore Multimax
     /// preset, [`Planner::with_costs`] for custom constants. Replaces host
-    /// pricing — the engine measures nothing, reads no stored calibration,
-    /// and reports [`Engine::calibration`] `None` — until a later
+    /// pricing — the engine measures nothing and reports
+    /// [`Engine::calibration`] `None` — until a later
     /// [`EngineBuilder::calibrated`] re-arms it.
     pub fn planner(mut self, planner: Planner) -> Self {
         self.planner = planner;
@@ -151,12 +149,10 @@ impl EngineBuilder {
     ///
     /// The host is measured once per process
     /// ([`doacross_sim::host_calibration`]): the first engine built pays
-    /// about ten milliseconds, every later one nothing. With
-    /// [`EngineBuilder::warm_start`], a **valid** calibration in the
-    /// store is used instead and nothing is measured at all —
-    /// [`Engine::save_plans`] persists it, and the loaded constants are
-    /// revalidated (finite, positive), falling back to the process-wide
-    /// measurement on mismatch.
+    /// 10–25 ms (release, on a 2-vCPU x86-64 host), every later one
+    /// nothing. A [`EngineBuilder::warm_start`] build pays it too: a plan
+    /// store carries no cost model, so the model is always this process's
+    /// own.
     pub fn calibrated(mut self) -> Self {
         self.calibrate = true;
         self
@@ -242,9 +238,11 @@ impl EngineBuilder {
     /// Warm-starts the engine from the plan store at `path` (written by a
     /// previous process via [`Engine::save_plans`]): every structure in
     /// the store begins life cached, so its first solve after a restart
-    /// skips preprocessing entirely. The store carries plans and the host
-    /// calibration, not an adaptive engine's telemetry: adaptation starts
-    /// observing afresh after a restart.
+    /// skips preprocessing entirely — each plan that this engine's own
+    /// model selects for its worker count ([`Engine::warm_from`]); any
+    /// other is rebuilt by its first prepare. The store carries plans, not
+    /// a cost model and not an adaptive engine's telemetry: adaptation
+    /// starts observing afresh after a restart.
     ///
     /// A **missing** file is a clean cold start (the natural first-boot
     /// state), and so is a store written by a different
@@ -272,9 +270,9 @@ impl EngineBuilder {
     /// session state, and applies the [`EngineBuilder::warm_start`] store
     /// if one was configured.
     ///
-    /// The store is loaded once and used for everything it carries: its
-    /// plans warm the cache, and a valid stored calibration is the cost
-    /// model (unless [`EngineBuilder::planner`] gave one). First-boot
+    /// The cost model is the one [`EngineBuilder::planner`] gave, else this
+    /// host's measurement ([`EngineBuilder::calibrated`]); the store's
+    /// plans warm the cache only where that model selects them. First-boot
     /// rules as in [`EngineBuilder::warm_start`]: missing or
     /// version-superseded stores are a clean cold start, damaged stores
     /// are quarantined aside and the boot proceeds cold — no store makes
@@ -338,30 +336,17 @@ impl EngineBuilder {
                 }
             },
         };
-        // The cost model, in one fixed order: an explicit planner; else a
-        // persisted calibration that survives revalidation (finite,
-        // positive constants); else — absent section, unphysical values,
-        // no store — the process-wide measurement, taken by whichever
-        // build gets here first.
+        // The cost model: an explicit planner, else the process-wide
+        // measurement, taken by whichever build gets here first.
         let (planner, calibration) = if self.calibrate {
-            let calibration = store
-                .as_ref()
-                .and_then(|s| s.calibration().copied())
-                .filter(StoredCalibration::is_valid)
-                .unwrap_or_else(|| {
-                    let host = doacross_sim::host_calibration();
-                    StoredCalibration {
-                        model: host.model,
-                        unit_ns: host.unit_ns,
-                    }
-                });
-            (Planner::with_costs(calibration.model), Some(calibration))
+            let host = doacross_sim::host_calibration();
+            (Planner::with_costs(host.model), Some(host))
         } else {
             (self.planner, None)
         };
         let shards = self.shards.unwrap_or_else(default_shard_count);
         let adaptive = (self.adaptive && self.cache_capacity > 0) // nothing to swap plans in
-            .then(|| AdaptiveRuntime::new(calibration.as_ref()));
+            .then(|| AdaptiveRuntime::new(calibration.map(|c| c.unit_ns)));
         let mut cache = ConcurrentPlanCache::new(self.cache_capacity, shards);
         cache.set_obs(obs.clone());
         let profiler = self
@@ -440,7 +425,7 @@ mod tests {
         assert_eq!(engine.adaptive_stats(), None);
         // The planner prices with this host's measured costs.
         let calibration = engine.calibration().expect("host pricing is the default");
-        assert!(calibration.is_valid());
+        assert!(std::ptr::eq(calibration, doacross_sim::host_calibration()));
         assert_eq!(engine.planner().costs(), &calibration.model);
         let fixed = EngineBuilder::new().workers(2).shards(8).build();
         assert_eq!(fixed.shards(), 8);
@@ -448,19 +433,19 @@ mod tests {
 
     #[test]
     fn the_host_is_measured_once_per_process_and_a_given_planner_wins() {
-        // Two measurements would differ in some bit of thirteen floats;
-        // equality means the second build reused the first's.
+        // One measurement: both builds hold the process-wide one.
         let first = EngineBuilder::new().workers(2).build();
         let second = EngineBuilder::new().workers(1).build();
-        assert!(first.calibration().is_some());
-        assert_eq!(first.calibration(), second.calibration());
+        let host = doacross_sim::host_calibration();
+        assert!(std::ptr::eq(first.calibration().unwrap(), host));
+        assert!(std::ptr::eq(second.calibration().unwrap(), host));
 
         let preset = Planner::new();
         let pinned = EngineBuilder::new()
             .workers(2)
             .planner(preset.clone())
             .build();
-        assert_eq!(pinned.calibration(), None);
+        assert!(pinned.calibration().is_none());
         assert_eq!(pinned.planner().costs(), preset.costs());
 
         let rearmed = EngineBuilder::new()
@@ -468,11 +453,8 @@ mod tests {
             .planner(preset)
             .calibrated()
             .build();
-        assert_eq!(rearmed.calibration(), first.calibration());
-        assert_eq!(
-            rearmed.planner().costs(),
-            &first.calibration().unwrap().model
-        );
+        assert!(std::ptr::eq(rearmed.calibration().unwrap(), host));
+        assert_eq!(rearmed.planner().costs(), &host.model);
     }
 
     #[test]

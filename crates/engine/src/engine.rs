@@ -11,9 +11,10 @@ use doacross_obs::profile::{Profiler, SolveProfile};
 use doacross_obs::{render, Obs, SolveRecord, TraceEvent, TracedEvent};
 use doacross_par::ThreadPool;
 use doacross_plan::{
-    CacheStats, ConcurrentPlanCache, PatternFingerprint, PlanStore, Planner, StoredCalibration,
+    selection, CacheStats, ConcurrentPlanCache, PatternFingerprint, PlanStore, Planner,
 };
 use doacross_sched::{PoolSet, PoolStats};
+use doacross_sim::CalibratedModel;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,9 +29,8 @@ pub(crate) struct EngineInner {
     pub(crate) planner: Planner,
     pub(crate) cache: ConcurrentPlanCache,
     /// Host calibration the planner's model came from (present unless
-    /// `.planner(..)` was given) — persisted with snapshots so a warm
-    /// start can skip measurement, and the refinement anchor when adaptive.
-    pub(crate) calibration: Option<StoredCalibration>,
+    /// `.planner(..)` was given) — the refinement anchor when adaptive.
+    pub(crate) calibration: Option<&'static CalibratedModel>,
     /// The feedback loop (present for `adaptive()` engines).
     pub(crate) adaptive: Option<AdaptiveRuntime>,
     /// The observability handle every layer emits into (disabled unless
@@ -102,7 +102,7 @@ impl Engine {
         pools: PoolSet,
         planner: Planner,
         cache: ConcurrentPlanCache,
-        calibration: Option<StoredCalibration>,
+        calibration: Option<&'static CalibratedModel>,
         adaptive: Option<AdaptiveRuntime>,
         obs: Obs,
         profiler: Option<Profiler>,
@@ -216,21 +216,16 @@ impl Engine {
         // Plans are priced for one sub-pool's worker count — the
         // parallelism a solve actually gets — and planning-time probes run
         // on the primary sub-pool.
-        let processors = self.inner.pools.workers_per_pool();
-        let (plan, generation_cell, generation, hit) = self.inner.cache.get_or_build(
-            &fingerprint,
-            // A plan priced for a different worker count computes the same
-            // results but may pick the wrong variant; treat it as a miss
-            // and replan (the insert replaces the stale entry).
-            |plan| plan.processors() == processors,
-            || {
+        // Every resident plan was built or restored for this engine's
+        // model and worker count ([`Engine::warm_from`]).
+        let (plan, generation_cell, generation, hit) =
+            self.inner.cache.get_or_build(&fingerprint, || {
                 self.inner.planner.plan_with_fingerprint(
                     self.inner.pools.primary(),
                     pattern,
                     fingerprint,
                 )
-            },
-        )?;
+            })?;
         if !hit && self.inner.obs.enabled() {
             let census = plan.census();
             let measured = |value: u64| census.is_classified().then_some(value);
@@ -315,26 +310,21 @@ impl Engine {
         self.inner.adaptive.as_ref().map(|a| a.telemetry_totals())
     }
 
-    /// The host calibration this engine prices with: present unless
-    /// `.planner(..)` was given, and either the process-wide measurement
-    /// ([`doacross_sim::host_calibration`]) or the one restored from a
-    /// warm-start store.
-    pub fn calibration(&self) -> Option<&StoredCalibration> {
-        self.inner.calibration.as_ref()
+    /// The host calibration this engine prices with: this process's
+    /// measurement ([`doacross_sim::host_calibration`]), present unless
+    /// `.planner(..)` was given. A warm start never changes it.
+    pub fn calibration(&self) -> Option<&'static CalibratedModel> {
+        self.inner.calibration
     }
 
     /// Captures the plan cache — resident plans in recency order, tagged
     /// with their invalidation generations — as an in-memory
-    /// [`PlanStore`], together with the host calibration (present unless
-    /// `.planner(..)` was given), so a warm start prices with the measured
-    /// costs instead of re-measuring. An adaptive engine's telemetry is not
-    /// stored: a restarted engine observes afresh. Serialize with
+    /// [`PlanStore`]: structure and this engine's decisions, never its cost
+    /// model or an adaptive engine's telemetry. Serialize with
     /// [`PlanStore::to_bytes`] or go straight to disk with
     /// [`Engine::save_plans`].
     pub fn snapshot(&self) -> PlanStore {
-        let mut store = self.inner.cache.snapshot();
-        store.set_calibration(self.inner.calibration);
-        store
+        self.inner.cache.snapshot()
     }
 
     /// Restores `store` into the plan cache: recency-preserving, and
@@ -345,16 +335,18 @@ impl Engine {
     /// than the cache evicts its own oldest entries during the restore;
     /// [`Engine::cache_len`] is the resident count).
     ///
-    /// Restored plans keep the worker count they were priced for: a store
-    /// written by an engine with a different pool size still restores, but
-    /// [`Engine::prepare`] treats such plans as misses and replans (same
-    /// rule as any pricing-context mismatch).
-    ///
-    /// Restoring a stored calibration happens at build time
-    /// ([`crate::EngineBuilder::warm_start`], unless `.planner(..)` was
-    /// given) — the planner's model is immutable once built.
+    /// A stored plan is restored only when it was priced for this
+    /// engine's worker count per pool and this engine's model selects its
+    /// variant ([`doacross_plan::selection`], re-priced from the census and
+    /// features it keeps). Any other plan is skipped — its generation still
+    /// merges — and the first [`Engine::prepare`] of its structure
+    /// rebuilds it, so every resident plan is this engine's own decision.
     pub fn warm_from(&self, store: &PlanStore) -> usize {
-        let restored = self.inner.cache.warm_from(store);
+        let (model, workers) = (self.inner.planner.costs(), self.threads());
+        let restored = self.inner.cache.warm_from(store, |plan| {
+            plan.processors() == workers
+                && selection(model, plan).is_some_and(|(variant, _)| variant == plan.variant())
+        });
         if self.inner.obs.enabled() {
             self.inner.obs.emit(TraceEvent::StoreLoaded {
                 plans: store.len() as u64,
@@ -381,7 +373,8 @@ impl Engine {
     }
 
     /// Loads the plan store at `path` and warm-starts the cache from it
-    /// (see [`Engine::warm_from`]). Returns the number of plans restored.
+    /// (see [`Engine::warm_from`]: only plans this engine selects are
+    /// restored). Returns the number of plans restored.
     /// A missing, corrupt, truncated, or version-mismatched store fails
     /// with [`EngineError::Persist`] and leaves the cache untouched.
     pub fn load_plans(&self, path: impl AsRef<std::path::Path>) -> Result<usize, EngineError> {

@@ -44,9 +44,11 @@
 //! Plans are also **durable**: [`Engine::save_plans`] checkpoints the
 //! cache to a versioned, checksummed store
 //! ([`doacross_plan::persist`]), and [`EngineBuilder::warm_start`] /
-//! [`Engine::load_plans`] restore it — recency-preserving and
-//! invalidation-generation-aware — so a restarted service's first solve
-//! of a known structure is a cache hit, not a preprocessing pass.
+//! [`Engine::load_plans`] restore it — recency-preserving,
+//! invalidation-generation-aware, and only where this engine's own model
+//! selects the stored plan ([`Engine::warm_from`]) — so a restarted
+//! service's first solve of a known structure is a cache hit, not a
+//! preprocessing pass.
 //!
 //! ## Quickstart
 //!
@@ -97,7 +99,7 @@ pub use prepared::PreparedLoop;
 pub use doacross_sched::{PoolStats, DEFAULT_MAX_PENDING, MAX_POOLS};
 // The persistence vocabulary engine callers need, re-exported so they can
 // save/restore plans without naming doacross-plan directly.
-pub use doacross_plan::{PersistError, PlanStore, StoredCalibration};
+pub use doacross_plan::{PersistError, PlanStore};
 // The observability vocabulary (the trace/flight types behind
 // [`Engine::trace_events`] / [`Engine::recent_solves`]). Metric names are
 // documented at [`doacross_obs`]'s crate root.

@@ -1,8 +1,8 @@
 //! Integration tests of the adaptive feedback loop: telemetry growth,
 //! divergence-triggered promotion to the measured-cheaper variant,
 //! generation-bump staleness, exact telemetry counts under concurrent
-//! solves, invalidation, calibration persistence, and the store-version
-//! regression (v2, v6, v7 and v8 stores against v9).
+//! solves, invalidation, the calibration a warm start prices with, and the
+//! store-version regression (v2, v6, v7, v8 and v9 stores against v10).
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop, TestLoop};
 use doacross_engine::{Engine, EngineError, ObsVariant, PersistError, TraceEvent};
@@ -275,69 +275,47 @@ fn concurrent_solves_are_each_recorded_exactly_once() {
 }
 
 #[test]
-fn calibration_persists_and_a_warm_calibrated_engine_skips_measurement() {
+fn a_warm_started_engines_calibration_is_this_processs_host_calibration() {
+    // A store carries no cost model: every engine that prices its host
+    // prices with this process's one measurement, warm-started or not, and
+    // restores the plans that measurement selects.
     let path = std::env::temp_dir().join(format!(
         "doacross-adaptive-calib-{}.plans",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
+    let host = doacross_sim::host_calibration();
 
     let loop_ = TestLoop::new(300, 1, 8);
-    let measured = {
+    {
         let engine = Engine::builder().workers(2).build();
         let mut y = loop_.initial_y();
         engine.run(&loop_, &mut y).unwrap();
-        let calibration = *engine.calibration().expect("default engines carry one");
-        assert!(calibration.is_valid());
-        engine.save_plans(&path).unwrap();
-        calibration
-    };
-    let mut store = doacross_plan::PlanStore::load(&path).unwrap();
-    assert_eq!(
-        store.calibration(),
-        Some(&measured),
-        "persisted as measured"
-    );
+        assert_eq!(engine.save_plans(&path).unwrap(), 1);
+    }
+    for builder in [
+        Engine::builder().workers(2),
+        Engine::builder().workers(2).adaptive(),
+    ] {
+        let engine = builder.warm_start(&path).build();
+        let calibration = engine.calibration().expect("host pricing is the default");
+        assert!(
+            std::ptr::eq(calibration, host),
+            "the process-wide measurement"
+        );
+        assert_eq!(engine.planner().costs(), &host.model);
+        assert_eq!(engine.cache_len(), 1, "its own decision, restored");
+    }
 
-    // Every engine in this process shares one measurement, so adopting
-    // the store's constants only shows when they differ from it: store a
-    // perturbed but valid calibration and the warm-started engine must
-    // carry it bit for bit — it read the store and measured nothing.
-    let mut perturbed = measured;
-    perturbed.unit_ns *= 1.25;
-    perturbed.model.region_dispatch *= 1.25;
-    assert!(perturbed.is_valid());
-    store.set_calibration(Some(perturbed));
-    store.save(&path).unwrap();
-    let engine = Engine::builder().workers(2).warm_start(&path).build();
-    assert_eq!(engine.calibration(), Some(&perturbed));
-    assert_eq!(engine.planner().costs(), &perturbed.model);
-
-    // An invalid persisted calibration is revalidated away: the build
-    // falls back to the process's own measurement instead of pricing
-    // with nonsense.
-    let mut poisoned = measured;
-    poisoned.unit_ns = f64::NAN;
-    store.set_calibration(Some(poisoned));
-    store.save(&path).unwrap();
-    let engine = Engine::builder().workers(2).warm_start(&path).build();
-    let fresh = engine.calibration().expect("measured instead");
-    assert!(fresh.is_valid());
-    assert_eq!(fresh, &measured, "the process-wide measurement");
-
-    // An engine handed its planner never consumes a stored calibration,
-    // and never persists one.
-    store.set_calibration(Some(perturbed));
-    store.save(&path).unwrap();
+    // An engine handed its planner prices with that planner, warm or not.
     let preset = Planner::new();
     let pinned = Engine::builder()
         .workers(2)
         .planner(preset.clone())
         .warm_start(&path)
         .build();
-    assert_eq!(pinned.calibration(), None);
+    assert!(pinned.calibration().is_none());
     assert_eq!(pinned.planner().costs(), preset.costs());
-    assert_eq!(pinned.snapshot().calibration(), None);
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -372,7 +350,7 @@ fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
             err,
             EngineError::Persist(PersistError::UnsupportedVersion {
                 found: version,
-                supported: 9,
+                supported: 10,
             })
         );
         assert_eq!(engine.cache_len(), 0, "cache untouched");
@@ -402,12 +380,13 @@ fn v2_stores_fail_typed_and_the_boot_path_cold_starts() {
     }
 }
 
-#[test]
-fn v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start() {
-    // The last format with the strip-mined variant: its census carries a
-    // duplicate-write gap and its prices a blocked candidate.
+/// A current store with its version field rewritten to `version`: an
+/// explicit load fails typed and leaves the cache untouched, and a warm
+/// start's only trace event is a version-mismatch cold start, with nothing
+/// quarantined.
+fn a_relic_fails_typed_and_warm_start_traces_a_clean_cold_start(version: u32) {
     let path = std::env::temp_dir().join(format!(
-        "doacross-adaptive-v8-relic-{}.plans",
+        "doacross-adaptive-v{version}-boot-relic-{}.plans",
         std::process::id()
     ));
     {
@@ -417,7 +396,7 @@ fn v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start() {
         engine.run(&loop_, &mut y).unwrap();
         engine.save_plans(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
     }
 
@@ -425,8 +404,8 @@ fn v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start() {
     assert_eq!(
         engine.load_plans(&path).unwrap_err(),
         EngineError::Persist(PersistError::UnsupportedVersion {
-            found: 8,
-            supported: 9,
+            found: version,
+            supported: 10,
         })
     );
     assert_eq!(engine.cache_len(), 0, "cache untouched");
@@ -454,7 +433,20 @@ fn v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start() {
                 .to_string_lossy()
                 .starts_with(&format!("{name}.corrupt-"))
         });
-    assert!(!quarantined, "a v8 store is not corrupt");
+    assert!(!quarantined, "a v{version} store is not corrupt");
     assert!(path.exists(), "the relic stays where it was");
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start() {
+    // The last format with the strip-mined variant: its census carries a
+    // duplicate-write gap and its prices a blocked candidate.
+    a_relic_fails_typed_and_warm_start_traces_a_clean_cold_start(8);
+}
+
+#[test]
+fn v9_stores_fail_typed_and_warm_start_traces_a_clean_cold_start() {
+    // The last format that could carry a host calibration.
+    a_relic_fails_typed_and_warm_start_traces_a_clean_cold_start(9);
 }

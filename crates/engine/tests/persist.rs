@@ -1,9 +1,12 @@
 //! Engine-level persistence: warm starts across "process" boundaries
 //! (simulated by independent engines sharing only a store file), typed
-//! failures for untrustworthy stores, and generation-aware restores.
+//! failures for untrustworthy stores, generation-aware restores, and
+//! restores that keep only the plans the loading engine's model selects.
 
-use doacross_core::{seq::run_sequential, PlanProvenance, TestLoop};
+use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop, PlanProvenance, TestLoop};
 use doacross_engine::{Engine, EngineError, PersistError, PlanStore};
+use doacross_plan::{PlanVariant, Planner};
+use doacross_sim::calib::assemble;
 
 /// A unique temp path per test (tests run concurrently in one process).
 fn store_path(tag: &str) -> std::path::PathBuf {
@@ -331,9 +334,9 @@ fn restores_drop_plans_invalidated_after_the_snapshot() {
 
 #[test]
 fn worker_count_mismatch_restores_but_replans() {
-    // A store priced for a different pool size restores (the plan is
-    // valid), but prepare treats it as a pricing-context miss and replans
-    // — correctness never depends on the stored worker count.
+    // A plan priced for a different pool size is not restored (its
+    // features were measured for that size); the first solve replans it
+    // for this one — correctness never depends on the stored worker count.
     let path = store_path("workers");
     let source = engine(2);
     let loop_ = TestLoop::new(600, 2, 8);
@@ -341,18 +344,15 @@ fn worker_count_mismatch_restores_but_replans() {
     source.run(&loop_, &mut y).unwrap();
     source.save_plans(&path).unwrap();
 
-    let wider = Engine::builder()
-        .workers(3)
-        .cache_capacity(8)
-        .warm_start(&path)
-        .build();
-    assert_eq!(wider.cache_len(), 1, "plan restored");
+    let wider = engine(3);
+    assert_eq!(wider.load_plans(&path).unwrap(), 0, "nothing restored");
+    assert_eq!(wider.cache_len(), 0);
     let mut y = loop_.initial_y();
     let stats = wider.run(&loop_, &mut y).unwrap();
     assert_eq!(
         stats.provenance,
         PlanProvenance::PlanCold,
-        "repriced for the new pool size"
+        "priced for the new pool size"
     );
     let mut oracle = loop_.initial_y();
     run_sequential(&loop_, &mut oracle);
@@ -383,4 +383,120 @@ fn snapshots_flow_between_engines_in_memory() {
     let c = engine(2);
     assert_eq!(c.warm_from(&wired), 1);
     assert_eq!(c.cache_len(), 1);
+}
+
+/// The Figure 7 forward-substitution loop of each Table-1 problem's ILU(0)
+/// factor, as `plan/tests/table1_decision.rs` builds it: row `i` writes
+/// `y[i]` and reads the row's earlier unknowns.
+fn table1_loops() -> Vec<IndirectLoop> {
+    doacross_sparse::table1_problems()
+        .iter()
+        .map(|problem| {
+            let l = problem.triangular_system().l;
+            let rhs: Vec<Vec<usize>> = (0..l.n()).map(|i| l.row_cols(i).to_vec()).collect();
+            let coeff = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+            IndirectLoop::new(l.n(), (0..l.n()).collect(), rhs, coeff).expect("a valid loop")
+        })
+        .collect()
+}
+
+/// A store written under one model, loaded by an engine on another at the
+/// same worker count: the loading engine's five decisions equal a cold
+/// engine's on its model, every plan it skipped is rebuilt cold by its
+/// first solve, and every output is the sequential oracle's, bit for bit.
+/// Returns how many stored plans were skipped.
+fn warm_start_decides_like_a_cold_engine(
+    store: &std::path::Path,
+    loops: &[IndirectLoop],
+    builder: impl Fn() -> doacross_engine::EngineBuilder,
+) -> usize {
+    assert_eq!(PlanStore::load(store).unwrap().len(), loops.len());
+    let warm = builder().warm_start(store).build();
+    let restored = warm.cache_len();
+    let cold = builder().build();
+    let mut skipped = 0;
+    for loop_ in loops {
+        let prepared = warm.prepare(loop_).unwrap();
+        let decided = cold.prepare(loop_).unwrap().variant();
+        assert_eq!(
+            prepared.variant(),
+            decided,
+            "the loading engine's own decision"
+        );
+        skipped += usize::from(!prepared.from_cache());
+        let mut y = vec![1.0; loop_.data_len()];
+        let stats = prepared.execute(loop_, &mut y).unwrap();
+        let expected = if prepared.from_cache() {
+            PlanProvenance::PlanCached
+        } else {
+            PlanProvenance::PlanCold
+        };
+        assert_eq!(stats.provenance, expected);
+        let mut oracle = vec![1.0; loop_.data_len()];
+        run_sequential(loop_, &mut oracle);
+        assert_eq!(y, oracle, "bit-identical to the sequential oracle");
+    }
+    assert_eq!(
+        restored + skipped,
+        loops.len(),
+        "a skipped plan is not resident"
+    );
+    assert_eq!(warm.cache_len(), loops.len());
+    skipped
+}
+
+#[test]
+fn a_store_written_under_another_model_restores_only_this_engines_decisions() {
+    // The paper's Multimax preset plans four of the five Table-1 factors
+    // as wavefronts at two workers; a store of those decisions is data,
+    // not truth, for an engine that prices another model.
+    let path = store_path("foreign-model");
+    let _ = std::fs::remove_file(&path);
+    let loops = table1_loops();
+    let preset = Engine::builder()
+        .workers(2)
+        .cache_capacity(8)
+        .planner(Planner::new())
+        .build();
+    for loop_ in &loops {
+        preset.prepare(loop_).unwrap();
+    }
+    assert_eq!(preset.save_plans(&path).unwrap(), 5);
+    let wavefronts = PlanStore::load(&path)
+        .unwrap()
+        .plans()
+        .filter(|plan| plan.variant() == PlanVariant::Wavefront)
+        .count();
+    assert_eq!(wavefronts, 4);
+
+    // `table1_decision.rs`'s host-like model, constant so the skip count
+    // is pinned without a clock: it settles all five at the floor, so the
+    // four stored wavefronts are skipped and the stored sequential 5-PT
+    // plan, its own selection there too, is kept.
+    let host = assemble(2.0, 6.0, 16.75, 27.75, 8_600.0, 100.0).model;
+    let host_like = || {
+        Engine::builder()
+            .workers(2)
+            .cache_capacity(8)
+            .planner(Planner::with_costs(host))
+    };
+    assert_eq!(
+        warm_start_decides_like_a_cold_engine(&path, &loops, host_like),
+        4
+    );
+
+    // A default engine prices with this process's measurement, whatever
+    // it selects: how many plans it skips depends on the host.
+    let default = || Engine::builder().workers(2).cache_capacity(8);
+    warm_start_decides_like_a_cold_engine(&path, &loops, default);
+
+    // The same engine on the store's own model keeps every plan.
+    let own = || {
+        Engine::builder()
+            .workers(2)
+            .cache_capacity(8)
+            .planner(Planner::new())
+    };
+    assert_eq!(warm_start_decides_like_a_cold_engine(&path, &loops, own), 0);
+    std::fs::remove_file(&path).unwrap();
 }

@@ -119,29 +119,22 @@ impl PlanCache {
     }
 
     /// The plan stored under `key`, without touching recency or counters —
-    /// the read snapshots use. [`PlanCache::get_matching`] is the traffic
-    /// path.
+    /// the read snapshots use. [`PlanCache::get`] is the traffic path.
     pub fn peek(&self, key: &PatternFingerprint) -> Option<&Arc<ExecutionPlan>> {
         self.map.get(key).map(|&slot| resident(&self.slab[slot]))
     }
 
-    /// Looks up `key`, but counts an entry failing `matches` as a miss —
-    /// used to reject plans whose pricing context (e.g. the worker count)
-    /// no longer applies. The stale entry stays until a subsequent
-    /// [`PlanCache::insert`] for the same key replaces it.
-    pub fn get_matching(
-        &mut self,
-        key: &PatternFingerprint,
-        matches: impl FnOnce(&ExecutionPlan) -> bool,
-    ) -> Option<Arc<ExecutionPlan>> {
+    /// Looks up `key`, counting a hit (and promoting the entry to most
+    /// recently used) or a miss.
+    pub fn get(&mut self, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
         match self.map.get(key) {
-            Some(&slot) if matches(resident(&self.slab[slot])) => {
+            Some(&slot) => {
                 self.stats.hits += 1;
                 self.unlink(slot);
                 self.push_front(slot);
                 Some(Arc::clone(resident(&self.slab[slot])))
             }
-            _ => {
+            None => {
                 self.stats.misses += 1;
                 None
             }
@@ -268,7 +261,7 @@ mod tests {
     }
 
     fn hit(cache: &mut PlanCache, key: &PatternFingerprint) -> bool {
-        cache.get_matching(key, |_| true).is_some()
+        cache.get(key).is_some()
     }
 
     #[test]
@@ -307,10 +300,9 @@ mod tests {
     }
 
     #[test]
-    fn get_matching_hits_promote_recency_like_get() {
+    fn get_hits_promote_recency() {
         // Regression: a hit must touch the LRU, or snapshots serialize a
-        // wrong recency order and eviction picks the wrong victim; a
-        // rejected match must not.
+        // wrong recency order and eviction picks the wrong victim.
         let mut cache = PlanCache::new(3);
         let (k1, p1) = plan_for(1);
         let (k2, p2) = plan_for(2);
@@ -325,10 +317,6 @@ mod tests {
         assert!(hit(&mut cache, &k2));
         assert_eq!(cache.keys_by_recency(), vec![k2, k1, k3]);
         assert!(hit(&mut cache, &k3));
-        assert_eq!(cache.keys_by_recency(), vec![k3, k2, k1]);
-
-        // A rejected match is a miss and must NOT promote.
-        assert!(cache.get_matching(&k1, |_| false).is_none());
         assert_eq!(cache.keys_by_recency(), vec![k3, k2, k1]);
 
         // Eviction respects the touched order: k1 is now the LRU.

@@ -230,9 +230,8 @@ impl ConcurrentPlanCache {
         generation
     }
 
-    /// Looks up `key` (an entry failing `matches` counts as a miss, and
-    /// stays until this call's insert replaces it); on a miss, builds a plan with `build`
-    /// — while holding the shard lock, see module docs — and stores it.
+    /// Looks up `key`; on a miss, builds a plan with `build` — while
+    /// holding the shard lock, see module docs — and stores it.
     /// Returns the plan, the key's shared generation cell (the lock-free
     /// watch point for staleness checks), the generation **read while the
     /// shard lock was held** — so the (plan, generation) pair is
@@ -245,13 +244,12 @@ impl ConcurrentPlanCache {
     pub fn get_or_build<E>(
         &self,
         key: &PatternFingerprint,
-        matches: impl Fn(&ExecutionPlan) -> bool,
         build: impl FnOnce() -> Result<ExecutionPlan, E>,
     ) -> Result<(Arc<ExecutionPlan>, Arc<AtomicU64>, u64, bool), E> {
         let mut shard = self.shard(key).lock();
         let cell = shard.generation_cell(key);
         let generation = cell.load(Ordering::Acquire);
-        if let Some(plan) = shard.lru.get_matching(key, &matches) {
+        if let Some(plan) = shard.lru.get(key) {
             drop(shard);
             if self.obs.enabled() {
                 self.obs.emit(TraceEvent::CacheHit { fp: key.into() });
@@ -309,16 +307,18 @@ impl ConcurrentPlanCache {
 
     /// Restores `store` into this cache: generation counters first (so
     /// invalidations survive the restart — `fetch_max`, never backwards),
-    /// then the plans, least recently used first so the store's recency
-    /// becomes each shard's recency. A stored plan whose key's current
-    /// generation has advanced past the one it was captured under was
-    /// invalidated after the snapshot and is **dropped**, not resurrected.
+    /// then the plans `admit` accepts, least recently used first so the
+    /// store's recency becomes each shard's recency. A stored plan whose
+    /// key's current generation has advanced past the one it was captured
+    /// under was invalidated after the snapshot and is **dropped**, not
+    /// resurrected; a plan `admit` refuses is skipped, and its generation
+    /// still merges.
     /// Restores count as insertions, never as hits or misses. Returns the
     /// number of plans *inserted*; if the store outsizes a shard's
     /// capacity, normal LRU eviction applies during the restore, so the
     /// final resident count ([`ConcurrentPlanCache::len`]) can be smaller
     /// — the most recently used plans win, as everywhere else.
-    pub fn warm_from(&self, store: &PlanStore) -> usize {
+    pub fn warm_from(&self, store: &PlanStore, admit: impl Fn(&ExecutionPlan) -> bool) -> usize {
         for (key, generation) in store.generations() {
             let mut shard = self.shard(key).lock();
             shard
@@ -332,8 +332,8 @@ impl ConcurrentPlanCache {
             if shard.lru.capacity() == 0 {
                 continue;
             }
-            if shard.generation_of(key) > *generation {
-                continue; // invalidated since this plan was captured
+            if shard.generation_of(key) > *generation || !admit(plan) {
+                continue; // invalidated since this plan was captured, or refused
             }
             shard.lru.insert(Arc::clone(plan));
             restored += 1;
@@ -390,7 +390,7 @@ mod tests {
     /// A lookup that builds nothing: the served plan on a hit, `None` (a
     /// counted miss) otherwise.
     fn lookup(cache: &ConcurrentPlanCache, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
-        let (plan, ..) = cache.get_or_build(key, |_| true, || Err(())).ok()?;
+        let (plan, ..) = cache.get_or_build(key, || Err(())).ok()?;
         Some(plan)
     }
 
@@ -430,9 +430,9 @@ mod tests {
         for l in &loops {
             let key = crate::PatternFingerprint::of(l);
             let build = || Planner::new().plan(&pool, l);
-            let (_, _, _, hit) = cache.get_or_build(&key, |_| true, build).unwrap();
+            let (_, _, _, hit) = cache.get_or_build(&key, build).unwrap();
             assert!(!hit && resident(&cache, &key));
-            let (_, _, _, hit) = cache.get_or_build(&key, |_| true, build).unwrap();
+            let (_, _, _, hit) = cache.get_or_build(&key, build).unwrap();
             assert!(hit);
         }
         let s = cache.stats();
@@ -453,14 +453,10 @@ mod tests {
         let mut builds = 0;
         for round in 0..3 {
             let (plan, cell, generation, hit) = cache
-                .get_or_build(
-                    &key,
-                    |_| true,
-                    || {
-                        builds += 1;
-                        Planner::new().plan(&pool, &l)
-                    },
-                )
+                .get_or_build(&key, || {
+                    builds += 1;
+                    Planner::new().plan(&pool, &l)
+                })
                 .unwrap();
             assert_eq!(hit, round > 0);
             assert_eq!(cell.load(Ordering::Acquire), 0);
@@ -483,7 +479,7 @@ mod tests {
         let key = crate::PatternFingerprint::of(&l);
         cache.invalidate(&key); // generation 1 before anything is cached
         let (plan, cell, generation, hit) = cache
-            .get_or_build(&key, |_| true, || Planner::new().plan(&pool, &l))
+            .get_or_build(&key, || Planner::new().plan(&pool, &l))
             .unwrap();
         assert!(!hit);
         assert_eq!(generation, 1, "the under-lock value, not a stale 0");
@@ -516,7 +512,7 @@ mod tests {
         // A rebuild after invalidation serves the *new* generation, and
         // the cell keeps tracking later invalidations lock-free.
         let (_, cell, _, hit) = cache
-            .get_or_build(&key, |_| true, || Planner::new().plan(&pool, &l))
+            .get_or_build(&key, || Planner::new().plan(&pool, &l))
             .unwrap();
         assert!(!hit);
         assert_eq!(cell.load(Ordering::Acquire), 2);
@@ -526,18 +522,25 @@ mod tests {
 
     #[test]
     fn rejected_match_counts_as_miss_and_rebuilds() {
+        // A stored plan the restore refuses is not resident: the first
+        // lookup misses and builds, while the store's generations merge.
         let pool = ThreadPool::new(2);
-        let cache = ConcurrentPlanCache::new(4, 1);
+        let source = ConcurrentPlanCache::new(4, 1);
         let l = scatter_loop(7);
         let key = crate::PatternFingerprint::of(&l);
-        insert(&cache, build_plan(&pool, &l));
+        insert(&source, build_plan(&pool, &l));
+        let ghost = crate::PatternFingerprint::of(&scatter_loop(8));
+        source.invalidate(&ghost);
+        let cache = ConcurrentPlanCache::new(4, 1);
+        assert_eq!(cache.warm_from(&source.snapshot(), |_| false), 0);
+        assert!(cache.is_empty());
+        assert_eq!(generation(&cache, &ghost), 1, "generations still merge");
         let (_, _, _, hit) = cache
-            .get_or_build(&key, |_| false, || Planner::new().plan(&pool, &l))
+            .get_or_build(&key, || Planner::new().plan(&pool, &l))
             .unwrap();
-        assert!(!hit, "pricing-context mismatch must replan");
+        assert!(!hit, "a refused plan is rebuilt");
         let s = cache.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.insertions, 2, "replacement insert recorded");
+        assert_eq!((s.misses, s.insertions), (1, 1));
     }
 
     #[test]
@@ -550,7 +553,7 @@ mod tests {
             let l = scatter_loop(n);
             let key = crate::PatternFingerprint::of(&l);
             let (_, cell, _, _) = cache
-                .get_or_build(&key, |_| true, || Planner::new().plan(&pool, &l))
+                .get_or_build(&key, || Planner::new().plan(&pool, &l))
                 .unwrap();
             drop(cell);
         }
@@ -558,11 +561,7 @@ mod tests {
         let watched_loop = scatter_loop(30);
         let watched_key = crate::PatternFingerprint::of(&watched_loop);
         let (_, watched_cell, _, _) = cache
-            .get_or_build(
-                &watched_key,
-                |_| true,
-                || Planner::new().plan(&pool, &watched_loop),
-            )
+            .get_or_build(&watched_key, || Planner::new().plan(&pool, &watched_loop))
             .unwrap();
         let invalidated_key = crate::PatternFingerprint::of(&scatter_loop(31));
         cache.invalidate(&invalidated_key);
@@ -572,7 +571,7 @@ mod tests {
         let fresh = scatter_loop(32);
         let fresh_key = crate::PatternFingerprint::of(&fresh);
         let (_, _, _, _) = cache
-            .get_or_build(&fresh_key, |_| true, || Planner::new().plan(&pool, &fresh))
+            .get_or_build(&fresh_key, || Planner::new().plan(&pool, &fresh))
             .unwrap();
         let retained = cache.shards[0].lock().generations.len();
         assert!(
@@ -594,7 +593,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         insert(&cache, build_plan(&pool, &scatter_loop(5)));
         let warm = ConcurrentPlanCache::new(16, 4);
-        assert_eq!(warm.warm_from(&cache.snapshot()), 1);
+        assert_eq!(warm.warm_from(&cache.snapshot(), |_| true), 1);
         assert_eq!(warm.stats().hit_rate(), 0.0, "restores are not traffic");
         assert_eq!(warm.stats().insertions, 1);
     }
@@ -623,7 +622,7 @@ mod tests {
         assert_eq!(stored_generation(&store, &keys[0]), 0);
 
         let restored = ConcurrentPlanCache::new(8, 1);
-        assert_eq!(restored.warm_from(&store), 3);
+        assert_eq!(restored.warm_from(&store, |_| true), 3);
         assert_eq!(
             restored.shards[0].lock().lru.keys_by_recency(),
             cache.shards[0].lock().lru.keys_by_recency(),
@@ -653,7 +652,7 @@ mod tests {
         // Same recency, and the restored plan is the same Arc (no deep
         // copy on warm).
         let fresh = ConcurrentPlanCache::new(4, 1);
-        assert_eq!(fresh.warm_from(&store), 3);
+        assert_eq!(fresh.warm_from(&store, |_| true), 3);
         let s = fresh.stats();
         assert_eq!(
             (s.hits, s.misses, s.insertions),
@@ -668,11 +667,18 @@ mod tests {
 
         // A smaller cache keeps the *most recent* plans from the store.
         let small = ConcurrentPlanCache::new(2, 1);
-        assert_eq!(small.warm_from(&store), 3, "all offered, LRU evicted");
+        assert_eq!(
+            small.warm_from(&store, |_| true),
+            3,
+            "all offered, LRU evicted"
+        );
         assert_eq!(small.shards[0].lock().lru.keys_by_recency(), recency[..2]);
 
         // Capacity 0 restores nothing.
-        assert_eq!(ConcurrentPlanCache::new(0, 1).warm_from(&store), 0);
+        assert_eq!(
+            ConcurrentPlanCache::new(0, 1).warm_from(&store, |_| true),
+            0
+        );
     }
 
     #[test]
@@ -691,7 +697,11 @@ mod tests {
         let retired_key = crate::PatternFingerprint::of(&retire);
         cache.invalidate(&retired_key);
         assert!(!resident(&cache, &retired_key));
-        assert_eq!(cache.warm_from(&store), 1, "only the live plan returns");
+        assert_eq!(
+            cache.warm_from(&store, |_| true),
+            1,
+            "only the live plan returns"
+        );
         assert!(resident(&cache, &crate::PatternFingerprint::of(&keep)));
         assert!(
             !resident(&cache, &retired_key),
@@ -702,9 +712,9 @@ mod tests {
         // newer generation table, then sees an older store.
         let newer = cache.snapshot(); // carries generation 1 for retired_key
         let fresh = ConcurrentPlanCache::new(8, 2);
-        fresh.warm_from(&newer);
+        fresh.warm_from(&newer, |_| true);
         assert_eq!(
-            fresh.warm_from(&store),
+            fresh.warm_from(&store, |_| true),
             1,
             "stale entry in an older store is dropped"
         );
@@ -728,7 +738,7 @@ mod tests {
         let l = scatter_loop(11);
         let key = crate::PatternFingerprint::of(&l);
         let (_, cell, _, _) = cache
-            .get_or_build(&key, |_| true, || Planner::new().plan(&pool, &l))
+            .get_or_build(&key, || Planner::new().plan(&pool, &l))
             .unwrap();
         assert_eq!(cell.load(Ordering::Acquire), 0);
 

@@ -45,7 +45,9 @@
 //!   cache can [`ConcurrentPlanCache::snapshot`] /
 //!   [`ConcurrentPlanCache::warm_from`] across process restarts —
 //!   recency-preserving and invalidation-generation-aware. Loads
-//!   revalidate every record structurally instead of trusting the bytes.
+//!   revalidate every record structurally instead of trusting the bytes,
+//!   and a restore admits only what its caller admits — the engine, a
+//!   plan its own model still selects ([`selection`]).
 //!
 //! There is one planned path: `doacross_engine::Engine` fingerprints a
 //! loop, serves or builds its plan through the concurrent cache, and runs
@@ -92,9 +94,11 @@ pub use cache::CacheStats;
 pub use census::{CensusPass, PlanCensus};
 pub use concurrent::{default_shard_count, ConcurrentPlanCache};
 pub use fingerprint::PatternFingerprint;
-pub use persist::{PersistError, PlanStore, StoredCalibration};
+pub use persist::{PersistError, PlanStore};
 pub use plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};
-pub use planner::{detect_linear, gated, parallel_floor, price_features, Planner, Pricing};
+pub use planner::{
+    detect_linear, gated, parallel_floor, price_features, selection, Planner, Pricing,
+};
 pub use runtime::{execute_sequential, PlanExecutor};
 // The verifier's verdict vocabulary, re-exported so plan consumers can
 // match on violations without depending on `doacross-verify` directly.

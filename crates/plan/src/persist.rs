@@ -4,9 +4,9 @@
 //! The paper's amortization argument ("the preprocessing phase needs to be
 //! performed just once", §2.1) is only as good as the lifetime of the
 //! artifact — and until this module, that lifetime ended with the process.
-//! A service restart threw away every claim stream and priced variant
-//! selection, and the first request after a deploy paid full
-//! preprocessing again. Persistence closes the loop: a [`PlanStore`]
+//! A service restart threw away every claim stream and census, and the
+//! first request after a deploy paid full preprocessing again.
+//! Persistence closes the loop: a [`PlanStore`]
 //! captures a cache's resident [`ExecutionPlan`]s (recency-preserving,
 //! generation-aware), serializes them with a hand-rolled, self-describing
 //! binary codec, and can warm-start a fresh cache so the first solve after
@@ -21,7 +21,6 @@
 //! format version   (u32 LE)                    — see `FORMAT_VERSION`
 //! generation table (count + fingerprint, gen)  — nonzero generations only
 //! plan records     (count + per record: generation, length, plan bytes)
-//! calibration      (flag + 12 model f64s + unit_ns) — optional, v3
 //! checksum         (u64 LE, four-lane FNV-1a over everything above)
 //! ```
 //!
@@ -51,6 +50,10 @@
 //! Decoding therefore never panics and never yields a plan the executor
 //! could misbehave on; the worst a corrupt store can do is fail with a
 //! typed error and leave the cache cold.
+//!
+//! A store carries structure, not decisions: no cost model travels with
+//! it, and the engine that loads it restores a plan only when its own
+//! model selects the plan's variant ([`crate::planner::selection`]).
 
 use crate::census::PlanCensus;
 use crate::fingerprint::PatternFingerprint;
@@ -80,9 +83,9 @@ const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// History: **v2** added the wavefront variant (a level-schedule section
 /// in every record and a wavefront candidate price), changing the record
 /// layout. **v3** appended two sections after the plan records — an
-/// optional host-calibration block ([`StoredCalibration`]) and a variant-
-/// telemetry table — so a warm-started engine resumed with its learned
-/// cost constants instead of re-measuring and re-observing from scratch.
+/// optional host-calibration block and a variant-telemetry table — so a
+/// warm-started engine resumed with its learned cost constants instead of
+/// re-measuring and re-observing from scratch.
 /// **v4** replaced the three artifact sections of a plan record (writer
 /// map, claim order, level schedule — `u64` fields) with one claim-stream
 /// section (`u32` fields: optional order, ends, class bytes, optional
@@ -104,8 +107,11 @@ const MAGIC: [u8; 8] = *b"DOAXPLAN";
 /// dependence stores none. **v9** dropped the strip-mined variant: its tag
 /// (the wavefront's tag is now 4) and block-size payload, the census's
 /// duplicate-write gap and the candidate price between the reordered and
-/// the wavefront ones. v1–v8 stores are rejected per the policy above.
-const FORMAT_VERSION: u32 = 9;
+/// the wavefront ones. **v10** dropped the host-calibration block: a
+/// store's cost model priced another process's decisions, and every
+/// process now prices with its own; the plan records are unchanged. v1–v9
+/// stores are rejected per the policy above.
+const FORMAT_VERSION: u32 = 10;
 
 /// Reasons a store cannot be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -748,73 +754,6 @@ fn check_features(
 }
 
 // ---------------------------------------------------------------------
-// Adaptive-state sections (v3).
-
-/// A host calibration captured alongside the plans: the cost model the
-/// planner priced with plus the physical meaning of its unit. A
-/// warm-started engine (one not handed its planner) whose store carries a
-/// **valid** calibration reuses it and measures nothing; the
-/// consumer revalidates with [`StoredCalibration::is_valid`] and falls
-/// back to re-calibration when the values are unphysical (the codec
-/// round-trips the bits either way — validity is the *user's* gate, so a
-/// calibration written by a buggy producer degrades to a re-measurement,
-/// never to nonsense pricing).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoredCalibration {
-    /// The calibrated cost model (normalized units, `seq_term == 1`).
-    pub model: doacross_sim::CostModel,
-    /// Nanoseconds per model unit on the host that measured it.
-    pub unit_ns: f64,
-}
-
-impl StoredCalibration {
-    /// Whether every constant is finite and positive — the revalidation
-    /// gate a loader applies before trusting the stored model.
-    pub fn is_valid(&self) -> bool {
-        self.fields().iter().all(|v| v.is_finite() && *v > 0.0)
-    }
-
-    fn fields(&self) -> [f64; 13] {
-        let m = &self.model;
-        [
-            m.schedule_grab,
-            m.iteration_setup,
-            m.check,
-            m.term,
-            m.wait_poll,
-            m.publish,
-            m.inspect_per_iter,
-            m.post_per_iter,
-            m.region_dispatch,
-            m.barrier,
-            m.seq_iter,
-            m.seq_term,
-            self.unit_ns,
-        ]
-    }
-
-    fn from_fields(f: [f64; 13]) -> Self {
-        Self {
-            model: doacross_sim::CostModel {
-                schedule_grab: f[0],
-                iteration_setup: f[1],
-                check: f[2],
-                term: f[3],
-                wait_poll: f[4],
-                publish: f[5],
-                inspect_per_iter: f[6],
-                post_per_iter: f[7],
-                region_dispatch: f[8],
-                barrier: f[9],
-                seq_iter: f[10],
-                seq_term: f[11],
-            },
-            unit_ns: f[12],
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The store.
 
 /// A snapshot of a plan cache: plans most-recently-used first, each tagged
@@ -833,8 +772,6 @@ pub struct PlanStore {
     pub(crate) entries: Vec<(u64, Arc<ExecutionPlan>)>,
     /// Nonzero invalidation generations at snapshot time.
     pub(crate) generations: Vec<(PatternFingerprint, u64)>,
-    /// Host calibration captured with the snapshot (v3, optional).
-    pub(crate) calibration: Option<StoredCalibration>,
 }
 
 impl PlanStore {
@@ -871,17 +808,6 @@ impl PlanStore {
         self.generations.push((key, generation));
     }
 
-    /// The host calibration captured with this store, if any. Consumers
-    /// must gate on [`StoredCalibration::is_valid`] before pricing with it.
-    pub fn calibration(&self) -> Option<&StoredCalibration> {
-        self.calibration.as_ref()
-    }
-
-    /// Attaches (or clears) the host calibration to persist.
-    pub fn set_calibration(&mut self, calibration: Option<StoredCalibration>) {
-        self.calibration = calibration;
-    }
-
     /// Serializes the store (see the module docs for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -900,15 +826,6 @@ impl PlanStore {
             let record = encode_plan(plan);
             put_u64(&mut out, record.len() as u64);
             out.extend_from_slice(&record);
-        }
-        match &self.calibration {
-            Some(calibration) => {
-                put_bool(&mut out, true);
-                for field in calibration.fields() {
-                    put_f64(&mut out, field);
-                }
-            }
-            None => put_bool(&mut out, false),
         }
         let checksum = fnv::checksum(&out);
         put_u64(&mut out, checksum);
@@ -963,15 +880,6 @@ impl PlanStore {
             let record = r.take(len)?;
             entries.push((generation, Arc::new(decode_plan(record)?)));
         }
-        let calibration = if r.bool()? {
-            let mut fields = [0.0f64; 13];
-            for field in fields.iter_mut() {
-                *field = r.f64()?;
-            }
-            Some(StoredCalibration::from_fields(fields))
-        } else {
-            None
-        };
         if r.remaining() != 0 {
             return Err(PersistError::Malformed(format!(
                 "{} trailing bytes after last plan record",
@@ -981,7 +889,6 @@ impl PlanStore {
         Ok(Self {
             entries,
             generations,
-            calibration,
         })
     }
 
@@ -1252,14 +1159,15 @@ mod tests {
     /// A store with every section present and a body whose length is not
     /// a multiple of the checksum's 8-byte word.
     fn store_with_a_padded_last_word() -> Vec<u8> {
-        // Two stream-less records: one alone leaves the body a whole
-        // number of words.
+        // A generation-table entry is a whole number of words; the two
+        // stream-less records' lengths leave the body two bytes past one.
         let mut plans = plans_of_every_variant();
         let mut store = PlanStore::new();
         for plan in [plans.remove(4), plans.remove(0)] {
-            store.push_entry(0, Arc::new(plan));
+            store.push_entry(1, Arc::new(plan));
         }
-        store.set_calibration(Some(sample_calibration()));
+        let key = *store.plans().next().unwrap().fingerprint();
+        store.push_generation(key, 1);
         let bytes = store.to_bytes();
         assert_ne!(
             (bytes.len() - 8) % 8,
@@ -1310,51 +1218,6 @@ mod tests {
                 "{zeros} zeros after the checksum: {err:?}"
             );
         }
-    }
-
-    fn sample_calibration() -> StoredCalibration {
-        StoredCalibration {
-            model: doacross_sim::CostModel::multimax(),
-            unit_ns: 1.75,
-        }
-    }
-
-    #[test]
-    fn calibration_section_round_trips() {
-        let mut store = PlanStore::new();
-        store.push_entry(0, Arc::new(plans_of_every_variant().remove(2)));
-        store.set_calibration(Some(sample_calibration()));
-
-        let bytes = store.to_bytes();
-        let back = PlanStore::from_bytes(&bytes).expect("own bytes parse");
-        assert_eq!(back.calibration(), Some(&sample_calibration()));
-        assert!(back.calibration().unwrap().is_valid());
-        assert_eq!(back.to_bytes(), bytes, "serialization is stable");
-
-        // An absent section round-trips as absent.
-        let empty = PlanStore::new();
-        let back = PlanStore::from_bytes(&empty.to_bytes()).unwrap();
-        assert!(back.calibration().is_none());
-    }
-
-    #[test]
-    fn unphysical_calibration_round_trips_but_fails_validation() {
-        // The codec preserves the bits (the checksum proves they were
-        // written on purpose); is_valid() is the consumer's gate, so a
-        // buggy producer degrades to re-calibration, not a load failure.
-        let mut cal = sample_calibration();
-        cal.model.barrier = f64::NAN;
-        let mut store = PlanStore::new();
-        store.set_calibration(Some(cal));
-        let back = PlanStore::from_bytes(&store.to_bytes()).unwrap();
-        let restored = back.calibration().expect("section survives");
-        assert!(restored.unit_ns == 1.75 && restored.model.barrier.is_nan());
-        assert!(!restored.is_valid());
-
-        let mut cal = sample_calibration();
-        cal.unit_ns = -1.0;
-        assert!(!cal.is_valid());
-        assert!(sample_calibration().is_valid());
     }
 
     #[test]
@@ -1413,6 +1276,111 @@ mod tests {
                 supported: FORMAT_VERSION,
             })
         ));
+    }
+
+    #[test]
+    fn v9_stores_are_rejected_with_a_typed_version_error() {
+        // Regression for the v9 → v10 format bump (the host-calibration
+        // block dropped): a v9 store may end in that block, so it must
+        // fail typed before any record is read.
+        let mut store = PlanStore::new();
+        store.push_entry(0, Arc::new(plans_of_every_variant().remove(5)));
+        let mut bytes = store.to_bytes();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&9u32.to_le_bytes());
+        assert!(matches!(
+            PlanStore::from_bytes(&bytes),
+            Err(PersistError::UnsupportedVersion {
+                found: 9,
+                supported: FORMAT_VERSION,
+            })
+        ));
+    }
+
+    /// A store of one plan per variant, and where each record sits in it:
+    /// the offset of its length prefix and the range of its bytes.
+    type Fixture = (Vec<u8>, Vec<(usize, std::ops::Range<usize>)>);
+    fn record_fuzz_fixture() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let mut store = PlanStore::new();
+            for plan in plans_of_every_variant() {
+                store.push_entry(0, Arc::new(plan));
+            }
+            // Header, an empty generation table, the plan count; then per
+            // record its generation, its length and its bytes.
+            let mut at = MAGIC.len() + 4 + 8 + 8;
+            let mut records = Vec::new();
+            for plan in store.plans() {
+                let len = encode_plan(plan).len();
+                records.push((at + 8, at + 16..at + 16 + len));
+                at += 16 + len;
+            }
+            let bytes = store.to_bytes();
+            for (len_at, range) in &records {
+                let prefix = u64::from_le_bytes(bytes[*len_at..len_at + 8].try_into().unwrap());
+                assert_eq!(prefix as usize, range.len());
+                decode_plan(&bytes[range.clone()]).expect("an unmutated record decodes");
+            }
+            (bytes, records)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 1024,
+            ..Default::default()
+        })]
+        /// One byte of one plan record flipped, dropped or inserted (at
+        /// the end, appended), with the record's length prefix and the
+        /// checksum re-sealed, so the mutation reaches `decode_plan`: the
+        /// store fails with a record-level error or loads plans that pass
+        /// `verify_artifacts`, and never panics.
+        #[test]
+        fn a_mutated_record_fails_typed_or_loads_verified_plans(
+            which in 0usize..6,
+            mutation in 0u8..3,
+            at in 0usize..1 << 20,
+            byte in 1u8..=255,
+        ) {
+            let (bytes, records) = record_fuzz_fixture();
+            let (len_at, range) = records[which].clone();
+            let mut record = bytes[range.clone()].to_vec();
+            match mutation {
+                0 => {
+                    let i = at % record.len();
+                    record[i] ^= byte;
+                }
+                1 => {
+                    record.remove(at % record.len());
+                }
+                _ => record.insert(at % (record.len() + 1), byte),
+            }
+            let mut blob = bytes[..len_at].to_vec();
+            put_u64(&mut blob, record.len() as u64);
+            blob.extend_from_slice(&record);
+            blob.extend_from_slice(&bytes[range.end..bytes.len() - 8]);
+            let checksum = fnv::checksum(&blob);
+            put_u64(&mut blob, checksum);
+            match PlanStore::from_bytes(&blob) {
+                Ok(store) => {
+                    proptest::prop_assert_eq!(store.len(), records.len());
+                    for plan in store.plans() {
+                        proptest::prop_assert!(plan.verify_artifacts().is_ok(), "{}", plan);
+                    }
+                }
+                Err(err) => proptest::prop_assert!(
+                    matches!(
+                        err,
+                        PersistError::Truncated { .. }
+                            | PersistError::Malformed(_)
+                            | PersistError::Structural(_)
+                            | PersistError::Unsound(_)
+                    ),
+                    "{:?}",
+                    err
+                ),
+            }
+        }
     }
 
     /// `loop_` with one more reference per row, to an element no

@@ -159,11 +159,11 @@ impl ExecutionPlan {
         self.variant
     }
 
-    /// The worker count the cost model priced the variants for. A plan
-    /// applied under a different pool size still computes correct results,
-    /// but its variant choice may no longer be the cheapest — the engine
-    /// treats such a cache entry as a miss and replans
-    /// ([`crate::ConcurrentPlanCache::get_or_build`]'s `matches`).
+    /// The worker count the cost model priced the variants for, and the
+    /// one its features were measured for. A plan run under a different
+    /// pool size still computes correct results, but its variant may no
+    /// longer be the cheapest: an engine builds every plan for its own
+    /// worker count and restores a stored plan only when this equals it.
     pub fn processors(&self) -> usize {
         self.processors
     }

@@ -69,9 +69,8 @@
 //! the floor and a real price is monotone in floating point too, so the
 //! bound holds on the computed values, not just on paper
 //! (`tests/staged_equivalence.rs`). A plan built this way is *gated*
-//! ([`ExecutionPlan::is_gated`]); the adaptive layer re-checks the same
-//! floor under refined constants instead of re-pricing candidates it
-//! never had.
+//! ([`ExecutionPlan::is_gated`]); [`selection`] re-checks the same floor
+//! under another model instead of re-pricing candidates it never had.
 //!
 //! ## Stage 0: the counts alone
 //!
@@ -97,10 +96,10 @@
 //! stage 1.
 //!
 //! On such a census [`gated`] is the counts floor, a lower bound on the
-//! real one. When the adaptive layer re-checks a gated plan under refined
-//! constants (`adaptive::policy`), a counts floor that opens asks for a
-//! rebuild under the refined model, whose stage 1 may close it again on
-//! the measured critical path.
+//! real one. When [`selection`] re-checks a gated plan under another
+//! model (a warm start's, or the adaptive layer's refined one), a counts
+//! floor that opens asks for a rebuild under that model, whose stage 1
+//! may close it again on the measured critical path.
 //!
 //! **Stage 2** ([`Planner::price`], gate not taken) measures the
 //! structure quantities a price needs beyond the census — the stall
@@ -110,9 +109,9 @@
 //! They are model-free: [`price_features`] turns them into every
 //! candidate's price under any [`CostModel`] with arithmetic alone, and it
 //! is the one place candidates are priced — by the planner under its own
-//! model (the plan's `costs`), and by the adaptive layer under refined
-//! ones. A gated or stream-less plan keeps no features; the same function
-//! prices it from the census.
+//! model (the plan's `costs`), and through [`selection`] under a warm
+//! start's and the adaptive layer's. A gated or stream-less plan keeps no
+//! features; the same function prices it from the census.
 //!
 //! **Stage 3** captures the chosen variant's artifact only: the one
 //! [`doacross_core::ClaimStream`] of a doacross, reordered or
@@ -378,7 +377,7 @@ fn settled_on_counts<P: AccessPattern + ?Sized>(
 
 /// Prices every candidate of a plan under `model` and selects among them
 /// — the one place candidates are priced, by the planner under its own
-/// model and by the adaptive layer under refined ones. `features` are
+/// model and through [`selection`] under any other. `features` are
 /// stage 2's ([`ExecutionPlan::features`]); `None` prices what a census
 /// alone can, sequential and nothing else (a gated or stream-less plan).
 /// `linear` and `p` are the plan's subscript and processor count.
@@ -460,6 +459,29 @@ pub fn price_features(
     (variant, costs)
 }
 
+/// What `model` selects for a built or stored `plan`, with every
+/// candidate's price, from what the plan keeps — at the plan's own worker
+/// count, the one its features were measured for. A priced plan is
+/// re-priced from its features ([`price_features`]); a plan no
+/// stream-backed candidate can run (a non-injective left-hand side, or a
+/// loop too large for a claim stream) is sequential on its census alone;
+/// a plan the floor settled stays sequential while [`gated`] holds under
+/// `model`, and is `None` once it does not: it kept no features, so only
+/// a rebuild can say what passes the floor. Under the model a plan was
+/// built with, this is the plan's own variant and prices, bit for bit.
+/// The engine restores a stored plan only when this is its own variant,
+/// and the adaptive layer asks it of refined models.
+pub fn selection(model: &CostModel, plan: &ExecutionPlan) -> Option<(PlanVariant, VariantCosts)> {
+    let (census, p) = (plan.census(), plan.processors());
+    let streamable = census.injective
+        && ClaimStream::fits(census.iterations, census.total_terms, census.critical_path);
+    if streamable && plan.features().is_none() && !gated(model, census, p) {
+        return None;
+    }
+    let (features, linear) = (plan.features(), plan.linear_subscript());
+    Some(price_features(model, census, features, linear, p))
+}
+
 /// Stall weights of the natural claim order and of `order`: for each
 /// true-dependence edge with claim gap `g`, `max(0, p − g)/p`. The edges
 /// are one pass over the references against the writer map of `pass` (an
@@ -525,8 +547,8 @@ fn raw_work(model: &CostModel, census: &PlanCensus) -> f64 {
 /// The lower bound on every parallel candidate's price for an injective
 /// loop with this census on `p` processors under `model` — see "Stage 1:
 /// the floor" in the module docs for the two inequalities. Pure
-/// arithmetic on the census, so the adaptive layer re-evaluates it under
-/// refined constants at no cost.
+/// arithmetic on the census, so [`selection`] re-evaluates it under
+/// another model at no cost.
 ///
 /// The inner term is the smaller of the flag variants' bound
 /// `max(W/p, CP·chain)` and the wavefront's `max(⌈n/p⌉, CP)·chain`: on
@@ -543,8 +565,8 @@ pub fn parallel_floor(model: &CostModel, census: &PlanCensus, p: usize) -> f64 {
 
 /// The stage-1 gate: whether `T_seq ≤` [`parallel_floor`], i.e. sequential
 /// is what pricing every candidate of this injective census would select.
-/// The planner asks it of its own constants; the adaptive layer asks it
-/// again of the refined ones. On an unclassified census (stage 0's) the
+/// The planner asks it of its own constants; [`selection`] asks it again
+/// of another model's. On an unclassified census (stage 0's) the
 /// floor is the counts floor, a lower bound on the real one: `true` is
 /// still a proof, `false` is not.
 pub fn gated(model: &CostModel, census: &PlanCensus, p: usize) -> bool {
@@ -664,6 +686,7 @@ mod tests {
         let (variant, costs) =
             price_features(&statics, plan.census(), None, plan.linear_subscript(), 4);
         assert_eq!((variant, &costs), (plan.variant(), plan.costs()));
+        assert_eq!(selection(&statics, &plan), Some((variant, costs)));
 
         // A model whose executor work is nearly free pulls the floor
         // (dispatch + CP·chain + post) under T_seq: the gate, asked again,
@@ -682,6 +705,7 @@ mod tests {
         refined.region_dispatch = 1.0;
         assert!(gated(&statics, plan.census(), 4));
         assert!(!gated(&refined, plan.census(), 4));
+        assert_eq!(selection(&refined, &plan), None, "only a rebuild can say");
         let rebuilt = Planner::with_costs(refined).plan(&pool(), &l).unwrap();
         assert!(!rebuilt.is_gated() && rebuilt.features().is_some());
         assert!(rebuilt.costs().doacross.is_some() && rebuilt.costs().wavefront.is_some());

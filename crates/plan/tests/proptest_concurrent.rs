@@ -63,10 +63,10 @@ proptest! {
             let l = structure(id);
             let key = PatternFingerprint::of(&l);
             let (plan_u, _, _, hit_u) = unsharded
-                .get_or_build(&key, |_| true, || planner.plan(&pool, &l))
+                .get_or_build(&key, || planner.plan(&pool, &l))
                 .expect("plannable");
             let (plan_s, _, _, hit_s) = sharded
-                .get_or_build(&key, |_| true, || planner.plan(&pool, &l))
+                .get_or_build(&key, || planner.plan(&pool, &l))
                 .expect("plannable");
             prop_assert_eq!(hit_u, hit_s, "hit/miss outcome agrees");
             prop_assert_eq!(plan_u.variant(), plan_s.variant(), "same selection");

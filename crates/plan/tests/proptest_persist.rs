@@ -53,7 +53,7 @@ fn store_of(pool: &ThreadPool, planner: &Planner, loop_: &IndirectLoop) -> PlanS
     let cache = ConcurrentPlanCache::new(2, 1);
     let key = PatternFingerprint::of(loop_);
     cache
-        .get_or_build(&key, |_| true, || planner.plan(pool, loop_))
+        .get_or_build(&key, || planner.plan(pool, loop_))
         .expect("in-bounds");
     cache.snapshot()
 }
@@ -90,7 +90,7 @@ fn a_format_version_3_blob_cold_starts_typed() {
         PlanStore::from_bytes(&bytes),
         Err(PersistError::UnsupportedVersion {
             found: 3,
-            supported: 9,
+            supported: 10,
         })
     ));
 }
@@ -235,7 +235,7 @@ proptest! {
         let prepare = |l: &IndirectLoop| {
             let key = PatternFingerprint::of(l);
             cache
-                .get_or_build(&key, |_| true, || planner.plan(&pool, l))
+                .get_or_build(&key, || planner.plan(&pool, l))
                 .expect("in-bounds");
         };
         for (l, _) in &loops {
@@ -248,7 +248,7 @@ proptest! {
         let bytes = cache.snapshot().to_bytes();
         let store = PlanStore::from_bytes(&bytes).expect("own bytes parse");
         let warmed = ConcurrentPlanCache::new(8, 1);
-        warmed.warm_from(&store);
+        warmed.warm_from(&store, |_| true);
         let recency = |cache: &ConcurrentPlanCache| -> Vec<PatternFingerprint> {
             cache.snapshot().plans().map(|plan| *plan.fingerprint()).collect()
         };

@@ -208,7 +208,7 @@ proptest! {
             let l = &loops[t % distinct];
             let key = PatternFingerprint::of(l);
             let (plan, ..) = cache
-                .get_or_build(&key, |_| true, || planner.plan(&pool, l))
+                .get_or_build(&key, || planner.plan(&pool, l))
                 .expect("plannable");
             prop_assert_eq!(plan.fingerprint(), &key);
             prop_assert!(cache.len() <= capacity, "capacity respected");
@@ -229,7 +229,7 @@ proptest! {
         let cache = ConcurrentPlanCache::new(1, 1);
         let key = PatternFingerprint::of(&loop_);
         let (plan, ..) = cache
-            .get_or_build(&key, |_| true, || planner.plan(&pool, &loop_))
+            .get_or_build(&key, || planner.plan(&pool, &loop_))
             .expect("plannable");
         let held: Arc<_> = Arc::clone(&plan);
         prop_assert!(cache.invalidate(&key));

@@ -85,8 +85,8 @@ const CALIBRATION_REPS: usize = 3;
 
 /// The process-wide host calibration: [`calibrate`] run once, on first
 /// use, and shared by every caller after that — the one place the host is
-/// measured for planning. The first caller pays the measurement (about
-/// ten milliseconds in a release build); concurrent first callers block
+/// measured for planning. The first caller pays the measurement (10–25 ms
+/// in a release build on a 2-vCPU x86-64 host); concurrent first callers block
 /// on the same run rather than starting their own.
 pub fn host_calibration() -> &'static CalibratedModel {
     static HOST: OnceLock<CalibratedModel> = OnceLock::new();
@@ -295,8 +295,8 @@ mod tests {
             let (seq_lo, seq_hi, par_lo, par_hi, dispatch_ns, barrier_ns) = case;
             let c = assemble(seq_lo, seq_hi, par_lo, par_hi, dispatch_ns, barrier_ns);
             let m = &c.model;
-            // `StoredCalibration::is_valid`'s rule (that type lives in
-            // `doacross-plan`, which depends on this crate).
+            // Every constant finite and positive: a default engine prices
+            // with the model exactly as assembled, nothing revalidates it.
             for v in [
                 m.schedule_grab,
                 m.iteration_setup,

@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .display()
             .to_string()
     });
-    // A fixed worker count keeps plans priced identically across runs; a
-    // plan priced for another pool size would be repriced (a miss).
+    // A fixed worker count keeps plans restorable across runs: a plan
+    // priced for another pool size, or one this process's own cost model
+    // no longer selects, is not restored and is rebuilt by its first solve.
     let engine = Engine::builder()
         .workers(2)
         .cache_capacity(16)

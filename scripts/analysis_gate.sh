@@ -88,9 +88,9 @@
 #                  against a census that counts them, accepted iff every
 #                  reference is a true dependence and then run like the
 #                  oracle, equal to its all-`NewValue` byte form, run
-#                  under both gates, and round-tripped by the v9 store,
-#                  which refuses v7 and v8 ones typed (and a warm start
-#                  from a v8 one is a traced cold start). The §2.3
+#                  under both gates, and round-tripped by the v10 store,
+#                  which refuses v7, v8 and v9 ones typed (and a warm start
+#                  from a v8 or a v9 one is a traced cold start). The §2.3
 #                  strip-mined run, which no plan selects, is named too:
 #                  on a non-injective loop it matches the oracle at any
 #                  block size up to the write gap and fails typed past
@@ -158,6 +158,18 @@
 #                  margin), and a gated plan pays one replan per reopening
 #                  of its floor; end to end, the mispriced engine promotes
 #                  the measured-cheaper variant.
+#                  And a store that carries structure, not decisions: a
+#                  plan's selection under its build model is the plan
+#                  itself (the identity above), so a store written under
+#                  an engine's own model restores every plan; one written
+#                  under another model (the Table-1 factors planned on the
+#                  Multimax preset) restores only what the loading
+#                  engine's model selects, its decisions equal a cold
+#                  engine's, every skipped plan is rebuilt cold, and every
+#                  output is the oracle's; and a plan record with one byte
+#                  flipped, dropped or inserted (length prefix and
+#                  checksum re-sealed) fails typed or loads verified
+#                  plans, never a panic.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -307,10 +319,14 @@ named doacross-core lib wavefront::tests::a_rejected_region_names_the_first_mism
 named doacross-engine terms_mismatch a_loop_disagreeing_with_its_plan_is_rejected_typed_by_the_region
 for t in classless_and_class_byte_streams_round_trip \
   v7_stores_are_rejected_with_a_typed_version_error \
-  v8_stores_are_rejected_with_a_typed_version_error; do
+  v8_stores_are_rejected_with_a_typed_version_error \
+  v9_stores_are_rejected_with_a_typed_version_error; do
   named doacross-plan lib "persist::tests::$t"
 done
-named doacross-engine adaptive v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start
+for t in v8_stores_fail_typed_and_warm_start_traces_a_clean_cold_start \
+  v9_stores_fail_typed_and_warm_start_traces_a_clean_cold_start; do
+  named doacross-engine adaptive "$t"
+done
 named preprocessed-doacross proptest_doacross blocked_runs_duplicate_writers_up_to_the_write_gap
 
 # The profiler's recycling harvest against a verbatim copy of the old one,
@@ -411,6 +427,10 @@ for t in the_challenger_is_the_planners_own_choice_under_the_refined_model \
   named doacross-engine lib "adaptive::policy::tests::$t"
 done
 named doacross-engine adaptive mispriced_model_promotes_to_the_measured_cheaper_variant
+
+say "analysis_gate: a store carries structure, not decisions, by name"
+named doacross-engine persist a_store_written_under_another_model_restores_only_this_engines_decisions
+named doacross-plan lib persist::tests::a_mutated_record_fails_typed_or_loads_verified_plans
 
 # Stage 0: a plan the reference counts settle is the plan stage 1 would
 # gate, bit for bit; it runs no census pass (two allocations fewer), names

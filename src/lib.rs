@@ -57,9 +57,12 @@
 //! checksummed binary store ([`plan::persist`]), and
 //! `EngineBuilder::warm_start` (or `Engine::load_plans`) restores it —
 //! recency-preserving, and invalidation-generation-aware, so plans
-//! retired before the snapshot stay retired after the restart. A
-//! restarted service's first solve of a known structure is then a cache
-//! hit, not a preprocessing pass:
+//! retired before the snapshot stay retired after the restart. A store
+//! carries structure, not decisions: no cost model travels with it, and
+//! a plan is restored only when the loading engine's own model selects
+//! its variant at its worker count ([`plan::selection`]); any other is
+//! rebuilt by its first solve. A restarted service's first solve of a
+//! known structure is then a cache hit, not a preprocessing pass:
 //!
 //! ```no_run
 //! use preprocessed_doacross::Engine;

@@ -361,7 +361,7 @@ impl ClaimStream {
     }
 
     /// Reference counts per class — what a planned run stamps into
-    /// `RunStats.deps` and what persistence revalidates against the census.
+    /// `RunStats.deps` and what `verify_artifacts` checks against the census.
     pub fn class_counts(&self) -> DepCounts {
         self.counts
     }

@@ -338,14 +338,20 @@ impl Engine {
     /// A stored plan is restored only when it was priced for this
     /// engine's worker count per pool and this engine's model selects its
     /// variant ([`doacross_plan::selection`], re-priced from the census and
-    /// features it keeps). Any other plan is skipped — its generation still
-    /// merges — and the first [`Engine::prepare`] of its structure
-    /// rebuilds it, so every resident plan is this engine's own decision.
+    /// features it keeps), and it is restored with the prices that
+    /// selection computes, so its `costs()` are this engine's, not the
+    /// writer's (a plan already carrying them is restored as the stored
+    /// `Arc`). Any other plan is skipped — its generation still merges —
+    /// and the first [`Engine::prepare`] of its structure rebuilds it, so
+    /// every resident plan is this engine's own decision at its own prices.
     pub fn warm_from(&self, store: &PlanStore) -> usize {
         let (model, workers) = (self.inner.planner.costs(), self.threads());
         let restored = self.inner.cache.warm_from(store, |plan| {
-            plan.processors() == workers
-                && selection(model, plan).is_some_and(|(variant, _)| variant == plan.variant())
+            if plan.processors() != workers {
+                return None;
+            }
+            let (variant, costs) = selection(model, plan)?;
+            (variant == plan.variant()).then(|| plan.repriced(costs))
         });
         if self.inner.obs.enabled() {
             self.inner.obs.emit(TraceEvent::StoreLoaded {

@@ -31,10 +31,11 @@ pub enum EngineError {
         max_pending: usize,
     },
     /// A plan store could not be written, read, or trusted — corrupt
-    /// bytes, a truncated file, an unsupported format version, or a
-    /// record that failed structural revalidation. Loading never applies
-    /// a partially-trusted store: on this error the cache is exactly as
-    /// warm as it was before the call.
+    /// bytes, a truncated file, an unsupported format version, a record
+    /// whose own fields disagree ([`PersistError::Structural`]), or a plan
+    /// that fails `verify_artifacts` ([`PersistError::Unsound`]). Loading
+    /// never applies a partially-trusted store: on this error the cache is
+    /// exactly as warm as it was before the call.
     Persist(PersistError),
     /// The underlying planner or runtime rejected the loop.
     Doacross(DoacrossError),

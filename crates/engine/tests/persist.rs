@@ -5,7 +5,7 @@
 
 use doacross_core::{seq::run_sequential, AccessPattern, IndirectLoop, PlanProvenance, TestLoop};
 use doacross_engine::{Engine, EngineError, PersistError, PlanStore};
-use doacross_plan::{PlanVariant, Planner};
+use doacross_plan::{selection, ExecutionPlan, PlanVariant, Planner};
 use doacross_sim::calib::assemble;
 
 /// A unique temp path per test (tests run concurrently in one process).
@@ -404,26 +404,50 @@ fn table1_loops() -> Vec<IndirectLoop> {
 /// same worker count: the loading engine's five decisions equal a cold
 /// engine's on its model, every plan it skipped is rebuilt cold by its
 /// first solve, and every output is the sequential oracle's, bit for bit.
-/// Returns how many stored plans were skipped.
+/// Every plan it restored carries its own prices: `selection`'s under its
+/// model, and for the plan's variant a cold engine's price, bit for bit.
+/// Returns how many stored plans were skipped, and how many restored ones
+/// were re-priced.
 fn warm_start_decides_like_a_cold_engine(
     store: &std::path::Path,
     loops: &[IndirectLoop],
     builder: impl Fn() -> doacross_engine::EngineBuilder,
-) -> usize {
-    assert_eq!(PlanStore::load(store).unwrap().len(), loops.len());
+) -> (usize, usize) {
+    let written = PlanStore::load(store).unwrap();
+    assert_eq!(written.len(), loops.len());
     let warm = builder().warm_start(store).build();
     let restored = warm.cache_len();
     let cold = builder().build();
-    let mut skipped = 0;
+    let (mut skipped, mut repriced) = (0, 0);
     for loop_ in loops {
         let prepared = warm.prepare(loop_).unwrap();
-        let decided = cold.prepare(loop_).unwrap().variant();
+        let decided = cold.prepare(loop_).unwrap();
+        let variant = decided.variant();
         assert_eq!(
             prepared.variant(),
-            decided,
+            variant,
             "the loading engine's own decision"
         );
         skipped += usize::from(!prepared.from_cache());
+        if prepared.from_cache() {
+            let plan = prepared.plan();
+            assert_eq!(
+                selection(warm.planner().costs(), plan),
+                Some((variant, *plan.costs())),
+                "restored at this engine's prices"
+            );
+            let price = |plan: &ExecutionPlan| plan.costs().of(variant).map(f64::to_bits);
+            assert_eq!(
+                price(plan),
+                price(decided.plan()),
+                "a cold engine's {variant} price"
+            );
+            let stored = written
+                .plans()
+                .find(|stored| stored.fingerprint() == plan.fingerprint())
+                .unwrap();
+            repriced += usize::from(stored.costs() != plan.costs());
+        }
         let mut y = vec![1.0; loop_.data_len()];
         let stats = prepared.execute(loop_, &mut y).unwrap();
         let expected = if prepared.from_cache() {
@@ -442,7 +466,7 @@ fn warm_start_decides_like_a_cold_engine(
         "a skipped plan is not resident"
     );
     assert_eq!(warm.cache_len(), loops.len());
-    skipped
+    (skipped, repriced)
 }
 
 #[test]
@@ -472,7 +496,8 @@ fn a_store_written_under_another_model_restores_only_this_engines_decisions() {
     // `table1_decision.rs`'s host-like model, constant so the skip count
     // is pinned without a clock: it settles all five at the floor, so the
     // four stored wavefronts are skipped and the stored sequential 5-PT
-    // plan, its own selection there too, is kept.
+    // plan, its own selection there too, is kept — at this model's
+    // sequential price, not the preset's.
     let host = assemble(2.0, 6.0, 16.75, 27.75, 8_600.0, 100.0).model;
     let host_like = || {
         Engine::builder()
@@ -482,7 +507,7 @@ fn a_store_written_under_another_model_restores_only_this_engines_decisions() {
     };
     assert_eq!(
         warm_start_decides_like_a_cold_engine(&path, &loops, host_like),
-        4
+        (4, 1)
     );
 
     // A default engine prices with this process's measurement, whatever
@@ -497,6 +522,22 @@ fn a_store_written_under_another_model_restores_only_this_engines_decisions() {
             .cache_capacity(8)
             .planner(Planner::new())
     };
-    assert_eq!(warm_start_decides_like_a_cold_engine(&path, &loops, own), 0);
+    assert_eq!(
+        warm_start_decides_like_a_cold_engine(&path, &loops, own),
+        (0, 0)
+    );
+    // There every stored price is already the engine's: the restore shares
+    // the stored plans and copies none.
+    let written = PlanStore::load(&path).unwrap();
+    let again = own().build();
+    assert_eq!(again.warm_from(&written), 5);
+    for loop_ in &loops {
+        let prepared = again.prepare(loop_).unwrap();
+        let stored = written
+            .plans()
+            .find(|stored| stored.fingerprint() == prepared.fingerprint())
+            .unwrap();
+        assert!(std::ptr::eq(prepared.plan(), &**stored), "the stored Arc");
+    }
     std::fs::remove_file(&path).unwrap();
 }

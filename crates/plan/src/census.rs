@@ -350,6 +350,7 @@ impl PlanCensus {
             intra: self.intra,
             unwritten: self.unwritten,
             injective: self.injective,
+            critical_path: self.critical_path,
             classified: self.is_classified(),
         }
     }

@@ -307,18 +307,23 @@ impl ConcurrentPlanCache {
 
     /// Restores `store` into this cache: generation counters first (so
     /// invalidations survive the restart — `fetch_max`, never backwards),
-    /// then the plans `admit` accepts, least recently used first so the
-    /// store's recency becomes each shard's recency. A stored plan whose
+    /// then the plans, least recently used first so the store's recency
+    /// becomes each shard's recency, each as `restore` maps it (the stored
+    /// `Arc` itself, or a copy with other prices). A stored plan whose
     /// key's current generation has advanced past the one it was captured
     /// under was invalidated after the snapshot and is **dropped**, not
-    /// resurrected; a plan `admit` refuses is skipped, and its generation
-    /// still merges.
+    /// resurrected; a plan `restore` maps to `None` is skipped, and its
+    /// generation still merges.
     /// Restores count as insertions, never as hits or misses. Returns the
     /// number of plans *inserted*; if the store outsizes a shard's
     /// capacity, normal LRU eviction applies during the restore, so the
     /// final resident count ([`ConcurrentPlanCache::len`]) can be smaller
     /// — the most recently used plans win, as everywhere else.
-    pub fn warm_from(&self, store: &PlanStore, admit: impl Fn(&ExecutionPlan) -> bool) -> usize {
+    pub fn warm_from(
+        &self,
+        store: &PlanStore,
+        restore: impl Fn(&Arc<ExecutionPlan>) -> Option<Arc<ExecutionPlan>>,
+    ) -> usize {
         for (key, generation) in store.generations() {
             let mut shard = self.shard(key).lock();
             shard
@@ -332,10 +337,13 @@ impl ConcurrentPlanCache {
             if shard.lru.capacity() == 0 {
                 continue;
             }
-            if shard.generation_of(key) > *generation || !admit(plan) {
-                continue; // invalidated since this plan was captured, or refused
+            if shard.generation_of(key) > *generation {
+                continue; // invalidated since this plan was captured
             }
-            shard.lru.insert(Arc::clone(plan));
+            let Some(plan) = restore(plan) else {
+                continue; // refused
+            };
+            shard.lru.insert(plan);
             restored += 1;
         }
         restored
@@ -532,7 +540,7 @@ mod tests {
         let ghost = crate::PatternFingerprint::of(&scatter_loop(8));
         source.invalidate(&ghost);
         let cache = ConcurrentPlanCache::new(4, 1);
-        assert_eq!(cache.warm_from(&source.snapshot(), |_| false), 0);
+        assert_eq!(cache.warm_from(&source.snapshot(), |_| None), 0);
         assert!(cache.is_empty());
         assert_eq!(generation(&cache, &ghost), 1, "generations still merge");
         let (_, _, _, hit) = cache
@@ -593,7 +601,10 @@ mod tests {
         let pool = ThreadPool::new(2);
         insert(&cache, build_plan(&pool, &scatter_loop(5)));
         let warm = ConcurrentPlanCache::new(16, 4);
-        assert_eq!(warm.warm_from(&cache.snapshot(), |_| true), 1);
+        assert_eq!(
+            warm.warm_from(&cache.snapshot(), |plan| Some(Arc::clone(plan))),
+            1
+        );
         assert_eq!(warm.stats().hit_rate(), 0.0, "restores are not traffic");
         assert_eq!(warm.stats().insertions, 1);
     }
@@ -622,7 +633,7 @@ mod tests {
         assert_eq!(stored_generation(&store, &keys[0]), 0);
 
         let restored = ConcurrentPlanCache::new(8, 1);
-        assert_eq!(restored.warm_from(&store, |_| true), 3);
+        assert_eq!(restored.warm_from(&store, |plan| Some(Arc::clone(plan))), 3);
         assert_eq!(
             restored.shards[0].lock().lru.keys_by_recency(),
             cache.shards[0].lock().lru.keys_by_recency(),
@@ -652,7 +663,7 @@ mod tests {
         // Same recency, and the restored plan is the same Arc (no deep
         // copy on warm).
         let fresh = ConcurrentPlanCache::new(4, 1);
-        assert_eq!(fresh.warm_from(&store, |_| true), 3);
+        assert_eq!(fresh.warm_from(&store, |plan| Some(Arc::clone(plan))), 3);
         let s = fresh.stats();
         assert_eq!(
             (s.hits, s.misses, s.insertions),
@@ -668,7 +679,7 @@ mod tests {
         // A smaller cache keeps the *most recent* plans from the store.
         let small = ConcurrentPlanCache::new(2, 1);
         assert_eq!(
-            small.warm_from(&store, |_| true),
+            small.warm_from(&store, |plan| Some(Arc::clone(plan))),
             3,
             "all offered, LRU evicted"
         );
@@ -676,7 +687,7 @@ mod tests {
 
         // Capacity 0 restores nothing.
         assert_eq!(
-            ConcurrentPlanCache::new(0, 1).warm_from(&store, |_| true),
+            ConcurrentPlanCache::new(0, 1).warm_from(&store, |plan| Some(Arc::clone(plan))),
             0
         );
     }
@@ -698,7 +709,7 @@ mod tests {
         cache.invalidate(&retired_key);
         assert!(!resident(&cache, &retired_key));
         assert_eq!(
-            cache.warm_from(&store, |_| true),
+            cache.warm_from(&store, |plan| Some(Arc::clone(plan))),
             1,
             "only the live plan returns"
         );
@@ -712,9 +723,9 @@ mod tests {
         // newer generation table, then sees an older store.
         let newer = cache.snapshot(); // carries generation 1 for retired_key
         let fresh = ConcurrentPlanCache::new(8, 2);
-        fresh.warm_from(&newer, |_| true);
+        fresh.warm_from(&newer, |plan| Some(Arc::clone(plan)));
         assert_eq!(
-            fresh.warm_from(&store, |_| true),
+            fresh.warm_from(&store, |plan| Some(Arc::clone(plan))),
             1,
             "stale entry in an older store is dropped"
         );

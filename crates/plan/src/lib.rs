@@ -44,10 +44,12 @@
 //!   for [`ExecutionPlan`] and the [`PlanStore`] snapshot format, so the
 //!   cache can [`ConcurrentPlanCache::snapshot`] /
 //!   [`ConcurrentPlanCache::warm_from`] across process restarts —
-//!   recency-preserving and invalidation-generation-aware. Loads
-//!   revalidate every record structurally instead of trusting the bytes,
-//!   and a restore admits only what its caller admits — the engine, a
-//!   plan its own model still selects ([`selection`]).
+//!   recency-preserving and invalidation-generation-aware. Loads parse
+//!   every record and judge every plan with
+//!   [`ExecutionPlan::verify_artifacts`] instead of trusting the bytes,
+//!   and a restore keeps only what its caller maps to a plan — the
+//!   engine, a plan its own model still selects ([`selection`]), at that
+//!   model's prices.
 //!
 //! There is one planned path: `doacross_engine::Engine` fingerprints a
 //! loop, serves or builds its plan through the concurrent cache, and runs

@@ -39,13 +39,17 @@
 //! 2. the whole-blob checksum is verified before any record is parsed
 //!    ([`PersistError::ChecksumMismatch`] on any bit flip, truncations
 //!    surface as [`PersistError::Truncated`]);
-//! 3. every decoded plan is structurally revalidated against its own
-//!    census and fingerprint — a claim stream must rebuild through
-//!    [`ClaimStream::from_parts`] (order a permutation, ends covering the
-//!    classes if it has any, levels strictly increasing, every count
-//!    within `u32`) and
-//!    agree with the census, variants must carry exactly the artifact they
-//!    execute with ([`PersistError::Structural`] otherwise).
+//! 3. every record parses, its own fields agree, then
+//!    [`ExecutionPlan::verify_artifacts`] judges it. The codec checks only
+//!    what a record can get wrong on its own ([`PersistError::Structural`]):
+//!    the variant tag against the subscript section, a nonzero stride, a
+//!    claim stream that rebuilds through [`ClaimStream::from_parts`] (order
+//!    a permutation, ends covering the classes if it has any, levels
+//!    strictly increasing, every count within `u32`), the census shape
+//!    against the fingerprint, at least one processor, the features
+//!    section's bounds, and a record consumed exactly. Whether the artifact
+//!    fits its variant and its census is the verifier's call, the same
+//!    rules every built plan answers to ([`PersistError::Unsound`]).
 //!
 //! Decoding therefore never panics and never yields a plan the executor
 //! could misbehave on; the worst a corrupt store can do is fail with a
@@ -143,16 +147,24 @@ pub enum PersistError {
     /// A field decoded to a value no encoder produces (bad tag, bad bool,
     /// trailing bytes).
     Malformed(String),
-    /// The record decoded, but its contents contradict themselves — a
-    /// claim order that is not a permutation, reference ends that do not
-    /// cover the class bytes, a census that disagrees with its fingerprint. The
-    /// plan is rejected rather than trusted.
+    /// The record parsed, but its own fields contradict each other: a
+    /// linear tag without its subscript, a zero stride, claim-stream parts
+    /// [`ClaimStream::from_parts`] rejects (an order that is not a
+    /// permutation, ends that do not cover the class bytes, a class byte no
+    /// encoder writes), a census that disagrees with its fingerprint, zero
+    /// processors, or a features section out of its bounds. The plan is
+    /// rejected rather than trusted.
     Structural(String),
-    /// The record decoded and is internally coherent, but its
-    /// synchronization schedule fails the soundness verifier: the plan
-    /// would not cover every dependence its own census implies. Typed
-    /// separately from [`PersistError::Structural`] so callers can tell a
-    /// corrupted encoding from a schedule that is well-formed yet wrong.
+    /// The record parsed and its fields agree, but the plan fails
+    /// [`ExecutionPlan::verify_artifacts`], the one judge of an artifact
+    /// against its variant and census: a stream missing or present where
+    /// the variant runs none, a stream shaped for another variant (an
+    /// order, level offsets), a level count off the critical path, class
+    /// counts or a classification that disagree with the census, a
+    /// non-injective census under a parallel variant, a linear subscript
+    /// out of bounds. Typed separately from [`PersistError::Structural`]
+    /// so callers can tell a corrupted encoding from a plan that is
+    /// well-formed yet wrong.
     Unsound(doacross_verify::SoundnessViolation),
     /// No store exists at the given path — distinguished from other IO
     /// failures because a missing store is the normal first-boot state,
@@ -488,9 +500,12 @@ fn encode_record(plan: &ExecutionPlan, stream: Option<StreamParts<'_>>) -> Vec<u
     out
 }
 
-/// Decodes one plan record, revalidating it structurally (see module
-/// docs). The record must be exactly consumed — trailing bytes are
-/// rejected, so a length-prefix mismatch cannot hide.
+/// Decodes one plan record (see the module docs' trust model): the record
+/// parses, its own fields agree, and it is exactly consumed — trailing
+/// bytes are rejected, so a length-prefix mismatch cannot hide. Then
+/// [`ExecutionPlan::verify_artifacts`] judges it, the same rules every
+/// built plan answers to: a plan whose artifact does not fit its census
+/// is refused with a typed violation, never trusted into the cache.
 fn decode_plan(bytes: &[u8]) -> Result<ExecutionPlan, PersistError> {
     let mut r = Reader::new(bytes);
     let plan = decode_plan_fields(&mut r)?;
@@ -500,11 +515,6 @@ fn decode_plan(bytes: &[u8]) -> Result<ExecutionPlan, PersistError> {
             r.remaining()
         )));
     }
-    // Structural revalidation above only proves the encoding is coherent;
-    // the soundness pass proves the decoded schedule could actually cover
-    // the dependences its own census implies. A store that fails here is
-    // well-formed but wrong — rejected with a typed violation, never
-    // trusted into the cache.
     plan.verify_artifacts()?;
     Ok(plan)
 }
@@ -523,12 +533,6 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
     let processors = r.usize()?;
 
     let tag = r.u8()?;
-    if tag > TAG_WAVEFRONT {
-        return Err(PersistError::Malformed(format!(
-            "unknown plan variant tag {tag}"
-        )));
-    }
-
     let census = PlanCensus {
         iterations: r.usize()?,
         data_len: r.usize()?,
@@ -542,8 +546,7 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         injective: r.bool()?,
         critical_path: r.usize()?,
     };
-
-    let stream_parts = if r.bool()? {
+    let stream = if r.bool()? {
         let order = r.opt_u32s()?;
         let ends = r.u32s()?;
         let levels = r.opt_u32s()?;
@@ -553,17 +556,34 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         } else {
             None
         };
-        Some((order, ends, levels, classes))
+        let stream = ClaimStream::from_parts(order, ends, classes, levels)
+            .ok_or_else(|| structural("claim stream rejected by the core reconstruction"))?;
+        Some(stream)
     } else {
         None
     };
-
-    let linear: Option<(u64, u64)> = if r.bool()? {
-        Some((r.u64()?, r.u64()?))
+    let linear = if r.bool()? {
+        match (r.usize()?, r.usize()?) {
+            (0, _) => return Err(structural("linear subscript with stride 0")),
+            (c, d) => Some(LinearSubscript::new(c, d)),
+        }
     } else {
         None
     };
-
+    let variant = match tag {
+        TAG_SEQUENTIAL => PlanVariant::Sequential,
+        TAG_DOACROSS => PlanVariant::Doacross,
+        TAG_REORDERED => PlanVariant::Reordered,
+        TAG_LINEAR => PlanVariant::Linear(
+            linear.ok_or_else(|| structural("linear variant without its detected subscript"))?,
+        ),
+        TAG_WAVEFRONT => PlanVariant::Wavefront,
+        _ => {
+            return Err(PersistError::Malformed(format!(
+                "unknown plan variant tag {tag}"
+            )))
+        }
+    };
     let costs = VariantCosts {
         sequential: r.f64()?,
         doacross: r.opt_f64()?,
@@ -582,8 +602,9 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
     };
     let build_time = Duration::from_nanos(r.u64()?);
 
-    // --- Structural revalidation: the record parsed, now make it *prove*
-    // it describes an executable plan before any of it is trusted.
+    // The record's own fields must agree with each other; whether its
+    // artifact fits its census is `verify_artifacts`' call, not the
+    // codec's.
     if processors == 0 {
         return Err(structural("plan priced for zero processors"));
     }
@@ -596,107 +617,7 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
             census.iterations, census.data_len, census.total_terms, fingerprint
         )));
     }
-    let classified = census.true_deps + census.anti_deps + census.intra + census.unwritten;
-    if classified > census.total_terms {
-        return Err(structural(format!(
-            "census classifies {classified} references but only {} exist",
-            census.total_terms
-        )));
-    }
-
     check_features(&census, &costs, processors, features.as_ref())?;
-
-    let linear = match linear {
-        Some((0, _)) => {
-            return Err(structural("linear subscript with stride 0"));
-        }
-        Some((c, d)) => Some(LinearSubscript::new(c as usize, d as usize)),
-        None => None,
-    };
-
-    let variant = match tag {
-        TAG_SEQUENTIAL => PlanVariant::Sequential,
-        TAG_DOACROSS => PlanVariant::Doacross,
-        TAG_REORDERED => PlanVariant::Reordered,
-        TAG_LINEAR => PlanVariant::Linear(
-            linear.ok_or_else(|| structural("linear variant without its detected subscript"))?,
-        ),
-        TAG_WAVEFRONT => PlanVariant::Wavefront,
-        _ => unreachable!("tag validated above"),
-    };
-
-    let streamed = matches!(
-        variant,
-        PlanVariant::Doacross | PlanVariant::Reordered | PlanVariant::Wavefront
-    );
-    let stream = match (streamed, stream_parts) {
-        (true, Some((order, ends, levels, classes))) => {
-            if !census.injective {
-                return Err(structural(format!(
-                    "{variant} plan over a non-injective left-hand side"
-                )));
-            }
-            // Which optional parts the variant executes with: the natural
-            // order is no order, only the wavefront has levels.
-            let (wants_order, wants_levels) = match variant {
-                PlanVariant::Doacross => (false, false),
-                PlanVariant::Reordered => (true, false),
-                _ => (true, true),
-            };
-            if order.is_some() != wants_order || levels.is_some() != wants_levels {
-                return Err(structural(format!(
-                    "{variant} plan with a claim stream shaped for another variant \
-                     (order {}, levels {})",
-                    order.is_some(),
-                    levels.is_some()
-                )));
-            }
-            let stream = ClaimStream::from_parts(order, ends, classes, levels)
-                .ok_or_else(|| structural("claim stream rejected by the core reconstruction"))?;
-            if stream.iterations() != census.iterations {
-                return Err(structural(format!(
-                    "claim stream covers {} of {} iterations",
-                    stream.iterations(),
-                    census.iterations
-                )));
-            }
-            if wants_levels && stream.level_count() != census.critical_path {
-                return Err(structural(format!(
-                    "{} levels disagree with the census critical path {}",
-                    stream.level_count(),
-                    census.critical_path
-                )));
-            }
-            if stream.total_terms() as u64 != census.total_terms {
-                return Err(structural(format!(
-                    "claim stream classifies {} of {} references",
-                    stream.total_terms(),
-                    census.total_terms
-                )));
-            }
-            let counts = stream.class_counts();
-            if counts.true_deps != census.true_deps
-                || counts.intra != census.intra
-                || counts.anti_or_unwritten != census.anti_deps + census.unwritten
-            {
-                return Err(structural(
-                    "operand classes disagree with the census classification",
-                ));
-            }
-            Some(stream)
-        }
-        (true, None) => {
-            return Err(structural(format!(
-                "{variant} variant without its claim stream"
-            )));
-        }
-        (false, Some(_)) => {
-            return Err(structural(
-                "claim stream attached to a variant that never consumes one",
-            ));
-        }
-        (false, None) => None,
-    };
 
     Ok(ExecutionPlan {
         fingerprint,
@@ -937,6 +858,7 @@ mod tests {
     use crate::planner::Planner;
     use doacross_core::{AccessPattern, IndirectLoop};
     use doacross_par::ThreadPool;
+    use doacross_verify::SoundnessViolation;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -1039,7 +961,7 @@ mod tests {
         Option<Vec<u32>>,
         Option<Vec<u8>>,
     );
-    fn record_with(plan: &ExecutionPlan, mutate: &dyn Fn(&mut OwnedParts)) -> Vec<u8> {
+    fn owned_parts(plan: &ExecutionPlan, mutate: &dyn Fn(&mut OwnedParts)) -> OwnedParts {
         let s = plan.stream().expect("a stream-backed plan");
         let mut parts: OwnedParts = (
             s.order().map(<[u32]>::to_vec),
@@ -1048,16 +970,29 @@ mod tests {
             s.classes().map(<[u8]>::to_vec),
         );
         mutate(&mut parts);
-        let (order, ends, levels, classes) = &parts;
+        parts
+    }
+    fn record_with(plan: &ExecutionPlan, mutate: &dyn Fn(&mut OwnedParts)) -> Vec<u8> {
+        let (order, ends, levels, classes) = owned_parts(plan, mutate);
         encode_record(
             plan,
             Some((
                 order.as_deref(),
-                ends,
+                &ends,
                 levels.as_deref(),
                 classes.as_deref(),
             )),
         )
+    }
+
+    /// `plan` decoded afresh with its stream rebuilt from mutated parts —
+    /// the in-memory plan [`record_with`] writes, for parts the core
+    /// accepts.
+    fn with_stream(plan: &ExecutionPlan, mutate: &dyn Fn(&mut OwnedParts)) -> ExecutionPlan {
+        let (order, ends, levels, classes) = owned_parts(plan, mutate);
+        let mut patient = decode_plan(&encode_plan(plan)).unwrap();
+        patient.stream = Some(ClaimStream::from_parts(order, ends, classes, levels).unwrap());
+        patient
     }
 
     /// The class bytes of `parts`, written out as `NewValue` bytes when the
@@ -1068,22 +1003,33 @@ mod tests {
     }
 
     /// A stream whose `ends` lost its last entry (the at-rest form of a
-    /// truncated artifact) no longer covers its class bytes: it dies in
-    /// `ClaimStream::from_parts`, typed, before any of it is trusted.
+    /// truncated artifact) no longer covers its class bytes or its order:
+    /// it dies in `ClaimStream::from_parts`, typed, before any of it is
+    /// trusted. A stream with neither (the reference-free scatter's) is one
+    /// iteration short of its census, which `verify_artifacts` refuses.
     #[test]
     fn decode_rejects_stream_with_truncated_ends() {
         for plan in plans_of_every_variant()
             .iter()
             .filter(|p| p.stream().is_some())
         {
-            let bytes = record_with(plan, &|p| {
+            let stream = plan.stream().unwrap();
+            let decoded = decode_plan(&record_with(plan, &|p| {
                 p.1.pop();
-            });
-            assert!(
-                matches!(decode_plan(&bytes), Err(PersistError::Structural(_))),
-                "{}",
-                plan.variant()
-            );
+            }));
+            if stream.order().is_some() || stream.classes().is_some() {
+                assert_structural(decoded, &plan.variant().to_string());
+            } else {
+                let n = plan.census().iterations;
+                assert_eq!(
+                    decoded.map(|p| p.variant()),
+                    Err(PersistError::Unsound(SoundnessViolation::ShapeMismatch {
+                        what: "claim stream iterations",
+                        expected: n,
+                        got: n - 1,
+                    }))
+                );
+            }
         }
     }
 
@@ -1456,48 +1402,39 @@ mod tests {
         ));
     }
 
+    /// Fifteen inconsistent records, each refused typed. The codec owns the
+    /// rules a record can break on its own (`Structural`); every rule of
+    /// an artifact against its census is `verify_artifacts`', and for
+    /// those the plan mutated in memory gets the verdict its record does.
     #[test]
     fn structural_revalidation_rejects_inconsistent_records() {
         let plans = plans_of_every_variant();
-        let doacross = &plans[2];
-        let reordered = &plans[3];
-        let wavefront = &plans[5];
+        let (linear, doacross, reordered, wavefront) = (&plans[1], &plans[2], &plans[3], &plans[5]);
         assert_eq!(wavefront.variant(), PlanVariant::Wavefront);
 
-        let corrupt = |plan: &ExecutionPlan, mutate: &dyn Fn(&mut ExecutionPlan)| {
-            let bytes = encode_plan(plan);
-            let mut patient = decode_plan(&bytes).unwrap();
+        let patient = |plan: &ExecutionPlan, mutate: &dyn Fn(&mut ExecutionPlan)| {
+            let mut patient = decode_plan(&encode_plan(plan)).unwrap();
             mutate(&mut patient);
-            decode_plan(&encode_plan(&patient))
+            patient
+        };
+        let corrupt = |plan: &ExecutionPlan, mutate: &dyn Fn(&mut ExecutionPlan)| {
+            decode_plan(&encode_plan(&patient(plan, mutate)))
         };
 
+        // The codec's: the record's own fields disagree.
         assert_structural(corrupt(doacross, &|p| p.processors = 0), "zero processors");
         assert_structural(
             corrupt(doacross, &|p| p.census.total_terms += 1),
             "census disagrees with fingerprint",
         );
-        assert_structural(
-            corrupt(doacross, &|p| p.stream = None),
-            "streamed variant without its claim stream",
-        );
-        assert_structural(
-            corrupt(&plans[1], &|p| p.stream = doacross.stream.clone()),
-            "stream attached to a variant that never consumes one",
-        );
-        assert_structural(
-            corrupt(doacross, &|p| p.stream = reordered.stream.clone()),
-            "a natural-order plan carrying a claim order",
-        );
-        assert_structural(
-            corrupt(reordered, &|p| p.stream = wavefront.stream.clone()),
-            "a flag plan carrying level offsets",
-        );
+        // Verify refuses the non-injective census too, but the features
+        // section, priced only for an injective loop, says so first.
         assert_structural(
             corrupt(doacross, &|p| p.census.injective = false),
             "flat doacross over a non-injective lhs",
         );
         assert_structural(
-            corrupt(&plans[1], &|p| p.linear = None),
+            corrupt(linear, &|p| p.linear = None),
             "linear variant without its detected subscript",
         );
         assert_structural(
@@ -1513,41 +1450,77 @@ mod tests {
             })),
             "claim order shorter than the iteration space",
         );
-
-        // Wavefront-specific inconsistencies.
         assert_structural(
-            decode_plan(&record_with(wavefront, &|p| p.2 = None)),
-            "wavefront variant without its level offsets",
+            decode_plan(&record_with(wavefront, &|p| class_bytes(p)[0] = 9)),
+            "a class byte no encoder writes",
         );
-        assert_structural(
-            decode_plan(&record_with(wavefront, &|p| {
-                // Merge the first two levels: still a valid CSR structure,
-                // but the level count no longer matches the census
-                // critical path.
+
+        // Verify's: an artifact that does not fit its variant or census.
+        let claim_stream = |expected, got| SoundnessViolation::ArtifactMismatch {
+            what: "claim stream",
+            expected,
+            got,
+        };
+        assert_unsound(&patient(doacross, &|p| p.stream = None), claim_stream(1, 0));
+        assert_unsound(
+            &patient(linear, &|p| p.stream = doacross.stream.clone()),
+            claim_stream(0, 1),
+        );
+        assert_unsound(
+            &patient(doacross, &|p| p.stream = reordered.stream.clone()),
+            SoundnessViolation::ShapeMismatch {
+                what: "claim order of a natural-order stream",
+                expected: 0,
+                got: reordered.census.iterations,
+            },
+        );
+        assert_unsound(
+            &patient(reordered, &|p| p.stream = wavefront.stream.clone()),
+            SoundnessViolation::ArtifactMismatch {
+                what: "level offsets of a flag stream",
+                expected: 0,
+                got: 1,
+            },
+        );
+        assert_unsound(
+            &with_stream(wavefront, &|p| p.2 = None),
+            SoundnessViolation::ArtifactMismatch {
+                what: "level offsets of a wavefront stream",
+                expected: 1,
+                got: 0,
+            },
+        );
+        // Merge the first two levels: still a valid CSR structure, but the
+        // level count no longer matches the census critical path.
+        assert_unsound(
+            &with_stream(wavefront, &|p| {
                 p.2.as_mut().unwrap().remove(1);
-            })),
-            "level count disagrees with the census critical path",
+            }),
+            SoundnessViolation::ShapeMismatch {
+                what: "wavefront levels against the census critical path",
+                expected: wavefront.census.critical_path,
+                got: wavefront.census.critical_path - 1,
+            },
         );
         for plan in [doacross, reordered, wavefront] {
             if plan.census.true_deps == 0 {
                 continue;
             }
-            assert_structural(
-                decode_plan(&record_with(plan, &|p| {
-                    // Flip one true-dependency class to old-value: the
-                    // class counts no longer match the census
-                    // classification.
+            // Flip one true-dependency class to old-value: the class
+            // counts no longer match the census classification.
+            assert_unsound(
+                &with_stream(plan, &|p| {
                     let classes = class_bytes(p);
                     let flip = classes.iter().position(|&c| c == 0).expect("has true deps");
                     classes[flip] = 1;
-                })),
-                "operand classes disagree with the census",
+                }),
+                SoundnessViolation::ArtifactMismatch {
+                    what: "new-value class count",
+                    expected: plan.census.true_deps,
+                    got: plan.census.true_deps - 1,
+                },
             );
         }
-        assert_structural(
-            decode_plan(&record_with(wavefront, &|p| class_bytes(p)[0] = 9)),
-            "a class byte no encoder writes",
-        );
 
         // Garbage never panics, whatever byte it lands on.
         let mut bytes = encode_plan(reordered);
@@ -1556,6 +1529,37 @@ mod tests {
             let _ = decode_plan(&bytes); // must not panic
             bytes[i] = bytes[i].wrapping_sub(0x5B);
         }
+    }
+
+    /// A linear stride whose last subscript overflows `usize`: the record
+    /// parses, and `verify_artifacts` refuses it as out of bounds rather
+    /// than wrapping (or, in a debug build, panicking) on the arithmetic.
+    #[test]
+    fn decode_rejects_a_linear_subscript_past_usize() {
+        let plans = plans_of_every_variant();
+        let linear = &plans[1];
+        let n = linear.census.iterations;
+        let mut patient = decode_plan(&encode_plan(linear)).unwrap();
+        let subscript = LinearSubscript::new(usize::MAX, 0);
+        (patient.variant, patient.linear) = (PlanVariant::Linear(subscript), Some(subscript));
+        assert_unsound(
+            &patient,
+            SoundnessViolation::OutOfBounds {
+                iteration: n - 1,
+                element: usize::MAX,
+                data_len: linear.census.data_len,
+            },
+        );
+    }
+
+    /// `patient` fails `verify_artifacts` with `violation`, and its record
+    /// fails to load with the same violation.
+    fn assert_unsound(patient: &ExecutionPlan, violation: SoundnessViolation) {
+        assert_eq!(patient.verify_artifacts(), Err(violation.clone()));
+        assert_eq!(
+            decode_plan(&encode_plan(patient)).map(|p| p.variant()),
+            Err(PersistError::Unsound(violation))
+        );
     }
 
     /// Re-encodes `plan` with its features section rewritten by `mutate`

@@ -5,6 +5,7 @@ use crate::census::PlanCensus;
 use crate::fingerprint::PatternFingerprint;
 use doacross_core::{AccessPattern, ClaimStream, LinearSubscript};
 use doacross_verify::{SoundnessReport, SoundnessViolation, SyncSchedule};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which runtime the planner selected for the pattern.
@@ -186,7 +187,9 @@ impl ExecutionPlan {
     }
 
     /// Predicted per-run costs of all evaluated candidates: the planner's
-    /// model applied to [`ExecutionPlan::features`] — the recorded decision.
+    /// model applied to [`ExecutionPlan::features`] — the recorded decision
+    /// (for a plan an engine restored from a store, that engine's model;
+    /// see [`ExecutionPlan::repriced`]).
     pub fn costs(&self) -> &VariantCosts {
         &self.costs
     }
@@ -217,28 +220,46 @@ impl ExecutionPlan {
         self.build_time
     }
 
+    /// This plan with `costs` for its prices — how an engine restores a
+    /// stored plan its own model selects, with that model's prices
+    /// ([`crate::planner::selection`]). The same `Arc` when the prices
+    /// already are `costs`, so a warm start under the writing model copies
+    /// nothing.
+    pub fn repriced(self: &Arc<Self>, costs: VariantCosts) -> Arc<Self> {
+        if self.costs == costs {
+            return Arc::clone(self);
+        }
+        Arc::new(Self {
+            census: self.census.clone(),
+            stream: self.stream.clone(),
+            costs,
+            ..**self
+        })
+    }
+
     /// Projects the plan onto its synchronization schedule — the lossless
     /// view `doacross-verify` checks. Fails (as an artifact mismatch) only
-    /// when the variant's required artifact is missing, which no planner
-    /// build produces; the projection exists so persisted or hand-built
-    /// plans cannot dodge verification by dropping an artifact.
+    /// when the plan carries a claim stream exactly where its variant does
+    /// not run one — missing under doacross, reordered and wavefront,
+    /// present under sequential and linear — which no planner build
+    /// produces; the projection exists so persisted or hand-built plans
+    /// cannot dodge verification by dropping or smuggling an artifact.
     pub fn sync_schedule(&self) -> Result<SyncSchedule<'_>, SoundnessViolation> {
-        let stream = || {
-            self.stream
-                .as_ref()
-                .ok_or(SoundnessViolation::ArtifactMismatch {
+        let schedule = match (self.variant, &self.stream) {
+            (PlanVariant::Sequential, None) => SyncSchedule::Sequential,
+            (PlanVariant::Linear(subscript), None) => SyncSchedule::FlagsLinear { subscript },
+            (PlanVariant::Doacross, Some(stream)) => SyncSchedule::FlagsNatural { stream },
+            (PlanVariant::Reordered, Some(stream)) => SyncSchedule::FlagsOrdered { stream },
+            (PlanVariant::Wavefront, Some(stream)) => SyncSchedule::Wavefront { stream },
+            (_, stream) => {
+                return Err(SoundnessViolation::ArtifactMismatch {
                     what: "claim stream",
-                    expected: 1,
-                    got: 0,
+                    expected: stream.is_none() as u64,
+                    got: stream.is_some() as u64,
                 })
+            }
         };
-        Ok(match self.variant {
-            PlanVariant::Sequential => SyncSchedule::Sequential,
-            PlanVariant::Doacross => SyncSchedule::FlagsNatural { stream: stream()? },
-            PlanVariant::Linear(subscript) => SyncSchedule::FlagsLinear { subscript },
-            PlanVariant::Reordered => SyncSchedule::FlagsOrdered { stream: stream()? },
-            PlanVariant::Wavefront => SyncSchedule::Wavefront { stream: stream()? },
-        })
+        Ok(schedule)
     }
 
     /// Full soundness verification against the pattern the plan claims to
@@ -285,8 +306,38 @@ impl std::fmt::Display for ExecutionPlan {
 
 #[cfg(test)]
 mod tests {
-    use crate::{testgrid::deep_grid, Planner};
+    use crate::{testgrid::deep_grid, PlanVariant, Planner};
+    use doacross_core::LinearSubscript;
     use doacross_par::ThreadPool;
+    use doacross_verify::SoundnessViolation;
+
+    /// A claim stream exactly where the variant runs none — present under
+    /// sequential and linear, missing under a stream-backed variant — has
+    /// no schedule, so neither verifier mode accepts the plan.
+    #[test]
+    fn sync_schedule_refuses_a_stream_where_the_variant_runs_none() {
+        let (pool, planner) = (ThreadPool::new(4), Planner::new());
+        let mut plan = planner.plan(&pool, &deep_grid(64, 20, 3, 7)).unwrap();
+        assert_eq!(plan.variant, PlanVariant::Wavefront);
+        let claim_stream = |expected, got| SoundnessViolation::ArtifactMismatch {
+            what: "claim stream",
+            expected,
+            got,
+        };
+        for variant in [
+            PlanVariant::Sequential,
+            PlanVariant::Linear(LinearSubscript::new(1, 0)),
+        ] {
+            plan.variant = variant;
+            assert_eq!(plan.sync_schedule().unwrap_err(), claim_stream(0, 1));
+            assert_eq!(plan.verify_artifacts(), Err(claim_stream(0, 1)));
+        }
+        plan.variant = PlanVariant::Wavefront;
+        plan.verify_artifacts().expect("the built plan");
+        plan.stream = None;
+        assert_eq!(plan.sync_schedule().unwrap_err(), claim_stream(1, 0));
+        assert_eq!(plan.verify_artifacts(), Err(claim_stream(1, 0)));
+    }
 
     #[test]
     fn display_is_the_same_for_every_build_of_a_pattern() {

@@ -248,7 +248,7 @@ proptest! {
         let bytes = cache.snapshot().to_bytes();
         let store = PlanStore::from_bytes(&bytes).expect("own bytes parse");
         let warmed = ConcurrentPlanCache::new(8, 1);
-        warmed.warm_from(&store, |_| true);
+        warmed.warm_from(&store, |plan| Some(plan.clone()));
         let recency = |cache: &ConcurrentPlanCache| -> Vec<PatternFingerprint> {
             cache.snapshot().plans().map(|plan| *plan.fingerprint()).collect()
         };
@@ -289,5 +289,159 @@ proptest! {
 
         // The pristine bytes still parse.
         prop_assert!(PlanStore::from_bytes(&bytes).is_ok());
+    }
+}
+
+/// The store checksum as the persist module documents it (four-lane FNV-1a
+/// over the little-endian words of everything before it, the last word
+/// zero-padded, folded into the byte length), re-derived here so a test
+/// can re-seal a blob it mutated.
+fn checksum(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+    let mut lanes = [OFFSET; 4];
+    for (k, word) in bytes.chunks(8).enumerate() {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        lanes[k % 4] = step(lanes[k % 4], u64::from_le_bytes(padded));
+    }
+    lanes
+        .into_iter()
+        .fold(step(OFFSET, bytes.len() as u64), step)
+}
+
+/// A v10 store of six plans, one per variant the planner selects under
+/// the Multimax preset at four workers (sequential twice: a serial chain
+/// and a non-injective loop), two of them rebuilt after an invalidation so
+/// the generation table is not empty.
+fn whole_store_fixture() -> &'static [u8] {
+    static FIXTURE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let (chains, len) = (32usize, 16usize);
+        let interleaved: Vec<Vec<usize>> = (0..chains * len)
+            .map(|i| if i % len == 0 { vec![] } else { vec![i - 1] })
+            .collect();
+        let loops = [
+            // A serial chain.
+            (
+                301,
+                (1..=300).collect(),
+                (0..300).map(|i| vec![i]).collect(),
+            ),
+            // The dependence-free strided loop.
+            (
+                4_001,
+                (0..2_000).map(|i| 2 * i + 1).collect(),
+                vec![vec![]; 2_000],
+            ),
+            // A dependence-free reversed scatter.
+            (4_000, (0..4_000).rev().collect(), vec![vec![]; 4_000]),
+            // Interleaved distance-1 chains.
+            (chains * len, (0..chains * len).collect(), interleaved),
+            // A non-injective left-hand side.
+            (
+                512,
+                (0..4_096).map(|i| i % 512).collect(),
+                (0..4_096).map(|i| vec![(i + 7) % 512]).collect(),
+            ),
+        ]
+        .map(
+            |(data_len, lhs, rhs): (usize, Vec<usize>, Vec<Vec<usize>>)| {
+                let coeff = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+                IndirectLoop::new(data_len, lhs, rhs, coeff).expect("valid")
+            },
+        );
+        let grid = doacross_plan::testgrid::deep_grid(64, 20, 3, 7);
+        let (pool, planner) = (ThreadPool::new(4), Planner::new());
+        let cache = ConcurrentPlanCache::new(8, 1);
+        let build = |l: &IndirectLoop| {
+            let key = PatternFingerprint::of(l);
+            cache.get_or_build(&key, || planner.plan(&pool, l)).unwrap();
+            key
+        };
+        for l in loops.iter().chain([&grid]) {
+            build(l);
+        }
+        for l in &loops[..2] {
+            cache.invalidate(&build(l));
+            build(l);
+        }
+        let store = cache.snapshot();
+        let mut variants: Vec<String> = store
+            .plans()
+            .map(|plan| match plan.variant() {
+                PlanVariant::Linear(_) => "linear".into(),
+                variant => variant.to_string(),
+            })
+            .collect();
+        variants.sort();
+        assert_eq!(
+            variants,
+            [
+                "doacross",
+                "linear",
+                "reordered",
+                "sequential",
+                "sequential",
+                "wavefront"
+            ]
+        );
+        assert_eq!(store.generations().count(), 2);
+        let bytes = store.to_bytes();
+        let (body, sealed) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(
+            sealed,
+            checksum(body).to_le_bytes(),
+            "the re-derived checksum"
+        );
+        bytes
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// One byte anywhere after the version word flipped, dropped or
+    /// inserted, and the checksum re-sealed, so the generation table, the
+    /// counts and the record length prefixes are fuzzed past the checksum
+    /// along with the records: the store fails typed or loads plans that
+    /// pass `verify_artifacts`, and never panics.
+    #[test]
+    fn a_mutated_store_fails_typed_or_loads_verified_plans(
+        mutation in 0u8..3,
+        at in 0usize..1 << 20,
+        byte in 1u8..=255,
+    ) {
+        const HEADER: usize = 8 + 4;
+        let bytes = whole_store_fixture();
+        let mut blob = bytes[..bytes.len() - 8].to_vec();
+        let span = blob.len() - HEADER;
+        match mutation {
+            0 => blob[HEADER + at % span] ^= byte,
+            1 => {
+                blob.remove(HEADER + at % span);
+            }
+            _ => blob.insert(HEADER + at % (span + 1), byte),
+        }
+        let sealed = checksum(&blob);
+        blob.extend_from_slice(&sealed.to_le_bytes());
+        match PlanStore::from_bytes(&blob) {
+            Ok(store) => {
+                for plan in store.plans() {
+                    prop_assert!(plan.verify_artifacts().is_ok(), "{}", plan);
+                }
+            }
+            Err(err) => prop_assert!(
+                matches!(
+                    err,
+                    PersistError::Truncated { .. }
+                        | PersistError::Malformed(_)
+                        | PersistError::Structural(_)
+                        | PersistError::Unsound(_)
+                ),
+                "{:?}",
+                err
+            ),
+        }
     }
 }

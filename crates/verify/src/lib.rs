@@ -32,10 +32,10 @@
 //! | Variant (`SyncSchedule`) | Claimed class comes from | Flow (true) deps | Anti deps | Output deps | Ordering obligation |
 //! |---|---|---|---|---|---|
 //! | `Sequential` | — (program order) | program order | program order | program order | — |
-//! | `FlagsNatural` (doacross) | stream byte `(i, j)`; the stream carries no order | per-element flag: byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | natural claim order covers `w < i` by construction; each row as long as the pattern's |
+//! | `FlagsNatural` (doacross) | stream byte `(i, j)`; the stream carries no order and no level offsets | per-element flag: byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | natural claim order covers `w < i` by construction; each row as long as the pattern's |
 //! | `FlagsLinear` (linear) | `a(i) = c·i + d`, arithmetically | as doacross | as doacross | lhs injective (`c ≥ 1` ⇒ automatic) | `lhs(i) ≡ c·i + d` must hold exactly |
-//! | `FlagsOrdered` (reordered) | stream byte `(pos[i], j)` | as doacross | as doacross | lhs must be injective | the stream's order must be a permutation *and* topological: `pos[w] < pos[i]` for every flow edge, else livelock — at any claim grain, since a worker walks its chunk in slot order |
-//! | `Wavefront` | stream byte `(pos[i], j)` | completion count: `level(w) < level(i)` strictly, and the byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | the stream carries level offsets; each row as long as the pattern's |
+//! | `FlagsOrdered` (reordered) | stream byte `(pos[i], j)`; the stream carries an order and no level offsets | as doacross | as doacross | lhs must be injective | the stream's order must be a permutation *and* topological: `pos[w] < pos[i]` for every flow edge, else livelock — at any claim grain, since a worker walks its chunk in slot order |
+//! | `Wavefront` | stream byte `(pos[i], j)` | completion count: `level(w) < level(i)` strictly, and the byte must be *new value* | byte must be *old value* | inexpressible — lhs must be injective | the stream carries an order and level offsets; each row as long as the pattern's |
 //!
 //! A reference to an element no iteration writes must be classified *old
 //! value* everywhere; claiming it *new* is a [`SoundnessViolation::PhantomWait`]
@@ -47,11 +47,20 @@
 //!   in hand: plan build (`debug_assert!`-gated), adaptive promotion
 //!   (a trial plan must verify before it is swapped in), and any caller
 //!   holding a plan and its pattern (`ExecutionPlan::verify_against`).
-//! * [`verify_artifacts`] — the pattern-free check persisted-plan loading
-//!   runs: the stream's shape for its variant (order / no order / level
-//!   offsets), claim-order permutation, reference total and per-class
-//!   counts vs the census — everything provable from the artifacts
-//!   alone.
+//! * [`verify_artifacts`] — the pattern-free check, and the one judge of
+//!   a persisted plan (the store's codec only parses a record and checks
+//!   that its own fields agree). Its obligations, everything provable
+//!   from the artifacts and the census alone: a classified census under
+//!   any stream, an injective one under every parallel variant, no more
+//!   classified references than exist (and exactly as many under a
+//!   parallel variant); the stream's shape for its variant (natural flags
+//!   no order, ordered flags and the wavefront an order, only the
+//!   wavefront level offsets), as many iterations as the census, a
+//!   wavefront's level count equal to [`CensusFacts::critical_path`],
+//!   claim-order permutation, reference total and per-class counts vs the
+//!   census; a nonzero linear stride whose last subscript is in bounds.
+//!   The plan layer's projection adds one more: a stream exactly where
+//!   the variant runs one.
 //!
 //! The crate deliberately depends only on `doacross-core`:
 //! `doacross-plan` sits *above* it and projects `ExecutionPlan` into

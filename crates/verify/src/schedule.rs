@@ -107,6 +107,9 @@ pub struct CensusFacts {
     pub unwritten: u64,
     /// Whether the left-hand side is injective.
     pub injective: bool,
+    /// Wavefront critical path: the number of dependence levels, which a
+    /// wavefront stream's level count must equal (0 when not measured).
+    pub critical_path: usize,
     /// Whether the census counted the dependence classes at all. `false`
     /// for a census that holds the shape totals alone (a plan the planner
     /// settled on its reference counts): its class counts are zeros that

@@ -8,9 +8,10 @@
 //! stream holds none — or the linear oracle's arithmetic) against the class the index arrays *imply* — reporting the
 //! first uncovered edge — and then the ordering obligation of the variant
 //! (claim positions, levels). [`verify_artifacts`] is the pattern-free
-//! check persistence runs at load time: everything provable from the
-//! schedule artifacts and the census alone (injectivity prerequisites, the
-//! stream's shape and class counts).
+//! check persistence runs at load time, its one judge of a loaded plan:
+//! everything provable from the schedule artifacts and the census alone
+//! (injectivity prerequisites, the classification total, the stream's
+//! shape, level count and class counts).
 
 use crate::schedule::{CensusFacts, SyncSchedule};
 use crate::violation::{DependenceEdge, SoundnessReport, SoundnessViolation};
@@ -84,44 +85,48 @@ fn class_violation(
 }
 
 /// The shape a stream-backed schedule's artifact must have before any of
-/// it is read: built for `iterations` iterations, and carrying exactly the
-/// optional parts its variant executes with — no claim order under natural
-/// flags, one under ordered flags, level offsets under the wavefront.
+/// it is read: carrying exactly the optional parts its variant executes
+/// with — no claim order under natural flags, one under ordered flags and
+/// the wavefront, level offsets under the wavefront and nowhere else (the
+/// runtime picks the level gate from them, so a flag stream with levels
+/// would run as a wavefront) — and built for `iterations` iterations.
 fn stream_shape(
     schedule: &SyncSchedule<'_>,
     stream: &ClaimStream,
     iterations: usize,
 ) -> Result<(), SoundnessViolation> {
-    if stream.iterations() != iterations {
-        return Err(SoundnessViolation::ShapeMismatch {
-            what: "claim stream iterations",
-            expected: iterations,
-            got: stream.iterations(),
-        });
-    }
-    let order_len = stream.order().map(<[u32]>::len);
-    match schedule {
-        SyncSchedule::FlagsNatural { .. } if order_len.is_some() => {
-            Err(SoundnessViolation::ShapeMismatch {
-                what: "claim order of a natural-order stream",
-                expected: 0,
-                got: iterations,
-            })
-        }
-        SyncSchedule::FlagsOrdered { .. } if order_len != Some(iterations) => {
+    let wavefront = matches!(schedule, SyncSchedule::Wavefront { .. });
+    match (schedule, stream.order().map(<[u32]>::len)) {
+        (SyncSchedule::FlagsNatural { .. }, Some(len)) => Err(SoundnessViolation::ShapeMismatch {
+            what: "claim order of a natural-order stream",
+            expected: 0,
+            got: len,
+        }),
+        (SyncSchedule::FlagsOrdered { .. } | SyncSchedule::Wavefront { .. }, None) => {
             Err(SoundnessViolation::ShapeMismatch {
                 what: "claim order length",
                 expected: iterations,
-                got: order_len.unwrap_or(0),
-            })
-        }
-        SyncSchedule::Wavefront { .. } if stream.level_offsets().is_none() => {
-            Err(SoundnessViolation::ArtifactMismatch {
-                what: "level offsets of a wavefront stream",
-                expected: 1,
                 got: 0,
             })
         }
+        _ if stream.level_offsets().is_some() != wavefront => {
+            Err(SoundnessViolation::ArtifactMismatch {
+                what: if wavefront {
+                    "level offsets of a wavefront stream"
+                } else {
+                    "level offsets of a flag stream"
+                },
+                expected: wavefront as u64,
+                got: !wavefront as u64,
+            })
+        }
+        // A stream's order is as long as its iterations, so this sizes
+        // the order too.
+        _ if stream.iterations() != iterations => Err(SoundnessViolation::ShapeMismatch {
+            what: "claim stream iterations",
+            expected: iterations,
+            got: stream.iterations(),
+        }),
         _ => Ok(()),
     }
 }
@@ -373,7 +378,8 @@ pub fn verify_pattern<P: AccessPattern + ?Sized>(
 /// The pattern-free half: everything provable from the schedule artifacts
 /// and the census alone. This is what persisted-plan loading runs — the
 /// index arrays are not in the store, but a schedule that fails *these*
-/// checks can not be sound for any pattern matching the census.
+/// checks can not be sound for any pattern matching the census. It is the
+/// one judge of a loaded plan: the store's codec only parses.
 pub fn verify_artifacts(
     facts: &CensusFacts,
     schedule: &SyncSchedule<'_>,
@@ -384,33 +390,46 @@ pub fn verify_artifacts(
             variant: schedule.variant_name(),
         });
     }
-    // A sequential plan's census may count no class (a non-injective
-    // left-hand side, or a plan settled on its reference counts); every
-    // parallel variant's comes from the full classification pass.
-    if schedule.requires_injective() {
-        if !facts.injective {
-            return Err(SoundnessViolation::RequiresInjective {
-                variant: schedule.variant_name(),
-            });
-        }
-        let classified = facts.true_deps + facts.anti_deps + facts.intra + facts.unwritten;
-        if classified != facts.total_terms {
-            return Err(SoundnessViolation::ArtifactMismatch {
-                what: "census reference classification",
-                expected: facts.total_terms,
-                got: classified,
-            });
-        }
+    if schedule.requires_injective() && !facts.injective {
+        return Err(SoundnessViolation::RequiresInjective {
+            variant: schedule.variant_name(),
+        });
+    }
+    // No census classifies more references than exist. A sequential
+    // plan's census may count fewer (none, over a non-injective left-hand
+    // side or a plan settled on its reference counts); every parallel
+    // variant's comes from the full classification pass, which counts
+    // each reference once. Summed saturating: the counts may be a
+    // corrupt store's.
+    let classified = [facts.anti_deps, facts.intra, facts.unwritten]
+        .into_iter()
+        .fold(facts.true_deps, u64::saturating_add);
+    if (facts.classified && classified > facts.total_terms)
+        || (schedule.requires_injective() && classified != facts.total_terms)
+    {
+        return Err(SoundnessViolation::ArtifactMismatch {
+            what: "census reference classification",
+            expected: facts.total_terms,
+            got: classified,
+        });
     }
     match schedule {
         SyncSchedule::Sequential => {}
         // One rule for the three stream-backed variants: the stream was
-        // built for this census — its shape, its reference total, and how
-        // many references it routes to each source.
+        // built for this census — its shape, its level count, its
+        // reference total, and how many references it routes to each
+        // source.
         SyncSchedule::FlagsNatural { stream }
         | SyncSchedule::FlagsOrdered { stream }
         | SyncSchedule::Wavefront { stream } => {
             stream_shape(schedule, stream, facts.iterations)?;
+            if stream.level_offsets().is_some() && stream.level_count() != facts.critical_path {
+                return Err(SoundnessViolation::ShapeMismatch {
+                    what: "wavefront levels against the census critical path",
+                    expected: facts.critical_path,
+                    got: stream.level_count(),
+                });
+            }
             claim_positions(stream)?;
             if stream.total_terms() as u64 != facts.total_terms {
                 return Err(SoundnessViolation::ArtifactMismatch {
@@ -424,7 +443,7 @@ pub fn verify_artifacts(
                 ("new-value class count", facts.true_deps, counts.true_deps),
                 (
                     "old-value class count",
-                    facts.anti_deps + facts.unwritten,
+                    facts.anti_deps.saturating_add(facts.unwritten),
                     counts.anti_or_unwritten,
                 ),
                 ("accumulator class count", facts.intra, counts.intra),
@@ -447,7 +466,10 @@ pub fn verify_artifacts(
                 });
             }
             if facts.iterations > 0 {
-                let last = subscript.c * (facts.iterations - 1) + subscript.d;
+                let last = subscript
+                    .c
+                    .saturating_mul(facts.iterations - 1)
+                    .saturating_add(subscript.d);
                 if last >= facts.data_len {
                     return Err(SoundnessViolation::OutOfBounds {
                         iteration: facts.iterations - 1,

@@ -182,8 +182,12 @@ fn honest_ordered_and_wavefront_are_sound() {
     let ls = honest_wavefront(&l);
     verify_pattern(&l, &SyncSchedule::Wavefront { stream: &ls }).expect("honest levels sound");
     // A wavefront stream's level-sorted order is itself a topological
-    // claim order: the same artifact passes the flag rule too.
-    verify_pattern(&l, &SyncSchedule::FlagsOrdered { stream: &ls }).expect("levels are an order");
+    // claim order: as a flag stream (the order without the levels) it
+    // passes the flag rule too.
+    let level_order: Vec<usize> = ls.order().unwrap().iter().map(|&i| i as usize).collect();
+    let flags = flag_stream(&l, Some(&level_order), |_| {});
+    verify_pattern(&l, &SyncSchedule::FlagsOrdered { stream: &flags })
+        .expect("levels are an order");
 }
 
 #[test]
@@ -691,6 +695,7 @@ fn mixed_facts() -> CensusFacts {
         intra: 2,
         unwritten: 2,
         injective: true,
+        critical_path: 2,
         classified: true,
     }
 }
@@ -755,6 +760,7 @@ fn artifact_mode_kills_flag_stream_class_flip() {
 fn artifact_mode_kills_class_count_mismatch() {
     let l = mixed();
     let ls = honest_wavefront(&l);
+    let ordered = flag_stream(&l, Some(&[4, 2, 0, 3, 1, 5]), |_| {});
     let flags = flag_stream(&l, None, |_| {});
     let facts = CensusFacts {
         true_deps: 4,
@@ -763,7 +769,7 @@ fn artifact_mode_kills_class_count_mismatch() {
     };
     for schedule in [
         SyncSchedule::Wavefront { stream: &ls },
-        SyncSchedule::FlagsOrdered { stream: &ls },
+        SyncSchedule::FlagsOrdered { stream: &ordered },
         SyncSchedule::FlagsNatural { stream: &flags },
     ] {
         let err = verify_artifacts(&facts, &schedule).unwrap_err();
@@ -862,6 +868,127 @@ fn artifact_mode_kills_a_stream_under_an_unclassified_census() {
         );
     }
     verify_artifacts(&termless_counts, &SyncSchedule::Sequential).expect("nothing to vouch for");
+}
+
+/// Mutation 18d — a flag stream carrying level offsets: the runtime picks
+/// the level gate from them, so a reordered plan holding a wavefront's
+/// stream would run as a wavefront. Refused in both modes, though the
+/// level-sorted order alone is a sound flag schedule.
+#[test]
+fn artifact_mode_kills_level_offsets_on_a_flag_stream() {
+    let l = mixed();
+    let ls = honest_wavefront(&l);
+    let violation = SoundnessViolation::ArtifactMismatch {
+        what: "level offsets of a flag stream",
+        expected: 0,
+        got: 1,
+    };
+    let schedule = SyncSchedule::FlagsOrdered { stream: &ls };
+    assert_eq!(
+        verify_artifacts(&mixed_facts(), &schedule).unwrap_err(),
+        violation
+    );
+    assert_eq!(verify_pattern(&l, &schedule).unwrap_err(), violation);
+}
+
+/// Mutation 18e — a wavefront stream without a claim order: level offsets
+/// over the natural order, which nothing sorted by level.
+#[test]
+fn artifact_mode_kills_a_wavefront_stream_without_an_order() {
+    let l = mixed();
+    let natural = flag_stream(&l, None, |_| {});
+    let unordered = ClaimStream::from_parts(
+        None,
+        natural.ends().to_vec(),
+        natural.classes().map(<[u8]>::to_vec),
+        Some(vec![0, 3, 6]),
+    )
+    .expect("levels need no order to be well-formed");
+    assert_eq!(unordered.level_count(), mixed_facts().critical_path);
+    assert_eq!(
+        verify_artifacts(
+            &mixed_facts(),
+            &SyncSchedule::Wavefront { stream: &unordered }
+        )
+        .unwrap_err(),
+        SoundnessViolation::ShapeMismatch {
+            what: "claim order length",
+            expected: 6,
+            got: 0
+        }
+    );
+}
+
+/// Mutation 18f — a wavefront stream whose level count is not the census
+/// critical path: one level deeper is sound against the pattern (see
+/// `deepened_but_consistent_levels_stay_sound`) but not the stream this
+/// census was built with, and without the pattern nothing else vouches
+/// for its levels.
+#[test]
+fn artifact_mode_kills_a_level_count_off_the_critical_path() {
+    let l = mixed();
+    let deeper = mutate_wavefront(&l, |levels| levels[5] = 3, |_| {});
+    verify_pattern(&l, &SyncSchedule::Wavefront { stream: &deeper }).expect("deeper is sound");
+    for (facts, stream, got) in [
+        (mixed_facts(), &deeper, 3),
+        (
+            CensusFacts {
+                critical_path: 3,
+                ..mixed_facts()
+            },
+            &honest_wavefront(&l),
+            2,
+        ),
+    ] {
+        assert_eq!(
+            verify_artifacts(&facts, &SyncSchedule::Wavefront { stream }).unwrap_err(),
+            SoundnessViolation::ShapeMismatch {
+                what: "wavefront levels against the census critical path",
+                expected: facts.critical_path,
+                got
+            }
+        );
+    }
+}
+
+/// Mutation 18g — a classified census counting more references than
+/// exist, under any schedule: a sequential plan's census may count fewer
+/// (none, over a non-injective left-hand side), never more. A sum past
+/// `u64::MAX` saturates rather than wrapping below the total.
+#[test]
+fn artifact_mode_kills_classified_references_past_the_total() {
+    let over = CensusFacts {
+        unwritten: 3,
+        ..mixed_facts()
+    };
+    let wrapping = CensusFacts {
+        true_deps: u64::MAX,
+        ..mixed_facts()
+    };
+    let non_injective = CensusFacts {
+        injective: false,
+        ..over
+    };
+    for (facts, got) in [(over, 9), (wrapping, u64::MAX), (non_injective, 9)] {
+        assert_eq!(
+            verify_artifacts(&facts, &SyncSchedule::Sequential).unwrap_err(),
+            SoundnessViolation::ArtifactMismatch {
+                what: "census reference classification",
+                expected: 8,
+                got
+            }
+        );
+    }
+    let uncounted = CensusFacts {
+        true_deps: 0,
+        anti_deps: 0,
+        intra: 0,
+        unwritten: 0,
+        injective: false,
+        critical_path: 0,
+        ..mixed_facts()
+    };
+    verify_artifacts(&uncounted, &SyncSchedule::Sequential).expect("fewer is a sequential census");
 }
 
 /// Mutation 19 — linear subscript running off the data space.

@@ -63,7 +63,10 @@
 #                  mode must resolve typed and recoverable, `y` untouched),
 #                  the plan-soundness
 #                  verifier's suites (whose seeded schedule mutations
-#                  prove the verifier still rejects unsound plans), and
+#                  prove the verifier still rejects unsound plans;
+#                  `verify_artifacts` is the only judge of a loaded plan,
+#                  the store's codec only parses a record and checks that
+#                  its own fields agree), and
 #                  the staged planner's equivalence proof
 #                  (staged_equivalence: the stage-1 floor bounds every
 #                  parallel price as computed, so stopping a plan build
@@ -166,10 +169,19 @@
 #                  Multimax preset) restores only what the loading
 #                  engine's model selects, its decisions equal a cold
 #                  engine's, every skipped plan is rebuilt cold, and every
-#                  output is the oracle's; and a plan record with one byte
-#                  flipped, dropped or inserted (length prefix and
-#                  checksum re-sealed) fails typed or loads verified
-#                  plans, never a panic.
+#                  output is the oracle's, and every restored plan carries
+#                  the loading model's prices (a cold engine's, bit for
+#                  bit; the stored `Arc` when they already were); a plan
+#                  record with one byte flipped, dropped or inserted
+#                  (length prefix and checksum re-sealed), and a whole
+#                  store with one byte so mutated anywhere after its
+#                  version word (checksum re-sealed), fails typed or loads
+#                  verified plans, never a panic. The rules the codec gave
+#                  up are killed in artifact mode, by name: level offsets
+#                  on a flag stream, a wavefront stream without an order,
+#                  a level count off the critical path, classified
+#                  references past the total, and a claim stream where the
+#                  variant runs none.
 #
 # Exit nonzero on any violation, loudly.
 
@@ -431,6 +443,20 @@ named doacross-engine adaptive mispriced_model_promotes_to_the_measured_cheaper_
 say "analysis_gate: a store carries structure, not decisions, by name"
 named doacross-engine persist a_store_written_under_another_model_restores_only_this_engines_decisions
 named doacross-plan lib persist::tests::a_mutated_record_fails_typed_or_loads_verified_plans
+named doacross-plan proptest_persist a_mutated_store_fails_typed_or_loads_verified_plans
+
+say "analysis_gate: verify_artifacts is the one judge of a loaded plan, by name"
+for t in artifact_mode_kills_level_offsets_on_a_flag_stream \
+  artifact_mode_kills_a_wavefront_stream_without_an_order \
+  artifact_mode_kills_a_level_count_off_the_critical_path \
+  artifact_mode_kills_classified_references_past_the_total; do
+  named doacross-verify soundness "$t"
+done
+named doacross-plan lib plan::tests::sync_schedule_refuses_a_stream_where_the_variant_runs_none
+for t in structural_revalidation_rejects_inconsistent_records \
+  decode_rejects_a_linear_subscript_past_usize; do
+  named doacross-plan lib "persist::tests::$t"
+done
 
 # Stage 0: a plan the reference counts settle is the plan stage 1 would
 # gate, bit for bit; it runs no census pass (two allocations fewer), names

@@ -77,10 +77,13 @@
 //! ```
 //!
 //! Stores are never trusted blindly: loading verifies a whole-file
-//! checksum and structurally revalidates every record (a claim stream's
-//! order must be a permutation and its reference ends must cover its
-//! class bytes, the census must agree with the fingerprint) before anything reaches the
-//! cache — never a panic, never a silently wrong plan. The boot-path load
+//! checksum, parses every record and checks that its own fields agree (a
+//! claim stream's order must be a permutation and its reference ends must
+//! cover its class bytes, the census must agree with the fingerprint),
+//! then judges every plan with `ExecutionPlan::verify_artifacts`, the
+//! rules a freshly built plan answers to, before anything reaches the
+//! cache — never a panic, never a silently wrong plan. A restored plan
+//! carries the loading engine's prices, not the writer's. The boot-path load
 //! (`EngineBuilder::warm_start`) treats a damaged store as a fault to
 //! recover from, not an error to die on: the file is renamed
 //! aside to `<path>.corrupt-<n>` (the two newest corpses are kept for

@@ -186,7 +186,10 @@ impl EngineBuilder {
     /// registry behind [`crate::Engine::metrics_text`], and (for solves)
     /// the flight recorder behind [`crate::Engine::recent_solves`]. Off
     /// by default — a disabled handle costs one branch per would-be
-    /// event.
+    /// event. The capacities: a 4096-event trace ring split into 8
+    /// shards, one per emitting thread (round-robin), so a single-threaded
+    /// client keeps its last 512 events; a 128-solve flight recorder; 64
+    /// per-fingerprint metric series.
     pub fn observability_default(mut self) -> Self {
         self.observability = true;
         self

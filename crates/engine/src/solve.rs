@@ -7,8 +7,9 @@
 //!
 //! A **sequential** plan runs on the caller's thread and pays for nothing
 //! it does not use: the plan's shape checks and `run_sequential` timed by
-//! one clock pair ([`doacross_plan::execute_sequential`]), bracketed by
-//! the thread's allocation counter, then `record`. It leases no sub-pool,
+//! one clock pair ([`doacross_plan::execute_sequential`], which also hands
+//! back the reading that ended the run), bracketed by the thread's
+//! allocation counter, then `record`. It leases no sub-pool,
 //! locks no scratch, sets no deadline and runs under no `catch_unwind`:
 //! it has no region to fault and nothing to replay, so a panic in the
 //! loop body unwinds straight to the caller. Admission bounds concurrency
@@ -31,8 +32,9 @@
 //!    the pristine copy, health probe, lease released, the fault traced and
 //!    flight-recorded, and — policy permitting — the sequential replay.
 //! 5. **`record`** — the one place a delivered solve's `allocations`,
-//!    `attempts` and `provenance` are stamped, then the flight record,
-//!    the profile harvest and the adaptive hook. Both paths end here; a
+//!    `attempts` and `provenance` are stamped, then the profile harvest,
+//!    the flight record (traced in one push with the harvest's summary)
+//!    and the adaptive hook. Both paths end here; a
 //!    sequential solve's record names no sub-pool, and its profile is its
 //!    one work span, made from its stats.
 //!
@@ -51,14 +53,15 @@
 //!
 //! | Stage | Readings | Taken when, and why |
 //! |---|---|---|
-//! | sequential: `execute_sequential` | 2 | always: one pair for `RunStats::total`, which is also a profiled solve's one work span |
+//! | sequential: `execute_sequential` | 2 | always: one pair for `RunStats::total`, which is also a profiled solve's one work span; the second reading is also the stamp of every event `record` emits |
 //! | parallel: `admit` | 2 | profiling on, or tracing a multi-pool engine: the admission wait, measured once — the `PoolDispatched` event and the dispatch span both use it |
 //! | parallel: `arm` | 1 | a solve deadline is configured: when it expires |
 //! | parallel: `run` | 1 | always (a region can fault): when the attempt began, which `recover` turns into the fault's wall time; the executors time their own regions |
-//! | `record` | 1 | observability on: one stamp for every event the stage emits |
+//! | `record` | 0 sequential, 1 parallel | observability on, on the parallel path: one stamp for every event the stage emits (the sequential path stamps with the reading that ended its run) |
 //!
-//! A warm sequential solve therefore reads the clock twice with everything
-//! off and three times with observability, profiling and adaptation on.
+//! A warm sequential solve therefore reads the clock twice, with
+//! everything off and with observability, profiling and adaptation on
+//! alike (the adaptive hook's own readings, when it takes any, aside).
 
 use crate::engine::EngineInner;
 use crate::error::EngineError;
@@ -186,9 +189,17 @@ impl EngineInner {
         };
         if plan.variant() == PlanVariant::Sequential {
             let allocs_before = thread_allocations();
-            let stats = execute_sequential(loop_, y, plan)?;
+            let (stats, ended) = execute_sequential(loop_, y, plan)?;
             let allocations = thread_allocations() - allocs_before;
-            return Ok(solve.record(None, SolveOutcome::Ok, allocations, stats, loop_, y));
+            return Ok(solve.record(
+                None,
+                Some(ended),
+                SolveOutcome::Ok,
+                allocations,
+                stats,
+                loop_,
+                y,
+            ));
         }
         let (guard, admission) = solve.admit()?;
         let pool = guard.index();
@@ -215,7 +226,15 @@ impl EngineInner {
                 (SolveOutcome::FellBack, replayed)
             }
         };
-        Ok(solve.record(Some(pool), outcome, attempt.allocations, stats, loop_, y))
+        Ok(solve.record(
+            Some(pool),
+            None,
+            outcome,
+            attempt.allocations,
+            stats,
+            loop_,
+            y,
+        ))
     }
 }
 
@@ -245,7 +264,7 @@ impl<'e> Solve<'e> {
                     attempts: 1,
                     ..RunStats::default()
                 };
-                self.emit_solve_record(None, None, SolveOutcome::Saturated, &refused);
+                self.emit_solve_record(None, SolveOutcome::Saturated, &refused);
                 return Err(saturated.into());
             }
         };
@@ -256,11 +275,11 @@ impl<'e> Solve<'e> {
         if let (true, Some(wait)) = (trace_dispatch, admission) {
             engine.obs.emit_at(
                 wait.granted,
-                TraceEvent::PoolDispatched {
+                &[TraceEvent::PoolDispatched {
                     pool: guard.index() as u64,
                     stolen: guard.stolen(),
                     wait_ns: wait.ns(),
-                },
+                }],
             );
         }
         Ok((guard, admission))
@@ -410,7 +429,7 @@ impl<'e> Solve<'e> {
             attempts: 1,
             ..RunStats::default()
         };
-        self.emit_solve_record(None, Some(pool), failed_outcome, &aborted);
+        self.emit_solve_record(Some(pool), failed_outcome, &aborted);
         if !replays {
             return Err(err);
         }
@@ -441,10 +460,14 @@ impl<'e> Solve<'e> {
     /// delivered the answer — the attempt's own or the replay's — on
     /// sub-pool `pool`, or on the caller's thread holding none; it is
     /// stamped here, before the observability and adaptive hooks, so they
-    /// see the solve the caller will see.
+    /// see the solve the caller will see. `ended` is the reading that ended
+    /// a sequential run, which stamps this stage's events in place of a
+    /// reading of its own.
+    #[allow(clippy::too_many_arguments)]
     fn record<L: DoacrossLoop + ?Sized>(
         &self,
         pool: Option<usize>,
+        ended: Option<Instant>,
         outcome: SolveOutcome,
         allocations: u64,
         mut stats: RunStats,
@@ -456,18 +479,28 @@ impl<'e> Solve<'e> {
         stats.allocations = allocations;
         stats.attempts = if fell_back { 2 } else { 1 };
         stats.provenance = self.provenance;
-        // One reading stamps every event this stage emits.
-        let at = engine.obs.enabled().then(Instant::now);
-        self.emit_solve_record(at, pool, outcome, &stats);
-        if fell_back {
-            // Nothing to harvest (`recover` dropped the faulted attempt's
-            // partial spans), and the replay already reached the adaptive
-            // layer as a sequential anchor sample — it says nothing about
-            // how the plan's own variant performs.
-            return stats;
+        // Nothing to harvest on a fell-back solve (`recover` dropped the
+        // faulted attempt's partial spans), and the replay already reached
+        // the adaptive layer as a sequential anchor sample — it says
+        // nothing about how the plan's own variant performs.
+        let profiled = match &engine.profiler {
+            Some(profiler) if !fell_back => Some(self.harvest(profiler, pool, &stats)),
+            _ => None,
+        };
+        if engine.obs.enabled() {
+            // One reading stamps every event this stage emits, and they
+            // reach the trace ring in one push.
+            let at = ended.unwrap_or_else(Instant::now);
+            let finished = TraceEvent::SolveFinished {
+                record: self.solve_record(pool, outcome, &stats),
+            };
+            match profiled {
+                Some(profiled) => engine.obs.emit_at(at, &[finished, profiled]),
+                None => engine.obs.emit_at(at, &[finished]),
+            }
         }
-        if let Some(profiler) = &engine.profiler {
-            self.harvest(profiler, pool, &stats, at);
+        if fell_back {
+            return stats;
         }
         if let Some(adaptive) = &engine.adaptive {
             adaptive.after_solve(engine, loop_, y, self.plan, &stats);
@@ -477,15 +510,10 @@ impl<'e> Solve<'e> {
 
     /// `record`'s profile step: the solve's spans — the leased sub-pool's
     /// arena, or for a solve that held none the one work span its stats
-    /// make — are harvested into the ring, and the summary is traced
-    /// (stamped `at`, with the rest of the stage).
-    fn harvest(
-        &self,
-        profiler: &Profiler,
-        pool: Option<usize>,
-        stats: &RunStats,
-        at: Option<Instant>,
-    ) {
+    /// make — are harvested into the ring, and the summary comes back as
+    /// the event that traces it, for `record` to push with the rest of the
+    /// stage.
+    fn harvest(&self, profiler: &Profiler, pool: Option<usize>, stats: &RunStats) -> TraceEvent {
         let engine = self.engine;
         // The priced cost is the plan's model price converted through the
         // host calibration when one exists — otherwise unpriced, never a
@@ -509,20 +537,15 @@ impl<'e> Solve<'e> {
             clamp_ns(stats.total),
             priced_ns,
         );
-        if let Some(at) = at {
-            engine.obs.emit_at(
-                at,
-                TraceEvent::SolveProfiled {
-                    fp: self.plan.fingerprint().into(),
-                    variant: self.plan.variant().into(),
-                    realized_critical_ns: summary.realized_critical_ns,
-                    work_ns: summary.work_ns,
-                    flag_wait_ns: summary.flag_wait_ns,
-                    barrier_wait_ns: summary.barrier_wait_ns,
-                    dispatch_wait_ns: summary.dispatch_wait_ns,
-                    spans: summary.spans,
-                },
-            );
+        TraceEvent::SolveProfiled {
+            fp: self.plan.fingerprint().into(),
+            variant: self.plan.variant().into(),
+            realized_critical_ns: summary.realized_critical_ns,
+            work_ns: summary.work_ns,
+            flag_wait_ns: summary.flag_wait_ns,
+            barrier_wait_ns: summary.barrier_wait_ns,
+            dispatch_wait_ns: summary.dispatch_wait_ns,
+            spans: summary.spans,
         }
     }
 
@@ -557,24 +580,13 @@ impl<'e> Solve<'e> {
         }
     }
 
-    /// Traces one solve attempt's flight record, stamped `at` when the
-    /// caller already read the clock for its stage.
-    fn emit_solve_record(
-        &self,
-        at: Option<Instant>,
-        pool: Option<usize>,
-        outcome: SolveOutcome,
-        stats: &RunStats,
-    ) {
+    /// Traces a failed solve attempt's flight record.
+    fn emit_solve_record(&self, pool: Option<usize>, outcome: SolveOutcome, stats: &RunStats) {
         let obs = &self.engine.obs;
         if obs.enabled() {
-            let event = TraceEvent::SolveFinished {
+            obs.emit(TraceEvent::SolveFinished {
                 record: self.solve_record(pool, outcome, stats),
-            };
-            match at {
-                Some(at) => obs.emit_at(at, event),
-                None => obs.emit(event),
-            }
+            });
         }
     }
 }

@@ -47,7 +47,7 @@
 //! | `doacross_pool_wait_ns` | histogram | — | Time spent waiting for a free sub-pool (0 on the lock-free fast path). |
 //! | `doacross_pool_solve_ns` | histogram | `pool` | End-to-end solve latency per sub-pool (emitted once any multi-pool dispatch has been traced; a solve that held no sub-pool is not in it). |
 //! | `doacross_trace_events_total` | counter | — | Trace events ever emitted. |
-//! | `doacross_trace_dropped_total` | counter | — | Trace events dropped to bound the ring. |
+//! | `doacross_trace_dropped_total` | counter | — | Trace events dropped to bound the ring (events − retained). |
 //! | `doacross_structure_solves_total` | counter | `fingerprint`, `variant` | Per-structure solve counts (bounded; overflow aggregates under `fingerprint="other"`). |
 //! | `doacross_structure_solve_ns_total` | counter | `fingerprint`, `variant` | Per-structure total solve time. |
 //!
@@ -85,12 +85,25 @@
 //!
 //! # What "on" costs
 //!
-//! Off, every site is one branch. On, the engine's record stage reads the
-//! clock once and stamps every event it emits with that reading
-//! ([`Obs::emit_at`]); a delivered solve's `SolveFinished` is a handful of
-//! relaxed atomic adds (zero-valued ones skipped) and three uncontended
-//! locks — flight ring, trace-ring shard, per-structure map with one
-//! lookup — and nothing is allocated. The per-structure map, like the
+//! Off, every site is one branch. On, a delivered solve is recorded with
+//! one lock per sink and no atomic read-modify-write that a lock already
+//! serialises. Its `SolveFinished` locks the solve ledger once — the
+//! flight ring, the solve counts, the latency histograms, the
+//! poll/stall/crossing totals and the per-structure map (one lookup) are
+//! plain fields of it — and takes one trace-ring shard lock and one
+//! sequence reservation, shared with the solve's `SolveProfiled` when the
+//! profiler is armed ([`Obs::emit_at`] pushes a stage's events at once,
+//! stamped with the one clock reading the engine already took; a
+//! sequential solve's is the reading that ended its run). The profiler's
+//! harvest takes its ring lock once, its counters and per-level
+//! histograms being fields under it. A warm observed, profiled sequential
+//! solve therefore takes 3 locks (ledger, trace shard, profile ring) and
+//! 1 atomic read-modify-write (the sequence reservation), where it took 5
+//! locks (flight ring, per-structure map, trace shard twice, profile
+//! ring) and 18 (every counter, histogram bucket, drop count and sequence
+//! number its own atomic add, with the trace ring full), and nothing is
+//! allocated; the adaptive hook, outside this crate, is not counted. The
+//! per-structure map, like the
 //! adaptive layer's structure map, hashes with
 //! [`FpBuildHasher`]: its keys are fingerprints — already 128-bit hashes
 //! — so SipHash's DoS resistance is paid for twice, and one
@@ -101,7 +114,6 @@
 // Audit posture: this crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
 mod event;
-mod flight;
 mod fphash;
 pub mod metrics;
 pub mod profile;
@@ -115,8 +127,7 @@ pub use event::{
 pub use fphash::{FpBuildHasher, FpHasher, FpMap};
 pub use metrics::HistogramSnapshot;
 
-use flight::FlightRecorder;
-use metrics::{Registry, VariantLatency};
+use metrics::{Registry, SolveLedger};
 
 /// Static `pool` label values for the bounded per-sub-pool series
 /// (indices at or past [`metrics::MAX_POOL_SERIES`] render as `other`).
@@ -124,7 +135,7 @@ const POOL_LABELS: [&str; metrics::MAX_POOL_SERIES] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
 ];
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Capacity knobs for the observability layer.
@@ -133,7 +144,9 @@ pub struct ObsConfig {
     /// Total trace-ring capacity (events retained across all shards).
     pub trace_capacity: usize,
     /// Trace-ring shard count (rounded up to a power of two). More shards
-    /// mean less producer contention; threads are assigned round-robin.
+    /// mean less producer contention; threads are assigned round-robin,
+    /// and each shard keeps `trace_capacity / trace_shards` events, so one
+    /// thread's events are bounded by that share.
     pub trace_shards: usize,
     /// Flight-recorder capacity (recent solves retained).
     pub flight_capacity: usize,
@@ -155,10 +168,9 @@ impl Default for ObsConfig {
 
 struct ObsInner {
     start: Instant,
-    config: ObsConfig,
     trace: trace::TraceRing,
     registry: Registry,
-    flight: FlightRecorder,
+    ledger: Mutex<SolveLedger>,
 }
 
 /// The observability handle. Cheap to clone (an `Option<Arc<_>>`); a
@@ -179,10 +191,12 @@ impl Obs {
         Self {
             inner: Some(Arc::new(ObsInner {
                 start: Instant::now(),
-                config,
                 trace: trace::TraceRing::new(config.trace_capacity, config.trace_shards),
                 registry: Registry::default(),
-                flight: FlightRecorder::new(config.flight_capacity),
+                ledger: Mutex::new(SolveLedger::new(
+                    config.flight_capacity,
+                    config.max_fingerprints,
+                )),
             })),
         }
     }
@@ -200,28 +214,42 @@ impl Obs {
     /// [`TraceEvent::SolveFinished`]). A no-op on a disabled handle.
     pub fn emit(&self, event: TraceEvent) {
         if let Some(inner) = &self.inner {
-            inner.absorb(inner.start.elapsed(), event);
+            inner.absorb(inner.start.elapsed(), &[event]);
         }
     }
 
-    /// [`Obs::emit`] stamped with a clock reading the caller already took,
-    /// so several events of one stage share one reading (and one
-    /// `at_ns`). A no-op on a disabled handle.
-    pub fn emit_at(&self, at: Instant, event: TraceEvent) {
+    /// [`Obs::emit`] for the events of one stage, in order, stamped with a
+    /// clock reading the caller already took: they share one reading (and
+    /// one `at_ns`) and reach the trace ring in one push, under
+    /// consecutive sequence numbers. A no-op on a disabled handle.
+    pub fn emit_at(&self, at: Instant, events: &[TraceEvent]) {
         if let Some(inner) = &self.inner {
-            inner.absorb(at.saturating_duration_since(inner.start), event);
+            inner.absorb(at.saturating_duration_since(inner.start), events);
         }
     }
 }
 
 impl ObsInner {
-    fn absorb(&self, since_start: std::time::Duration, event: TraceEvent) {
-        let at_ns = since_start.as_nanos() as u64;
-        match &event {
+    fn ledger(&self) -> MutexGuard<'_, SolveLedger> {
+        self.ledger
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn absorb(&self, since_start: std::time::Duration, events: &[TraceEvent]) {
+        for event in events {
+            self.count(event);
+        }
+        self.trace.push(since_start.as_nanos() as u64, events);
+    }
+
+    /// Updates the registry (or, for a solve record, the ledger) with
+    /// what `event` counts.
+    fn count(&self, event: &TraceEvent) {
+        match event {
             TraceEvent::SolveFinished { record } => {
-                self.registry
-                    .record_solve(record, self.config.max_fingerprints);
-                self.flight.push(*record);
+                let pools_dispatched = self.registry.pools_dispatched.load(Ordering::Relaxed);
+                self.ledger().record(record, pools_dispatched);
             }
             TraceEvent::PlanBuilt {
                 variant, build_ns, ..
@@ -327,7 +355,6 @@ impl ObsInner {
                 // duplicate them. The ring still records the event.
             }
         }
-        self.trace.push(at_ns, event);
     }
 }
 
@@ -344,44 +371,24 @@ impl Obs {
     pub fn recent_solves(&self) -> Vec<SolveRecord> {
         self.inner
             .as_ref()
-            .map(|i| i.flight.snapshot())
+            .map(|i| i.ledger().flight.iter().copied().collect())
             .unwrap_or_default()
     }
 
-    /// Per-variant solve-latency histograms (only variants with at least
-    /// one recorded solve).
-    fn solve_latency(&self) -> Vec<VariantLatency> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        ObsVariant::ALL
-            .iter()
-            .filter_map(|&v| {
-                let (buckets, sum_ns, count) = inner.registry.solve_ns[v.index()].snapshot();
-                (count > 0).then_some(VariantLatency {
-                    variant: v,
-                    histogram: HistogramSnapshot {
-                        buckets,
-                        sum_ns,
-                        count,
-                    },
-                })
-            })
-            .collect()
-    }
-
     /// Renders the registry in Prometheus text-exposition format into
-    /// `buf`. The metric names are documented at the crate root. A no-op
-    /// on a disabled handle.
+    /// `buf`, holding the solve ledger's lock once for the whole render.
+    /// The metric names are documented at the crate root. A no-op on a
+    /// disabled handle.
     pub fn render_prometheus(&self, buf: &mut String) {
         let Some(inner) = &self.inner else { return };
         let r = &inner.registry;
+        let ledger = inner.ledger();
         let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
 
         let mut solve_samples: Vec<([(&str, &str); 2], u64)> = Vec::new();
         for v in ObsVariant::ALL {
             for p in PlanProvenance::ALL {
-                let n = load(&r.solves[v.index()][p.index()]);
+                let n = ledger.solves[v.index()][p.index()];
                 if n > 0 {
                     solve_samples.push(([("variant", v.as_str()), ("provenance", p.as_str())], n));
                 }
@@ -396,16 +403,14 @@ impl Obs {
             &solve_refs,
         );
 
-        let latencies = self.solve_latency();
-        let latency_labels: Vec<[(&str, &str); 1]> = latencies
+        // Only variants with at least one recorded solve.
+        let latency_labels: Vec<([(&str, &str); 1], &HistogramSnapshot)> = ObsVariant::ALL
             .iter()
-            .map(|l| [("variant", l.variant.as_str())])
+            .map(|&v| ([("variant", v.as_str())], &ledger.solve_ns[v.index()]))
+            .filter(|(_, h)| h.count > 0)
             .collect();
-        let latency_refs: Vec<(&[(&str, &str)], &HistogramSnapshot)> = latencies
-            .iter()
-            .zip(latency_labels.iter())
-            .map(|(l, labels)| (&labels[..], &l.histogram))
-            .collect();
+        let latency_refs: Vec<(&[(&str, &str)], &HistogramSnapshot)> =
+            latency_labels.iter().map(|(l, h)| (&l[..], *h)).collect();
         render::histogram_family(
             buf,
             "doacross_solve_ns",
@@ -417,19 +422,19 @@ impl Obs {
             buf,
             "doacross_wait_polls_total",
             "Busy-wait poll loops across all solves (flag-based variants).",
-            load(&r.wait_polls_total),
+            ledger.wait_polls_total,
         );
         render::counter(
             buf,
             "doacross_stalls_total",
             "Busy-wait stall events across all solves.",
-            load(&r.stalls_total),
+            ledger.stalls_total,
         );
         render::counter(
             buf,
             "doacross_barrier_crossings_total",
             "Wavefront barrier crossings across all solves.",
-            load(&r.barrier_crossings_total),
+            ledger.barrier_crossings_total,
         );
 
         let build_samples: Vec<([(&str, &str); 1], u64)> = ObsVariant::ALL
@@ -447,12 +452,7 @@ impl Obs {
             "Execution plans built, by chosen variant.",
             &build_refs,
         );
-        let (buckets, sum_ns, count) = r.plan_build_ns.snapshot();
-        let build_hist = HistogramSnapshot {
-            buckets,
-            sum_ns,
-            count,
-        };
+        let build_hist = r.plan_build_ns.snapshot();
         render::histogram_family(
             buf,
             "doacross_plan_build_ns",
@@ -599,37 +599,23 @@ impl Obs {
                 "Dispatches redirected by the work-stealing fallback.",
                 load(&r.pool_steals_total),
             );
-            let (buckets, sum_ns, count) = r.pool_wait_ns.snapshot();
-            let wait_hist = HistogramSnapshot {
-                buckets,
-                sum_ns,
-                count,
-            };
+            let wait_hist = r.pool_wait_ns.snapshot();
             render::histogram_family(
                 buf,
                 "doacross_pool_wait_ns",
                 "Time spent waiting for a free scheduler sub-pool in nanoseconds.",
                 &[(&[], &wait_hist)],
             );
-            let pool_latencies: Vec<([(&str, &str); 1], HistogramSnapshot)> = r
+            let pool_latencies: Vec<([(&str, &str); 1], &HistogramSnapshot)> = ledger
                 .pool_solve_ns
                 .iter()
-                .enumerate()
-                .filter_map(|(i, h)| {
-                    let (buckets, sum_ns, count) = h.snapshot();
-                    (count > 0).then_some((
-                        [("pool", POOL_LABELS[i])],
-                        HistogramSnapshot {
-                            buckets,
-                            sum_ns,
-                            count,
-                        },
-                    ))
-                })
+                .zip(POOL_LABELS)
+                .filter(|(h, _)| h.count > 0)
+                .map(|(h, pool)| ([("pool", pool)], h))
                 .collect();
             let pool_latency_refs: Vec<(&[(&str, &str)], &HistogramSnapshot)> = pool_latencies
                 .iter()
-                .map(|(labels, h)| (&labels[..], h))
+                .map(|(labels, h)| (&labels[..], *h))
                 .collect();
             render::histogram_family(
                 buf,
@@ -653,36 +639,25 @@ impl Obs {
         );
 
         // Per-structure series, fingerprint-sorted for a stable scrape.
-        let map = match r.per_fp.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        type PerVariant = [u64; ObsVariant::ALL.len()];
-        let mut rows: Vec<(String, PerVariant, PerVariant)> = map
+        let mut rows: Vec<(String, &metrics::FpMetrics)> = ledger
+            .per_fp
             .iter()
-            .map(|(fp, m)| {
-                let solves = std::array::from_fn(|i| load(&m.solves[i]));
-                let ns = std::array::from_fn(|i| load(&m.solve_ns_total[i]));
-                (fp.to_string(), solves, ns)
-            })
+            .map(|(fp, m)| (fp.to_string(), m))
             .collect();
-        drop(map);
         rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let overflow_solves: PerVariant = std::array::from_fn(|i| load(&r.overflow.solves[i]));
-        let overflow_ns: PerVariant = std::array::from_fn(|i| load(&r.overflow.solve_ns_total[i]));
-        if overflow_solves.iter().any(|&n| n > 0) {
-            rows.push(("other".to_string(), overflow_solves, overflow_ns));
+        if ledger.overflow.solves.iter().any(|&n| n > 0) {
+            rows.push(("other".to_string(), &ledger.overflow));
         }
         let mut solve_rows: Vec<([(&str, &str); 2], u64)> = Vec::new();
         let mut ns_rows: Vec<([(&str, &str); 2], u64)> = Vec::new();
-        for (fp, solves, ns) in &rows {
+        for (fp, m) in &rows {
             for v in ObsVariant::ALL {
-                let n = solves[v.index()];
+                let n = m.solves[v.index()];
                 if n > 0 {
                     solve_rows.push(([("fingerprint", fp), ("variant", v.as_str())], n));
                     ns_rows.push((
                         [("fingerprint", fp), ("variant", v.as_str())],
-                        ns[v.index()],
+                        m.solve_ns_total[v.index()],
                     ));
                 }
             }
@@ -786,8 +761,7 @@ mod tests {
         let mut text = String::new();
         single.render_prometheus(&mut text);
         assert!(!text.contains("doacross_pool_"));
-        let (_, _, unrecorded) =
-            single.inner.as_ref().unwrap().registry.pool_solve_ns[0].snapshot();
+        let unrecorded = single.inner.as_ref().unwrap().ledger().pool_solve_ns[0].count;
         assert_eq!(
             unrecorded, 0,
             "pool latency recorded where it is never shown"
@@ -822,8 +796,9 @@ mod tests {
             record.pool = None;
         }
         obs.emit(event);
-        let r = &obs.inner.as_ref().unwrap().registry;
-        assert!(r.pool_solve_ns.iter().all(|h| h.snapshot().2 == 0));
+        let ledger = obs.inner.as_ref().unwrap().ledger();
+        assert!(ledger.pool_solve_ns.iter().all(|h| h.count == 0));
+        drop(ledger);
         let solves = obs.recent_solves();
         assert_eq!(solves.len(), 1);
         assert_eq!(solves[0].pool, None);

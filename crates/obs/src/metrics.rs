@@ -1,15 +1,21 @@
-//! The metrics registry: lock-free counters and log-scaled latency
-//! histograms, engine-wide and per-fingerprint.
+//! The metrics registry: the solve ledger, and lock-free counters and
+//! log-scaled latency histograms for everything else.
 //!
-//! All hot-path updates are single `Relaxed` atomic RMWs; the only lock is
-//! the per-fingerprint map's, taken once per *solve* (not per iteration)
-//! and bounded by [`crate::ObsConfig::max_fingerprints`] — structures past
-//! the bound aggregate into an `other` bucket rather than growing the map.
+//! Everything a delivered solve updates — the flight ring, the solve
+//! counts, the per-variant and per-pool latency histograms, the
+//! poll/stall/crossing totals and the per-structure series — is a plain
+//! field of one solve ledger, which `SolveFinished` and a scrape each
+//! lock once: the lock already serialises its writers, so no update under
+//! it is an atomic read-modify-write. The per-structure series are bounded
+//! by [`crate::ObsConfig::max_fingerprints`] — structures past the bound
+//! aggregate into an `other` bucket rather than growing the map. Rare
+//! events (plan builds, cache, store, adaptive decisions, pool dispatch)
+//! are single `Relaxed` atomic RMWs on the registry's counters.
 
-use crate::event::{FpId, ObsVariant};
+use crate::event::{FpId, ObsVariant, SolveRecord};
 use crate::fphash::FpMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Upper bounds (ns) of the latency histogram buckets: factor-4 steps from
 /// 256 ns to ~268 ms, followed by an implicit `+Inf`. Eleven finite
@@ -37,7 +43,16 @@ const NBUCKETS: usize = LATENCY_BUCKET_BOUNDS_NS.len() + 1; // + the +Inf bucket
 /// covers every realistic partitioning of one engine's workers.
 pub const MAX_POOL_SERIES: usize = 16;
 
-/// A log-scaled latency histogram with an exact sum and count.
+/// The bucket `ns` falls in (`le` semantics: a bound is inclusive).
+fn bucket_of(ns: u64) -> usize {
+    LATENCY_BUCKET_BOUNDS_NS
+        .iter()
+        .position(|&b| ns <= b)
+        .unwrap_or(NBUCKETS - 1)
+}
+
+/// A log-scaled latency histogram with an exact sum and count, updated
+/// lock-free — for the rare events no lock guards.
 #[derive(Default)]
 pub(crate) struct Histogram {
     buckets: [AtomicU64; NBUCKETS],
@@ -47,68 +62,146 @@ pub(crate) struct Histogram {
 
 impl Histogram {
     pub(crate) fn record(&self, ns: u64) {
-        let idx = LATENCY_BUCKET_BOUNDS_NS
-            .iter()
-            .position(|&b| ns <= b)
-            .unwrap_or(NBUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// (per-bucket counts, sum_ns, count) snapshot. Buckets are *not*
-    /// cumulative here; the renderer accumulates for Prometheus `le`
-    /// semantics.
-    pub(crate) fn snapshot(&self) -> ([u64; NBUCKETS], u64, u64) {
-        let mut b = [0u64; NBUCKETS];
-        for (dst, src) in b.iter_mut().zip(self.buckets.iter()) {
-            *dst = src.load(Ordering::Relaxed);
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            count: self.count.load(Ordering::Relaxed),
         }
-        (
-            b,
-            self.sum_ns.load(Ordering::Relaxed),
-            self.count.load(Ordering::Relaxed),
-        )
     }
 }
 
-/// A histogram snapshot ready for rendering.
+/// A histogram's counts by value: what a scrape renders, and — recorded
+/// into in place under a lock that already serialises its writers — the
+/// histogram itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) counts; the last entry is the `+Inf`
-    /// bucket.
+    /// bucket. The renderer accumulates for Prometheus `le` semantics.
     pub buckets: [u64; NBUCKETS],
-    /// Sum of recorded values (ns).
+    /// Sum of recorded values (ns), wrapping like an atomic add.
     pub sum_ns: u64,
     /// Total recorded values.
     pub count: u64,
 }
 
-#[derive(Default)]
-pub(crate) struct FpMetrics {
-    /// Solves per variant, indexed by [`ObsVariant::index`].
-    pub(crate) solves: [AtomicU64; ObsVariant::ALL.len()],
-    /// Total solve ns per variant.
-    pub(crate) solve_ns_total: [AtomicU64; ObsVariant::ALL.len()],
-}
-
-impl FpMetrics {
-    fn add(&self, variant: usize, ns: u64) {
-        self.solves[variant].fetch_add(1, Ordering::Relaxed);
-        self.solve_ns_total[variant].fetch_add(ns, Ordering::Relaxed);
+impl HistogramSnapshot {
+    pub(crate) fn record(&mut self, ns: u64) {
+        self.buckets[bucket_of(ns)] += 1;
+        self.sum_ns = self.sum_ns.wrapping_add(ns);
+        self.count += 1;
     }
 }
 
-/// The registry. One per `Obs` handle; all fields are updated from
-/// [`crate::Obs::emit`] and read by the renderers.
+/// Solve counts and total solve ns per variant, indexed by
+/// [`ObsVariant::index`]: one structure's row, or the `other` row.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FpMetrics {
+    pub(crate) solves: [u64; ObsVariant::ALL.len()],
+    pub(crate) solve_ns_total: [u64; ObsVariant::ALL.len()],
+}
+
+impl FpMetrics {
+    fn add(&mut self, variant: usize, ns: u64) {
+        self.solves[variant] += 1;
+        self.solve_ns_total[variant] = self.solve_ns_total[variant].wrapping_add(ns);
+    }
+}
+
+/// What solve records update: the flight ring of every record, and for a
+/// delivered one everything the registry counts of it. One per `Obs`
+/// handle, behind one mutex.
+pub(crate) struct SolveLedger {
+    /// The last `flight_capacity` records, delivered or not, oldest first.
+    pub(crate) flight: VecDeque<SolveRecord>,
+    flight_capacity: usize,
+    /// Solves by (variant, provenance).
+    pub(crate) solves: [[u64; 3]; ObsVariant::ALL.len()],
+    /// Solve latency by variant.
+    pub(crate) solve_ns: [HistogramSnapshot; ObsVariant::ALL.len()],
+    pub(crate) wait_polls_total: u64,
+    pub(crate) stalls_total: u64,
+    pub(crate) barrier_crossings_total: u64,
+    /// Solve latency per sub-pool, bounded like
+    /// [`Registry::pool_dispatches`]; recorded only once a dispatch has
+    /// been, since a single-pool engine never traces one and never renders
+    /// the family.
+    pub(crate) pool_solve_ns: [HistogramSnapshot; MAX_POOL_SERIES],
+    /// Per-structure breakdown, bounded at `max_fingerprints`; overflow
+    /// aggregates under [`SolveLedger::overflow`].
+    pub(crate) per_fp: FpMap<FpId, FpMetrics>,
+    pub(crate) overflow: FpMetrics,
+    max_fingerprints: usize,
+}
+
+impl SolveLedger {
+    pub(crate) fn new(flight_capacity: usize, max_fingerprints: usize) -> Self {
+        let flight_capacity = flight_capacity.max(1);
+        Self {
+            flight: VecDeque::with_capacity(flight_capacity),
+            flight_capacity,
+            solves: Default::default(),
+            solve_ns: Default::default(),
+            wait_polls_total: 0,
+            stalls_total: 0,
+            barrier_crossings_total: 0,
+            pool_solve_ns: Default::default(),
+            per_fp: FpMap::default(),
+            overflow: FpMetrics::default(),
+            max_fingerprints,
+        }
+    }
+
+    /// Records one solve attempt. `pools_dispatched` is
+    /// [`Registry::pools_dispatched`], the gate of the per-pool series.
+    pub(crate) fn record(&mut self, record: &SolveRecord, pools_dispatched: bool) {
+        if self.flight.len() == self.flight_capacity {
+            self.flight.pop_front();
+        }
+        self.flight.push_back(*record);
+        if !record.outcome.delivered() {
+            // Failed attempts reach the flight ring but must not pollute
+            // the throughput counters or latency histograms with partial
+            // numbers.
+            return;
+        }
+        let v = record.variant.index();
+        self.solves[v][record.provenance.index()] += 1;
+        self.solve_ns[v].record(record.total_ns);
+        self.wait_polls_total = self.wait_polls_total.wrapping_add(record.wait_polls);
+        self.stalls_total = self.stalls_total.wrapping_add(record.stalls);
+        self.barrier_crossings_total = self
+            .barrier_crossings_total
+            .wrapping_add(record.barrier_crossings);
+        if let (Some(pool), true) = (record.pool, pools_dispatched) {
+            if let Some(h) = self.pool_solve_ns.get_mut(pool as usize) {
+                h.record(record.total_ns);
+            }
+        }
+        // One lookup for a structure already in the map; a second only
+        // the first time it is seen.
+        if let Some(slot) = self.per_fp.get_mut(&record.fp) {
+            slot.add(v, record.total_ns);
+        } else if self.per_fp.len() < self.max_fingerprints {
+            self.per_fp
+                .entry(record.fp)
+                .or_default()
+                .add(v, record.total_ns);
+        } else {
+            self.overflow.add(v, record.total_ns);
+        }
+    }
+}
+
+/// The rare events' counters. One per `Obs` handle; all fields are
+/// updated from [`crate::Obs::emit`] and read by the renderers.
 #[derive(Default)]
 pub(crate) struct Registry {
-    /// Solves by (variant, provenance).
-    pub(crate) solves: [[AtomicU64; 3]; ObsVariant::ALL.len()],
-    /// Solve latency by variant.
-    pub(crate) solve_ns: [Histogram; ObsVariant::ALL.len()],
-    pub(crate) wait_polls_total: AtomicU64,
-    pub(crate) stalls_total: AtomicU64,
-    pub(crate) barrier_crossings_total: AtomicU64,
     /// Plan builds by variant.
     pub(crate) plan_builds: [AtomicU64; ObsVariant::ALL.len()],
     pub(crate) plan_build_ns: Histogram,
@@ -139,10 +232,6 @@ pub(crate) struct Registry {
     pub(crate) pool_steals_total: AtomicU64,
     /// Time spent waiting for a free sub-pool (0 on the fast path).
     pub(crate) pool_wait_ns: Histogram,
-    /// Solve latency per sub-pool (from `SolveFinished`, bounded like
-    /// `pool_dispatches`; recorded only once a dispatch has been, since a
-    /// single-pool engine never traces one and never renders the family).
-    pub(crate) pool_solve_ns: [Histogram; MAX_POOL_SERIES],
     /// Parallel attempts abandoned because a worker panicked.
     pub(crate) fault_panics_total: AtomicU64,
     /// Parallel attempts abandoned because the solve deadline expired.
@@ -151,57 +240,9 @@ pub(crate) struct Registry {
     pub(crate) fault_fallbacks_total: AtomicU64,
     /// Corrupt warm-start stores renamed aside.
     pub(crate) store_quarantines_total: AtomicU64,
-    /// Per-structure breakdown, bounded; overflow aggregates under
-    /// [`Registry::overflow`].
-    pub(crate) per_fp: Mutex<FpMap<FpId, FpMetrics>>,
-    /// Aggregate bucket for structures beyond `max_fingerprints`.
-    pub(crate) overflow: FpMetrics,
 }
 
 impl Registry {
-    pub(crate) fn record_solve(&self, record: &crate::SolveRecord, max_fingerprints: usize) {
-        let v = record.variant.index();
-        if !record.outcome.delivered() {
-            // Failed attempts reach the flight recorder (the caller pushes
-            // every record there) but must not pollute the throughput
-            // counters or latency histograms with partial numbers.
-            return;
-        }
-        self.solves[v][record.provenance.index()].fetch_add(1, Ordering::Relaxed);
-        self.solve_ns[v].record(record.total_ns);
-        // Most solves stall nowhere: adding zero is an RMW for nothing.
-        for (total, n) in [
-            (&self.wait_polls_total, record.wait_polls),
-            (&self.stalls_total, record.stalls),
-            (&self.barrier_crossings_total, record.barrier_crossings),
-        ] {
-            if n != 0 {
-                total.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if let Some(pool) = record.pool {
-            if self.pools_dispatched.load(Ordering::Relaxed) {
-                if let Some(h) = self.pool_solve_ns.get(pool as usize) {
-                    h.record(record.total_ns);
-                }
-            }
-        }
-        let mut map = match self.per_fp.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // One lookup for a structure already in the map; a second only
-        // the first time it is seen.
-        if let Some(slot) = map.get(&record.fp) {
-            slot.add(v, record.total_ns);
-        } else if map.len() < max_fingerprints {
-            map.entry(record.fp).or_default().add(v, record.total_ns);
-        } else {
-            drop(map);
-            self.overflow.add(v, record.total_ns);
-        }
-    }
-
     pub(crate) fn record_plan_built(&self, variant: ObsVariant, build_ns: u64) {
         self.plan_builds[variant.index()].fetch_add(1, Ordering::Relaxed);
         self.plan_build_ns.record(build_ns);
@@ -224,17 +265,30 @@ impl Registry {
     }
 }
 
-/// Snapshot of one variant's solve-latency histogram, paired with its
-/// variant label — what `Obs::solve_latency` returns to the renderer.
-pub(crate) struct VariantLatency {
-    pub(crate) variant: ObsVariant,
-    pub(crate) histogram: HistogramSnapshot,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PlanProvenance;
+    use crate::event::{PlanProvenance, SolveOutcome};
+
+    fn record(fp: FpId, generation: u64) -> SolveRecord {
+        SolveRecord {
+            fp,
+            variant: ObsVariant::Doacross,
+            provenance: PlanProvenance::PlanCached,
+            generation,
+            total_ns: 100,
+            inspector_ns: 0,
+            executor_ns: 100,
+            post_ns: 0,
+            iterations: 1,
+            workers: 1,
+            stalls: 0,
+            wait_polls: 0,
+            barrier_crossings: 0,
+            pool: Some(0),
+            outcome: SolveOutcome::Ok,
+        }
+    }
 
     #[test]
     fn bucket_bounds_are_strictly_increasing_factor_4() {
@@ -245,49 +299,43 @@ mod tests {
 
     #[test]
     fn histogram_places_values_in_the_right_bucket() {
-        let h = Histogram::default();
-        h.record(0); // ≤ 256 → bucket 0
-        h.record(256); // boundary is inclusive (le semantics)
-        h.record(257); // → bucket 1
-        h.record(u64::MAX); // → +Inf
-        let (b, sum, count) = h.snapshot();
-        assert_eq!(b[0], 2);
-        assert_eq!(b[1], 1);
-        assert_eq!(b[NBUCKETS - 1], 1);
-        assert_eq!(count, 4);
+        let atomic = Histogram::default();
+        let mut plain = HistogramSnapshot::default();
+        for ns in [0, 256, 257, u64::MAX] {
+            // ≤ 256 → bucket 0 (the boundary is inclusive), 257 → bucket
+            // 1, u64::MAX → +Inf.
+            atomic.record(ns);
+            plain.record(ns);
+        }
+        let snap = atomic.snapshot();
+        assert_eq!(snap, plain, "both histograms count alike");
+        assert_eq!(snap.buckets[0], 2);
+        assert_eq!(snap.buckets[1], 1);
+        assert_eq!(snap.buckets[NBUCKETS - 1], 1);
+        assert_eq!(snap.count, 4);
         // 0 + 256 + 257, then the u64::MAX record wraps the sum down by 1.
-        assert_eq!(sum, 512);
+        assert_eq!(snap.sum_ns, 512);
     }
 
     #[test]
     fn per_fp_map_is_bounded_with_overflow_bucket() {
-        let r = Registry::default();
+        let mut ledger = SolveLedger::new(128, 4);
         for i in 0..10u64 {
-            let record = crate::SolveRecord {
-                fp: FpId(i, 0),
-                variant: ObsVariant::Doacross,
-                provenance: PlanProvenance::PlanCached,
-                generation: 0,
-                total_ns: 100,
-                inspector_ns: 0,
-                executor_ns: 100,
-                post_ns: 0,
-                iterations: 1,
-                workers: 1,
-                stalls: 0,
-                wait_polls: 0,
-                barrier_crossings: 0,
-                pool: Some(0),
-                outcome: crate::SolveOutcome::Ok,
-            };
-            r.record_solve(&record, 4);
+            ledger.record(&record(FpId(i, 0), 0), false);
         }
-        let map = r.per_fp.lock().unwrap();
-        assert_eq!(map.len(), 4);
-        assert_eq!(
-            r.overflow.solves[ObsVariant::Doacross.index()].load(Ordering::Relaxed),
-            6
-        );
+        assert_eq!(ledger.per_fp.len(), 4);
+        assert_eq!(ledger.overflow.solves[ObsVariant::Doacross.index()], 6);
+    }
+
+    #[test]
+    fn keeps_the_most_recent_capacity_records() {
+        let mut ledger = SolveLedger::new(3, 64);
+        for i in 0..8 {
+            ledger.record(&record(FpId(i, i), i), false);
+        }
+        assert_eq!(ledger.flight.len(), 3);
+        assert_eq!(ledger.flight[0].generation, 5);
+        assert_eq!(ledger.flight[2].generation, 7);
     }
 
     #[test]
@@ -299,7 +347,6 @@ mod tests {
         assert_eq!(r.pool_dispatches[0].load(Ordering::Relaxed), 2);
         assert_eq!(r.pool_overflow_dispatches.load(Ordering::Relaxed), 1);
         assert_eq!(r.pool_steals_total.load(Ordering::Relaxed), 1);
-        let (_, _, count) = r.pool_wait_ns.snapshot();
-        assert_eq!(count, 3);
+        assert_eq!(r.pool_wait_ns.snapshot().count, 3);
     }
 }

@@ -28,11 +28,10 @@
 //! harvest's summary also reaches the trace ring as a
 //! [`crate::TraceEvent::SolveProfiled`] event.
 
-use crate::metrics::Histogram;
 use crate::{render, FpId, HistogramSnapshot, ObsVariant};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// What a [`ProfSpan`] measures.
@@ -394,36 +393,53 @@ pub enum SpanSource {
     Caller { iterations: u64 },
 }
 
-/// The retained profiles, oldest first, and the span capacity every one
-/// of their buffers is kept at: the most spans any harvest has held. A
-/// buffer recycled from an evicted profile therefore fits any solve no
-/// larger than the largest so far.
+/// Everything a harvest updates, as plain fields under the one ring lock:
+/// the retained profiles, oldest first; the span capacity every one of
+/// their buffers is kept at (the most spans any harvest has held, so a
+/// buffer recycled from an evicted profile fits any solve no larger than
+/// the largest so far); the per-level barrier-wait histograms; and the
+/// `doacross_profile_*` counters.
 struct ProfileRing {
     profiles: VecDeque<SolveProfile>,
     span_capacity: usize,
+    /// `max_levels` labelled histograms, then the `"other"` overflow.
+    level_wait: [HistogramSnapshot; MAX_LEVEL_SERIES + 1],
+    /// Solves profiled so far — also the next profile's sequence number.
+    solves: u64,
+    spans_by_kind: [u64; 4],
+    dropped_total: u64,
+    /// Latest realized critical path per variant (valid when the
+    /// matching `variant_profiled` count is non-zero).
+    realized_ns: [u64; ObsVariant::ALL.len()],
+    /// Latest priced cost per variant, rounded to integer nanoseconds
+    /// (`u64::MAX` = the planner never priced the executed variant).
+    priced_ns: [u64; ObsVariant::ALL.len()],
+    variant_profiled: [u64; ObsVariant::ALL.len()],
 }
 
-/// The engine's profiling state: per-pool span arenas, the profile ring,
-/// per-level barrier-wait histograms, and the `doacross_profile_*`
-/// counters. Built once by `EngineBuilder::profiling_default()`; absent
-/// on an unprofiled engine, which therefore pays nothing at all.
+impl ProfileRing {
+    /// Per-level barrier-wait snapshots: `(label, snapshot)` for every
+    /// level with at least one recording, levels from `max_levels` on
+    /// under `"other"`.
+    fn level_histograms(&self, max_levels: usize) -> Vec<(&'static str, &HistogramSnapshot)> {
+        self.level_wait[..=max_levels]
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.count > 0)
+            .map(|(i, h)| (if i < max_levels { LEVEL_LABELS[i] } else { "other" }, h))
+            .collect()
+    }
+}
+
+/// The engine's profiling state: per-pool span arenas and the profile
+/// ring with its per-level barrier-wait histograms and
+/// `doacross_profile_*` counters. Built once by
+/// `EngineBuilder::profiling_default()`; absent on an unprofiled engine,
+/// which therefore pays nothing at all.
 pub struct Profiler {
     config: ProfConfig,
     arenas: Vec<ProfArena>,
-    seq: AtomicU64,
     ring: Mutex<ProfileRing>,
-    /// `max_levels` labelled histograms plus the `"other"` overflow.
-    level_wait: Vec<Histogram>,
-    solves: AtomicU64,
-    spans_by_kind: [AtomicU64; 4],
-    dropped_total: AtomicU64,
-    /// Latest realized critical path per variant (valid when the
-    /// matching `variant_profiled` count is non-zero).
-    realized_ns: [AtomicU64; ObsVariant::ALL.len()],
-    /// Latest priced cost per variant, rounded to integer nanoseconds
-    /// (`u64::MAX` = the planner never priced the executed variant).
-    priced_ns: [AtomicU64; ObsVariant::ALL.len()],
-    variant_profiled: [AtomicU64; ObsVariant::ALL.len()],
 }
 
 impl Profiler {
@@ -438,25 +454,27 @@ impl Profiler {
         let arenas = (0..pools.max(1))
             .map(|_| ProfArena::new(workers, config.per_worker_spans))
             .collect();
-        let level_wait = (0..config.max_levels + 1)
-            .map(|_| Histogram::default())
-            .collect();
         Self {
             config,
             arenas,
-            seq: AtomicU64::new(0),
             ring: Mutex::new(ProfileRing {
                 profiles: VecDeque::with_capacity(config.ring),
                 span_capacity: 0,
+                level_wait: Default::default(),
+                solves: 0,
+                spans_by_kind: [0; 4],
+                dropped_total: 0,
+                realized_ns: Default::default(),
+                priced_ns: Default::default(),
+                variant_profiled: Default::default(),
             }),
-            level_wait,
-            solves: AtomicU64::new(0),
-            spans_by_kind: Default::default(),
-            dropped_total: AtomicU64::new(0),
-            realized_ns: Default::default(),
-            priced_ns: Default::default(),
-            variant_profiled: Default::default(),
         }
+    }
+
+    fn ring(&self) -> MutexGuard<'_, ProfileRing> {
+        self.ring
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// The span arena for sub-pool `pool` (clamped to the last arena, so
@@ -481,7 +499,8 @@ impl Profiler {
     /// kept as large as the largest profile so far (grown all at once,
     /// the one time a solve sets a new maximum), so a warm harvest
     /// allocates nothing unless its solve deposited more spans than any
-    /// before it. The ring lock is taken once for the whole harvest.
+    /// before it. The ring lock is taken once for the whole harvest, and
+    /// every counter and histogram it updates is a plain field under it.
     pub fn harvest(
         &self,
         source: SpanSource,
@@ -490,10 +509,7 @@ impl Profiler {
         total_ns: u64,
         priced_ns: Option<f64>,
     ) -> ProfileSummary {
-        let mut ring = match self.ring.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut ring = self.ring();
         let evicted = if ring.profiles.len() >= self.config.ring {
             ring.profiles.pop_front()
         } else {
@@ -557,7 +573,7 @@ impl Profiler {
             }
             if span.kind == SpanKind::BarrierWait {
                 let idx = (span.level as usize).min(self.config.max_levels);
-                self.level_wait[idx].record(span.dur_ns);
+                ring.level_wait[idx].record(span.dur_ns);
             }
         }
         let dispatch_ns = kind_ns[SpanKind::DispatchWait.index()];
@@ -573,21 +589,19 @@ impl Profiler {
             dropped,
         };
 
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        for (counter, &n) in self.spans_by_kind.iter().zip(kind_spans.iter()) {
-            counter.fetch_add(n, Ordering::Relaxed);
+        let seq = ring.solves;
+        ring.solves += 1;
+        for (total, n) in ring.spans_by_kind.iter_mut().zip(kind_spans) {
+            *total += n;
         }
-        self.dropped_total.fetch_add(dropped, Ordering::Relaxed);
+        ring.dropped_total += dropped;
         let v = variant.index();
-        self.realized_ns[v].store(realized_critical_ns, Ordering::Relaxed);
-        self.priced_ns[v].store(
-            priced_ns.map_or(u64::MAX, |p| p.max(0.0).round() as u64),
-            Ordering::Relaxed,
-        );
-        self.variant_profiled[v].fetch_add(1, Ordering::Relaxed);
+        ring.realized_ns[v] = realized_critical_ns;
+        ring.priced_ns[v] = priced_ns.map_or(u64::MAX, |p| p.max(0.0).round() as u64);
+        ring.variant_profiled[v] += 1;
 
         ring.profiles.push_back(SolveProfile {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            seq,
             fp,
             variant,
             pool,
@@ -605,59 +619,28 @@ impl Profiler {
 
     /// Retained profiles, oldest first.
     pub fn recent(&self) -> Vec<SolveProfile> {
-        let ring = match self.ring.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        ring.profiles.iter().cloned().collect()
+        self.ring().profiles.iter().cloned().collect()
     }
 
-    /// Solves profiled so far.
-    fn solves(&self) -> u64 {
-        self.solves.load(Ordering::Relaxed)
-    }
-
-    /// Per-level barrier-wait snapshots: `(label, snapshot)` for every
-    /// level with at least one recording, deepest-capped under `"other"`.
-    fn level_histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        self.level_wait
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| {
-                let (buckets, sum_ns, count) = h.snapshot();
-                (count > 0).then_some((
-                    if i < self.config.max_levels {
-                        LEVEL_LABELS[i]
-                    } else {
-                        "other"
-                    },
-                    HistogramSnapshot {
-                        buckets,
-                        sum_ns,
-                        count,
-                    },
-                ))
-            })
-            .collect()
-    }
-
-    /// Renders the `doacross_profile_*` families. Nothing is rendered
-    /// until at least one solve has been profiled, so an armed-but-idle
-    /// engine's scrape is byte-identical to an unprofiled one.
+    /// Renders the `doacross_profile_*` families, holding the ring lock
+    /// once for the whole render. Nothing is rendered until at least one
+    /// solve has been profiled, so an armed-but-idle engine's scrape is
+    /// byte-identical to an unprofiled one.
     pub fn render_prometheus(&self, buf: &mut String) {
-        if self.solves() == 0 {
+        let ring = self.ring();
+        if ring.solves == 0 {
             return;
         }
         render::counter(
             buf,
             "doacross_profile_solves_total",
             "Solves whose span arenas were harvested into profiles.",
-            self.solves(),
+            ring.solves,
         );
         let kind_samples: Vec<([(&str, &str); 1], u64)> = SpanKind::ALL
             .iter()
             .filter_map(|&k| {
-                let n = self.spans_by_kind[k.index()].load(Ordering::Relaxed);
+                let n = ring.spans_by_kind[k.index()];
                 (n > 0).then_some(([("kind", k.as_str())], n))
             })
             .collect();
@@ -673,15 +656,13 @@ impl Profiler {
             buf,
             "doacross_profile_dropped_spans_total",
             "Spans dropped by per-worker arena bounding.",
-            self.dropped_total.load(Ordering::Relaxed),
+            ring.dropped_total,
         );
         let realized: Vec<([(&str, &str); 1], u64)> = ObsVariant::ALL
             .iter()
             .filter_map(|&v| {
-                (self.variant_profiled[v.index()].load(Ordering::Relaxed) > 0).then_some((
-                    [("variant", v.as_str())],
-                    self.realized_ns[v.index()].load(Ordering::Relaxed),
-                ))
+                (ring.variant_profiled[v.index()] > 0)
+                    .then_some(([("variant", v.as_str())], ring.realized_ns[v.index()]))
             })
             .collect();
         let realized_refs: Vec<(&[(&str, &str)], u64)> =
@@ -695,8 +676,8 @@ impl Profiler {
         let priced: Vec<([(&str, &str); 1], u64)> = ObsVariant::ALL
             .iter()
             .filter_map(|&v| {
-                let n = self.priced_ns[v.index()].load(Ordering::Relaxed);
-                (self.variant_profiled[v.index()].load(Ordering::Relaxed) > 0 && n != u64::MAX)
+                let n = ring.priced_ns[v.index()];
+                (ring.variant_profiled[v.index()] > 0 && n != u64::MAX)
                     .then_some(([("variant", v.as_str())], n))
             })
             .collect();
@@ -712,7 +693,7 @@ impl Profiler {
                 &priced_refs,
             );
         }
-        let levels = self.level_histograms();
+        let levels = ring.level_histograms(self.config.max_levels);
         let level_labels: Vec<[(&str, &str); 1]> = levels
             .iter()
             .map(|(label, _)| [("level", *label)])
@@ -720,7 +701,7 @@ impl Profiler {
         let level_refs: Vec<(&[(&str, &str)], &HistogramSnapshot)> = levels
             .iter()
             .zip(level_labels.iter())
-            .map(|((_, h), labels)| (&labels[..], h))
+            .map(|((_, h), labels)| (&labels[..], *h))
             .collect();
         render::histogram_family(
             buf,
@@ -1016,7 +997,7 @@ mod tests {
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].seq, 3);
         assert_eq!(recent[1].seq, 4);
-        assert_eq!(prof.solves(), 5);
+        assert_eq!(prof.ring().solves, 5);
     }
 
     #[test]
@@ -1035,10 +1016,12 @@ mod tests {
         arena.record(0, SpanKind::BarrierWait, 2, 20, 10, 0);
         arena.record(0, SpanKind::BarrierWait, 9, 30, 10, 0);
         prof.harvest(SpanSource::Arena(0), fp(), ObsVariant::Wavefront, 40, None);
-        let levels = prof.level_histograms();
+        let ring = prof.ring();
+        let levels = ring.level_histograms(prof.config.max_levels);
         let labels: Vec<&str> = levels.iter().map(|(l, _)| *l).collect();
         assert_eq!(labels, vec!["0", "1", "other"]);
         assert_eq!(levels[2].1.count, 2, "levels 2 and 9 both collapse");
+        drop(ring);
 
         let mut buf = String::new();
         prof.render_prometheus(&mut buf);

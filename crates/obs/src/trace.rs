@@ -4,14 +4,16 @@
 //! shards are assigned per thread (round-robin at first touch), so under
 //! the engine's worker threads each shard is effectively single-writer
 //! and the lock is uncontended. Each shard is a fixed-capacity ring that
-//! drops its oldest record when full; drops are counted, never silent.
+//! drops its oldest record when full; drops are counted under the same
+//! lock, never silent. The capacity is split evenly across the shards, so
+//! a single thread's events are bounded by one shard's share of it.
 //! Snapshots lock shards one at a time and merge by sequence number, so a
 //! reader never blocks more than one producer at once.
 
 use crate::event::{TraceEvent, TracedEvent};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Round-robin thread → shard assignment, stable for a thread's lifetime.
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
@@ -19,12 +21,17 @@ thread_local! {
     static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
 }
 
+/// One shard's retained events, oldest first, and how many it dropped.
+struct Shard {
+    events: VecDeque<TracedEvent>,
+    dropped: u64,
+}
+
 pub(crate) struct TraceRing {
-    shards: Box<[Mutex<VecDeque<TracedEvent>>]>,
+    shards: Box<[Mutex<Shard>]>,
     /// Capacity per shard; total capacity is `shards.len() * per_shard`.
     per_shard: usize,
     seq: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl TraceRing {
@@ -34,31 +41,37 @@ impl TraceRing {
         let shards = shards.max(1).next_power_of_two();
         let per_shard = capacity.div_ceil(shards).max(1);
         let shards = (0..shards)
-            .map(|_| Mutex::new(VecDeque::with_capacity(per_shard)))
+            .map(|_| {
+                Mutex::new(Shard {
+                    events: VecDeque::with_capacity(per_shard),
+                    dropped: 0,
+                })
+            })
             .collect();
         Self {
             shards,
             per_shard,
             seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
     }
 
-    /// Appends `event`, assigning it the next global sequence number.
-    /// Returns the assigned sequence number.
-    pub(crate) fn push(&self, at_ns: u64, event: TraceEvent) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+    fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+        shard.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Appends `events`, in order, under consecutive global sequence
+    /// numbers: one reservation and one shard lock however many there are.
+    pub(crate) fn push(&self, at_ns: u64, events: &[TraceEvent]) {
+        let first = self.seq.fetch_add(events.len() as u64, Ordering::Relaxed);
         let shard = THREAD_SLOT.with(|s| *s) & (self.shards.len() - 1);
-        let mut ring = match self.shards[shard].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if ring.len() == self.per_shard {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut shard = Self::lock(&self.shards[shard]);
+        for (seq, &event) in (first..).zip(events) {
+            if shard.events.len() == self.per_shard {
+                shard.events.pop_front();
+                shard.dropped += 1;
+            }
+            shard.events.push_back(TracedEvent { seq, at_ns, event });
         }
-        ring.push_back(TracedEvent { seq, at_ns, event });
-        seq
     }
 
     /// Total events ever pushed.
@@ -66,20 +79,16 @@ impl TraceRing {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Events dropped to bound the ring.
+    /// Events dropped to bound the ring, summed over the shards.
     pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| Self::lock(s).dropped).sum()
     }
 
     /// Snapshot of the retained events, oldest first (by sequence number).
     pub(crate) fn snapshot(&self) -> Vec<TracedEvent> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            let ring = match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            out.extend(ring.iter().copied());
+            out.extend(Self::lock(shard).events.iter().copied());
         }
         out.sort_unstable_by_key(|e| e.seq);
         out
@@ -95,7 +104,7 @@ mod tests {
     fn drops_oldest_when_full() {
         let ring = TraceRing::new(4, 1);
         for i in 0..10 {
-            ring.push(i, TraceEvent::CacheHit { fp: FpId(i, 0) });
+            ring.push(i, &[TraceEvent::CacheHit { fp: FpId(i, 0) }]);
         }
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 4);
@@ -103,6 +112,22 @@ mod tests {
         assert_eq!(snap[3].seq, 9);
         assert_eq!(ring.dropped(), 6);
         assert_eq!(ring.pushed(), 10);
+    }
+
+    #[test]
+    fn one_push_takes_consecutive_numbers_in_order() {
+        let ring = TraceRing::new(8, 1);
+        let (hit, miss) = (
+            TraceEvent::CacheHit { fp: FpId(1, 0) },
+            TraceEvent::CacheMiss { fp: FpId(2, 0) },
+        );
+        ring.push(5, &[hit]);
+        ring.push(7, &[miss, hit]);
+        let snap = ring.snapshot();
+        let seen: Vec<(u64, u64, TraceEvent)> =
+            snap.iter().map(|e| (e.seq, e.at_ns, e.event)).collect();
+        assert_eq!(seen, [(0, 5, hit), (1, 7, miss), (2, 7, hit)]);
+        assert_eq!(ring.pushed(), 3);
     }
 
     #[test]
@@ -115,7 +140,7 @@ mod tests {
                 let ring = ring.clone();
                 std::thread::spawn(move || {
                     for i in 0..8 {
-                        ring.push(i, TraceEvent::CacheMiss { fp: FpId(t, i) });
+                        ring.push(i, &[TraceEvent::CacheMiss { fp: FpId(t, i) }]);
                     }
                 })
             })

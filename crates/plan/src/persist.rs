@@ -1301,30 +1301,165 @@ mod tests {
                 }
                 _ => record.insert(at % (record.len() + 1), byte),
             }
-            let mut blob = bytes[..len_at].to_vec();
-            put_u64(&mut blob, record.len() as u64);
-            blob.extend_from_slice(&record);
-            blob.extend_from_slice(&bytes[range.end..bytes.len() - 8]);
-            let checksum = fnv::checksum(&blob);
-            put_u64(&mut blob, checksum);
-            match PlanStore::from_bytes(&blob) {
-                Ok(store) => {
-                    proptest::prop_assert_eq!(store.len(), records.len());
-                    for plan in store.plans() {
-                        proptest::prop_assert!(plan.verify_artifacts().is_ok(), "{}", plan);
-                    }
+            let loaded = load_with_record(len_at, range, &record);
+            proptest::prop_assert!(fails_typed_or_verifies(loaded), "{:?}", record);
+        }
+    }
+
+    /// The fixture store with the record at `range` (length prefix at
+    /// `len_at`) replaced by `record`, the prefix and the checksum
+    /// re-sealed so the record reaches `decode_plan`, loaded.
+    fn load_with_record(
+        len_at: usize,
+        range: std::ops::Range<usize>,
+        record: &[u8],
+    ) -> Result<PlanStore, PersistError> {
+        let (bytes, _) = record_fuzz_fixture();
+        let mut blob = bytes[..len_at].to_vec();
+        put_u64(&mut blob, record.len() as u64);
+        blob.extend_from_slice(record);
+        blob.extend_from_slice(&bytes[range.end..bytes.len() - 8]);
+        let checksum = fnv::checksum(&blob);
+        put_u64(&mut blob, checksum);
+        PlanStore::from_bytes(&blob)
+    }
+
+    /// What a mutated record may do: fail with a record-level error, or
+    /// load every plan, each passing `verify_artifacts`.
+    fn fails_typed_or_verifies(loaded: Result<PlanStore, PersistError>) -> bool {
+        match loaded {
+            Ok(store) => {
+                store.len() == record_fuzz_fixture().1.len()
+                    && store.plans().all(|plan| plan.verify_artifacts().is_ok())
+            }
+            Err(err) => matches!(
+                err,
+                PersistError::Truncated { .. }
+                    | PersistError::Malformed(_)
+                    | PersistError::Structural(_)
+                    | PersistError::Unsound(_)
+            ),
+        }
+    }
+
+    /// The offsets of a record's fixed-width fields — every 8-byte word
+    /// and every one-byte field (the tag, the flags) outside the claim
+    /// stream's counted arrays — found by walking the record in
+    /// `decode_plan_fields`' order; the walk must consume it exactly.
+    fn fixed_width_fields(record: &[u8]) -> (Vec<usize>, Vec<usize>) {
+        struct Walk<'a> {
+            r: Reader<'a>,
+            words: Vec<usize>,
+            bytes: Vec<usize>,
+        }
+        impl Walk<'_> {
+            fn words(&mut self, count: usize) {
+                for _ in 0..count {
+                    self.words.push(self.r.pos);
+                    self.r.u64().unwrap();
                 }
-                Err(err) => proptest::prop_assert!(
-                    matches!(
-                        err,
-                        PersistError::Truncated { .. }
-                            | PersistError::Malformed(_)
-                            | PersistError::Structural(_)
-                            | PersistError::Unsound(_)
-                    ),
-                    "{:?}",
-                    err
-                ),
+            }
+            /// A one-byte field; `true` when it is a set flag.
+            fn byte(&mut self) -> bool {
+                self.bytes.push(self.r.pos);
+                self.r.u8().unwrap() == 1
+            }
+            fn opt_word(&mut self) {
+                if self.byte() {
+                    self.words(1);
+                }
+            }
+        }
+        let mut w = Walk {
+            r: Reader::new(record),
+            words: Vec::new(),
+            bytes: Vec::new(),
+        };
+        w.words(6); // fingerprint, processors
+        w.byte(); // variant tag
+        w.words(7); // census counters
+        w.opt_word(); // min true distance
+        w.opt_word(); // max true distance
+        w.byte(); // injective
+        w.words(1); // critical path
+        if w.byte() {
+            w.r.opt_u32s().unwrap();
+            w.r.u32s().unwrap();
+            w.r.opt_u32s().unwrap();
+            if w.byte() {
+                let count = w.r.counted(1).unwrap();
+                w.r.take(count).unwrap();
+            }
+        }
+        if w.byte() {
+            w.words(2); // linear stride and offset
+        }
+        w.words(1); // sequential price
+        for _ in 0..4 {
+            w.opt_word(); // parallel prices
+        }
+        if w.byte() {
+            w.words(3); // features
+        }
+        w.words(1); // build time
+        assert_eq!(w.r.remaining(), 0, "the walk follows the codec");
+        (w.words, w.bytes)
+    }
+
+    /// Every fixed-width field of every record, set to each edge value — a
+    /// word to 0, 1, 2, the top bit, 2³², `u64::MAX` and one below it,
+    /// its own value ± 1 and doubled, and two seeded random words; a byte
+    /// to every tag value, one past them, and the high bit and `0xFF` —
+    /// with the prefix and checksum re-sealed:
+    /// the store fails typed or loads verified plans, and never panics.
+    /// The byte fuzzers pick a byte uniformly, and a record is almost all
+    /// claim-stream arrays, so they reach these fields a handful of times
+    /// in a thousand cases; this sweep reaches each of them every run.
+    #[test]
+    fn every_fixed_width_field_set_to_an_edge_value_fails_typed_or_loads_verified_plans() {
+        let (bytes, records) = record_fuzz_fixture();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for (len_at, range) in records {
+            let record = &bytes[range.clone()];
+            let (words, flags) = fixed_width_fields(record);
+            for at in words {
+                let own = u64::from_le_bytes(record[at..at + 8].try_into().unwrap());
+                let edges = [
+                    0,
+                    1,
+                    2,
+                    1 << 63,
+                    1 << 32,
+                    u64::MAX,
+                    u64::MAX - 1,
+                    own.wrapping_add(1),
+                    own.wrapping_sub(1),
+                    own.wrapping_mul(2),
+                    random(),
+                    random(),
+                ];
+                for value in edges {
+                    let mut mutated = record.to_vec();
+                    mutated[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                    let loaded = load_with_record(*len_at, range.clone(), &mutated);
+                    assert!(fails_typed_or_verifies(loaded), "word at {at} = {value}");
+                }
+            }
+            for at in flags {
+                for value in [0, 1, 2, 3, 4, 5, 0x80, 0xFF] {
+                    let mut mutated = record.to_vec();
+                    mutated[at] = value;
+                    let loaded = load_with_record(*len_at, range.clone(), &mutated);
+                    assert!(fails_typed_or_verifies(loaded), "byte at {at} = {value}");
+                }
             }
         }
     }

@@ -98,7 +98,7 @@ impl PlanExecutor {
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
         if plan.variant() == PlanVariant::Sequential {
-            return execute_sequential(loop_, y, plan);
+            return execute_sequential(loop_, y, plan).map(|(stats, _)| stats);
         }
         check_shape(loop_, y, plan)?;
         let span_start = prof.map(|arena| arena.now_ns());
@@ -155,23 +155,26 @@ impl PlanExecutor {
 /// Runs `loop_` under a [`PlanVariant::Sequential`] `plan` on the calling
 /// thread: the plan's shape checks, then [`run_sequential`] timed by one
 /// clock pair, reported as [`RunStats::sequential`] with
-/// [`PlanProvenance::PlanCold`]. No pool, no scratch, no region: the
-/// engine calls it directly for a sequential plan, and
-/// [`PlanExecutor::execute`] hands such a plan here. Inlined: it is the
-/// whole of a sequential solve's work beyond the loop itself.
+/// [`PlanProvenance::PlanCold`], together with the reading that ended the
+/// run — so a caller that stamps what follows the solve reads no clock of
+/// its own. No pool, no scratch, no region: the engine calls it directly
+/// for a sequential plan, and [`PlanExecutor::execute`] hands such a plan
+/// here. Inlined: it is the whole of a sequential solve's work beyond the
+/// loop itself.
 #[inline]
 pub fn execute_sequential<L: DoacrossLoop + ?Sized>(
     loop_: &L,
     y: &mut [f64],
     plan: &ExecutionPlan,
-) -> Result<RunStats, DoacrossError> {
+) -> Result<(RunStats, Instant), DoacrossError> {
     debug_assert_eq!(plan.variant(), PlanVariant::Sequential);
     check_shape(loop_, y, plan)?;
     let started = Instant::now();
     run_sequential(loop_, y);
-    let mut stats = RunStats::sequential(loop_.iterations(), started.elapsed());
+    let ended = Instant::now();
+    let mut stats = RunStats::sequential(loop_.iterations(), ended.saturating_duration_since(started));
     stats.provenance = PlanProvenance::PlanCold;
-    Ok(stats)
+    Ok((stats, ended))
 }
 
 /// The typed refusals every plan-driven run starts with: a loop whose

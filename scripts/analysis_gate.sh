@@ -347,6 +347,20 @@ say "analysis_gate: profile harvest equivalence and fault hygiene, by name"
 named doacross-obs proptests harvest_equals_the_reference_harvest
 named doacross-engine chaos a_fault_leaves_no_spans_in_the_next_profile
 
+# The solve ledger's plain fields are correct only while every writer
+# holds its lock: concurrent observed, profiled tenants lose no count; a
+# solve's two events take consecutive sequence numbers in one push; one
+# thread keeps one trace shard and every other event is counted dropped.
+say "analysis_gate: the solve ledger under concurrent tenants, by name"
+named doacross-engine observed_tenants concurrent_observed_tenants_lose_no_count
+named doacross-engine observed_tenants one_thread_keeps_one_trace_shard_and_counts_every_drop
+named doacross-obs lib trace::tests::one_push_takes_consecutive_numbers_in_order
+
+# A stored record's fixed-width fields (processors, census counters, the
+# linear subscript, prices, features), each set to every edge value.
+say "analysis_gate: persist header-field fuzz, by name"
+named doacross-plan lib persist::tests::every_fixed_width_field_set_to_an_edge_value_fails_typed_or_loads_verified_plans
+
 # A sequential plan bypasses admission: a held engine refuses a parallel
 # solve typed and still serves a sequential one, and a profiled sequential
 # solve is exactly one work span made from its stats, by name.

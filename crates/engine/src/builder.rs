@@ -5,8 +5,8 @@
 use crate::adaptive::AdaptiveRuntime;
 use crate::engine::Engine;
 use crate::fault::FallbackPolicy;
-use doacross_obs::profile::{ProfConfig, Profiler};
-use doacross_obs::{ColdStartReason, Obs, ObsConfig, TraceEvent};
+use doacross_obs::profile::Profiler;
+use doacross_obs::{ColdStartReason, Obs, TraceEvent};
 use doacross_plan::{default_shard_count, ConcurrentPlanCache, PersistError, PlanStore, Planner};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -186,10 +186,8 @@ impl EngineBuilder {
     /// registry behind [`crate::Engine::metrics_text`], and (for solves)
     /// the flight recorder behind [`crate::Engine::recent_solves`]. Off
     /// by default — a disabled handle costs one branch per would-be
-    /// event. The capacities: a 4096-event trace ring split into 8
-    /// shards, one per emitting thread (round-robin), so a single-threaded
-    /// client keeps its last 512 events; a 128-solve flight recorder; 64
-    /// per-fingerprint metric series.
+    /// event. The capacities: a 4096-event trace ring; a 128-solve flight
+    /// recorder; 64 per-fingerprint metric series.
     pub fn observability_default(mut self) -> Self {
         self.observability = true;
         self
@@ -207,7 +205,9 @@ impl EngineBuilder {
     /// [`EngineBuilder::observability_default`] (the profiler keeps its
     /// own counters), though the per-solve `solve_profiled` trace event
     /// only flows when observability is also on. Off by default — a disabled
-    /// profiler costs one branch per would-be span site.
+    /// profiler costs one branch per would-be span site. The capacities: a
+    /// 32-profile ring; 4096 spans per worker per solve; 16 per-level
+    /// barrier-wait series.
     pub fn profiling_default(mut self) -> Self {
         self.profiling = true;
         self
@@ -305,7 +305,7 @@ impl EngineBuilder {
             })
             .min(doacross_sched::MAX_POOLS);
         let obs = if self.observability {
-            Obs::new(ObsConfig::default())
+            Obs::new()
         } else {
             Obs::disabled()
         };
@@ -352,9 +352,7 @@ impl EngineBuilder {
             .then(|| AdaptiveRuntime::new(calibration.map(|c| c.unit_ns)));
         let mut cache = ConcurrentPlanCache::new(self.cache_capacity, shards);
         cache.set_obs(obs.clone());
-        let profiler = self
-            .profiling
-            .then(|| Profiler::new(pools, workers, ProfConfig::default()));
+        let profiler = self.profiling.then(|| Profiler::new(pools, workers));
         let engine = Engine::from_parts(
             doacross_sched::PoolSet::new(pools, workers, doacross_sched::DEFAULT_MAX_PENDING),
             planner,

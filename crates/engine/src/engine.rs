@@ -433,11 +433,9 @@ impl Engine {
     }
 
     /// The retained trace events, oldest first (empty when observability
-    /// is disabled). Strictly increasing `seq`; gaps mean the bounded
-    /// ring dropped events. The ring's 4096 events are split into 8
-    /// shards, one per emitting thread, so what a thread keeps is its
-    /// shard's 512: a single-threaded client sees at most its last 512
-    /// events, and `doacross_trace_dropped_total` counts the rest.
+    /// is disabled). The ring keeps the newest 4096 events, whichever
+    /// threads emitted them, under consecutive `seq` numbers;
+    /// `doacross_trace_dropped_total` counts the older ones it dropped.
     pub fn trace_events(&self) -> Vec<TracedEvent> {
         self.inner.obs.trace_events()
     }

@@ -107,9 +107,9 @@ pub use doacross_obs::{
     ObsFault, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord, TraceEvent, TracedEvent,
 };
 // The deep-profiling vocabulary (the profile ring behind
-// [`Engine::recent_profiles`], whose depth is `ProfConfig::default().ring`,
+// [`Engine::recent_profiles`], which keeps the last 32 profiles,
 // and the Chrome-trace exporter behind [`Engine::profile_chrome_trace`]
 // with its structural validator).
 pub use doacross_obs::profile::{
-    validate_chrome_trace, ChromeTraceStats, ProfConfig, ProfSpan, SolveProfile, SpanKind,
+    validate_chrome_trace, ChromeTraceStats, ProfSpan, SolveProfile, SpanKind,
 };

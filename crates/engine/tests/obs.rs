@@ -285,7 +285,7 @@ fn scrape_parses_and_covers_the_required_metrics() {
 #[test]
 fn recent_solves_returns_the_last_n_with_variant_and_provenance() {
     let engine = Engine::builder().workers(2).observability_default().build();
-    let capacity = doacross_obs::ObsConfig::default().flight_capacity;
+    let capacity = 128; // the flight recorder's capacity
     let loop_ = TestLoop::new(300, 1, 8);
     for _ in 0..capacity + 3 {
         let mut y = loop_.initial_y();
@@ -560,7 +560,7 @@ fn cold_start_reasons_are_traced() {
 /// the series `level="0"` to `level="15"` and the `level="other"` overflow.
 #[test]
 fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
-    use doacross_engine::{ProfConfig, SpanKind};
+    use doacross_engine::SpanKind;
     // The paper's preset prices the grid below as a wavefront; this
     // host's own model (the default) would run it sequentially.
     let engine = Engine::builder()
@@ -654,7 +654,7 @@ fn profile_metrics_scrape_strictly_and_reconcile_with_the_profiler() {
         .collect();
     levels.sort();
     levels.dedup();
-    let max_levels = ProfConfig::default().max_levels;
+    let max_levels = 16;
     let mut capped: Vec<String> = (0..max_levels).map(|l| l.to_string()).collect();
     capped.push("other".to_string());
     capped.sort();

@@ -1,5 +1,5 @@
-//! The observability layer's solve ledger under load: what one thread
-//! keeps of the trace ring, and concurrent observed, profiled tenants
+//! The observability layer's solve ledger under load: one thread keeps
+//! the whole trace ring, and concurrent observed, profiled tenants
 //! whose every delivered solve is counted once in every series that
 //! counts solves.
 
@@ -38,7 +38,9 @@ struct Case {
 
 impl Case {
     fn new(loop_: IndirectLoop) -> Self {
-        let y0: Vec<f64> = (0..loop_.data_len()).map(|e| 1.0 + (e % 7) as f64).collect();
+        let y0: Vec<f64> = (0..loop_.data_len())
+            .map(|e| 1.0 + (e % 7) as f64)
+            .collect();
         let mut expected = y0.clone();
         run_sequential(&loop_, &mut expected);
         Self {
@@ -57,28 +59,28 @@ impl Case {
     }
 }
 
-/// The trace ring's 4096 events are split over 8 shards, one per emitting
-/// thread, so a single-threaded client keeps 512 of them; every other
-/// event it emitted is counted as dropped.
+/// One thread keeps the whole 4096-event trace ring, its newest events
+/// without a hole, and every older event it emitted is counted dropped.
 #[test]
-fn one_thread_keeps_one_trace_shard_and_counts_every_drop() {
+fn one_thread_keeps_the_whole_trace_ring() {
     let engine = Engine::builder()
         .workers(1)
         .pools(1)
         .observability_default()
         .build();
     let (case, mut y) = (Case::new(chain(40)), Vec::new());
-    for _ in 0..3_000 {
+    for _ in 0..5_000 {
         case.solve(&engine, &mut y);
     }
-    let retained = engine.trace_events().len() as u64;
-    assert_eq!(retained, 512);
+    let events = engine.trace_events();
+    assert_eq!(events.len(), 4096);
     let text = engine.metrics_text();
     let pushed = series_sum(&text, "doacross_trace_events_total");
-    assert!(pushed >= 3_000, "{pushed}");
+    assert!(pushed >= 5_000, "{pushed}");
+    assert!(events.iter().map(|e| e.seq).eq(pushed - 4096..pushed));
     assert_eq!(
         series_sum(&text, "doacross_trace_dropped_total"),
-        pushed - retained
+        pushed - 4096
     );
 }
 
@@ -138,10 +140,7 @@ fn concurrent_observed_tenants_lose_no_count() {
     let text = engine.metrics_text();
     assert_eq!(series_sum(&text, "doacross_solves_total"), solves);
     assert_eq!(series_sum(&text, "doacross_solve_ns_count"), solves);
-    assert_eq!(
-        series_sum(&text, "doacross_structure_solves_total"),
-        solves
-    );
+    assert_eq!(series_sum(&text, "doacross_structure_solves_total"), solves);
     assert_eq!(series_sum(&text, "doacross_profile_solves_total"), solves);
 
     let recent = engine.recent_solves();

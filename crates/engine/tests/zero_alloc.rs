@@ -21,7 +21,7 @@ use doacross_core::{
     seq::run_sequential, AccessPattern, DoacrossLoop, IndirectLoop, PlanProvenance, RunStats,
     TestLoop,
 };
-use doacross_engine::{Engine, EngineBuilder, FallbackPolicy, PlanStore, ProfConfig};
+use doacross_engine::{Engine, EngineBuilder, FallbackPolicy, PlanStore};
 use doacross_par::ThreadPool;
 use doacross_plan::{PatternFingerprint, PlanVariant, Planner, VariantCosts};
 use doacross_sim::CostModel;
@@ -330,7 +330,7 @@ fn assert_observed_calls_allocate_nothing<L: DoacrossLoop>(
     loop_: &L,
     wants: fn(PlanVariant) -> bool,
 ) {
-    let ring = ProfConfig::default().ring;
+    let ring = 32; // the profile ring's depth
     let eval_interval = 12; // an adaptive engine's evaluation cadence, in solves
     let prepared = engine.prepare(loop_).expect("plannable");
     assert!(wants(prepared.variant()), "picked {:?}", prepared.variant());

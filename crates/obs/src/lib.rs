@@ -64,8 +64,8 @@
 //! `doacross_profile_dropped_spans_total`,
 //! `doacross_profile_realized_critical_ns{variant}`,
 //! `doacross_profile_priced_ns{variant}`, and the per-level
-//! `doacross_profile_barrier_wait_ns{level}` histograms (levels past the
-//! configured bound collapse under `level="other"`).
+//! `doacross_profile_barrier_wait_ns{level}` histograms (levels from 16 on
+//! collapse under `level="other"`).
 //!
 //! The engine's `metrics_text()` prepends values it samples itself, which
 //! live outside this registry and render on every engine, observability
@@ -85,26 +85,25 @@
 //!
 //! # What "on" costs
 //!
-//! Off, every site is one branch. On, a delivered solve is recorded with
-//! one lock per sink and no atomic read-modify-write that a lock already
-//! serialises. Its `SolveFinished` locks the solve ledger once — the
-//! flight ring, the solve counts, the latency histograms, the
-//! poll/stall/crossing totals and the per-structure map (one lookup) are
-//! plain fields of it — and takes one trace-ring shard lock and one
-//! sequence reservation, shared with the solve's `SolveProfiled` when the
-//! profiler is armed ([`Obs::emit_at`] pushes a stage's events at once,
+//! Off, every site is one branch. On, an enabled handle is one lock
+//! around one state: the solve ledger (the flight ring, the solve counts,
+//! the latency histograms, the poll/stall/crossing totals and the
+//! per-structure map), the rare events' counters and histograms, and the
+//! trace ring with its drop count and next sequence number — all plain
+//! fields, so every update is a plain add under the lock. An emit takes
+//! the lock once for its events: a solve's `SolveFinished` and, when the
+//! profiler is armed, its `SolveProfiled` are counted and pushed in one
+//! acquisition under consecutive sequence numbers ([`Obs::emit_at`],
 //! stamped with the one clock reading the engine already took; a
 //! sequential solve's is the reading that ended its run). The profiler's
 //! harvest takes its ring lock once, its counters and per-level
 //! histograms being fields under it. A warm observed, profiled sequential
-//! solve therefore takes 3 locks (ledger, trace shard, profile ring) and
-//! 1 atomic read-modify-write (the sequence reservation), where it took 5
-//! locks (flight ring, per-structure map, trace shard twice, profile
-//! ring) and 18 (every counter, histogram bucket, drop count and sequence
-//! number its own atomic add, with the trace ring full), and nothing is
-//! allocated; the adaptive hook, outside this crate, is not counted. The
-//! per-structure map, like the
-//! adaptive layer's structure map, hashes with
+//! solve therefore takes 2 locks (obs state, profile ring) and 0 atomic
+//! read-modify-writes, down from 3 locks (ledger, trace shard, profile
+//! ring) and 1 (the trace ring's sequence reservation), and nothing is
+//! allocated; the adaptive hook, outside this crate, is not counted.
+//! Every emitting thread shares the whole 4096-event trace ring. The
+//! per-structure map, like the adaptive layer's structure map, hashes with
 //! [`FpBuildHasher`]: its keys are fingerprints — already 128-bit hashes
 //! — so SipHash's DoS resistance is paid for twice, and one
 //! multiply-fold per word replaces it. The fold is seeded once per
@@ -128,49 +127,25 @@ pub use fphash::{FpBuildHasher, FpHasher, FpMap};
 pub use metrics::HistogramSnapshot;
 
 use metrics::{Registry, SolveLedger};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Static `pool` label values for the bounded per-sub-pool series
 /// (indices at or past [`metrics::MAX_POOL_SERIES`] render as `other`).
 const POOL_LABELS: [&str; metrics::MAX_POOL_SERIES] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
 ];
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
-/// Capacity knobs for the observability layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Total trace-ring capacity (events retained across all shards).
-    pub trace_capacity: usize,
-    /// Trace-ring shard count (rounded up to a power of two). More shards
-    /// mean less producer contention; threads are assigned round-robin,
-    /// and each shard keeps `trace_capacity / trace_shards` events, so one
-    /// thread's events are bounded by that share.
-    pub trace_shards: usize,
-    /// Flight-recorder capacity (recent solves retained).
-    pub flight_capacity: usize,
-    /// Per-fingerprint metric series bound; structures past it aggregate
-    /// under the `fingerprint="other"` label.
-    pub max_fingerprints: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            trace_capacity: 4096,
-            trace_shards: 8,
-            flight_capacity: 128,
-            max_fingerprints: 64,
-        }
-    }
+/// Everything an enabled handle records, behind its one lock.
+struct ObsState {
+    ledger: SolveLedger,
+    registry: Registry,
+    trace: trace::TraceRing,
 }
 
 struct ObsInner {
     start: Instant,
-    trace: trace::TraceRing,
-    registry: Registry,
-    ledger: Mutex<SolveLedger>,
+    state: Mutex<ObsState>,
 }
 
 /// The observability handle. Cheap to clone (an `Option<Arc<_>>`); a
@@ -186,17 +161,17 @@ impl Obs {
         Self { inner: None }
     }
 
-    /// An enabled handle with the given capacities.
-    pub fn new(config: ObsConfig) -> Self {
+    /// An enabled handle: a 4096-event trace ring, a 128-solve flight
+    /// recorder and 64 per-fingerprint metric series.
+    pub fn new() -> Self {
         Self {
             inner: Some(Arc::new(ObsInner {
                 start: Instant::now(),
-                trace: trace::TraceRing::new(config.trace_capacity, config.trace_shards),
-                registry: Registry::default(),
-                ledger: Mutex::new(SolveLedger::new(
-                    config.flight_capacity,
-                    config.max_fingerprints,
-                )),
+                state: Mutex::new(ObsState {
+                    ledger: SolveLedger::new(),
+                    registry: Registry::default(),
+                    trace: trace::TraceRing::new(),
+                }),
             })),
         }
     }
@@ -209,9 +184,10 @@ impl Obs {
         self.inner.is_some()
     }
 
-    /// Records `event`: updates the metrics registry, appends to the
-    /// trace ring, feeds the flight recorder (for
-    /// [`TraceEvent::SolveFinished`]). A no-op on a disabled handle.
+    /// Records `event`: updates the metrics registry (or, for
+    /// [`TraceEvent::SolveFinished`], the solve ledger and its flight
+    /// recorder) and appends to the trace ring. A no-op on a disabled
+    /// handle.
     pub fn emit(&self, event: TraceEvent) {
         if let Some(inner) = &self.inner {
             inner.absorb(inner.start.elapsed(), &[event]);
@@ -230,131 +206,29 @@ impl Obs {
 }
 
 impl ObsInner {
-    fn ledger(&self) -> MutexGuard<'_, SolveLedger> {
-        self.ledger
+    fn state(&self) -> MutexGuard<'_, ObsState> {
+        self.state
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Counts and traces `events` under one acquisition of the lock.
     fn absorb(&self, since_start: std::time::Duration, events: &[TraceEvent]) {
+        let mut state = self.state();
+        let ObsState {
+            ledger,
+            registry,
+            trace,
+        } = &mut *state;
         for event in events {
-            self.count(event);
-        }
-        self.trace.push(since_start.as_nanos() as u64, events);
-    }
-
-    /// Updates the registry (or, for a solve record, the ledger) with
-    /// what `event` counts.
-    fn count(&self, event: &TraceEvent) {
-        match event {
-            TraceEvent::SolveFinished { record } => {
-                let pools_dispatched = self.registry.pools_dispatched.load(Ordering::Relaxed);
-                self.ledger().record(record, pools_dispatched);
-            }
-            TraceEvent::PlanBuilt {
-                variant, build_ns, ..
-            } => self.registry.record_plan_built(*variant, *build_ns),
-            TraceEvent::CacheInvalidated { .. } => {
-                self.registry
-                    .cache_invalidations_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::PlanSwapped { .. } => {
-                self.registry
-                    .plan_swaps_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::StoreSaved { plans } => {
-                self.registry
-                    .store_saves_total
-                    .fetch_add(1, Ordering::Relaxed);
-                self.registry
-                    .store_plans_saved_total
-                    .fetch_add(*plans, Ordering::Relaxed);
-            }
-            TraceEvent::StoreLoaded { restored, .. } => {
-                self.registry
-                    .store_loads_total
-                    .fetch_add(1, Ordering::Relaxed);
-                self.registry
-                    .store_plans_restored_total
-                    .fetch_add(*restored, Ordering::Relaxed);
-            }
-            TraceEvent::ColdStart { .. } => {
-                self.registry
-                    .cold_starts_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::PlanVerified { sound, .. } => {
-                let counter = if *sound {
-                    &self.registry.verify_passes_total
-                } else {
-                    &self.registry.verify_failures_total
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::Divergence { .. } => {
-                self.registry
-                    .divergences_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::TrialStarted { .. } => {
-                self.registry
-                    .trials_started_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::TrialCommitted { .. } => {
-                self.registry
-                    .trials_committed_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::TrialDemoted { .. } => {
-                self.registry
-                    .trials_demoted_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::BaselineProbed { .. } => {
-                self.registry
-                    .baseline_probes_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::PoolDispatched {
-                pool,
-                stolen,
-                wait_ns,
-            } => {
-                self.registry.record_pool_dispatch(*pool, *stolen, *wait_ns);
-            }
-            TraceEvent::SolvePoisoned { fault, .. } => {
-                let counter = match fault {
-                    ObsFault::WorkerPanic { .. } => &self.registry.fault_panics_total,
-                    ObsFault::DeadlineExpired => &self.registry.fault_timeouts_total,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::SolveFellBack { .. } => {
-                self.registry
-                    .fault_fallbacks_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::StoreQuarantined { .. } => {
-                self.registry
-                    .store_quarantines_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::CacheHit { .. }
-            | TraceEvent::CacheMiss { .. }
-            | TraceEvent::CacheEvicted { .. } => {
-                // Counted by the cache's own exact CacheStats, which the
-                // engine samples at scrape time; the registry does not
-                // duplicate them. The trace ring still records each one.
-            }
-            TraceEvent::SolveProfiled { .. } => {
-                // Counted by the engine's Profiler, which renders its own
-                // doacross_profile_* families; the registry does not
-                // duplicate them. The ring still records the event.
+            match event {
+                TraceEvent::SolveFinished { record } => {
+                    ledger.record(record, registry.pools_dispatched)
+                }
+                _ => registry.count(event),
             }
         }
+        trace.push(since_start.as_nanos() as u64, events);
     }
 }
 
@@ -363,7 +237,7 @@ impl Obs {
     pub fn trace_events(&self) -> Vec<TracedEvent> {
         self.inner
             .as_ref()
-            .map(|i| i.trace.snapshot())
+            .map(|i| i.state().trace.events.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -371,20 +245,18 @@ impl Obs {
     pub fn recent_solves(&self) -> Vec<SolveRecord> {
         self.inner
             .as_ref()
-            .map(|i| i.ledger().flight.iter().copied().collect())
+            .map(|i| i.state().ledger.flight.iter().copied().collect())
             .unwrap_or_default()
     }
 
     /// Renders the registry in Prometheus text-exposition format into
-    /// `buf`, holding the solve ledger's lock once for the whole render.
-    /// The metric names are documented at the crate root. A no-op on a
+    /// `buf`, holding the handle's lock once for the whole render. The
+    /// metric names are documented at the crate root. A no-op on a
     /// disabled handle.
     pub fn render_prometheus(&self, buf: &mut String) {
         let Some(inner) = &self.inner else { return };
-        let r = &inner.registry;
-        let ledger = inner.ledger();
-        let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
-
+        let state = inner.state();
+        let (ledger, r) = (&state.ledger, &state.registry);
         let mut solve_samples: Vec<([(&str, &str); 2], u64)> = Vec::new();
         for v in ObsVariant::ALL {
             for p in PlanProvenance::ALL {
@@ -440,7 +312,7 @@ impl Obs {
         let build_samples: Vec<([(&str, &str); 1], u64)> = ObsVariant::ALL
             .iter()
             .filter_map(|&v| {
-                let n = load(&r.plan_builds[v.index()]);
+                let n = r.plan_builds[v.index()];
                 (n > 0).then_some(([("variant", v.as_str())], n))
             })
             .collect();
@@ -452,139 +324,28 @@ impl Obs {
             "Execution plans built, by chosen variant.",
             &build_refs,
         );
-        let build_hist = r.plan_build_ns.snapshot();
         render::histogram_family(
             buf,
             "doacross_plan_build_ns",
             "Plan build (preprocessing) latency in nanoseconds.",
-            &[(&[], &build_hist)],
+            &[(&[], &r.plan_build_ns)],
         );
-
-        render::counter(
-            buf,
-            "doacross_cache_invalidations_total",
-            "Explicit plan invalidations.",
-            load(&r.cache_invalidations_total),
-        );
-        render::counter(
-            buf,
-            "doacross_plan_swaps_total",
-            "Adaptive in-place plan replacements.",
-            load(&r.plan_swaps_total),
-        );
-        render::counter(
-            buf,
-            "doacross_store_saves_total",
-            "Plan-store save operations.",
-            load(&r.store_saves_total),
-        );
-        render::counter(
-            buf,
-            "doacross_store_loads_total",
-            "Plan-store load operations.",
-            load(&r.store_loads_total),
-        );
-        render::counter(
-            buf,
-            "doacross_store_plans_saved_total",
-            "Plans written across all saves.",
-            load(&r.store_plans_saved_total),
-        );
-        render::counter(
-            buf,
-            "doacross_store_plans_restored_total",
-            "Plans admitted to the cache across all loads.",
-            load(&r.store_plans_restored_total),
-        );
-        render::counter(
-            buf,
-            "doacross_cold_starts_total",
-            "Warm starts that fell back to an empty cache.",
-            load(&r.cold_starts_total),
-        );
-        render::counter(
-            buf,
-            "doacross_verify_passes_total",
-            "Plan schedules the soundness verifier proved sound.",
-            load(&r.verify_passes_total),
-        );
-        render::counter(
-            buf,
-            "doacross_verify_failures_total",
-            "Plan schedules the soundness verifier rejected.",
-            load(&r.verify_failures_total),
-        );
-        render::counter(
-            buf,
-            "doacross_divergences_total",
-            "Adaptive divergence detections.",
-            load(&r.divergences_total),
-        );
-        render::counter(
-            buf,
-            "doacross_trials_started_total",
-            "Adaptive challenger trials started.",
-            load(&r.trials_started_total),
-        );
-        render::counter(
-            buf,
-            "doacross_trials_committed_total",
-            "Adaptive trials committed.",
-            load(&r.trials_committed_total),
-        );
-        render::counter(
-            buf,
-            "doacross_trials_demoted_total",
-            "Adaptive trials rolled back.",
-            load(&r.trials_demoted_total),
-        );
-        render::counter(
-            buf,
-            "doacross_baseline_probes_total",
-            "Deliberate adaptive baseline re-measurements.",
-            load(&r.baseline_probes_total),
-        );
-        render::counter(
-            buf,
-            "doacross_fault_panics_total",
-            "Parallel attempts abandoned because a worker panicked.",
-            load(&r.fault_panics_total),
-        );
-        render::counter(
-            buf,
-            "doacross_fault_timeouts_total",
-            "Parallel attempts abandoned because the solve deadline expired.",
-            load(&r.fault_timeouts_total),
-        );
-        render::counter(
-            buf,
-            "doacross_fault_fallbacks_total",
-            "Faulted attempts re-run successfully on the sequential variant.",
-            load(&r.fault_fallbacks_total),
-        );
-        render::counter(
-            buf,
-            "doacross_store_quarantines_total",
-            "Corrupt warm-start stores renamed aside.",
-            load(&r.store_quarantines_total),
-        );
+        for ((name, help), &n) in metrics::COUNTERS.iter().zip(&r.counters) {
+            render::counter(buf, name, help, n);
+        }
 
         // Scheduler sub-pool series. The per-pool families only appear
         // once a dispatch has been traced, so a single-pool engine's
         // scrape is byte-for-byte what it was before the scheduler
         // existed.
-        let mut pool_samples: Vec<([(&str, &str); 1], u64)> = Vec::new();
-        for (i, c) in r.pool_dispatches.iter().enumerate() {
-            let n = load(c);
-            if n > 0 {
-                pool_samples.push(([("pool", POOL_LABELS[i])], n));
-            }
-        }
-        let overflow_dispatches = load(&r.pool_overflow_dispatches);
-        if overflow_dispatches > 0 {
-            pool_samples.push(([("pool", "other")], overflow_dispatches));
-        }
-        if r.pools_dispatched.load(Ordering::Relaxed) {
+        if r.pools_dispatched {
+            let pool_samples: Vec<([(&str, &str); 1], u64)> = r
+                .pool_dispatches
+                .iter()
+                .enumerate()
+                .filter(|(_, &n)| n > 0)
+                .map(|(i, &n)| ([("pool", *POOL_LABELS.get(i).unwrap_or(&"other"))], n))
+                .collect();
             let pool_refs: Vec<(&[(&str, &str)], u64)> =
                 pool_samples.iter().map(|(l, n)| (&l[..], *n)).collect();
             render::counter_family(
@@ -597,14 +358,13 @@ impl Obs {
                 buf,
                 "doacross_pool_steals_total",
                 "Dispatches redirected by the work-stealing fallback.",
-                load(&r.pool_steals_total),
+                r.pool_steals_total,
             );
-            let wait_hist = r.pool_wait_ns.snapshot();
             render::histogram_family(
                 buf,
                 "doacross_pool_wait_ns",
                 "Time spent waiting for a free scheduler sub-pool in nanoseconds.",
-                &[(&[], &wait_hist)],
+                &[(&[], &r.pool_wait_ns)],
             );
             let pool_latencies: Vec<([(&str, &str); 1], &HistogramSnapshot)> = ledger
                 .pool_solve_ns
@@ -629,13 +389,13 @@ impl Obs {
             buf,
             "doacross_trace_events_total",
             "Trace events ever emitted.",
-            inner.trace.pushed(),
+            state.trace.pushed,
         );
         render::counter(
             buf,
             "doacross_trace_dropped_total",
             "Trace events dropped to bound the ring.",
-            inner.trace.dropped(),
+            state.trace.dropped,
         );
 
         // Per-structure series, fingerprint-sorted for a stable scrape.
@@ -721,7 +481,7 @@ mod tests {
 
     #[test]
     fn emit_feeds_registry_ring_and_flight() {
-        let obs = Obs::new(ObsConfig::default());
+        let obs = Obs::new();
         obs.emit(solve_event(
             FpId(0xabc, 0xdef),
             ObsVariant::Wavefront,
@@ -744,9 +504,144 @@ mod tests {
         assert!(buf.contains("doacross_structure_solves_total{fingerprint=\"0000000000000abc0000000000000def\",variant=\"wavefront\"} 1"));
     }
 
+    /// Each rare event lands in the rows of the counter table that name
+    /// it, by what it carries, and in no other row.
+    #[test]
+    fn each_rare_event_counts_in_its_own_rows() {
+        let (fp, v) = (FpId(1, 1), ObsVariant::Doacross);
+        let cases: [(TraceEvent, &[(&str, u64)]); 16] = [
+            (
+                TraceEvent::CacheInvalidated {
+                    fp,
+                    generation: 1,
+                    dropped: true,
+                },
+                &[("doacross_cache_invalidations_total", 1)],
+            ),
+            (
+                TraceEvent::PlanSwapped {
+                    fp,
+                    variant: v,
+                    generation: 2,
+                },
+                &[("doacross_plan_swaps_total", 1)],
+            ),
+            (
+                TraceEvent::StoreSaved { plans: 3 },
+                &[
+                    ("doacross_store_saves_total", 1),
+                    ("doacross_store_plans_saved_total", 3),
+                ],
+            ),
+            (
+                TraceEvent::StoreLoaded {
+                    plans: 9,
+                    restored: 4,
+                },
+                &[
+                    ("doacross_store_loads_total", 1),
+                    ("doacross_store_plans_restored_total", 4),
+                ],
+            ),
+            (
+                TraceEvent::ColdStart {
+                    reason: ColdStartReason::Corrupt,
+                },
+                &[("doacross_cold_starts_total", 1)],
+            ),
+            (
+                TraceEvent::PlanVerified {
+                    fp,
+                    variant: v,
+                    sound: true,
+                },
+                &[("doacross_verify_passes_total", 1)],
+            ),
+            (
+                TraceEvent::PlanVerified {
+                    fp,
+                    variant: v,
+                    sound: false,
+                },
+                &[("doacross_verify_failures_total", 1)],
+            ),
+            (
+                TraceEvent::Divergence {
+                    fp,
+                    variant: v,
+                    static_price: 1.0,
+                    refined_price: 2.0,
+                },
+                &[("doacross_divergences_total", 1)],
+            ),
+            (
+                TraceEvent::TrialStarted {
+                    fp,
+                    challenger: v,
+                    incumbent: ObsVariant::Sequential,
+                },
+                &[("doacross_trials_started_total", 1)],
+            ),
+            (
+                TraceEvent::TrialCommitted { fp, variant: v },
+                &[("doacross_trials_committed_total", 1)],
+            ),
+            (
+                TraceEvent::TrialDemoted { fp, variant: v },
+                &[("doacross_trials_demoted_total", 1)],
+            ),
+            (
+                TraceEvent::BaselineProbed { fp, ns: 5 },
+                &[("doacross_baseline_probes_total", 1)],
+            ),
+            (
+                TraceEvent::SolvePoisoned {
+                    fp,
+                    variant: v,
+                    pool: 0,
+                    fault: ObsFault::WorkerPanic { worker: 1 },
+                },
+                &[("doacross_fault_panics_total", 1)],
+            ),
+            (
+                TraceEvent::SolvePoisoned {
+                    fp,
+                    variant: v,
+                    pool: 0,
+                    fault: ObsFault::DeadlineExpired,
+                },
+                &[("doacross_fault_timeouts_total", 1)],
+            ),
+            (
+                TraceEvent::SolveFellBack { fp, from: v },
+                &[("doacross_fault_fallbacks_total", 1)],
+            ),
+            (
+                TraceEvent::StoreQuarantined { index: 2 },
+                &[("doacross_store_quarantines_total", 1)],
+            ),
+        ];
+        let mut reached = vec![false; metrics::COUNTERS.len()];
+        for (event, want) in cases {
+            let obs = Obs::new();
+            obs.emit(event);
+            let mut text = String::new();
+            obs.render_prometheus(&mut text);
+            for (row, (name, _)) in metrics::COUNTERS.iter().enumerate() {
+                let n = want.iter().find(|(w, _)| w == name).map_or(0, |&(_, n)| n);
+                reached[row] |= n > 0;
+                assert!(
+                    text.contains(&format!("\n{name} {n}\n")),
+                    "{event:?}: {name} should read {n}"
+                );
+            }
+        }
+        assert!(reached.iter().all(|&r| r), "a row no event reaches");
+    }
+
     #[test]
     fn pool_series_render_once_dispatched() {
-        let obs = Obs::new(ObsConfig::default());
+        let obs = Obs::new();
         // Before any dispatch, no pool families at all — a single-pool
         // engine's scrape is unchanged.
         let mut quiet = String::new();
@@ -756,12 +651,12 @@ mod tests {
         // A single-pool engine never traces a dispatch: its scrape has no
         // pool family, and the per-pool latency it would never render is
         // not recorded either.
-        let single = Obs::new(ObsConfig::default());
+        let single = Obs::new();
         single.emit(solve_event(FpId(1, 1), ObsVariant::Sequential, 10));
         let mut text = String::new();
         single.render_prometheus(&mut text);
         assert!(!text.contains("doacross_pool_"));
-        let unrecorded = single.inner.as_ref().unwrap().ledger().pool_solve_ns[0].count;
+        let unrecorded = single.inner.as_ref().unwrap().state().ledger.pool_solve_ns[0].count;
         assert_eq!(
             unrecorded, 0,
             "pool latency recorded where it is never shown"
@@ -785,7 +680,7 @@ mod tests {
 
     #[test]
     fn a_solve_that_held_no_sub_pool_is_in_no_pool_series() {
-        let obs = Obs::new(ObsConfig::default());
+        let obs = Obs::new();
         obs.emit(TraceEvent::PoolDispatched {
             pool: 0,
             stolen: false,
@@ -796,9 +691,9 @@ mod tests {
             record.pool = None;
         }
         obs.emit(event);
-        let ledger = obs.inner.as_ref().unwrap().ledger();
-        assert!(ledger.pool_solve_ns.iter().all(|h| h.count == 0));
-        drop(ledger);
+        let state = obs.inner.as_ref().unwrap().state();
+        assert!(state.ledger.pool_solve_ns.iter().all(|h| h.count == 0));
+        drop(state);
         let solves = obs.recent_solves();
         assert_eq!(solves.len(), 1);
         assert_eq!(solves[0].pool, None);

@@ -1,21 +1,19 @@
-//! The metrics registry: the solve ledger, and lock-free counters and
+//! The metrics registry: the solve ledger, and plain counters and
 //! log-scaled latency histograms for everything else.
 //!
 //! Everything a delivered solve updates — the flight ring, the solve
 //! counts, the per-variant and per-pool latency histograms, the
 //! poll/stall/crossing totals and the per-structure series — is a plain
-//! field of one solve ledger, which `SolveFinished` and a scrape each
-//! lock once: the lock already serialises its writers, so no update under
-//! it is an atomic read-modify-write. The per-structure series are bounded
-//! by [`crate::ObsConfig::max_fingerprints`] — structures past the bound
-//! aggregate into an `other` bucket rather than growing the map. Rare
-//! events (plan builds, cache, store, adaptive decisions, pool dispatch)
-//! are single `Relaxed` atomic RMWs on the registry's counters.
+//! field of the solve ledger; the rare events (plan builds, cache, store,
+//! adaptive decisions, pool dispatch) are plain fields of the registry.
+//! Both live in the handle's one locked state beside the trace ring, so
+//! every update is a plain add under the lock its emit already holds. The
+//! per-structure series are bounded at 64 structures — those past the
+//! bound aggregate into an `other` bucket rather than growing the map.
 
-use crate::event::{FpId, ObsVariant, SolveRecord};
+use crate::event::{FpId, ObsFault, ObsVariant, SolveRecord, TraceEvent};
 use crate::fphash::FpMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Upper bounds (ns) of the latency histogram buckets: factor-4 steps from
 /// 256 ns to ~268 ms, followed by an implicit `+Inf`. Eleven finite
@@ -51,40 +49,15 @@ fn bucket_of(ns: u64) -> usize {
         .unwrap_or(NBUCKETS - 1)
 }
 
-/// A log-scaled latency histogram with an exact sum and count, updated
-/// lock-free — for the rare events no lock guards.
-#[derive(Default)]
-pub(crate) struct Histogram {
-    buckets: [AtomicU64; NBUCKETS],
-    sum_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    pub(crate) fn record(&self, ns: u64) {
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A histogram's counts by value: what a scrape renders, and — recorded
-/// into in place under a lock that already serialises its writers — the
-/// histogram itself.
+/// A log-scaled latency histogram with an exact sum and count: plain
+/// counts, recorded into under the lock that serialises its writers, and
+/// what a scrape renders.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) counts; the last entry is the `+Inf`
     /// bucket. The renderer accumulates for Prometheus `le` semantics.
     pub buckets: [u64; NBUCKETS],
-    /// Sum of recorded values (ns), wrapping like an atomic add.
+    /// Sum of recorded values (ns), wrapping.
     pub sum_ns: u64,
     /// Total recorded values.
     pub count: u64,
@@ -113,13 +86,18 @@ impl FpMetrics {
     }
 }
 
+/// Flight-recorder capacity: the last records kept, delivered or not.
+const FLIGHT_CAPACITY: usize = 128;
+
+/// Structures with their own per-structure series; those past the bound
+/// aggregate under `fingerprint="other"`.
+const MAX_FINGERPRINTS: usize = 64;
+
 /// What solve records update: the flight ring of every record, and for a
-/// delivered one everything the registry counts of it. One per `Obs`
-/// handle, behind one mutex.
+/// delivered one everything the registry counts of it.
 pub(crate) struct SolveLedger {
-    /// The last `flight_capacity` records, delivered or not, oldest first.
+    /// The last [`FLIGHT_CAPACITY`] records, oldest first.
     pub(crate) flight: VecDeque<SolveRecord>,
-    flight_capacity: usize,
     /// Solves by (variant, provenance).
     pub(crate) solves: [[u64; 3]; ObsVariant::ALL.len()],
     /// Solve latency by variant.
@@ -132,19 +110,16 @@ pub(crate) struct SolveLedger {
     /// been, since a single-pool engine never traces one and never renders
     /// the family.
     pub(crate) pool_solve_ns: [HistogramSnapshot; MAX_POOL_SERIES],
-    /// Per-structure breakdown, bounded at `max_fingerprints`; overflow
+    /// Per-structure breakdown, bounded at [`MAX_FINGERPRINTS`]; overflow
     /// aggregates under [`SolveLedger::overflow`].
     pub(crate) per_fp: FpMap<FpId, FpMetrics>,
     pub(crate) overflow: FpMetrics,
-    max_fingerprints: usize,
 }
 
 impl SolveLedger {
-    pub(crate) fn new(flight_capacity: usize, max_fingerprints: usize) -> Self {
-        let flight_capacity = flight_capacity.max(1);
+    pub(crate) fn new() -> Self {
         Self {
-            flight: VecDeque::with_capacity(flight_capacity),
-            flight_capacity,
+            flight: VecDeque::with_capacity(FLIGHT_CAPACITY),
             solves: Default::default(),
             solve_ns: Default::default(),
             wait_polls_total: 0,
@@ -153,14 +128,13 @@ impl SolveLedger {
             pool_solve_ns: Default::default(),
             per_fp: FpMap::default(),
             overflow: FpMetrics::default(),
-            max_fingerprints,
         }
     }
 
     /// Records one solve attempt. `pools_dispatched` is
     /// [`Registry::pools_dispatched`], the gate of the per-pool series.
     pub(crate) fn record(&mut self, record: &SolveRecord, pools_dispatched: bool) {
-        if self.flight.len() == self.flight_capacity {
+        if self.flight.len() == FLIGHT_CAPACITY {
             self.flight.pop_front();
         }
         self.flight.push_back(*record);
@@ -187,7 +161,7 @@ impl SolveLedger {
         // the first time it is seen.
         if let Some(slot) = self.per_fp.get_mut(&record.fp) {
             slot.add(v, record.total_ns);
-        } else if self.per_fp.len() < self.max_fingerprints {
+        } else if self.per_fp.len() < MAX_FINGERPRINTS {
             self.per_fp
                 .entry(record.fp)
                 .or_default()
@@ -198,69 +172,104 @@ impl SolveLedger {
     }
 }
 
-/// The rare events' counters. One per `Obs` handle; all fields are
-/// updated from [`crate::Obs::emit`] and read by the renderers.
+/// The rare events' unlabelled counters, `(name, help)`, in render order.
+/// [`Registry::counters`] holds their values and [`Registry::count`] adds
+/// to them by row.
+#[rustfmt::skip]
+pub(crate) const COUNTERS: [(&str, &str); 18] = [
+    ("doacross_cache_invalidations_total", "Explicit plan invalidations."), // 0
+    ("doacross_plan_swaps_total", "Adaptive in-place plan replacements."), // 1
+    ("doacross_store_saves_total", "Plan-store save operations."), // 2
+    ("doacross_store_loads_total", "Plan-store load operations."), // 3
+    ("doacross_store_plans_saved_total", "Plans written across all saves."), // 4
+    ("doacross_store_plans_restored_total", "Plans admitted to the cache across all loads."), // 5
+    ("doacross_cold_starts_total", "Warm starts that fell back to an empty cache."), // 6
+    ("doacross_verify_passes_total", "Plan schedules the soundness verifier proved sound."), // 7
+    ("doacross_verify_failures_total", "Plan schedules the soundness verifier rejected."), // 8
+    ("doacross_divergences_total", "Adaptive divergence detections."), // 9
+    ("doacross_trials_started_total", "Adaptive challenger trials started."), // 10
+    ("doacross_trials_committed_total", "Adaptive trials committed."), // 11
+    ("doacross_trials_demoted_total", "Adaptive trials rolled back."), // 12
+    ("doacross_baseline_probes_total", "Deliberate adaptive baseline re-measurements."), // 13
+    ("doacross_fault_panics_total", "Parallel attempts abandoned because a worker panicked."), // 14
+    ("doacross_fault_timeouts_total", "Parallel attempts abandoned because the solve deadline expired."), // 15
+    ("doacross_fault_fallbacks_total", "Faulted attempts re-run successfully on the sequential variant."), // 16
+    ("doacross_store_quarantines_total", "Corrupt warm-start stores renamed aside."), // 17
+];
+
+/// What the rare events count: everything but solve records.
 #[derive(Default)]
 pub(crate) struct Registry {
+    /// Values of [`COUNTERS`], row for row.
+    pub(crate) counters: [u64; COUNTERS.len()],
     /// Plan builds by variant.
-    pub(crate) plan_builds: [AtomicU64; ObsVariant::ALL.len()],
-    pub(crate) plan_build_ns: Histogram,
-    pub(crate) cache_invalidations_total: AtomicU64,
-    pub(crate) plan_swaps_total: AtomicU64,
-    pub(crate) store_saves_total: AtomicU64,
-    pub(crate) store_loads_total: AtomicU64,
-    pub(crate) store_plans_saved_total: AtomicU64,
-    pub(crate) store_plans_restored_total: AtomicU64,
-    pub(crate) cold_starts_total: AtomicU64,
-    /// Soundness-verifier outcomes (build gate, store load, engine
-    /// surface, adaptive promotion).
-    pub(crate) verify_passes_total: AtomicU64,
-    pub(crate) verify_failures_total: AtomicU64,
-    pub(crate) divergences_total: AtomicU64,
-    pub(crate) trials_started_total: AtomicU64,
-    pub(crate) trials_committed_total: AtomicU64,
-    pub(crate) trials_demoted_total: AtomicU64,
-    pub(crate) baseline_probes_total: AtomicU64,
-    /// Dispatches per scheduler sub-pool; index [`MAX_POOL_SERIES`] and
-    /// beyond aggregate into [`Registry::pool_overflow_dispatches`].
-    pub(crate) pool_dispatches: [AtomicU64; MAX_POOL_SERIES],
-    pub(crate) pool_overflow_dispatches: AtomicU64,
+    pub(crate) plan_builds: [u64; ObsVariant::ALL.len()],
+    pub(crate) plan_build_ns: HistogramSnapshot,
+    /// Dispatches per scheduler sub-pool; the last entry aggregates every
+    /// pool at or past [`MAX_POOL_SERIES`].
+    pub(crate) pool_dispatches: [u64; MAX_POOL_SERIES + 1],
     /// Whether any dispatch has been recorded — the one gate of every
     /// per-pool series, recorded and rendered alike.
-    pub(crate) pools_dispatched: AtomicBool,
+    pub(crate) pools_dispatched: bool,
     /// Dispatches that the work-stealing fallback redirected.
-    pub(crate) pool_steals_total: AtomicU64,
+    pub(crate) pool_steals_total: u64,
     /// Time spent waiting for a free sub-pool (0 on the fast path).
-    pub(crate) pool_wait_ns: Histogram,
-    /// Parallel attempts abandoned because a worker panicked.
-    pub(crate) fault_panics_total: AtomicU64,
-    /// Parallel attempts abandoned because the solve deadline expired.
-    pub(crate) fault_timeouts_total: AtomicU64,
-    /// Faulted attempts re-run (successfully) on the sequential variant.
-    pub(crate) fault_fallbacks_total: AtomicU64,
-    /// Corrupt warm-start stores renamed aside.
-    pub(crate) store_quarantines_total: AtomicU64,
+    pub(crate) pool_wait_ns: HistogramSnapshot,
 }
 
 impl Registry {
-    pub(crate) fn record_plan_built(&self, variant: ObsVariant, build_ns: u64) {
-        self.plan_builds[variant.index()].fetch_add(1, Ordering::Relaxed);
-        self.plan_build_ns.record(build_ns);
-    }
-
-    pub(crate) fn record_pool_dispatch(&self, pool: u64, stolen: bool, wait_ns: u64) {
-        match self.pool_dispatches.get(pool as usize) {
-            Some(c) => c.fetch_add(1, Ordering::Relaxed),
-            None => self
-                .pool_overflow_dispatches
-                .fetch_add(1, Ordering::Relaxed),
-        };
-        if stolen {
-            self.pool_steals_total.fetch_add(1, Ordering::Relaxed);
-        }
-        self.pool_wait_ns.record(wait_ns);
-        if !self.pools_dispatched.load(Ordering::Relaxed) {
-            self.pools_dispatched.store(true, Ordering::Relaxed);
+    /// Adds what `event` counts. Solve records are the ledger's; cache
+    /// traffic is counted by the cache's own exact `CacheStats`, which the
+    /// engine samples at scrape time, and profiled solves by the
+    /// profiler, which renders its own families — the registry duplicates
+    /// neither. The trace ring still records every event.
+    pub(crate) fn count(&mut self, event: &TraceEvent) {
+        let c = &mut self.counters;
+        match *event {
+            TraceEvent::PlanBuilt {
+                variant, build_ns, ..
+            } => {
+                self.plan_builds[variant.index()] += 1;
+                self.plan_build_ns.record(build_ns);
+            }
+            TraceEvent::PoolDispatched {
+                pool,
+                stolen,
+                wait_ns,
+            } => {
+                self.pool_dispatches[(pool as usize).min(MAX_POOL_SERIES)] += 1;
+                self.pool_steals_total += u64::from(stolen);
+                self.pool_wait_ns.record(wait_ns);
+                self.pools_dispatched = true;
+            }
+            TraceEvent::CacheInvalidated { .. } => c[0] += 1,
+            TraceEvent::PlanSwapped { .. } => c[1] += 1,
+            TraceEvent::StoreSaved { plans } => {
+                c[2] += 1;
+                c[4] += plans;
+            }
+            TraceEvent::StoreLoaded { restored, .. } => {
+                c[3] += 1;
+                c[5] += restored;
+            }
+            TraceEvent::ColdStart { .. } => c[6] += 1,
+            TraceEvent::PlanVerified { sound, .. } => c[if sound { 7 } else { 8 }] += 1,
+            TraceEvent::Divergence { .. } => c[9] += 1,
+            TraceEvent::TrialStarted { .. } => c[10] += 1,
+            TraceEvent::TrialCommitted { .. } => c[11] += 1,
+            TraceEvent::TrialDemoted { .. } => c[12] += 1,
+            TraceEvent::BaselineProbed { .. } => c[13] += 1,
+            TraceEvent::SolvePoisoned { fault, .. } => match fault {
+                ObsFault::WorkerPanic { .. } => c[14] += 1,
+                ObsFault::DeadlineExpired => c[15] += 1,
+            },
+            TraceEvent::SolveFellBack { .. } => c[16] += 1,
+            TraceEvent::StoreQuarantined { .. } => c[17] += 1,
+            TraceEvent::SolveFinished { .. }
+            | TraceEvent::CacheHit { .. }
+            | TraceEvent::CacheMiss { .. }
+            | TraceEvent::CacheEvicted { .. }
+            | TraceEvent::SolveProfiled { .. } => {}
         }
     }
 }
@@ -299,54 +308,55 @@ mod tests {
 
     #[test]
     fn histogram_places_values_in_the_right_bucket() {
-        let atomic = Histogram::default();
-        let mut plain = HistogramSnapshot::default();
+        let mut h = HistogramSnapshot::default();
         for ns in [0, 256, 257, u64::MAX] {
             // ≤ 256 → bucket 0 (the boundary is inclusive), 257 → bucket
             // 1, u64::MAX → +Inf.
-            atomic.record(ns);
-            plain.record(ns);
+            h.record(ns);
         }
-        let snap = atomic.snapshot();
-        assert_eq!(snap, plain, "both histograms count alike");
-        assert_eq!(snap.buckets[0], 2);
-        assert_eq!(snap.buckets[1], 1);
-        assert_eq!(snap.buckets[NBUCKETS - 1], 1);
-        assert_eq!(snap.count, 4);
+        assert_eq!(h.buckets[0], 2);
+        assert_eq!(h.buckets[1], 1);
+        assert_eq!(h.buckets[NBUCKETS - 1], 1);
+        assert_eq!(h.count, 4);
         // 0 + 256 + 257, then the u64::MAX record wraps the sum down by 1.
-        assert_eq!(snap.sum_ns, 512);
+        assert_eq!(h.sum_ns, 512);
     }
 
     #[test]
     fn per_fp_map_is_bounded_with_overflow_bucket() {
-        let mut ledger = SolveLedger::new(128, 4);
-        for i in 0..10u64 {
+        let mut ledger = SolveLedger::new();
+        for i in 0..MAX_FINGERPRINTS as u64 + 6 {
             ledger.record(&record(FpId(i, 0), 0), false);
         }
-        assert_eq!(ledger.per_fp.len(), 4);
+        assert_eq!(ledger.per_fp.len(), MAX_FINGERPRINTS);
         assert_eq!(ledger.overflow.solves[ObsVariant::Doacross.index()], 6);
     }
 
     #[test]
     fn keeps_the_most_recent_capacity_records() {
-        let mut ledger = SolveLedger::new(3, 64);
-        for i in 0..8 {
+        let mut ledger = SolveLedger::new();
+        let records = FLIGHT_CAPACITY as u64 + 5;
+        for i in 0..records {
             ledger.record(&record(FpId(i, i), i), false);
         }
-        assert_eq!(ledger.flight.len(), 3);
+        assert_eq!(ledger.flight.len(), FLIGHT_CAPACITY);
         assert_eq!(ledger.flight[0].generation, 5);
-        assert_eq!(ledger.flight[2].generation, 7);
+        assert_eq!(ledger.flight[FLIGHT_CAPACITY - 1].generation, records - 1);
     }
 
     #[test]
     fn pool_series_are_bounded_with_overflow() {
-        let r = Registry::default();
-        r.record_pool_dispatch(0, false, 10);
-        r.record_pool_dispatch(0, true, 10);
-        r.record_pool_dispatch(MAX_POOL_SERIES as u64, false, 10);
-        assert_eq!(r.pool_dispatches[0].load(Ordering::Relaxed), 2);
-        assert_eq!(r.pool_overflow_dispatches.load(Ordering::Relaxed), 1);
-        assert_eq!(r.pool_steals_total.load(Ordering::Relaxed), 1);
-        assert_eq!(r.pool_wait_ns.snapshot().count, 3);
+        let mut r = Registry::default();
+        for (pool, stolen) in [(0, false), (0, true), (MAX_POOL_SERIES as u64, false)] {
+            r.count(&TraceEvent::PoolDispatched {
+                pool,
+                stolen,
+                wait_ns: 10,
+            });
+        }
+        assert_eq!(r.pool_dispatches[0], 2);
+        assert_eq!(r.pool_dispatches[MAX_POOL_SERIES], 1);
+        assert_eq!(r.pool_steals_total, 1);
+        assert_eq!(r.pool_wait_ns.count, 3);
     }
 }

@@ -117,35 +117,18 @@ pub struct ProfSpan {
     pub aux: u64,
 }
 
-/// Capacity knobs for the profiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfConfig {
-    /// Profiles retained in the ring (drop-oldest).
-    pub ring: usize,
-    /// Span cap per worker per solve; past it the oldest spans of that
-    /// worker are dropped (and counted).
-    pub per_worker_spans: usize,
-    /// Wavefront levels with their own `level` label in the barrier-wait
-    /// histograms; deeper levels aggregate under `level="other"`. Capped
-    /// at 16.
-    pub max_levels: usize,
-}
+/// Profiles retained in the ring (drop-oldest).
+const RING: usize = 32;
 
-impl Default for ProfConfig {
-    fn default() -> Self {
-        Self {
-            ring: 32,
-            per_worker_spans: 4096,
-            max_levels: MAX_LEVEL_SERIES,
-        }
-    }
-}
+/// Span cap per worker per solve; past it the oldest spans of that worker
+/// are dropped (and counted).
+const PER_WORKER_SPANS: usize = 4096;
 
-/// Hard bound on per-level histogram series (and the static label table).
+/// Wavefront levels with their own `level` label in the barrier-wait
+/// histograms; deeper levels aggregate under `level="other"`.
 const MAX_LEVEL_SERIES: usize = 16;
 
-/// Static `level` label values (indices at or past the configured
-/// `max_levels` render as `other`).
+/// Static `level` label values (deeper levels render as `other`).
 const LEVEL_LABELS: [&str; MAX_LEVEL_SERIES] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
 ];
@@ -290,11 +273,6 @@ impl ProfArena {
         }
         self.dropped.swap(0, Ordering::Relaxed)
     }
-
-    /// Spans dropped (bounding) since the last [`ProfArena::take`]/reset.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
 }
 
 /// The order of a harvested timeline: by worker, then start time. Kind
@@ -402,7 +380,8 @@ pub enum SpanSource {
 struct ProfileRing {
     profiles: VecDeque<SolveProfile>,
     span_capacity: usize,
-    /// `max_levels` labelled histograms, then the `"other"` overflow.
+    /// [`MAX_LEVEL_SERIES`] labelled histograms, then the `"other"`
+    /// overflow.
     level_wait: [HistogramSnapshot; MAX_LEVEL_SERIES + 1],
     /// Solves profiled so far — also the next profile's sequence number.
     solves: u64,
@@ -419,14 +398,14 @@ struct ProfileRing {
 
 impl ProfileRing {
     /// Per-level barrier-wait snapshots: `(label, snapshot)` for every
-    /// level with at least one recording, levels from `max_levels` on
-    /// under `"other"`.
-    fn level_histograms(&self, max_levels: usize) -> Vec<(&'static str, &HistogramSnapshot)> {
-        self.level_wait[..=max_levels]
+    /// level with at least one recording, levels from
+    /// [`MAX_LEVEL_SERIES`] on under `"other"`.
+    fn level_histograms(&self) -> Vec<(&'static str, &HistogramSnapshot)> {
+        self.level_wait
             .iter()
             .enumerate()
             .filter(|(_, h)| h.count > 0)
-            .map(|(i, h)| (if i < max_levels { LEVEL_LABELS[i] } else { "other" }, h))
+            .map(|(i, h)| (LEVEL_LABELS.get(i).copied().unwrap_or("other"), h))
             .collect()
     }
 }
@@ -437,28 +416,22 @@ impl ProfileRing {
 /// `EngineBuilder::profiling_default()`; absent on an unprofiled engine,
 /// which therefore pays nothing at all.
 pub struct Profiler {
-    config: ProfConfig,
     arenas: Vec<ProfArena>,
     ring: Mutex<ProfileRing>,
 }
 
 impl Profiler {
     /// A profiler for an engine with `pools` sub-pools of `workers`
-    /// workers each.
-    pub fn new(pools: usize, workers: usize, config: ProfConfig) -> Self {
-        let config = ProfConfig {
-            ring: config.ring.max(1),
-            per_worker_spans: config.per_worker_spans.max(1),
-            max_levels: config.max_levels.clamp(1, MAX_LEVEL_SERIES),
-        };
+    /// workers each: a 32-profile ring, 4096 spans per worker per solve
+    /// and 16 per-level barrier-wait series.
+    pub fn new(pools: usize, workers: usize) -> Self {
         let arenas = (0..pools.max(1))
-            .map(|_| ProfArena::new(workers, config.per_worker_spans))
+            .map(|_| ProfArena::new(workers, PER_WORKER_SPANS))
             .collect();
         Self {
-            config,
             arenas,
             ring: Mutex::new(ProfileRing {
-                profiles: VecDeque::with_capacity(config.ring),
+                profiles: VecDeque::with_capacity(RING),
                 span_capacity: 0,
                 level_wait: Default::default(),
                 solves: 0,
@@ -510,7 +483,7 @@ impl Profiler {
         priced_ns: Option<f64>,
     ) -> ProfileSummary {
         let mut ring = self.ring();
-        let evicted = if ring.profiles.len() >= self.config.ring {
+        let evicted = if ring.profiles.len() >= RING {
             ring.profiles.pop_front()
         } else {
             None
@@ -572,7 +545,7 @@ impl Profiler {
                 _ => {}
             }
             if span.kind == SpanKind::BarrierWait {
-                let idx = (span.level as usize).min(self.config.max_levels);
+                let idx = (span.level as usize).min(MAX_LEVEL_SERIES);
                 ring.level_wait[idx].record(span.dur_ns);
             }
         }
@@ -693,7 +666,7 @@ impl Profiler {
                 &priced_refs,
             );
         }
-        let levels = ring.level_histograms(self.config.max_levels);
+        let levels = ring.level_histograms();
         let level_labels: Vec<[(&str, &str); 1]> = levels
             .iter()
             .map(|(label, _)| [("level", *label)])
@@ -882,6 +855,13 @@ mod tests {
         FpId(0xfeed, 0xbeef)
     }
 
+    impl ProfArena {
+        /// Spans dropped (bounding) since the last [`ProfArena::take`].
+        fn dropped(&self) -> u64 {
+            self.dropped.load(Ordering::Relaxed)
+        }
+    }
+
     #[test]
     fn arena_bounds_each_worker_and_counts_drops() {
         let arena = ProfArena::new(2, 4);
@@ -913,7 +893,7 @@ mod tests {
 
     #[test]
     fn harvest_attributes_kinds_and_reconstructs_the_critical_path() {
-        let prof = Profiler::new(1, 2, ProfConfig::default());
+        let prof = Profiler::new(1, 2);
         let arena = prof.arena(0);
         // Worker 0: 100ns work (with a nested 30ns flag wait), then 20ns
         // at the barrier. Worker 1: 50ns work, 70ns barrier. Dispatcher
@@ -952,7 +932,7 @@ mod tests {
 
     #[test]
     fn a_caller_harvest_is_one_work_span_and_leaves_the_arenas_alone() {
-        let prof = Profiler::new(2, 4, ProfConfig::default());
+        let prof = Profiler::new(2, 4);
         prof.arena(0).record(1, SpanKind::Work, NO_LEVEL, 5, 7, 1);
         let summary = prof.harvest(
             SpanSource::Caller { iterations: 40 },
@@ -981,46 +961,33 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_drop_oldest() {
-        let prof = Profiler::new(
-            1,
-            1,
-            ProfConfig {
-                ring: 2,
-                ..ProfConfig::default()
-            },
-        );
-        for i in 0..5u64 {
+        let prof = Profiler::new(1, 1);
+        let solves = RING as u64 + 3;
+        for i in 0..solves {
             prof.arena(0).record(0, SpanKind::Work, NO_LEVEL, i, 1, 1);
             prof.harvest(SpanSource::Arena(0), fp(), ObsVariant::Doacross, 1, None);
         }
         let recent = prof.recent();
-        assert_eq!(recent.len(), 2);
+        assert_eq!(recent.len(), RING);
         assert_eq!(recent[0].seq, 3);
-        assert_eq!(recent[1].seq, 4);
-        assert_eq!(prof.ring().solves, 5);
+        assert_eq!(recent[RING - 1].seq, solves - 1);
+        assert_eq!(prof.ring().solves, solves);
     }
 
     #[test]
     fn deep_levels_collapse_under_other() {
-        let prof = Profiler::new(
-            1,
-            1,
-            ProfConfig {
-                max_levels: 2,
-                ..ProfConfig::default()
-            },
-        );
+        let prof = Profiler::new(1, 1);
         let arena = prof.arena(0);
         arena.record(0, SpanKind::BarrierWait, 0, 0, 10, 0);
-        arena.record(0, SpanKind::BarrierWait, 1, 10, 10, 0);
-        arena.record(0, SpanKind::BarrierWait, 2, 20, 10, 0);
-        arena.record(0, SpanKind::BarrierWait, 9, 30, 10, 0);
+        arena.record(0, SpanKind::BarrierWait, 15, 10, 10, 0);
+        arena.record(0, SpanKind::BarrierWait, 16, 20, 10, 0);
+        arena.record(0, SpanKind::BarrierWait, 40, 30, 10, 0);
         prof.harvest(SpanSource::Arena(0), fp(), ObsVariant::Wavefront, 40, None);
         let ring = prof.ring();
-        let levels = ring.level_histograms(prof.config.max_levels);
+        let levels = ring.level_histograms();
         let labels: Vec<&str> = levels.iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels, vec!["0", "1", "other"]);
-        assert_eq!(levels[2].1.count, 2, "levels 2 and 9 both collapse");
+        assert_eq!(labels, vec!["0", "15", "other"]);
+        assert_eq!(levels[2].1.count, 2, "levels 16 and 40 both collapse");
         drop(ring);
 
         let mut buf = String::new();
@@ -1030,7 +997,7 @@ mod tests {
 
     #[test]
     fn prometheus_families_render_only_after_a_profile() {
-        let prof = Profiler::new(1, 1, ProfConfig::default());
+        let prof = Profiler::new(1, 1);
         let mut quiet = String::new();
         prof.render_prometheus(&mut quiet);
         assert!(quiet.is_empty(), "armed-but-idle renders nothing");
@@ -1053,7 +1020,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_structurally_valid_with_one_track_per_worker() {
-        let prof = Profiler::new(1, 2, ProfConfig::default());
+        let prof = Profiler::new(1, 2);
         let arena = prof.arena(0);
         arena.record(0, SpanKind::Work, 0, 100, 50, 3);
         arena.record(0, SpanKind::BarrierWait, 0, 150, 5, 0);

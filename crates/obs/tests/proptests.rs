@@ -4,14 +4,17 @@
 //! (trace, flight) wrap without tearing records, and the profiler's
 //! allocation-free harvest computes exactly what the old one did.
 
-use doacross_obs::profile::{
-    ProfConfig, ProfSpan, ProfileSummary, Profiler, SpanKind, SpanSource, NO_LEVEL,
-};
-use doacross_obs::{
-    FpId, Obs, ObsConfig, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord, TraceEvent,
-};
+use doacross_obs::profile::{ProfSpan, ProfileSummary, Profiler, SpanKind, SpanSource, NO_LEVEL};
+use doacross_obs::{FpId, Obs, ObsVariant, PlanProvenance, SolveOutcome, SolveRecord, TraceEvent};
 use proptest::prelude::*;
-use std::sync::Arc;
+
+/// What an enabled handle retains: trace events and flight records.
+const TRACE_CAPACITY: usize = 4096;
+const FLIGHT_CAPACITY: usize = 128;
+
+/// A profiler's ring depth and per-worker span cap per solve.
+const PROFILE_RING: usize = 32;
+const PER_WORKER_SPANS: usize = 4096;
 
 /// Every span kind, in `SpanKind::index` order.
 const KINDS: [SpanKind; 4] = [
@@ -90,7 +93,7 @@ proptest! {
         threads in 2usize..=4,
         per_thread in 1usize..=40,
     ) {
-        let obs = Obs::new(ObsConfig::default());
+        let obs = Obs::new();
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let obs = obs.clone();
@@ -129,7 +132,7 @@ proptest! {
     fn histogram_totals_reconcile_with_counts(
         latencies in proptest::collection::vec(0u64..1_000_000_000, 1..120),
     ) {
-        let obs = Obs::new(ObsConfig::default());
+        let obs = Obs::new();
         for (i, &ns) in latencies.iter().enumerate() {
             let mut record = seeded_record(i as u64, ObsVariant::Doacross);
             record.total_ns = ns;
@@ -157,13 +160,10 @@ proptest! {
     /// order, each internally consistent (untorn), for any push count.
     #[test]
     fn flight_ring_wraps_without_tearing(
-        capacity in 1usize..=32,
-        pushes in 0usize..=100,
+        pushes in 0usize..=3 * FLIGHT_CAPACITY,
     ) {
-        let obs = Obs::new(ObsConfig {
-            flight_capacity: capacity,
-            ..ObsConfig::default()
-        });
+        let capacity = FLIGHT_CAPACITY;
+        let obs = Obs::new();
         for seed in 0..pushes as u64 {
             obs.emit(TraceEvent::SolveFinished {
                 record: seeded_record(seed, ObsVariant::Linear),
@@ -178,24 +178,20 @@ proptest! {
         }
     }
 
-    /// Concurrent producers into a small sharded trace ring: the snapshot
-    /// is seq-ordered with no duplicates, every retained record is untorn,
+    /// Concurrent producers overflowing the trace ring: what it retains
+    /// is one contiguous run of sequence numbers — exactly the newest
+    /// `retained` of the `pushed` events, `[pushed − retained, pushed)`,
+    /// whichever threads emitted them — every retained record is untorn,
     /// and pushed − dropped = retained, exactly.
     #[test]
     fn trace_ring_wraps_without_tearing_under_concurrency(
-        trace_capacity in 4usize..=64,
         threads in 2usize..=4,
-        per_thread in 1usize..=50,
+        per_thread in TRACE_CAPACITY / 2 + 1..=TRACE_CAPACITY,
     ) {
-        let obs = Obs::new(ObsConfig {
-            trace_capacity,
-            trace_shards: 4,
-            ..ObsConfig::default()
-        });
-        let obs = Arc::new(obs);
+        let obs = Obs::new();
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let obs = Arc::clone(&obs);
+                let obs = obs.clone();
                 std::thread::spawn(move || {
                     for i in 0..per_thread {
                         let seed = (t * per_thread + i) as u64;
@@ -210,19 +206,17 @@ proptest! {
             h.join().unwrap();
         }
         let events = obs.trace_events();
-        let emitted = (threads * per_thread) as u64;
         let mut text = String::new();
         obs.render_prometheus(&mut text);
         let pushed = scrape_counter(&text, "doacross_trace_events_total");
         let dropped = scrape_counter(&text, "doacross_trace_dropped_total");
-        prop_assert_eq!(pushed, emitted);
-        prop_assert_eq!(events.len() as u64, pushed - dropped);
-        let mut last_seq = None;
+        prop_assert_eq!(pushed, (threads * per_thread) as u64);
+        prop_assert_eq!(events.len(), TRACE_CAPACITY);
+        prop_assert_eq!(pushed - dropped, events.len() as u64);
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        let newest: Vec<u64> = (pushed - events.len() as u64..pushed).collect();
+        prop_assert_eq!(seqs, newest, "the retained run has holes");
         for e in &events {
-            if let Some(prev) = last_seq {
-                prop_assert!(e.seq > prev, "snapshot not strictly seq-ordered");
-            }
-            last_seq = Some(e.seq);
             match &e.event {
                 TraceEvent::SolveFinished { record } => assert_untorn(record),
                 other => prop_assert!(false, "unexpected event {:?}", other),
@@ -326,26 +320,31 @@ proptest! {
 
     /// The recycling harvest is the old harvest: on random timelines —
     /// several workers, the dispatcher track, an out-of-range worker,
-    /// drop-oldest bounding, past 20 spans (where a stable sort would
-    /// allocate) — and across wraps of a small ring whose evicted buffers
-    /// it refills, each profile's summary, per-kind totals, realized
-    /// critical path, drop count and span timeline equal the reference's,
-    /// in (worker, start) order.
+    /// past 20 spans (where a stable sort would allocate), and one solve
+    /// that floods a worker's track past its span cap, so drop-oldest
+    /// bounding drops spans — and across a wrap of the ring whose evicted
+    /// buffers it refills, each profile's summary, per-kind totals,
+    /// realized critical path, drop count and span timeline equal the
+    /// reference's, in (worker, start) order.
     #[test]
     fn harvest_equals_the_reference_harvest(
         workers in 1usize..5,
-        cap in 4usize..40,
-        ring in 1usize..4,
         solves in proptest::collection::vec(
             proptest::collection::vec((0usize..8, 0usize..4, 0u32..20, 0u64..5_000, 0u64..400, 0u64..50), 0..90),
-            1..8,
+            PROFILE_RING + 1..PROFILE_RING + 8,
         ),
+        flood in PER_WORKER_SPANS + 1..=PER_WORKER_SPANS + 60,
+        flood_at in 0usize..PROFILE_RING + 8,
     ) {
-        let prof = Profiler::new(
-            1,
-            workers,
-            ProfConfig { ring, per_worker_spans: cap, ..ProfConfig::default() },
-        );
+        let mut solves = solves;
+        let track = flood_at % workers;
+        let at = flood_at % solves.len();
+        solves[at].extend((0..flood as u64).map(|j| {
+            (track, (j % 4) as usize, (j % 20) as u32, (j * 7_919) % 5_000, j % 400, j % 50)
+        }));
+        let prof = Profiler::new(1, workers);
+        let ring = PROFILE_RING;
+        let cap = PER_WORKER_SPANS;
         let arena = prof.arena(0);
         for (n, deposits) in solves.iter().enumerate() {
             for &(track, kind, level, start_ns, dur_ns, aux) in deposits {

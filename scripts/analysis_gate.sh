@@ -347,14 +347,17 @@ say "analysis_gate: profile harvest equivalence and fault hygiene, by name"
 named doacross-obs proptests harvest_equals_the_reference_harvest
 named doacross-engine chaos a_fault_leaves_no_spans_in_the_next_profile
 
-# The solve ledger's plain fields are correct only while every writer
-# holds its lock: concurrent observed, profiled tenants lose no count; a
-# solve's two events take consecutive sequence numbers in one push; one
-# thread keeps one trace shard and every other event is counted dropped.
+# The observability state's plain fields are correct only while every
+# writer holds its one lock: concurrent observed, profiled tenants lose no
+# count; a solve's two events take consecutive sequence numbers in one
+# push; concurrent emitters leave the trace ring one contiguous run of
+# sequence numbers; one thread keeps the whole ring and every older event
+# is counted dropped.
 say "analysis_gate: the solve ledger under concurrent tenants, by name"
 named doacross-engine observed_tenants concurrent_observed_tenants_lose_no_count
-named doacross-engine observed_tenants one_thread_keeps_one_trace_shard_and_counts_every_drop
+named doacross-engine observed_tenants one_thread_keeps_the_whole_trace_ring
 named doacross-obs lib trace::tests::one_push_takes_consecutive_numbers_in_order
+named doacross-obs proptests trace_ring_wraps_without_tearing_under_concurrency
 
 # A stored record's fixed-width fields (processors, census counters, the
 # linear subscript, prices, features), each set to every edge value.

@@ -52,6 +52,13 @@ pub struct RunStats {
     /// Postprocessing wall time.
     pub post: Duration,
     /// End-to-end wall time (≥ sum of phases; includes phase glue).
+    ///
+    /// Measured by every parallel run and by the engine's fault replay. A
+    /// sequential solve on the engine is timed only when something in the
+    /// engine consumes the time — observability, the profiler or the
+    /// adaptive layer — and reports [`Duration::ZERO`] ("not measured")
+    /// otherwise, so a warm solve nothing observes reads no clock. A
+    /// caller that wants the wall time of such a solve times the call.
     pub total: Duration,
     /// Classification of every resolved right-hand-side reference.
     pub deps: DepCounts,
@@ -85,8 +92,9 @@ pub struct RunStats {
 
 impl RunStats {
     /// The stats of one sequential pass over `iterations` iterations that
-    /// took `total`: one worker, one block, no inspector, executor region
-    /// or postprocessor to time apart, nothing to wait on. The one
+    /// took `total` (zero when the pass was not timed): one worker, one
+    /// block, no inspector, executor region or postprocessor to time
+    /// apart, nothing to wait on. The one
     /// description of "the source loop ran" — the plan executor's
     /// sequential variant and the engine's fault replay both report this.
     pub fn sequential(iterations: usize, total: Duration) -> Self {
@@ -130,8 +138,16 @@ impl RunStats {
 impl std::fmt::Display for RunStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // A sequential pass ([`RunStats::sequential`]) times no region and
-        // classifies no reference: its zeros there mean "not counted".
+        // classifies no reference: its zeros there mean "not counted", and
+        // a zero `total` means it was not timed.
         if self.workers == 1 && self.executor.is_zero() {
+            if self.total.is_zero() {
+                return write!(
+                    f,
+                    "{} iterations sequentially (not timed); preprocessing {}",
+                    self.iterations, self.provenance,
+                );
+            }
             return write!(
                 f,
                 "{} iterations sequentially in {:?}; preprocessing {}",
@@ -407,6 +423,11 @@ mod tests {
         assert_eq!(
             seq.to_string(),
             "42 iterations sequentially in 1.5µs; preprocessing plan:cached"
+        );
+        let untimed = RunStats::sequential(42, Duration::ZERO);
+        assert_eq!(
+            untimed.to_string(),
+            "42 iterations sequentially (not timed); preprocessing inline"
         );
         // A region-timed run keeps every counter.
         let par = RunStats {

@@ -53,6 +53,11 @@ pub(crate) struct EngineInner {
     /// What to do when a parallel solve faults
     /// ([`EngineBuilder::fallback`]).
     pub(crate) fallback: FallbackPolicy,
+    /// Whether anything in the engine consumes a solve's wall time:
+    /// observability on, a profiler, or adaptation. Derived at build and
+    /// settable by nothing; when it is false a sequential solve reads no
+    /// clock and reports `RunStats::total` as zero ([`crate::solve`]).
+    pub(crate) timed: bool,
 }
 
 /// A thread-safe doacross session: one shared thread pool, one planner,
@@ -112,6 +117,7 @@ impl Engine {
         let scratch = (0..pools.pools())
             .map(|_| Mutex::new(LeaseScratch::new()))
             .collect();
+        let timed = obs.enabled() || profiler.is_some() || adaptive.is_some();
         Self {
             inner: Arc::new(EngineInner {
                 pools,
@@ -124,6 +130,7 @@ impl Engine {
                 scratch,
                 solve_deadline,
                 fallback,
+                timed,
             }),
         }
     }
@@ -267,6 +274,10 @@ impl Engine {
     /// usual case for this host's prices) one sum of the row lengths and
     /// one bounds pass over the references, and no census pass; any other
     /// plan adds the census pass and whatever its variant needs.
+    ///
+    /// The returned `total` follows [`PreparedLoop::execute`]: zero ("not
+    /// measured") for a sequential solve on an engine that consumes no
+    /// solve time.
     pub fn run<L: DoacrossLoop + ?Sized>(
         &self,
         loop_: &L,

@@ -108,6 +108,13 @@ impl PreparedLoop {
     /// Staleness is checked at entry: a concurrent
     /// [`crate::Engine::invalidate`] landing *during* an execution affects
     /// the next call, not the one in flight.
+    ///
+    /// A sequential plan's solve is timed only when the engine consumes
+    /// the time (built with observability, profiling or adaptation);
+    /// otherwise it reads no clock and the returned
+    /// [`RunStats::total`](doacross_core::RunStats::total) is zero ("not
+    /// measured") — time the call to know its wall time. A parallel plan's
+    /// solve is always timed.
     pub fn execute<L: DoacrossLoop + ?Sized>(
         &self,
         loop_: &L,

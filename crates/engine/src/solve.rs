@@ -6,13 +6,17 @@
 //! opens a parallel region.
 //!
 //! A **sequential** plan runs on the caller's thread and pays for nothing
-//! it does not use: the plan's shape checks and `run_sequential` timed by
-//! one clock pair ([`doacross_plan::execute_sequential`], which also hands
-//! back the reading that ended the run), bracketed by the thread's
-//! allocation counter, then `record`. It leases no sub-pool,
-//! locks no scratch, sets no deadline and runs under no `catch_unwind`:
-//! it has no region to fault and nothing to replay, so a panic in the
-//! loop body unwinds straight to the caller. Admission bounds concurrency
+//! it does not use: the plan's shape checks and `run_sequential`
+//! ([`doacross_plan::execute_sequential`]), bracketed by the thread's
+//! allocation counter, then `record`. The run is timed by one clock pair
+//! only when something in the engine consumes the time — observability
+//! on, a profiler, or adaptation (`EngineInner::timed`, derived at build)
+//! — and the reading that ended it then stamps `record`'s events; with all
+//! three off it reads no clock, `RunStats::total` is zero ("not
+//! measured"), and `record` stamps the solve and returns. It leases no
+//! sub-pool, locks no scratch, sets no deadline and runs under no
+//! `catch_unwind`: it has no region to fault and nothing to replay, so a
+//! panic in the loop body unwinds straight to the caller. Admission bounds concurrency
 //! on *workers*, and a sequential solve occupies none — it is served even
 //! while every sub-pool is held, and no sub-pool's ledger counts it.
 //!
@@ -53,15 +57,36 @@
 //!
 //! | Stage | Readings | Taken when, and why |
 //! |---|---|---|
-//! | sequential: `execute_sequential` | 2 | always: one pair for `RunStats::total`, which is also a profiled solve's one work span; the second reading is also the stamp of every event `record` emits |
+//! | sequential: `execute_sequential` | 0 or 2 | observability on, a profiler, or adaptation: one pair for `RunStats::total`, which is also a profiled solve's one work span and the adaptive layer's sample; the second reading is also the stamp of every event `record` emits. Nothing else reads `total`, so with all three off no clock is read |
 //! | parallel: `admit` | 2 | profiling on, or tracing a multi-pool engine: the admission wait, measured once — the `PoolDispatched` event and the dispatch span both use it |
 //! | parallel: `arm` | 1 | a solve deadline is configured: when it expires |
 //! | parallel: `run` | 1 | always (a region can fault): when the attempt began, which `recover` turns into the fault's wall time; the executors time their own regions |
 //! | `record` | 0 sequential, 1 parallel | observability on, on the parallel path: one stamp for every event the stage emits (the sequential path stamps with the reading that ended its run) |
 //!
-//! A warm sequential solve therefore reads the clock twice, with
-//! everything off and with observability, profiling and adaptation on
-//! alike (the adaptive hook's own readings, when it takes any, aside).
+//! A warm sequential solve therefore reads the clock zero times with
+//! everything off, and twice with any of observability, profiling and
+//! adaptation on (the adaptive hook's own readings, when it takes any,
+//! aside).
+//!
+//! ## Envelope budget
+//!
+//! What a warm sequential `PreparedLoop::execute` adds to its
+//! `run_sequential` with everything off (`engine.envelope_ns` in the
+//! benchmark's `--trace 1` ledger: 100–105 ns when the pair was always
+//! read, ≈ 30 ns without it), piece by piece, each measured alone in a
+//! tight loop on the benchmark host (one CPU of a 2-vCPU Xeon VM). Every piece
+//! left has a consumer with all three switches off:
+//!
+//! | Piece | Cost | Consumed by |
+//! |---|---|---|
+//! | staleness load (one `Acquire` load and compare) | ≈ 1 ns | the typed `StalePlan` refusal |
+//! | `check_shape` (three compares) | ≈ 1 ns | the typed `PlanMismatch` / `DataLenMismatch` refusals |
+//! | allocation counter (two thread-local reads) | ≈ 3 ns | `RunStats::allocations`, the zero-allocation audit |
+//! | the `RunStats` stamp and its moves into the caller's `Result` | ≤ 15 ns | the caller's stats |
+//! | clock pair | 0 (≈ 65 ns when read) | nothing, unless a switch is on |
+//!
+//! The rest of the envelope is the calls themselves and the loop's own
+//! entry.
 
 use crate::engine::EngineInner;
 use crate::error::EngineError;
@@ -189,17 +214,9 @@ impl EngineInner {
         };
         if plan.variant() == PlanVariant::Sequential {
             let allocs_before = thread_allocations();
-            let (stats, ended) = execute_sequential(loop_, y, plan)?;
+            let (stats, ended) = execute_sequential(loop_, y, plan, self.timed)?;
             let allocations = thread_allocations() - allocs_before;
-            return Ok(solve.record(
-                None,
-                Some(ended),
-                SolveOutcome::Ok,
-                allocations,
-                stats,
-                loop_,
-                y,
-            ));
+            return Ok(solve.record(None, ended, SolveOutcome::Ok, allocations, stats, loop_, y));
         }
         let (guard, admission) = solve.admit()?;
         let pool = guard.index();
@@ -461,8 +478,10 @@ impl<'e> Solve<'e> {
     /// sub-pool `pool`, or on the caller's thread holding none; it is
     /// stamped here, before the observability and adaptive hooks, so they
     /// see the solve the caller will see. `ended` is the reading that ended
-    /// a sequential run, which stamps this stage's events in place of a
-    /// reading of its own.
+    /// a timed sequential run, which stamps this stage's events in place of
+    /// a reading of its own. An engine with nothing that consumes the time
+    /// (`EngineInner::timed` false) has no hook to run, so the stamp is all
+    /// this stage does there.
     #[allow(clippy::too_many_arguments)]
     fn record<L: DoacrossLoop + ?Sized>(
         &self,
@@ -479,6 +498,11 @@ impl<'e> Solve<'e> {
         stats.allocations = allocations;
         stats.attempts = if fell_back { 2 } else { 1 };
         stats.provenance = self.provenance;
+        if !engine.timed {
+            // No profiler, no observability, no adaptation: nothing below
+            // would run.
+            return stats;
+        }
         // Nothing to harvest on a fell-back solve (`recover` dropped the
         // faulted attempt's partial spans), and the replay already reached
         // the adaptive layer as a sequential anchor sample — it says

@@ -55,9 +55,10 @@
 //! loop, serves or builds its plan through the concurrent cache, and runs
 //! a parallel plan on the [`PlanExecutor`] of the scheduler sub-pool the
 //! solve leased (one executor per sub-pool, owned by the engine) and a
-//! sequential one through [`execute_sequential`] on the caller's thread,
-//! with the skip observable via [`doacross_core::PlanProvenance`] in the
-//! returned stats. The pieces compose by hand too:
+//! sequential one through [`execute_sequential`] on the caller's thread
+//! (timed only when the engine's observability, profiler or adaptive
+//! layer consumes the time), with the skip observable via
+//! [`doacross_core::PlanProvenance`] in the returned stats. The pieces compose by hand too:
 //!
 //! ```
 //! use doacross_par::ThreadPool;

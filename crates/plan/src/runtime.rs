@@ -38,7 +38,7 @@ use doacross_core::{
 };
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
 use doacross_par::ThreadPool;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Executes prebuilt [`ExecutionPlan`]s on one reusable [`Doacross`]
 /// runtime (see module docs). The runtime's scratch grows to the largest
@@ -86,8 +86,8 @@ impl PlanExecutor {
     /// coarse whole-run work span on worker 0 — enough for the
     /// critical-path and wait-fraction accounting to stay total-correct,
     /// without threading timers through its inner loop.
-    /// `Sequential` is [`execute_sequential`], which opens no region and
-    /// records no span: its one span is made from its stats by whoever
+    /// `Sequential` is [`execute_sequential`], timed, which opens no region
+    /// and records no span: its one span is made from its stats by whoever
     /// profiles it.
     pub fn execute<L: DoacrossLoop + ?Sized>(
         &mut self,
@@ -98,7 +98,7 @@ impl PlanExecutor {
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
         if plan.variant() == PlanVariant::Sequential {
-            return execute_sequential(loop_, y, plan).map(|(stats, _)| stats);
+            return execute_sequential(loop_, y, plan, true).map(|(stats, _)| stats);
         }
         check_shape(loop_, y, plan)?;
         let span_start = prof.map(|arena| arena.now_ns());
@@ -153,26 +153,36 @@ impl PlanExecutor {
 }
 
 /// Runs `loop_` under a [`PlanVariant::Sequential`] `plan` on the calling
-/// thread: the plan's shape checks, then [`run_sequential`] timed by one
-/// clock pair, reported as [`RunStats::sequential`] with
-/// [`PlanProvenance::PlanCold`], together with the reading that ended the
-/// run — so a caller that stamps what follows the solve reads no clock of
-/// its own. No pool, no scratch, no region: the engine calls it directly
-/// for a sequential plan, and [`PlanExecutor::execute`] hands such a plan
-/// here. Inlined: it is the whole of a sequential solve's work beyond the
-/// loop itself.
+/// thread: the plan's shape checks, then [`run_sequential`], reported as
+/// [`RunStats::sequential`] with [`PlanProvenance::PlanCold`]. No pool, no
+/// scratch, no region: the engine calls it directly for a sequential plan,
+/// and [`PlanExecutor::execute`] hands such a plan here. Inlined: it is the
+/// whole of a sequential solve's work beyond the loop itself.
+///
+/// With `timed` set, one clock pair around the run is
+/// [`RunStats::total`], and the reading that ended the run comes back too
+/// — so a caller that stamps what follows the solve reads no clock of its
+/// own. Without it no clock is read: `total` is [`Duration::ZERO`] ("not
+/// measured") and no reading comes back. The engine times only when
+/// something in it consumes the time; a caller that wants the wall time of
+/// an untimed solve times the call.
 #[inline]
 pub fn execute_sequential<L: DoacrossLoop + ?Sized>(
     loop_: &L,
     y: &mut [f64],
     plan: &ExecutionPlan,
-) -> Result<(RunStats, Instant), DoacrossError> {
+    timed: bool,
+) -> Result<(RunStats, Option<Instant>), DoacrossError> {
     debug_assert_eq!(plan.variant(), PlanVariant::Sequential);
     check_shape(loop_, y, plan)?;
-    let started = Instant::now();
+    let started = timed.then(Instant::now);
     run_sequential(loop_, y);
-    let ended = Instant::now();
-    let mut stats = RunStats::sequential(loop_.iterations(), ended.saturating_duration_since(started));
+    let ended = started.map(|_| Instant::now());
+    let total = match (started, ended) {
+        (Some(started), Some(ended)) => ended.saturating_duration_since(started),
+        _ => Duration::ZERO,
+    };
+    let mut stats = RunStats::sequential(loop_.iterations(), total);
     stats.provenance = PlanProvenance::PlanCold;
     Ok((stats, ended))
 }

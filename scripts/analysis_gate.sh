@@ -5,7 +5,8 @@
 # *soundness* claims honest (and the public surface small). Four tiers,
 # all cheap enough for CI:
 #
-#   lints          cargo clippy --workspace --all-targets -D warnings, and
+#   lints          cargo fmt --all -- --check (the format step CI runs),
+#                  cargo clippy --workspace --all-targets -D warnings, and
 #                  rustdoc with -D warnings (a doc link to an item that
 #                  stopped being public fails here instead of rotting).
 #
@@ -193,6 +194,10 @@ say() { printf '%s\n' "$*"; }
 violation() { say "analysis_gate: FAIL: $*" >&2; fail=1; }
 
 # --- lints ------------------------------------------------------------------
+
+say "analysis_gate: rustfmt (check only)"
+cargo fmt --all -- --check ||
+  violation "cargo fmt --all -- --check reported unformatted code"
 
 say "analysis_gate: clippy (deny warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings ||

@@ -34,7 +34,7 @@
 //! What needs an engine lives here, in [`AdaptiveRuntime`]: recording each
 //! execute, timing the one-off sequential baseline that anchors
 //! refinement, rebuilding a plan with the refined cost model via the
-//! existing census path, and swapping the cached plan under its shard lock
+//! existing census path, and swapping the cached plan under the cache lock
 //! with a generation bump so outstanding handles fail typed
 //! ([`crate::EngineError::StalePlan`]) instead of executing a superseded
 //! plan.
@@ -47,7 +47,7 @@
 //! then takes the lock once to record the sample, read the incumbent's and
 //! the sequential anchor's entries, and run the policy step. The policy
 //! step needs that lock anyway, so keeping the evidence beside it costs a
-//! solve nothing; a separate recorder, however finely sharded, could only
+//! solve nothing; a separate recorder, however finely split, could only
 //! add locks to the path, never remove one. An evaluation refines from the
 //! entries of the map it already holds, so nothing is copied out for it.
 //!
@@ -67,17 +67,16 @@ mod policy;
 mod refine;
 mod telemetry;
 
-use crate::engine::EngineInner;
+use crate::engine::{lock, EngineInner};
 use crate::solve::clamp_ns;
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::{FpMap, ObsVariant, TraceEvent};
 use doacross_plan::{price_features, ExecutionPlan, PatternFingerprint, PlanFeatures, Planner};
 use doacross_sim::CostModel;
-use parking_lot::Mutex;
 use policy::{Action, Challenger, PromotionPolicy, StructureState};
 use refine::refine;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 pub use telemetry::TelemetryTotals;
 use telemetry::{SolveSample, Telemetry};
@@ -165,7 +164,7 @@ impl AdaptiveRuntime {
 
     pub(crate) fn telemetry_totals(&self) -> TelemetryTotals {
         let mut totals = TelemetryTotals::default();
-        for structure in self.structures.lock().values() {
+        for structure in lock(&self.structures).values() {
             let entries = totals.entries;
             for (_, entry) in structure.telemetry.iter() {
                 totals.samples += entry.samples;
@@ -181,7 +180,7 @@ impl AdaptiveRuntime {
     /// budget, no rejections) because invalidation means the *caller*
     /// asserts the old observations no longer describe the structure.
     pub(crate) fn forget(&self, fingerprint: &PatternFingerprint) {
-        self.structures.lock().remove(fingerprint);
+        lock(&self.structures).remove(fingerprint);
     }
 
     /// The post-execute hook (see module docs). `y` is the solved output
@@ -203,7 +202,7 @@ impl AdaptiveRuntime {
         // under the one lock. The common path holds it for a lookup, a
         // handful of adds and a counter bump; the rare trial-start
         // additionally holds it across one plan build, which is the same
-        // order of work a cache miss performs under its shard lock. The
+        // order of work a cache miss performs under the cache lock. The
         // sequential baseline probe — a full solve — is deliberately run
         // with the lock RELEASED, so a large structure's probe never
         // stalls other tenants' bookkeeping; the policy re-checks its
@@ -213,7 +212,7 @@ impl AdaptiveRuntime {
         // (`ConcurrentPlanCache::swap_plan`) are emitted under it.
         let mut decision_event: Option<TraceEvent> = None;
         let wants_evaluation = {
-            let mut structures = self.structures.lock();
+            let mut structures = lock(&self.structures);
             let structure = structures.entry(fingerprint).or_default();
             let current = structure.telemetry.record(kind, &sample);
             let incumbent = structure
@@ -267,7 +266,7 @@ impl AdaptiveRuntime {
             if probe_baseline {
                 self.probe_baseline(inner, loop_, y, plan);
             }
-            let decided = self.evaluate(inner, loop_, plan, kind, &mut self.structures.lock());
+            let decided = self.evaluate(inner, loop_, plan, kind, &mut lock(&self.structures));
             for event in decided.into_iter().flatten() {
                 inner.obs.emit(event);
             }
@@ -331,8 +330,7 @@ impl AdaptiveRuntime {
             pred_units: units,
             work_units: units,
         };
-        self.structures
-            .lock()
+        lock(&self.structures)
             .entry(*plan.fingerprint())
             .or_default()
             .telemetry

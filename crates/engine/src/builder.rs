@@ -7,11 +7,11 @@ use crate::engine::Engine;
 use crate::fault::FallbackPolicy;
 use doacross_obs::profile::Profiler;
 use doacross_obs::{ColdStartReason, Obs, TraceEvent};
-use doacross_plan::{default_shard_count, ConcurrentPlanCache, PersistError, PlanStore, Planner};
+use doacross_plan::{ConcurrentPlanCache, PersistError, PlanStore, Planner};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Default total plan capacity across shards.
+/// Default plan capacity.
 const DEFAULT_CACHE_CAPACITY: usize = 128;
 
 /// Configures and builds an [`Engine`].
@@ -22,17 +22,14 @@ const DEFAULT_CACHE_CAPACITY: usize = 128;
 /// let engine = Engine::builder()
 ///     .workers(2)
 ///     .cache_capacity(32)
-///     .shards(4)
 ///     .build();
 /// assert_eq!(engine.threads(), 2);
-/// assert_eq!(engine.shards(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     workers: Option<usize>,
     pools: Option<usize>,
     cache_capacity: usize,
-    shards: Option<usize>,
     planner: Planner,
     warm_start: Option<PathBuf>,
     calibrate: bool,
@@ -50,9 +47,7 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Builder with defaults: host-sized worker count, a
-    /// 128-plan cache sharded per the host's
-    /// available parallelism ([`doacross_plan::default_shard_count`]),
+    /// Builder with defaults: host-sized worker count, a 128-plan cache,
     /// and a planner pricing with this host's measured costs (see
     /// [`EngineBuilder::calibrated`]).
     pub fn new() -> Self {
@@ -60,7 +55,6 @@ impl EngineBuilder {
             workers: None,
             pools: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            shards: None,
             planner: Planner::new(),
             warm_start: None,
             calibrate: true,
@@ -109,23 +103,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Total plan capacity, spread over the shards (0 disables caching —
-    /// every prepare replans; useful for measuring the uncached baseline).
+    /// Plan capacity: the cache holds exactly this many plans, evicting
+    /// the least recently used (0 disables caching — every prepare
+    /// replans; useful for measuring the uncached baseline).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
     }
 
-    /// Explicit shard count for the concurrent plan cache (rounded up to
-    /// a power of two). More shards mean less lock contention between
-    /// unrelated structures; capacity per shard shrinks correspondingly.
-    /// When not set, the shard count adapts to the host:
-    /// [`doacross_plan::default_shard_count`] matches it to the available
-    /// parallelism (contention scales with threads that can actually run
-    /// concurrently, so a 1-core container keeps its whole capacity in
-    /// one LRU while a 32-way server spreads over 32 shards).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
+    /// Ignored: the plan cache is one LRU under one lock, whatever the
+    /// count. Kept only until the benchmark stops calling it.
+    #[deprecated(note = "the plan cache is unsharded; the count is ignored")]
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -164,7 +153,7 @@ impl EngineBuilder {
     /// measurements and the plan re-priced; when the running variant's
     /// refined price leaves its static price by more than a factor of 1.5
     /// and the planner's choice under the refined model wins by 5 %, that
-    /// variant is trialed (swapped in under the shard lock with a
+    /// variant is trialed (swapped in under the cache lock with a
     /// generation bump — outstanding handles fail typed with
     /// [`crate::EngineError::StalePlan`]), then committed or rolled back on
     /// the measured comparison, with the same 5 % hysteresis; after 3
@@ -347,10 +336,9 @@ impl EngineBuilder {
         } else {
             (self.planner, None)
         };
-        let shards = self.shards.unwrap_or_else(default_shard_count);
         let adaptive = (self.adaptive && self.cache_capacity > 0) // nothing to swap plans in
             .then(|| AdaptiveRuntime::new(calibration.map(|c| c.unit_ns)));
-        let mut cache = ConcurrentPlanCache::new(self.cache_capacity, shards);
+        let mut cache = ConcurrentPlanCache::new(self.cache_capacity);
         cache.set_obs(obs.clone());
         let profiler = self.profiling.then(|| Profiler::new(pools, workers));
         let engine = Engine::from_parts(
@@ -418,9 +406,6 @@ mod tests {
     fn defaults_are_sane() {
         let engine = EngineBuilder::new().workers(2).build();
         assert_eq!(engine.threads(), 2);
-        // The shard count adapts to the host (clamped power of two);
-        // explicit settings still win.
-        assert_eq!(engine.shards(), doacross_plan::default_shard_count());
         assert!(engine.cache_stats().hits == 0 && engine.cache_len() == 0);
         assert!(!engine.is_adaptive());
         assert_eq!(engine.adaptive_stats(), None);
@@ -428,8 +413,6 @@ mod tests {
         let calibration = engine.calibration().expect("host pricing is the default");
         assert!(std::ptr::eq(calibration, doacross_sim::host_calibration()));
         assert_eq!(engine.planner().costs(), &calibration.model);
-        let fixed = EngineBuilder::new().workers(2).shards(8).build();
-        assert_eq!(fixed.shards(), 8);
     }
 
     #[test]
@@ -460,8 +443,8 @@ mod tests {
 
     #[test]
     fn fresh_engine_stats_report_zero_hit_rate() {
-        // Regression for the 0/0 hit-rate case: a fresh engine's merged
-        // multi-shard stats must report 0.0, never NaN.
+        // Regression for the 0/0 hit-rate case: a fresh engine's stats
+        // must report 0.0, never NaN.
         let engine = EngineBuilder::new().workers(2).build();
         let rate = engine.cache_stats().hit_rate();
         assert_eq!(rate, 0.0);

@@ -15,9 +15,15 @@ use doacross_plan::{
 };
 use doacross_sched::{PoolSet, PoolStats};
 use doacross_sim::CalibratedModel;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Locks `mutex`, recovering the guard if a panic poisoned it: every
+/// engine lock guards state that stays whole across an unwinding solve,
+/// evaluation or probe, so one panic must not wedge the engine.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Shared state behind every [`Engine`] clone and [`PreparedLoop`] handle.
 pub(crate) struct EngineInner {
@@ -61,14 +67,16 @@ pub(crate) struct EngineInner {
 }
 
 /// A thread-safe doacross session: one shared thread pool, one planner,
-/// one sharded plan cache — every entry point behind `&self`.
+/// one plan cache — every entry point behind `&self`.
 ///
 /// `Engine` is a cheap handle (clones share all state via `Arc`), and it
 /// is `Send + Sync`: hand clones to threads, or share one instance behind
-/// an `Arc`/`&'static` — both work. Executions against the pool serialize
-/// at region dispatch (one parallel region at a time, like a single
-/// shared-memory machine), but planning, cache lookups, and cache
-/// bookkeeping all proceed concurrently.
+/// an `Arc`/`&'static` — both work. Parallel executions serialize at
+/// region dispatch of their sub-pool (one parallel region at a time, like
+/// a single shared-memory machine). Executes never take the plan cache's
+/// lock: a prepared handle checks staleness with one atomic load.
+/// Prepares serialize on that one lock, and a miss builds its plan under
+/// it.
 ///
 /// ```
 /// use doacross_core::TestLoop;
@@ -194,19 +202,14 @@ impl Engine {
         &self.inner.planner
     }
 
-    /// Merged traffic counters of the plan cache's shards.
+    /// Traffic counters of the plan cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
     }
 
-    /// Plans currently cached, across all shards.
+    /// Plans currently cached.
     pub fn cache_len(&self) -> usize {
         self.inner.cache.len()
-    }
-
-    /// Shard count of the plan cache.
-    pub fn shards(&self) -> usize {
-        self.inner.cache.shard_count()
     }
 
     /// Resolves `pattern` to a [`PreparedLoop`] handle: fingerprint →
@@ -214,7 +217,7 @@ impl Engine {
     /// cheap cloneable value; build once, execute from many threads.
     ///
     /// Two concurrent `prepare` calls for the same structure build the
-    /// plan once — the second blocks on the shard lock and then hits.
+    /// plan once — the second blocks on the cache lock and then hits.
     pub fn prepare<P: AccessPattern + ?Sized>(
         &self,
         pattern: &P,
@@ -488,25 +491,19 @@ impl Engine {
             "Solve admissions refused because every sub-pool was busy and the wait queue full.",
             self.saturations(),
         );
+        let (plans, capacity, cache) = self.inner.cache.gauges();
         render::gauge(
             &mut buf,
             "doacross_cache_plans",
             "Execution plans currently cached.",
-            self.cache_len() as u64,
+            plans as u64,
         );
         render::gauge(
             &mut buf,
             "doacross_cache_capacity",
-            "Total plan capacity across cache shards.",
-            self.inner.cache.capacity() as u64,
+            "Plans the cache holds before it evicts the least recently used.",
+            capacity as u64,
         );
-        render::gauge(
-            &mut buf,
-            "doacross_cache_shards",
-            "Shard count of the plan cache.",
-            self.shards() as u64,
-        );
-        let cache = self.cache_stats();
         render::counter(
             &mut buf,
             "doacross_cache_hits_total",

@@ -7,16 +7,16 @@
 //!
 //! * [`Engine`] — a cheaply-cloneable (`Arc`-backed), `Send + Sync`
 //!   session object owning the worker [`ThreadPool`](doacross_par::ThreadPool),
-//!   a cost-model [`Planner`](doacross_plan::Planner), and a **sharded,
-//!   internally-synchronized plan cache**
-//!   ([`ConcurrentPlanCache`](doacross_plan::ConcurrentPlanCache)).
-//!   Every method takes `&self`; concurrent callers hit the cache without
-//!   external locking.
-//! * [`EngineBuilder`] — worker count, cache capacity, shard count and
-//!   planner. Unless [`EngineBuilder::planner`] names a model, variant
-//!   selection prices with the *host's* cost ratios, measured once per
-//!   process (`doacross_sim::host_calibration`), not the paper's Multimax
-//!   preset.
+//!   a cost-model [`Planner`](doacross_plan::Planner), and an
+//!   **internally-synchronized plan cache**
+//!   ([`ConcurrentPlanCache`](doacross_plan::ConcurrentPlanCache): one
+//!   LRU of exactly its capacity under one lock). Every method takes
+//!   `&self`; concurrent callers prepare without external locking, and
+//!   executes never take the cache lock.
+//! * [`EngineBuilder`] — worker count, cache capacity and planner.
+//!   Unless [`EngineBuilder::planner`] names a model, variant selection
+//!   prices with the *host's* cost ratios, measured once per process
+//!   (`doacross_sim::host_calibration`), not the paper's Multimax preset.
 //! * [`PreparedLoop`] — the compiled-loop artifact as a first-class
 //!   value: a cheap cloneable handle (an `Arc`'d
 //!   [`ExecutionPlan`](doacross_plan::ExecutionPlan) plus the generation

@@ -22,8 +22,8 @@ pub struct PreparedLoop {
     inner: Arc<EngineInner>,
     plan: Arc<ExecutionPlan>,
     /// The structure's shared generation cell — staleness is one atomic
-    /// load, never a cache-shard lock, so executes through a handle stay
-    /// off the shard mutexes entirely.
+    /// load, never the cache lock, so executes through a handle stay off
+    /// the cache's mutex entirely.
     generation_cell: Arc<AtomicU64>,
     generation: u64,
     from_cache: bool,
@@ -37,7 +37,7 @@ impl PreparedLoop {
         generation: u64,
         from_cache: bool,
     ) -> Self {
-        // `generation` was read while the cache shard lock was held, so it
+        // `generation` was read while the cache lock was held, so it
         // is consistent with `plan`: re-reading the cell here could race
         // an adaptive swap and pair the old plan with the new generation —
         // a handle that would never report stale.

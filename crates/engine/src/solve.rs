@@ -88,7 +88,7 @@
 //! The rest of the envelope is the calls themselves and the loop's own
 //! entry.
 
-use crate::engine::EngineInner;
+use crate::engine::{lock, EngineInner};
 use crate::error::EngineError;
 use crate::fault::FallbackPolicy;
 use doacross_core::{
@@ -100,10 +100,9 @@ use doacross_obs::{ObsFault, ObsVariant, SolveOutcome, SolveRecord, TraceEvent};
 use doacross_par::RegionFault;
 use doacross_plan::{execute_sequential, ExecutionPlan, PlanExecutor, PlanVariant};
 use doacross_sched::PoolGuard;
-use parking_lot::MutexGuard;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Nanoseconds of `d`, saturating — the width every emitted duration has.
@@ -308,7 +307,7 @@ impl<'e> Solve<'e> {
     /// it, or faulted, and `recover` dropped what it left.
     fn arm(&self, guard: PoolGuard<'e>, admission: Option<AdmissionWait>, y: &[f64]) -> Lease<'e> {
         let engine = self.engine;
-        let mut scratch = engine.scratch[guard.index()].lock();
+        let mut scratch = lock(&engine.scratch[guard.index()]);
         let arena = engine
             .profiler
             .as_ref()

@@ -2,13 +2,16 @@
 //!
 //! These are the acceptance tests for the session redesign — prepared
 //! loops as first-class values executed from many threads, cache traffic
-//! that reconciles exactly across shards, and invalidation that retires
-//! in-flight handles without tearing down the engine.
+//! that reconciles exactly, a cache that holds exactly its capacity, and
+//! invalidation that retires in-flight handles without tearing down the
+//! engine.
 
 use doacross_core::{seq::run_sequential, AccessPattern, PlanProvenance, TestLoop};
 use doacross_engine::{Engine, EngineError, PreparedLoop};
+use doacross_plan::PatternFingerprint;
 use doacross_sparse::{ilu0, stencil::five_point, TriangularMatrix};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Distinct Figure 4 structures: (iterations, M, L) triples with distinct
@@ -107,15 +110,10 @@ fn cloned_prepared_handles_execute_from_many_threads() {
 
 /// N threads × M patterns with a cache too small for the working set:
 /// hits + misses == lookups, insertions == misses, and the net of
-/// insertions − evictions equals the plans still resident — reconciled
-/// across all shards.
+/// insertions − evictions equals the plans still resident.
 #[test]
 fn stress_traffic_reconciles_across_shards() {
-    let engine = Engine::builder()
-        .workers(2)
-        .cache_capacity(4)
-        .shards(4)
-        .build();
+    let engine = Engine::builder().workers(2).cache_capacity(4).build();
     // 12 distinct structures over a 4-plan cache: constant eviction churn.
     let loops: Vec<TestLoop> = (0..12)
         .map(|k| TestLoop::new(200 + 10 * k, 1 + k % 3, 4 + k % 7))
@@ -150,9 +148,112 @@ fn stress_traffic_reconciles_across_shards() {
     assert_eq!(
         stats.insertions - stats.evictions,
         engine.cache_len() as u64,
-        "shard ledgers reconcile with resident plans"
+        "the ledger reconciles with resident plans"
     );
     assert!(engine.cache_len() <= 4);
+}
+
+/// An engine built with `.cache_capacity(c)` holds exactly `c` plans: a
+/// second pass over `c` distinct structures hits all `c`, and preparing a
+/// `(c+1)`th evicts exactly the least recently used one.
+#[test]
+fn the_cache_holds_exactly_its_capacity() {
+    for c in 1..=5 {
+        let engine = Engine::builder().workers(2).cache_capacity(c).build();
+        let loops: Vec<TestLoop> = (0..=c).map(|k| TestLoop::new(100 + 10 * k, 1, 4)).collect();
+        let prepare = |l: &TestLoop| engine.prepare(l).expect("plannable").from_cache();
+        assert!(loops[..c].iter().all(|l| !prepare(l)), "c = {c}: cold pass");
+        let hits = loops[..c].iter().filter(|l| prepare(l)).count();
+        assert_eq!(hits, c, "c = {c}: second pass hits every structure");
+        // `loops[0]` is now the least recently used.
+        assert!(!prepare(&loops[c]), "c = {c}: a new structure misses");
+        assert_eq!(engine.cache_len(), c, "c = {c}");
+        assert_eq!(engine.cache_stats().evictions, 1, "c = {c}");
+        assert!(
+            !prepare(&loops[0]),
+            "c = {c}: the LRU structure was evicted"
+        );
+    }
+}
+
+/// A pattern that panics on its first read past `budget`.
+struct PanicsAfter {
+    inner: TestLoop,
+    budget: usize,
+    reads: AtomicUsize,
+}
+
+impl PanicsAfter {
+    fn new(inner: TestLoop, budget: usize) -> Self {
+        Self {
+            inner,
+            budget,
+            reads: AtomicUsize::new(0),
+        }
+    }
+
+    fn read(&self) {
+        if self.reads.fetch_add(1, Ordering::Relaxed) >= self.budget {
+            panic!("pattern read past its budget");
+        }
+    }
+}
+
+impl AccessPattern for PanicsAfter {
+    fn iterations(&self) -> usize {
+        self.read();
+        self.inner.iterations()
+    }
+
+    fn data_len(&self) -> usize {
+        self.read();
+        self.inner.data_len()
+    }
+
+    fn lhs(&self, i: usize) -> usize {
+        self.read();
+        self.inner.lhs(i)
+    }
+
+    fn terms(&self, i: usize) -> usize {
+        self.read();
+        self.inner.terms(i)
+    }
+
+    fn term_element(&self, i: usize, j: usize) -> usize {
+        self.read();
+        self.inner.term_element(i, j)
+    }
+}
+
+/// A plan build that panics — it runs under the cache lock — unwinds out
+/// of `prepare` and leaves the engine serving: the next structure
+/// prepares and then hits, and the panicked build counts one miss and no
+/// insertion.
+#[test]
+fn a_build_that_panics_under_the_cache_lock_leaves_the_engine_serving() {
+    let engine = Engine::builder().workers(2).cache_capacity(4).build();
+    // Budget the pattern exactly the reads fingerprinting takes, so its
+    // first read after `PatternFingerprint::of` is the build's.
+    let counted = PanicsAfter::new(TestLoop::new(300, 1, 5), usize::MAX);
+    PatternFingerprint::of(&counted);
+    let budget = counted.reads.load(Ordering::Relaxed);
+    let pattern = PanicsAfter::new(TestLoop::new(300, 1, 5), budget);
+
+    let outcome = catch_unwind(AssertUnwindSafe(|| engine.prepare(&pattern)));
+    assert!(outcome.is_err(), "the build panicked out of prepare");
+    let s = engine.cache_stats();
+    assert_eq!((s.hits, s.misses, s.insertions), (0, 1, 0));
+
+    let other = TestLoop::new(400, 2, 6);
+    assert!(!engine
+        .prepare(&other)
+        .expect("the cache lock recovers")
+        .from_cache());
+    assert!(engine.prepare(&other).expect("plannable").from_cache());
+    let s = engine.cache_stats();
+    assert_eq!((s.hits, s.misses, s.insertions), (1, 2, 1));
+    assert_eq!(engine.cache_len(), 1);
 }
 
 /// Invalidation during concurrent execution: stale handles fail with the

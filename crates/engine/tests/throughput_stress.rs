@@ -6,7 +6,7 @@
 //! and forward-substitution loops over the Table 1 stencil families
 //! (5-PT, 7-PT, 9-PT ILU(0) factors) — and every result must stay
 //! bit-identical to the sequential oracle while the scheduler's own
-//! ledgers (per-pool dispatches, cache shard traffic) reconcile exactly.
+//! ledgers (per-pool dispatches, cache traffic) reconcile exactly.
 //! Saturation is pinned deterministically with a gated loop that holds a
 //! sub-pool open on purpose.
 //!
@@ -117,7 +117,7 @@ fn tenant_loops() -> Vec<IndirectLoop> {
 
 /// 16 tenants × several rounds on one shared 2-pool engine: bit-identical
 /// results throughout, no deadlock across sub-pools, and afterwards the
-/// scheduler's per-pool dispatch ledger and the cache's per-shard ledger
+/// scheduler's per-pool dispatch ledger and the cache's ledger
 /// both reconcile exactly with the work submitted. Every tenant runs a
 /// flag variant, so every solve is admitted.
 #[test]
@@ -129,7 +129,6 @@ fn sixteen_tenants_on_a_shared_multi_pool_engine_stay_bit_identical() {
             .workers(1)
             .pools(2)
             .cache_capacity(32)
-            .shards(4)
             .planner(flag_prices())
             .build(),
     );

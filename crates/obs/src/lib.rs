@@ -78,8 +78,7 @@
 //! | `doacross_max_pending` | gauge | Callers allowed to wait for a free sub-pool before admission refuses. |
 //! | `doacross_saturations_total` | counter | Admissions refused (every sub-pool busy, wait queue full). |
 //! | `doacross_cache_plans` | gauge | Plans currently cached. |
-//! | `doacross_cache_capacity` | gauge | Total plan capacity across cache shards. |
-//! | `doacross_cache_shards` | gauge | Shard count of the plan cache. |
+//! | `doacross_cache_capacity` | gauge | Plans the cache holds before it evicts the least recently used (exactly `EngineBuilder::cache_capacity`). |
 //! | `doacross_cache_{hits,misses,evictions,insertions}_total` | counter | The cache's exact traffic counters. |
 //! | `doacross_adaptive_*_total` | counter | The adaptive loop's decision counters (`AdaptiveStats`), adaptive engines only. |
 //!
@@ -127,7 +126,7 @@ pub use fphash::{FpBuildHasher, FpHasher, FpMap};
 pub use metrics::HistogramSnapshot;
 
 use metrics::{Registry, SolveLedger};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Static `pool` label values for the bounded per-sub-pool series
@@ -205,16 +204,17 @@ impl Obs {
     }
 }
 
-impl ObsInner {
-    fn state(&self) -> MutexGuard<'_, ObsState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+/// Locks `mutex`, recovering the guard if a panic poisoned it: every
+/// lock here guards plain counters and rings that stay whole across an
+/// unwinding emitter, so observability must not wedge after a panic.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
+impl ObsInner {
     /// Counts and traces `events` under one acquisition of the lock.
     fn absorb(&self, since_start: std::time::Duration, events: &[TraceEvent]) {
-        let mut state = self.state();
+        let mut state = lock(&self.state);
         let ObsState {
             ledger,
             registry,
@@ -237,7 +237,7 @@ impl Obs {
     pub fn trace_events(&self) -> Vec<TracedEvent> {
         self.inner
             .as_ref()
-            .map(|i| i.state().trace.events.iter().copied().collect())
+            .map(|i| lock(&i.state).trace.events.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -245,7 +245,7 @@ impl Obs {
     pub fn recent_solves(&self) -> Vec<SolveRecord> {
         self.inner
             .as_ref()
-            .map(|i| i.state().ledger.flight.iter().copied().collect())
+            .map(|i| lock(&i.state).ledger.flight.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -255,7 +255,7 @@ impl Obs {
     /// disabled handle.
     pub fn render_prometheus(&self, buf: &mut String) {
         let Some(inner) = &self.inner else { return };
-        let state = inner.state();
+        let state = lock(&inner.state);
         let (ledger, r) = (&state.ledger, &state.registry);
         let mut solve_samples: Vec<([(&str, &str); 2], u64)> = Vec::new();
         for v in ObsVariant::ALL {
@@ -656,7 +656,10 @@ mod tests {
         let mut text = String::new();
         single.render_prometheus(&mut text);
         assert!(!text.contains("doacross_pool_"));
-        let unrecorded = single.inner.as_ref().unwrap().state().ledger.pool_solve_ns[0].count;
+        let unrecorded = lock(&single.inner.as_ref().unwrap().state)
+            .ledger
+            .pool_solve_ns[0]
+            .count;
         assert_eq!(
             unrecorded, 0,
             "pool latency recorded where it is never shown"
@@ -691,7 +694,7 @@ mod tests {
             record.pool = None;
         }
         obs.emit(event);
-        let state = obs.inner.as_ref().unwrap().state();
+        let state = lock(&obs.inner.as_ref().unwrap().state);
         assert!(state.ledger.pool_solve_ns.iter().all(|h| h.count == 0));
         drop(state);
         let solves = obs.recent_solves();

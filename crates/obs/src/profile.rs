@@ -28,10 +28,10 @@
 //! harvest's summary also reaches the trace ring as a
 //! [`crate::TraceEvent::SolveProfiled`] event.
 
-use crate::{render, FpId, HistogramSnapshot, ObsVariant};
+use crate::{lock, render, FpId, HistogramSnapshot, ObsVariant};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// What a [`ProfSpan`] measures.
@@ -219,10 +219,7 @@ impl ProfArena {
     }
 
     fn push(&self, cell: usize, kind: SpanKind, level: u32, start_ns: u64, dur_ns: u64, aux: u64) {
-        let mut spans = match self.cells[cell].spans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut spans = lock(&self.cells[cell].spans);
         if spans.len() >= self.cap_per_worker {
             spans.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -241,10 +238,7 @@ impl ProfArena {
     /// engine calls this when a faulted attempt abandons its spans.
     pub fn reset(&self) {
         for cell in &self.cells {
-            let mut spans = match cell.spans.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut spans = lock(&cell.spans);
             spans.clear();
         }
         self.dropped.store(0, Ordering::Relaxed);
@@ -265,10 +259,7 @@ impl ProfArena {
     /// owns.
     fn drain_into(&self, out: &mut Vec<ProfSpan>) -> u64 {
         for cell in &self.cells {
-            let mut spans = match cell.spans.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut spans = lock(&cell.spans);
             out.extend(spans.drain(..));
         }
         self.dropped.swap(0, Ordering::Relaxed)
@@ -444,12 +435,6 @@ impl Profiler {
         }
     }
 
-    fn ring(&self) -> MutexGuard<'_, ProfileRing> {
-        self.ring
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// The span arena for sub-pool `pool` (clamped to the last arena, so
     /// a stale index degrades rather than panics).
     pub fn arena(&self, pool: usize) -> &ProfArena {
@@ -482,7 +467,7 @@ impl Profiler {
         total_ns: u64,
         priced_ns: Option<f64>,
     ) -> ProfileSummary {
-        let mut ring = self.ring();
+        let mut ring = lock(&self.ring);
         let evicted = if ring.profiles.len() >= RING {
             ring.profiles.pop_front()
         } else {
@@ -592,7 +577,7 @@ impl Profiler {
 
     /// Retained profiles, oldest first.
     pub fn recent(&self) -> Vec<SolveProfile> {
-        self.ring().profiles.iter().cloned().collect()
+        lock(&self.ring).profiles.iter().cloned().collect()
     }
 
     /// Renders the `doacross_profile_*` families, holding the ring lock
@@ -600,7 +585,7 @@ impl Profiler {
     /// solve has been profiled, so an armed-but-idle engine's scrape is
     /// byte-identical to an unprofiled one.
     pub fn render_prometheus(&self, buf: &mut String) {
-        let ring = self.ring();
+        let ring = lock(&self.ring);
         if ring.solves == 0 {
             return;
         }
@@ -971,7 +956,7 @@ mod tests {
         assert_eq!(recent.len(), RING);
         assert_eq!(recent[0].seq, 3);
         assert_eq!(recent[RING - 1].seq, solves - 1);
-        assert_eq!(prof.ring().solves, solves);
+        assert_eq!(lock(&prof.ring).solves, solves);
     }
 
     #[test]
@@ -983,7 +968,7 @@ mod tests {
         arena.record(0, SpanKind::BarrierWait, 16, 20, 10, 0);
         arena.record(0, SpanKind::BarrierWait, 40, 30, 10, 0);
         prof.harvest(SpanSource::Arena(0), fp(), ObsVariant::Wavefront, 40, None);
-        let ring = prof.ring();
+        let ring = lock(&prof.ring);
         let levels = ring.level_histograms();
         let labels: Vec<&str> = levels.iter().map(|(l, _)| *l).collect();
         assert_eq!(labels, vec!["0", "15", "other"]);

@@ -37,9 +37,8 @@
 //! be amortizable).
 
 use crate::poison::{CoopUnwind, RegionFault, RegionPoison, Rejected};
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -67,6 +66,13 @@ const MAX_WORKERS: usize = JOINED as usize + 1;
 
 fn epoch_of(word: u64) -> u64 {
     word >> EPOCH_SHIFT
+}
+
+/// The guard of a lock or condvar wait, recovered if a panic poisoned it:
+/// [`ThreadPool::dispatch`] re-raises a region fault while it holds
+/// `dispatch_lock`, and the pool must stay usable after that fault.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 struct PoolState {
@@ -193,12 +199,12 @@ impl ThreadPool {
     /// pool must own it exclusively (e.g. hold its scheduler guard) while
     /// a deadline is set, and clear it when done.
     pub fn set_deadline(&self, deadline: Option<Instant>) {
-        *self.shared.deadline.lock() = deadline;
+        *unpoisoned(self.shared.deadline.lock()) = deadline;
     }
 
     /// The deadline for regions dispatched now, if any.
     pub fn deadline(&self) -> Option<Instant> {
-        *self.shared.deadline.lock()
+        *unpoisoned(self.shared.deadline.lock())
     }
 
     /// Executes `job(worker_id)` exactly once for every worker id, blocking
@@ -256,7 +262,7 @@ impl ThreadPool {
     /// in otherwise), wait for the helpers that joined, report the cause:
     /// a rejection as the return value, a fault as a panic.
     fn dispatch(&self, job: &(dyn Fn(usize) + Sync), joinable: bool) -> Result<(), Rejected> {
-        let _dispatch = self.dispatch_lock.lock();
+        let _dispatch = unpoisoned(self.dispatch_lock.lock());
         let shared = &*self.shared;
         // Panic-flag hygiene: a stale fault (e.g. latched by a region
         // whose dispatcher unwound early) must not leak into this region.
@@ -275,7 +281,7 @@ impl ThreadPool {
             let erased: *const (dyn Fn(usize) + Sync + 'static) =
                 unsafe { std::mem::transmute(erased) };
             {
-                let mut state = shared.state.lock();
+                let mut state = unpoisoned(shared.state.lock());
                 state.job = Some(Job(erased));
                 shared.left.store(0, Ordering::Relaxed);
                 shared
@@ -315,10 +321,10 @@ impl ThreadPool {
             }
             std::thread::yield_now();
         }
-        let mut state = self.shared.state.lock();
+        let mut state = unpoisoned(self.shared.state.lock());
         state.waiting = true;
         while !left() {
-            self.shared.done_cv.wait(&mut state);
+            state = unpoisoned(self.shared.done_cv.wait(state));
         }
         state.waiting = false;
     }
@@ -327,7 +333,7 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock();
+            let mut state = unpoisoned(self.shared.state.lock());
             state.shutdown = true;
         }
         self.shared.work_cv.notify_all();
@@ -379,7 +385,7 @@ fn helper_loop(shared: &PoolShared, worker_id: usize) {
         // The epoch and its job are read together under the lock they were
         // published under; a region missed while asleep is simply skipped.
         let (job, word) = {
-            let mut state = shared.state.lock();
+            let mut state = unpoisoned(shared.state.lock());
             loop {
                 if state.shutdown {
                     return;
@@ -388,7 +394,7 @@ fn helper_loop(shared: &PoolShared, worker_id: usize) {
                 if epoch_of(word) != seen {
                     break (state.job, word);
                 }
-                shared.work_cv.wait(&mut state);
+                state = unpoisoned(shared.work_cv.wait(state));
             }
         };
         seen = epoch_of(word);
@@ -402,7 +408,7 @@ fn helper_loop(shared: &PoolShared, worker_id: usize) {
         shared.left.fetch_add(1, Ordering::Release);
         // Under the lock, a dispatcher that checked `left` before this add
         // has set `waiting` and is asleep; one that checks after sees it.
-        if shared.state.lock().waiting {
+        if unpoisoned(shared.state.lock()).waiting {
             shared.done_cv.notify_all();
         }
     }

@@ -20,11 +20,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         Self { value }
     }
-
-    /// Unwraps the padded value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> Deref for CachePadded<T> {
@@ -129,7 +124,6 @@ mod tests {
         let mut c = CachePadded::new(41u64);
         *c += 1;
         assert_eq!(*c, 42);
-        assert_eq!(c.into_inner(), 42);
     }
 
     #[test]

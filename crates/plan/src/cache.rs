@@ -1,21 +1,24 @@
-//! Fingerprint-keyed LRU of execution plans: one shard of
-//! [`ConcurrentPlanCache`](crate::ConcurrentPlanCache).
+//! The plan cache's state: everything
+//! [`ConcurrentPlanCache`](crate::ConcurrentPlanCache) holds under its one
+//! lock.
 //!
 //! This is where the amortization the paper argues for in §2.1 becomes a
 //! systems feature: a solver iterating on a fixed sparse structure, or a
 //! service replaying the same loop shapes for many requests, pays
 //! inspection + dependence analysis + ordering once per *structure*
-//! instead of once per *run*. A shard is a plain LRU over
-//! [`PatternFingerprint`] keys — a doubly-linked recency list threaded
-//! through a slab, O(1) hit, insert, and eviction — with hit/miss/eviction
-//! counters so the skip is observable from the outside.
+//! instead of once per *run*. The state is an LRU over
+//! [`PatternFingerprint`] keys kept with a use clock: a hit stamps its
+//! entry with the next clock value in O(1), and an insert into a full
+//! cache evicts the entry with the smallest stamp, found by one scan —
+//! paid only by a miss that has just built a plan, or by a restore.
+//! Hit/miss/eviction counters make the skip observable from the outside.
 
 use crate::fingerprint::PatternFingerprint;
 use crate::plan::ExecutionPlan;
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const NIL: usize = usize::MAX;
 
 /// Cache traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,15 +34,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Adds `other`'s counters into `self` — used to merge per-shard stats
-    /// into one cache-wide view.
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.insertions += other.insertions;
-    }
-
     /// `hits / (hits + misses)`, 0 when the cache was never consulted.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -51,197 +45,130 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug)]
-struct Entry {
-    key: PatternFingerprint,
-    /// `None` only while the slot sits on the free list — resident
-    /// entries always hold a plan. Clearing on eviction/removal matters:
-    /// a parked `Arc` would keep a retired plan's claim stream
-    /// (O(iterations + references)) alive until the slot is reused.
-    plan: Option<Arc<ExecutionPlan>>,
-    prev: usize,
-    next: usize,
-}
-
-/// The plan of an entry that is linked into the recency list.
-fn resident(entry: &Entry) -> &Arc<ExecutionPlan> {
-    entry.plan.as_ref().expect("resident entry holds a plan")
-}
-
-/// LRU cache of [`ExecutionPlan`]s keyed by [`PatternFingerprint`]: the
-/// shard type of [`ConcurrentPlanCache`](crate::ConcurrentPlanCache),
-/// which owns every instance and calls it under the shard's lock.
-///
-/// Plans are handed out as [`Arc`]s, so a caller can keep executing a plan
-/// that has since been evicted.
-#[derive(Debug)]
-pub(crate) struct PlanCache {
+/// The plan cache's one state (see the module docs). Plans are handed
+/// out as [`Arc`]s, so a caller can keep executing a plan that has since
+/// been evicted.
+#[derive(Debug, Default)]
+pub(crate) struct CacheState {
     capacity: usize,
-    map: HashMap<PatternFingerprint, usize>,
-    slab: Vec<Entry>,
-    free: Vec<usize>,
-    /// Most recently used.
-    head: usize,
-    /// Least recently used.
-    tail: usize,
+    /// Each resident plan with the clock value of its last use.
+    plans: HashMap<PatternFingerprint, (Arc<ExecutionPlan>, u64)>,
+    /// The use clock: advanced by every hit and every insertion.
+    clock: u64,
     stats: CacheStats,
+    /// Per-fingerprint generation cells, handed out as `Arc`s so a
+    /// prepared handle checks staleness with one atomic load instead of
+    /// taking the cache lock on every execute. Bumps happen under the
+    /// lock; reads are lock-free. [`CacheState::prune_generations`] keeps
+    /// the map bounded by live handles plus keys ever invalidated.
+    generations: HashMap<PatternFingerprint, Arc<AtomicU64>>,
 }
 
-impl PlanCache {
-    /// Cache holding up to `capacity` plans. A capacity of 0 is legal and
+impl CacheState {
+    /// State holding up to `capacity` plans. A capacity of 0 is legal and
     /// makes every lookup a miss (useful for measuring the uncached
     /// baseline).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            map: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            stats: CacheStats::default(),
+            ..Self::default()
         }
     }
 
-    /// Maximum number of plans held.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Plans currently held.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    pub(crate) fn len(&self) -> usize {
+        self.plans.len()
     }
 
-    /// Traffic counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// The plan stored under `key`, without touching recency or counters —
-    /// the read snapshots use. [`PlanCache::get`] is the traffic path.
-    pub fn peek(&self, key: &PatternFingerprint) -> Option<&Arc<ExecutionPlan>> {
-        self.map.get(key).map(|&slot| resident(&self.slab[slot]))
-    }
-
-    /// Looks up `key`, counting a hit (and promoting the entry to most
+    /// Looks up `key`, counting a hit (and stamping the entry as the most
     /// recently used) or a miss.
-    pub fn get(&mut self, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
-        match self.map.get(key) {
-            Some(&slot) => {
-                self.stats.hits += 1;
-                self.unlink(slot);
-                self.push_front(slot);
-                Some(Arc::clone(resident(&self.slab[slot])))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    pub(crate) fn get(&mut self, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
+        let Some((plan, used)) = self.plans.get_mut(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.clock += 1;
+        *used = self.clock;
+        self.stats.hits += 1;
+        Some(Arc::clone(plan))
     }
 
-    /// Stores `plan` under its own fingerprint, evicting the least
-    /// recently used entry if full. Replaces any existing plan for the
-    /// same fingerprint. Returns the evicted plan, if the insert pushed
-    /// one out — same-key replacement is not an eviction.
-    pub fn insert(&mut self, plan: Arc<ExecutionPlan>) -> Option<Arc<ExecutionPlan>> {
-        let key = *plan.fingerprint();
-        if let Some(&slot) = self.map.get(&key) {
-            self.slab[slot].plan = Some(plan);
-            self.unlink(slot);
-            self.push_front(slot);
-            self.stats.insertions += 1;
-            return None;
-        }
+    /// Stores `plan` under its own fingerprint as the most recently used,
+    /// replacing any plan for the same fingerprint, else evicting the
+    /// least recently used entry if full. Returns the evicted plan —
+    /// same-key replacement is not an eviction.
+    pub(crate) fn insert(&mut self, plan: Arc<ExecutionPlan>) -> Option<Arc<ExecutionPlan>> {
         if self.capacity == 0 {
             return None;
         }
+        let key = *plan.fingerprint();
         let mut evicted = None;
-        if self.map.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
-            self.unlink(lru);
-            self.map.remove(&self.slab[lru].key);
-            evicted = self.slab[lru].plan.take();
-            self.free.push(lru);
+        if self.plans.len() >= self.capacity && !self.plans.contains_key(&key) {
+            let (&lru, _) = self
+                .plans
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .expect("a full cache holds a plan");
+            evicted = self.remove(&lru);
             self.stats.evictions += 1;
         }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Entry {
-                    key,
-                    plan: Some(plan),
-                    prev: NIL,
-                    next: NIL,
-                };
-                slot
-            }
-            None => {
-                self.slab.push(Entry {
-                    key,
-                    plan: Some(plan),
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slab.len() - 1
-            }
-        };
-        self.map.insert(key, slot);
-        self.push_front(slot);
+        self.clock += 1;
+        self.plans.insert(key, (plan, self.clock));
         self.stats.insertions += 1;
         evicted
     }
 
     /// Removes the plan stored under `key`, returning it if present.
-    /// Removal is not cache *traffic*: hit/miss counters are untouched and
-    /// no eviction is recorded. Used by invalidation.
-    pub fn remove(&mut self, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
-        let slot = self.map.remove(key)?;
-        self.unlink(slot);
-        let plan = self.slab[slot].plan.take();
-        self.free.push(slot);
-        plan
+    /// Removal is not cache *traffic*: no counter moves. Used by
+    /// invalidation.
+    pub(crate) fn remove(&mut self, key: &PatternFingerprint) -> Option<Arc<ExecutionPlan>> {
+        self.plans.remove(key).map(|(plan, _)| plan)
     }
 
-    /// Keys from most to least recently used: the order a snapshot
+    /// Resident plans, most recently used first: the order a snapshot
     /// captures.
-    pub fn keys_by_recency(&self) -> Vec<PatternFingerprint> {
-        let mut keys = Vec::with_capacity(self.map.len());
-        let mut slot = self.head;
-        while slot != NIL {
-            keys.push(self.slab[slot].key);
-            slot = self.slab[slot].next;
-        }
-        keys
+    pub(crate) fn by_recency(&self) -> Vec<&Arc<ExecutionPlan>> {
+        let mut plans: Vec<_> = self.plans.values().collect();
+        plans.sort_unstable_by_key(|(_, used)| Reverse(*used));
+        plans.into_iter().map(|(plan, _)| plan).collect()
     }
 
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
-        if prev != NIL {
-            self.slab[prev].next = next;
-        } else if self.head == slot {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slab[next].prev = prev;
-        } else if self.tail == slot {
-            self.tail = prev;
-        }
-        self.slab[slot].prev = NIL;
-        self.slab[slot].next = NIL;
+    /// `key`'s current generation: 0 until first invalidated.
+    pub(crate) fn generation_of(&self, key: &PatternFingerprint) -> u64 {
+        self.generations
+            .get(key)
+            .map_or(0, |cell| cell.load(Ordering::Acquire))
     }
 
-    fn push_front(&mut self, slot: usize) {
-        self.slab[slot].prev = NIL;
-        self.slab[slot].next = self.head;
-        if self.head != NIL {
-            self.slab[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
+    /// `key`'s shared generation cell, created at 0 on first use.
+    pub(crate) fn generation_cell(&mut self, key: &PatternFingerprint) -> Arc<AtomicU64> {
+        Arc::clone(
+            self.generations
+                .entry(*key)
+                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
+        )
+    }
+
+    /// Every nonzero generation, the ones a snapshot carries.
+    pub(crate) fn invalidated(&self) -> impl Iterator<Item = (PatternFingerprint, u64)> + '_ {
+        self.generations
+            .iter()
+            .map(|(key, cell)| (*key, cell.load(Ordering::Acquire)))
+            .filter(|&(_, generation)| generation > 0)
+    }
+
+    /// Drops the generation cells nobody can observe anymore — no
+    /// outstanding handle, never invalidated — except `key`'s.
+    pub(crate) fn prune_generations(&mut self, key: &PatternFingerprint) {
+        self.generations
+            .retain(|k, c| k == key || Arc::strong_count(c) > 1 || c.load(Ordering::Relaxed) > 0);
     }
 }
 
@@ -252,6 +179,23 @@ mod tests {
     use doacross_core::IndirectLoop;
     use doacross_par::ThreadPool;
 
+    /// Test-side reads of the state, shared with `concurrent`'s tests.
+    impl CacheState {
+        /// The plan stored under `key`, without touching recency or
+        /// counters.
+        pub(crate) fn peek(&self, key: &PatternFingerprint) -> Option<&Arc<ExecutionPlan>> {
+            self.plans.get(key).map(|(plan, _)| plan)
+        }
+
+        pub(crate) fn keys_by_recency(&self) -> Vec<PatternFingerprint> {
+            self.by_recency().iter().map(|p| *p.fingerprint()).collect()
+        }
+
+        pub(crate) fn generation_cells(&self) -> usize {
+            self.generations.len()
+        }
+    }
+
     fn plan_for(n: usize) -> (PatternFingerprint, Arc<ExecutionPlan>) {
         let a: Vec<usize> = (0..n).collect();
         let l = IndirectLoop::new(n, a, vec![vec![]; n], vec![vec![]; n]).unwrap();
@@ -260,13 +204,13 @@ mod tests {
         (*plan.fingerprint(), Arc::new(plan))
     }
 
-    fn hit(cache: &mut PlanCache, key: &PatternFingerprint) -> bool {
+    fn hit(cache: &mut CacheState, key: &PatternFingerprint) -> bool {
         cache.get(key).is_some()
     }
 
     #[test]
     fn hit_miss_and_stats() {
-        let mut cache = PlanCache::new(4);
+        let mut cache = CacheState::new(4);
         let (key, plan) = plan_for(10);
         assert!(!hit(&mut cache, &key));
         cache.insert(plan);
@@ -280,21 +224,14 @@ mod tests {
     #[test]
     fn hit_rate_is_zero_without_traffic_never_nan() {
         // Regression: `hits / (hits + misses)` on a fresh cache is 0/0;
-        // the guard must report 0.0, not NaN — including for stats merged
-        // from idle shards via `absorb` (the engine's fresh-stats path).
-        let fresh = PlanCache::new(4).stats();
+        // the guard must report 0.0, not NaN.
+        let fresh = CacheState::new(4).stats();
         assert_eq!(fresh.hit_rate(), 0.0);
         assert!(!fresh.hit_rate().is_nan());
-
-        let mut merged = CacheStats::default();
-        for _ in 0..8 {
-            merged.absorb(&CacheStats::default());
-        }
-        assert_eq!(merged.hit_rate(), 0.0);
-        assert!(!merged.hit_rate().is_nan());
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
 
         // Insertions alone (a warm-started cache) are still not traffic.
-        let mut cache = PlanCache::new(4);
+        let mut cache = CacheState::new(4);
         cache.insert(plan_for(3).1);
         assert_eq!(cache.stats().hit_rate(), 0.0);
     }
@@ -303,7 +240,7 @@ mod tests {
     fn get_hits_promote_recency() {
         // Regression: a hit must touch the LRU, or snapshots serialize a
         // wrong recency order and eviction picks the wrong victim.
-        let mut cache = PlanCache::new(3);
+        let mut cache = CacheState::new(3);
         let (k1, p1) = plan_for(1);
         let (k2, p2) = plan_for(2);
         let (k3, p3) = plan_for(3);
@@ -328,7 +265,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut cache = PlanCache::new(2);
+        let mut cache = CacheState::new(2);
         let (k1, p1) = plan_for(1);
         let (k2, p2) = plan_for(2);
         let (k3, p3) = plan_for(3);
@@ -346,7 +283,7 @@ mod tests {
 
     #[test]
     fn eviction_churn_preserves_linkage() {
-        let mut cache = PlanCache::new(3);
+        let mut cache = CacheState::new(3);
         let plans: Vec<_> = (1..=10).map(plan_for).collect();
         for (_, p) in &plans {
             cache.insert(Arc::clone(p));
@@ -367,18 +304,19 @@ mod tests {
 
     #[test]
     fn zero_capacity_never_stores() {
-        let mut cache = PlanCache::new(0);
+        let mut cache = CacheState::new(0);
         let (key, plan) = plan_for(5);
         cache.insert(plan);
         assert_eq!(cache.len(), 0);
         assert!(!hit(&mut cache, &key));
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.stats().insertions, 0);
     }
 
     #[test]
     fn reinsert_same_key_replaces_without_eviction() {
-        let mut cache = PlanCache::new(2);
+        let mut cache = CacheState::new(2);
         let (key, p1) = plan_for(6);
         let (_, p1b) = plan_for(6);
         cache.insert(p1);
@@ -390,7 +328,7 @@ mod tests {
 
     #[test]
     fn eviction_and_removal_release_the_plan_arc() {
-        let mut cache = PlanCache::new(1);
+        let mut cache = CacheState::new(1);
         let (_, p1) = plan_for(3);
         let (k2, p2) = plan_for(4);
         cache.insert(Arc::clone(&p1));
@@ -404,7 +342,7 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert!(cache.remove(&k2).is_none(), "second removal is a no-op");
 
-        // A freed slot is reusable.
+        // The room is reusable.
         cache.insert(Arc::clone(&p2));
         assert!(cache.peek(&k2).is_some());
     }

@@ -145,13 +145,6 @@ impl PatternFingerprint {
         self.total_terms
     }
 
-    /// The first 64-bit hash stream. The sharded plan cache routes on the
-    /// top bits of this value; they are as uniformly distributed as the
-    /// rest of the hash, so shards load-balance across structures.
-    pub fn high_bits(&self) -> u64 {
-        self.hash
-    }
-
     /// The five words of the fingerprint in a fixed serialization order —
     /// the persist codec's view. Paired with the crate's `from_raw`; treat
     /// the words as opaque.
@@ -329,7 +322,6 @@ mod tests {
         let fp = PatternFingerprint::of(&sample());
         let rebuilt = PatternFingerprint::from_raw(fp.to_raw()).unwrap();
         assert_eq!(fp, rebuilt);
-        assert_eq!(rebuilt.high_bits(), fp.high_bits());
     }
 
     #[test]

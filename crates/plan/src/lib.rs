@@ -31,13 +31,12 @@
 //!   the one claim stream of the doacross / reordered / wavefront variants
 //!   (claim order, per-claim operand classes, level offsets), detected
 //!   linear subscript, plus the census and candidate prices.
-//! * [`ConcurrentPlanCache`] — the plan cache: mutex-guarded LRU shards
-//!   (routed by fingerprint high bits, merged stats, per-key invalidation
-//!   generations), servable through `&self` from many threads — the
-//!   storage behind `doacross_engine::Engine`. Repeated structures
-//!   (solver iterations, repeated service traffic) skip inspection
-//!   entirely. A shard is a slab LRU over fingerprints with
-//!   hit/miss/eviction counters, private to this crate.
+//! * [`ConcurrentPlanCache`] — the plan cache: one LRU of exactly its
+//!   capacity under one `std::sync::Mutex` (use-clock recency,
+//!   hit/miss/eviction counters, per-key invalidation generations),
+//!   servable through `&self` from many threads — the storage behind
+//!   `doacross_engine::Engine`. Repeated structures (solver iterations,
+//!   repeated service traffic) skip inspection entirely.
 //! * [`PlanExecutor`] — variant dispatch for prebuilt plans over one
 //!   [`doacross_core::Doacross`] runtime and its one scratch.
 //! * [`persist`] — durable plans: a versioned, checksummed binary codec
@@ -95,7 +94,7 @@ pub mod runtime;
 
 pub use cache::CacheStats;
 pub use census::{CensusPass, PlanCensus};
-pub use concurrent::{default_shard_count, ConcurrentPlanCache};
+pub use concurrent::ConcurrentPlanCache;
 pub use fingerprint::PatternFingerprint;
 pub use persist::{PersistError, PlanStore};
 pub use plan::{ExecutionPlan, PlanFeatures, PlanVariant, VariantCosts};

@@ -26,8 +26,8 @@
 //!
 //! All integers are little-endian and fixed-width; plan records are
 //! length-prefixed so a reader can skip what it cannot use. Plans are
-//! ordered most-recently-used first (per shard, for sharded caches), so a
-//! restore can rebuild the LRU recency exactly.
+//! ordered most-recently-used first, so a restore can rebuild the LRU
+//! recency exactly.
 //!
 //! ## Trust model
 //!
@@ -689,7 +689,7 @@ fn check_features(
 /// and [`PlanStore::to_bytes`].
 #[derive(Debug, Clone, Default)]
 pub struct PlanStore {
-    /// Most-recently-used first (per shard for sharded snapshots).
+    /// Most-recently-used first.
     pub(crate) entries: Vec<(u64, Arc<ExecutionPlan>)>,
     /// Nonzero invalidation generations at snapshot time.
     pub(crate) generations: Vec<(PatternFingerprint, u64)>,

@@ -1,13 +1,14 @@
-//! Property tests of the sharded cache: for any access sequence, a
-//! [`ConcurrentPlanCache`] of any shard count agrees with a one-shard one
-//! on plan selection — same variant, same census, same hit/miss outcome
-//! per access (given no evictions) — and invalidation generations are
-//! monotone per key.
+//! Property tests of the plan cache: for any sequence of lookups,
+//! invalidations, swaps and warm restarts, a [`ConcurrentPlanCache`]
+//! behaves like a recency-ordered list of exactly its capacity, and
+//! invalidation generations are monotone per key.
 
 use doacross_core::IndirectLoop;
+use doacross_obs::{FpId, Obs, TraceEvent};
 use doacross_par::ThreadPool;
-use doacross_plan::{ConcurrentPlanCache, PatternFingerprint, Planner};
+use doacross_plan::{CacheStats, ConcurrentPlanCache, PatternFingerprint, Planner};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Distinct injective structures indexable by a small id. Mixes doall
 /// scatters, chains, and mixed-dependence shapes so variant selection is
@@ -38,43 +39,142 @@ fn structure(id: usize) -> IndirectLoop {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+/// The reference model: resident structure ids, most recently used
+/// first, and what the cache's counters should read.
+struct Model {
+    capacity: usize,
+    recency: Vec<usize>,
+    stats: CacheStats,
+    generations: [u64; 6],
+}
 
-    /// Same access sequence, ample capacity: identical per-access
-    /// (variant, hit) outcomes and identical merged traffic counters,
-    /// regardless of shard count — sharding changes nothing.
+impl Model {
+    /// A lookup: a hit moves `id` to the front.
+    fn get(&mut self, id: usize) -> bool {
+        let Some(at) = self.recency.iter().position(|&r| r == id) else {
+            self.stats.misses += 1;
+            return false;
+        };
+        self.recency.remove(at);
+        self.recency.insert(0, id);
+        self.stats.hits += 1;
+        true
+    }
+
+    /// Stores `id` as the most recently used; returns the id evicted.
+    fn insert(&mut self, id: usize) -> Option<usize> {
+        if self.capacity == 0 {
+            return None;
+        }
+        self.stats.insertions += 1;
+        let mut evicted = None;
+        if let Some(at) = self.recency.iter().position(|&r| r == id) {
+            self.recency.remove(at);
+        } else if self.recency.len() == self.capacity {
+            evicted = self.recency.pop();
+            self.stats.evictions += 1;
+        }
+        self.recency.insert(0, id);
+        evicted
+    }
+}
+
+/// The keys of the plans the cache evicted since the last call.
+fn evictions(obs: &Obs, seen: &mut usize) -> Vec<FpId> {
+    let events = obs.trace_events();
+    let fresh = events[*seen..]
+        .iter()
+        .filter_map(|traced| match traced.event {
+            TraceEvent::CacheEvicted { fp } => Some(fp),
+            _ => None,
+        })
+        .collect();
+    *seen = events.len();
+    fresh
+}
+
+fn observed(capacity: usize) -> (ConcurrentPlanCache, Obs) {
+    let mut cache = ConcurrentPlanCache::new(capacity);
+    let obs = Obs::new();
+    cache.set_obs(obs.clone());
+    (cache, obs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Every operation agrees with the model: hit or miss, the key
+    /// evicted, `len() <= capacity`, the counters, and the snapshot's
+    /// order (most recently used first). Operation codes: 0–3 a lookup
+    /// that builds on a miss, 4 an invalidation, 5–6 a plan swap, 7 a
+    /// snapshot restored into a fresh cache that then replaces this one.
     #[test]
-    fn sharded_and_unsharded_caches_agree_on_plan_selection(
-        shards in 1usize..=8,
-        accesses in proptest::collection::vec(0usize..6, 1..40),
+    fn the_cache_is_an_lru_of_exactly_its_capacity(
+        capacity in 0usize..=5,
+        ops in proptest::collection::vec((0usize..8, 0usize..6), 1..40),
     ) {
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
-        let distinct = 6usize;
-        let unsharded = ConcurrentPlanCache::new(distinct, 1);
-        // The shard count is rounded up to a power of two, so size against
-        // the *rounded* count: every shard then holds ≥ `distinct` plans
-        // and the sharded cache never evicts, however the keys distribute.
-        let sharded =
-            ConcurrentPlanCache::new(distinct * shards.next_power_of_two(), shards);
-
-        for &id in &accesses {
-            let l = structure(id);
-            let key = PatternFingerprint::of(&l);
-            let (plan_u, _, _, hit_u) = unsharded
-                .get_or_build(&key, || planner.plan(&pool, &l))
-                .expect("plannable");
-            let (plan_s, _, _, hit_s) = sharded
-                .get_or_build(&key, || planner.plan(&pool, &l))
-                .expect("plannable");
-            prop_assert_eq!(hit_u, hit_s, "hit/miss outcome agrees");
-            prop_assert_eq!(plan_u.variant(), plan_s.variant(), "same selection");
-            prop_assert_eq!(plan_u.census(), plan_s.census(), "same analysis");
-            prop_assert_eq!(plan_u.fingerprint(), plan_s.fingerprint());
+        let loops: Vec<IndirectLoop> = (0..6).map(structure).collect();
+        let keys: Vec<PatternFingerprint> = loops.iter().map(PatternFingerprint::of).collect();
+        let (mut cache, mut obs) = observed(capacity);
+        let mut seen = 0;
+        let mut model = Model {
+            capacity,
+            recency: Vec::new(),
+            stats: CacheStats::default(),
+            generations: [0; 6],
+        };
+        for &(op, id) in &ops {
+            let mut expected_evicted = None;
+            match op {
+                0..=3 => {
+                    let (plan, _, generation, hit) = cache
+                        .get_or_build(&keys[id], || planner.plan(&pool, &loops[id]))
+                        .expect("plannable");
+                    let model_hit = model.get(id);
+                    if !model_hit {
+                        expected_evicted = model.insert(id);
+                    }
+                    prop_assert_eq!(hit, model_hit, "op {} on {}", op, id);
+                    prop_assert_eq!(plan.fingerprint(), &keys[id]);
+                    prop_assert_eq!(generation, model.generations[id]);
+                }
+                4 => {
+                    let resident = model.recency.contains(&id);
+                    model.recency.retain(|&r| r != id);
+                    model.generations[id] += 1;
+                    prop_assert_eq!(cache.invalidate(&keys[id]), resident);
+                }
+                5 | 6 => {
+                    let plan = Arc::new(planner.plan(&pool, &loops[id]).expect("plannable"));
+                    expected_evicted = model.insert(id);
+                    model.generations[id] += 1;
+                    prop_assert_eq!(cache.swap_plan(plan), model.generations[id]);
+                }
+                _ => {
+                    let store = cache.snapshot();
+                    let (fresh, fresh_obs) = observed(capacity);
+                    let restored = fresh.warm_from(&store, |plan| Some(Arc::clone(plan)));
+                    prop_assert_eq!(restored, model.recency.len());
+                    model.stats = CacheStats {
+                        insertions: restored as u64,
+                        ..CacheStats::default()
+                    };
+                    (cache, obs, seen) = (fresh, fresh_obs, 0);
+                }
+            }
+            let evicted = evictions(&obs, &mut seen);
+            let expected: Vec<FpId> = expected_evicted.iter().map(|&e| (&keys[e]).into()).collect();
+            prop_assert_eq!(evicted, expected, "evicted key after op {} on {}", op, id);
+            prop_assert!(cache.len() <= capacity);
+            prop_assert_eq!(cache.len(), model.recency.len());
+            prop_assert_eq!(cache.stats(), model.stats);
+            let order: Vec<PatternFingerprint> =
+                cache.snapshot().plans().map(|plan| *plan.fingerprint()).collect();
+            let expected: Vec<PatternFingerprint> = model.recency.iter().map(|&r| keys[r]).collect();
+            prop_assert_eq!(order, expected, "recency after op {} on {}", op, id);
         }
-        prop_assert_eq!(unsharded.stats(), sharded.stats(), "merged ledgers agree");
-        prop_assert_eq!(unsharded.len(), sharded.len());
     }
 
     /// Generations: 0 until first invalidation, +1 per invalidation, and
@@ -83,7 +183,7 @@ proptest! {
     fn invalidation_generations_are_monotone_and_per_key(
         invalidations in proptest::collection::vec(0usize..4, 0..12),
     ) {
-        let cache = ConcurrentPlanCache::new(8, 4);
+        let cache = ConcurrentPlanCache::new(8);
         let keys: Vec<PatternFingerprint> =
             (0..4).map(|id| PatternFingerprint::of(&structure(id))).collect();
         let mut expected = [0u64; 4];

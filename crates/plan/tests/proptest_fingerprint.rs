@@ -2,10 +2,10 @@
 //! patterns: a single-word edit (an `lhs`, a term element) changes each of
 //! the two hash streams — provably, since it changes exactly one lane of
 //! each — and so does a term-count edit or an element moved across a row
-//! boundary; a subscript at or above 2³² never aliases its low 32 bits;
-//! and the first stream's top bits spread structures over cache shards.
+//! boundary; and a subscript at or above 2³² never aliases its low 32
+//! bits.
 
-use doacross_core::{AccessPattern, TestLoop};
+use doacross_core::AccessPattern;
 use doacross_plan::PatternFingerprint;
 use proptest::prelude::*;
 
@@ -144,31 +144,4 @@ proptest! {
         prop_assert!(a.0 != b.0 && a.1 != b.1, "slot {} aliased", slot);
         prop_assert!(PatternFingerprint::of(&low) != PatternFingerprint::of(&wide));
     }
-}
-
-#[test]
-fn structures_spread_over_eight_shards() {
-    // The sharded plan cache routes on the top bits of `high_bits()`
-    // (`ConcurrentPlanCache`: `high_bits() >> (64 - log2(shards))`).
-    let mut fps = Vec::new();
-    for l in 1..=12 {
-        for m in 1..=4 {
-            fps.push(PatternFingerprint::of(&TestLoop::new(100, m, l)));
-        }
-    }
-    for width in [8, 16] {
-        for depth in 4..12 {
-            fps.push(PatternFingerprint::of(&doacross_plan::testgrid::deep_grid(
-                width, depth, 3, 5,
-            )));
-        }
-    }
-    assert_eq!(fps.len(), 64);
-    let mut shards = [0usize; 8];
-    for fp in &fps {
-        shards[(fp.high_bits() >> 61) as usize] += 1;
-    }
-    let used = shards.iter().filter(|&&n| n > 0).count();
-    assert!(used >= 6, "{used} of 8 shards used: {shards:?}");
-    assert!(shards.iter().all(|&n| n <= 16), "{shards:?}");
 }

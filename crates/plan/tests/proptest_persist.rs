@@ -48,9 +48,9 @@ fn pinned(flags: bool) -> Planner {
     })
 }
 
-/// The snapshot of a one-shard cache that planned `loop_`.
+/// The snapshot of a cache that planned `loop_`.
 fn store_of(pool: &ThreadPool, planner: &Planner, loop_: &IndirectLoop) -> PlanStore {
-    let cache = ConcurrentPlanCache::new(2, 1);
+    let cache = ConcurrentPlanCache::new(2);
     let key = PatternFingerprint::of(loop_);
     cache
         .get_or_build(&key, || planner.plan(pool, loop_))
@@ -230,8 +230,7 @@ proptest! {
     ) {
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
-        // One shard, so a snapshot's plan order is one recency order.
-        let cache = ConcurrentPlanCache::new(8, 1);
+        let cache = ConcurrentPlanCache::new(8);
         let prepare = |l: &IndirectLoop| {
             let key = PatternFingerprint::of(l);
             cache
@@ -247,7 +246,7 @@ proptest! {
 
         let bytes = cache.snapshot().to_bytes();
         let store = PlanStore::from_bytes(&bytes).expect("own bytes parse");
-        let warmed = ConcurrentPlanCache::new(8, 1);
+        let warmed = ConcurrentPlanCache::new(8);
         warmed.warm_from(&store, |plan| Some(plan.clone()));
         let recency = |cache: &ConcurrentPlanCache| -> Vec<PatternFingerprint> {
             cache.snapshot().plans().map(|plan| *plan.fingerprint()).collect()
@@ -353,7 +352,7 @@ fn whole_store_fixture() -> &'static [u8] {
         );
         let grid = doacross_plan::testgrid::deep_grid(64, 20, 3, 7);
         let (pool, planner) = (ThreadPool::new(4), Planner::new());
-        let cache = ConcurrentPlanCache::new(8, 1);
+        let cache = ConcurrentPlanCache::new(8);
         let build = |l: &IndirectLoop| {
             let key = PatternFingerprint::of(l);
             cache.get_or_build(&key, || planner.plan(&pool, l)).unwrap();

@@ -195,7 +195,7 @@ proptest! {
     fn cache_eviction_keeps_lru_invariants(capacity in 1usize..6, touches in 8usize..40) {
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
-        let cache = ConcurrentPlanCache::new(capacity, 1);
+        let cache = ConcurrentPlanCache::new(capacity);
         // A rotating working set twice the capacity: forced evictions.
         let distinct = capacity * 2;
         let loops: Vec<IndirectLoop> = (1..=distinct)
@@ -226,7 +226,7 @@ proptest! {
         // An Arc'd plan keeps working after the cache dropped it.
         let pool = ThreadPool::new(2);
         let planner = Planner::new();
-        let cache = ConcurrentPlanCache::new(1, 1);
+        let cache = ConcurrentPlanCache::new(1);
         let key = PatternFingerprint::of(&loop_);
         let (plan, ..) = cache
             .get_or_build(&key, || planner.plan(&pool, &loop_))

@@ -29,9 +29,9 @@
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
-use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, LockResult, Mutex, PoisonError};
 
 use doacross_par::ThreadPool;
 
@@ -43,6 +43,13 @@ pub const MAX_POOLS: usize = 64;
 /// back-pressure signal for pathological pileup, not a throttle on
 /// ordinary multi-tenant bursts.
 pub const DEFAULT_MAX_PENDING: usize = 1024;
+
+/// The guard of the wait lock or of a wait on `available`, recovered if a
+/// panic poisoned it: the lock guards no data, so a panicking waiter must
+/// not wedge admission for everyone after it.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Typed admission failure: every sub-pool was busy and the pending-waiter
 /// queue was already at its bound. The solve was **not** executed.
@@ -244,7 +251,7 @@ impl PoolSet {
             return Ok(self.admit(idx, preferred));
         }
         // Contended path: register as a waiter (bounded), then sleep.
-        let mut guard = self.wait_lock.lock();
+        let mut guard = unpoisoned(self.wait_lock.lock());
         loop {
             // Re-scan *after* publishing intent to wait: a release that
             // happened between the fast-path miss and here either left the
@@ -263,7 +270,7 @@ impl PoolSet {
                     max_pending: self.max_pending,
                 });
             }
-            self.available.wait(&mut guard);
+            guard = unpoisoned(self.available.wait(guard));
             self.waiters.fetch_sub(1, Ordering::SeqCst);
         }
     }
@@ -287,7 +294,7 @@ impl PoolSet {
         if self.waiters.load(Ordering::SeqCst) > 0 {
             // Pair with the waiter's re-scan: take the condvar's mutex so
             // the notify cannot slip between its scan and its sleep.
-            let _g = self.wait_lock.lock();
+            let _g = unpoisoned(self.wait_lock.lock());
             self.available.notify_one();
         }
     }

@@ -1,5 +1,5 @@
 //! The engine end to end: fingerprint → cost-model variant selection →
-//! sharded concurrent plan cache → preprocessing-free reruns from many
+//! concurrent plan cache → preprocessing-free reruns from many
 //! threads — plus invalidation retiring stale handles.
 //!
 //! ```bash
@@ -81,10 +81,10 @@ fn main() {
     });
     let s = engine.cache_stats();
     println!(
-        "  all bit-identical; cache {} hits / {} misses over {} shards (hit rate {:.0}%)",
+        "  all bit-identical; cache {} hits / {} misses, {} plans held (hit rate {:.0}%)",
         s.hits,
         s.misses,
-        engine.shards(),
+        engine.cache_len(),
         s.hit_rate() * 100.0
     );
 

@@ -37,8 +37,8 @@ fn main() {
     let mut y_seq = y0.clone();
     run_sequential(&loop_, &mut y_seq);
 
-    // One engine for the whole session: workers, planner, and a sharded
-    // plan cache behind &self — clones share everything.
+    // One engine for the whole session: workers, planner, and a plan
+    // cache behind &self — clones share everything.
     let engine = Engine::builder().workers(4).build();
 
     let mut y_par = y0.clone();
@@ -80,9 +80,9 @@ fn main() {
     );
     let s = engine.cache_stats();
     println!(
-        "cache: {} hit / {} miss over {} shards",
+        "cache: {} hit / {} miss, {} plan(s) held",
         s.hits,
         s.misses,
-        engine.shards()
+        engine.cache_len()
     );
 }

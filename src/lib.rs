@@ -7,8 +7,8 @@
 //! > 1991.
 //!
 //! The front door is [`Engine`]: a thread-safe, `Arc`-shareable session
-//! that owns the worker pool, the cost-model planner, and a **sharded
-//! concurrent plan cache**. It turns the paper's central economy —
+//! that owns the worker pool, the cost-model planner, and a **concurrent
+//! plan cache**. It turns the paper's central economy —
 //! preprocessing "performed just once, while the doacross loop may be
 //! executed many times" (§2.1) — into a serving primitive: the first
 //! encounter with a loop *structure* pays fingerprinting, dependence
@@ -218,8 +218,9 @@
 //!   to regenerate Figure 6 and Table 1, plus host calibration.
 //! * [`plan`] — the execution-plan subsystem the engine is built on:
 //!   pattern fingerprinting, cost-model variant selection (sequential /
-//!   doacross / linear / reordered / wavefront), the sharded
-//!   [`plan::ConcurrentPlanCache`] (slab LRU shards behind mutexes),
+//!   doacross / linear / reordered / wavefront), the
+//!   [`plan::ConcurrentPlanCache`] (one LRU of exact capacity under one
+//!   mutex),
 //!   [`plan::PlanExecutor`] dispatching a plan onto one `core::Doacross`,
 //!   and the [`plan::persist`] codec behind warm starts. [`Engine`] is the
 //!   only planned path through it. The wavefront variant converts the doacross into

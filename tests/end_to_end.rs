@@ -268,11 +268,7 @@ fn facade_engine_serves_concurrent_callers() {
 
     // Prepared handles survive cache eviction but not invalidation: on a
     // one-plan cache, preparing a second structure evicts the first.
-    let engine = Engine::builder()
-        .workers(2)
-        .cache_capacity(1)
-        .shards(1)
-        .build();
+    let engine = Engine::builder().workers(2).cache_capacity(1).build();
     let prepared = engine.prepare(&loops[0]).expect("plannable");
     engine.prepare(&loops[1]).expect("plannable");
     assert_eq!(engine.cache_stats().evictions, 1);
